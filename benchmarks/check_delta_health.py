@@ -1,0 +1,67 @@
+"""CI gate: delta timestamps must stay delta past the table rollover.
+
+Reads a result file of the end-to-end benchmark
+(``python benchmarks/e2e/run.py --workload mesh4_saturate --seconds 12
+--trace 0 --out FILE`` issues 1,536 messages per sender, past the 1,056
+at which the receiver's reference table used to roll over and every
+later delta bounced — ROADMAP item 2) and fails when
+
+* the run is invalid (a missing or duplicated operation, a decode
+  error, a causal-violation ratio beyond the theory bound),
+* more than ``--max-miss-ratio`` of the deltas sent named a reference
+  the receiver no longer held (``session.delta_ref_miss_ratio``), or
+* fewer than ``--min-delta-share`` of the broadcasts travelled as
+  deltas (``session.delta_share``) — the periodic full refreshes are
+  about 1 in 64, anything more means the path fell back to fulls.
+
+Exit 0 when every measured run passes, 1 otherwise.
+"""
+
+import argparse
+import json
+import sys
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("result", help="result file written by benchmarks/e2e/run.py")
+    parser.add_argument("--max-miss-ratio", type=float, default=0.01)
+    parser.add_argument("--min-delta-share", type=float, default=0.9)
+    args = parser.parse_args()
+
+    with open(args.result, encoding="utf-8") as handle:
+        result = json.load(handle)
+    measured = [run for run in result["runs"] if "per_layer" in run]
+    failures = []
+    if not measured:
+        failures.append("the result file holds no measured run")
+    for run in measured:
+        name = run["workload"]
+        miss_ratio = run["per_layer"]["session.delta_ref_miss_ratio"]
+        share = run["per_layer"]["session.delta_share"]
+        print(f"{name}: {run['messages_per_sender']} msgs/sender  "
+              f"delta_share={share:.4f}  delta_ref_miss_ratio={miss_ratio:.4f}  "
+              f"valid={run['valid']}")
+        if not run["valid"]:
+            failures.append(f"{name}: invalid run: {'; '.join(run['problems'])}")
+        if miss_ratio > args.max_miss_ratio:
+            failures.append(
+                f"{name}: {miss_ratio:.4f} of the deltas bounced off a missing "
+                f"reference (limit {args.max_miss_ratio})"
+            )
+        if share < args.min_delta_share:
+            failures.append(
+                f"{name}: only {share:.4f} of the broadcasts travelled as "
+                f"deltas (floor {args.min_delta_share})"
+            )
+
+    if failures:
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        return 1
+    print("delta health gate passed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

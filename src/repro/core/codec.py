@@ -81,7 +81,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -235,6 +235,63 @@ def varint_size(value: int) -> int:
         value >>= 7
         size += 1
     return size
+
+
+_MAX_VARINT_BYTES = 10  # decode_varint's bound: shifts 0, 7, ..., 63
+
+
+def _encode_varints(values: List[int]) -> bytes:
+    """LEB128-encode a whole vector of non-negative ints in one pass.
+
+    Byte-for-byte ``b"".join(encode_varint(v) for v in values)``, without
+    a call or a bytes object per entry.  The caller has rejected
+    negative entries.
+    """
+    out = bytearray()
+    append = out.append
+    for value in values:
+        while value > 0x7F:
+            append((value & 0x7F) | 0x80)
+            value >>= 7
+        append(value)
+    return bytes(out)
+
+
+def _decode_varints(data: Buffer, offset: int, count: int) -> Tuple[np.ndarray, int]:
+    """Decode ``count`` consecutive LEB128 varints starting at ``offset``.
+
+    Returns ``(int64 vector, new_offset)`` — entry for entry what
+    ``count`` calls of :func:`decode_varint` return, with the same
+    :class:`CodecError` for a truncated or over-long varint (an entry
+    beyond int64, which the clock cannot hold, is rejected too).
+    """
+    chunk = bytes(data[offset : offset + count * _MAX_VARINT_BYTES])
+    head = chunk[:count]
+    if len(head) == count and max(head, default=0) < 0x80:
+        # Every entry is its own byte.
+        return np.frombuffer(head, dtype=np.uint8).astype(np.int64), offset + count
+    values = []
+    append = values.append
+    pending = shift = 0  # the partial entry: its low groups, their width
+    extra = 0  # continuation bytes seen: consumed = entries + extra
+    for byte in chunk:
+        if byte < 0x80:
+            append(pending | (byte << shift))
+            if len(values) == count:
+                break
+            pending = shift = 0
+        else:
+            pending |= (byte & 0x7F) << shift
+            shift += 7
+            extra += 1
+            if shift > 63:
+                raise CodecError("varint too long")
+    else:
+        raise CodecError("truncated varint")
+    try:
+        return np.array(values, dtype=np.int64), offset + count + extra
+    except OverflowError:
+        raise CodecError("vector entry exceeds the int64 range of the clock") from None
 
 
 class PayloadCodec:
@@ -401,18 +458,23 @@ class MessageCodec:
         ]
 
     def encode(self, message: Message) -> bytes:
+        return self._encode(message, None)
+
+    def _encode(self, message: Message, payload_bytes: Optional[Buffer]) -> bytes:
+        """The full encoding; ``payload_bytes`` is the payload's wire form
+        when the caller already holds it (``None``: serialise it here)."""
         timestamp = message.timestamp
         flags = _FLAG_VARINT if self._varint else 0
         parts = self._header_parts(message, flags)
         parts.append(struct.pack("<I", timestamp.size))
-        entries = [int(v) for v in timestamp.vector]
-        if entries and min(entries) < 0:
+        entries = np.asarray(timestamp.vector, dtype=np.int64).tolist()
+        if min(entries, default=0) < 0:
             raise CodecError(
                 f"negative vector entry in message {message.message_id}: "
                 "clock entries are counters and must be >= 0"
             )
         if self._varint:
-            parts.extend(encode_varint(v) for v in entries)
+            parts.append(_encode_varints(entries))
         else:
             # Fixed-width entries ride in uint32 slots; a long-running
             # node whose counters outgrow them must fail loudly here, not
@@ -426,7 +488,8 @@ class MessageCodec:
                     "for counters beyond 2**32-1"
                 )
             parts.append(struct.pack(f"<{len(entries)}I", *entries))
-        payload_bytes = self._payload_codec.encode(message.payload)
+        if payload_bytes is None:
+            payload_bytes = self._payload_codec.encode(message.payload)
         parts.append(struct.pack("<I", len(payload_bytes)))
         parts.append(payload_bytes)
         return b"".join(parts)
@@ -445,7 +508,6 @@ class MessageCodec:
         self._check_scheme(scheme_id)
         if epoch != self._epoch & 0xFF:
             self.counters.epoch_mismatches += 1
-        varint = bool(flags & _FLAG_VARINT)
         offset = _HEADER_SIZE
         try:
             (sender_len,) = struct.unpack_from("<H", data, offset)
@@ -462,13 +524,15 @@ class MessageCodec:
             offset += 4 * key_count
             (r,) = struct.unpack_from("<I", data, offset)
             offset += 4
-            if varint:
-                entries = []
-                for _ in range(r):
-                    value, offset = decode_varint(data, offset)
-                    entries.append(value)
+            if flags & _FLAG_VARINT:
+                vector, offset = _decode_varints(data, offset, r)
             else:
-                entries = list(struct.unpack_from(f"<{r}I", data, offset))
+                if len(data) < offset + 4 * r:
+                    raise CodecError(
+                        f"truncated message: {r} fixed-width entries do not fit"
+                    )
+                vector = np.frombuffer(data, dtype="<u4", count=r, offset=offset)
+                vector = vector.astype(np.int64)
                 offset += 4 * r
             (payload_len,) = struct.unpack_from("<I", data, offset)
             offset += 4
@@ -482,17 +546,17 @@ class MessageCodec:
         counters = self.counters
         counters.messages_decoded += 1
         counters.payload_bytes_in += payload_len
-        vector = np.asarray(entries, dtype=np.int64)
         vector.flags.writeable = False
-        timestamp = Timestamp(vector=vector, sender_keys=tuple(int(k) for k in keys), seq=seq)
+        timestamp = Timestamp(vector=vector, sender_keys=keys, seq=seq)
         return Message(sender=sender, seq=seq, timestamp=timestamp, payload=payload)
 
     def encoded_size(self, message: Message) -> int:
         """Wire size in bytes, computed without materialising the encoding.
 
         Exactly ``len(self.encode(message))`` for any encodable message
-        (property-tested); only the payload is actually serialised (its
-        length is content-dependent), the rest is arithmetic.
+        (property-tested); only the payload and the varint block are
+        actually serialised (their lengths are content-dependent), the
+        rest is arithmetic.
         """
         sender_bytes = str(message.sender).encode("utf-8")
         timestamp = message.timestamp
@@ -504,7 +568,8 @@ class MessageCodec:
             + 4  # R
         )
         if self._varint:
-            size += sum(varint_size(int(v)) for v in timestamp.vector)
+            entries = np.asarray(timestamp.vector, dtype=np.int64).tolist()
+            size += len(_encode_varints(entries))
         else:
             size += 4 * timestamp.size
         size += 4 + len(self._payload_codec.encode(message.payload))
@@ -632,8 +697,12 @@ class MessageCodec:
         return sender, seq, offset
 
     def decode_delta(
-        self, data: Buffer, ref_vector: np.ndarray, sender_keys: Tuple[int, ...]
-    ) -> Message:
+        self,
+        data: Buffer,
+        ref_vector: np.ndarray,
+        sender_keys: Tuple[int, ...],
+        return_full: bool = False,
+    ) -> Union[Message, Tuple[Message, bytes]]:
         """Reconstruct the full message from a delta and its reference.
 
         ``sender_keys`` is the sender's static key set, known to the
@@ -642,6 +711,11 @@ class MessageCodec:
         decoding the full encoding of the same message
         (differential-tested): same vector dtype and values, same keys,
         seq, and payload.
+
+        With ``return_full`` the result is ``(message, full)`` where
+        ``full`` is the message's full encoding, assembled around the
+        payload bytes the delta carried — what a receiver stores to
+        serve third parties, without serialising the payload again.
         """
         sender, seq, offset = self._decode_delta_prefix(data)
         try:
@@ -680,7 +754,10 @@ class MessageCodec:
         timestamp = Timestamp(
             vector=vector, sender_keys=tuple(int(k) for k in sender_keys), seq=seq
         )
-        return Message(sender=sender, seq=seq, timestamp=timestamp, payload=payload)
+        message = Message(sender=sender, seq=seq, timestamp=timestamp, payload=payload)
+        if return_full:
+            return message, self._encode(message, data[offset : offset + payload_len])
+        return message
 
 
 # ----------------------------------------------------------------------

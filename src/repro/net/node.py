@@ -16,11 +16,12 @@ On the wire each broadcast is delta-encoded per link when possible
 (``wire_delta``): only the vector entries changed since this node's last
 *full-encoded* message acked on that link travel — O(K) bytes instead of
 O(R) — and the receiver reconstructs the full vector from its per-link
-reference table.  New links, journal recovery, stale references and
-reference misses (e.g. the peer crashed and lost its table) fall back to
-the full encoding; a miss additionally triggers an immediate
-anti-entropy exchange that re-delivers the affected messages full, after
-which deltas resume.
+reference table.  New links and journal recovery start on the full
+encoding, and every ``_DELTA_REFRESH_AGE`` messages one broadcast per
+link travels full to renew the reference.  A reference miss (e.g. the
+peer crashed and lost its table) triggers an immediate anti-entropy
+exchange that re-delivers the affected messages full; the next renewal
+ends the misses (PROTOCOL.md §8.3).
 
 Retransmission handles the common case (a datagram lost on one link);
 the periodic anti-entropy exchange handles the rest: each node digests
@@ -255,6 +256,30 @@ class MessageStore:
         return dropped
 
 
+# A link's delta reference is re-established (one broadcast travels
+# full and, once acked, replaces it) at every multiple of this many own
+# messages: bounds how long a receiver that lost the reference —
+# restart, re-key, eviction — keeps bouncing deltas.  Block-aligned
+# rather than counted from each link's reference, so all links renew on
+# the same broadcast and keep sharing one reference (one delta encode
+# per broadcast) however their first acks were timed.
+_DELTA_REFRESH_AGE = 64
+# Superseded references a receiver keeps per (peer, sender) below the
+# live one, for deltas that were lost and retransmitted after the sender
+# moved on: one per _DELTA_REFRESH_AGE messages, so ~2,000 messages back.
+_DELTA_RX_HISTORY = 32
+# A link whose deltas bounce this often has lost its reference for good
+# (warned about once, after _DELTA_MISS_WARN_AFTER deltas).
+_DELTA_MISS_WARN_RATIO = 0.05
+_DELTA_MISS_WARN_AFTER = 100
+
+
+def _delta_miss_ratio(misses: int, decoded: int) -> float:
+    """Share of arriving deltas that named an unknown reference."""
+    arrived = misses + decoded
+    return misses / arrived if arrived else 0.0
+
+
 class _DeltaTx:
     """Per-link delta-encoding sender state.
 
@@ -291,21 +316,68 @@ class _DeltaTx:
                 best_seq, best_vector = msg_seq, vector
         self.ref_seq, self.ref_vector = best_seq, best_vector
 
+    def wants_full(self, msg_seq: int) -> bool:
+        """Whether ``msg_seq`` must travel full on this link: no
+        reference yet, or the reference dates from an earlier refresh
+        block and no full is already in flight to replace it (deltas
+        keep flowing against the old reference until that one is
+        acked)."""
+        if self.ref_vector is None:
+            return True
+        return (
+            msg_seq // _DELTA_REFRESH_AGE > self.ref_seq // _DELTA_REFRESH_AGE
+            and not self.inflight
+        )
+
 
 class _DeltaRx:
     """Per-(peer, sender) delta-decoding receiver state.
 
-    ``refs`` maps the sender's message seqs to their decoded vectors
-    (candidate references for incoming deltas); ``keys`` is the sender's
-    static key set, learned from the full encodings that established
-    those references — deltas do not carry it on the wire.
+    ``refs`` maps the sender's message seqs to the vectors that arrived
+    *full-encoded* on this link — the only ones a delta can name;
+    ``keys`` is the sender's static key set, learned from those same
+    full encodings (deltas do not carry it on the wire).  ``live`` is
+    the newest reference a decoded delta has named.
+
+    The sender's reference only moves forward, so everything above
+    ``live`` is a candidate it may adopt next and is kept (as many as
+    the sender has fulls in flight: one refresh in steady state, up to
+    its ``send_buffer`` before the first ack); below ``live`` only the
+    last ``_DELTA_RX_HISTORY`` stay.
     """
 
-    __slots__ = ("keys", "refs")
+    __slots__ = ("keys", "refs", "live")
 
     def __init__(self, keys: Tuple[int, ...]) -> None:
         self.keys = keys
-        self.refs: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self.refs: Dict[int, np.ndarray] = {}
+        self.live = -1
+
+    def record(self, seq: int, vector: np.ndarray, cap: int) -> None:
+        """Keep ``vector`` as a candidate reference.  Beyond ``cap``
+        the lowest seqs go first, never the live one: a burst of
+        anti-entropy pushes (old messages) evicts itself.  They go a
+        quarter of the table at a time, so a sender that only ever
+        sends fulls costs its receivers one sort per ``cap / 4``
+        messages, not one scan per message."""
+        refs = self.refs
+        refs[seq] = vector
+        if len(refs) > cap:
+            for known in sorted(refs)[: max(1, cap // 4)]:
+                if known != self.live:
+                    del refs[known]
+
+    def use(self, ref_seq: int) -> Optional[np.ndarray]:
+        """The vector a delta names (``None``: unknown); a newer
+        reference than ``live`` retires the history beyond the bound."""
+        refs = self.refs
+        vector = refs.get(ref_seq)
+        if vector is not None and ref_seq > self.live:
+            self.live = ref_seq
+            history = sorted(known for known in refs if known < ref_seq)
+            for known in history[:-_DELTA_RX_HISTORY]:
+                del refs[known]
+        return vector
 
 
 class ReliableCausalNode:
@@ -421,6 +493,10 @@ class ReliableCausalNode:
         self._delta_tx: Dict[Address, _DeltaTx] = {}
         self._delta_rx: Dict[Address, Dict[str, _DeltaRx]] = {}
         self._resync_last: Dict[Address, float] = {}
+        self._delta_miss_warned: Set[Address] = set()
+        # An own broadcast's encoding, handed from the WAL write inside
+        # the delivery upcall to broadcast() (one encode, not two).
+        self._wal_encoding: Optional[bytes] = None
         # View-evicted peers: address -> sender id, bounded so a long
         # churn history cannot grow it; frames from these addresses are
         # dropped (with one warning per address) until a re-join clears
@@ -522,8 +598,8 @@ class ReliableCausalNode:
             on_relay=(self._handle_relay if overlay is not None else None),
             data_gate=self._data_plane_admitted,
         )
-        # A reference must outlive the window in which a delta naming it
-        # can still arrive; the sender's send_buffer bounds that window.
+        # Every full the sender may still adopt as its reference must be
+        # held; its send_buffer bounds how many can be in flight.
         self._delta_rx_cap = max(128, self.session.policy.send_buffer + 32)
         if self.recovered is not None:
             for address, link in self.recovered.links.items():
@@ -579,6 +655,11 @@ class ReliableCausalNode:
         resumes = self.metrics.counter("repro_liveness_resumes_total")
         suppressed = self.metrics.counter("repro_heartbeats_suppressed_total")
         stale = self.metrics.counter("repro_stale_frames_total")
+        # Delta health (ROADMAP 5c): the share of arriving deltas that
+        # bounced off an unknown reference, and how many own messages
+        # old the stalest link reference is.
+        delta_miss_ratio = self.metrics.gauge("repro_delta_ref_miss_ratio")
+        delta_ref_age = self.metrics.gauge("repro_delta_ref_age")
         # Zero-copy codec tallies: the message codec (this node's) and
         # the session's frame codec each keep slotted ints; export their
         # sum per field as repro_codec_*_total.
@@ -598,6 +679,21 @@ class ReliableCausalNode:
                 resumes.set(self.liveness.resumes)
             suppressed.set(self._heartbeats_suppressed)
             stale.set(self._stale_frames)
+            links = self.session.all_stats().values()
+            delta_miss_ratio.set(
+                _delta_miss_ratio(
+                    sum(link.delta_ref_misses for link in links),
+                    sum(link.delta_received for link in links),
+                )
+            )
+            sent = self.endpoint.clock.send_count
+            delta_ref_age.set(
+                max(
+                    (sent - tx.ref_seq for tx in self._delta_tx.values()
+                     if tx.ref_vector is not None),
+                    default=0,
+                )
+            )
             message_tallies = self._codec.counters
             frame_tallies = self.session.codec_counters
             for name, counter in codec_counters.items():
@@ -720,6 +816,7 @@ class ReliableCausalNode:
         self._delta_tx.pop(address, None)
         self._delta_rx.pop(address, None)
         self._resync_last.pop(address, None)
+        self._delta_miss_warned.discard(address)
 
     def evict_peer(self, address: Address, sender_id: Optional[str] = None) -> None:
         """Expel a peer from this node's runtime state (view eviction).
@@ -870,7 +967,11 @@ class ReliableCausalNode:
         # detector's recent-window eviction is keyed on it (a frozen
         # clock silently disables Algorithm 5's time bound).
         message = self.endpoint.broadcast(payload, now=self._now())
-        data = self._codec.encode(message)
+        # With a journal the delivery upcall inside endpoint.broadcast()
+        # already encoded the message for the WAL; reuse those bytes.
+        data, self._wal_encoding = self._wal_encoding, None
+        if data is None:
+            data = self._codec.encode(message)
         self.store.add(str(message.sender), message.seq, data)
         if self.overlay is not None:
             # Overlay mode: one RELAY envelope to `fanout` view targets;
@@ -885,9 +986,12 @@ class ReliableCausalNode:
         # Mesh mode: the payload body is packed once and shared across
         # every per-peer DATA frame — only the link-seq header differs.
         body = self.session.data_body(data)
+        # One delta per distinct reference, shared across the links that
+        # hold it (references refresh in lock-step, so normally one).
+        deltas: Dict[int, Tuple[bytes, bytes]] = {}
         await asyncio.gather(
             *(
-                self._send_message(address, message, data, body)
+                self._send_message(address, message, data, body, deltas)
                 for address in self._live_peers()
             )
         )
@@ -898,34 +1002,40 @@ class ReliableCausalNode:
         address: Address,
         message: Message,
         full: bytes,
-        body: Optional[bytes] = None,
+        body: bytes,
+        deltas: Dict[int, Tuple[bytes, bytes]],
     ) -> None:
         """Send one broadcast over one link, delta-encoded when a
-        reference is established (falls back to ``full`` otherwise)."""
-        wire = full
+        reference is established (falls back to ``full`` otherwise).
+        ``body`` is the pre-packed DATA body of ``full``; ``deltas``
+        caches this broadcast's ``(delta, body)`` per reference seq."""
+        wire, wire_body = full, body
         stats = self.session.peer_stats(address)
         tx: Optional[_DeltaTx] = None
         if self._wire_delta:
             tx = self._delta_tx.setdefault(address, _DeltaTx())
             tx.advance(self.session.acked_cumulative(address))
-            if tx.ref_vector is not None:
-                delta = self._codec.encode_delta(message, tx.ref_seq, tx.ref_vector)
-                # Refresh policy: a delta must earn its keep.  As the
-                # reference ages, more entries diverge and the delta
-                # grows; once it stops being clearly smaller, send full
-                # instead — which (once acked) becomes the new
-                # reference, shrinking subsequent deltas again.  Under
-                # loss the ack never comes, so this degrades to full
-                # encoding by itself, exactly the safe fallback.
-                if len(delta) * 2 < len(full):
-                    wire = delta
+            if not tx.wants_full(message.seq):
+                shared = deltas.get(tx.ref_seq)
+                if shared is None:
+                    delta = self._codec.encode_delta(
+                        message, tx.ref_seq, tx.ref_vector
+                    )
+                    shared = deltas[tx.ref_seq] = (
+                        delta, self.session.data_body(delta)
+                    )
+                # Size rule: a delta must earn its keep.  With many
+                # senders' entries diverging from the reference the
+                # delta grows; once it stops being clearly smaller, send
+                # full instead — which (once acked) becomes the new
+                # reference, shrinking subsequent deltas again.
+                if len(shared[0]) * 2 < len(full):
+                    wire, wire_body = shared
         if wire is full:
             stats.full_sent += 1
         else:
             stats.delta_sent += 1
-        link_seq = await self.session.send(
-            address, wire, shared_body=(body if wire is full else None)
-        )
+        link_seq = await self.session.send(address, wire, shared_body=wire_body)
         if tx is not None and wire is full:
             tx.inflight[link_seq] = (message.seq, message.timestamp.vector)
 
@@ -1044,7 +1154,7 @@ class ReliableCausalNode:
                 self._note_decode_error(addr)
                 return
             entry = self._delta_rx.get(addr, {}).get(sender)
-            ref_vector = entry.refs.get(ref_seq) if entry is not None else None
+            ref_vector = entry.use(ref_seq) if entry is not None else None
             if ref_vector is None:
                 # Unknown reference (we crashed, or the table rolled
                 # over): the message is unrecoverable from this datagram
@@ -1055,17 +1165,21 @@ class ReliableCausalNode:
                     "delta_ref_miss", ts=self._now(),
                     peer=str(addr), sender=sender, ref_seq=ref_seq,
                 )
+                self._warn_if_delta_unhealthy(addr, stats)
                 self._request_resync(addr)
                 return
             try:
-                message = self._codec.decode_delta(data, ref_vector, entry.keys)
+                # The store must hold the full encoding: anti-entropy
+                # serves third parties that do not share this link's
+                # references.
+                message, full = self._codec.decode_delta(
+                    data, ref_vector, entry.keys, return_full=True
+                )
             except Exception:
                 self._note_decode_error(addr)
                 return
             stats.delta_received += 1
-            # The store must hold the full encoding: anti-entropy serves
-            # third parties that do not share this link's references.
-            full = self._codec.encode(message)
+            arrived_full = False
         else:
             try:
                 message = self._codec.decode(data)
@@ -1079,6 +1193,7 @@ class ReliableCausalNode:
             # callback, so a borrowed receive-ring view must become
             # owned bytes here.  No-op for the copying transports.
             full = retain(data, self._codec.counters)
+            arrived_full = True
         sender = str(message.sender)
         if not self._sender_in_view(sender):
             # A live peer relayed state from a sender the view has since
@@ -1094,16 +1209,35 @@ class ReliableCausalNode:
                 )
             self.trace.emit("stale_sender", ts=self._now(), sender=sender)
             return
-        self._record_ref(
-            addr, sender, message.seq,
-            message.timestamp.vector, message.timestamp.sender_keys,
-        )
+        if arrived_full:
+            # Only a vector that crossed this link full can be named by
+            # a later delta (the sender adopts acked fulls only).
+            self._record_ref(
+                addr, sender, message.seq,
+                message.timestamp.vector, message.timestamp.sender_keys,
+            )
         self.store.add(sender, message.seq, full)
         # Every receive path funnels through here — direct sends,
         # retransmissions, and anti-entropy pushes alike — so this one
         # real timestamp covers them all (it used to default to 0.0,
         # which froze the refined detector's eviction clock).
         self.endpoint.on_receive(message, now=self._now())
+
+    def _warn_if_delta_unhealthy(self, addr: Address, stats: TransportStats) -> None:
+        """One warning per link whose deltas keep bouncing: a healthy
+        link misses only in the refresh window after a restart/re-key."""
+        arrived = stats.delta_ref_misses + stats.delta_received
+        if arrived < _DELTA_MISS_WARN_AFTER or addr in self._delta_miss_warned:
+            return
+        ratio = stats.delta_ref_misses / arrived
+        if ratio > _DELTA_MISS_WARN_RATIO:
+            self._delta_miss_warned.add(addr)
+            logger.warning(
+                "%.0f%% of %d delta timestamps from %r named a reference "
+                "this node does not hold; each is re-shipped full by "
+                "anti-entropy (see repro_delta_ref_miss_ratio)",
+                100.0 * ratio, arrived, addr,
+            )
 
     def _note_decode_error(self, addr: Address) -> None:
         self._decode_errors += 1
@@ -1128,12 +1262,7 @@ class ReliableCausalNode:
             # delivery condition.  The full encoding in hand is
             # authoritative — restart the reference table from it.
             entry = self._delta_rx[addr][sender] = _DeltaRx(tuple(keys))
-        refs = entry.refs
-        if seq in refs:
-            refs.move_to_end(seq)
-        refs[seq] = vector
-        while len(refs) > self._delta_rx_cap:
-            refs.popitem(last=False)
+        entry.record(seq, vector, self._delta_rx_cap)
 
     def _request_resync(self, addr: Address) -> None:
         """Rate-limited out-of-band anti-entropy round after a reference
@@ -1252,7 +1381,9 @@ class ReliableCausalNode:
             if record.local:
                 # WAL-before-wire: this runs inside endpoint.broadcast(),
                 # before broadcast() puts the message on any link.
-                self.journal.record_send(message.seq, self._codec.encode(message))
+                data = self._codec.encode(message)
+                self.journal.record_send(message.seq, data)
+                self._wal_encoding = data
             else:
                 self.journal.record_delivery(
                     str(message.sender),
@@ -1320,7 +1451,7 @@ class ReliableCausalNode:
             per: Dict[str, Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = {}
             for sender, entry in senders.items():
                 if entry.refs:
-                    seq = next(reversed(entry.refs))
+                    seq = max(entry.refs)
                     per[sender] = (
                         seq,
                         tuple(int(v) for v in entry.refs[seq]),

@@ -11,6 +11,8 @@ from repro.core.codec import (
     JsonPayloadCodec,
     MessageCodec,
     RawBytesPayloadCodec,
+    _decode_varints,
+    _encode_varints,
     decode_varint,
     encode_varint,
 )
@@ -221,3 +223,186 @@ class TestWireRangeGuards:
         message = self._message_with_entry(1, keys=(1, 2**32))
         with pytest.raises(CodecError, match="sender keys"):
             codec.encode(message)
+
+
+# ----------------------------------------------------------------------
+# Bulk vector coding vs the scalar varint oracle
+# ----------------------------------------------------------------------
+
+# Every LEB128 length boundary the clock can reach, and their neighbours.
+BOUNDARIES = (
+    0, 1, 127, 128, 16_383, 16_384, 2**21 - 1, 2**21, 2**32 - 1, 2**32,
+    2**35, 2**56 - 1, 2**56, 2**63 - 1,
+)
+entry_values = st.one_of(st.sampled_from(BOUNDARIES), st.integers(0, 2**63 - 1))
+entry_vectors = st.lists(entry_values, min_size=0, max_size=48)
+
+
+def scalar_encode(entries):
+    return b"".join(encode_varint(value) for value in entries)
+
+
+def scalar_decode(data, offset, count):
+    """The replaced per-varint loop: ("ok", values, offset) or ("error", text)."""
+    values = []
+    try:
+        for _ in range(count):
+            value, offset = decode_varint(data, offset)
+            values.append(value)
+    except CodecError as error:
+        return ("error", str(error))
+    return ("ok", values, offset)
+
+
+def bulk_decode(data, offset, count):
+    try:
+        vector, offset = _decode_varints(data, offset, count)
+    except CodecError as error:
+        return ("error", str(error))
+    assert vector.dtype == np.int64
+    return ("ok", vector.tolist(), offset)
+
+
+def message_with_vector(entries, keys=(0,), payload="p"):
+    vector = np.asarray(entries, dtype=np.int64)
+    vector.flags.writeable = False
+    return Message(
+        sender="s", seq=9,
+        timestamp=Timestamp(vector=vector, sender_keys=keys, seq=9),
+        payload=payload,
+    )
+
+
+class TestBulkVectorCoding:
+    @given(entries=entry_vectors)
+    @settings(max_examples=300, deadline=None)
+    def test_encode_is_byte_identical_to_the_scalar_loop(self, entries):
+        assert _encode_varints(entries) == scalar_encode(entries)
+
+    @given(entries=entry_vectors, prefix=st.binary(max_size=5),
+           suffix=st.binary(max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_matches_the_scalar_loop(self, entries, prefix, suffix):
+        data = prefix + scalar_encode(entries) + suffix
+        expected = scalar_decode(data, len(prefix), len(entries))
+        assert expected[0] == "ok" and expected[1] == entries
+        for buffer in (data, bytearray(data), memoryview(data)):
+            assert bulk_decode(buffer, len(prefix), len(entries)) == expected
+
+    @given(data=st.binary(max_size=64), count=st.integers(0, 12),
+           offset=st.integers(0, 8))
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_bytes_same_outcome_as_the_scalar_loop(
+        self, data, count, offset
+    ):
+        """Truncated, over-long and non-canonical input: same values,
+        same consumed length, or the same CodecError text."""
+        offset = min(offset, len(data))
+        expected = scalar_decode(data, offset, count)
+        if expected[0] == "ok" and max(expected[1], default=0) > 2**63 - 1:
+            # The scalar loop yields a Python int the int64 clock vector
+            # cannot hold; the bulk coder rejects it as a wire error.
+            assert bulk_decode(data, offset, count)[0] == "error"
+        else:
+            assert bulk_decode(data, offset, count) == expected
+
+    @pytest.mark.parametrize("varint", [True, False])
+    @given(entries=st.lists(
+        st.one_of(st.sampled_from([b for b in BOUNDARIES if b < 2**32]),
+                  st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=48,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_message_roundtrip_and_size(self, varint, entries):
+        codec = MessageCodec(varint_entries=varint)
+        message = message_with_vector(entries)
+        data = codec.encode(message)
+        assert codec.encoded_size(message) == len(data)
+        decoded = codec.decode(data)
+        assert decoded.timestamp.vector.dtype == np.int64
+        assert not decoded.timestamp.vector.flags.writeable
+        assert decoded.timestamp.vector.tolist() == entries
+        if varint:
+            assert scalar_encode(entries) in data
+
+    @given(entries=st.lists(entry_values, min_size=1, max_size=48))
+    @settings(max_examples=150, deadline=None)
+    def test_encoded_size_holds_across_the_boundaries(self, entries):
+        codec = MessageCodec()
+        message = message_with_vector(entries)
+        assert codec.encoded_size(message) == len(codec.encode(message))
+
+    def _vector_region(self, codec, message):
+        """``(data, start, end)`` of the varint block in an encoding."""
+        data = codec.encode(message)
+        block = scalar_encode(message.timestamp.vector.tolist())
+        start = data.index(block)
+        return data, start, start + len(block)
+
+    def test_truncation_inside_the_vector_raises_the_scalar_error(self):
+        codec = MessageCodec()
+        message = message_with_vector([5, 300, 2**40, 0, 127, 128])
+        data, start, end = self._vector_region(codec, message)
+        for cut in range(start, end):
+            expected = scalar_decode(data[:cut], start, 6)
+            assert expected[0] == "error"
+            with pytest.raises(CodecError) as caught:
+                codec.decode(data[:cut])
+            assert str(caught.value) == expected[1]
+
+    def test_overlong_varint_raises_the_scalar_error(self):
+        codec = MessageCodec()
+        message = message_with_vector([1, 2, 3])
+        data, start, end = self._vector_region(codec, message)
+        # Entry 1 replaced by eleven continuation bytes: wider than 63 bits.
+        bad = data[: start + 1] + b"\x80" * 11 + b"\x00" + data[start + 2 :]
+        expected = scalar_decode(bad, start, 3)
+        assert expected == ("error", "varint too long")
+        with pytest.raises(CodecError, match="varint too long"):
+            codec.decode(bad)
+
+    def test_vector_shorter_than_r_raises_the_scalar_error(self):
+        codec = MessageCodec()
+        message = message_with_vector([1, 2, 3, 4], payload=None)
+        data, start, end = self._vector_region(codec, message)
+        # R says 4, two entries follow, then the datagram ends.
+        short = data[: start + 2]
+        expected = scalar_decode(short, start, 4)
+        assert expected == ("error", "truncated varint")
+        with pytest.raises(CodecError, match="truncated varint"):
+            codec.decode(short)
+        fixed = MessageCodec(varint_entries=False)
+        fixed_data = fixed.encode(message)
+        with pytest.raises(CodecError, match="truncated"):
+            fixed.decode(fixed_data[:-8])
+
+    def test_entry_beyond_int64_is_a_codec_error(self):
+        codec = MessageCodec()
+        message = message_with_vector([7])
+        data, start, end = self._vector_region(codec, message)
+        bad = data[:start] + encode_varint(2**63) + data[end:]
+        with pytest.raises(CodecError, match="int64"):
+            codec.decode(bad)
+
+    @given(entries=st.lists(entry_values, min_size=4, max_size=32),
+           bumps=st.lists(st.integers(0, 3), min_size=4, max_size=32))
+    @settings(max_examples=150, deadline=None)
+    def test_delta_decode_stays_bit_identical_to_full_decode(self, entries, bumps):
+        codec = MessageCodec()
+        reference = np.asarray(entries, dtype=np.int64)
+        grown = reference.copy()
+        for index, bump in enumerate(bumps[: len(entries)]):
+            grown[index] = min(int(grown[index]) + bump, 2**63 - 1)
+        message = message_with_vector(grown.tolist(), keys=(0, 2), payload=["a", 1])
+        delta = codec.encode_delta(message, 3, reference)
+        via_delta, full = codec.decode_delta(
+            delta, reference, (0, 2), return_full=True
+        )
+        assert full == codec.encode(message)
+        plain = codec.decode_delta(delta, reference, (0, 2))
+        for decoded in (via_delta, plain, codec.decode(full)):
+            assert decoded.timestamp.vector.dtype == np.int64
+            assert decoded.timestamp.vector.tolist() == grown.tolist()
+            assert decoded.timestamp.sender_keys == (0, 2)
+            assert (decoded.sender, decoded.seq) == ("s", 9)
+            assert decoded.payload == ("a", 1)

@@ -275,3 +275,37 @@ class TestNodeRecovery:
             await bob.close()
 
         asyncio.run(scenario())
+
+    def test_own_broadcast_is_encoded_once_for_wal_and_wire(self, tmp_path, monkeypatch):
+        """WAL-before-wire used to full-encode every own broadcast twice
+        (once for the journal, once for the store and the links)."""
+        from repro.core.codec import MessageCodec
+
+        encodes = []
+        real_encode = MessageCodec.encode
+
+        def counting_encode(self, message):
+            encodes.append(message.message_id)
+            return real_encode(self, message)
+
+        monkeypatch.setattr(MessageCodec, "encode", counting_encode)
+
+        async def scenario():
+            config = NodeConfig(r=32, k=2, data_dir=str(tmp_path / "alice"))
+            journalled = await create_node("alice", config)
+            plain = await create_node("bob", config.replace(data_dir=None))
+            for node in (journalled, plain):
+                for i in range(5):
+                    await node.broadcast(("m", i))
+            stored = {seq: journalled.store.get("alice", seq) for seq in range(1, 6)}
+            await journalled.close()
+            await plain.close()
+            # The journalled bytes are the ones the store served.
+            restarted = await create_node("alice", config)
+            assert dict(restarted.recovered.own_messages) == stored
+            await restarted.close()
+
+        asyncio.run(scenario())
+        assert sorted(encodes) == sorted(
+            (name, seq) for name in ("alice", "bob") for seq in range(1, 6)
+        )
