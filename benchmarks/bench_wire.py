@@ -108,13 +108,10 @@ async def _run_case(wire_kwargs: dict, loss: float, rounds: int, burst: int) -> 
             for node, name in ((left, "left"), (right, "right")):
                 for i in range(burst):
                     await node.broadcast((name, round_index, i))
-            # A gap between bursts longer than ack_delay + flush_interval
-            # (5 + 1 ms): long enough for held ACKs to either piggyback
-            # on the reverse burst or flush, short enough that the
-            # stream is genuinely steady.  At one ack_delay exactly, the
-            # first burst's ACK races the second burst and the number of
-            # start-up fulls depends on how fast the sender encodes.
-            await asyncio.sleep(0.008)
+            # One ack-delay's worth of gap between bursts: long enough
+            # for held ACKs to either piggyback on the reverse burst or
+            # flush, short enough that the stream is genuinely steady.
+            await asyncio.sleep(0.005)
         converged = await _wait_for(
             lambda: len(left.deliveries) == total and len(right.deliveries) == total
         )

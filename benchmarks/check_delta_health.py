@@ -8,9 +8,9 @@ later delta bounced — ROADMAP item 2) and fails when
 
 * the run is invalid (a missing or duplicated operation, a decode
   error, a causal-violation ratio beyond the theory bound),
-* more than ``--max-miss-ratio`` of the deltas sent named a reference
+* more than ``MAX_MISS_RATIO`` of the deltas sent named a reference
   the receiver no longer held (``session.delta_ref_miss_ratio``), or
-* fewer than ``--min-delta-share`` of the broadcasts travelled as
+* fewer than ``MIN_DELTA_SHARE`` of the broadcasts travelled as
   deltas (``session.delta_share``) — the periodic full refreshes are
   about 1 in 64, anything more means the path fell back to fulls.
 
@@ -21,12 +21,13 @@ import argparse
 import json
 import sys
 
+MAX_MISS_RATIO = 0.01
+MIN_DELTA_SHARE = 0.9
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("result", help="result file written by benchmarks/e2e/run.py")
-    parser.add_argument("--max-miss-ratio", type=float, default=0.01)
-    parser.add_argument("--min-delta-share", type=float, default=0.9)
     args = parser.parse_args()
 
     with open(args.result, encoding="utf-8") as handle:
@@ -44,15 +45,15 @@ def main():
               f"valid={run['valid']}")
         if not run["valid"]:
             failures.append(f"{name}: invalid run: {'; '.join(run['problems'])}")
-        if miss_ratio > args.max_miss_ratio:
+        if miss_ratio > MAX_MISS_RATIO:
             failures.append(
                 f"{name}: {miss_ratio:.4f} of the deltas bounced off a missing "
-                f"reference (limit {args.max_miss_ratio})"
+                f"reference (limit {MAX_MISS_RATIO})"
             )
-        if share < args.min_delta_share:
+        if share < MIN_DELTA_SHARE:
             failures.append(
                 f"{name}: only {share:.4f} of the broadcasts travelled as "
-                f"deltas (floor {args.min_delta_share})"
+                f"deltas (floor {MIN_DELTA_SHARE})"
             )
 
     if failures:

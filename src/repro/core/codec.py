@@ -457,6 +457,17 @@ class MessageCodec:
             struct.pack(f"<{len(keys)}I", *keys) if keys else b"",
         ]
 
+    @staticmethod
+    def _vector_entries(message: Message) -> List[int]:
+        """The timestamp's entries as Python ints, none negative."""
+        entries = np.asarray(message.timestamp.vector, dtype=np.int64).tolist()
+        if min(entries, default=0) < 0:
+            raise CodecError(
+                f"negative vector entry in message {message.message_id}: "
+                "clock entries are counters and must be >= 0"
+            )
+        return entries
+
     def encode(self, message: Message) -> bytes:
         return self._encode(message, None)
 
@@ -467,12 +478,7 @@ class MessageCodec:
         flags = _FLAG_VARINT if self._varint else 0
         parts = self._header_parts(message, flags)
         parts.append(struct.pack("<I", timestamp.size))
-        entries = np.asarray(timestamp.vector, dtype=np.int64).tolist()
-        if min(entries, default=0) < 0:
-            raise CodecError(
-                f"negative vector entry in message {message.message_id}: "
-                "clock entries are counters and must be >= 0"
-            )
+        entries = self._vector_entries(message)
         if self._varint:
             parts.append(_encode_varints(entries))
         else:
@@ -568,8 +574,7 @@ class MessageCodec:
             + 4  # R
         )
         if self._varint:
-            entries = np.asarray(timestamp.vector, dtype=np.int64).tolist()
-            size += len(_encode_varints(entries))
+            size += len(_encode_varints(self._vector_entries(message)))
         else:
             size += 4 * timestamp.size
         size += 4 + len(self._payload_codec.encode(message.payload))
@@ -701,9 +706,9 @@ class MessageCodec:
         data: Buffer,
         ref_vector: np.ndarray,
         sender_keys: Tuple[int, ...],
-        return_full: bool = False,
-    ) -> Union[Message, Tuple[Message, bytes]]:
-        """Reconstruct the full message from a delta and its reference.
+    ) -> Tuple[Message, bytes]:
+        """Reconstruct the full message, and its full encoding, from a
+        delta and its reference.
 
         ``sender_keys`` is the sender's static key set, known to the
         receiver from whichever full encoding established the reference
@@ -712,10 +717,10 @@ class MessageCodec:
         (differential-tested): same vector dtype and values, same keys,
         seq, and payload.
 
-        With ``return_full`` the result is ``(message, full)`` where
-        ``full`` is the message's full encoding, assembled around the
-        payload bytes the delta carried — what a receiver stores to
-        serve third parties, without serialising the payload again.
+        Returns ``(message, full)`` where ``full`` is the message's
+        full encoding, assembled around the payload bytes the delta
+        carried — what a receiver stores to serve third parties,
+        without serialising the payload again.
         """
         sender, seq, offset = self._decode_delta_prefix(data)
         try:
@@ -755,9 +760,7 @@ class MessageCodec:
             vector=vector, sender_keys=tuple(int(k) for k in sender_keys), seq=seq
         )
         message = Message(sender=sender, seq=seq, timestamp=timestamp, payload=payload)
-        if return_full:
-            return message, self._encode(message, data[offset : offset + payload_len])
-        return message
+        return message, self._encode(message, data[offset : offset + payload_len])
 
 
 # ----------------------------------------------------------------------

@@ -1172,9 +1172,7 @@ class ReliableCausalNode:
                 # The store must hold the full encoding: anti-entropy
                 # serves third parties that do not share this link's
                 # references.
-                message, full = self._codec.decode_delta(
-                    data, ref_vector, entry.keys, return_full=True
-                )
+                message, full = self._codec.decode_delta(data, ref_vector, entry.keys)
             except Exception:
                 self._note_decode_error(addr)
                 return

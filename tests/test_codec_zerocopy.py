@@ -91,15 +91,15 @@ class TestMessageDecodeIdentity:
         ref_seq = data.draw(st.integers(0, message.seq - 1))
         delta = codec.encode_delta(message, ref_seq, ref_vector)
         keys = message.timestamp.sender_keys
-        reference = codec.decode_delta(delta, ref_vector, keys)
+        reference, full = codec.decode_delta(delta, ref_vector, keys)
         for variant in _variants(delta):
             assert MessageCodec.is_delta(variant)
             assert codec.delta_header(variant) == (
                 message.sender, message.seq, ref_seq,
             )
-            _assert_same_message(
-                codec.decode_delta(variant, ref_vector, keys), reference, codec
-            )
+            decoded, rebuilt = codec.decode_delta(variant, ref_vector, keys)
+            _assert_same_message(decoded, reference, codec)
+            assert rebuilt == full
 
 
 class TestFrameDecodeIdentity:

@@ -213,10 +213,10 @@ class TestDeltaDifferential:
         sender, seq, peeked_ref = codec.delta_header(delta)
         assert (sender, seq, peeked_ref) == (message.sender, message.seq, ref_seq)
 
-        decoded = codec.decode_delta(
+        decoded, full = codec.decode_delta(
             delta, ref_vector, message.timestamp.sender_keys
         )
-        assert codec.encode(decoded) == codec.encode(message)
+        assert full == codec.encode(decoded) == codec.encode(message)
         assert decoded.timestamp.vector.dtype == np.int64
         assert np.array_equal(decoded.timestamp.vector, vector)
         assert decoded.timestamp.sender_keys == message.timestamp.sender_keys
