@@ -19,13 +19,8 @@ assertions: the vector clock never errs but pays O(N) overhead; the
 (R, K) clock beats the plausible clock on errors at equal overhead; the
 Lamport clock's delivery latency dwarfs everyone's; the Bloom clock's
 measured error tracks its ``p_fp`` curve within the same order-of-
-magnitude tolerance ``check_alert_sanity.py`` uses for ``P_err``.  A
-sixth run repeats the probabilistic row on the hybrid per-sender
-delivery engine and must be counter-identical (the engines are pure
-performance reworks of Algorithm 2).
+magnitude tolerance ``check_alert_sanity.py`` uses for ``P_err``.
 """
-
-import dataclasses
 
 from repro.analysis.sweep import run_repeated
 from repro.analysis.tables import render_table
@@ -66,21 +61,13 @@ def run_baselines():
             track_reception_order=True,
         )
         (results[clock],) = run_repeated(config, repeats=1, seed_base=1000)
-        if clock == "probabilistic":
-            # The engine-identity pair: the reference drain and the
-            # hybrid per-sender drain on the very same traffic.
-            for engine in ("naive", "hybrid"):
-                engine_config = dataclasses.replace(config, engine=engine)
-                (results[f"probabilistic/{engine}"],) = run_repeated(
-                    engine_config, repeats=1, seed_base=1000
-                )
     return results
 
 
 def overhead_bits_for(clock: str) -> int:
     if clock == "vector":
         return timestamp_overhead_bits(N_NODES, 1)
-    if clock.startswith("probabilistic") or clock == "bloom":
+    if clock in ("probabilistic", "bloom"):
         return timestamp_overhead_bits(R, K)
     if clock == "plausible":
         return timestamp_overhead_bits(R, 1)
@@ -125,8 +112,6 @@ def test_baselines(benchmark):
     plausible = results["plausible"]
     lamport = results["lamport"]
     bloom = results["bloom"]
-    naive_ref = results["probabilistic/naive"]
-    hybrid = results["probabilistic/hybrid"]
 
     # Exactness of the vector-clock baseline.
     assert vector.counters.violations == 0
@@ -158,16 +143,6 @@ def test_baselines(benchmark):
         f"bloom eps_max {bloom.counters.eps_max:.3e} more than "
         f"{FP_TOLERANCE}x theory {predicted:.3e}"
     )
-    # The hybrid engine is a drain-strategy rework, not a protocol
-    # change: same seed, same traffic, bit-identical outcome against
-    # the reference (naive) drain.
-    assert hybrid.counters == naive_ref.counters
-    assert hybrid.latency == naive_ref.latency
-    assert hybrid.sent == naive_ref.sent
-    assert hybrid.delivered_remote == naive_ref.delivered_remote
-    # The default-engine row delivers the same message set either way.
-    assert hybrid.counters.deliveries == probabilistic.counters.deliveries
-    assert hybrid.sent == probabilistic.sent
     # Everyone stays live.
     for clock, result in results.items():
         assert result.stuck_pending == 0, clock

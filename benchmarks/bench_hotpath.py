@@ -10,10 +10,10 @@ incremented (amortized O(K + unblocked·R)).  This script measures it:
 * a shared, pre-generated, causally-entangled trace per scenario
   (N senders, R-entry clocks, a fraction of arrivals delayed to build a
   deep pending queue — the retransmission regime of a 25 %-loss link);
-* the *same* arrival sequence fed to ``engine="indexed"``,
-  ``engine="naive"``, and ``engine="auto"`` endpoints, timing
-  full-trace ingestion (``auto`` starts naive and promotes to the
-  indexed buffer at the pending-depth threshold — the default engine);
+* the *same* arrival sequence fed to an endpoint as shipped
+  (``indexed``: :class:`PendingBuffer`) and to one handed the
+  full-rescan :class:`~repro.core.pending.ReferenceBuffer` oracle
+  (``naive``), timing full-trace ingestion;
 * a micro-measurement of the vectorized ``Timestamp.dominates_on``
   against the per-entry Python-loop reference it replaced (the
   Algorithm 5 detector hot check).
@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.core.clocks import ProbabilisticCausalClock, Timestamp
 from repro.core.keyspace import HashKeyAssigner
+from repro.core.pending import ReferenceBuffer
 from repro.core.protocol import CausalBroadcastEndpoint, Message
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -117,12 +118,13 @@ def arrival_sequence(
 
 def time_engine(
     engine: str, r: int, k: int, arrivals: List[Message]
-) -> Tuple[float, int, str]:
+) -> Tuple[float, int]:
     assigner = HashKeyAssigner(r=r, k=k)
+    clock = ProbabilisticCausalClock(r, assigner.assign("rx").keys)
     endpoint = CausalBroadcastEndpoint(
         "rx",
-        ProbabilisticCausalClock(r, assigner.assign("rx").keys),
-        engine=engine,
+        clock,
+        buffer=ReferenceBuffer(clock) if engine == "naive" else None,
     )
     deliver = endpoint.on_receive
     start = time.perf_counter()
@@ -136,7 +138,7 @@ def time_engine(
             f"{engine} engine left {endpoint.pending_count} messages pending "
             "— the trace must fully drain for deliveries/sec to be comparable"
         )
-    return elapsed, endpoint.stats.delivered, endpoint.active_engine
+    return elapsed, endpoint.stats.delivered
 
 
 def run_scenario(name: str, repeats: int, k: int = 2, seed: int = 11) -> dict:
@@ -154,12 +156,11 @@ def run_scenario(name: str, repeats: int, k: int = 2, seed: int = 11) -> dict:
             "messages": len(trace),
         },
     }
-    for engine in ("indexed", "naive", "auto"):
+    for engine in ("indexed", "naive"):
         best_seconds = None
         delivered = 0
-        final = engine
         for _ in range(repeats):
-            seconds, delivered, final = time_engine(engine, r, k, arrivals)
+            seconds, delivered = time_engine(engine, r, k, arrivals)
             if best_seconds is None or seconds < best_seconds:
                 best_seconds = seconds
         result[engine] = {
@@ -167,17 +168,8 @@ def run_scenario(name: str, repeats: int, k: int = 2, seed: int = 11) -> dict:
             "delivered": delivered,
             "deliveries_per_sec": round(delivered / best_seconds, 1),
         }
-        if engine == "auto":
-            # Whether the pending-depth heuristic promoted to the
-            # indexed buffer during this trace, or naive stayed cheaper.
-            result[engine]["final_engine"] = final
     result["speedup"] = round(
         result["indexed"]["deliveries_per_sec"]
-        / result["naive"]["deliveries_per_sec"],
-        2,
-    )
-    result["auto_speedup"] = round(
-        result["auto"]["deliveries_per_sec"]
         / result["naive"]["deliveries_per_sec"],
         2,
     )
@@ -260,9 +252,7 @@ def main(argv=None) -> int:
             f"{name:28s} messages={result['params']['messages']:5d}  "
             f"indexed={result['indexed']['deliveries_per_sec']:>10.1f}/s  "
             f"naive={result['naive']['deliveries_per_sec']:>10.1f}/s  "
-            f"speedup={result['speedup']:.2f}x  "
-            f"auto={result['auto_speedup']:.2f}x "
-            f"({result['auto']['final_engine']})"
+            f"speedup={result['speedup']:.2f}x"
         )
 
     dominates = bench_dominates_on(repeats)

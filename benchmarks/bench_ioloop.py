@@ -3,7 +3,7 @@
 The PR-1..7 runtime drives UDP through asyncio's datagram endpoint: one
 event-loop wakeup per datagram, one ``bytes`` object per datagram, and a
 full copy of every payload on the way to the protocol.  The batched
-transport (``io_mode="batched"``) drains up to ``rx_batch`` datagrams
+transport (what ``create_node()`` binds) drains up to ``rx_batch`` datagrams
 per wakeup through ``recvfrom_into`` over a preallocated buffer ring,
 hands the whole batch to the session in one callback, and gathers sends
 into per-tick ``sendto`` bursts; the codec parses straight out of the
@@ -13,8 +13,9 @@ together on real loopback UDP:
 
 * two ``create_node()`` participants at R=100, K=2 exchanging
   bidirectional floods (the steady-UDP regime the ISSUE targets);
-* the *same* workload run with ``io_mode="legacy"`` (the per-datagram
-  asyncio endpoint) and ``io_mode="batched"``;
+* the *same* workload run over an explicit ``transport=UdpTransport``
+  (``legacy``: the per-datagram asyncio endpoint) and over the default
+  ``BatchedUdpTransport`` (``batched``);
 * with frame coalescing disabled (``flood`` — every frame is its own
   datagram, the worst case for per-datagram wakeups) and with the
   default MTU-budgeted coalescing (``steady``).
@@ -44,6 +45,7 @@ import time
 from typing import Optional
 
 from repro.api import NodeConfig, create_node
+from repro.net.udp import UdpTransport
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_ioloop.json"
@@ -103,18 +105,21 @@ def _merge_codec(nodes) -> dict:
     return merged
 
 
-async def _run_case(io_mode: str, wire_kwargs: dict, rounds: int, burst: int) -> dict:
+async def _run_case(label: str, wire_kwargs: dict, rounds: int, burst: int) -> dict:
     config = NodeConfig(
         r=100,
         k=2,
-        io_mode=io_mode,
         ack_timeout=0.05,
         anti_entropy_interval=0.2,
         heartbeat_interval=0.0,
         **wire_kwargs,
     )
-    left = await create_node("left", config)
-    right = await create_node("right", config)
+    async def node(name: str):
+        reference = await UdpTransport.create() if label == "legacy" else None
+        return await create_node(name, config, transport=reference)
+
+    left = await node("left")
+    right = await node("right")
     left.add_peer(right.local_address)
     right.add_peer(left.local_address)
     total = rounds * burst * 2

@@ -1,23 +1,17 @@
-"""Perf regression gate for the delivery engine and the wire path.
+"""Perf regression gate for the pending buffer and the wire path.
 
 Compares a fresh ``bench_hotpath.py`` run against the committed
 ``BENCH_hotpath.json`` baseline and fails (exit 1) when the indexed
-engine regressed by more than ``--max-drop`` (default 30 %).
+``PendingBuffer`` regressed by more than ``--max-drop`` (default 30 %).
 
-The gated metric is the *speedup* — the indexed engine's deliveries/sec
-relative to the reference (naive) engine measured back-to-back in the
-same run.  Raw deliveries/sec depends on the machine (a CI runner is not
-the laptop that produced the baseline), while the within-run ratio
-cancels machine speed and load; a genuine engine regression (extra
+The gated metric is the *speedup* — the indexed buffer's deliveries/sec
+relative to the full-rescan reference buffer measured back-to-back in
+the same run.  Raw deliveries/sec depends on the machine (a CI runner is
+not the laptop that produced the baseline), while the within-run ratio
+cancels machine speed and load; a genuine buffer regression (extra
 allocation, a lost fast path, index bookkeeping creep) lowers the ratio
 wherever it runs.  ``--absolute`` additionally gates raw deliveries/sec
 for same-machine comparisons.
-
-The small-N crossover gets its own assertion: on the n8 retransmission
-scenario neither pure engine clearly wins, so ``engine="auto"`` (the
-default) must track the *better* of the two — a fresh run where auto
-falls more than ``--max-drop`` below the best single engine means the
-promotion threshold has drifted off the crossover.
 
 ``--wire-fresh`` additionally gates a fresh ``bench_wire.py`` run
 against the committed ``BENCH_wire.json``: the batched wire path's
@@ -74,10 +68,6 @@ GATE_SPEEDUP_FLOOR = 1.5
 WIRE_HEADLINE = "steady_r100_k2_loss0"
 WIRE_DATAGRAMS_FLOOR = 3.0
 WIRE_BYTES_FLOOR = 2.5
-
-# The small-N crossover scenario: auto (the default engine) must track
-# the better single engine here, or the promotion threshold drifted.
-AUTO_CROSSOVER = "drain_n8_r100_loss25"
 
 # The ISSUE acceptance floor for the batched I/O loop on the flood
 # headline: >= 2x datagrams per wakeup, or failing that >= 1.3x
@@ -187,26 +177,6 @@ def main(argv=None) -> int:
                     f"{name}: deliveries/sec {fresh_dps:.1f} fell below "
                     f"{dps_floor:.1f} ({base_dps:.1f} baseline)"
                 )
-
-    if AUTO_CROSSOVER in fresh:
-        # Auto vs best single engine at the small-N crossover.  Both
-        # speedups are vs naive within the same run, so their ratio is
-        # auto-time over best-single-engine-time, machine-independent.
-        crossover = fresh[AUTO_CROSSOVER]
-        auto = crossover["auto_speedup"]
-        best = max(1.0, crossover["speedup"])
-        floor = best * (1 - args.max_drop)
-        verdict = "ok" if auto >= floor else "REGRESSED"
-        print(
-            f"{AUTO_CROSSOVER:28s} auto {auto:6.2f}x vs best engine "
-            f"{best:6.2f}x (floor {floor:.2f}x)  {verdict}"
-        )
-        if auto < floor:
-            failures.append(
-                f"{AUTO_CROSSOVER}: auto engine {auto:.2f}x fell below "
-                f"{floor:.2f}x — promotion threshold off the crossover "
-                f"(best single engine {best:.2f}x)"
-            )
 
     checked = len(shared)
     if args.wire_fresh is not None:

@@ -54,13 +54,11 @@ from repro.core import (
     VectorCausalClock,
     clock_schemes,
     detector_names,
-    engine_names,
     optimal_k,
     p_error,
     p_fp,
     register_clock,
     register_detector,
-    register_engine,
 )
 from repro.sim import SimulationConfig, SimulationResult, run_simulation
 
@@ -94,10 +92,8 @@ __all__ = [
     "optimal_k",
     # the plugin registry (see DESIGN.md §9)
     "register_clock",
-    "register_engine",
     "register_detector",
     "clock_schemes",
-    "engine_names",
     "detector_names",
     # simulation entry points
     "SimulationConfig",

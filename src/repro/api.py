@@ -41,7 +41,6 @@ from repro.core.registry import (
     detector_names,
     get_clock_spec,
     get_detector_spec,
-    get_engine_spec,
 )
 from repro.net.adaptive import AdaptiveClockController, AdaptivePolicy
 from repro.net.journal import NodeJournal
@@ -51,7 +50,7 @@ from repro.net.node import ReliableCausalNode
 from repro.net.overlay import DEFAULT_MAX_HOPS, PartialView
 from repro.net.peer import Transport
 from repro.net.session import RetransmitPolicy
-from repro.net.udp import BatchedUdpTransport, UdpTransport
+from repro.net.udp import BatchedUdpTransport
 
 __all__ = [
     "NodeConfig",
@@ -62,12 +61,11 @@ __all__ = [
 ]
 
 # Snapshots of the registries at import time (the built-ins).  Validation
-# resolves through the live registry (repro.core.registry), so schemes,
-# detectors and engines registered after import work verbatim.
+# resolves through the live registry (repro.core.registry), so schemes
+# and detectors registered after import work verbatim.
 SCHEMES = clock_schemes()
 DETECTORS = detector_names()
 PAYLOAD_CODECS = ("json", "raw")
-IO_MODES = ("batched", "legacy", "mmsg")
 DISSEMINATION_MODES = ("mesh", "overlay")
 
 DeliveryHandler = Callable[[DeliveryRecord], None]
@@ -92,30 +90,17 @@ class NodeConfig:
         keys: explicit key set (overrides the hash-derived assignment).
         keyspace_seed: salts the coordination-free hash key assignment,
             so disjoint deployments draw independent key sets.
-        engine: pending-queue drain strategy — ``indexed`` (default, the
-            vectorised entry-indexed buffer), ``naive`` (the reference
-            full-rescan drain; identical delivery order, kept for
-            differential testing), ``auto`` (naive with promotion) or
-            ``hybrid`` (per-sender seq-sorted queues) — or any engine
-            registered through
-            :func:`repro.core.registry.register_engine`.
 
     Transport and reliability (used by :func:`create_node`):
 
     Attributes:
         host: bind address for the default UDP transport.
         port: bind port (0 picks an ephemeral port).
-        io_mode: how the default UDP transport drives the socket —
-            ``batched`` (default: one non-blocking socket draining up to
-            ``rx_batch`` datagrams per event-loop wakeup and flushing
-            sends in per-tick bursts), ``legacy`` (the per-datagram
-            asyncio endpoint), or ``mmsg`` (batched plus an experimental
-            ``sendmmsg(2)`` burst path where the platform supports it).
-            Ignored when an explicit ``transport`` is passed.
-        rx_batch: receive-batch budget — max datagrams drained per
-            wakeup (``batched``/``mmsg`` modes).
-        tx_batch: send-burst budget — max datagrams written per flush
-            pass (``batched``/``mmsg`` modes).
+        rx_batch: receive-batch budget — max datagrams the default
+            :class:`~repro.net.udp.BatchedUdpTransport` drains per
+            event-loop wakeup.
+        tx_batch: send-burst budget — max datagrams it writes per flush
+            pass.
         payload_codec: application payload wire format: ``json`` | ``raw``.
         ack_timeout: initial retransmit timeout in seconds.
         backoff_factor: exponential backoff multiplier per retransmission.
@@ -232,10 +217,8 @@ class NodeConfig:
     detector: str = "basic"
     keys: Optional[Tuple[int, ...]] = None
     keyspace_seed: int = 0
-    engine: str = "indexed"
     host: str = "127.0.0.1"
     port: int = 0
-    io_mode: str = "batched"
     rx_batch: int = 32
     tx_batch: int = 32
     payload_codec: str = "json"
@@ -280,20 +263,15 @@ class NodeConfig:
     metrics_port: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # Strict registry validation: unknown scheme / detector / engine
-        # strings raise listing the registered names (never a silent
+        # Strict registry validation: unknown scheme / detector strings
+        # raise listing the registered names (never a silent
         # fallback — a typo like "basci" must not pick a detector).
         spec = get_clock_spec(self.scheme)
         get_detector_spec(self.detector)
-        get_engine_spec(self.engine)
         if self.payload_codec not in PAYLOAD_CODECS:
             raise ConfigurationError(
                 f"unknown payload codec {self.payload_codec!r}; "
                 f"expected one of {PAYLOAD_CODECS}"
-            )
-        if self.io_mode not in IO_MODES:
-            raise ConfigurationError(
-                f"unknown io_mode {self.io_mode!r}; expected one of {IO_MODES}"
             )
         if self.dissemination not in DISSEMINATION_MODES:
             raise ConfigurationError(
@@ -498,7 +476,6 @@ def create_endpoint(
         detector=create_detector(config),
         deliver_callback=on_delivery,
         max_pending=config.max_pending,
-        engine=config.engine,
     )
 
 
@@ -522,8 +499,9 @@ async def create_node(
     Args:
         node_id: this node's identity.
         config: the node configuration (defaults to :class:`NodeConfig()`).
-        transport: datagram substrate; ``None`` binds a fresh UDP socket
-            on ``(config.host, config.port)``.
+        transport: datagram substrate; ``None`` binds a fresh
+            :class:`~repro.net.udp.BatchedUdpTransport` on
+            ``(config.host, config.port)``.
         on_delivery: synchronous callback per delivery.
         index: dense process index (``scheme="vector"`` only).
         assigner: optional coordinated key assigner (see :func:`create_clock`).
@@ -533,16 +511,12 @@ async def create_node(
     config = config if config is not None else NodeConfig()
     spec = get_clock_spec(config.scheme)
     if transport is None:
-        if config.io_mode == "legacy":
-            transport = await UdpTransport.create(host=config.host, port=config.port)
-        else:
-            transport = await BatchedUdpTransport.create(
-                host=config.host,
-                port=config.port,
-                rx_batch=config.rx_batch,
-                tx_batch=config.tx_batch,
-                mmsg=config.io_mode == "mmsg",
-            )
+        transport = await BatchedUdpTransport.create(
+            host=config.host,
+            port=config.port,
+            rx_batch=config.rx_batch,
+            tx_batch=config.tx_batch,
+        )
     clock = create_clock(node_id, config, index=index, assigner=assigner)
     journal = None
     if config.data_dir is not None:
@@ -571,7 +545,6 @@ async def create_node(
         anti_entropy_interval=config.anti_entropy_interval,
         store_limit=config.store_limit,
         max_pending=config.max_pending,
-        engine=config.engine,
         journal=journal,
         liveness=liveness,
         overlay=(

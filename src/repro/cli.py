@@ -11,10 +11,10 @@ Seven subcommands cover the common workflows without writing code:
   assembled by the :mod:`repro.api` factory;
 * ``stats``     — render metrics JSONL exports (from ``node
   --metrics-path``, the simulator, or the metered soak) as tables;
-* ``engines``   — list the registered clock schemes, delivery engines,
-  and detectors with their capability descriptors.
+* ``engines``   — list the registered clock schemes and detectors with
+  their capability descriptors.
 
-The ``--clock``/``--engine``/``--detector`` choices are read from
+The ``--clock``/``--detector`` choices are read from
 :mod:`repro.core.registry` at parser-build time, so schemes registered
 by plugins (imported before :func:`build_parser` runs) are selectable
 here without touching this module.
@@ -36,10 +36,8 @@ from repro.analysis.persistence import result_to_dict
 from repro.core.registry import (
     clock_schemes,
     detector_names,
-    engine_names,
     get_clock_spec,
     get_detector_spec,
-    get_engine_spec,
 )
 from repro.analysis.sweep import SweepPoint, sweep_parameter
 from repro.analysis.tables import render_table
@@ -210,19 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
              "delta-compressed wire path)",
     )
     node.add_argument(
-        "--io-mode", choices=("batched", "legacy", "mmsg"), default="batched",
-        help="UDP socket driver: 'batched' drains many datagrams per "
-             "event-loop wakeup, 'legacy' uses the per-datagram asyncio "
-             "endpoint, 'mmsg' adds a sendmmsg(2) burst path where "
-             "available",
-    )
-    node.add_argument(
         "--rx-batch", type=int, default=32, metavar="N",
-        help="max datagrams drained per wakeup (batched/mmsg modes)",
+        help="max datagrams drained per event-loop wakeup",
     )
     node.add_argument(
         "--tx-batch", type=int, default=32, metavar="N",
-        help="max datagrams written per send burst (batched/mmsg modes)",
+        help="max datagrams written per send burst",
     )
     node.add_argument(
         "--dissemination", choices=("mesh", "overlay"), default="mesh",
@@ -271,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser(
         "engines",
-        help="list registered clock schemes, delivery engines, and detectors",
+        help="list registered clock schemes and detectors",
     )
 
     return parser
@@ -308,10 +299,6 @@ def _add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--detector", choices=detector_names(), default="basic"
     )
-    parser.add_argument(
-        "--engine", choices=engine_names(), default="auto",
-        help="pending-buffer drain engine for every simulated endpoint",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--churn-interval-ms", type=float, default=None,
@@ -338,7 +325,6 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
             args.delay_mean_ms, args.delay_std_ms, args.skew_std_ms
         ),
         detector=args.detector,
-        engine=args.engine,
         duration_ms=args.duration_ms,
         churn=churn,
         seed=args.seed,
@@ -477,7 +463,6 @@ def _command_node(args: argparse.Namespace) -> int:
         coalesce_mtu=args.coalesce_mtu,
         ack_delay=args.ack_delay,
         wire_delta=not args.no_wire_delta,
-        io_mode=args.io_mode,
         rx_batch=args.rx_batch,
         tx_batch=args.tx_batch,
         dissemination=args.dissemination,
@@ -675,21 +660,6 @@ def _command_engines(args: argparse.Namespace) -> int:
     print(render_table(
         ["clock", "wire id", "R", "K", "capabilities", "description"],
         clock_rows, title="registered clock schemes",
-    ))
-
-    engine_rows = []
-    for name in engine_names():
-        spec = get_engine_spec(name)
-        caps = spec.capabilities()
-        engine_rows.append([
-            name,
-            "yes" if caps["buffered"] else "no",
-            "yes" if caps["auto_promote"] else "no",
-            spec.description,
-        ])
-    print(render_table(
-        ["engine", "buffered", "auto-promote", "description"],
-        engine_rows, title="registered delivery engines",
     ))
 
     detector_rows = [

@@ -43,11 +43,6 @@ from repro.core.errors import (
     SimulationError,
     UnknownProcessError,
 )
-from repro.core.matrix import (
-    MatrixClockEndpoint,
-    MatrixTimestamp,
-    PointToPointMessage,
-)
 from repro.core.keyspace import (
     BalancedLoadKeyAssigner,
     ExplicitKeyAssigner,
@@ -60,7 +55,7 @@ from repro.core.keyspace import (
     entry_loads,
     pairwise_overlap_counts,
 )
-from repro.core.pending import HybridBuffer, PendingBuffer
+from repro.core.pending import PendingBuffer
 from repro.core.protocol import (
     CausalBroadcastEndpoint,
     DeliveryRecord,
@@ -71,21 +66,16 @@ from repro.core.registry import (
     ClockBuildContext,
     ClockSpec,
     DetectorSpec,
-    EngineSpec,
     clock_schemes,
     detector_names,
-    engine_names,
     get_clock_spec,
     get_detector_spec,
-    get_engine_spec,
     register_clock,
     register_detector,
-    register_engine,
     scheme_id_of,
     scheme_name_of,
     unregister_clock,
     unregister_detector,
-    unregister_engine,
 )
 from repro.core.theory import (
     expected_concurrency,
@@ -129,13 +119,8 @@ __all__ = [
     "ExplicitKeyAssigner",
     "entry_loads",
     "pairwise_overlap_counts",
-    # point-to-point (RST matrix clocks)
-    "MatrixTimestamp",
-    "PointToPointMessage",
-    "MatrixClockEndpoint",
-    # pending buffers
+    # pending buffer
     "PendingBuffer",
-    "HybridBuffer",
     # protocol
     "Message",
     "DeliveryRecord",
@@ -144,19 +129,14 @@ __all__ = [
     # registry (plugin surface)
     "ClockBuildContext",
     "ClockSpec",
-    "EngineSpec",
     "DetectorSpec",
     "register_clock",
-    "register_engine",
     "register_detector",
     "unregister_clock",
-    "unregister_engine",
     "unregister_detector",
     "get_clock_spec",
-    "get_engine_spec",
     "get_detector_spec",
     "clock_schemes",
-    "engine_names",
     "detector_names",
     "scheme_id_of",
     "scheme_name_of",

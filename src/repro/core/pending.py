@@ -28,10 +28,10 @@ Delivery-order equivalence
 --------------------------
 
 :meth:`PendingBuffer.drain` reproduces **exactly** the delivery order of
-the reference drain (repeated full passes over the queue in receive
-order until a pass makes no progress).  The wakeup index tells us *which*
-messages to recheck; a min-heap keyed by arrival rank tells us *when*
-naive pass iteration would have reached them:
+the reference drain (:class:`ReferenceBuffer`: repeated full passes over
+the queue in receive order until a pass makes no progress).  The wakeup
+index tells us *which* messages to recheck; a min-heap keyed by arrival
+rank tells us *when* naive pass iteration would have reached them:
 
 * a message unblocked by a delivery *earlier* in the queue is delivered
   within the same pass (the naive pass would reach its position later);
@@ -58,7 +58,6 @@ interleaved local sends.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -66,7 +65,7 @@ import numpy as np
 
 from repro.core.errors import ConfigurationError
 
-__all__ = ["PendingBuffer", "HybridBuffer", "SeenFilter"]
+__all__ = ["PendingBuffer", "ReferenceBuffer", "SeenFilter"]
 
 ProcessId = Hashable
 Frontiers = Dict[ProcessId, Tuple[int, Tuple[int, ...]]]
@@ -330,127 +329,35 @@ class PendingBuffer:
         return item
 
 
-class _HybridSlot:
-    """One queued message of :class:`HybridBuffer` (arrival-stamped)."""
+class ReferenceBuffer:
+    """Algorithm 2's drain loop spelled out: the differential oracle.
 
-    __slots__ = ("item", "adjusted", "arrival", "sender")
-
-    def __init__(self, item: Any, adjusted: np.ndarray, arrival: int, sender: ProcessId):
-        self.item = item
-        self.adjusted = adjusted
-        self.arrival = arrival
-        self.sender = sender
-
-
-class HybridBuffer:
-    """Per-sender seq-sorted pending queues (hybrid buffering).
-
-    The third drain engine, after Almeida's *hybrid buffering* for
-    tagless causal delivery: group pending messages by sender and keep
-    each group sorted by the sender's sequence number.  The payoff is a
-    structural theorem of Algorithm 2 — **deliverability is closed under
-    per-sender predecessors**.  If a message ``S`` from sender ``p`` is
-    deliverable, every queued earlier message ``F`` of ``p`` is too:
-    ``S.V >= F.V`` entrywise (counters are monotone along one sender's
-    stream) and ``S.V[x] >= F.V[x] + 1`` on ``S``'s own keys (``S``'s
-    send incremented them), so ``V_i >= S.adjusted`` implies
-    ``V_i >= F.adjusted``.  The proof only uses "the send incremented
-    its own keys", so it holds for static key sets *and* per-message
-    (Bloom) key sets.  Consequently the deliverable messages of each
-    queue always form a **prefix** of it, and a drain only ever probes
-    queue *fronts*: one ``O(R)`` check per blocked sender instead of the
-    naive drain's check per blocked *message*.  Space is one slot object
-    per message holding a reference to the timestamp's own ``adjusted``
-    row — no threshold matrix, no per-entry index.
-
-    Delivery order is **identical** to the reference naive drain (and
-    therefore to :class:`PendingBuffer`): the probabilistic condition
-    can admit a later seq while an earlier seq of the same sender is
-    missing entirely, so queues are not FIFO-popped — any deliverable
-    prefix member can go, in the naive pass order.  The same wave/heap
-    schedule as :meth:`PendingBuffer.drain` reproduces that order: a
-    message whose front became deliverable after a delivery *earlier* in
-    arrival order joins the current pass; one unblocked by a delivery
-    *behind* it waits for the next pass.  The differential suite
-    (``tests/test_pending_differential.py``) checks the equivalence over
-    randomized traces with drops, reorders and duplicates.
-
-    Queued items must expose ``sender`` and ``seq`` attributes (the
-    protocol's :class:`~repro.core.protocol.Message` does).
-
-    Args:
-        r: vector size R (checked against nothing here, kept for
-            interface parity with :class:`PendingBuffer`).
+    Repeated full passes over the queue in receive order, asking the
+    clock's own :meth:`~repro.core.clocks.EntryVectorClock.is_deliverable`
+    about every queued message, until a pass makes no progress —
+    ``O(P · R)`` per pass.  Same interface as :class:`PendingBuffer` so
+    an endpoint can be handed one; only
+    ``tests/test_pending_differential.py`` and
+    ``benchmarks/bench_hotpath.py`` do.
     """
 
-    __slots__ = (
-        "_r",
-        "_queues",
-        "_slots",
-        "_next_slot",
-        "_arrival_counter",
-        "wakeups",
-        "spurious_wakeups",
-    )
+    wakeups = spurious_wakeups = 0  # no index, nothing to count
 
-    def __init__(self, r: int) -> None:
-        if r <= 0:
-            raise ConfigurationError(f"vector size R must be positive, got {r}")
-        self._r = r
-        # sender -> ascending list of (seq, slot id); slot id -> slot.
-        self._queues: Dict[ProcessId, List[Tuple[int, int]]] = {}
-        self._slots: Dict[int, _HybridSlot] = {}
-        self._next_slot = 0
-        self._arrival_counter = 0
-        # Same counters as PendingBuffer: fronts probed, and the subset
-        # still blocked when probed (the cost of senders whose head-of-
-        # line message stays missing).
-        self.wakeups = 0
-        self.spurious_wakeups = 0
+    def __init__(self, clock: Any) -> None:
+        self._clock = clock
+        self._queue: List[Any] = []
 
     def __len__(self) -> int:
-        return len(self._slots)
-
-    @property
-    def sender_count(self) -> int:
-        """Distinct senders with at least one pending message."""
-        return len(self._queues)
+        return len(self._queue)
 
     def items(self) -> List[Any]:
-        """Pending items in arrival (receive) order."""
-        ordered = sorted(self._slots.values(), key=lambda slot: slot.arrival)
-        return [slot.item for slot in ordered]
+        return list(self._queue)
 
     def add(self, item: Any, adjusted: np.ndarray, local_vector: np.ndarray) -> None:
-        """Queue a non-deliverable item under its sender.
-
-        Same contract as :meth:`PendingBuffer.add`; ``adjusted`` is held
-        by reference (it is the timestamp's frozen cached row).
-        """
-        if not bool((adjusted > local_vector).any()):
-            raise ConfigurationError(
-                "HybridBuffer.add() requires a non-deliverable item"
-            )
-        sender = getattr(item, "sender", None)
-        seq = getattr(item, "seq", None)
-        if sender is None or seq is None:
-            raise ConfigurationError(
-                "HybridBuffer items must expose sender and seq attributes"
-            )
-        slot = self._next_slot
-        self._next_slot += 1
-        self._arrival_counter += 1
-        self._slots[slot] = _HybridSlot(item, adjusted, self._arrival_counter, sender)
-        queue = self._queues.setdefault(sender, [])
-        bisect.insort(queue, (int(seq), slot))
+        self._queue.append(item)
 
     def notify_increment(self, keys: Iterable[int]) -> None:
-        """Interface parity with :meth:`PendingBuffer.notify_increment`.
-
-        A no-op: the hybrid drain re-probes **every** queue front each
-        wave regardless of which entries were touched, so out-of-band
-        increments (local sends) are picked up without bookkeeping.
-        """
+        """No-op: every drain rescans everything."""
 
     def drain(
         self,
@@ -458,76 +365,20 @@ class HybridBuffer:
         touched_keys: Iterable[int],
         deliver: Callable[[Any], Sequence[int]],
     ) -> int:
-        """Deliver every item the current ``local_vector`` admits.
-
-        Same contract and delivery order as :meth:`PendingBuffer.drain`;
-        ``touched_keys`` is accepted for interface parity but unused —
-        the prefix property makes queue fronts the complete recheck set.
-        """
         delivered = 0
-        wave = self._deliverable_fronts(local_vector, ())
-        while wave:
-            heap: List[Tuple[int, int]] = [
-                (self._slots[slot].arrival, slot) for slot in wave
-            ]
-            heapq.heapify(heap)
-            scheduled: Set[int] = set(wave)
-            next_wave: Set[int] = set()
-            while heap:
-                arrival, slot = heapq.heappop(heap)
-                item = self._take(slot)
-                deliver(item)
-                delivered += 1
-                skip = scheduled | next_wave
-                for woken in self._deliverable_fronts(local_vector, skip):
-                    if self._slots[woken].arrival > arrival:
-                        # The naive pass would reach this queue position
-                        # after the delivery that unblocked it: same pass.
-                        heapq.heappush(heap, (self._slots[woken].arrival, woken))
-                        scheduled.add(woken)
-                    else:
-                        # Unblocked by a delivery behind it in the queue:
-                        # the naive pass already went past — next pass.
-                        next_wave.add(woken)
-            wave = next_wave
-        return delivered
-
-    def _deliverable_fronts(
-        self, local_vector: np.ndarray, skip: Iterable[int]
-    ) -> Set[int]:
-        """Deliverable queue-prefix slots not already scheduled.
-
-        Walks each sender queue from the front; slots in ``skip`` are
-        known-deliverable (scheduled or deferred to the next pass) and
-        are stepped over, the walk stopping at the first genuinely
-        blocked message (everything behind it is blocked too, by the
-        prefix property).
-        """
-        skip_set = skip if isinstance(skip, set) else set(skip)
-        found: Set[int] = set()
-        for queue in self._queues.values():
-            for _, slot in queue:
-                if slot in skip_set:
-                    continue
-                self.wakeups += 1
-                if bool((local_vector >= self._slots[slot].adjusted).all()):
-                    found.add(slot)
+        progressed = True
+        while progressed and self._queue:
+            progressed = False
+            still_pending = []
+            for item in self._queue:
+                if self._clock.is_deliverable(item.timestamp):
+                    deliver(item)
+                    delivered += 1
+                    progressed = True
                 else:
-                    self.spurious_wakeups += 1
-                    break
-        return found
-
-    def _take(self, slot: int) -> Any:
-        """Remove a slot from its sender queue and return its item."""
-        entry = self._slots.pop(slot)
-        queue = self._queues[entry.sender]
-        for position, (_, queued) in enumerate(queue):
-            if queued == slot:
-                del queue[position]
-                break
-        if not queue:
-            del self._queues[entry.sender]
-        return entry.item
+                    still_pending.append(item)
+            self._queue = still_pending
+        return delivered
 
 
 class SeenFilter:

@@ -32,7 +32,6 @@ from repro.core.clocks import EntryVectorClock, Timestamp
 from repro.core.detector import DeliveryErrorDetector, NullDetector
 from repro.core.errors import ConfigurationError
 from repro.core.pending import Frontiers, PendingBuffer, SeenFilter
-from repro.core.registry import engine_names, get_engine_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs is optional)
     from repro.obs.registry import MetricsRegistry
@@ -43,26 +42,7 @@ __all__ = [
     "DeliveryRecord",
     "EndpointStats",
     "CausalBroadcastEndpoint",
-    "ENGINE_MODES",
 ]
-
-# Snapshot of the engines registered at import time (the built-ins:
-# indexed, naive, auto, hybrid).  Validation resolves through the live
-# registry, so engines registered later work too — this tuple exists for
-# display and backwards compatibility.
-ENGINE_MODES = engine_names()
-
-# Pending depth at which engine="auto" promotes the naive drain to the
-# entry-indexed buffer.  Re-profiled after the hot dataclasses grew
-# __slots__ (which cheapened the indexed path's attribute traffic): on
-# the n8 retransmission trace a threshold of 32 lets auto beat BOTH
-# pure engines (~1.3x vs naive — shallow phases stay on the cheap
-# drain, the deep mid-trace queue gets the index), while at n32/n64
-# the queue blows past any threshold in this range immediately, so the
-# 3.5-6.5x deep-queue speedups are unaffected.  24 sat on the noisy
-# edge of the crossover; check_regression.py now asserts auto >= best
-# single engine on the n8 scenario.
-AUTO_PROMOTE_PENDING = 32
 
 ProcessId = Hashable
 MessageId = Tuple[ProcessId, int]
@@ -138,19 +118,10 @@ class CausalBroadcastEndpoint:
             means the configuration is pathological (e.g. a partitioned
             sender) and raises :class:`ConfigurationError` rather than
             accumulating unbounded state.
-        engine: pending-queue drain strategy, resolved through
-            :mod:`repro.core.registry` — ``"indexed"`` (default) uses
-            the vectorised, entry-indexed
-            :class:`~repro.core.pending.PendingBuffer`; ``"naive"`` keeps
-            the original full-rescan Python loop as a reference
-            implementation for differential testing; ``"auto"`` starts
-            naive and promotes to the indexed buffer once the pending
-            queue deepens past :data:`AUTO_PROMOTE_PENDING` (shallow
-            queues are faster without the index bookkeeping; deep ones
-            need it); ``"hybrid"`` keeps per-sender seq-sorted queues
-            and probes only their fronts
-            (:class:`~repro.core.pending.HybridBuffer`).  Delivery
-            order is identical across all of them.
+        buffer: the pending queue; defaults to a fresh entry-indexed
+            :class:`~repro.core.pending.PendingBuffer`.  The
+            differential test and the hot-path benchmark hand in a
+            :class:`~repro.core.pending.ReferenceBuffer` oracle instead.
     """
 
     def __init__(
@@ -160,23 +131,16 @@ class CausalBroadcastEndpoint:
         detector: Optional[DeliveryErrorDetector] = None,
         deliver_callback: Optional[Callable[[DeliveryRecord], None]] = None,
         max_pending: Optional[int] = None,
-        engine: str = "indexed",
+        buffer: Optional[PendingBuffer] = None,
     ) -> None:
         if max_pending is not None and max_pending <= 0:
             raise ConfigurationError(f"max_pending must be positive, got {max_pending}")
-        spec = get_engine_spec(engine)
         self._process_id = process_id
         self._clock = clock
         self._detector = detector if detector is not None else NullDetector()
         self._callback = deliver_callback
         self._max_pending = max_pending
-        self._engine = engine
-        self._auto_promote = spec.auto_promote
-        self._pending: List[Message] = []
-        self._buffer: Optional[Any] = (
-            spec.buffer_factory(clock.r) if spec.buffer_factory is not None else None
-        )
-        self._active_engine = engine if self._buffer is not None else "naive"
+        self._buffer = buffer if buffer is not None else PendingBuffer(clock.r)
         self._seen = SeenFilter()
         self.stats = EndpointStats()
         # Observability is opt-in: the hot path pays one None check until
@@ -230,9 +194,8 @@ class CausalBroadcastEndpoint:
             depth.set(self.pending_count)
             peak.set(self.stats.pending_peak)
             recent.set(getattr(self._detector, "recent_size", 0))
-            if self._buffer is not None:
-                wakeups.set(self._buffer.wakeups)
-                spurious.set(self._buffer.spurious_wakeups)
+            wakeups.set(self._buffer.wakeups)
+            spurious.set(self._buffer.spurious_wakeups)
 
         registry.register_collector(collect)
 
@@ -256,28 +219,13 @@ class CausalBroadcastEndpoint:
         return self._detector
 
     @property
-    def engine(self) -> str:
-        """The configured drain strategy (a registered engine name)."""
-        return self._engine
-
-    @property
-    def active_engine(self) -> str:
-        """The drain strategy currently executing — for ``auto``, which
-        side of the promotion threshold the endpoint is on."""
-        return self._active_engine
-
-    @property
     def pending_count(self) -> int:
         """Messages received but still failing the delivery condition."""
-        if self._buffer is not None:
-            return len(self._buffer)
-        return len(self._pending)
+        return len(self._buffer)
 
     def pending_messages(self) -> Tuple[Message, ...]:
         """Snapshot of the pending queue (receive order)."""
-        if self._buffer is not None:
-            return tuple(self._buffer.items())
-        return tuple(self._pending)
+        return tuple(self._buffer.items())
 
     def has_seen(self, message_id: MessageId) -> bool:
         """Whether a message id was already received (duplicate filter)."""
@@ -323,13 +271,11 @@ class CausalBroadcastEndpoint:
         sender-side bookkeeping for it.
         """
         timestamp = self._clock.prepare_send()
-        if self._buffer is not None:
-            # Algorithm 1 just incremented this node's own keys; pending
-            # messages whose unsatisfied entries overlap them can become
-            # deliverable without any delivery touching those entries.
-            # The naive rescan sees this for free at its next drain; the
-            # entry-indexed buffer must be told (see pending.py).
-            self._buffer.notify_increment(timestamp.sender_keys)
+        # Algorithm 1 just incremented this node's own keys; pending
+        # messages whose unsatisfied entries overlap them can become
+        # deliverable without any delivery touching those entries, so
+        # the entry-indexed buffer must be told (see pending.py).
+        self._buffer.notify_increment(timestamp.sender_keys)
         message = Message(
             sender=self._process_id,
             seq=timestamp.seq,
@@ -360,23 +306,14 @@ class CausalBroadcastEndpoint:
         delivered: List[DeliveryRecord] = []
         if self._clock.is_deliverable(message.timestamp):
             delivered.append(self._deliver(message, now))
-            if self._buffer is not None:
-                self._drain_indexed(now, message.timestamp.sender_keys, delivered)
-            else:
-                delivered.extend(self._drain_pending(now))
+            self._drain(now, message.timestamp.sender_keys, delivered)
         else:
             if self._wait_histogram is not None:
                 self._arrival_time[message.message_id] = now
-            if self._buffer is not None:
-                self._buffer.add(
-                    message, message.timestamp.adjusted, self._clock.vector_view()
-                )
-                size = len(self._buffer)
-            else:
-                self._pending.append(message)
-                size = len(self._pending)
-                if self._auto_promote and size >= AUTO_PROMOTE_PENDING:
-                    self._promote()
+            self._buffer.add(
+                message, message.timestamp.adjusted, self._clock.vector_view()
+            )
+            size = len(self._buffer)
             if self._max_pending is not None and size > self._max_pending:
                 raise ConfigurationError(
                     f"pending queue of {self._process_id!r} exceeded "
@@ -385,25 +322,7 @@ class CausalBroadcastEndpoint:
             self.stats.observe_pending(size)
         return delivered
 
-    def _promote(self) -> None:
-        """One-way switch from the naive drain to the indexed buffer.
-
-        Safe at this point by construction: the naive drain just ran to
-        a fixpoint, so everything in ``_pending`` is genuinely
-        non-deliverable against the current clock — exactly the state
-        :meth:`PendingBuffer.add` indexes.  Never demoted: a queue that
-        got this deep once is paying rescan costs that dwarf the index
-        bookkeeping, and an empty indexed buffer early-outs anyway.
-        """
-        buffer = PendingBuffer(self._clock.r)
-        vector = self._clock.vector_view()
-        for queued in self._pending:
-            buffer.add(queued, queued.timestamp.adjusted, vector)
-        self._pending = []
-        self._buffer = buffer
-        self._active_engine = "indexed"
-
-    def _drain_indexed(
+    def _drain(
         self, now: float, touched_keys: Sequence[int], delivered: List[DeliveryRecord]
     ) -> None:
         """Entry-indexed drain: recheck only messages whose unsatisfied
@@ -416,22 +335,6 @@ class CausalBroadcastEndpoint:
             return message.timestamp.sender_keys
 
         self._buffer.drain(self._clock.vector_view(), touched_keys, deliver)
-
-    def _drain_pending(self, now: float) -> List[DeliveryRecord]:
-        """Reference drain: full passes until one makes no progress."""
-        delivered: List[DeliveryRecord] = []
-        progressed = True
-        while progressed and self._pending:
-            progressed = False
-            still_pending: List[Message] = []
-            for queued in self._pending:
-                if self._clock.is_deliverable(queued.timestamp):
-                    delivered.append(self._deliver(queued, now))
-                    progressed = True
-                else:
-                    still_pending.append(queued)
-            self._pending = still_pending
-        return delivered
 
     def _deliver(self, message: Message, now: float) -> DeliveryRecord:
         alert = self._detector.check(self._clock, message.timestamp, now)

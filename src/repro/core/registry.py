@@ -1,9 +1,9 @@
-"""Pluggable clock / engine / detector registries: the plugin API.
+"""Pluggable clock / detector registries: the plugin API.
 
 The factory layer (:mod:`repro.api`, :mod:`repro.sim.runner`, the CLI and
 the wire codec) used to hard-code ``if scheme == ...`` chains, which meant
-every new clock family or pending-queue engine had to edit four modules.
-This module replaces those chains with three name-keyed registries:
+every new clock family had to edit four modules.  This module replaces
+those chains with two name-keyed registries:
 
 * **clocks** — members of the (n, r, k) design space *and* foreign
   families (the Bloom clock).  A :class:`ClockSpec` couples the factory
@@ -14,9 +14,6 @@ This module replaces those chains with three name-keyed registries:
   the static-key delta wire path)?  Each spec also owns a
   ``wire_scheme_id`` byte so timestamps of different families are
   distinguishable on the wire (:mod:`repro.core.codec`).
-* **engines** — pending-queue drain strategies for the protocol
-  endpoint.  An :class:`EngineSpec` names a buffer factory (or ``None``
-  for the reference full-rescan drain) plus the ``auto``-promotion flag.
 * **detectors** — pre-delivery alert checks (Algorithms 4/5).
 
 Registration is global and import-time cheap; the built-ins below are
@@ -57,24 +54,18 @@ from repro.core.detector import (
     RefinedAlertDetector,
 )
 from repro.core.errors import ConfigurationError
-from repro.core.pending import HybridBuffer, PendingBuffer
 
 __all__ = [
     "ClockBuildContext",
     "ClockSpec",
-    "EngineSpec",
     "DetectorSpec",
     "register_clock",
-    "register_engine",
     "register_detector",
     "unregister_clock",
-    "unregister_engine",
     "unregister_detector",
     "get_clock_spec",
-    "get_engine_spec",
     "get_detector_spec",
     "clock_schemes",
-    "engine_names",
     "detector_names",
     "scheme_id_of",
     "scheme_name_of",
@@ -160,36 +151,6 @@ class ClockSpec:
 
 
 @dataclass(frozen=True)
-class EngineSpec:
-    """A registered pending-queue drain strategy.
-
-    Attributes:
-        name: the engine string users configure.
-        buffer_factory: ``r -> buffer`` building the pending structure
-            (must expose the :class:`~repro.core.pending.PendingBuffer`
-            interface: ``add`` / ``drain`` / ``notify_increment`` /
-            ``items`` / ``__len__`` and the ``wakeups`` counters);
-            ``None`` selects the reference full-rescan drain over a
-            plain list.
-        auto_promote: start on the reference drain and promote to the
-            indexed buffer past the promotion threshold (``auto``).
-        description: one line for ``repro engines`` listings.
-    """
-
-    name: str
-    buffer_factory: Optional[Callable[[int], Any]] = None
-    auto_promote: bool = False
-    description: str = ""
-
-    def capabilities(self) -> Dict[str, Any]:
-        """The descriptor fields as a plain dict (CLI listings)."""
-        return {
-            "buffered": self.buffer_factory is not None,
-            "auto_promote": self.auto_promote,
-        }
-
-
-@dataclass(frozen=True)
 class DetectorSpec:
     """A registered pre-delivery alert check.
 
@@ -210,7 +171,6 @@ class DetectorSpec:
 
 
 _CLOCKS: Dict[str, ClockSpec] = {}
-_ENGINES: Dict[str, EngineSpec] = {}
 _DETECTORS: Dict[str, DetectorSpec] = {}
 
 
@@ -269,26 +229,6 @@ def register_clock(
     return spec
 
 
-def register_engine(
-    name: str,
-    buffer_factory: Optional[Callable[[int], Any]] = None,
-    *,
-    auto_promote: bool = False,
-    description: str = "",
-    replace: bool = False,
-) -> EngineSpec:
-    """Register a pending-queue engine under ``name``; returns its spec."""
-    _check_name("engine", name, _ENGINES, replace)
-    spec = EngineSpec(
-        name=name,
-        buffer_factory=buffer_factory,
-        auto_promote=auto_promote,
-        description=description,
-    )
-    _ENGINES[name] = spec
-    return spec
-
-
 def register_detector(
     name: str,
     factory: Callable[..., DeliveryErrorDetector],
@@ -306,11 +246,6 @@ def register_detector(
 def unregister_clock(name: str) -> None:
     """Remove a registered clock scheme (test teardown helper)."""
     _CLOCKS.pop(name, None)
-
-
-def unregister_engine(name: str) -> None:
-    """Remove a registered engine (test teardown helper)."""
-    _ENGINES.pop(name, None)
 
 
 def unregister_detector(name: str) -> None:
@@ -332,11 +267,6 @@ def get_clock_spec(name: str) -> ClockSpec:
     return _lookup("clock scheme", name, _CLOCKS)
 
 
-def get_engine_spec(name: str) -> EngineSpec:
-    """The spec registered under ``name`` (raises listing valid names)."""
-    return _lookup("engine", name, _ENGINES)
-
-
 def get_detector_spec(name: str) -> DetectorSpec:
     """The spec registered under ``name`` (raises listing valid names)."""
     return _lookup("detector", name, _DETECTORS)
@@ -345,11 +275,6 @@ def get_detector_spec(name: str) -> DetectorSpec:
 def clock_schemes() -> Tuple[str, ...]:
     """Registered clock scheme names, in registration order."""
     return tuple(_CLOCKS)
-
-
-def engine_names() -> Tuple[str, ...]:
-    """Registered engine names, in registration order."""
-    return tuple(_ENGINES)
 
 
 def detector_names() -> Tuple[str, ...]:
@@ -442,29 +367,6 @@ register_clock(
     per_message_keys=True,
     wire_scheme_id=5,
 )
-
-register_engine(
-    "indexed",
-    PendingBuffer,
-    description="vectorised entry-indexed buffer: O(K + unblocked*R) per delivery",
-)
-register_engine(
-    "naive",
-    None,
-    description="reference full-rescan drain: O(P*R) passes (differential baseline)",
-)
-register_engine(
-    "auto",
-    None,
-    auto_promote=True,
-    description="naive until the pending queue deepens, then promotes to indexed",
-)
-register_engine(
-    "hybrid",
-    HybridBuffer,
-    description="per-sender seq-sorted queues (Almeida): checks only queue fronts",
-)
-
 
 def _make_none(window: Optional[float] = None, max_entries: Optional[int] = None):
     return NullDetector()

@@ -398,9 +398,9 @@ class ReliableCausalNode:
         anti_entropy_interval: seconds between digest rounds; 0 disables
             the periodic exchange (retransmission-only mode).
         store_limit: bound on the recent-messages store.
-        max_pending: optional safety bound on the endpoint's pending queue.
-        engine: pending-queue drain strategy — ``indexed`` (default) or
-            ``naive`` (the reference full-rescan drain).
+        max_pending: optional safety bound on the endpoint's pending
+            queue (always the entry-indexed
+            :class:`~repro.core.pending.PendingBuffer`).
         journal: optional :class:`~repro.net.journal.NodeJournal`; when
             given, the constructor replays any prior state (clock,
             delivered frontiers, link seqs) before a single datagram can
@@ -449,7 +449,6 @@ class ReliableCausalNode:
         anti_entropy_interval: float = 0.5,
         store_limit: int = 8192,
         max_pending: Optional[int] = None,
-        engine: str = "indexed",
         journal: Optional[NodeJournal] = None,
         liveness: Optional[LivenessPolicy] = None,
         wire_delta: bool = True,
@@ -565,7 +564,6 @@ class ReliableCausalNode:
             detector=detector,
             deliver_callback=self._handle_delivery,
             max_pending=max_pending,
-            engine=engine,
         )
         self.endpoint.bind_metrics(self.metrics, self.trace)
         if self.recovered is not None:

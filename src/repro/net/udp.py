@@ -12,8 +12,7 @@ Two implementations share the wire format and the
   preallocated buffers — zero allocation per datagram) and hands the
   whole batch to one receiver callback as borrowed ``memoryview`` s; on
   send it queues datagrams and flushes them in a tight ``sendto`` burst
-  once per loop tick (sendmmsg-style batching at the Python level, with
-  an optional real ``sendmmsg(2)`` fast path behind the ``mmsg`` flag).
+  once per loop tick (burst batching at the Python level).
 
 **Buffer lifetime.**  The views a batched receive callback sees alias
 the transport's reusable ring; they are valid only until the callback
@@ -133,8 +132,7 @@ class IoStats:
     ioloop benchmark gates on.  ``rx_budget_exhausted`` counts wakeups
     that hit the ``rx_batch`` budget with data still queued (the loop
     re-fires — level-triggered — so nothing is lost, but a high rate
-    means the budget is the bottleneck).  ``tx_mmsg_datagrams`` counts
-    datagrams that left via real ``sendmmsg(2)`` bursts.
+    means the budget is the bottleneck).
     """
 
     __slots__ = (
@@ -148,8 +146,6 @@ class IoStats:
         "tx_bytes",
         "tx_batch_max",
         "tx_blocked",
-        "tx_mmsg_calls",
-        "tx_mmsg_datagrams",
     )
 
     def __init__(self) -> None:
@@ -158,94 +154,6 @@ class IoStats:
 
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
-
-
-class _SendmmsgBurst:
-    """ctypes binding for ``sendmmsg(2)``: many datagrams, one syscall.
-
-    Linux + AF_INET only; any failure to construct or to resolve a
-    destination disables the fast path for good and the caller falls
-    back to the Python-level ``sendto`` burst.  Addresses must be
-    dotted-quad IPv4 (``inet_aton``); hostnames punt to the fallback.
-    """
-
-    def __init__(self, fd: int) -> None:
-        import ctypes
-        import ctypes.util
-
-        libc_name = ctypes.util.find_library("c")
-        if libc_name is None:
-            raise OSError("no libc")
-        libc = ctypes.CDLL(libc_name, use_errno=True)
-        self._sendmmsg = libc.sendmmsg  # AttributeError when unsupported
-        self._ctypes = ctypes
-        self._fd = fd
-
-        class SockaddrIn(ctypes.Structure):
-            _fields_ = [
-                ("sin_family", ctypes.c_uint16),
-                ("sin_port", ctypes.c_uint16),
-                ("sin_addr", ctypes.c_uint32),
-                ("sin_zero", ctypes.c_char * 8),
-            ]
-
-        class Iovec(ctypes.Structure):
-            _fields_ = [
-                ("iov_base", ctypes.c_void_p),
-                ("iov_len", ctypes.c_size_t),
-            ]
-
-        class Msghdr(ctypes.Structure):
-            _fields_ = [
-                ("msg_name", ctypes.c_void_p),
-                ("msg_namelen", ctypes.c_uint32),
-                ("msg_iov", ctypes.POINTER(Iovec)),
-                ("msg_iovlen", ctypes.c_size_t),
-                ("msg_control", ctypes.c_void_p),
-                ("msg_controllen", ctypes.c_size_t),
-                ("msg_flags", ctypes.c_int),
-            ]
-
-        class Mmsghdr(ctypes.Structure):
-            _fields_ = [("msg_hdr", Msghdr), ("msg_len", ctypes.c_uint32)]
-
-        self._SockaddrIn = SockaddrIn
-        self._Iovec = Iovec
-        self._Mmsghdr = Mmsghdr
-
-    def send(self, entries: List[Tuple[HostPort, bytes]]) -> int:
-        """Send ``entries`` in one syscall; returns how many went out.
-
-        Raises ``OSError``/``ValueError`` on anything unexpected — the
-        caller treats that as "disable the fast path", not as loss (the
-        unsent tail stays queued).
-        """
-        ctypes = self._ctypes
-        count = len(entries)
-        addrs = (self._SockaddrIn * count)()
-        iovecs = (self._Iovec * count)()
-        msgs = (self._Mmsghdr * count)()
-        keepalive = []
-        for index, ((host, port), data) in enumerate(entries):
-            packed = socket.inet_aton(host)  # ValueError on hostnames
-            addr = addrs[index]
-            addr.sin_family = socket.AF_INET
-            addr.sin_port = socket.htons(port)
-            addr.sin_addr = int.from_bytes(packed, "little")
-            payload = ctypes.create_string_buffer(bytes(data), len(data))
-            keepalive.append(payload)
-            iovecs[index].iov_base = ctypes.cast(payload, ctypes.c_void_p)
-            iovecs[index].iov_len = len(data)
-            hdr = msgs[index].msg_hdr
-            hdr.msg_name = ctypes.cast(ctypes.pointer(addr), ctypes.c_void_p)
-            hdr.msg_namelen = ctypes.sizeof(addr)
-            hdr.msg_iov = ctypes.pointer(iovecs[index])
-            hdr.msg_iovlen = 1
-        sent = self._sendmmsg(self._fd, msgs, count, 0)
-        if sent < 0:
-            errno = ctypes.get_errno()
-            raise OSError(errno, "sendmmsg failed")
-        return sent
 
 
 class BatchedUdpTransport(Transport):
@@ -265,8 +173,6 @@ class BatchedUdpTransport(Transport):
     Args:
         rx_batch: max datagrams drained per readable wakeup.
         tx_batch: max datagrams written per flush pass.
-        mmsg: try a real ``sendmmsg(2)`` burst (Linux/AF_INET); falls
-            back to the ``sendto`` loop silently anywhere it can't work.
     """
 
     def __init__(
@@ -275,7 +181,6 @@ class BatchedUdpTransport(Transport):
         loop: asyncio.AbstractEventLoop,
         rx_batch: int = 32,
         tx_batch: int = 32,
-        mmsg: bool = False,
     ) -> None:
         if rx_batch <= 0:
             raise ConfigurationError(f"rx_batch must be positive, got {rx_batch}")
@@ -296,12 +201,6 @@ class BatchedUdpTransport(Transport):
         self._local_address: HostPort = (name[0], name[1])
         self.io_stats = IoStats()
         self._rx_histogram = None  # per-wakeup datagram distribution
-        self._mmsg: Optional[_SendmmsgBurst] = None
-        if mmsg and sock.family == socket.AF_INET:
-            try:
-                self._mmsg = _SendmmsgBurst(sock.fileno())
-            except (OSError, AttributeError):  # pragma: no cover - platform
-                self._mmsg = None
         loop.add_reader(sock.fileno(), self._on_readable)
 
     @classmethod
@@ -311,7 +210,6 @@ class BatchedUdpTransport(Transport):
         port: int = 0,
         rx_batch: int = 32,
         tx_batch: int = 32,
-        mmsg: bool = False,
     ) -> "BatchedUdpTransport":
         """Bind a non-blocking socket; ``port=0`` picks an ephemeral port."""
         loop = asyncio.get_running_loop()
@@ -322,17 +220,12 @@ class BatchedUdpTransport(Transport):
         except BaseException:
             sock.close()
             raise
-        return cls(sock, loop, rx_batch=rx_batch, tx_batch=tx_batch, mmsg=mmsg)
+        return cls(sock, loop, rx_batch=rx_batch, tx_batch=tx_batch)
 
     @property
     def local_address(self) -> HostPort:
         """The bound ``(host, port)``; stays readable after close()."""
         return self._local_address
-
-    @property
-    def mmsg_active(self) -> bool:
-        """Whether the ``sendmmsg(2)`` fast path is armed."""
-        return self._mmsg is not None
 
     # ------------------------------------------------------------------
     # receive path
@@ -429,37 +322,20 @@ class BatchedUdpTransport(Transport):
         budget = self._tx_batch
         sent = 0
         blocked = False
-        if self._mmsg is not None and len(queue) > 1:
-            burst = list(queue)[:budget]
+        sock = self._sock
+        while queue and sent < budget:
+            destination, data = queue[0]
             try:
-                done = self._mmsg.send(burst)
-            except (OSError, ValueError):
-                # Unresolvable address or platform refusal: drop to the
-                # sendto loop permanently (the queue is untouched).
-                self._mmsg = None
-            else:
-                for _ in range(done):
-                    entry = queue.popleft()
-                    stats.tx_bytes += len(entry[1])
-                sent += done
-                stats.tx_mmsg_calls += 1
-                stats.tx_mmsg_datagrams += done
-                blocked = done == 0
-        if not blocked:
-            sock = self._sock
-            while queue and sent < budget:
-                destination, data = queue[0]
-                try:
-                    sock.sendto(data, destination)
-                except (BlockingIOError, InterruptedError):
-                    blocked = True
-                    break
-                except OSError:
-                    queue.popleft()  # unreachable peer: drop, UDP semantics
-                    continue
-                queue.popleft()
-                sent += 1
-                stats.tx_bytes += len(data)
+                sock.sendto(data, destination)
+            except (BlockingIOError, InterruptedError):
+                blocked = True
+                break
+            except OSError:
+                queue.popleft()  # unreachable peer: drop, UDP semantics
+                continue
+            queue.popleft()
+            sent += 1
+            stats.tx_bytes += len(data)
         stats.tx_datagrams += sent
         if sent > stats.tx_batch_max:
             stats.tx_batch_max = sent
@@ -506,8 +382,6 @@ class BatchedUdpTransport(Transport):
             "tx_datagrams",
             "tx_bytes",
             "tx_blocked",
-            "tx_mmsg_calls",
-            "tx_mmsg_datagrams",
         )
         counters = {name: registry.counter(f"repro_io_{name}_total") for name in names}
         rx_peak = registry.gauge("repro_io_rx_batch_peak")

@@ -47,7 +47,6 @@ from repro.core.registry import (
     detector_names,
     get_clock_spec,
     get_detector_spec,
-    get_engine_spec,
 )
 from repro.core.theory import optimal_k_int, p_error
 from repro.sim.dissemination import DirectBroadcast, Dissemination, DisseminationContext
@@ -177,14 +176,6 @@ class SimulationConfig:
         recovery_delay_ms / recovery_period_ms: trigger timing.
         recovery_log_size: per-node delivered-message window exchanged by
             anti-entropy sessions.
-        engine: pending-queue drain strategy for every endpoint —
-            ``auto`` (default: the naive drain until the pending queue
-            deepens past the promotion threshold, then the vectorised
-            entry-indexed buffer), ``indexed`` (always the buffer),
-            ``naive`` (always the reference full-rescan drain; same
-            delivery order, kept for differential testing and perf
-            baselines), or ``hybrid`` (per-sender seq-sorted queues,
-            probing only their fronts).
         metrics_path: when set, the run binds a
             :class:`repro.obs.MetricsRegistry` (labels ``mode="sim"``)
             to its metric set and appends one JSONL snapshot line to this
@@ -223,7 +214,6 @@ class SimulationConfig:
     recovery_delay_ms: float = 50.0
     recovery_period_ms: float = 2_000.0
     recovery_log_size: int = 4096
-    engine: str = "auto"
     metrics_path: Optional[str] = None
     adaptive_k_interval_ms: Optional[float] = None
 
@@ -253,7 +243,6 @@ class SimulationConfig:
             raise ConfigurationError("recovery timings must be positive")
         if self.recovery_log_size <= 0:
             raise ConfigurationError("recovery_log_size must be positive")
-        get_engine_spec(self.engine)
         if self.adaptive_k_interval_ms is not None:
             if self.adaptive_k_interval_ms <= 0:
                 raise ConfigurationError("adaptive_k_interval_ms must be > 0")
@@ -477,7 +466,6 @@ class _Run(DisseminationContext):
             clock=clock,
             detector=self._make_detector(),
             max_pending=self._config.max_pending,
-            engine=self._config.engine,
         )
         node = SimNode(
             node_id=node_id,

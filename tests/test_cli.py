@@ -83,12 +83,6 @@ class TestSimulateCommand:
             assert code == 0, clock
             assert json.loads(out)["traffic"]["stuck_pending"] == 0
 
-    def test_engine_choices(self, capsys):
-        for engine in ("naive", "indexed", "hybrid"):
-            code, out = run_cli(capsys, *self.BASE, "--engine", engine, "--json")
-            assert code == 0, engine
-            assert json.loads(out)["traffic"]["stuck_pending"] == 0
-
 
 class TestSweepCommand:
     def test_sweep_k(self, capsys):
@@ -133,24 +127,36 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--clock", "quantum"])
 
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--engine", "turbo"])
+    def test_removed_spellings_fail_loudly(self):
+        """One drain engine, one socket path: the old selectors are
+        errors, not silently ignored."""
+        from repro import NodeConfig, SimulationConfig
+
+        for argv in (["simulate", "--engine", "indexed"],
+                     ["node", "--io-mode", "batched"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        for build in (lambda: NodeConfig(engine="indexed"),
+                      lambda: NodeConfig(io_mode="batched"),
+                      lambda: SimulationConfig(n_nodes=4, engine="indexed")):
+            with pytest.raises(TypeError):
+                build()
 
     def test_choices_track_the_registry(self):
         # Plugins registered before build_parser() become CLI choices.
-        from repro.core.pending import PendingBuffer
-        from repro.core.registry import register_engine, unregister_engine
+        from repro.core.clocks import ProbabilisticCausalClock
+        from repro.core.registry import register_clock, unregister_clock
 
-        register_engine("cli-test-engine", PendingBuffer,
-                        description="registered by test_cli")
+        register_clock("cli-test-clock",
+                       lambda ctx: ProbabilisticCausalClock(ctx.r, ctx.keys),
+                       needs_key_assignment=True)
         try:
             args = build_parser().parse_args(
-                ["simulate", "--engine", "cli-test-engine"]
+                ["simulate", "--clock", "cli-test-clock"]
             )
-            assert args.engine == "cli-test-engine"
+            assert args.clock == "cli-test-clock"
         finally:
-            unregister_engine("cli-test-engine")
+            unregister_clock("cli-test-clock")
 
 
 class TestEnginesCommand:
@@ -160,8 +166,7 @@ class TestEnginesCommand:
         for name in ("probabilistic", "plausible", "lamport", "vector",
                      "bloom"):
             assert name in out
-        for name in ("indexed", "naive", "auto", "hybrid"):
-            assert name in out
+        assert "delivery engines" not in out
         for name in ("none", "basic", "refined"):
             assert name in out
         # capability descriptors surface in the listing

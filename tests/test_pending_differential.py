@@ -1,13 +1,12 @@
-"""Differential test: buffered drain engines == reference naive drain.
+"""Differential test: PendingBuffer == the reference full-rescan drain.
 
-The entry-indexed :class:`~repro.core.pending.PendingBuffer` and the
-per-sender :class:`~repro.core.pending.HybridBuffer` are pure
-performance reworks of Algorithm 2's delivery loop — each must be
-*observationally identical* to the naive full-rescan drain kept in the
-endpoint as the reference path.  These tests run the engines over the
-same randomized traces (multiple causally-entangled senders, drops,
-reorders, duplicates) and assert byte-identical delivery order, alerts,
-stats, pending sets, and clock state.
+The entry-indexed :class:`~repro.core.pending.PendingBuffer` is a pure
+performance rework of Algorithm 2's delivery loop — it must be
+*observationally identical* to the full-rescan
+:class:`~repro.core.pending.ReferenceBuffer` oracle.  These tests run
+both over the same randomized traces (multiple causally-entangled
+senders, drops, reorders, duplicates) and assert byte-identical delivery
+order, alerts, stats, pending sets, and clock state.
 """
 
 import random
@@ -16,9 +15,9 @@ import pytest
 
 from repro.core.clocks import ProbabilisticCausalClock
 from repro.core.detector import BasicAlertDetector, RefinedAlertDetector
-from repro.core.errors import ConfigurationError
 from repro.core.keyspace import HashKeyAssigner
-from repro.core.protocol import ENGINE_MODES, CausalBroadcastEndpoint
+from repro.core.pending import ReferenceBuffer
+from repro.core.protocol import CausalBroadcastEndpoint
 
 
 def make_trace(rng, senders=4, rounds=12, r=16, k=2, gossip=0.7):
@@ -68,12 +67,14 @@ def _rx_keys(assigner):
 
 
 def make_receiver(engine, assigner, r=16, detector_cls=BasicAlertDetector):
-    detector = detector_cls() if detector_cls is not None else None
+    """``"indexed"`` is the endpoint as shipped; ``"naive"`` hands it the
+    reference buffer."""
+    clock = ProbabilisticCausalClock(r, _rx_keys(assigner))
     return CausalBroadcastEndpoint(
         "rx",
-        ProbabilisticCausalClock(r, _rx_keys(assigner)),
-        detector=detector,
-        engine=engine,
+        clock,
+        detector=detector_cls(),
+        buffer=ReferenceBuffer(clock) if engine == "naive" else None,
     )
 
 
@@ -166,7 +167,7 @@ class TestDifferential:
         assert len(deliveries) == len(trace)
         assert indexed.pending_count == 0
 
-    @pytest.mark.parametrize("engine", ["indexed", "hybrid", "auto"])
+    @pytest.mark.parametrize("engine", ["indexed", "naive"])
     def test_local_send_unblocks_pending(self, engine):
         """Regression for the 340-vs-342 ``check_competitors`` hair: a
         *local* broadcast (Algorithm 1) increments the receiver's own
@@ -180,8 +181,11 @@ class TestDifferential:
         s0.broadcast("m1")  # lost: m2 stays pending at the receiver
         m2 = s0.broadcast("m2")
         d1 = s1.broadcast("d1")
+        clock = ProbabilisticCausalClock(r, (0, 1))
         rx = CausalBroadcastEndpoint(
-            "rx", ProbabilisticCausalClock(r, (0, 1)), engine=engine
+            "rx",
+            clock,
+            buffer=ReferenceBuffer(clock) if engine == "naive" else None,
         )
         assert rx.on_receive(m2, now=0.0) == []  # deficit on entries {0, 1}
         # The receiver's own keys coincide with the deficit entries: its
@@ -214,100 +218,3 @@ class TestDifferential:
         deliveries = assert_equivalent(indexed, naive, arrivals)
         assert [payload for _, payload, _ in deliveries] == list(range(20))
         assert indexed.pending_count == 0
-
-
-class TestHybridDifferential:
-    """The per-sender hybrid engine against the naive reference drain."""
-
-    # Same seeds as TestDifferential: the traces are engine-independent,
-    # and those seeds are known to exercise delivery.
-    @pytest.mark.parametrize("seed", range(12))
-    def test_randomized_traces_match(self, seed):
-        rng = random.Random(1000 + seed)
-        trace, assigner = make_trace(rng)
-        arrivals = arrival_schedule(rng, trace)
-        hybrid = make_receiver("hybrid", assigner)
-        naive = make_receiver("naive", assigner)
-        deliveries = assert_equivalent(hybrid, naive, arrivals)
-        assert deliveries
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_heavy_reorder_and_loss(self, seed):
-        rng = random.Random(2000 + seed)
-        trace, assigner = make_trace(rng, senders=6, rounds=10, gossip=0.9)
-        arrivals = arrival_schedule(rng, trace, loss=0.3, dup=0.2, window=25)
-        hybrid = make_receiver("hybrid", assigner)
-        naive = make_receiver("naive", assigner)
-        assert_equivalent(hybrid, naive, arrivals)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_refined_detector_alerts_match(self, seed):
-        rng = random.Random(3000 + seed)
-        trace, assigner = make_trace(rng, senders=5, rounds=8, k=1, gossip=0.5)
-        arrivals = arrival_schedule(rng, trace, loss=0.25, window=15)
-        hybrid = make_receiver("hybrid", assigner, detector_cls=RefinedAlertDetector)
-        naive = make_receiver("naive", assigner, detector_cls=RefinedAlertDetector)
-        assert_equivalent(hybrid, naive, arrivals)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_hybrid_matches_indexed(self, seed):
-        """Transitivity check: the two buffered engines also agree."""
-        rng = random.Random(8000 + seed)
-        trace, assigner = make_trace(rng, senders=5, rounds=10, gossip=0.8)
-        arrivals = arrival_schedule(rng, trace, loss=0.2, dup=0.15, window=12)
-        hybrid = make_receiver("hybrid", assigner)
-        indexed = make_receiver("indexed", assigner)
-        assert_equivalent(hybrid, indexed, arrivals)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_interleaved_local_sends_match(self, seed):
-        rng = random.Random(4000 + seed)
-        trace, assigner = make_trace(rng, senders=5, rounds=10, gossip=0.8)
-        arrivals = arrival_schedule(rng, trace, loss=0.25, dup=0.1, window=20)
-        send_before = {i for i in range(len(arrivals)) if rng.random() < 0.2}
-        hybrid = make_receiver("hybrid", assigner)
-        naive = make_receiver("naive", assigner)
-        assert_equivalent_with_sends(hybrid, naive, arrivals, send_before)
-
-    def test_reverse_chain_probes_fronts_only(self):
-        """One sender's chain arriving in reverse: the prefix property
-        means every blocked message sits behind its queue front, so the
-        hybrid drain probes O(chain) fronts instead of O(chain²) items.
-        """
-        assigner = HashKeyAssigner(r=12, k=2)
-        sender = CausalBroadcastEndpoint(
-            "s0", ProbabilisticCausalClock(12, assigner.assign("s0").keys)
-        )
-        chain = [sender.broadcast(i) for i in range(30)]
-        arrivals = [chain[0]] + list(reversed(chain[1:]))
-        hybrid = make_receiver("hybrid", assigner, r=12)
-        naive = make_receiver("naive", assigner, r=12)
-        deliveries = assert_equivalent(hybrid, naive, arrivals)
-        assert [payload for _, payload, _ in deliveries] == list(range(30))
-        assert hybrid.pending_count == 0
-        # The 29 blocked messages all queued behind one front; deliver
-        # wakeups stay linear in the chain length.
-        buffer = hybrid._buffer
-        assert buffer.wakeups <= 4 * len(chain)
-
-
-class TestEngineOption:
-    def test_engine_modes_exposed(self):
-        assert ENGINE_MODES == ("indexed", "naive", "auto", "hybrid")
-
-    def test_default_engine_is_indexed(self):
-        ep = CausalBroadcastEndpoint("a", ProbabilisticCausalClock(6, (0, 1)))
-        assert ep.engine == "indexed"
-
-    def test_hybrid_engine_selectable(self):
-        ep = CausalBroadcastEndpoint(
-            "a", ProbabilisticCausalClock(6, (0, 1)), engine="hybrid"
-        )
-        assert ep.engine == "hybrid"
-        assert ep.active_engine == "hybrid"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CausalBroadcastEndpoint(
-                "a", ProbabilisticCausalClock(6, (0, 1)), engine="turbo"
-            )

@@ -1,9 +1,9 @@
-"""The pluggable clock/engine/detector registry (DESIGN.md §9).
+"""The pluggable clock/detector registry (DESIGN.md §9).
 
 Covers the registry contract end to end: unknown names fail loudly with
 the registered alternatives, the four legacy scheme strings still build
-the exact classes they always did, a toy clock and a toy engine
-registered in-test round-trip through every assembly layer
+the exact classes they always did, a toy clock registered in-test
+round-trips through every assembly layer
 (``create_clock``/``create_endpoint``/``NodeConfig``/
 ``SimulationConfig``), wire scheme ids stay unique, and the codec's
 scheme byte keeps timestamp families wire-distinguishable.
@@ -30,22 +30,16 @@ from repro.core.clocks import (
 )
 from repro.core.codec import CodecError, MessageCodec
 from repro.core.errors import ConfigurationError
-from repro.core.pending import PendingBuffer
-from repro.core.protocol import CausalBroadcastEndpoint
 from repro.core.registry import (
     ClockBuildContext,
     clock_schemes,
     detector_names,
-    engine_names,
     get_clock_spec,
     get_detector_spec,
-    get_engine_spec,
     register_clock,
-    register_engine,
     scheme_id_of,
     scheme_name_of,
     unregister_clock,
-    unregister_engine,
 )
 from repro.sim import GaussianDelayModel, PoissonWorkload, SimulationConfig, run_simulation
 
@@ -64,27 +58,10 @@ def toy_clock():
     unregister_clock(name)
 
 
-@pytest.fixture
-def toy_engine():
-    """A throwaway drain engine registered for one test."""
-    name = "toy-engine"
-    register_engine(
-        name,
-        PendingBuffer,
-        description="test-only alias of the indexed engine",
-    )
-    yield name
-    unregister_engine(name)
-
-
 class TestLookupFailures:
     def test_unknown_clock_lists_registered(self):
         with pytest.raises(ConfigurationError, match="probabilistic"):
             get_clock_spec("quantum")
-
-    def test_unknown_engine_lists_registered(self):
-        with pytest.raises(ConfigurationError, match="indexed"):
-            get_engine_spec("turbo")
 
     def test_unknown_detector_lists_registered(self):
         with pytest.raises(ConfigurationError, match="refined"):
@@ -101,11 +78,9 @@ class TestLookupFailures:
         with pytest.raises(ConfigurationError, match="'basci'"):
             NodeConfig(r=16, k=2, detector="basci")
 
-    def test_node_config_rejects_unknown_scheme_and_engine(self):
+    def test_node_config_rejects_unknown_scheme(self):
         with pytest.raises(ConfigurationError, match="unknown clock"):
             NodeConfig(r=16, k=2, scheme="quantum")
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            NodeConfig(r=16, k=2, engine="turbo")
 
     def test_simulation_config_rejects_unknown_names(self):
         base = dict(
@@ -117,8 +92,6 @@ class TestLookupFailures:
             SimulationConfig(clock="quantum", **base).validate()
         with pytest.raises(ConfigurationError, match="unknown detector"):
             SimulationConfig(detector="basci", **base).validate()
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            SimulationConfig(engine="turbo", **base).validate()
 
 
 class TestLegacySchemes:
@@ -145,7 +118,6 @@ class TestLegacySchemes:
         assert clock_schemes()[:4] == (
             "probabilistic", "plausible", "lamport", "vector"
         )
-        assert engine_names()[:3] == ("indexed", "naive", "auto")
         assert detector_names() == ("none", "basic", "refined")
 
     def test_api_snapshots_match_registry(self):
@@ -165,19 +137,17 @@ class TestToyPlugin:
         assert isinstance(clock, ProbabilisticCausalClock)
         assert clock.r == 16
 
-    def test_round_trips_create_endpoint(self, toy_clock, toy_engine):
-        config = NodeConfig(r=16, k=2, scheme=toy_clock, engine=toy_engine)
+    def test_round_trips_create_endpoint(self, toy_clock):
+        config = NodeConfig(r=16, k=2, scheme=toy_clock)
         endpoint = create_endpoint("n0", config)
-        assert endpoint.engine == toy_engine
-        assert endpoint.active_engine == toy_engine
         message = endpoint.broadcast("hello")
         other = create_endpoint("n1", config)
         records = other.on_receive(message)
         assert [r.message.payload for r in records] == ["hello"]
 
-    def test_round_trips_simulation(self, toy_clock, toy_engine):
+    def test_round_trips_simulation(self, toy_clock):
         config = SimulationConfig(
-            n_nodes=6, r=24, k=2, clock=toy_clock, engine=toy_engine,
+            n_nodes=6, r=24, k=2, clock=toy_clock,
             duration_ms=1500.0, workload=PoissonWorkload(120.0),
             delay_model=GaussianDelayModel(10.0, 2.0, 0.0), seed=3,
         )
@@ -217,12 +187,6 @@ class TestToyPlugin:
                 description="collides with probabilistic",
                 needs_key_assignment=True,
                 wire_scheme_id=1,
-            )
-
-    def test_unknown_engine_error_includes_toy_name(self, toy_engine):
-        with pytest.raises(ConfigurationError, match=toy_engine):
-            CausalBroadcastEndpoint(
-                "a", ProbabilisticCausalClock(8, (0, 1)), engine="nope"
             )
 
 

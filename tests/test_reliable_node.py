@@ -110,6 +110,9 @@ class TestSoakUnderLoss:
                 ack_timeout=0.02,
                 max_retries=0,
                 anti_entropy_interval=0.05,
+                # One datagram per broadcast: coalesced, all 15 can ride
+                # a single surviving datagram and nothing needs healing.
+                coalesce_mtu=0,
             )
             alice = await make_lossy_node("alice", config, seed=3, drop_rate=0.4)
             bob = await make_lossy_node("bob", config, seed=4, drop_rate=0.4)
@@ -122,9 +125,15 @@ class TestSoakUnderLoss:
                 lambda: len(bob.delivered_payloads()) == 15, timeout=30.0
             ), "anti-entropy did not converge"
             assert bob.delivered_payloads() == list(range(15))
-            stats = alice.transport_stats()
-            assert stats.digests_sent > 0
-            assert stats.drops > 0, "every frame survived: loss not exercised"
+            # The gap heals in answer to whichever digest lands first —
+            # often bob's, before alice's first jittered round.
+            assert (
+                alice.transport_stats().digests_sent
+                + bob.transport_stats().digests_sent
+            ) > 0
+            assert alice.transport_stats().drops > 0, (
+                "every frame survived: loss not exercised"
+            )
             await alice.close()
             await bob.close()
 

@@ -313,12 +313,3 @@ class TestParallelRuns:
             resolve_workers()
         with pytest.raises(ConfigurationError):
             resolve_workers(workers=0)
-
-    def test_engine_config_round_trip(self):
-        indexed = run_simulation(quick_config(engine="indexed"))
-        naive = run_simulation(quick_config(engine="naive"))
-        assert indexed.sent == naive.sent
-        assert indexed.delivered_remote == naive.delivered_remote
-        assert indexed.counters.violations == naive.counters.violations
-        with pytest.raises(ConfigurationError):
-            run_simulation(quick_config(engine="florp"))

@@ -4,10 +4,11 @@ Two layers:
 
 * transport-level — the batch drain really hands multiple datagrams per
   wakeup as borrowed ``memoryview``s, the ``rx_batch`` budget re-fires
-  instead of starving, sends gather into bursts, ``sendmmsg`` degrades
-  gracefully, and ``IoStats`` counts it all;
-* node-level — ``io_mode="batched"`` is observationally identical to
-  ``io_mode="legacy"`` under drops/dups/reorder and across a journaled
+  instead of starving, sends gather into bursts, and ``IoStats`` counts
+  it all;
+* node-level — the default :class:`BatchedUdpTransport` is
+  observationally identical to the per-datagram :class:`UdpTransport`
+  reference under drops/dups/reorder and across a journaled
   crash/restart (same scripted exchanges as the wire differential,
   driven through the batched socket driver).
 """
@@ -178,48 +179,26 @@ class TestBatchedTransport:
 
         asyncio.run(scenario())
 
-    def test_mmsg_roundtrip_or_clean_fallback(self):
-        """With mmsg requested the transport either arms the
-        sendmmsg(2) burst path (Linux/AF_INET) and delivers through it,
-        or silently stays on the sendto loop — never an error."""
-
-        async def scenario():
-            rx = await BatchedUdpTransport.create()
-            tx = await BatchedUdpTransport.create(mmsg=True)
-            got = []
-            rx.set_receiver(lambda data, addr: got.append(bytes(data)))
-            for i in range(12):
-                tx.send_now(rx.local_address, b"mm%d" % i)
-            assert await wait_for(lambda: len(got) == 12)
-            assert sorted(got) == sorted(b"mm%d" % i for i in range(12))
-            if tx.mmsg_active:
-                assert tx.io_stats.tx_mmsg_calls > 0
-                assert tx.io_stats.tx_mmsg_datagrams == 12
-            await tx.close()
-            await rx.close()
-
-        asyncio.run(scenario())
-
 
 class TestNodeIntegration:
-    def test_io_mode_knobs_validated(self):
-        with pytest.raises(ConfigurationError):
-            NodeConfig(io_mode="zerocopy")
+    def test_batch_knobs_validated(self):
         with pytest.raises(ConfigurationError):
             NodeConfig(rx_batch=0)
         with pytest.raises(ConfigurationError):
             NodeConfig(tx_batch=0)
 
-    def test_create_node_dispatches_io_mode(self):
+    def test_create_node_binds_batched_transport(self):
+        """The default is the batched driver; an explicit ``transport=``
+        (the per-datagram reference) is honoured."""
+
         async def scenario():
-            for io_mode, expected in (
-                ("batched", BatchedUdpTransport),
-                ("legacy", UdpTransport),
-                ("mmsg", BatchedUdpTransport),
-            ):
-                node = await create_node("n", NodeConfig(r=8, io_mode=io_mode))
-                assert type(node.transport) is expected
-                await node.close()
+            node = await create_node("n", NodeConfig(r=8))
+            assert type(node.transport) is BatchedUdpTransport
+            await node.close()
+            reference = await UdpTransport.create()
+            node = await create_node("n", NodeConfig(r=8), transport=reference)
+            assert node.transport is reference
+            await node.close()
 
         asyncio.run(scenario())
 
