@@ -47,7 +47,7 @@ from repro.net.journal import NodeJournal
 from repro.net.liveness import LivenessPolicy
 from repro.net.membership import GroupMembership, MembershipConfig
 from repro.net.node import ReliableCausalNode
-from repro.net.overlay import DEFAULT_MAX_HOPS, PartialView
+from repro.net.overlay import PartialView
 from repro.net.peer import Transport
 from repro.net.session import RetransmitPolicy
 from repro.net.udp import BatchedUdpTransport
@@ -104,7 +104,6 @@ class NodeConfig:
         payload_codec: application payload wire format: ``json`` | ``raw``.
         ack_timeout: initial retransmit timeout in seconds.
         backoff_factor: exponential backoff multiplier per retransmission.
-        max_retry_timeout: ceiling on the per-frame timeout.
         max_retries: retransmissions before a frame is left to anti-entropy.
         send_buffer: per-peer unacked-frame bound (backpressure beyond it).
         coalesce_mtu: per-datagram budget for frame coalescing — queued
@@ -150,13 +149,6 @@ class NodeConfig:
         fanout: relay targets per push (``overlay`` only).
         view_size: bound on the gossip-maintained partial view
             (``overlay`` only; must be >= ``fanout``).
-        piggyback_size: view entries sampled into each outgoing relay
-            envelope for membership gossip (``overlay`` only).
-        merge_probability: chance a received piggybacked sample is
-            folded into the view — the lpbcast throttle against
-            rich-get-richer view collapse (``overlay`` only).
-        relay_max_hops: forwarding cutoff for relay envelopes
-            (``overlay`` only; a healthy wave needs ~log_fanout(N)).
 
     Dynamic membership (used by :func:`create_node`):
 
@@ -192,7 +184,6 @@ class NodeConfig:
         adaptive_band: ``(low, high)`` target alert-rate band (alerts
             per delivery); inside it the controller holds.
         adaptive_k_max: upper bound on the negotiated K.
-        adaptive_cooldown: minimum seconds between two epoch bumps.
 
     Observability (used by :func:`create_node`):
 
@@ -224,7 +215,6 @@ class NodeConfig:
     payload_codec: str = "json"
     ack_timeout: float = 0.05
     backoff_factor: float = 2.0
-    max_retry_timeout: float = 2.0
     max_retries: int = 10
     send_buffer: int = 1024
     coalesce_mtu: int = 1400
@@ -237,9 +227,6 @@ class NodeConfig:
     dissemination: str = "mesh"
     fanout: int = 3
     view_size: int = 12
-    piggyback_size: int = 3
-    merge_probability: float = 0.25
-    relay_max_hops: int = DEFAULT_MAX_HOPS
     data_dir: Optional[str] = None
     journal_snapshot_interval: int = 256
     journal_fsync: bool = False
@@ -256,7 +243,6 @@ class NodeConfig:
     adaptive_interval: float = 5.0
     adaptive_band: Tuple[float, float] = (0.0, 0.05)
     adaptive_k_max: int = 16
-    adaptive_cooldown: float = 30.0
     detector_window: Optional[float] = None
     metrics_path: Optional[str] = None
     metrics_interval: float = 1.0
@@ -354,7 +340,6 @@ class NodeConfig:
         return RetransmitPolicy(
             initial_timeout=self.ack_timeout,
             backoff_factor=self.backoff_factor,
-            max_timeout=self.max_retry_timeout,
             max_retries=self.max_retries,
             send_buffer=self.send_buffer,
             coalesce_mtu=self.coalesce_mtu,
@@ -368,9 +353,6 @@ class NodeConfig:
             local_id=node_id,
             fanout=self.fanout,
             view_size=self.view_size,
-            piggyback_size=self.piggyback_size,
-            merge_probability=self.merge_probability,
-            max_hops=self.relay_max_hops,
         )
 
     def adaptive_policy(self) -> AdaptivePolicy:
@@ -379,7 +361,6 @@ class NodeConfig:
             interval=self.adaptive_interval,
             band=tuple(self.adaptive_band),
             k_max=self.adaptive_k_max,
-            cooldown=self.adaptive_cooldown,
         )
 
     def membership_config(self) -> MembershipConfig:

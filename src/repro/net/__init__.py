@@ -1,10 +1,10 @@
 """Asyncio deployment layer: run the protocol over real transports.
 
 :mod:`repro.sim` answers "how does the mechanism behave"; this package
-answers "how do I ship it": the protocol endpoint behind an asyncio
-peer, a binary wire codec, an in-process bus with realistic delays, a
-UDP transport, and — because UDP is fire-and-forget while the paper's
-Algorithm 5 only tolerates *late* messages — a reliability runtime:
+answers "how do I ship it": a binary wire codec, an in-process bus with
+realistic delays, a UDP transport, and — because UDP is fire-and-forget
+while the paper's Algorithm 5 only tolerates *late* messages — a
+reliability runtime:
 :class:`ReliableSession` (per-peer acks, NACK-driven retransmission
 with backoff, backpressure) and :class:`ReliableCausalNode` (endpoint +
 session + anti-entropy message store).  Nodes survive more than packet
@@ -41,13 +41,12 @@ from repro.net.liveness import LivenessPolicy, PeerLivenessMonitor
 from repro.net.membership import GroupMembership, GroupView, MembershipConfig
 from repro.net.node import MessageStore, ReliableCausalNode, StoreStats
 from repro.net.overlay import OverlayStats, PartialView
-from repro.net.peer import AsyncCausalPeer, Transport
+from repro.net.peer import Transport
 from repro.net.session import ReliableSession, RetransmitPolicy, TransportStats
 from repro.net.udp import BatchedUdpTransport, IoStats, UdpTransport
 
 __all__ = [
     "Transport",
-    "AsyncCausalPeer",
     "LocalAsyncBus",
     "BusTransport",
     "UdpTransport",

@@ -12,16 +12,22 @@ ROADMAP's "runnable networked system" needs.  It stacks, bottom-up:
 * the :class:`~repro.core.protocol.CausalBroadcastEndpoint` (Algorithms
   1–2 + detector) and the binary :class:`~repro.core.codec.MessageCodec`.
 
+Every message, however it travelled — a DATA payload off a reliable
+link, an anti-entropy push, the body of a RELAY envelope — enters through
+:meth:`ReliableCausalNode._admit`: decode (full or delta), check it
+against its envelope and the group view, store the full encoding, hand it
+to the endpoint.  The mesh and relay handlers add only what is theirs.
+
 On the wire each broadcast is delta-encoded per link when possible
 (``wire_delta``): only the vector entries changed since this node's last
 *full-encoded* message acked on that link travel — O(K) bytes instead of
-O(R) — and the receiver reconstructs the full vector from its per-link
-reference table.  New links and journal recovery start on the full
-encoding, and every ``_DELTA_REFRESH_AGE`` messages one broadcast per
-link travels full to renew the reference.  A reference miss (e.g. the
-peer crashed and lost its table) triggers an immediate anti-entropy
-exchange that re-delivers the affected messages full; the next renewal
-ends the misses (PROTOCOL.md §8.3).
+O(R) — and the receiver rebuilds the full vector from that earlier
+message, which its store holds.  New links and journal recovery start on
+the full encoding, and every ``_DELTA_REFRESH_AGE`` messages one
+broadcast per link travels full to renew the reference.  A reference
+miss (e.g. the peer crashed and lost its store) triggers an immediate
+anti-entropy exchange that re-delivers the affected messages full; the
+next renewal ends the misses (PROTOCOL.md §8.3).
 
 Retransmission handles the common case (a datagram lost on one link);
 the periodic anti-entropy exchange handles the rest: each node digests
@@ -258,16 +264,12 @@ class MessageStore:
 
 # A link's delta reference is re-established (one broadcast travels
 # full and, once acked, replaces it) at every multiple of this many own
-# messages: bounds how long a receiver that lost the reference —
-# restart, re-key, eviction — keeps bouncing deltas.  Block-aligned
+# messages: bounds how long a receiver that lost the reference (a
+# restart emptied its store) keeps bouncing deltas.  Block-aligned
 # rather than counted from each link's reference, so all links renew on
 # the same broadcast and keep sharing one reference (one delta encode
 # per broadcast) however their first acks were timed.
 _DELTA_REFRESH_AGE = 64
-# Superseded references a receiver keeps per (peer, sender) below the
-# live one, for deltas that were lost and retransmitted after the sender
-# moved on: one per _DELTA_REFRESH_AGE messages, so ~2,000 messages back.
-_DELTA_RX_HISTORY = 32
 # A link whose deltas bounce this often has lost its reference for good
 # (warned about once, after _DELTA_MISS_WARN_AFTER deltas).
 _DELTA_MISS_WARN_RATIO = 0.05
@@ -330,62 +332,16 @@ class _DeltaTx:
         )
 
 
-class _DeltaRx:
-    """Per-(peer, sender) delta-decoding receiver state.
-
-    ``refs`` maps the sender's message seqs to the vectors that arrived
-    *full-encoded* on this link — the only ones a delta can name;
-    ``keys`` is the sender's static key set, learned from those same
-    full encodings (deltas do not carry it on the wire).  ``live`` is
-    the newest reference a decoded delta has named.
-
-    The sender's reference only moves forward, so everything above
-    ``live`` is a candidate it may adopt next and is kept (as many as
-    the sender has fulls in flight: one refresh in steady state, up to
-    its ``send_buffer`` before the first ack); below ``live`` only the
-    last ``_DELTA_RX_HISTORY`` stay.
-    """
-
-    __slots__ = ("keys", "refs", "live")
-
-    def __init__(self, keys: Tuple[int, ...]) -> None:
-        self.keys = keys
-        self.refs: Dict[int, np.ndarray] = {}
-        self.live = -1
-
-    def record(self, seq: int, vector: np.ndarray, cap: int) -> None:
-        """Keep ``vector`` as a candidate reference.  Beyond ``cap``
-        the lowest seqs go first, never the live one: a burst of
-        anti-entropy pushes (old messages) evicts itself.  They go a
-        quarter of the table at a time, so a sender that only ever
-        sends fulls costs its receivers one sort per ``cap / 4``
-        messages, not one scan per message."""
-        refs = self.refs
-        refs[seq] = vector
-        if len(refs) > cap:
-            for known in sorted(refs)[: max(1, cap // 4)]:
-                if known != self.live:
-                    del refs[known]
-
-    def use(self, ref_seq: int) -> Optional[np.ndarray]:
-        """The vector a delta names (``None``: unknown); a newer
-        reference than ``live`` retires the history beyond the bound."""
-        refs = self.refs
-        vector = refs.get(ref_seq)
-        if vector is not None and ref_seq > self.live:
-            self.live = ref_seq
-            history = sorted(known for known in refs if known < ref_seq)
-            for known in history[:-_DELTA_RX_HISTORY]:
-                del refs[known]
-        return vector
+# A full encoding a delta may name: (message seq, vector, sender keys).
+_Reference = Tuple[int, np.ndarray, Tuple[int, ...]]
 
 
 class ReliableCausalNode:
     """One networked participant with reliable dissemination.
 
-    The public surface mirrors :class:`~repro.net.peer.AsyncCausalPeer`
-    (broadcast / add_peer / deliveries) plus lifecycle (:meth:`start`,
-    :meth:`close`) and wire observability (:meth:`transport_stats`).
+    The public surface is broadcast / add_peer / deliveries plus
+    lifecycle (:meth:`start`, :meth:`close`) and wire observability
+    (:meth:`transport_stats`).
 
     Args:
         node_id: this node's identity (the message sender id).
@@ -486,11 +442,14 @@ class ReliableCausalNode:
         self._heartbeat_count = 0
         self._heartbeats_suppressed = 0
         self._wire_delta = wire_delta
-        # Delta wire state: per-peer sender references (own acked
-        # messages) and a per-(peer, sender) table of recently received
-        # vectors that incoming deltas may reference.
+        # Delta wire state.  Sending: per-peer references (own acked
+        # fulls).  Receiving: per *sender*, the reference its deltas
+        # name now and the newest full seen (what it adopts next); the
+        # store holds every older one.  The slots spare the hot path a
+        # decode and outlive the store's eviction for a quiet sender.
         self._delta_tx: Dict[Address, _DeltaTx] = {}
-        self._delta_rx: Dict[Address, Dict[str, _DeltaRx]] = {}
+        self._ref_in_use: Dict[str, _Reference] = {}
+        self._ref_newest: Dict[str, _Reference] = {}
         self._resync_last: Dict[Address, float] = {}
         self._delta_miss_warned: Set[Address] = set()
         # An own broadcast's encoding, handed from the WAL write inside
@@ -582,6 +541,11 @@ class ReliableCausalNode:
             stats = self.endpoint.detector.stats
             stats.checks += self.recovered.detector_checks
             stats.alerts += self.recovered.detector_alerts
+            # The store restarts without remote bytes.
+            for sender, (seq, vector, keys) in self.recovered.delta_refs.items():
+                restored = np.asarray(vector, dtype=np.int64)
+                restored.setflags(write=False)
+                self._ref_in_use[sender] = (seq, restored, keys)
 
         self.session = ReliableSession(
             transport,
@@ -596,9 +560,6 @@ class ReliableCausalNode:
             on_relay=(self._handle_relay if overlay is not None else None),
             data_gate=self._data_plane_admitted,
         )
-        # Every full the sender may still adopt as its reference must be
-        # held; its send_buffer bounds how many can be in flight.
-        self._delta_rx_cap = max(128, self.session.policy.send_buffer + 32)
         if self.recovered is not None:
             for address, link in self.recovered.links.items():
                 self.session.restore_peer(
@@ -607,14 +568,6 @@ class ReliableCausalNode:
                     recv_cumulative=link.rx_cumulative,
                     recv_out_of_order=link.rx_out_of_order,
                 )
-            for address, senders in self.recovered.delta_refs.items():
-                for sender, (seq, vector, keys) in senders.items():
-                    restored = np.asarray(vector, dtype=np.int64)
-                    restored.setflags(write=False)
-                    self._record_ref(
-                        address, sender, int(seq), restored,
-                        tuple(int(k) for k in keys),
-                    )
         self._transport = transport
         self.session.bind_metrics(self.metrics)
         # Batched transports export their own I/O tallies (per-wakeup
@@ -623,8 +576,6 @@ class ReliableCausalNode:
         transport_bind = getattr(transport, "bind_metrics", None)
         if transport_bind is not None:
             transport_bind(self.metrics)
-        self._relay_hops_histogram = None
-        self._relay_latency_histogram = None
         if overlay is not None:
             try:
                 overlay.set_local_address(self.local_address)
@@ -799,7 +750,7 @@ class ReliableCausalNode:
         """Stop broadcasting to ``address`` and purge its per-peer state.
 
         Without the purge, the peer's unacked retransmission queue,
-        per-peer stats, NACK pacing, and delta-encoding reference tables
+        per-peer stats, NACK pacing, and delta-encoding references
         would linger in the session and node forever (and its pending
         frames would keep being retransmitted into the void).  Missing
         addresses are fine.
@@ -812,7 +763,6 @@ class ReliableCausalNode:
         if self.liveness is not None:
             self.liveness.forget(address)
         self._delta_tx.pop(address, None)
-        self._delta_rx.pop(address, None)
         self._resync_last.pop(address, None)
         self._delta_miss_warned.discard(address)
 
@@ -820,7 +770,8 @@ class ReliableCausalNode:
         """Expel a peer from this node's runtime state (view eviction).
 
         On top of :meth:`remove_peer`, purges the departed sender's
-        message-store bookkeeping (``sender_id``, when known) and marks
+        message-store bookkeeping and the delta references in front of
+        it (``sender_id``, when known) and marks
         the address so late frames from it are dropped with a log-once
         warning instead of silently re-creating per-peer session state.
 
@@ -832,6 +783,8 @@ class ReliableCausalNode:
         self.remove_peer(address)
         if sender_id is not None:
             self.store.purge_sender(str(sender_id))
+            self._ref_in_use.pop(str(sender_id), None)
+            self._ref_newest.pop(str(sender_id), None)
         self._evicted_peers[address] = str(sender_id) if sender_id is not None else ""
         while len(self._evicted_peers) > 256:
             stale_addr, _ = self._evicted_peers.popitem(last=False)
@@ -929,9 +882,9 @@ class ReliableCausalNode:
 
         Must be called whenever this node's own key set changes while
         the session is live (an epoch bump or a re-admission grant):
-        peers cache the sender's keys from full encodings, so the first
-        post-rekey broadcast must travel full to teach them the new
-        identity — delta frames do not carry keys on the wire.
+        a delta carries no keys — the receiver rebuilds it with those
+        of the full it names — so post-rekey deltas may only name fulls
+        sent under the new set, starting with the next broadcast.
         """
         self._delta_tx.clear()
 
@@ -1089,13 +1042,11 @@ class ReliableCausalNode:
 
     def _handle_relay(self, frame: RelayFrame, addr: Address) -> None:
         """Intake one RELAY envelope: merge the view sample, dedup on
-        the envelope header, deliver, and forward on first intake only
-        (infect-and-die)."""
+        the envelope header, admit the body, and forward it *full* on
+        first intake only (infect-and-die)."""
         if self._drop_if_evicted(addr, "relay"):
             return
         overlay = self.overlay
-        if overlay is None:
-            return
         overlay.merge_sample(frame.sample)
         message_id = (frame.origin, frame.seq)
         if self.endpoint.has_seen(message_id):
@@ -1103,35 +1054,17 @@ class ReliableCausalNode:
             # for a payload decode — the envelope header is enough.
             overlay.stats.relay_duplicates += 1
             return
-        if not self._sender_in_view(frame.origin):
-            self._stale_frames += 1
-            self.trace.emit("stale_sender", ts=self._now(), sender=frame.origin)
+        full = self._admit(frame.payload, addr, envelope_id=message_id)
+        if full is None:
             return
-        try:
-            message = self._codec.decode(frame.payload)
-        except Exception:
-            self._note_decode_error(addr)
-            return
-        if (str(message.sender), message.seq) != message_id:
-            # Envelope header contradicting its payload: corrupt or
-            # forged; believing the header would poison the SeenFilter.
-            self._note_decode_error(addr)
-            return
-        # Journal boundary: the envelope payload may be a borrowed view
-        # (batched receive ring); the store and any forward outlive it.
-        full = retain(frame.payload, self._codec.counters)
-        now = self._now()
         overlay.stats.relay_first_intake += 1
-        if self._relay_hops_histogram is not None:
-            self._relay_hops_histogram.observe(float(frame.hops))
-        if self._relay_latency_histogram is not None and frame.sent_at > 0.0:
-            latency = now - frame.sent_at
+        self._relay_hops_histogram.observe(float(frame.hops))
+        if frame.sent_at > 0.0:
+            latency = self._now() - frame.sent_at
             if latency >= 0.0:
                 # Negative deltas mean origin and receiver do not share
                 # a clock; the histogram only tracks comparable pairs.
                 self._relay_latency_histogram.observe(latency)
-        self.store.add(frame.origin, message.seq, full)
-        self.endpoint.on_receive(message, now=now)
         if frame.hops < overlay.max_hops:
             sent = self._relay_push(
                 frame.origin, frame.seq, full,
@@ -1142,60 +1075,74 @@ class ReliableCausalNode:
                 overlay.stats.relay_forwarded += 1
 
     def _handle_wire_message(self, data: bytes, addr: Address) -> None:
+        """Intake one DATA payload off a reliable link — direct sends,
+        retransmissions and anti-entropy pushes alike — and tally which
+        encoding crossed the link."""
         if self._drop_if_evicted(addr, "data"):
             return
-        stats = self.session.peer_stats(addr)
+        if self._admit(data, addr) is not None:
+            stats = self.session.peer_stats(addr)
+            if MessageCodec.is_delta(data):
+                stats.delta_received += 1
+            else:
+                stats.full_received += 1
+
+    def _admit(
+        self,
+        data: bytes,
+        addr: Address,
+        envelope_id: Optional[Tuple[str, int]] = None,
+    ) -> Optional[bytes]:
+        """The one intake: decode ``data`` (full or delta), check it
+        against ``envelope_id`` and the group view, store it, and hand
+        it to the endpoint.
+
+        Returns the sender's own full encoding, byte for byte,
+        whichever encoding travelled — or ``None`` when the message was
+        dropped and accounted for here: undecodable, contradicting its
+        envelope, a delta whose reference is lost, a departed sender.
+        """
+        codec = self._codec
+        reference: Optional[_Reference] = None
         if MessageCodec.is_delta(data):
             try:
-                sender, _seq, ref_seq = self._codec.delta_header(data)
+                origin, _seq, ref_seq = codec.delta_header(data)
             except Exception:
                 self._note_decode_error(addr)
-                return
-            entry = self._delta_rx.get(addr, {}).get(sender)
-            ref_vector = entry.use(ref_seq) if entry is not None else None
-            if ref_vector is None:
-                # Unknown reference (we crashed, or the table rolled
-                # over): the message is unrecoverable from this datagram
-                # alone — ask for an immediate anti-entropy exchange,
-                # which re-delivers it in the full encoding.
-                stats.delta_ref_misses += 1
-                self.trace.emit(
-                    "delta_ref_miss", ts=self._now(),
-                    peer=str(addr), sender=sender, ref_seq=ref_seq,
-                )
-                self._warn_if_delta_unhealthy(addr, stats)
-                self._request_resync(addr)
-                return
-            try:
+                return None
+            reference = self._reference(origin, ref_seq)
+            if reference is None:
+                self._note_reference_miss(addr, origin, ref_seq)
+                return None
+        try:
+            if reference is not None:
                 # The store must hold the full encoding: anti-entropy
-                # serves third parties that do not share this link's
-                # references.
-                message, full = self._codec.decode_delta(data, ref_vector, entry.keys)
-            except Exception:
-                self._note_decode_error(addr)
-                return
-            stats.delta_received += 1
-            arrived_full = False
-        else:
-            try:
-                message = self._codec.decode(data)
-            except Exception:
-                # A malformed datagram must never take the node down.
-                self._note_decode_error(addr)
-                return
-            stats.full_received += 1
-            # Journal boundary: the store (and through it the WAL and
-            # anti-entropy re-serves) keeps the encoding past this
-            # callback, so a borrowed receive-ring view must become
-            # owned bytes here.  No-op for the copying transports.
-            full = retain(data, self._codec.counters)
-            arrived_full = True
+                # and relay forwards serve third parties that do not
+                # hold this message's reference.
+                message, full = codec.decode_delta(data, reference[1], reference[2])
+            else:
+                message = codec.decode(data)
+                # Journal boundary: the store (and through it the WAL,
+                # anti-entropy re-serves and relay forwards) keeps the
+                # encoding past this callback, so a borrowed
+                # receive-ring view must become owned bytes here.
+                # No-op for the copying transports.
+                full = retain(data, codec.counters)
+        except Exception:
+            # A malformed datagram must never take the node down.
+            self._note_decode_error(addr)
+            return None
         sender = str(message.sender)
+        if envelope_id is not None and (sender, message.seq) != envelope_id:
+            # Envelope header contradicting its payload: corrupt or
+            # forged; believing the header would poison the SeenFilter.
+            self._note_decode_error(addr)
+            return None
         if not self._sender_in_view(sender):
             # A live peer relayed state from a sender the view has since
-            # expelled (an anti-entropy round racing the purge).
-            # Admitting it would resurrect exactly the store state the
-            # eviction just removed.
+            # expelled (an anti-entropy round or a relay wave racing the
+            # purge).  Admitting it would resurrect exactly the store
+            # state the eviction just removed.
             self._stale_frames += 1
             if sender not in self._stale_senders_warned:
                 self._stale_senders_warned.add(sender)
@@ -1204,28 +1151,59 @@ class ReliableCausalNode:
                     "it is no longer in the group view", sender,
                 )
             self.trace.emit("stale_sender", ts=self._now(), sender=sender)
-            return
-        if arrived_full:
-            # Only a vector that crossed this link full can be named by
-            # a later delta (the sender adopts acked fulls only).
-            self._record_ref(
-                addr, sender, message.seq,
-                message.timestamp.vector, message.timestamp.sender_keys,
-            )
+            return None
+        if reference is None:
+            newest = self._ref_newest.get(sender)
+            if newest is None or message.seq > newest[0]:
+                # The sender adopts acked fulls only, and only forwards.
+                self._ref_newest[sender] = (
+                    message.seq,
+                    message.timestamp.vector,
+                    message.timestamp.sender_keys,
+                )
         self.store.add(sender, message.seq, full)
-        # Every receive path funnels through here — direct sends,
-        # retransmissions, and anti-entropy pushes alike — so this one
-        # real timestamp covers them all (it used to default to 0.0,
-        # which froze the refined detector's eviction clock).
+        # One real timestamp for every receive path (it used to default
+        # to 0.0, which froze the refined detector's eviction clock).
         self.endpoint.on_receive(message, now=self._now())
+        return full
 
-    def _warn_if_delta_unhealthy(self, addr: Address, stats: TransportStats) -> None:
-        """One warning per link whose deltas keep bouncing: a healthy
-        link misses only in the refresh window after a restart/re-key."""
+    def _reference(self, sender: str, ref_seq: int) -> Optional[_Reference]:
+        """The full a delta names (``None``: lost): the sender's in-use
+        slot (the hot path), its newest full (just adopted), or the
+        stored encoding decoded on demand (link start; a retransmitted
+        delta naming a superseded reference).  The in-use slot only
+        moves forwards, as the sender's own choice does."""
+        in_use = self._ref_in_use.get(sender)
+        if in_use is not None and in_use[0] == ref_seq:
+            return in_use
+        reference = self._ref_newest.get(sender)
+        if reference is None or reference[0] != ref_seq:
+            stored = self.store.get(sender, ref_seq)
+            if stored is None:
+                return None
+            timestamp = self._codec.decode(stored).timestamp
+            reference = (ref_seq, timestamp.vector, timestamp.sender_keys)
+        if in_use is None or ref_seq > in_use[0]:
+            self._ref_in_use[sender] = reference
+        return reference
+
+    def _note_reference_miss(self, addr: Address, sender: str, ref_seq: int) -> None:
+        """A delta named a reference in neither slot nor store (we
+        crashed, or the store rolled over): count it on the link, ask
+        for an immediate anti-entropy exchange — which re-delivers the
+        message full — and warn once per link whose deltas keep
+        bouncing (a healthy one misses only after a restart)."""
+        stats = self.session.peer_stats(addr)
+        stats.delta_ref_misses += 1
+        self.trace.emit(
+            "delta_ref_miss", ts=self._now(),
+            peer=str(addr), sender=sender, ref_seq=ref_seq,
+        )
+        self._request_resync(addr)
         arrived = stats.delta_ref_misses + stats.delta_received
         if arrived < _DELTA_MISS_WARN_AFTER or addr in self._delta_miss_warned:
             return
-        ratio = stats.delta_ref_misses / arrived
+        ratio = _delta_miss_ratio(stats.delta_ref_misses, stats.delta_received)
         if ratio > _DELTA_MISS_WARN_RATIO:
             self._delta_miss_warned.add(addr)
             logger.warning(
@@ -1238,27 +1216,6 @@ class ReliableCausalNode:
     def _note_decode_error(self, addr: Address) -> None:
         self._decode_errors += 1
         self.trace.emit("decode_error", ts=self._now(), peer=str(addr))
-
-    def _record_ref(
-        self,
-        addr: Address,
-        sender: str,
-        seq: int,
-        vector: np.ndarray,
-        keys: Tuple[int, ...],
-    ) -> None:
-        """Remember a received vector as a potential delta reference."""
-        entry = self._delta_rx.setdefault(addr, {}).setdefault(
-            sender, _DeltaRx(keys)
-        )
-        if entry.keys != tuple(keys):
-            # The sender re-keyed (an epoch bump re-tiled the group):
-            # references learned under the old key set would reconstruct
-            # deltas with a stale sender identity, corrupting the
-            # delivery condition.  The full encoding in hand is
-            # authoritative — restart the reference table from it.
-            entry = self._delta_rx[addr][sender] = _DeltaRx(tuple(keys))
-        entry.record(seq, vector, self._delta_rx_cap)
 
     def _request_resync(self, addr: Address) -> None:
         """Rate-limited out-of-band anti-entropy round after a reference
@@ -1361,6 +1318,12 @@ class ReliableCausalNode:
             task.add_done_callback(self._heal_tasks.discard)
 
     async def _heal_peer(self, address: Address) -> None:
+        if address not in self._peers and (
+            self.overlay is None or address not in self.overlay
+        ):
+            # Scheduled before remove_peer()/evict_peer() ran: a digest
+            # now would re-create the session state just purged.
+            return
         try:
             await self.session.send_digest(address, self.store.frontiers())
         except Exception:
@@ -1394,7 +1357,10 @@ class ReliableCausalNode:
                     clock.snapshot(),
                     clock.send_count,
                     self.session.link_states(),
-                    delta_refs=self._delta_refs_snapshot(),
+                    delta_refs={
+                        sender: (seq, vector.tolist(), keys)
+                        for sender, (seq, vector, keys) in self._ref_in_use.items()
+                    },
                     detector=(detector_stats.checks, detector_stats.alerts),
                 )
                 self.trace.emit(
@@ -1436,26 +1402,6 @@ class ReliableCausalNode:
             for record in self._deliveries
             if include_local or not record.local
         ]
-
-    def _delta_refs_snapshot(
-        self,
-    ) -> Dict[Address, Dict[str, Tuple[int, Tuple[int, ...], Tuple[int, ...]]]]:
-        """Newest known reference per (peer, sender), for the journal —
-        enough to keep decoding a live sender's deltas across a restart."""
-        out: Dict[Address, Dict[str, Tuple[int, Tuple[int, ...], Tuple[int, ...]]]] = {}
-        for addr, senders in self._delta_rx.items():
-            per: Dict[str, Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = {}
-            for sender, entry in senders.items():
-                if entry.refs:
-                    seq = max(entry.refs)
-                    per[sender] = (
-                        seq,
-                        tuple(int(v) for v in entry.refs[seq]),
-                        tuple(int(k) for k in entry.keys),
-                    )
-            if per:
-                out[addr] = per
-        return out
 
     @property
     def decode_errors(self) -> int:

@@ -1,40 +1,18 @@
-"""Asyncio deployment layer: a causal broadcast peer over a real transport.
+"""The datagram transport interface every network layer builds on.
 
-The :mod:`repro.sim` package evaluates the mechanism under controlled
-conditions; this module is the *deployment* path: the same protocol
-endpoint, fed by an asyncio transport and the binary wire codec.
-
-Composition::
-
-    application  <- deliveries -  AsyncCausalPeer  - datagrams ->  Transport
-                                   (endpoint + codec + peer table)
-
-Transports provided:
-
-* :class:`repro.net.bus.LocalAsyncBus` — an in-process asyncio bus with a
-  pluggable delay model (great for integration tests and demos; reuses
-  the simulator's delay models);
-* :class:`repro.net.udp.UdpTransport` — real UDP datagrams (loopback or
-  LAN), fire-and-forget like the gossip substrates the paper targets.
-
-A peer is agnostic to the transport and to membership discovery: you add
-peer addresses explicitly (``add_peer``) or wire in your own discovery.
+Implementations: :class:`repro.net.udp.BatchedUdpTransport` (real UDP,
+what :func:`repro.api.create_node` binds), :class:`repro.net.bus.LocalAsyncBus`
+(in-process, with the simulator's delay models) and the fault-injecting
+wrapper :class:`repro.net.faults.FaultyTransport`.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Callable, Hashable, List, Optional, Sequence
+from typing import Callable, Hashable
 
-from repro.core.clocks import EntryVectorClock
-from repro.core.codec import MessageCodec
-from repro.core.detector import DeliveryErrorDetector
-from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord, Message
-
-__all__ = ["Transport", "AsyncCausalPeer"]
+__all__ = ["Transport"]
 
 Address = Hashable
-DeliveryHandler = Callable[[DeliveryRecord], None]
 
 
 class Transport:
@@ -55,118 +33,3 @@ class Transport:
 
     async def close(self) -> None:
         """Release transport resources."""
-
-
-class AsyncCausalPeer:
-    """One participant: protocol endpoint + codec + peer table.
-
-    Args:
-        peer_id: this peer's identity (appears as the message sender).
-        clock: its logical clock (any member of the (n, r, k) family).
-        transport: where datagrams go; the peer installs itself as the
-            transport's receiver.
-        detector: optional Algorithm 4/5 alert check.
-        codec: wire format (binary + JSON payloads by default).
-        on_delivery: synchronous callback per delivery (local and remote).
-    """
-
-    def __init__(
-        self,
-        peer_id: Hashable,
-        clock: EntryVectorClock,
-        transport: Transport,
-        detector: Optional[DeliveryErrorDetector] = None,
-        codec: Optional[MessageCodec] = None,
-        on_delivery: Optional[DeliveryHandler] = None,
-    ) -> None:
-        self._peer_id = peer_id
-        self._codec = codec if codec is not None else MessageCodec()
-        self._transport = transport
-        self._on_delivery = on_delivery
-        self._peers: List[Address] = []
-        self._deliveries: List[DeliveryRecord] = []
-        self._decode_errors = 0
-        self.endpoint = CausalBroadcastEndpoint(
-            process_id=str(peer_id),
-            clock=clock,
-            detector=detector,
-            deliver_callback=self._handle_delivery,
-        )
-        transport.set_receiver(self._handle_datagram)
-
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
-
-    def add_peer(self, address: Address) -> None:
-        """Start broadcasting to ``address`` (idempotent)."""
-        if address not in self._peers:
-            self._peers.append(address)
-
-    def remove_peer(self, address: Address) -> None:
-        """Stop broadcasting to ``address`` (missing is fine)."""
-        if address in self._peers:
-            self._peers.remove(address)
-
-    @property
-    def peers(self) -> Sequence[Address]:
-        """Addresses this peer currently broadcasts to."""
-        return tuple(self._peers)
-
-    @property
-    def peer_id(self) -> Hashable:
-        """This peer's identity."""
-        return self._peer_id
-
-    # ------------------------------------------------------------------
-    # sending / receiving
-    # ------------------------------------------------------------------
-
-    async def broadcast(self, payload: Any = None) -> Message:
-        """Timestamp, self-deliver, and transmit one message to all peers."""
-        message = self.endpoint.broadcast(payload)
-        data = self._codec.encode(message)
-        await asyncio.gather(
-            *(self._transport.send(address, data) for address in self._peers)
-        )
-        return message
-
-    def _handle_datagram(self, data: bytes, addr: Address = None) -> None:
-        try:
-            message = self._codec.decode(data)
-        except Exception:
-            # A malformed datagram must never take the peer down.
-            self._decode_errors += 1
-            return
-        self.endpoint.on_receive(message)
-
-    def _handle_delivery(self, record: DeliveryRecord) -> None:
-        self._deliveries.append(record)
-        if self._on_delivery is not None:
-            self._on_delivery(record)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def deliveries(self) -> List[DeliveryRecord]:
-        """All deliveries so far, in order (local self-deliveries included)."""
-        return list(self._deliveries)
-
-    def delivered_payloads(self, include_local: bool = True) -> List[Any]:
-        """Payloads in delivery order."""
-        return [
-            record.message.payload
-            for record in self._deliveries
-            if include_local or not record.local
-        ]
-
-    @property
-    def decode_errors(self) -> int:
-        """Datagrams dropped because they failed to decode."""
-        return self._decode_errors
-
-    async def close(self) -> None:
-        """Release the underlying transport."""
-        await self._transport.close()

@@ -187,7 +187,7 @@ class TransportStats:
             messages they carried once the peer returns).
         datagrams_sent / datagrams_received: transport-level sends and
             arrivals (one BATCH counts once, however many frames it
-            carries; raw frame-less datagrams count too).
+            carries; datagrams that fail to decode count too).
         bytes_sent / bytes_received: wire bytes of those datagrams.
         frames_sent / frames_received: session frames crossing the wire
             (inner frames of a batch counted individually), so frames
@@ -388,9 +388,9 @@ class ReliableSession:
         transport: the datagram substrate; the session installs itself as
             its receiver.
         on_message: upcall ``(payload, addr)`` invoked exactly once per
-            *new* DATA frame (duplicates are absorbed here).  Datagrams
-            that are not session frames are passed through unchanged, so
-            a session interoperates with frame-less senders.
+            *new* DATA frame (duplicates are absorbed here).  A
+            datagram that is not a session frame is a counted
+            ``frame_errors``, like any other undecodable one.
         on_digest: upcall ``(frontiers, addr)`` for anti-entropy digests;
             the owner answers by re-sending whatever the digest lacks.
         on_peer_activity: upcall ``(addr)`` for every incoming datagram,
@@ -567,11 +567,6 @@ class ReliableSession:
         links that already carry traffic."""
         state = self._peers.get(address)
         return state.last_send if state is not None else -1.0
-
-    @property
-    def policy(self) -> RetransmitPolicy:
-        """The active retransmission policy."""
-        return self._policy
 
     @property
     def codec_counters(self):
@@ -905,10 +900,6 @@ class ReliableSession:
         state = self._peer(addr)
         state.stats.datagrams_received += 1
         state.stats.bytes_received += len(data)
-        if not FrameCodec.is_frame(data):
-            # Frame-less sender (e.g. a bare AsyncCausalPeer): pass through.
-            self._on_message(data, addr)
-            return
         try:
             frame = self._codec.decode(data)
         except CodecError:

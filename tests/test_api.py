@@ -1,6 +1,7 @@
 """Tests for the repro.api assembly layer (NodeConfig + factories)."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -42,6 +43,18 @@ class TestNodeConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             NodeConfig(**kwargs)
+
+    def test_knobs_nothing_set_are_gone(self):
+        """Each layer's own default (RetransmitPolicy, PartialView,
+        AdaptivePolicy) is the single source now; the old names fail
+        loudly instead of being silently ignored."""
+        assert len(dataclasses.fields(NodeConfig)) == 46
+        for name in ("max_retry_timeout", "piggyback_size", "merge_probability",
+                     "relay_max_hops", "adaptive_cooldown"):
+            with pytest.raises(TypeError):
+                NodeConfig(**{name: 1})
+            with pytest.raises(TypeError):
+                NodeConfig().replace(**{name: 1})
 
     def test_replace_produces_modified_copy(self):
         base = NodeConfig(r=64)

@@ -1,49 +1,63 @@
-"""Tests for the asyncio deployment layer (bus + UDP + peer)."""
+"""Tests for the datagram substrates (bus + UDP) under ``create_node()``."""
 
 import asyncio
 
 import pytest
 
-from repro.core.clocks import ProbabilisticCausalClock
-from repro.core.detector import BasicAlertDetector
+from repro.api import NodeConfig, create_node
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import RandomKeyAssigner
-from repro.net import AsyncCausalPeer, LocalAsyncBus, UdpTransport
+from repro.net import LocalAsyncBus, UdpTransport
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.util.rng import RandomSource
 
 R, K = 32, 3
 
 
-def make_bus_cluster(bus, names, seed=9):
+async def wait_for(predicate, timeout=10.0, interval=0.005):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while asyncio.get_running_loop().time() < deadline:
+        if predicate():
+            return True
+        await asyncio.sleep(interval)
+    return False
+
+
+async def make_cluster(transports, seed=9):
+    """One ``create_node()`` per ``{name: transport}``, nobody peered yet."""
     assigner = RandomKeyAssigner(R, K, rng=RandomSource(seed=seed))
-    peers = {}
-    for name in names:
-        transport = bus.attach(name)
-        peers[name] = AsyncCausalPeer(
-            peer_id=name,
-            clock=ProbabilisticCausalClock(R, assigner.assign(name).keys),
-            transport=transport,
-            detector=BasicAlertDetector(),
-        )
-    for name, peer in peers.items():
+    config = NodeConfig(r=R, k=K)
+    return {
+        name: await create_node(name, config, transport=transport, assigner=assigner)
+        for name, transport in transports.items()
+    }
+
+
+async def make_bus_cluster(bus, names):
+    nodes = await make_cluster({name: bus.attach(name) for name in names})
+    for name, node in nodes.items():
         for other in names:
             if other != name:
-                peer.add_peer(other)
-    return peers
+                node.add_peer(other)
+    return nodes
+
+
+async def close_all(nodes):
+    await asyncio.gather(*(node.close() for node in nodes.values()))
 
 
 class TestLocalBus:
     def test_broadcast_reaches_all_peers(self):
         async def scenario():
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(10.0))
-            peers = make_bus_cluster(bus, ["a", "b", "c"])
-            await peers["a"].broadcast("hello")
-            await bus.drain()
-            for name in ("b", "c"):
-                assert peers[name].delivered_payloads() == ["hello"]
+            nodes = await make_bus_cluster(bus, ["a", "b", "c"])
+            await nodes["a"].broadcast("hello")
             # The sender self-delivered.
-            assert peers["a"].delivered_payloads() == ["hello"]
+            assert nodes["a"].delivered_payloads() == ["hello"]
+            assert await wait_for(
+                lambda: all(n.delivered_payloads() == ["hello"] for n in nodes.values())
+            )
+            await close_all(nodes)
 
         asyncio.run(scenario())
 
@@ -53,18 +67,20 @@ class TestLocalBus:
                 delay_model=GaussianDelayModel(mean=20, std=8, skew_std=8),
                 rng=RandomSource(seed=3).spawn("net"),
             )
-            peers = make_bus_cluster(bus, ["a", "b", "c"])
+            nodes = await make_bus_cluster(bus, ["a", "b", "c"])
             # A chain: a sends, b replies after seeing it, several times.
             for round_number in range(5):
-                await peers["a"].broadcast(("a", round_number))
-                await bus.drain()
-                await peers["b"].broadcast(("b", round_number))
-                await bus.drain()
-            order = peers["c"].delivered_payloads()
-            assert len(order) == 10
+                await nodes["a"].broadcast(("a", round_number))
+                assert await wait_for(
+                    lambda: ("a", round_number) in nodes["b"].delivered_payloads()
+                )
+                await nodes["b"].broadcast(("b", round_number))
+            assert await wait_for(lambda: len(nodes["c"].delivered_payloads()) == 10)
+            order = nodes["c"].delivered_payloads()
             # Within the chain, every (a, i) precedes (b, i).
             for i in range(5):
                 assert order.index(("a", i)) < order.index(("b", i))
+            await close_all(nodes)
 
         asyncio.run(scenario())
 
@@ -76,15 +92,18 @@ class TestLocalBus:
                 duplicate_rate=0.3,
             )
             names = [f"p{i}" for i in range(5)]
-            peers = make_bus_cluster(bus, names)
+            nodes = await make_bus_cluster(bus, names)
             await asyncio.gather(
-                *(peers[name].broadcast(f"from-{name}") for name in names)
+                *(nodes[name].broadcast(f"from-{name}") for name in names)
             )
-            await bus.drain()
-            for name in names:
-                payloads = peers[name].delivered_payloads()
-                assert sorted(payloads) == sorted(f"from-{n}" for n in names)
-                assert peers[name].endpoint.stats.duplicates >= 0
+            expected = sorted(f"from-{n}" for n in names)
+            assert await wait_for(
+                lambda: all(len(n.delivered_payloads()) == 5 for n in nodes.values())
+            )
+            await bus.drain()  # let the duplicated copies land too
+            for node in nodes.values():
+                assert sorted(node.delivered_payloads()) == expected
+            await close_all(nodes)
 
         asyncio.run(scenario())
 
@@ -95,12 +114,14 @@ class TestLocalBus:
                 rng=RandomSource(seed=6).spawn("net"),
                 loss_rate=0.5,
             )
-            peers = make_bus_cluster(bus, ["a", "b"])
+            sender, receiver = bus.attach("a"), bus.attach("b")
+            received = []
+            receiver.set_receiver(lambda data, addr: received.append(data))
             for i in range(40):
-                await peers["a"].broadcast(i)
+                await sender.send("b", bytes([i]))
             await bus.drain()
             assert bus.dropped > 0
-            assert len(peers["b"].delivered_payloads()) < 40
+            assert len(received) == 40 - bus.dropped < 40
 
         asyncio.run(scenario())
 
@@ -116,14 +137,16 @@ class TestLocalBus:
     def test_malformed_datagram_does_not_kill_peer(self):
         async def scenario():
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
-            peers = make_bus_cluster(bus, ["a", "b"])
+            nodes = await make_bus_cluster(bus, ["a", "b"])
             transport = bus.attach("evil")
             await transport.send("b", b"not a message")
             await bus.drain()
-            assert peers["b"].decode_errors == 1
-            await peers["a"].broadcast("still alive")
-            await bus.drain()
-            assert peers["b"].delivered_payloads() == ["still alive"]
+            assert nodes["b"].session.frame_errors == 1
+            await nodes["a"].broadcast("still alive")
+            assert await wait_for(
+                lambda: nodes["b"].delivered_payloads() == ["still alive"]
+            )
+            await close_all(nodes)
 
         asyncio.run(scenario())
 
@@ -137,34 +160,22 @@ class TestLocalBus:
 class TestUdpTransport:
     def test_roundtrip_over_loopback(self):
         async def scenario():
-            assigner = RandomKeyAssigner(R, K, rng=RandomSource(seed=11))
-            transports = [await UdpTransport.create() for _ in range(3)]
-            peers = []
-            for index, transport in enumerate(transports):
-                peers.append(
-                    AsyncCausalPeer(
-                        peer_id=f"udp-{index}",
-                        clock=ProbabilisticCausalClock(
-                            R, assigner.assign(index).keys
-                        ),
-                        transport=transport,
-                    )
-                )
-            for index, peer in enumerate(peers):
-                for jndex, transport in enumerate(transports):
-                    if jndex != index:
-                        peer.add_peer(transport.local_address)
+            transports = {
+                f"udp-{index}": await UdpTransport.create() for index in range(3)
+            }
+            nodes = await make_cluster(transports, seed=11)
+            for name, node in nodes.items():
+                for other, transport in transports.items():
+                    if other != name:
+                        node.add_peer(transport.local_address)
 
-            await peers[0].broadcast({"op": "add", "item": "milk"})
-            # Loopback UDP is fast; poll briefly for arrival.
-            for _ in range(100):
-                if all(len(p.delivered_payloads()) == 1 for p in peers):
-                    break
-                await asyncio.sleep(0.01)
-            for peer in peers:
-                assert peer.delivered_payloads() == [{"op": "add", "item": "milk"}]
-            for transport in transports:
-                await transport.close()
+            await nodes["udp-0"].broadcast({"op": "add", "item": "milk"})
+            assert await wait_for(
+                lambda: all(len(n.delivered_payloads()) == 1 for n in nodes.values())
+            )
+            for node in nodes.values():
+                assert node.delivered_payloads() == [{"op": "add", "item": "milk"}]
+            await close_all(nodes)
 
         asyncio.run(scenario())
 
@@ -237,31 +248,20 @@ class TestBusAddressing:
 
     def test_causal_chain_over_udp(self):
         async def scenario():
-            assigner = RandomKeyAssigner(R, K, rng=RandomSource(seed=12))
-            t_a = await UdpTransport.create()
-            t_b = await UdpTransport.create()
-            t_c = await UdpTransport.create()
-            a = AsyncCausalPeer("a", ProbabilisticCausalClock(R, assigner.assign("a").keys), t_a)
-            b = AsyncCausalPeer("b", ProbabilisticCausalClock(R, assigner.assign("b").keys), t_b)
-            c = AsyncCausalPeer("c", ProbabilisticCausalClock(R, assigner.assign("c").keys), t_c)
+            transports = {name: await UdpTransport.create() for name in "abc"}
+            nodes = await make_cluster(transports, seed=12)
+            a, b, c = (nodes[name] for name in "abc")
             # a -> {b, c};  b -> {c} only: c must still order b's reply
             # after a's original despite receiving both over UDP.
-            a.add_peer(t_b.local_address)
-            a.add_peer(t_c.local_address)
-            b.add_peer(t_c.local_address)
+            a.add_peer(transports["b"].local_address)
+            a.add_peer(transports["c"].local_address)
+            b.add_peer(transports["c"].local_address)
 
             await a.broadcast("question")
-            for _ in range(100):
-                if b.delivered_payloads(include_local=False):
-                    break
-                await asyncio.sleep(0.01)
+            assert await wait_for(lambda: b.delivered_payloads(include_local=False))
             await b.broadcast("answer")
-            for _ in range(100):
-                if len(c.delivered_payloads()) == 2:
-                    break
-                await asyncio.sleep(0.01)
+            assert await wait_for(lambda: len(c.delivered_payloads()) == 2)
             assert c.delivered_payloads() == ["question", "answer"]
-            for transport in (t_a, t_b, t_c):
-                await transport.close()
+            await close_all(nodes)
 
         asyncio.run(scenario())

@@ -21,9 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.codec import CodecError, FrameCodec, MemberRecord, RelayFrame
+from repro.api import NodeConfig, create_endpoint, create_node
+from repro.core.codec import CodecError, FrameCodec, MemberRecord, MessageCodec, RelayFrame
 from repro.core.errors import ConfigurationError
+from repro.net import LocalAsyncBus
 from repro.net.overlay import PartialView
+from repro.sim.network import ConstantDelayModel
 from tests.test_wire_differential import Exchange, wait_for
 
 codec = FrameCodec()
@@ -313,3 +316,108 @@ class TestOverlayObservationalIdentity:
             await exchange.close()
 
         asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# relay intake shares the node's one admit path
+# ----------------------------------------------------------------------
+
+
+class RelayRig:
+    """One overlay node on a bus between two bare endpoints: ``up``
+    injects RELAY envelopes, ``down`` records what gets forwarded."""
+
+    def __init__(self, **config):
+        self.config = config
+
+    async def __aenter__(self):
+        self.bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+        self.up, down = self.bus.attach("up"), self.bus.attach("down")
+        self.forwarded = []
+        down.set_receiver(lambda data, addr: self.forwarded.append(codec.decode(data)))
+        self.node = await create_node(
+            "rx",
+            NodeConfig(r=16, dissemination="overlay", fanout=2, view_size=4, **self.config),
+            transport=self.bus.attach("rx"),
+        )
+        self.node.add_peer("up")
+        self.node.add_peer("down")
+        # The origin's side of the story: three messages, two codings.
+        self.messages = MessageCodec()
+        origin = create_endpoint("origin", NodeConfig(r=16, keys=(1, 2, 3)))
+        self.sent = [origin.broadcast(f"m{seq}") for seq in (1, 2, 3)]
+        return self
+
+    async def __aexit__(self, *exc_info):
+        await self.node.close()
+
+    def full(self, index):
+        return self.messages.encode(self.sent[index])
+
+    def delta(self, index, ref=0):
+        reference = self.sent[ref]
+        return self.messages.encode_delta(
+            self.sent[index], reference.seq, reference.timestamp.vector
+        )
+
+    async def relay(self, seq, payload, origin="origin"):
+        frame = RelayFrame(
+            origin=origin, seq=seq, hops=0, sent_at=0.0, sample=(), payload=payload
+        )
+        await self.up.send("rx", codec.encode(frame))
+        await self.bus.drain()
+
+
+class TestRelayAdmission:
+    def test_delta_body_is_delivered_and_forwarded_full(self):
+        async def scenario():
+            async with RelayRig() as rig:
+                await rig.relay(1, rig.full(0))
+                # The reference is a stored message, nothing per link.
+                assert rig.node.store.get("origin", 1) == rig.full(0)
+                await rig.relay(2, rig.delta(1))
+                assert rig.node.delivered_payloads() == ["m1", "m2"]
+                assert rig.node.decode_errors == 0
+                assert rig.node.transport_stats().delta_ref_misses == 0
+                # Downstream holds no reference: forwards travel full,
+                # byte-identical to the origin's own encoding.
+                assert [
+                    (frame.seq, frame.hops, bytes(frame.payload))
+                    for frame in rig.forwarded
+                ] == [(1, 1, rig.full(0)), (2, 1, rig.full(1))]
+
+        asyncio.run(scenario())
+
+    def test_envelope_contradicting_its_body_is_a_decode_error(self):
+        async def scenario():
+            async with RelayRig() as rig:
+                await rig.relay(1, rig.full(0))
+                await rig.relay(7, rig.full(2))   # body says seq 3
+                await rig.relay(8, rig.delta(2))  # ...on both encodings
+                await rig.relay(3, rig.full(2), origin="impostor")
+                assert rig.node.decode_errors == 3
+                assert rig.node.delivered_payloads() == ["m1"]
+                assert len(rig.forwarded) == 1
+                # Believing the header would have poisoned the filter.
+                assert not rig.node.endpoint.has_seen(("origin", 7))
+                assert not rig.node.store.knows("origin", 3)
+
+        asyncio.run(scenario())
+
+    def test_departed_sender_is_warned_about_once_on_either_path(self, caplog):
+        def warnings():
+            return [r for r in caplog.records if "departed sender" in r.getMessage()]
+
+        async def scenario():
+            # A bootstrapped group of one: "origin" is not in the view.
+            async with RelayRig(membership=True) as rig:
+                await rig.relay(1, rig.full(0))
+                await rig.relay(2, rig.full(1))
+                assert rig.node.stale_frames == 2 and len(warnings()) == 1
+                rig.node._handle_wire_message(rig.full(2), "up")
+                assert rig.node.stale_frames == 3 and len(warnings()) == 1
+                assert rig.node.delivered_payloads() == []
+                assert not rig.forwarded and len(rig.node.store) == 0
+
+        with caplog.at_level("WARNING", logger="repro.net.node"):
+            asyncio.run(scenario())

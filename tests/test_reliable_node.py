@@ -279,6 +279,29 @@ class TestNodeSurface:
 
         asyncio.run(scenario())
 
+    def test_heal_scheduled_before_remove_peer_leaves_no_session_state(self):
+        """A resync (or a liveness resume) schedules ``_heal_peer`` as a
+        task; if the peer is removed before it runs, its digest must not
+        re-create the session state ``remove_peer`` just purged."""
+
+        async def scenario():
+            config = NodeConfig(r=32, k=2)
+            alice = await create_node("alice", config)
+            bob = await create_node("bob", config)
+            alice.add_peer(bob.local_address)
+            alice._request_resync(bob.local_address)
+            alice.remove_peer(bob.local_address)
+            await asyncio.sleep(0)  # the heal task's turn
+            assert bob.local_address not in alice.session.all_stats()
+            # A peer that is still one gets its digest.
+            alice.add_peer(bob.local_address)
+            await alice._heal_peer(bob.local_address)
+            assert alice.session.all_stats()[bob.local_address].digests_sent == 1
+            await alice.close()
+            await bob.close()
+
+        asyncio.run(scenario())
+
     def test_max_retries_exhaustion_dropped_then_healed(self):
         """Satellite: a frame abandoned after ``max_retries`` increments
         ``drops`` and frees the unacked slot; anti-entropy then delivers

@@ -116,27 +116,16 @@ class TestDelivery:
 
         asyncio.run(scenario())
 
-    def test_raw_datagrams_pass_through_unframed(self):
-        async def scenario():
-            bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
-            sessions, inboxes = make_pair(bus)
-            raw = bus.attach("legacy")
-            await raw.send("b", b"bare bytes")
-            await bus.drain()
-            assert inboxes["b"] == [(b"bare bytes", "legacy")]
-            for session in sessions.values():
-                await session.close()
-
-        asyncio.run(scenario())
-
     def test_garbage_frame_counted_not_fatal(self):
         async def scenario():
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
             sessions, inboxes = make_pair(bus)
             raw = bus.attach("evil")
             await raw.send("b", b"PF\x01\x01trunc")
+            # No frame magic at all: counted too, never handed upwards.
+            await raw.send("b", b"bare bytes")
             await bus.drain()
-            assert sessions["b"].frame_errors == 1
+            assert sessions["b"].frame_errors == 2
             assert inboxes["b"] == []
             for session in sessions.values():
                 await session.close()
