@@ -140,14 +140,19 @@ async def _run_case(label: str, wire_kwargs: dict, rounds: int, burst: int) -> d
             # Let the per-tick TX flush and the peers' RX drains run so
             # the next flood starts against an empty socket buffer.
             await asyncio.sleep(0.002)
+        def delivered(node) -> int:
+            # The exact count: `deliveries` is a recent window, shorter
+            # than a full-mode run.
+            return node.endpoint.stats.sent + node.endpoint.stats.delivered
+
         converged = await _wait_for(
-            lambda: len(left.deliveries) == total and len(right.deliveries) == total
+            lambda: delivered(left) == total and delivered(right) == total
         )
         elapsed = time.perf_counter() - start
         if not converged:
             raise RuntimeError(
                 f"no convergence: sent={total}, delivered="
-                f"left={len(left.deliveries)} right={len(right.deliveries)}"
+                f"left={delivered(left)} right={delivered(right)}"
             )
         result = {
             "messages": total,

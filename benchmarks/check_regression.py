@@ -1,4 +1,4 @@
-"""Perf regression gate for the pending buffer and the wire path.
+"""Perf regression gate for the pending buffer, the I/O loop and the overlay.
 
 Compares a fresh ``bench_hotpath.py`` run against the committed
 ``BENCH_hotpath.json`` baseline and fails (exit 1) when the indexed
@@ -12,14 +12,6 @@ cancels machine speed and load; a genuine buffer regression (extra
 allocation, a lost fast path, index bookkeeping creep) lowers the ratio
 wherever it runs.  ``--absolute`` additionally gates raw deliveries/sec
 for same-machine comparisons.
-
-``--wire-fresh`` additionally gates a fresh ``bench_wire.py`` run
-against the committed ``BENCH_wire.json``: the batched wire path's
-datagrams-per-message and bytes-per-message *ratios* over the legacy
-path (within-run again, so machine-independent — both are counters, not
-timings) must not fall more than ``--max-drop`` below the baseline, and
-the 0 %-loss headline must hold the acceptance floors (>= 3x fewer
-datagrams/msg, >= 2.5x fewer bytes/msg).
 
 ``--ioloop-fresh`` gates a fresh ``bench_ioloop.py`` run against the
 committed ``BENCH_ioloop.json``: the batched transport's
@@ -38,10 +30,9 @@ must not exceed the baseline by more than ``--max-drop``.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py --quick --output /tmp/fresh.json
-    PYTHONPATH=src python benchmarks/bench_wire.py --quick --output /tmp/wire.json
     PYTHONPATH=src python benchmarks/bench_ioloop.py --quick --output /tmp/ioloop.json
     python benchmarks/check_regression.py --fresh /tmp/fresh.json \
-        --wire-fresh /tmp/wire.json --ioloop-fresh /tmp/ioloop.json
+        --ioloop-fresh /tmp/ioloop.json
 """
 
 from __future__ import annotations
@@ -54,7 +45,6 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_hotpath.json"
-DEFAULT_WIRE_BASELINE = REPO_ROOT / "BENCH_wire.json"
 DEFAULT_IOLOOP_BASELINE = REPO_ROOT / "BENCH_ioloop.json"
 DEFAULT_OVERLAY_BASELINE = REPO_ROOT / "BENCH_overlay.json"
 
@@ -62,12 +52,6 @@ DEFAULT_OVERLAY_BASELINE = REPO_ROOT / "BENCH_overlay.json"
 # fixed overheads, not the indexed drain; their ratio is noise-bound
 # and only sanity-checked loosely (2x the tolerance).
 GATE_SPEEDUP_FLOOR = 1.5
-
-# The ISSUE acceptance floors for the batched wire path at 0% loss:
-# hard minimums regardless of what the committed baseline says.
-WIRE_HEADLINE = "steady_r100_k2_loss0"
-WIRE_DATAGRAMS_FLOOR = 3.0
-WIRE_BYTES_FLOOR = 2.5
 
 # The ISSUE acceptance floor for the batched I/O loop on the flood
 # headline: >= 2x datagrams per wakeup, or failing that >= 1.3x
@@ -110,14 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--absolute", action="store_true",
         help="also gate raw deliveries/sec (same-machine runs only)",
-    )
-    parser.add_argument(
-        "--wire-baseline", type=pathlib.Path, default=DEFAULT_WIRE_BASELINE,
-        help=f"committed wire baseline JSON (default {DEFAULT_WIRE_BASELINE})",
-    )
-    parser.add_argument(
-        "--wire-fresh", type=pathlib.Path, default=None,
-        help="freshly produced bench_wire.py output (enables the wire gate)",
     )
     parser.add_argument(
         "--ioloop-baseline", type=pathlib.Path, default=DEFAULT_IOLOOP_BASELINE,
@@ -179,45 +155,6 @@ def main(argv=None) -> int:
                 )
 
     checked = len(shared)
-    if args.wire_fresh is not None:
-        wire_baseline = {
-            s["name"]: s for s in load(args.wire_baseline)["scenarios"]
-        }
-        wire_fresh = {s["name"]: s for s in load(args.wire_fresh)["scenarios"]}
-        wire_shared = [name for name in wire_fresh if name in wire_baseline]
-        if not wire_shared:
-            sys.exit("error: no wire scenarios in common between baseline and fresh run")
-        for name in wire_shared:
-            # Lossy scenarios are noise-bound in --quick runs: far fewer
-            # messages amortize the delta reference warm-up, and the
-            # realized drop pattern shifts the full/delta mix run to
-            # run.  Only the 0%-loss headline is stable enough for the
-            # tight tolerance; the rest get the loose one.
-            tolerance = args.max_drop
-            if name != WIRE_HEADLINE:
-                tolerance = min(0.95, 2 * args.max_drop)
-            for metric in ("datagrams_ratio", "bytes_ratio"):
-                base = wire_baseline[name][metric]
-                got = wire_fresh[name][metric]
-                floor = base * (1 - tolerance)
-                if name == WIRE_HEADLINE:
-                    hard = (
-                        WIRE_DATAGRAMS_FLOOR if metric == "datagrams_ratio"
-                        else WIRE_BYTES_FLOOR
-                    )
-                    floor = max(floor, hard)
-                verdict = "ok" if got >= floor else "REGRESSED"
-                print(
-                    f"{name:28s} {metric:15s} {base:6.2f}x -> {got:6.2f}x "
-                    f"(floor {floor:.2f}x)  {verdict}"
-                )
-                if got < floor:
-                    failures.append(
-                        f"{name}: {metric} {got:.2f}x fell below {floor:.2f}x "
-                        f"({base:.2f}x baseline)"
-                    )
-        checked += len(wire_shared)
-
     if args.ioloop_fresh is not None:
         ioloop_baseline = {
             s["name"]: s for s in load(args.ioloop_baseline)["scenarios"]
@@ -315,7 +252,7 @@ def main(argv=None) -> int:
         # by the linear-floor check above.  A --quick fresh run against a
         # full baseline amortizes the per-run digest overhead over fewer
         # messages, so mismatched run lengths get the loose tolerance
-        # (the wire gate's convention for noise-bound comparisons).
+        # (the ioloop gate's convention for noise-bound comparisons).
         overlay_tolerance = args.max_drop
         baseline_meta = load(args.overlay_baseline).get("meta", {})
         if overlay_fresh.get("meta", {}).get("quick") != baseline_meta.get("quick"):

@@ -9,7 +9,6 @@ Section 5.3.
 
 from repro.core.clocks import (
     BloomCausalClock,
-    DynamicVectorClock,
     EntryVectorClock,
     LamportCausalClock,
     PlausibleCausalClock,
@@ -98,7 +97,6 @@ __all__ = [
     "PlausibleCausalClock",
     "LamportCausalClock",
     "VectorCausalClock",
-    "DynamicVectorClock",
     "BloomCausalClock",
     # combinatorics
     "binomial",

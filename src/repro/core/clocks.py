@@ -37,7 +37,7 @@ from typing import Hashable, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.errors import ConfigurationError, UnknownProcessError
+from repro.core.errors import ConfigurationError
 
 __all__ = [
     "Timestamp",
@@ -47,7 +47,6 @@ __all__ = [
     "LamportCausalClock",
     "VectorCausalClock",
     "BloomCausalClock",
-    "DynamicVectorClock",
 ]
 
 ProcessId = Hashable
@@ -402,8 +401,7 @@ class VectorCausalClock(EntryVectorClock):
     With ``R = N`` and ``f(p_i) = {i}`` the generic delivery condition is
     the classical causal-broadcast rule (Birman–Schiper–Stephenson) and no
     violation is possible.  Requires static membership with dense process
-    indices; see :class:`DynamicVectorClock` for the churn-tolerant
-    (but unbounded) variant.
+    indices.
     """
 
     def __init__(self, n: int, own_index: int) -> None:
@@ -482,64 +480,3 @@ class BloomCausalClock(EntryVectorClock):
         """Algorithm 1 with a per-event key set: re-draw ``f`` then stamp."""
         self.rekey(self._event_keys(self._send_seq + 1))
         return super().prepare_send()
-
-
-class DynamicVectorClock:
-    """A map-based exact vector clock that tolerates joins.
-
-    Entries are keyed by process identity rather than by a dense index, so
-    processes may join at any time without renumbering.  This is the
-    classical alternative the paper argues against for large dynamic
-    systems: its timestamps grow with the number of processes ever seen.
-    It serves as the perfect-ordering baseline in benchmarks and as the
-    ground-truth component of the simulator's oracle for churn scenarios.
-
-    The public operations mirror :class:`EntryVectorClock` but timestamps
-    are plain dicts.
-    """
-
-    def __init__(self, own_id: ProcessId) -> None:
-        self._own_id = own_id
-        self._vector: dict = {own_id: 0}
-        self._send_seq = 0
-
-    @property
-    def own_id(self) -> ProcessId:
-        """This process's identity (its map key)."""
-        return self._own_id
-
-    @property
-    def send_count(self) -> int:
-        """How many messages this clock has timestamped."""
-        return self._send_seq
-
-    def snapshot(self) -> dict:
-        """Copy of the local vector (process id -> count)."""
-        return dict(self._vector)
-
-    def prepare_send(self) -> dict:
-        """Increment the own entry and return the timestamp dict."""
-        self._vector[self._own_id] = self._vector.get(self._own_id, 0) + 1
-        self._send_seq += 1
-        return dict(self._vector)
-
-    def is_deliverable(self, timestamp: dict, sender_id: ProcessId) -> bool:
-        """Classical causal delivery test for a message from ``sender_id``."""
-        if sender_id not in timestamp:
-            raise UnknownProcessError(sender_id)
-        for process_id, value in timestamp.items():
-            threshold = value - 1 if process_id == sender_id else value
-            if self._vector.get(process_id, 0) < threshold:
-                return False
-        return True
-
-    def record_delivery(self, timestamp: dict, sender_id: ProcessId) -> None:
-        """Account for delivering one message from ``sender_id``."""
-        self._vector[sender_id] = self._vector.get(sender_id, 0) + 1
-
-    def merge(self, timestamp: dict) -> None:
-        """Entrywise max-merge (used by the oracle after a wrong delivery,
-        per Section 5.4.1 of the paper)."""
-        for process_id, value in timestamp.items():
-            if value > self._vector.get(process_id, 0):
-                self._vector[process_id] = value

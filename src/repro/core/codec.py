@@ -8,7 +8,7 @@ Layout (little-endian)::
 
     magic   2B  b"PC"
     version 1B  (currently 2)
-    flags   1B  bit0: entries are LEB128 varints (else fixed uint32)
+    flags   1B  bit0: entries are LEB128 varints (always set)
                 bit1: DELTA encoding (see below)
     scheme  1B  clock-scheme id (repro.core.registry allocation): the
                 clock family that produced the timestamp.  Decoding
@@ -19,12 +19,12 @@ Layout (little-endian)::
     sender  u16 length + UTF-8 bytes
     seq     u64
     K       u16, then K x u32 sender keys
-    R       u32, then R entries (u32 each, or varints)
+    R       u32, then R varint entries
     payload u32 length + bytes
 
-Entry counters are non-negative and usually small, so the varint mode
-(default) shrinks the dominant cost — the R entries — to ~1 byte each in
-steady state, realising the paper's "few integer timestamps" on the wire.
+Entry counters are non-negative and usually small, so varints shrink
+the dominant cost — the R entries — to ~1 byte each in steady state,
+realising the paper's "few integer timestamps" on the wire.
 Payload bytes are produced by a pluggable :class:`PayloadCodec`; the
 default encodes JSON, which covers the CRDT operation payloads used in
 the examples (tuples become lists and are normalised back).
@@ -360,7 +360,6 @@ class MessageCodec:
 
     Args:
         payload_codec: application payload serialisation (JSON by default).
-        varint_entries: LEB128-compress the R entries (default True).
         scheme: the clock scheme whose timestamps this codec carries
             (a name registered in :mod:`repro.core.registry`).  Its wire
             id is stamped into every encoding and checked on decode.
@@ -376,12 +375,10 @@ class MessageCodec:
     def __init__(
         self,
         payload_codec: PayloadCodec = None,
-        varint_entries: bool = True,
         scheme: str = "probabilistic",
         epoch: int = 0,
     ) -> None:
         self._payload_codec = payload_codec if payload_codec is not None else JsonPayloadCodec()
-        self._varint = varint_entries
         self._scheme = scheme
         self._scheme_id = scheme_id_of(scheme)
         self.epoch = epoch
@@ -475,25 +472,9 @@ class MessageCodec:
         """The full encoding; ``payload_bytes`` is the payload's wire form
         when the caller already holds it (``None``: serialise it here)."""
         timestamp = message.timestamp
-        flags = _FLAG_VARINT if self._varint else 0
-        parts = self._header_parts(message, flags)
+        parts = self._header_parts(message, _FLAG_VARINT)
         parts.append(struct.pack("<I", timestamp.size))
-        entries = self._vector_entries(message)
-        if self._varint:
-            parts.append(_encode_varints(entries))
-        else:
-            # Fixed-width entries ride in uint32 slots; a long-running
-            # node whose counters outgrow them must fail loudly here, not
-            # with a struct.error deep in the pack call (or, worse, a
-            # silent truncation on a permissive platform).
-            high = max(entries, default=0)
-            if high > _MAX_U32:
-                raise CodecError(
-                    f"vector entry {high} exceeds the uint32 wire range of "
-                    "fixed-width encoding; use varint_entries=True (default) "
-                    "for counters beyond 2**32-1"
-                )
-            parts.append(struct.pack(f"<{len(entries)}I", *entries))
+        parts.append(_encode_varints(self._vector_entries(message)))
         if payload_bytes is None:
             payload_bytes = self._payload_codec.encode(message.payload)
         parts.append(struct.pack("<I", len(payload_bytes)))
@@ -511,6 +492,10 @@ class MessageCodec:
                 "delta-encoded message: use decode_delta() with the "
                 "per-link reference vector"
             )
+        if not flags & _FLAG_VARINT:
+            # The bit stays on the wire but names the only entry form
+            # there is; without it the datagram is not one of ours.
+            raise CodecError("full message without varint-coded entries")
         self._check_scheme(scheme_id)
         if epoch != self._epoch & 0xFF:
             self.counters.epoch_mismatches += 1
@@ -530,16 +515,7 @@ class MessageCodec:
             offset += 4 * key_count
             (r,) = struct.unpack_from("<I", data, offset)
             offset += 4
-            if flags & _FLAG_VARINT:
-                vector, offset = _decode_varints(data, offset, r)
-            else:
-                if len(data) < offset + 4 * r:
-                    raise CodecError(
-                        f"truncated message: {r} fixed-width entries do not fit"
-                    )
-                vector = np.frombuffer(data, dtype="<u4", count=r, offset=offset)
-                vector = vector.astype(np.int64)
-                offset += 4 * r
+            vector, offset = _decode_varints(data, offset, r)
             (payload_len,) = struct.unpack_from("<I", data, offset)
             offset += 4
             if len(data) < offset + payload_len:
@@ -555,30 +531,6 @@ class MessageCodec:
         vector.flags.writeable = False
         timestamp = Timestamp(vector=vector, sender_keys=keys, seq=seq)
         return Message(sender=sender, seq=seq, timestamp=timestamp, payload=payload)
-
-    def encoded_size(self, message: Message) -> int:
-        """Wire size in bytes, computed without materialising the encoding.
-
-        Exactly ``len(self.encode(message))`` for any encodable message
-        (property-tested); only the payload and the varint block are
-        actually serialised (their lengths are content-dependent), the
-        rest is arithmetic.
-        """
-        sender_bytes = str(message.sender).encode("utf-8")
-        timestamp = message.timestamp
-        size = (
-            _HEADER_SIZE  # magic + version + flags + scheme + epoch
-            + 2 + len(sender_bytes)
-            + 8  # seq
-            + 2 + 4 * len(timestamp.sender_keys)
-            + 4  # R
-        )
-        if self._varint:
-            size += len(_encode_varints(self._vector_entries(message)))
-        else:
-            size += 4 * timestamp.size
-        size += 4 + len(self._payload_codec.encode(message.payload))
-        return size
 
     # ------------------------------------------------------------------
     # DELTA encoding (O(K) timestamps against a per-link reference)

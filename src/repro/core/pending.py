@@ -16,13 +16,15 @@ This module holds the two data structures behind the protocol hot path
   ``O(K + unblocked · R)`` per delivery instead of the naive reference
   drain's ``O(P · R)`` full rescan.
 
-* :class:`SeenFilter` — duplicate suppression in ``O(senders)`` memory:
+* :class:`SeenFilter` — per-sender coverage in ``O(senders)`` memory:
   per sender, a *contiguous-prefix watermark* (every 1-based seq up to it
   has been seen) plus a sparse out-of-order tail.  Because senders number
   their messages densely, the tail stays small (bounded by per-sender
   reordering depth) and collapses into the watermark as gaps fill,
   whereas the plain ``set`` of ``(sender, seq)`` ids it replaces grew
-  with the total message count of the run.
+  with the total message count of the run.  The endpoint's duplicate
+  filter is one; so is every other record of what a node has received
+  or delivered (:mod:`repro.net.node`, :mod:`repro.net.journal`).
 
 Delivery-order equivalence
 --------------------------
@@ -382,7 +384,7 @@ class ReferenceBuffer:
 
 
 class SeenFilter:
-    """Duplicate suppression in O(senders) memory.
+    """Per-sender coverage of ``(sender, seq)`` ids in O(senders) memory.
 
     Message ids are ``(sender, seq)`` with a dense, 1-based, per-sender
     ``seq``.  Per sender the filter keeps a contiguous-prefix *watermark*
@@ -391,15 +393,21 @@ class SeenFilter:
     so steady-state memory is one integer per sender plus the transient
     reordering depth — instead of one set element per message ever seen.
 
-    The ``(watermark, sorted tail)`` shape doubles as the journal /
-    anti-entropy *frontier* representation, so recovered coverage can be
-    adopted wholesale (:meth:`restore`) instead of replaying one
-    ``add()`` per historical message.
+    This is the one coverage type of the stack: the endpoint's
+    duplicate filter, the message store's received coverage, the node's
+    and the journal's delivered coverage are each an instance, and its
+    ``(watermark, sorted tail)`` :meth:`frontiers` are the anti-entropy
+    digest, the join state transfer and the snapshot's ``delivered``
+    map — so transferred coverage is adopted wholesale
+    (:meth:`restore`) instead of replaying one ``add()`` per historical
+    message.  Senders are reported in first-seen order.
     """
 
     __slots__ = ("_watermark", "_tail")
 
     def __init__(self) -> None:
+        # Every tracked sender has a watermark (0 while only its tail
+        # is known), so this dict alone is the sender roster.
         self._watermark: Dict[ProcessId, int] = {}
         self._tail: Dict[ProcessId, Set[int]] = {}
 
@@ -412,14 +420,12 @@ class SeenFilter:
 
     def __len__(self) -> int:
         """Total distinct ids seen (reconstructed, not stored)."""
-        return sum(self._watermark.values()) + sum(
-            len(tail) for tail in self._tail.values()
-        )
+        return sum(self._watermark.values()) + self.tail_size
 
     @property
     def sender_count(self) -> int:
         """Distinct senders tracked."""
-        return len(self._watermark.keys() | self._tail.keys())
+        return len(self._watermark)
 
     @property
     def tail_size(self) -> int:
@@ -447,47 +453,48 @@ class SeenFilter:
             return True
         if tail is None:
             tail = self._tail[sender] = set()
+            self._watermark.setdefault(sender, 0)
         elif seq in tail:
             return False
         tail.add(seq)
         return True
+
+    def forget(self, sender: ProcessId) -> None:
+        """Drop one sender's coverage; it may start again from seq 1."""
+        self._watermark.pop(sender, None)
+        self._tail.pop(sender, None)
 
     def watermark(self, sender: ProcessId) -> int:
         """The sender's contiguous prefix (0 when unknown)."""
         return self._watermark.get(sender, 0)
 
     def frontiers(self) -> Frontiers:
-        """Per-sender ``(watermark, sorted tail)`` — journal-ready."""
-        senders = self._watermark.keys() | self._tail.keys()
+        """Per-sender ``(watermark, sorted tail)``, first-seen order."""
+        tails = self._tail
         return {
-            sender: (
-                self._watermark.get(sender, 0),
-                tuple(sorted(self._tail.get(sender, ()))),
-            )
-            for sender in senders
+            sender: (mark, tuple(sorted(tails.get(sender, ()))))
+            for sender, mark in self._watermark.items()
         }
 
     def restore(self, frontiers: Frontiers) -> None:
-        """Adopt recovered coverage wholesale (empty filter only).
+        """Adopt transferred coverage wholesale (empty filter only).
 
         O(senders + tail), not O(total messages) — this is what keeps a
-        crash recovery from looping over every historical seq.
+        crash recovery from looping over every historical seq.  All or
+        nothing: malformed coverage raises before anything is adopted.
         """
-        if self._watermark or self._tail:
+        if self._watermark:
             raise ConfigurationError("restore() requires an empty SeenFilter")
+        staged = SeenFilter()
         for sender, (watermark, extras) in frontiers.items():
             if watermark < 0:
                 raise ConfigurationError(
                     f"watermark must be >= 0, got {watermark} for {sender!r}"
                 )
-            if watermark > 0:
-                self._watermark[sender] = int(watermark)
-            tail = {int(seq) for seq in extras if int(seq) > watermark}
-            if len(tail) != len(tuple(extras)):
+            staged._watermark[sender] = int(watermark)
+            # Through add(), so a tail touching the watermark compacts.
+            if not all(staged.add((sender, int(seq))) for seq in extras):
                 raise ConfigurationError(
                     f"tail of {sender!r} overlaps its watermark: {extras}"
                 )
-            if tail:
-                self._tail[sender] = tail
-                if sender not in self._watermark:
-                    self._watermark[sender] = 0
+        self._watermark, self._tail = staged._watermark, staged._tail

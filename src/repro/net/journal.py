@@ -45,9 +45,10 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
+from repro.core.pending import SeenFilter
 
 __all__ = ["LinkState", "RecoveredState", "NodeJournal"]
 
@@ -140,38 +141,6 @@ class RecoveredState:
     ] = None
 
 
-class _Frontier:
-    """Mutable ``(contiguous, extras)`` coverage of one sender's seqs."""
-
-    __slots__ = ("contiguous", "extras")
-
-    def __init__(self, contiguous: int = 0, extras: Iterable[int] = ()) -> None:
-        self.contiguous = contiguous
-        self.extras: Set[int] = {s for s in extras if s > contiguous}
-        self._compact()
-
-    def add(self, seq: int) -> None:
-        if seq <= self.contiguous:
-            return
-        self.extras.add(seq)
-        self._compact()
-
-    def covers(self, seq: int) -> bool:
-        return seq <= self.contiguous or seq in self.extras
-
-    def _compact(self) -> None:
-        while self.contiguous + 1 in self.extras:
-            self.contiguous += 1
-            self.extras.discard(self.contiguous)
-
-    def as_tuple(self) -> Tuple[int, Tuple[int, ...]]:
-        return (self.contiguous, tuple(sorted(self.extras)))
-
-    def ids(self) -> Iterator[int]:
-        yield from range(1, self.contiguous + 1)
-        yield from sorted(self.extras)
-
-
 class NodeJournal:
     """Append-only WAL + periodic snapshots for one node's causal state.
 
@@ -230,7 +199,9 @@ class NodeJournal:
         self._fsync = fsync
         self._wal = None
         self._records_since_snapshot = 0
-        self._delivered: Dict[str, _Frontier] = {}
+        # Recovery state, so the journal keeps its own instance of the
+        # coverage type rather than sharing the node's.
+        self._delivered = SeenFilter()
         self._leases: Dict[Address, int] = {}
         self._delta_refs: Dict[str, _DeltaRef] = {}
         self.snapshots_written = 0
@@ -328,7 +299,7 @@ class NodeJournal:
         return RecoveredState(
             vector=tuple(vector),
             send_seq=send_seq,
-            delivered={s: f.as_tuple() for s, f in self._delivered.items()},
+            delivered=self._delivered.frontiers(),
             links=links,
             own_messages=own_messages,
             delta_refs=self._delta_refs,
@@ -359,8 +330,10 @@ class NodeJournal:
             )
         vector[:] = [int(v) for v in snap["vector"]]
         self._snapshot_send_seq = int(snap["send_seq"])
-        for sender, (contiguous, extras) in snap["delivered"].items():
-            self._delivered[sender] = _Frontier(int(contiguous), (int(e) for e in extras))
+        self._delivered.restore(
+            {sender: (int(contiguous), extras)
+             for sender, (contiguous, extras) in snap["delivered"].items()}
+        )
         for address_json, state in snap["links"]:
             links[_address_from_json(address_json)] = LinkState(
                 tx_next=int(state["tx"]),
@@ -473,17 +446,16 @@ class NodeJournal:
             for key in self._own_keys:
                 vector[key] += 1
             self._max_replayed_send = max(self._max_replayed_send, seq)
-            self._frontier(self._node).add(seq)
+            self._delivered.add((self._node, seq))
             own_messages[seq] = data
             return 1
         if kind == "dlv":
             sender = str(record["s"])
             seq = int(record["q"])
-            if self._frontier(sender).covers(seq):
+            if not self._delivered.add((sender, seq)):
                 return 1
             for key in record["k"]:
                 vector[int(key)] += 1
-            self._frontier(sender).add(seq)
             # Every journalled remote delivery went through exactly one
             # detector check; the "a" flag marks the ones that alerted
             # (absent in pre-observability records).
@@ -526,7 +498,7 @@ class NodeJournal:
 
     def record_send(self, seq: int, data: bytes) -> None:
         """Log one own broadcast (WAL-before-wire: call before sending)."""
-        self._frontier(self._node).add(seq)
+        self._delivered.add((self._node, seq))
         self._append({"t": "send", "q": seq,
                       "d": base64.b64encode(data).decode("ascii")})
 
@@ -539,7 +511,7 @@ class NodeJournal:
         accounting reconstructs the alert rate (the flag is written only
         when set, keeping the common record compact).
         """
-        self._frontier(str(sender)).add(seq)
+        self._delivered.add((str(sender), seq))
         self._detector_checks += 1
         self._detector_alerts += int(alert)
         record = {"t": "dlv", "s": str(sender), "q": seq,
@@ -599,15 +571,15 @@ class NodeJournal:
         identity that would re-issue covered message ids.  Only valid on
         a fresh journal (no deliveries recorded yet).
         """
-        if self._delivered and tuple(self._delivered) != (self._node,):
+        merged = self._delivered.frontiers()
+        if merged and tuple(merged) != (self._node,):
             raise ConfigurationError(
                 "state transfer requires a fresh journal (deliveries already recorded)"
             )
+        merged.update({str(sender): entry for sender, entry in frontiers.items()})
         self._own_keys = tuple(int(k) for k in keys)
-        for sender, (contiguous, extras) in frontiers.items():
-            self._delivered[str(sender)] = _Frontier(
-                int(contiguous), (int(e) for e in extras)
-            )
+        self._delivered = SeenFilter()
+        self._delivered.restore(merged)
         self.write_snapshot(vector, 0, dict(links or {}))
 
     def ensure_lease(self, address: Address, seq: int) -> None:
@@ -622,12 +594,6 @@ class NodeJournal:
         upper = seq + self._seq_lease - 1
         self._leases[address] = upper
         self._append({"t": "lease", "a": _address_to_json(address), "n": upper})
-
-    def _frontier(self, sender: str) -> _Frontier:
-        frontier = self._delivered.get(sender)
-        if frontier is None:
-            frontier = self._delivered[sender] = _Frontier()
-        return frontier
 
     def _append(self, record: dict, count: bool = True) -> None:
         if self._wal is None:
@@ -694,7 +660,7 @@ class NodeJournal:
             "view": self._view_to_json(self._view) if self._view is not None else None,
             "vector": [int(v) for v in vector],
             "send_seq": int(send_seq),
-            "delivered": {s: list(f.as_tuple()) for s, f in self._delivered.items()},
+            "delivered": {s: list(f) for s, f in self._delivered.frontiers().items()},
             "links": [
                 [_address_to_json(address), {"tx": tx, "rx": rx, "ooo": list(ooo)}]
                 for address, (tx, rx, ooo) in merged.items()
@@ -724,7 +690,7 @@ class NodeJournal:
 
     def delivered_frontiers(self) -> Frontiers:
         """Current per-sender delivery coverage (journal's view)."""
-        return {s: f.as_tuple() for s, f in self._delivered.items()}
+        return self._delivered.frontiers()
 
     def close(self) -> None:
         """Release the WAL handle.  Deliberately no snapshot: crash-only

@@ -258,6 +258,11 @@ class GroupMembership:
     def node_id(self) -> str:
         return str(self._node.node_id)
 
+    @property
+    def leave_noted_count(self) -> int:
+        """LEAVE dedup marks held (the node's ``state_sizes()`` census)."""
+        return len(self._leave_noted)
+
     def acting_coordinator(self, exclude: Tuple[str, ...] = ()) -> Optional[str]:
         """The member this node currently holds responsible for views.
 
@@ -452,12 +457,7 @@ class GroupMembership:
             if any(ack.vector):
                 clock.initialize_from(ack.vector)
             if ack.frontiers:
-                node.endpoint.restore_seen(dict(ack.frontiers))
-                node.store.restore_frontiers(dict(ack.frontiers))
-                for sender, (contiguous, extras) in ack.frontiers.items():
-                    node._delivered_frontiers[sender] = _frontier_of(
-                        contiguous, extras
-                    )
+                node.adopt_coverage(dict(ack.frontiers))
             if node.journal is not None:
                 # Fold the transfer into an immediate snapshot so a
                 # crash right after the join recovers post-transfer.
@@ -795,8 +795,9 @@ class GroupMembership:
         self._view = view
         self.view_changes += 1
         current_ids = set(view.member_ids())
-        # A re-admitted id may legitimately leave again later.
-        self._leave_noted -= current_ids
+        # The marks dedup a LEAVE burst within one view: a member still
+        # in this view may leave again, and _on_leave ignores the rest.
+        self._leave_noted.clear()
         # An epoch bump re-tiled the keyspace at a new K; the mirrored
         # ledger is per-K, so rebuild it empty (the adopt loop below
         # refills it from the view, which is authoritative anyway).
@@ -877,9 +878,3 @@ class GroupMembership:
             view=view.view_id, size=len(view.members),
             members=list(current_ids), epoch=view.epoch,
         )
-
-
-def _frontier_of(contiguous: int, extras: Tuple[int, ...]):
-    from repro.net.journal import _Frontier
-
-    return _Frontier(int(contiguous), (int(e) for e in extras))

@@ -57,8 +57,9 @@ from repro.core.clocks import EntryVectorClock
 from repro.core.codec import CodecCounters, MessageCodec, RelayFrame, retain
 from repro.core.detector import DeliveryErrorDetector, DetectorStats
 from repro.core.errors import ConfigurationError
+from repro.core.pending import SeenFilter
 from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord, EndpointStats, Message
-from repro.net.journal import NodeJournal, RecoveredState, _Frontier
+from repro.net.journal import NodeJournal, RecoveredState
 from repro.net.liveness import LivenessPolicy, PeerLivenessMonitor
 from repro.net.overlay import PartialView
 from repro.net.peer import Transport
@@ -106,11 +107,12 @@ class NodeStats:
 class MessageStore:
     """Bounded store of encoded messages keyed by causal ``(sender, seq)``.
 
-    Tracks, per sender, the *contiguous frontier* (every seq up to it is
+    What was ever recorded is a :class:`~repro.core.pending.SeenFilter`
+    — per sender, the *contiguous frontier* (every seq up to it is
     known) plus any out-of-order extras — exactly the shape of the
     anti-entropy digest.  Old message *bytes* are evicted FIFO beyond
-    ``limit`` (the frontier bookkeeping stays, so digests remain
-    truthful; evicted messages simply can no longer be served).
+    ``limit`` (the coverage stays, so digests remain truthful; evicted
+    messages simply can no longer be served).
 
     **Sizing tradeoff**: ``limit`` bounds memory, but an evicted message
     is silently unservable to anti-entropy — a peer that missed it and
@@ -128,8 +130,7 @@ class MessageStore:
         self._limit = limit
         self._data: Dict[Tuple[str, int], bytes] = {}
         self._order: Deque[Tuple[str, int]] = deque()
-        self._contiguous: Dict[str, int] = {}
-        self._extras: Dict[str, set] = {}
+        self._coverage = SeenFilter()
         self._evicted_high: Dict[str, int] = {}
         self._warned_unservable = False
         self.stats = StoreStats()
@@ -139,17 +140,11 @@ class MessageStore:
 
     def add(self, sender: str, seq: int, data: bytes) -> bool:
         """Record one encoded message; returns True when it was new."""
-        if self.knows(sender, seq):
+        key = (sender, seq)
+        if not self._coverage.add(key):
             return False
-        self._data[(sender, seq)] = data
-        self._order.append((sender, seq))
-        extras = self._extras.setdefault(sender, set())
-        extras.add(seq)
-        frontier = self._contiguous.get(sender, 0)
-        while frontier + 1 in extras:
-            frontier += 1
-            extras.discard(frontier)
-        self._contiguous[sender] = frontier
+        self._data[key] = data
+        self._order.append(key)
         while len(self._data) > self._limit:
             evicted_sender, evicted_seq = self._order.popleft()
             self._data.pop((evicted_sender, evicted_seq), None)
@@ -160,9 +155,7 @@ class MessageStore:
 
     def knows(self, sender: str, seq: int) -> bool:
         """Whether this id was ever recorded (bytes may be evicted)."""
-        if seq <= self._contiguous.get(sender, 0):
-            return True
-        return seq in self._extras.get(sender, ())
+        return (sender, seq) in self._coverage
 
     def get(self, sender: str, seq: int) -> Optional[bytes]:
         """The stored encoding, or None if unknown or evicted."""
@@ -170,13 +163,7 @@ class MessageStore:
 
     def frontiers(self) -> Frontiers:
         """Per-sender ``(contiguous, extras)`` — the anti-entropy digest."""
-        return {
-            sender: (
-                self._contiguous.get(sender, 0),
-                tuple(sorted(self._extras.get(sender, ()))),
-            )
-            for sender in set(self._contiguous) | set(self._extras)
-        }
+        return self._coverage.frontiers()
 
     def missing_for(self, remote: Frontiers, limit: int = 256) -> Iterator[bytes]:
         """Stored encodings the remote digest does not cover (oldest first).
@@ -217,12 +204,9 @@ class MessageStore:
         digests must cover them) but no longer holds their bytes — the
         whole recovered range is marked evicted; peers keep the copies.
         """
-        if self._data or self._contiguous or self._extras:
-            raise ConfigurationError("restore_frontiers() requires an empty store")
-        for sender, (contiguous, extras) in frontiers.items():
-            self._contiguous[sender] = int(contiguous)
-            self._extras[sender] = {int(seq) for seq in extras}
-            high = max(int(contiguous), max((int(s) for s in extras), default=0))
+        self._coverage.restore(frontiers)  # raises unless empty
+        for sender, (contiguous, extras) in self._coverage.frontiers().items():
+            high = max((contiguous, *extras))
             if high > 0:
                 self._evicted_high[sender] = high
 
@@ -254,10 +238,9 @@ class MessageStore:
         for key in [key for key in self._data if key[0] == sender]:
             del self._data[key]
             dropped += 1
-        if dropped or sender in self._contiguous or sender in self._extras:
+        if dropped:
             self._order = deque(key for key in self._order if key[0] != sender)
-        self._contiguous.pop(sender, None)
-        self._extras.pop(sender, None)
+        self._coverage.forget(sender)
         self._evicted_high.pop(sender, None)
         return dropped
 
@@ -270,10 +253,25 @@ class MessageStore:
 # the same broadcast and keep sharing one reference (one delta encode
 # per broadcast) however their first acks were timed.
 _DELTA_REFRESH_AGE = 64
+# How many delivery records `deliveries` / `delivered_payloads()` look
+# back over.  Exact totals are the endpoint's counters; a node keeps
+# nothing per message for the length of a run.
+_RECENT_DELIVERIES = 1024
+# Eviction records (and the warn-once marks that hang off them) kept
+# before the oldest ages out.
+_EVICTION_WINDOW = 256
 # A link whose deltas bounce this often has lost its reference for good
 # (warned about once, after _DELTA_MISS_WARN_AFTER deltas).
 _DELTA_MISS_WARN_RATIO = 0.05
 _DELTA_MISS_WARN_AFTER = 100
+
+
+def _coverage_sizes(name: str, frontiers: Frontiers) -> Dict[str, int]:
+    """One coverage record's two ``state_sizes()`` rows."""
+    return {
+        f"{name}_senders": len(frontiers),
+        f"{name}_tail": sum(len(tail) for _, tail in frontiers.values()),
+    }
 
 
 def _delta_miss_ratio(misses: int, decoded: int) -> float:
@@ -341,7 +339,12 @@ class ReliableCausalNode:
 
     The public surface is broadcast / add_peer / deliveries plus
     lifecycle (:meth:`start`, :meth:`close`) and wire observability
-    (:meth:`transport_stats`).
+    (:meth:`transport_stats`).  What a node holds is O(senders + peers)
+    plus what is in flight, never O(messages delivered):
+    :attr:`deliveries` is a recent window (exact counts live in
+    ``endpoint.stats``), every per-sender record of what was received or
+    delivered is one :class:`~repro.core.pending.SeenFilter`, and
+    :meth:`state_sizes` counts the entries of every table.
 
     Args:
         node_id: this node's identity (the message sender id).
@@ -427,7 +430,7 @@ class ReliableCausalNode:
         self._codec = codec if codec is not None else MessageCodec()
         self._on_delivery = on_delivery
         self._peers: List[Address] = []
-        self._deliveries: List[DeliveryRecord] = []
+        self._deliveries: Deque[DeliveryRecord] = deque(maxlen=_RECENT_DELIVERIES)
         self._decode_errors = 0
         self._anti_entropy_interval = anti_entropy_interval
         # Digest rounds are spread uniformly over [0.5, 1.5) x interval
@@ -457,8 +460,9 @@ class ReliableCausalNode:
         self._wal_encoding: Optional[bytes] = None
         # View-evicted peers: address -> sender id, bounded so a long
         # churn history cannot grow it; frames from these addresses are
-        # dropped (with one warning per address) until a re-join clears
-        # the mark.
+        # dropped (with one warning per address, and one per departed
+        # sender relayed by a live peer) until a re-join clears the
+        # mark or the record ages out.
         self._evicted_peers: "OrderedDict[Address, str]" = OrderedDict()
         self._stale_warned: Set[Address] = set()
         self._stale_senders_warned: Set[str] = set()
@@ -468,7 +472,7 @@ class ReliableCausalNode:
         # pairs this with the clock vector (using the *received* store
         # frontiers there would mark pending messages as covered and
         # wedge the joiner).
-        self._delivered_frontiers: Dict[str, _Frontier] = {}
+        self._delivered = SeenFilter()
         # Attached by GroupMembership.attach(); duck-typed to avoid an
         # import cycle with repro.net.membership.
         self.membership = None
@@ -526,13 +530,7 @@ class ReliableCausalNode:
         )
         self.endpoint.bind_metrics(self.metrics, self.trace)
         if self.recovered is not None:
-            # The duplicate filter shares the journal's frontier shape, so
-            # recovery adopts the coverage wholesale — O(senders) instead
-            # of one mark_seen() per historical message.
-            self.endpoint.restore_seen(self.recovered.delivered)
-            self.store.restore_frontiers(self.recovered.delivered)
-            for sender, (contiguous, extras) in self.recovered.delivered.items():
-                self._delivered_frontiers[sender] = _Frontier(contiguous, extras)
+            self.adopt_coverage(self.recovered.delivered)
             for seq, data in self.recovered.own_messages.items():
                 self.store.restore_message(str(node_id), seq, data)
             # Restart accounting: a fresh detector resumes the crashed
@@ -595,7 +593,8 @@ class ReliableCausalNode:
 
     def _bind_node_metrics(self) -> None:
         """Pull collector for the node-level tallies (store, liveness,
-        codec) — the structs stay authoritative, the registry mirrors."""
+        codec, per-table sizes) — the structs stay authoritative, the
+        registry mirrors."""
         store_evictions = self.metrics.counter("repro_store_evictions_total")
         store_unservable = self.metrics.counter("repro_store_unservable_total")
         store_size = self.metrics.gauge("repro_store_size")
@@ -643,6 +642,8 @@ class ReliableCausalNode:
                     default=0,
                 )
             )
+            for table, size in self.state_sizes().items():
+                self.metrics.gauge(f"repro_state_entries_{table}").set(size)
             message_tallies = self._codec.counters
             frame_tallies = self.session.codec_counters
             for name, counter in codec_counters.items():
@@ -743,8 +744,10 @@ class ReliableCausalNode:
             self._peers.append(address)
         if self.overlay is not None:
             self.overlay.add(address)
-        self._evicted_peers.pop(address, None)
+        readmitted = self._evicted_peers.pop(address, None)
         self._stale_warned.discard(address)
+        if readmitted is not None:
+            self._stale_senders_warned.discard(readmitted)
 
     def remove_peer(self, address: Address) -> None:
         """Stop broadcasting to ``address`` and purge its per-peer state.
@@ -786,9 +789,10 @@ class ReliableCausalNode:
             self._ref_in_use.pop(str(sender_id), None)
             self._ref_newest.pop(str(sender_id), None)
         self._evicted_peers[address] = str(sender_id) if sender_id is not None else ""
-        while len(self._evicted_peers) > 256:
-            stale_addr, _ = self._evicted_peers.popitem(last=False)
+        while len(self._evicted_peers) > _EVICTION_WINDOW:
+            stale_addr, stale_sender = self._evicted_peers.popitem(last=False)
             self._stale_warned.discard(stale_addr)
+            self._stale_senders_warned.discard(stale_sender)
 
     def _drop_if_evicted(self, addr: Address, kind: str) -> bool:
         """True (and count/trace/warn-once) when ``addr`` was evicted."""
@@ -1145,6 +1149,10 @@ class ReliableCausalNode:
             # state the eviction just removed.
             self._stale_frames += 1
             if sender not in self._stale_senders_warned:
+                if len(self._stale_senders_warned) >= _EVICTION_WINDOW:
+                    # Marks for senders this node never peered with have
+                    # no eviction record to age out with.
+                    self._stale_senders_warned.clear()
                 self._stale_senders_warned.add(sender)
                 logger.warning(
                     "dropping relayed message from departed sender %r; "
@@ -1332,10 +1340,7 @@ class ReliableCausalNode:
 
     def _handle_delivery(self, record: DeliveryRecord) -> None:
         message = record.message
-        frontier = self._delivered_frontiers.get(str(message.sender))
-        if frontier is None:
-            frontier = self._delivered_frontiers[str(message.sender)] = _Frontier()
-        frontier.add(message.seq)
+        self._delivered.add((str(message.sender), message.seq))
         if self.journal is not None:
             if record.local:
                 # WAL-before-wire: this runs inside endpoint.broadcast(),
@@ -1377,7 +1382,11 @@ class ReliableCausalNode:
 
     @property
     def deliveries(self) -> List[DeliveryRecord]:
-        """All deliveries so far, in order (local self-deliveries included)."""
+        """The most recent deliveries, in order (local self-deliveries
+        included): a window of the last ``_RECENT_DELIVERIES`` records,
+        not a history.  Exact totals are ``endpoint.stats.sent`` (own)
+        plus ``endpoint.stats.delivered`` (remote); an application that
+        needs every record takes them from ``on_delivery``."""
         return list(self._deliveries)
 
     def delivered_frontiers(self) -> Frontiers:
@@ -1385,10 +1394,33 @@ class ReliableCausalNode:
         node has *delivered* (own broadcasts included).  This — not the
         store's received coverage — is what a join state transfer pairs
         with the clock vector."""
-        return {
-            sender: frontier.as_tuple()
-            for sender, frontier in self._delivered_frontiers.items()
-        }
+        return self._delivered.frontiers()
+
+    def adopt_coverage(self, frontiers: Frontiers) -> None:
+        """Adopt transferred per-sender coverage: the one way in for
+        journal recovery and the join state transfer alike.
+
+        The endpoint's duplicate filter, the store's coverage (the whole
+        range marked evicted — the bytes stayed behind) and the
+        delivered coverage take the same ``frontiers`` together or not
+        at all: O(senders), instead of one ``mark_seen()`` per
+        historical message.  Only valid before this node has received or
+        delivered anything.
+        """
+        if (
+            self.endpoint.seen_frontiers()
+            or self.store.frontiers()
+            or self._delivered.sender_count
+        ):
+            raise ConfigurationError(
+                "adopt_coverage() requires a node that has seen no traffic"
+            )
+        # The first call checks the shape before it touches anything
+        # (SeenFilter.restore is all-or-nothing); the other two cannot
+        # fail on coverage it accepted.
+        self.endpoint.restore_seen(frontiers)
+        self.store.restore_frontiers(frontiers)
+        self._delivered.restore(frontiers)
 
     @property
     def stale_frames(self) -> int:
@@ -1396,7 +1428,8 @@ class ReliableCausalNode:
         return self._stale_frames
 
     def delivered_payloads(self, include_local: bool = True) -> List[Any]:
-        """Payloads in delivery order."""
+        """Payloads of the :attr:`deliveries` window, in delivery order
+        (``include_local=False`` filters within the window)."""
         return [
             record.message.payload
             for record in self._deliveries
@@ -1412,6 +1445,41 @@ class ReliableCausalNode:
     def heartbeats_suppressed(self) -> int:
         """Heartbeat beacons skipped because the link had recent traffic."""
         return self._heartbeats_suppressed
+
+    def state_sizes(self) -> Dict[str, int]:
+        """Entries held per table — the census of what this node
+        remembers (``repro_state_entries_<table>`` gauges).  Every table
+        is bounded by senders, peers, a window or what is in flight;
+        none grows with the number of messages delivered."""
+        journal, membership = self.journal, self.membership
+        sizes = {
+            "recent_deliveries": len(self._deliveries),
+            "store_messages": len(self.store),
+            **_coverage_sizes("store", self.store.frontiers()),
+            **_coverage_sizes("seen", self.endpoint.seen_frontiers()),
+            **_coverage_sizes("delivered", self._delivered.frontiers()),
+            **_coverage_sizes(
+                "journal",
+                journal.delivered_frontiers() if journal is not None else {},
+            ),
+            "pending": self.endpoint.pending_count,
+            "reference_slots": len(self._ref_in_use) + len(self._ref_newest),
+            "delta_tx_links": len(self._delta_tx),
+            "delta_tx_inflight": sum(
+                len(tx.inflight) for tx in self._delta_tx.values()
+            ),
+            "evicted_peers": len(self._evicted_peers),
+            "stale_warned": len(self._stale_warned),
+            "stale_senders_warned": len(self._stale_senders_warned),
+            "delta_miss_warned": len(self._delta_miss_warned),
+            "leave_noted": (
+                membership.leave_noted_count if membership is not None else 0
+            ),
+            "heal_tasks": len(self._heal_tasks),
+        }
+        for table, size in self.session.state_sizes().items():
+            sizes[f"session_{table}"] = size
+        return sizes
 
     def stats(self) -> NodeStats:
         """One coherent :class:`NodeStats` snapshot of this node."""

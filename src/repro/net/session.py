@@ -574,6 +574,20 @@ class ReliableSession:
         (:class:`repro.core.codec.CodecCounters`)."""
         return self._codec.counters
 
+    def state_sizes(self) -> Dict[str, int]:
+        """Entries held across all peers, per table (the node's
+        ``state_sizes()`` census): each is bounded by ``send_buffer``,
+        the reordering depth or the flush tick, per peer."""
+        peers = self._peers.values()
+        return {
+            "peers": len(self._peers),
+            "unacked": sum(len(state.unacked) for state in peers),
+            "out_of_order": sum(len(state.recv_out_of_order) for state in peers),
+            "nack_marks": sum(len(state.nack_last) for state in peers),
+            "outbox": sum(len(state.outbox) for state in peers),
+            "tasks": len(self._tasks),
+        }
+
     def link_states(self) -> Dict[Address, Tuple[int, int, Tuple[int, ...]]]:
         """Per-peer link-sequence state for journal snapshots.
 

@@ -350,3 +350,4 @@ class TestMetricsFlags:
         code, out = run_cli(capsys, "stats", str(path))
         assert code == 0
         assert "repro_endpoint_sent_total" in out
+        assert "repro_state_entries_recent_deliveries" in out

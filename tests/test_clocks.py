@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.clocks import (
-    DynamicVectorClock,
     EntryVectorClock,
     LamportCausalClock,
     PlausibleCausalClock,
@@ -14,7 +13,7 @@ from repro.core.clocks import (
     Timestamp,
     VectorCausalClock,
 )
-from repro.core.errors import ConfigurationError, UnknownProcessError
+from repro.core.errors import ConfigurationError
 
 
 def make_timestamp(vector, keys, seq=1):
@@ -209,35 +208,6 @@ class TestFamilyMembers:
     def test_vector_clock_index_validation(self):
         with pytest.raises(ConfigurationError):
             VectorCausalClock(3, 3)
-
-
-class TestDynamicVectorClock:
-    def test_send_and_deliver(self):
-        a = DynamicVectorClock("a")
-        b = DynamicVectorClock("b")
-        ts = a.prepare_send()
-        assert b.is_deliverable(ts, "a")
-        b.record_delivery(ts, "a")
-        assert b.snapshot()["a"] == 1
-
-    def test_unknown_processes_grow_the_map(self):
-        a = DynamicVectorClock("a")
-        b = DynamicVectorClock("b")
-        b.record_delivery(a.prepare_send(), "a")
-        ts = b.prepare_send()
-        c = DynamicVectorClock("c")
-        assert not c.is_deliverable(ts, "b")  # a's message missing
-
-    def test_sender_not_in_timestamp_rejected(self):
-        c = DynamicVectorClock("c")
-        with pytest.raises(UnknownProcessError):
-            c.is_deliverable({"a": 1}, "b")
-
-    def test_merge(self):
-        clock = DynamicVectorClock("a")
-        clock.merge({"a": 0, "b": 5})
-        clock.merge({"b": 3, "c": 1})
-        assert clock.snapshot() == {"a": 0, "b": 5, "c": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -79,19 +79,18 @@ class TestMessageCodec:
         delivered = receiver.on_receive(codec.decode(wire1))
         assert [r.message.payload for r in delivered] == ["one", "two"]
 
-    def test_fixed_and_varint_agree(self):
-        message = make_message(payload=[1, 2, 3], sends=9)
-        fixed = MessageCodec(varint_entries=False)
-        varint = MessageCodec(varint_entries=True)
-        assert fixed.decode(fixed.encode(message)).timestamp.as_tuple() == (
-            varint.decode(varint.encode(message)).timestamp.as_tuple()
-        )
+    def test_full_message_without_the_varint_flag_rejected(self):
+        # Fixed-width entries were never sent; the flag byte is outside
+        # input like any other.
+        data = bytearray(MessageCodec().encode(make_message(sends=9)))
+        data[3] &= ~0x01
+        with pytest.raises(CodecError, match="varint"):
+            MessageCodec().decode(bytes(data))
 
     def test_varint_is_smaller_for_sparse_vectors(self):
         message = make_message(r=100, keys=(0, 1, 2, 3))
-        fixed = MessageCodec(varint_entries=False)
-        varint = MessageCodec(varint_entries=True)
-        assert varint.encoded_size(message) < fixed.encoded_size(message)
+        # The whole message undercuts what uint32 slots alone would take.
+        assert len(MessageCodec().encode(message)) < 4 * 100
 
     def test_tuple_payload_roundtrips_via_json(self):
         # CRDT ops are nested tuples; JSON turns them into lists and the
@@ -193,34 +192,15 @@ class TestWireRangeGuards:
             payload=None,
         )
 
-    def test_fixed_width_overflow_raises_codec_error(self):
-        codec = MessageCodec(varint_entries=False)
-        message = self._message_with_entry(2**32)
-        with pytest.raises(CodecError, match="uint32 wire range"):
-            codec.encode(message)
-
-    def test_fixed_width_boundary_value_roundtrips(self):
-        codec = MessageCodec(varint_entries=False)
-        message = self._message_with_entry(2**32 - 1)
-        decoded = codec.decode(codec.encode(message))
-        assert int(decoded.timestamp.vector[2]) == 2**32 - 1
-
     def test_varint_mode_carries_entries_beyond_uint32(self):
-        codec = MessageCodec(varint_entries=True)
+        codec = MessageCodec()
         message = self._message_with_entry(2**40)
         decoded = codec.decode(codec.encode(message))
         assert int(decoded.timestamp.vector[2]) == 2**40
 
-    def test_negative_entry_rejected_in_both_modes(self):
-        for varint in (True, False):
-            codec = MessageCodec(varint_entries=varint)
-            message = self._message_with_entry(-1)
-            with pytest.raises(CodecError, match="negative"):
-                codec.encode(message)
-
-    def test_negative_entry_is_a_codec_error_when_sizing_too(self):
+    def test_negative_entry_rejected(self):
         with pytest.raises(CodecError, match="negative"):
-            MessageCodec().encoded_size(self._message_with_entry(-1))
+            MessageCodec().encode(self._message_with_entry(-1))
 
     def test_sender_key_beyond_uint32_rejected(self):
         codec = MessageCodec()
@@ -310,31 +290,16 @@ class TestBulkVectorCoding:
         else:
             assert bulk_decode(data, offset, count) == expected
 
-    @pytest.mark.parametrize("varint", [True, False])
-    @given(entries=st.lists(
-        st.one_of(st.sampled_from([b for b in BOUNDARIES if b < 2**32]),
-                  st.integers(0, 2**32 - 1)),
-        min_size=1, max_size=48,
-    ))
+    @given(entries=st.lists(entry_values, min_size=1, max_size=48))
     @settings(max_examples=150, deadline=None)
-    def test_message_roundtrip_and_size(self, varint, entries):
-        codec = MessageCodec(varint_entries=varint)
-        message = message_with_vector(entries)
-        data = codec.encode(message)
-        assert codec.encoded_size(message) == len(data)
+    def test_message_roundtrip(self, entries):
+        codec = MessageCodec()
+        data = codec.encode(message_with_vector(entries))
         decoded = codec.decode(data)
         assert decoded.timestamp.vector.dtype == np.int64
         assert not decoded.timestamp.vector.flags.writeable
         assert decoded.timestamp.vector.tolist() == entries
-        if varint:
-            assert scalar_encode(entries) in data
-
-    @given(entries=st.lists(entry_values, min_size=1, max_size=48))
-    @settings(max_examples=150, deadline=None)
-    def test_encoded_size_holds_across_the_boundaries(self, entries):
-        codec = MessageCodec()
-        message = message_with_vector(entries)
-        assert codec.encoded_size(message) == len(codec.encode(message))
+        assert scalar_encode(entries) in data
 
     def _vector_region(self, codec, message):
         """``(data, start, end)`` of the varint block in an encoding."""
@@ -375,10 +340,6 @@ class TestBulkVectorCoding:
         assert expected == ("error", "truncated varint")
         with pytest.raises(CodecError, match="truncated varint"):
             codec.decode(short)
-        fixed = MessageCodec(varint_entries=False)
-        fixed_data = fixed.encode(message)
-        with pytest.raises(CodecError, match="truncated"):
-            fixed.decode(fixed_data[:-8])
 
     def test_entry_beyond_int64_is_a_codec_error(self):
         codec = MessageCodec()

@@ -170,6 +170,13 @@ class TestNodeStatsSurface:
                 assert counters["repro_wire_datagrams_received_total"] > 0
                 assert counters["repro_journal_appends_total"] > 0
                 assert "repro_pending_depth" in stats.snapshot["gauges"]
+                # The per-table census rides the same pull collector.
+                sizes = bob.state_sizes()
+                assert sizes["recent_deliveries"] == 3
+                assert sizes["journal_senders"] == 1
+                for table, size in sizes.items():
+                    gauge = stats.snapshot["gauges"][f"repro_state_entries_{table}"]
+                    assert gauge == size, table
                 hist = stats.snapshot["histograms"]["repro_delivery_wait_seconds"]
                 assert hist["count"] == 3
                 rtt = stats.snapshot["histograms"]["repro_wire_rtt_seconds"]

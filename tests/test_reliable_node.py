@@ -224,6 +224,36 @@ class TestMessageStore:
         assert store.stats.unservable_requests == 2
 
 
+    def test_purged_sender_leaves_the_digest_and_may_start_over(self):
+        store = MessageStore()
+        for seq in (1, 2, 4):
+            store.add("p", seq, bytes([seq]))
+        store.add("q", 1, b"q1")
+        assert store.purge_sender("p") == 3
+        assert store.frontiers() == {"q": (1, ())}
+        assert not store.knows("p", 1) and len(store) == 1
+        assert store.add("p", 1, b"again")
+        assert store.frontiers() == {"q": (1, ()), "p": (1, ())}
+        assert list(store.missing_for({})) == [b"q1", b"again"]
+
+    def test_restored_frontiers_are_known_but_marked_evicted(self):
+        store = MessageStore()
+        store.restore_frontiers({"p": (5, (8,)), "q": (2, ())})
+        assert store.frontiers() == {"p": (5, (8,)), "q": (2, ())}
+        assert store.knows("p", 8) and not store.knows("p", 6)
+        assert len(store) == 0 and not store.add("p", 3, b"dup")
+        # A digest reaching into the recovered range cannot be served.
+        assert list(store.missing_for({"p": (7, ())})) == []
+        assert store.stats.unservable_requests == 1
+        list(store.missing_for({"p": (8, ()), "q": (2, ())}))
+        assert store.stats.unservable_requests == 1
+        # Own WAL-journalled bytes can be re-stocked inside the range.
+        store.restore_message("q", 2, b"q2")
+        assert list(store.missing_for({"p": (8, ())})) == [b"q2"]
+        with pytest.raises(ConfigurationError):
+            store.restore_frontiers({"r": (1, ())})
+
+
 class TestNodeSurface:
     def test_stats_and_store_exposed(self):
         async def scenario():

@@ -73,6 +73,19 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             f.add(("a", 0))
 
+    def test_forget_drops_one_senders_watermark_and_tail(self):
+        f = SeenFilter()
+        for message_id in [("a", 1), ("a", 2), ("a", 5), ("b", 1), ("b", 3)]:
+            f.add(message_id)
+        f.forget("a")
+        assert f.frontiers() == {"b": (1, (3,))}
+        assert f.sender_count == 1 and f.tail_size == 1
+        assert ("a", 1) not in f and ("a", 5) not in f
+        # The sender starts over from seq 1.
+        assert f.add(("a", 1))
+        assert f.watermark("a") == 1
+        f.forget("never-seen")  # a no-op, not an error
+
 
 class TestFrontiers:
     def test_frontier_shape(self):
@@ -111,11 +124,34 @@ class TestFrontiers:
         with pytest.raises(ConfigurationError):
             f.restore({"a": (-1, ())})
 
+    def test_rejected_restore_adopts_nothing(self):
+        f = SeenFilter()
+        with pytest.raises(ConfigurationError):
+            f.restore({"a": (4, (6,)), "b": (3, (2,))})
+        assert f.frontiers() == {} and ("a", 1) not in f
+
+    def test_restore_compacts_a_tail_touching_the_watermark(self):
+        f = SeenFilter()
+        f.restore({"a": (2, (3, 4, 6))})
+        assert f.frontiers() == {"a": (4, (6,))}
+
+    def test_senders_reported_in_first_seen_order(self):
+        # Journal snapshots write this dict as is: the order is part of
+        # their byte-for-byte format.
+        f = SeenFilter()
+        for message_id in [("z", 2), ("m", 1), ("a", 1), ("z", 1)]:
+            f.add(message_id)
+        assert list(f.frontiers()) == ["z", "m", "a"]
+        g = SeenFilter()
+        g.restore(f.frontiers())
+        assert list(g.frontiers()) == ["z", "m", "a"]
+
 
 @settings(max_examples=200, deadline=None)
 @given(
     seqs=st.lists(
-        st.tuples(st.sampled_from("abc"), st.integers(1, 40)),
+        # seq 0 stands for "forget this sender".
+        st.tuples(st.sampled_from("abc"), st.integers(0, 40)),
         min_size=0,
         max_size=120,
     )
@@ -125,6 +161,11 @@ def test_matches_reference_set(seqs):
     f = SeenFilter()
     reference = set()
     for message_id in seqs:
+        sender, seq = message_id
+        if seq == 0:
+            f.forget(sender)
+            reference = {known for known in reference if known[0] != sender}
+            continue
         assert f.add(message_id) == (message_id not in reference)
         reference.add(message_id)
         assert message_id in f

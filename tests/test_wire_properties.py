@@ -1,10 +1,7 @@
 """Property tests for the wire formats (messages, deltas, frames).
 
-Three families of invariants, hypothesis-driven:
+Two families of invariants, hypothesis-driven:
 
-* ``encoded_size(m) == len(encode(m))`` — the analytic size used for
-  MTU budgeting must agree with the real encoding, for both the varint
-  and fixed-width entry modes;
 * every frame type (DATA/ACK/NACK/DIGEST/HEARTBEAT/BATCH) round-trips
   ``encode -> decode -> encode`` byte-identically — the retransmit
   path stores encoded frames, so a re-encode that drifted by one byte
@@ -42,7 +39,8 @@ SENDERS = st.text(min_size=1, max_size=12)
 SEQS = st.integers(min_value=1, max_value=2**48)
 
 
-def message_from(draw, entry_max=2**40):
+@st.composite
+def messages(draw):
     r = draw(st.integers(min_value=1, max_value=64))
     key_count = draw(st.integers(min_value=1, max_value=min(4, r)))
     keys = tuple(
@@ -58,7 +56,7 @@ def message_from(draw, entry_max=2**40):
         )
     )
     entries = draw(
-        st.lists(st.integers(0, entry_max), min_size=r, max_size=r)
+        st.lists(st.integers(0, 2**40), min_size=r, max_size=r)
     )
     vector = np.asarray(entries, dtype=np.int64)
     vector.flags.writeable = False
@@ -76,17 +74,6 @@ def message_from(draw, entry_max=2**40):
         timestamp=Timestamp(vector=vector, sender_keys=keys, seq=seq),
         payload=payload,
     )
-
-
-@st.composite
-def messages(draw):
-    return message_from(draw)
-
-
-@st.composite
-def small_entry_messages(draw):
-    # Fixed-width entries must fit u32.
-    return message_from(draw, entry_max=2**32 - 1)
 
 
 @st.composite
@@ -145,20 +132,6 @@ def frames(draw):
 # ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
-
-
-class TestEncodedSize:
-    @settings(max_examples=150, deadline=None)
-    @given(messages())
-    def test_varint_mode_matches_real_encoding(self, message):
-        codec = MessageCodec()
-        assert codec.encoded_size(message) == len(codec.encode(message))
-
-    @settings(max_examples=150, deadline=None)
-    @given(small_entry_messages())
-    def test_fixed_mode_matches_real_encoding(self, message):
-        codec = MessageCodec(varint_entries=False)
-        assert codec.encoded_size(message) == len(codec.encode(message))
 
 
 class TestMessageRoundTrip:
