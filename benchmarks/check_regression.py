@@ -1,4 +1,4 @@
-"""Perf regression gate for the pending buffer, the I/O loop and the overlay.
+"""Perf regression gate for the pending buffer and the overlay.
 
 Compares a fresh ``bench_hotpath.py`` run against the committed
 ``BENCH_hotpath.json`` baseline and fails (exit 1) when the indexed
@@ -13,13 +13,6 @@ allocation, a lost fast path, index bookkeeping creep) lowers the ratio
 wherever it runs.  ``--absolute`` additionally gates raw deliveries/sec
 for same-machine comparisons.
 
-``--ioloop-fresh`` gates a fresh ``bench_ioloop.py`` run against the
-committed ``BENCH_ioloop.json``: the batched transport's
-datagrams-per-wakeup (a within-run counter ratio — the legacy endpoint
-is definitionally 1.0/wakeup) must not fall more than ``--max-drop``
-below the baseline, and the flood headline must hold the ISSUE floor
-(>= 2x datagrams/wakeup, or >= 1.3x end-to-end throughput).
-
 ``--overlay-fresh`` gates a fresh ``bench_overlay.py`` run against the
 committed ``BENCH_overlay.json``: the overlay's max per-node
 datagrams/msg must stay flat (within 1.5x per doubling of N) while the
@@ -30,9 +23,9 @@ must not exceed the baseline by more than ``--max-drop``.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py --quick --output /tmp/fresh.json
-    PYTHONPATH=src python benchmarks/bench_ioloop.py --quick --output /tmp/ioloop.json
+    PYTHONPATH=src python benchmarks/bench_overlay.py --quick --output /tmp/overlay.json
     python benchmarks/check_regression.py --fresh /tmp/fresh.json \
-        --ioloop-fresh /tmp/ioloop.json
+        --overlay-fresh /tmp/overlay.json
 """
 
 from __future__ import annotations
@@ -45,20 +38,12 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_hotpath.json"
-DEFAULT_IOLOOP_BASELINE = REPO_ROOT / "BENCH_ioloop.json"
 DEFAULT_OVERLAY_BASELINE = REPO_ROOT / "BENCH_overlay.json"
 
 # Scenarios whose baseline speedup is below this are dominated by
 # fixed overheads, not the indexed drain; their ratio is noise-bound
 # and only sanity-checked loosely (2x the tolerance).
 GATE_SPEEDUP_FLOOR = 1.5
-
-# The ISSUE acceptance floor for the batched I/O loop on the flood
-# headline: >= 2x datagrams per wakeup, or failing that >= 1.3x
-# end-to-end throughput over the per-datagram endpoint.
-IOLOOP_HEADLINE = "flood_r100_k2"
-IOLOOP_WAKEUP_FLOOR = 2.0
-IOLOOP_THROUGHPUT_FLOOR = 1.3
 
 # The overlay ISSUE acceptance: as N doubles at fixed fanout, the
 # overlay's max per-node datagrams/msg stays within this factor per
@@ -94,14 +79,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--absolute", action="store_true",
         help="also gate raw deliveries/sec (same-machine runs only)",
-    )
-    parser.add_argument(
-        "--ioloop-baseline", type=pathlib.Path, default=DEFAULT_IOLOOP_BASELINE,
-        help=f"committed ioloop baseline JSON (default {DEFAULT_IOLOOP_BASELINE})",
-    )
-    parser.add_argument(
-        "--ioloop-fresh", type=pathlib.Path, default=None,
-        help="freshly produced bench_ioloop.py output (enables the ioloop gate)",
     )
     parser.add_argument(
         "--overlay-baseline", type=pathlib.Path, default=DEFAULT_OVERLAY_BASELINE,
@@ -155,54 +132,6 @@ def main(argv=None) -> int:
                 )
 
     checked = len(shared)
-    if args.ioloop_fresh is not None:
-        ioloop_baseline = {
-            s["name"]: s for s in load(args.ioloop_baseline)["scenarios"]
-        }
-        ioloop_fresh = {s["name"]: s for s in load(args.ioloop_fresh)["scenarios"]}
-        ioloop_shared = [n for n in ioloop_fresh if n in ioloop_baseline]
-        if not ioloop_shared:
-            sys.exit(
-                "error: no ioloop scenarios in common between baseline and fresh run"
-            )
-        for name in ioloop_shared:
-            # The coalesced scenario barely floods (BATCH frames soak
-            # up the datagram count), so its per-wakeup ratio hovers
-            # near 1 and is noise-bound; only the flood headline gets
-            # the tight tolerance.
-            tolerance = args.max_drop
-            if name != IOLOOP_HEADLINE:
-                tolerance = min(0.95, 2 * args.max_drop)
-            base = ioloop_baseline[name]["datagrams_per_wakeup"]
-            got = ioloop_fresh[name]["datagrams_per_wakeup"]
-            floor = base * (1 - tolerance)
-            if name == IOLOOP_HEADLINE:
-                floor = max(floor, IOLOOP_WAKEUP_FLOOR)
-            ok = got >= floor
-            if name == IOLOOP_HEADLINE and not ok:
-                # The ISSUE floor is an either/or: a flood where the
-                # receiver keeps pace datagram-for-datagram can still
-                # pass on raw end-to-end throughput.
-                throughput = ioloop_fresh[name]["throughput_ratio"]
-                ok = throughput >= IOLOOP_THROUGHPUT_FLOOR
-                if ok:
-                    print(
-                        f"{name:28s} datagrams/wakeup {got:.2f} below "
-                        f"{floor:.2f}, rescued by throughput "
-                        f"{throughput:.2f}x >= {IOLOOP_THROUGHPUT_FLOOR}x"
-                    )
-            verdict = "ok" if ok else "REGRESSED"
-            print(
-                f"{name:28s} datagrams/wakeup {base:6.2f} -> {got:6.2f} "
-                f"(floor {floor:.2f})  {verdict}"
-            )
-            if not ok:
-                failures.append(
-                    f"{name}: datagrams/wakeup {got:.2f} fell below "
-                    f"{floor:.2f} ({base:.2f} baseline)"
-                )
-        checked += len(ioloop_shared)
-
     if args.overlay_fresh is not None:
         overlay_fresh = load(args.overlay_fresh)
         overlay_baseline = {
@@ -252,7 +181,7 @@ def main(argv=None) -> int:
         # by the linear-floor check above.  A --quick fresh run against a
         # full baseline amortizes the per-run digest overhead over fewer
         # messages, so mismatched run lengths get the loose tolerance
-        # (the ioloop gate's convention for noise-bound comparisons).
+        # (the hot-path gate's convention for noise-bound comparisons).
         overlay_tolerance = args.max_drop
         baseline_meta = load(args.overlay_baseline).get("meta", {})
         if overlay_fresh.get("meta", {}).get("quick") != baseline_meta.get("quick"):

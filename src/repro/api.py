@@ -107,17 +107,12 @@ class NodeConfig:
         max_retries: retransmissions before a frame is left to anti-entropy.
         send_buffer: per-peer unacked-frame bound (backpressure beyond it).
         coalesce_mtu: per-datagram budget for frame coalescing — queued
-            frames flush as one BATCH datagram when they fill it; 0
-            disables coalescing (one datagram per frame).
+            frames flush as one BATCH datagram when they fill it.
         flush_interval: how long a queued frame may wait for company
             before its batch flushes anyway (seconds).
         ack_delay: delayed-ack window — received data is acknowledged
             once per window with one cumulative ACK, piggybacked onto
-            outgoing batches when traffic is bidirectional; 0 restores
-            ack-per-frame.
-        wire_delta: delta-encode broadcast timestamps per link (only the
-            entries changed since the last acked full-encoded message
-            travel); False always sends the full vector.
+            outgoing batches when traffic is bidirectional.
         anti_entropy_interval: seconds between digest rounds (0 disables).
         store_limit: bound on the recent-messages store serving anti-entropy.
         max_pending: optional safety bound on the endpoint's pending queue.
@@ -220,7 +215,6 @@ class NodeConfig:
     coalesce_mtu: int = 1400
     flush_interval: float = 0.001
     ack_delay: float = 0.005
-    wire_delta: bool = True
     anti_entropy_interval: float = 0.5
     store_limit: int = 8192
     max_pending: Optional[int] = None
@@ -533,10 +527,10 @@ async def create_node(
             if config.dissemination == "overlay"
             else None
         ),
-        # Delta wire encoding reconstructs sender keys from a static
-        # per-sender table; schemes that draw keys per message (bloom)
-        # cannot use it, whatever the config says.
-        wire_delta=config.wire_delta and not spec.per_message_keys,
+        # A delta carries no keys (the receiver takes them from the
+        # full it names), so schemes that draw keys per message (bloom)
+        # always send the full encoding.
+        wire_delta=not spec.per_message_keys,
         metrics_path=config.metrics_path,
         metrics_interval=config.metrics_interval,
         metrics_port=config.metrics_port,

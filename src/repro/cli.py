@@ -194,18 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     node.add_argument(
         "--coalesce-mtu", type=int, default=1400, metavar="BYTES",
-        help="datagram budget for frame coalescing (0 sends every frame "
-             "in its own datagram)",
+        help="datagram budget for frame coalescing",
     )
     node.add_argument(
         "--ack-delay", type=float, default=0.005, metavar="SECONDS",
-        help="how long to hold a cumulative ACK hoping to piggyback it "
-             "(0 acks every data frame immediately)",
-    )
-    node.add_argument(
-        "--no-wire-delta", action="store_true",
-        help="always send full timestamp encodings (disable the "
-             "delta-compressed wire path)",
+        help="how long to hold a cumulative ACK hoping to piggyback it",
     )
     node.add_argument(
         "--rx-batch", type=int, default=32, metavar="N",
@@ -462,7 +455,6 @@ def _command_node(args: argparse.Namespace) -> int:
         adaptive_k_max=args.adaptive_k_max,
         coalesce_mtu=args.coalesce_mtu,
         ack_delay=args.ack_delay,
-        wire_delta=not args.no_wire_delta,
         rx_batch=args.rx_batch,
         tx_batch=args.tx_batch,
         dissemination=args.dissemination,

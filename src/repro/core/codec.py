@@ -7,7 +7,7 @@ this module defines a compact, versioned binary encoding used by the
 Layout (little-endian)::
 
     magic   2B  b"PC"
-    version 1B  (currently 2)
+    version 1B  (currently 3)
     flags   1B  bit0: entries are LEB128 varints (always set)
                 bit1: DELTA encoding (see below)
     scheme  1B  clock-scheme id (repro.core.registry allocation): the
@@ -16,9 +16,11 @@ Layout (little-endian)::
                 timestamps of different families — which share the
                 vector shape but not the delivery semantics — fail
                 loudly instead of being silently mis-applied.
+    epoch   1B  low 8 bits of the sender's clock-sizing epoch (a
+                mismatch is tallied, never an error)
     sender  u16 length + UTF-8 bytes
-    seq     u64
-    K       u16, then K x u32 sender keys
+    seq     u64 (>= 1)
+    K       u16, then K x u32 sender keys (each < R)
     R       u32, then R varint entries
     payload u32 length + bytes
 
@@ -58,22 +60,9 @@ piggybacked cumulative ACK).  Frames use a distinct magic (``b"PF"``)
 so a receiver can dispatch between raw messages and session frames on
 the first two bytes.
 
-**Zero-copy decode.**  Every decode entry point accepts any buffer —
-``bytes``, ``bytearray`` or ``memoryview`` — and avoids copying where
-the result is only *read*: a decoded :class:`DataFrame` payload and the
-inner elements of a :class:`BatchFrame` are lazy slices of the input
-buffer (for a ``memoryview`` input, sub-views that share its memory).
-Small human-readable fields (sender ids, addresses) and application
-payloads always materialise to owned ``bytes``/objects, so nothing a
-:class:`~repro.core.protocol.Message` holds aliases the input buffer.
-
-The lifetime rule is the receive callback's: a transport that recycles
-receive buffers (``BatchedUdpTransport``) only guarantees a view until
-the callback returns.  Any encoded datagram that must outlive the
-callback — e.g. the full encodings the node journals and re-serves for
-anti-entropy — must pass through :func:`retain`, which copies a view
-into owned bytes (and is a no-op for ``bytes`` input).  DESIGN.md §7
-documents the ownership contract end to end.
+Decoding takes owned ``bytes`` (what every transport delivers) and
+turns anything malformed — truncation, an id that is not UTF-8, a
+sequence number or sender key out of range — into :class:`CodecError`.
 """
 
 from __future__ import annotations
@@ -91,10 +80,8 @@ from repro.core.protocol import Message
 from repro.core.registry import scheme_id_of, scheme_name_of
 
 __all__ = [
-    "Buffer",
     "CodecError",
     "CodecCounters",
-    "retain",
     "PayloadCodec",
     "JsonPayloadCodec",
     "RawBytesPayloadCodec",
@@ -125,73 +112,40 @@ _FLAG_DELTA = 0x02
 _MAX_U32 = 0xFFFFFFFF
 _HEADER_SIZE = 6  # magic + version + flags + scheme + epoch
 
-#: Anything the decode paths accept: owned bytes or a borrowed view.
-Buffer = Union[bytes, bytearray, memoryview]
-
 
 class CodecError(ReproError):
     """Raised on malformed wire data or unencodable payloads."""
 
 
 class CodecCounters:
-    """Allocation/copy tallies for the zero-copy decode path.
+    """Decode tallies of one codec instance.
 
     Plain slotted integers bumped inline (no obs dependency — the node
     syncs them into :mod:`repro.obs` counters through a pull collector,
-    so the hot path never touches the registry).  ``*_views`` count
-    decoded results that alias the input buffer (no copy);
-    ``retained_bytes`` counts what :func:`retain` had to materialise at
-    the journal boundary.
+    so the hot path never touches the registry).  ``retained_bytes`` is
+    bumped by the node's intake, not here: the bytes of full encodings
+    its store took from the wire.
     """
 
     __slots__ = (
         "frames_decoded",
-        "batch_inner_views",
-        "data_payload_views",
         "messages_decoded",
         "deltas_decoded",
         "epoch_mismatches",
         "payload_bytes_in",
-        "retain_copies",
-        "retain_noops",
         "retained_bytes",
     )
 
     def __init__(self) -> None:
         self.frames_decoded = 0
-        self.batch_inner_views = 0
-        self.data_payload_views = 0
         self.messages_decoded = 0
         self.deltas_decoded = 0
         self.epoch_mismatches = 0
         self.payload_bytes_in = 0
-        self.retain_copies = 0
-        self.retain_noops = 0
         self.retained_bytes = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
-
-
-def retain(data: Buffer, counters: Optional[CodecCounters] = None) -> bytes:
-    """Copy a borrowed view into owned bytes; identity for ``bytes``.
-
-    The journal-boundary rule: receive-path views are only valid until
-    the transport callback returns (the buffer ring is recycled), so any
-    datagram stored past the callback — the node's message store, the
-    WAL, retransmit queues — must be retained first.  ``bytes`` input is
-    returned as-is (CPython ``bytes(b)`` is the same object), so the
-    legacy copying transports pay nothing.
-    """
-    if type(data) is bytes:
-        if counters is not None:
-            counters.retain_noops += 1
-        return data
-    owned = bytes(data)
-    if counters is not None:
-        counters.retain_copies += 1
-        counters.retained_bytes += len(owned)
-    return owned
 
 
 def encode_varint(value: int) -> bytes:
@@ -209,7 +163,7 @@ def encode_varint(value: int) -> bytes:
             return bytes(out)
 
 
-def decode_varint(data: Buffer, offset: int) -> Tuple[int, int]:
+def decode_varint(data: bytes, offset: int) -> Tuple[int, int]:
     """Decode a LEB128 varint at ``offset``; returns (value, new_offset)."""
     result = 0
     shift = 0
@@ -257,7 +211,7 @@ def _encode_varints(values: List[int]) -> bytes:
     return bytes(out)
 
 
-def _decode_varints(data: Buffer, offset: int, count: int) -> Tuple[np.ndarray, int]:
+def _decode_varints(data: bytes, offset: int, count: int) -> Tuple[np.ndarray, int]:
     """Decode ``count`` consecutive LEB128 varints starting at ``offset``.
 
     Returns ``(int64 vector, new_offset)`` — entry for entry what
@@ -265,7 +219,7 @@ def _decode_varints(data: Buffer, offset: int, count: int) -> Tuple[np.ndarray, 
     :class:`CodecError` for a truncated or over-long varint (an entry
     beyond int64, which the clock cannot hold, is rejected too).
     """
-    chunk = bytes(data[offset : offset + count * _MAX_VARINT_BYTES])
+    chunk = data[offset : offset + count * _MAX_VARINT_BYTES]
     head = chunk[:count]
     if len(head) == count and max(head, default=0) < 0x80:
         # Every entry is its own byte.
@@ -300,9 +254,7 @@ class PayloadCodec:
     def encode(self, payload: Any) -> bytes:
         raise NotImplementedError
 
-    def decode(self, data: Buffer) -> Any:
-        """Decode a payload.  ``data`` may be a borrowed view; the result
-        must not alias it (payloads materialise at delivery)."""
+    def decode(self, data: bytes) -> Any:
         raise NotImplementedError
 
 
@@ -322,11 +274,11 @@ class JsonPayloadCodec(PayloadCodec):
         except (TypeError, ValueError) as exc:
             raise CodecError(f"payload is not JSON-encodable: {exc}") from exc
 
-    def decode(self, data: Buffer) -> Any:
+    def decode(self, data: bytes) -> Any:
         if not len(data):
             return None
         try:
-            return _tuplify(json.loads(bytes(data).decode("utf-8")))
+            return _tuplify(json.loads(data.decode("utf-8")))
         except (ValueError, UnicodeDecodeError) as exc:
             raise CodecError(f"malformed JSON payload: {exc}") from exc
 
@@ -349,10 +301,8 @@ class RawBytesPayloadCodec(PayloadCodec):
             raise CodecError(f"raw codec needs bytes, got {type(payload).__name__}")
         return bytes(payload)
 
-    def decode(self, data: Buffer) -> Any:
-        # Materialise: raw payloads are handed to the application, which
-        # must never see a view into a recycled receive buffer.
-        return bytes(data)
+    def decode(self, data: bytes) -> Any:
+        return data
 
 
 class MessageCodec:
@@ -401,7 +351,7 @@ class MessageCodec:
         self._epoch = int(value)
 
     @staticmethod
-    def peek_scheme(data: Buffer) -> Optional[str]:
+    def peek_scheme(data: bytes) -> Optional[str]:
         """The clock scheme of an encoded message, without decoding it.
 
         Returns the registered scheme name, or ``None`` when the id byte
@@ -410,18 +360,6 @@ class MessageCodec:
         if len(data) < _HEADER_SIZE or data[:2] != _MAGIC:
             raise CodecError("bad magic")
         return scheme_name_of(data[4])
-
-    @staticmethod
-    def peek_epoch(data: Buffer) -> int:
-        """The epoch id byte of an encoded message, without decoding it.
-
-        The wire carries the low 8 bits of the group epoch; with at most
-        one renegotiation in flight the receiver disambiguates against
-        its own epoch (equal mod 256 ⇒ same epoch in practice).
-        """
-        if len(data) < _HEADER_SIZE or data[:2] != _MAGIC:
-            raise CodecError("bad magic")
-        return data[5]
 
     def _check_scheme(self, scheme_id: int) -> None:
         if scheme_id != self._scheme_id:
@@ -468,7 +406,7 @@ class MessageCodec:
     def encode(self, message: Message) -> bytes:
         return self._encode(message, None)
 
-    def _encode(self, message: Message, payload_bytes: Optional[Buffer]) -> bytes:
+    def _encode(self, message: Message, payload_bytes: Optional[bytes]) -> bytes:
         """The full encoding; ``payload_bytes`` is the payload's wire form
         when the caller already holds it (``None``: serialise it here)."""
         timestamp = message.timestamp
@@ -481,7 +419,7 @@ class MessageCodec:
         parts.append(payload_bytes)
         return b"".join(parts)
 
-    def decode(self, data: Buffer) -> Message:
+    def decode(self, data: bytes) -> Message:
         if len(data) < _HEADER_SIZE or data[:2] != _MAGIC:
             raise CodecError("bad magic")
         version, flags, scheme_id, epoch = struct.unpack_from("<BBBB", data, 2)
@@ -505,16 +443,22 @@ class MessageCodec:
             offset += 2
             if len(data) < offset + sender_len:
                 raise CodecError("truncated sender")
-            sender = bytes(data[offset : offset + sender_len]).decode("utf-8")
+            sender = data[offset : offset + sender_len].decode("utf-8")
             offset += sender_len
             (seq,) = struct.unpack_from("<Q", data, offset)
             offset += 8
+            if seq < 1:
+                raise CodecError("message seq 0: sequence numbers start at 1")
             (key_count,) = struct.unpack_from("<H", data, offset)
             offset += 2
             keys = struct.unpack_from(f"<{key_count}I", data, offset)
             offset += 4 * key_count
             (r,) = struct.unpack_from("<I", data, offset)
             offset += 4
+            if keys and max(keys) >= r:
+                raise CodecError(
+                    f"sender key {max(keys)} outside the {r}-entry vector"
+                )
             vector, offset = _decode_varints(data, offset, r)
             (payload_len,) = struct.unpack_from("<I", data, offset)
             offset += 4
@@ -524,6 +468,8 @@ class MessageCodec:
             offset += payload_len
         except struct.error as exc:
             raise CodecError(f"truncated message: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"sender id is not UTF-8: {exc}") from exc
 
         counters = self.counters
         counters.messages_decoded += 1
@@ -537,7 +483,7 @@ class MessageCodec:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def is_delta(data: Buffer) -> bool:
+    def is_delta(data: bytes) -> bool:
         """True when ``data`` is a delta-encoded message datagram."""
         return (
             len(data) >= _HEADER_SIZE
@@ -617,7 +563,7 @@ class MessageCodec:
         parts.append(payload_bytes)
         return b"".join(parts)
 
-    def delta_header(self, data: Buffer) -> Tuple[str, int, int]:
+    def delta_header(self, data: bytes) -> Tuple[str, int, int]:
         """Peek ``(sender, seq, ref_seq)`` of a delta datagram without
         decoding it (the caller resolves the reference first)."""
         sender, seq, offset = self._decode_delta_prefix(data)
@@ -626,7 +572,7 @@ class MessageCodec:
             raise CodecError(f"delta reference gap {gap} outside (0, seq]")
         return sender, seq, seq - gap
 
-    def _decode_delta_prefix(self, data: Buffer) -> Tuple[str, int, int]:
+    def _decode_delta_prefix(self, data: bytes) -> Tuple[str, int, int]:
         """Parse a delta's magic/version/flags/sender/varint-seq; returns
         ``(sender, seq, offset_of_ref_gap)``.  Deltas diverge from the
         full encoding right after the sender field: seq is a varint."""
@@ -648,14 +594,17 @@ class MessageCodec:
         offset += 2
         if len(data) < offset + sender_len:
             raise CodecError("truncated sender")
-        sender = bytes(data[offset : offset + sender_len]).decode("utf-8")
+        try:
+            sender = data[offset : offset + sender_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"sender id is not UTF-8: {exc}") from exc
         offset += sender_len
         seq, offset = decode_varint(data, offset)
         return sender, seq, offset
 
     def decode_delta(
         self,
-        data: Buffer,
+        data: bytes,
         ref_vector: np.ndarray,
         sender_keys: Tuple[int, ...],
     ) -> Tuple[Message, bytes]:
@@ -804,16 +753,14 @@ class BatchFrame:
         frames: the *encoded* inner frames (each a complete ``PF`` frame;
             nesting a BATCH inside a BATCH is rejected on both ends).
             Kept as opaque bytes so a batch round-trips byte-identically
-            and the flush path never re-encodes.  When decoded from a
-            ``memoryview`` these are zero-copy sub-views of the input
-            datagram — valid only for the lifetime of that buffer.
+            and the flush path never re-encodes.
         ack: optional piggybacked cumulative+selective acknowledgement —
             the delayed-ack path folds it into an outgoing batch so
             bidirectional steady-state traffic needs no standalone ACK
             datagrams.
     """
 
-    frames: Tuple[Buffer, ...]
+    frames: Tuple[bytes, ...]
     ack: Optional[AckFrame] = None
 
 
@@ -916,15 +863,14 @@ class RelayFrame:
             and carried as a plain f64 diagnostic otherwise.
         sample: piggybacked partial-view sample — the lpbcast-style
             membership gossip receivers probabilistically merge.
-        payload: the encoded message (zero-copy sub-view when decoded
-            from a borrowed buffer; same lifetime rule as DATA).
+        payload: the encoded message.
     """
 
     origin: str
     seq: int
     hops: int
     sample: Tuple[MemberRecord, ...] = ()
-    payload: Buffer = b""
+    payload: bytes = b""
     sent_at: float = 0.0
 
 
@@ -955,7 +901,7 @@ def _encode_ascending(values: Tuple[int, ...], base: int) -> bytes:
     return b"".join(parts)
 
 
-def _decode_ascending(data: Buffer, offset: int, base: int) -> Tuple[Tuple[int, ...], int]:
+def _decode_ascending(data: bytes, offset: int, base: int) -> Tuple[Tuple[int, ...], int]:
     (count,) = struct.unpack_from("<H", data, offset)
     offset += 2
     values = []
@@ -975,13 +921,12 @@ def _encode_short_bytes(raw: bytes) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-def _decode_short_bytes(data: Buffer, offset: int) -> Tuple[bytes, int]:
+def _decode_short_bytes(data: bytes, offset: int) -> Tuple[bytes, int]:
     (length,) = struct.unpack_from("<H", data, offset)
     offset += 2
     if len(data) < offset + length:
         raise CodecError("truncated length-prefixed field")
-    # Always owned: callers keep these (ids, addresses) past the callback.
-    return bytes(data[offset : offset + length]), offset + length
+    return data[offset : offset + length], offset + length
 
 
 def _encode_address(address: Any) -> bytes:
@@ -992,7 +937,7 @@ def _encode_address(address: Any) -> bytes:
     return _encode_short_bytes(raw)
 
 
-def _decode_address(data: Buffer, offset: int) -> Tuple[Any, int]:
+def _decode_address(data: bytes, offset: int) -> Tuple[Any, int]:
     raw, offset = _decode_short_bytes(data, offset)
     try:
         return _tuplify(json.loads(raw.decode("utf-8"))), offset
@@ -1010,7 +955,7 @@ def _encode_member(member: MemberRecord) -> bytes:
     )
 
 
-def _decode_member(data: Buffer, offset: int) -> Tuple[MemberRecord, int]:
+def _decode_member(data: bytes, offset: int) -> Tuple[MemberRecord, int]:
     node_raw, offset = _decode_short_bytes(data, offset)
     address, offset = _decode_address(data, offset)
     keys, offset = _decode_ascending(data, offset, -1)
@@ -1026,7 +971,7 @@ def _encode_members(members: Tuple[MemberRecord, ...]) -> bytes:
     return b"".join(parts)
 
 
-def _decode_members(data: Buffer, offset: int) -> Tuple[Tuple[MemberRecord, ...], int]:
+def _decode_members(data: bytes, offset: int) -> Tuple[Tuple[MemberRecord, ...], int]:
     (count,) = struct.unpack_from("<H", data, offset)
     offset += 2
     members = []
@@ -1049,7 +994,7 @@ def _encode_frontiers(frontiers: Dict[str, Tuple[int, Tuple[int, ...]]]) -> byte
 
 
 def _decode_frontiers(
-    data: Buffer, offset: int
+    data: bytes, offset: int
 ) -> Tuple[Dict[str, Tuple[int, Tuple[int, ...]]], int]:
     (count,) = struct.unpack_from("<H", data, offset)
     offset += 2
@@ -1068,23 +1013,20 @@ class FrameCodec:
 
     Symmetric; all frames start with ``b"PF"`` + version + type byte,
     which keeps them distinguishable from message datagrams (``b"PC"``)
-    at the first two bytes — see :func:`FrameCodec.is_frame`.  Decoding
-    accepts any :data:`Buffer`; DATA payloads and BATCH inner frames
-    come back as zero-copy slices of the input (see the module
-    docstring for the lifetime rule).  The only per-instance state is
-    :attr:`counters`, the allocation/copy tallies.
+    at the first two bytes — see :func:`FrameCodec.is_frame`.  The only
+    per-instance state is :attr:`counters`, the decode tallies.
     """
 
     def __init__(self) -> None:
         self.counters = CodecCounters()
 
     @staticmethod
-    def is_frame(data: Buffer) -> bool:
+    def is_frame(data: bytes) -> bool:
         """True when ``data`` looks like a session frame (magic check)."""
         return len(data) >= 4 and data[:2] == _FRAME_MAGIC
 
     @staticmethod
-    def encode_data_body(payload: Buffer) -> bytes:
+    def encode_data_body(payload: bytes) -> bytes:
         """The seq-independent tail of a DATA frame (length + payload).
 
         A fan-out sends the *same* payload to every peer; only the 8-byte
@@ -1248,16 +1190,14 @@ class FrameCodec:
             )
         raise CodecError(f"not a frame: {type(frame).__name__}")
 
-    def decode(self, data: Buffer) -> Frame:
+    def decode(self, data: bytes) -> Frame:
         if not self.is_frame(data):
             raise CodecError("bad frame magic")
         version, frame_type = struct.unpack_from("<BB", data, 2)
         if version != _FRAME_VERSION:
             raise CodecError(f"unsupported frame version {version}")
         offset = 4
-        counters = self.counters
-        counters.frames_decoded += 1
-        borrowed = type(data) is not bytes
+        self.counters.frames_decoded += 1
         try:
             if frame_type == _TYPE_DATA:
                 (seq,) = struct.unpack_from("<Q", data, offset)
@@ -1266,8 +1206,6 @@ class FrameCodec:
                 offset += 4
                 if len(data) < offset + length:
                     raise CodecError("truncated DATA payload")
-                if borrowed:
-                    counters.data_payload_views += 1
                 return DataFrame(seq=seq, payload=data[offset : offset + length])
             if frame_type == _TYPE_ACK:
                 (cumulative,) = struct.unpack_from("<Q", data, offset)
@@ -1288,7 +1226,7 @@ class FrameCodec:
                     offset += 2
                     if len(data) < offset + sender_len:
                         raise CodecError("truncated digest sender")
-                    sender = bytes(data[offset : offset + sender_len]).decode("utf-8")
+                    sender = data[offset : offset + sender_len].decode("utf-8")
                     offset += sender_len
                     (contiguous,) = struct.unpack_from("<Q", data, offset)
                     offset += 8
@@ -1319,8 +1257,6 @@ class FrameCodec:
                     if not self.is_frame(inner) or inner[3] == _TYPE_BATCH:
                         raise CodecError("malformed BATCH inner frame")
                     frames.append(inner)
-                if borrowed:
-                    counters.batch_inner_views += len(frames)
                 return BatchFrame(frames=tuple(frames), ack=ack)
             if frame_type == _TYPE_VIEW:
                 view_id, epoch = struct.unpack_from("<QI", data, offset)
@@ -1375,14 +1311,8 @@ class FrameCodec:
                 offset += 4
                 if len(data) < offset + length:
                     raise CodecError("truncated RELAY payload")
-                if borrowed:
-                    counters.data_payload_views += 1
-                try:
-                    origin = origin_raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CodecError(f"malformed relay origin: {exc}") from exc
                 return RelayFrame(
-                    origin=origin,
+                    origin=origin_raw.decode("utf-8"),
                     seq=seq,
                     hops=hops,
                     sent_at=sent_at,
@@ -1391,4 +1321,6 @@ class FrameCodec:
                 )
         except struct.error as exc:
             raise CodecError(f"truncated frame: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"frame id field is not UTF-8: {exc}") from exc
         raise CodecError(f"unknown frame type {frame_type}")

@@ -5,14 +5,12 @@ This module holds the two data structures behind the protocol hot path
 
 * :class:`PendingBuffer` — the queue of received-but-not-yet-deliverable
   messages, stored as one contiguous 2-D ``int64`` matrix of precomputed
-  *adjusted* threshold vectors.  A bulk deliverability check over the
-  whole queue is a single ``(V_i >= A).all(axis=1)`` NumPy pass instead
-  of one :meth:`~repro.core.clocks.EntryVectorClock.is_deliverable`
-  dispatch per message.  On top of the matrix sits a **per-entry wakeup
-  index** exploiting Algorithm 2's structure: delivering a message from
-  ``p_j`` only increments the entries ``f(p_j)``, so only pending
-  messages whose *unsatisfied* entries intersect ``f(p_j)`` can possibly
-  have become deliverable.  A drain therefore costs amortised
+  *adjusted* threshold vectors, one row per message.  On top of the
+  matrix sits a **per-entry wakeup index** exploiting Algorithm 2's
+  structure: delivering a message from ``p_j`` only increments the
+  entries ``f(p_j)``, so only pending messages whose *unsatisfied*
+  entries intersect ``f(p_j)`` can possibly have become deliverable.
+  A drain therefore costs amortised
   ``O(K + unblocked · R)`` per delivery instead of the naive reference
   drain's ``O(P · R)`` full rescan.
 
@@ -142,10 +140,6 @@ class PendingBuffer:
         slots.sort(key=self._arrival.__getitem__)
         return [self._items[s] for s in slots]
 
-    def waiting_entries(self) -> Set[int]:
-        """Entries at least one pending message is registered under."""
-        return {e for e in range(self._r) if self._waiting[e]}
-
     # ------------------------------------------------------------------
     # insertion
     # ------------------------------------------------------------------
@@ -206,28 +200,6 @@ class PendingBuffer:
         """
         if self._count:
             self._external.update(int(key) for key in keys)
-
-    # ------------------------------------------------------------------
-    # bulk check
-    # ------------------------------------------------------------------
-
-    def ready_mask(self, local_vector: np.ndarray) -> Tuple[List[int], np.ndarray]:
-        """One vectorised deliverability pass over the **whole** queue.
-
-        Returns ``(slots, mask)``: the active slots in arrival order and
-        a boolean array marking which are deliverable under
-        ``local_vector``.  This is the ``(V_i >= A).all(axis=1)``
-        operation; :meth:`drain` uses the sharper entry-indexed wakeups
-        instead, but bulk consumers (diagnostics, the differential test)
-        get the one-shot form here.
-        """
-        slots = [s for s in range(self._capacity) if self._entries[s] is not None]
-        slots.sort(key=self._arrival.__getitem__)
-        if not slots:
-            return slots, np.zeros(0, dtype=bool)
-        rows = self._adjusted[np.asarray(slots, dtype=np.intp)]
-        mask = (local_vector >= rows).all(axis=1)
-        return slots, mask
 
     # ------------------------------------------------------------------
     # drain

@@ -15,8 +15,9 @@ ROADMAP's "runnable networked system" needs.  It stacks, bottom-up:
 Every message, however it travelled — a DATA payload off a reliable
 link, an anti-entropy push, the body of a RELAY envelope — enters through
 :meth:`ReliableCausalNode._admit`: decode (full or delta), check it
-against its envelope and the group view, store the full encoding, hand it
-to the endpoint.  The mesh and relay handlers add only what is theirs.
+against the clock's vector size, its envelope and the group view, store
+the full encoding, hand it to the endpoint.  The mesh and relay handlers
+add only what is theirs.
 
 On the wire each broadcast is delta-encoded per link when possible
 (``wire_delta``): only the vector entries changed since this node's last
@@ -54,7 +55,7 @@ from typing import Any, Callable, Deque, Dict, Hashable, Iterator, List, Optiona
 import numpy as np
 
 from repro.core.clocks import EntryVectorClock
-from repro.core.codec import CodecCounters, MessageCodec, RelayFrame, retain
+from repro.core.codec import CodecCounters, MessageCodec, RelayFrame
 from repro.core.detector import DeliveryErrorDetector, DetectorStats
 from repro.core.errors import ConfigurationError
 from repro.core.pending import SeenFilter
@@ -371,9 +372,11 @@ class ReliableCausalNode:
             (a beacon is skipped when the link sent any datagram within
             the last interval — traffic already proves liveness).
         wire_delta: delta-encode broadcasts per link against the last
-            acked own message (O(K) wire bytes instead of O(R)); False
-            restores the always-full-vector PR-1 encoding.  Incoming
-            deltas are decoded regardless of this knob.
+            acked own message (O(K) wire bytes instead of O(R)).
+            :func:`repro.api.create_node` derives it from the clock
+            scheme: False only for one that draws its keys per message
+            (a delta carries no keys).  Incoming deltas are decoded
+            either way.
         overlay: optional :class:`~repro.net.overlay.PartialView`; when
             given, the node disseminates in **overlay mode** — each
             broadcast is pushed as a RELAY envelope to ``fanout`` peers
@@ -608,8 +611,8 @@ class ReliableCausalNode:
         # old the stalest link reference is.
         delta_miss_ratio = self.metrics.gauge("repro_delta_ref_miss_ratio")
         delta_ref_age = self.metrics.gauge("repro_delta_ref_age")
-        # Zero-copy codec tallies: the message codec (this node's) and
-        # the session's frame codec each keep slotted ints; export their
+        # Codec tallies: the message codec (this node's) and the
+        # session's frame codec each keep slotted ints; export their
         # sum per field as repro_codec_*_total.
         codec_names = type(self._codec.counters).__slots__
         codec_counters = {
@@ -860,9 +863,9 @@ class ReliableCausalNode:
 
     @property
     def codec_counters(self) -> "CodecCounters":
-        """Zero-copy tallies for this node's message codec (``retain``
-        copies at the journal boundary, delta decodes); the frame-level
-        view counts live on :attr:`ReliableSession.codec_counters`."""
+        """Decode tallies of this node's message codec (messages and
+        deltas decoded, full-encoding bytes stored); the frame codec's
+        are :attr:`ReliableSession.codec_counters`."""
         return self._codec.counters
 
     @property
@@ -1103,8 +1106,9 @@ class ReliableCausalNode:
 
         Returns the sender's own full encoding, byte for byte,
         whichever encoding travelled — or ``None`` when the message was
-        dropped and accounted for here: undecodable, contradicting its
-        envelope, a delta whose reference is lost, a departed sender.
+        dropped and accounted for here: undecodable, not this group's
+        vector size, contradicting its envelope, a delta whose reference
+        is lost, a departed sender.
         """
         codec = self._codec
         reference: Optional[_Reference] = None
@@ -1126,14 +1130,19 @@ class ReliableCausalNode:
                 message, full = codec.decode_delta(data, reference[1], reference[2])
             else:
                 message = codec.decode(data)
-                # Journal boundary: the store (and through it the WAL,
-                # anti-entropy re-serves and relay forwards) keeps the
-                # encoding past this callback, so a borrowed
-                # receive-ring view must become owned bytes here.
-                # No-op for the copying transports.
-                full = retain(data, codec.counters)
+                full = data
+                # Bytes of full encodings the store takes from the wire.
+                # Keep the name: benchmarks/e2e reads it as
+                # codec.retained_bytes_per_delivery, the overlay's
+                # full-copy signal (ROADMAP item 1).
+                codec.counters.retained_bytes += len(full)
         except Exception:
             # A malformed datagram must never take the node down.
+            self._note_decode_error(addr)
+            return None
+        if message.timestamp.size != self.endpoint.clock.r:
+            # Another group's geometry: the clock would refuse it, but
+            # only after the store and the reference slot had taken it.
             self._note_decode_error(addr)
             return None
         sender = str(message.sender)

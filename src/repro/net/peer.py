@@ -3,7 +3,8 @@
 Implementations: :class:`repro.net.udp.BatchedUdpTransport` (real UDP,
 what :func:`repro.api.create_node` binds), :class:`repro.net.bus.LocalAsyncBus`
 (in-process, with the simulator's delay models) and the fault-injecting
-wrapper :class:`repro.net.faults.FaultyTransport`.
+wrapper :class:`repro.net.faults.FaultyTransport`.  All of them hand a
+received datagram over as owned ``bytes``, the receiver's to keep.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ Everything observable is surfaced through per-peer
 RTT estimate) so benchmarks and soak tests can watch the wire.
 
 The session is transport-agnostic: it runs over real UDP
-(:class:`~repro.net.udp.UdpTransport`), the in-process bus
+(:class:`~repro.net.udp.BatchedUdpTransport`), the in-process bus
 (:class:`~repro.net.bus.LocalAsyncBus`) or a fault-injecting wrapper
 (:class:`~repro.net.faults.FaultyTransport`).
 """
@@ -119,14 +119,13 @@ class RetransmitPolicy:
         nack_interval: minimum delay between two NACKs for the same
             missing frame (seconds).
         coalesce_mtu: per-datagram budget for frame coalescing; queued
-            frames flush as one BATCH datagram when they fill it.  0
-            disables coalescing entirely (every frame is its own
-            datagram — the PR-1 wire behaviour).
+            frames flush as one BATCH datagram when they fill it (a
+            frame larger than the budget travels alone).
         flush_interval: how long a queued frame may wait for company
             before the queue flushes anyway (seconds).
         ack_delay: delay before acknowledging received DATA, so one
             cumulative ACK covers a burst and outgoing batches can
-            piggyback it.  0 restores ack-per-frame.
+            piggyback it.
     """
 
     initial_timeout: float = 0.05
@@ -158,14 +157,14 @@ class RetransmitPolicy:
             raise ConfigurationError(f"tick_interval must be > 0, got {self.tick_interval}")
         if self.nack_interval < 0:
             raise ConfigurationError(f"nack_interval must be >= 0, got {self.nack_interval}")
-        if self.coalesce_mtu < 0:
-            raise ConfigurationError(f"coalesce_mtu must be >= 0, got {self.coalesce_mtu}")
+        if self.coalesce_mtu <= 0:
+            raise ConfigurationError(f"coalesce_mtu must be > 0, got {self.coalesce_mtu}")
         if self.flush_interval <= 0:
             raise ConfigurationError(
                 f"flush_interval must be > 0, got {self.flush_interval}"
             )
-        if self.ack_delay < 0:
-            raise ConfigurationError(f"ack_delay must be >= 0, got {self.ack_delay}")
+        if self.ack_delay <= 0:
+            raise ConfigurationError(f"ack_delay must be > 0, got {self.ack_delay}")
 
 
 @dataclass
@@ -570,7 +569,7 @@ class ReliableSession:
 
     @property
     def codec_counters(self):
-        """The frame codec's allocation/copy tallies
+        """The frame codec's decode tallies
         (:class:`repro.core.codec.CodecCounters`)."""
         return self._codec.counters
 
@@ -780,16 +779,10 @@ class ReliableSession:
     # ------------------------------------------------------------------
 
     def _transmit(self, addr: Address, state: _PeerState, frame_bytes: bytes) -> None:
-        """Put an encoded frame on the wire via the coalescing outbox.
-
-        With ``coalesce_mtu == 0`` the frame is its own datagram (the
-        PR-1 wire behaviour).  Otherwise it joins the peer's outbox,
+        """Put an encoded frame on the wire via the coalescing outbox,
         which flushes as one BATCH datagram when the budget fills, when
         the flush timer fires, or on an explicit :meth:`flush`.
         """
-        if self._policy.coalesce_mtu <= 0:
-            self._send_datagram(addr, state, frame_bytes, frames=1)
-            return
         cost = varint_size(len(frame_bytes)) + len(frame_bytes)
         if state.outbox and state.outbox_bytes + cost > self._policy.coalesce_mtu:
             self._flush_peer(addr, state)
@@ -894,14 +887,7 @@ class ReliableSession:
     # ------------------------------------------------------------------
 
     def _handle_datagram_batch(self, batch) -> None:
-        """One receive upcall for a whole wakeup's worth of datagrams.
-
-        The batch entries are borrowed views into the transport's buffer
-        ring; everything below (frame dispatch, the node's intake) runs
-        synchronously inside this call, and anything stored long-term is
-        copied at the journal boundary (``codec.retain``), so no view
-        escapes the callback.
-        """
+        """One receive upcall for a whole wakeup's worth of datagrams."""
         handle = self._handle_datagram
         for data, addr in batch:
             handle(data, addr)
@@ -975,22 +961,14 @@ class ReliableSession:
         else:
             state.stats.duplicates += 1
         # Always acknowledge — the duplicate may be a retransmission whose
-        # previous ack was lost, and only an ack stops the sender's timer.
-        if self._policy.ack_delay <= 0:
-            ack = AckFrame(
-                cumulative=state.recv_cumulative,
-                sacks=tuple(sorted(state.recv_out_of_order)[:64]),
+        # previous ack was lost, and only an ack stops the sender's timer
+        # — but delayed: one cumulative ack per window, piggybacked onto
+        # an outgoing batch whenever this link carries reverse traffic.
+        state.ack_pending = True
+        if state.ack_handle is None:
+            state.ack_handle = asyncio.get_running_loop().call_later(
+                self._policy.ack_delay, self._ack_timer, addr, state
             )
-            state.stats.acks_sent += 1
-            self._transmit(addr, state, self._codec.encode(ack))
-        else:
-            # Delayed: one cumulative ack per window, piggybacked onto an
-            # outgoing batch whenever this link carries reverse traffic.
-            state.ack_pending = True
-            if state.ack_handle is None:
-                state.ack_handle = asyncio.get_running_loop().call_later(
-                    self._policy.ack_delay, self._ack_timer, addr, state
-                )
         self._maybe_nack(state, addr, now)
 
     def _maybe_nack(self, state: _PeerState, addr: Address, now: float) -> None:

@@ -8,18 +8,12 @@ Two implementations share the wire format and the
   one ``sendto`` per datagram out.
 * :class:`BatchedUdpTransport` — a non-blocking socket registered
   directly with the event loop.  On readable it drains up to
-  ``rx_batch`` datagrams in one wakeup (``recvfrom_into`` over a ring of
-  preallocated buffers — zero allocation per datagram) and hands the
-  whole batch to one receiver callback as borrowed ``memoryview`` s; on
-  send it queues datagrams and flushes them in a tight ``sendto`` burst
-  once per loop tick (burst batching at the Python level).
+  ``rx_batch`` datagrams in one wakeup and hands the whole batch to one
+  receiver callback; on send it queues datagrams and flushes them in a
+  tight ``sendto`` burst once per loop tick.
 
-**Buffer lifetime.**  The views a batched receive callback sees alias
-the transport's reusable ring; they are valid only until the callback
-returns.  Consumers that keep datagram bytes past the callback (the
-node's store/journal, retransmit queues) must copy first —
-:func:`repro.core.codec.retain` is the blessed choke point.  See
-DESIGN.md §7.
+Both hand every datagram to the receiver as owned ``bytes``: a consumer
+may keep it for as long as it likes.  See DESIGN.md §7.
 
 UDP is fire-and-forget — exactly the unreliable substrate the paper
 mentions when motivating the recent-messages list of Algorithm 5 — so
@@ -36,14 +30,13 @@ import socket
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.core.codec import Buffer
 from repro.core.errors import ConfigurationError
 from repro.net.peer import Transport
 
 __all__ = ["UdpTransport", "BatchedUdpTransport", "IoStats"]
 
 HostPort = Tuple[str, int]
-Batch = List[Tuple[Buffer, HostPort]]
+Batch = List[Tuple[bytes, HostPort]]
 
 # Conservative bound: stay under the common 64 KiB UDP datagram ceiling.
 # The session's ``coalesce_mtu`` (frame-coalescing budget) must stay at
@@ -119,20 +112,21 @@ class UdpTransport(Transport):
 # Syscall-batched transport
 # ----------------------------------------------------------------------
 
-# recvfrom_into needs room for the largest datagram the kernel may hand
-# us; a short buffer silently truncates (UDP discards the excess).
-_RX_BUFFER_SIZE = 65_535
+# recvfrom needs room for the largest datagram the kernel may hand us; a
+# short read silently truncates (UDP discards the excess).
+_RX_MAX_DATAGRAM = 65_535
 
 
 class IoStats:
     """Per-transport I/O tallies (plain slotted ints, no obs dependency).
 
     ``rx_wakeups`` counts readable events that yielded at least one
-    datagram; ``rx_datagrams / rx_wakeups`` is the batching win the
-    ioloop benchmark gates on.  ``rx_budget_exhausted`` counts wakeups
-    that hit the ``rx_batch`` budget with data still queued (the loop
-    re-fires — level-triggered — so nothing is lost, but a high rate
-    means the budget is the bottleneck).
+    datagram; ``rx_datagrams / rx_wakeups`` is the batching win
+    (``udp.rx_datagrams_per_wakeup`` in ``benchmarks/e2e``).
+    ``rx_budget_exhausted`` counts wakeups that hit the ``rx_batch``
+    budget with data still queued (the loop re-fires — level-triggered
+    — so nothing is lost, but a high rate means the budget is the
+    bottleneck).
     """
 
     __slots__ = (
@@ -162,8 +156,7 @@ class BatchedUdpTransport(Transport):
     Use :meth:`create` (async) to construct.  Two receive modes:
 
     * :meth:`set_batch_receiver` — one callback per readable event with
-      the whole batch ``[(view, addr), ...]``; the views are borrowed
-      (see the module docstring).
+      the whole batch ``[(data, addr), ...]``.
     * :meth:`set_receiver` — per-datagram compatibility callback.
 
     Sends queue through :meth:`send_now` (synchronous, no task churn)
@@ -190,8 +183,7 @@ class BatchedUdpTransport(Transport):
         self._loop = loop
         self._rx_batch = rx_batch
         self._tx_batch = tx_batch
-        self._rx_buffers = [bytearray(_RX_BUFFER_SIZE) for _ in range(rx_batch)]
-        self._receiver: Optional[Callable[[Buffer, HostPort], None]] = None
+        self._receiver: Optional[Callable[[bytes, HostPort], None]] = None
         self._batch_receiver: Optional[Callable[[Batch], None]] = None
         self._tx_queue: Deque[Tuple[HostPort, bytes]] = deque()
         self._tx_scheduled = False
@@ -231,35 +223,30 @@ class BatchedUdpTransport(Transport):
     # receive path
     # ------------------------------------------------------------------
 
-    def set_receiver(self, callback: Callable[[Buffer, HostPort], None]) -> None:
+    def set_receiver(self, callback: Callable[[bytes, HostPort], None]) -> None:
         self._receiver = callback
 
     def set_batch_receiver(self, callback: Callable[[Batch], None]) -> None:
-        """Install a whole-batch callback (preferred over per-datagram).
-
-        The callback's views are only valid until it returns — the
-        buffer ring is recycled on the next readable event.
-        """
+        """Install a whole-batch callback (preferred over per-datagram)."""
         self._batch_receiver = callback
 
     def _on_readable(self) -> None:
         sock = self._sock
-        buffers = self._rx_buffers
         budget = self._rx_batch
         batch: Batch = []
         total_bytes = 0
         count = 0
         while count < budget:
             try:
-                nbytes, addr = sock.recvfrom_into(buffers[count])
+                data, addr = sock.recvfrom(_RX_MAX_DATAGRAM)
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:
                 # e.g. ECONNREFUSED bounced back on some platforms; the
                 # datagram is gone either way, keep draining.
                 continue
-            batch.append((memoryview(buffers[count])[:nbytes], (addr[0], addr[1])))
-            total_bytes += nbytes
+            batch.append((data, (addr[0], addr[1])))
+            total_bytes += len(data)
             count += 1
         if not batch:
             return
@@ -279,10 +266,8 @@ class BatchedUdpTransport(Transport):
             self._batch_receiver(batch)
         elif self._receiver is not None:
             receiver = self._receiver
-            for view, sender in batch:
-                receiver(view, sender)
-        # Invalidate escaped views? No — the contract is documented and
-        # cheap; releasing would force a per-datagram allocation again.
+            for data, sender in batch:
+                receiver(data, sender)
 
     # ------------------------------------------------------------------
     # send path

@@ -38,6 +38,8 @@ class TestNodeConfig:
             dict(k=0),
             dict(r=4, k=9),
             dict(anti_entropy_interval=-0.5),
+            dict(coalesce_mtu=0),
+            dict(ack_delay=0),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -48,9 +50,9 @@ class TestNodeConfig:
         """Each layer's own default (RetransmitPolicy, PartialView,
         AdaptivePolicy) is the single source now; the old names fail
         loudly instead of being silently ignored."""
-        assert len(dataclasses.fields(NodeConfig)) == 46
+        assert len(dataclasses.fields(NodeConfig)) == 45
         for name in ("max_retry_timeout", "piggyback_size", "merge_probability",
-                     "relay_max_hops", "adaptive_cooldown"):
+                     "relay_max_hops", "adaptive_cooldown", "wire_delta"):
             with pytest.raises(TypeError):
                 NodeConfig(**{name: 1})
             with pytest.raises(TypeError):
@@ -170,23 +172,34 @@ class TestCreateEndpoint:
 
 class TestCreateNode:
     def test_node_over_bus_transport(self):
-        async def scenario():
+        async def scenario(scheme):
             bus = LocalAsyncBus()
-            config = NodeConfig(r=32, k=2, anti_entropy_interval=0.0)
+            config = NodeConfig(r=32, k=2, scheme=scheme, anti_entropy_interval=0.0)
             a = await create_node("a", config, transport=bus.attach("a"))
             b = await create_node("b", config, transport=bus.attach("b"))
             assert isinstance(a, ReliableCausalNode)
             a.add_peer("b")
             b.add_peer("a")
-            await a.broadcast("over the bus")
-            await bus.drain()
-            # Let the ack round-trip settle before tearing down.
-            await asyncio.sleep(0.05)
-            assert b.delivered_payloads() == ["over the bus"]
+            for sent, payload in enumerate(("over the bus", "and again"), 1):
+                await a.broadcast(payload)
+                # Let the ack round-trip settle (before the next send
+                # picks its encoding, and before tearing down).
+                for _ in range(1000):
+                    if a.session.acked_cumulative("b") >= sent:
+                        break
+                    await bus.drain()
+                    await asyncio.sleep(0.01)
+            assert b.delivered_payloads() == ["over the bus", "and again"]
+            wire = a.transport_stats()
             await a.close()
             await b.close()
+            return wire
 
-        asyncio.run(scenario())
+        # The second message rides the acked first as a delta — unless
+        # the scheme draws keys per message, which a delta cannot carry.
+        assert asyncio.run(scenario("probabilistic")).delta_sent == 1
+        bloom = asyncio.run(scenario("bloom"))
+        assert (bloom.delta_sent, bloom.full_sent) == (0, 2)
 
     def test_start_false_defers_background_tasks(self):
         async def scenario():

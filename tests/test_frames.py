@@ -17,10 +17,13 @@ from repro.core.codec import (
     MemberRecord,
     MessageCodec,
     NackFrame,
+    RelayFrame,
     ViewFrame,
 )
 from repro.core.protocol import Message
 from repro.core.clocks import ProbabilisticCausalClock
+
+from tests.test_wire_properties import frames
 
 codec = FrameCodec()
 
@@ -137,6 +140,50 @@ class TestMalformed:
         data = codec.encode(HeartbeatFrame(count=7))
         with pytest.raises(CodecError):
             codec.decode(data[:-2])
+
+
+class TestTornBuffers:
+    """Anything short of a whole, well-formed frame is a
+    :class:`CodecError` — never a stray ``UnicodeDecodeError`` or
+    ``struct.error`` out of the receive upcall."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(frames(), st.data())
+    def test_truncated_frame_raises_codec_error(self, frame, data):
+        encoded = codec.encode(frame)
+        cut = data.draw(st.integers(0, len(encoded) - 1))
+        with pytest.raises(CodecError):
+            codec.decode(encoded[:cut])
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            DigestFrame({"zoë": (5, (7, 9))}),
+            RelayFrame(origin="zoë", seq=1, hops=0, payload=b"m"),
+            RelayFrame(
+                origin="o", seq=1, hops=0, payload=b"m",
+                sample=(MemberRecord("zoë", ("h", 1)),),
+            ),
+            ViewFrame(view_id=3, members=(MemberRecord("zoë", ("h", 1), (0, 1)),)),
+            JoinFrame(node_id="zoë", address=("h", 1)),
+            JoinAckFrame(
+                accepted=True, view_id=1, r=4, k=1, keys=(0,), members=(),
+                frontiers={"zoë": (3, ())}, vector=(0,) * 4,
+            ),
+            JoinAckFrame(
+                accepted=False, view_id=1, r=4, k=1, keys=(), members=(),
+                reason="zoë is full",
+            ),
+            LeaveFrame(node_id="zoë"),
+        ],
+        ids=lambda frame: type(frame).__name__,
+    )
+    def test_id_that_is_not_utf8_raises_codec_error(self, frame):
+        encoded = codec.encode(frame)
+        good, bad = "ë".encode("utf-8"), b"\xc3\x28"
+        assert encoded.count(good) == 1
+        with pytest.raises(CodecError):
+            codec.decode(encoded.replace(good, bad))
 
 
 # ----------------------------------------------------------------------

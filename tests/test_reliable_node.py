@@ -8,12 +8,32 @@ prove the reliability machinery (retransmissions, anti-entropy) did it.
 
 import asyncio
 import logging
+import random
 
+import numpy as np
 import pytest
 
-from repro.api import NodeConfig, create_node
+from repro.api import NodeConfig, create_endpoint, create_node
+from repro.core.clocks import Timestamp
+from repro.core.codec import (
+    AckFrame,
+    BatchFrame,
+    DataFrame,
+    DigestFrame,
+    FrameCodec,
+    HeartbeatFrame,
+    JoinAckFrame,
+    JoinFrame,
+    LeaveFrame,
+    MemberRecord,
+    MessageCodec,
+    NackFrame,
+    RelayFrame,
+    ViewFrame,
+)
 from repro.core.errors import ConfigurationError
-from repro.net import FaultWindow, FaultyTransport, UdpTransport
+from repro.core.protocol import Message
+from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus, UdpTransport
 from repro.net.node import MessageStore
 from repro.util.rng import RandomSource
 
@@ -110,9 +130,6 @@ class TestSoakUnderLoss:
                 ack_timeout=0.02,
                 max_retries=0,
                 anti_entropy_interval=0.05,
-                # One datagram per broadcast: coalesced, all 15 can ride
-                # a single surviving datagram and nothing needs healing.
-                coalesce_mtu=0,
             )
             alice = await make_lossy_node("alice", config, seed=3, drop_rate=0.4)
             bob = await make_lossy_node("bob", config, seed=4, drop_rate=0.4)
@@ -121,6 +138,9 @@ class TestSoakUnderLoss:
 
             for i in range(15):
                 await alice.broadcast(i)
+                # One datagram per broadcast: coalesced, all 15 can ride
+                # a single surviving datagram and nothing needs healing.
+                alice.session.flush()
             assert await wait_for(
                 lambda: len(bob.delivered_payloads()) == 15, timeout=30.0
             ), "anti-entropy did not converge"
@@ -391,5 +411,130 @@ class TestNodeSurface:
             assert await wait_for(lambda: b.decode_errors == 1)
             await a.close()
             await b.close()
+
+        asyncio.run(scenario())
+
+
+class TestHostileDatagrams:
+    """Nothing a datagram contains may raise out of the receive upcall
+    (it would abort the rest of that wakeup's batch) or be half-taken:
+    what is rejected is counted and leaves no state behind."""
+
+    R = 16
+
+    async def _node_on_a_bus(self, **config):
+        # In process: a mutated member address must never reach a socket.
+        bus = LocalAsyncBus()
+        bus.attach("up").set_receiver(lambda data, addr: None)
+        node = await create_node(
+            "rx", NodeConfig(r=self.R, k=2, **config), transport=bus.attach("rx")
+        )
+        node.add_peer("up")
+        return node
+
+    def _message(self, seq, keys, r=R, sender="origin"):
+        vector = np.zeros(r, dtype=np.int64)
+        vector[[key for key in keys if key < r]] = max(seq, 1)
+        vector.flags.writeable = False
+        return MessageCodec().encode(
+            Message(
+                sender=sender,
+                seq=seq,
+                timestamp=Timestamp(vector=vector, sender_keys=keys, seq=seq),
+                payload="p",
+            )
+        )
+
+    def test_four_malformed_datagrams_leave_no_state_and_spare_the_batch(self):
+        """A non-UTF-8 id, seq 0, a sender key >= R and a vector of
+        another size each used to raise — the last two after the store
+        (and the reference slot anti-entropy re-serves from) had taken
+        the poisoned encoding."""
+
+        async def scenario():
+            node = await self._node_on_a_bus()
+            frames = FrameCodec()
+            digest = frames.encode(DigestFrame({"zoë": (1, ())}))
+            payloads = [
+                self._message(seq=0, keys=(1, 2), sender="mallory"),
+                self._message(seq=1, keys=(1, self.R), sender="mallory"),
+                self._message(seq=1, keys=(1, 2), r=self.R // 2, sender="mallory"),
+                self._message(seq=1, keys=(1, 2)),
+            ]
+            batch = [(digest.replace("ë".encode("utf-8"), b"\xc3\x28"), "up")] + [
+                (frames.encode(DataFrame(seq=link_seq, payload=payload)), "up")
+                for link_seq, payload in enumerate(payloads, 1)
+            ]
+            node.session._handle_datagram_batch(batch)
+            assert (node.session.frame_errors, node.decode_errors) == (1, 3)
+            assert len(node.trace.events("decode_error")) == 3
+            # Only the valid one, last in the batch, left anything behind.
+            assert node.delivered_payloads() == ["p"]
+            assert node.store.frontiers() == {"origin": (1, ())}
+            assert node.store.get("origin", 1) == payloads[-1]
+            assert node.endpoint.seen_frontiers() == {"origin": (1, ())}
+            assert not node._ref_in_use and set(node._ref_newest) == {"origin"}
+            await node.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "config",
+        [{}, dict(dissemination="overlay", fanout=2, view_size=4, membership=True)],
+        ids=["mesh", "overlay-membership"],
+    )
+    def test_mutated_frames_of_every_type_never_raise(self, config):
+        """10,000 seeded 1-3 byte mutations of valid frames of every type
+        through the session's receive upcall of a live node."""
+        messages, frames = MessageCodec(), FrameCodec()
+        origin = create_endpoint("origin", NodeConfig(r=self.R, keys=(1, 2, 3)))
+        first, second = origin.broadcast("m1"), origin.broadcast("m2")
+        full = messages.encode(first)
+        delta = messages.encode_delta(second, first.seq, first.timestamp.vector)
+        member = MemberRecord("zoë", ("up", 1), (4, 5))
+        valid = [
+            frames.encode(frame)
+            for frame in (
+                DataFrame(seq=1, payload=full),
+                DataFrame(seq=2, payload=delta),
+                AckFrame(cumulative=3, sacks=(5, 7)),
+                NackFrame(missing=(2, 4)),
+                DigestFrame({"origin": (1, (3,)), "zoë": (0, ())}),
+                HeartbeatFrame(count=9),
+                ViewFrame(view_id=2, members=(member,), epoch=1),
+                JoinFrame(node_id="zoë", address=("up", 1), keys=(4, 5)),
+                JoinAckFrame(
+                    accepted=True, view_id=2, r=self.R, k=2, keys=(4, 5),
+                    members=(member,), frontiers={"origin": (2, ())},
+                    vector=tuple(range(self.R)), epoch=1,
+                ),
+                JoinAckFrame(
+                    accepted=False, view_id=2, r=self.R, k=2, keys=(),
+                    members=(member,), reason="full",
+                ),
+                LeaveFrame(node_id="zoë"),
+                RelayFrame(
+                    origin="origin", seq=1, hops=1, sent_at=1.5,
+                    sample=(member,), payload=full,
+                ),
+                RelayFrame(origin="origin", seq=2, hops=0, payload=delta),
+            )
+        ]
+        valid.append(
+            frames.encode(
+                BatchFrame(frames=tuple(valid[:6]), ack=AckFrame(cumulative=1))
+            )
+        )
+
+        async def scenario():
+            node = await self._node_on_a_bus(**config)
+            rng = random.Random(19)
+            for _ in range(10_000):
+                data = bytearray(rng.choice(valid))
+                for _ in range(rng.randint(1, 3)):
+                    data[rng.randrange(len(data))] = rng.randrange(256)
+                node.session._handle_datagram(bytes(data), "up")
+            assert node.session.frame_errors > 1000
+            await node.close()
 
         asyncio.run(scenario())

@@ -1,12 +1,10 @@
-"""Differential suite: the batched wire is observationally identical to PR-1's.
+"""Scripted exchanges on the shipped wire: what the application observes.
 
 The coalescing / delayed-ack / delta-timestamp wire (the `NodeConfig`
-defaults) must be indistinguishable *above the codec* from the
-one-datagram-per-frame, ack-per-frame, full-timestamp wire of PR 1
-(``coalesce_mtu=0, ack_delay=0, wire_delta=False``).  Each test runs
-the same scripted scenario under both configs over real loopback UDP
-with injected drops, duplication, and reordering — plus a mid-stream
-crash/restart — and compares everything the application can observe:
+defaults — there is no other) must leave nothing for the application to
+notice.  Each test runs a scripted scenario over real loopback UDP with
+injected drops, duplication, and reordering — plus a mid-stream
+crash/restart — and checks everything the application can observe:
 
 * full convergence — every node delivers the complete message set;
 * zero causal violations against the simulator's ground-truth oracle
@@ -14,12 +12,12 @@ crash/restart — and compares everything the application can observe:
   sound zero, not a probabilistic one);
 * per-sender FIFO at every node;
 * for a single sender, the *total* delivery order — which is fully
-  determined (seq order) and therefore must be identical between the
-  two wire configurations, datagram schedule notwithstanding.
+  determined (seq order), datagram schedule notwithstanding.
 
-The wire stats double-check that the comparison is honest: the batched
-run must actually have batched and delta-encoded, the legacy run must
-have done neither.
+The wire stats double-check that the run is honest: it must actually
+have batched and delta-encoded.  `Exchange` is also the harness of the
+transport differential (`test_udp_batched.py`) and the overlay
+differential (`test_overlay.py`), which pass their own config.
 """
 
 import asyncio
@@ -32,8 +30,7 @@ from repro.net.session import TransportStats
 from repro.sim.oracle import CausalityOracle, DeliveryVerdict
 from repro.util.rng import RandomSource
 
-LEGACY = dict(coalesce_mtu=0, ack_delay=0.0, wire_delta=False)
-BATCHED = {}  # the defaults
+SHIPPED = {}  # the NodeConfig defaults
 
 FAULTS = dict(drop_rate=0.20, duplicate_rate=0.10, reorder_rate=0.10)
 
@@ -48,7 +45,7 @@ async def wait_for(predicate, timeout=30.0, interval=0.01):
 
 
 class Exchange:
-    """One scripted multi-node run under a given wire configuration."""
+    """One scripted multi-node run (``wire_kwargs``: NodeConfig overrides)."""
 
     def __init__(self, names, wire_kwargs, seed, data_root=None):
         self.names = names
@@ -180,7 +177,7 @@ class Exchange:
 
 async def run_scripted(wire_kwargs, *, seed, rounds=8, data_root=None,
                        crash_restart=False):
-    """The fixed script both wire configs execute."""
+    """The fixed script every differential executes."""
     names = ("a", "b", "c")
     exchange = Exchange(names, wire_kwargs, seed, data_root=data_root)
     for name in names:
@@ -211,73 +208,56 @@ async def run_scripted(wire_kwargs, *, seed, rounds=8, data_root=None,
     return exchange, stats
 
 
-def assert_wire_shapes(legacy_stats, batched_stats):
-    """The two runs really exercised different wires."""
-    assert legacy_stats.batches_sent == 0
-    assert legacy_stats.delta_sent == 0
-    assert legacy_stats.acks_piggybacked == 0
-    assert batched_stats.batches_sent > 0, "batched run never coalesced"
-    assert batched_stats.delta_sent > 0, "batched run never sent a delta"
+def assert_wire_shape(stats):
+    """The run really exercised the batched, delta-encoding wire."""
+    assert stats.batches_sent > 0, "run never coalesced"
+    assert stats.acks_piggybacked > 0, "run never piggybacked an ack"
+    assert stats.delta_sent > 0, "run never sent a delta"
 
 
 class TestObservationalEquivalence:
     def test_lossy_multiparty_exchange(self):
-        """Drops + dups + reorders: both wires deliver the same message
-        sets, in per-sender FIFO order, with zero oracle violations."""
+        """Drops + dups + reorders: every node delivers the full message
+        set, in per-sender FIFO order, with zero oracle violations
+        (asserted inside the harness)."""
 
         async def scenario():
-            legacy, legacy_stats = await run_scripted(LEGACY, seed=31)
-            batched, batched_stats = await run_scripted(BATCHED, seed=31)
-            assert_wire_shapes(legacy_stats, batched_stats)
-            for name in legacy.order:
-                assert set(legacy.order[name]) == set(batched.order[name])
+            _, stats = await run_scripted(SHIPPED, seed=31)
+            assert_wire_shape(stats)
 
         asyncio.run(scenario())
 
     def test_crash_restart(self, tmp_path):
-        """A journaled crash/restart mid-stream: both wires converge to
-        the same delivered sets; the restarted node's delta references
-        survive (batched) or never existed (legacy) — either way the
-        application can't tell the wires apart."""
+        """A journaled crash/restart mid-stream: the group converges to
+        the full delivered sets; the restarted node's delta references
+        survive through the journal, and where one did not anti-entropy
+        re-ships the message full — the application cannot tell."""
 
         async def scenario():
-            legacy, legacy_stats = await run_scripted(
-                LEGACY, seed=47, data_root=tmp_path / "legacy",
-                crash_restart=True,
+            _, stats = await run_scripted(
+                SHIPPED, seed=47, data_root=tmp_path, crash_restart=True,
             )
-            batched, batched_stats = await run_scripted(
-                BATCHED, seed=47, data_root=tmp_path / "batched",
-                crash_restart=True,
-            )
-            assert_wire_shapes(legacy_stats, batched_stats)
-            for name in legacy.order:
-                assert set(legacy.order[name]) == set(batched.order[name])
+            assert_wire_shape(stats)
 
         asyncio.run(scenario())
 
     def test_single_sender_total_order_is_identical(self):
         """With one sender the delivery order is fully determined (seq
-        order), so both wires must produce *identical* sequences at
-        every receiver, whatever the datagram schedule did."""
+        order), so every receiver must observe exactly that sequence,
+        whatever the datagram schedule did."""
 
         async def scenario():
-            orders = {}
-            for label, wire in (("legacy", LEGACY), ("batched", BATCHED)):
-                names = ("tx", "rx1", "rx2")
-                exchange = Exchange(names, wire, seed=59)
-                for name in names:
-                    await exchange.boot(name)
-                for _ in range(20):
-                    await exchange.broadcast("tx")
-                assert await wait_for(exchange.converged)
-                exchange.assert_observations()
-                orders[label] = {
-                    name: list(exchange.order[name]) for name in ("rx1", "rx2")
-                }
-                await exchange.close()
-            assert orders["legacy"] == orders["batched"]
-            for order in orders["batched"].values():
-                assert order == [("tx", i) for i in range(1, 21)]
+            names = ("tx", "rx1", "rx2")
+            exchange = Exchange(names, SHIPPED, seed=59)
+            for name in names:
+                await exchange.boot(name)
+            for _ in range(20):
+                await exchange.broadcast("tx")
+            assert await wait_for(exchange.converged)
+            exchange.assert_observations()
+            for name in ("rx1", "rx2"):
+                assert exchange.order[name] == [("tx", i) for i in range(1, 21)]
+            await exchange.close()
 
         asyncio.run(scenario())
 
@@ -286,43 +266,41 @@ class TestRegistryDifferential:
     def test_registry_wire_counters_match_transport_stats(self):
         """The observability acceptance test: the registry-backed wire
         series must be value-identical to the TransportStats counters the
-        pre-registry code maintained — under both wire configurations,
-        with faults active.  Both reads happen with no await in between,
-        so the event loop cannot interleave wire activity."""
+        pre-registry code maintained, with faults active.  Both reads
+        happen with no await in between, so the event loop cannot
+        interleave wire activity."""
 
         RTT_FIELDS = ("rtt", "rtt_min", "rtt_max")
 
         async def scenario():
             import dataclasses
 
-            for wire_kwargs in (LEGACY, BATCHED):
-                names = ("a", "b", "c")
-                exchange = Exchange(names, wire_kwargs, seed=71)
+            names = ("a", "b", "c")
+            exchange = Exchange(names, SHIPPED, seed=71)
+            for name in names:
+                await exchange.boot(name)
+            for _ in range(6):
                 for name in names:
-                    await exchange.boot(name)
-                for _ in range(6):
-                    for name in names:
-                        await exchange.broadcast(name)
-                    await asyncio.sleep(0.03)
-                assert await wait_for(exchange.converged)
-                for name, node in exchange.nodes.items():
-                    stats = node.transport_stats()
-                    counters = node.metrics.snapshot()["counters"]
-                    for field in dataclasses.fields(TransportStats):
-                        if field.name in RTT_FIELDS:
-                            continue
-                        key = f"repro_wire_{field.name}_total"
-                        assert counters[key] == getattr(stats, field.name), (
-                            f"{name}: {key}={counters[key]} but "
-                            f"TransportStats.{field.name}="
-                            f"{getattr(stats, field.name)} "
-                            f"(wire={wire_kwargs or 'BATCHED'})"
-                        )
-                    if stats.rtt is not None:
-                        gauges = node.metrics.snapshot()["gauges"]
-                        assert gauges["repro_wire_rtt_mean_seconds"] == (
-                            pytest.approx(stats.rtt)
-                        )
-                await exchange.close()
+                    await exchange.broadcast(name)
+                await asyncio.sleep(0.03)
+            assert await wait_for(exchange.converged)
+            for name, node in exchange.nodes.items():
+                stats = node.transport_stats()
+                counters = node.metrics.snapshot()["counters"]
+                for field in dataclasses.fields(TransportStats):
+                    if field.name in RTT_FIELDS:
+                        continue
+                    key = f"repro_wire_{field.name}_total"
+                    assert counters[key] == getattr(stats, field.name), (
+                        f"{name}: {key}={counters[key]} but "
+                        f"TransportStats.{field.name}="
+                        f"{getattr(stats, field.name)}"
+                    )
+                if stats.rtt is not None:
+                    gauges = node.metrics.snapshot()["gauges"]
+                    assert gauges["repro_wire_rtt_mean_seconds"] == (
+                        pytest.approx(stats.rtt)
+                    )
+            await exchange.close()
 
         asyncio.run(scenario())
