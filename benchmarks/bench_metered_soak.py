@@ -35,7 +35,7 @@ import pstats
 import shutil
 import sys
 
-from repro.api import NodeConfig, create_node
+from repro.api import LivenessPolicy, NodeConfig, RetransmitPolicy, create_node
 from repro.analysis.tables import render_table
 from repro.net import BatchedUdpTransport, FaultyTransport
 from repro.obs import Histogram, last_snapshot, merge_snapshots
@@ -58,8 +58,9 @@ async def wait_for(predicate, timeout=60.0, interval=0.01):
 
 async def run_soak(out_dir, rounds):
     config = NodeConfig(
-        r=64, k=3, ack_timeout=0.02, anti_entropy_interval=0.1,
-        heartbeat_interval=0.05, quarantine_after=1.0,
+        r=64, k=3, retransmit=RetransmitPolicy(initial_timeout=0.02),
+        anti_entropy_interval=0.1,
+        liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=1.0),
         metrics_interval=0.2,
     )
     keys = {name: tuple(range(3 * i, 3 * i + 3)) for i, name in enumerate(NAMES)}

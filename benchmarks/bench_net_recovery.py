@@ -21,7 +21,7 @@ import asyncio
 import json
 import tempfile
 
-from repro.api import NodeConfig, create_node
+from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.analysis.tables import render_table
 
 from _common import RESULTS_DIR, report
@@ -44,7 +44,8 @@ async def _wait_for(predicate, timeout=30.0, interval=0.005):
 
 async def _run_one(snapshot_interval, data_dir):
     config = NodeConfig(
-        r=64, k=3, ack_timeout=0.02, anti_entropy_interval=0.05,
+        r=64, k=3, retransmit=RetransmitPolicy(initial_timeout=0.02),
+        anti_entropy_interval=0.05,
         journal_snapshot_interval=snapshot_interval,
     )
     alice = await create_node("alice", config.replace(data_dir=data_dir))

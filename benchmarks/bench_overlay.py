@@ -53,7 +53,7 @@ import platform
 import sys
 import time
 
-from repro.api import NodeConfig, create_node
+from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.net import LocalAsyncBus
 from repro.sim.network import GaussianDelayModel
 from repro.util.rng import RandomSource
@@ -93,7 +93,7 @@ async def _run_case(mode: str, n_nodes: int, messages: int) -> dict:
         k=3,
         # The bus injects no loss; a short timeout would read event-loop
         # lag at N=128 as loss and spiral into retransmission storms.
-        ack_timeout=0.5,
+        retransmit=RetransmitPolicy(initial_timeout=0.5),
         # The overlay's coverage backstop.  The mesh runs without it:
         # its reliable unicasts need no healing here, and charging it
         # O(N) digests per round would overstate the linear growth.

@@ -15,7 +15,7 @@ Run:  python examples/async_chat.py
 
 import asyncio
 
-from repro import NodeConfig, create_node
+from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.net import FaultyTransport, UdpTransport
 from repro.util.rng import RandomSource
 
@@ -24,7 +24,8 @@ CONFIG = NodeConfig(
     r=64,
     k=3,
     detector="basic",
-    ack_timeout=0.02,          # aggressive: loopback RTT is tiny
+    # aggressive: loopback RTT is tiny
+    retransmit=RetransmitPolicy(initial_timeout=0.02),
     anti_entropy_interval=0.1,
 )
 DROP_RATE, DUPLICATE_RATE = 0.25, 0.10

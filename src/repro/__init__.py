@@ -57,8 +57,6 @@ from repro.core import (
     optimal_k,
     p_error,
     p_fp,
-    register_clock,
-    register_detector,
 )
 from repro.sim import SimulationConfig, SimulationResult, run_simulation
 
@@ -90,9 +88,7 @@ __all__ = [
     "p_error",
     "p_fp",
     "optimal_k",
-    # the plugin registry (see DESIGN.md §9)
-    "register_clock",
-    "register_detector",
+    # the scheme and detector tables (see DESIGN.md §9)
     "clock_schemes",
     "detector_names",
     # simulation entry points

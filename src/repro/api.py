@@ -1,8 +1,6 @@
 """The one-call assembly API: configure a node, get a running endpoint.
 
-Hand-wiring a deployable participant used to take five constructors
-(keyspace → clock → detector → endpoint → transport).  This module
-collapses that into a declarative :class:`NodeConfig` plus two factories:
+A declarative :class:`NodeConfig` plus two factories:
 
 * :func:`create_endpoint` — a transport-less protocol endpoint (any
   member of the (n, r, k) clock family), for embedding in your own I/O;
@@ -10,17 +8,16 @@ collapses that into a declarative :class:`NodeConfig` plus two factories:
   any transport you pass), reliable session (acks, retransmission,
   anti-entropy) and the protocol endpoint.
 
-Every point of the paper's design space is one config away::
+The paper's parameters (R, K, the alert check) and the node's own
+scalars are fields of the config; each optional layer is configured by
+handing it that layer's policy object — absent means the layer is off::
 
-    from repro.api import NodeConfig, create_node
+    from repro.api import LivenessPolicy, NodeConfig, create_node
 
-    config = NodeConfig(r=128, k=3, scheme="probabilistic")
+    config = NodeConfig(r=128, k=3, liveness=LivenessPolicy(heartbeat_interval=0.5))
     node = await create_node("alice", config)          # binds loopback UDP
     node.add_peer(("127.0.0.1", 9001))
-    await node.start()
     await node.broadcast({"op": "add", "item": "milk"})
-
-The old constructors keep working — this is a facade, not a rewrite.
 """
 
 from __future__ import annotations
@@ -35,13 +32,7 @@ from repro.core.detector import DeliveryErrorDetector
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import HashKeyAssigner, KeyAssigner
 from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord
-from repro.core.registry import (
-    ClockBuildContext,
-    clock_schemes,
-    detector_names,
-    get_clock_spec,
-    get_detector_spec,
-)
+from repro.core.registry import ClockBuildContext, get_clock_spec, get_detector_spec
 from repro.net.adaptive import AdaptiveClockController, AdaptivePolicy
 from repro.net.journal import NodeJournal
 from repro.net.liveness import LivenessPolicy
@@ -54,17 +45,16 @@ from repro.net.udp import BatchedUdpTransport
 
 __all__ = [
     "NodeConfig",
+    "RetransmitPolicy",
+    "LivenessPolicy",
+    "MembershipConfig",
+    "AdaptivePolicy",
     "create_clock",
     "create_detector",
     "create_endpoint",
     "create_node",
 ]
 
-# Snapshots of the registries at import time (the built-ins).  Validation
-# resolves through the live registry (repro.core.registry), so schemes
-# and detectors registered after import work verbatim.
-SCHEMES = clock_schemes()
-DETECTORS = detector_names()
 PAYLOAD_CODECS = ("json", "raw")
 DISSEMINATION_MODES = ("mesh", "overlay")
 
@@ -79,17 +69,22 @@ class NodeConfig:
 
     Attributes:
         r: vector size R (ignored by ``lamport``; equals N for ``vector``).
-        k: entries per process K (``probabilistic`` only; the others fix it).
+        k: entries per process K (``probabilistic`` and ``bloom``; the
+            others fix it).  With explicit ``keys`` it is ``len(keys)``.
         scheme: ``probabilistic`` (n, r, k) | ``plausible`` (n, r, 1) |
             ``lamport`` (n, 1, 1) | ``vector`` (n, n, 1) | ``bloom``
-            (per-event hashed keys) — or any scheme registered through
-            :func:`repro.core.registry.register_clock`.
+            (per-event hashed keys).
         n: system size; required by ``scheme="vector"`` (it sizes the vector).
         detector: pre-delivery alert check — ``none`` | ``basic``
             (Algorithm 4) | ``refined`` (Algorithm 5).
-        keys: explicit key set (overrides the hash-derived assignment).
+        keys: explicit key set (overrides the hash-derived assignment):
+            distinct entries in ``[0, r)``.
         keyspace_seed: salts the coordination-free hash key assignment,
             so disjoint deployments draw independent key sets.
+        detector_window: ``detector="refined"`` only — retain delivered
+            messages in the recent list L for this many seconds (the
+            paper recommends the order of the propagation time);
+            ``None`` keeps L bounded by count alone.
 
     Transport and reliability (used by :func:`create_node`):
 
@@ -102,36 +97,12 @@ class NodeConfig:
         tx_batch: send-burst budget — max datagrams it writes per flush
             pass.
         payload_codec: application payload wire format: ``json`` | ``raw``.
-        ack_timeout: initial retransmit timeout in seconds.
-        backoff_factor: exponential backoff multiplier per retransmission.
-        max_retries: retransmissions before a frame is left to anti-entropy.
-        send_buffer: per-peer unacked-frame bound (backpressure beyond it).
-        coalesce_mtu: per-datagram budget for frame coalescing — queued
-            frames flush as one BATCH datagram when they fill it.
-        flush_interval: how long a queued frame may wait for company
-            before its batch flushes anyway (seconds).
-        ack_delay: delayed-ack window — received data is acknowledged
-            once per window with one cumulative ACK, piggybacked onto
-            outgoing batches when traffic is bidirectional.
+        retransmit: the reliable session's tuning — timeouts, backoff,
+            send buffer, coalescing, delayed acks; see
+            :class:`~repro.net.session.RetransmitPolicy`.
         anti_entropy_interval: seconds between digest rounds (0 disables).
         store_limit: bound on the recent-messages store serving anti-entropy.
         max_pending: optional safety bound on the endpoint's pending queue.
-
-    Durability and liveness (used by :func:`create_node`):
-
-    Attributes:
-        data_dir: directory for the node's crash journal (WAL +
-            snapshots); ``None`` (the default) runs without durability.
-            A restart pointed at the same directory resumes with its
-            pre-crash vector clock, sequence numbers, and frontiers.
-        journal_snapshot_interval: WAL records between snapshots.
-        journal_fsync: fsync the WAL per append (survives machine
-            crashes, not just process crashes; costly).
-        heartbeat_interval: seconds between HEARTBEAT frames to every
-            peer; 0 (the default) disables the failure detector.
-        quarantine_after: silence after which a peer is quarantined
-            (retransmissions pause, broadcasts skip it) until it is
-            heard from again.
 
     Dissemination (used by :func:`create_node`):
 
@@ -145,48 +116,38 @@ class NodeConfig:
         view_size: bound on the gossip-maintained partial view
             (``overlay`` only; must be >= ``fanout``).
 
-    Dynamic membership (used by :func:`create_node`):
+    Durability (used by :func:`create_node`):
 
     Attributes:
-        membership: run the live group-view layer
-            (:class:`~repro.net.membership.GroupMembership`).  With an
-            empty ``seed_peers`` the node bootstraps a group of one;
-            otherwise :func:`create_node` joins it through the seeds
-            before returning.
-        seed_peers: ``(host, port)`` addresses of running members the
-            JOIN handshake contacts first.
-        join_timeout: seconds to wait for a JOIN_ACK before retrying.
-        join_retries: JOIN retransmissions after the first attempt.
-        join_backoff: multiplier on the join timeout per attempt.
-        evict_after: seconds a member may sit in liveness quarantine
-            before the acting coordinator evicts it from the view
-            (0 disables forced eviction; needs ``heartbeat_interval``
-            > 0 to matter, since quarantine is what ages into it).
-        view_announce_interval: seconds between the coordinator's
-            periodic VIEW re-announcements and eviction sweeps.
+        data_dir: directory for the node's crash journal (WAL +
+            snapshots); ``None`` (the default) runs without durability.
+            A restart pointed at the same directory resumes with its
+            pre-crash vector clock, sequence numbers, and frontiers.
+        journal_snapshot_interval: WAL records between snapshots.
+        journal_fsync: fsync the WAL per append (survives machine
+            crashes, not just process crashes; costly).
 
-    Adaptive clock sizing (used by :func:`create_node`):
+    Optional layers (used by :func:`create_node`; ``None``, the default,
+    leaves the layer out of the node):
 
     Attributes:
-        adaptive: run the self-tuning (R, K) controller
-            (:class:`~repro.net.adaptive.AdaptiveClockController`):
-            every ``adaptive_interval`` seconds the node re-estimates
-            the in-flight concurrency X from its own metrics stream,
-            and the acting coordinator renegotiates the group's K via
-            an epoch bump whenever the measured alert rate leaves
-            ``adaptive_band``.  Requires ``membership=True``.
-        adaptive_interval: seconds between controller decisions.
-        adaptive_band: ``(low, high)`` target alert-rate band (alerts
-            per delivery); inside it the controller holds.
-        adaptive_k_max: upper bound on the negotiated K.
+        liveness: heartbeats and peer quarantine; see
+            :class:`~repro.net.liveness.LivenessPolicy`.
+        membership: the live group-view layer
+            (:class:`~repro.net.membership.GroupMembership`); see
+            :class:`~repro.net.membership.MembershipConfig`.  With empty
+            ``seed_peers`` the node bootstraps a group of one; otherwise
+            :func:`create_node` joins through the seeds before returning.
+            Forced eviction ages a liveness quarantine, so it only
+            acts when ``liveness`` is set too.
+        adaptive: the self-tuning (R, K) controller
+            (:class:`~repro.net.adaptive.AdaptiveClockController`); see
+            :class:`~repro.net.adaptive.AdaptivePolicy`.  Epoch bumps
+            are negotiated through the group view: needs ``membership``.
 
     Observability (used by :func:`create_node`):
 
     Attributes:
-        detector_window: ``detector="refined"`` only — retain delivered
-            messages in the recent list L for this many seconds (the
-            paper recommends the order of the propagation time);
-            ``None`` keeps L bounded by count alone.
         metrics_path: append one metrics-registry snapshot per
             ``metrics_interval`` seconds to this JSONL file (plus a
             final line on close); ``None`` disables the exporter.
@@ -203,18 +164,13 @@ class NodeConfig:
     detector: str = "basic"
     keys: Optional[Tuple[int, ...]] = None
     keyspace_seed: int = 0
+    detector_window: Optional[float] = None
     host: str = "127.0.0.1"
     port: int = 0
     rx_batch: int = 32
     tx_batch: int = 32
     payload_codec: str = "json"
-    ack_timeout: float = 0.05
-    backoff_factor: float = 2.0
-    max_retries: int = 10
-    send_buffer: int = 1024
-    coalesce_mtu: int = 1400
-    flush_interval: float = 0.001
-    ack_delay: float = 0.005
+    retransmit: RetransmitPolicy = RetransmitPolicy()
     anti_entropy_interval: float = 0.5
     store_limit: int = 8192
     max_pending: Optional[int] = None
@@ -224,28 +180,17 @@ class NodeConfig:
     data_dir: Optional[str] = None
     journal_snapshot_interval: int = 256
     journal_fsync: bool = False
-    heartbeat_interval: float = 0.0
-    quarantine_after: float = 2.0
-    membership: bool = False
-    seed_peers: Tuple[Any, ...] = ()
-    join_timeout: float = 1.0
-    join_retries: int = 5
-    join_backoff: float = 2.0
-    evict_after: float = 10.0
-    view_announce_interval: float = 2.0
-    adaptive: bool = False
-    adaptive_interval: float = 5.0
-    adaptive_band: Tuple[float, float] = (0.0, 0.05)
-    adaptive_k_max: int = 16
-    detector_window: Optional[float] = None
+    liveness: Optional[LivenessPolicy] = None
+    membership: Optional[MembershipConfig] = None
+    adaptive: Optional[AdaptivePolicy] = None
     metrics_path: Optional[str] = None
     metrics_interval: float = 1.0
     metrics_port: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # Strict registry validation: unknown scheme / detector strings
-        # raise listing the registered names (never a silent
-        # fallback — a typo like "basci" must not pick a detector).
+        # Unknown scheme / detector strings raise listing the valid
+        # names (never a silent fallback — a typo like "basci" must not
+        # pick a detector).
         spec = get_clock_spec(self.scheme)
         get_detector_spec(self.detector)
         if self.payload_codec not in PAYLOAD_CODECS:
@@ -259,7 +204,7 @@ class NodeConfig:
                 f"expected one of {DISSEMINATION_MODES}"
             )
         if self.dissemination == "overlay":
-            # Fails fast on bad overlay knobs (the view re-checks).
+            # PartialView owns the fanout / view_size rules: build one.
             self.build_overlay("__validate__")
         if self.rx_batch <= 0:
             raise ConfigurationError(f"rx_batch must be positive, got {self.rx_batch}")
@@ -271,6 +216,13 @@ class NodeConfig:
             )
         if self.r <= 0:
             raise ConfigurationError(f"vector size R must be positive, got {self.r}")
+        if self.keys is not None and spec.needs_key_assignment:
+            # The clock owns the key-set rules (distinct, in [0, r), one
+            # entry for a fixed-K scheme): build one.
+            create_clock("__validate__", self)
+            if spec.fixed_k is None:
+                # One K: the clock is built from the keys, so k follows.
+                object.__setattr__(self, "k", len(self.keys))
         if self.k <= 0:
             raise ConfigurationError(f"key count K must be positive, got {self.k}")
         if spec.fixed_k is None and spec.fixed_r is None and self.k > self.r:
@@ -284,10 +236,6 @@ class NodeConfig:
                 f"journal_snapshot_interval must be positive, "
                 f"got {self.journal_snapshot_interval}"
             )
-        if self.heartbeat_interval < 0:
-            raise ConfigurationError(
-                f"heartbeat_interval must be >= 0, got {self.heartbeat_interval}"
-            )
         if self.detector_window is not None and self.detector_window <= 0:
             raise ConfigurationError(
                 f"detector_window must be > 0, got {self.detector_window}"
@@ -300,46 +248,29 @@ class NodeConfig:
             raise ConfigurationError(
                 f"metrics_port must lie in [0, 65535], got {self.metrics_port}"
             )
-        if self.seed_peers and not self.membership:
-            raise ConfigurationError(
-                "seed_peers given but membership=False; enable the "
-                "membership layer to join a group"
-            )
-        if self.membership:
-            # Fails fast on bad membership knobs (the layer re-checks).
-            self.membership_config()
-        if self.adaptive:
-            if not self.membership:
+        # A policy object validates itself, so holding one is enough.
+        for name, kind in (
+            ("retransmit", RetransmitPolicy),
+            ("liveness", LivenessPolicy),
+            ("membership", MembershipConfig),
+            ("adaptive", AdaptivePolicy),
+        ):
+            value = getattr(self, name)
+            if value is None and name != "retransmit":
+                continue  # the layer is off
+            if not isinstance(value, kind):
                 raise ConfigurationError(
-                    "adaptive=True needs membership=True: epoch bumps "
-                    "are negotiated through the group view"
+                    f"{name} takes a {kind.__name__}, got {value!r}"
                 )
-            # Fails fast on bad controller knobs (the policy re-checks).
-            self.adaptive_policy()
-        # Fails fast on bad reliability knobs (the session re-checks).
-        self.retransmit_policy()
-        if self.heartbeat_interval > 0:
-            # Fails fast on an inconsistent pair (the policy re-checks).
-            LivenessPolicy(
-                heartbeat_interval=self.heartbeat_interval,
-                quarantine_after=self.quarantine_after,
+        if self.adaptive is not None and self.membership is None:
+            raise ConfigurationError(
+                "adaptive needs membership: epoch bumps are negotiated "
+                "through the group view"
             )
 
     def replace(self, **changes: Any) -> "NodeConfig":
         """A copy with the given fields changed (frozen-dataclass helper)."""
         return dataclasses.replace(self, **changes)
-
-    def retransmit_policy(self) -> RetransmitPolicy:
-        """The reliability knobs as a session policy."""
-        return RetransmitPolicy(
-            initial_timeout=self.ack_timeout,
-            backoff_factor=self.backoff_factor,
-            max_retries=self.max_retries,
-            send_buffer=self.send_buffer,
-            coalesce_mtu=self.coalesce_mtu,
-            flush_interval=self.flush_interval,
-            ack_delay=self.ack_delay,
-        )
 
     def build_overlay(self, node_id: Hashable) -> PartialView:
         """The overlay knobs as a fresh partial view for ``node_id``."""
@@ -347,25 +278,6 @@ class NodeConfig:
             local_id=node_id,
             fanout=self.fanout,
             view_size=self.view_size,
-        )
-
-    def adaptive_policy(self) -> AdaptivePolicy:
-        """The adaptive clock-sizing knobs as a controller policy."""
-        return AdaptivePolicy(
-            interval=self.adaptive_interval,
-            band=tuple(self.adaptive_band),
-            k_max=self.adaptive_k_max,
-        )
-
-    def membership_config(self) -> MembershipConfig:
-        """The dynamic-membership knobs as a layer config."""
-        return MembershipConfig(
-            seed_peers=tuple(self.seed_peers),
-            join_timeout=self.join_timeout,
-            join_retries=self.join_retries,
-            join_backoff=self.join_backoff,
-            evict_after=self.evict_after,
-            announce_interval=self.view_announce_interval,
         )
 
 
@@ -424,8 +336,8 @@ def create_clock(
 def create_detector(config: NodeConfig) -> DeliveryErrorDetector:
     """Build the configured delivery-error detector.
 
-    Resolves through the detector registry: an unrecognized name raises
-    :class:`ConfigurationError` listing the registered detectors.
+    An unrecognized name raises :class:`ConfigurationError` listing the
+    valid detectors.
     """
     return get_detector_spec(config.detector).build(window=config.detector_window)
 
@@ -503,12 +415,6 @@ async def create_node(
             snapshot_interval=config.journal_snapshot_interval,
             fsync=config.journal_fsync,
         )
-    liveness = None
-    if config.heartbeat_interval > 0:
-        liveness = LivenessPolicy(
-            heartbeat_interval=config.heartbeat_interval,
-            quarantine_after=config.quarantine_after,
-        )
     node = ReliableCausalNode(
         node_id=node_id,
         clock=clock,
@@ -516,12 +422,12 @@ async def create_node(
         detector=create_detector(config),
         codec=_message_codec(config),
         on_delivery=on_delivery,
-        policy=config.retransmit_policy(),
+        policy=config.retransmit,
         anti_entropy_interval=config.anti_entropy_interval,
         store_limit=config.store_limit,
         max_pending=config.max_pending,
         journal=journal,
-        liveness=liveness,
+        liveness=config.liveness,
         overlay=(
             config.build_overlay(node_id)
             if config.dissemination == "overlay"
@@ -535,14 +441,14 @@ async def create_node(
         metrics_interval=config.metrics_interval,
         metrics_port=config.metrics_port,
     )
-    if config.membership:
-        GroupMembership(node, config.membership_config(), assigner=assigner)
-    if config.adaptive:
-        node.adaptive = AdaptiveClockController(node, config.adaptive_policy())
+    if config.membership is not None:
+        GroupMembership(node, config.membership, assigner=assigner)
+    if config.adaptive is not None:
+        node.adaptive = AdaptiveClockController(node, config.adaptive)
     if start:
         await node.start()
-        if node.membership is not None:
-            if config.seed_peers:
+        if config.membership is not None:
+            if config.membership.seed_peers:
                 await node.membership.join()
             else:
                 node.membership.bootstrap()

@@ -11,16 +11,16 @@ Seven subcommands cover the common workflows without writing code:
   assembled by the :mod:`repro.api` factory;
 * ``stats``     — render metrics JSONL exports (from ``node
   --metrics-path``, the simulator, or the metered soak) as tables;
-* ``engines``   — list the registered clock schemes and detectors with
-  their capability descriptors.
+* ``engines``   — list the clock schemes and detectors with their
+  capability descriptors.
 
 The ``--clock``/``--detector`` choices are read from
-:mod:`repro.core.registry` at parser-build time, so schemes registered
-by plugins (imported before :func:`build_parser` runs) are selectable
-here without touching this module.
+:mod:`repro.core.registry` and the ``node`` flag defaults from the
+config dataclasses, so neither is typed a second time here.
 
 Every command prints plain text; ``simulate --json`` emits a
-machine-readable result instead.
+machine-readable result instead.  A configuration the library rejects
+ends in ``repro <command>: error: <message>`` and exit code 2.
 """
 
 from __future__ import annotations
@@ -33,6 +33,15 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis.persistence import result_to_dict
+from repro.api import (
+    DISSEMINATION_MODES,
+    AdaptivePolicy,
+    LivenessPolicy,
+    MembershipConfig,
+    NodeConfig,
+    create_node,
+)
+from repro.core.errors import ConfigurationError, MembershipError
 from repro.core.registry import (
     clock_schemes,
     detector_names,
@@ -115,13 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--peer", action="append", default=[], metavar="HOST:PORT",
         help="peer address to broadcast to (repeatable)",
     )
-    node.add_argument("--r", type=int, default=128)
-    node.add_argument("--k", type=int, default=3)
+    node.add_argument("--r", type=int, default=NodeConfig.r)
+    node.add_argument("--k", type=int, default=NodeConfig.k)
     node.add_argument(
-        "--clock", choices=clock_schemes(), default="probabilistic"
+        "--clock", choices=clock_schemes(), default=NodeConfig.scheme
     )
     node.add_argument(
-        "--detector", choices=detector_names(), default="basic"
+        "--detector", choices=detector_names(), default=NodeConfig.detector
     )
     node.add_argument(
         "--send", default="hello", help="payload prefix for the broadcasts"
@@ -145,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
              "failure detector)",
     )
     node.add_argument(
-        "--quarantine-after", type=float, default=2.0, metavar="SECONDS",
+        "--quarantine-after", type=float,
+        default=LivenessPolicy.quarantine_after, metavar="SECONDS",
         help="peer silence after which it is quarantined",
     )
     node.add_argument(
@@ -159,15 +169,18 @@ def build_parser() -> argparse.ArgumentParser:
              "enables the dynamic-membership layer)",
     )
     node.add_argument(
-        "--join-timeout", type=float, default=1.0, metavar="SECONDS",
+        "--join-timeout", type=float,
+        default=MembershipConfig.join_timeout, metavar="SECONDS",
         help="seconds to wait for a JOIN_ACK before retrying",
     )
     node.add_argument(
-        "--join-retries", type=int, default=5, metavar="N",
+        "--join-retries", type=int,
+        default=MembershipConfig.join_retries, metavar="N",
         help="JOIN retransmissions after the first attempt",
     )
     node.add_argument(
-        "--evict-after", type=float, default=10.0, metavar="SECONDS",
+        "--evict-after", type=float,
+        default=MembershipConfig.evict_after, metavar="SECONDS",
         help="quarantine age after which the coordinator evicts a member "
              "from the view (0 disables; needs --heartbeat-interval)",
     )
@@ -179,48 +192,35 @@ def build_parser() -> argparse.ArgumentParser:
              "epoch bumps (needs --bootstrap or --join)",
     )
     node.add_argument(
-        "--adaptive-band", default="0:0.05", metavar="LOW:HIGH",
+        "--adaptive-band", default="%g:%g" % AdaptivePolicy.band,
+        metavar="LOW:HIGH",
         help="target alert-rate band (alerts per delivery); the "
              "controller re-tiles K only when the measured rate "
              "leaves it",
     )
     node.add_argument(
-        "--adaptive-interval", type=float, default=5.0, metavar="SECONDS",
+        "--adaptive-interval", type=float,
+        default=AdaptivePolicy.interval, metavar="SECONDS",
         help="seconds between adaptive-controller decisions",
     )
     node.add_argument(
-        "--adaptive-k-max", type=int, default=16, metavar="K",
+        "--adaptive-k-max", type=int, default=AdaptivePolicy.k_max, metavar="K",
         help="upper bound on the renegotiated K",
     )
     node.add_argument(
-        "--coalesce-mtu", type=int, default=1400, metavar="BYTES",
-        help="datagram budget for frame coalescing",
-    )
-    node.add_argument(
-        "--ack-delay", type=float, default=0.005, metavar="SECONDS",
-        help="how long to hold a cumulative ACK hoping to piggyback it",
-    )
-    node.add_argument(
-        "--rx-batch", type=int, default=32, metavar="N",
-        help="max datagrams drained per event-loop wakeup",
-    )
-    node.add_argument(
-        "--tx-batch", type=int, default=32, metavar="N",
-        help="max datagrams written per send burst",
-    )
-    node.add_argument(
-        "--dissemination", choices=("mesh", "overlay"), default="mesh",
+        "--dissemination", choices=DISSEMINATION_MODES,
+        default=NodeConfig.dissemination,
         help="how broadcasts spread: 'mesh' unicasts to every peer, "
              "'overlay' pushes to --fanout targets drawn from a bounded "
              "partial view and lets receivers relay (scales past the "
              "mesh; anti-entropy heals the probabilistic tail)",
     )
     node.add_argument(
-        "--fanout", type=int, default=3, metavar="N",
+        "--fanout", type=int, default=NodeConfig.fanout, metavar="N",
         help="relay targets per push (overlay dissemination only)",
     )
     node.add_argument(
-        "--view-size", type=int, default=12, metavar="N",
+        "--view-size", type=int, default=NodeConfig.view_size, metavar="N",
         help="bound on the gossip-maintained partial view (overlay "
              "dissemination only; must be >= --fanout)",
     )
@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
              "render later with `repro stats FILE`",
     )
     node.add_argument(
-        "--metrics-interval", type=float, default=1.0, metavar="SECONDS",
+        "--metrics-interval", type=float,
+        default=NodeConfig.metrics_interval, metavar="SECONDS",
         help="seconds between JSONL snapshots",
     )
     node.add_argument(
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser(
         "engines",
-        help="list registered clock schemes and detectors",
+        help="list the clock schemes and detectors",
     )
 
     return parser
@@ -416,22 +417,34 @@ def _command_theory(args: argparse.Namespace) -> int:
 
 
 def _command_node(args: argparse.Namespace) -> int:
-    # Imported here so the simulation-only commands stay import-light.
-    from repro.api import NodeConfig, create_node
-    from repro.core.errors import MembershipError
-
     host, port = _parse_host_port(args.listen)
     peer_addresses = [_parse_host_port(peer) for peer in args.peer]
     seed_addresses = [_parse_host_port(seed) for seed in args.join]
     if args.bootstrap and seed_addresses:
-        print("--bootstrap and --join are mutually exclusive", file=sys.stderr)
-        return 1
-    try:
-        band_low, band_high = (float(v) for v in args.adaptive_band.split(":"))
-    except ValueError:
-        print(f"--adaptive-band must be LOW:HIGH, got {args.adaptive_band!r}",
-              file=sys.stderr)
-        return 1
+        raise ConfigurationError("--bootstrap and --join are mutually exclusive")
+    liveness = membership = adaptive = None
+    if args.heartbeat_interval:  # 0 leaves the failure detector off
+        liveness = LivenessPolicy(
+            heartbeat_interval=args.heartbeat_interval,
+            quarantine_after=args.quarantine_after,
+        )
+    if args.bootstrap or seed_addresses:
+        membership = MembershipConfig(
+            seed_peers=tuple(seed_addresses),
+            join_timeout=args.join_timeout,
+            join_retries=args.join_retries,
+            evict_after=args.evict_after,
+        )
+    if args.adaptive:
+        try:
+            low, high = (float(v) for v in args.adaptive_band.split(":"))
+        except ValueError:
+            raise ConfigurationError(
+                f"--adaptive-band must be LOW:HIGH, got {args.adaptive_band!r}"
+            ) from None
+        adaptive = AdaptivePolicy(
+            interval=args.adaptive_interval, band=(low, high), k_max=args.adaptive_k_max
+        )
     dense = get_clock_spec(args.clock).needs_dense_index
     config = NodeConfig(
         r=args.r,
@@ -442,21 +455,9 @@ def _command_node(args: argparse.Namespace) -> int:
         host=host,
         port=port,
         data_dir=args.data_dir,
-        heartbeat_interval=args.heartbeat_interval,
-        quarantine_after=args.quarantine_after,
-        membership=args.bootstrap or bool(seed_addresses),
-        seed_peers=tuple(seed_addresses),
-        join_timeout=args.join_timeout,
-        join_retries=args.join_retries,
-        evict_after=args.evict_after,
-        adaptive=args.adaptive,
-        adaptive_interval=args.adaptive_interval,
-        adaptive_band=(band_low, band_high),
-        adaptive_k_max=args.adaptive_k_max,
-        coalesce_mtu=args.coalesce_mtu,
-        ack_delay=args.ack_delay,
-        rx_batch=args.rx_batch,
-        tx_batch=args.tx_batch,
+        liveness=liveness,
+        membership=membership,
+        adaptive=adaptive,
         dissemination=args.dissemination,
         fanout=args.fanout,
         view_size=args.view_size,
@@ -651,7 +652,7 @@ def _command_engines(args: argparse.Namespace) -> int:
         ])
     print(render_table(
         ["clock", "wire id", "R", "K", "capabilities", "description"],
-        clock_rows, title="registered clock schemes",
+        clock_rows, title="clock schemes",
     ))
 
     detector_rows = [
@@ -660,7 +661,7 @@ def _command_engines(args: argparse.Namespace) -> int:
     ]
     print(render_table(
         ["detector", "description"],
-        detector_rows, title="registered detectors",
+        detector_rows, title="detectors",
     ))
     return 0
 
@@ -682,6 +683,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output was piped into a consumer that closed early (| head):
         # normal shell usage, not an error.

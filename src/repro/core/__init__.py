@@ -69,12 +69,8 @@ from repro.core.registry import (
     detector_names,
     get_clock_spec,
     get_detector_spec,
-    register_clock,
-    register_detector,
     scheme_id_of,
     scheme_name_of,
-    unregister_clock,
-    unregister_detector,
 )
 from repro.core.theory import (
     expected_concurrency,
@@ -124,14 +120,10 @@ __all__ = [
     "DeliveryRecord",
     "EndpointStats",
     "CausalBroadcastEndpoint",
-    # registry (plugin surface)
+    # scheme and detector tables
     "ClockBuildContext",
     "ClockSpec",
     "DetectorSpec",
-    "register_clock",
-    "register_detector",
-    "unregister_clock",
-    "unregister_detector",
     "get_clock_spec",
     "get_detector_spec",
     "clock_schemes",

@@ -1,9 +1,8 @@
-"""Pluggable clock / detector registries: the plugin API.
+"""The clock-scheme and detector tables.
 
 The factory layer (:mod:`repro.api`, :mod:`repro.sim.runner`, the CLI and
-the wire codec) used to hard-code ``if scheme == ...`` chains, which meant
-every new clock family had to edit four modules.  This module replaces
-those chains with two name-keyed registries:
+the wire codec) resolves names through two tables at the bottom of this
+module instead of ``if scheme == ...`` chains:
 
 * **clocks** — members of the (n, r, k) design space *and* foreign
   families (the Bloom clock).  A :class:`ClockSpec` couples the factory
@@ -16,22 +15,9 @@ those chains with two name-keyed registries:
   distinguishable on the wire (:mod:`repro.core.codec`).
 * **detectors** — pre-delivery alert checks (Algorithms 4/5).
 
-Registration is global and import-time cheap; the built-ins below are
-registered when this module is imported.  Third parties register their
-own::
-
-    from repro.core.registry import ClockBuildContext, register_clock
-
-    register_clock(
-        "myclock",
-        lambda ctx: MyClock(ctx.r, ctx.keys),
-        needs_key_assignment=True,
-        description="my experimental clock",
-    )
-    config = NodeConfig(scheme="myclock")       # resolves via the registry
-
-Lookups of unknown names raise :class:`ConfigurationError` listing the
-registered names — never a silent fallback.
+A new family is one more row in ``_CLOCKS`` (DESIGN.md §9).  Lookups of
+unknown names raise :class:`ConfigurationError` listing the valid
+names — never a silent fallback.
 """
 
 from __future__ import annotations
@@ -59,10 +45,6 @@ __all__ = [
     "ClockBuildContext",
     "ClockSpec",
     "DetectorSpec",
-    "register_clock",
-    "register_detector",
-    "unregister_clock",
-    "unregister_detector",
     "get_clock_spec",
     "get_detector_spec",
     "clock_schemes",
@@ -170,89 +152,6 @@ class DetectorSpec:
         return self.factory(window=window, max_entries=max_entries)
 
 
-_CLOCKS: Dict[str, ClockSpec] = {}
-_DETECTORS: Dict[str, DetectorSpec] = {}
-
-
-def _check_name(kind: str, name: str, table: Dict[str, Any], replace: bool) -> None:
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(f"{kind} name must be a non-empty string, got {name!r}")
-    if name in table and not replace:
-        raise ConfigurationError(
-            f"{kind} {name!r} is already registered (pass replace=True to override)"
-        )
-
-
-def register_clock(
-    name: str,
-    factory: ClockFactory,
-    *,
-    description: str = "",
-    needs_dense_index: bool = False,
-    needs_key_assignment: bool = False,
-    per_message_keys: bool = False,
-    fixed_k: Optional[int] = None,
-    fixed_r: Optional[int] = None,
-    wire_scheme_id: Optional[int] = None,
-    replace: bool = False,
-) -> ClockSpec:
-    """Register a clock family under ``name``; returns its spec.
-
-    ``wire_scheme_id`` defaults to the smallest unallocated byte; pass an
-    explicit value to pin a wire-stable id (the built-ins do).
-    """
-    _check_name("clock scheme", name, _CLOCKS, replace)
-    if wire_scheme_id is None:
-        taken = {spec.wire_scheme_id for key, spec in _CLOCKS.items() if key != name}
-        wire_scheme_id = next(i for i in range(1, 256) if i not in taken)
-    if not 1 <= wire_scheme_id <= 255:
-        raise ConfigurationError(
-            f"wire_scheme_id must fit one byte in [1, 255], got {wire_scheme_id}"
-        )
-    for key, spec in _CLOCKS.items():
-        if key != name and spec.wire_scheme_id == wire_scheme_id:
-            raise ConfigurationError(
-                f"wire_scheme_id {wire_scheme_id} already allocated to {key!r}"
-            )
-    spec = ClockSpec(
-        name=name,
-        factory=factory,
-        description=description,
-        needs_dense_index=needs_dense_index,
-        needs_key_assignment=needs_key_assignment,
-        per_message_keys=per_message_keys,
-        fixed_k=fixed_k,
-        fixed_r=fixed_r,
-        wire_scheme_id=wire_scheme_id,
-    )
-    _CLOCKS[name] = spec
-    return spec
-
-
-def register_detector(
-    name: str,
-    factory: Callable[..., DeliveryErrorDetector],
-    *,
-    description: str = "",
-    replace: bool = False,
-) -> DetectorSpec:
-    """Register a delivery-error detector under ``name``; returns its spec."""
-    _check_name("detector", name, _DETECTORS, replace)
-    spec = DetectorSpec(name=name, factory=factory, description=description)
-    _DETECTORS[name] = spec
-    return spec
-
-
-def unregister_clock(name: str) -> None:
-    """Remove a registered clock scheme (test teardown helper)."""
-    _CLOCKS.pop(name, None)
-
-
-def unregister_detector(name: str) -> None:
-    """Remove a registered detector (test teardown helper)."""
-    _DETECTORS.pop(name, None)
-
-
 def _lookup(kind: str, name: str, table: Dict[str, Any]) -> Any:
     try:
         return table[name]
@@ -273,12 +172,12 @@ def get_detector_spec(name: str) -> DetectorSpec:
 
 
 def clock_schemes() -> Tuple[str, ...]:
-    """Registered clock scheme names, in registration order."""
+    """Registered clock scheme names, in table order."""
     return tuple(_CLOCKS)
 
 
 def detector_names() -> Tuple[str, ...]:
-    """Registered detector names, in registration order."""
+    """Registered detector names, in table order."""
     return tuple(_DETECTORS)
 
 
@@ -296,8 +195,8 @@ def scheme_name_of(scheme_id: int) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# Built-ins.  Wire scheme ids are pinned (they are a wire format);
-# allocate new ids upward from 6 — see DESIGN.md §9.
+# The tables.  Wire scheme ids are pinned (they are a wire format); a
+# new family takes the next id upward from 6 — see DESIGN.md §9.
 # ----------------------------------------------------------------------
 
 
@@ -329,45 +228,6 @@ def _build_bloom(ctx: ClockBuildContext) -> EntryVectorClock:
     return BloomCausalClock(ctx.r, hashes=ctx.k, owner=ctx.node_id)
 
 
-register_clock(
-    "probabilistic",
-    _build_probabilistic,
-    description="the paper's (n, r, k) clock: K static hashed entries per process",
-    needs_key_assignment=True,
-    wire_scheme_id=1,
-)
-register_clock(
-    "plausible",
-    _build_plausible,
-    description="Torres-Rojas plausible clock: the (n, r, 1) point",
-    needs_key_assignment=True,
-    fixed_k=1,
-    wire_scheme_id=2,
-)
-register_clock(
-    "lamport",
-    _build_lamport,
-    description="Lamport scalar clock: the degenerate (n, 1, 1) point",
-    fixed_k=1,
-    fixed_r=1,
-    wire_scheme_id=3,
-)
-register_clock(
-    "vector",
-    _build_vector,
-    description="exact vector clock: the (n, n, 1) point (dense membership)",
-    needs_dense_index=True,
-    fixed_k=1,
-    wire_scheme_id=4,
-)
-register_clock(
-    "bloom",
-    _build_bloom,
-    description="Bloom clock (Ramabaja): h hashed entries drawn fresh per event",
-    per_message_keys=True,
-    wire_scheme_id=5,
-)
-
 def _make_none(window: Optional[float] = None, max_entries: Optional[int] = None):
     return NullDetector()
 
@@ -382,12 +242,59 @@ def _make_refined(window: Optional[float] = None, max_entries: Optional[int] = N
     return RefinedAlertDetector(window=window, max_entries=max_entries)
 
 
-register_detector("none", _make_none, description="alerts disabled (baseline)")
-register_detector(
-    "basic", _make_basic, description="Algorithm 4: all sender entries covered"
-)
-register_detector(
-    "refined",
-    _make_refined,
-    description="Algorithm 5: Algorithm 4 filtered through the recent list L",
-)
+_CLOCKS: Dict[str, ClockSpec] = {
+    spec.name: spec
+    for spec in (
+        ClockSpec(
+            "probabilistic",
+            _build_probabilistic,
+            "the paper's (n, r, k) clock: K static hashed entries per process",
+            needs_key_assignment=True,
+            wire_scheme_id=1,
+        ),
+        ClockSpec(
+            "plausible",
+            _build_plausible,
+            "Torres-Rojas plausible clock: the (n, r, 1) point",
+            needs_key_assignment=True,
+            fixed_k=1,
+            wire_scheme_id=2,
+        ),
+        ClockSpec(
+            "lamport",
+            _build_lamport,
+            "Lamport scalar clock: the degenerate (n, 1, 1) point",
+            fixed_k=1,
+            fixed_r=1,
+            wire_scheme_id=3,
+        ),
+        ClockSpec(
+            "vector",
+            _build_vector,
+            "exact vector clock: the (n, n, 1) point (dense membership)",
+            needs_dense_index=True,
+            fixed_k=1,
+            wire_scheme_id=4,
+        ),
+        ClockSpec(
+            "bloom",
+            _build_bloom,
+            "Bloom clock (Ramabaja): h hashed entries drawn fresh per event",
+            per_message_keys=True,
+            wire_scheme_id=5,
+        ),
+    )
+}
+
+_DETECTORS: Dict[str, DetectorSpec] = {
+    spec.name: spec
+    for spec in (
+        DetectorSpec("none", _make_none, "alerts disabled (baseline)"),
+        DetectorSpec("basic", _make_basic, "Algorithm 4: all sender entries covered"),
+        DetectorSpec(
+            "refined",
+            _make_refined,
+            "Algorithm 5: Algorithm 4 filtered through the recent list L",
+        ),
+    )
+}

@@ -43,8 +43,6 @@ from repro.core.combinatorics import num_key_sets, unrank_lex
 from repro.core.protocol import CausalBroadcastEndpoint, Message
 from repro.core.registry import (
     ClockBuildContext,
-    clock_schemes,
-    detector_names,
     get_clock_spec,
     get_detector_spec,
 )
@@ -107,9 +105,6 @@ class NodeApplication:
     def on_leave(self, node_id: int, now: float) -> None:
         """Observe this node leaving the system."""
 
-# Snapshot of the clock schemes registered at import time; validation
-# resolves through the live registry, so schemes registered later work.
-CLOCK_MODES = clock_schemes()
 ASSIGNER_MODES = (
     "random",
     "random-colliding",
@@ -118,7 +113,6 @@ ASSIGNER_MODES = (
     "sequential",
     "hash",
 )
-DETECTOR_MODES = detector_names()
 
 
 @dataclass
@@ -136,8 +130,7 @@ class SimulationConfig:
         clock: which clock family every node runs — ``probabilistic``
             (the paper), ``plausible`` (K=1 baseline), ``lamport`` (R=1
             baseline), ``vector`` (exact baseline), ``bloom``
-            (per-event hashed keys), or any scheme registered through
-            :func:`repro.core.registry.register_clock`.
+            (per-event hashed keys).
         key_assigner: how key sets are distributed — ``random`` (the
             paper's distributed scheme, distinct set_ids), ``random-colliding``
             (no distinctness guarantee), ``perfect``, ``sequential``, ``hash``.

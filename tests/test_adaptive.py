@@ -12,7 +12,13 @@ import asyncio
 
 import pytest
 
-from repro.api import NodeConfig, create_node
+from repro.api import (
+    LivenessPolicy,
+    MembershipConfig,
+    NodeConfig,
+    RetransmitPolicy,
+    create_node,
+)
 from repro.core.errors import ConfigurationError, MembershipError
 from repro.core.theory import optimal_k_int, p_error
 from repro.net.adaptive import (
@@ -65,12 +71,16 @@ class TestAdaptivePolicy:
             AdaptivePolicy(**{field: value})
 
     def test_node_config_adaptive_requires_membership(self):
-        with pytest.raises(ConfigurationError):
-            NodeConfig(adaptive=True)
+        with pytest.raises(ConfigurationError, match="needs membership"):
+            NodeConfig(adaptive=AdaptivePolicy())
 
     def test_node_config_validates_adaptive_knobs(self):
-        with pytest.raises(ConfigurationError):
-            NodeConfig(membership=True, adaptive=True, adaptive_interval=0.0)
+        """The controller is switched on by a policy object, which
+        cannot exist invalid — a flag plus loose knobs is refused."""
+        with pytest.raises(ConfigurationError, match="AdaptivePolicy"):
+            NodeConfig(membership=MembershipConfig(), adaptive=True)
+        with pytest.raises(TypeError):
+            NodeConfig(membership=MembershipConfig(), adaptive_interval=0.0)
 
 
 class TestTelemetrySample:
@@ -196,17 +206,18 @@ class TestEpochPlanner:
         assert planner.decide(12, window(25.0, 0.2), now=31.0) is not None
 
 
-def quick_config(**overrides):
+def quick_config(seed_peers=(), **overrides):
     base = dict(
         r=64, k=8,
-        ack_timeout=0.02,
+        retransmit=RetransmitPolicy(initial_timeout=0.02),
         anti_entropy_interval=0.1,
-        heartbeat_interval=0.05,
-        quarantine_after=0.5,
-        membership=True,
-        join_timeout=0.5,
-        join_retries=4,
-        view_announce_interval=0.1,
+        liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.5),
+        membership=MembershipConfig(
+            seed_peers=seed_peers,
+            join_timeout=0.5,
+            join_retries=4,
+            announce_interval=0.1,
+        ),
     )
     base.update(overrides)
     return NodeConfig(**base)
@@ -305,7 +316,7 @@ class TestController:
         async def scenario():
             node = await create_node(
                 "solo",
-                quick_config(adaptive=True, adaptive_interval=30.0),
+                quick_config(adaptive=AdaptivePolicy(interval=30.0)),
             )
             assert isinstance(node.adaptive, AdaptiveClockController)
             assert node.adaptive._task is not None
@@ -319,9 +330,7 @@ class TestController:
             node = await create_node(
                 "solo",
                 quick_config(
-                    adaptive=True,
-                    adaptive_interval=30.0,
-                    adaptive_band=(0.0, 0.05),
+                    adaptive=AdaptivePolicy(interval=30.0, band=(0.0, 0.05)),
                 ),
             )
             controller = node.adaptive
@@ -349,7 +358,7 @@ class TestController:
     def test_step_holds_without_telemetry(self):
         async def scenario():
             node = await create_node(
-                "solo", quick_config(adaptive=True, adaptive_interval=30.0)
+                "solo", quick_config(adaptive=AdaptivePolicy(interval=30.0))
             )
             # Two idle snapshots: no deliveries, no window, no bump.
             assert node.adaptive.step(now=1.0) is None
@@ -366,8 +375,7 @@ class TestController:
                 "b",
                 quick_config(
                     seed_peers=(a.local_address,),
-                    adaptive=True,
-                    adaptive_interval=30.0,
+                    adaptive=AdaptivePolicy(interval=30.0),
                 ),
             )
             follower = b if a.membership.is_coordinator() else a

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from repro import NodeConfig, create_clock, create_detector, create_endpoint, create_node
-from repro.api import DETECTORS, SCHEMES
+from repro.api import AdaptivePolicy, LivenessPolicy, MembershipConfig, RetransmitPolicy
 from repro.core.clocks import (
     LamportCausalClock,
     PlausibleCausalClock,
@@ -17,6 +17,7 @@ from repro.core.detector import BasicAlertDetector, NullDetector, RefinedAlertDe
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import RandomKeyAssigner
 from repro.core.protocol import CausalBroadcastEndpoint
+from repro.core.registry import clock_schemes, detector_names
 from repro.net import LocalAsyncBus, ReliableCausalNode
 from repro.util.rng import RandomSource
 
@@ -38,8 +39,9 @@ class TestNodeConfig:
             dict(k=0),
             dict(r=4, k=9),
             dict(anti_entropy_interval=-0.5),
-            dict(coalesce_mtu=0),
-            dict(ack_delay=0),
+            dict(membership=True),           # a layer is a policy object
+            dict(adaptive=AdaptivePolicy()),  # adaptive without membership
+            dict(retransmit=None),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -47,16 +49,56 @@ class TestNodeConfig:
             NodeConfig(**kwargs)
 
     def test_knobs_nothing_set_are_gone(self):
-        """Each layer's own default (RetransmitPolicy, PartialView,
-        AdaptivePolicy) is the single source now; the old names fail
-        loudly instead of being silently ignored."""
-        assert len(dataclasses.fields(NodeConfig)) == 45
-        for name in ("max_retry_timeout", "piggyback_size", "merge_probability",
-                     "relay_max_hops", "adaptive_cooldown", "wire_delta"):
+        """Every tuning value is declared once, in the policy class of
+        the layer that reads it; the config holds those objects and the
+        old flat copies fail loudly instead of being silently ignored."""
+        assert [field.name for field in dataclasses.fields(NodeConfig)] == [
+            "r", "k", "scheme", "n", "detector", "keys", "keyspace_seed",
+            "detector_window", "host", "port", "rx_batch", "tx_batch",
+            "payload_codec", "retransmit", "anti_entropy_interval",
+            "store_limit", "max_pending", "dissemination", "fanout",
+            "view_size", "data_dir", "journal_snapshot_interval",
+            "journal_fsync", "liveness", "membership", "adaptive",
+            "metrics_path", "metrics_interval", "metrics_port",
+        ]
+        config = NodeConfig()
+        assert config.retransmit == RetransmitPolicy()
+        assert config.liveness is config.membership is config.adaptive is None
+        for name in (
+            "max_retry_timeout", "piggyback_size", "merge_probability",
+            "relay_max_hops", "adaptive_cooldown", "wire_delta",
+            # the 20 copies of policy fields
+            "ack_timeout", "backoff_factor", "max_retries", "send_buffer",
+            "coalesce_mtu", "flush_interval", "ack_delay",
+            "heartbeat_interval", "quarantine_after",
+            "seed_peers", "join_timeout", "join_retries", "join_backoff",
+            "evict_after", "view_announce_interval",
+            "adaptive_interval", "adaptive_band", "adaptive_k_max",
+        ):
             with pytest.raises(TypeError):
                 NodeConfig(**{name: 1})
             with pytest.raises(TypeError):
-                NodeConfig().replace(**{name: 1})
+                config.replace(**{name: 1})
+        # The other two of the 20: the on/off flags became the holders.
+        for name in ("membership", "adaptive"):
+            with pytest.raises(ConfigurationError):
+                NodeConfig(**{name: True})
+            with pytest.raises(ConfigurationError):
+                config.replace(**{name: True})
+        # So a layer that is off can no longer carry invalid settings:
+        # the flat spelling is gone and the policy refuses the values.
+        for flat, policy in (
+            (lambda: NodeConfig(quarantine_after=-5),
+             lambda: LivenessPolicy(quarantine_after=-5)),
+            (lambda: NodeConfig(join_timeout=-1, join_retries=-3),
+             lambda: MembershipConfig(join_timeout=-1, join_retries=-3)),
+            (lambda: NodeConfig(adaptive_band=(5, 1), adaptive_k_max=0),
+             lambda: AdaptivePolicy(band=(5, 1), k_max=0)),
+        ):
+            with pytest.raises(TypeError):
+                flat()
+            with pytest.raises(ConfigurationError):
+                policy()
 
     def test_replace_produces_modified_copy(self):
         base = NodeConfig(r=64)
@@ -65,11 +107,31 @@ class TestNodeConfig:
         assert base.k == 3  # original untouched
 
     def test_retransmit_policy_reflects_config(self):
-        config = NodeConfig(ack_timeout=0.1, max_retries=4, send_buffer=7)
-        policy = config.retransmit_policy()
-        assert policy.initial_timeout == 0.1
-        assert policy.max_retries == 4
-        assert policy.send_buffer == 7
+        """The session runs the very policy object the config holds."""
+        policy = RetransmitPolicy(initial_timeout=0.1, max_retries=4, send_buffer=7)
+
+        async def scenario():
+            node = await create_node(
+                "n", NodeConfig(retransmit=policy),
+                transport=LocalAsyncBus().attach("n"), start=False,
+            )
+            assert node.session._policy is policy
+
+        asyncio.run(scenario())
+
+    def test_explicit_keys_decide_k(self):
+        """``config.k`` is what the CLI banner prints and the e2e
+        harness feeds to ``p_error``: it must be the clock's K."""
+        config = NodeConfig(r=16, k=3, keys=(1, 2))
+        assert config.k == 2 == create_clock("n", config).k
+        assert config.replace(k=5).k == 2
+        # A scheme that fixes K, or that takes no key set, keeps its k.
+        assert NodeConfig(r=16, scheme="bloom", keys=(1, 2)).k == 3
+
+    @pytest.mark.parametrize("keys", [(1, 1), (-1, 2), (3, 16), ()])
+    def test_bad_explicit_keys_rejected_at_construction(self, keys):
+        with pytest.raises(ConfigurationError):
+            NodeConfig(r=16, keys=keys)
 
 
 class TestCreateClock:
@@ -131,11 +193,11 @@ class TestCreateDetector:
         assert isinstance(create_detector(NodeConfig(detector=name)), kind)
 
     def test_detector_list_is_exhaustive(self):
-        assert set(DETECTORS) == {"none", "basic", "refined"}
+        assert set(detector_names()) == {"none", "basic", "refined"}
 
 
 class TestCreateEndpoint:
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", clock_schemes())
     def test_every_scheme_yields_working_endpoint(self, scheme):
         config = NodeConfig(r=16, k=2, scheme=scheme,
                             n=4 if scheme == "vector" else None)

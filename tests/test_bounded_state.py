@@ -18,7 +18,14 @@ import os
 
 import pytest
 
-from repro.api import NodeConfig, create_endpoint, create_node
+from repro.api import (
+    LivenessPolicy,
+    MembershipConfig,
+    NodeConfig,
+    RetransmitPolicy,
+    create_endpoint,
+    create_node,
+)
 from repro.core.codec import JoinAckFrame, MemberRecord, MessageCodec
 from repro.core.errors import ConfigurationError
 from repro.net import LocalAsyncBus
@@ -219,7 +226,7 @@ def test_restart_and_join_transfer_adopt_identical_coverage(tmp_path):
         )
         # Route two: a JOIN_ACK carrying the same frontiers.
         joiner = await create_node(
-            "j", NodeConfig(r=8, k=2, membership=True), transport=bus.attach("j"),
+            "j", NodeConfig(r=8, k=2, membership=MembershipConfig()), transport=bus.attach("j"),
         )
         members = (
             MemberRecord("n", "n", (0, 1)),
@@ -293,7 +300,7 @@ def test_stale_marks_age_out_with_the_eviction_records(caplog):
         bus = LocalAsyncBus()
         # A bootstrapped group of one: every other sender is departed.
         node = await create_node(
-            "n", NodeConfig(r=16, k=2, membership=True), transport=bus.attach("n"),
+            "n", NodeConfig(r=16, k=2, membership=MembershipConfig()), transport=bus.attach("n"),
         )
         node.add_peer("live")
         try:
@@ -326,12 +333,15 @@ def test_stale_marks_age_out_with_the_eviction_records(caplog):
 
 
 def test_leave_marks_are_cleared_by_every_install():
-    def config(**overrides):
+    def config(seed_peers=()):
         return NodeConfig(
-            r=32, k=2, ack_timeout=0.02, anti_entropy_interval=0.1,
-            heartbeat_interval=0.05, quarantine_after=5.0, membership=True,
-            join_timeout=0.5, join_retries=4, view_announce_interval=0.1,
-            **overrides,
+            r=32, k=2, anti_entropy_interval=0.1,
+            retransmit=RetransmitPolicy(initial_timeout=0.02),
+            liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=5.0),
+            membership=MembershipConfig(
+                seed_peers=seed_peers, join_timeout=0.5, join_retries=4,
+                announce_interval=0.1,
+            ),
         )
 
     async def scenario():

@@ -16,7 +16,7 @@ import asyncio
 
 import pytest
 
-from repro.api import NodeConfig, create_node
+from repro.api import LivenessPolicy, NodeConfig, RetransmitPolicy, create_node
 from repro.net import FaultWindow, FaultyTransport, UdpTransport
 from repro.net.session import TransportStats
 from repro.sim.oracle import CausalityOracle, DeliveryVerdict
@@ -53,10 +53,9 @@ class Harness:
         self.delivered_before_crash = {name: 0 for name in NAMES}
         self.config = NodeConfig(
             r=64, k=3,
-            ack_timeout=0.02,
+            retransmit=RetransmitPolicy(initial_timeout=0.02),
             anti_entropy_interval=0.1,
-            heartbeat_interval=0.05,
-            quarantine_after=0.6,
+            liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.6),
             journal_snapshot_interval=16,
         )
         # Explicitly disjoint key sets: with shared entries the (R, K)

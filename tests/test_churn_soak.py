@@ -34,13 +34,20 @@ written to ``CHURN_SOAK_METRICS_DIR`` (default: the test tmpdir).
 """
 
 import asyncio
+import dataclasses
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.api import NodeConfig, create_node
+from repro.api import (
+    LivenessPolicy,
+    MembershipConfig,
+    NodeConfig,
+    RetransmitPolicy,
+    create_node,
+)
 from repro.core.keyspace import PerfectKeyAssigner
 from repro.net import FaultyTransport, UdpTransport
 from repro.sim.oracle import CausalityOracle, DeliveryVerdict
@@ -80,16 +87,16 @@ class Harness:
         self.released = {}  # name -> key set it held when it left/died
         self.config = NodeConfig(
             r=64, k=3,
-            ack_timeout=0.02,
+            retransmit=RetransmitPolicy(initial_timeout=0.02),
             anti_entropy_interval=0.1,
-            heartbeat_interval=0.05,
-            quarantine_after=0.6,
-            membership=True,
-            join_timeout=0.3,
-            join_retries=10,
-            join_backoff=1.5,
-            evict_after=1.0,
-            view_announce_interval=0.15,
+            liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.6),
+            membership=MembershipConfig(
+                join_timeout=0.3,
+                join_retries=10,
+                join_backoff=1.5,
+                evict_after=1.0,
+                announce_interval=0.15,
+            ),
         )
 
     def _wrap(self, udp, name):
@@ -127,7 +134,9 @@ class Harness:
     async def spawn(self, name, seeds=(), assigner=None, keys=None):
         udp = await UdpTransport.create(port=0)
         config = self.config.replace(
-            seed_peers=tuple(seeds),
+            membership=dataclasses.replace(
+                self.config.membership, seed_peers=tuple(seeds)
+            ),
             keys=keys,
             data_dir=str(Path(self.data_dir) / name),
             metrics_path=str(Path(self.metrics_dir) / f"{name}.metrics.jsonl"),
@@ -153,7 +162,9 @@ class Harness:
         incarnation keeps its identity and its recovered knowledge."""
         udp = await UdpTransport.create(port=0)
         config = self.config.replace(
-            seed_peers=tuple(seeds),
+            membership=dataclasses.replace(
+                self.config.membership, seed_peers=tuple(seeds)
+            ),
             data_dir=str(Path(self.data_dir) / name),
             metrics_path=str(Path(self.metrics_dir) / f"{name}.metrics.jsonl"),
             metrics_interval=0.2,

@@ -133,7 +133,11 @@ class TestParser:
         from repro import NodeConfig, SimulationConfig
 
         for argv in (["simulate", "--engine", "indexed"],
-                     ["node", "--io-mode", "batched"]):
+                     ["node", "--io-mode", "batched"],
+                     ["node", "--coalesce-mtu", "1400"],
+                     ["node", "--ack-delay", "0.005"],
+                     ["node", "--rx-batch", "32"],
+                     ["node", "--tx-batch", "32"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
         for build in (lambda: NodeConfig(engine="indexed"),
@@ -142,21 +146,15 @@ class TestParser:
             with pytest.raises(TypeError):
                 build()
 
-    def test_choices_track_the_registry(self):
-        # Plugins registered before build_parser() become CLI choices.
-        from repro.core.clocks import ProbabilisticCausalClock
-        from repro.core.registry import register_clock, unregister_clock
+    def test_choices_track_the_registry(self, monkeypatch):
+        # The parser reads its choices from the scheme table: a row
+        # there is selectable here without a second list in the CLI.
+        from repro.core import registry
 
-        register_clock("cli-test-clock",
-                       lambda ctx: ProbabilisticCausalClock(ctx.r, ctx.keys),
-                       needs_key_assignment=True)
-        try:
-            args = build_parser().parse_args(
-                ["simulate", "--clock", "cli-test-clock"]
-            )
-            assert args.clock == "cli-test-clock"
-        finally:
-            unregister_clock("cli-test-clock")
+        spec = registry.get_clock_spec("probabilistic")
+        monkeypatch.setitem(registry._CLOCKS, "cli-test-clock", spec)
+        args = build_parser().parse_args(["simulate", "--clock", "cli-test-clock"])
+        assert args.clock == "cli-test-clock"
 
 
 class TestEnginesCommand:
@@ -225,6 +223,25 @@ class TestNodeCommand:
     def test_bad_listen_spec_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["node", "--listen", "no-port", "--count", "0"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["node", "--adaptive"], "adaptive needs membership"),
+            (["node", "--heartbeat-interval", "0.5", "--quarantine-after", "0.1"],
+             "quarantine_after"),
+            (["node", "--k", "200"], "K <= R"),
+            (["simulate", "--k", "500", "--r", "10"], "K <= R"),
+        ],
+    )
+    def test_rejected_configuration_is_a_usage_error(self, capsys, argv, message):
+        """A configuration the library refuses ends in one line on
+        stderr and exit code 2, not a traceback."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro {argv[0]}: error: ")
+        assert message in captured.err and "Traceback" not in captured.err
 
 
 class TestStatsCommand:

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.api import NodeConfig, create_node
+from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.core.errors import ConfigurationError
 from repro.net.journal import NodeJournal
 
@@ -167,6 +167,54 @@ class TestSnapshots:
             make_journal(tmp_path, seq_lease=0)
 
 
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """File descriptors handed to ``os.fsync`` (still executed)."""
+    calls = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    return calls
+
+
+class TestFsync:
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_flag_adds_one_fsync_per_wal_append(self, tmp_path, fsyncs, fsync):
+        journal = make_journal(tmp_path, fsync=fsync)
+        journal.open()
+        opened = journal.appends
+        fsyncs.clear()
+        journal.record_send(1, b"m1")
+        journal.record_delivery("q", 1, keys=(2,))
+        journal.ensure_lease(("host", 9000), 1)
+        assert journal.appends - opened == 3
+        assert len(fsyncs) == (3 if fsync else 0)
+        # The snapshot file is always synced before the rename; the
+        # flag adds the restarted WAL's open record.
+        fsyncs.clear()
+        journal.write_snapshot(vector=(0, 1, 1, 0, 0, 1, 0, 0), send_seq=1, links={})
+        assert len(fsyncs) == (2 if fsync else 1)
+        journal.close()
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_config_flag_reaches_the_journal(self, tmp_path, fsyncs, fsync):
+        async def scenario():
+            config = NodeConfig(r=32, k=2, data_dir=str(tmp_path), journal_fsync=fsync)
+            node = await create_node("n", config)
+            appends = node.journal.appends
+            fsyncs.clear()
+            await node.broadcast("durable")
+            assert node.journal.appends > appends
+            assert len(fsyncs) == (node.journal.appends - appends if fsync else 0)
+            await node.close()
+
+        asyncio.run(scenario())
+
+
 class TestNodeRecovery:
     def test_restarted_node_resumes_pre_crash_state(self, tmp_path):
         """End-to-end: crash alice mid-conversation, restart her from the
@@ -174,7 +222,8 @@ class TestNodeRecovery:
 
         async def scenario():
             config = NodeConfig(
-                r=32, k=2, ack_timeout=0.02, anti_entropy_interval=0.1,
+                r=32, k=2, anti_entropy_interval=0.1,
+                retransmit=RetransmitPolicy(initial_timeout=0.02),
                 data_dir=str(tmp_path / "alice"), journal_snapshot_interval=6,
             )
             alice = await create_node("alice", config)
@@ -221,7 +270,8 @@ class TestNodeRecovery:
 
         async def scenario():
             config = NodeConfig(
-                r=32, k=2, ack_timeout=0.02, anti_entropy_interval=0.0,
+                r=32, k=2, anti_entropy_interval=0.0,
+                retransmit=RetransmitPolicy(initial_timeout=0.02),
                 data_dir=str(tmp_path / "alice"),
             )
             alice = await create_node("alice", config)
@@ -251,7 +301,8 @@ class TestNodeRecovery:
 
         async def scenario():
             config = NodeConfig(
-                r=32, k=2, ack_timeout=0.02, anti_entropy_interval=0.05,
+                r=32, k=2, anti_entropy_interval=0.05,
+                retransmit=RetransmitPolicy(initial_timeout=0.02),
                 data_dir=str(tmp_path / "alice"),
             )
             # Alice broadcasts with no peers attached, then crashes.

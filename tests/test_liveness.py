@@ -8,9 +8,9 @@ import asyncio
 
 import pytest
 
-from repro.api import NodeConfig, create_node
+from repro.api import LivenessPolicy, NodeConfig, RetransmitPolicy, create_node
 from repro.core.errors import ConfigurationError
-from repro.net.liveness import LivenessPolicy, PeerLivenessMonitor
+from repro.net.liveness import PeerLivenessMonitor
 
 
 async def wait_for(predicate, timeout=20.0, interval=0.01):
@@ -36,8 +36,13 @@ class TestPolicy:
             LivenessPolicy(heartbeat_interval=1.0, quarantine_after=0.5)
 
     def test_config_validates_pair(self):
-        with pytest.raises(ConfigurationError):
+        """The config holds a policy object, valid by construction; the
+        flat pair a switched-off detector could carry invalid is gone."""
+        with pytest.raises(TypeError):
             NodeConfig(heartbeat_interval=1.0, quarantine_after=0.1)
+        with pytest.raises(ConfigurationError, match="LivenessPolicy"):
+            NodeConfig(liveness=1.0)
+        assert NodeConfig().liveness is None
 
 
 class TestMonitor:
@@ -93,9 +98,11 @@ class TestQuarantineIntegration:
 
         async def scenario():
             config = NodeConfig(
-                r=32, k=2, ack_timeout=0.02, anti_entropy_interval=0.0,
-                heartbeat_interval=0.05, quarantine_after=0.25,
-                send_buffer=4, max_retries=100,
+                r=32, k=2, anti_entropy_interval=0.0,
+                retransmit=RetransmitPolicy(
+                    initial_timeout=0.02, send_buffer=4, max_retries=100
+                ),
+                liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.25),
             )
             alice = await create_node("alice", config)
             bob = await create_node("bob", config)
@@ -131,8 +138,9 @@ class TestQuarantineIntegration:
 
         async def scenario(tmp):
             config = NodeConfig(
-                r=32, k=2, ack_timeout=0.02, anti_entropy_interval=0.1,
-                heartbeat_interval=0.05, quarantine_after=0.25,
+                r=32, k=2, anti_entropy_interval=0.1,
+                retransmit=RetransmitPolicy(initial_timeout=0.02),
+                liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.25),
             )
             bob_config = config.replace(data_dir=str(tmp / "bob"))
             alice = await create_node("alice", config)

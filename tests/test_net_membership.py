@@ -11,11 +11,17 @@ import asyncio
 
 import pytest
 
-from repro.api import NodeConfig, create_node
+from repro.api import (
+    LivenessPolicy,
+    MembershipConfig,
+    NodeConfig,
+    RetransmitPolicy,
+    create_node,
+)
 from repro.core.codec import MemberRecord
 from repro.core.errors import ConfigurationError, MembershipError
 from repro.core.keyspace import PerfectKeyAssigner
-from repro.net.membership import GroupMembership, GroupView, MembershipConfig
+from repro.net.membership import GroupMembership, GroupView
 
 
 async def wait_for(predicate, timeout=20.0, interval=0.01):
@@ -27,18 +33,19 @@ async def wait_for(predicate, timeout=20.0, interval=0.01):
     return False
 
 
-def quick_config(**overrides):
+def quick_config(seed_peers=(), join_timeout=0.5, join_retries=4, **overrides):
     base = dict(
         r=32, k=2,
-        ack_timeout=0.02,
+        retransmit=RetransmitPolicy(initial_timeout=0.02),
         anti_entropy_interval=0.1,
-        heartbeat_interval=0.05,
-        quarantine_after=0.3,
-        membership=True,
-        join_timeout=0.5,
-        join_retries=4,
-        evict_after=0.5,
-        view_announce_interval=0.1,
+        liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.3),
+        membership=MembershipConfig(
+            seed_peers=seed_peers,
+            join_timeout=join_timeout,
+            join_retries=join_retries,
+            evict_after=0.5,
+            announce_interval=0.1,
+        ),
     )
     base.update(overrides)
     return NodeConfig(**base)
@@ -64,12 +71,20 @@ class TestMembershipConfig:
             MembershipConfig(**{field: value})
 
     def test_node_config_seed_peers_require_membership(self):
-        with pytest.raises(ConfigurationError):
+        """Seeds live inside the membership policy: there is no way to
+        spell them for a node that runs without the layer."""
+        with pytest.raises(TypeError):
             NodeConfig(seed_peers=(("127.0.0.1", 1),))
+        config = NodeConfig(membership=MembershipConfig(seed_peers=(("h", 1),)))
+        assert config.membership.seed_peers == (("h", 1),)
 
     def test_node_config_validates_membership_knobs(self):
-        with pytest.raises(ConfigurationError):
-            NodeConfig(membership=True, join_timeout=-1.0)
+        """The layer is switched on by a policy object, which cannot
+        exist invalid — a flag plus loose knobs is refused."""
+        with pytest.raises(ConfigurationError, match="MembershipConfig"):
+            NodeConfig(membership=True)
+        with pytest.raises(TypeError):
+            NodeConfig(membership=MembershipConfig(), join_timeout=-1.0)
 
 
 class TestGroupView:

@@ -15,8 +15,10 @@ endpoint, and detector-count persistence across a journal restart.
 
 import asyncio
 
-from repro.api import NodeConfig, create_node
+from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.obs import read_snapshots
+
+FAST = RetransmitPolicy(initial_timeout=0.02)
 
 
 async def wait_for(predicate, timeout=20.0, interval=0.01):
@@ -60,7 +62,7 @@ class TestRefinedDetectorEviction:
         async def scenario():
             config = NodeConfig(
                 r=16, k=2, detector="refined", detector_window=5.0,
-                keys=(0, 1), ack_timeout=0.02,
+                keys=(0, 1), retransmit=FAST,
             )
             clock = FakeClock()
             alice, bob = await make_pair(
@@ -107,7 +109,7 @@ class TestRefinedDetectorEviction:
             # Both nodes own the full key space, so each concurrent
             # broadcast covers the other's sender entries exactly.
             config = NodeConfig(r=2, k=2, keys=(0, 1), detector="basic",
-                                ack_timeout=0.02)
+                                retransmit=FAST)
             alice, bob = await make_pair(config)
             try:
                 # Broadcast on both sides before either datagram lands:
@@ -149,7 +151,7 @@ class TestNodeStatsSurface:
     def test_snapshot_covers_every_subsystem(self, tmp_path):
         async def scenario():
             config = NodeConfig(
-                r=16, k=2, keys=(0, 1), ack_timeout=0.02,
+                r=16, k=2, keys=(0, 1), retransmit=FAST,
                 data_dir=str(tmp_path / "alice"),
             )
             alice, bob = await make_pair(config, config.replace(
@@ -190,7 +192,7 @@ class TestNodeStatsSurface:
     def test_jsonl_exporter_lifecycle(self, tmp_path):
         async def scenario():
             path = tmp_path / "metrics.jsonl"
-            config = NodeConfig(r=16, k=2, keys=(0, 1), ack_timeout=0.02,
+            config = NodeConfig(r=16, k=2, keys=(0, 1), retransmit=FAST,
                                 metrics_path=str(path), metrics_interval=0.05)
             alice, bob = await make_pair(
                 config, config.replace(keys=(2, 3), metrics_path=None))
@@ -213,7 +215,7 @@ class TestNodeStatsSurface:
 
     def test_prometheus_endpoint_serves_live_counters(self):
         async def scenario():
-            config = NodeConfig(r=16, k=2, keys=(0, 1), ack_timeout=0.02,
+            config = NodeConfig(r=16, k=2, keys=(0, 1), retransmit=FAST,
                                 metrics_port=0)
             alice, bob = await make_pair(
                 config, config.replace(keys=(2, 3), metrics_port=None))
@@ -246,7 +248,7 @@ class TestDetectorPersistence:
 
         async def scenario():
             data = tmp_path / "bob"
-            config = NodeConfig(r=16, k=2, keys=(0, 1), ack_timeout=0.02)
+            config = NodeConfig(r=16, k=2, keys=(0, 1), retransmit=FAST)
             bob_config = config.replace(keys=(2, 3), data_dir=str(data))
             alice, bob = await make_pair(config, bob_config)
             await alice.broadcast("one")

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import NodeConfig, create_endpoint, create_node
+from repro.api import MembershipConfig, NodeConfig, create_endpoint, create_node
 from repro.core.codec import CodecError, FrameCodec, MemberRecord, MessageCodec, RelayFrame
 from repro.core.errors import ConfigurationError
 from repro.net import LocalAsyncBus
@@ -404,7 +404,7 @@ class TestRelayAdmission:
 
         async def scenario():
             # A bootstrapped group of one: "origin" is not in the view.
-            async with RelayRig(membership=True) as rig:
+            async with RelayRig(membership=MembershipConfig()) as rig:
                 await rig.relay(1, rig.full(0))
                 await rig.relay(2, rig.full(1))
                 assert rig.node.stale_frames == 2 and len(warnings()) == 1

@@ -32,7 +32,7 @@ from collections import Counter
 
 import pytest
 
-from repro.api import NodeConfig, create_node
+from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.net import LocalAsyncBus
 from repro.sim.network import GaussianDelayModel
 from repro.sim.oracle import CausalityOracle, DeliveryVerdict
@@ -71,7 +71,7 @@ def test_overlay_swarm_converges_with_zero_violations():
         config = NodeConfig(
             r=3 * N_NODES,
             k=3,
-            ack_timeout=0.05,
+            retransmit=RetransmitPolicy(initial_timeout=0.05),
             anti_entropy_interval=0.15,
             dissemination="overlay",
             fanout=FANOUT,

@@ -95,15 +95,19 @@ class TestEndToEnd:
         expected = result.sent * (config.n_nodes - 1)
         return result, result.delivered_remote / expected if expected else 0.0
 
-    def test_reasonable_coverage_without_membership_knowledge(self):
-        result, coverage = self.run_with(merge_probability=0.02)
+    @pytest.fixture(scope="class")
+    def throttled(self):
+        """The seeded reference run, shared: both tests read it."""
+        return self.run_with(merge_probability=0.02)
+
+    def test_reasonable_coverage_without_membership_knowledge(self, throttled):
+        result, coverage = throttled
         assert coverage > 0.7
         assert result.duplicates > 0  # gossip redundancy
 
-    def test_unthrottled_view_merging_collapses_coverage(self):
+    def test_unthrottled_view_merging_collapses_coverage(self, throttled):
         """The measured rich-get-richer effect: folding a membership
         sample into the view on *every* reception lets popular ids take
         over all views, shrinking the effective overlay."""
-        _, throttled = self.run_with(merge_probability=0.02)
         _, unthrottled = self.run_with(merge_probability=1.0)
-        assert unthrottled < throttled
+        assert unthrottled < throttled[1]

@@ -1,12 +1,13 @@
-"""The pluggable clock/detector registry (DESIGN.md §9).
+"""The clock-scheme and detector tables (DESIGN.md §9).
 
-Covers the registry contract end to end: unknown names fail loudly with
-the registered alternatives, the four legacy scheme strings still build
-the exact classes they always did, a toy clock registered in-test
-round-trips through every assembly layer
+Covers the table contract end to end: unknown names fail loudly with
+the valid alternatives, the four legacy scheme strings still build
+the exact classes they always did, a toy row put into the table
+in-test round-trips through every assembly layer
 (``create_clock``/``create_endpoint``/``NodeConfig``/
-``SimulationConfig``), wire scheme ids stay unique, and the codec's
-scheme byte keeps timestamp families wire-distinguishable.
+``SimulationConfig``) — no layer matches on scheme names — wire scheme
+ids stay pinned, and the codec's scheme byte keeps timestamp families
+wire-distinguishable.
 """
 
 from types import SimpleNamespace
@@ -14,13 +15,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import (
-    DETECTORS,
-    SCHEMES,
     NodeConfig,
     create_clock,
     create_detector,
     create_endpoint,
 )
+from repro.core import registry
 from repro.core.clocks import (
     BloomCausalClock,
     LamportCausalClock,
@@ -32,30 +32,31 @@ from repro.core.codec import CodecError, MessageCodec
 from repro.core.errors import ConfigurationError
 from repro.core.registry import (
     ClockBuildContext,
+    ClockSpec,
     clock_schemes,
     detector_names,
     get_clock_spec,
     get_detector_spec,
-    register_clock,
     scheme_id_of,
     scheme_name_of,
-    unregister_clock,
 )
 from repro.sim import GaussianDelayModel, PoissonWorkload, SimulationConfig, run_simulation
 
 
-@pytest.fixture
-def toy_clock():
-    """A throwaway clock scheme registered for one test."""
-    name = "toy-clock"
-    register_clock(
-        name,
-        lambda ctx: ProbabilisticCausalClock(ctx.r, ctx.keys),
-        description="test-only alias of the probabilistic clock",
-        needs_key_assignment=True,
+def toy_spec(name, factory):
+    return ClockSpec(
+        name, factory, "test-only alias of the probabilistic clock",
+        needs_key_assignment=True, wire_scheme_id=6,
     )
-    yield name
-    unregister_clock(name)
+
+
+@pytest.fixture
+def toy_clock(monkeypatch):
+    """A throwaway row in the scheme table for one test."""
+    name = "toy-clock"
+    spec = toy_spec(name, lambda ctx: ProbabilisticCausalClock(ctx.r, ctx.keys))
+    monkeypatch.setitem(registry._CLOCKS, name, spec)
+    return name
 
 
 class TestLookupFailures:
@@ -120,15 +121,12 @@ class TestLegacySchemes:
         )
         assert detector_names() == ("none", "basic", "refined")
 
-    def test_api_snapshots_match_registry(self):
-        assert SCHEMES == clock_schemes()
-        assert DETECTORS == detector_names()
-
     def test_pinned_wire_scheme_ids(self):
         assert [scheme_id_of(s) for s in
                 ("probabilistic", "plausible", "lamport", "vector", "bloom")
                 ] == [1, 2, 3, 4, 5]
         assert scheme_name_of(3) == "lamport"
+        assert scheme_name_of(6) is None  # the next free id
 
 
 class TestToyPlugin:
@@ -156,52 +154,16 @@ class TestToyPlugin:
         assert result.delivered_remote > 0
         assert result.stuck_pending == 0
 
-    def test_auto_allocated_scheme_id_is_fresh(self, toy_clock):
-        allocated = scheme_id_of(toy_clock)
-        assert allocated >= 6  # ids 1..5 are pinned to the built-ins
-        assert scheme_name_of(allocated) == toy_clock
-
-    def test_duplicate_name_requires_replace(self, toy_clock):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_clock(
-                toy_clock,
-                lambda ctx: ProbabilisticCausalClock(ctx.r, ctx.keys),
-                description="dup",
-            )
-        register_clock(
-            toy_clock,
-            lambda ctx: PlausibleCausalClock(ctx.r, ctx.keys[0]),
-            description="replaced",
-            needs_key_assignment=True,
-            fixed_k=1,
-            replace=True,
-        )
-        clock = create_clock("n0", NodeConfig(r=16, k=2, scheme=toy_clock))
-        assert isinstance(clock, PlausibleCausalClock)
-
-    def test_duplicate_wire_id_rejected(self):
-        with pytest.raises(ConfigurationError, match="already allocated"):
-            register_clock(
-                "toy-collider",
-                lambda ctx: ProbabilisticCausalClock(ctx.r, ctx.keys),
-                description="collides with probabilistic",
-                needs_key_assignment=True,
-                wire_scheme_id=1,
-            )
-
 
 class TestClockBuildContext:
-    def test_factory_receives_context_fields(self, toy_clock):
+    def test_factory_receives_context_fields(self, toy_clock, monkeypatch):
         seen = {}
 
         def probe(ctx):
             seen["ctx"] = ctx
             return ProbabilisticCausalClock(ctx.r, ctx.keys)
 
-        register_clock(
-            toy_clock, probe, description="probe",
-            needs_key_assignment=True, replace=True,
-        )
+        monkeypatch.setitem(registry._CLOCKS, toy_clock, toy_spec(toy_clock, probe))
         create_clock("n7", NodeConfig(r=32, k=3, scheme=toy_clock))
         ctx = seen["ctx"]
         assert isinstance(ctx, ClockBuildContext)

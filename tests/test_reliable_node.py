@@ -13,7 +13,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.api import NodeConfig, create_endpoint, create_node
+from repro.api import (
+    LivenessPolicy,
+    MembershipConfig,
+    NodeConfig,
+    RetransmitPolicy,
+    create_endpoint,
+    create_node,
+)
 from repro.core.clocks import Timestamp
 from repro.core.codec import (
     AckFrame,
@@ -67,7 +74,7 @@ class TestSoakUnderLoss:
             config = NodeConfig(
                 r=64,
                 k=3,
-                ack_timeout=0.02,
+                retransmit=RetransmitPolicy(initial_timeout=0.02),
                 anti_entropy_interval=0.15,
             )
             alice = await make_lossy_node(
@@ -127,8 +134,7 @@ class TestSoakUnderLoss:
             config = NodeConfig(
                 r=64,
                 k=3,
-                ack_timeout=0.02,
-                max_retries=0,
+                retransmit=RetransmitPolicy(initial_timeout=0.02, max_retries=0),
                 anti_entropy_interval=0.05,
             )
             alice = await make_lossy_node("alice", config, seed=3, drop_rate=0.4)
@@ -164,8 +170,10 @@ class TestSoakUnderLoss:
         the alice->carol link drops every datagram."""
 
         async def scenario():
-            config = NodeConfig(r=64, k=3, ack_timeout=0.02,
-                                anti_entropy_interval=0.05)
+            config = NodeConfig(
+                r=64, k=3, anti_entropy_interval=0.05,
+                retransmit=RetransmitPolicy(initial_timeout=0.02),
+            )
             alice = await create_node("alice", config)
             bob = await create_node("bob", config)
             carol = await create_node("carol", config)
@@ -303,8 +311,9 @@ class TestNodeSurface:
 
         async def scenario():
             config = NodeConfig(
-                r=32, k=2, ack_timeout=0.02,
-                heartbeat_interval=0.05, quarantine_after=0.5,
+                r=32, k=2,
+                retransmit=RetransmitPolicy(initial_timeout=0.02),
+                liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.5),
             )
             alice = await create_node("alice", config)
             bob = await create_node("bob", config)
@@ -359,8 +368,8 @@ class TestNodeSurface:
 
         async def scenario():
             config = NodeConfig(
-                r=32, k=2, ack_timeout=0.02, max_retries=2,
-                anti_entropy_interval=0.1,
+                r=32, k=2, anti_entropy_interval=0.1,
+                retransmit=RetransmitPolicy(initial_timeout=0.02, max_retries=2),
             )
             # Every datagram alice sends in the first 0.5 s vanishes —
             # long enough for 2 retries at a 20 ms timeout to exhaust.
@@ -480,7 +489,8 @@ class TestHostileDatagrams:
 
     @pytest.mark.parametrize(
         "config",
-        [{}, dict(dissemination="overlay", fanout=2, view_size=4, membership=True)],
+        [{}, dict(dissemination="overlay", fanout=2, view_size=4,
+                  membership=MembershipConfig())],
         ids=["mesh", "overlay-membership"],
     )
     def test_mutated_frames_of_every_type_never_raise(self, config):

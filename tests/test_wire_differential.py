@@ -24,7 +24,7 @@ import asyncio
 
 import pytest
 
-from repro.api import NodeConfig, create_node
+from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.net import FaultyTransport, UdpTransport
 from repro.net.session import TransportStats
 from repro.sim.oracle import CausalityOracle, DeliveryVerdict
@@ -67,7 +67,7 @@ class Exchange:
         self.config = NodeConfig(
             r=64,
             k=3,
-            ack_timeout=0.02,
+            retransmit=RetransmitPolicy(initial_timeout=0.02),
             anti_entropy_interval=0.1,
             **wire_kwargs,
         )
