@@ -31,12 +31,18 @@ anti-entropy exchange that re-delivers the affected messages full; the
 next renewal ends the misses (PROTOCOL.md §8.3).
 
 Retransmission handles the common case (a datagram lost on one link);
-the periodic anti-entropy exchange handles the rest: each node digests
-its per-sender frontiers to every peer, and a peer that holds messages
-outside that digest pushes them back over the reliable session.  Because
-every stored message is relayed on request, anti-entropy also heals
-*transitive* gaps — a message from A can reach C via B even if the A→C
-link dropped every copy.
+the periodic anti-entropy exchange handles the rest: every round each
+node digests its per-sender frontiers to **one** partner — the next in
+a shuffled rotation of its live peers (mesh) or view members (overlay) —
+and a peer that holds messages outside that digest pushes them back
+over the reliable session.  One partner per round prices repair by
+damage, not by time × peers: a gap is answered once, not by everyone
+who holds it.  Because every stored message is relayed on request,
+anti-entropy also heals *transitive* gaps — a message from A can reach
+C via B even if the A→C link dropped every copy.  Relay pushes are
+fire-and-forget and have no NACK; their gap request is a digest to the
+pusher, sent when a pushed message is still undelivered a short grace
+after it arrived (``_GAP_PULL_GRACE``).
 
 Construct nodes with :func:`repro.api.create_node` rather than by hand.
 """
@@ -67,7 +73,13 @@ from repro.net.peer import Transport
 from repro.net.session import ReliableSession, RetransmitPolicy, TransportStats
 from repro.obs import JsonlExporter, MetricsHttpServer, MetricsRegistry, TraceRing
 
-__all__ = ["StoreStats", "MessageStore", "NodeStats", "ReliableCausalNode"]
+__all__ = [
+    "StoreStats",
+    "RepairStats",
+    "MessageStore",
+    "NodeStats",
+    "ReliableCausalNode",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +94,37 @@ class StoreStats:
 
     evictions: int = 0
     unservable_requests: int = 0
+
+
+@dataclass
+class RepairStats:
+    """What anti-entropy cost one node and what it bought.
+
+    Attributes:
+        repairs_sent: stored messages pushed in answer to digests.
+        repair_duplicates: messages off a reliable link the endpoint had
+            already seen — a repair (or a journal-restart replay) that
+            bought nothing.  Fleet-wide, ``repairs_sent /
+            (repairs_sent - repair_duplicates)`` is repairs sent per
+            repair needed.
+        gap_pulls_armed: grace timers started for a relay push that
+            arrived ahead of its causal past.
+        gap_pulls: timers that found the message still undelivered and
+            sent the pusher a digest.
+        gap_pulls_unneeded: of those, the ones whose message a later
+            relay push released first (the grace was too short for the
+            path, not a loss).
+        resync_fallbacks: out-of-band digests re-aimed at the round's
+            partner because the intended address could not be digested
+            (not a peer or view member, quarantined, evicted).
+    """
+
+    repairs_sent: int = 0
+    repair_duplicates: int = 0
+    gap_pulls_armed: int = 0
+    gap_pulls: int = 0
+    gap_pulls_unneeded: int = 0
+    resync_fallbacks: int = 0
 
 
 @dataclass
@@ -186,8 +229,21 @@ class MessageStore:
                         sender, high,
                     )
                 break
+        # The senders whose contiguous frontier in the digest stops short
+        # of what is recorded here.  Usually none (an up-to-date partner
+        # is owed nothing, decided in O(senders) with no store scan) or
+        # one or two, and the scan skips everyone else's messages.
+        behind = {
+            sender
+            for sender, (contiguous, extras) in self._coverage.frontiers().items()
+            if remote.get(sender, (0, ()))[0] < max((contiguous, *extras))
+        }
+        if not behind:
+            return
         served = 0
         for sender, seq in self._order:
+            if sender not in behind:
+                continue
             if served >= limit:
                 return
             contiguous, extras = remote.get(sender, (0, ()))
@@ -254,6 +310,16 @@ class MessageStore:
 # the same broadcast and keep sharing one reference (one delta encode
 # per broadcast) however their first acks were timed.
 _DELTA_REFRESH_AGE = 64
+# How long a relay push that arrived ahead of its causal past may stay
+# undelivered before its pusher is asked for the gap (seconds; twice the
+# link's smoothed RTT when that is longer).  Not zero: mid-wave the
+# missing messages are usually in flight on a longer relay path, and a
+# digest sent then claims them all as missing — the answers load a loop
+# that has not yet read the originals (EXPERIMENTS.md, "Anti-entropy
+# priced by damage": the immediate pull collapses into a retransmit storm).
+_GAP_PULL_GRACE = 0.03
+# Minimum spacing of out-of-band digests to one address (seconds).
+_RESYNC_INTERVAL = 0.05
 # How many delivery records `deliveries` / `delivered_payloads()` look
 # back over.  Exact totals are the endpoint's counters; a node keeps
 # nothing per message for the length of a run.
@@ -443,6 +509,13 @@ class ReliableCausalNode:
             zlib.crc32(str(node_id).encode("utf-8")) ^ 0x5EED
         )
         self._anti_entropy_task: Optional[asyncio.Task] = None
+        # The digest partners in visiting order; the head is next.
+        self._partner_rotation: List[Address] = []
+        self.repair_stats = RepairStats()
+        # The one armed grace timer, and the message the last pull it
+        # sent is waiting on (None once that message was delivered).
+        self._gap_pull_timer: Optional[asyncio.TimerHandle] = None
+        self._gap_pull_open: Optional[Tuple[str, int]] = None
         self._liveness_task: Optional[asyncio.Task] = None
         self._heal_tasks: Set[asyncio.Task] = set()
         self._heartbeat_count = 0
@@ -606,6 +679,24 @@ class ReliableCausalNode:
         resumes = self.metrics.counter("repro_liveness_resumes_total")
         suppressed = self.metrics.counter("repro_heartbeats_suppressed_total")
         stale = self.metrics.counter("repro_stale_frames_total")
+        # Anti-entropy's ledger (RepairStats).
+        repair_counters = {
+            name: self.metrics.counter(f"repro_{series}_total")
+            for name, series in (
+                ("repairs_sent", "antientropy_repairs_sent"),
+                ("repair_duplicates", "antientropy_repair_duplicates"),
+                ("resync_fallbacks", "antientropy_resync_fallbacks"),
+                ("gap_pulls_armed", "gap_pulls_armed"),
+                ("gap_pulls", "gap_pulls"),
+                ("gap_pulls_unneeded", "gap_pulls_unneeded"),
+            )
+        }
+        # Share of remote deliveries the relay wave itself brought (the
+        # rest waited for anti-entropy); overlay mode only.
+        push_coverage = (
+            self.metrics.gauge("repro_overlay_push_coverage")
+            if self.overlay is not None else None
+        )
         # Delta health (ROADMAP 5c): the share of arriving deltas that
         # bounced off an unknown reference, and how many own messages
         # old the stalest link reference is.
@@ -630,6 +721,14 @@ class ReliableCausalNode:
                 resumes.set(self.liveness.resumes)
             suppressed.set(self._heartbeats_suppressed)
             stale.set(self._stale_frames)
+            for name, counter in repair_counters.items():
+                counter.set(getattr(self.repair_stats, name))
+            if push_coverage is not None:
+                delivered = self.endpoint.stats.delivered
+                push_coverage.set(
+                    self.overlay.stats.relay_first_intake / delivered
+                    if delivered else 0.0
+                )
             links = self.session.all_stats().values()
             delta_miss_ratio.set(
                 _delta_miss_ratio(
@@ -715,6 +814,9 @@ class ReliableCausalNode:
         for task in list(self._heal_tasks):
             task.cancel()
         self._heal_tasks.clear()
+        if self._gap_pull_timer is not None:
+            self._gap_pull_timer.cancel()
+            self._gap_pull_timer = None
         if self.metrics_server is not None:
             await self.metrics_server.close()
             self.metrics_server = None
@@ -769,7 +871,6 @@ class ReliableCausalNode:
         if self.liveness is not None:
             self.liveness.forget(address)
         self._delta_tx.pop(address, None)
-        self._resync_last.pop(address, None)
         self._delta_miss_warned.discard(address)
 
     def evict_peer(self, address: Address, sender_id: Optional[str] = None) -> None:
@@ -1065,6 +1166,10 @@ class ReliableCausalNode:
         if full is None:
             return
         overlay.stats.relay_first_intake += 1
+        if message_id not in self._delivered:
+            self._arm_gap_pull(message_id, addr)
+        elif self._gap_pull_open is not None:
+            self._close_gap_pull(by_relay=True)
         self._relay_hops_histogram.observe(float(frame.hops))
         if frame.sent_at > 0.0:
             latency = self._now() - frame.sent_at
@@ -1087,12 +1192,19 @@ class ReliableCausalNode:
         encoding crossed the link."""
         if self._drop_if_evicted(addr, "data"):
             return
+        duplicates = self.endpoint.stats.duplicates
         if self._admit(data, addr) is not None:
             stats = self.session.peer_stats(addr)
             if MessageCodec.is_delta(data):
                 stats.delta_received += 1
             else:
                 stats.full_received += 1
+            if self.endpoint.stats.duplicates != duplicates:
+                # A link delivers each frame once, so a message seen
+                # before came by another route: a repair nobody needed.
+                self.repair_stats.repair_duplicates += 1
+            elif self._gap_pull_open is not None:
+                self._close_gap_pull(by_relay=False)
 
     def _admit(
         self,
@@ -1234,53 +1346,119 @@ class ReliableCausalNode:
         self._decode_errors += 1
         self.trace.emit("decode_error", ts=self._now(), peer=str(addr))
 
-    def _request_resync(self, addr: Address) -> None:
-        """Rate-limited out-of-band anti-entropy round after a reference
-        miss (one per link per 50 ms, however many deltas bounce)."""
+    def _request_resync(self, addr: Address) -> bool:
+        """Rate-limited out-of-band digest to ``addr`` — after a
+        reference miss, or for a relay gap the grace did not close (one
+        per address per ``_RESYNC_INTERVAL``, however many ask); True
+        when one was sent.
+
+        An address that cannot be digested — a relay pusher the bounded
+        view does not hold, a quarantined or evicted one — is replaced
+        by the round's next partner: the gap is real whoever reported
+        it.  Only an address a digest goes to gets a mark, and marks
+        expire with the interval they enforce.
+        """
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
-            return
+            return False
+        if not self._digestible(addr):
+            addr = self._next_partner()
+            if addr is None:
+                return False
+            self.repair_stats.resync_fallbacks += 1
         now = loop.time()
-        if now - self._resync_last.get(addr, -1e18) < 0.05:
+        marks = self._resync_last
+        if now - marks.get(addr, -1e18) < _RESYNC_INTERVAL:
+            return False
+        for stale in [a for a, at in marks.items() if now - at >= _RESYNC_INTERVAL]:
+            del marks[stale]
+        marks[addr] = now
+        self._spawn_heal(addr)
+        return True
+
+    def _arm_gap_pull(self, message_id: Tuple[str, int], pusher: Address) -> None:
+        """A relay push arrived ahead of its causal past.  Usually the
+        rest is in flight on a longer path; if ``message_id`` is still
+        undelivered after the grace, ask ``pusher`` — it forwarded the
+        message on first intake, so it most likely holds what came
+        before it too.  At most one timer per node: one digest names
+        every gap this node has."""
+        if self._gap_pull_timer is not None:
             return
-        self._resync_last[addr] = now
-        task = loop.create_task(self._heal_peer(addr))
-        self._heal_tasks.add(task)
-        task.add_done_callback(self._heal_tasks.discard)
+        rtt = self.session.stats_for(pusher).rtt
+        grace = _GAP_PULL_GRACE if rtt is None else max(_GAP_PULL_GRACE, 2.0 * rtt)
+        self.repair_stats.gap_pulls_armed += 1
+        self._gap_pull_timer = asyncio.get_running_loop().call_later(
+            grace, self._gap_pull, message_id, pusher
+        )
+
+    def _gap_pull(self, message_id: Tuple[str, int], pusher: Address) -> None:
+        self._gap_pull_timer = None
+        if message_id in self._delivered:
+            return
+        if self._request_resync(pusher):
+            self.repair_stats.gap_pulls += 1
+            self._gap_pull_open = message_id
+
+    def _close_gap_pull(self, by_relay: bool) -> None:
+        """An arrival delivered something: if that released the message
+        the last pull is waiting on, the pull is settled — unneeded when
+        a relay push, not the pull's answer, did it."""
+        if self._gap_pull_open in self._delivered:
+            self._gap_pull_open = None
+            if by_relay:
+                self.repair_stats.gap_pulls_unneeded += 1
 
     def _handle_digest(self, frontiers: Frontiers, addr: Address) -> None:
         if self._drop_if_evicted(addr, "digest"):
             return
         for data in self.store.missing_for(frontiers):
             # Reliable push: goes through the normal ack/retransmit path.
+            self.repair_stats.repairs_sent += 1
             self.session.push(addr, data)
 
     def _anti_entropy_targets(self) -> List[Address]:
-        """Digest destinations: the full peer list in mesh mode, the
-        bounded partial view in overlay mode (each node heals with
-        O(view_size) peers; transitivity covers the rest of the swarm)."""
+        """The candidates a round's digest partner is drawn from: the
+        live peer list in mesh mode, the live partial view in overlay
+        mode (transitivity covers the rest of the swarm)."""
         if self.overlay is not None:
             return self.overlay.digest_targets(live_filter=self._overlay_live)
         return self._live_peers()
+
+    def _next_partner(self) -> Optional[Address]:
+        """The next digest partner: the targets in a shuffled order,
+        rotated, so any ``len(targets)`` consecutive rounds digest every
+        live target once — a bound an independent draw per round would
+        not give.  Departed targets drop out of the rotation; new ones
+        enter it at a random position."""
+        targets = self._anti_entropy_targets()
+        rotation = [address for address in self._partner_rotation if address in targets]
+        for address in targets:
+            if address not in rotation:
+                rotation.insert(
+                    self._anti_entropy_rng.randrange(len(rotation) + 1), address
+                )
+        self._partner_rotation = rotation
+        if not rotation:
+            return None
+        partner = rotation.pop(0)
+        rotation.append(partner)
+        return partner
 
     async def _anti_entropy_loop(self) -> None:
         while True:
             # Jittered: uniform over [0.5, 1.5) x interval, mean
             # preserved.  A fixed timer would have a co-started swarm
-            # digesting in lockstep — N^2 datagrams in one tick, idle
-            # the rest of the interval.
+            # digesting in lockstep — N datagrams in one tick, idle the
+            # rest of the interval.
             await asyncio.sleep(
                 self._anti_entropy_interval
                 * (0.5 + self._anti_entropy_rng.random())
             )
-            frontiers = self.store.frontiers()
-            for address in self._anti_entropy_targets():
-                try:
-                    await self.session.send_digest(address, frontiers)
-                except Exception:
-                    # A digest that fails to send is retried next round.
-                    continue
+            partner = self._next_partner()
+            if partner is not None:
+                await self._heal_peer(partner)
 
     async def _liveness_loop(self) -> None:
         interval = self._liveness_policy.heartbeat_interval
@@ -1330,21 +1508,32 @@ class ReliableCausalNode:
             self.trace.emit("resume", ts=now, peer=str(address))
             # Heal immediately rather than waiting for the next
             # anti-entropy round: exchange digests both ways.
-            task = asyncio.get_running_loop().create_task(self._heal_peer(address))
-            self._heal_tasks.add(task)
-            task.add_done_callback(self._heal_tasks.discard)
+            self._spawn_heal(address)
+
+    def _digestible(self, address: Address) -> bool:
+        """Whether a digest may go to ``address``: a peer or view member
+        that is neither evicted nor quarantined."""
+        return (
+            address in self._peers
+            or (self.overlay is not None and address in self.overlay)
+        ) and self._overlay_live(address)
+
+    def _spawn_heal(self, address: Address) -> None:
+        task = asyncio.get_running_loop().create_task(self._heal_peer(address))
+        self._heal_tasks.add(task)
+        task.add_done_callback(self._heal_tasks.discard)
 
     async def _heal_peer(self, address: Address) -> None:
-        if address not in self._peers and (
-            self.overlay is None or address not in self.overlay
-        ):
+        """Send ``address`` this node's digest; it pushes back whatever
+        the digest lacks."""
+        if not self._digestible(address):
             # Scheduled before remove_peer()/evict_peer() ran: a digest
             # now would re-create the session state just purged.
             return
         try:
             await self.session.send_digest(address, self.store.frontiers())
         except Exception:
-            # The regular anti-entropy loop retries soon anyway.
+            # A digest that fails to send is retried next round.
             pass
 
     def _handle_delivery(self, record: DeliveryRecord) -> None:
@@ -1485,6 +1674,8 @@ class ReliableCausalNode:
                 membership.leave_noted_count if membership is not None else 0
             ),
             "heal_tasks": len(self._heal_tasks),
+            "resync_marks": len(self._resync_last),
+            "partner_rotation": len(self._partner_rotation),
         }
         for table, size in self.session.state_sizes().items():
             sizes[f"session_{table}"] = size

@@ -25,8 +25,11 @@ broadcast (lpbcast) and Nédelec et al.'s relay-based causal broadcast
   throttle is too eager; :meth:`PartialView.sample_diversity` makes the
   live counterpart observable);
 * the relay wave reaches (1 − e^{-fanout}) of the swarm in O(log N)
-  hops with high probability; the existing **anti-entropy digests**
-  (sent to the bounded view, not the mesh) heal the probabilistic tail.
+  hops with high probability; the probabilistic tail is healed by the
+  node's **gap pull** (a push still undelivered a short grace after it
+  arrived sends its pusher a digest) and the **anti-entropy round** (one
+  digest per round, to the next partner in a rotation of the bounded
+  view, not of the mesh).
 
 Per-broadcast wire cost at any single node is therefore O(fanout), and
 session state is bounded by the view plus gossip in-degree — neither
@@ -265,7 +268,8 @@ class PartialView:
     def digest_targets(
         self, live_filter: Optional[LiveFilter] = None
     ) -> List[Address]:
-        """Every live view entry — the bounded anti-entropy peer set."""
+        """Every live view entry: the candidates a round's one digest
+        partner is drawn from (and where membership announcements go)."""
         return self._eligible((), live_filter)
 
     def gossip_sample(self) -> Tuple[MemberRecord, ...]:

@@ -1,0 +1,323 @@
+"""Anti-entropy priced by damage: one digest partner per round and a
+grace-timed gap pull, counted on the virtual-time harness.
+
+Every count below is exact for its seed (``tests/test_virtual_time.py``
+holds that); a failure message carries the counts, and re-running the
+named scenario with the same seed replays them.
+"""
+
+import asyncio
+import dataclasses
+
+import pytest
+
+from repro.api import NodeConfig, RetransmitPolicy, create_node
+from repro.core.codec import RelayFrame
+from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus
+from repro.net.node import _GAP_PULL_GRACE
+from repro.sim.network import ConstantDelayModel, GaussianDelayModel
+from repro.sim.oracle import CausalityOracle
+from repro.sim.vtime import run_virtual
+from tests.test_virtual_time import Group
+
+OVERLAY = NodeConfig(dissemination="overlay")
+SWARM = 16
+
+
+def repair_totals(group) -> dict:
+    total = dict.fromkeys(
+        (field.name for field in dataclasses.fields(group.nodes[0].repair_stats)), 0
+    )
+    for node in group.nodes:
+        for name, value in dataclasses.asdict(node.repair_stats).items():
+            total[name] += value
+    return total
+
+
+def counts(group, oracle=None) -> dict:
+    """Every counter the assertions read, summed over the group."""
+    wire = group.wire()
+    out = repair_totals(group)
+    out.update(
+        digests=wire.digests_sent, retransmits=wire.retransmits,
+        datagrams=group.bus.sent,
+        deliveries=sum(node.endpoint.stats.delivered for node in group.nodes),
+    )
+    if oracle is not None:
+        out["violations"] = oracle.totals.violations + oracle.totals.ambiguous
+    return out
+
+
+async def paced_overlay(seed: int, delay_ms: float, messages: int = 20) -> dict:
+    """The benchmark's overlay workload on the virtual bus: 16 nodes,
+    2 % loss, a 10-message closed-loop warm-up, then ``messages`` per
+    sender at 2/s.  Returns the counts of the paced phase alone."""
+    oracle = CausalityOracle(capacity=SWARM)
+    for index in range(SWARM):
+        oracle.register_node(f"n{index}")
+    loop = asyncio.get_running_loop()
+
+    def on_delivery(name, record):
+        message_id = record.message.message_id
+        if record.local:
+            oracle.on_send(name, message_id, loop.time(), fanout=SWARM - 1)
+        else:
+            oracle.classify_delivery(name, message_id, loop.time())
+
+    delays = GaussianDelayModel(delay_ms, delay_ms / 5, delay_ms / 5)
+    group = await Group.start(SWARM, OVERLAY, seed, 0.02, delays, on_delivery)
+    async with group:
+        await group.burst(10)
+        await group.settle(SWARM * 10)
+        await asyncio.sleep(0.05)
+        before = counts(group, oracle)
+        await group.paced(messages, rate=2.0)
+        await group.settle(SWARM * (10 + messages))  # every operation delivered
+        after = counts(group, oracle)
+    return {name: after[name] - before[name] for name in after}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_overlay_repair_is_priced_by_damage(seed):
+    paced = run_virtual(paced_overlay(seed, delay_ms=10.0))
+    assert paced["deliveries"] == SWARM * (SWARM - 1) * 20
+    assert paced["violations"] == 0, paced
+    needed = paced["repairs_sent"] - paced["repair_duplicates"]
+    assert needed > 0, f"loss was never exercised: {paced}"
+    # The parent answered every gap from all 12 view members (12.6
+    # repairs per repair needed); one partner answers it about once,
+    # plus what was still in flight when the digest was written.
+    assert paced["repairs_sent"] < 2 * needed, paced
+    assert paced["digests"] < 0.15 * paced["deliveries"], paced
+    # Gaps are what the push wave missed; pulls do not outnumber them.
+    assert paced["gap_pulls"] <= needed, paced
+
+
+def test_a_lossless_burst_raises_no_retransmit_storm():
+    """The storm guard.  A digest sent mid-wave claims everything in
+    flight as missing; with no grace, this burst draws 3,726 repairs and
+    318 retransmits for 160 broadcasts (EXPERIMENTS.md), with it a few
+    dozen repairs of what the relay wave really missed and none of the
+    retransmits."""
+
+    async def scenario():
+        group = await Group.start(SWARM, OVERLAY, 3, 0.0, ConstantDelayModel(10.0))
+        async with group:
+            await group.burst(10)
+            await group.settle(SWARM * 10)
+            await asyncio.sleep(1.0)
+            return counts(group)
+
+    burst = run_virtual(scenario())
+    assert burst["retransmits"] == 0, burst
+    assert burst["repairs_sent"] < SWARM * 10, burst
+
+
+def test_no_gap_pull_is_armed_when_nothing_pends():
+    """No loss and every broadcast fully delivered before the next is
+    issued: nothing is ever pended, so no timer is armed, no pull sent."""
+
+    async def scenario():
+        group = await Group.start(SWARM, OVERLAY, 5, 0.0, ConstantDelayModel(10.0))
+        async with group:
+            for issued, node in enumerate(group.nodes * 2, start=1):
+                await node.broadcast("one at a time")
+                await group.settle(issued)
+            return counts(group)
+
+    quiet = run_virtual(scenario())
+    assert quiet["gap_pulls_armed"] == quiet["gap_pulls"] == 0, quiet
+
+
+# ----------------------------------------------------------------------
+# the gap pull, step by step
+# ----------------------------------------------------------------------
+
+
+async def overlay_pair(bus):
+    """``a`` and ``b`` know each other; ``a`` holds two broadcasts ``b``
+    has not been pushed (``a`` had no targets when it issued them)."""
+    a = await create_node("a", OVERLAY, transport=bus.attach("a"))
+    b = await create_node("b", OVERLAY, transport=bus.attach("b"))
+    for payload in ("first", "second"):
+        await a.broadcast(payload)
+    a.add_peer("b")
+    b.add_peer("a")
+    pushes = [
+        RelayFrame(origin="a", seq=seq, hops=0, sent_at=0.0, sample=(),
+                   payload=a.store.get("a", seq))
+        for seq in (1, 2)
+    ]
+    return a, b, pushes
+
+
+def test_gap_pull_asks_the_pusher_after_the_grace_and_not_before():
+    async def scenario():
+        bus = LocalAsyncBus(ConstantDelayModel(1.0))
+        a, b, (first, second) = await overlay_pair(bus)
+        try:
+            b._handle_relay(second, "a")  # ahead of its causal past
+            assert b.delivered_payloads() == []
+            assert b.repair_stats.gap_pulls_armed == 1
+            await asyncio.sleep(_GAP_PULL_GRACE * 0.9)
+            assert b.transport_stats().digests_sent == 0
+            await asyncio.sleep(_GAP_PULL_GRACE * 0.2 + 0.02)
+            assert b.delivered_payloads() == ["first", "second"]
+            return b.repair_stats, b.transport_stats("a"), a.repair_stats
+        finally:
+            await a.close()
+            await b.close()
+
+    pulled, link, served = run_virtual(scenario())
+    assert (pulled.gap_pulls, pulled.gap_pulls_unneeded) == (1, 0)
+    assert link.digests_sent == 1
+    # The digest named "second" as held, so exactly the gap came back.
+    assert (served.repairs_sent, pulled.repair_duplicates) == (1, 0)
+
+
+def test_a_gap_the_relay_wave_closes_in_time_costs_nothing():
+    async def scenario():
+        bus = LocalAsyncBus(ConstantDelayModel(1.0))
+        a, b, (first, second) = await overlay_pair(bus)
+        try:
+            b._handle_relay(second, "a")
+            await asyncio.sleep(_GAP_PULL_GRACE / 2)
+            b._handle_relay(first, "a")  # the longer relay path
+            await asyncio.sleep(_GAP_PULL_GRACE)
+            assert b.delivered_payloads() == ["first", "second"]
+            return b.repair_stats, b.transport_stats()
+        finally:
+            await a.close()
+            await b.close()
+
+    stats, wire = run_virtual(scenario())
+    assert (stats.gap_pulls_armed, stats.gap_pulls) == (1, 0)
+    assert wire.digests_sent == 0
+
+
+def test_a_pull_at_an_unknown_pusher_falls_back_to_the_rounds_partner():
+    """Bugfix: a resync aimed at an address that is neither a peer nor a
+    view member used to be dropped without a trace — and left a
+    rate-limit mark nothing would ever remove."""
+
+    async def scenario():
+        bus = LocalAsyncBus(ConstantDelayModel(1.0))
+        a, b, (first, second) = await overlay_pair(bus)
+        try:
+            b._handle_relay(second, "stranger")
+            b.overlay.discard("stranger")  # the sample merge may have kept it
+            await asyncio.sleep(_GAP_PULL_GRACE + 0.02)
+            assert b.delivered_payloads() == ["first", "second"]
+            assert "stranger" not in b._resync_last
+            assert "stranger" not in b.session.all_stats() or (
+                b.transport_stats("stranger").digests_sent == 0
+            )
+            return b.repair_stats, b.transport_stats("a")
+        finally:
+            await a.close()
+            await b.close()
+
+    stats, link = run_virtual(scenario())
+    assert (stats.gap_pulls, stats.resync_fallbacks) == (1, 1)
+    assert link.digests_sent == 1
+
+
+# ----------------------------------------------------------------------
+# the shuffled rotation and its bound
+# ----------------------------------------------------------------------
+
+
+def test_any_window_of_len_targets_rounds_visits_every_target_once():
+    async def scenario():
+        bus = LocalAsyncBus(ConstantDelayModel(1.0))
+        node = await create_node(
+            "n", NodeConfig(r=16, k=2, anti_entropy_interval=0), transport=bus.attach("n")
+        )
+        try:
+            assert node._next_partner() is None  # nobody to digest yet
+            peers = [f"p{index}" for index in range(5)]
+            for peer in peers:
+                node.add_peer(peer)
+            visits = [node._next_partner() for _ in range(4 * len(peers))]
+            for start in range(len(visits) - len(peers) + 1):
+                assert sorted(visits[start:start + len(peers)]) == peers, visits
+            assert visits[:len(peers)] != peers  # shuffled, not add_peer order
+            # A departed target leaves the rotation, a new one enters it,
+            # and the window property holds for the new set.
+            node.remove_peer("p2")
+            node.add_peer("p9")
+            peers = sorted(set(peers) - {"p2"} | {"p9"})
+            visits = [node._next_partner() for _ in range(3 * len(peers))]
+            for start in range(len(visits) - len(peers) + 1):
+                assert sorted(visits[start:start + len(peers)]) == peers, visits
+            assert node.state_sizes()["partner_rotation"] == len(peers)
+        finally:
+            await node.close()
+
+    run_virtual(scenario())
+
+
+@pytest.mark.parametrize("salt", ["", "x", "y", "z", "w", "v"])
+def test_a_message_one_peer_holds_heals_within_len_peers_rounds(salt):
+    """``a`` broadcasts into a partition that outlasts ``max_retries``:
+    all three frames are dropped for good and only ``a`` holds the
+    message.  Each of the others digests ``a`` — the one node that can
+    answer — within ``len(peers)`` rounds of the partition lifting: the
+    bound the rotation gives and an independent draw per round would not
+    (it misses ``a`` three times running with probability 8/27).
+    ``salt`` varies the node names, which seed each node's shuffle."""
+    interval, outage = 0.5, 0.4
+    names = [f"{salt}{letter}" for letter in "abcd"]
+    holder, others = names[0], names[1:]
+    config = NodeConfig(
+        r=32, k=2, anti_entropy_interval=interval,
+        retransmit=RetransmitPolicy(initial_timeout=0.02, max_retries=2),
+    )
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        bus = LocalAsyncBus(ConstantDelayModel(5.0))
+        healed = {}
+        nodes = {}
+        for name in names:
+            transport = bus.attach(name)
+            if name == holder:
+                transport = FaultyTransport(
+                    transport, windows=(FaultWindow(0.0, outage, drop=True),)
+                )
+                transport.arm()
+
+            def on_delivery(record, name=name):
+                healed[name] = loop.time()
+
+            nodes[name] = await create_node(
+                name, config, transport=transport, on_delivery=on_delivery
+            )
+        for name, node in nodes.items():
+            for peer in names:
+                if peer != name:
+                    node.add_peer(peer)
+        try:
+            await nodes[holder].broadcast("held by one")
+            await asyncio.sleep(outage)
+            assert nodes[holder].transport_stats().drops == len(others)
+            assert list(healed) == [holder]
+            lifted = loop.time()
+            asked = {
+                name: nodes[name].transport_stats(holder).digests_sent
+                for name in others
+            }
+            # A round lasts under 1.5 x interval.
+            await asyncio.sleep(len(others) * 1.5 * interval)
+            asked = {
+                name: nodes[name].transport_stats(holder).digests_sent - before
+                for name, before in asked.items()
+            }
+            return asked, {name: healed.get(name, float("inf")) - lifted for name in others}
+        finally:
+            await asyncio.gather(*(node.close() for node in nodes.values()))
+
+    asked, waited = run_virtual(scenario())
+    assert all(count >= 1 for count in asked.values()), asked
+    # The holder's answer adds one round trip to the last of the rounds.
+    assert max(waited.values()) <= len(others) * 1.5 * interval + 0.05, waited

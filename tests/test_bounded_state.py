@@ -32,6 +32,7 @@ from repro.net import LocalAsyncBus
 from repro.net.journal import NodeJournal
 from repro.net.node import _EVICTION_WINDOW, _RECENT_DELIVERIES
 from repro.sim.network import ConstantDelayModel
+from repro.sim.vtime import run_virtual
 
 
 async def wait_for(predicate, timeout=60.0, interval=0.01):
@@ -330,6 +331,45 @@ def test_stale_marks_age_out_with_the_eviction_records(caplog):
 
     with caplog.at_level(logging.WARNING, logger="repro.net.node"):
         asyncio.run(scenario())
+
+
+def test_resync_marks_name_only_digested_addresses_and_expire():
+    """``_resync_last`` used to take a mark before ``_heal_peer``
+    decided the address could not be digested; for an address that was
+    never a peer nothing ever removed it, and the census did not list
+    the table."""
+
+    async def scenario():
+        bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+        node = await create_node(
+            "n", NodeConfig(r=16, k=2, anti_entropy_interval=0),
+            transport=bus.attach("n"),
+        )
+        peers = [f"p{index}" for index in range(8)]
+        for peer in peers:
+            node.add_peer(peer)
+        try:
+            for index in range(300):  # 0.3 virtual seconds of strangers
+                node._request_resync(f"stranger{index}")
+                await asyncio.sleep(0.001)
+            assert node.repair_stats.resync_fallbacks == 300
+            assert set(node._resync_last) <= set(peers)
+            known = set(node.session.all_stats())
+            assert known <= set(peers), known  # no session state for a stranger
+            # One digest per partner per 50 ms, however many ask: 0.3 s
+            # is six full intervals and the start of a seventh.
+            assert 0 < node.transport_stats().digests_sent <= 7 * len(peers)
+            for peer in peers:
+                node._request_resync(peer)
+            # A mark lives as long as the interval it enforces, whether
+            # or not remove_peer() ever runs for its address.
+            await asyncio.sleep(0.06)
+            assert node._request_resync(peers[0])
+            assert node.state_sizes()["resync_marks"] == 1
+        finally:
+            await node.close()
+
+    run_virtual(scenario())
 
 
 def test_leave_marks_are_cleared_by_every_install():

@@ -16,7 +16,12 @@ endpoint, and detector-count persistence across a journal restart.
 import asyncio
 
 from repro.api import NodeConfig, RetransmitPolicy, create_node
+from repro.net import LocalAsyncBus
+from repro.net.node import _GAP_PULL_GRACE
 from repro.obs import read_snapshots
+from repro.sim.network import ConstantDelayModel
+from repro.sim.vtime import run_virtual
+from tests.test_anti_entropy import overlay_pair
 
 FAST = RetransmitPolicy(initial_timeout=0.02)
 
@@ -270,3 +275,43 @@ class TestDetectorPersistence:
                 await reborn.close()
 
         asyncio.run(scenario())
+
+
+class TestRepairLedger:
+    def test_repair_and_gap_pull_series_follow_the_nodes_own_counters(self):
+        """``repro_antientropy_*`` / ``repro_gap_pulls_*`` mirror
+        ``node.repair_stats``; ``repro_overlay_push_coverage`` is relay
+        first intakes over remote deliveries (overlay mode only)."""
+
+        async def scenario():
+            bus = LocalAsyncBus(ConstantDelayModel(1.0))
+            a, b, (first, second) = await overlay_pair(bus)
+            mesh = await create_node(
+                "m", NodeConfig(r=16, k=2), transport=bus.attach("m")
+            )
+            try:
+                b._handle_relay(second, "a")  # pended: armed, then pulled
+                await asyncio.sleep(_GAP_PULL_GRACE + 0.02)
+                assert b.delivered_payloads() == ["first", "second"]
+                # A second copy of the repair over the link buys nothing.
+                a.session.push("b", a.store.get("a", 1))
+                await asyncio.sleep(0.02)
+                return (
+                    a.metrics.snapshot(), b.metrics.snapshot(),
+                    mesh.metrics.snapshot(), b.repair_stats,
+                )
+            finally:
+                await asyncio.gather(a.close(), b.close(), mesh.close())
+
+        served, pulled, mesh, ledger = run_virtual(scenario())
+        assert served["counters"]["repro_antientropy_repairs_sent_total"] == 1
+        counters = pulled["counters"]
+        assert counters["repro_gap_pulls_armed_total"] == ledger.gap_pulls_armed == 1
+        assert counters["repro_gap_pulls_total"] == ledger.gap_pulls == 1
+        assert counters["repro_gap_pulls_unneeded_total"] == 0
+        assert counters["repro_antientropy_repair_duplicates_total"] == 1
+        assert counters["repro_antientropy_resync_fallbacks_total"] == 0
+        # One of two remote deliveries came by relay push, one by repair.
+        assert pulled["gauges"]["repro_overlay_push_coverage"] == 0.5
+        assert "repro_overlay_push_coverage" not in mesh["gauges"]
+        assert mesh["counters"]["repro_antientropy_repairs_sent_total"] == 0

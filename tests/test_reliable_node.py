@@ -217,6 +217,27 @@ class TestMessageStore:
         remote = {"p": (3, (5,))}
         assert sorted(store.missing_for(remote)) == [b"\x04", b"q1"]
 
+    def test_a_covering_digest_is_owed_nothing_without_a_store_scan(self):
+        """The up-to-date partner's digest — the common one with a digest
+        per round — is answered from the O(senders) coverage alone."""
+        store = MessageStore()
+        for seq in (1, 2, 4):
+            store.add("p", seq, bytes([seq]))
+        store.add("q", 1, b"q1")
+
+        class Untouchable:
+            def __iter__(self):
+                raise AssertionError("the store was scanned")
+
+        order, store._order = store._order, Untouchable()
+        assert list(store.missing_for({"p": (4, ()), "q": (3, ()), "z": (9, ())})) == []
+        assert list(store.missing_for({"p": (7, ()), "q": (1, (5,))})) == []
+        store._order = order
+        # Covering only through an out-of-order extra is not covering.
+        assert list(store.missing_for({"p": (2, (4,)), "q": (1, ())})) == []
+        assert list(store.missing_for({"p": (2, ()), "q": (1, ())})) == [b"\x04"]
+        assert list(store.missing_for({"p": (4, ())})) == [b"q1"]
+
     def test_eviction_keeps_frontier_truthful(self):
         store = MessageStore(limit=2)
         store.add("p", 1, b"a")
