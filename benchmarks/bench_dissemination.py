@@ -14,16 +14,18 @@ layer:
 * **latency** — gossip's multi-hop paths stretch the delivery time;
 * **ordering** — gossip's extra path-length variance raises P_nc and
   with it the violation rate.
-"""
 
-import dataclasses
+Both rows are endpoint-only models of the network's reordering rate
+P_nc, the factor the paper's bound ``P <= P_nc * P_err`` multiplies by.
+Partial views and anti-entropy repair are measured on the shipping
+stack instead (``bench_overlay.py``, ``bench_heal.py``).
+"""
 
 from repro.analysis.sweep import run_repeated
 from repro.analysis.tables import render_table
 from repro.sim import (
     DirectBroadcast,
     GaussianDelayModel,
-    PartialViewGossip,
     PoissonWorkload,
     PushGossip,
     SimulationConfig,
@@ -66,20 +68,6 @@ def run_dissemination_matrix():
     scenarios = {"direct": config(DirectBroadcast(delay))}
     for fanout in GOSSIP_FANOUTS:
         scenarios[f"gossip(f={fanout})"] = config(PushGossip(delay, fanout=fanout))
-    # lpbcast regime: nobody knows the membership, pushes use bounded
-    # partial views with throttled membership piggybacking.
-    scenarios["partial-view(f=8,v=15)"] = config(
-        PartialViewGossip(
-            delay, fanout=8, view_size=15, piggyback_size=3, merge_probability=0.02
-        )
-    )
-    # The full stack: probabilistic dissemination + anti-entropy completes
-    # the coverage, exactly the pairing the paper's context assumes.
-    top_fanout = GOSSIP_FANOUTS[-1]
-    repaired = config(PushGossip(delay, fanout=top_fanout))
-    scenarios[f"gossip(f={top_fanout})+recovery"] = dataclasses.replace(
-        repaired, recovery="periodic", recovery_period_ms=1_000.0
-    )
     return {
         name: run_repeated(cfg, repeats=1, seed_base=1400)[0]
         for name, cfg in scenarios.items()
@@ -147,14 +135,5 @@ def test_dissemination(benchmark):
     assert high_coverage > 0.9
     # Gossip's path-length variance raises the reordering rate.
     assert high_fanout.measured_p_nc > direct.measured_p_nc
-    # Partial views (no membership knowledge at all) still reach most of
-    # the system, at a further coverage discount vs full-view gossip.
-    partial = results["partial-view(f=8,v=15)"]
-    partial_coverage = partial.delivered_remote / (partial.sent * (N_NODES - 1))
-    assert partial_coverage > 0.6
-    # Coverage gaps strand causal successors; pairing gossip with
-    # anti-entropy (the paper's assumed recovery) completes delivery.
-    composed = results[f"gossip(f={GOSSIP_FANOUTS[-1]})+recovery"]
+    # Coverage gaps strand causal successors.
     assert high_fanout.stuck_pending > 0
-    assert composed.stuck_pending == 0
-    assert composed.undelivered_messages == 0

@@ -8,7 +8,9 @@ relay datagrams per message (plus anti-entropy digests to a bounded
 view), so the worst per-node cost stays flat as N doubles.
 
 This script measures exactly that, on a process-local swarm over the
-in-process bus (no UDP sockets — 128 nodes in one event loop):
+in-process bus under virtual time (``repro.sim.vtime`` — 128 nodes in
+one event loop, no loop lag, every count identical from run to run and
+across ``PYTHONHASHSEED`` values):
 
 * a **single-source workload** — one node broadcasts M messages, the
   other N−1 deliver.  The single source is deliberate: total
@@ -31,9 +33,8 @@ in-process bus (no UDP sockets — 128 nodes in one event loop):
   the probabilistic tail — that overhead is charged to the overlay.
 
 Headline metrics are **growth ratios across N within one run** (max
-per-node datagrams/msg at the largest N over the smallest), so machine
-speed cancels: mesh must grow ~linearly (≥2x per quadrupling), overlay
-must stay flat (≤1.5x).  Results land in ``BENCH_overlay.json`` at the
+per-node datagrams/msg at the largest N over the smallest): mesh must
+grow ~linearly (≥2x per quadrupling), overlay must stay flat (≤1.5x).  Results land in ``BENCH_overlay.json`` at the
 repo root; the committed copy is the baseline gated by
 ``check_regression.py --overlay-fresh``.
 
@@ -51,11 +52,11 @@ import json
 import pathlib
 import platform
 import sys
-import time
 
-from repro.api import NodeConfig, RetransmitPolicy, create_node
+from repro.api import NodeConfig, create_node
 from repro.net import LocalAsyncBus
 from repro.sim.network import GaussianDelayModel
+from repro.sim.vtime import run_virtual
 from repro.util.rng import RandomSource
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -86,14 +87,10 @@ async def _run_case(mode: str, n_nodes: int, messages: int) -> dict:
     bus = LocalAsyncBus(
         delay_model=GaussianDelayModel(5.0, 1.0, 0.0),
         rng=RandomSource(seed=29).spawn(f"bench-{mode}-{n_nodes}"),
-        time_scale=0.001,
     )
     config = NodeConfig(
         r=64,
         k=3,
-        # The bus injects no loss; a short timeout would read event-loop
-        # lag at N=128 as loss and spiral into retransmission storms.
-        retransmit=RetransmitPolicy(initial_timeout=0.5),
         # The overlay's coverage backstop.  The mesh runs without it:
         # its reliable unicasts need no healing here, and charging it
         # O(N) digests per round would overstate the linear growth.
@@ -147,7 +144,6 @@ async def _run_case(mode: str, n_nodes: int, messages: int) -> dict:
         before = {name: nodes[name].transport_stats() for name in names}
         baseline = {name: delivered[name] for name in names}
 
-        start = time.perf_counter()
         for i in range(messages):
             await nodes[source].broadcast(("msg", i))
             await asyncio.sleep(0.02)
@@ -157,7 +153,6 @@ async def _run_case(mode: str, n_nodes: int, messages: int) -> dict:
                 for name in receivers
             )
         )
-        elapsed = time.perf_counter() - start
         if not converged:
             missing = sum(
                 messages - (delivered[name] - baseline[name])
@@ -180,7 +175,6 @@ async def _run_case(mode: str, n_nodes: int, messages: int) -> dict:
         return {
             "nodes": n_nodes,
             "messages": messages,
-            "seconds": round(elapsed, 4),
             "datagrams_per_msg_max": round(max(datagrams), 3),
             "datagrams_per_msg_mean": round(sum(datagrams) / n_nodes, 3),
             "bytes_per_msg_max": round(max(wire_bytes), 1),
@@ -201,14 +195,13 @@ def run_scenarios(sizes, messages) -> list:
                 f"{result['name']:16s} datagrams/msg "
                 f"max={result['datagrams_per_msg_max']:8.2f} "
                 f"mean={result['datagrams_per_msg_mean']:6.2f}  "
-                f"bytes/msg max={result['bytes_per_msg_max']:9.0f}  "
-                f"({result['seconds']:.2f}s)"
+                f"bytes/msg max={result['bytes_per_msg_max']:9.0f}"
             )
     return scenarios
 
 
 def _result_with_name(mode: str, n_nodes: int, messages: int) -> dict:
-    result = asyncio.run(_run_case(mode, n_nodes, messages))
+    result = run_virtual(_run_case(mode, n_nodes, messages))
     result["name"] = f"{mode}_n{n_nodes}"
     result["mode"] = mode
     return result

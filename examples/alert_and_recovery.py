@@ -24,8 +24,7 @@ from repro.core import (
     CausalBroadcastEndpoint,
     ProbabilisticCausalClock,
 )
-from repro.crdt import CrdtBinding, ORSet
-from repro.sim.recovery import AntiEntropySession
+from repro.crdt import AntiEntropySession, CrdtBinding, ORSet
 
 R = 4
 KEYS = {

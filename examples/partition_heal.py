@@ -1,92 +1,123 @@
-"""A network partition, observed and healed.
+"""A network partition, observed and healed — on the shipping node stack.
 
-Injects a split into a running system (even vs odd nodes for the middle
-ten seconds), watches it through the trace recorder, heals it with
-periodic anti-entropy, and prints the timeline: progress during the
-split, the backlog burst at heal time, and the final fully consistent
-state.
+Eight ``create_node()`` nodes form a full mesh on the in-process bus.
+``FaultyTransport`` windows cut the even-numbered nodes from the odd
+ones for twenty seconds — longer than the session keeps retrying a
+frame — while everybody keeps broadcasting.  The whole run happens in
+virtual time (``repro.sim.vtime``): fifty seconds of protocol in a couple
+of seconds of wall clock, identical every time.
+
+Printed: progress per phase (each side keeps working during the split),
+the backlog that crosses when the cut lifts, who carried it (session
+retransmission for the frames still being retried, anti-entropy for the
+ones the session had given up), and that nothing is left waiting.  The
+same split with anti-entropy switched off strands the given-up frames
+and every message that causally follows them.
 
 Run:  python examples/partition_heal.py
 """
 
-from repro.sim import (
-    DirectBroadcast,
-    GaussianDelayModel,
-    PartitionWindow,
-    PartitionedDissemination,
-    PoissonWorkload,
-    SimulationConfig,
-    TraceKind,
-    TraceRecorder,
-    TracingApplication,
-    run_simulation,
-)
+import asyncio
 
-SPLIT_START, SPLIT_END = 10_000.0, 20_000.0
-DURATION = 30_000.0
+from repro import NodeConfig, create_node
+from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus
+from repro.sim.network import GaussianDelayModel
+from repro.sim.vtime import run_virtual
+from repro.util.rng import RandomSource
+
+NODES = 8
+SPLIT_START, SPLIT_END, HORIZON = 10.0, 30.0, 40.0
+SEND_INTERVAL = 1.0  # mean seconds between one node's broadcasts
+PHASES = ("before", "during", "after")
 
 
-def run(recovery: str):
-    delay = GaussianDelayModel()
-    dissemination = PartitionedDissemination(
-        DirectBroadcast(delay),
-        [PartitionWindow.split_even_odd(SPLIT_START, SPLIT_END)],
-    )
-    recorder = TraceRecorder(capacity=500_000)
-    config = SimulationConfig(
-        n_nodes=30,
-        r=50,
-        k=3,
-        key_assigner="random-colliding",
-        workload=PoissonWorkload(400.0),
-        delay_model=delay,
-        dissemination=dissemination,
-        duration_ms=DURATION,
-        seed=21,
-        recovery=recovery,
-        recovery_period_ms=1_500.0,
-        application_factory=TracingApplication(recorder),
-    )
-    return run_simulation(config), dissemination, recorder
+async def scenario(anti_entropy_interval: float) -> dict:
+    loop = asyncio.get_running_loop()
+    names = [f"n{index}" for index in range(NODES)]
+    seeds = RandomSource(seed=21)
+    bus = LocalAsyncBus(GaussianDelayModel(10.0, 2.0, 2.0), rng=seeds.spawn("bus"))
+    config = NodeConfig(r=50, k=3, anti_entropy_interval=anti_entropy_interval)
+    deliveries = dict.fromkeys(PHASES, 0)
 
+    def on_delivery(record):
+        if not record.local:
+            elapsed = loop.time() - origin
+            phase = "before" if elapsed < SPLIT_START else (
+                "during" if elapsed < SPLIT_END else "after"
+            )
+            deliveries[phase] += 1
 
-def phase_of(time_ms: float) -> str:
-    if time_ms < SPLIT_START:
-        return "before"
-    if time_ms < SPLIT_END:
-        return "during"
-    return "after"
+    # Node i's window drops what it sends to the nodes of the other parity.
+    transports = [
+        FaultyTransport(bus.attach(name), windows=[FaultWindow(
+            SPLIT_START, SPLIT_END, drop=True, peers=names[(index + 1) % 2::2]
+        )])
+        for index, name in enumerate(names)
+    ]
+    nodes = [
+        await create_node(name, config, transport=transport, on_delivery=on_delivery)
+        for name, transport in zip(names, transports)
+    ]
+    for node in nodes:
+        for peer in names:
+            if peer != node.node_id:
+                node.add_peer(peer)
+    for transport in transports:
+        transport.arm()  # every window counts from this moment
+    origin = loop.time()
+
+    async def sender(node):
+        rng = seeds.spawn(f"send-{node.node_id}")
+        while True:
+            await asyncio.sleep(rng.exponential(SEND_INTERVAL))
+            if loop.time() - origin >= HORIZON:
+                return
+            await node.broadcast(f"{node.node_id} at {loop.time() - origin:.2f}")
+
+    try:
+        await asyncio.gather(*(sender(node) for node in nodes))
+        await asyncio.sleep(10.0)  # many anti-entropy rounds and retransmit timeouts
+        sent = sum(node.endpoint.stats.sent for node in nodes)
+        wire = [node.transport_stats() for node in nodes]
+        return {
+            "sent": sent,
+            "deliveries": deliveries,
+            "missing": sent * (NODES - 1) - sum(deliveries.values()),
+            "stuck": sum(node.endpoint.pending_count for node in nodes),
+            "cut": sum(transport.window_dropped for transport in transports),
+            "given_up": sum(stats.drops for stats in wire),
+            "retransmits": sum(stats.retransmits for stats in wire),
+            "repairs": sum(node.repair_stats.repairs_sent for node in nodes),
+        }
+    finally:
+        await asyncio.gather(*(node.close() for node in nodes))
 
 
 def main() -> None:
     print(__doc__)
-    result, dissemination, recorder = run(recovery="periodic")
+    healed = run_virtual(scenario(anti_entropy_interval=0.5))
+    print(f"broadcasts: {healed['sent']}, datagrams dropped at the cut: {healed['cut']}")
+    print("remote deliveries per phase:")
+    notes = {"during": " <- split: each side keeps working",
+             "after": " <- includes the backlog crossing the healed cut"}
+    for phase in PHASES:
+        print(f"  {phase:7s} {healed['deliveries'][phase]:6d}{notes.get(phase, '')}")
+    print(f"frames the session gave up retrying: {healed['given_up']}")
+    print(f"retransmissions: {healed['retransmits']}, "
+          f"anti-entropy repairs: {healed['repairs']}")
+    print(f"deliveries still missing: {healed['missing']}, "
+          f"messages stuck pending: {healed['stuck']} (both must be 0)")
 
-    deliveries_by_phase = {"before": 0, "during": 0, "after": 0}
-    for event in recorder.select(kind=TraceKind.DELIVER):
-        deliveries_by_phase[phase_of(event.time)] += 1
-
-    print(f"copies dropped at the cut: {dissemination.dropped_by_partition}")
-    print("deliveries per phase (10 s each):")
-    for phase in ("before", "during", "after"):
-        marker = " <- split" if phase == "during" else (" <- heal backlog" if phase == "after" else "")
-        print(f"  {phase:7s} {deliveries_by_phase[phase]:7d}{marker}")
+    stranded = run_virtual(scenario(anti_entropy_interval=0.0))
     print()
-    print(f"anti-entropy sessions: {result.recovery_sessions}, "
-          f"messages repaired: {result.recovery_repaired}")
-    print(f"stuck messages after the run: {result.stuck_pending} (must be 0)")
-    print(f"ordering error bounds: eps_min={result.eps_min:.2e}, "
-          f"eps_max={result.eps_max:.2e}")
+    print(f"the same split with anti-entropy off: {stranded['given_up']} frames given "
+          f"up, {stranded['missing']} deliveries never made, "
+          f"{stranded['stuck']} messages stuck behind them forever")
 
-    stranded, _, _ = run(recovery="none")
-    print()
-    print(f"the same split without anti-entropy strands "
-          f"{stranded.stuck_pending} messages forever "
-          f"({stranded.undelivered_messages} never fully delivered)")
-
-    assert result.stuck_pending == 0
-    assert stranded.stuck_pending > 0
-    assert deliveries_by_phase["during"] > 0  # each side kept working
+    assert healed["deliveries"]["during"] > 0  # each side kept working
+    assert healed["given_up"] > 0 and healed["repairs"] > 0
+    assert healed["missing"] == 0 and healed["stuck"] == 0
+    assert stranded["missing"] > 0 and stranded["stuck"] > 0
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ def result_to_dict(result: SimulationResult, label: Optional[str] = None) -> Dic
             "detector": config.detector,
             "duration_ms": config.duration_ms,
             "seed": config.seed,
-            "recovery": config.recovery,
             "workload": type(config.workload).__name__ if config.workload else None,
             "delay_model": type(config.delay_model).__name__
             if config.delay_model
@@ -79,9 +78,6 @@ def result_to_dict(result: SimulationResult, label: Optional[str] = None) -> Dic
         "derived": {
             "measured_concurrency": result.measured_concurrency,
             "measured_p_nc": result.measured_p_nc,
-            "recovery_sessions": result.recovery_sessions,
-            "recovery_repaired": result.recovery_repaired,
-            "adaptive_rekeys": result.adaptive_rekeys,
         },
         "runtime": {
             "sim_time_ms": result.sim_time_ms,

@@ -8,6 +8,7 @@ rate into application-visible numbers.
 
 from repro.crdt.base import CrdtBinding, OpBasedCrdt
 from repro.crdt.counter import PNCounter
+from repro.crdt.log import AntiEntropySession, DeliveryLog, diff_logs
 from repro.crdt.lwwregister import LWWRegister
 from repro.crdt.mvregister import MVRegister
 from repro.crdt.orset import ORSet
@@ -16,6 +17,9 @@ from repro.crdt.rga import RGA, ROOT
 __all__ = [
     "OpBasedCrdt",
     "CrdtBinding",
+    "DeliveryLog",
+    "diff_logs",
+    "AntiEntropySession",
     "PNCounter",
     "ORSet",
     "RGA",

@@ -16,7 +16,7 @@ The types here make that observable:
   still converge after an anti-entropy repair.
 * :class:`CrdtBinding` — glue that runs a CRDT over a
   :class:`~repro.core.protocol.CausalBroadcastEndpoint`: local mutators
-  broadcast, deliveries apply, and a :class:`~repro.sim.recovery.DeliveryLog`
+  broadcast, deliveries apply, and a :class:`~repro.crdt.log.DeliveryLog`
   feeds anti-entropy.
 """
 
@@ -26,7 +26,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable, Hashable, Optional
 
 from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord, Message
-from repro.sim.recovery import DeliveryLog
+from repro.crdt.log import DeliveryLog
 
 __all__ = ["OpBasedCrdt", "CrdtBinding"]
 

@@ -1,10 +1,12 @@
-"""Anti-entropy recovery (the out-of-band procedure assumed in Section 4.2).
+"""In-memory delivery logs and their reconciliation (Section 4.2).
 
 The paper's mechanism tolerates rare causal-order violations on the
 assumption that "a recovery procedure does exist (e.g., anti-entropy)";
 the alert of Algorithms 4/5 tells the application *when* paying for that
-procedure is worthwhile.  This module supplies the procedure for our
-examples and tests:
+procedure is worthwhile.  This module supplies the procedure for
+:class:`~repro.crdt.base.CrdtBinding` replicas and the examples (a
+networked node repairs over the wire instead: digests and pushes in
+:mod:`repro.net.node`):
 
 * :class:`DeliveryLog` — a per-node record of delivered messages, bounded
   or unbounded;
@@ -14,20 +16,18 @@ examples and tests:
   order per sender (the strongest order reconstructible without extra
   metadata).
 
-The session is transport-agnostic: it works directly on in-memory logs,
-which is what both the simulator and the examples need.
+The session is transport-agnostic: it works directly on in-memory logs.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Hashable, List, Optional, Set, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import Message
 
-__all__ = ["DeliveryLog", "diff_logs", "AntiEntropySession", "RecoveryStats"]
+__all__ = ["DeliveryLog", "diff_logs", "AntiEntropySession"]
 
 ProcessId = Hashable
 MessageId = Tuple[ProcessId, int]
@@ -92,19 +92,6 @@ def diff_logs(first: DeliveryLog, second: DeliveryLog) -> Tuple[List[Message], L
     return missing_in_first, missing_in_second
 
 
-@dataclass
-class RecoveryStats:
-    """Outcome of one anti-entropy exchange."""
-
-    sessions: int = 0
-    messages_repaired: int = 0
-
-    def add(self, repaired: int) -> None:
-        """Record one completed session and its repair count."""
-        self.sessions += 1
-        self.messages_repaired += repaired
-
-
 class AntiEntropySession:
     """Two-party anti-entropy: exchange missing messages and replay them.
 
@@ -123,7 +110,6 @@ class AntiEntropySession:
     ) -> None:
         self._apply_first = apply_first
         self._apply_second = apply_second
-        self.stats = RecoveryStats()
 
     def reconcile(self, first: DeliveryLog, second: DeliveryLog) -> int:
         """Run one exchange; returns how many messages were repaired."""
@@ -134,9 +120,7 @@ class AntiEntropySession:
         for message in sorted(missing_in_second, key=_replay_key):
             self._apply_second(message)
             second.record(message)
-        repaired = len(missing_in_first) + len(missing_in_second)
-        self.stats.add(repaired)
-        return repaired
+        return len(missing_in_first) + len(missing_in_second)
 
 
 def _replay_key(message: Message) -> Tuple[str, int]:

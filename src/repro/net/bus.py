@@ -6,10 +6,12 @@ after a delay drawn from a :class:`~repro.sim.network.DelayModel` (the
 same models the discrete-event simulator uses, including the paper's
 Gaussian two-stage model).  Loss and duplication can be injected.
 
-Unlike the simulator, time here is real ``asyncio`` time scaled by
-``time_scale`` (default 1/1000: one simulated millisecond = one real
-millisecond × scale, so the paper's 100 ms delays run in ~0.1 ms and a
-whole exchange finishes in milliseconds of wall time).
+Delay models speak milliseconds and the event loop seconds, so a
+sampled delay is multiplied by ``_MS`` and nothing else: the paper's
+100 ms delay is 0.1 s of loop time.  On a stock loop that is 0.1 s of
+wall time; under :func:`repro.sim.vtime.run_virtual` it is 0.1 virtual
+seconds that cost no wall time, and a seeded bus replays the same
+schedule in every process.
 
 ``await bus.drain()`` blocks until no datagram is in flight — how tests
 establish "the network is quiet" without sleeps.
@@ -29,6 +31,8 @@ __all__ = ["LocalAsyncBus", "BusTransport"]
 
 Address = Hashable
 
+_MS = 0.001  # DelayModel milliseconds -> event-loop seconds
+
 
 class LocalAsyncBus:
     """The hub: routes datagrams between registered endpoints."""
@@ -37,18 +41,14 @@ class LocalAsyncBus:
         self,
         delay_model: Optional[DelayModel] = None,
         rng: Optional[RandomSource] = None,
-        time_scale: float = 0.001,
         loss_rate: float = 0.0,
         duplicate_rate: float = 0.0,
     ) -> None:
-        if time_scale <= 0:
-            raise ConfigurationError(f"time_scale must be > 0, got {time_scale}")
         for name, value in (("loss_rate", loss_rate), ("duplicate_rate", duplicate_rate)):
             if not 0.0 <= value < 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1), got {value}")
         self._delay_model = delay_model if delay_model is not None else GaussianDelayModel()
         self._rng = rng if rng is not None else RandomSource(seed=0).spawn("bus")
-        self._time_scale = time_scale
         self._loss_rate = loss_rate
         self._duplicate_rate = duplicate_rate
         self._receivers: Dict[Address, Callable[[bytes, Address], None]] = {}
@@ -85,7 +85,7 @@ class LocalAsyncBus:
             copies = 2
         base = self._delay_model.sample_base(self._rng)
         for _ in range(copies):
-            delay = self._delay_model.sample_arrival(self._rng, base) * self._time_scale
+            delay = self._delay_model.sample_arrival(self._rng, base) * _MS
             self._in_flight += 1
             self._idle.clear()
             asyncio.get_running_loop().call_later(

@@ -13,9 +13,9 @@ Two fault families compose:
   replayed exactly;
 * **scheduled** :class:`FaultWindow` intervals model *correlated*
   faults — a partition (every datagram to the named peers vanishes for
-  the window) or a latency spike (every datagram is held back) — the
-  live counterpart of the simulator's
-  :class:`~repro.sim.failures.PartitionWindow`.
+  the window) or a latency spike (every datagram is held back).  Under
+  :func:`repro.sim.vtime.run_virtual` the window times are virtual
+  seconds (``benchmarks/bench_heal.py``).
 
 All faults are applied on the **send** side.
 """

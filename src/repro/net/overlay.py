@@ -7,8 +7,7 @@ timestamps carry the sender keys, so *any* dissemination substrate that
 eventually gets every message everywhere will do.  This module provides
 the scalable one, following Eugster et al.'s lightweight probabilistic
 broadcast (lpbcast) and Nédelec et al.'s relay-based causal broadcast
-(see PAPERS.md), promoted into the live runtime from the simulator's
-:class:`repro.sim.partialview.PartialViewGossip`:
+(see PAPERS.md):
 
 * every node maintains a **bounded partial view** (``view_size``
   entries) instead of global membership, seeded from whatever peers it
@@ -21,9 +20,9 @@ broadcast (lpbcast) and Nédelec et al.'s relay-based causal broadcast
 * each envelope **piggybacks** a small sample of the relayer's view;
   receivers merge it with probability ``merge_probability`` — the
   lpbcast throttle that keeps one chatty node from colonising every
-  view (the simulator documents the rich-get-richer collapse when the
-  throttle is too eager; :meth:`PartialView.sample_diversity` makes the
-  live counterpart observable);
+  view (merging every sample collapses the views rich-get-richer;
+  ``tests/test_overlay.py`` pins it and
+  :meth:`PartialView.sample_diversity` makes it observable);
 * the relay wave reaches (1 − e^{-fanout}) of the swarm in O(log N)
   hops with high probability; the probabilistic tail is healed by the
   node's **gap pull** (a push still undelivered a short grace after it

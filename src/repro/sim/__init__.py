@@ -3,7 +3,10 @@
 Provides the discrete-event kernel, network delay models, dissemination
 strategies (direct broadcast and push gossip), workload generators,
 membership/churn models, the ground-truth causality oracle (ε_min/ε_max),
-metric collectors, anti-entropy recovery, and the experiment runner.
+metric collectors and the endpoint-only experiment runner.  Partial
+views, anti-entropy, adaptive K and fault windows are not modelled here:
+they exist once, in :mod:`repro.net`, and run under simulated time on
+:mod:`repro.sim.vtime`.
 """
 
 from repro.sim.dissemination import (
@@ -12,9 +15,6 @@ from repro.sim.dissemination import (
     DisseminationContext,
     PushGossip,
 )
-from repro.sim.failures import CrashSchedule, PartitionWindow, PartitionedDissemination
-from repro.sim.partialview import PartialViewGossip
-from repro.sim.trace import TraceKind, TraceRecorder, TracingApplication
 from repro.sim.engine import Simulator
 from repro.sim.membership import (
     ChurnAction,
@@ -40,7 +40,6 @@ from repro.sim.oracle import (
     DeliveryVerdict,
     OracleCounters,
 )
-from repro.sim.recovery import AntiEntropySession, DeliveryLog, RecoveryStats, diff_logs
 from repro.sim.rng import RandomSource
 from repro.sim.runner import SimulationConfig, SimulationResult, run_simulation
 from repro.sim.workload import (
@@ -66,15 +65,6 @@ __all__ = [
     "DisseminationContext",
     "DirectBroadcast",
     "PushGossip",
-    "PartialViewGossip",
-    # fault injection
-    "PartitionWindow",
-    "PartitionedDissemination",
-    "CrashSchedule",
-    # observability
-    "TraceKind",
-    "TraceRecorder",
-    "TracingApplication",
     # workload
     "Workload",
     "PoissonWorkload",
@@ -98,11 +88,6 @@ __all__ = [
     "AlertConfusion",
     "MetricSet",
     "StreamingSummary",
-    # recovery
-    "DeliveryLog",
-    "diff_logs",
-    "AntiEntropySession",
-    "RecoveryStats",
     # runner
     "SimNode",
     "SimulationConfig",

@@ -15,7 +15,12 @@ Entry point::
     print(result.counters.eps_min, result.counters.eps_max)
 
 Everything is pluggable: workload, delay model, dissemination strategy,
-clock family member, key assigner, detector, churn model.
+clock family member, key assigner, detector, churn model.  The runner is
+endpoint-only on purpose — that is what lets Figures 3–6 run at
+N >= 1,000; partitions, anti-entropy repair and adaptive re-keying are
+measured on the shipping ``create_node()`` stack under
+:mod:`repro.sim.vtime` (``benchmarks/bench_heal.py``,
+``benchmarks/bench_adaptive.py``).
 """
 
 from __future__ import annotations
@@ -39,14 +44,12 @@ from repro.core.keyspace import (
     RandomKeyAssigner,
     SequentialKeyAssigner,
 )
-from repro.core.combinatorics import num_key_sets, unrank_lex
 from repro.core.protocol import CausalBroadcastEndpoint, Message
 from repro.core.registry import (
     ClockBuildContext,
     get_clock_spec,
     get_detector_spec,
 )
-from repro.core.theory import optimal_k_int, p_error
 from repro.sim.dissemination import DirectBroadcast, Dissemination, DisseminationContext
 from repro.sim.engine import Simulator
 from repro.sim.membership import (
@@ -61,7 +64,6 @@ from repro.sim.metrics import AlertConfusion, MetricSet
 from repro.sim.network import DelayModel, GaussianDelayModel
 from repro.sim.node import SimNode
 from repro.sim.oracle import CausalityOracle, OracleCounters
-from repro.sim.recovery import DeliveryLog, RecoveryStats, diff_logs
 from repro.sim.rng import RandomSource
 from repro.sim.workload import PoissonWorkload, Workload
 
@@ -159,29 +161,12 @@ class SimulationConfig:
             order) — the system property the paper's bound
             ``P <= P_nc * P_err`` multiplies by.  Adds one oracle check
             per reception.
-        recovery: the out-of-band anti-entropy procedure Section 4.2
-            assumes — ``none`` (default), ``alert`` (run a session with a
-            random peer ``recovery_delay_ms`` after an Algorithm 4/5
-            alert fires, the paper's intended trigger), or ``periodic``
-            (every node syncs every ``recovery_period_ms``; also repairs
-            message loss, which raises no alert because the dependent
-            messages simply stay pending).
-        recovery_delay_ms / recovery_period_ms: trigger timing.
-        recovery_log_size: per-node delivered-message window exchanged by
-            anti-entropy sessions.
         metrics_path: when set, the run binds a
             :class:`repro.obs.MetricsRegistry` (labels ``mode="sim"``)
             to its metric set and appends one JSONL snapshot line to this
             path when the run finishes — the same format the live
             runtime's exporter writes, so ``repro stats`` and the CI
             sanity gates can read either.
-        adaptive_k_interval_ms: enable *adaptive K* (an extension beyond
-            the paper): every node periodically re-estimates the
-            concurrency X from its own delivery rate and, when the
-            integer optimum K = argmin P_err(R, K, X) moved, re-draws a
-            key set of the new size.  Possible because timestamps carry
-            the sender's keys, so nobody else needs to learn about the
-            switch.  ``None`` (default) disables adaptation.
     """
 
     n_nodes: int
@@ -203,12 +188,7 @@ class SimulationConfig:
     max_pending: Optional[int] = None
     application_factory: Optional[object] = None
     track_reception_order: bool = False
-    recovery: str = "none"
-    recovery_delay_ms: float = 50.0
-    recovery_period_ms: float = 2_000.0
-    recovery_log_size: int = 4096
     metrics_path: Optional[str] = None
-    adaptive_k_interval_ms: Optional[float] = None
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on inconsistent parameters."""
@@ -228,21 +208,6 @@ class SimulationConfig:
             raise ConfigurationError(f"duration_ms must be > 0, got {self.duration_ms}")
         if self.max_messages is not None and self.max_messages < 0:
             raise ConfigurationError(f"max_messages must be >= 0, got {self.max_messages}")
-        if self.recovery not in ("none", "alert", "periodic"):
-            raise ConfigurationError(
-                f"recovery must be none|alert|periodic, got {self.recovery!r}"
-            )
-        if self.recovery_delay_ms < 0 or self.recovery_period_ms <= 0:
-            raise ConfigurationError("recovery timings must be positive")
-        if self.recovery_log_size <= 0:
-            raise ConfigurationError("recovery_log_size must be positive")
-        if self.adaptive_k_interval_ms is not None:
-            if self.adaptive_k_interval_ms <= 0:
-                raise ConfigurationError("adaptive_k_interval_ms must be > 0")
-            if self.clock != "probabilistic":
-                raise ConfigurationError(
-                    "adaptive K only applies to the probabilistic clock"
-                )
 
 
 @dataclass
@@ -269,18 +234,6 @@ class SimulationResult:
     measured_p_nc: Optional[float]
     """Out-of-causal-order reception rate (None unless
     ``track_reception_order`` was enabled)."""
-
-    recovery_sessions: int = 0
-    """Anti-entropy sessions executed (0 when recovery is 'none')."""
-
-    recovery_repaired: int = 0
-    """Messages applied out-of-band by anti-entropy."""
-
-    adaptive_rekeys: int = 0
-    """Key-set re-draws performed by the adaptive-K controller."""
-
-    final_k_values: Tuple[int, ...] = ()
-    """Distribution of K across live nodes at the end of the run."""
 
     @property
     def eps_min(self) -> float:
@@ -327,10 +280,6 @@ class _Run(DisseminationContext):
             if config.dissemination is not None
             else DirectBroadcast(self._delay_model)
         )
-        attach_clock = getattr(self._dissemination, "attach_clock", None)
-        if attach_clock is not None:
-            # Fault-injection wrappers need the simulation clock.
-            attach_clock(lambda: self._sim.now)
 
         churn = config.churn if config.churn is not None else NoChurn()
         self._churn_events = churn.events(self._rng_churn, config.duration_ms)
@@ -353,13 +302,6 @@ class _Run(DisseminationContext):
         self._global_key_sum = np.zeros(self._effective_r, dtype=np.int64)
         self._global_true_sends = np.zeros(self._capacity, dtype=np.int64)
         self._applications: Dict[int, NodeApplication] = {}
-        self._delivery_logs: Dict[int, DeliveryLog] = {}
-        self._recovery_stats = RecoveryStats()
-        self._recovery_pending: set = set()
-        self._rng_recovery = self._rng_root.spawn("recovery")
-        self._rng_adaptive = self._rng_root.spawn("adaptive")
-        self._adaptive_last_delivered: Dict[int, int] = {}
-        self._adaptive_rekeys = 0
         self._sent = 0
         self._next_node_id = 0
         self._members_cache: Tuple[int, ...] = ()
@@ -469,25 +411,6 @@ class _Run(DisseminationContext):
             bootstrap_sends=self._global_true_sends.copy() if bootstrap else None,
         )
         self._nodes[node_id] = node
-        if self._config.recovery != "none":
-            self._delivery_logs[node_id] = DeliveryLog(
-                max_entries=self._config.recovery_log_size
-            )
-            if self._config.recovery == "periodic":
-                self._sim.schedule(
-                    self._rng_recovery.uniform(0, self._config.recovery_period_ms),
-                    self._handle_periodic_recovery,
-                    node_id,
-                )
-        if self._config.adaptive_k_interval_ms is not None:
-            self._sim.schedule(
-                self._rng_adaptive.uniform(
-                    0.5 * self._config.adaptive_k_interval_ms,
-                    1.5 * self._config.adaptive_k_interval_ms,
-                ),
-                self._handle_adaptive_k,
-                node_id,
-            )
         factory = self._config.application_factory
         if factory is not None:
             self._applications[node_id] = factory(node_id)
@@ -529,17 +452,9 @@ class _Run(DisseminationContext):
         )
         message = node.endpoint.broadcast(payload=payload, now=self._sim.now)
         self._sent += 1
-        log = self._delivery_logs.get(node_id)
-        if log is not None:
-            log.record(message)
         self._global_key_sum[message.timestamp.sender_keys_array] += 1
         self._global_true_sends[node.slot] += 1
         fanout = self._dissemination.disseminate(self, message, node_id)
-        if self._config.recovery != "none":
-            # Anti-entropy eventually reaches every member, so the
-            # delivery budget is the full remote membership even when the
-            # dissemination layer loses copies.
-            fanout = max(fanout, len(self.members()) - 1)
         self._oracle.on_send(node_id, message.message_id, self._sim.now, fanout)
         self._schedule_next_send(node_id)
 
@@ -565,9 +480,9 @@ class _Run(DisseminationContext):
             message.message_id
         ):
             # A late joiner's state transfer already covers messages sent
-            # before its join; copies routed here by stale views or
-            # recovery must not be re-applied (they were never budgeted
-            # for this node and would double-count clock increments).
+            # before its join; copies a gossip relay routes here must
+            # not be re-applied (they were never budgeted for this node
+            # and would double-count clock increments).
             sender_slot = self._nodes[message.sender].slot
             if message.seq <= int(node.bootstrap_sends[sender_slot]):
                 endpoint.mark_seen(message.message_id)
@@ -580,126 +495,20 @@ class _Run(DisseminationContext):
             self._dissemination.on_first_reception(self, message, node_id)
         now = self._sim.now
         application = self._applications.get(node_id)
-        log = self._delivery_logs.get(node_id)
-        alert_fired = False
         for record in records:
             classified = self._oracle.classify_delivery(
                 node_id, record.message.message_id, now
             )
             self._metrics.observe_alert(record.alert, classified.verdict)
-            alert_fired = alert_fired or record.alert
-            if log is not None:
-                log.record(record.message)
             if self._config.track_latency:
                 self._metrics.observe_latency(classified.latency_ms)
             if application is not None:
                 application.on_deliver(node_id, record, classified.verdict, now)
-        if (
-            alert_fired
-            and self._config.recovery == "alert"
-            and node_id not in self._recovery_pending
-        ):
-            # The paper's loop: an alert marks a possible violation, so
-            # schedule the costly procedure — once per outstanding alert.
-            self._recovery_pending.add(node_id)
-            self._sim.schedule(
-                self._config.recovery_delay_ms, self._handle_recovery, node_id
-            )
         self._metrics.observe_pending(endpoint.pending_count)
 
-    def _handle_adaptive_k(self, node_id: int) -> None:
-        """Periodic re-dimensioning: re-estimate X, re-draw keys if the
-        optimal K moved.  Uncoordinated by design — exactly like the
-        initial random draw of Section 4.1.3."""
-        node = self._nodes.get(node_id)
-        if node is None or not node.alive:
-            return
-        interval = self._config.adaptive_k_interval_ms
-        delivered = node.endpoint.stats.delivered
-        window = delivered - self._adaptive_last_delivered.get(node_id, 0)
-        self._adaptive_last_delivered[node_id] = delivered
-        receive_rate = window / (interval / 1000.0)
-        x_estimate = receive_rate * self._delay_model.mean_delay() / 1000.0
-        if x_estimate > 0.1:
-            r = self._config.r
-            current_k = node.endpoint.clock.k
-            k_optimal = optimal_k_int(r, x_estimate, k_max=min(r, 16))
-            # Hysteresis: only pay a re-draw when it buys a material
-            # reduction of the covering probability; P_err is nearly flat
-            # around its optimum, so adjacent-K flapping is pure churn.
-            if k_optimal != current_k and p_error(r, k_optimal, x_estimate) < (
-                0.8 * p_error(r, current_k, x_estimate)
-            ):
-                set_id = self._rng_adaptive.integer(0, num_key_sets(r, k_optimal))
-                node.endpoint.clock.rekey(unrank_lex(set_id, r, k_optimal))
-                self._adaptive_rekeys += 1
-        if self._sim.now + interval <= self._config.duration_ms:
-            self._sim.schedule(interval, self._handle_adaptive_k, node_id)
-
-    def _handle_periodic_recovery(self, node_id: int) -> None:
-        node = self._nodes.get(node_id)
-        if node is None or not node.alive:
-            return
-        self._run_recovery_session(node_id)
-        # Keep syncing a few periods into the drain so losses from the
-        # final sending window are repaired too.
-        horizon = self._config.duration_ms + 4 * self._config.recovery_period_ms
-        if self._sim.now + self._config.recovery_period_ms <= horizon:
-            self._sim.schedule(
-                self._config.recovery_period_ms,
-                self._handle_periodic_recovery,
-                node_id,
-            )
-
-    def _handle_recovery(self, node_id: int) -> None:
-        self._recovery_pending.discard(node_id)
-        node = self._nodes.get(node_id)
-        if node is None or not node.alive:
-            return
-        self._run_recovery_session(node_id)
-
-    def _run_recovery_session(self, node_id: int) -> None:
-        """One anti-entropy exchange with a random live peer.
-
-        Messages the peer has delivered but this node never received are
-        fed through the normal reception path, so the delivery condition,
-        oracle accounting, and application callbacks all apply; the
-        protocol's duplicate filter absorbs the overlap when the original
-        copy arrives later.
-        """
-        if len(self._membership) < 2:
-            return
-        peer_id = node_id
-        while peer_id == node_id:
-            peer_id = self._membership.sample(self._rng_recovery)
-        own_log = self._delivery_logs.get(node_id)
-        peer_log = self._delivery_logs.get(peer_id)
-        if own_log is None or peer_log is None:
-            return
-        missing_here, _ = diff_logs(own_log, peer_log)
-        node = self._nodes[node_id]
-        endpoint = node.endpoint
-        repaired = 0
-        for message in missing_here:
-            if endpoint.has_seen(message.message_id):
-                continue
-            if node.bootstrap_sends is not None:
-                # Messages sent before this node joined are already part
-                # of its state transfer: replaying them would double-count
-                # their clock increments (and their oracle records may be
-                # gone).
-                sender_slot = self._nodes[message.sender].slot
-                if message.seq <= int(node.bootstrap_sends[sender_slot]):
-                    continue
-            repaired += 1
-            self._handle_receive((node_id, message))
-        self._recovery_stats.add(repaired)
-
     def _handle_churn(self, event: ChurnEvent) -> None:
-        # Tolerates bare-action callers (the pre-scripted-target API).
-        action = getattr(event, "action", event)
-        target = getattr(event, "node_id", None)
-        if action is ChurnAction.JOIN:
+        target = event.node_id
+        if event.action is ChurnAction.JOIN:
             node = self._spawn_node(self._sim.now, bootstrap=True)
             self._schedule_next_send(node.node_id)
             return
@@ -718,11 +527,6 @@ class _Run(DisseminationContext):
         self._membership.remove(node_id)
         self._members_dirty = True
         node.leave(self._sim.now)
-        forget = getattr(self._dissemination, "forget", None)
-        if forget is not None:
-            # Partial-view transports drop the departed node's own view;
-            # its id ages out of other views through piggyback turnover.
-            forget(node_id)
         application = self._applications.get(node_id)
         if application is not None:
             application.on_leave(node_id, self._sim.now)
@@ -798,14 +602,6 @@ class _Run(DisseminationContext):
                 self._oracle.p_nc_measured
                 if self._config.track_reception_order
                 else None
-            ),
-            recovery_sessions=self._recovery_stats.sessions,
-            recovery_repaired=self._recovery_stats.messages_repaired,
-            adaptive_rekeys=self._adaptive_rekeys,
-            final_k_values=tuple(
-                node.endpoint.clock.k
-                for node in self._nodes.values()
-                if node.alive
             ),
         )
 

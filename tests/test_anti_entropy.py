@@ -7,7 +7,6 @@ named scenario with the same seed replays them.
 """
 
 import asyncio
-import dataclasses
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro.core.codec import RelayFrame
 from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus
 from repro.net.node import _GAP_PULL_GRACE
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
-from repro.sim.oracle import CausalityOracle
 from repro.sim.vtime import run_virtual
 from tests.test_virtual_time import Group
 
@@ -24,56 +22,20 @@ OVERLAY = NodeConfig(dissemination="overlay")
 SWARM = 16
 
 
-def repair_totals(group) -> dict:
-    total = dict.fromkeys(
-        (field.name for field in dataclasses.fields(group.nodes[0].repair_stats)), 0
-    )
-    for node in group.nodes:
-        for name, value in dataclasses.asdict(node.repair_stats).items():
-            total[name] += value
-    return total
-
-
-def counts(group, oracle=None) -> dict:
-    """Every counter the assertions read, summed over the group."""
-    wire = group.wire()
-    out = repair_totals(group)
-    out.update(
-        digests=wire.digests_sent, retransmits=wire.retransmits,
-        datagrams=group.bus.sent,
-        deliveries=sum(node.endpoint.stats.delivered for node in group.nodes),
-    )
-    if oracle is not None:
-        out["violations"] = oracle.totals.violations + oracle.totals.ambiguous
-    return out
-
-
 async def paced_overlay(seed: int, delay_ms: float, messages: int = 20) -> dict:
     """The benchmark's overlay workload on the virtual bus: 16 nodes,
     2 % loss, a 10-message closed-loop warm-up, then ``messages`` per
     sender at 2/s.  Returns the counts of the paced phase alone."""
-    oracle = CausalityOracle(capacity=SWARM)
-    for index in range(SWARM):
-        oracle.register_node(f"n{index}")
-    loop = asyncio.get_running_loop()
-
-    def on_delivery(name, record):
-        message_id = record.message.message_id
-        if record.local:
-            oracle.on_send(name, message_id, loop.time(), fanout=SWARM - 1)
-        else:
-            oracle.classify_delivery(name, message_id, loop.time())
-
     delays = GaussianDelayModel(delay_ms, delay_ms / 5, delay_ms / 5)
-    group = await Group.start(SWARM, OVERLAY, seed, 0.02, delays, on_delivery)
+    group = await Group.start(SWARM, OVERLAY, seed, 0.02, delays, judged=True)
     async with group:
         await group.burst(10)
         await group.settle(SWARM * 10)
         await asyncio.sleep(0.05)
-        before = counts(group, oracle)
+        before = group.counts()
         await group.paced(messages, rate=2.0)
         await group.settle(SWARM * (10 + messages))  # every operation delivered
-        after = counts(group, oracle)
+        after = group.counts()
     return {name: after[name] - before[name] for name in after}
 
 
@@ -106,7 +68,7 @@ def test_a_lossless_burst_raises_no_retransmit_storm():
             await group.burst(10)
             await group.settle(SWARM * 10)
             await asyncio.sleep(1.0)
-            return counts(group)
+            return group.counts()
 
     burst = run_virtual(scenario())
     assert burst["retransmits"] == 0, burst
@@ -123,10 +85,75 @@ def test_no_gap_pull_is_armed_when_nothing_pends():
             for issued, node in enumerate(group.nodes * 2, start=1):
                 await node.broadcast("one at a time")
                 await group.settle(issued)
-            return counts(group)
+            return group.counts()
 
     quiet = run_virtual(scenario())
     assert quiet["gap_pulls_armed"] == quiet["gap_pulls"] == 0, quiet
+
+
+# ----------------------------------------------------------------------
+# a partition that outlasts the retries
+# ----------------------------------------------------------------------
+
+OUTAGE = 20.0  # the default policy gives a frame up after at most 16.4 s
+
+
+async def split_and_heal(size: int, config: NodeConfig, seed: int) -> tuple:
+    """Even and odd nodes are cut apart from t = 1 s for ``OUTAGE``; every
+    node broadcasts twice into the cut.  Returns the counts of the cut,
+    the counts of the heal, and how long after the cut lifted the last
+    node caught up."""
+    loop = asyncio.get_running_loop()
+    group = await Group.start(
+        size, config, seed, 0.0, GaussianDelayModel(10.0, 2.0, 2.0), judged=True,
+        split=(1.0, 1.0 + OUTAGE),
+    )
+    async with group:
+        await group.burst(2)
+        await group.settle(size * 2)
+        await asyncio.sleep(1.0 - loop.time())
+        start = group.counts()
+        await group.burst(2)
+        await asyncio.sleep(OUTAGE - 0.5)
+        # Each side has its own half of the cut's traffic and no more.
+        assert group.exact_deliveries() == [size * 2 + size] * size
+        lifted = group.counts()
+        await group.settle(size * 4)  # every operation delivered
+        caught_up = loop.time() - (1.0 + OUTAGE)
+        await asyncio.sleep(2.0)
+        healed = group.counts()
+    return (
+        {name: lifted[name] - start[name] for name in start},
+        {name: healed[name] - lifted[name] for name in start},
+        caught_up,
+    )
+
+
+@pytest.mark.parametrize("size, config, frames_given_up, repairs_sent, digests", [
+    (4, NodeConfig(), 16, 16, 27),
+    (16, OVERLAY, 0, 256, 126),
+])
+def test_a_split_that_outlasts_the_retries_is_healed_by_anti_entropy(
+    size, config, frames_given_up, repairs_sent, digests
+):
+    """The damage is every broadcast of the cut at every node of the
+    other side.  On the mesh the session retries each of those frames,
+    gives all of them up before the cut lifts, and anti-entropy alone
+    carries them over; on the overlay a relay push is never retried.
+    Either way each missing copy is shipped exactly once."""
+    during, heal, caught_up = run_virtual(split_and_heal(size, config, seed=5))
+    damage = (size * 2) * (size // 2)
+    assert during["deliveries"] == (size * 2) * (size // 2 - 1)
+    assert heal["deliveries"] == damage
+    assert heal["violations"] == during["violations"] == 0
+    assert heal["repairs_sent"] - heal["repair_duplicates"] == damage, heal
+    # One partner per round: the first round after the lift that pairs
+    # a node with the other side closes its gap.
+    assert caught_up < 3 * 0.5 * 1.5, caught_up
+    # Exact for the seed (tests/test_virtual_time.py holds that).
+    assert (during["drops"], heal["repairs_sent"], heal["digests"]) == (
+        frames_given_up, repairs_sent, digests
+    ), (during, heal)
 
 
 # ----------------------------------------------------------------------

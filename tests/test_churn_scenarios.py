@@ -109,6 +109,23 @@ class TestMassLeave:
         assert exact.counters.violations == 0
         assert exact.leaves == 5
 
+    def test_crash_stops_leave_the_system_live(self):
+        """Two untargeted abrupt leaves (a crash schedule is a script of
+        LEAVE events): the victims' sends stay causal dependencies of
+        everyone else's traffic and nothing waits on them forever."""
+        script = [
+            ChurnEvent(time=3_000.0, action=ChurnAction.LEAVE),
+            ChurnEvent(time=6_000.0, action=ChurnAction.LEAVE),
+        ]
+        result = run_simulation(
+            churn_config(
+                script, n_nodes=12, r=24, k=2, duration_ms=12_000.0, seed=4,
+                workload=PoissonWorkload(600.0),
+            )
+        )
+        assert result.leaves == 2
+        assert result.stuck_pending == 0
+
     def test_population_floor_respected(self):
         # Scripting more leaves than the floor allows must saturate at
         # the minimum population, not empty the group.

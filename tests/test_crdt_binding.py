@@ -9,8 +9,7 @@ import pytest
 
 from repro.core.clocks import ProbabilisticCausalClock, VectorCausalClock
 from repro.core.protocol import CausalBroadcastEndpoint
-from repro.crdt import CrdtBinding, ORSet, PNCounter, RGA, ROOT
-from repro.sim.recovery import AntiEntropySession
+from repro.crdt import AntiEntropySession, CrdtBinding, ORSet, PNCounter, RGA, ROOT
 
 
 def make_binding(name, crdt_factory, keys, r=8):

@@ -295,7 +295,7 @@ def test_overlay_run_holds_two_references_per_sender():
 
     async def scenario():
         names = [f"n{i}" for i in range(8)]
-        bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0), time_scale=0.001)
+        bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
         config = NodeConfig(
             r=24, anti_entropy_interval=0.1,
             dissemination="overlay", fanout=3, view_size=6,

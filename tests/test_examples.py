@@ -26,7 +26,7 @@ ALL_EXAMPLES = [
 ]
 
 # Examples cheap enough to execute inside the unit-test run.
-FAST_EXAMPLES = ["alert_and_recovery.py", "async_chat.py"]
+FAST_EXAMPLES = ["alert_and_recovery.py", "async_chat.py", "partition_heal.py"]
 
 
 class TestExamplesCompile:

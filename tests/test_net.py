@@ -7,8 +7,9 @@ import pytest
 from repro.api import NodeConfig, create_node
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import RandomKeyAssigner
-from repro.net import LocalAsyncBus, UdpTransport
+from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus, UdpTransport
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
+from repro.sim.vtime import run_virtual
 from repro.util.rng import RandomSource
 
 R, K = 32, 3
@@ -152,9 +153,46 @@ class TestLocalBus:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            LocalAsyncBus(time_scale=0)
-        with pytest.raises(ConfigurationError):
             LocalAsyncBus(loss_rate=1.0)
+
+
+class TestFaultWindow:
+    def test_a_window_is_half_open_and_cuts_only_the_named_peers(self):
+        window = FaultWindow(1.0, 2.0, drop=True, peers=["b", "d"])
+        assert [window.active_at(t) for t in (0.99, 1.0, 1.99, 2.0)] == [
+            False, True, True, False
+        ]
+        assert window.applies_to("b") and window.applies_to("d")
+        assert not window.applies_to("c")
+        assert FaultWindow(0.0, 1.0, extra_delay=0.1).applies_to("anyone")
+
+        async def scenario():
+            bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+            heard = {"b": [], "c": []}
+            for name, inbox in heard.items():
+                bus.attach(name).set_receiver(lambda data, addr, inbox=inbox: inbox.append(data))
+            sender = FaultyTransport(bus.attach("a"), windows=[window])
+            sender.arm()
+            for moment in (b"before", b"during", b"after"):
+                await sender.send("b", moment)
+                await sender.send("c", moment)
+                await asyncio.sleep(1.0)
+            await bus.drain()
+            return heard, sender.window_dropped
+
+        heard, dropped = run_virtual(scenario())
+        assert heard == {"b": [b"before", b"after"], "c": [b"before", b"during", b"after"]}
+        assert dropped == 1
+
+    @pytest.mark.parametrize("arguments", [
+        dict(start=5.0, end=5.0, drop=True),
+        dict(start=-1.0, end=5.0, drop=True),
+        dict(start=0.0, end=1.0, extra_delay=-0.1),
+        dict(start=0.0, end=1.0),  # does nothing
+    ])
+    def test_validation(self, arguments):
+        with pytest.raises(ConfigurationError):
+            FaultWindow(**arguments)
 
 
 class TestUdpTransport:

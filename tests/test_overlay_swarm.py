@@ -62,7 +62,6 @@ def test_overlay_swarm_converges_with_zero_violations():
         bus = LocalAsyncBus(
             delay_model=GaussianDelayModel(5.0, 1.0, 0.0),
             rng=RandomSource(seed=13).spawn("overlay-swarm"),
-            time_scale=0.001,
             loss_rate=0.05,
         )
         oracle = CausalityOracle(capacity=N_NODES)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.clocks import ProbabilisticCausalClock
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import CausalBroadcastEndpoint
-from repro.sim.recovery import AntiEntropySession, DeliveryLog, diff_logs
+from repro.crdt.log import AntiEntropySession, DeliveryLog, diff_logs
 
 
 def make_messages(count, sender="s"):
@@ -89,8 +89,6 @@ class TestAntiEntropySession:
         assert [m.payload for m in applied_first] == ["s-2", "s-3"]
         assert [m.payload for m in applied_second] == ["s-0", "s-1"]
         assert first.ids() == second.ids()
-        assert session.stats.sessions == 1
-        assert session.stats.messages_repaired == 4
 
     def test_replay_in_sender_sequence_order(self):
         messages = make_messages(5)

@@ -6,8 +6,15 @@ jumps to the next timer whenever the loop would block.  Unmodified
 their callbacks take, and — the point — run *the same way every time*:
 two same-seed runs, and a third in another process under another
 ``PYTHONHASHSEED``, agree on delivery order, bus datagram count, wire
-counters and the census of every table.  Anything that breaks this (a
-set iterated over addresses, a wall-clock read) is a bug at its source.
+counters, the census of every table and the journal's bytes on disk.
+Anything that breaks this (a set iterated over addresses, a wall-clock
+read) is a bug at its source.
+
+The same harness runs partitions (``Group.start(split=…)`` cuts the
+even-numbered nodes from the odd ones with ``FaultWindow``s) and judges
+runs (``judged=True`` attaches a vector-clock oracle):
+``tests/test_anti_entropy.py`` and ``benchmarks/bench_heal.py`` count
+heals exactly on it.
 """
 
 import asyncio
@@ -18,14 +25,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
 
-from repro.api import LivenessPolicy, NodeConfig, create_node
-from repro.net import LocalAsyncBus
+from repro.api import LivenessPolicy, MembershipConfig, NodeConfig, create_node
+from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus
 from repro.net.session import TransportStats
 from repro.sim.network import DelayModel, GaussianDelayModel
+from repro.sim.oracle import CausalityOracle
 from repro.sim.vtime import VirtualDeadlockError, VirtualTimeLoop, run_virtual
 from repro.util.rng import RandomSource
 
@@ -104,36 +113,62 @@ def test_leftover_tasks_are_cancelled_and_exceptions_propagate():
 
 class Group:
     """N nodes on one seeded bus, every node wired to every other, with
-    a delivery-order hash per node.  ``async with`` closes the nodes."""
+    a delivery-order hash per node and, when ``judged``, a vector-clock
+    oracle classifying every delivery.  ``async with`` closes the nodes."""
 
-    def __init__(self, nodes, bus):
+    def __init__(self, nodes, bus, oracle=None):
         self.nodes = nodes
         self.bus = bus
+        self.oracle = oracle
         self.order = {}
 
     @classmethod
-    async def start(cls, size: int, config: NodeConfig, seed: int, loss_rate: float,
-                    delay_model: DelayModel, on_delivery=None) -> "Group":
+    async def start(cls, size: int, config, seed: int, loss_rate: float,
+                    delay_model: DelayModel, judged=False, split=None) -> "Group":
+        """``config`` is one ``NodeConfig`` or ``name -> NodeConfig``; a
+        config with membership forms the group by joining (give every
+        node but the first a seed peer) instead of ``add_peer``.
+        ``split=(start, end)`` drops every datagram between an
+        even-numbered and an odd-numbered node for those virtual
+        seconds, counted from the moment the group is wired."""
         bus = LocalAsyncBus(
             delay_model, rng=RandomSource(seed).spawn("bus"), loss_rate=loss_rate
         )
-        group = cls([], bus)
-        for index in range(size):
-            name = f"n{index}"
+        group = cls([], bus, CausalityOracle(capacity=size) if judged else None)
+        names = [f"n{index}" for index in range(size)]
+        loop = asyncio.get_running_loop()
+        transports = []
+        for index, name in enumerate(names):
             group.order[name] = hashlib.sha256()
+            if judged:
+                group.oracle.register_node(name)
 
             def handler(record, name=name):
-                group.order[name].update(repr(record.message.message_id).encode())
-                if on_delivery is not None:
-                    on_delivery(name, record)
+                message_id = record.message.message_id
+                group.order[name].update(repr(message_id).encode())
+                if judged and record.local:
+                    group.oracle.on_send(name, message_id, loop.time(), fanout=size - 1)
+                elif judged:
+                    group.oracle.classify_delivery(name, message_id, loop.time())
 
+            transport = bus.attach(name)
+            if split is not None:
+                transport = FaultyTransport(transport, windows=[FaultWindow(
+                    *split, drop=True, peers=names[(index + 1) % 2::2]
+                )])
+                transports.append(transport)
             group.nodes.append(await create_node(
-                name, config, transport=bus.attach(name), on_delivery=handler
+                name, config(name) if callable(config) else config,
+                transport=transport, on_delivery=handler,
             ))
         for node in group.nodes:
             for peer in group.nodes:
-                if peer is not node:
+                if peer is not node and node.membership is None:
                     node.add_peer(peer.local_address)
+            while node.membership is not None and len(node.membership.view.members) < size:
+                await asyncio.sleep(0.01)
+        for transport in transports:
+            transport.arm()
         return group
 
     async def __aenter__(self) -> "Group":
@@ -167,6 +202,27 @@ class Group:
             total = total.merge(node.transport_stats())
         return total
 
+    def counts(self) -> dict:
+        """Every work counter summed over the group: the node's
+        ``RepairStats`` fields, wire and endpoint totals, and — when
+        judged — the deliveries the oracle could not prove correct."""
+        wire = self.wire()
+        out = {
+            field.name: sum(getattr(node.repair_stats, field.name) for node in self.nodes)
+            for field in dataclasses.fields(self.nodes[0].repair_stats)
+        }
+        out.update(
+            digests=wire.digests_sent, retransmits=wire.retransmits, drops=wire.drops,
+            datagrams=self.bus.sent,
+            sent=sum(node.endpoint.stats.sent for node in self.nodes),
+            deliveries=sum(node.endpoint.stats.delivered for node in self.nodes),
+            alerts=sum(node.endpoint.stats.alerts for node in self.nodes),
+        )
+        if self.oracle is not None:
+            totals = self.oracle.totals
+            out["violations"] = totals.violations + totals.ambiguous
+        return out
+
     async def burst(self, count: int) -> None:
         """Closed loop: every node issues ``count`` broadcasts back to back."""
         async def client(node):
@@ -198,18 +254,34 @@ class Group:
 
 
 async def lossy_mesh(seed: int) -> dict:
-    """4-node full mesh, 5 % loss, the paper's N(100, 20) ms delays
-    (so the 50 ms first retransmit timeout fires on every link too),
-    liveness on, a closed-loop burst then a paced tail."""
-    config = NodeConfig(
-        liveness=LivenessPolicy(heartbeat_interval=0.2, quarantine_after=5.0),
-    )
-    group = await Group.start(4, config, seed, 0.05, GaussianDelayModel())
-    async with group:
-        await group.burst(60)
-        await group.paced(20, rate=10.0)
-        await group.settle(4 * 80)
-        return group.fingerprint()
+    """4-node full mesh formed by joining through ``n0``, 5 % loss, the
+    paper's N(100, 20) ms delays (so the 50 ms first retransmit timeout
+    fires on every link too), liveness and the journal on, a closed-loop
+    burst then a paced tail.  The fingerprint includes every node's
+    journal as it lies on disk after close."""
+    with tempfile.TemporaryDirectory() as directory:
+        root = pathlib.Path(directory)
+
+        def config(name):
+            return NodeConfig(
+                liveness=LivenessPolicy(heartbeat_interval=0.2, quarantine_after=5.0),
+                membership=MembershipConfig(seed_peers=() if name == "n0" else ("n0",)),
+                data_dir=str(root / name),
+            )
+
+        group = await Group.start(4, config, seed, 0.05, GaussianDelayModel())
+        async with group:
+            await group.burst(60)
+            await group.paced(20, rate=10.0)
+            await group.settle(4 * 80)
+            result = group.fingerprint()
+        result["journal"] = {}
+        for node in group.nodes:
+            digest = hashlib.sha256()
+            for name in ("snapshot.json", "wal.log"):
+                digest.update((root / node.node_id / name).read_bytes())
+            result["journal"][node.node_id] = digest.hexdigest()
+        return result
 
 
 async def lossy_overlay(seed: int) -> dict:
