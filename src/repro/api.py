@@ -98,7 +98,8 @@ class NodeConfig:
             pass.
         payload_codec: application payload wire format: ``json`` | ``raw``.
         retransmit: the reliable session's tuning — timeouts, backoff,
-            send buffer, coalescing, delayed acks; see
+            send buffer, coalescing, the retransmit tick that times
+            held acks; see
             :class:`~repro.net.session.RetransmitPolicy`.
         anti_entropy_interval: seconds between digest rounds (0 disables).
         store_limit: bound on the recent-messages store serving anti-entropy.

@@ -669,7 +669,9 @@ class MessageCodec:
 # ----------------------------------------------------------------------
 
 _FRAME_MAGIC = b"PF"
-_FRAME_VERSION = 2  # v2 added the epoch field to VIEW and JOIN_ACK
+# v2 added the epoch field to VIEW and JOIN_ACK; v3 made every seq, count
+# and length of the session and RELAY frames a LEB128 varint.
+_FRAME_VERSION = 3
 _TYPE_DATA = 1
 _TYPE_ACK = 2
 _TYPE_NACK = 3
@@ -681,6 +683,7 @@ _TYPE_JOIN = 8
 _TYPE_JOIN_ACK = 9
 _TYPE_LEAVE = 10
 _TYPE_RELAY = 11
+_DATA_HEADER = _FRAME_MAGIC + bytes((_FRAME_VERSION, _TYPE_DATA))
 
 _MAX_SACK = 64
 _MAX_NACK = 64
@@ -755,7 +758,7 @@ class BatchFrame:
             Kept as opaque bytes so a batch round-trips byte-identically
             and the flush path never re-encodes.
         ack: optional piggybacked cumulative+selective acknowledgement —
-            the delayed-ack path folds it into an outgoing batch so
+            the session folds its held ack into an outgoing batch so
             bidirectional steady-state traffic needs no standalone ACK
             datagrams.
     """
@@ -890,8 +893,9 @@ Frame = Union[
 
 
 def _encode_ascending(values: Tuple[int, ...], base: int) -> bytes:
-    """Delta-encode an ascending sequence as varints (first delta from base)."""
-    parts = [struct.pack("<H", len(values))]
+    """Delta-encode an ascending sequence as varints (a varint count, then
+    each value's distance from the previous one, the first from base)."""
+    parts = [encode_varint(len(values))]
     previous = base
     for value in values:
         if value <= previous:
@@ -902,8 +906,7 @@ def _encode_ascending(values: Tuple[int, ...], base: int) -> bytes:
 
 
 def _decode_ascending(data: bytes, offset: int, base: int) -> Tuple[Tuple[int, ...], int]:
-    (count,) = struct.unpack_from("<H", data, offset)
-    offset += 2
+    count, offset = decode_varint(data, offset)
     values = []
     previous = base
     for _ in range(count):
@@ -982,13 +985,14 @@ def _decode_members(data: bytes, offset: int) -> Tuple[Tuple[MemberRecord, ...],
 
 
 def _encode_frontiers(frontiers: Dict[str, Tuple[int, Tuple[int, ...]]]) -> bytes:
-    if len(frontiers) > 0xFFFF:
-        raise CodecError("frontier map covers more than 65535 senders")
-    parts = [struct.pack("<H", len(frontiers))]
+    """A DIGEST's (and a JOIN_ACK's) per-sender frontiers: a varint
+    sender count, then per sender its id, a varint ``contiguous`` and the
+    ascending extras above it."""
+    parts = [encode_varint(len(frontiers))]
     for sender in sorted(frontiers):
         contiguous, extras = frontiers[sender]
         parts.append(_encode_short_bytes(str(sender).encode("utf-8")))
-        parts.append(struct.pack("<Q", contiguous))
+        parts.append(encode_varint(contiguous))
         parts.append(_encode_ascending(tuple(extras), contiguous))
     return b"".join(parts)
 
@@ -996,16 +1000,28 @@ def _encode_frontiers(frontiers: Dict[str, Tuple[int, Tuple[int, ...]]]) -> byte
 def _decode_frontiers(
     data: bytes, offset: int
 ) -> Tuple[Dict[str, Tuple[int, Tuple[int, ...]]], int]:
-    (count,) = struct.unpack_from("<H", data, offset)
-    offset += 2
+    count, offset = decode_varint(data, offset)
     frontiers: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
     for _ in range(count):
         sender_raw, offset = _decode_short_bytes(data, offset)
-        (contiguous,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
+        contiguous, offset = decode_varint(data, offset)
         extras, offset = _decode_ascending(data, offset, contiguous)
         frontiers[sender_raw.decode("utf-8")] = (contiguous, extras)
     return frontiers, offset
+
+
+def _encode_ack(ack: AckFrame) -> bytes:
+    """An ACK body, standalone or in a BATCH header: varint cumulative,
+    then the (at most 64) selective acks above it."""
+    return encode_varint(ack.cumulative) + _encode_ascending(
+        tuple(ack.sacks)[:_MAX_SACK], ack.cumulative
+    )
+
+
+def _decode_ack(data: bytes, offset: int) -> Tuple[AckFrame, int]:
+    cumulative, offset = decode_varint(data, offset)
+    sacks, offset = _decode_ascending(data, offset, cumulative)
+    return AckFrame(cumulative=cumulative, sacks=sacks), offset
 
 
 class FrameCodec:
@@ -1029,25 +1045,19 @@ class FrameCodec:
     def encode_data_body(payload: bytes) -> bytes:
         """The seq-independent tail of a DATA frame (length + payload).
 
-        A fan-out sends the *same* payload to every peer; only the 8-byte
+        A fan-out sends the *same* payload to every peer; only the
         per-link seq in the header differs.  Callers build this body once
         and stamp per-peer headers with :meth:`encode_data_with_body`, so
         an N-peer broadcast packs the payload a single time.
         """
-        return struct.pack("<I", len(payload)) + payload
+        return encode_varint(len(payload)) + payload
 
     @staticmethod
     def encode_data_with_body(seq: int, body: bytes) -> bytes:
         """Complete a DATA frame from a shared :meth:`encode_data_body`."""
         if seq < 0:
             raise CodecError(f"negative link seq {seq}")
-        return b"".join(
-            [
-                _FRAME_MAGIC,
-                struct.pack("<BBQ", _FRAME_VERSION, _TYPE_DATA, seq),
-                body,
-            ]
-        )
+        return b"".join([_DATA_HEADER, encode_varint(seq), body])
 
     def encode(self, frame: Frame) -> bytes:
         header = _FRAME_MAGIC + struct.pack("<B", _FRAME_VERSION)
@@ -1056,15 +1066,7 @@ class FrameCodec:
                 frame.seq, self.encode_data_body(frame.payload)
             )
         if isinstance(frame, AckFrame):
-            sacks = tuple(frame.sacks)[:_MAX_SACK]
-            return b"".join(
-                [
-                    header,
-                    struct.pack("<B", _TYPE_ACK),
-                    struct.pack("<Q", frame.cumulative),
-                    _encode_ascending(sacks, frame.cumulative),
-                ]
-            )
+            return b"".join([header, struct.pack("<B", _TYPE_ACK), _encode_ack(frame)])
         if isinstance(frame, NackFrame):
             missing = tuple(frame.missing)[:_MAX_NACK]
             if not missing:
@@ -1073,46 +1075,28 @@ class FrameCodec:
                 [
                     header,
                     struct.pack("<B", _TYPE_NACK),
-                    struct.pack("<Q", missing[0]),
+                    encode_varint(missing[0]),
                     _encode_ascending(missing[1:], missing[0]),
                 ]
             )
         if isinstance(frame, DigestFrame):
-            if len(frame.frontiers) > 0xFFFF:
-                raise CodecError("digest covers more than 65535 senders")
-            parts = [header, struct.pack("<B", _TYPE_DIGEST)]
-            parts.append(struct.pack("<H", len(frame.frontiers)))
-            for sender in sorted(frame.frontiers):
-                contiguous, extras = frame.frontiers[sender]
-                sender_bytes = str(sender).encode("utf-8")
-                if len(sender_bytes) > 0xFFFF:
-                    raise CodecError("sender id longer than 65535 bytes")
-                parts.append(struct.pack("<H", len(sender_bytes)))
-                parts.append(sender_bytes)
-                parts.append(struct.pack("<Q", contiguous))
-                parts.append(_encode_ascending(tuple(extras), contiguous))
-            return b"".join(parts)
+            return b"".join(
+                [header, struct.pack("<B", _TYPE_DIGEST), _encode_frontiers(frame.frontiers)]
+            )
         if isinstance(frame, HeartbeatFrame):
             if frame.count < 0:
                 raise CodecError(f"negative heartbeat count {frame.count}")
             return b"".join(
-                [header, struct.pack("<B", _TYPE_HEARTBEAT), struct.pack("<Q", frame.count)]
+                [header, struct.pack("<B", _TYPE_HEARTBEAT), encode_varint(frame.count)]
             )
         if isinstance(frame, BatchFrame):
             if not frame.frames:
                 raise CodecError("a BATCH must carry at least one frame")
-            if len(frame.frames) > 0xFFFF:
-                raise CodecError("BATCH carries more than 65535 frames")
             flags = _BATCH_HAS_ACK if frame.ack is not None else 0
             parts = [header, struct.pack("<BB", _TYPE_BATCH, flags)]
             if frame.ack is not None:
-                parts.append(struct.pack("<Q", frame.ack.cumulative))
-                parts.append(
-                    _encode_ascending(
-                        tuple(frame.ack.sacks)[:_MAX_SACK], frame.ack.cumulative
-                    )
-                )
-            parts.append(struct.pack("<H", len(frame.frames)))
+                parts.append(_encode_ack(frame.ack))
+            parts.append(encode_varint(len(frame.frames)))
             for inner in frame.frames:
                 if not FrameCodec.is_frame(inner) or inner[3] == _TYPE_BATCH:
                     raise CodecError(
@@ -1182,9 +1166,10 @@ class FrameCodec:
                     header,
                     struct.pack("<B", _TYPE_RELAY),
                     _encode_short_bytes(frame.origin.encode("utf-8")),
-                    struct.pack("<QBd", frame.seq, frame.hops, frame.sent_at),
+                    encode_varint(frame.seq),
+                    struct.pack("<Bd", frame.hops, frame.sent_at),
                     _encode_members(tuple(frame.sample)),
-                    struct.pack("<I", len(frame.payload)),
+                    encode_varint(len(frame.payload)),
                     frame.payload,
                 ]
             )
@@ -1200,53 +1185,28 @@ class FrameCodec:
         self.counters.frames_decoded += 1
         try:
             if frame_type == _TYPE_DATA:
-                (seq,) = struct.unpack_from("<Q", data, offset)
-                offset += 8
-                (length,) = struct.unpack_from("<I", data, offset)
-                offset += 4
+                seq, offset = decode_varint(data, offset)
+                length, offset = decode_varint(data, offset)
                 if len(data) < offset + length:
                     raise CodecError("truncated DATA payload")
                 return DataFrame(seq=seq, payload=data[offset : offset + length])
             if frame_type == _TYPE_ACK:
-                (cumulative,) = struct.unpack_from("<Q", data, offset)
-                offset += 8
-                sacks, offset = _decode_ascending(data, offset, cumulative)
-                return AckFrame(cumulative=cumulative, sacks=sacks)
+                return _decode_ack(data, offset)[0]
             if frame_type == _TYPE_NACK:
-                (first,) = struct.unpack_from("<Q", data, offset)
-                offset += 8
+                first, offset = decode_varint(data, offset)
                 rest, offset = _decode_ascending(data, offset, first)
                 return NackFrame(missing=(first,) + rest)
             if frame_type == _TYPE_DIGEST:
-                (count,) = struct.unpack_from("<H", data, offset)
-                offset += 2
-                frontiers: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
-                for _ in range(count):
-                    (sender_len,) = struct.unpack_from("<H", data, offset)
-                    offset += 2
-                    if len(data) < offset + sender_len:
-                        raise CodecError("truncated digest sender")
-                    sender = data[offset : offset + sender_len].decode("utf-8")
-                    offset += sender_len
-                    (contiguous,) = struct.unpack_from("<Q", data, offset)
-                    offset += 8
-                    extras, offset = _decode_ascending(data, offset, contiguous)
-                    frontiers[sender] = (contiguous, extras)
-                return DigestFrame(frontiers=frontiers)
+                return DigestFrame(frontiers=_decode_frontiers(data, offset)[0])
             if frame_type == _TYPE_HEARTBEAT:
-                (count,) = struct.unpack_from("<Q", data, offset)
-                return HeartbeatFrame(count=count)
+                return HeartbeatFrame(count=decode_varint(data, offset)[0])
             if frame_type == _TYPE_BATCH:
                 (flags,) = struct.unpack_from("<B", data, offset)
                 offset += 1
                 ack = None
                 if flags & _BATCH_HAS_ACK:
-                    (cumulative,) = struct.unpack_from("<Q", data, offset)
-                    offset += 8
-                    sacks, offset = _decode_ascending(data, offset, cumulative)
-                    ack = AckFrame(cumulative=cumulative, sacks=sacks)
-                (count,) = struct.unpack_from("<H", data, offset)
-                offset += 2
+                    ack, offset = _decode_ack(data, offset)
+                count, offset = decode_varint(data, offset)
                 frames = []
                 for _ in range(count):
                     length, offset = decode_varint(data, offset)
@@ -1304,11 +1264,11 @@ class FrameCodec:
                 return LeaveFrame(node_id=node_raw.decode("utf-8"))
             if frame_type == _TYPE_RELAY:
                 origin_raw, offset = _decode_short_bytes(data, offset)
-                seq, hops, sent_at = struct.unpack_from("<QBd", data, offset)
-                offset += 17
+                seq, offset = decode_varint(data, offset)
+                hops, sent_at = struct.unpack_from("<Bd", data, offset)
+                offset += 9
                 sample, offset = _decode_members(data, offset)
-                (length,) = struct.unpack_from("<I", data, offset)
-                offset += 4
+                length, offset = decode_varint(data, offset)
                 if len(data) < offset + length:
                     raise CodecError("truncated RELAY payload")
                 return RelayFrame(

@@ -1396,6 +1396,12 @@ class ReliableCausalNode:
     def _gap_pull(self, message_id: Tuple[str, int], pusher: Address) -> None:
         self._gap_pull_timer = None
         if message_id in self._delivered:
+            # The wave closed this gap.  A push that arrived ahead of its
+            # past while the timer ran armed nothing (one timer per
+            # node): give the oldest one still pending a grace of its
+            # own, or its gap waits for the next anti-entropy round.
+            if self.endpoint.pending_count:
+                self._arm_gap_pull(self.endpoint.pending_messages()[0].message_id, pusher)
             return
         if self._request_resync(pusher):
             self.repair_stats.gap_pulls += 1

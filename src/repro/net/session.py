@@ -22,14 +22,17 @@ so this module adds the classic reliability machinery between a
   cannot make the sender accumulate unbounded state;
 * **frame coalescing** — outgoing frames queue per peer and flush as one
   BATCH datagram when they fill the ``coalesce_mtu`` budget, when the
-  ``flush_interval`` timer fires, or on an explicit :meth:`flush`;
+  session's one flush timer fires (``flush_interval`` after the first
+  frame queued since the last firing; it flushes every peer with queued
+  frames), or on an explicit :meth:`flush`;
   retransmissions, digests and heartbeats ride the same queue, so a
   steady stream costs a fraction of the datagrams (and syscalls);
-* **delayed cumulative acks with piggybacking** — received DATA is
-  acknowledged once per ``ack_delay`` window with a single cumulative
-  ACK, and a pending ack is folded into the next outgoing batch's header
-  instead of costing its own datagram, so bidirectional steady-state
-  traffic sends no standalone ACKs at all;
+* **held cumulative acks that ride the data** — received DATA marks the
+  link's ack pending; any datagram flushed toward that peer carries it
+  in its BATCH header, and only an ack no reverse traffic picked up
+  within two retransmit ticks (``2 * tick_interval``) leaves alone, so
+  one cumulative ACK covers a burst and bidirectional traffic sends no
+  standalone ACKs at all;
 * **anti-entropy plumbing** — digest frames (per-sender ``(sender, seq)``
   frontiers) are encoded/dispatched here; deciding *what* is missing is
   the message-store's job (see :mod:`repro.net.node`);
@@ -115,7 +118,11 @@ class RetransmitPolicy:
             left to anti-entropy (0 disables retransmission entirely).
         send_buffer: maximum unacknowledged frames per peer; ``send``
             applies backpressure (suspends) beyond it.
-        tick_interval: period of the retransmit scan (seconds).
+        tick_interval: period of the retransmit scan (seconds).  The
+            same scan ages held acks: an ack still pending at the second
+            tick after it arose leaves as its own datagram, so an ack
+            waits for reverse traffic at most ``2 * tick_interval`` —
+            which is why ``initial_timeout`` may not be shorter.
         nack_interval: minimum delay between two NACKs for the same
             missing frame (seconds).
         coalesce_mtu: per-datagram budget for frame coalescing; queued
@@ -123,9 +130,6 @@ class RetransmitPolicy:
             frame larger than the budget travels alone).
         flush_interval: how long a queued frame may wait for company
             before the queue flushes anyway (seconds).
-        ack_delay: delay before acknowledging received DATA, so one
-            cumulative ACK covers a burst and outgoing batches can
-            piggyback it.
     """
 
     initial_timeout: float = 0.05
@@ -138,11 +142,16 @@ class RetransmitPolicy:
     nack_interval: float = 0.04
     coalesce_mtu: int = 1400
     flush_interval: float = 0.001
-    ack_delay: float = 0.005
 
     def __post_init__(self) -> None:
         if self.initial_timeout <= 0:
             raise ConfigurationError(f"initial_timeout must be > 0, got {self.initial_timeout}")
+        if self.initial_timeout < 2 * self.tick_interval:
+            # A held ack may wait two ticks; the RTO floor must cover it.
+            raise ConfigurationError(
+                f"initial_timeout ({self.initial_timeout}) must be >= 2 * tick_interval "
+                f"({self.tick_interval})"
+            )
         if self.backoff_factor < 1.0:
             raise ConfigurationError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
         if self.max_timeout < self.initial_timeout:
@@ -163,8 +172,6 @@ class RetransmitPolicy:
             raise ConfigurationError(
                 f"flush_interval must be > 0, got {self.flush_interval}"
             )
-        if self.ack_delay <= 0:
-            raise ConfigurationError(f"ack_delay must be > 0, got {self.ack_delay}")
 
 
 @dataclass
@@ -320,11 +327,11 @@ class _PeerState:
         # their wire cost (frame bytes + per-frame length varints).
         self.outbox: List[bytes] = []
         self.outbox_bytes = 0
-        self.flush_handle: Optional[asyncio.TimerHandle] = None
-        # Delayed-ack state: one timer per window; the ack itself is
-        # built at emission time so it is always maximally cumulative.
+        # Held-ack state, aged by the retransmit tick (pending -> aged ->
+        # sent); the ack itself is built at emission time so it is always
+        # maximally cumulative.
         self.ack_pending = False
-        self.ack_handle: Optional[asyncio.TimerHandle] = None
+        self.ack_aged = False
         # Highest cumulative ack received from this peer (what the node
         # layer keys its delta-encoding references on).
         self.tx_acked = 0
@@ -440,6 +447,10 @@ class ReliableSession:
         self._codec = FrameCodec()
         self._random = random.Random(seed)
         self._peers: Dict[Address, _PeerState] = {}
+        # Peers with queued frames, flushed together when the session's
+        # one flush timer fires.
+        self._dirty: Dict[Address, _PeerState] = {}
+        self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._tick_task: Optional[asyncio.Task] = None
         self._tasks: Set[asyncio.Task] = set()
         self._closed = False
@@ -475,8 +486,11 @@ class ReliableSession:
         if self._tick_task is not None:
             self._tick_task.cancel()
             self._tick_task = None
-        for state in self._peers.values():
-            self._disarm(state)
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
+        for address, state in self._peers.items():
+            self._disarm(address, state)
         for task in list(self._tasks):
             task.cancel()
         self._tasks.clear()
@@ -620,7 +634,7 @@ class ReliableSession:
         dropped = len(state.unacked)
         state.stats.quarantine_drops += dropped
         state.unacked.clear()
-        self._disarm(state)
+        self._disarm(address, state)
         state.space.set()
         return dropped
 
@@ -650,7 +664,7 @@ class ReliableSession:
         if state is None:
             return False
         state.unacked.clear()
-        self._disarm(state)
+        self._disarm(address, state)
         state.space.set()
         return True
 
@@ -781,7 +795,7 @@ class ReliableSession:
     def _transmit(self, addr: Address, state: _PeerState, frame_bytes: bytes) -> None:
         """Put an encoded frame on the wire via the coalescing outbox,
         which flushes as one BATCH datagram when the budget fills, when
-        the flush timer fires, or on an explicit :meth:`flush`.
+        the session's flush timer fires, or on an explicit :meth:`flush`.
         """
         cost = varint_size(len(frame_bytes)) + len(frame_bytes)
         if state.outbox and state.outbox_bytes + cost > self._policy.coalesce_mtu:
@@ -791,17 +805,23 @@ class ReliableSession:
         if state.outbox_bytes >= self._policy.coalesce_mtu:
             # Budget full (or a single oversized frame): no point waiting.
             self._flush_peer(addr, state)
-        elif state.flush_handle is None:
-            state.flush_handle = asyncio.get_running_loop().call_later(
-                self._policy.flush_interval, self._flush_peer, addr, state
+            return
+        self._dirty[addr] = state
+        if self._flush_handle is None:
+            self._flush_handle = asyncio.get_running_loop().call_later(
+                self._policy.flush_interval, self._flush_dirty
             )
+
+    def _flush_dirty(self) -> None:
+        """The flush timer: emit every peer's queued frames."""
+        self._flush_handle = None
+        for addr, state in list(self._dirty.items()):
+            self._flush_peer(addr, state)
 
     def _flush_peer(self, addr: Address, state: _PeerState) -> None:
         """Emit the peer's outbox as one datagram, piggybacking any
-        pending delayed ack.  Doubles as the flush-timer callback."""
-        if state.flush_handle is not None:
-            state.flush_handle.cancel()
-            state.flush_handle = None
+        pending held ack."""
+        self._dirty.pop(addr, None)
         frames = state.outbox
         if not frames and not state.ack_pending:
             return
@@ -811,7 +831,7 @@ class ReliableSession:
         if ack is not None:
             state.stats.acks_sent += 1
         if not frames:
-            # Explicit flush with only a delayed ack pending.
+            # Only the held ack: an explicit flush, or the hold ran out.
             self._send_datagram(addr, state, self._codec.encode(ack), frames=1)
             return
         if len(frames) == 1 and ack is None:
@@ -825,31 +845,15 @@ class ReliableSession:
         self._send_datagram(addr, state, data, frames=len(frames))
 
     def _take_ack(self, state: _PeerState) -> Optional[AckFrame]:
-        """Consume the pending delayed ack, built maximally cumulative
+        """Consume the pending held ack, built maximally cumulative
         at this moment (not at the moment the data arrived)."""
         if not state.ack_pending:
             return None
-        state.ack_pending = False
-        if state.ack_handle is not None:
-            state.ack_handle.cancel()
-            state.ack_handle = None
+        state.ack_pending = state.ack_aged = False
         return AckFrame(
             cumulative=state.recv_cumulative,
             sacks=tuple(sorted(state.recv_out_of_order)[:64]),
         )
-
-    def _ack_timer(self, addr: Address, state: _PeerState) -> None:
-        """Delayed-ack window expired: acknowledge everything received."""
-        state.ack_handle = None
-        if not state.ack_pending:
-            return
-        if state.outbox:
-            # Frames are already queued: flush now and piggyback the ack.
-            self._flush_peer(addr, state)
-            return
-        ack = self._take_ack(state)
-        state.stats.acks_sent += 1
-        self._send_datagram(addr, state, self._codec.encode(ack), frames=1)
 
     def _send_datagram(
         self, addr: Address, state: _PeerState, data: bytes, frames: int
@@ -871,7 +875,7 @@ class ReliableSession:
         self._post(self._transport.send(addr, data))
 
     def flush(self, address: Optional[Address] = None) -> None:
-        """Flush queued frames (and pending delayed acks) immediately.
+        """Flush queued frames (and pending held acks) immediately.
 
         With no address every peer is flushed.  Latency-sensitive
         callers use this instead of waiting out ``flush_interval``.
@@ -962,13 +966,9 @@ class ReliableSession:
             state.stats.duplicates += 1
         # Always acknowledge — the duplicate may be a retransmission whose
         # previous ack was lost, and only an ack stops the sender's timer
-        # — but delayed: one cumulative ack per window, piggybacked onto
-        # an outgoing batch whenever this link carries reverse traffic.
+        # — but held: the next datagram toward this peer carries it, and
+        # the retransmit tick sends it alone if none leaves in two ticks.
         state.ack_pending = True
-        if state.ack_handle is None:
-            state.ack_handle = asyncio.get_running_loop().call_later(
-                self._policy.ack_delay, self._ack_timer, addr, state
-            )
         self._maybe_nack(state, addr, now)
 
     def _maybe_nack(self, state: _PeerState, addr: Address, now: float) -> None:
@@ -1018,21 +1018,26 @@ class ReliableSession:
             await asyncio.sleep(self._policy.tick_interval)
             now = asyncio.get_running_loop().time()
             for address, state in self._peers.items():
-                if state.quarantined:
-                    continue
-                due = [
-                    (seq, pending)
-                    for seq, pending in state.unacked.items()
-                    if pending.next_due <= now
-                ]
-                for seq, pending in due:
-                    if pending.sends > self._policy.max_retries:
-                        state.unacked.pop(seq, None)
-                        state.stats.drops += 1
-                        if len(state.unacked) < self._policy.send_buffer:
-                            state.space.set()
-                    else:
-                        self._retransmit(state, address, seq, pending, now)
+                if not state.quarantined:
+                    due = [
+                        (seq, pending)
+                        for seq, pending in state.unacked.items()
+                        if pending.next_due <= now
+                    ]
+                    for seq, pending in due:
+                        if pending.sends > self._policy.max_retries:
+                            state.unacked.pop(seq, None)
+                            state.stats.drops += 1
+                            if len(state.unacked) < self._policy.send_buffer:
+                                state.space.set()
+                        else:
+                            self._retransmit(state, address, seq, pending, now)
+                if state.ack_aged:
+                    # Two ticks and no datagram toward the peer picked the
+                    # ack up: send it, with whatever this tick queued.
+                    self._flush_peer(address, state)
+                elif state.ack_pending:
+                    state.ack_aged = True
 
     def _retransmit(
         self, state: _PeerState, addr: Address, seq: int, pending: _Pending, now: float
@@ -1052,19 +1057,13 @@ class ReliableSession:
     # plumbing
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _disarm(state: _PeerState) -> None:
-        """Drop a peer's queued-but-unsent wire state (outbox, timers,
-        pending ack) — for quarantine, purge and shutdown."""
+    def _disarm(self, address: Address, state: _PeerState) -> None:
+        """Drop a peer's queued-but-unsent wire state (outbox, its place
+        in the flush set, held ack) — for quarantine, purge and shutdown."""
         state.outbox.clear()
         state.outbox_bytes = 0
-        state.ack_pending = False
-        if state.flush_handle is not None:
-            state.flush_handle.cancel()
-            state.flush_handle = None
-        if state.ack_handle is not None:
-            state.ack_handle.cancel()
-            state.ack_handle = None
+        state.ack_pending = state.ack_aged = False
+        self._dirty.pop(address, None)
 
     def _peer(self, address: Address) -> _PeerState:
         state = self._peers.get(address)

@@ -56,14 +56,23 @@ class VirtualTimeLoop(asyncio.SelectorEventLoop):
     The loop asks its selector to wait until the next timer is due; this
     one returns at once and adds that wait to :meth:`time`, so the timer
     is due on the next iteration.
+
+    ``timers_armed`` counts the timers scheduled on it (every
+    ``call_at``, which ``call_later`` and ``asyncio.sleep`` go through) —
+    a work count as exact as the run.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         self._virtual_now = start
+        self.timers_armed = 0
         super().__init__(_PollingSelector(self._skip))
 
     def time(self) -> float:
         return self._virtual_now
+
+    def call_at(self, when, callback, *args, context=None):
+        self.timers_armed += 1
+        return super().call_at(when, callback, *args, context=context)
 
     def _skip(self, timeout: Optional[float]) -> None:
         if timeout is None:

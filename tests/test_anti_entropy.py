@@ -129,31 +129,38 @@ async def split_and_heal(size: int, config: NodeConfig, seed: int) -> tuple:
     )
 
 
-@pytest.mark.parametrize("size, config, frames_given_up, repairs_sent, digests", [
-    (4, NodeConfig(), 16, 16, 27),
-    (16, OVERLAY, 0, 256, 126),
-])
+@pytest.mark.parametrize(
+    "size, config, frames_given_up, repairs_sent, digests, heal_violations", [
+        (4, NodeConfig(), 16, 16, 27, 0),
+        (16, OVERLAY, 0, 256, 130, 2),
+    ]
+)
 def test_a_split_that_outlasts_the_retries_is_healed_by_anti_entropy(
-    size, config, frames_given_up, repairs_sent, digests
+    size, config, frames_given_up, repairs_sent, digests, heal_violations
 ):
     """The damage is every broadcast of the cut at every node of the
     other side.  On the mesh the session retries each of those frames,
     gives all of them up before the cut lifts, and anti-entropy alone
     carries them over; on the overlay a relay push is never retried.
-    Either way each missing copy is shipped exactly once."""
+    Either way each missing copy is shipped exactly once.
+
+    The heal is a burst of late messages under concurrent traffic — the
+    one error the paper permits — so at R = 128, K = 3 a few of the
+    overlay's 256 heal deliveries may break causal order: about 1 %
+    over 30 seeds (EXPERIMENTS.md, "Acks ride the data")."""
     during, heal, caught_up = run_virtual(split_and_heal(size, config, seed=5))
     damage = (size * 2) * (size // 2)
     assert during["deliveries"] == (size * 2) * (size // 2 - 1)
     assert heal["deliveries"] == damage
-    assert heal["violations"] == during["violations"] == 0
+    assert during["violations"] == 0
     assert heal["repairs_sent"] - heal["repair_duplicates"] == damage, heal
     # One partner per round: the first round after the lift that pairs
     # a node with the other side closes its gap.
     assert caught_up < 3 * 0.5 * 1.5, caught_up
     # Exact for the seed (tests/test_virtual_time.py holds that).
-    assert (during["drops"], heal["repairs_sent"], heal["digests"]) == (
-        frames_given_up, repairs_sent, digests
-    ), (during, heal)
+    assert (
+        during["drops"], heal["repairs_sent"], heal["digests"], heal["violations"]
+    ) == (frames_given_up, repairs_sent, digests, heal_violations), (during, heal)
 
 
 # ----------------------------------------------------------------------
@@ -161,19 +168,19 @@ def test_a_split_that_outlasts_the_retries_is_healed_by_anti_entropy(
 # ----------------------------------------------------------------------
 
 
-async def overlay_pair(bus):
-    """``a`` and ``b`` know each other; ``a`` holds two broadcasts ``b``
+async def overlay_pair(bus, payloads=("first", "second")):
+    """``a`` and ``b`` know each other; ``a`` holds broadcasts ``b``
     has not been pushed (``a`` had no targets when it issued them)."""
     a = await create_node("a", OVERLAY, transport=bus.attach("a"))
     b = await create_node("b", OVERLAY, transport=bus.attach("b"))
-    for payload in ("first", "second"):
+    for payload in payloads:
         await a.broadcast(payload)
     a.add_peer("b")
     b.add_peer("a")
     pushes = [
         RelayFrame(origin="a", seq=seq, hops=0, sent_at=0.0, sample=(),
                    payload=a.store.get("a", seq))
-        for seq in (1, 2)
+        for seq in range(1, len(payloads) + 1)
     ]
     return a, b, pushes
 
@@ -220,6 +227,39 @@ def test_a_gap_the_relay_wave_closes_in_time_costs_nothing():
     stats, wire = run_virtual(scenario())
     assert (stats.gap_pulls_armed, stats.gap_pulls) == (1, 0)
     assert wire.digests_sent == 0
+
+
+def test_a_gap_that_opens_while_the_timer_runs_is_pulled_too():
+    """Bugfix: one gap-pull timer per node, and it used to look only at
+    the message that armed it.  Here the wave releases that message
+    within the grace, but a second gap opened meanwhile: the fired timer
+    re-arms for it, and the second grace ends in a pull instead of a
+    wait for the next anti-entropy round."""
+
+    async def scenario():
+        bus = LocalAsyncBus(ConstantDelayModel(1.0))
+        a, b, (first, second, third, fourth) = await overlay_pair(
+            bus, ("first", "second", "third", "fourth")
+        )
+        try:
+            b._handle_relay(second, "a")  # arms the timer
+            await asyncio.sleep(_GAP_PULL_GRACE / 2)
+            b._handle_relay(first, "a")  # the wave releases "second"...
+            b._handle_relay(fourth, "a")  # ...while "third" goes missing
+            assert b.delivered_payloads() == ["first", "second"]
+            await asyncio.sleep(_GAP_PULL_GRACE / 2 + 0.005)
+            # The first grace ended with "second" released: re-armed.
+            assert (b.repair_stats.gap_pulls_armed, b.repair_stats.gap_pulls) == (2, 0)
+            await asyncio.sleep(_GAP_PULL_GRACE + 0.02)
+            assert b.delivered_payloads() == ["first", "second", "third", "fourth"]
+            return b.repair_stats, a.repair_stats
+        finally:
+            await a.close()
+            await b.close()
+
+    pulled, served = run_virtual(scenario())
+    assert (pulled.gap_pulls_armed, pulled.gap_pulls) == (2, 1)
+    assert (served.repairs_sent, pulled.repair_duplicates) == (1, 0)
 
 
 def test_a_pull_at_an_unknown_pusher_falls_back_to_the_rounds_partner():

@@ -69,7 +69,7 @@ class TestNodeConfig:
             "relay_max_hops", "adaptive_cooldown", "wire_delta",
             # the 20 copies of policy fields
             "ack_timeout", "backoff_factor", "max_retries", "send_buffer",
-            "coalesce_mtu", "flush_interval", "ack_delay",
+            "coalesce_mtu", "flush_interval",
             "heartbeat_interval", "quarantine_after",
             "seed_peers", "join_timeout", "join_retries", "join_backoff",
             "evict_after", "view_announce_interval",

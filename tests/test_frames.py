@@ -1,5 +1,7 @@
 """Wire tests for the reliability frames (DATA/ACK/NACK/DIGEST/HEARTBEAT)."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,14 @@ class TestMalformed:
         data[2] = 99
         with pytest.raises(CodecError):
             codec.decode(bytes(data))
+
+    def test_version_2_frame_rejected(self):
+        """A v2 DATA frame (fixed-width u64 seq, u32 length) is refused
+        by its version byte, never misread as varints."""
+        v2 = b"PF" + struct.pack("<BBQI", 2, 1, 7, 1) + b"x"
+        with pytest.raises(CodecError, match="unsupported frame version 2"):
+            codec.decode(v2)
+        assert codec.encode(DataFrame(seq=7, payload=b"x")) == b"PF\x03\x01\x07\x01x"
 
     def test_truncated_data_rejected(self):
         data = codec.encode(DataFrame(seq=1, payload=b"hello"))

@@ -107,8 +107,10 @@ class TestRelayMalformed:
     def test_payload_length_overrun_rejected(self):
         frame = RelayFrame(origin="a", seq=1, hops=0, payload=b"xyz")
         data = bytearray(codec.encode(frame))
-        # Inflate the payload length field past the buffer's end.
-        data[-4 - len(b"xyz")] = 0xEE
+        # Inflate the payload length varint (one byte here) past the
+        # buffer's end.
+        assert data[-1 - len(b"xyz")] == len(b"xyz")
+        data[-1 - len(b"xyz")] = 0x7E
         with pytest.raises(CodecError):
             codec.decode(bytes(data))
 

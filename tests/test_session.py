@@ -1,6 +1,7 @@
 """Tests for the reliable session layer (acks, retransmit, backpressure)."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.core.errors import ConfigurationError
 from repro.net import LocalAsyncBus, ReliableSession, RetransmitPolicy
 from repro.net.peer import Transport
 from repro.sim.network import ConstantDelayModel
+from repro.sim.vtime import run_virtual
 from repro.util.rng import RandomSource
 
 
@@ -254,7 +256,7 @@ class TestBackpressure:
 
 
 class TestWirePath:
-    """Frame coalescing, delayed cumulative ACKs, and the wire counters."""
+    """Frame coalescing, held cumulative ACKs, and the wire counters."""
 
     def test_burst_coalesces_into_batches(self):
         async def scenario():
@@ -282,49 +284,65 @@ class TestWirePath:
         asyncio.run(scenario())
 
     def test_delayed_ack_is_cumulative(self):
+        """Five frames spread over one tick, no reverse traffic: one
+        cumulative ACK, sent alone by the second retransmit tick after
+        the first frame arrived (virtual time, so the tick is exact)."""
+
         async def scenario():
+            loop = asyncio.get_running_loop()
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
-            policy = fast_policy(initial_timeout=0.5, max_timeout=1.0, ack_delay=0.05)
+            policy = fast_policy(initial_timeout=0.5, max_timeout=1.0, tick_interval=0.05)
             sessions, inboxes = make_pair(bus, policy=policy)
             for session in sessions.values():
                 session.start()
             for i in range(5):
                 await sessions["a"].send("b", bytes([i]))
+                await asyncio.sleep(0.002)
             await wait_for(lambda: len(inboxes["b"]) == 5)
-            await wait_for(lambda: sessions["a"].unacked_count("b") == 0)
-            rx = sessions["b"].stats_for("a")
-            assert rx.acks_sent == 1, "one held cumulative ACK, not five"
-            assert sessions["a"].stats_for("b").retransmits == 0
+            await wait_for(lambda: sessions["a"].unacked_count("b") == 0, interval=0.001)
+            acked_at = loop.time()
+            stats = sessions["a"].stats_for("b"), sessions["b"].stats_for("a")
             for session in sessions.values():
                 await session.close()
+            return acked_at, stats
 
-        asyncio.run(scenario())
+        acked_at, (tx, rx) = run_virtual(scenario())
+        assert tx.datagrams_sent == 5, "spaced past flush_interval: one datagram each"
+        assert rx.acks_sent == 1, "one held cumulative ACK, not five"
+        assert (rx.acks_piggybacked, rx.datagrams_sent) == (0, 1)
+        assert tx.retransmits == 0
+        # Aged by the tick at 0.05 s, sent by the tick at 0.10 s, 1 ms on the bus.
+        assert 0.101 <= acked_at < 0.103, acked_at
 
     def test_ack_piggybacks_on_reverse_traffic(self):
+        """Reverse traffic inside the two-tick hold — here after the tick
+        that aged the ack — carries it: no standalone ACK at all."""
+
         async def scenario():
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
-            policy = fast_policy(initial_timeout=0.5, max_timeout=1.0, ack_delay=0.1)
+            policy = fast_policy(initial_timeout=0.5, max_timeout=1.0, tick_interval=0.05)
             sessions, inboxes = make_pair(bus, policy=policy)
             for session in sessions.values():
                 session.start()
             await sessions["a"].send("b", b"ping")
             await wait_for(lambda: len(inboxes["b"]) == 1)
-            # Reverse traffic inside the ack-delay window: the held ACK
-            # must ride b's outgoing datagram, never stand alone.
+            await asyncio.sleep(0.06 - asyncio.get_running_loop().time())
+            assert sessions["b"]._peer("a").ack_aged
             await sessions["b"].send("a", b"pong")
             await wait_for(lambda: sessions["a"].unacked_count("b") == 0)
             rx = sessions["b"].stats_for("a")
-            assert rx.acks_piggybacked >= 1
-            assert rx.acks_piggybacked == rx.acks_sent
             for session in sessions.values():
                 await session.close()
+            return rx
 
-        asyncio.run(scenario())
+        rx = run_virtual(scenario())
+        assert rx.acks_sent == rx.acks_piggybacked == 1
+        assert rx.datagrams_sent == 1, "the pong's datagram, ack in its header"
 
     def test_explicit_flush_empties_the_outbox(self):
         async def scenario():
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
-            policy = fast_policy(flush_interval=10.0, ack_delay=10.0)
+            policy = fast_policy(flush_interval=10.0)
             sessions, inboxes = make_pair(bus, policy=policy)
             for session in sessions.values():
                 session.start()
@@ -337,6 +355,41 @@ class TestWirePath:
                 await session.close()
 
         asyncio.run(scenario())
+
+    def test_one_flush_timer_serves_every_peer(self):
+        """Frames queued toward three peers in one tick arm one timer and
+        leave as one datagram each when it fires; a forgotten or
+        quarantined peer leaves the flush set with its outbox."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+            session = ReliableSession(
+                bus.attach("a"), on_message=lambda data, addr: None,
+                policy=fast_policy(initial_timeout=0.5, max_timeout=1.0),
+            )
+            peers = ["b", "c", "d"]
+            for name in peers:
+                bus.attach(name)
+            armed = loop.timers_armed
+            for name in peers:
+                await session.send(name, b"x")
+            assert loop.timers_armed - armed == 1
+            assert list(session._dirty) == peers
+            await asyncio.sleep(0.01)
+            assert [session.stats_for(name).datagrams_sent for name in peers] == [1, 1, 1]
+            assert session._dirty == {}
+            for name in peers:
+                await session.send(name, b"y")
+            session.forget("b")
+            session.quarantine("c")
+            assert list(session._dirty) == ["d"]
+            await asyncio.sleep(0.01)
+            sent = [session.stats_for(name).datagrams_sent for name in peers]
+            await session.close()
+            return sent
+
+        assert run_virtual(scenario()) == [0, 1, 2]
 
 
 class TestPolicyValidation:
@@ -353,12 +406,18 @@ class TestPolicyValidation:
             dict(nack_interval=-0.1),
             dict(coalesce_mtu=0),
             dict(flush_interval=0),
-            dict(ack_delay=0),
+            dict(initial_timeout=0.015, tick_interval=0.01),  # inside the ack hold
         ],
     )
     def test_bad_policy_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             RetransmitPolicy(**kwargs)
+
+    def test_the_ack_timer_knob_is_gone(self):
+        """Acks are held by the retransmit tick; there is no delay knob."""
+        with pytest.raises(TypeError):
+            RetransmitPolicy(ack_delay=0.005)
+        assert len(dataclasses.fields(RetransmitPolicy)) == 10
 
     def test_stats_merge_sums_counters(self):
         from repro.net import TransportStats

@@ -208,6 +208,9 @@ class TestNodeIntegration:
             for i in range(10):
                 await a.broadcast(i)
             assert await wait_for(lambda: len(b.deliveries) == 10)
+            # ``a`` receives only b's acks, which are held for reverse
+            # traffic for up to two retransmit ticks: wait for them.
+            assert await wait_for(lambda: a.transport_stats().acks_received > 0)
             snapshot = a.metrics.snapshot()
             counters = snapshot["counters"]
             assert counters["repro_io_rx_datagrams_total"] > 0

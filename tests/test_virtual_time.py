@@ -204,8 +204,10 @@ class Group:
 
     def counts(self) -> dict:
         """Every work counter summed over the group: the node's
-        ``RepairStats`` fields, wire and endpoint totals, and — when
-        judged — the deliveries the oracle could not prove correct."""
+        ``RepairStats`` fields, wire and endpoint totals, the timers the
+        virtual loop armed (the whole loop's, the scenario's own sleeps
+        included), and —
+        when judged — the deliveries the oracle could not prove correct."""
         wire = self.wire()
         out = {
             field.name: sum(getattr(node.repair_stats, field.name) for node in self.nodes)
@@ -214,6 +216,8 @@ class Group:
         out.update(
             digests=wire.digests_sent, retransmits=wire.retransmits, drops=wire.drops,
             datagrams=self.bus.sent,
+            standalone_acks=wire.acks_sent - wire.acks_piggybacked,
+            timers=asyncio.get_running_loop().timers_armed,
             sent=sum(node.endpoint.stats.sent for node in self.nodes),
             deliveries=sum(node.endpoint.stats.delivered for node in self.nodes),
             alerts=sum(node.endpoint.stats.alerts for node in self.nodes),
