@@ -18,7 +18,8 @@ layer:
 Both rows are endpoint-only models of the network's reordering rate
 P_nc, the factor the paper's bound ``P <= P_nc * P_err`` multiplies by.
 Partial views and anti-entropy repair are measured on the shipping
-stack instead (``bench_overlay.py``, ``bench_heal.py``).
+stack instead (``bench_heal.py``; the overlay's per-node cost in
+``tests/test_overlay.py``).
 """
 
 from repro.analysis.sweep import run_repeated

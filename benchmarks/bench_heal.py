@@ -1,7 +1,7 @@
 """Loss, a partition and its heal — on the shipping stack, under virtual time.
 
-Unmodified ``create_node()`` groups (``tests/test_virtual_time.py``'s
-``Group``, the one virtual-time harness) run the paper's §5.4 endpoint
+Unmodified ``create_node()`` groups (:class:`repro.sim.group.Group`,
+the one virtual-time harness) run the paper's §5.4 endpoint
 model (Poisson senders, Gaussian two-stage delays) on the seeded
 in-process bus under :func:`repro.sim.vtime.run_virtual`, judged by the
 vector-clock oracle.  ``R`` is small so that ε is measurable; delays
@@ -23,12 +23,12 @@ import asyncio
 
 from repro.analysis.tables import render_table
 from repro.api import NodeConfig
+from repro.sim.group import Group
 from repro.sim.network import GaussianDelayModel
 from repro.sim.vtime import run_virtual
 from repro.util.rng import RandomSource
 
 from _common import report
-from tests.test_virtual_time import Group  # run from the repository root
 
 R, K = 16, 2
 LOSS_RATE = 0.02
@@ -54,11 +54,6 @@ async def heal_run(size, rate, config, loss_rate, split) -> dict:
     )
     origin = loop.time()
 
-    def counts() -> dict:
-        return dict(group.counts(), cut=sum(
-            node.transport.window_dropped for node in group.nodes
-        ) if split else 0)
-
     async def sender(node):
         rng = RandomSource(SEED).spawn(f"send-{node.node_id}")
         while True:
@@ -68,17 +63,17 @@ async def heal_run(size, rate, config, loss_rate, split) -> dict:
             await node.broadcast(None)
 
     async with group:
-        start = counts()
+        start = group.counts()
         senders = asyncio.gather(*(sender(node) for node in group.nodes))
         await asyncio.sleep(SPLIT[0])
-        at_split = counts()
+        at_split = group.counts()
         await asyncio.sleep(SPLIT[1] - SPLIT[0])
-        at_heal = counts()
+        at_heal = group.counts()
         await senders
         # Every operation at every node, or the arm fails.
-        await group.settle(counts()["sent"])
+        await group.settle()
         await asyncio.sleep(1.0)
-        return {"start": start, "at_split": at_split, "at_heal": at_heal, "end": counts()}
+        return {"start": start, "at_split": at_split, "at_heal": at_heal, "end": group.counts()}
 
 
 def run_heal_matrix() -> dict:

@@ -53,7 +53,8 @@ increments and the next drain folds them into its initial wakeup wave
 was exactly this missed wakeup).  The differential test suite
 (``tests/test_pending_differential.py``) checks the equivalence over
 randomised multi-sender traces with drops, reorders, duplicates and
-interleaved local sends.
+interleaved local sends, and pins the index's work — pending messages
+examined per delivery — on one deep-queue trace.
 """
 
 from __future__ import annotations
@@ -311,8 +312,7 @@ class ReferenceBuffer:
     about every queued message, until a pass makes no progress —
     ``O(P · R)`` per pass.  Same interface as :class:`PendingBuffer` so
     an endpoint can be handed one; only
-    ``tests/test_pending_differential.py`` and
-    ``benchmarks/bench_hotpath.py`` do.
+    ``tests/test_pending_differential.py`` does.
     """
 
     wakeups = spurious_wakeups = 0  # no index, nothing to count

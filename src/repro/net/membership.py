@@ -374,17 +374,7 @@ class GroupMembership:
         ]
         if not targets:
             raise MembershipError("join() needs at least one seed peer")
-        clock = self._node.endpoint.clock
-        # A rejoiner proposes its current keys so the coordinator can
-        # re-adopt them; a fresh node proposes nothing.
-        rejoin_keys = (
-            tuple(clock.own_keys) if self._node.recovered is not None else ()
-        )
-        frame = JoinFrame(
-            node_id=self.node_id,
-            address=self._node.local_address,
-            keys=rejoin_keys,
-        )
+        frame = self._join_frame()
         timeout = self.config.join_timeout
         loop = asyncio.get_running_loop()
         for attempt in range(self.config.join_retries + 1):
@@ -420,6 +410,16 @@ class GroupMembership:
         raise MembershipError(
             f"join failed: no acceptance after "
             f"{self.config.join_retries + 1} attempts"
+        )
+
+    def _join_frame(self) -> JoinFrame:
+        # A rejoiner proposes its current keys so the coordinator can
+        # re-adopt them; a fresh node proposes nothing.
+        clock = self._node.endpoint.clock
+        return JoinFrame(
+            node_id=self.node_id,
+            address=self._node.local_address,
+            keys=tuple(clock.own_keys) if self._node.recovered is not None else (),
         )
 
     def _complete_join(self, ack: JoinAckFrame) -> None:
@@ -527,7 +527,16 @@ class GroupMembership:
     def _on_view(self, frame: ViewFrame, addr: Address) -> None:
         if not self.joined:
             # A joiner must not adopt views before its state transfer
-            # lands (the JOIN_ACK carries the view it needs).
+            # lands (the JOIN_ACK carries the view it needs).  A view
+            # that already lists it means it was admitted and the
+            # JOIN_ACK was lost: ask again now, not after the backoff.
+            # Silent until then toward a coordinator tracking it as a
+            # member, it could be evicted and its next JOIN admitted as
+            # a new member.
+            if self._join_future is not None and any(
+                member.node_id == self.node_id for member in frame.members
+            ):
+                self._node.session.send_control(addr, self._join_frame())
             return
         if self._view is not None and frame.view_id <= self._view.view_id:
             return

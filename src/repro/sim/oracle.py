@@ -127,6 +127,11 @@ class CausalityOracle:
     # membership
     # ------------------------------------------------------------------
 
+    @property
+    def capacity(self) -> int:
+        """Slots, and the length of every true vector."""
+        return self._capacity
+
     def register_node(
         self, node_id: ProcessId, initial_knowledge: Optional[np.ndarray] = None
     ) -> int:

@@ -4,8 +4,8 @@ Unit tests drive the pure decision core (Little's-law estimator +
 band/hysteresis planner) on synthetic telemetry; the integration tests
 run real UDP nodes through a coordinator-proposed epoch bump and check
 the re-tiled geometry lands everywhere (clock, view, codec stamp,
-journal).  The crash/restart side of epochs lives in
-``test_churn_soak.py``.
+journal).  The crash/restart side of epochs lives in the churn
+scenario of ``test_net_membership.py``.
 """
 
 import asyncio
@@ -29,6 +29,7 @@ from repro.net.adaptive import (
     TelemetrySample,
     TelemetryWindow,
 )
+from repro.sim.group import wait_for
 
 
 def sample(now, delivered, wait_sum=0.0, wait_count=0, pending=0.0,
@@ -221,15 +222,6 @@ def quick_config(seed_peers=(), **overrides):
     )
     base.update(overrides)
     return NodeConfig(**base)
-
-
-async def wait_for(predicate, timeout=20.0, interval=0.01):
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        if predicate():
-            return True
-        await asyncio.sleep(interval)
-    return False
 
 
 class TestEpochBump:

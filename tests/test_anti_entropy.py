@@ -14,9 +14,9 @@ from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.core.codec import RelayFrame
 from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus
 from repro.net.node import _GAP_PULL_GRACE
+from repro.sim.group import Group
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.sim.vtime import run_virtual
-from tests.test_virtual_time import Group
 
 OVERLAY = NodeConfig(dissemination="overlay")
 SWARM = 16
@@ -30,11 +30,11 @@ async def paced_overlay(seed: int, delay_ms: float, messages: int = 20) -> dict:
     group = await Group.start(SWARM, OVERLAY, seed, 0.02, delays, judged=True)
     async with group:
         await group.burst(10)
-        await group.settle(SWARM * 10)
+        await group.settle()
         await asyncio.sleep(0.05)
         before = group.counts()
         await group.paced(messages, rate=2.0)
-        await group.settle(SWARM * (10 + messages))  # every operation delivered
+        await group.settle()  # every operation delivered
         after = group.counts()
     return {name: after[name] - before[name] for name in after}
 
@@ -66,7 +66,7 @@ def test_a_lossless_burst_raises_no_retransmit_storm():
         group = await Group.start(SWARM, OVERLAY, 3, 0.0, ConstantDelayModel(10.0))
         async with group:
             await group.burst(10)
-            await group.settle(SWARM * 10)
+            await group.settle()
             await asyncio.sleep(1.0)
             return group.counts()
 
@@ -82,9 +82,9 @@ def test_no_gap_pull_is_armed_when_nothing_pends():
     async def scenario():
         group = await Group.start(SWARM, OVERLAY, 5, 0.0, ConstantDelayModel(10.0))
         async with group:
-            for issued, node in enumerate(group.nodes * 2, start=1):
+            for node in group.nodes * 2:
                 await node.broadcast("one at a time")
-                await group.settle(issued)
+                await group.settle()
             return group.counts()
 
     quiet = run_virtual(scenario())
@@ -110,7 +110,7 @@ async def split_and_heal(size: int, config: NodeConfig, seed: int) -> tuple:
     )
     async with group:
         await group.burst(2)
-        await group.settle(size * 2)
+        await group.settle()
         await asyncio.sleep(1.0 - loop.time())
         start = group.counts()
         await group.burst(2)
@@ -118,7 +118,7 @@ async def split_and_heal(size: int, config: NodeConfig, seed: int) -> tuple:
         # Each side has its own half of the cut's traffic and no more.
         assert group.exact_deliveries() == [size * 2 + size] * size
         lifted = group.counts()
-        await group.settle(size * 4)  # every operation delivered
+        await group.settle()  # every operation delivered
         caught_up = loop.time() - (1.0 + OUTAGE)
         await asyncio.sleep(2.0)
         healed = group.counts()
@@ -287,6 +287,45 @@ def test_a_pull_at_an_unknown_pusher_falls_back_to_the_rounds_partner():
     stats, link = run_virtual(scenario())
     assert (stats.gap_pulls, stats.resync_fallbacks) == (1, 1)
     assert link.digests_sent == 1
+
+
+def test_repair_and_gap_pull_series_follow_the_nodes_own_counters():
+    """``repro_antientropy_*`` / ``repro_gap_pulls_*`` mirror
+    ``node.repair_stats``; ``repro_overlay_push_coverage`` is relay
+    first intakes over remote deliveries (overlay mode only)."""
+
+    async def scenario():
+        bus = LocalAsyncBus(ConstantDelayModel(1.0))
+        a, b, (first, second) = await overlay_pair(bus)
+        mesh = await create_node(
+            "m", NodeConfig(r=16, k=2), transport=bus.attach("m")
+        )
+        try:
+            b._handle_relay(second, "a")  # pended: armed, then pulled
+            await asyncio.sleep(_GAP_PULL_GRACE + 0.02)
+            assert b.delivered_payloads() == ["first", "second"]
+            # A second copy of the repair over the link buys nothing.
+            a.session.push("b", a.store.get("a", 1))
+            await asyncio.sleep(0.02)
+            return (
+                a.metrics.snapshot(), b.metrics.snapshot(),
+                mesh.metrics.snapshot(), b.repair_stats,
+            )
+        finally:
+            await asyncio.gather(a.close(), b.close(), mesh.close())
+
+    served, pulled, mesh, ledger = run_virtual(scenario())
+    assert served["counters"]["repro_antientropy_repairs_sent_total"] == 1
+    counters = pulled["counters"]
+    assert counters["repro_gap_pulls_armed_total"] == ledger.gap_pulls_armed == 1
+    assert counters["repro_gap_pulls_total"] == ledger.gap_pulls == 1
+    assert counters["repro_gap_pulls_unneeded_total"] == 0
+    assert counters["repro_antientropy_repair_duplicates_total"] == 1
+    assert counters["repro_antientropy_resync_fallbacks_total"] == 0
+    # One of two remote deliveries came by relay push, one by repair.
+    assert pulled["gauges"]["repro_overlay_push_coverage"] == 0.5
+    assert "repro_overlay_push_coverage" not in mesh["gauges"]
+    assert mesh["counters"]["repro_antientropy_repairs_sent_total"] == 0
 
 
 # ----------------------------------------------------------------------

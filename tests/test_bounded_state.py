@@ -31,17 +31,9 @@ from repro.core.errors import ConfigurationError
 from repro.net import LocalAsyncBus
 from repro.net.journal import NodeJournal
 from repro.net.node import _EVICTION_WINDOW, _RECENT_DELIVERIES
+from repro.sim.group import wait_for
 from repro.sim.network import ConstantDelayModel
 from repro.sim.vtime import run_virtual
-
-
-async def wait_for(predicate, timeout=60.0, interval=0.01):
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        if predicate():
-            return True
-        await asyncio.sleep(interval)
-    return False
 
 
 def exact_deliveries(node):
@@ -95,7 +87,7 @@ def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path):
                 exact_deliveries(node) == total * len(names)
                 and node.state_sizes()["session_unacked"] == 0
                 for node in nodes.values()
-            )), {name: exact_deliveries(node) for name, node in nodes.items()}
+            ), timeout=60.0), {name: exact_deliveries(node) for name, node in nodes.items()}
             return {name: node.state_sizes() for name, node in nodes.items()}
 
         try:
@@ -134,7 +126,7 @@ def test_deliveries_is_the_most_recent_window_and_counts_stay_exact():
         try:
             for i in range(each):
                 await asyncio.gather(a.broadcast(("a", i)), b.broadcast(("b", i)))
-            assert await wait_for(lambda: exact_deliveries(a) == 2 * each)
+            assert await wait_for(lambda: exact_deliveries(a) == 2 * each, timeout=60.0)
         finally:
             await a.close()
             await b.close()
@@ -410,7 +402,7 @@ def test_leave_marks_are_cleared_by_every_install():
                     await node.membership.leave()
                     await node.close()
                 assert await wait_for(
-                    lambda: membership.view.member_ids() == ("a",)
+                    lambda: membership.view.member_ids() == ("a",), timeout=60.0
                 )
             assert membership.leaves == 4
             assert [size for size, _ in after_install] == [2, 3, 2, 1, 2, 3, 2, 1]

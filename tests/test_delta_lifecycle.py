@@ -28,19 +28,11 @@ import logging
 from repro.api import NodeConfig, create_node
 from repro.net import LocalAsyncBus
 from repro.net import node as node_module
+from repro.sim.group import wait_for
 from repro.sim.network import ConstantDelayModel
 from repro.sim.oracle import CausalityOracle, DeliveryVerdict
 
 LONG_HAUL = 3000  # broadcasts per sender; the old table rolled over at 1,056
-
-
-async def wait_for(predicate, timeout=60.0, interval=0.01):
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        if predicate():
-            return True
-        await asyncio.sleep(interval)
-    return False
 
 
 class Pair:
@@ -109,7 +101,9 @@ class Pair:
         """a's first message, acked: what its next deltas will name."""
         a, b = self.nodes["a"], self.nodes["b"]
         await self.run(1, senders=("a",))
-        assert await wait_for(lambda: a.session.acked_cumulative(b.local_address) >= 1)
+        assert await wait_for(
+            lambda: a.session.acked_cumulative(b.local_address) >= 1, timeout=60.0
+        )
 
     def wire(self):
         a, b = (node.transport_stats() for node in self.nodes.values())
@@ -117,7 +111,7 @@ class Pair:
 
     async def assert_delivered(self, name, count):
         other = "a" if name == "b" else "b"
-        assert await wait_for(lambda: len(self.delivered[name]) >= count), (
+        assert await wait_for(lambda: len(self.delivered[name]) >= count, timeout=60.0), (
             f"{name} delivered {len(self.delivered[name])} of {count}"
         )
         assert self.delivered[name] == [(other, seq) for seq in range(1, count + 1)]
@@ -208,7 +202,7 @@ def test_anti_entropy_burst_cannot_evict_the_live_reference():
                 a.session.push(b.local_address, data)
             received = b.transport_stats().full_received
             assert await wait_for(
-                lambda: b.transport_stats().full_received >= received + 400
+                lambda: b.transport_stats().full_received >= received + 400, timeout=60.0
             )
             assert reference_seqs(b, "a") == slots
             await pair.run(200)
@@ -326,7 +320,8 @@ def test_overlay_run_holds_two_references_per_sender():
                 await asyncio.gather(*(node.broadcast("x") for node in nodes.values()))
                 await asyncio.sleep(0.01)
             assert await wait_for(
-                lambda: all(n == rounds * len(names) for n in delivered.values())
+                lambda: all(n == rounds * len(names) for n in delivered.values()),
+                timeout=60.0,
             ), delivered
             for name, node in nodes.items():
                 assert not node._ref_in_use  # no delta ever named one
@@ -365,7 +360,7 @@ def test_journal_snapshot_carries_the_in_use_reference(tmp_path):
             # the journalled reference, and b's store restarted empty.
             assert b.store.get("a", seq) is None
             await pair.run(10, senders=("a",))
-            assert await wait_for(lambda: b.transport_stats().delta_received >= 10)
+            assert await wait_for(lambda: b.transport_stats().delta_received >= 10, timeout=60.0)
             assert b.transport_stats().delta_ref_misses == 0
             assert not pair.violations
             await b.close()

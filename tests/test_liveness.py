@@ -11,15 +11,7 @@ import pytest
 from repro.api import LivenessPolicy, NodeConfig, RetransmitPolicy, create_node
 from repro.core.errors import ConfigurationError
 from repro.net.liveness import PeerLivenessMonitor
-
-
-async def wait_for(predicate, timeout=20.0, interval=0.01):
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        if predicate():
-            return True
-        await asyncio.sleep(interval)
-    return False
+from repro.sim.group import wait_for
 
 
 class TestPolicy:

@@ -8,20 +8,12 @@ from repro.api import NodeConfig, create_node
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import RandomKeyAssigner
 from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus, UdpTransport
+from repro.sim.group import wait_for
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.sim.vtime import run_virtual
 from repro.util.rng import RandomSource
 
 R, K = 32, 3
-
-
-async def wait_for(predicate, timeout=10.0, interval=0.005):
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        if predicate():
-            return True
-        await asyncio.sleep(interval)
-    return False
 
 
 async def make_cluster(transports, seed=9):

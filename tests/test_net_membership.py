@@ -3,8 +3,8 @@
 Unit tests cover the config, the view value object, and the coordinator
 rule; the integration tests run real UDP nodes through the full JOIN /
 LEAVE / eviction lifecycle (aggressive timers, loopback only).  The
-churn *soak* — bigger group, 25% loss, metrics artifacts — lives in
-``test_churn_soak.py``.
+churn scenario — 4 → 7 → 3 nodes and an epoch bump at 25 % loss — runs
+on :class:`~repro.sim.group.Group` under virtual time, 20 seeds.
 """
 
 import asyncio
@@ -22,15 +22,10 @@ from repro.core.codec import MemberRecord
 from repro.core.errors import ConfigurationError, MembershipError
 from repro.core.keyspace import PerfectKeyAssigner
 from repro.net.membership import GroupMembership, GroupView
-
-
-async def wait_for(predicate, timeout=20.0, interval=0.01):
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        if predicate():
-            return True
-        await asyncio.sleep(interval)
-    return False
+from repro.obs import last_snapshot, merge_snapshots
+from repro.sim.group import Group, wait_for
+from repro.sim.network import GaussianDelayModel
+from repro.sim.vtime import run_virtual
 
 
 def quick_config(seed_peers=(), join_timeout=0.5, join_retries=4, **overrides):
@@ -361,3 +356,173 @@ class TestMetrics:
             await node.close()
 
         asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# churn: 4 -> 7 -> 3 nodes and an epoch bump at 25 % loss, per seed
+# ----------------------------------------------------------------------
+
+
+def churn_config(root):
+    """``n0`` founds the group on keys (0, 1, 2) of a perfect assigner, so
+    every granted key set is disjoint and the delivery condition exact:
+    an oracle violation is a bug, not the scheme's error rate.  ``n2``
+    only knows ``n1``, so its JOIN is redirected to the coordinator."""
+    base = NodeConfig(
+        r=64, k=3,
+        retransmit=RetransmitPolicy(initial_timeout=0.02),
+        anti_entropy_interval=0.1,
+        liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.6),
+        metrics_interval=0.2,
+    )
+
+    def config(name):
+        seeds = () if name == "n0" else ("n1",) if name == "n2" else ("n0",)
+        return base.replace(
+            membership=MembershipConfig(
+                seed_peers=seeds, join_timeout=0.3, join_retries=10, join_backoff=1.5,
+                evict_after=1.0, announce_interval=0.15,
+            ),
+            keys=(0, 1, 2) if name == "n0" else None,
+            data_dir=str(root / name),
+            metrics_path=str(root / f"{name}.metrics.jsonl"),
+        )
+
+    return config
+
+
+async def rounds(group, count, pause=0.1):
+    for _ in range(count):
+        for node in list(group.nodes):
+            await node.broadcast([node.node_id, group.sent])
+        await asyncio.sleep(pause)
+
+
+async def churn(seed, root):
+    """Traffic quiesces before each membership change (``settle``), so a
+    joiner's state transfer covers every broadcast so far and the
+    oracle's seeding from it is exact; the JOIN / LEAVE / eviction
+    machinery itself runs mid-traffic.  Departures are two graceful
+    leaves and two silent crashes that quarantine ages into eviction."""
+    group = await Group.start(
+        0, churn_config(root), seed, 0.25, GaussianDelayModel(5.0, 2.0, 2.0),
+        judged=True, duplicate_rate=0.10, capacity=8,
+    )
+    async with group:
+        # The base group of four.
+        founder = await group.join("n0", assigner=PerfectKeyAssigner(64, 3))
+        view = founder.membership
+        for name in ("n1", "n2", "n3"):
+            await group.join(name)
+        assert await wait_for(lambda: view.view.view_id == 4)
+        await rounds(group, 6)
+        await group.settle(timeout=60.0)
+
+        # Growth to seven, traffic between every join; a joiner starts
+        # from the transferred frontier, not from a replay of history.
+        for name in ("n4", "n5", "n6"):
+            await group.join(name)
+            assert group.order[name] == []
+            await rounds(group, 2)
+            await group.settle(timeout=60.0)
+        assert (view.view.view_id, len(view.view.members)) == (7, 7)
+
+        # Two graceful leaves.
+        released = {}
+        for name in ("n3", "n4"):
+            released[name] = tuple(group.node(name).endpoint.clock.own_keys)
+            await group.leave(name)
+            await rounds(group, 2)
+            await group.settle(timeout=60.0)
+        assert await wait_for(
+            lambda: view.view.member_ids() == ("n0", "n1", "n2", "n5", "n6")
+        ), "graceful leaves never shrank the view"
+
+        # Two silent crashes, aged through quarantine into eviction while
+        # the survivors keep broadcasting.
+        for victim in ("n5", "n6"):
+            released[victim] = tuple(group.node(victim).endpoint.clock.own_keys)
+            await group.crash(victim)
+            for _ in range(100):
+                if victim not in view.view.member_ids():
+                    break
+                await rounds(group, 1)
+            else:
+                raise AssertionError(f"{victim} never evicted")
+            await group.settle(timeout=60.0)
+        # A lost LEAVE burst degrades a leave into an eviction (the
+        # documented backstop): the split may shift, never the sum.
+        assert view.evictions >= 2
+        assert view.evictions + view.leaves == 4
+        assert view.view.member_ids() == ("n0", "n1", "n2")
+        for departed in released:
+            assert departed not in view.assigner
+            assert departed not in founder.store.frontiers()
+
+        # A late joiner inherits an evictee's exact key set (the perfect
+        # assigner recycles LIFO) and converges on post-join traffic.
+        late = await group.join("n7")
+        assert tuple(late.endpoint.clock.own_keys) in (released["n5"], released["n6"])
+        await rounds(group, 4)
+        await group.settle(timeout=60.0)
+        assert group.order["n7"]
+        assert view.view.view_id == 12
+
+        # An epoch bump at a quiesced barrier: K 3 -> 2, re-tiled
+        # disjoint, so the exact delivery condition survives.
+        assert view.epoch == 0
+        bumped = view.propose_epoch(2)
+        assert (bumped.epoch, bumped.view_id) == (1, 13)
+        assert await wait_for(
+            lambda: all(node.membership.epoch == 1 for node in group.nodes)
+        ), "epoch bump never reached every member"
+        for node in group.nodes:
+            assert (node.endpoint.clock.k, node.epoch) == (2, 1)
+        claimed = [key for member in view.view.members for key in member.keys]
+        assert len(claimed) == len(set(claimed)) == 8, claimed
+        await rounds(group, 4)
+        await group.settle(timeout=60.0)
+
+        # A crash/restart on the bumped geometry: the journal and the
+        # re-admission grant agree with the live epoch-1 view.
+        keys = tuple(late.endpoint.clock.own_keys)
+        await group.crash("n7")
+        revived = await group.restart("n7")
+        assert (revived.membership.epoch, revived.endpoint.clock.k, revived.epoch) == (1, 2, 1)
+        assert tuple(revived.endpoint.clock.own_keys) == keys
+        await rounds(group, 3)
+        await group.settle(timeout=60.0)
+        assert view.view.k() == 2
+
+        totals = group.oracle.totals
+        assert totals.deliveries > 0
+        assert (totals.violations, totals.ambiguous) == (0, 0), totals
+        assert group.bus.dropped > 0
+        assert sum(node.liveness.quarantines for node in group.nodes) >= 2
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_churn_under_loss_stays_causal(seed, tmp_path):
+    run_virtual(churn(seed, tmp_path))
+    snapshots = {
+        f"n{index}": last_snapshot(tmp_path / f"n{index}.metrics.jsonl") for index in range(8)
+    }
+    assert None not in snapshots.values(), "a node exported no metrics"
+    coordinator = snapshots["n0"]
+    # 12 views of churn and the epoch bump; n7's quick restart is an
+    # idempotent re-admission (no view change).
+    assert coordinator["gauges"]["repro_membership_view_id"] == 13
+    assert coordinator["gauges"]["repro_membership_view_size"] == 4
+    assert coordinator["gauges"]["repro_membership_epoch"] == 1
+    counters = coordinator["counters"]
+    assert counters["repro_membership_epoch_bumps_total"] == 1
+    assert counters["repro_membership_joins_admitted_total"] == 7
+    assert counters["repro_membership_evictions_total"] >= 2
+    assert (
+        counters["repro_membership_evictions_total"]
+        + counters["repro_membership_leaves_total"]
+    ) == 4
+    assert counters["repro_membership_view_changes_total"] >= 13
+    fleet = merge_snapshots(list(snapshots.values()))
+    assert fleet["counters"]["repro_membership_join_attempts_total"] >= 7
+    assert fleet["counters"]["repro_endpoint_delivered_total"] > 0

@@ -11,28 +11,43 @@ Three layers, mirroring how the mesh wire earned its trust:
   the diversity gauge;
 * above the codec, a swarm disseminating over the bounded-fanout
   overlay is observationally identical to the full mesh: same delivered
-  message sets, per-sender FIFO, zero oracle violations — under the
-  same injected drops/dups/reorders the wire differential suite uses.
+  message sets, zero oracle violations — under the same loss,
+  duplication and jitter the wire differential suite uses;
+* at scale, on :class:`~repro.sim.group.Group` under virtual time: a
+  64-node swarm from a sparse seed ring converges oracle-clean, and the
+  busiest node's datagrams per message stay flat as the swarm doubles
+  while the mesh's origin pays N − 1.
 """
 
 import asyncio
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import MembershipConfig, NodeConfig, create_endpoint, create_node
+from repro.api import (
+    MembershipConfig,
+    NodeConfig,
+    RetransmitPolicy,
+    create_endpoint,
+    create_node,
+)
 from repro.core.codec import CodecError, FrameCodec, MemberRecord, MessageCodec, RelayFrame
 from repro.core.errors import ConfigurationError
 from repro.net import LocalAsyncBus
 from repro.net.overlay import PartialView
-from repro.sim.network import ConstantDelayModel
-from tests.test_wire_differential import Exchange, wait_for
+from repro.sim.group import Group, disjoint_keys
+from repro.sim.network import ConstantDelayModel, GaussianDelayModel
+from repro.sim.vtime import run_virtual
 
 codec = FrameCodec()
 
 MESH = {}  # the defaults
 OVERLAY = dict(dissemination="overlay", fanout=3, view_size=8)
+DIFFERENTIAL = NodeConfig(
+    r=64, k=3, retransmit=RetransmitPolicy(initial_timeout=0.02), anti_entropy_interval=0.1
+)
 
 origins = st.text(min_size=1, max_size=20)
 seqs = st.integers(min_value=0, max_value=2**40)
@@ -209,109 +224,187 @@ class TestPartialView:
 # overlay vs mesh: the observational-identity differential
 # ----------------------------------------------------------------------
 #
-# Same scripted scenario, same injected faults, two dissemination
+# Same scripted scenario, same seed and faults, two dissemination
 # substrates.  The overlay run must be indistinguishable above the
-# codec: identical delivered message sets, per-sender FIFO, zero
-# causal violations against the ground-truth oracle (disjoint key sets
-# make the zero sound).  The wire stats double-check that the overlay
-# run actually relayed and the mesh run never did.
+# codec: identical delivered message sets, zero violations against the
+# oracle (disjoint key sets make the zero sound; it also rules out a
+# duplicate or a per-sender FIFO break).  The wire stats double-check
+# that the overlay run actually relayed and the mesh run never did.
 
 
-async def run_differential(wire_kwargs, *, seed, names, rounds=6):
-    exchange = Exchange(names, wire_kwargs, seed)
-    for name in names:
-        await exchange.boot(name)
-    for _ in range(rounds):
-        for name in names:
-            await exchange.broadcast(name)
-        await asyncio.sleep(0.03)
-    assert await wait_for(exchange.converged), (
-        f"no convergence ({wire_kwargs or 'mesh'}): "
-        f"sent={len(exchange.sent)}, "
-        f"delivered={ {n: len(o) for n, o in exchange.order.items()} }"
+async def run_differential(config, *, seed, size, rounds=6, senders=None):
+    """``rounds`` broadcasts per sender (every node, or ``senders``) on a
+    judged group at 20 % loss and 10 % duplication; returns each node's
+    delivery order and the merged wire stats."""
+    group = await Group.start(
+        size, disjoint_keys(DIFFERENTIAL.replace(**config)), seed, 0.20,
+        GaussianDelayModel(5.0, 2.0, 2.0), judged=True, duplicate_rate=0.10,
     )
-    exchange.assert_observations()
-    stats = exchange.merged_stats()
-    await exchange.close()
-    return exchange, stats
+    async with group:
+        for _ in range(rounds):
+            for node in group.nodes:
+                if senders is None or node.node_id in senders:
+                    await node.broadcast(group.sent)
+            await asyncio.sleep(0.03)
+        await group.settle(timeout=30.0)
+        assert group.counts()["violations"] == 0, (config, group.oracle.totals)
+        return group.order, group.wire()
 
 
 class TestOverlayObservationalIdentity:
     def test_lossy_multiparty_exchange(self):
-        """Drops + dups + reorders over loopback UDP: overlay and mesh
-        deliver the same message sets with zero oracle violations."""
-
-        async def scenario():
-            names = ("a", "b", "c", "d", "e")
-            mesh, mesh_stats = await run_differential(MESH, seed=83, names=names)
-            over, over_stats = await run_differential(OVERLAY, seed=83, names=names)
-            # The runs really exercised different disseminators.
-            assert mesh_stats.relay_sent == 0
-            assert over_stats.relay_sent > 0, "overlay run never relayed"
-            assert over_stats.relay_received > 0
-            for name in mesh.order:
-                assert set(mesh.order[name]) == set(over.order[name])
-
-        asyncio.run(scenario())
+        mesh, mesh_stats = run_virtual(run_differential(MESH, seed=83, size=5))
+        over, over_stats = run_virtual(run_differential(OVERLAY, seed=83, size=5))
+        # The runs really exercised different disseminators.
+        assert mesh_stats.relay_sent == 0
+        assert over_stats.relay_sent > 0, "overlay run never relayed"
+        assert over_stats.relay_received > 0
+        for name in mesh:
+            assert set(mesh[name]) == set(over[name])
 
     def test_single_sender_total_order_is_identical(self):
         """One sender: delivery order is fully determined (seq order),
         so every receiver must observe the identical sequence whichever
         substrate carried it."""
-
-        async def scenario():
-            orders = {}
-            for label, wire in (("mesh", MESH), ("overlay", OVERLAY)):
-                names = ("tx", "rx1", "rx2", "rx3")
-                exchange = Exchange(names, wire, seed=97)
-                for name in names:
-                    await exchange.boot(name)
-                for _ in range(15):
-                    await exchange.broadcast("tx")
-                assert await wait_for(exchange.converged), f"{label} stalled"
-                exchange.assert_observations()
-                orders[label] = {
-                    name: list(exchange.order[name])
-                    for name in ("rx1", "rx2", "rx3")
-                }
-                await exchange.close()
-            assert orders["mesh"] == orders["overlay"]
-            for order in orders["overlay"].values():
-                assert order == [("tx", i) for i in range(1, 16)]
-
-        asyncio.run(scenario())
+        orders = [
+            run_virtual(run_differential(config, seed=97, size=4, rounds=15, senders=("n0",)))[0]
+            for config in (MESH, OVERLAY)
+        ]
+        assert orders[0] == orders[1]
+        for name in ("n1", "n2", "n3"):
+            assert orders[1][name] == [("n0", seq) for seq in range(1, 16)]
 
     def test_relay_metrics_exported(self):
         """The relay counters, hop histogram, and diversity gauge reach
         the registry (the observability half of the tentpole)."""
 
         async def scenario():
-            names = ("a", "b", "c", "d")
-            exchange = Exchange(names, OVERLAY, seed=101)
-            for name in names:
-                await exchange.boot(name)
-            for _ in range(4):
-                for name in names:
-                    await exchange.broadcast(name)
-                await asyncio.sleep(0.03)
-            assert await wait_for(exchange.converged)
-            pushes = intakes = 0
-            for node in exchange.nodes.values():
-                snapshot = node.metrics.snapshot()
-                counters = snapshot["counters"]
-                gauges = snapshot["gauges"]
-                pushes += counters["repro_relay_pushes_total"]
-                intakes += counters["repro_relay_first_intake_total"]
-                assert counters["repro_relay_pushes_total"] == (
-                    node.overlay.stats.relay_pushes
-                )
-                assert 0.0 <= gauges["repro_overlay_sample_diversity"] <= 1.0
-                assert gauges["repro_overlay_view_size"] == len(node.overlay)
-                assert "repro_relay_hops" in snapshot["histograms"]
-            assert pushes > 0 and intakes > 0
-            await exchange.close()
+            group = await Group.start(
+                4, NodeConfig(r=64, k=3, **OVERLAY), 101, 0.20, GaussianDelayModel(5.0, 2.0, 2.0)
+            )
+            async with group:
+                await group.burst(4)
+                await group.settle(timeout=30.0)
+                pushes = intakes = 0
+                for node in group.nodes:
+                    snapshot = node.metrics.snapshot()
+                    counters = snapshot["counters"]
+                    gauges = snapshot["gauges"]
+                    pushes += counters["repro_relay_pushes_total"]
+                    intakes += counters["repro_relay_first_intake_total"]
+                    assert counters["repro_relay_pushes_total"] == (
+                        node.overlay.stats.relay_pushes
+                    )
+                    assert 0.0 <= gauges["repro_overlay_sample_diversity"] <= 1.0
+                    assert gauges["repro_overlay_view_size"] == len(node.overlay)
+                    assert "repro_relay_hops" in snapshot["histograms"]
+                assert pushes > 0 and intakes > 0
 
-        asyncio.run(scenario())
+        run_virtual(scenario())
+
+
+# ----------------------------------------------------------------------
+# at scale: the 64-node swarm and the flat per-node cost
+# ----------------------------------------------------------------------
+
+SWARM = 64
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_swarm_converges_oracle_clean_from_a_sparse_ring(seed):
+    """64 nodes, relay-only (fanout 3, views of 12 out of 63), 5 % loss,
+    each starting from a ring of 4 seed peers: view gossip must find the
+    rest.  Three rounds of one broadcast per node reach every node once
+    the relay wave and anti-entropy settle — zero violations, per-sender
+    FIFO — duplicate copies are absorbed, and the views stay diverse
+    (no member colonises them: the live rich-get-richer check)."""
+
+    async def scenario():
+        config = disjoint_keys(NodeConfig(
+            r=3 * SWARM, k=3, retransmit=RetransmitPolicy(initial_timeout=0.05),
+            anti_entropy_interval=0.15, dissemination="overlay", fanout=3, view_size=12,
+        ))
+        group = await Group.start(
+            SWARM, config, seed, 0.05, GaussianDelayModel(5.0, 1.0, 0.0), judged=True, ring=4
+        )
+        async with group:
+            for _ in range(3):
+                for node in group.nodes:
+                    await node.broadcast(group.sent)
+                await asyncio.sleep(0.05)
+            await group.settle(timeout=240.0)
+            assert group.counts()["violations"] == 0, group.oracle.totals
+            for name, order in group.order.items():
+                last = {}
+                for sender, seq in order:
+                    assert seq == last.get(sender, 0) + 1, (name, sender, seq)
+                    last[sender] = seq
+
+            # The overlay carried the load: one bounded push per
+            # broadcast, redundant copies absorbed without re-forwarding.
+            stats = [node.overlay.stats for node in group.nodes]
+            assert sum(s.relay_pushes for s in stats) == group.sent
+            assert sum(s.relay_first_intake for s in stats) > 0
+            assert sum(s.relay_duplicates for s in stats) > 0, "no gossip redundancy"
+
+            # The views sample most of the swarm, no member holds half of
+            # all view slots, and the per-node gauge stays far above the
+            # collapse floor (~1/window ≈ 0.004).
+            slots = [address for node in group.nodes for address in node.overlay.addresses()]
+            occupancy = Counter(slots)
+            assert len(occupancy) >= 0.5 * SWARM, occupancy
+            assert occupancy.most_common(1)[0][1] <= 0.5 * len(slots), occupancy
+            diversities = [node.overlay.sample_diversity() for node in group.nodes]
+            assert sum(diversities) / SWARM > 0.05, diversities
+            for node, diversity in zip(group.nodes, diversities):
+                gauges = node.metrics.snapshot()["gauges"]
+                assert gauges["repro_overlay_sample_diversity"] == pytest.approx(diversity)
+
+    run_virtual(scenario())
+
+
+async def busiest_node_datagrams(dissemination: str, size: int, seed: int = 29) -> float:
+    """One source, no loss: ``n0`` broadcasts 8 warm-up messages (they
+    spread the views past the seed ring and every link past its first
+    full encodings), then 12 counted ones, 20 ms apart.  Returns the
+    largest datagrams sent per counted message by any one node — the
+    origin on the mesh, the busiest relayer on the overlay.  The mesh
+    runs without anti-entropy (its O(N) digests would blur the line);
+    the overlay keeps a 1 s round and is charged for it."""
+    overlay = dissemination == "overlay"
+    config = NodeConfig(
+        r=64, k=3, anti_entropy_interval=1.0 if overlay else 0.0,
+        dissemination=dissemination, fanout=3, view_size=12,
+    )
+    group = await Group.start(
+        size, config, seed, 0.0, GaussianDelayModel(5.0, 1.0, 0.0), ring=4 if overlay else None
+    )
+    async with group:
+        for count in (8, 12):
+            before = [node.transport_stats().datagrams_sent for node in group.nodes]
+            for index in range(count):
+                await group.nodes[0].broadcast(index)
+                await asyncio.sleep(0.02)
+            await group.settle()
+        return max(
+            node.transport_stats().datagrams_sent - sent
+            for node, sent in zip(group.nodes, before)
+        ) / count
+
+
+def test_overlay_cost_per_node_stays_flat_as_the_swarm_doubles():
+    """The overlay's scaling claim, exact for the seed: at fanout 3 the
+    busiest node pays the same per message at N = 32 and 64, while the
+    mesh's origin pays N − 1."""
+    cost = {
+        (mode, size): run_virtual(busiest_node_datagrams(mode, size))
+        for mode in ("mesh", "overlay") for size in (32, 64)
+    }
+    assert cost["mesh", 64] >= 1.6 * cost["mesh", 32], cost
+    assert cost["overlay", 64] <= 1.5 * cost["overlay", 32], cost
+    assert {key: round(value, 2) for key, value in cost.items()} == {
+        ("mesh", 32): 31.0, ("mesh", 64): 63.0, ("overlay", 32): 3.42, ("overlay", 64): 3.33,
+    }, cost
 
 
 # ----------------------------------------------------------------------

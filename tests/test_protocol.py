@@ -129,11 +129,13 @@ class TestStats:
         assert b.stats.pending_peak == 1
 
     def test_alert_counter_with_detector(self):
-        # Replay the Figure-2 violation and check the endpoint counts it.
-        from tests.test_paper_examples import KEYS, make_endpoint
-
+        # Replay the Figure-2 violation (R = 4; f(p_1) ∪ f(p_2) covers
+        # f(p_i)) and check the endpoint counts the alert.
+        keys = {"p_i": (0, 1), "p_j": (1, 2), "p_k": (2, 3),
+                "p_1": (0, 3), "p_2": (1, 3)}
         endpoints = {
-            name: make_endpoint(name, BasicAlertDetector()) for name in KEYS
+            name: endpoint(name, f, r=4, detector=BasicAlertDetector())
+            for name, f in keys.items()
         }
         m = endpoints["p_i"].broadcast("m")
         endpoints["p_j"].on_receive(m)

@@ -1,9 +1,10 @@
-"""Soak and recovery tests for the reliable networked node.
+"""Loss and recovery tests for the reliable networked node.
 
 The acceptance bar: with >= 20% injected datagram loss plus duplication
-and reordering between *real* UDP endpoints, two ``create_node()``
-participants reach 100% causally-ordered delivery, and the wire stats
-prove the reliability machinery (retransmissions, anti-entropy) did it.
+and reordering, two ``create_node()`` participants reach 100%
+causally-ordered delivery, and the wire stats prove the reliability
+machinery (retransmissions, anti-entropy) did it — on 20 seeds each,
+under virtual time.
 """
 
 import asyncio
@@ -42,128 +43,86 @@ from repro.core.errors import ConfigurationError
 from repro.core.protocol import Message
 from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus, UdpTransport
 from repro.net.node import MessageStore
-from repro.util.rng import RandomSource
-
-
-async def wait_for(predicate, timeout=20.0, interval=0.01):
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        if predicate():
-            return True
-        await asyncio.sleep(interval)
-    return False
-
-
-async def make_lossy_node(name, config, seed, **faults):
-    transport = FaultyTransport(
-        await UdpTransport.create(),
-        rng=RandomSource(seed=seed).spawn("faults"),
-        **faults,
-    )
-    return await create_node(name, config, transport=transport)
+from repro.sim.group import Group, wait_for
+from repro.sim.network import GaussianDelayModel
+from repro.sim.vtime import run_virtual
 
 
 class TestSoakUnderLoss:
-    @pytest.mark.soak
-    def test_full_causal_delivery_despite_loss_dup_reorder(self):
-        """The ISSUE acceptance test: >= 20% drop + dup + reorder on
-        loopback UDP; eventual 100% delivery in causal order with
-        nonzero retransmissions."""
+    @pytest.mark.parametrize("seed", range(20))
+    def test_full_causal_delivery_despite_loss_dup_reorder(self, seed):
+        """25 % loss, 10 % duplication and reordering jitter: a causally
+        chained ping-pong reaches 100 % delivery in causal order, and
+        retransmission is what got it there."""
 
         async def scenario():
             config = NodeConfig(
-                r=64,
-                k=3,
+                r=64, k=3,
                 retransmit=RetransmitPolicy(initial_timeout=0.02),
                 anti_entropy_interval=0.15,
             )
-            alice = await make_lossy_node(
-                "alice", config, seed=1,
-                drop_rate=0.25, duplicate_rate=0.10, reorder_rate=0.15,
+            group = await Group.start(
+                2, config, seed, 0.25, GaussianDelayModel(5.0, 2.0, 2.0), duplicate_rate=0.10
             )
-            bob = await make_lossy_node(
-                "bob", config, seed=2,
-                drop_rate=0.25, duplicate_rate=0.10, reorder_rate=0.15,
-            )
-            alice.add_peer(bob.local_address)
-            bob.add_peer(alice.local_address)
-
-            rounds = 25
-            # Causally chained ping-pong: bob's i-th message depends on
-            # having delivered alice's i-th, and vice versa, so *any*
-            # permanently lost message would wedge the whole exchange.
-            for i in range(rounds):
-                await alice.broadcast(("alice", i))
-                assert await wait_for(
-                    lambda i=i: ("alice", i) in bob.delivered_payloads()
-                ), f"bob never delivered alice's message {i}"
-                await bob.broadcast(("bob", i))
-                assert await wait_for(
-                    lambda i=i: ("bob", i) in alice.delivered_payloads()
-                ), f"alice never delivered bob's message {i}"
-
-            for node in (alice, bob):
-                payloads = node.delivered_payloads()
-                assert len(payloads) == 2 * rounds, "delivery is not 100%"
-                # Causal order: ("alice", i) precedes ("bob", i) precedes
-                # ("alice", i+1) — the chain above forces exactly this.
+            async with group:
+                alice, bob = group.nodes
+                rounds = 25
+                # bob's i-th message depends on having delivered alice's
+                # i-th, and vice versa, so *any* permanently lost message
+                # would wedge the whole exchange.
                 for i in range(rounds):
-                    assert payloads.index(("alice", i)) < payloads.index(("bob", i))
-                    if i + 1 < rounds:
-                        assert payloads.index(("bob", i)) < payloads.index(
-                            ("alice", i + 1)
-                        )
+                    await alice.broadcast(("alice", i))
+                    assert await wait_for(
+                        lambda i=i: ("alice", i) in bob.delivered_payloads()
+                    ), f"bob never delivered alice's message {i}"
+                    await bob.broadcast(("bob", i))
+                    assert await wait_for(
+                        lambda i=i: ("bob", i) in alice.delivered_payloads()
+                    ), f"alice never delivered bob's message {i}"
 
-            # The wire was genuinely hostile and the runtime fought back.
-            dropped = alice.transport.dropped + bob.transport.dropped
-            assert dropped > 0, "fault injection never fired"
-            total = alice.transport_stats().merge(bob.transport_stats())
-            assert total.retransmits > 0, "loss was never repaired by retransmit"
-            assert total.duplicates >= 0
-            await alice.close()
-            await bob.close()
+                chain = [
+                    (name, i) for i in range(rounds) for name in ("alice", "bob")
+                ]
+                for node in (alice, bob):
+                    assert node.delivered_payloads() == chain
+                # The wire was hostile and the runtime fought back.
+                assert group.bus.dropped > 0, "loss never fired"
+                assert group.wire().retransmits > 0, "loss was never repaired by retransmit"
 
-        asyncio.run(scenario())
+        run_virtual(scenario())
 
-    @pytest.mark.soak
-    def test_anti_entropy_recovers_without_retransmission(self):
-        """With retransmission disabled (max_retries=0) and heavy loss,
+    @pytest.mark.parametrize("seed", range(20))
+    def test_anti_entropy_recovers_without_retransmission(self, seed):
+        """With retransmission disabled (max_retries=0) and 40 % loss,
         the periodic digest exchange alone must converge the nodes."""
 
         async def scenario():
             config = NodeConfig(
-                r=64,
-                k=3,
+                r=64, k=3,
                 retransmit=RetransmitPolicy(initial_timeout=0.02, max_retries=0),
                 anti_entropy_interval=0.05,
             )
-            alice = await make_lossy_node("alice", config, seed=3, drop_rate=0.4)
-            bob = await make_lossy_node("bob", config, seed=4, drop_rate=0.4)
-            alice.add_peer(bob.local_address)
-            bob.add_peer(alice.local_address)
+            group = await Group.start(2, config, seed, 0.4, GaussianDelayModel(5.0, 2.0, 2.0))
+            async with group:
+                alice, bob = group.nodes
+                for i in range(15):
+                    await alice.broadcast(i)
+                    # One datagram per broadcast: coalesced, all 15 can
+                    # ride a single surviving datagram and nothing needs
+                    # healing.
+                    alice.session.flush()
+                assert await wait_for(
+                    lambda: len(bob.delivered_payloads()) == 15
+                ), "anti-entropy did not converge"
+                assert bob.delivered_payloads() == list(range(15))
+                # The gap heals in answer to whichever digest lands first
+                # — often bob's, before alice's first jittered round.
+                assert group.wire().digests_sent > 0
+                assert alice.transport_stats().drops > 0, (
+                    "every frame survived: loss not exercised"
+                )
 
-            for i in range(15):
-                await alice.broadcast(i)
-                # One datagram per broadcast: coalesced, all 15 can ride
-                # a single surviving datagram and nothing needs healing.
-                alice.session.flush()
-            assert await wait_for(
-                lambda: len(bob.delivered_payloads()) == 15, timeout=30.0
-            ), "anti-entropy did not converge"
-            assert bob.delivered_payloads() == list(range(15))
-            # The gap heals in answer to whichever digest lands first —
-            # often bob's, before alice's first jittered round.
-            assert (
-                alice.transport_stats().digests_sent
-                + bob.transport_stats().digests_sent
-            ) > 0
-            assert alice.transport_stats().drops > 0, (
-                "every frame survived: loss not exercised"
-            )
-            await alice.close()
-            await bob.close()
-
-        asyncio.run(scenario())
+        run_virtual(scenario())
 
     def test_anti_entropy_heals_transitive_gaps(self):
         """A message from alice reaches carol via bob's store even when

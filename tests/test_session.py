@@ -8,6 +8,7 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.net import LocalAsyncBus, ReliableSession, RetransmitPolicy
 from repro.net.peer import Transport
+from repro.sim.group import wait_for
 from repro.sim.network import ConstantDelayModel
 from repro.sim.vtime import run_virtual
 from repro.util.rng import RandomSource
@@ -39,15 +40,6 @@ def make_pair(bus, policy=None):
     return sessions, inboxes
 
 
-async def wait_for(predicate, timeout=5.0, interval=0.005):
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        if predicate():
-            return
-        await asyncio.sleep(interval)
-    raise AssertionError("condition not reached in time")
-
-
 class BlackholeTransport(Transport):
     """Swallows every datagram; nothing is ever received."""
 
@@ -72,7 +64,7 @@ class TestDelivery:
             for session in sessions.values():
                 session.start()
             await sessions["a"].send("b", b"ping")
-            await wait_for(lambda: inboxes["b"])
+            assert await wait_for(lambda: inboxes["b"])
             assert inboxes["b"] == [(b"ping", "a")]
             for session in sessions.values():
                 await session.close()
@@ -87,7 +79,7 @@ class TestDelivery:
                 session.start()
             await sessions["a"].send("b", b"one")
             await sessions["a"].send("b", b"two")
-            await wait_for(lambda: sessions["a"].unacked_count("b") == 0)
+            assert await wait_for(lambda: sessions["a"].unacked_count("b") == 0)
             stats = sessions["a"].stats_for("b")
             assert stats.acks_received >= 1
             assert stats.retransmits == 0
@@ -109,7 +101,7 @@ class TestDelivery:
                 session.start()
             for i in range(10):
                 await sessions["a"].send("b", bytes([i]))
-            await wait_for(lambda: len(inboxes["b"]) == 10)
+            assert await wait_for(lambda: len(inboxes["b"]) == 10)
             await bus.drain()
             assert len(inboxes["b"]) == 10
             assert sessions["b"].stats_for("a").duplicates > 0
@@ -148,7 +140,7 @@ class TestRetransmission:
                 session.start()
             for i in range(25):
                 await sessions["a"].send("b", bytes([i]))
-            await wait_for(lambda: len(inboxes["b"]) == 25, timeout=10.0)
+            assert await wait_for(lambda: len(inboxes["b"]) == 25, timeout=10.0)
             payloads = sorted(data for data, _ in inboxes["b"])
             assert payloads == [bytes([i]) for i in range(25)]
             assert sessions["a"].stats_for("b").retransmits > 0
@@ -165,13 +157,13 @@ class TestRetransmission:
             for session in sessions.values():
                 session.start()
             await sessions["a"].send("b", b"first")
-            await wait_for(lambda: len(inboxes["b"]) == 1)
+            assert await wait_for(lambda: len(inboxes["b"]) == 1)
             # Simulate the loss: bump a's seq by crafting a gap — send
             # seq 2 into the void, then seq 3 for real.
             state = sessions["a"]._peer("b")
             state.next_seq += 1  # b will see 1 then 3: a gap at 2
             await sessions["a"].send("b", b"third")
-            await wait_for(lambda: sessions["b"].stats_for("a").nacks_sent >= 1)
+            assert await wait_for(lambda: sessions["b"].stats_for("a").nacks_sent >= 1)
             assert 2 in [s for s in sessions["b"]._peer("a").missing_seqs()] or (
                 sessions["b"]._peer("a").recv_cumulative >= 3
             )
@@ -190,7 +182,7 @@ class TestRetransmission:
             )
             session.start()
             await session.send("nowhere", b"doomed")
-            await wait_for(lambda: session.stats_for("nowhere").drops == 1)
+            assert await wait_for(lambda: session.stats_for("nowhere").drops == 1)
             stats = session.stats_for("nowhere")
             assert stats.retransmits == 3
             assert session.unacked_count("nowhere") == 0
@@ -211,7 +203,7 @@ class TestRetransmission:
             state = session._peer("void")
             pending = next(iter(state.unacked.values()))
             first_timeout = pending.timeout
-            await wait_for(lambda: pending.sends >= 3)
+            assert await wait_for(lambda: pending.sends >= 3)
             assert pending.timeout > first_timeout
             await session.close()
 
@@ -266,8 +258,8 @@ class TestWirePath:
                 session.start()
             for i in range(6):
                 await sessions["a"].send("b", bytes([i]))
-            await wait_for(lambda: len(inboxes["b"]) == 6)
-            await wait_for(lambda: sessions["a"].unacked_count("b") == 0)
+            assert await wait_for(lambda: len(inboxes["b"]) == 6)
+            assert await wait_for(lambda: sessions["a"].unacked_count("b") == 0)
             tx = sessions["a"].stats_for("b")
             rx = sessions["b"].stats_for("a")
             assert tx.frames_sent == 6
@@ -298,8 +290,8 @@ class TestWirePath:
             for i in range(5):
                 await sessions["a"].send("b", bytes([i]))
                 await asyncio.sleep(0.002)
-            await wait_for(lambda: len(inboxes["b"]) == 5)
-            await wait_for(lambda: sessions["a"].unacked_count("b") == 0, interval=0.001)
+            assert await wait_for(lambda: len(inboxes["b"]) == 5)
+            assert await wait_for(lambda: sessions["a"].unacked_count("b") == 0, interval=0.001)
             acked_at = loop.time()
             stats = sessions["a"].stats_for("b"), sessions["b"].stats_for("a")
             for session in sessions.values():
@@ -325,11 +317,11 @@ class TestWirePath:
             for session in sessions.values():
                 session.start()
             await sessions["a"].send("b", b"ping")
-            await wait_for(lambda: len(inboxes["b"]) == 1)
+            assert await wait_for(lambda: len(inboxes["b"]) == 1)
             await asyncio.sleep(0.06 - asyncio.get_running_loop().time())
             assert sessions["b"]._peer("a").ack_aged
             await sessions["b"].send("a", b"pong")
-            await wait_for(lambda: sessions["a"].unacked_count("b") == 0)
+            assert await wait_for(lambda: sessions["a"].unacked_count("b") == 0)
             rx = sessions["b"].stats_for("a")
             for session in sessions.values():
                 await session.close()
@@ -350,7 +342,7 @@ class TestWirePath:
             assert sessions["a"].stats_for("b").datagrams_sent == 0
             sessions["a"].flush("b")
             assert sessions["a"].stats_for("b").datagrams_sent == 1
-            await wait_for(lambda: len(inboxes["b"]) == 1)
+            assert await wait_for(lambda: len(inboxes["b"]) == 1)
             for session in sessions.values():
                 await session.close()
 

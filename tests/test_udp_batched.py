@@ -9,8 +9,9 @@ Two layers:
 * node-level — the default :class:`BatchedUdpTransport` is
   observationally identical to the per-datagram :class:`UdpTransport`
   reference under drops/dups/reorder and across a journaled
-  crash/restart (same scripted exchanges as the wire differential,
-  driven through the batched socket driver).
+  crash/restart.  These are the repository's scripted exchanges on real
+  sockets: their subject is the socket, so they keep a small harness of
+  their own (everything else runs on the in-process bus).
 """
 
 import asyncio
@@ -18,55 +19,92 @@ import socket
 
 import pytest
 
-from repro.api import NodeConfig, create_node
+from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.core.errors import ConfigurationError
-from repro.net import BatchedUdpTransport, UdpTransport
-from tests.test_wire_differential import (
-    SHIPPED,
-    Exchange,
-    run_scripted,
-    wait_for,
-)
+from repro.net import BatchedUdpTransport, FaultyTransport, UdpTransport
+from repro.sim.group import wait_for
+from repro.sim.oracle import CausalityOracle
+from repro.util.rng import RandomSource
+
+NAMES = ("a", "b", "c")
 
 
-class BatchedExchange(Exchange):
-    """The wire-differential harness over the batched socket driver."""
+async def scripted_exchange(transport_cls, seed, *, root=None, senders=NAMES, rounds=8,
+                            pause=0.03):
+    """Three nodes on ``transport_cls`` sockets behind 20 % drop, 10 %
+    duplication and 10 % reordering, ``rounds`` broadcasts per sender
+    ``pause`` seconds apart, with ``b`` crashed and restarted from its
+    journal mid-stream when a ``root`` directory is given.  Returns each
+    node's remote deliveries in order, once every node holds every
+    message in per-sender FIFO with zero causality-oracle violations
+    (disjoint key sets make the delivery condition exact)."""
+    order = {name: [] for name in NAMES}
+    nodes, addresses, sent = {}, {}, []
+    oracle = CausalityOracle(capacity=len(NAMES))
+    for name in NAMES:
+        oracle.register_node(name)
 
-    async def _create_transport(self, port):
-        return await BatchedUdpTransport.create(port=port)
+    async def boot(name, port=0):
+        transport = FaultyTransport(
+            await transport_cls.create(port=port),
+            drop_rate=0.20, duplicate_rate=0.10, reorder_rate=0.10,
+            rng=RandomSource(seed=seed).spawn(f"wire-{name}"),
+        )
+        index = NAMES.index(name)
+        config = NodeConfig(
+            r=64, k=3, keys=tuple(range(3 * index, 3 * index + 3)),
+            retransmit=RetransmitPolicy(initial_timeout=0.02), anti_entropy_interval=0.1,
+            data_dir=None if root is None else str(root / name),
+        )
 
+        def on_delivery(record):
+            message_id, now = record.message.message_id, asyncio.get_running_loop().time()
+            if record.local:
+                oracle.on_send(name, message_id, now, fanout=len(NAMES) - 1)
+            else:
+                order[name].append(message_id)
+                oracle.classify_delivery(name, message_id, now)
 
-async def run_batched_scripted(wire_kwargs, **kwargs):
-    names = ("a", "b", "c")
-    exchange = BatchedExchange(
-        names, wire_kwargs, kwargs.pop("seed"),
-        data_root=kwargs.pop("data_root", None),
-    )
-    for name in names:
-        await exchange.boot(name)
-    rounds = kwargs.pop("rounds", 8)
-    crash_restart = kwargs.pop("crash_restart", False)
-    assert not kwargs
-    for _ in range(rounds):
-        for name in names:
-            await exchange.broadcast(name)
-        await asyncio.sleep(0.03)
-    if crash_restart:
-        await exchange.crash("b")
-        for _ in range(3):
-            for name in ("a", "c"):
-                await exchange.broadcast(name)
-            await asyncio.sleep(0.05)
-        await exchange.restart("b")
-        for name in names:
-            await exchange.broadcast(name)
-    assert await wait_for(exchange.converged), (
-        f"no convergence: sent={len(exchange.sent)}, "
-        f"delivered={ {n: len(o) for n, o in exchange.order.items()} }"
-    )
-    exchange.assert_observations()
-    await exchange.close()
-    return exchange
+        nodes[name] = await create_node(
+            name, config, transport=transport, on_delivery=on_delivery
+        )
+        addresses[name] = transport.local_address
+        for other, address in addresses.items():
+            if other != name:
+                nodes[name].add_peer(address)
+                nodes[other].add_peer(transport.local_address)
+
+    async def broadcast(names, count):
+        for _ in range(count):
+            for name in names:
+                sent.append((name, (await nodes[name].broadcast(None)).seq))
+            await asyncio.sleep(pause)
+
+    for name in NAMES:
+        await boot(name)
+    await broadcast(senders, rounds)
+    if root is not None:
+        await nodes.pop("b").close()
+        await broadcast(("a", "c"), 3)
+        await boot("b", port=addresses["b"][1])
+        assert nodes["b"].recovered is not None
+        await broadcast(senders, 1)
+
+    def converged():
+        return all(
+            sorted(order[name]) == sorted(m for m in sent if m[0] != name)
+            for name in NAMES
+        )
+
+    assert await wait_for(converged), {name: len(o) for name, o in order.items()}
+    for name, received in order.items():
+        for sender in NAMES:
+            seqs = [seq for origin, seq in received if origin == sender]
+            assert seqs == sorted(seqs), f"{name} broke {sender}'s FIFO"
+    assert oracle.totals.violations == oracle.totals.ambiguous == 0, oracle.totals
+    for node in nodes.values():
+        await node.close()
+    return order
 
 
 class TestBatchedTransport:
@@ -225,60 +263,41 @@ class TestNodeIntegration:
 
 
 class TestIoModeEquivalence:
-    def test_lossy_multiparty_exchange(self):
-        """Drops + dups + reorders through the batched driver: the same
-        scripted exchange as the legacy driver delivers the same message
-        sets, per-sender FIFO, zero oracle violations (asserted inside
-        both harnesses)."""
+    """The batched socket driver against the per-datagram reference: the
+    same scripted exchange, the same faults, the same observations."""
 
+    def test_lossy_multiparty_exchange(self):
         async def scenario():
-            legacy, _ = await run_scripted(SHIPPED, seed=31)
-            batched = await run_batched_scripted(SHIPPED, seed=31)
-            for name in legacy.order:
-                assert set(legacy.order[name]) == set(batched.order[name])
+            legacy = await scripted_exchange(UdpTransport, seed=31)
+            batched = await scripted_exchange(BatchedUdpTransport, seed=31)
+            for name in NAMES:
+                assert set(legacy[name]) == set(batched[name])
 
         asyncio.run(scenario())
 
     def test_crash_restart(self, tmp_path):
-        """A journaled crash/restart mid-stream over the batched driver:
-        the journal replays cleanly and convergence matches the
-        reference run."""
+        """A journaled crash/restart mid-stream over either driver: the
+        journal replays cleanly and convergence matches."""
 
         async def scenario():
-            legacy, _ = await run_scripted(
-                SHIPPED, seed=47, data_root=tmp_path / "legacy",
-                crash_restart=True,
+            legacy = await scripted_exchange(UdpTransport, seed=47, root=tmp_path / "legacy")
+            batched = await scripted_exchange(
+                BatchedUdpTransport, seed=47, root=tmp_path / "batched"
             )
-            batched = await run_batched_scripted(
-                SHIPPED, seed=47, data_root=tmp_path / "batched",
-                crash_restart=True,
-            )
-            for name in legacy.order:
-                assert set(legacy.order[name]) == set(batched.order[name])
+            for name in NAMES:
+                assert set(legacy[name]) == set(batched[name])
 
         asyncio.run(scenario())
 
     def test_single_sender_total_order_is_identical(self):
         """One sender: delivery order is fully determined (seq order),
-        so the batched driver must produce identical sequences."""
+        so both drivers must produce identical sequences."""
 
         async def scenario():
-            orders = {}
-            for label, cls in (("legacy", Exchange), ("batched", BatchedExchange)):
-                names = ("tx", "rx1", "rx2")
-                exchange = cls(names, SHIPPED, seed=59)
-                for name in names:
-                    await exchange.boot(name)
-                for _ in range(20):
-                    await exchange.broadcast("tx")
-                assert await wait_for(exchange.converged)
-                exchange.assert_observations()
-                orders[label] = {
-                    name: list(exchange.order[name]) for name in ("rx1", "rx2")
-                }
-                await exchange.close()
-            assert orders["legacy"] == orders["batched"]
-            for order in orders["batched"].values():
-                assert order == [("tx", i) for i in range(1, 21)]
+            for cls in (UdpTransport, BatchedUdpTransport):
+                order = await scripted_exchange(
+                    cls, seed=59, senders=("a",), rounds=20, pause=0.0
+                )
+                assert order["b"] == order["c"] == [("a", seq) for seq in range(1, 21)]
 
         asyncio.run(scenario())

@@ -8,17 +8,14 @@ two same-seed runs, and a third in another process under another
 ``PYTHONHASHSEED``, agree on delivery order, bus datagram count, wire
 counters, the census of every table and the journal's bytes on disk.
 Anything that breaks this (a set iterated over addresses, a wall-clock
-read) is a bug at its source.
+read) is a bug at its source, and a failing seed replays its failure.
 
-The same harness runs partitions (``Group.start(split=…)`` cuts the
-even-numbered nodes from the odd ones with ``FaultWindow``s) and judges
-runs (``judged=True`` attaches a vector-clock oracle):
-``tests/test_anti_entropy.py`` and ``benchmarks/bench_heal.py`` count
-heals exactly on it.
+The groups are :class:`repro.sim.group.Group`.  The chaos scenario —
+journals, two crash/restarts and a split under 25 % loss — runs here
+over 20 seeds and is part of the fingerprint.
 """
 
 import asyncio
-import dataclasses
 import hashlib
 import json
 import os
@@ -30,15 +27,13 @@ import time
 
 import pytest
 
-from repro.api import LivenessPolicy, MembershipConfig, NodeConfig, create_node
-from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus
-from repro.net.session import TransportStats
-from repro.sim.network import DelayModel, GaussianDelayModel
-from repro.sim.oracle import CausalityOracle
+from repro.api import LivenessPolicy, MembershipConfig, NodeConfig, RetransmitPolicy
+from repro.obs import Histogram, last_snapshot, merge_snapshots
+from repro.sim.group import Group, disjoint_keys, wait_for
+from repro.sim.network import GaussianDelayModel
 from repro.sim.vtime import VirtualDeadlockError, VirtualTimeLoop, run_virtual
-from repro.util.rng import RandomSource
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 # ----------------------------------------------------------------------
@@ -106,155 +101,15 @@ def test_leftover_tasks_are_cancelled_and_exceptions_propagate():
     assert cancelled == [True]
 
 
-# ----------------------------------------------------------------------
-# groups of unmodified create_node() nodes on the virtual bus
-# ----------------------------------------------------------------------
-
-
-class Group:
-    """N nodes on one seeded bus, every node wired to every other, with
-    a delivery-order hash per node and, when ``judged``, a vector-clock
-    oracle classifying every delivery.  ``async with`` closes the nodes."""
-
-    def __init__(self, nodes, bus, oracle=None):
-        self.nodes = nodes
-        self.bus = bus
-        self.oracle = oracle
-        self.order = {}
-
-    @classmethod
-    async def start(cls, size: int, config, seed: int, loss_rate: float,
-                    delay_model: DelayModel, judged=False, split=None) -> "Group":
-        """``config`` is one ``NodeConfig`` or ``name -> NodeConfig``; a
-        config with membership forms the group by joining (give every
-        node but the first a seed peer) instead of ``add_peer``.
-        ``split=(start, end)`` drops every datagram between an
-        even-numbered and an odd-numbered node for those virtual
-        seconds, counted from the moment the group is wired."""
-        bus = LocalAsyncBus(
-            delay_model, rng=RandomSource(seed).spawn("bus"), loss_rate=loss_rate
-        )
-        group = cls([], bus, CausalityOracle(capacity=size) if judged else None)
-        names = [f"n{index}" for index in range(size)]
-        loop = asyncio.get_running_loop()
-        transports = []
-        for index, name in enumerate(names):
-            group.order[name] = hashlib.sha256()
-            if judged:
-                group.oracle.register_node(name)
-
-            def handler(record, name=name):
-                message_id = record.message.message_id
-                group.order[name].update(repr(message_id).encode())
-                if judged and record.local:
-                    group.oracle.on_send(name, message_id, loop.time(), fanout=size - 1)
-                elif judged:
-                    group.oracle.classify_delivery(name, message_id, loop.time())
-
-            transport = bus.attach(name)
-            if split is not None:
-                transport = FaultyTransport(transport, windows=[FaultWindow(
-                    *split, drop=True, peers=names[(index + 1) % 2::2]
-                )])
-                transports.append(transport)
-            group.nodes.append(await create_node(
-                name, config(name) if callable(config) else config,
-                transport=transport, on_delivery=handler,
-            ))
-        for node in group.nodes:
-            for peer in group.nodes:
-                if peer is not node and node.membership is None:
-                    node.add_peer(peer.local_address)
-            while node.membership is not None and len(node.membership.view.members) < size:
-                await asyncio.sleep(0.01)
-        for transport in transports:
-            transport.arm()
-        return group
-
-    async def __aenter__(self) -> "Group":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await asyncio.gather(*(node.close() for node in self.nodes))
-
-    def exact_deliveries(self):
-        return [
-            node.endpoint.stats.sent + node.endpoint.stats.delivered
-            for node in self.nodes
-        ]
-
-    async def settle(self, total: int, timeout: float = 120.0) -> None:
-        """Wait (virtual seconds) until every node delivered ``total``."""
-        async def poll():
-            while any(count != total for count in self.exact_deliveries()):
-                await asyncio.sleep(0.01)
-
-        try:
-            await asyncio.wait_for(poll(), timeout)
-        except asyncio.TimeoutError:
-            raise AssertionError(
-                f"not every node delivered {total}: {self.exact_deliveries()}"
-            ) from None
-
-    def wire(self) -> TransportStats:
-        total = TransportStats()
-        for node in self.nodes:
-            total = total.merge(node.transport_stats())
-        return total
-
-    def counts(self) -> dict:
-        """Every work counter summed over the group: the node's
-        ``RepairStats`` fields, wire and endpoint totals, the timers the
-        virtual loop armed (the whole loop's, the scenario's own sleeps
-        included), and —
-        when judged — the deliveries the oracle could not prove correct."""
-        wire = self.wire()
-        out = {
-            field.name: sum(getattr(node.repair_stats, field.name) for node in self.nodes)
-            for field in dataclasses.fields(self.nodes[0].repair_stats)
-        }
-        out.update(
-            digests=wire.digests_sent, retransmits=wire.retransmits, drops=wire.drops,
-            datagrams=self.bus.sent,
-            standalone_acks=wire.acks_sent - wire.acks_piggybacked,
-            timers=asyncio.get_running_loop().timers_armed,
-            sent=sum(node.endpoint.stats.sent for node in self.nodes),
-            deliveries=sum(node.endpoint.stats.delivered for node in self.nodes),
-            alerts=sum(node.endpoint.stats.alerts for node in self.nodes),
-        )
-        if self.oracle is not None:
-            totals = self.oracle.totals
-            out["violations"] = totals.violations + totals.ambiguous
-        return out
-
-    async def burst(self, count: int) -> None:
-        """Closed loop: every node issues ``count`` broadcasts back to back."""
-        async def client(node):
-            for index in range(count):
-                await node.broadcast([str(node.node_id), "burst", index])
-
-        await asyncio.gather(*(client(node) for node in self.nodes))
-
-    async def paced(self, count: int, rate: float) -> None:
-        """Open loop: ``rate`` broadcasts/s per node, phase-shifted."""
-        async def client(position, node):
-            await asyncio.sleep(position / (rate * len(self.nodes)))
-            for index in range(count):
-                await node.broadcast([str(node.node_id), "paced", index])
-                await asyncio.sleep(1.0 / rate)
-
-        await asyncio.gather(
-            *(client(position, node) for position, node in enumerate(self.nodes))
-        )
-
-    def fingerprint(self) -> dict:
-        return {
-            "order": {name: digest.hexdigest() for name, digest in self.order.items()},
-            "bus_sent": self.bus.sent,
-            "bus_dropped": self.bus.dropped,
-            "wire": dataclasses.asdict(self.wire()),
-            "state": {str(node.node_id): node.state_sizes() for node in self.nodes},
-        }
+def journals(root: pathlib.Path, names) -> dict:
+    """Each node's journal as it lies on disk."""
+    result = {}
+    for name in names:
+        digest = hashlib.sha256()
+        for file in ("snapshot.json", "wal.log"):
+            digest.update((root / name / file).read_bytes())
+        result[name] = digest.hexdigest()
+    return result
 
 
 async def lossy_mesh(seed: int) -> dict:
@@ -277,14 +132,9 @@ async def lossy_mesh(seed: int) -> dict:
         async with group:
             await group.burst(60)
             await group.paced(20, rate=10.0)
-            await group.settle(4 * 80)
+            await group.settle()
             result = group.fingerprint()
-        result["journal"] = {}
-        for node in group.nodes:
-            digest = hashlib.sha256()
-            for name in ("snapshot.json", "wal.log"):
-                digest.update((root / node.node_id / name).read_bytes())
-            result["journal"][node.node_id] = digest.hexdigest()
+        result["journal"] = journals(root, group.order)
         return result
 
 
@@ -295,11 +145,138 @@ async def lossy_overlay(seed: int) -> dict:
     async with group:
         await group.burst(4)
         await group.paced(8, rate=2.0)
-        await group.settle(16 * 12)
+        await group.settle()
         return group.fingerprint()
 
 
-SCENARIOS = {"mesh4": lossy_mesh, "overlay16": lossy_overlay}
+# ----------------------------------------------------------------------
+# chaos: journals, two crash/restarts and a split under 25 % loss
+# ----------------------------------------------------------------------
+
+
+def chaos_config(root: pathlib.Path):
+    keyed = disjoint_keys(NodeConfig(
+        r=64, k=3,
+        retransmit=RetransmitPolicy(initial_timeout=0.02),
+        anti_entropy_interval=0.1,
+        liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.6),
+        journal_snapshot_interval=16,
+        metrics_interval=0.2,
+    ))
+    return lambda name: keyed(name).replace(
+        data_dir=str(root / name), metrics_path=str(root / f"{name}.metrics.jsonl")
+    )
+
+
+async def chaos(seed: int, root: pathlib.Path) -> dict:
+    """Four journaled nodes on N(5, 2) ms links at 25 % loss and 10 %
+    duplication, cut even | odd for [1.0, 1.6) s, with ``n1`` and then
+    ``n2`` crashed and restarted mid-stream.  Every node must deliver
+    every broadcast in causal order, and each restarted node must
+    recover exactly its pre-crash clock.  Returns the fingerprint,
+    journals included."""
+    group = await Group.start(
+        4, chaos_config(root), seed, 0.25, GaussianDelayModel(5.0, 2.0, 2.0),
+        judged=True, split=(1.0, 1.6), duplicate_rate=0.10,
+    )
+
+    async def broadcast(names=None):
+        for node in list(group.nodes):
+            if names is None or node.node_id in names:
+                await node.broadcast([node.node_id, "chaos", group.sent])
+
+    async def crash_and_restart(name, meanwhile):
+        clock = group.node(name).endpoint.clock
+        vector, sends = clock.snapshot(), clock.send_count
+        await group.crash(name)
+        await meanwhile()
+        node = await group.restart(name)
+        # The journal reconstructed exactly the pre-crash clock (what the
+        # constructor restored, not the live clock retransmits may move).
+        assert node.recovered is not None, f"{name} recovered nothing"
+        assert tuple(node.recovered.vector) == vector, name
+        assert node.recovered.send_seq == sends, name
+        await broadcast()
+
+    async def while_n1_is_down():
+        for _ in range(4):
+            await broadcast(("n0", "n2", "n3"))
+            await asyncio.sleep(0.25)  # > quarantine_after in total
+        assert await wait_for(lambda: any(
+            node.liveness.is_quarantined("n1") for node in group.nodes
+        ), timeout=10.0), "nobody quarantined the crashed node"
+
+    async def while_n2_is_down():
+        await asyncio.sleep(0.8)
+        await broadcast(("n0", "n1", "n3"))
+
+    async with group:
+        for _ in range(10):  # across the split
+            await broadcast()
+            await asyncio.sleep(0.18)
+        await crash_and_restart("n1", while_n1_is_down)
+        await crash_and_restart("n2", while_n2_is_down)
+        await group.settle(timeout=60.0)
+
+        # Every delivery classified, none out of causal order, none
+        # ambiguous (nothing was ever merged by force).
+        totals = group.oracle.totals
+        assert totals.deliveries == group.sent * 3
+        assert (totals.violations, totals.ambiguous) == (0, 0), totals
+        # Per-sender FIFO at every node, across incarnations.
+        for name, order in group.order.items():
+            last = {}
+            for sender, seq in order:
+                assert seq == last.get(sender, 0) + 1, (name, sender, seq)
+                last[sender] = seq
+        # The chaos fired and the liveness layer reacted.
+        counts = group.counts()
+        assert group.bus.dropped > 0 and counts["cut"] > 0, counts
+        assert sum(node.liveness.quarantines for node in group.nodes) >= 1
+        assert sum(node.liveness.resumes for node in group.nodes) >= 1
+        # The batched, delta-encoding wire stayed live throughout...
+        wire = group.wire()
+        assert wire.batches_sent > 0 and wire.delta_sent > 0, wire
+        # ...and the restarts left no link in full-encoding fallback for
+        # good: a fresh round still travels partly as deltas.
+        await broadcast()
+        await group.settle(timeout=30.0)
+        assert group.wire().delta_sent > wire.delta_sent, "delta references never resynced"
+        result = group.fingerprint()
+    result["journal"] = journals(root, group.order)
+    return result
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chaos_crash_restart_and_split_under_loss(seed, tmp_path):
+    run_virtual(chaos(seed, tmp_path))
+    # Every node exported metrics, and the fleet-wide merge shows the
+    # pipeline alive end to end.
+    snapshots = [last_snapshot(tmp_path / f"n{index}.metrics.jsonl") for index in range(4)]
+    assert None not in snapshots, "a node exported no metrics"
+    fleet = merge_snapshots(snapshots)
+    counters = fleet["counters"]
+    for name in ("repro_detector_checks_total", "repro_endpoint_delivered_total",
+                 "repro_wire_datagrams_sent_total", "repro_wire_retransmits_total"):
+        assert counters[name] > 0, name
+    assert "repro_pending_depth" in fleet["gauges"]
+    waits = Histogram.from_dict(fleet["histograms"]["repro_delivery_wait_seconds"])
+    assert waits.count > 0, "delivery-latency histogram is empty"
+
+
+# ----------------------------------------------------------------------
+# the same seed, the same run
+# ----------------------------------------------------------------------
+
+
+async def chaos_in_a_scratch_directory(seed: int) -> dict:
+    with tempfile.TemporaryDirectory() as directory:
+        return await chaos(seed, pathlib.Path(directory))
+
+
+SCENARIOS = {
+    "mesh4": lossy_mesh, "overlay16": lossy_overlay, "chaos": chaos_in_a_scratch_directory,
+}
 
 
 def fingerprints(seed: int) -> dict:
@@ -325,13 +302,14 @@ def test_same_seed_same_run_across_processes_and_hash_seeds():
     other_hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     env = dict(os.environ, PYTHONHASHSEED=other_hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT)]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import json; from tests.test_virtual_time import fingerprints; "
-         f"print(json.dumps(fingerprints({seed})))"],
-        env=env, cwd=str(ROOT), stdout=subprocess.PIPE, timeout=300, check=True,
+        [sys.executable, __file__, str(seed)],
+        env=env, stdout=subprocess.PIPE, timeout=300, check=True,
     )
     assert json.loads(done.stdout.decode("utf-8").strip().splitlines()[-1]) == first
+
+
+if __name__ == "__main__":  # the other process of the test above
+    print(json.dumps(fingerprints(int(sys.argv[1]))))

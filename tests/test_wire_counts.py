@@ -15,9 +15,9 @@ that); a failure message carries the counts.
 """
 
 from repro.api import NodeConfig
+from repro.sim.group import Group
 from repro.sim.network import ConstantDelayModel
 from repro.sim.vtime import run_virtual
-from tests.test_virtual_time import Group
 
 
 async def paced_mesh(seed: int) -> dict:
@@ -26,10 +26,10 @@ async def paced_mesh(seed: int) -> dict:
     group = await Group.start(4, NodeConfig(), seed, 0.0, ConstantDelayModel(1.0), judged=True)
     async with group:
         await group.burst(100)
-        await group.settle(4 * 100)
+        await group.settle()
         before = group.counts()
         await group.paced(600, rate=60.0)
-        await group.settle(4 * 700)
+        await group.settle()
         after = group.counts()
     return {name: after[name] - before[name] for name in after}
 

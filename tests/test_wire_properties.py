@@ -8,7 +8,10 @@ Two families of invariants, hypothesis-driven:
   would silently fork the wire history;
 * DELTA differential — ``encode_delta -> decode_delta`` reconstructs a
   message bit-identical to its full encoding (same vector values and
-  dtype, keys, seq, payload), for arbitrary reference/increment splits.
+  dtype, keys, seq, payload), for arbitrary reference/increment splits;
+
+and every truncation of a generated message or frame is rejected as a
+``CodecError``.
 """
 
 import numpy as np
@@ -158,6 +161,30 @@ class TestFrameRoundTrip:
         decoded = codec.decode(data)
         assert type(decoded) is type(frame)
         assert codec.encode(decoded) == data
+
+
+class TestTornBuffers:
+    """Anything short of a whole message or frame is a
+    :class:`CodecError` — never a stray ``UnicodeDecodeError`` or
+    ``struct.error`` out of the receive upcall."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(messages(), st.data())
+    def test_truncated_message_raises_codec_error(self, message, data):
+        codec = MessageCodec()
+        encoded = codec.encode(message)
+        cut = data.draw(st.integers(0, len(encoded) - 1))
+        with pytest.raises(CodecError):
+            codec.decode(encoded[:cut])
+
+    @settings(max_examples=150, deadline=None)
+    @given(frames(), st.data())
+    def test_truncated_frame_raises_codec_error(self, frame, data):
+        codec = FrameCodec()
+        encoded = codec.encode(frame)
+        cut = data.draw(st.integers(0, len(encoded) - 1))
+        with pytest.raises(CodecError):
+            codec.decode(encoded[:cut])
 
 
 class TestDeltaDifferential:
