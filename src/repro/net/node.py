@@ -28,7 +28,9 @@ the full encoding, and every ``_DELTA_REFRESH_AGE`` messages one
 broadcast per link travels full to renew the reference.  A reference
 miss (e.g. the peer crashed and lost its store) triggers an immediate
 anti-entropy exchange that re-delivers the affected messages full; the
-next renewal ends the misses (PROTOCOL.md §8.3).
+next renewal ends the misses (PROTOCOL.md §8.3).  On the relay overlay
+the origin instead encodes each broadcast against its own previous one,
+and every relayer forwards that body verbatim.
 
 Retransmission handles the common case (a datagram lost on one link);
 the periodic anti-entropy exchange handles the rest: every round each
@@ -55,7 +57,7 @@ import random
 import time
 import zlib
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -317,6 +319,8 @@ _DELTA_REFRESH_AGE = 64
 # digest sent then claims them all as missing — the answers load a loop
 # that has not yet read the originals (EXPERIMENTS.md, "Anti-entropy
 # priced by damage": the immediate pull collapses into a retransmit storm).
+# The same allowance for a wave to finish decides whether a relay origin
+# may name its previous broadcast as a delta reference.
 _GAP_PULL_GRACE = 0.03
 # Minimum spacing of out-of-band digests to one address (seconds).
 _RESYNC_INTERVAL = 0.05
@@ -438,7 +442,8 @@ class ReliableCausalNode:
             (a beacon is skipped when the link sent any datagram within
             the last interval — traffic already proves liveness).
         wire_delta: delta-encode broadcasts per link against the last
-            acked own message (O(K) wire bytes instead of O(R)).
+            acked own message, or in overlay mode against the previous
+            own broadcast (O(K) wire bytes instead of O(R)).
             :func:`repro.api.create_node` derives it from the clock
             scheme: False only for one that draws its keys per message
             (a delta carries no keys).  Incoming deltas are decoded
@@ -523,10 +528,14 @@ class ReliableCausalNode:
         self._wire_delta = wire_delta
         # Delta wire state.  Sending: per-peer references (own acked
         # fulls).  Receiving: per *sender*, the reference its deltas
-        # name now and the newest full seen (what it adopts next); the
-        # store holds every older one.  The slots spare the hot path a
-        # decode and outlive the store's eviction for a quiet sender.
+        # name now and the newest it may name next (a mesh sender's
+        # newest full, a relay origin's newest message); the store holds
+        # every older one.  The slots spare the hot path a decode and
+        # outlive the store's eviction for a quiet sender.
         self._delta_tx: Dict[Address, _DeltaTx] = {}
+        # Overlay mode sends against one reference instead: this node's
+        # previous broadcast, as (seq, vector, sent_at).
+        self._relay_previous: Optional[Tuple[int, np.ndarray, float]] = None
         self._ref_in_use: Dict[str, _Reference] = {}
         self._ref_newest: Dict[str, _Reference] = {}
         self._resync_last: Dict[Address, float] = {}
@@ -986,15 +995,18 @@ class ReliableCausalNode:
         self._codec.epoch = epoch
 
     def flush_delta_refs(self) -> None:
-        """Drop the per-link delta-encoding references.
+        """Drop the per-link delta-encoding references and the relay
+        origin's previous-broadcast slot.
 
         Must be called whenever this node's own key set changes while
         the session is live (an epoch bump or a re-admission grant):
         a delta carries no keys — the receiver rebuilds it with those
-        of the full it names — so post-rekey deltas may only name fulls
-        sent under the new set, starting with the next broadcast.
+        of the message it names — so post-rekey deltas may only name
+        messages sent under the new set, starting with the next
+        broadcast.
         """
         self._delta_tx.clear()
+        self._relay_previous = None
 
     @property
     def local_address(self) -> Address:
@@ -1037,9 +1049,10 @@ class ReliableCausalNode:
             # the receivers' relays and the anti-entropy backstop do the
             # rest.  Wire cost here is O(fanout), not O(N).
             self.overlay.stats.relay_pushes += 1
+            now = self._now()
             self._relay_push(
-                str(message.sender), message.seq, data,
-                hops=0, sent_at=self._now(),
+                str(message.sender), message.seq, self._relay_body(message, data, now),
+                hops=0, sent_at=now,
             )
             return message
         # Mesh mode: the payload body is packed once and shared across
@@ -1098,6 +1111,24 @@ class ReliableCausalNode:
         if tx is not None and wire is full:
             tx.inflight[link_seq] = (message.seq, message.timestamp.vector)
 
+    def _relay_body(self, message: Message, full: bytes, now: float) -> bytes:
+        """The body an own broadcast (o, s) rides the relay wave in: a
+        delta against (o, s − 1) when that left at least
+        ``_GAP_PULL_GRACE`` ago and the delta is the smaller, else
+        ``full``.  No ack is needed: a receiver must hold (o, s − 1)
+        before it may deliver (o, s) anyway, and one that does not
+        counts a miss and resyncs.  Within the grace the two waves may
+        still overlap, and receivers would meet the delta first."""
+        previous = self._relay_previous
+        self._relay_previous = (message.seq, message.timestamp.vector, now)
+        if not self._wire_delta or previous is None:
+            return full
+        ref_seq, ref_vector, sent_at = previous
+        if now - sent_at < _GAP_PULL_GRACE:
+            return full
+        delta = self._codec.encode_delta(message, ref_seq, ref_vector)
+        return delta if len(delta) < len(full) else full
+
     def _live_peers(self) -> List[Address]:
         if self.liveness is None:
             return list(self._peers)
@@ -1129,29 +1160,42 @@ class ReliableCausalNode:
         sent_at: float,
         exclude: Tuple[Address, ...] = (),
     ) -> int:
-        """Encode one RELAY envelope and push it to ``fanout`` targets.
+        """Push one RELAY envelope to ``fanout`` targets.
 
-        Used for both origin pushes (``hops=0``) and forwards; the
-        envelope is serialized once however many targets it fans out to.
+        Used for both origin pushes (``hops=0``) and forwards.  Each copy
+        is tallied by the encoding of its body, and carries the view
+        sample only if it wins the view's merge coin.
         """
         overlay = self.overlay
         targets = overlay.push_targets(exclude=exclude, live_filter=self._overlay_live)
         if not targets:
             return 0
-        frame = RelayFrame(
-            origin=origin,
-            seq=seq,
-            hops=hops,
-            sent_at=sent_at,
-            sample=overlay.gossip_sample(),
-            payload=payload,
-        )
-        return self.session.send_relay(targets, frame)
+        delta = MessageCodec.is_delta(payload)
+        carriers, bare = [], []
+        for target in targets:
+            stats = self.session.peer_stats(target)
+            if delta:
+                stats.delta_sent += 1
+            else:
+                stats.full_sent += 1
+            (carriers if overlay.carries_sample() else bare).append(target)
+
+        frame = RelayFrame(origin=origin, seq=seq, hops=hops, sent_at=sent_at, payload=payload)
+        # Serialized at most twice: without the view sample, and with it
+        # for the copies that won the coin.
+        sent = self.session.send_relay(bare, frame)
+        if carriers:
+            sent += self.session.send_relay(
+                carriers, replace(frame, sample=overlay.gossip_sample())
+            )
+        return sent
 
     def _handle_relay(self, frame: RelayFrame, addr: Address) -> None:
         """Intake one RELAY envelope: merge the view sample, dedup on
-        the envelope header, admit the body, and forward it *full* on
-        first intake only (infect-and-die)."""
+        the envelope header, admit the body, and forward it *verbatim*
+        on first intake only (infect-and-die).  A delta body names the
+        origin's previous broadcast, which every receiver needs before
+        it may deliver this one anyway."""
         if self._drop_if_evicted(addr, "relay"):
             return
         overlay = self.overlay
@@ -1162,9 +1206,9 @@ class ReliableCausalNode:
             # for a payload decode — the envelope header is enough.
             overlay.stats.relay_duplicates += 1
             return
-        full = self._admit(frame.payload, addr, envelope_id=message_id)
-        if full is None:
+        if not self._admit(frame.payload, addr, envelope_id=message_id):
             return
+        self._tally_received(addr, frame.payload)
         overlay.stats.relay_first_intake += 1
         if message_id not in self._delivered:
             self._arm_gap_pull(message_id, addr)
@@ -1179,12 +1223,21 @@ class ReliableCausalNode:
                 self._relay_latency_histogram.observe(latency)
         if frame.hops < overlay.max_hops:
             sent = self._relay_push(
-                frame.origin, frame.seq, full,
+                frame.origin, frame.seq, frame.payload,
                 hops=frame.hops + 1, sent_at=frame.sent_at,
                 exclude=(addr,),
             )
             if sent:
                 overlay.stats.relay_forwarded += 1
+
+    def _tally_received(self, addr: Address, data: bytes) -> None:
+        """Count which encoding of an admitted message crossed the link
+        from ``addr`` (the denominator of its reference-miss ratio)."""
+        stats = self.session.peer_stats(addr)
+        if MessageCodec.is_delta(data):
+            stats.delta_received += 1
+        else:
+            stats.full_received += 1
 
     def _handle_wire_message(self, data: bytes, addr: Address) -> None:
         """Intake one DATA payload off a reliable link — direct sends,
@@ -1193,12 +1246,8 @@ class ReliableCausalNode:
         if self._drop_if_evicted(addr, "data"):
             return
         duplicates = self.endpoint.stats.duplicates
-        if self._admit(data, addr) is not None:
-            stats = self.session.peer_stats(addr)
-            if MessageCodec.is_delta(data):
-                stats.delta_received += 1
-            else:
-                stats.full_received += 1
+        if self._admit(data, addr):
+            self._tally_received(addr, data)
             if self.endpoint.stats.duplicates != duplicates:
                 # A link delivers each frame once, so a message seen
                 # before came by another route: a repair nobody needed.
@@ -1211,16 +1260,15 @@ class ReliableCausalNode:
         data: bytes,
         addr: Address,
         envelope_id: Optional[Tuple[str, int]] = None,
-    ) -> Optional[bytes]:
+    ) -> bool:
         """The one intake: decode ``data`` (full or delta), check it
         against ``envelope_id`` and the group view, store it, and hand
         it to the endpoint.
 
-        Returns the sender's own full encoding, byte for byte,
-        whichever encoding travelled — or ``None`` when the message was
-        dropped and accounted for here: undecodable, not this group's
-        vector size, contradicting its envelope, a delta whose reference
-        is lost, a departed sender.
+        Returns False when the message was dropped and accounted for
+        here: undecodable, not this group's vector size, contradicting
+        its envelope, a delta whose reference is lost, a departed
+        sender.
         """
         codec = self._codec
         reference: Optional[_Reference] = None
@@ -1229,16 +1277,16 @@ class ReliableCausalNode:
                 origin, _seq, ref_seq = codec.delta_header(data)
             except Exception:
                 self._note_decode_error(addr)
-                return None
+                return False
             reference = self._reference(origin, ref_seq)
             if reference is None:
                 self._note_reference_miss(addr, origin, ref_seq)
-                return None
+                return False
         try:
             if reference is not None:
                 # The store must hold the full encoding: anti-entropy
-                # and relay forwards serve third parties that do not
-                # hold this message's reference.
+                # serves third parties that may not hold this message's
+                # reference.
                 message, full = codec.decode_delta(data, reference[1], reference[2])
             else:
                 message = codec.decode(data)
@@ -1251,18 +1299,18 @@ class ReliableCausalNode:
         except Exception:
             # A malformed datagram must never take the node down.
             self._note_decode_error(addr)
-            return None
+            return False
         if message.timestamp.size != self.endpoint.clock.r:
             # Another group's geometry: the clock would refuse it, but
             # only after the store and the reference slot had taken it.
             self._note_decode_error(addr)
-            return None
+            return False
         sender = str(message.sender)
         if envelope_id is not None and (sender, message.seq) != envelope_id:
             # Envelope header contradicting its payload: corrupt or
             # forged; believing the header would poison the SeenFilter.
             self._note_decode_error(addr)
-            return None
+            return False
         if not self._sender_in_view(sender):
             # A live peer relayed state from a sender the view has since
             # expelled (an anti-entropy round or a relay wave racing the
@@ -1280,11 +1328,13 @@ class ReliableCausalNode:
                     "it is no longer in the group view", sender,
                 )
             self.trace.emit("stale_sender", ts=self._now(), sender=sender)
-            return None
-        if reference is None:
+            return False
+        if reference is None or envelope_id is not None:
             newest = self._ref_newest.get(sender)
             if newest is None or message.seq > newest[0]:
-                # The sender adopts acked fulls only, and only forwards.
+                # A mesh sender adopts acked fulls only, and only
+                # forwards; a relay origin names its previous broadcast,
+                # whichever encoding carried it.
                 self._ref_newest[sender] = (
                     message.seq,
                     message.timestamp.vector,
@@ -1294,7 +1344,7 @@ class ReliableCausalNode:
         # One real timestamp for every receive path (it used to default
         # to 0.0, which froze the refined detector's eviction clock).
         self.endpoint.on_receive(message, now=self._now())
-        return full
+        return True
 
     def _reference(self, sender: str, ref_seq: int) -> Optional[_Reference]:
         """The full a delta names (``None``: lost): the sender's in-use
@@ -1318,7 +1368,8 @@ class ReliableCausalNode:
 
     def _note_reference_miss(self, addr: Address, sender: str, ref_seq: int) -> None:
         """A delta named a reference in neither slot nor store (we
-        crashed, or the store rolled over): count it on the link, ask
+        crashed, the store rolled over, or a relay delta outran its
+        origin's previous broadcast): count it on the link, ask
         for an immediate anti-entropy exchange — which re-delivers the
         message full — and warn once per link whose deltas keep
         bouncing (a healthy one misses only after a restart)."""

@@ -17,12 +17,14 @@ broadcast (lpbcast) and Nédelec et al.'s relay-based causal broadcast
   on first intake and never again (**infect-and-die** — dedup rides the
   endpoint's existing SeenFilter watermark, keyed on the causal
   ``(origin, seq)`` carried in the envelope header);
-* each envelope **piggybacks** a small sample of the relayer's view;
-  receivers merge it with probability ``merge_probability`` — the
-  lpbcast throttle that keeps one chatty node from colonising every
-  view (merging every sample collapses the views rich-get-richer;
-  ``tests/test_overlay.py`` pins it and
-  :meth:`PartialView.sample_diversity` makes it observable);
+* each envelope copy **piggybacks** a small sample of the relayer's
+  view with probability ``merge_probability``, one coin per copy, and
+  the receiver merges every sample that arrives — the lpbcast throttle
+  that keeps one chatty node from colonising every view (merging every
+  sample collapses the views rich-get-richer; ``tests/test_overlay.py``
+  pins it and :meth:`PartialView.sample_diversity` makes it
+  observable).  The coin is the pusher's, so a copy whose sample would
+  be thrown away does not carry one;
 * the relay wave reaches (1 − e^{-fanout}) of the swarm in O(log N)
   hops with high probability; the probabilistic tail is healed by the
   node's **gap pull** (a push still undelivered a short grace after it
@@ -42,7 +44,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Hashable, List, Optional, Tuple
 
 from repro.core.codec import MemberRecord
 from repro.core.errors import ConfigurationError
@@ -76,7 +78,6 @@ class OverlayStats:
     relay_duplicates: int = 0
     relay_forwarded: int = 0
     merges_applied: int = 0
-    merges_skipped: int = 0
     view_changes: int = 0
     evictions: int = 0
 
@@ -89,9 +90,9 @@ class PartialView:
 
     * :meth:`add` — authoritative seeding (explicit peers, membership
       view installs): always applied, replacing a random slot when full;
-    * :meth:`merge_sample` — piggybacked gossip: applied with
-      probability ``merge_probability`` per envelope (the throttle that
-      prevents rich-get-richer view collapse);
+    * :meth:`merge_sample` — piggybacked gossip, applied whenever one
+      arrives; the throttle that prevents rich-get-richer view collapse
+      is the pusher's :meth:`carries_sample` coin;
     * :meth:`discard` — eviction of quarantined or departed peers.
 
     Target selection (:meth:`push_targets`) draws ``fanout`` distinct
@@ -104,7 +105,8 @@ class PartialView:
         fanout: relay targets per push.
         view_size: bound on the partial view (must be >= fanout).
         piggyback_size: view entries sampled into each outgoing envelope.
-        merge_probability: chance a received sample is folded in.
+        merge_probability: chance an outgoing envelope copy carries a
+            sample (and so that the receiver folds one in).
         max_hops: forwarding cutoff carried into relay decisions.
         seed: RNG seed; defaults to a stable hash of ``local_id`` so a
             swarm of nodes does not gossip in lockstep while any single
@@ -209,25 +211,21 @@ class PartialView:
 
     def merge_sample(
         self,
-        sample: Iterable[MemberRecord],
+        sample: Tuple[MemberRecord, ...],
         exclude: Tuple[Address, ...] = (),
     ) -> bool:
-        """Fold a piggybacked view sample in, throttled; True if merged.
+        """Fold a piggybacked view sample in; True if the view changed.
 
-        One probability draw covers the whole envelope (matching the
-        simulator), and the diversity window records the sample either
-        way — a collapse must be visible even while the throttle holds.
+        The throttle already ran at the pusher (:meth:`carries_sample`):
+        a copy that lost the coin arrives with an empty sample, and
+        whatever does arrive is merged and recorded in the diversity
+        window.
         """
-        recorded = False
-        for record in sample:
-            label = record.node_id or str(record.address)
-            self._sample_window.append(label)
-            recorded = True
-        if recorded:
-            del self._sample_window[:-_DIVERSITY_WINDOW]
-        if self._rng.random() >= self.merge_probability:
-            self.stats.merges_skipped += 1
+        if not sample:
             return False
+        for record in sample:
+            self._sample_window.append(record.node_id or str(record.address))
+        del self._sample_window[:-_DIVERSITY_WINDOW]
         merged = False
         for record in sample:
             if record.address in exclude:
@@ -270,6 +268,12 @@ class PartialView:
         """Every live view entry: the candidates a round's one digest
         partner is drawn from (and where membership announcements go)."""
         return self._eligible((), live_filter)
+
+    def carries_sample(self) -> bool:
+        """One ``merge_probability`` coin: whether the next outgoing
+        envelope copy carries :meth:`gossip_sample` (one flip per copy,
+        so the targets of one push merge independently)."""
+        return self._rng.random() < self.merge_probability
 
     def gossip_sample(self) -> Tuple[MemberRecord, ...]:
         """The membership sample to piggyback on an outgoing envelope:
@@ -330,7 +334,6 @@ class PartialView:
             )
         }
         merges_applied = registry.counter("repro_overlay_merges_applied_total")
-        merges_skipped = registry.counter("repro_overlay_merges_skipped_total")
         view_changes = registry.counter("repro_overlay_view_changes_total")
         evictions = registry.counter("repro_overlay_evictions_total")
         view_size = registry.gauge("repro_overlay_view_size")
@@ -341,7 +344,6 @@ class PartialView:
             for name, counter in counters.items():
                 counter.set(getattr(self.stats, name))
             merges_applied.set(self.stats.merges_applied)
-            merges_skipped.set(self.stats.merges_skipped)
             view_changes.set(self.stats.view_changes)
             evictions.set(self.stats.evictions)
             view_size.set(len(self._entries))

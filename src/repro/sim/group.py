@@ -305,10 +305,11 @@ class Group:
 
     def counts(self) -> dict:
         """Every work counter summed over the live nodes: the node's
-        ``RepairStats`` fields, wire and endpoint totals, the datagrams
-        the split cut, the timers the virtual loop armed (the whole
-        loop's, the scenario's own sleeps included), and — when judged —
-        the deliveries the oracle could not prove correct."""
+        ``RepairStats`` fields, wire and endpoint totals (``bytes`` is
+        what the sessions put on the bus), the datagrams the split cut,
+        the timers the virtual loop armed (the whole loop's, the
+        scenario's own sleeps included), and — when judged — the
+        deliveries the oracle could not prove correct."""
         wire = self.wire()
         out = {
             field.name: sum(getattr(node.repair_stats, field.name) for node in self.nodes)
@@ -316,7 +317,7 @@ class Group:
         }
         out.update(
             digests=wire.digests_sent, retransmits=wire.retransmits, drops=wire.drops,
-            datagrams=self.bus.sent,
+            datagrams=self.bus.sent, bytes=wire.bytes_sent,
             standalone_acks=wire.acks_sent - wire.acks_piggybacked,
             cut=sum(transport.window_dropped for transport in self._cut),
             timers=asyncio.get_running_loop().timers_armed,

@@ -132,7 +132,7 @@ async def split_and_heal(size: int, config: NodeConfig, seed: int) -> tuple:
 @pytest.mark.parametrize(
     "size, config, frames_given_up, repairs_sent, digests, heal_violations", [
         (4, NodeConfig(), 16, 16, 27, 0),
-        (16, OVERLAY, 0, 256, 130, 2),
+        (16, OVERLAY, 2, 256, 105, 4),
     ]
 )
 def test_a_split_that_outlasts_the_retries_is_healed_by_anti_entropy(
@@ -141,8 +141,10 @@ def test_a_split_that_outlasts_the_retries_is_healed_by_anti_entropy(
     """The damage is every broadcast of the cut at every node of the
     other side.  On the mesh the session retries each of those frames,
     gives all of them up before the cut lifts, and anti-entropy alone
-    carries them over; on the overlay a relay push is never retried.
-    Either way each missing copy is shipped exactly once.
+    carries them over; on the overlay a relay push is never retried
+    (the two frames it gives up on this seed are repairs answering a
+    digest that crossed just before the cut).  Either way each missing
+    copy is shipped exactly once.
 
     The heal is a burst of late messages under concurrent traffic — the
     one error the paper permits — so at R = 128, K = 3 a few of the

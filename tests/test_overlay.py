@@ -35,9 +35,11 @@ from repro.api import (
 )
 from repro.core.codec import CodecError, FrameCodec, MemberRecord, MessageCodec, RelayFrame
 from repro.core.errors import ConfigurationError
+from repro.core.keyspace import PerfectKeyAssigner
 from repro.net import LocalAsyncBus
+from repro.net.node import _GAP_PULL_GRACE
 from repro.net.overlay import PartialView
-from repro.sim.group import Group, disjoint_keys
+from repro.sim.group import Group, disjoint_keys, wait_for
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.sim.vtime import run_virtual
 
@@ -169,15 +171,54 @@ class TestPartialView:
         assert ("me2", 1) not in late
 
     def test_merge_probability_throttles(self):
-        sample = (MemberRecord("m1", ("h", 1)),)
+        """The coin is the pusher's, one flip per envelope copy; the
+        receiver merges whatever sample arrives, and an empty one is no
+        merge at all."""
         never = PartialView("n", merge_probability=0.0, seed=3)
-        assert not never.merge_sample(sample)
-        assert len(never) == 0
-        assert never.stats.merges_skipped == 1
         always = PartialView("n", merge_probability=1.0, seed=3)
-        assert always.merge_sample(sample)
-        assert ("h", 1) in always
-        assert always.stats.merges_applied == 1
+        assert not any(never.carries_sample() for _ in range(100))
+        assert all(always.carries_sample() for _ in range(100))
+        quarter = PartialView("n", merge_probability=0.25, seed=3)
+        won = sum(quarter.carries_sample() for _ in range(4000))
+        assert 900 < won < 1100, won
+        receiver = PartialView("r", seed=3)
+        assert not receiver.merge_sample(())
+        assert receiver.stats.merges_applied == 0
+        assert receiver.merge_sample((MemberRecord("m1", ("h", 1)),))
+        assert ("h", 1) in receiver
+        assert receiver.stats.merges_applied == 1
+
+    def test_only_copies_that_win_the_coin_carry_the_sample(self):
+        """A node's push sends the view sample on the copies whose coin
+        won and an empty sample on the rest, one coin per copy."""
+
+        async def scenario(probability):
+            bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+            received = []
+            for index in range(3):
+                bus.attach(f"t{index}").set_receiver(
+                    lambda data, addr: received.append(codec.decode(data))
+                )
+            node = await create_node(
+                "o", NodeConfig(r=16, dissemination="overlay", fanout=3, view_size=4),
+                transport=bus.attach("o"),
+            )
+            node.overlay.merge_probability = probability
+            try:
+                for index in range(3):
+                    node.add_peer(f"t{index}")
+                for index in range(40):
+                    await node.broadcast(index)
+                    await asyncio.sleep(0.01)  # one datagram per copy
+            finally:
+                await node.close()
+            return [len(frame.sample) for frame in received]
+
+        assert set(run_virtual(scenario(0.0))) == {0}
+        assert set(run_virtual(scenario(1.0))) == {4}  # 3 view entries + self
+        mixed = run_virtual(scenario(0.5))
+        assert len(mixed) == 120 and set(mixed) == {0, 4}
+        assert 40 < mixed.count(4) < 80, mixed
 
     def test_push_targets_fanout_and_exclusion(self):
         view = PartialView("n", fanout=3, view_size=12, seed=5)
@@ -208,7 +249,7 @@ class TestPartialView:
         assert len(sample) <= 3  # piggyback_size + self
 
     def test_sample_diversity_detects_collapse(self):
-        view = PartialView("n", merge_probability=0.0, seed=11)
+        view = PartialView("n", seed=11)
         assert view.sample_diversity() == 1.0
         # A healthy stream of distinct ids keeps the ratio high ...
         for i in range(64):
@@ -403,8 +444,84 @@ def test_overlay_cost_per_node_stays_flat_as_the_swarm_doubles():
     assert cost["mesh", 64] >= 1.6 * cost["mesh", 32], cost
     assert cost["overlay", 64] <= 1.5 * cost["overlay", 32], cost
     assert {key: round(value, 2) for key, value in cost.items()} == {
-        ("mesh", 32): 31.0, ("mesh", 64): 63.0, ("overlay", 32): 3.42, ("overlay", 64): 3.33,
+        ("mesh", 32): 31.0, ("mesh", 64): 63.0, ("overlay", 32): 3.33, ("overlay", 64): 3.33,
     }, cost
+
+
+# ----------------------------------------------------------------------
+# a re-key under relay deltas
+# ----------------------------------------------------------------------
+
+REKEY_GROUP = 6
+
+
+def rekey_config(name):
+    """Membership over the overlay: ``n0`` founds the group on keys
+    (0, 1, 2) of a perfect assigner, so every key set is disjoint and
+    the delivery condition exact."""
+    return NodeConfig(
+        r=64, k=3, dissemination="overlay", fanout=3, view_size=8,
+        retransmit=RetransmitPolicy(initial_timeout=0.02), anti_entropy_interval=0.1,
+        keys=(0, 1, 2) if name == "n0" else None,
+        membership=MembershipConfig(
+            seed_peers=() if name == "n0" else ("n0",), join_timeout=0.3,
+            announce_interval=0.15,
+        ),
+    )
+
+
+async def rekey_mid_traffic(seed):
+    """Six members broadcast at 10/s each (every broadcast a delta
+    against the sender's previous one); the coordinator re-tiles K 3 → 2
+    a second into it.  Returns the oracle's verdict, each member's new
+    keys, and every delivery record."""
+    group = await Group.start(
+        0, rekey_config, seed, 0.0, GaussianDelayModel(5.0, 1.0, 1.0), judged=True,
+        capacity=REKEY_GROUP,
+    )
+    async with group:
+        founder = await group.join("n0", assigner=PerfectKeyAssigner(64, 3))
+        for index in range(1, REKEY_GROUP):
+            await group.join(f"n{index}")
+        assert await wait_for(lambda: len(founder.membership.view.members) == REKEY_GROUP)
+        traffic = asyncio.ensure_future(group.paced(30, rate=10.0))
+        await asyncio.sleep(1.0)
+        bumped = founder.membership.propose_epoch(2)
+        await traffic
+        await group.settle()
+        keys = {member.node_id: tuple(member.keys) for member in bumped.members}
+        assert all(
+            tuple(node.endpoint.clock.own_keys) == keys[node.node_id] for node in group.nodes
+        )
+        records = {node.node_id: node.deliveries for node in group.nodes}
+        return group.counts(), keys, records
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_rekey_mid_traffic_takes_the_relay_reference_with_it(seed):
+    """The stale-key bug class on the relay path.  A delta carries no
+    keys, so a receiver rebuilds it with the keys of the message it
+    names.  ``flush_delta_refs`` must drop the origin's previous-broadcast
+    slot, or its first post-bump broadcast names a pre-bump one and is
+    delivered everywhere under the old keys."""
+    counts, keys, records = run_virtual(rekey_mid_traffic(seed))
+    assert counts["violations"] == 0, counts
+    # A sender's first broadcast under its new keys, from its own record.
+    first = {
+        name: min(
+            record.message.seq for record in own
+            if record.local and record.message.timestamp.sender_keys == keys[name]
+        )
+        for name, own in records.items()
+    }
+    post_bump = [
+        (name, record.message.message_id, record.message.timestamp.sender_keys)
+        for name, own in records.items() for record in own
+        if not record.local and record.message.seq >= first[record.message.sender]
+    ]
+    assert len(post_bump) > 100, len(post_bump)
+    stale = [entry for entry in post_bump if entry[2] != keys[entry[1][0]]]
+    assert not stale, stale[:5]
 
 
 # ----------------------------------------------------------------------
@@ -431,10 +548,10 @@ class RelayRig:
         )
         self.node.add_peer("up")
         self.node.add_peer("down")
-        # The origin's side of the story: three messages, two codings.
+        # The origin's side of the story: five messages, two codings.
         self.messages = MessageCodec()
         origin = create_endpoint("origin", NodeConfig(r=16, keys=(1, 2, 3)))
-        self.sent = [origin.broadcast(f"m{seq}") for seq in (1, 2, 3)]
+        self.sent = [origin.broadcast(f"m{seq}") for seq in range(1, 6)]
         return self
 
     async def __aexit__(self, *exc_info):
@@ -454,28 +571,112 @@ class RelayRig:
             origin=origin, seq=seq, hops=0, sent_at=0.0, sample=(), payload=payload
         )
         await self.up.send("rx", codec.encode(frame))
+        await self.drain()
+
+    async def drain(self):
+        """Wait until the node's forwards (or pushes) reached ``down``."""
+        await self.bus.drain()
+        self.node.session.flush()
         await self.bus.drain()
 
 
 class TestRelayAdmission:
-    def test_delta_body_is_delivered_and_forwarded_full(self):
+    def test_delta_body_is_delivered_and_forwarded_verbatim(self):
         async def scenario():
             async with RelayRig() as rig:
                 await rig.relay(1, rig.full(0))
                 # The reference is a stored message, nothing per link.
                 assert rig.node.store.get("origin", 1) == rig.full(0)
                 await rig.relay(2, rig.delta(1))
-                assert rig.node.delivered_payloads() == ["m1", "m2"]
+                await rig.relay(3, rig.delta(2, ref=1))
+                assert rig.node.delivered_payloads() == ["m1", "m2", "m3"]
                 assert rig.node.decode_errors == 0
                 assert rig.node.transport_stats().delta_ref_misses == 0
-                # Downstream holds no reference: forwards travel full,
-                # byte-identical to the origin's own encoding.
+                # The wave forwards the body it received: downstream
+                # holds the same references this node does.  The store
+                # keeps the full encoding for anti-entropy.
                 assert [
                     (frame.seq, frame.hops, bytes(frame.payload))
                     for frame in rig.forwarded
-                ] == [(1, 1, rig.full(0)), (2, 1, rig.full(1))]
+                ] == [(1, 1, rig.full(0)), (2, 1, rig.delta(1)), (3, 1, rig.delta(2, ref=1))]
+                assert rig.node.store.get("origin", 3) == rig.full(2)
+                # Delta 3 named a message that came as a delta itself:
+                # relay intake keeps it as the origin's newest reference,
+                # so it resolved without decoding the store.
+                assert rig.node.codec_counters.messages_decoded == 1
 
         asyncio.run(scenario())
+
+    def test_relay_bodies_are_tallied_like_data_bodies(self):
+        """Bugfix: only DATA bodies were counted, so a relay node's
+        reference-miss ratio read 1.0 after its first miss and its delta
+        share read 0.  Copies sent count per link, copies received at
+        first intake only."""
+
+        async def scenario():
+            async with RelayRig() as rig:
+                await rig.relay(1, rig.full(0))
+                await rig.relay(2, rig.delta(1))
+                await rig.relay(2, rig.delta(1))  # a duplicate copy
+                await rig.relay(3, rig.delta(2, ref=1))
+                up, down = rig.node.transport_stats("up"), rig.node.transport_stats("down")
+                assert (up.full_received, up.delta_received) == (1, 2)
+                assert (down.full_sent, down.delta_sent) == (1, 2)
+                await rig.relay(5, rig.delta(4, ref=3))  # reference (4) never came
+                gauges = rig.node.metrics.snapshot()["gauges"]
+                assert gauges["repro_delta_ref_miss_ratio"] == pytest.approx(1 / 3)
+
+        asyncio.run(scenario())
+
+    def test_a_delta_whose_reference_is_missing_is_a_counted_miss(self):
+        """Not delivered, not forwarded, not marked seen (a later copy
+        may still resolve), and one resync digest to the pusher."""
+
+        async def scenario():
+            async with RelayRig() as rig:
+                await rig.relay(1, rig.full(0))
+                await rig.relay(3, rig.delta(2, ref=1))
+                await rig.relay(3, rig.delta(2, ref=1))  # rate-limited resync
+                await asyncio.sleep(0.01)
+                node = rig.node
+                assert node.transport_stats("up").delta_ref_misses == 2
+                assert node.delivered_payloads() == ["m1"]
+                assert [frame.seq for frame in rig.forwarded] == [1]
+                assert not node.endpoint.has_seen(("origin", 3))
+                assert node.transport_stats("up").digests_sent == 1
+                assert node.decode_errors == 0
+
+        run_virtual(scenario())
+
+    def test_the_origin_ships_full_within_the_grace_and_a_delta_after_it(self):
+        """Back to back, the waves of (o, s − 1) and (o, s) overlap and
+        a receiver could meet the delta first: the origin sends full.
+        Once the previous broadcast left a grace ago, it sends a delta
+        against it.  A re-key (``flush_delta_refs``) starts over full."""
+
+        async def scenario():
+            async with RelayRig() as rig:
+                deltas = []
+
+                async def send(payload):
+                    await rig.node.broadcast(payload)
+                    await rig.drain()
+                    deltas.append(MessageCodec.is_delta(rig.forwarded[-1].payload))
+
+                await send("a")
+                await send("b")  # within the grace of "a"
+                await asyncio.sleep(_GAP_PULL_GRACE)
+                await send("c")
+                await asyncio.sleep(_GAP_PULL_GRACE)
+                rig.node.flush_delta_refs()
+                await send("d")
+                await asyncio.sleep(_GAP_PULL_GRACE)
+                await send("e")
+                return deltas, rig.node.transport_stats("down")
+
+        deltas, down = run_virtual(scenario())
+        assert deltas == [False, False, True, False, True]
+        assert (down.full_sent, down.delta_sent) == (3, 2)
 
     def test_envelope_contradicting_its_body_is_a_decode_error(self):
         async def scenario():
