@@ -1,15 +1,20 @@
 """CI gate: delta timestamps must stay delta, on the mesh and the overlay.
 
 Reads a result file of the end-to-end benchmark and fails when any
-measured run in it is unhealthy.  CI feeds it two runs:
+measured run in it is unhealthy.  Every broadcast is encoded once, as a
+delta against its sender's previous broadcast when that is smaller, and
+goes out on every mesh link and relay hop.  CI feeds it three runs:
 
 * ``python benchmarks/e2e/run.py --workload mesh4_saturate --seconds 12
   --trace 0 --out FILE`` issues 1,536 messages per sender, past the
   1,056 at which the receiver's reference table used to roll over and
   every later delta bounced;
-* ``--workload overlay16_paced``: relay origins encode each broadcast
-  against their previous one and relayers forward the body verbatim,
-  so every relay copy counts as a delta or a full on its link.
+* ``--workload mesh4_lossy``: 5 % loss and 10 % reordering, so the
+  deltas behind a retransmitted frame overtake it and must wait for it
+  (parked) rather than miss;
+* ``--workload overlay16_paced``: relayers forward the origin's body
+  verbatim, so every relay copy counts as a delta or a full on its
+  link.
 
 A run fails when
 
@@ -18,10 +23,9 @@ A run fails when
 * more than ``MAX_MISS_RATIO`` of the deltas sent named a reference
   the receiver no longer held (``session.delta_ref_miss_ratio``), or
 * fewer than ``MIN_DELTA_SHARE`` of the broadcasts travelled as
-  deltas (``session.delta_share``) — the mesh's periodic full
-  refreshes are about 1 in 64, and a paced relay origin sends full
-  only when its previous broadcast left less than a grace ago;
-  anything more means the path fell back to fulls.
+  deltas (``session.delta_share``) — only a sender's first broadcast
+  (and its first after a re-key) must travel full; anything more means
+  the path fell back to fulls.
 
 Exit 0 when every measured run passes, 1 otherwise.
 """

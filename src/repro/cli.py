@@ -573,17 +573,12 @@ def _command_stats(args: argparse.Namespace) -> int:
         snapshots.append(snapshot)
     merged = snapshots[0] if len(snapshots) == 1 else merge_snapshots(snapshots)
     if len(snapshots) > 1 and "repro_delta_ref_miss_ratio" in merged["gauges"]:
-        # merge_snapshots() sums gauges; for the delta-health pair the
-        # fleet view is the ratio of the summed counters and the
-        # stalest link reference anywhere.
+        # merge_snapshots() sums gauges; the fleet's delta-health ratio
+        # is the ratio of the summed counters.
         misses = merged["counters"].get("repro_wire_delta_ref_misses_total", 0)
         arrived = misses + merged["counters"].get("repro_wire_delta_received_total", 0)
         merged["gauges"]["repro_delta_ref_miss_ratio"] = (
             misses / arrived if arrived else 0.0
-        )
-        merged["gauges"]["repro_delta_ref_age"] = max(
-            snapshot.get("gauges", {}).get("repro_delta_ref_age", 0)
-            for snapshot in snapshots
         )
 
     if args.json:

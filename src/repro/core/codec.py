@@ -34,8 +34,9 @@ the examples (tuples become lists and are normalised back).
 **DELTA encoding** (flags bit1) exploits Algorithm 1 harder: between two
 consecutive sends the sender only incremented its K entries ``f(p_i)``
 plus whatever entries its deliveries bumped, so a message can carry just
-the entries *changed* since a reference message the receiver provably
-holds (the sender's last link-acked full encoding).  After the shared
+the entries *changed* since a reference message: the sender's previous
+broadcast, which every receiver must hold before it may deliver this
+one anyway.  After the shared
 ``magic..sender`` prefix the layout is all varints — no key block (the
 receiver knows the sender's static keys from the reference), no R::
 
@@ -47,7 +48,7 @@ receiver knows the sender's static keys from the reference), no R::
 Decoding requires the reference vector and the sender's key set
 (:meth:`MessageCodec.decode_delta`) and reconstructs the full vector
 bit-identically to the full encoding — see ``docs/PROTOCOL.md`` §8 for
-the reference rules and mandatory full-encoding fallbacks.
+the reference rule and the full-encoding fallbacks.
 
 Alongside the message encoding, this module defines the **reliability
 frames** spoken by :class:`repro.net.session.ReliableSession`: a DATA
@@ -428,7 +429,7 @@ class MessageCodec:
         if flags & _FLAG_DELTA:
             raise CodecError(
                 "delta-encoded message: use decode_delta() with the "
-                "per-link reference vector"
+                "reference vector"
             )
         if not flags & _FLAG_VARINT:
             # The bit stays on the wire but names the only entry form
@@ -479,7 +480,7 @@ class MessageCodec:
         return Message(sender=sender, seq=seq, timestamp=timestamp, payload=payload)
 
     # ------------------------------------------------------------------
-    # DELTA encoding (O(K) timestamps against a per-link reference)
+    # DELTA encoding (O(K) timestamps against the previous broadcast)
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -499,10 +500,12 @@ class MessageCodec:
         Args:
             message: the message to encode (an *own* broadcast — the
                 reference must be an earlier message from the same
-                sender on the same link).
-            ref_seq: the reference message's ``seq``; the receiver must
-                hold its decoded vector (guaranteed when the reference
-                was link-acked — see PROTOCOL.md §8).
+                sender).
+            ref_seq: the reference message's ``seq``; the receiver needs
+                its vector to decode the delta.  The node always names
+                the sender's previous broadcast, which a receiver must
+                hold before it may deliver this one anyway (PROTOCOL.md
+                §8.3).
             ref_vector: the reference message's full vector.
 
         Raises :class:`CodecError` when the vectors disagree in size or
@@ -531,8 +534,8 @@ class MessageCodec:
             )
         changed = np.nonzero(diff)[0]
         # Leaner header than the full encoding: no sender-keys block (the
-        # receiver knows the sender's static key set from whichever full
-        # encoding established the reference), the reference as a varint
+        # receiver knows the sender's static key set from the reference
+        # message), the reference as a varint
         # gap below seq, and a varint payload length.
         sender_bytes = str(message.sender).encode("utf-8")
         if len(sender_bytes) > 0xFFFF:
@@ -612,8 +615,8 @@ class MessageCodec:
         delta and its reference.
 
         ``sender_keys`` is the sender's static key set, known to the
-        receiver from whichever full encoding established the reference
-        (deltas do not carry it).  The result is bit-identical to
+        receiver from the reference message (deltas do not carry it).
+        The result is bit-identical to
         decoding the full encoding of the same message
         (differential-tested): same vector dtype and values, same keys,
         seq, and payload.

@@ -54,7 +54,6 @@ __all__ = ["LinkState", "RecoveredState", "NodeJournal"]
 
 Address = Hashable
 Frontiers = Dict[str, Tuple[int, Tuple[int, ...]]]
-_DeltaRef = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 _WAL_NAME = "wal.log"
 _SNAPSHOT_NAME = "snapshot.json"
@@ -103,11 +102,6 @@ class RecoveredState:
         delivered: per-sender ``(contiguous, extras)`` delivery coverage.
         links: per-peer session state (see :class:`LinkState`).
         own_messages: encoded own broadcasts still in the WAL, by seq.
-        delta_refs: per sender, the delta reference in use
-            ``(msg_seq, vector, sender_keys)`` at the last snapshot, so
-            a restarted node (whose store no longer holds remote bytes)
-            can keep decoding a live sender's deltas without waiting
-            for its next full-encoded refresh.
         wal_records: how many WAL records were replayed (load metric).
         detector_checks / detector_alerts: the alert detector's lifetime
             counters at the crash (snapshot baseline + one check per
@@ -131,7 +125,6 @@ class RecoveredState:
     delivered: Frontiers
     links: Dict[Address, LinkState] = field(default_factory=dict)
     own_messages: Dict[int, bytes] = field(default_factory=dict)
-    delta_refs: Dict[str, _DeltaRef] = field(default_factory=dict)
     wal_records: int = 0
     detector_checks: int = 0
     detector_alerts: int = 0
@@ -203,7 +196,6 @@ class NodeJournal:
         # coverage type rather than sharing the node's.
         self._delivered = SeenFilter()
         self._leases: Dict[Address, int] = {}
-        self._delta_refs: Dict[str, _DeltaRef] = {}
         self.snapshots_written = 0
         self.appends = 0
         self.replayed_records = 0
@@ -302,7 +294,6 @@ class NodeJournal:
             delivered=self._delivered.frontiers(),
             links=links,
             own_messages=own_messages,
-            delta_refs=self._delta_refs,
             wal_records=replayed,
             detector_checks=self._detector_checks,
             detector_alerts=self._detector_alerts,
@@ -344,17 +335,9 @@ class NodeJournal:
         checks, alerts = snap.get("detector", (0, 0))
         self._detector_checks = int(checks)
         self._detector_alerts = int(alerts)
-        # Absent in pre-delta snapshots; a per-address list in those
-        # written before references were keyed by sender alone, which is
-        # skipped (it costs the restart one refresh window of misses).
-        refs = snap.get("delta_refs")
-        if isinstance(refs, dict):
-            for sender, (seq, entries, keys) in refs.items():
-                self._delta_refs[str(sender)] = (
-                    int(seq),
-                    tuple(int(v) for v in entries),
-                    tuple(int(k) for k in keys),
-                )
+        # Older snapshots also record the delta references the receiver
+        # held; they are ignored, and a restarted receiver takes one
+        # counted miss per live sender instead.
         # Absent in pre-membership snapshots: .get keeps them loadable.
         keys_now = snap.get("keys_now")
         if keys_now is not None:
@@ -623,7 +606,6 @@ class NodeJournal:
         vector: Sequence[int],
         send_seq: int,
         links: Dict[Address, Tuple[int, int, Tuple[int, ...]]],
-        delta_refs: Optional[Dict[str, _DeltaRef]] = None,
         detector: Optional[Tuple[int, int]] = None,
     ) -> None:
         """Atomically persist the full state and truncate the WAL.
@@ -634,17 +616,12 @@ class NodeJournal:
             links: the session's ``link_states()`` — per peer
                 ``(next_seq, recv_cumulative, recv_out_of_order)``;
                 merged with any outstanding leases.
-            delta_refs: per sender, the delta reference in use
-                ``(msg_seq, vector, sender_keys)``; optional because
-                only nodes that received deltas have any.
             detector: the live detector's ``(checks, alerts)`` lifetime
                 counters; becomes the baseline replay counts on top of.
         """
         if self._wal is None:
             raise ConfigurationError("journal is not open")
         start = time.perf_counter() if self._snapshot_hist is not None else 0.0
-        if delta_refs is not None:
-            self._delta_refs = dict(delta_refs)
         if detector is not None:
             self._detector_checks = int(detector[0])
             self._detector_alerts = int(detector[1])
@@ -665,10 +642,6 @@ class NodeJournal:
                 [_address_to_json(address), {"tx": tx, "rx": rx, "ooo": list(ooo)}]
                 for address, (tx, rx, ooo) in merged.items()
             ],
-            "delta_refs": {
-                sender: [int(seq), [int(v) for v in entries], [int(k) for k in keys]]
-                for sender, (seq, entries, keys) in self._delta_refs.items()
-            },
             "detector": [self._detector_checks, self._detector_alerts],
         }
         tmp_path = self.snapshot_path + ".tmp"

@@ -473,7 +473,7 @@ class GroupMembership:
             if node.journal is not None:
                 node.journal.record_rekey(granted)
             clock.rekey(granted)
-            node.flush_delta_refs()
+            node.reset_delta_reference()
         self._install(
             GroupView(ack.view_id, ack.members, ack.epoch), persist=True
         )
@@ -865,7 +865,7 @@ class GroupMembership:
             if node.journal is not None:
                 node.journal.record_rekey(tuple(own.keys))
             clock.rekey(own.keys)
-            node.flush_delta_refs()
+            node.reset_delta_reference()
         if self.node_id not in current_ids and self.joined:
             # We were expelled (evicted while partitioned, most likely).
             self.joined = False

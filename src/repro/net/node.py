@@ -19,18 +19,18 @@ against the clock's vector size, its envelope and the group view, store
 the full encoding, hand it to the endpoint.  The mesh and relay handlers
 add only what is theirs.
 
-On the wire each broadcast is delta-encoded per link when possible
-(``wire_delta``): only the vector entries changed since this node's last
-*full-encoded* message acked on that link travel — O(K) bytes instead of
-O(R) — and the receiver rebuilds the full vector from that earlier
-message, which its store holds.  New links and journal recovery start on
-the full encoding, and every ``_DELTA_REFRESH_AGE`` messages one
-broadcast per link travels full to renew the reference.  A reference
-miss (e.g. the peer crashed and lost its store) triggers an immediate
-anti-entropy exchange that re-delivers the affected messages full; the
-next renewal ends the misses (PROTOCOL.md §8.3).  On the relay overlay
-the origin instead encodes each broadcast against its own previous one,
-and every relayer forwards that body verbatim.
+On the wire every broadcast (o, s) is encoded once (``wire_delta``): as
+the entries changed since the sender's previous broadcast (o, s − 1) —
+O(K) bytes instead of O(R) — when that is smaller than the full form,
+and the same body goes out on every mesh link and in every RELAY
+envelope, which relayers forward verbatim.  No ack is needed: Algorithm
+1 bumps the sender's own entries on every send, so a receiver must hold
+(o, s − 1) before it may deliver (o, s) anyway.  A delta that outruns
+its reference is parked until the reference is admitted (a per-sender
+FIFO in miniature); one whose reference the store recorded but no
+longer holds (a restart, an eviction) is a counted miss that triggers
+an immediate anti-entropy exchange, which re-delivers it full
+(PROTOCOL.md §8.3).
 
 Retransmission handles the common case (a datagram lost on one link);
 the periodic anti-entropy exchange handles the rest: every round each
@@ -112,7 +112,8 @@ class RepairStats:
         gap_pulls_armed: grace timers started for a relay push that
             arrived ahead of its causal past.
         gap_pulls: timers that found the message still undelivered and
-            sent the pusher a digest.
+            sent a digest — to the pusher, or on a retry (a grace later,
+            the gap still open) to the next partner.
         gap_pulls_unneeded: of those, the ones whose message a later
             relay push released first (the grace was too short for the
             path, not a loss).
@@ -304,14 +305,6 @@ class MessageStore:
         return dropped
 
 
-# A link's delta reference is re-established (one broadcast travels
-# full and, once acked, replaces it) at every multiple of this many own
-# messages: bounds how long a receiver that lost the reference (a
-# restart emptied its store) keeps bouncing deltas.  Block-aligned
-# rather than counted from each link's reference, so all links renew on
-# the same broadcast and keep sharing one reference (one delta encode
-# per broadcast) however their first acks were timed.
-_DELTA_REFRESH_AGE = 64
 # How long a relay push that arrived ahead of its causal past may stay
 # undelivered before its pusher is asked for the gap (seconds; twice the
 # link's smoothed RTT when that is longer).  Not zero: mid-wave the
@@ -319,9 +312,16 @@ _DELTA_REFRESH_AGE = 64
 # digest sent then claims them all as missing — the answers load a loop
 # that has not yet read the originals (EXPERIMENTS.md, "Anti-entropy
 # priced by damage": the immediate pull collapses into a retransmit storm).
-# The same allowance for a wave to finish decides whether a relay origin
-# may name its previous broadcast as a delta reference.
-_GAP_PULL_GRACE = 0.03
+# A pull that leaves the gap open is repeated, so the first need not
+# race the wave (EXPERIMENTS.md, "One delta rule": 30 ms sent 25 % more
+# repairs for a 5 % shorter settle).
+_GAP_PULL_GRACE = 0.04
+# Deltas held for a reference not yet admitted, across all senders.  A
+# lost frame parks every later delta of its sender until the frame is
+# retransmitted; one more beyond the bound is a counted miss and a
+# resync instead.  Half the default store: a 600-broadcast burst from
+# each of three peers, every one overtaking its reference, still fits.
+_PARK_LIMIT = 4096
 # Minimum spacing of out-of-band digests to one address (seconds).
 _RESYNC_INTERVAL = 0.05
 # How many delivery records `deliveries` / `delivered_payloads()` look
@@ -351,57 +351,7 @@ def _delta_miss_ratio(misses: int, decoded: int) -> float:
     return misses / arrived if arrived else 0.0
 
 
-class _DeltaTx:
-    """Per-link delta-encoding sender state.
-
-    ``inflight`` maps link sequence numbers of this node's own
-    *full-encoded* broadcasts to ``(msg_seq, vector)``; once the peer's
-    cumulative ack covers a link seq, that message's vector becomes a
-    safe reference.  Only full sends qualify: a full that was acked was
-    provably decoded and recorded by the receiver, whereas an acked
-    *delta* might itself have bounced off a missing reference (the
-    session acks frames it received, not messages the node decoded) —
-    admitting those would let one miss cascade down the link.  Bounded
-    by the session's ``send_buffer`` backpressure: ripe entries are
-    popped on every send.
-    """
-
-    __slots__ = ("inflight", "ref_seq", "ref_vector")
-
-    def __init__(self) -> None:
-        self.inflight: Dict[int, Tuple[int, np.ndarray]] = {}
-        self.ref_seq = -1
-        self.ref_vector: Optional[np.ndarray] = None
-
-    def advance(self, acked: int) -> None:
-        """Adopt the newest acked inflight message as the reference."""
-        if not self.inflight:
-            return
-        ripe = [link_seq for link_seq in self.inflight if link_seq <= acked]
-        if not ripe:
-            return
-        best_seq, best_vector = self.ref_seq, self.ref_vector
-        for link_seq in ripe:
-            msg_seq, vector = self.inflight.pop(link_seq)
-            if msg_seq > best_seq:
-                best_seq, best_vector = msg_seq, vector
-        self.ref_seq, self.ref_vector = best_seq, best_vector
-
-    def wants_full(self, msg_seq: int) -> bool:
-        """Whether ``msg_seq`` must travel full on this link: no
-        reference yet, or the reference dates from an earlier refresh
-        block and no full is already in flight to replace it (deltas
-        keep flowing against the old reference until that one is
-        acked)."""
-        if self.ref_vector is None:
-            return True
-        return (
-            msg_seq // _DELTA_REFRESH_AGE > self.ref_seq // _DELTA_REFRESH_AGE
-            and not self.inflight
-        )
-
-
-# A full encoding a delta may name: (message seq, vector, sender keys).
+# A message a delta may name: (message seq, vector, sender keys).
 _Reference = Tuple[int, np.ndarray, Tuple[int, ...]]
 
 
@@ -441,9 +391,9 @@ class ReliableCausalNode:
             loop that quarantines silent peers and heals them on return
             (a beacon is skipped when the link sent any datagram within
             the last interval — traffic already proves liveness).
-        wire_delta: delta-encode broadcasts per link against the last
-            acked own message, or in overlay mode against the previous
-            own broadcast (O(K) wire bytes instead of O(R)).
+        wire_delta: delta-encode each broadcast against this node's
+            previous one, on every link and relay hop alike (O(K) wire
+            bytes instead of O(R)).
             :func:`repro.api.create_node` derives it from the clock
             scheme: False only for one that draws its keys per message
             (a delta carries no keys).  Incoming deltas are decoded
@@ -526,18 +476,17 @@ class ReliableCausalNode:
         self._heartbeat_count = 0
         self._heartbeats_suppressed = 0
         self._wire_delta = wire_delta
-        # Delta wire state.  Sending: per-peer references (own acked
-        # fulls).  Receiving: per *sender*, the reference its deltas
-        # name now and the newest it may name next (a mesh sender's
-        # newest full, a relay origin's newest message); the store holds
-        # every older one.  The slots spare the hot path a decode and
-        # outlive the store's eviction for a quiet sender.
-        self._delta_tx: Dict[Address, _DeltaTx] = {}
-        # Overlay mode sends against one reference instead: this node's
-        # previous broadcast, as (seq, vector, sent_at).
-        self._relay_previous: Optional[Tuple[int, np.ndarray, float]] = None
-        self._ref_in_use: Dict[str, _Reference] = {}
+        # Delta wire state.  Sending: this node's previous broadcast, as
+        # (seq, vector) — the one reference for every link and relay
+        # hop.  Receiving: per sender, its newest admitted message (what
+        # its next delta names; the slot spares the hot path a decode
+        # and outlives the store's eviction for a quiet sender), with
+        # the store behind it; and the deltas that outran their
+        # reference, parked by the (sender, seq) of that reference as
+        # (data, address) until it is admitted.
+        self._previous: Optional[Tuple[int, np.ndarray]] = None
         self._ref_newest: Dict[str, _Reference] = {}
+        self._parked: Dict[Tuple[str, int], Tuple[bytes, Address]] = {}
         self._resync_last: Dict[Address, float] = {}
         self._delta_miss_warned: Set[Address] = set()
         # An own broadcast's encoding, handed from the WAL write inside
@@ -624,11 +573,6 @@ class ReliableCausalNode:
             stats = self.endpoint.detector.stats
             stats.checks += self.recovered.detector_checks
             stats.alerts += self.recovered.detector_alerts
-            # The store restarts without remote bytes.
-            for sender, (seq, vector, keys) in self.recovered.delta_refs.items():
-                restored = np.asarray(vector, dtype=np.int64)
-                restored.setflags(write=False)
-                self._ref_in_use[sender] = (seq, restored, keys)
 
         self.session = ReliableSession(
             transport,
@@ -706,11 +650,9 @@ class ReliableCausalNode:
             self.metrics.gauge("repro_overlay_push_coverage")
             if self.overlay is not None else None
         )
-        # Delta health (ROADMAP 5c): the share of arriving deltas that
-        # bounced off an unknown reference, and how many own messages
-        # old the stalest link reference is.
+        # Delta health: the share of arriving deltas that bounced off a
+        # reference this node no longer holds.
         delta_miss_ratio = self.metrics.gauge("repro_delta_ref_miss_ratio")
-        delta_ref_age = self.metrics.gauge("repro_delta_ref_age")
         # Codec tallies: the message codec (this node's) and the
         # session's frame codec each keep slotted ints; export their
         # sum per field as repro_codec_*_total.
@@ -743,14 +685,6 @@ class ReliableCausalNode:
                 _delta_miss_ratio(
                     sum(link.delta_ref_misses for link in links),
                     sum(link.delta_received for link in links),
-                )
-            )
-            sent = self.endpoint.clock.send_count
-            delta_ref_age.set(
-                max(
-                    (sent - tx.ref_seq for tx in self._delta_tx.values()
-                     if tx.ref_vector is not None),
-                    default=0,
                 )
             )
             for table, size in self.state_sizes().items():
@@ -852,10 +786,14 @@ class ReliableCausalNode:
         """Start broadcasting to ``address`` (idempotent).
 
         Also clears any eviction mark on the address: a node that left
-        and rejoined is a member again, not a stale-frame source.
+        and rejoined is a member again, not a stale-frame source.  A new
+        peer's next broadcast from here goes full: a joiner's transferred
+        coverage records this node's past without its bytes, so a delta
+        naming it would be a miss.
         """
         if address not in self._peers:
             self._peers.append(address)
+            self.reset_delta_reference()
         if self.overlay is not None:
             self.overlay.add(address)
         readmitted = self._evicted_peers.pop(address, None)
@@ -867,10 +805,9 @@ class ReliableCausalNode:
         """Stop broadcasting to ``address`` and purge its per-peer state.
 
         Without the purge, the peer's unacked retransmission queue,
-        per-peer stats, NACK pacing, and delta-encoding references
-        would linger in the session and node forever (and its pending
-        frames would keep being retransmitted into the void).  Missing
-        addresses are fine.
+        per-peer stats and NACK pacing would linger in the session
+        forever (and its pending frames would keep being retransmitted
+        into the void).  Missing addresses are fine.
         """
         if address in self._peers:
             self._peers.remove(address)
@@ -879,15 +816,14 @@ class ReliableCausalNode:
         self.session.forget(address)
         if self.liveness is not None:
             self.liveness.forget(address)
-        self._delta_tx.pop(address, None)
         self._delta_miss_warned.discard(address)
 
     def evict_peer(self, address: Address, sender_id: Optional[str] = None) -> None:
         """Expel a peer from this node's runtime state (view eviction).
 
         On top of :meth:`remove_peer`, purges the departed sender's
-        message-store bookkeeping and the delta references in front of
-        it (``sender_id``, when known) and marks
+        message-store bookkeeping, its reference slot and its parked
+        deltas (``sender_id``, when known) and marks
         the address so late frames from it are dropped with a log-once
         warning instead of silently re-creating per-peer session state.
 
@@ -898,9 +834,11 @@ class ReliableCausalNode:
         """
         self.remove_peer(address)
         if sender_id is not None:
-            self.store.purge_sender(str(sender_id))
-            self._ref_in_use.pop(str(sender_id), None)
-            self._ref_newest.pop(str(sender_id), None)
+            sender = str(sender_id)
+            self.store.purge_sender(sender)
+            self._ref_newest.pop(sender, None)
+            for key in [key for key in self._parked if key[0] == sender]:
+                del self._parked[key]
         self._evicted_peers[address] = str(sender_id) if sender_id is not None else ""
         while len(self._evicted_peers) > _EVICTION_WINDOW:
             stale_addr, stale_sender = self._evicted_peers.popitem(last=False)
@@ -994,9 +932,8 @@ class ReliableCausalNode:
         """
         self._codec.epoch = epoch
 
-    def flush_delta_refs(self) -> None:
-        """Drop the per-link delta-encoding references and the relay
-        origin's previous-broadcast slot.
+    def reset_delta_reference(self) -> None:
+        """Drop the send-side reference: the next broadcast goes full.
 
         Must be called whenever this node's own key set changes while
         the session is live (an epoch bump or a re-admission grant):
@@ -1005,8 +942,7 @@ class ReliableCausalNode:
         messages sent under the new set, starting with the next
         broadcast.
         """
-        self._delta_tx.clear()
-        self._relay_previous = None
+        self._previous = None
 
     @property
     def local_address(self) -> Address:
@@ -1044,89 +980,37 @@ class ReliableCausalNode:
         if data is None:
             data = self._codec.encode(message)
         self.store.add(str(message.sender), message.seq, data)
+        wire = self._wire_body(message, data)
         if self.overlay is not None:
             # Overlay mode: one RELAY envelope to `fanout` view targets;
             # the receivers' relays and the anti-entropy backstop do the
             # rest.  Wire cost here is O(fanout), not O(N).
             self.overlay.stats.relay_pushes += 1
-            now = self._now()
             self._relay_push(
-                str(message.sender), message.seq, self._relay_body(message, data, now),
-                hops=0, sent_at=now,
+                str(message.sender), message.seq, wire, hops=0, sent_at=self._now()
             )
             return message
-        # Mesh mode: the payload body is packed once and shared across
-        # every per-peer DATA frame — only the link-seq header differs.
-        body = self.session.data_body(data)
-        # One delta per distinct reference, shared across the links that
-        # hold it (references refresh in lock-step, so normally one).
-        deltas: Dict[int, Tuple[bytes, bytes]] = {}
+        # Mesh mode: the body is packed once and shared across every
+        # per-peer DATA frame — only the link-seq header differs.
+        body = self.session.data_body(wire)
+        peers = self._live_peers()
+        for address in peers:
+            self._tally_sent(address, wire)
         await asyncio.gather(
-            *(
-                self._send_message(address, message, data, body, deltas)
-                for address in self._live_peers()
-            )
+            *(self.session.send(address, wire, shared_body=body) for address in peers)
         )
         return message
 
-    async def _send_message(
-        self,
-        address: Address,
-        message: Message,
-        full: bytes,
-        body: bytes,
-        deltas: Dict[int, Tuple[bytes, bytes]],
-    ) -> None:
-        """Send one broadcast over one link, delta-encoded when a
-        reference is established (falls back to ``full`` otherwise).
-        ``body`` is the pre-packed DATA body of ``full``; ``deltas``
-        caches this broadcast's ``(delta, body)`` per reference seq."""
-        wire, wire_body = full, body
-        stats = self.session.peer_stats(address)
-        tx: Optional[_DeltaTx] = None
-        if self._wire_delta:
-            tx = self._delta_tx.setdefault(address, _DeltaTx())
-            tx.advance(self.session.acked_cumulative(address))
-            if not tx.wants_full(message.seq):
-                shared = deltas.get(tx.ref_seq)
-                if shared is None:
-                    delta = self._codec.encode_delta(
-                        message, tx.ref_seq, tx.ref_vector
-                    )
-                    shared = deltas[tx.ref_seq] = (
-                        delta, self.session.data_body(delta)
-                    )
-                # Size rule: a delta must earn its keep.  With many
-                # senders' entries diverging from the reference the
-                # delta grows; once it stops being clearly smaller, send
-                # full instead — which (once acked) becomes the new
-                # reference, shrinking subsequent deltas again.
-                if len(shared[0]) * 2 < len(full):
-                    wire, wire_body = shared
-        if wire is full:
-            stats.full_sent += 1
-        else:
-            stats.delta_sent += 1
-        link_seq = await self.session.send(address, wire, shared_body=wire_body)
-        if tx is not None and wire is full:
-            tx.inflight[link_seq] = (message.seq, message.timestamp.vector)
-
-    def _relay_body(self, message: Message, full: bytes, now: float) -> bytes:
-        """The body an own broadcast (o, s) rides the relay wave in: a
-        delta against (o, s − 1) when that left at least
-        ``_GAP_PULL_GRACE`` ago and the delta is the smaller, else
-        ``full``.  No ack is needed: a receiver must hold (o, s − 1)
-        before it may deliver (o, s) anyway, and one that does not
-        counts a miss and resyncs.  Within the grace the two waves may
-        still overlap, and receivers would meet the delta first."""
-        previous = self._relay_previous
-        self._relay_previous = (message.seq, message.timestamp.vector, now)
+    def _wire_body(self, message: Message, full: bytes) -> bytes:
+        """The one body an own broadcast (o, s) travels in, on every
+        mesh link and relay hop: a delta against (o, s − 1) when that is
+        the smaller, else ``full``.  No ack is needed: a receiver must
+        hold (o, s − 1) before it may deliver (o, s) anyway; one that
+        meets the delta first parks it until (o, s − 1) is admitted."""
+        previous, self._previous = self._previous, (message.seq, message.timestamp.vector)
         if not self._wire_delta or previous is None:
             return full
-        ref_seq, ref_vector, sent_at = previous
-        if now - sent_at < _GAP_PULL_GRACE:
-            return full
-        delta = self._codec.encode_delta(message, ref_seq, ref_vector)
+        delta = self._codec.encode_delta(message, *previous)
         return delta if len(delta) < len(full) else full
 
     def _live_peers(self) -> List[Address]:
@@ -1170,14 +1054,9 @@ class ReliableCausalNode:
         targets = overlay.push_targets(exclude=exclude, live_filter=self._overlay_live)
         if not targets:
             return 0
-        delta = MessageCodec.is_delta(payload)
         carriers, bare = [], []
         for target in targets:
-            stats = self.session.peer_stats(target)
-            if delta:
-                stats.delta_sent += 1
-            else:
-                stats.full_sent += 1
+            self._tally_sent(target, payload)
             (carriers if overlay.carries_sample() else bare).append(target)
 
         frame = RelayFrame(origin=origin, seq=seq, hops=hops, sent_at=sent_at, payload=payload)
@@ -1195,15 +1074,17 @@ class ReliableCausalNode:
         the envelope header, admit the body, and forward it *verbatim*
         on first intake only (infect-and-die).  A delta body names the
         origin's previous broadcast, which every receiver needs before
-        it may deliver this one anyway."""
+        it may deliver this one anyway; one parked waiting for it is
+        forwarded all the same (downstream may hold the reference)."""
         if self._drop_if_evicted(addr, "relay"):
             return
         overlay = self.overlay
         overlay.merge_sample(frame.sample)
         message_id = (frame.origin, frame.seq)
-        if self.endpoint.has_seen(message_id):
-            # The SeenFilter absorbs gossip redundancy without paying
-            # for a payload decode — the envelope header is enough.
+        if self.endpoint.has_seen(message_id) or self._is_parked(message_id):
+            # The SeenFilter (and the park) absorb gossip redundancy
+            # without paying for a payload decode — the envelope header
+            # is enough.
             overlay.stats.relay_duplicates += 1
             return
         if not self._admit(frame.payload, addr, envelope_id=message_id):
@@ -1229,6 +1110,15 @@ class ReliableCausalNode:
             )
             if sent:
                 overlay.stats.relay_forwarded += 1
+
+    def _tally_sent(self, address: Address, data: bytes) -> None:
+        """Count which encoding of a message crossed the link to
+        ``address``."""
+        stats = self.session.peer_stats(address)
+        if MessageCodec.is_delta(data):
+            stats.delta_sent += 1
+        else:
+            stats.full_sent += 1
 
     def _tally_received(self, addr: Address, data: bytes) -> None:
         """Count which encoding of an admitted message crossed the link
@@ -1263,25 +1153,43 @@ class ReliableCausalNode:
     ) -> bool:
         """The one intake: decode ``data`` (full or delta), check it
         against ``envelope_id`` and the group view, store it, and hand
-        it to the endpoint.
+        it to the endpoint — then admit, in turn, each parked delta that
+        was waiting for the message just admitted.
 
-        Returns False when the message was dropped and accounted for
-        here: undecodable, not this group's vector size, contradicting
-        its envelope, a delta whose reference is lost, a departed
+        A delta whose reference this node never recorded is parked
+        (True).  Returns False when the message was dropped and
+        accounted for here: undecodable, not this group's vector size,
+        contradicting its envelope, a delta whose reference was recorded
+        but is no longer held (or that found the park full), a departed
         sender.
         """
+        released: List[Tuple[bytes, Address]] = []
+        admitted = self._admit_one(data, addr, envelope_id, released)
+        # A loop, not recursion: a parked chain can be _PARK_LIMIT long.
+        while released:
+            self._admit_one(*released.pop(), None, released)
+        return admitted
+
+    def _admit_one(
+        self,
+        data: bytes,
+        addr: Address,
+        envelope_id: Optional[Tuple[str, int]],
+        released: List[Tuple[bytes, Address]],
+    ) -> bool:
+        """:meth:`_admit` for one message; appends to ``released`` the
+        parked delta this admission made decodable."""
         codec = self._codec
         reference: Optional[_Reference] = None
         if MessageCodec.is_delta(data):
             try:
-                origin, _seq, ref_seq = codec.delta_header(data)
+                origin, seq, ref_seq = codec.delta_header(data)
             except Exception:
                 self._note_decode_error(addr)
                 return False
             reference = self._reference(origin, ref_seq)
             if reference is None:
-                self._note_reference_miss(addr, origin, ref_seq)
-                return False
+                return self._park(data, addr, envelope_id, origin, seq, ref_seq)
         try:
             if reference is not None:
                 # The store must hold the full encoding: anti-entropy
@@ -1312,67 +1220,102 @@ class ReliableCausalNode:
             self._note_decode_error(addr)
             return False
         if not self._sender_in_view(sender):
-            # A live peer relayed state from a sender the view has since
-            # expelled (an anti-entropy round or a relay wave racing the
-            # purge).  Admitting it would resurrect exactly the store
-            # state the eviction just removed.
-            self._stale_frames += 1
-            if sender not in self._stale_senders_warned:
-                if len(self._stale_senders_warned) >= _EVICTION_WINDOW:
-                    # Marks for senders this node never peered with have
-                    # no eviction record to age out with.
-                    self._stale_senders_warned.clear()
-                self._stale_senders_warned.add(sender)
-                logger.warning(
-                    "dropping relayed message from departed sender %r; "
-                    "it is no longer in the group view", sender,
-                )
-            self.trace.emit("stale_sender", ts=self._now(), sender=sender)
+            self._note_stale_sender(sender)
             return False
-        if reference is None or envelope_id is not None:
-            newest = self._ref_newest.get(sender)
-            if newest is None or message.seq > newest[0]:
-                # A mesh sender adopts acked fulls only, and only
-                # forwards; a relay origin names its previous broadcast,
-                # whichever encoding carried it.
-                self._ref_newest[sender] = (
-                    message.seq,
-                    message.timestamp.vector,
-                    message.timestamp.sender_keys,
-                )
+        newest = self._ref_newest.get(sender)
+        if newest is None or message.seq > newest[0]:
+            self._ref_newest[sender] = (
+                message.seq, message.timestamp.vector, message.timestamp.sender_keys
+            )
         self.store.add(sender, message.seq, full)
         # One real timestamp for every receive path (it used to default
         # to 0.0, which froze the refined detector's eviction clock).
         self.endpoint.on_receive(message, now=self._now())
+        successor = self._parked.pop((sender, message.seq), None)
+        if successor is not None and not self.endpoint.has_seen((sender, message.seq + 1)):
+            released.append(successor)
         return True
 
+    def _park(
+        self,
+        data: bytes,
+        addr: Address,
+        envelope_id: Optional[Tuple[str, int]],
+        origin: str,
+        seq: int,
+        ref_seq: int,
+    ) -> bool:
+        """A delta whose reference is not here.  If this node never
+        recorded it — and it is the sender's previous broadcast, the
+        only reference a node names — it is in flight or lost, and the
+        delta waits for it (True).  One recorded but no longer held (a
+        restart, an eviction), or no room left, is a counted miss; a
+        delta of a message already seen is a duplicate (True)."""
+        if envelope_id is not None and (origin, seq) != envelope_id:
+            self._note_decode_error(addr)
+            return False
+        if self.endpoint.has_seen((origin, seq)):
+            # A copy of a message seen before (a frame retransmitted to
+            # a restarted node): a duplicate, whatever it names.
+            return True
+        if not self._sender_in_view(origin):
+            self._note_stale_sender(origin)
+            return False
+        key = (origin, ref_seq)
+        if (
+            ref_seq != seq - 1
+            or self.store.knows(origin, ref_seq)
+            or (key not in self._parked and len(self._parked) >= _PARK_LIMIT)
+        ):
+            self._note_reference_miss(addr, origin, ref_seq)
+            return False
+        self._parked[key] = (data, addr)
+        return True
+
+    def _is_parked(self, message_id: Tuple[str, int]) -> bool:
+        """Whether a delta of ``message_id`` waits for its reference."""
+        sender, seq = message_id
+        return (sender, seq - 1) in self._parked
+
+    def _note_stale_sender(self, sender: str) -> None:
+        """A live peer relayed state from a sender the view has since
+        expelled (an anti-entropy round or a relay wave racing the
+        purge): dropped, since admitting it would resurrect exactly the
+        store state the eviction just removed; warned about once."""
+        self._stale_frames += 1
+        if sender not in self._stale_senders_warned:
+            if len(self._stale_senders_warned) >= _EVICTION_WINDOW:
+                # Marks for senders this node never peered with have
+                # no eviction record to age out with.
+                self._stale_senders_warned.clear()
+            self._stale_senders_warned.add(sender)
+            logger.warning(
+                "dropping relayed message from departed sender %r; "
+                "it is no longer in the group view", sender,
+            )
+        self.trace.emit("stale_sender", ts=self._now(), sender=sender)
+
     def _reference(self, sender: str, ref_seq: int) -> Optional[_Reference]:
-        """The full a delta names (``None``: lost): the sender's in-use
-        slot (the hot path), its newest full (just adopted), or the
-        stored encoding decoded on demand (link start; a retransmitted
-        delta naming a superseded reference).  The in-use slot only
-        moves forwards, as the sender's own choice does."""
-        in_use = self._ref_in_use.get(sender)
-        if in_use is not None and in_use[0] == ref_seq:
-            return in_use
-        reference = self._ref_newest.get(sender)
-        if reference is None or reference[0] != ref_seq:
-            stored = self.store.get(sender, ref_seq)
-            if stored is None:
-                return None
-            timestamp = self._codec.decode(stored).timestamp
-            reference = (ref_seq, timestamp.vector, timestamp.sender_keys)
-        if in_use is None or ref_seq > in_use[0]:
-            self._ref_in_use[sender] = reference
-        return reference
+        """The message a delta names (``None``: not here): the sender's
+        newest admitted message (the hot path — a delta names its
+        sender's previous broadcast), else the stored encoding decoded
+        on demand (a delta that arrived after a later message)."""
+        newest = self._ref_newest.get(sender)
+        if newest is not None and newest[0] == ref_seq:
+            return newest
+        stored = self.store.get(sender, ref_seq)
+        if stored is None:
+            return None
+        timestamp = self._codec.decode(stored).timestamp
+        return (ref_seq, timestamp.vector, timestamp.sender_keys)
 
     def _note_reference_miss(self, addr: Address, sender: str, ref_seq: int) -> None:
-        """A delta named a reference in neither slot nor store (we
-        crashed, the store rolled over, or a relay delta outran its
-        origin's previous broadcast): count it on the link, ask
-        for an immediate anti-entropy exchange — which re-delivers the
-        message full — and warn once per link whose deltas keep
-        bouncing (a healthy one misses only after a restart)."""
+        """A delta named a reference this node recorded but no longer
+        holds (it restarted, the store rolled over) or found the park
+        full: count it on the link, ask for an immediate anti-entropy
+        exchange — which re-delivers the message full — and warn once
+        per link whose deltas keep bouncing (a healthy one misses only
+        after a restart)."""
         stats = self.session.peer_stats(addr)
         stats.delta_ref_misses += 1
         self.trace.emit(
@@ -1428,35 +1371,57 @@ class ReliableCausalNode:
         self._spawn_heal(addr)
         return True
 
-    def _arm_gap_pull(self, message_id: Tuple[str, int], pusher: Address) -> None:
-        """A relay push arrived ahead of its causal past.  Usually the
-        rest is in flight on a longer path; if ``message_id`` is still
-        undelivered after the grace, ask ``pusher`` — it forwarded the
-        message on first intake, so it most likely holds what came
-        before it too.  At most one timer per node: one digest names
-        every gap this node has."""
+    def _arm_gap_pull(
+        self, message_id: Tuple[str, int], pusher: Address, tries: int = 0
+    ) -> None:
+        """A relay push arrived ahead of its causal past (pended, or
+        parked behind its reference).  Usually the rest is in flight on
+        a longer path; if ``message_id`` is still undelivered after the
+        grace, ask ``pusher`` — it forwarded the message on first
+        intake, so it most likely holds what came before it too.  At
+        most one timer per node: one digest names every gap this node
+        has.  ``tries``: pulls this arming has already sent."""
         if self._gap_pull_timer is not None:
             return
         rtt = self.session.stats_for(pusher).rtt
         grace = _GAP_PULL_GRACE if rtt is None else max(_GAP_PULL_GRACE, 2.0 * rtt)
-        self.repair_stats.gap_pulls_armed += 1
+        if not tries:
+            self.repair_stats.gap_pulls_armed += 1
         self._gap_pull_timer = asyncio.get_running_loop().call_later(
-            grace, self._gap_pull, message_id, pusher
+            grace, self._gap_pull, message_id, pusher, tries
         )
 
-    def _gap_pull(self, message_id: Tuple[str, int], pusher: Address) -> None:
+    def _gap_pull(self, message_id: Tuple[str, int], pusher: Address, tries: int) -> None:
         self._gap_pull_timer = None
         if message_id in self._delivered:
             # The wave closed this gap.  A push that arrived ahead of its
             # past while the timer ran armed nothing (one timer per
-            # node): give the oldest one still pending a grace of its
-            # own, or its gap waits for the next anti-entropy round.
+            # node): give the oldest message still waiting a grace of
+            # its own, or its gap waits for the next anti-entropy round.
             if self.endpoint.pending_count:
                 self._arm_gap_pull(self.endpoint.pending_messages()[0].message_id, pusher)
+            elif self._parked:
+                (sender, ref_seq), (_, parked_by) = next(iter(self._parked.items()))
+                self._arm_gap_pull((sender, ref_seq + 1), parked_by)
+            return
+        waiting = self._is_parked(message_id) or self.endpoint.has_seen(message_id)
+        if not waiting or not self._sender_in_view(message_id[0]):
+            # Purged with its sender, or dropped: nothing to pull for.
             return
         if self._request_resync(pusher):
             self.repair_stats.gap_pulls += 1
             self._gap_pull_open = message_id
+        # The pusher may lack the gap too (with exact per-sender order it
+        # often parked the same delta): while the message waits, ask the
+        # next partner a grace later — one pass over the digest targets,
+        # then the periodic round takes over, so a gap nobody can close
+        # costs a few digests, not a stream.  Backing off instead left
+        # heal-burst gaps open longer, and the concurrent traffic
+        # meanwhile raised ε (EXPERIMENTS.md, "One delta rule").
+        if tries + 1 < len(self._anti_entropy_targets()):
+            partner = self._next_partner()
+            if partner is not None:
+                self._arm_gap_pull(message_id, partner, tries + 1)
 
     def _close_gap_pull(self, by_relay: bool) -> None:
         """An arrival delivered something: if that released the message
@@ -1575,6 +1540,20 @@ class ReliableCausalNode:
             or (self.overlay is not None and address in self.overlay)
         ) and self._overlay_live(address)
 
+    def _digest(self) -> Frontiers:
+        """What this node holds, for a digest: the store's coverage plus
+        every parked delta.  A parked message is here — only its
+        reference is missing — and a digest that named it as missing
+        would draw it again."""
+        frontiers = self.store.frontiers()
+        parked: Dict[str, Set[int]] = {}
+        for sender, ref_seq in self._parked:
+            parked.setdefault(sender, set()).add(ref_seq + 1)
+        for sender, seqs in parked.items():
+            contiguous, extras = frontiers.get(sender, (0, ()))
+            frontiers[sender] = (contiguous, tuple(sorted(seqs.union(extras))))
+        return frontiers
+
     def _spawn_heal(self, address: Address) -> None:
         task = asyncio.get_running_loop().create_task(self._heal_peer(address))
         self._heal_tasks.add(task)
@@ -1588,7 +1567,7 @@ class ReliableCausalNode:
             # now would re-create the session state just purged.
             return
         try:
-            await self.session.send_digest(address, self.store.frontiers())
+            await self.session.send_digest(address, self._digest())
         except Exception:
             # A digest that fails to send is retried next round.
             pass
@@ -1617,10 +1596,6 @@ class ReliableCausalNode:
                     clock.snapshot(),
                     clock.send_count,
                     self.session.link_states(),
-                    delta_refs={
-                        sender: (seq, vector.tolist(), keys)
-                        for sender, (seq, vector, keys) in self._ref_in_use.items()
-                    },
                     detector=(detector_stats.checks, detector_stats.alerts),
                 )
                 self.trace.emit(
@@ -1718,11 +1693,8 @@ class ReliableCausalNode:
                 journal.delivered_frontiers() if journal is not None else {},
             ),
             "pending": self.endpoint.pending_count,
-            "reference_slots": len(self._ref_in_use) + len(self._ref_newest),
-            "delta_tx_links": len(self._delta_tx),
-            "delta_tx_inflight": sum(
-                len(tx.inflight) for tx in self._delta_tx.values()
-            ),
+            "reference_slots": len(self._ref_newest),
+            "parked_deltas": len(self._parked),
             "evicted_peers": len(self._evicted_peers),
             "stale_warned": len(self._stale_warned),
             "stale_senders_warned": len(self._stale_senders_warned),

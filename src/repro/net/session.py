@@ -205,9 +205,11 @@ class TransportStats:
         delta_sent / delta_received: messages that crossed this link in
             the O(K) DELTA encoding (counted by the node layer).
         full_sent / full_received: messages in the full-vector encoding.
-        delta_ref_misses: delta messages dropped because the reference
-            vector was unknown (e.g. after a crash restart); each miss
-            triggers an anti-entropy resync that re-delivers them full.
+        delta_ref_misses: delta messages dropped because the receiver
+            no longer holds the reference it once recorded (a crash
+            restart, store eviction) or had no room to park the delta;
+            each miss triggers an anti-entropy resync that re-delivers
+            them full.
         control_sent / control_received: membership control frames
             (VIEW/JOIN/JOIN_ACK/LEAVE) crossing this link.
         relay_sent / relay_received: overlay RELAY envelopes crossing
@@ -332,9 +334,6 @@ class _PeerState:
         # maximally cumulative.
         self.ack_pending = False
         self.ack_aged = False
-        # Highest cumulative ack received from this peer (what the node
-        # layer keys its delta-encoding references on).
-        self.tx_acked = 0
         # Event-loop time of the last datagram sent to this peer (lets
         # the liveness layer skip heartbeats when traffic already flows).
         self.last_send = -1.0
@@ -554,16 +553,6 @@ class ReliableSession:
         """Frames awaiting acknowledgement from ``address``."""
         state = self._peers.get(address)
         return len(state.unacked) if state is not None else 0
-
-    def acked_cumulative(self, address: Address) -> int:
-        """Highest cumulative link seq ``address`` has acknowledged.
-
-        Monotone per link; the node layer keys its delta-encoding
-        references on it (a message the peer acked is a vector the peer
-        is guaranteed to hold).
-        """
-        state = self._peers.get(address)
-        return state.tx_acked if state is not None else 0
 
     def peer_stats(self, address: Address) -> TransportStats:
         """Live (mutable) counters for ``address``, created on demand.
@@ -986,7 +975,6 @@ class ReliableSession:
 
     def _on_ack(self, state: _PeerState, frame: AckFrame, now: float) -> None:
         state.stats.acks_received += 1
-        state.tx_acked = max(state.tx_acked, frame.cumulative)
         sacked = set(frame.sacks)
         for seq in [
             s for s in state.unacked if s <= frame.cumulative or s in sacked

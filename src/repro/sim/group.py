@@ -100,7 +100,8 @@ class Group:
     @classmethod
     async def start(cls, size: int, config: Config, seed: int, loss_rate: float,
                     delay_model: DelayModel, judged=False, split=None, ring=None,
-                    duplicate_rate: float = 0.0, capacity=None) -> "Group":
+                    duplicate_rate: float = 0.0, capacity=None,
+                    faults: Optional[Dict[str, Any]] = None) -> "Group":
         """Start ``size`` nodes and wire them.
 
         A config with membership forms the group by joining (give every
@@ -109,8 +110,12 @@ class Group:
         ``split=(start, end)`` drops every datagram between an
         even-numbered and an odd-numbered node for those virtual
         seconds, counted from the moment the group is wired (a restarted
-        node is not cut).  ``capacity`` is the oracle's slot count when
-        joins will outgrow ``size``."""
+        node is not cut).  ``faults`` are
+        :class:`~repro.net.faults.FaultyTransport` rates applied to every
+        node's sends (``drop_rate=0.05, reorder_rate=0.1`` is the
+        benchmark's ``mesh4_lossy``), drawn from the seed per node.
+        ``capacity`` is the oracle's slot count when joins will outgrow
+        ``size``."""
         bus = LocalAsyncBus(
             delay_model, rng=RandomSource(seed).spawn("bus"),
             loss_rate=loss_rate, duplicate_rate=duplicate_rate,
@@ -123,10 +128,14 @@ class Group:
             if judged:
                 oracle.register_node(name)
             transport = bus.attach(name)
-            if split is not None:
-                transport = FaultyTransport(transport, windows=[FaultWindow(
-                    *split, drop=True, peers=names[(index + 1) % 2::2]
-                )])
+            if split is not None or faults:
+                transport = FaultyTransport(
+                    transport, rng=RandomSource(seed).spawn(f"faults/{name}"),
+                    windows=[FaultWindow(
+                        *split, drop=True, peers=names[(index + 1) % 2::2]
+                    )] if split is not None else (),
+                    **(faults or {}),
+                )
                 group._cut.append(transport)
             group.nodes.append(await group._create(name, transport))
         for index, node in enumerate(group.nodes):

@@ -9,7 +9,9 @@
   coverage through ``ReliableCausalNode.adopt_coverage``, so the seen
   filter, the store and the delivered coverage cannot disagree; a
   snapshot and WAL written by the tree before the coverage types were
-  unified load unchanged and are reproduced byte for byte.
+  unified load unchanged (the snapshot's delta-reference record, which
+  nothing reads any more, included) and are reproduced byte for byte
+  less that record.
 """
 
 import asyncio
@@ -96,6 +98,8 @@ def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path):
         finally:
             await asyncio.gather(*(node.close() for node in nodes.values()))
         for name in names:
+            # Settled: no delta still waits for its reference.
+            assert early[name]["parked_deltas"] == late[name]["parked_deltas"] == 0
             assert early[name]["recent_deliveries"] == _RECENT_DELIVERIES
             assert early[name]["store_messages"] == 128
             assert late[name]["journal_senders"] == (3 if journalled else 0)
@@ -147,8 +151,10 @@ def test_deliveries_is_the_most_recent_window_and_counts_stay_exact():
 # (e) one adopt path, and the parent's journal loads unchanged
 # ----------------------------------------------------------------------
 
-# Written by the tree this change started from (its own _Frontier
-# coverage), by the operations of write_reference_journal() below.
+# Written by the tree before the coverage types were unified (its own
+# _Frontier coverage), by the operations of write_reference_journal()
+# below — and with the "delta_refs" record that trees before the one
+# delta rule kept; a restart still loads it and ignores the record.
 PARENT_SNAPSHOT = (
     '{"node":"n","r":8,"k":[0,1],"keys_now":[0,1],"view":null,'
     '"vector":[1,1,2,2,1,1,0,0],"send_seq":1,'
@@ -163,6 +169,8 @@ PARENT_WAL = (
     '{"t":"dlv","s":"c","q":1,"k":[4,5]}\n'
 )
 RECOVERED_COVERAGE = {"n": (2, ()), "b": (3, ()), "c": (2, ())}
+# What write_reference_journal() writes now.
+SNAPSHOT = PARENT_SNAPSHOT.replace(',"delta_refs":{"b":[1,[0,0,1,1,0,0,0,0],[2,3]]}', "")
 
 
 def write_reference_journal(directory):
@@ -177,7 +185,6 @@ def write_reference_journal(directory):
     journal.write_snapshot(
         [1, 1, 2, 2, 1, 1, 0, 0], 1,
         {("127.0.0.1", 9000): (3, 2, (4,))},
-        delta_refs={"b": (1, (0, 0, 1, 1, 0, 0, 0, 0), (2, 3))},
         detector=(3, 1),
     )
     journal.record_delivery("b", 2, (2, 3))  # fills the gap
@@ -193,7 +200,8 @@ def read(directory, name):
 
 def test_journal_files_are_byte_identical_to_the_parents(tmp_path):
     write_reference_journal(str(tmp_path))
-    assert read(tmp_path, "snapshot.json") == PARENT_SNAPSHOT
+    assert SNAPSHOT != PARENT_SNAPSHOT
+    assert read(tmp_path, "snapshot.json") == SNAPSHOT
     assert read(tmp_path, "wal.log") == PARENT_WAL
 
 

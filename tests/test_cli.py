@@ -293,18 +293,17 @@ class TestStatsCommand:
 
     def test_fleet_merge_recomputes_the_delta_health_gauges(self, capsys, tmp_path):
         """Summing a ratio over nodes is meaningless: the merged view is
-        misses over arriving deltas fleet-wide, and the stalest age."""
+        misses over arriving deltas fleet-wide."""
         from repro.obs import JsonlExporter, MetricsRegistry
 
         paths = []
-        for name, misses, decoded, age in (("a", 30, 70, 12), ("b", 0, 300, 40)):
+        for name, misses, decoded in (("a", 30, 70), ("b", 0, 300)):
             registry = MetricsRegistry(labels={"node": name})
             registry.counter("repro_wire_delta_ref_misses_total").inc(misses)
             registry.counter("repro_wire_delta_received_total").inc(decoded)
             registry.gauge("repro_delta_ref_miss_ratio").set(
                 misses / (misses + decoded)
             )
-            registry.gauge("repro_delta_ref_age").set(age)
             paths.append(tmp_path / f"{name}.jsonl")
             with JsonlExporter(paths[-1]) as exporter:
                 exporter.export(registry.snapshot(), ts=1.0)
@@ -312,9 +311,8 @@ class TestStatsCommand:
         assert code == 0
         gauges = json.loads(out)["gauges"]
         assert gauges["repro_delta_ref_miss_ratio"] == pytest.approx(30 / 400)
-        assert gauges["repro_delta_ref_age"] == 40
         code, out = run_cli(capsys, "stats", str(paths[0]))
-        assert "repro_delta_ref_miss_ratio" in out and "repro_delta_ref_age" in out
+        assert "repro_delta_ref_miss_ratio" in out
 
     def test_missing_file_fails_cleanly(self, capsys, tmp_path):
         code = main(["stats", str(tmp_path / "absent.jsonl")])

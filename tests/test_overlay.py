@@ -37,7 +37,6 @@ from repro.core.codec import CodecError, FrameCodec, MemberRecord, MessageCodec,
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import PerfectKeyAssigner
 from repro.net import LocalAsyncBus
-from repro.net.node import _GAP_PULL_GRACE
 from repro.net.overlay import PartialView
 from repro.sim.group import Group, disjoint_keys, wait_for
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
@@ -406,12 +405,12 @@ def test_swarm_converges_oracle_clean_from_a_sparse_ring(seed):
 
 async def busiest_node_datagrams(dissemination: str, size: int, seed: int = 29) -> float:
     """One source, no loss: ``n0`` broadcasts 8 warm-up messages (they
-    spread the views past the seed ring and every link past its first
-    full encodings), then 12 counted ones, 20 ms apart.  Returns the
-    largest datagrams sent per counted message by any one node — the
-    origin on the mesh, the busiest relayer on the overlay.  The mesh
-    runs without anti-entropy (its O(N) digests would blur the line);
-    the overlay keeps a 1 s round and is charged for it."""
+    spread the views past the seed ring), then 12 counted ones, 20 ms
+    apart.  Returns the largest datagrams sent per counted message by
+    any one node — the origin on the mesh, the busiest relayer on the
+    overlay.  The mesh runs without anti-entropy (its O(N) digests would
+    blur the line); the overlay keeps a 1 s round and is charged for
+    it."""
     overlay = dissemination == "overlay"
     config = NodeConfig(
         r=64, k=3, anti_entropy_interval=1.0 if overlay else 0.0,
@@ -435,8 +434,9 @@ async def busiest_node_datagrams(dissemination: str, size: int, seed: int = 29) 
 
 def test_overlay_cost_per_node_stays_flat_as_the_swarm_doubles():
     """The overlay's scaling claim, exact for the seed: at fanout 3 the
-    busiest node pays the same per message at N = 32 and 64, while the
-    mesh's origin pays N − 1."""
+    busiest node pays about the same per message at N = 32 and 64 (3.33
+    and 3.33 on the tree before the one delta rule), while the mesh's
+    origin pays N − 1."""
     cost = {
         (mode, size): run_virtual(busiest_node_datagrams(mode, size))
         for mode in ("mesh", "overlay") for size in (32, 64)
@@ -444,7 +444,7 @@ def test_overlay_cost_per_node_stays_flat_as_the_swarm_doubles():
     assert cost["mesh", 64] >= 1.6 * cost["mesh", 32], cost
     assert cost["overlay", 64] <= 1.5 * cost["overlay", 32], cost
     assert {key: round(value, 2) for key, value in cost.items()} == {
-        ("mesh", 32): 31.0, ("mesh", 64): 63.0, ("overlay", 32): 3.33, ("overlay", 64): 3.33,
+        ("mesh", 32): 31.0, ("mesh", 64): 63.0, ("overlay", 32): 3.25, ("overlay", 64): 3.33,
     }, cost
 
 
@@ -455,12 +455,12 @@ def test_overlay_cost_per_node_stays_flat_as_the_swarm_doubles():
 REKEY_GROUP = 6
 
 
-def rekey_config(name):
-    """Membership over the overlay: ``n0`` founds the group on keys
-    (0, 1, 2) of a perfect assigner, so every key set is disjoint and
-    the delivery condition exact."""
+def rekey_config(name, dissemination="overlay"):
+    """Membership over the overlay (or the mesh): ``n0`` founds the
+    group on keys (0, 1, 2) of a perfect assigner, so every key set is
+    disjoint and the delivery condition exact."""
     return NodeConfig(
-        r=64, k=3, dissemination="overlay", fanout=3, view_size=8,
+        r=64, k=3, dissemination=dissemination, fanout=3, view_size=8,
         retransmit=RetransmitPolicy(initial_timeout=0.02), anti_entropy_interval=0.1,
         keys=(0, 1, 2) if name == "n0" else None,
         membership=MembershipConfig(
@@ -470,14 +470,14 @@ def rekey_config(name):
     )
 
 
-async def rekey_mid_traffic(seed):
+async def rekey_mid_traffic(seed, dissemination="overlay"):
     """Six members broadcast at 10/s each (every broadcast a delta
     against the sender's previous one); the coordinator re-tiles K 3 → 2
     a second into it.  Returns the oracle's verdict, each member's new
     keys, and every delivery record."""
     group = await Group.start(
-        0, rekey_config, seed, 0.0, GaussianDelayModel(5.0, 1.0, 1.0), judged=True,
-        capacity=REKEY_GROUP,
+        0, lambda name: rekey_config(name, dissemination), seed, 0.0,
+        GaussianDelayModel(5.0, 1.0, 1.0), judged=True, capacity=REKEY_GROUP,
     )
     async with group:
         founder = await group.join("n0", assigner=PerfectKeyAssigner(64, 3))
@@ -497,15 +497,9 @@ async def rekey_mid_traffic(seed):
         return group.counts(), keys, records
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_a_rekey_mid_traffic_takes_the_relay_reference_with_it(seed):
-    """The stale-key bug class on the relay path.  A delta carries no
-    keys, so a receiver rebuilds it with the keys of the message it
-    names.  ``flush_delta_refs`` must drop the origin's previous-broadcast
-    slot, or its first post-bump broadcast names a pre-bump one and is
-    delivered everywhere under the old keys."""
-    counts, keys, records = run_virtual(rekey_mid_traffic(seed))
-    assert counts["violations"] == 0, counts
+def post_bump_deliveries_under_old_keys(keys, records):
+    """Every delivery of a sender's broadcasts from its first one under
+    its new keys on, rebuilt with any other key set."""
     # A sender's first broadcast under its new keys, from its own record.
     first = {
         name: min(
@@ -520,7 +514,29 @@ def test_a_rekey_mid_traffic_takes_the_relay_reference_with_it(seed):
         if not record.local and record.message.seq >= first[record.message.sender]
     ]
     assert len(post_bump) > 100, len(post_bump)
-    stale = [entry for entry in post_bump if entry[2] != keys[entry[1][0]]]
+    return [entry for entry in post_bump if entry[2] != keys[entry[1][0]]]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_rekey_mid_traffic_takes_the_relay_reference_with_it(seed):
+    """The stale-key bug class on the relay path.  A delta carries no
+    keys, so a receiver rebuilds it with the keys of the message it
+    names.  ``reset_delta_reference`` must drop the origin's
+    previous-broadcast slot, or its first post-bump broadcast names a
+    pre-bump one and is delivered everywhere under the old keys."""
+    counts, keys, records = run_virtual(rekey_mid_traffic(seed))
+    assert counts["violations"] == 0, counts
+    stale = post_bump_deliveries_under_old_keys(keys, records)
+    assert not stale, stale[:5]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_rekey_mid_traffic_takes_the_mesh_reference_with_it(seed):
+    """The same on the mesh, whose links name the sender's previous
+    broadcast too since there is one delta rule."""
+    counts, keys, records = run_virtual(rekey_mid_traffic(seed, "mesh"))
+    assert counts["violations"] == 0, counts
+    stale = post_bump_deliveries_under_old_keys(keys, records)
     assert not stale, stale[:5]
 
 
@@ -580,6 +596,14 @@ class RelayRig:
         await self.bus.drain()
 
 
+def forget_everything(node):
+    """What a restart without a journal loses: the reference slots and
+    the store's bytes (its coverage stays)."""
+    node._ref_newest.clear()
+    node.store._data.clear()
+    node.store._order.clear()
+
+
 class TestRelayAdmission:
     def test_delta_body_is_delivered_and_forwarded_verbatim(self):
         async def scenario():
@@ -622,37 +646,69 @@ class TestRelayAdmission:
                 up, down = rig.node.transport_stats("up"), rig.node.transport_stats("down")
                 assert (up.full_received, up.delta_received) == (1, 2)
                 assert (down.full_sent, down.delta_sent) == (1, 2)
-                await rig.relay(5, rig.delta(4, ref=3))  # reference (4) never came
+                forget_everything(rig.node)
+                await rig.relay(4, rig.delta(3, ref=2))  # reference (3) held no more
                 gauges = rig.node.metrics.snapshot()["gauges"]
                 assert gauges["repro_delta_ref_miss_ratio"] == pytest.approx(1 / 3)
 
         asyncio.run(scenario())
 
     def test_a_delta_whose_reference_is_missing_is_a_counted_miss(self):
-        """Not delivered, not forwarded, not marked seen (a later copy
-        may still resolve), and one resync digest to the pusher."""
+        """A reference this node recorded but no longer holds (a restart,
+        an eviction) cannot arrive again: the delta is not delivered,
+        not forwarded, not marked seen (a later copy may still resolve),
+        and one resync digest goes to the pusher."""
 
         async def scenario():
             async with RelayRig() as rig:
                 await rig.relay(1, rig.full(0))
+                await rig.relay(2, rig.delta(1))
+                forget_everything(rig.node)
                 await rig.relay(3, rig.delta(2, ref=1))
                 await rig.relay(3, rig.delta(2, ref=1))  # rate-limited resync
                 await asyncio.sleep(0.01)
                 node = rig.node
                 assert node.transport_stats("up").delta_ref_misses == 2
-                assert node.delivered_payloads() == ["m1"]
-                assert [frame.seq for frame in rig.forwarded] == [1]
+                assert node.delivered_payloads() == ["m1", "m2"]
+                assert [frame.seq for frame in rig.forwarded] == [1, 2]
                 assert not node.endpoint.has_seen(("origin", 3))
+                assert node.state_sizes()["parked_deltas"] == 0
                 assert node.transport_stats("up").digests_sent == 1
                 assert node.decode_errors == 0
 
         run_virtual(scenario())
 
-    def test_the_origin_ships_full_within_the_grace_and_a_delta_after_it(self):
-        """Back to back, the waves of (o, s − 1) and (o, s) overlap and
-        a receiver could meet the delta first: the origin sends full.
-        Once the previous broadcast left a grace ago, it sends a delta
-        against it.  A re-key (``flush_delta_refs``) starts over full."""
+    def test_a_delta_that_outruns_its_reference_waits_for_it(self):
+        """A reference never recorded is in flight or lost: the delta is
+        parked — forwarded (downstream may hold the reference), its
+        copies absorbed as duplicates, covered by the node's digest — and
+        admitted the moment its reference is."""
+
+        async def scenario():
+            async with RelayRig() as rig:
+                node = rig.node
+                await rig.relay(1, rig.full(0))
+                await rig.relay(3, rig.delta(2, ref=1))
+                await rig.relay(3, rig.delta(2, ref=1))  # a second copy
+                assert node.delivered_payloads() == ["m1"]
+                assert node.state_sizes()["parked_deltas"] == 1
+                assert [frame.seq for frame in rig.forwarded] == [1, 3]
+                assert node.overlay.stats.relay_duplicates == 1
+                assert node._digest()["origin"] == (1, (3,))
+                await rig.relay(2, rig.delta(1))
+                assert node.delivered_payloads() == ["m1", "m2", "m3"]
+                assert node.state_sizes()["parked_deltas"] == 0
+                assert node.store.get("origin", 3) == rig.full(2)
+                up = node.transport_stats("up")
+                assert (up.delta_received, up.delta_ref_misses) == (2, 0)
+                assert node.decode_errors == 0
+
+        run_virtual(scenario())
+
+    def test_the_origin_ships_a_delta_against_its_previous_broadcast(self):
+        """Back to back or not: a receiver that meets the delta before
+        (o, s − 1) parks it, so the origin needs no grace.  A re-key
+        (``reset_delta_reference``) starts over full."""
 
         async def scenario():
             async with RelayRig() as rig:
@@ -664,19 +720,16 @@ class TestRelayAdmission:
                     deltas.append(MessageCodec.is_delta(rig.forwarded[-1].payload))
 
                 await send("a")
-                await send("b")  # within the grace of "a"
-                await asyncio.sleep(_GAP_PULL_GRACE)
+                await send("b")
                 await send("c")
-                await asyncio.sleep(_GAP_PULL_GRACE)
-                rig.node.flush_delta_refs()
+                rig.node.reset_delta_reference()
                 await send("d")
-                await asyncio.sleep(_GAP_PULL_GRACE)
                 await send("e")
                 return deltas, rig.node.transport_stats("down")
 
         deltas, down = run_virtual(scenario())
-        assert deltas == [False, False, True, False, True]
-        assert (down.full_sent, down.delta_sent) == (3, 2)
+        assert deltas == [False, True, True, False, True]
+        assert (down.full_sent, down.delta_sent) == (2, 3)
 
     def test_envelope_contradicting_its_body_is_a_decode_error(self):
         async def scenario():
