@@ -97,12 +97,9 @@ class NodeConfig:
         tx_batch: send-burst budget — max datagrams it writes per flush
             pass.
         payload_codec: application payload wire format: ``json`` | ``raw``.
-        retransmit: the reliable session's tuning — timeouts, backoff,
-            send buffer, coalescing, the retransmit tick that times
-            held acks; see
-            :class:`~repro.net.session.RetransmitPolicy`.
+        retransmit: the reliable session's first retransmit timeout;
+            see :class:`~repro.net.session.RetransmitPolicy`.
         anti_entropy_interval: seconds between digest rounds (0 disables).
-        store_limit: bound on the recent-messages store serving anti-entropy.
         max_pending: optional safety bound on the endpoint's pending queue.
 
     Dissemination (used by :func:`create_node`):
@@ -173,7 +170,6 @@ class NodeConfig:
     payload_codec: str = "json"
     retransmit: RetransmitPolicy = RetransmitPolicy()
     anti_entropy_interval: float = 0.5
-    store_limit: int = 8192
     max_pending: Optional[int] = None
     dissemination: str = "mesh"
     fanout: int = 3
@@ -425,7 +421,6 @@ async def create_node(
         on_delivery=on_delivery,
         policy=config.retransmit,
         anti_entropy_interval=config.anti_entropy_interval,
-        store_limit=config.store_limit,
         max_pending=config.max_pending,
         journal=journal,
         liveness=config.liveness,

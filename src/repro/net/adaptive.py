@@ -13,9 +13,9 @@ closes that loop at runtime (DESIGN.md §11):
 * an :class:`EpochPlanner` compares the measured alert rate against a
   target band and, when the band is breached, asks
   :func:`repro.core.theory.optimal_k_int` for the integer optimum at X̂
-  — guarded by the same hysteresis rule the simulator's adaptive mode
-  uses (P_err is nearly flat around its optimum, so adjacent-K flapping
-  is pure churn) and a cooldown so one burst cannot thrash the group;
+  — guarded by a hysteresis rule (P_err is nearly flat around its
+  optimum, so adjacent-K flapping is pure churn) and a cooldown so one
+  burst cannot thrash the group;
 * an :class:`AdaptiveClockController` ties both to a live node: every
   ``interval`` seconds it samples the registry, and when this node is
   the acting coordinator (the PR 7 deterministic rule in
@@ -47,6 +47,14 @@ __all__ = [
     "AdaptiveClockController",
 ]
 
+# A bump must shrink the predicted P_err below this fraction of the
+# current geometry's to be worth a fleet-wide re-key: K next to the
+# optimum is within 10 % of it (R = 128, X = 10: +1.8 % and +3.0 %).
+_HYSTERESIS = 0.8
+# X̂ below this (a tenth of a message in flight) is an idle group, and
+# never triggers a bump.
+_X_FLOOR = 0.1
+
 
 @dataclass(frozen=True)
 class AdaptivePolicy:
@@ -57,14 +65,8 @@ class AdaptivePolicy:
         band: target alert-rate band ``(low, high)`` as alerts per
             delivery.  Inside the band the controller holds the current
             geometry; outside it, it re-tiles to theory's optimum.
-        k_max: hard upper bound on the negotiated K (the simulator's
-            adaptive mode uses the same cap).
-        hysteresis: a bump must shrink the predicted P_err below
-            ``hysteresis * P_err(current)`` to be worth a fleet-wide
-            re-key; 1.0 disables the guard.
+        k_max: hard upper bound on the negotiated K.
         cooldown: minimum seconds between two epoch bumps.
-        x_floor: X̂ estimates below this are treated as "no traffic"
-            and never trigger a bump.
         min_window: minimum deliveries a sampling window must contain
             before its estimate is trusted.
     """
@@ -72,9 +74,7 @@ class AdaptivePolicy:
     interval: float = 5.0
     band: Tuple[float, float] = (0.0, 0.05)
     k_max: int = 16
-    hysteresis: float = 0.8
     cooldown: float = 30.0
-    x_floor: float = 0.1
     min_window: int = 20
 
     def __post_init__(self) -> None:
@@ -90,10 +90,6 @@ class AdaptivePolicy:
             )
         if self.k_max < 1:
             raise ConfigurationError(f"k_max must be >= 1, got {self.k_max}")
-        if not 0.0 < self.hysteresis <= 1.0:
-            raise ConfigurationError(
-                f"hysteresis must lie in (0, 1], got {self.hysteresis}"
-            )
         if self.cooldown < 0:
             raise ConfigurationError(
                 f"cooldown must be >= 0, got {self.cooldown}"
@@ -240,13 +236,13 @@ class EpochPlanner:
     The rule, in order:
 
     1. hold while the cooldown since the last accepted bump runs;
-    2. hold when X̂ is below the policy floor (idle group);
+    2. hold when X̂ is below ``_X_FLOOR`` (idle group);
     3. hold while the measured alert rate sits inside the target band —
        the geometry is doing its job, re-keying buys nothing;
     4. outside the band, ask theory for ``optimal_k_int(R, X̂)``
        (clamped to ``k_max``); hold if it matches the current K;
     5. hysteresis: the move must shrink the predicted P_err at X̂ below
-       ``hysteresis x P_err(current K, X̂)``, or the bump is flapping
+       ``_HYSTERESIS x P_err(current K, X̂)``, or the bump is flapping
        around a flat optimum and is rejected.
     """
 
@@ -274,7 +270,7 @@ class EpochPlanner:
             and now - self._last_bump < policy.cooldown
         ):
             return None
-        if window.x_estimate < policy.x_floor:
+        if window.x_estimate < _X_FLOOR:
             return None
         low, high = policy.band
         if low <= window.alert_rate <= high:
@@ -284,7 +280,7 @@ class EpochPlanner:
             return None
         current_err = p_error(self.r, current_k, window.x_estimate)
         target_err = p_error(self.r, target, window.x_estimate)
-        if target_err >= policy.hysteresis * current_err:
+        if target_err >= _HYSTERESIS * current_err:
             return None
         return target
 

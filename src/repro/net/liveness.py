@@ -1,7 +1,7 @@
 """Peer liveness: heartbeats, a timeout failure detector, quarantine.
 
 Retransmission assumes the peer is *there*: a crashed or partitioned
-peer turns every unacked frame into ``max_retries`` futile resends, and
+peer turns every unacked frame into ``_MAX_RETRIES`` futile resends, and
 a bounded send buffer full of its frames backpressures the sender's own
 broadcasts.  This module separates "lossy" from "gone":
 

@@ -16,7 +16,7 @@ frames (see ``docs/PROTOCOL.md`` §9):
   starts announcing (and can evict the corpse) without an election.
 * **JOIN / JOIN_ACK** — the joining handshake.  The joiner sends JOIN to
   its seed peers and retries with exponential backoff
-  (``join_timeout`` · ``join_backoff``ⁿ, up to ``join_retries``
+  (``join_timeout`` · ``_JOIN_BACKOFF``ⁿ, up to ``join_retries``
   retries).  The acting coordinator admits it: grants a
   :class:`~repro.core.keyspace.KeyAssignment` (recycling sets released
   by departed members), installs the bumped view, and replies with a
@@ -76,6 +76,14 @@ logger = logging.getLogger(__name__)
 # How many spaced copies of a LEAVE announcement leave() emits; see its
 # docstring for why one datagram is not enough on a lossy path.
 _LEAVE_BURST = 3
+# Multiplier on the JOIN timeout after each unanswered attempt: the
+# default 1 s timeout and five retries wait 63 s in all.
+_JOIN_BACKOFF = 2.0
+# Seconds between the acting coordinator's VIEW re-announcements (the
+# VIEW-loss healing mechanism) and eviction sweeps: a fifth of the
+# default ``evict_after``, which a quarantined member thus outlives by
+# at most one sweep.
+_ANNOUNCE_INTERVAL = 2.0
 
 Address = Hashable
 
@@ -88,22 +96,18 @@ class MembershipConfig:
         seed_peers: addresses of running members a joiner contacts first;
             empty for the bootstrap node.
         join_timeout: seconds to wait for a JOIN_ACK before retrying.
-        join_retries: JOIN retransmissions after the first attempt.
-        join_backoff: multiplier on the timeout after each attempt.
+        join_retries: JOIN retransmissions after the first attempt (the
+            timeout grows ``_JOIN_BACKOFF``-fold after each).
         evict_after: seconds a member may sit in liveness quarantine
             before the acting coordinator expels it from the view
-            (0 disables forced eviction).
-        announce_interval: seconds between the coordinator's periodic
-            VIEW re-announcements (the VIEW-loss healing mechanism) and
-            eviction sweeps.
+            (0 disables forced eviction; the coordinator sweeps every
+            ``_ANNOUNCE_INTERVAL``).
     """
 
     seed_peers: Tuple[Address, ...] = ()
     join_timeout: float = 1.0
     join_retries: int = 5
-    join_backoff: float = 2.0
     evict_after: float = 10.0
-    announce_interval: float = 2.0
 
     def __post_init__(self) -> None:
         if self.join_timeout <= 0:
@@ -114,17 +118,9 @@ class MembershipConfig:
             raise ConfigurationError(
                 f"join_retries must be >= 0, got {self.join_retries}"
             )
-        if self.join_backoff < 1.0:
-            raise ConfigurationError(
-                f"join_backoff must be >= 1, got {self.join_backoff}"
-            )
         if self.evict_after < 0:
             raise ConfigurationError(
                 f"evict_after must be >= 0, got {self.evict_after}"
-            )
-        if self.announce_interval <= 0:
-            raise ConfigurationError(
-                f"announce_interval must be > 0, got {self.announce_interval}"
             )
 
 
@@ -389,7 +385,7 @@ class GroupMembership:
             try:
                 ack, addr = await asyncio.wait_for(self._join_future, timeout)
             except asyncio.TimeoutError:
-                timeout *= self.config.join_backoff
+                timeout *= _JOIN_BACKOFF
                 continue
             finally:
                 self._join_future = None
@@ -677,7 +673,7 @@ class GroupMembership:
 
     async def _loop(self) -> None:
         while True:
-            await asyncio.sleep(self.config.announce_interval)
+            await asyncio.sleep(_ANNOUNCE_INTERVAL)
             if not self.joined or self._view is None:
                 continue
             if self.acting_coordinator() != self.node_id:

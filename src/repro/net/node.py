@@ -158,23 +158,18 @@ class MessageStore:
     — per sender, the *contiguous frontier* (every seq up to it is
     known) plus any out-of-order extras — exactly the shape of the
     anti-entropy digest.  Old message *bytes* are evicted FIFO beyond
-    ``limit`` (the coverage stays, so digests remain truthful; evicted
-    messages simply can no longer be served).
+    ``_STORE_LIMIT`` (the coverage stays, so digests remain truthful;
+    evicted messages simply can no longer be served).
 
-    **Sizing tradeoff**: ``limit`` bounds memory, but an evicted message
+    **Sizing tradeoff**: the limit bounds memory, but an evicted message
     is silently unservable to anti-entropy — a peer that missed it and
     lost every retransmission can then only be healed by a *third* node
-    that still holds the bytes.  Size the store to cover the longest
-    partition you intend to survive (``limit >= peak aggregate send
-    rate x longest partition``); :attr:`stats` counts evictions and
+    that still holds the bytes.  :attr:`stats` counts evictions and
     digest requests that hit the evicted range, and the first such
     unservable request is logged as a warning.
     """
 
-    def __init__(self, limit: int = 8192) -> None:
-        if limit <= 0:
-            raise ConfigurationError(f"store limit must be positive, got {limit}")
-        self._limit = limit
+    def __init__(self) -> None:
         self._data: Dict[Tuple[str, int], bytes] = {}
         self._order: Deque[Tuple[str, int]] = deque()
         self._coverage = SeenFilter()
@@ -192,7 +187,7 @@ class MessageStore:
             return False
         self._data[key] = data
         self._order.append(key)
-        while len(self._data) > self._limit:
+        while len(self._data) > _STORE_LIMIT:
             evicted_sender, evicted_seq = self._order.popleft()
             self._data.pop((evicted_sender, evicted_seq), None)
             self.stats.evictions += 1
@@ -212,8 +207,9 @@ class MessageStore:
         """Per-sender ``(contiguous, extras)`` — the anti-entropy digest."""
         return self._coverage.frontiers()
 
-    def missing_for(self, remote: Frontiers, limit: int = 256) -> Iterator[bytes]:
-        """Stored encodings the remote digest does not cover (oldest first).
+    def missing_for(self, remote: Frontiers) -> Iterator[bytes]:
+        """Stored encodings the remote digest does not cover (oldest
+        first, at most ``_REPAIRS_PER_DIGEST``).
 
         Also detects (heuristically, via the per-sender evicted high-water
         mark) a request reaching into the evicted range: counted in
@@ -228,7 +224,7 @@ class MessageStore:
                     logger.warning(
                         "anti-entropy request reaches into evicted messages "
                         "(sender %r up to seq %d); this node cannot serve them "
-                        "— raise the store limit to cover longer outages",
+                        "— only a node that still holds them can",
                         sender, high,
                     )
                 break
@@ -247,7 +243,7 @@ class MessageStore:
         for sender, seq in self._order:
             if sender not in behind:
                 continue
-            if served >= limit:
+            if served >= _REPAIRS_PER_DIGEST:
                 return
             contiguous, extras = remote.get(sender, (0, ()))
             if seq <= contiguous or seq in extras:
@@ -316,12 +312,23 @@ class MessageStore:
 # race the wave (EXPERIMENTS.md, "One delta rule": 30 ms sent 25 % more
 # repairs for a 5 % shorter settle).
 _GAP_PULL_GRACE = 0.04
+# Relay envelopes above this hop count are delivered but not forwarded:
+# a backstop against pathological views (a healthy wave needs about
+# log_fanout(N) hops, so 32 covers any plausible swarm many times over).
+_MAX_HOPS = 32
 # Deltas held for a reference not yet admitted, across all senders.  A
 # lost frame parks every later delta of its sender until the frame is
 # retransmitted; one more beyond the bound is a counted miss and a
-# resync instead.  Half the default store: a 600-broadcast burst from
-# each of three peers, every one overtaking its reference, still fits.
+# resync instead.  Half the store: a 600-broadcast burst from each of
+# three peers, every one overtaking its reference, still fits.
 _PARK_LIMIT = 4096
+# Encoded messages a node keeps to answer digests, evicted FIFO beyond
+# it: about four seconds of the 4-node loopback closed loop (4 × ~500
+# broadcasts/s); an older gap heals only from a third node.
+_STORE_LIMIT = 8192
+# Stored messages one digest is answered with; a partner further behind
+# gets the rest on its next digest, so one answer cannot flood a link.
+_REPAIRS_PER_DIGEST = 256
 # Minimum spacing of out-of-band digests to one address (seconds).
 _RESYNC_INTERVAL = 0.05
 # How many delivery records `deliveries` / `delivered_payloads()` look
@@ -377,7 +384,6 @@ class ReliableCausalNode:
         policy: retransmission tuning (see :class:`RetransmitPolicy`).
         anti_entropy_interval: seconds between digest rounds; 0 disables
             the periodic exchange (retransmission-only mode).
-        store_limit: bound on the recent-messages store.
         max_pending: optional safety bound on the endpoint's pending
             queue (always the entry-indexed
             :class:`~repro.core.pending.PendingBuffer`).
@@ -430,7 +436,6 @@ class ReliableCausalNode:
         on_delivery: Optional[DeliveryHandler] = None,
         policy: Optional[RetransmitPolicy] = None,
         anti_entropy_interval: float = 0.5,
-        store_limit: int = 8192,
         max_pending: Optional[int] = None,
         journal: Optional[NodeJournal] = None,
         liveness: Optional[LivenessPolicy] = None,
@@ -514,7 +519,7 @@ class ReliableCausalNode:
         # for the same reason (repro.net.adaptive imports nothing from
         # here, but the assembly order is api's business).
         self.adaptive = None
-        self.store = MessageStore(limit=store_limit)
+        self.store = MessageStore()
         self.journal = journal
         self.liveness = (
             PeerLivenessMonitor(liveness) if liveness is not None else None
@@ -1102,7 +1107,7 @@ class ReliableCausalNode:
                 # Negative deltas mean origin and receiver do not share
                 # a clock; the histogram only tracks comparable pairs.
                 self._relay_latency_histogram.observe(latency)
-        if frame.hops < overlay.max_hops:
+        if frame.hops < _MAX_HOPS:
             sent = self._relay_push(
                 frame.origin, frame.seq, frame.payload,
                 hops=frame.hops + 1, sent_at=frame.sent_at,

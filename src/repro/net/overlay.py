@@ -18,7 +18,7 @@ broadcast (lpbcast) and Nédelec et al.'s relay-based causal broadcast
   endpoint's existing SeenFilter watermark, keyed on the causal
   ``(origin, seq)`` carried in the envelope header);
 * each envelope copy **piggybacks** a small sample of the relayer's
-  view with probability ``merge_probability``, one coin per copy, and
+  view with probability ``_MERGE_PROBABILITY``, one coin per copy, and
   the receiver merges every sample that arrives — the lpbcast throttle
   that keeps one chatty node from colonising every view (merging every
   sample collapses the views rich-get-richer; ``tests/test_overlay.py``
@@ -54,10 +54,13 @@ __all__ = ["OverlayStats", "PartialView"]
 Address = Hashable
 LiveFilter = Callable[[Address], bool]
 
-#: Relay envelopes above this hop count are delivered but not forwarded —
-#: a backstop against pathological view topologies (a healthy wave needs
-#: ~log_fanout(N) hops; 32 covers any plausible swarm many times over).
-DEFAULT_MAX_HOPS = 32
+# View entries sampled into an outgoing envelope, besides the sender:
+# lpbcast's small constant, on which the 64-node swarm test spreads from
+# a 4-peer seed ring.
+_PIGGYBACK_SIZE = 3
+# Chance an envelope copy carries the view sample: the lpbcast throttle
+# above, so a sample rides a quarter of the relay copies.
+_MERGE_PROBABILITY = 0.25
 
 #: Recent piggyback-sample window used for the diversity gauge.
 _DIVERSITY_WINDOW = 256
@@ -104,10 +107,6 @@ class PartialView:
             stamped on outgoing gossip samples).
         fanout: relay targets per push.
         view_size: bound on the partial view (must be >= fanout).
-        piggyback_size: view entries sampled into each outgoing envelope.
-        merge_probability: chance an outgoing envelope copy carries a
-            sample (and so that the receiver folds one in).
-        max_hops: forwarding cutoff carried into relay decisions.
         seed: RNG seed; defaults to a stable hash of ``local_id`` so a
             swarm of nodes does not gossip in lockstep while any single
             node stays reproducible across runs.
@@ -118,9 +117,6 @@ class PartialView:
         local_id: Hashable,
         fanout: int = 3,
         view_size: int = 12,
-        piggyback_size: int = 3,
-        merge_probability: float = 0.25,
-        max_hops: int = DEFAULT_MAX_HOPS,
         seed: Optional[int] = None,
     ) -> None:
         if fanout < 1:
@@ -129,23 +125,8 @@ class PartialView:
             raise ConfigurationError(
                 f"view_size ({view_size}) must be >= fanout ({fanout})"
             )
-        if piggyback_size < 0:
-            raise ConfigurationError(
-                f"piggyback_size must be >= 0, got {piggyback_size}"
-            )
-        if not 0.0 <= merge_probability <= 1.0:
-            raise ConfigurationError(
-                f"merge_probability must lie in [0, 1], got {merge_probability}"
-            )
-        if not 1 <= max_hops <= 255:
-            raise ConfigurationError(
-                f"max_hops must lie in [1, 255], got {max_hops}"
-            )
         self.fanout = fanout
         self.view_size = view_size
-        self.piggyback_size = piggyback_size
-        self.merge_probability = merge_probability
-        self.max_hops = max_hops
         self._local_id = str(local_id)
         self._local_address: Optional[Address] = None
         if seed is None:
@@ -270,18 +251,18 @@ class PartialView:
         return self._eligible((), live_filter)
 
     def carries_sample(self) -> bool:
-        """One ``merge_probability`` coin: whether the next outgoing
+        """One ``_MERGE_PROBABILITY`` coin: whether the next outgoing
         envelope copy carries :meth:`gossip_sample` (one flip per copy,
         so the targets of one push merge independently)."""
-        return self._rng.random() < self.merge_probability
+        return self._rng.random() < _MERGE_PROBABILITY
 
     def gossip_sample(self) -> Tuple[MemberRecord, ...]:
         """The membership sample to piggyback on an outgoing envelope:
-        up to ``piggyback_size`` random view entries plus ourselves (how
+        up to ``_PIGGYBACK_SIZE`` random view entries plus ourselves (how
         a new node's address spreads beyond its seed peers)."""
         sample: List[MemberRecord] = []
-        if self._entries and self.piggyback_size:
-            count = min(self.piggyback_size, len(self._entries))
+        if self._entries:
+            count = min(_PIGGYBACK_SIZE, len(self._entries))
             for address in self._rng.sample(list(self._entries), count):
                 sample.append(
                     MemberRecord(

@@ -15,14 +15,14 @@ so this module adds the classic reliability machinery between a
   gap immediately requests the missing frames instead of waiting for the
   sender's timer;
 * **timer-driven retransmission** with exponential backoff and jitter,
-  bounded by ``max_retries`` (after which the frame is *dropped* and
+  bounded by ``_MAX_RETRIES`` (after which the frame is *dropped* and
   counted — anti-entropy, one layer up, recovers the message);
 * **a bounded send buffer with backpressure** — ``send`` suspends when a
   peer has too many unacknowledged frames in flight, so a dead peer
   cannot make the sender accumulate unbounded state;
 * **frame coalescing** — outgoing frames queue per peer and flush as one
-  BATCH datagram when they fill the ``coalesce_mtu`` budget, when the
-  session's one flush timer fires (``flush_interval`` after the first
+  BATCH datagram when they fill the ``_COALESCE_MTU`` budget, when the
+  session's one flush timer fires (``_FLUSH_INTERVAL`` after the first
   frame queued since the last firing; it flushes every peer with queued
   frames), or on an explicit :meth:`flush`;
   retransmissions, digests and heartbeats ride the same queue, so a
@@ -30,7 +30,7 @@ so this module adds the classic reliability machinery between a
 * **held cumulative acks that ride the data** — received DATA marks the
   link's ack pending; any datagram flushed toward that peer carries it
   in its BATCH header, and only an ack no reverse traffic picked up
-  within two retransmit ticks (``2 * tick_interval``) leaves alone, so
+  within two retransmit ticks (``2 * _TICK_INTERVAL``) leaves alone, so
   one cumulative ACK covers a burst and bidirectional traffic sends no
   standalone ACKs at all;
 * **anti-entropy plumbing** — digest frames (per-sender ``(sender, seq)``
@@ -102,75 +102,65 @@ _RTT_ALPHA = 0.125
 _RTT_BETA = 0.25
 
 
+# The session's tuning.  Only ``RetransmitPolicy.initial_timeout`` is a
+# knob; these are read at call time, so a test may monkeypatch them.
+# Each retransmission doubles the frame's timeout, so a dead or
+# congested peer gets geometrically fewer resends.
+_BACKOFF_FACTOR = 2.0
+# Ceiling on a frame's timeout and the adaptive RTO (s): 0.05 s doubled
+# ten times would wait 51 s.
+_MAX_TIMEOUT = 2.0
+# Resend times spread by up to this fraction of the timeout, so peers
+# that lost the same datagram do not resend in lockstep.
+_JITTER = 0.25
+# Resends per frame before it is dropped and left to anti-entropy:
+# 13–16 s of backoff from the 0.05 s default.
+_MAX_RETRIES = 10
+# Unacked frames per peer before ``send`` suspends: two seconds of a
+# link at the loopback closed loop's ~500 broadcasts/s.
+_SEND_BUFFER = 1024
+# Period of the retransmit scan (s); it also ages held acks, so an ack
+# waits for reverse traffic at most two ticks (20 ms).
+_TICK_INTERVAL = 0.01
+# Minimum delay between two NACKs for one missing frame (s), so a gap
+# that every later datagram exposes asks for its frame once, not per
+# arrival.
+_NACK_INTERVAL = 0.04
+# Frame-coalescing budget per datagram (bytes): under a 1,500-byte
+# Ethernet MTU with room for IP, UDP and tunnel headers.
+_COALESCE_MTU = 1400
+# How long a queued frame waits for company before the outbox flushes
+# (s): what a lone frame pays for batching, a twentieth of the ack hold.
+_FLUSH_INTERVAL = 0.001
+
+
 @dataclass(frozen=True)
 class RetransmitPolicy:
-    """Tuning knobs of the retransmission state machine.
+    """Tuning of the retransmission state machine.
 
     Attributes:
         initial_timeout: first retransmit timeout (seconds) before any
-            RTT estimate exists; also the floor of the adaptive RTO.
-        backoff_factor: multiplier applied to a frame's timeout after
-            every retransmission (exponential backoff).
-        max_timeout: ceiling on the per-frame timeout.
-        jitter: retransmit times are spread by up to this fraction of the
-            timeout, so synchronized peers do not burst together.
-        max_retries: retransmissions per frame before it is dropped and
-            left to anti-entropy (0 disables retransmission entirely).
-        send_buffer: maximum unacknowledged frames per peer; ``send``
-            applies backpressure (suspends) beyond it.
-        tick_interval: period of the retransmit scan (seconds).  The
-            same scan ages held acks: an ack still pending at the second
-            tick after it arose leaves as its own datagram, so an ack
-            waits for reverse traffic at most ``2 * tick_interval`` —
-            which is why ``initial_timeout`` may not be shorter.
-        nack_interval: minimum delay between two NACKs for the same
-            missing frame (seconds).
-        coalesce_mtu: per-datagram budget for frame coalescing; queued
-            frames flush as one BATCH datagram when they fill it (a
-            frame larger than the budget travels alone).
-        flush_interval: how long a queued frame may wait for company
-            before the queue flushes anyway (seconds).
+            RTT estimate exists; also the floor of the adaptive RTO.  A
+            held ack may wait two retransmit ticks (``2 *
+            _TICK_INTERVAL``, 20 ms), so it may not be shorter, and the
+            ceiling ``_MAX_TIMEOUT`` (2 s) caps it.
     """
 
     initial_timeout: float = 0.05
-    backoff_factor: float = 2.0
-    max_timeout: float = 2.0
-    jitter: float = 0.25
-    max_retries: int = 10
-    send_buffer: int = 1024
-    tick_interval: float = 0.01
-    nack_interval: float = 0.04
-    coalesce_mtu: int = 1400
-    flush_interval: float = 0.001
 
     def __post_init__(self) -> None:
         if self.initial_timeout <= 0:
             raise ConfigurationError(f"initial_timeout must be > 0, got {self.initial_timeout}")
-        if self.initial_timeout < 2 * self.tick_interval:
+        if self.initial_timeout < 2 * _TICK_INTERVAL:
             # A held ack may wait two ticks; the RTO floor must cover it.
             raise ConfigurationError(
-                f"initial_timeout ({self.initial_timeout}) must be >= 2 * tick_interval "
-                f"({self.tick_interval})"
+                f"initial_timeout ({self.initial_timeout}) must be >= 2 * the retransmit "
+                f"tick ({_TICK_INTERVAL})"
             )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.max_timeout < self.initial_timeout:
-            raise ConfigurationError("max_timeout must be >= initial_timeout")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(f"jitter must lie in [0, 1], got {self.jitter}")
-        if self.max_retries < 0:
-            raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.send_buffer <= 0:
-            raise ConfigurationError(f"send_buffer must be positive, got {self.send_buffer}")
-        if self.tick_interval <= 0:
-            raise ConfigurationError(f"tick_interval must be > 0, got {self.tick_interval}")
-        if self.nack_interval < 0:
-            raise ConfigurationError(f"nack_interval must be >= 0, got {self.nack_interval}")
-        if self.coalesce_mtu <= 0:
-            raise ConfigurationError(f"coalesce_mtu must be > 0, got {self.coalesce_mtu}")
-        if self.flush_interval <= 0:
+        if self.initial_timeout > _MAX_TIMEOUT:
             raise ConfigurationError(
-                f"flush_interval must be > 0, got {self.flush_interval}"
+                f"initial_timeout ({self.initial_timeout}) must be <= the timeout "
+                f"ceiling ({_MAX_TIMEOUT})"
             )
 
 
@@ -181,7 +171,7 @@ class TransportStats:
     Attributes:
         data_sent: first transmissions of DATA frames.
         retransmits: re-transmissions (timer- or NACK-driven).
-        drops: frames abandoned after ``max_retries`` (anti-entropy's job).
+        drops: frames abandoned after ``_MAX_RETRIES`` (anti-entropy's job).
         data_received: new DATA frames received (duplicates excluded).
         duplicates: DATA frames received more than once.
         acks_sent / acks_received: ACK frame counts.
@@ -344,7 +334,7 @@ class _PeerState:
         if self.srtt is None:
             return self._policy.initial_timeout
         rto = self.srtt + 4.0 * (self.rttvar or 0.0)
-        return min(max(rto, self._policy.initial_timeout), self._policy.max_timeout)
+        return min(max(rto, self._policy.initial_timeout), _MAX_TIMEOUT)
 
     def observe_rtt(self, sample: float) -> None:
         """Fold one clean (never-retransmitted) RTT sample in."""
@@ -578,7 +568,7 @@ class ReliableSession:
 
     def state_sizes(self) -> Dict[str, int]:
         """Entries held across all peers, per table (the node's
-        ``state_sizes()`` census): each is bounded by ``send_buffer``,
+        ``state_sizes()`` census): each is bounded by ``_SEND_BUFFER``,
         the reordering depth or the flush tick, per peer."""
         peers = self._peers.values()
         return {
@@ -705,12 +695,12 @@ class ReliableSession:
         """Reliably send ``payload``; returns the link sequence number.
 
         Suspends (backpressure) while ``destination`` already has
-        ``policy.send_buffer`` unacknowledged frames in flight.
+        ``_SEND_BUFFER`` unacknowledged frames in flight.
         ``shared_body`` is an optional pre-packed :meth:`data_body` of
         the same payload, shared across a fan-out.
         """
         state = self._peer(destination)
-        while len(state.unacked) >= self._policy.send_buffer:
+        while len(state.unacked) >= _SEND_BUFFER:
             state.space.clear()
             await state.space.wait()
         seq = state.next_seq
@@ -787,18 +777,18 @@ class ReliableSession:
         the session's flush timer fires, or on an explicit :meth:`flush`.
         """
         cost = varint_size(len(frame_bytes)) + len(frame_bytes)
-        if state.outbox and state.outbox_bytes + cost > self._policy.coalesce_mtu:
+        if state.outbox and state.outbox_bytes + cost > _COALESCE_MTU:
             self._flush_peer(addr, state)
         state.outbox.append(frame_bytes)
         state.outbox_bytes += cost
-        if state.outbox_bytes >= self._policy.coalesce_mtu:
+        if state.outbox_bytes >= _COALESCE_MTU:
             # Budget full (or a single oversized frame): no point waiting.
             self._flush_peer(addr, state)
             return
         self._dirty[addr] = state
         if self._flush_handle is None:
             self._flush_handle = asyncio.get_running_loop().call_later(
-                self._policy.flush_interval, self._flush_dirty
+                _FLUSH_INTERVAL, self._flush_dirty
             )
 
     def _flush_dirty(self) -> None:
@@ -867,7 +857,7 @@ class ReliableSession:
         """Flush queued frames (and pending held acks) immediately.
 
         With no address every peer is flushed.  Latency-sensitive
-        callers use this instead of waiting out ``flush_interval``.
+        callers use this instead of waiting out ``_FLUSH_INTERVAL``.
         """
         targets = [address] if address is not None else list(self._peers)
         for addr in targets:
@@ -964,7 +954,7 @@ class ReliableSession:
         gaps = [
             seq
             for seq in state.missing_seqs()
-            if now - state.nack_last.get(seq, -1e18) >= self._policy.nack_interval
+            if now - state.nack_last.get(seq, -1e18) >= _NACK_INTERVAL
         ]
         if not gaps:
             return
@@ -987,14 +977,14 @@ class ReliableSession:
                 state.observe_rtt(sample)
                 if self._rtt_histogram is not None:
                     self._rtt_histogram.observe(sample)
-        if len(state.unacked) < self._policy.send_buffer:
+        if len(state.unacked) < _SEND_BUFFER:
             state.space.set()
 
     def _on_nack(self, state: _PeerState, frame: NackFrame, addr: Address, now: float) -> None:
         state.stats.nacks_received += 1
         for seq in frame.missing:
             pending = state.unacked.get(seq)
-            if pending is not None and pending.sends <= self._policy.max_retries:
+            if pending is not None and pending.sends <= _MAX_RETRIES:
                 self._retransmit(state, addr, seq, pending, now)
 
     # ------------------------------------------------------------------
@@ -1003,7 +993,7 @@ class ReliableSession:
 
     async def _tick_loop(self) -> None:
         while not self._closed:
-            await asyncio.sleep(self._policy.tick_interval)
+            await asyncio.sleep(_TICK_INTERVAL)
             now = asyncio.get_running_loop().time()
             for address, state in self._peers.items():
                 if not state.quarantined:
@@ -1013,10 +1003,10 @@ class ReliableSession:
                         if pending.next_due <= now
                     ]
                     for seq, pending in due:
-                        if pending.sends > self._policy.max_retries:
+                        if pending.sends > _MAX_RETRIES:
                             state.unacked.pop(seq, None)
                             state.stats.drops += 1
-                            if len(state.unacked) < self._policy.send_buffer:
+                            if len(state.unacked) < _SEND_BUFFER:
                                 state.space.set()
                         else:
                             self._retransmit(state, address, seq, pending, now)
@@ -1032,14 +1022,14 @@ class ReliableSession:
     ) -> None:
         pending.sends += 1
         pending.timeout = min(
-            pending.timeout * self._policy.backoff_factor, self._policy.max_timeout
+            pending.timeout * _BACKOFF_FACTOR, _MAX_TIMEOUT
         )
         pending.next_due = now + self._jittered(pending.timeout)
         state.stats.retransmits += 1
         self._transmit(addr, state, pending.data)
 
     def _jittered(self, timeout: float) -> float:
-        return timeout * (1.0 + self._policy.jitter * self._random.random())
+        return timeout * (1.0 + _JITTER * self._random.random())
 
     # ------------------------------------------------------------------
     # plumbing

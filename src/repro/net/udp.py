@@ -39,9 +39,9 @@ HostPort = Tuple[str, int]
 Batch = List[Tuple[bytes, HostPort]]
 
 # Conservative bound: stay under the common 64 KiB UDP datagram ceiling.
-# The session's ``coalesce_mtu`` (frame-coalescing budget) must stay at
-# or below this, or a flushed BATCH datagram would be rejected here; the
-# 1400 B default leaves three orders of magnitude of headroom.
+# The session's frame-coalescing budget (``session._COALESCE_MTU``,
+# 1,400 B) must stay at or below this, or a flushed BATCH datagram would
+# be rejected here (``tests/test_net.py`` holds the relation).
 _MAX_DATAGRAM = 60_000
 
 

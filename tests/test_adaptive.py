@@ -12,6 +12,8 @@ import asyncio
 
 import pytest
 
+import repro.net.adaptive as adaptive_module
+import repro.net.membership as membership_module
 from repro.api import (
     LivenessPolicy,
     MembershipConfig,
@@ -30,6 +32,12 @@ from repro.net.adaptive import (
     TelemetryWindow,
 )
 from repro.sim.group import wait_for
+
+
+@pytest.fixture(autouse=True)
+def fast_views(monkeypatch):
+    """VIEW re-announced every 0.1 s, so groups converge in test time."""
+    monkeypatch.setattr(membership_module, "_ANNOUNCE_INTERVAL", 0.1)
 
 
 def sample(now, delivered, wait_sum=0.0, wait_count=0, pending=0.0,
@@ -61,14 +69,16 @@ class TestAdaptivePolicy:
             ("band", (-0.1, 0.5)),
             ("band", (0.0, 1.5)),
             ("k_max", 0),
+            # Module constants now: naming one is a TypeError.
             ("hysteresis", 0.0),
-            ("hysteresis", 1.5),
+            ("x_floor", 0.1),
             ("cooldown", -1.0),
             ("min_window", 0),
         ],
     )
     def test_bad_knobs_rejected(self, field, value):
-        with pytest.raises(ConfigurationError):
+        constant = field in ("hysteresis", "x_floor")
+        with pytest.raises(TypeError if constant else ConfigurationError):
             AdaptivePolicy(**{field: value})
 
     def test_node_config_adaptive_requires_membership(self):
@@ -155,8 +165,7 @@ class TestConcurrencyEstimator:
 
 class TestEpochPlanner:
     def make(self, **overrides):
-        base = dict(band=(0.01, 0.05), cooldown=30.0, hysteresis=0.8,
-                    k_max=16)
+        base = dict(band=(0.01, 0.05), cooldown=30.0, k_max=16)
         base.update(overrides)
         return EpochPlanner(128, AdaptivePolicy(**base))
 
@@ -167,8 +176,9 @@ class TestEpochPlanner:
     def test_holds_without_a_window(self):
         assert self.make().decide(12, None, now=0.0) is None
 
-    def test_holds_below_the_concurrency_floor(self):
-        planner = self.make(x_floor=1.0)
+    def test_holds_below_the_concurrency_floor(self, monkeypatch):
+        monkeypatch.setattr(adaptive_module, "_X_FLOOR", 1.0)
+        planner = self.make()
         assert planner.decide(12, window(0.5, 0.9), now=0.0) is None
 
     def test_bumps_to_theory_optimum_outside_the_band(self):
@@ -188,16 +198,17 @@ class TestEpochPlanner:
         best = optimal_k_int(128, 25.0, k_max=16)
         assert planner.decide(best, window(25.0, 0.2), now=0.0) is None
 
-    def test_hysteresis_vetoes_flat_moves(self):
+    def test_hysteresis_vetoes_flat_moves(self, monkeypatch):
         best = optimal_k_int(128, 25.0, k_max=16)
         neighbour = best + 1
         ratio = p_error(128, best, 25.0) / p_error(128, neighbour, 25.0)
         assert ratio > 0.5  # P_err is nearly flat around the optimum
-        planner = self.make(hysteresis=0.5)
+        planner = self.make()
+        monkeypatch.setattr(adaptive_module, "_HYSTERESIS", 0.5)
         assert planner.decide(neighbour, window(25.0, 0.2), now=0.0) is None
         # With the guard off, the same move is taken.
-        permissive = self.make(hysteresis=1.0)
-        assert permissive.decide(neighbour, window(25.0, 0.2), now=0.0) == best
+        monkeypatch.setattr(adaptive_module, "_HYSTERESIS", 1.0)
+        assert planner.decide(neighbour, window(25.0, 0.2), now=0.0) == best
 
     def test_cooldown_spaces_bumps(self):
         planner = self.make(cooldown=30.0)
@@ -217,7 +228,6 @@ def quick_config(seed_peers=(), **overrides):
             seed_peers=seed_peers,
             join_timeout=0.5,
             join_retries=4,
-            announce_interval=0.1,
         ),
     )
     base.update(overrides)

@@ -13,6 +13,7 @@ import pytest
 from repro.api import NodeConfig, RetransmitPolicy, create_endpoint, create_node
 from repro.core.codec import MessageCodec, RelayFrame
 from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus
+from repro.net import session as session_module
 from repro.net.node import _GAP_PULL_GRACE
 from repro.sim.group import Group
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
@@ -432,8 +433,8 @@ def test_any_window_of_len_targets_rounds_visits_every_target_once():
 
 
 @pytest.mark.parametrize("salt", ["", "x", "y", "z", "w", "v"])
-def test_a_message_one_peer_holds_heals_within_len_peers_rounds(salt):
-    """``a`` broadcasts into a partition that outlasts ``max_retries``:
+def test_a_message_one_peer_holds_heals_within_len_peers_rounds(salt, monkeypatch):
+    """``a`` broadcasts into a partition that outlasts ``_MAX_RETRIES``:
     all three frames are dropped for good and only ``a`` holds the
     message.  Each of the others digests ``a`` — the one node that can
     answer — within ``len(peers)`` rounds of the partition lifting: the
@@ -441,11 +442,12 @@ def test_a_message_one_peer_holds_heals_within_len_peers_rounds(salt):
     (it misses ``a`` three times running with probability 8/27).
     ``salt`` varies the node names, which seed each node's shuffle."""
     interval, outage = 0.5, 0.4
+    monkeypatch.setattr(session_module, "_MAX_RETRIES", 2)
     names = [f"{salt}{letter}" for letter in "abcd"]
     holder, others = names[0], names[1:]
     config = NodeConfig(
         r=32, k=2, anti_entropy_interval=interval,
-        retransmit=RetransmitPolicy(initial_timeout=0.02, max_retries=2),
+        retransmit=RetransmitPolicy(initial_timeout=0.02),
     )
 
     async def scenario():

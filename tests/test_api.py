@@ -2,6 +2,7 @@
 
 import asyncio
 import dataclasses
+import inspect
 
 import pytest
 
@@ -19,6 +20,8 @@ from repro.core.keyspace import RandomKeyAssigner
 from repro.core.protocol import CausalBroadcastEndpoint
 from repro.core.registry import clock_schemes, detector_names
 from repro.net import LocalAsyncBus, ReliableCausalNode
+from repro.net.node import MessageStore
+from repro.net.overlay import PartialView
 from repro.util.rng import RandomSource
 
 
@@ -56,17 +59,45 @@ class TestNodeConfig:
             "r", "k", "scheme", "n", "detector", "keys", "keyspace_seed",
             "detector_window", "host", "port", "rx_batch", "tx_batch",
             "payload_codec", "retransmit", "anti_entropy_interval",
-            "store_limit", "max_pending", "dissemination", "fanout",
+            "max_pending", "dissemination", "fanout",
             "view_size", "data_dir", "journal_snapshot_interval",
             "journal_fsync", "liveness", "membership", "adaptive",
             "metrics_path", "metrics_interval", "metrics_port",
         ]
+        # Each policy keeps only what something outside the tests sets.
+        for policy, names in (
+            (RetransmitPolicy, ["initial_timeout"]),
+            (LivenessPolicy, ["heartbeat_interval", "quarantine_after"]),
+            (MembershipConfig, ["seed_peers", "join_timeout", "join_retries", "evict_after"]),
+            (AdaptivePolicy, ["interval", "band", "k_max", "cooldown", "min_window"]),
+        ):
+            assert [field.name for field in dataclasses.fields(policy)] == names
+        assert list(inspect.signature(PartialView).parameters) == [
+            "local_id", "fanout", "view_size", "seed",
+        ]
+        # The rest are module constants of the layer that reads them.
+        for build, names in (
+            (RetransmitPolicy, (
+                "backoff_factor", "max_timeout", "jitter", "max_retries", "send_buffer",
+                "tick_interval", "nack_interval", "coalesce_mtu", "flush_interval",
+            )),
+            (MembershipConfig, ("join_backoff", "announce_interval")),
+            (AdaptivePolicy, ("hysteresis", "x_floor")),
+            (lambda **knob: PartialView("n", **knob),
+             ("piggyback_size", "merge_probability", "max_hops")),
+            (MessageStore, ("limit",)),
+            (lambda **knob: MessageStore().missing_for({}, **knob), ("limit",)),
+        ):
+            for name in names:
+                with pytest.raises(TypeError):
+                    build(**{name: 1})
+        assert "store_limit" not in inspect.signature(ReliableCausalNode).parameters
         config = NodeConfig()
         assert config.retransmit == RetransmitPolicy()
         assert config.liveness is config.membership is config.adaptive is None
         for name in (
             "max_retry_timeout", "piggyback_size", "merge_probability",
-            "relay_max_hops", "adaptive_cooldown", "wire_delta",
+            "relay_max_hops", "adaptive_cooldown", "wire_delta", "store_limit",
             # the 20 copies of policy fields
             "ack_timeout", "backoff_factor", "max_retries", "send_buffer",
             "coalesce_mtu", "flush_interval",
@@ -108,7 +139,7 @@ class TestNodeConfig:
 
     def test_retransmit_policy_reflects_config(self):
         """The session runs the very policy object the config holds."""
-        policy = RetransmitPolicy(initial_timeout=0.1, max_retries=4, send_buffer=7)
+        policy = RetransmitPolicy(initial_timeout=0.1)
 
         async def scenario():
             node = await create_node(

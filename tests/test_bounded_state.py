@@ -20,6 +20,8 @@ import os
 
 import pytest
 
+import repro.net.membership as membership_module
+import repro.net.node as node_module
 from repro.api import (
     LivenessPolicy,
     MembershipConfig,
@@ -68,14 +70,15 @@ async def mesh_on_bus(names, bus, **config):
 
 
 @pytest.mark.parametrize("journalled", [False, True], ids=["memory", "journal"])
-def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path):
+def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeypatch):
     per_sender = 600  # 3 senders: past the delivery window and the store
     names = ("a", "b", "c")
+    monkeypatch.setattr(node_module, "_STORE_LIMIT", 128)
 
     async def scenario():
         bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
         nodes = await mesh_on_bus(
-            names, bus, store_limit=128, anti_entropy_interval=0.2,
+            names, bus, anti_entropy_interval=0.2,
             data_dir=str(tmp_path) if journalled else None,
         )
 
@@ -372,7 +375,9 @@ def test_resync_marks_name_only_digested_addresses_and_expire():
     run_virtual(scenario())
 
 
-def test_leave_marks_are_cleared_by_every_install():
+def test_leave_marks_are_cleared_by_every_install(monkeypatch):
+    monkeypatch.setattr(membership_module, "_ANNOUNCE_INTERVAL", 0.1)
+
     def config(seed_peers=()):
         return NodeConfig(
             r=32, k=2, anti_entropy_interval=0.1,
@@ -380,7 +385,6 @@ def test_leave_marks_are_cleared_by_every_install():
             liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=5.0),
             membership=MembershipConfig(
                 seed_peers=seed_peers, join_timeout=0.5, join_retries=4,
-                announce_interval=0.1,
             ),
         )
 

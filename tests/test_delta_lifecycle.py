@@ -30,6 +30,7 @@ from repro.api import MembershipConfig, NodeConfig, create_endpoint, create_node
 from repro.core.codec import MessageCodec
 from repro.core.keyspace import PerfectKeyAssigner
 from repro.net import LocalAsyncBus
+from repro.net import membership as membership_module
 from repro.net import node as node_module
 from repro.sim.group import Group, wait_for
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
@@ -294,9 +295,11 @@ def test_persistently_bouncing_link_is_warned_about_once(caplog, monkeypatch):
     assert len(warnings) == 1
 
 
-def test_quiet_senders_reference_outlives_its_bytes_in_a_busy_store():
+def test_quiet_senders_reference_outlives_its_bytes_in_a_busy_store(monkeypatch):
+    monkeypatch.setattr(node_module, "_STORE_LIMIT", 256)
+
     async def scenario():
-        async with Pair(store_limit=256) as pair:
+        async with Pair() as pair:
             b = pair.nodes["b"]
             await pair.run(5, senders=("a",))  # a full, then four deltas
             await pair.assert_delivered("b", 5)
@@ -473,17 +476,18 @@ def test_overflowing_the_park_counts_a_miss_and_resyncs(monkeypatch):
     run_virtual(scenario())
 
 
-def test_a_mesh_join_costs_no_reference_miss():
+def test_a_mesh_join_costs_no_reference_miss(monkeypatch):
     """A joiner's state transfer records the group's past without its
     bytes.  Each member peers the joiner in and sends its next broadcast
     full, so every delta the joiner meets names a message it holds."""
+    monkeypatch.setattr(membership_module, "_ANNOUNCE_INTERVAL", 0.1)
 
     def config(name):
         return NodeConfig(
             r=32, k=3, anti_entropy_interval=0.1,
             keys=(0, 1, 2) if name == "n0" else None,
             membership=MembershipConfig(
-                seed_peers=() if name == "n0" else ("n0",), announce_interval=0.1,
+                seed_peers=() if name == "n0" else ("n0",),
             ),
         )
 

@@ -2,8 +2,8 @@
 
 The examples double as living documentation; these tests keep them from
 rotting.  The slower simulation-driven ones are compile-checked here and
-exercised in full by the documentation workflow (they also run during
-development via ``python examples/<name>.py``).
+run in full by CI's bench-smoke step "Run the slow examples" (and by
+hand with ``python examples/<name>.py``).
 """
 
 import pathlib

@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import LivenessPolicy, NodeConfig, RetransmitPolicy, create_node
 from repro.core.errors import ConfigurationError
+from repro.net import session as session_module
 from repro.net.liveness import PeerLivenessMonitor
 from repro.sim.group import wait_for
 
@@ -83,17 +84,17 @@ class TestMonitor:
 
 
 class TestQuarantineIntegration:
-    def test_dead_peer_quarantined_and_backpressure_released(self):
+    def test_dead_peer_quarantined_and_backpressure_released(self, monkeypatch):
         """A crashed peer is quarantined within the timeout; its unacked
         backlog is released so the sender's bounded buffer stops blocking
         broadcasts to healthy peers."""
+        monkeypatch.setattr(session_module, "_SEND_BUFFER", 4)
+        monkeypatch.setattr(session_module, "_MAX_RETRIES", 100)
 
         async def scenario():
             config = NodeConfig(
                 r=32, k=2, anti_entropy_interval=0.0,
-                retransmit=RetransmitPolicy(
-                    initial_timeout=0.02, send_buffer=4, max_retries=100
-                ),
+                retransmit=RetransmitPolicy(initial_timeout=0.02),
                 liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.25),
             )
             alice = await create_node("alice", config)

@@ -219,10 +219,15 @@ class TestUdpTransport:
         asyncio.run(scenario())
 
     def test_datagram_bound_is_exact(self):
-        """Exactly _MAX_DATAGRAM bytes passes; one more raises clearly."""
+        """Exactly _MAX_DATAGRAM bytes passes; one more raises clearly.
+        The session's coalescing budget fits under it, so no flushed
+        BATCH is ever refused."""
+        from repro.net.session import _COALESCE_MTU
+        from repro.net.udp import _MAX_DATAGRAM
+
+        assert _COALESCE_MTU <= _MAX_DATAGRAM
 
         async def scenario():
-            from repro.net.udp import _MAX_DATAGRAM
 
             sender = await UdpTransport.create()
             receiver = await UdpTransport.create()

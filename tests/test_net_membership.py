@@ -11,6 +11,7 @@ import asyncio
 
 import pytest
 
+import repro.net.membership as membership_module
 from repro.api import (
     LivenessPolicy,
     MembershipConfig,
@@ -39,11 +40,17 @@ def quick_config(seed_peers=(), join_timeout=0.5, join_retries=4, **overrides):
             join_timeout=join_timeout,
             join_retries=join_retries,
             evict_after=0.5,
-            announce_interval=0.1,
         ),
     )
     base.update(overrides)
     return NodeConfig(**base)
+
+
+@pytest.fixture(autouse=True)
+def fast_views(monkeypatch):
+    """VIEW re-announced (and evictions swept) every 0.1 s, so groups
+    converge in test time."""
+    monkeypatch.setattr(membership_module, "_ANNOUNCE_INTERVAL", 0.1)
 
 
 class TestMembershipConfig:
@@ -56,13 +63,14 @@ class TestMembershipConfig:
         [
             ("join_timeout", 0.0),
             ("join_retries", -1),
-            ("join_backoff", 0.5),
+            ("join_backoff", 0.5),  # a module constant now: a TypeError
             ("evict_after", -1.0),
-            ("announce_interval", 0.0),
+            ("announce_interval", 0.0),  # likewise
         ],
     )
     def test_bad_knobs_rejected(self, field, value):
-        with pytest.raises(ConfigurationError):
+        constant = field in ("join_backoff", "announce_interval")
+        with pytest.raises(TypeError if constant else ConfigurationError):
             MembershipConfig(**{field: value})
 
     def test_node_config_seed_peers_require_membership(self):
@@ -380,8 +388,7 @@ def churn_config(root):
         seeds = () if name == "n0" else ("n1",) if name == "n2" else ("n0",)
         return base.replace(
             membership=MembershipConfig(
-                seed_peers=seeds, join_timeout=0.3, join_retries=10, join_backoff=1.5,
-                evict_after=1.0, announce_interval=0.15,
+                seed_peers=seeds, join_timeout=0.3, join_retries=10, evict_after=1.0,
             ),
             keys=(0, 1, 2) if name == "n0" else None,
             data_dir=str(root / name),
@@ -502,7 +509,9 @@ async def churn(seed, root):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_churn_under_loss_stays_causal(seed, tmp_path):
+def test_churn_under_loss_stays_causal(seed, tmp_path, monkeypatch):
+    monkeypatch.setattr(membership_module, "_JOIN_BACKOFF", 1.5)
+    monkeypatch.setattr(membership_module, "_ANNOUNCE_INTERVAL", 0.15)
     run_virtual(churn(seed, tmp_path))
     snapshots = {
         f"n{index}": last_snapshot(tmp_path / f"n{index}.metrics.jsonl") for index in range(8)

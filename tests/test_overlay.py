@@ -37,6 +37,8 @@ from repro.core.codec import CodecError, FrameCodec, MemberRecord, MessageCodec,
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import PerfectKeyAssigner
 from repro.net import LocalAsyncBus
+from repro.net import membership as membership_module
+from repro.net import overlay as overlay_module
 from repro.net.overlay import PartialView
 from repro.sim.group import Group, disjoint_keys, wait_for
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
@@ -142,12 +144,10 @@ class TestPartialView:
             PartialView("n", fanout=0)
         with pytest.raises(ConfigurationError):
             PartialView("n", fanout=4, view_size=3)
-        with pytest.raises(ConfigurationError):
-            PartialView("n", piggyback_size=-1)
-        with pytest.raises(ConfigurationError):
-            PartialView("n", merge_probability=1.5)
-        with pytest.raises(ConfigurationError):
-            PartialView("n", max_hops=0)
+        # Module constants now: naming one is a TypeError.
+        for knob in ("piggyback_size", "merge_probability", "max_hops"):
+            with pytest.raises(TypeError):
+                PartialView("n", **{knob: 1})
 
     def test_view_is_bounded(self):
         view = PartialView("n", fanout=2, view_size=4, seed=7)
@@ -169,15 +169,17 @@ class TestPartialView:
         late.set_local_address(("me2", 1))
         assert ("me2", 1) not in late
 
-    def test_merge_probability_throttles(self):
+    def test_merge_probability_throttles(self, monkeypatch):
         """The coin is the pusher's, one flip per envelope copy; the
         receiver merges whatever sample arrives, and an empty one is no
         merge at all."""
-        never = PartialView("n", merge_probability=0.0, seed=3)
-        always = PartialView("n", merge_probability=1.0, seed=3)
-        assert not any(never.carries_sample() for _ in range(100))
-        assert all(always.carries_sample() for _ in range(100))
-        quarter = PartialView("n", merge_probability=0.25, seed=3)
+        view = PartialView("n", seed=3)
+        monkeypatch.setattr(overlay_module, "_MERGE_PROBABILITY", 0.0)
+        assert not any(view.carries_sample() for _ in range(100))
+        monkeypatch.setattr(overlay_module, "_MERGE_PROBABILITY", 1.0)
+        assert all(view.carries_sample() for _ in range(100))
+        monkeypatch.undo()  # the shipping quarter
+        quarter = PartialView("n", seed=3)
         won = sum(quarter.carries_sample() for _ in range(4000))
         assert 900 < won < 1100, won
         receiver = PartialView("r", seed=3)
@@ -187,11 +189,12 @@ class TestPartialView:
         assert ("h", 1) in receiver
         assert receiver.stats.merges_applied == 1
 
-    def test_only_copies_that_win_the_coin_carry_the_sample(self):
+    def test_only_copies_that_win_the_coin_carry_the_sample(self, monkeypatch):
         """A node's push sends the view sample on the copies whose coin
         won and an empty sample on the rest, one coin per copy."""
 
         async def scenario(probability):
+            monkeypatch.setattr(overlay_module, "_MERGE_PROBABILITY", probability)
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
             received = []
             for index in range(3):
@@ -202,7 +205,6 @@ class TestPartialView:
                 "o", NodeConfig(r=16, dissemination="overlay", fanout=3, view_size=4),
                 transport=bus.attach("o"),
             )
-            node.overlay.merge_probability = probability
             try:
                 for index in range(3):
                     node.add_peer(f"t{index}")
@@ -238,14 +240,15 @@ class TestPartialView:
         assert all(a[1] % 2 == 0 for a in view.push_targets(live_filter=live))
         assert all(a[1] % 2 == 0 for a in view.digest_targets(live_filter=live))
 
-    def test_gossip_sample_carries_self(self):
-        view = PartialView("n", piggyback_size=2, seed=9)
+    def test_gossip_sample_carries_self(self, monkeypatch):
+        monkeypatch.setattr(overlay_module, "_PIGGYBACK_SIZE", 2)
+        view = PartialView("n", seed=9)
         view.set_local_address(("me", 7))
         for i in range(5):
             view.add(("h", i), f"m{i}")
         sample = view.gossip_sample()
         assert MemberRecord("n", ("me", 7)) in sample
-        assert len(sample) <= 3  # piggyback_size + self
+        assert len(sample) <= 3  # _PIGGYBACK_SIZE + self
 
     def test_sample_diversity_detects_collapse(self):
         view = PartialView("n", seed=11)
@@ -465,7 +468,6 @@ def rekey_config(name, dissemination="overlay"):
         keys=(0, 1, 2) if name == "n0" else None,
         membership=MembershipConfig(
             seed_peers=() if name == "n0" else ("n0",), join_timeout=0.3,
-            announce_interval=0.15,
         ),
     )
 
@@ -518,12 +520,13 @@ def post_bump_deliveries_under_old_keys(keys, records):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_a_rekey_mid_traffic_takes_the_relay_reference_with_it(seed):
+def test_a_rekey_mid_traffic_takes_the_relay_reference_with_it(seed, monkeypatch):
     """The stale-key bug class on the relay path.  A delta carries no
     keys, so a receiver rebuilds it with the keys of the message it
     names.  ``reset_delta_reference`` must drop the origin's
     previous-broadcast slot, or its first post-bump broadcast names a
     pre-bump one and is delivered everywhere under the old keys."""
+    monkeypatch.setattr(membership_module, "_ANNOUNCE_INTERVAL", 0.15)
     counts, keys, records = run_virtual(rekey_mid_traffic(seed))
     assert counts["violations"] == 0, counts
     stale = post_bump_deliveries_under_old_keys(keys, records)
@@ -531,9 +534,10 @@ def test_a_rekey_mid_traffic_takes_the_relay_reference_with_it(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_a_rekey_mid_traffic_takes_the_mesh_reference_with_it(seed):
+def test_a_rekey_mid_traffic_takes_the_mesh_reference_with_it(seed, monkeypatch):
     """The same on the mesh, whose links name the sender's previous
     broadcast too since there is one delta rule."""
+    monkeypatch.setattr(membership_module, "_ANNOUNCE_INTERVAL", 0.15)
     counts, keys, records = run_virtual(rekey_mid_traffic(seed, "mesh"))
     assert counts["violations"] == 0, counts
     stale = post_bump_deliveries_under_old_keys(keys, records)

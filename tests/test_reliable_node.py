@@ -42,6 +42,8 @@ from repro.core.codec import (
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import Message
 from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus, UdpTransport
+from repro.net import node as node_module
+from repro.net import session as session_module
 from repro.net.node import MessageStore
 from repro.sim.group import Group, wait_for
 from repro.sim.network import GaussianDelayModel
@@ -92,14 +94,15 @@ class TestSoakUnderLoss:
         run_virtual(scenario())
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_anti_entropy_recovers_without_retransmission(self, seed):
-        """With retransmission disabled (max_retries=0) and 40 % loss,
-        the periodic digest exchange alone must converge the nodes."""
+    def test_anti_entropy_recovers_without_retransmission(self, seed, monkeypatch):
+        """With retransmission disabled (no retries) and 40 % loss, the
+        periodic digest exchange alone must converge the nodes."""
+        monkeypatch.setattr(session_module, "_MAX_RETRIES", 0)
 
         async def scenario():
             config = NodeConfig(
                 r=64, k=3,
-                retransmit=RetransmitPolicy(initial_timeout=0.02, max_retries=0),
+                retransmit=RetransmitPolicy(initial_timeout=0.02),
                 anti_entropy_interval=0.05,
             )
             group = await Group.start(2, config, seed, 0.4, GaussianDelayModel(5.0, 2.0, 2.0))
@@ -197,8 +200,9 @@ class TestMessageStore:
         assert list(store.missing_for({"p": (2, ()), "q": (1, ())})) == [b"\x04"]
         assert list(store.missing_for({"p": (4, ())})) == [b"q1"]
 
-    def test_eviction_keeps_frontier_truthful(self):
-        store = MessageStore(limit=2)
+    def test_eviction_keeps_frontier_truthful(self, monkeypatch):
+        monkeypatch.setattr(node_module, "_STORE_LIMIT", 2)
+        store = MessageStore()
         store.add("p", 1, b"a")
         store.add("p", 2, b"b")
         store.add("p", 3, b"c")
@@ -209,11 +213,17 @@ class TestMessageStore:
         assert list(store.missing_for({"p": (1, ())})) == [b"b", b"c"]
 
     def test_invalid_limit_rejected(self):
-        with pytest.raises(ConfigurationError):
+        """The store's bound and a digest answer's are module constants
+        (``_STORE_LIMIT``, ``_REPAIRS_PER_DIGEST``): naming one is a
+        TypeError."""
+        with pytest.raises(TypeError):
             MessageStore(limit=0)
+        with pytest.raises(TypeError):
+            list(MessageStore().missing_for({}, limit=1))
 
-    def test_eviction_counted_and_unservable_request_logged_once(self, caplog):
-        store = MessageStore(limit=2)
+    def test_eviction_counted_and_unservable_request_logged_once(self, caplog, monkeypatch):
+        monkeypatch.setattr(node_module, "_STORE_LIMIT", 2)
+        store = MessageStore()
         for seq in range(1, 5):
             store.add("p", seq, bytes([seq]))
         assert store.stats.evictions == 2
@@ -341,15 +351,16 @@ class TestNodeSurface:
 
         asyncio.run(scenario())
 
-    def test_max_retries_exhaustion_dropped_then_healed(self):
-        """Satellite: a frame abandoned after ``max_retries`` increments
+    def test_max_retries_exhaustion_dropped_then_healed(self, monkeypatch):
+        """Satellite: a frame abandoned after ``_MAX_RETRIES`` increments
         ``drops`` and frees the unacked slot; anti-entropy then delivers
         the message end-to-end once the outage lifts."""
+        monkeypatch.setattr(session_module, "_MAX_RETRIES", 2)
 
         async def scenario():
             config = NodeConfig(
                 r=32, k=2, anti_entropy_interval=0.1,
-                retransmit=RetransmitPolicy(initial_timeout=0.02, max_retries=2),
+                retransmit=RetransmitPolicy(initial_timeout=0.02),
             )
             # Every datagram alice sends in the first 0.5 s vanishes —
             # long enough for 2 retries at a 20 ms timeout to exhaust.

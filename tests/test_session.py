@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+import repro.net.session as session_module
 from repro.core.errors import ConfigurationError
 from repro.net import LocalAsyncBus, ReliableSession, RetransmitPolicy
 from repro.net.peer import Transport
@@ -14,16 +15,18 @@ from repro.sim.vtime import run_virtual
 from repro.util.rng import RandomSource
 
 
-def fast_policy(**overrides):
-    defaults = dict(
-        initial_timeout=0.02,
-        max_timeout=0.2,
-        max_retries=20,
-        tick_interval=0.005,
-        nack_interval=0.01,
-    )
-    defaults.update(overrides)
-    return RetransmitPolicy(**defaults)
+def tune(monkeypatch, **constants):
+    """Set the session's tuning constants: ``max_retries=3`` sets
+    ``_MAX_RETRIES`` for the rest of the test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(session_module, f"_{name.upper()}", value)
+
+
+@pytest.fixture(autouse=True)
+def fast_timers(monkeypatch):
+    """Timers tighter than shipping, so retransmission runs in tens of
+    milliseconds."""
+    tune(monkeypatch, max_timeout=0.2, max_retries=20, tick_interval=0.005, nack_interval=0.01)
 
 
 def make_pair(bus, policy=None):
@@ -34,7 +37,7 @@ def make_pair(bus, policy=None):
         sessions[name] = ReliableSession(
             bus.attach(name),
             on_message=lambda data, addr, inbox=inbox: inbox.append((data, addr)),
-            policy=policy or fast_policy(),
+            policy=policy or RetransmitPolicy(initial_timeout=0.02),
         )
         inboxes[name] = inbox
     return sessions, inboxes
@@ -172,13 +175,15 @@ class TestRetransmission:
 
         asyncio.run(scenario())
 
-    def test_frames_dropped_after_max_retries(self):
+    def test_frames_dropped_after_max_retries(self, monkeypatch):
+        tune(monkeypatch, max_retries=3)
+
         async def scenario():
             transport = BlackholeTransport()
             session = ReliableSession(
                 transport,
                 on_message=lambda data, addr: None,
-                policy=fast_policy(max_retries=3),
+                policy=RetransmitPolicy(initial_timeout=0.02),
             )
             session.start()
             await session.send("nowhere", b"doomed")
@@ -190,13 +195,15 @@ class TestRetransmission:
 
         asyncio.run(scenario())
 
-    def test_backoff_grows_between_retransmissions(self):
+    def test_backoff_grows_between_retransmissions(self, monkeypatch):
+        tune(monkeypatch, max_retries=4, jitter=0.0)
+
         async def scenario():
             transport = BlackholeTransport()
             session = ReliableSession(
                 transport,
                 on_message=lambda data, addr: None,
-                policy=fast_policy(max_retries=4, jitter=0.0),
+                policy=RetransmitPolicy(initial_timeout=0.02),
             )
             session.start()
             await session.send("void", b"x")
@@ -211,13 +218,15 @@ class TestRetransmission:
 
 
 class TestBackpressure:
-    def test_send_suspends_when_buffer_full(self):
+    def test_send_suspends_when_buffer_full(self, monkeypatch):
+        tune(monkeypatch, send_buffer=2, max_retries=1000)
+
         async def scenario():
             transport = BlackholeTransport()
             session = ReliableSession(
                 transport,
                 on_message=lambda data, addr: None,
-                policy=fast_policy(send_buffer=2, max_retries=1000),
+                policy=RetransmitPolicy(initial_timeout=0.02),
             )
             session.start()
             await session.send("void", b"1")
@@ -228,17 +237,19 @@ class TestBackpressure:
 
         asyncio.run(scenario())
 
-    def test_send_resumes_after_drop_frees_space(self):
+    def test_send_resumes_after_drop_frees_space(self, monkeypatch):
+        tune(monkeypatch, send_buffer=1, max_retries=1)
+
         async def scenario():
             transport = BlackholeTransport()
             session = ReliableSession(
                 transport,
                 on_message=lambda data, addr: None,
-                policy=fast_policy(send_buffer=1, max_retries=1),
+                policy=RetransmitPolicy(initial_timeout=0.02),
             )
             session.start()
             await session.send("void", b"1")
-            # The frame is dropped after max_retries, freeing the buffer,
+            # The frame is dropped after _MAX_RETRIES, freeing the buffer,
             # so the second send completes instead of hanging forever.
             await asyncio.wait_for(session.send("void", b"2"), timeout=5.0)
             assert session.stats_for("void").drops >= 1
@@ -275,16 +286,16 @@ class TestWirePath:
 
         asyncio.run(scenario())
 
-    def test_delayed_ack_is_cumulative(self):
+    def test_delayed_ack_is_cumulative(self, monkeypatch):
         """Five frames spread over one tick, no reverse traffic: one
         cumulative ACK, sent alone by the second retransmit tick after
         the first frame arrived (virtual time, so the tick is exact)."""
+        tune(monkeypatch, max_timeout=1.0, tick_interval=0.05)
 
         async def scenario():
             loop = asyncio.get_running_loop()
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
-            policy = fast_policy(initial_timeout=0.5, max_timeout=1.0, tick_interval=0.05)
-            sessions, inboxes = make_pair(bus, policy=policy)
+            sessions, inboxes = make_pair(bus, policy=RetransmitPolicy(initial_timeout=0.5))
             for session in sessions.values():
                 session.start()
             for i in range(5):
@@ -299,21 +310,21 @@ class TestWirePath:
             return acked_at, stats
 
         acked_at, (tx, rx) = run_virtual(scenario())
-        assert tx.datagrams_sent == 5, "spaced past flush_interval: one datagram each"
+        assert tx.datagrams_sent == 5, "spaced past _FLUSH_INTERVAL: one datagram each"
         assert rx.acks_sent == 1, "one held cumulative ACK, not five"
         assert (rx.acks_piggybacked, rx.datagrams_sent) == (0, 1)
         assert tx.retransmits == 0
         # Aged by the tick at 0.05 s, sent by the tick at 0.10 s, 1 ms on the bus.
         assert 0.101 <= acked_at < 0.103, acked_at
 
-    def test_ack_piggybacks_on_reverse_traffic(self):
+    def test_ack_piggybacks_on_reverse_traffic(self, monkeypatch):
         """Reverse traffic inside the two-tick hold — here after the tick
         that aged the ack — carries it: no standalone ACK at all."""
+        tune(monkeypatch, max_timeout=1.0, tick_interval=0.05)
 
         async def scenario():
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
-            policy = fast_policy(initial_timeout=0.5, max_timeout=1.0, tick_interval=0.05)
-            sessions, inboxes = make_pair(bus, policy=policy)
+            sessions, inboxes = make_pair(bus, policy=RetransmitPolicy(initial_timeout=0.5))
             for session in sessions.values():
                 session.start()
             await sessions["a"].send("b", b"ping")
@@ -331,11 +342,12 @@ class TestWirePath:
         assert rx.acks_sent == rx.acks_piggybacked == 1
         assert rx.datagrams_sent == 1, "the pong's datagram, ack in its header"
 
-    def test_explicit_flush_empties_the_outbox(self):
+    def test_explicit_flush_empties_the_outbox(self, monkeypatch):
+        tune(monkeypatch, flush_interval=10.0)
+
         async def scenario():
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
-            policy = fast_policy(flush_interval=10.0)
-            sessions, inboxes = make_pair(bus, policy=policy)
+            sessions, inboxes = make_pair(bus)
             for session in sessions.values():
                 session.start()
             await sessions["a"].send("b", b"held")
@@ -348,17 +360,18 @@ class TestWirePath:
 
         asyncio.run(scenario())
 
-    def test_one_flush_timer_serves_every_peer(self):
+    def test_one_flush_timer_serves_every_peer(self, monkeypatch):
         """Frames queued toward three peers in one tick arm one timer and
         leave as one datagram each when it fires; a forgotten or
         quarantined peer leaves the flush set with its outbox."""
+        tune(monkeypatch, max_timeout=1.0)
 
         async def scenario():
             loop = asyncio.get_running_loop()
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
             session = ReliableSession(
                 bus.attach("a"), on_message=lambda data, addr: None,
-                policy=fast_policy(initial_timeout=0.5, max_timeout=1.0),
+                policy=RetransmitPolicy(initial_timeout=0.5),
             )
             peers = ["b", "c", "d"]
             for name in peers:
@@ -385,31 +398,39 @@ class TestWirePath:
 
 
 class TestPolicyValidation:
+    @pytest.fixture(autouse=True)
+    def fast_timers(self):
+        """Validation runs against the shipping constants."""
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(initial_timeout=0),
-            dict(backoff_factor=0.5),
-            dict(max_timeout=0.01, initial_timeout=0.05),
-            dict(jitter=1.5),
-            dict(max_retries=-1),
-            dict(send_buffer=0),
-            dict(tick_interval=0),
-            dict(nack_interval=-0.1),
-            dict(coalesce_mtu=0),
-            dict(flush_interval=0),
-            dict(initial_timeout=0.015, tick_interval=0.01),  # inside the ack hold
+            # Module constants now: naming one, even at its value, is a TypeError.
+            dict(backoff_factor=2.0),
+            dict(max_timeout=2.0),
+            dict(jitter=0.25),
+            dict(max_retries=10),
+            dict(send_buffer=1024),
+            dict(tick_interval=0.01),
+            dict(nack_interval=0.04),
+            dict(coalesce_mtu=1400),
+            dict(flush_interval=0.001),
+            dict(initial_timeout=0.015),  # inside the two-tick ack hold
+            dict(initial_timeout=2.5),  # past the timeout ceiling
         ],
     )
     def test_bad_policy_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        error = ConfigurationError if list(kwargs) == ["initial_timeout"] else TypeError
+        with pytest.raises(error):
             RetransmitPolicy(**kwargs)
 
     def test_the_ack_timer_knob_is_gone(self):
-        """Acks are held by the retransmit tick; there is no delay knob."""
+        """Acks are held by the retransmit tick; there is no delay knob,
+        and the first timeout is the only knob left."""
         with pytest.raises(TypeError):
             RetransmitPolicy(ack_delay=0.005)
-        assert len(dataclasses.fields(RetransmitPolicy)) == 10
+        assert len(dataclasses.fields(RetransmitPolicy)) == 1
 
     def test_stats_merge_sums_counters(self):
         from repro.net import TransportStats

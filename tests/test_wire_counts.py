@@ -46,12 +46,19 @@ LOSSY = dict(drop_rate=0.05, reorder_rate=0.10, reorder_delay=(0.002, 0.02))
 
 
 def counts(group) -> dict:
-    """``Group.counts()`` plus the relay copies and the encodings the
-    message bodies crossed the links in."""
+    """``Group.counts()`` plus the relay copies, the encodings the
+    message bodies crossed the links in, the session frames sent, and
+    the full forms rebuilt from a delta (by the node's message codec or
+    its session's frame codec)."""
     wire = group.wire()
     return {
         **group.counts(), "relays": wire.relay_sent, "deltas": wire.delta_sent,
         "fulls": wire.full_sent, "ref_misses": wire.delta_ref_misses,
+        "frames": wire.frames_sent,
+        "rebuilds": sum(
+            node.codec_counters.deltas_decoded + node.session.codec_counters.deltas_decoded
+            for node in group.nodes
+        ),
     }
 
 
@@ -112,11 +119,13 @@ def test_acks_ride_the_data_on_a_paced_mesh():
     assert paced["datagrams"] <= 1.10 * deliveries, paced
     assert paced["standalone_acks"] <= 0.05 * deliveries, paced
     assert paced["timers"] <= 2.4 * deliveries, paced
-    # Exact for the seed: 72.9 B, 1.041 datagrams, 0.028 standalone acks
-    # and 2.29 timers per delivery.
+    # Exact for the seed: 72.9 B, 1.041 datagrams, 1.044 frames, 0.028
+    # standalone acks, 2.29 timers and 1.000 full-form rebuilds per
+    # delivery.
     assert (
-        paced["bytes"], paced["datagrams"], paced["standalone_acks"], paced["timers"]
-    ) == (525143, 7498, 204, 16475), paced
+        paced["bytes"], paced["datagrams"], paced["frames"], paced["standalone_acks"],
+        paced["timers"], paced["rebuilds"],
+    ) == (525143, 7498, 7514, 204, 16475, 7200), paced
 
 
 def test_a_busy_mesh_sends_one_body_per_broadcast():
@@ -128,9 +137,9 @@ def test_a_busy_mesh_sends_one_body_per_broadcast():
     assert busy["retransmits"] == 0, busy
     assert_one_delta_per_broadcast(busy)
     assert (
-        busy["bytes"], busy["datagrams"], busy["standalone_acks"], busy["timers"],
-        busy["digests"], busy["repairs_sent"],
-    ) == (520748, 7202, 0, 12496, 8, 28), busy
+        busy["bytes"], busy["datagrams"], busy["frames"], busy["standalone_acks"],
+        busy["timers"], busy["digests"], busy["repairs_sent"], busy["rebuilds"],
+    ) == (520748, 7202, 7236, 0, 12496, 8, 28, 7200), busy
 
 
 def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
@@ -146,9 +155,10 @@ def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
     assert_one_delta_per_broadcast(lossy)
     assert lossy["datagrams"] <= 1.02 * 7220, lossy  # the parent's count
     assert (
-        lossy["bytes"], lossy["datagrams"], lossy["standalone_acks"], lossy["timers"],
-        lossy["retransmits"], lossy["digests"], lossy["repairs_sent"],
-    ) == (520574, 7224, 12, 13573, 941, 9, 47), lossy
+        lossy["bytes"], lossy["datagrams"], lossy["frames"], lossy["standalone_acks"],
+        lossy["timers"], lossy["retransmits"], lossy["digests"], lossy["repairs_sent"],
+        lossy["rebuilds"],
+    ) == (520574, 7224, 9106, 12, 13573, 941, 9, 47, 7200), lossy
 
 
 def test_relay_envelopes_carry_the_origins_delta_on_a_paced_overlay():
@@ -162,9 +172,10 @@ def test_relay_envelopes_carry_the_origins_delta_on_a_paced_overlay():
     assert paced["deltas"] == paced["relays"], paced
     assert paced["bytes"] <= 600 * deliveries, paced
     assert paced["datagrams"] <= 3.5 * deliveries, paced
-    # Exact for the seed: 471.2 B, 3.259 datagrams, 0.094 digests and
-    # 0.035 repairs per delivery, 3.10 relay copies.
+    # Exact for the seed: 471.2 B, 3.259 datagrams, 3.263 frames, 0.094
+    # digests and 0.035 repairs per delivery, 3.10 relay copies, and
+    # 0.967 full-form rebuilds per delivery.
     assert (
-        paced["bytes"], paced["datagrams"], paced["digests"], paced["repairs_sent"],
-        paced["relays"],
-    ) == (4523459, 31286, 904, 339, 29772), paced
+        paced["bytes"], paced["datagrams"], paced["frames"], paced["digests"],
+        paced["repairs_sent"], paced["relays"], paced["rebuilds"],
+    ) == (4523459, 31286, 31323, 904, 339, 29772, 9284), paced
