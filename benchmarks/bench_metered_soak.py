@@ -92,19 +92,20 @@ async def run_soak(out_dir, rounds):
             sent += 1
         await asyncio.sleep(0.05)
 
+    def delivered(node):
+        # Own broadcasts included: full convergence is every node
+        # having delivered every message sent.
+        return node.endpoint.stats.sent + node.endpoint.stats.delivered
+
     def converged():
-        # delivered_payloads() includes a node's own broadcasts, so full
-        # convergence is every node holding every message sent.
-        return all(
-            len(node.delivered_payloads()) == sent for node in nodes.values()
-        )
+        return all(delivered(node) == sent for node in nodes.values())
 
     ok = await wait_for(converged)
     for node in nodes.values():
         await node.close()
     if not ok:
-        delivered = {n: len(node.delivered_payloads()) for n, node in nodes.items()}
-        raise SystemExit(f"soak never converged: sent={sent}, delivered={delivered}")
+        counts = {n: delivered(node) for n, node in nodes.items()}
+        raise SystemExit(f"soak never converged: sent={sent}, delivered={counts}")
     return sent
 
 

@@ -331,10 +331,6 @@ _STORE_LIMIT = 8192
 _REPAIRS_PER_DIGEST = 256
 # Minimum spacing of out-of-band digests to one address (seconds).
 _RESYNC_INTERVAL = 0.05
-# How many delivery records `deliveries` / `delivered_payloads()` look
-# back over.  Exact totals are the endpoint's counters; a node keeps
-# nothing per message for the length of a run.
-_RECENT_DELIVERIES = 1024
 # Eviction records (and the warn-once marks that hang off them) kept
 # before the oldest ages out.
 _EVICTION_WINDOW = 256
@@ -365,11 +361,11 @@ _Reference = Tuple[int, np.ndarray, Tuple[int, ...]]
 class ReliableCausalNode:
     """One networked participant with reliable dissemination.
 
-    The public surface is broadcast / add_peer / deliveries plus
+    The public surface is broadcast / add_peer / ``on_delivery`` plus
     lifecycle (:meth:`start`, :meth:`close`) and wire observability
     (:meth:`transport_stats`).  What a node holds is O(senders + peers)
-    plus what is in flight, never O(messages delivered):
-    :attr:`deliveries` is a recent window (exact counts live in
+    plus what is in flight, never O(messages delivered): a delivered
+    record goes to ``on_delivery`` and is not kept (exact counts live in
     ``endpoint.stats``), every per-sender record of what was received or
     delivered is one :class:`~repro.core.pending.SeenFilter`, and
     :meth:`state_sizes` counts the entries of every table.
@@ -459,7 +455,6 @@ class ReliableCausalNode:
         self._codec = codec if codec is not None else MessageCodec()
         self._on_delivery = on_delivery
         self._peers: List[Address] = []
-        self._deliveries: Deque[DeliveryRecord] = deque(maxlen=_RECENT_DELIVERIES)
         self._decode_errors = 0
         self._anti_entropy_interval = anti_entropy_interval
         # Digest rounds are spread uniformly over [0.5, 1.5) x interval
@@ -1607,22 +1602,12 @@ class ReliableCausalNode:
                     "journal_snapshot", ts=self._now(),
                     number=self.journal.snapshots_written,
                 )
-        self._deliveries.append(record)
         if self._on_delivery is not None:
             self._on_delivery(record)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    @property
-    def deliveries(self) -> List[DeliveryRecord]:
-        """The most recent deliveries, in order (local self-deliveries
-        included): a window of the last ``_RECENT_DELIVERIES`` records,
-        not a history.  Exact totals are ``endpoint.stats.sent`` (own)
-        plus ``endpoint.stats.delivered`` (remote); an application that
-        needs every record takes them from ``on_delivery``."""
-        return list(self._deliveries)
 
     def delivered_frontiers(self) -> Frontiers:
         """Per-sender ``(contiguous, extras)`` coverage of everything this
@@ -1662,15 +1647,6 @@ class ReliableCausalNode:
         """Frames dropped because their source was evicted from the view."""
         return self._stale_frames
 
-    def delivered_payloads(self, include_local: bool = True) -> List[Any]:
-        """Payloads of the :attr:`deliveries` window, in delivery order
-        (``include_local=False`` filters within the window)."""
-        return [
-            record.message.payload
-            for record in self._deliveries
-            if include_local or not record.local
-        ]
-
     @property
     def decode_errors(self) -> int:
         """Datagrams dropped because they failed to decode."""
@@ -1688,7 +1664,6 @@ class ReliableCausalNode:
         none grows with the number of messages delivered."""
         journal, membership = self.journal, self.membership
         sizes = {
-            "recent_deliveries": len(self._deliveries),
             "store_messages": len(self.store),
             **_coverage_sizes("store", self.store.frontiers()),
             **_coverage_sizes("seen", self.endpoint.seen_frontiers()),

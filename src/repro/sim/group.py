@@ -166,7 +166,7 @@ class Group:
         self.order[name] = []
         self._covered[name] = 0
 
-    async def _create(self, name: str, transport, **create_kwargs):
+    async def _create(self, name: str, transport, on_delivery=None, **create_kwargs):
         loop = asyncio.get_running_loop()
         order = self.order[name]
 
@@ -182,6 +182,8 @@ class Group:
                                         fanout=len(self.order) - 1)
             elif self.oracle is not None:
                 self.oracle.classify_delivery(name, message_id, loop.time())
+            if on_delivery is not None:
+                on_delivery(record)
 
         config = self.config(name) if callable(self.config) else self.config
         return await create_node(name, config, transport=transport,
@@ -223,7 +225,8 @@ class Group:
 
     async def join(self, name: str, **create_kwargs):
         """Add a new node ``name`` mid-run (``create_kwargs`` go to
-        ``create_node``, e.g. an ``assigner``).  A member joins through
+        ``create_node``, e.g. an ``assigner``; an ``on_delivery`` runs
+        after the group's own bookkeeping).  A member joins through
         its seed peers, or founds the group without any.  The oracle
         seeds the joiner's true clock from the coverage its state
         transfer delivered, and :meth:`settle` expects of it only what

@@ -18,6 +18,7 @@ from repro.net.node import _GAP_PULL_GRACE
 from repro.sim.group import Group
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.sim.vtime import run_virtual
+from tests.recording import Deliveries
 
 OVERLAY = NodeConfig(dissemination="overlay")
 SWARM = 16
@@ -174,9 +175,11 @@ def test_a_split_that_outlasts_the_retries_is_healed_by_anti_entropy(
 
 async def overlay_pair(bus, payloads=("first", "second")):
     """``a`` and ``b`` know each other; ``a`` holds broadcasts ``b``
-    has not been pushed (``a`` had no targets when it issued them)."""
+    has not been pushed (``a`` had no targets when it issued them).
+    Also returns ``b``'s delivery log."""
     a = await create_node("a", OVERLAY, transport=bus.attach("a"))
-    b = await create_node("b", OVERLAY, transport=bus.attach("b"))
+    log = Deliveries()
+    b = await create_node("b", OVERLAY, transport=bus.attach("b"), on_delivery=log.append)
     for payload in payloads:
         await a.broadcast(payload)
     a.add_peer("b")
@@ -186,21 +189,21 @@ async def overlay_pair(bus, payloads=("first", "second")):
                    payload=a.store.get("a", seq))
         for seq in range(1, len(payloads) + 1)
     ]
-    return a, b, pushes
+    return a, b, pushes, log
 
 
 def test_gap_pull_asks_the_pusher_after_the_grace_and_not_before():
     async def scenario():
         bus = LocalAsyncBus(ConstantDelayModel(1.0))
-        a, b, (first, second) = await overlay_pair(bus)
+        a, b, (first, second), log = await overlay_pair(bus)
         try:
             b._handle_relay(second, "a")  # ahead of its causal past
-            assert b.delivered_payloads() == []
+            assert log.payloads() == []
             assert b.repair_stats.gap_pulls_armed == 1
             await asyncio.sleep(_GAP_PULL_GRACE * 0.9)
             assert b.transport_stats().digests_sent == 0
             await asyncio.sleep(_GAP_PULL_GRACE * 0.2 + 0.02)
-            assert b.delivered_payloads() == ["first", "second"]
+            assert log.payloads() == ["first", "second"]
             return b.repair_stats, b.transport_stats("a"), a.repair_stats
         finally:
             await a.close()
@@ -216,13 +219,13 @@ def test_gap_pull_asks_the_pusher_after_the_grace_and_not_before():
 def test_a_gap_the_relay_wave_closes_in_time_costs_nothing():
     async def scenario():
         bus = LocalAsyncBus(ConstantDelayModel(1.0))
-        a, b, (first, second) = await overlay_pair(bus)
+        a, b, (first, second), log = await overlay_pair(bus)
         try:
             b._handle_relay(second, "a")
             await asyncio.sleep(_GAP_PULL_GRACE / 2)
             b._handle_relay(first, "a")  # the longer relay path
             await asyncio.sleep(_GAP_PULL_GRACE)
-            assert b.delivered_payloads() == ["first", "second"]
+            assert log.payloads() == ["first", "second"]
             return b.repair_stats, b.transport_stats()
         finally:
             await a.close()
@@ -242,7 +245,7 @@ def test_a_gap_that_opens_while_the_timer_runs_is_pulled_too():
 
     async def scenario():
         bus = LocalAsyncBus(ConstantDelayModel(1.0))
-        a, b, (first, second, third, fourth) = await overlay_pair(
+        a, b, (first, second, third, fourth), log = await overlay_pair(
             bus, ("first", "second", "third", "fourth")
         )
         try:
@@ -250,12 +253,12 @@ def test_a_gap_that_opens_while_the_timer_runs_is_pulled_too():
             await asyncio.sleep(_GAP_PULL_GRACE / 2)
             b._handle_relay(first, "a")  # the wave releases "second"...
             b._handle_relay(fourth, "a")  # ...while "third" goes missing
-            assert b.delivered_payloads() == ["first", "second"]
+            assert log.payloads() == ["first", "second"]
             await asyncio.sleep(_GAP_PULL_GRACE / 2 + 0.005)
             # The first grace ended with "second" released: re-armed.
             assert (b.repair_stats.gap_pulls_armed, b.repair_stats.gap_pulls) == (2, 0)
             await asyncio.sleep(_GAP_PULL_GRACE + 0.02)
-            assert b.delivered_payloads() == ["first", "second", "third", "fourth"]
+            assert log.payloads() == ["first", "second", "third", "fourth"]
             return b.repair_stats, a.repair_stats
         finally:
             await a.close()
@@ -273,12 +276,12 @@ def test_a_pull_at_an_unknown_pusher_falls_back_to_the_rounds_partner():
 
     async def scenario():
         bus = LocalAsyncBus(ConstantDelayModel(1.0))
-        a, b, (first, second) = await overlay_pair(bus)
+        a, b, (first, second), log = await overlay_pair(bus)
         try:
             b._handle_relay(second, "stranger")
             b.overlay.discard("stranger")  # the sample merge may have kept it
             await asyncio.sleep(_GAP_PULL_GRACE + 0.02)
-            assert b.delivered_payloads() == ["first", "second"]
+            assert log.payloads() == ["first", "second"]
             assert "stranger" not in b._resync_last
             assert "stranger" not in b.session.all_stats() or (
                 b.transport_stats("stranger").digests_sent == 0
@@ -365,14 +368,14 @@ def test_repair_and_gap_pull_series_follow_the_nodes_own_counters():
 
     async def scenario():
         bus = LocalAsyncBus(ConstantDelayModel(1.0))
-        a, b, (first, second) = await overlay_pair(bus)
+        a, b, (first, second), log = await overlay_pair(bus)
         mesh = await create_node(
             "m", NodeConfig(r=16, k=2), transport=bus.attach("m")
         )
         try:
             b._handle_relay(second, "a")  # pended: armed, then pulled
             await asyncio.sleep(_GAP_PULL_GRACE + 0.02)
-            assert b.delivered_payloads() == ["first", "second"]
+            assert log.payloads() == ["first", "second"]
             # A second copy of the repair over the link buys nothing.
             a.session.push("b", a.store.get("a", 1))
             await asyncio.sleep(0.02)

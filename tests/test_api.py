@@ -23,6 +23,7 @@ from repro.net import LocalAsyncBus, ReliableCausalNode
 from repro.net.node import MessageStore
 from repro.net.overlay import PartialView
 from repro.util.rng import RandomSource
+from tests.recording import Deliveries
 
 
 class TestNodeConfig:
@@ -269,7 +270,8 @@ class TestCreateNode:
             bus = LocalAsyncBus()
             config = NodeConfig(r=32, k=2, scheme=scheme, anti_entropy_interval=0.0)
             a = await create_node("a", config, transport=bus.attach("a"))
-            b = await create_node("b", config, transport=bus.attach("b"))
+            log = Deliveries()
+            b = await create_node("b", config, transport=bus.attach("b"), on_delivery=log.append)
             assert isinstance(a, ReliableCausalNode)
             a.add_peer("b")
             b.add_peer("a")
@@ -281,7 +283,7 @@ class TestCreateNode:
                         break
                     await bus.drain()
                     await asyncio.sleep(0.01)
-            assert b.delivered_payloads() == ["over the bus", "and again"]
+            assert log.payloads() == ["over the bus", "and again"]
             wire = a.transport_stats()
             await a.close()
             await b.close()
@@ -313,12 +315,13 @@ class TestCreateNode:
             config = NodeConfig(r=16, k=2, payload_codec="raw",
                                 anti_entropy_interval=0.0)
             a = await create_node("a", config, transport=bus.attach("a"))
-            b = await create_node("b", config, transport=bus.attach("b"))
+            log = Deliveries()
+            b = await create_node("b", config, transport=bus.attach("b"), on_delivery=log.append)
             a.add_peer("b")
             await a.broadcast(b"\x00\x01binary")
             await bus.drain()
             await asyncio.sleep(0.05)
-            assert b.delivered_payloads(include_local=False) == [b"\x00\x01binary"]
+            assert log.payloads(include_local=False) == [b"\x00\x01binary"]
             await a.close()
             await b.close()
 

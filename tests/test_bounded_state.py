@@ -1,9 +1,10 @@
 """A node remembers each fact once and nothing per message.
 
 * Bounded by construction: ``state_sizes()`` — the census of every
-  table a node holds — is flat between N and 3N broadcasts per sender,
-  with and without a journal; ``deliveries`` is a recent window while
-  the endpoint's counters stay exact; the warn-once sets of a churning
+  table a node holds — and the bytes the node retains are flat between
+  N and 3N broadcasts per sender, with and without a journal; a
+  delivered record goes to ``on_delivery`` and stays nowhere while the
+  endpoint's counters stay exact; the warn-once sets of a churning
   group age out with the eviction records they hang off.
 * One way in: journal recovery and the join state transfer adopt
   coverage through ``ReliableCausalNode.adopt_coverage``, so the seen
@@ -15,8 +16,10 @@
 """
 
 import asyncio
+import gc
 import logging
 import os
+import tracemalloc
 
 import pytest
 
@@ -34,14 +37,15 @@ from repro.core.codec import JoinAckFrame, MemberRecord, MessageCodec
 from repro.core.errors import ConfigurationError
 from repro.net import LocalAsyncBus
 from repro.net.journal import NodeJournal
-from repro.net.node import _EVICTION_WINDOW, _RECENT_DELIVERIES
+from repro.net.node import _EVICTION_WINDOW
 from repro.sim.group import wait_for
 from repro.sim.network import ConstantDelayModel
 from repro.sim.vtime import run_virtual
+from tests.recording import exact_deliveries
 
-
-def exact_deliveries(node):
-    return node.endpoint.stats.sent + node.endpoint.stats.delivered
+# What one node of the scenario below may retain (R = 24, 128 stored
+# messages): its store, coverage and sessions, nothing per delivery.
+_RETAINED_BYTES_PER_NODE = 256 * 1024
 
 
 async def mesh_on_bus(names, bus, **config):
@@ -71,7 +75,7 @@ async def mesh_on_bus(names, bus, **config):
 
 @pytest.mark.parametrize("journalled", [False, True], ids=["memory", "journal"])
 def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeypatch):
-    per_sender = 600  # 3 senders: past the delivery window and the store
+    per_sender = 600  # 3 senders: well past the store
     names = ("a", "b", "c")
     monkeypatch.setattr(node_module, "_STORE_LIMIT", 128)
 
@@ -93,17 +97,28 @@ def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeyp
                 and node.state_sizes()["session_unacked"] == 0
                 for node in nodes.values()
             ), timeout=60.0), {name: exact_deliveries(node) for name, node in nodes.items()}
-            return {name: node.state_sizes() for name, node in nodes.items()}
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] / len(names)
+            return {name: node.state_sizes() for name, node in nodes.items()}, retained
 
+        # Traced from here on: what the nodes allocate while they run
+        # and still hold at each reading.  The trace ring is a window
+        # (each journal snapshot adds an event); it is counted full.
+        tracemalloc.start()
+        for node in nodes.values():
+            for index in range(node.trace.capacity):
+                node.trace.emit("journal_snapshot", ts=float(index), number=index)
         try:
-            early = await run_to(per_sender)
-            late = await run_to(3 * per_sender)
+            early, early_bytes = await run_to(per_sender)
+            late, late_bytes = await run_to(3 * per_sender)
         finally:
+            tracemalloc.stop()
             await asyncio.gather(*(node.close() for node in nodes.values()))
+        assert early_bytes <= _RETAINED_BYTES_PER_NODE, early_bytes
+        assert abs(late_bytes - early_bytes) <= 0.05 * early_bytes, (early_bytes, late_bytes)
         for name in names:
             # Settled: no delta still waits for its reference.
             assert early[name]["parked_deltas"] == late[name]["parked_deltas"] == 0
-            assert early[name]["recent_deliveries"] == _RECENT_DELIVERIES
             assert early[name]["store_messages"] == 128
             assert late[name]["journal_senders"] == (3 if journalled else 0)
             before, after = sum(early[name].values()), sum(late[name].values())
@@ -113,11 +128,11 @@ def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeyp
 
 
 # ----------------------------------------------------------------------
-# (b) deliveries is a window; the counters are the total
+# (b) every record goes to on_delivery; the counters are the total
 # ----------------------------------------------------------------------
 
 
-def test_deliveries_is_the_most_recent_window_and_counts_stay_exact():
+def test_on_delivery_sees_every_record_and_counts_stay_exact():
     async def scenario():
         bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
         history = []
@@ -129,7 +144,7 @@ def test_deliveries_is_the_most_recent_window_and_counts_stay_exact():
                               transport=bus.attach("b"))
         a.add_peer("b")
         b.add_peer("a")
-        each = _RECENT_DELIVERIES * 3 // 4  # the two together overrun it
+        each = 768
         try:
             for i in range(each):
                 await asyncio.gather(a.broadcast(("a", i)), b.broadcast(("b", i)))
@@ -140,12 +155,8 @@ def test_deliveries_is_the_most_recent_window_and_counts_stay_exact():
         assert a.endpoint.stats.sent == each
         assert a.endpoint.stats.delivered == each
         assert len(history) == 2 * each
-        window = history[-_RECENT_DELIVERIES:]
-        assert a.deliveries == window
-        assert a.delivered_payloads() == [r.message.payload for r in window]
-        remote = a.delivered_payloads(include_local=False)
-        assert remote == [r.message.payload for r in window if not r.local]
-        assert 0 < len(remote) < each  # filtered within the window
+        assert [r.message.payload for r in history if r.local] == [("a", i) for i in range(each)]
+        assert [r.message.payload for r in history if not r.local] == [("b", i) for i in range(each)]
 
     asyncio.run(scenario())
 

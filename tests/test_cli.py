@@ -194,13 +194,15 @@ class TestNodeCommand:
         import time
 
         from repro.api import NodeConfig, create_node
+        from tests.recording import Deliveries
 
+        log = Deliveries()
         loop = asyncio.new_event_loop()
         thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()
         try:
             receiver = asyncio.run_coroutine_threadsafe(
-                create_node("rx", NodeConfig(r=128, k=3)), loop
+                create_node("rx", NodeConfig(r=128, k=3), on_delivery=log.append), loop
             ).result(timeout=10)
             host, port = receiver.local_address
             code = main([
@@ -210,10 +212,10 @@ class TestNodeCommand:
             assert code == 0
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                if len(receiver.delivered_payloads()) == 2:
+                if len(log) == 2:
                     break
                 time.sleep(0.01)
-            assert receiver.delivered_payloads() == ["hello-0", "hello-1"]
+            assert log.payloads() == ["hello-0", "hello-1"]
             asyncio.run_coroutine_threadsafe(receiver.close(), loop).result(timeout=10)
         finally:
             loop.call_soon_threadsafe(loop.stop)
@@ -365,4 +367,4 @@ class TestMetricsFlags:
         code, out = run_cli(capsys, "stats", str(path))
         assert code == 0
         assert "repro_endpoint_sent_total" in out
-        assert "repro_state_entries_recent_deliveries" in out
+        assert "repro_state_entries_store_messages" in out

@@ -36,6 +36,7 @@ from repro.sim.group import Group, wait_for
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.sim.oracle import CausalityOracle, DeliveryVerdict
 from repro.sim.vtime import run_virtual
+from tests.recording import Deliveries
 
 LONG_HAUL = 3000  # broadcasts per sender; the old table rolled over at 1,056
 
@@ -175,11 +176,11 @@ class Origin:
         )
 
 
-async def receiver(bus):
+async def receiver(bus, on_delivery=None):
     """A node ``b`` whose only peer is ``a``, with no anti-entropy round."""
     node = await create_node(
         "b", NodeConfig(r=16, keys=(4, 5, 6), anti_entropy_interval=0),
-        transport=bus.attach("b"),
+        transport=bus.attach("b"), on_delivery=on_delivery,
     )
     node.add_peer("a")
     return node
@@ -404,23 +405,24 @@ def test_a_restarted_receiver_misses_once_per_sender_then_decodes_deltas(tmp_pat
 def test_a_reordered_mesh_delta_parks_and_releases_with_no_miss():
     async def scenario():
         bus = LocalAsyncBus()
-        node = await receiver(bus)
+        log = Deliveries()
+        node = await receiver(bus, on_delivery=log.append)
         origin = Origin()
         try:
             node._handle_wire_message(origin.delta(3), "a")  # names 2
             node._handle_wire_message(origin.delta(2), "a")  # names 1
             assert node.state_sizes()["parked_deltas"] == 2
-            assert node.delivered_payloads() == []
+            assert log.payloads() == []
             # A parked message is held: the digest does not ask for it.
             assert node._digest()["a"] == (0, (2, 3))
             node._handle_wire_message(origin.full(1), "a")
-            assert node.delivered_payloads() == ["m1", "m2", "m3"]
+            assert log.payloads() == ["m1", "m2", "m3"]
             assert node.state_sizes()["parked_deltas"] == 0
             # A delta that arrives after a later message names one that
             # is no longer the newest: the store holds it.
             node._handle_wire_message(origin.full(5), "a")
             node._handle_wire_message(origin.delta(4), "a")
-            assert node.delivered_payloads() == ["m1", "m2", "m3", "m4", "m5"]
+            assert log.payloads() == ["m1", "m2", "m3", "m4", "m5"]
             stats = node.transport_stats("a")
             assert (stats.delta_received, stats.full_received) == (3, 2)
             assert (stats.delta_ref_misses, stats.digests_sent) == (0, 0)

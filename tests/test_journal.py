@@ -15,6 +15,7 @@ from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.core.errors import ConfigurationError
 from repro.net.journal import NodeJournal
 from repro.sim.group import wait_for
+from tests.recording import Deliveries, exact_deliveries
 
 
 def make_journal(tmp_path, **kwargs):
@@ -225,8 +226,8 @@ class TestNodeRecovery:
             for i in range(10):
                 await alice.broadcast(("alice", i))
             await bob.broadcast(("bob", 0))
-            assert await wait_for(lambda: len(alice.deliveries) == 11)
-            assert await wait_for(lambda: len(bob.deliveries) == 11)
+            assert await wait_for(lambda: exact_deliveries(alice) == 11)
+            assert await wait_for(lambda: exact_deliveries(bob) == 11)
             pre_vector = alice.endpoint.clock.snapshot()
             pre_sends = alice.endpoint.clock.send_count
             port = alice.local_address[1]
@@ -240,16 +241,16 @@ class TestNodeRecovery:
             assert alice2.endpoint.clock.send_count == pre_sends
             await alice2.start()
             alice2.add_peer(bob.local_address)
-            bob_count = len(bob.deliveries)
+            bob_count = exact_deliveries(bob)
             message = await alice2.broadcast(("alice", "post-crash"))
             # Fresh-but-monotonic: the message id continues the sequence.
             assert message.seq == pre_sends + 1
-            assert await wait_for(lambda: len(bob.deliveries) == bob_count + 1)
+            assert await wait_for(lambda: exact_deliveries(bob) == bob_count + 1)
             # Bob saw no duplicate of the pre-crash traffic: the restart
             # neither re-sent old messages nor reused a message id.
             assert bob.endpoint.stats.duplicates == 0
             # Alice's restart did not re-deliver anything she had seen.
-            assert len(alice2.deliveries) == 1
+            assert exact_deliveries(alice2) == 1
             await alice2.close()
             await bob.close()
 
@@ -271,7 +272,7 @@ class TestNodeRecovery:
             alice.add_peer(bob.local_address)
             for i in range(3):
                 await alice.broadcast(i)
-            assert await wait_for(lambda: len(bob.deliveries) == 3)
+            assert await wait_for(lambda: bob.endpoint.stats.delivered == 3)
             port = alice.local_address[1]
             await alice.close()
 
@@ -281,7 +282,7 @@ class TestNodeRecovery:
             assert link[0] > 3, "link seq must resume past the lease"
             await alice2.broadcast("fresh")
             # Anti-entropy is off: only a non-duplicate link seq delivers.
-            assert await wait_for(lambda: len(bob.deliveries) == 4)
+            assert await wait_for(lambda: bob.endpoint.stats.delivered == 4)
             await alice2.close()
             await bob.close()
 
@@ -305,13 +306,15 @@ class TestNodeRecovery:
             await alice.close()
 
             alice2 = await create_node("alice", config.replace(port=port))
-            bob = await create_node("bob", config.replace(data_dir=None))
+            log = Deliveries()
+            bob = await create_node("bob", config.replace(data_dir=None),
+                                    on_delivery=log.append)
             alice2.add_peer(bob.local_address)
             bob.add_peer(alice2.local_address)
             # Bob's digests reveal he lacks the pre-crash messages; the
             # restarted store can serve them because the WAL kept bytes.
-            assert await wait_for(lambda: len(bob.deliveries) == 4)
-            assert [p for p in bob.delivered_payloads()] == [
+            assert await wait_for(lambda: len(log) == 4)
+            assert log.payloads() == [
                 ("pre", 0), ("pre", 1), ("pre", 2), ("pre", 3)
             ]
             await alice2.close()

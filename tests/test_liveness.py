@@ -13,6 +13,7 @@ from repro.core.errors import ConfigurationError
 from repro.net import session as session_module
 from repro.net.liveness import PeerLivenessMonitor
 from repro.sim.group import wait_for
+from tests.recording import Deliveries
 
 
 class TestPolicy:
@@ -102,7 +103,7 @@ class TestQuarantineIntegration:
             alice.add_peer(bob.local_address)
             bob.add_peer(alice.local_address)
             await alice.broadcast("warmup")
-            assert await wait_for(lambda: len(bob.deliveries) == 1)
+            assert await wait_for(lambda: bob.endpoint.stats.delivered == 1)
 
             bob_address = bob.local_address
             await bob.close()  # bob dies silently
@@ -141,7 +142,7 @@ class TestQuarantineIntegration:
             alice.add_peer(bob.local_address)
             bob.add_peer(alice.local_address)
             await alice.broadcast("before")
-            assert await wait_for(lambda: len(bob.deliveries) == 1)
+            assert await wait_for(lambda: bob.endpoint.stats.delivered == 1)
 
             bob_address = bob.local_address
             await bob.close()
@@ -151,8 +152,9 @@ class TestQuarantineIntegration:
             # Broadcast while bob is down: skips him (quarantined).
             await alice.broadcast("during")
 
+            log = Deliveries()
             bob2 = await create_node(
-                "bob", bob_config.replace(port=bob_address[1])
+                "bob", bob_config.replace(port=bob_address[1]), on_delivery=log.append
             )
             bob2.add_peer(alice.local_address)
             assert await wait_for(
@@ -162,7 +164,7 @@ class TestQuarantineIntegration:
             assert alice.liveness.resumes >= 1
             # The heal: bob catches up on what he missed, exactly once.
             assert await wait_for(
-                lambda: "during" in bob2.delivered_payloads(), timeout=10.0
+                lambda: "during" in log.payloads(), timeout=10.0
             ), "anti-entropy never healed the quarantine gap"
             assert bob2.endpoint.stats.duplicates == 0
             await alice.close()

@@ -12,27 +12,32 @@ from repro.sim.group import wait_for
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.sim.vtime import run_virtual
 from repro.util.rng import RandomSource
+from tests.recording import Deliveries
 
 R, K = 32, 3
 
 
 async def make_cluster(transports, seed=9):
-    """One ``create_node()`` per ``{name: transport}``, nobody peered yet."""
+    """One ``create_node()`` per ``{name: transport}``, nobody peered
+    yet, and the delivery log of each."""
     assigner = RandomKeyAssigner(R, K, rng=RandomSource(seed=seed))
     config = NodeConfig(r=R, k=K)
-    return {
-        name: await create_node(name, config, transport=transport, assigner=assigner)
+    logs = {name: Deliveries() for name in transports}
+    nodes = {
+        name: await create_node(name, config, transport=transport, assigner=assigner,
+                                on_delivery=logs[name].append)
         for name, transport in transports.items()
     }
+    return nodes, logs
 
 
 async def make_bus_cluster(bus, names):
-    nodes = await make_cluster({name: bus.attach(name) for name in names})
+    nodes, logs = await make_cluster({name: bus.attach(name) for name in names})
     for name, node in nodes.items():
         for other in names:
             if other != name:
                 node.add_peer(other)
-    return nodes
+    return nodes, logs
 
 
 async def close_all(nodes):
@@ -43,12 +48,12 @@ class TestLocalBus:
     def test_broadcast_reaches_all_peers(self):
         async def scenario():
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(10.0))
-            nodes = await make_bus_cluster(bus, ["a", "b", "c"])
+            nodes, logs = await make_bus_cluster(bus, ["a", "b", "c"])
             await nodes["a"].broadcast("hello")
             # The sender self-delivered.
-            assert nodes["a"].delivered_payloads() == ["hello"]
+            assert logs["a"].payloads() == ["hello"]
             assert await wait_for(
-                lambda: all(n.delivered_payloads() == ["hello"] for n in nodes.values())
+                lambda: all(log.payloads() == ["hello"] for log in logs.values())
             )
             await close_all(nodes)
 
@@ -60,16 +65,16 @@ class TestLocalBus:
                 delay_model=GaussianDelayModel(mean=20, std=8, skew_std=8),
                 rng=RandomSource(seed=3).spawn("net"),
             )
-            nodes = await make_bus_cluster(bus, ["a", "b", "c"])
+            nodes, logs = await make_bus_cluster(bus, ["a", "b", "c"])
             # A chain: a sends, b replies after seeing it, several times.
             for round_number in range(5):
                 await nodes["a"].broadcast(("a", round_number))
                 assert await wait_for(
-                    lambda: ("a", round_number) in nodes["b"].delivered_payloads()
+                    lambda: ("a", round_number) in logs["b"].payloads()
                 )
                 await nodes["b"].broadcast(("b", round_number))
-            assert await wait_for(lambda: len(nodes["c"].delivered_payloads()) == 10)
-            order = nodes["c"].delivered_payloads()
+            assert await wait_for(lambda: len(logs["c"]) == 10)
+            order = logs["c"].payloads()
             # Within the chain, every (a, i) precedes (b, i).
             for i in range(5):
                 assert order.index(("a", i)) < order.index(("b", i))
@@ -85,17 +90,17 @@ class TestLocalBus:
                 duplicate_rate=0.3,
             )
             names = [f"p{i}" for i in range(5)]
-            nodes = await make_bus_cluster(bus, names)
+            nodes, logs = await make_bus_cluster(bus, names)
             await asyncio.gather(
                 *(nodes[name].broadcast(f"from-{name}") for name in names)
             )
             expected = sorted(f"from-{n}" for n in names)
             assert await wait_for(
-                lambda: all(len(n.delivered_payloads()) == 5 for n in nodes.values())
+                lambda: all(len(log) == 5 for log in logs.values())
             )
             await bus.drain()  # let the duplicated copies land too
-            for node in nodes.values():
-                assert sorted(node.delivered_payloads()) == expected
+            for log in logs.values():
+                assert sorted(log.payloads()) == expected
             await close_all(nodes)
 
         asyncio.run(scenario())
@@ -130,14 +135,14 @@ class TestLocalBus:
     def test_malformed_datagram_does_not_kill_peer(self):
         async def scenario():
             bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
-            nodes = await make_bus_cluster(bus, ["a", "b"])
+            nodes, logs = await make_bus_cluster(bus, ["a", "b"])
             transport = bus.attach("evil")
             await transport.send("b", b"not a message")
             await bus.drain()
             assert nodes["b"].session.frame_errors == 1
             await nodes["a"].broadcast("still alive")
             assert await wait_for(
-                lambda: nodes["b"].delivered_payloads() == ["still alive"]
+                lambda: logs["b"].payloads() == ["still alive"]
             )
             await close_all(nodes)
 
@@ -193,7 +198,7 @@ class TestUdpTransport:
             transports = {
                 f"udp-{index}": await UdpTransport.create() for index in range(3)
             }
-            nodes = await make_cluster(transports, seed=11)
+            nodes, logs = await make_cluster(transports, seed=11)
             for name, node in nodes.items():
                 for other, transport in transports.items():
                     if other != name:
@@ -201,10 +206,10 @@ class TestUdpTransport:
 
             await nodes["udp-0"].broadcast({"op": "add", "item": "milk"})
             assert await wait_for(
-                lambda: all(len(n.delivered_payloads()) == 1 for n in nodes.values())
+                lambda: all(len(log) == 1 for log in logs.values())
             )
-            for node in nodes.values():
-                assert node.delivered_payloads() == [{"op": "add", "item": "milk"}]
+            for log in logs.values():
+                assert log.payloads() == [{"op": "add", "item": "milk"}]
             await close_all(nodes)
 
         asyncio.run(scenario())
@@ -284,7 +289,7 @@ class TestBusAddressing:
     def test_causal_chain_over_udp(self):
         async def scenario():
             transports = {name: await UdpTransport.create() for name in "abc"}
-            nodes = await make_cluster(transports, seed=12)
+            nodes, logs = await make_cluster(transports, seed=12)
             a, b, c = (nodes[name] for name in "abc")
             # a -> {b, c};  b -> {c} only: c must still order b's reply
             # after a's original despite receiving both over UDP.
@@ -293,10 +298,10 @@ class TestBusAddressing:
             b.add_peer(transports["c"].local_address)
 
             await a.broadcast("question")
-            assert await wait_for(lambda: b.delivered_payloads(include_local=False))
+            assert await wait_for(lambda: logs["b"].payloads(include_local=False))
             await b.broadcast("answer")
-            assert await wait_for(lambda: len(c.delivered_payloads()) == 2)
-            assert c.delivered_payloads() == ["question", "answer"]
+            assert await wait_for(lambda: len(logs["c"]) == 2)
+            assert logs["c"].payloads() == ["question", "answer"]
             await close_all(nodes)
 
         asyncio.run(scenario())

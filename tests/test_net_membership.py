@@ -27,6 +27,7 @@ from repro.obs import last_snapshot, merge_snapshots
 from repro.sim.group import Group, wait_for
 from repro.sim.network import GaussianDelayModel
 from repro.sim.vtime import run_virtual
+from tests.recording import Deliveries
 
 
 def quick_config(seed_peers=(), join_timeout=0.5, join_retries=4, **overrides):
@@ -133,11 +134,13 @@ class TestLifecycle:
 
     def test_join_installs_view_and_delivers_post_join_traffic(self):
         async def scenario():
-            a = await create_node("a", quick_config())
+            logs = {"a": Deliveries(), "b": Deliveries()}
+            a = await create_node("a", quick_config(), on_delivery=logs["a"].append)
             for i in range(3):
                 await a.broadcast(f"pre-{i}")
             b = await create_node(
-                "b", quick_config(seed_peers=(a.local_address,))
+                "b", quick_config(seed_peers=(a.local_address,)),
+                on_delivery=logs["b"].append,
             )
             assert b.membership.joined
             assert b.membership.view.view_id == 2
@@ -145,17 +148,17 @@ class TestLifecycle:
             assert await wait_for(lambda: a.membership.view.view_id == 2)
             # The frontier transfer: a's pre-join messages are covered,
             # not replayed (b starts from a's delivered state).
-            assert len(b.deliveries) == 0
+            assert logs["b"] == []
             await a.broadcast("post")
             assert await wait_for(
-                lambda: "post" in b.delivered_payloads()
+                lambda: "post" in logs["b"].payloads()
             ), "joiner never delivered post-join traffic"
             assert b.endpoint.stats.duplicates == 0
             # And the transferred vector keeps causality intact the
             # other way: the joiner's broadcasts deliver at the founder.
             await b.broadcast("from-joiner")
             assert await wait_for(
-                lambda: "from-joiner" in a.delivered_payloads()
+                lambda: "from-joiner" in logs["a"].payloads()
             )
             await b.close()
             await a.close()
@@ -212,12 +215,13 @@ class TestLifecycle:
 
     def test_quarantine_ages_into_eviction_and_purges_state(self):
         async def scenario():
-            a = await create_node("a", quick_config())
+            log = Deliveries()
+            a = await create_node("a", quick_config(), on_delivery=log.append)
             b = await create_node(
                 "b", quick_config(seed_peers=(a.local_address,))
             )
             await b.broadcast("doomed")
-            assert await wait_for(lambda: "doomed" in a.delivered_payloads())
+            assert await wait_for(lambda: "doomed" in log.payloads())
             assert len(a.store) > 0
             b_address = b.local_address
             await b.close()  # dies silently: no LEAVE
@@ -235,7 +239,8 @@ class TestLifecycle:
 
     def test_stale_frames_from_evicted_peer_dropped(self):
         async def scenario():
-            a = await create_node("a", quick_config())
+            log = Deliveries()
+            a = await create_node("a", quick_config(), on_delivery=log.append)
             b = await create_node(
                 "b", quick_config(seed_peers=(a.local_address,))
             )
@@ -247,7 +252,7 @@ class TestLifecycle:
             before = a.stale_frames
             await b.broadcast("too-late")
             assert await wait_for(lambda: a.stale_frames > before)
-            assert "too-late" not in a.delivered_payloads()
+            assert "too-late" not in log.payloads()
             # Warn-once: the mark survives, the log does not repeat.
             assert b_address in a._stale_warned
             await b.close()
@@ -308,7 +313,8 @@ class TestPersistence:
 
     def test_joiner_rejoins_consistently_after_restart(self, tmp_path):
         async def scenario():
-            a = await create_node("a", quick_config())
+            log = Deliveries()
+            a = await create_node("a", quick_config(), on_delivery=log.append)
             b_config = quick_config(
                 seed_peers=(a.local_address,),
                 data_dir=str(tmp_path / "b"),
@@ -316,7 +322,7 @@ class TestPersistence:
             b = await create_node("b", b_config)
             granted = tuple(b.endpoint.clock.own_keys)
             await b.broadcast("alive")
-            assert await wait_for(lambda: "alive" in a.delivered_payloads())
+            assert await wait_for(lambda: "alive" in log.payloads())
             port = b.local_address[1]
             await b.close()  # crash: no LEAVE
 
@@ -328,7 +334,7 @@ class TestPersistence:
             assert tuple(b2.endpoint.clock.own_keys) == granted
             assert sorted(b2.membership.view.member_ids()) == ["a", "b"]
             await b2.broadcast("again")
-            assert await wait_for(lambda: "again" in a.delivered_payloads())
+            assert await wait_for(lambda: "again" in log.payloads())
             await b2.close()
             await a.close()
 

@@ -18,6 +18,7 @@ import asyncio
 from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.obs import read_snapshots
 from repro.sim.group import wait_for
+from tests.recording import Deliveries
 
 FAST = RetransmitPolicy(initial_timeout=0.02)
 
@@ -36,14 +37,16 @@ class FakeClock:
 
 
 async def make_pair(config_a, config_b=None, clock=None):
-    alice = await create_node("alice", config_a)
-    bob = await create_node("bob", config_b or config_a)
+    """``alice`` and ``bob``, peered, and the delivery log of each."""
+    logs = {"alice": Deliveries(), "bob": Deliveries()}
+    alice = await create_node("alice", config_a, on_delivery=logs["alice"].append)
+    bob = await create_node("bob", config_b or config_a, on_delivery=logs["bob"].append)
     if clock is not None:
         alice._now = clock
         bob._now = clock
     alice.add_peer(bob.local_address)
     bob.add_peer(alice.local_address)
-    return alice, bob
+    return alice, bob, logs
 
 
 class TestRefinedDetectorEviction:
@@ -57,14 +60,14 @@ class TestRefinedDetectorEviction:
                 keys=(0, 1), retransmit=FAST,
             )
             clock = FakeClock()
-            alice, bob = await make_pair(
+            alice, bob, logs = await make_pair(
                 config, config.replace(keys=(2, 3)), clock=clock
             )
             try:
                 for i in range(4):
                     await alice.broadcast(("alice", i))
                     assert await wait_for(
-                        lambda i=i: ("alice", i) in bob.delivered_payloads()
+                        lambda i=i: ("alice", i) in logs["bob"].payloads()
                     )
                     clock.advance(1.0)
                 detector = bob.endpoint.detector
@@ -79,7 +82,7 @@ class TestRefinedDetectorEviction:
                 clock.advance(100.0)
                 await alice.broadcast(("alice", "late"))
                 assert await wait_for(
-                    lambda: ("alice", "late") in bob.delivered_payloads()
+                    lambda: ("alice", "late") in logs["bob"].payloads()
                 )
                 assert detector.evictions >= 4, (
                     "window eviction never happened: the endpoint is "
@@ -102,7 +105,7 @@ class TestRefinedDetectorEviction:
             # broadcast covers the other's sender entries exactly.
             config = NodeConfig(r=2, k=2, keys=(0, 1), detector="basic",
                                 retransmit=FAST)
-            alice, bob = await make_pair(config)
+            alice, bob, logs = await make_pair(config)
             try:
                 # Broadcast on both sides before either datagram lands:
                 # each side then delivers a message whose entries its own
@@ -111,8 +114,8 @@ class TestRefinedDetectorEviction:
                     alice.broadcast("from-alice"), bob.broadcast("from-bob")
                 )
                 assert await wait_for(
-                    lambda: "from-alice" in bob.delivered_payloads()
-                    and "from-bob" in alice.delivered_payloads()
+                    lambda: "from-alice" in logs["bob"].payloads()
+                    and "from-bob" in logs["alice"].payloads()
                 )
                 alerted = [
                     node for node in (alice, bob)
@@ -146,13 +149,13 @@ class TestNodeStatsSurface:
                 r=16, k=2, keys=(0, 1), retransmit=FAST,
                 data_dir=str(tmp_path / "alice"),
             )
-            alice, bob = await make_pair(config, config.replace(
+            alice, bob, logs = await make_pair(config, config.replace(
                 keys=(2, 3), data_dir=str(tmp_path / "bob")))
             try:
                 for i in range(3):
                     await alice.broadcast(i)
                 assert await wait_for(
-                    lambda: len(bob.delivered_payloads()) == 3
+                    lambda: len(logs["bob"]) == 3
                 )
                 stats = bob.stats()
                 assert stats.node_id == "bob"
@@ -166,7 +169,7 @@ class TestNodeStatsSurface:
                 assert "repro_pending_depth" in stats.snapshot["gauges"]
                 # The per-table census rides the same pull collector.
                 sizes = bob.state_sizes()
-                assert sizes["recent_deliveries"] == 3
+                assert sizes["store_messages"] == 3
                 assert sizes["journal_senders"] == 1
                 for table, size in sizes.items():
                     gauge = stats.snapshot["gauges"][f"repro_state_entries_{table}"]
@@ -186,11 +189,11 @@ class TestNodeStatsSurface:
             path = tmp_path / "metrics.jsonl"
             config = NodeConfig(r=16, k=2, keys=(0, 1), retransmit=FAST,
                                 metrics_path=str(path), metrics_interval=0.05)
-            alice, bob = await make_pair(
+            alice, bob, logs = await make_pair(
                 config, config.replace(keys=(2, 3), metrics_path=None))
             try:
                 await alice.broadcast("x")
-                assert await wait_for(lambda: "x" in bob.delivered_payloads())
+                assert await wait_for(lambda: "x" in logs["bob"].payloads())
                 await asyncio.sleep(0.15)
             finally:
                 await alice.close()
@@ -209,13 +212,13 @@ class TestNodeStatsSurface:
         async def scenario():
             config = NodeConfig(r=16, k=2, keys=(0, 1), retransmit=FAST,
                                 metrics_port=0)
-            alice, bob = await make_pair(
+            alice, bob, logs = await make_pair(
                 config, config.replace(keys=(2, 3), metrics_port=None))
             try:
                 assert alice.metrics_server is not None
                 assert alice.metrics_server.port != 0
                 await alice.broadcast("x")
-                assert await wait_for(lambda: "x" in bob.delivered_payloads())
+                assert await wait_for(lambda: "x" in logs["bob"].payloads())
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", alice.metrics_server.port
                 )
@@ -242,10 +245,10 @@ class TestDetectorPersistence:
             data = tmp_path / "bob"
             config = NodeConfig(r=16, k=2, keys=(0, 1), retransmit=FAST)
             bob_config = config.replace(keys=(2, 3), data_dir=str(data))
-            alice, bob = await make_pair(config, bob_config)
+            alice, bob, logs = await make_pair(config, bob_config)
             await alice.broadcast("one")
             await alice.broadcast("two")
-            assert await wait_for(lambda: len(bob.delivered_payloads()) == 2)
+            assert await wait_for(lambda: len(logs["bob"]) == 2)
             checks_before = bob.endpoint.detector.stats.checks
             assert checks_before >= 2
             await bob.close()

@@ -43,6 +43,7 @@ from repro.net.overlay import PartialView
 from repro.sim.group import Group, disjoint_keys, wait_for
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.sim.vtime import run_virtual
+from tests.recording import Deliveries
 
 codec = FrameCodec()
 
@@ -481,10 +482,13 @@ async def rekey_mid_traffic(seed, dissemination="overlay"):
         0, lambda name: rekey_config(name, dissemination), seed, 0.0,
         GaussianDelayModel(5.0, 1.0, 1.0), judged=True, capacity=REKEY_GROUP,
     )
+    records = {f"n{index}": Deliveries() for index in range(REKEY_GROUP)}
     async with group:
-        founder = await group.join("n0", assigner=PerfectKeyAssigner(64, 3))
+        founder = await group.join("n0", assigner=PerfectKeyAssigner(64, 3),
+                                   on_delivery=records["n0"].append)
         for index in range(1, REKEY_GROUP):
-            await group.join(f"n{index}")
+            name = f"n{index}"
+            await group.join(name, on_delivery=records[name].append)
         assert await wait_for(lambda: len(founder.membership.view.members) == REKEY_GROUP)
         traffic = asyncio.ensure_future(group.paced(30, rate=10.0))
         await asyncio.sleep(1.0)
@@ -495,7 +499,6 @@ async def rekey_mid_traffic(seed, dissemination="overlay"):
         assert all(
             tuple(node.endpoint.clock.own_keys) == keys[node.node_id] for node in group.nodes
         )
-        records = {node.node_id: node.deliveries for node in group.nodes}
         return group.counts(), keys, records
 
 
@@ -551,7 +554,8 @@ def test_a_rekey_mid_traffic_takes_the_mesh_reference_with_it(seed, monkeypatch)
 
 class RelayRig:
     """One overlay node on a bus between two bare endpoints: ``up``
-    injects RELAY envelopes, ``down`` records what gets forwarded."""
+    injects RELAY envelopes, ``down`` records what gets forwarded and
+    ``delivered`` what the node delivered."""
 
     def __init__(self, **config):
         self.config = config
@@ -560,11 +564,12 @@ class RelayRig:
         self.bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
         self.up, down = self.bus.attach("up"), self.bus.attach("down")
         self.forwarded = []
+        self.delivered = Deliveries()
         down.set_receiver(lambda data, addr: self.forwarded.append(codec.decode(data)))
         self.node = await create_node(
             "rx",
             NodeConfig(r=16, dissemination="overlay", fanout=2, view_size=4, **self.config),
-            transport=self.bus.attach("rx"),
+            transport=self.bus.attach("rx"), on_delivery=self.delivered.append,
         )
         self.node.add_peer("up")
         self.node.add_peer("down")
@@ -617,7 +622,7 @@ class TestRelayAdmission:
                 assert rig.node.store.get("origin", 1) == rig.full(0)
                 await rig.relay(2, rig.delta(1))
                 await rig.relay(3, rig.delta(2, ref=1))
-                assert rig.node.delivered_payloads() == ["m1", "m2", "m3"]
+                assert rig.delivered.payloads() == ["m1", "m2", "m3"]
                 assert rig.node.decode_errors == 0
                 assert rig.node.transport_stats().delta_ref_misses == 0
                 # The wave forwards the body it received: downstream
@@ -673,7 +678,7 @@ class TestRelayAdmission:
                 await asyncio.sleep(0.01)
                 node = rig.node
                 assert node.transport_stats("up").delta_ref_misses == 2
-                assert node.delivered_payloads() == ["m1", "m2"]
+                assert rig.delivered.payloads() == ["m1", "m2"]
                 assert [frame.seq for frame in rig.forwarded] == [1, 2]
                 assert not node.endpoint.has_seen(("origin", 3))
                 assert node.state_sizes()["parked_deltas"] == 0
@@ -694,13 +699,13 @@ class TestRelayAdmission:
                 await rig.relay(1, rig.full(0))
                 await rig.relay(3, rig.delta(2, ref=1))
                 await rig.relay(3, rig.delta(2, ref=1))  # a second copy
-                assert node.delivered_payloads() == ["m1"]
+                assert rig.delivered.payloads() == ["m1"]
                 assert node.state_sizes()["parked_deltas"] == 1
                 assert [frame.seq for frame in rig.forwarded] == [1, 3]
                 assert node.overlay.stats.relay_duplicates == 1
                 assert node._digest()["origin"] == (1, (3,))
                 await rig.relay(2, rig.delta(1))
-                assert node.delivered_payloads() == ["m1", "m2", "m3"]
+                assert rig.delivered.payloads() == ["m1", "m2", "m3"]
                 assert node.state_sizes()["parked_deltas"] == 0
                 assert node.store.get("origin", 3) == rig.full(2)
                 up = node.transport_stats("up")
@@ -743,7 +748,7 @@ class TestRelayAdmission:
                 await rig.relay(8, rig.delta(2))  # ...on both encodings
                 await rig.relay(3, rig.full(2), origin="impostor")
                 assert rig.node.decode_errors == 3
-                assert rig.node.delivered_payloads() == ["m1"]
+                assert rig.delivered.payloads() == ["m1"]
                 assert len(rig.forwarded) == 1
                 # Believing the header would have poisoned the filter.
                 assert not rig.node.endpoint.has_seen(("origin", 7))
@@ -763,7 +768,7 @@ class TestRelayAdmission:
                 assert rig.node.stale_frames == 2 and len(warnings()) == 1
                 rig.node._handle_wire_message(rig.full(2), "up")
                 assert rig.node.stale_frames == 3 and len(warnings()) == 1
-                assert rig.node.delivered_payloads() == []
+                assert rig.delivered.payloads() == []
                 assert not rig.forwarded and len(rig.node.store) == 0
 
         with caplog.at_level("WARNING", logger="repro.net.node"):

@@ -48,6 +48,7 @@ from repro.net.node import MessageStore
 from repro.sim.group import Group, wait_for
 from repro.sim.network import GaussianDelayModel
 from repro.sim.vtime import run_virtual
+from tests.recording import Deliveries
 
 
 class TestSoakUnderLoss:
@@ -68,6 +69,7 @@ class TestSoakUnderLoss:
             )
             async with group:
                 alice, bob = group.nodes
+                order = group.order
                 rounds = 25
                 # bob's i-th message depends on having delivered alice's
                 # i-th, and vice versa, so *any* permanently lost message
@@ -75,18 +77,17 @@ class TestSoakUnderLoss:
                 for i in range(rounds):
                     await alice.broadcast(("alice", i))
                     assert await wait_for(
-                        lambda i=i: ("alice", i) in bob.delivered_payloads()
+                        lambda i=i: ("n0", i + 1) in order["n1"]
                     ), f"bob never delivered alice's message {i}"
                     await bob.broadcast(("bob", i))
                     assert await wait_for(
-                        lambda i=i: ("bob", i) in alice.delivered_payloads()
+                        lambda i=i: ("n1", i + 1) in order["n0"]
                     ), f"alice never delivered bob's message {i}"
 
                 chain = [
-                    (name, i) for i in range(rounds) for name in ("alice", "bob")
+                    (name, i + 1) for i in range(rounds) for name in ("n0", "n1")
                 ]
-                for node in (alice, bob):
-                    assert node.delivered_payloads() == chain
+                assert order == {"n0": chain, "n1": chain}
                 # The wire was hostile and the runtime fought back.
                 assert group.bus.dropped > 0, "loss never fired"
                 assert group.wire().retransmits > 0, "loss was never repaired by retransmit"
@@ -115,9 +116,9 @@ class TestSoakUnderLoss:
                     # healing.
                     alice.session.flush()
                 assert await wait_for(
-                    lambda: len(bob.delivered_payloads()) == 15
+                    lambda: len(group.order["n1"]) == 15
                 ), "anti-entropy did not converge"
-                assert bob.delivered_payloads() == list(range(15))
+                assert group.order["n1"] == [("n0", seq) for seq in range(1, 16)]
                 # The gap heals in answer to whichever digest lands first
                 # — often bob's, before alice's first jittered round.
                 assert group.wire().digests_sent > 0
@@ -138,7 +139,8 @@ class TestSoakUnderLoss:
             )
             alice = await create_node("alice", config)
             bob = await create_node("bob", config)
-            carol = await create_node("carol", config)
+            log = Deliveries()
+            carol = await create_node("carol", config, on_delivery=log.append)
             # alice only talks to bob; bob and carol are fully connected.
             alice.add_peer(bob.local_address)
             bob.add_peer(alice.local_address)
@@ -147,7 +149,7 @@ class TestSoakUnderLoss:
 
             await alice.broadcast("relayed")
             assert await wait_for(
-                lambda: carol.delivered_payloads() == ["relayed"], timeout=20.0
+                lambda: log.payloads() == ["relayed"], timeout=20.0
             ), "carol never received alice's message via bob"
             for node in (alice, bob, carol):
                 await node.close()
@@ -277,11 +279,12 @@ class TestNodeSurface:
         async def scenario():
             config = NodeConfig(r=32, k=2)
             a = await create_node("a", config)
-            b = await create_node("b", config)
+            log = Deliveries()
+            b = await create_node("b", config, on_delivery=log.append)
             a.add_peer(b.local_address)
             b.add_peer(a.local_address)
             await a.broadcast("x")
-            assert await wait_for(lambda: b.delivered_payloads() == ["x"])
+            assert await wait_for(lambda: log.payloads() == ["x"])
             assert a.transport_stats(b.local_address).data_sent == 1
             assert a.transport_stats_by_peer()[b.local_address].data_sent == 1
             assert b.store.knows("a", 1)
@@ -306,11 +309,12 @@ class TestNodeSurface:
                 liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=0.5),
             )
             alice = await create_node("alice", config)
-            bob = await create_node("bob", config)
+            log = Deliveries()
+            bob = await create_node("bob", config, on_delivery=log.append)
             alice.add_peer(bob.local_address)
             bob.add_peer(alice.local_address)
             await alice.broadcast("hello")
-            assert await wait_for(lambda: bob.delivered_payloads() == ["hello"])
+            assert await wait_for(lambda: log.payloads() == ["hello"])
             assert bob.local_address in alice.session.all_stats()
 
             alice.remove_peer(bob.local_address)
@@ -369,7 +373,8 @@ class TestNodeSurface:
                 windows=(FaultWindow(start=0.0, end=0.5, drop=True),),
             )
             alice = await create_node("alice", config, transport=transport)
-            bob = await create_node("bob", config)
+            log = Deliveries()
+            bob = await create_node("bob", config, on_delivery=log.append)
             alice.transport.arm()
             alice.add_peer(bob.local_address)
             bob.add_peer(alice.local_address)
@@ -383,7 +388,7 @@ class TestNodeSurface:
             assert stats.retransmits >= 2
             # The retransmit path gave up; the digest exchange must not.
             assert await wait_for(
-                lambda: bob.delivered_payloads() == ["blocked"], timeout=20.0
+                lambda: log.payloads() == ["blocked"], timeout=20.0
             ), "anti-entropy never healed the dropped frame"
             # Abandoned frames do not linger: once healed and acked, the
             # unacked queue drains completely.
@@ -422,12 +427,13 @@ class TestHostileDatagrams:
 
     R = 16
 
-    async def _node_on_a_bus(self, **config):
+    async def _node_on_a_bus(self, on_delivery=None, **config):
         # In process: a mutated member address must never reach a socket.
         bus = LocalAsyncBus()
         bus.attach("up").set_receiver(lambda data, addr: None)
         node = await create_node(
-            "rx", NodeConfig(r=self.R, k=2, **config), transport=bus.attach("rx")
+            "rx", NodeConfig(r=self.R, k=2, **config), transport=bus.attach("rx"),
+            on_delivery=on_delivery,
         )
         node.add_peer("up")
         return node
@@ -452,7 +458,8 @@ class TestHostileDatagrams:
         the poisoned encoding."""
 
         async def scenario():
-            node = await self._node_on_a_bus()
+            log = Deliveries()
+            node = await self._node_on_a_bus(on_delivery=log.append)
             frames = FrameCodec()
             digest = frames.encode(DigestFrame({"zoë": (1, ())}))
             payloads = [
@@ -469,7 +476,7 @@ class TestHostileDatagrams:
             assert (node.session.frame_errors, node.decode_errors) == (1, 3)
             assert len(node.trace.events("decode_error")) == 3
             # Only the valid one, last in the batch, left anything behind.
-            assert node.delivered_payloads() == ["p"]
+            assert log.payloads() == ["p"]
             assert node.store.frontiers() == {"origin": (1, ())}
             assert node.store.get("origin", 1) == payloads[-1]
             assert node.endpoint.seen_frontiers() == {"origin": (1, ())}

@@ -245,7 +245,7 @@ class TestNodeIntegration:
             b.add_peer(a.local_address)
             for i in range(10):
                 await a.broadcast(i)
-            assert await wait_for(lambda: len(b.deliveries) == 10)
+            assert await wait_for(lambda: b.endpoint.stats.delivered == 10)
             # ``a`` receives only b's acks, which are held for reverse
             # traffic for up to two retransmit ticks: wait for them.
             assert await wait_for(lambda: a.transport_stats().acks_received > 0)
