@@ -20,9 +20,10 @@ This module holds the two data structures behind the protocol hot path
   their messages densely, the tail stays small (bounded by per-sender
   reordering depth) and collapses into the watermark as gaps fill,
   whereas the plain ``set`` of ``(sender, seq)`` ids it replaces grew
-  with the total message count of the run.  The endpoint's duplicate
-  filter is one; so is every other record of what a node has received
-  or delivered (:mod:`repro.net.node`, :mod:`repro.net.journal`).
+  with the total message count of the run.  The endpoint owns the one
+  instance a process holds: its duplicate filter is also what the
+  networked node's message store digests, and what it has *delivered*
+  is that filter less the pending queue (:mod:`repro.net.node`).
 
 Delivery-order equivalence
 --------------------------
@@ -365,14 +366,16 @@ class SeenFilter:
     so steady-state memory is one integer per sender plus the transient
     reordering depth — instead of one set element per message ever seen.
 
-    This is the one coverage type of the stack: the endpoint's
-    duplicate filter, the message store's received coverage, the node's
-    and the journal's delivered coverage are each an instance, and its
-    ``(watermark, sorted tail)`` :meth:`frontiers` are the anti-entropy
-    digest, the join state transfer and the snapshot's ``delivered``
-    map — so transferred coverage is adopted wholesale
-    (:meth:`restore`) instead of replaying one ``add()`` per historical
-    message.  Senders are reported in first-seen order.
+    A process holds exactly one: the endpoint's duplicate filter, which
+    the networked node's message store reads for its digest and from
+    which the node derives its delivered coverage (seen less pending).
+    Its ``(watermark, sorted tail)`` :meth:`frontiers` are the
+    anti-entropy digest and, less the pending ids, the join state
+    transfer and the snapshot's ``delivered`` map — so transferred
+    coverage is adopted wholesale (:meth:`restore`) instead of
+    replaying one ``add()`` per historical message.  The journal's
+    replay builds a throwaway one.  Senders are reported in first-seen
+    order, and never dropped.
     """
 
     __slots__ = ("_watermark", "_tail")
@@ -393,11 +396,6 @@ class SeenFilter:
     def __len__(self) -> int:
         """Total distinct ids seen (reconstructed, not stored)."""
         return sum(self._watermark.values()) + self.tail_size
-
-    @property
-    def sender_count(self) -> int:
-        """Distinct senders tracked."""
-        return len(self._watermark)
 
     @property
     def tail_size(self) -> int:
@@ -430,11 +428,6 @@ class SeenFilter:
             return False
         tail.add(seq)
         return True
-
-    def forget(self, sender: ProcessId) -> None:
-        """Drop one sender's coverage; it may start again from seq 1."""
-        self._watermark.pop(sender, None)
-        self._tail.pop(sender, None)
 
     def watermark(self, sender: ProcessId) -> int:
         """The sender's contiguous prefix (0 when unknown)."""

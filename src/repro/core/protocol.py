@@ -141,7 +141,9 @@ class CausalBroadcastEndpoint:
         self._callback = deliver_callback
         self._max_pending = max_pending
         self._buffer = buffer if buffer is not None else PendingBuffer(clock.r)
-        self._seen = SeenFilter()
+        # Every id seen — own broadcasts, delivered and pending alike:
+        # the process's one such record, which hosts read, never write.
+        self.seen = SeenFilter()
         self.stats = EndpointStats()
         # Observability is opt-in: the hot path pays one None check until
         # bind_metrics() wires a registry in.
@@ -229,7 +231,7 @@ class CausalBroadcastEndpoint:
 
     def has_seen(self, message_id: MessageId) -> bool:
         """Whether a message id was already received (duplicate filter)."""
-        return message_id in self._seen
+        return message_id in self.seen
 
     def mark_seen(self, message_id: MessageId) -> bool:
         """Record a message id as seen without processing it.
@@ -239,7 +241,7 @@ class CausalBroadcastEndpoint:
         still need exactly-once accounting.  Returns True when the id was
         new.
         """
-        return self._seen.add(message_id)
+        return self.seen.add(message_id)
 
     def seen_frontiers(self) -> Frontiers:
         """Per-sender ``(watermark, sorted tail)`` duplicate-filter state.
@@ -248,7 +250,7 @@ class CausalBroadcastEndpoint:
         persistence layers can snapshot the filter without enumerating
         every historical id.
         """
-        return self._seen.frontiers()
+        return self.seen.frontiers()
 
     def restore_seen(self, frontiers: Frontiers) -> None:
         """Adopt recovered duplicate-filter coverage wholesale.
@@ -257,7 +259,7 @@ class CausalBroadcastEndpoint:
         per historical message; only valid before any traffic was
         processed (the crash-recovery path runs first).
         """
-        self._seen.restore(frontiers)
+        self.seen.restore(frontiers)
 
     # ------------------------------------------------------------------
     # sending (Algorithm 1)
@@ -282,7 +284,7 @@ class CausalBroadcastEndpoint:
             timestamp=timestamp,
             payload=payload,
         )
-        self._seen.add(message.message_id)
+        self.seen.add(message.message_id)
         self.stats.sent += 1
         self._emit(DeliveryRecord(message=message, alert=False, local=True))
         return message
@@ -299,7 +301,7 @@ class CausalBroadcastEndpoint:
         several (it unblocked queued messages).
         """
         self.stats.received += 1
-        if not self._seen.add(message.message_id):
+        if not self.seen.add(message.message_id):
             self.stats.duplicates += 1
             return []
 

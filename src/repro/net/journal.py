@@ -17,7 +17,9 @@ exactly the state whose loss is unsafe:
   the anti-entropy digest.  Deliberately *delivered*, not received: a
   restarted node must not advertise coverage of messages it held
   pending at the crash and can no longer serve — peers simply push
-  those again.
+  those again.  The journal keeps no live copy: a snapshot is handed
+  the node's coverage like the vector and the links, and the WAL's
+  records fold into it only while :meth:`NodeJournal.open` replays.
 * the **link-sequence leases**: the reliable session's per-peer send
   seqs are reserved in blocks (``seq_lease``) *before* first use, so a
   restarted node resumes past the lease and never reuses a link seq
@@ -192,9 +194,6 @@ class NodeJournal:
         self._fsync = fsync
         self._wal = None
         self._records_since_snapshot = 0
-        # Recovery state, so the journal keeps its own instance of the
-        # coverage type rather than sharing the node's.
-        self._delivered = SeenFilter()
         self._leases: Dict[Address, int] = {}
         self.snapshots_written = 0
         self.appends = 0
@@ -255,12 +254,15 @@ class NodeJournal:
         vector = [0] * self._r
         send_seq = 0
         links: Dict[Address, LinkState] = {}
+        # The delivered coverage the snapshot and the WAL add up to;
+        # it lives only as long as the replay.
+        delivered = SeenFilter()
         replay_start = time.perf_counter()
-        had_snapshot = self._load_snapshot(vector, links)
+        had_snapshot = self._load_snapshot(vector, delivered, links)
         if had_snapshot:
             send_seq = self._snapshot_send_seq
         own_messages: Dict[int, bytes] = {}
-        replayed = self._replay_wal(vector, own_messages)
+        replayed = self._replay_wal(vector, delivered, own_messages)
         self.replay_seconds = time.perf_counter() - replay_start
         self.replayed_records = replayed
         if replayed:
@@ -291,7 +293,7 @@ class NodeJournal:
         return RecoveredState(
             vector=tuple(vector),
             send_seq=send_seq,
-            delivered=self._delivered.frontiers(),
+            delivered=delivered.frontiers(),
             links=links,
             own_messages=own_messages,
             wal_records=replayed,
@@ -301,7 +303,9 @@ class NodeJournal:
             view=self._view,
         )
 
-    def _load_snapshot(self, vector: List[int], links: Dict[Address, LinkState]) -> bool:
+    def _load_snapshot(
+        self, vector: List[int], delivered: SeenFilter, links: Dict[Address, LinkState]
+    ) -> bool:
         self._snapshot_send_seq = 0
         try:
             with open(self.snapshot_path, "r", encoding="utf-8") as handle:
@@ -321,7 +325,7 @@ class NodeJournal:
             )
         vector[:] = [int(v) for v in snap["vector"]]
         self._snapshot_send_seq = int(snap["send_seq"])
-        self._delivered.restore(
+        delivered.restore(
             {sender: (int(contiguous), extras)
              for sender, (contiguous, extras) in snap["delivered"].items()}
         )
@@ -378,7 +382,9 @@ class NodeJournal:
             int(epoch),
         ]
 
-    def _replay_wal(self, vector: List[int], own_messages: Dict[int, bytes]) -> int:
+    def _replay_wal(
+        self, vector: List[int], delivered: SeenFilter, own_messages: Dict[int, bytes]
+    ) -> int:
         self._max_replayed_send = 0
         try:
             with open(self.wal_path, "rb") as handle:
@@ -394,7 +400,7 @@ class NodeJournal:
                 continue
             try:
                 record = json.loads(line)
-                replayed += self._apply_record(record, vector, own_messages)
+                replayed += self._apply_record(record, vector, delivered, own_messages)
             except ConfigurationError:
                 # Identity mismatch is an operator error, never "torn
                 # tail" (ConfigurationError is a ValueError subclass —
@@ -412,7 +418,11 @@ class NodeJournal:
         return replayed
 
     def _apply_record(
-        self, record: dict, vector: List[int], own_messages: Dict[int, bytes]
+        self,
+        record: dict,
+        vector: List[int],
+        delivered: SeenFilter,
+        own_messages: Dict[int, bytes],
     ) -> int:
         kind = record["t"]
         if kind == "open":
@@ -429,13 +439,13 @@ class NodeJournal:
             for key in self._own_keys:
                 vector[key] += 1
             self._max_replayed_send = max(self._max_replayed_send, seq)
-            self._delivered.add((self._node, seq))
+            delivered.add((self._node, seq))
             own_messages[seq] = data
             return 1
         if kind == "dlv":
             sender = str(record["s"])
             seq = int(record["q"])
-            if not self._delivered.add((sender, seq)):
+            if not delivered.add((sender, seq)):
                 return 1
             for key in record["k"]:
                 vector[int(key)] += 1
@@ -481,7 +491,6 @@ class NodeJournal:
 
     def record_send(self, seq: int, data: bytes) -> None:
         """Log one own broadcast (WAL-before-wire: call before sending)."""
-        self._delivered.add((self._node, seq))
         self._append({"t": "send", "q": seq,
                       "d": base64.b64encode(data).decode("ascii")})
 
@@ -494,7 +503,6 @@ class NodeJournal:
         accounting reconstructs the alert rate (the flag is written only
         when set, keeping the common record compact).
         """
-        self._delivered.add((str(sender), seq))
         self._detector_checks += 1
         self._detector_alerts += int(alert)
         record = {"t": "dlv", "s": str(sender), "q": seq,
@@ -542,28 +550,20 @@ class NodeJournal:
         self,
         keys: Sequence[int],
         vector: Sequence[int],
-        frontiers: Frontiers,
+        delivered: Frontiers,
         links: Optional[Dict[Address, Tuple[int, int, Tuple[int, ...]]]] = None,
     ) -> None:
         """Persist a join state transfer atomically (joiner side).
 
         A joiner adopts the coordinator's granted keys, clock vector and
-        delivered frontiers *before* any local traffic; folding them in
-        and writing an immediate snapshot means a crash right after the
-        join recovers to the post-transfer state instead of a blank
-        identity that would re-issue covered message ids.  Only valid on
-        a fresh journal (no deliveries recorded yet).
+        delivered frontiers *before* any local traffic; writing them as
+        an immediate snapshot means a crash right after the join
+        recovers to the post-transfer state instead of a blank identity
+        that would re-issue covered message ids.  ``delivered`` is the
+        joiner's coverage once it adopted the transfer.
         """
-        merged = self._delivered.frontiers()
-        if merged and tuple(merged) != (self._node,):
-            raise ConfigurationError(
-                "state transfer requires a fresh journal (deliveries already recorded)"
-            )
-        merged.update({str(sender): entry for sender, entry in frontiers.items()})
         self._own_keys = tuple(int(k) for k in keys)
-        self._delivered = SeenFilter()
-        self._delivered.restore(merged)
-        self.write_snapshot(vector, 0, dict(links or {}))
+        self.write_snapshot(vector, 0, delivered, dict(links or {}))
 
     def ensure_lease(self, address: Address, seq: int) -> None:
         """Reserve link seqs for ``address`` up to at least ``seq``.
@@ -605,6 +605,7 @@ class NodeJournal:
         self,
         vector: Sequence[int],
         send_seq: int,
+        delivered: Frontiers,
         links: Dict[Address, Tuple[int, int, Tuple[int, ...]]],
         detector: Optional[Tuple[int, int]] = None,
     ) -> None:
@@ -613,6 +614,8 @@ class NodeJournal:
         Args:
             vector: the live clock vector.
             send_seq: the live clock send counter.
+            delivered: the node's delivered coverage
+                (``delivered_frontiers()``), written in its order.
             links: the session's ``link_states()`` — per peer
                 ``(next_seq, recv_cumulative, recv_out_of_order)``;
                 merged with any outstanding leases.
@@ -637,7 +640,7 @@ class NodeJournal:
             "view": self._view_to_json(self._view) if self._view is not None else None,
             "vector": [int(v) for v in vector],
             "send_seq": int(send_seq),
-            "delivered": {s: list(f) for s, f in self._delivered.frontiers().items()},
+            "delivered": {s: list(f) for s, f in delivered.items()},
             "links": [
                 [_address_to_json(address), {"tx": tx, "rx": rx, "ooo": list(ooo)}]
                 for address, (tx, rx, ooo) in merged.items()
@@ -660,10 +663,6 @@ class NodeJournal:
         self.snapshots_written += 1
         if self._snapshot_hist is not None:
             self._snapshot_hist.observe(time.perf_counter() - start)
-
-    def delivered_frontiers(self) -> Frontiers:
-        """Current per-sender delivery coverage (journal's view)."""
-        return self._delivered.frontiers()
 
     def close(self) -> None:
         """Release the WAL handle.  Deliberately no snapshot: crash-only

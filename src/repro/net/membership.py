@@ -460,7 +460,7 @@ class GroupMembership:
                 node.journal.record_state_transfer(
                     granted,
                     clock.snapshot(),
-                    dict(ack.frontiers),
+                    node.delivered_frontiers(),
                     node.session.link_states(),
                 )
         elif granted != tuple(clock.own_keys):

@@ -154,12 +154,13 @@ class NodeStats:
 class MessageStore:
     """Bounded store of encoded messages keyed by causal ``(sender, seq)``.
 
-    What was ever recorded is a :class:`~repro.core.pending.SeenFilter`
-    — per sender, the *contiguous frontier* (every seq up to it is
-    known) plus any out-of-order extras — exactly the shape of the
-    anti-entropy digest.  Old message *bytes* are evicted FIFO beyond
-    ``_STORE_LIMIT`` (the coverage stays, so digests remain truthful;
-    evicted messages simply can no longer be served).
+    It keeps bytes only: what was ever recorded is the endpoint's
+    :class:`~repro.core.pending.SeenFilter` (``coverage``, read, never
+    written) — per sender, the *contiguous frontier* plus any
+    out-of-order extras, exactly the shape of the anti-entropy digest.
+    Old message *bytes* are evicted FIFO beyond ``_STORE_LIMIT`` (the
+    coverage stays, so digests remain truthful; evicted messages simply
+    can no longer be served).
 
     **Sizing tradeoff**: the limit bounds memory, but an evicted message
     is silently unservable to anti-entropy — a peer that missed it and
@@ -169,10 +170,10 @@ class MessageStore:
     unservable request is logged as a warning.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, coverage: SeenFilter) -> None:
         self._data: Dict[Tuple[str, int], bytes] = {}
         self._order: Deque[Tuple[str, int]] = deque()
-        self._coverage = SeenFilter()
+        self._coverage = coverage
         self._evicted_high: Dict[str, int] = {}
         self._warned_unservable = False
         self.stats = StoreStats()
@@ -180,11 +181,10 @@ class MessageStore:
     def __len__(self) -> int:
         return len(self._data)
 
-    def add(self, sender: str, seq: int, data: bytes) -> bool:
-        """Record one encoded message; returns True when it was new."""
+    def add(self, sender: str, seq: int, data: bytes) -> None:
+        """Hold one encoded message, once: the endpoint rejects a
+        duplicate before its bytes reach the store."""
         key = (sender, seq)
-        if not self._coverage.add(key):
-            return False
         self._data[key] = data
         self._order.append(key)
         while len(self._data) > _STORE_LIMIT:
@@ -193,18 +193,13 @@ class MessageStore:
             self.stats.evictions += 1
             if evicted_seq > self._evicted_high.get(evicted_sender, 0):
                 self._evicted_high[evicted_sender] = evicted_seq
-        return True
-
-    def knows(self, sender: str, seq: int) -> bool:
-        """Whether this id was ever recorded (bytes may be evicted)."""
-        return (sender, seq) in self._coverage
 
     def get(self, sender: str, seq: int) -> Optional[bytes]:
         """The stored encoding, or None if unknown or evicted."""
         return self._data.get((sender, seq))
 
     def frontiers(self) -> Frontiers:
-        """Per-sender ``(contiguous, extras)`` — the anti-entropy digest."""
+        """Per-sender ``(contiguous, extras)`` of the coverage."""
         return self._coverage.frontiers()
 
     def missing_for(self, remote: Frontiers) -> Iterator[bytes]:
@@ -253,42 +248,44 @@ class MessageStore:
                 served += 1
                 yield data
 
-    def restore_frontiers(self, frontiers: Frontiers) -> None:
-        """Adopt journal-recovered per-sender coverage (empty store only).
-
-        The restarted node *knows* these ids (duplicate suppression and
-        digests must cover them) but no longer holds their bytes — the
-        whole recovered range is marked evicted; peers keep the copies.
-        """
-        self._coverage.restore(frontiers)  # raises unless empty
-        for sender, (contiguous, extras) in self._coverage.frontiers().items():
+    def mark_evicted(self, frontiers: Frontiers) -> None:
+        """Mark adopted coverage (journal recovery, a join state
+        transfer) as evicted: the node knows these ids, but their bytes
+        stayed behind — peers keep the copies."""
+        for sender, (contiguous, extras) in frontiers.items():
             high = max((contiguous, *extras))
             if high > 0:
                 self._evicted_high[sender] = high
 
     def restore_message(self, sender: str, seq: int, data: bytes) -> None:
-        """Re-stock the bytes of an id already covered by restored
-        frontiers (own WAL-journalled broadcasts), making it servable."""
+        """Re-stock the bytes of an id the adopted coverage holds (own
+        WAL-journalled broadcasts), making it servable.  The evicted
+        mark falls below the re-stocked top of the range."""
         key = (sender, seq)
         if key in self._data:
             return
-        if not self.knows(sender, seq):
+        if key not in self._coverage:
             raise ConfigurationError(
                 f"restore_message() is for recovered ids; {key} is unknown"
             )
         self._data[key] = data
         self._order.append(key)
+        high = self._evicted_high.get(sender, 0)
+        while (sender, high) in self._data:
+            high -= 1
+        if high:
+            self._evicted_high[sender] = high
+        else:
+            self._evicted_high.pop(sender, None)
 
     def purge_sender(self, sender: str) -> int:
-        """Drop everything recorded for one sender (view eviction).
+        """Drop one sender's bytes (view eviction); returns how many.
 
-        Removes the sender's bytes, ordering entries, and frontier
-        bookkeeping, so an evicted peer stops occupying store budget and
-        stops appearing in outgoing digests; returns the number of
-        stored encodings dropped.  Peers that still hold the departed
-        sender's messages may push a few back through anti-entropy until
-        their own views catch up — those re-adds are bounded by their
-        store limits and age out FIFO like any other traffic.
+        An evicted peer stops occupying store budget.  Its coverage
+        stays in the endpoint's filter — the node's digest leaves out
+        senders outside the view.  Peers that still hold the departed
+        sender's messages may push a few back until their own views
+        catch up; the node drops them at intake.
         """
         dropped = 0
         for key in [key for key in self._data if key[0] == sender]:
@@ -296,7 +293,6 @@ class MessageStore:
             dropped += 1
         if dropped:
             self._order = deque(key for key in self._order if key[0] != sender)
-        self._coverage.forget(sender)
         self._evicted_high.pop(sender, None)
         return dropped
 
@@ -340,14 +336,6 @@ _DELTA_MISS_WARN_RATIO = 0.05
 _DELTA_MISS_WARN_AFTER = 100
 
 
-def _coverage_sizes(name: str, frontiers: Frontiers) -> Dict[str, int]:
-    """One coverage record's two ``state_sizes()`` rows."""
-    return {
-        f"{name}_senders": len(frontiers),
-        f"{name}_tail": sum(len(tail) for _, tail in frontiers.values()),
-    }
-
-
 def _delta_miss_ratio(misses: int, decoded: int) -> float:
     """Share of arriving deltas that named an unknown reference."""
     arrived = misses + decoded
@@ -366,9 +354,10 @@ class ReliableCausalNode:
     (:meth:`transport_stats`).  What a node holds is O(senders + peers)
     plus what is in flight, never O(messages delivered): a delivered
     record goes to ``on_delivery`` and is not kept (exact counts live in
-    ``endpoint.stats``), every per-sender record of what was received or
-    delivered is one :class:`~repro.core.pending.SeenFilter`, and
-    :meth:`state_sizes` counts the entries of every table.
+    ``endpoint.stats``), what was received is recorded once — the
+    endpoint's :class:`~repro.core.pending.SeenFilter`, which the store
+    digests and whose ids less the pending ones are what was delivered
+    — and :meth:`state_sizes` counts the entries of every table.
 
     Args:
         node_id: this node's identity (the message sender id).
@@ -501,12 +490,6 @@ class ReliableCausalNode:
         self._stale_warned: Set[Address] = set()
         self._stale_senders_warned: Set[str] = set()
         self._stale_frames = 0
-        # Per-sender *delivered* coverage, maintained whether or not a
-        # journal exists: the membership layer's join state transfer
-        # pairs this with the clock vector (using the *received* store
-        # frontiers there would mark pending messages as covered and
-        # wedge the joiner).
-        self._delivered = SeenFilter()
         # Attached by GroupMembership.attach(); duck-typed to avoid an
         # import cycle with repro.net.membership.
         self.membership = None
@@ -514,7 +497,6 @@ class ReliableCausalNode:
         # for the same reason (repro.net.adaptive imports nothing from
         # here, but the assembly order is api's business).
         self.adaptive = None
-        self.store = MessageStore()
         self.journal = journal
         self.liveness = (
             PeerLivenessMonitor(liveness) if liveness is not None else None
@@ -538,8 +520,8 @@ class ReliableCausalNode:
         self.metrics_server: Optional[MetricsHttpServer] = None
 
         # Recovery runs strictly before the session exists: by the time
-        # a datagram can arrive, the clock, duplicate filter, store
-        # frontiers, and link seqs already reflect the pre-crash state.
+        # a datagram can arrive, the clock, the seen filter and the link
+        # seqs already reflect the pre-crash state.
         self.recovered: Optional[RecoveredState] = None
         if journal is not None:
             journal.bind_metrics(self.metrics)  # before open(): times replay
@@ -563,6 +545,7 @@ class ReliableCausalNode:
             max_pending=max_pending,
         )
         self.endpoint.bind_metrics(self.metrics, self.trace)
+        self.store = MessageStore(self.endpoint.seen)
         if self.recovered is not None:
             self.adopt_coverage(self.recovered.delivered)
             for seq, data in self.recovered.own_messages.items():
@@ -822,15 +805,16 @@ class ReliableCausalNode:
         """Expel a peer from this node's runtime state (view eviction).
 
         On top of :meth:`remove_peer`, purges the departed sender's
-        message-store bookkeeping, its reference slot and its parked
-        deltas (``sender_id``, when known) and marks
-        the address so late frames from it are dropped with a log-once
-        warning instead of silently re-creating per-peer session state.
+        stored bytes, its reference slot and its parked deltas
+        (``sender_id``, when known) and marks the address so late
+        frames from it are dropped with a log-once warning instead of
+        silently re-creating per-peer session state.
 
-        Deliberately *not* purged: the endpoint's seen-filter entries
-        for the departed sender.  They cost O(1) per sender, and
-        dropping them would re-deliver that sender's messages if a peer
-        relays them later — correctness over a few bytes.
+        Deliberately *not* purged: the sender's coverage in the
+        endpoint's seen filter.  It costs O(1) per sender, and dropping
+        it would re-deliver that sender's messages if a peer relays
+        them later — correctness over a few bytes.  The digest leaves
+        out senders outside the view instead (:meth:`_digest`).
         """
         self.remove_peer(address)
         if sender_id is not None:
@@ -1087,11 +1071,12 @@ class ReliableCausalNode:
             # is enough.
             overlay.stats.relay_duplicates += 1
             return
-        if not self._admit(frame.payload, addr, envelope_id=message_id):
+        delivered = self._admit(frame.payload, addr, envelope_id=message_id)
+        if delivered is None:
             return
         self._tally_received(addr, frame.payload)
         overlay.stats.relay_first_intake += 1
-        if message_id not in self._delivered:
+        if not delivered:
             self._arm_gap_pull(message_id, addr)
         elif self._gap_pull_open is not None:
             self._close_gap_pull(by_relay=True)
@@ -1136,7 +1121,7 @@ class ReliableCausalNode:
         if self._drop_if_evicted(addr, "data"):
             return
         duplicates = self.endpoint.stats.duplicates
-        if self._admit(data, addr):
+        if self._admit(data, addr) is not None:
             self._tally_received(addr, data)
             if self.endpoint.stats.duplicates != duplicates:
                 # A link delivers each frame once, so a message seen
@@ -1150,18 +1135,19 @@ class ReliableCausalNode:
         data: bytes,
         addr: Address,
         envelope_id: Optional[Tuple[str, int]] = None,
-    ) -> bool:
+    ) -> Optional[bool]:
         """The one intake: decode ``data`` (full or delta), check it
         against ``envelope_id`` and the group view, store it, and hand
         it to the endpoint — then admit, in turn, each parked delta that
         was waiting for the message just admitted.
 
-        A delta whose reference this node never recorded is parked
-        (True).  Returns False when the message was dropped and
-        accounted for here: undecodable, not this group's vector size,
-        contradicting its envelope, a delta whose reference was recorded
-        but is no longer held (or that found the park full), a departed
-        sender.
+        Returns whether the message was delivered (False: it pends, is
+        a duplicate, or waits parked for a reference never recorded —
+        the parked deltas it releases cannot deliver it, they need it
+        first), or None when it was dropped and accounted for here:
+        undecodable, not this group's vector size, contradicting its
+        envelope, a delta whose reference was recorded but is no longer
+        held (or that found the park full), a departed sender.
         """
         released: List[Tuple[bytes, Address]] = []
         admitted = self._admit_one(data, addr, envelope_id, released)
@@ -1176,7 +1162,7 @@ class ReliableCausalNode:
         addr: Address,
         envelope_id: Optional[Tuple[str, int]],
         released: List[Tuple[bytes, Address]],
-    ) -> bool:
+    ) -> Optional[bool]:
         """:meth:`_admit` for one message; appends to ``released`` the
         parked delta this admission made decodable."""
         codec = self._codec
@@ -1186,7 +1172,7 @@ class ReliableCausalNode:
                 origin, seq, ref_seq = codec.delta_header(data)
             except Exception:
                 self._note_decode_error(addr)
-                return False
+                return None
             reference = self._reference(origin, ref_seq)
             if reference is None:
                 return self._park(data, addr, envelope_id, origin, seq, ref_seq)
@@ -1207,34 +1193,35 @@ class ReliableCausalNode:
         except Exception:
             # A malformed datagram must never take the node down.
             self._note_decode_error(addr)
-            return False
+            return None
         if message.timestamp.size != self.endpoint.clock.r:
             # Another group's geometry: the clock would refuse it, but
             # only after the store and the reference slot had taken it.
             self._note_decode_error(addr)
-            return False
+            return None
         sender = str(message.sender)
         if envelope_id is not None and (sender, message.seq) != envelope_id:
             # Envelope header contradicting its payload: corrupt or
             # forged; believing the header would poison the SeenFilter.
             self._note_decode_error(addr)
-            return False
+            return None
         if not self._sender_in_view(sender):
             self._note_stale_sender(sender)
-            return False
+            return None
         newest = self._ref_newest.get(sender)
         if newest is None or message.seq > newest[0]:
             self._ref_newest[sender] = (
                 message.seq, message.timestamp.vector, message.timestamp.sender_keys
             )
-        self.store.add(sender, message.seq, full)
+        if not self.endpoint.has_seen((sender, message.seq)):
+            self.store.add(sender, message.seq, full)
         # One real timestamp for every receive path (it used to default
         # to 0.0, which froze the refined detector's eviction clock).
-        self.endpoint.on_receive(message, now=self._now())
+        delivered = bool(self.endpoint.on_receive(message, now=self._now()))
         successor = self._parked.pop((sender, message.seq), None)
         if successor is not None and not self.endpoint.has_seen((sender, message.seq + 1)):
             released.append(successor)
-        return True
+        return delivered
 
     def _park(
         self,
@@ -1244,33 +1231,34 @@ class ReliableCausalNode:
         origin: str,
         seq: int,
         ref_seq: int,
-    ) -> bool:
+    ) -> Optional[bool]:
         """A delta whose reference is not here.  If this node never
         recorded it — and it is the sender's previous broadcast, the
         only reference a node names — it is in flight or lost, and the
-        delta waits for it (True).  One recorded but no longer held (a
-        restart, an eviction), or no room left, is a counted miss; a
-        delta of a message already seen is a duplicate (True)."""
+        delta waits for it (False, like any message held undelivered).
+        One recorded but no longer held (a restart, an eviction), or no
+        room left, is a counted miss (None); a delta of a message
+        already seen is a duplicate (False)."""
         if envelope_id is not None and (origin, seq) != envelope_id:
             self._note_decode_error(addr)
-            return False
+            return None
         if self.endpoint.has_seen((origin, seq)):
             # A copy of a message seen before (a frame retransmitted to
             # a restarted node): a duplicate, whatever it names.
-            return True
+            return False
         if not self._sender_in_view(origin):
             self._note_stale_sender(origin)
-            return False
+            return None
         key = (origin, ref_seq)
         if (
             ref_seq != seq - 1
-            or self.store.knows(origin, ref_seq)
+            or self.endpoint.has_seen(key)
             or (key not in self._parked and len(self._parked) >= _PARK_LIMIT)
         ):
             self._note_reference_miss(addr, origin, ref_seq)
-            return False
+            return None
         self._parked[key] = (data, addr)
-        return True
+        return False
 
     def _is_parked(self, message_id: Tuple[str, int]) -> bool:
         """Whether a delta of ``message_id`` waits for its reference."""
@@ -1393,7 +1381,7 @@ class ReliableCausalNode:
 
     def _gap_pull(self, message_id: Tuple[str, int], pusher: Address, tries: int) -> None:
         self._gap_pull_timer = None
-        if message_id in self._delivered:
+        if self._is_delivered(message_id):
             # The wave closed this gap.  A push that arrived ahead of its
             # past while the timer ran armed nothing (one timer per
             # node): give the oldest message still waiting a grace of
@@ -1427,7 +1415,7 @@ class ReliableCausalNode:
         """An arrival delivered something: if that released the message
         the last pull is waiting on, the pull is settled — unneeded when
         a relay push, not the pull's answer, did it."""
-        if self._gap_pull_open in self._delivered:
+        if self._is_delivered(self._gap_pull_open):
             self._gap_pull_open = None
             if by_relay:
                 self.repair_stats.gap_pulls_unneeded += 1
@@ -1541,11 +1529,17 @@ class ReliableCausalNode:
         ) and self._overlay_live(address)
 
     def _digest(self) -> Frontiers:
-        """What this node holds, for a digest: the store's coverage plus
-        every parked delta.  A parked message is here — only its
-        reference is missing — and a digest that named it as missing
-        would draw it again."""
-        frontiers = self.store.frontiers()
+        """What this node holds, for a digest: the coverage of every
+        sender still in the view plus every parked delta.  A parked
+        message is here — only its reference is missing — and a digest
+        that named it as missing would draw it again.  A departed
+        sender's coverage stays in the seen filter but leaves the
+        digest, so nobody is asked for it."""
+        frontiers = {
+            sender: entry
+            for sender, entry in self.store.frontiers().items()
+            if self._sender_in_view(sender)
+        }
         parked: Dict[str, Set[int]] = {}
         for sender, ref_seq in self._parked:
             parked.setdefault(sender, set()).add(ref_seq + 1)
@@ -1574,7 +1568,6 @@ class ReliableCausalNode:
 
     def _handle_delivery(self, record: DeliveryRecord) -> None:
         message = record.message
-        self._delivered.add((str(message.sender), message.seq))
         if self.journal is not None:
             if record.local:
                 # WAL-before-wire: this runs inside endpoint.broadcast(),
@@ -1595,6 +1588,7 @@ class ReliableCausalNode:
                 self.journal.write_snapshot(
                     clock.snapshot(),
                     clock.send_count,
+                    self.delivered_frontiers(),
                     self.session.link_states(),
                     detector=(detector_stats.checks, detector_stats.alerts),
                 )
@@ -1609,38 +1603,43 @@ class ReliableCausalNode:
     # introspection
     # ------------------------------------------------------------------
 
+    def _is_delivered(self, message_id: Tuple[str, int]) -> bool:
+        """Seen by the endpoint and no longer pending."""
+        return self.endpoint.has_seen(message_id) and all(
+            message.message_id != message_id
+            for message in self.endpoint.pending_messages()
+        )
+
     def delivered_frontiers(self) -> Frontiers:
         """Per-sender ``(contiguous, extras)`` coverage of everything this
-        node has *delivered* (own broadcasts included).  This — not the
-        store's received coverage — is what a join state transfer pairs
-        with the clock vector."""
-        return self._delivered.frontiers()
+        node has *delivered* (own broadcasts included): the seen filter
+        less the pending ids.  This — not the received coverage — is
+        what a join state transfer pairs with the clock vector and a
+        journal snapshot persists; a pending message counted as covered
+        would wedge whoever adopts it."""
+        frontiers = self.endpoint.seen_frontiers()
+        pending: Dict[str, Set[int]] = {}
+        for message in self.endpoint.pending_messages():
+            pending.setdefault(message.sender, set()).add(message.seq)
+        for sender, seqs in pending.items():
+            contiguous, extras = frontiers[sender]
+            low = min(min(seqs) - 1, contiguous)
+            extras = (*range(low + 1, contiguous + 1), *extras)
+            frontiers[sender] = (low, tuple(seq for seq in extras if seq not in seqs))
+        return {sender: entry for sender, entry in frontiers.items() if entry != (0, ())}
 
     def adopt_coverage(self, frontiers: Frontiers) -> None:
         """Adopt transferred per-sender coverage: the one way in for
         journal recovery and the join state transfer alike.
 
-        The endpoint's duplicate filter, the store's coverage (the whole
-        range marked evicted — the bytes stayed behind) and the
-        delivered coverage take the same ``frontiers`` together or not
-        at all: O(senders), instead of one ``mark_seen()`` per
-        historical message.  Only valid before this node has received or
-        delivered anything.
+        One restore of the endpoint's seen filter — all or nothing, and
+        only valid before this node has received or delivered anything —
+        O(senders), instead of one ``mark_seen()`` per historical
+        message.  The store marks the whole range evicted: the bytes
+        stayed behind.
         """
-        if (
-            self.endpoint.seen_frontiers()
-            or self.store.frontiers()
-            or self._delivered.sender_count
-        ):
-            raise ConfigurationError(
-                "adopt_coverage() requires a node that has seen no traffic"
-            )
-        # The first call checks the shape before it touches anything
-        # (SeenFilter.restore is all-or-nothing); the other two cannot
-        # fail on coverage it accepted.
         self.endpoint.restore_seen(frontiers)
-        self.store.restore_frontiers(frontiers)
-        self._delivered.restore(frontiers)
+        self.store.mark_evicted(frontiers)
 
     @property
     def stale_frames(self) -> int:
@@ -1662,16 +1661,12 @@ class ReliableCausalNode:
         remembers (``repro_state_entries_<table>`` gauges).  Every table
         is bounded by senders, peers, a window or what is in flight;
         none grows with the number of messages delivered."""
-        journal, membership = self.journal, self.membership
+        membership = self.membership
+        seen = self.endpoint.seen_frontiers()
         sizes = {
             "store_messages": len(self.store),
-            **_coverage_sizes("store", self.store.frontiers()),
-            **_coverage_sizes("seen", self.endpoint.seen_frontiers()),
-            **_coverage_sizes("delivered", self._delivered.frontiers()),
-            **_coverage_sizes(
-                "journal",
-                journal.delivered_frontiers() if journal is not None else {},
-            ),
+            "seen_senders": len(seen),
+            "seen_tail": sum(len(tail) for _, tail in seen.values()),
             "pending": self.endpoint.pending_count,
             "reference_slots": len(self._ref_newest),
             "parked_deltas": len(self._parked),

@@ -6,13 +6,16 @@
   delivered record goes to ``on_delivery`` and stays nowhere while the
   endpoint's counters stay exact; the warn-once sets of a churning
   group age out with the eviction records they hang off.
+* One record of what a node has seen: the endpoint's ``SeenFilter`` is
+  the only one a node holds, with or without a journal — the store
+  reads it, the delivered coverage is it less the pending ids, and the
+  journal's replay filter does not outlive the replay.
 * One way in: journal recovery and the join state transfer adopt
-  coverage through ``ReliableCausalNode.adopt_coverage``, so the seen
-  filter, the store and the delivered coverage cannot disagree; a
-  snapshot and WAL written by the tree before the coverage types were
-  unified load unchanged (the snapshot's delta-reference record, which
-  nothing reads any more, included) and are reproduced byte for byte
-  less that record.
+  coverage through ``ReliableCausalNode.adopt_coverage``, one restore
+  of that filter; a snapshot and WAL written by the tree before the
+  coverage types were unified load unchanged (the snapshot's
+  delta-reference record, which nothing reads any more, included) and
+  are reproduced byte for byte less that record.
 """
 
 import asyncio
@@ -35,10 +38,12 @@ from repro.api import (
 )
 from repro.core.codec import JoinAckFrame, MemberRecord, MessageCodec
 from repro.core.errors import ConfigurationError
+from repro.core.keyspace import PerfectKeyAssigner
+from repro.core.pending import SeenFilter
 from repro.net import LocalAsyncBus
 from repro.net.journal import NodeJournal
 from repro.net.node import _EVICTION_WINDOW
-from repro.sim.group import wait_for
+from repro.sim.group import Group, wait_for
 from repro.sim.network import ConstantDelayModel
 from repro.sim.vtime import run_virtual
 from tests.recording import exact_deliveries
@@ -120,11 +125,49 @@ def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeyp
             # Settled: no delta still waits for its reference.
             assert early[name]["parked_deltas"] == late[name]["parked_deltas"] == 0
             assert early[name]["store_messages"] == 128
-            assert late[name]["journal_senders"] == (3 if journalled else 0)
+            assert late[name]["seen_senders"] == 3
             before, after = sum(early[name].values()), sum(late[name].values())
             assert abs(after - before) <= 0.05 * before, (early[name], late[name])
 
     asyncio.run(scenario())
+
+
+def live_seen_filters():
+    gc.collect()
+    return sum(isinstance(obj, SeenFilter) for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("journalled", [False, True], ids=["memory", "journal"])
+def test_a_node_holds_one_seen_filter(journalled, tmp_path):
+    """The census of coverage records: one ``SeenFilter`` per node, the
+    endpoint's.  Journalled nodes are counted after a restart, so the
+    filter the replay folds the WAL into is counted too if it lingers."""
+    names = ("a", "b", "c")
+
+    async def scenario():
+        before = live_seen_filters()
+        bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+        config = dict(data_dir=str(tmp_path) if journalled else None)
+        nodes = await mesh_on_bus(names, bus, **config)
+
+        async def burst(node):
+            for index in range(5):
+                await node.broadcast(index)
+
+        try:
+            await asyncio.gather(*(burst(node) for node in nodes.values()))
+            assert await wait_for(lambda: all(
+                exact_deliveries(node) == 5 * len(names) for node in nodes.values()
+            ), timeout=30.0)
+            if journalled:
+                await asyncio.gather(*(node.close() for node in nodes.values()))
+                nodes = await mesh_on_bus(names, LocalAsyncBus(), **config)
+                assert all(node.recovered is not None for node in nodes.values())
+            return (live_seen_filters() - before) / len(names)
+        finally:
+            await asyncio.gather(*(node.close() for node in nodes.values()))
+
+    assert asyncio.run(scenario()) == 1
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +241,7 @@ def write_reference_journal(directory):
     journal.ensure_lease(("127.0.0.1", 9000), 1)
     journal.write_snapshot(
         [1, 1, 2, 2, 1, 1, 0, 0], 1,
+        {"n": (1, ()), "b": (1, (3,)), "c": (0, (2,))},
         {("127.0.0.1", 9000): (3, 2, (4,))},
         detector=(3, 1),
     )
@@ -219,12 +263,8 @@ def test_journal_files_are_byte_identical_to_the_parents(tmp_path):
     assert read(tmp_path, "wal.log") == PARENT_WAL
 
 
-def coverage_views(node):
-    return (
-        node.endpoint.seen_frontiers(),
-        node.store.frontiers(),
-        node.delivered_frontiers(),
-    )
+def coverage_view(node):
+    return node.endpoint.seen_frontiers()
 
 
 def test_restart_and_join_transfer_adopt_identical_coverage(tmp_path):
@@ -259,18 +299,18 @@ def test_restart_and_join_transfer_adopt_identical_coverage(tmp_path):
             assert recovered.own_messages == {2: b"two"}
             assert (recovered.detector_checks, recovered.detector_alerts) == (5, 1)
             for node in (restarted, joiner):
-                assert coverage_views(node) == (RECOVERED_COVERAGE,) * 3
+                assert coverage_view(node) == RECOVERED_COVERAGE
+                assert node.delivered_frontiers() == RECOVERED_COVERAGE
                 # The whole adopted range is marked evicted: a digest
                 # reaching into it is counted as unservable.
                 before = node.store.stats.unservable_requests
                 list(node.store.missing_for({"b": (1, ())}))
                 assert node.store.stats.unservable_requests == before + 1
             assert joiner.endpoint.clock.snapshot() == (2, 2, 3, 3, 2, 2, 0, 0)
-            # Together or not at all: a second transfer is refused
-            # before any of the three records is touched.
+            # A second transfer is refused and leaves the record alone.
             with pytest.raises(ConfigurationError):
                 joiner.adopt_coverage({"z": (9, ())})
-            assert coverage_views(joiner) == (RECOVERED_COVERAGE,) * 3
+            assert coverage_view(joiner) == RECOVERED_COVERAGE
         finally:
             await restarted.close()
             await joiner.close()
@@ -285,11 +325,105 @@ def test_malformed_coverage_is_adopted_nowhere():
         try:
             with pytest.raises(ConfigurationError):
                 node.adopt_coverage({"a": (4, ()), "b": (3, (2,))})
-            assert coverage_views(node) == ({}, {}, {})
+            assert coverage_view(node) == {}
+            # Nor marked evicted: a digest below it is no unservable request.
+            assert list(node.store.missing_for({"a": (0, ())})) == []
+            assert node.store.stats.unservable_requests == 0
         finally:
             await node.close()
 
     asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# (f) delivered coverage is the seen filter less the pending ids
+# ----------------------------------------------------------------------
+
+
+def test_delivered_coverage_leaves_out_every_pending_id():
+    codec = MessageCodec()
+    p = create_endpoint("p", NodeConfig(r=16, keys=(2, 3)))
+    q = create_endpoint("q", NodeConfig(r=16, keys=(4, 5)))
+    p1, p2, p3 = (p.broadcast(f"p{seq}") for seq in (1, 2, 3))
+    q1 = q.broadcast("q1")
+    q.on_receive(p1)
+    q.on_receive(p2)
+    q2, q3 = q.broadcast("q2"), q.broadcast("q3")  # both need p2
+
+    async def scenario():
+        node = await create_node(
+            "n", NodeConfig(r=16, keys=(0, 1)), transport=LocalAsyncBus().attach("n")
+        )
+        try:
+            for message in (p1, p3, q1, q2, q3):
+                node._admit(codec.encode(message), "up")
+            assert [m.message_id for m in node.endpoint.pending_messages()] == [
+                ("p", 3), ("q", 2), ("q", 3)
+            ]
+            seen = {"p": (1, (3,)), "q": (3, ())}
+            assert node.endpoint.seen_frontiers() == seen
+            # p3 pends in the tail; q2 and q3 pend below q's watermark.
+            assert node.delivered_frontiers() == {"p": (1, ()), "q": (1, ())}
+            node._admit(codec.encode(p2), "up")  # releases all three
+            assert node.endpoint.pending_count == 0
+            assert node.delivered_frontiers() == node.endpoint.seen_frontiers() == {
+                "p": (3, ()), "q": (3, ())
+            }
+        finally:
+            await node.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_joiner_adopts_none_of_its_coordinators_pending_messages():
+    """The coordinator holds n2's first broadcast pending (n1's, which
+    it needs, is held back on the n1 → n0 link) while n3 joins: the
+    transfer leaves it out, and n3 receives it and everything else
+    later, in causal order."""
+    config = NodeConfig(
+        r=16, k=2, anti_entropy_interval=0.2,
+        retransmit=RetransmitPolicy(initial_timeout=0.05),
+        membership=MembershipConfig(seed_peers=("n0",), join_timeout=0.5),
+    )
+
+    def config_of(name):
+        return config if name != "n0" else config.replace(
+            membership=MembershipConfig(join_timeout=0.5)
+        )
+
+    async def scenario():
+        group = await Group.start(
+            0, config_of, 3, 0.0, ConstantDelayModel(1.0), judged=True, capacity=4,
+        )
+        async with group:
+            n0 = await group.join("n0", assigner=PerfectKeyAssigner(16, 2))
+            n1, n2 = await group.join("n1"), await group.join("n2")
+            held = []
+            send = n1.transport.send
+
+            async def hold_to_n0(destination, data):
+                if destination == "n0":
+                    held.append(data)
+                else:
+                    await send(destination, data)
+
+            n1.transport.send = hold_to_n0
+            await n1.broadcast("first")
+            assert await wait_for(lambda: n2.endpoint.has_seen(("n1", 1)))
+            await n2.broadcast("second")
+            assert await wait_for(lambda: n0.endpoint.has_seen(("n2", 1)))
+            assert [m.message_id for m in n0.endpoint.pending_messages()] == [("n2", 1)]
+            assert "n2" not in n0.delivered_frontiers()
+
+            n3 = await group.join("n3")
+            assert "n2" not in n3.delivered_frontiers()
+            assert not n3.endpoint.has_seen(("n2", 1))
+            n1.transport.send = send
+            await group.settle(timeout=30.0)
+            assert held and group.counts()["violations"] == 0
+            assert group.order["n3"] == [("n1", 1), ("n2", 1)]
+
+    run_virtual(scenario())
 
 
 # ----------------------------------------------------------------------

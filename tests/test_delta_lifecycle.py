@@ -383,7 +383,7 @@ def test_a_restarted_receiver_misses_once_per_sender_then_decodes_deltas(tmp_pat
 
             b = await pair.boot("b", port=port)
             b.add_peer(a.local_address)
-            assert b.store.get("a", 40) is None and b.store.knows("a", 40)
+            assert b.store.get("a", 40) is None and b.endpoint.has_seen(("a", 40))
             await pair.run(10, senders=("a",))
             await pair.assert_delivered("b", 50)
             stats = b.transport_stats()

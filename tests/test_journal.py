@@ -111,6 +111,7 @@ class TestSnapshots:
         journal.write_snapshot(
             vector=(4, 4, 0, 0, 0, 4, 0, 0),  # not replay-derived: caller's truth
             send_seq=4,
+            delivered={"p": (4, ())},
             links={"peer": (7, 3, (5,))},
         )
         assert not journal.snapshot_due
@@ -141,7 +142,7 @@ class TestSnapshots:
         stale_wal = open(journal.wal_path, encoding="utf-8").read()
         mid = make_journal(tmp_path, snapshot_interval=100)
         recovered = mid.open()
-        mid.write_snapshot(recovered.vector, recovered.send_seq, {})
+        mid.write_snapshot(recovered.vector, recovered.send_seq, recovered.delivered, {})
         mid.close()
         with open(journal.wal_path, "w", encoding="utf-8") as handle:
             handle.write(stale_wal)
@@ -189,7 +190,10 @@ class TestFsync:
         # The snapshot file is always synced before the rename; the
         # flag adds the restarted WAL's open record.
         fsyncs.clear()
-        journal.write_snapshot(vector=(0, 1, 1, 0, 0, 1, 0, 0), send_seq=1, links={})
+        journal.write_snapshot(
+            vector=(0, 1, 1, 0, 0, 1, 0, 0), send_seq=1,
+            delivered={"p": (1, ()), "q": (1, ())}, links={},
+        )
         assert len(fsyncs) == (2 if fsync else 1)
         journal.close()
 

@@ -170,10 +170,21 @@ class TestNodeStatsSurface:
                 # The per-table census rides the same pull collector.
                 sizes = bob.state_sizes()
                 assert sizes["store_messages"] == 3
-                assert sizes["journal_senders"] == 1
+                # One coverage record: the seen filter's rows, and no
+                # store, delivered or journal copy beside them.
+                assert sizes["seen_senders"] == 1
+                assert not {
+                    f"{record}_{row}"
+                    for record in ("store", "delivered", "journal")
+                    for row in ("senders", "tail")
+                } & set(sizes)
                 for table, size in sizes.items():
                     gauge = stats.snapshot["gauges"][f"repro_state_entries_{table}"]
                     assert gauge == size, table
+                assert {
+                    gauge for gauge in stats.snapshot["gauges"]
+                    if gauge.startswith("repro_state_entries_")
+                } == {f"repro_state_entries_{table}" for table in sizes}
                 hist = stats.snapshot["histograms"]["repro_delivery_wait_seconds"]
                 assert hist["count"] == 3
                 rtt = stats.snapshot["histograms"]["repro_wire_rtt_seconds"]

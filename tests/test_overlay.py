@@ -752,7 +752,7 @@ class TestRelayAdmission:
                 assert len(rig.forwarded) == 1
                 # Believing the header would have poisoned the filter.
                 assert not rig.node.endpoint.has_seen(("origin", 7))
-                assert not rig.node.store.knows("origin", 3)
+                assert not rig.node.endpoint.has_seen(("origin", 3))
 
         asyncio.run(scenario())
 

@@ -40,6 +40,7 @@ from repro.core.codec import (
     ViewFrame,
 )
 from repro.core.errors import ConfigurationError
+from repro.core.pending import SeenFilter
 from repro.core.protocol import Message
 from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus, UdpTransport
 from repro.net import node as node_module
@@ -157,37 +158,70 @@ class TestSoakUnderLoss:
         asyncio.run(scenario())
 
 
+class _Intake:
+    """A store over a filter of its own, fed the way a node's intake
+    feeds it over the endpoint's: the filter takes each id, the store
+    the bytes of a new one."""
+
+    def __init__(self):
+        self.seen = SeenFilter()
+        self.store = MessageStore(self.seen)
+
+    def add(self, sender, seq, data):
+        if self.seen.add((sender, seq)):
+            self.store.add(sender, seq, data)
+
+
 class TestMessageStore:
     def test_frontier_tracks_contiguous_and_extras(self):
-        store = MessageStore()
-        store.add("p", 1, b"a")
-        store.add("p", 2, b"b")
-        store.add("p", 4, b"d")
+        intake = _Intake()
+        store = intake.store
+        intake.add("p", 1, b"a")
+        intake.add("p", 2, b"b")
+        intake.add("p", 4, b"d")
         assert store.frontiers() == {"p": (2, (4,))}
-        store.add("p", 3, b"c")
+        intake.add("p", 3, b"c")
         assert store.frontiers() == {"p": (4, ())}
+        # The store reads the shared filter; it keeps no coverage itself.
+        intake.seen.add(("q", 1))
+        assert store.frontiers() == {"p": (4, ()), "q": (1, ())}
 
-    def test_duplicate_add_is_noop(self):
-        store = MessageStore()
-        assert store.add("p", 1, b"a")
-        assert not store.add("p", 1, b"a")
-        assert len(store) == 1
+    def test_duplicate_is_rejected_by_the_endpoint_and_stored_once(self):
+        data = MessageCodec().encode(
+            create_endpoint("p", NodeConfig(r=16, keys=(3, 4))).broadcast("x")
+        )
+
+        async def scenario():
+            node = await create_node(
+                "n", NodeConfig(r=16, keys=(0, 1)), transport=LocalAsyncBus().attach("n")
+            )
+            try:
+                assert node._admit(data, "p") is True
+                assert node._admit(data, "p") is False
+                assert node.endpoint.stats.duplicates == 1
+                assert len(node.store) == 1 and node.store.get("p", 1) == data
+                assert node.store.frontiers() == {"p": (1, ())}
+            finally:
+                await node.close()
+
+        asyncio.run(scenario())
 
     def test_missing_for_serves_only_what_remote_lacks(self):
-        store = MessageStore()
+        intake = _Intake()
         for seq in range(1, 6):
-            store.add("p", seq, bytes([seq]))
-        store.add("q", 1, b"q1")
+            intake.add("p", seq, bytes([seq]))
+        intake.add("q", 1, b"q1")
         remote = {"p": (3, (5,))}
-        assert sorted(store.missing_for(remote)) == [b"\x04", b"q1"]
+        assert sorted(intake.store.missing_for(remote)) == [b"\x04", b"q1"]
 
     def test_a_covering_digest_is_owed_nothing_without_a_store_scan(self):
         """The up-to-date partner's digest — the common one with a digest
         per round — is answered from the O(senders) coverage alone."""
-        store = MessageStore()
+        intake = _Intake()
+        store = intake.store
         for seq in (1, 2, 4):
-            store.add("p", seq, bytes([seq]))
-        store.add("q", 1, b"q1")
+            intake.add("p", seq, bytes([seq]))
+        intake.add("q", 1, b"q1")
 
         class Untouchable:
             def __iter__(self):
@@ -204,12 +238,13 @@ class TestMessageStore:
 
     def test_eviction_keeps_frontier_truthful(self, monkeypatch):
         monkeypatch.setattr(node_module, "_STORE_LIMIT", 2)
-        store = MessageStore()
-        store.add("p", 1, b"a")
-        store.add("p", 2, b"b")
-        store.add("p", 3, b"c")
+        intake = _Intake()
+        store = intake.store
+        intake.add("p", 1, b"a")
+        intake.add("p", 2, b"b")
+        intake.add("p", 3, b"c")
         assert len(store) == 2
-        assert store.knows("p", 1)          # still known...
+        assert ("p", 1) in intake.seen     # still known...
         assert store.get("p", 1) is None    # ...but no longer servable
         assert store.frontiers() == {"p": (3, ())}
         assert list(store.missing_for({"p": (1, ())})) == [b"b", b"c"]
@@ -217,17 +252,20 @@ class TestMessageStore:
     def test_invalid_limit_rejected(self):
         """The store's bound and a digest answer's are module constants
         (``_STORE_LIMIT``, ``_REPAIRS_PER_DIGEST``): naming one is a
-        TypeError."""
+        TypeError.  So is a store without the filter it reads."""
         with pytest.raises(TypeError):
-            MessageStore(limit=0)
+            MessageStore(SeenFilter(), limit=0)
         with pytest.raises(TypeError):
-            list(MessageStore().missing_for({}, limit=1))
+            list(MessageStore(SeenFilter()).missing_for({}, limit=1))
+        with pytest.raises(TypeError):
+            MessageStore()
 
     def test_eviction_counted_and_unservable_request_logged_once(self, caplog, monkeypatch):
         monkeypatch.setattr(node_module, "_STORE_LIMIT", 2)
-        store = MessageStore()
+        intake = _Intake()
+        store = intake.store
         for seq in range(1, 5):
-            store.add("p", seq, bytes([seq]))
+            intake.add("p", seq, bytes([seq]))
         assert store.stats.evictions == 2
         with caplog.at_level(logging.WARNING, logger="repro.net.node"):
             # A digest whose frontier lies below the evicted high-water
@@ -243,25 +281,28 @@ class TestMessageStore:
         list(store.missing_for({"p": (4, ())}))
         assert store.stats.unservable_requests == 2
 
-
-    def test_purged_sender_leaves_the_digest_and_may_start_over(self):
-        store = MessageStore()
+    def test_purged_sender_leaves_no_bytes_behind(self):
+        """A purge frees the sender's bytes; its coverage stays in the
+        filter (the node's digest leaves departed senders out)."""
+        intake = _Intake()
+        store = intake.store
         for seq in (1, 2, 4):
-            store.add("p", seq, bytes([seq]))
-        store.add("q", 1, b"q1")
+            intake.add("p", seq, bytes([seq]))
+        intake.add("q", 1, b"q1")
         assert store.purge_sender("p") == 3
-        assert store.frontiers() == {"q": (1, ())}
-        assert not store.knows("p", 1) and len(store) == 1
-        assert store.add("p", 1, b"again")
-        assert store.frontiers() == {"q": (1, ()), "p": (1, ())}
-        assert list(store.missing_for({})) == [b"q1", b"again"]
+        assert len(store) == 1 and store.get("p", 1) is None
+        assert store.frontiers() == {"p": (2, (4,)), "q": (1, ())}
+        assert list(store.missing_for({})) == [b"q1"]
+        assert store.stats.unservable_requests == 0
 
     def test_restored_frontiers_are_known_but_marked_evicted(self):
-        store = MessageStore()
-        store.restore_frontiers({"p": (5, (8,)), "q": (2, ())})
-        assert store.frontiers() == {"p": (5, (8,)), "q": (2, ())}
-        assert store.knows("p", 8) and not store.knows("p", 6)
-        assert len(store) == 0 and not store.add("p", 3, b"dup")
+        adopted = {"p": (5, (8,)), "q": (2, ())}
+        intake = _Intake()
+        store = intake.store
+        intake.seen.restore(adopted)
+        store.mark_evicted(adopted)
+        assert store.frontiers() == adopted
+        assert len(store) == 0
         # A digest reaching into the recovered range cannot be served.
         assert list(store.missing_for({"p": (7, ())})) == []
         assert store.stats.unservable_requests == 1
@@ -271,7 +312,32 @@ class TestMessageStore:
         store.restore_message("q", 2, b"q2")
         assert list(store.missing_for({"p": (8, ())})) == [b"q2"]
         with pytest.raises(ConfigurationError):
-            store.restore_frontiers({"r": (1, ())})
+            store.restore_message("r", 1, b"r1")
+
+    def test_a_restart_serves_its_restocked_broadcasts_without_a_warning(
+        self, tmp_path, caplog
+    ):
+        """Every own broadcast still in the WAL is re-stocked, so a
+        digest reaching into them is served — not counted (and warned
+        about) as reaching into evicted messages."""
+        config = NodeConfig(r=16, k=2, data_dir=str(tmp_path))
+
+        async def scenario():
+            node = await create_node("n", config, transport=LocalAsyncBus().attach("n"))
+            for index in range(10):
+                await node.broadcast(index)
+            await node.close()
+            node = await create_node("n", config, transport=LocalAsyncBus().attach("n"))
+            try:
+                assert sorted(node.recovered.own_messages) == list(range(1, 11))
+                assert len(list(node.store.missing_for({"n": (5, ())}))) == 5
+                assert node.store.stats.unservable_requests == 0
+            finally:
+                await node.close()
+
+        with caplog.at_level(logging.WARNING, logger="repro.net.node"):
+            asyncio.run(scenario())
+        assert not [r for r in caplog.records if "cannot serve" in r.getMessage()]
 
 
 class TestNodeSurface:
@@ -287,7 +353,7 @@ class TestNodeSurface:
             assert await wait_for(lambda: log.payloads() == ["x"])
             assert a.transport_stats(b.local_address).data_sent == 1
             assert a.transport_stats_by_peer()[b.local_address].data_sent == 1
-            assert b.store.knows("a", 1)
+            assert b.endpoint.has_seen(("a", 1))
             assert a.peers == (b.local_address,)
             a.remove_peer(b.local_address)
             assert a.peers == ()

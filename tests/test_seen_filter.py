@@ -15,7 +15,7 @@ class TestBasics:
         f = SeenFilter()
         assert ("a", 1) not in f
         assert len(f) == 0
-        assert f.sender_count == 0
+        assert f.frontiers() == {}
         assert f.tail_size == 0
         assert f.watermark("a") == 0
 
@@ -65,26 +65,13 @@ class TestBasics:
         f.add(("b", 5))
         assert f.watermark("a") == 1
         assert f.watermark("b") == 0
-        assert f.sender_count == 2
+        assert list(f.frontiers()) == ["a", "b"]
         assert ("b", 1) not in f
 
     def test_nonpositive_seq_rejected(self):
         f = SeenFilter()
         with pytest.raises(ConfigurationError):
             f.add(("a", 0))
-
-    def test_forget_drops_one_senders_watermark_and_tail(self):
-        f = SeenFilter()
-        for message_id in [("a", 1), ("a", 2), ("a", 5), ("b", 1), ("b", 3)]:
-            f.add(message_id)
-        f.forget("a")
-        assert f.frontiers() == {"b": (1, (3,))}
-        assert f.sender_count == 1 and f.tail_size == 1
-        assert ("a", 1) not in f and ("a", 5) not in f
-        # The sender starts over from seq 1.
-        assert f.add(("a", 1))
-        assert f.watermark("a") == 1
-        f.forget("never-seen")  # a no-op, not an error
 
 
 class TestFrontiers:
@@ -150,8 +137,7 @@ class TestFrontiers:
 @settings(max_examples=200, deadline=None)
 @given(
     seqs=st.lists(
-        # seq 0 stands for "forget this sender".
-        st.tuples(st.sampled_from("abc"), st.integers(0, 40)),
+        st.tuples(st.sampled_from("abc"), st.integers(1, 40)),
         min_size=0,
         max_size=120,
     )
@@ -161,11 +147,6 @@ def test_matches_reference_set(seqs):
     f = SeenFilter()
     reference = set()
     for message_id in seqs:
-        sender, seq = message_id
-        if seq == 0:
-            f.forget(sender)
-            reference = {known for known in reference if known[0] != sender}
-            continue
         assert f.add(message_id) == (message_id not in reference)
         reference.add(message_id)
         assert message_id in f
