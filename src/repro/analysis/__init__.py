@@ -2,16 +2,14 @@
 
 from repro.analysis.stats import (
     Estimate,
-    geometric_mean,
     mean_estimate,
     pooled_proportion,
     proportion_estimate,
     wilson_interval,
 )
 from repro.analysis.persistence import ResultStore, compare_results, result_to_dict
-from repro.analysis.report import ClaimCheck, ExperimentSection, ReportBuilder
 from repro.analysis.sweep import SweepPoint, bench_scale, run_repeated, sweep_parameter
-from repro.analysis.tables import ascii_chart, format_cell, render_series_table, render_table
+from repro.analysis.tables import ascii_chart, format_cell, render_table
 
 __all__ = [
     "Estimate",
@@ -19,19 +17,14 @@ __all__ = [
     "wilson_interval",
     "proportion_estimate",
     "pooled_proportion",
-    "geometric_mean",
     "ResultStore",
     "result_to_dict",
     "compare_results",
-    "ClaimCheck",
-    "ExperimentSection",
-    "ReportBuilder",
     "SweepPoint",
     "sweep_parameter",
     "run_repeated",
     "bench_scale",
     "format_cell",
     "render_table",
-    "render_series_table",
     "ascii_chart",
 ]

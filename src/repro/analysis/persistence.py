@@ -7,12 +7,15 @@ versioned, JSON-safe dictionary (:func:`result_to_dict`), writes/reads
 collections of them (:class:`ResultStore`), and compares two runs of the
 same configuration (:func:`compare_results`).
 
-Only measurements and the reproducible configuration scalars are stored —
-live objects (workloads, delay models) are recorded by their class names.
+Only measurements and the reproducible configuration are stored.  Live
+components (workload, delay model, dissemination, churn) are recorded as
+their class name plus their parameters, so two runs that differ only in,
+say, the workload's λ compare as a configuration mismatch.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import pathlib
 from typing import Any, Dict, List, Optional
@@ -22,7 +25,21 @@ from repro.sim.runner import SimulationResult
 
 __all__ = ["SCHEMA_VERSION", "result_to_dict", "ResultStore", "compare_results"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # v2: components carry their parameters; churn and caps recorded
+
+
+def _describe(value: Any) -> Any:
+    """A JSON-safe picture of a config value: a component becomes its
+    class name plus its constructor state (``_mean`` is stored as
+    ``mean``), recursively."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [_describe(item) for item in value]
+    fields = {name.lstrip("_"): _describe(item) for name, item in vars(value).items()}
+    return {"type": type(value).__name__, **fields}
 
 
 def result_to_dict(result: SimulationResult, label: Optional[str] = None) -> Dict[str, Any]:
@@ -38,15 +55,16 @@ def result_to_dict(result: SimulationResult, label: Optional[str] = None) -> Dic
             "clock": config.clock,
             "key_assigner": config.key_assigner,
             "detector": config.detector,
+            "detector_window_ms": config.detector_window_ms,
+            "detector_max_entries": config.detector_max_entries,
             "duration_ms": config.duration_ms,
+            "max_messages": config.max_messages,
+            "max_pending": config.max_pending,
             "seed": config.seed,
-            "workload": type(config.workload).__name__ if config.workload else None,
-            "delay_model": type(config.delay_model).__name__
-            if config.delay_model
-            else None,
-            "dissemination": type(config.dissemination).__name__
-            if config.dissemination
-            else None,
+            "workload": _describe(config.workload),
+            "delay_model": _describe(config.delay_model),
+            "dissemination": _describe(config.dissemination),
+            "churn": _describe(config.churn),
         },
         "counters": {
             "deliveries": result.counters.deliveries,

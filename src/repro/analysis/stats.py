@@ -22,7 +22,6 @@ __all__ = [
     "wilson_interval",
     "proportion_estimate",
     "pooled_proportion",
-    "geometric_mean",
 ]
 
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -104,13 +103,3 @@ def pooled_proportion(counts: Iterable[Tuple[int, int]], z: float = _Z_95) -> Es
         total_successes += successes
         total_trials += trials
     return proportion_estimate(total_successes, total_trials, z)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (speedup-style aggregates)."""
-    data = [float(v) for v in values]
-    if not data:
-        raise ConfigurationError("geometric_mean needs at least one value")
-    if any(v <= 0 for v in data):
-        raise ConfigurationError("geometric_mean requires positive values")
-    return math.exp(sum(math.log(v) for v in data) / len(data))

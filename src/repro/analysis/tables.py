@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import ConfigurationError
 
-__all__ = ["format_cell", "render_table", "render_series_table", "ascii_chart"]
+__all__ = ["format_cell", "render_table", "ascii_chart"]
 
 Cell = Union[str, int, float, None]
 
@@ -65,27 +65,6 @@ def render_table(
     parts.append("  ".join("-" * w for w in widths))
     parts.extend(line(row) for row in body)
     return "\n".join(parts)
-
-
-def render_series_table(
-    x_label: str,
-    series: Dict[str, Sequence[Tuple[float, float]]],
-    title: Optional[str] = None,
-) -> str:
-    """Render several named ``(x, y)`` series sharing an x axis as a table.
-
-    Missing points (an x present in one series but not another) show "-".
-    """
-    xs: List[float] = sorted({x for points in series.values() for x, _ in points})
-    lookup = {
-        name: {x: y for x, y in points} for name, points in series.items()
-    }
-    headers = [x_label] + list(series)
-    rows = [
-        [x] + [lookup[name].get(x) for name in series]
-        for x in xs
-    ]
-    return render_table(headers, rows, title=title)
 
 
 def ascii_chart(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Sequence, Tuple
 
 from repro.core.clocks import EntryVectorClock
-from repro.core.codec import JsonPayloadCodec, MessageCodec, RawBytesPayloadCodec
+from repro.core.codec import MessageCodec
 from repro.core.detector import DeliveryErrorDetector
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import HashKeyAssigner, KeyAssigner
@@ -55,7 +55,6 @@ __all__ = [
     "create_node",
 ]
 
-PAYLOAD_CODECS = ("json", "raw")
 DISSEMINATION_MODES = ("mesh", "overlay")
 
 DeliveryHandler = Callable[[DeliveryRecord], None]
@@ -86,7 +85,8 @@ class NodeConfig:
             paper recommends the order of the propagation time);
             ``None`` keeps L bounded by count alone.
 
-    Transport and reliability (used by :func:`create_node`):
+    Transport and reliability (used by :func:`create_node`; payloads
+    travel as JSON, :class:`~repro.core.codec.JsonPayloadCodec`):
 
     Attributes:
         host: bind address for the default UDP transport.
@@ -96,7 +96,6 @@ class NodeConfig:
             event-loop wakeup.
         tx_batch: send-burst budget — max datagrams it writes per flush
             pass.
-        payload_codec: application payload wire format: ``json`` | ``raw``.
         retransmit: the reliable session's first retransmit timeout;
             see :class:`~repro.net.session.RetransmitPolicy`.
         anti_entropy_interval: seconds between digest rounds (0 disables).
@@ -167,7 +166,6 @@ class NodeConfig:
     port: int = 0
     rx_batch: int = 32
     tx_batch: int = 32
-    payload_codec: str = "json"
     retransmit: RetransmitPolicy = RetransmitPolicy()
     anti_entropy_interval: float = 0.5
     max_pending: Optional[int] = None
@@ -190,11 +188,6 @@ class NodeConfig:
         # pick a detector).
         spec = get_clock_spec(self.scheme)
         get_detector_spec(self.detector)
-        if self.payload_codec not in PAYLOAD_CODECS:
-            raise ConfigurationError(
-                f"unknown payload codec {self.payload_codec!r}; "
-                f"expected one of {PAYLOAD_CODECS}"
-            )
         if self.dissemination not in DISSEMINATION_MODES:
             raise ConfigurationError(
                 f"unknown dissemination {self.dissemination!r}; "
@@ -363,11 +356,6 @@ def create_endpoint(
     )
 
 
-def _message_codec(config: NodeConfig) -> MessageCodec:
-    payload = JsonPayloadCodec() if config.payload_codec == "json" else RawBytesPayloadCodec()
-    return MessageCodec(payload_codec=payload, scheme=config.scheme)
-
-
 async def create_node(
     node_id: Hashable,
     config: Optional[NodeConfig] = None,
@@ -417,7 +405,7 @@ async def create_node(
         clock=clock,
         transport=transport,
         detector=create_detector(config),
-        codec=_message_codec(config),
+        codec=MessageCodec(scheme=config.scheme),
         on_delivery=on_delivery,
         policy=config.retransmit,
         anti_entropy_interval=config.anti_entropy_interval,

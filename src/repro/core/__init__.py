@@ -18,11 +18,8 @@ from repro.core.clocks import (
 )
 from repro.core.combinatorics import (
     binomial,
-    iter_combinations_lex,
     num_key_sets,
-    rank_colex,
     rank_lex,
-    unrank_colex,
     unrank_lex,
 )
 from repro.core.detector import (
@@ -33,9 +30,7 @@ from repro.core.detector import (
     RefinedAlertDetector,
 )
 from repro.core.errors import (
-    CausalityViolationError,
     ConfigurationError,
-    DuplicateMessageError,
     MembershipError,
     RankOutOfRangeError,
     ReproError,
@@ -44,15 +39,12 @@ from repro.core.errors import (
 )
 from repro.core.keyspace import (
     BalancedLoadKeyAssigner,
-    ExplicitKeyAssigner,
     HashKeyAssigner,
     KeyAssigner,
     KeyAssignment,
     PerfectKeyAssigner,
     RandomKeyAssigner,
     SequentialKeyAssigner,
-    entry_loads,
-    pairwise_overlap_counts,
 )
 from repro.core.pending import PendingBuffer
 from repro.core.protocol import (
@@ -99,9 +91,6 @@ __all__ = [
     "num_key_sets",
     "unrank_lex",
     "rank_lex",
-    "unrank_colex",
-    "rank_colex",
-    "iter_combinations_lex",
     # keyspace
     "KeyAssignment",
     "KeyAssigner",
@@ -110,9 +99,6 @@ __all__ = [
     "PerfectKeyAssigner",
     "BalancedLoadKeyAssigner",
     "HashKeyAssigner",
-    "ExplicitKeyAssigner",
-    "entry_loads",
-    "pairwise_overlap_counts",
     # pending buffer
     "PendingBuffer",
     # protocol
@@ -151,9 +137,7 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "RankOutOfRangeError",
-    "DuplicateMessageError",
     "UnknownProcessError",
-    "CausalityViolationError",
     "SimulationError",
     "MembershipError",
 ]

@@ -104,18 +104,6 @@ class Timestamp:
         """The timestamp vector as a plain tuple of ints."""
         return tuple(int(v) for v in self.vector)
 
-    def overhead_bits(self, bits_per_entry: int = 32) -> int:
-        """Wire overhead of this timestamp, in bits.
-
-        Counts the vector entries plus the sender key set (each key needs
-        ``ceil(log2 R)`` bits).  Used by the clock-family comparison table.
-        """
-        if self.size <= 1:
-            key_bits = 0
-        else:
-            key_bits = len(self.sender_keys) * max(1, (self.size - 1).bit_length())
-        return self.size * bits_per_entry + key_bits
-
     def dominates_on(
         self, other: "Timestamp", entries: Union[np.ndarray, Iterable[int]]
     ) -> bool:

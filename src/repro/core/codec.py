@@ -27,9 +27,9 @@ Layout (little-endian)::
 Entry counters are non-negative and usually small, so varints shrink
 the dominant cost — the R entries — to ~1 byte each in steady state,
 realising the paper's "few integer timestamps" on the wire.
-Payload bytes are produced by a pluggable :class:`PayloadCodec`; the
-default encodes JSON, which covers the CRDT operation payloads used in
-the examples (tuples become lists and are normalised back).
+Payload bytes are JSON (:class:`JsonPayloadCodec`), which covers the
+CRDT operation payloads used in the examples (tuples become lists and
+are normalised back).
 
 **DELTA encoding** (flags bit1) exploits Algorithm 1 harder: between two
 consecutive sends the sender only incremented its K entries ``f(p_i)``
@@ -83,9 +83,7 @@ from repro.core.registry import scheme_id_of, scheme_name_of
 __all__ = [
     "CodecError",
     "CodecCounters",
-    "PayloadCodec",
     "JsonPayloadCodec",
-    "RawBytesPayloadCodec",
     "MessageCodec",
     "encode_varint",
     "decode_varint",
@@ -249,18 +247,8 @@ def _decode_varints(data: bytes, offset: int, count: int) -> Tuple[np.ndarray, i
         raise CodecError("vector entry exceeds the int64 range of the clock") from None
 
 
-class PayloadCodec:
-    """Turns application payloads into bytes and back."""
-
-    def encode(self, payload: Any) -> bytes:
-        raise NotImplementedError
-
-    def decode(self, data: bytes) -> Any:
-        raise NotImplementedError
-
-
-class JsonPayloadCodec(PayloadCodec):
-    """Default payload codec: JSON with tuple-normalisation.
+class JsonPayloadCodec:
+    """The payload format: JSON with tuple-normalisation.
 
     JSON has no tuple type; on decode, lists are converted back to tuples
     recursively so that CRDT operations (which use tuples as tags and ids)
@@ -292,25 +280,12 @@ def _tuplify(value: Any) -> Any:
     return value
 
 
-class RawBytesPayloadCodec(PayloadCodec):
-    """Pass-through codec for applications that frame their own bytes."""
-
-    def encode(self, payload: Any) -> bytes:
-        if payload is None:
-            return b""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise CodecError(f"raw codec needs bytes, got {type(payload).__name__}")
-        return bytes(payload)
-
-    def decode(self, data: bytes) -> Any:
-        return data
-
-
 class MessageCodec:
     """Encodes/decodes whole :class:`~repro.core.protocol.Message` objects.
 
+    Payloads are JSON (:class:`JsonPayloadCodec`).
+
     Args:
-        payload_codec: application payload serialisation (JSON by default).
         scheme: the clock scheme whose timestamps this codec carries
             (a name registered in :mod:`repro.core.registry`).  Its wire
             id is stamped into every encoding and checked on decode.
@@ -325,11 +300,10 @@ class MessageCodec:
 
     def __init__(
         self,
-        payload_codec: PayloadCodec = None,
         scheme: str = "probabilistic",
         epoch: int = 0,
     ) -> None:
-        self._payload_codec = payload_codec if payload_codec is not None else JsonPayloadCodec()
+        self._payload_codec = JsonPayloadCodec()
         self._scheme = scheme
         self._scheme_id = scheme_id_of(scheme)
         self.epoch = epoch
@@ -350,17 +324,6 @@ class MessageCodec:
         if value < 0:
             raise CodecError(f"epoch must be >= 0, got {value}")
         self._epoch = int(value)
-
-    @staticmethod
-    def peek_scheme(data: bytes) -> Optional[str]:
-        """The clock scheme of an encoded message, without decoding it.
-
-        Returns the registered scheme name, or ``None`` when the id byte
-        is not (or no longer) registered locally.
-        """
-        if len(data) < _HEADER_SIZE or data[:2] != _MAGIC:
-            raise CodecError("bad magic")
-        return scheme_name_of(data[4])
 
     def _check_scheme(self, scheme_id: int) -> None:
         if scheme_id != self._scheme_id:

@@ -3,21 +3,16 @@
 The paper assigns each process a set of ``K`` distinct entries of an
 ``R``-entry vector.  A process draws a single integer ``set_id`` in
 ``[0, C(R, K))`` and expands it into the ``set_id``-th K-subset of
-``{0, ..., R-1}``.  Two orderings of K-subsets are in common use and both
-are provided here:
-
-* **lexicographic** (`unrank_lex` / `rank_lex`): subsets sorted as tuples,
-  e.g. for R=4, K=2: ``(0,1) < (0,2) < (0,3) < (1,2) < (1,3) < (2,3)``.
-* **co-lexicographic** (`unrank_colex` / `rank_colex`): subsets sorted by
-  their reversed tuples; the classic *combinadic* encoding.
+``{0, ..., R-1}`` in lexicographic order (subsets sorted as tuples, e.g.
+for R=4, K=2: ``(0,1) < (0,2) < (0,3) < (1,2) < (1,3) < (2,3)``, the order
+:func:`itertools.combinations` yields them in).
 
 Algorithm 3 of the paper walks candidate values while comparing ``set_id``
 against binomial coefficients — a lexicographic unranking.  Its published
 pseudo-code is slightly garbled by typesetting (the inner loop never
 consumes ``set_id``); :func:`unrank_lex` implements the intended,
 well-defined mapping and :func:`rank_lex` its exact inverse.  The paper's
-required properties hold for both orderings and are verified by property
-tests:
+required properties are verified by property tests:
 
 * every ``set_id`` yields exactly ``K`` distinct values in ``[0, R)``;
 * distinct ``set_id`` values yield distinct sets, so the intersection of
@@ -31,7 +26,7 @@ remain correct for very large ``R``.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.errors import ConfigurationError, RankOutOfRangeError
 
@@ -40,9 +35,6 @@ __all__ = [
     "num_key_sets",
     "unrank_lex",
     "rank_lex",
-    "unrank_colex",
-    "rank_colex",
-    "iter_combinations_lex",
     "validate_subset",
 ]
 
@@ -132,66 +124,6 @@ def rank_lex(subset: Sequence[int], n: int) -> int:
         prev = value
         remaining -= 1
     return rank
-
-
-def unrank_colex(rank: int, n: int, k: int) -> Tuple[int, ...]:
-    """Return the ``rank``-th ``k``-subset of ``{0..n-1}`` in colex order
-    (the *combinadic* representation: ``rank = sum C(c_i, i+1)`` over the
-    ascending elements ``c_0 < c_1 < ... < c_{k-1}``).
-
-    >>> [unrank_colex(i, 4, 2) for i in range(6)]
-    [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-    """
-    if k == 0:
-        if rank != 0:
-            raise RankOutOfRangeError(f"rank {rank} invalid for k=0")
-        return ()
-    _check_rank(rank, n, k)
-    result = [0] * k
-    remaining = rank
-    candidate = n - 1
-    for position in range(k, 0, -1):
-        # Largest candidate with C(candidate, position) <= remaining.
-        while binomial(candidate, position) > remaining:
-            candidate -= 1
-        result[position - 1] = candidate
-        remaining -= binomial(candidate, position)
-    return tuple(result)
-
-
-def rank_colex(subset: Sequence[int], n: int) -> int:
-    """Inverse of :func:`unrank_colex`.
-
-    ``n`` is accepted for symmetry with :func:`rank_lex` and used only to
-    validate the subset.
-    """
-    values = validate_subset(subset, n)
-    return sum(binomial(value, index + 1) for index, value in enumerate(values))
-
-
-def iter_combinations_lex(n: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """Yield every ``k``-subset of ``{0..n-1}`` in lexicographic order.
-
-    Equivalent to ``(unrank_lex(i, n, k) for i in range(C(n,k)))`` but
-    computed incrementally in ``O(1)`` amortised per subset.
-    """
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
-    current = list(range(k))
-    while True:
-        yield tuple(current)
-        # Find the rightmost element that can still be incremented.
-        pivot = k - 1
-        while pivot >= 0 and current[pivot] == n - k + pivot:
-            pivot -= 1
-        if pivot < 0:
-            return
-        current[pivot] += 1
-        for tail in range(pivot + 1, k):
-            current[tail] = current[tail - 1] + 1
 
 
 def validate_subset(subset: Sequence[int], n: int) -> Tuple[int, ...]:

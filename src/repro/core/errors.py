@@ -2,8 +2,8 @@
 
 All exceptions raised by the library derive from :class:`ReproError`, so
 callers can catch one type to handle any library-level failure.  More
-specific subclasses distinguish configuration mistakes from protocol-level
-violations detected at runtime.
+specific subclasses distinguish configuration mistakes from membership
+and simulation failures detected at runtime.
 """
 
 from __future__ import annotations
@@ -25,22 +25,8 @@ class RankOutOfRangeError(ConfigurationError):
     """Raised when a combination rank does not address any K-subset."""
 
 
-class DuplicateMessageError(ReproError):
-    """Raised when the same message identifier is delivered twice."""
-
-
 class UnknownProcessError(ReproError, KeyError):
     """Raised when an operation references a process id never registered."""
-
-
-class CausalityViolationError(ReproError):
-    """Raised by strict components when a causal-order violation is proven.
-
-    The probabilistic protocol never raises this on its own (violations are
-    *expected* at a low rate); it is raised by the ground-truth oracle when
-    it is configured in ``strict`` mode, and by CRDTs that cannot apply an
-    operation whose causal predecessors are missing.
-    """
 
 
 class SimulationError(ReproError):

@@ -38,9 +38,6 @@ __all__ = [
     "PerfectKeyAssigner",
     "BalancedLoadKeyAssigner",
     "HashKeyAssigner",
-    "ExplicitKeyAssigner",
-    "entry_loads",
-    "pairwise_overlap_counts",
 ]
 
 ProcessId = Hashable
@@ -468,67 +465,3 @@ class HashKeyAssigner(KeyAssigner):
         digest = hashlib.sha256(repr(process_id).encode("utf-8")).digest()
         set_id = int.from_bytes(digest, "big") % num_key_sets(self._r, self._k)
         return unrank_lex(set_id, self._r, self._k)
-
-
-class ExplicitKeyAssigner(KeyAssigner):
-    """Assigner fed with a fixed mapping of process id to key set.
-
-    Reproduces prescribed scenarios, e.g. the paper's Figure 2 where
-    ``f(p_1) = {0, 3}`` and ``f(p_2) = {1, 3}`` jointly cover
-    ``f(p_i) = {0, 1}`` and cause a delivery error.
-    """
-
-    def __init__(self, r: int, k: int, mapping: Dict[ProcessId, Sequence[int]]) -> None:
-        super().__init__(r, k)
-        self._mapping: Dict[ProcessId, Tuple[int, ...]] = {}
-        for process_id, keys in mapping.items():
-            ordered = tuple(sorted(int(entry) for entry in keys))
-            if len(ordered) != k:
-                raise ConfigurationError(
-                    f"explicit key set for {process_id!r} has {len(ordered)} keys, expected {k}"
-                )
-            if any(not 0 <= entry < r for entry in ordered):
-                raise ConfigurationError(
-                    f"explicit key set for {process_id!r} outside [0, {r}): {ordered}"
-                )
-            self._mapping[process_id] = ordered
-
-    def retile(self, new_k: int) -> "KeyAssigner":
-        raise ConfigurationError(
-            "an explicit assigner prescribes fixed scenarios and cannot "
-            "re-tile to a different K"
-        )
-
-    def _pick_keys(self, process_id: ProcessId) -> Tuple[int, ...]:
-        try:
-            return self._mapping[process_id]
-        except KeyError:
-            raise MembershipError(
-                f"no explicit key set declared for process {process_id!r}"
-            ) from None
-
-
-def entry_loads(assigner: KeyAssigner) -> List[int]:
-    """Per-entry load: how many live processes hold each vector entry."""
-    loads = [0] * assigner.r
-    for assignment in assigner.assignments.values():
-        for entry in assignment.keys:
-            loads[entry] += 1
-    return loads
-
-
-def pairwise_overlap_counts(assigner: KeyAssigner) -> Dict[int, int]:
-    """Histogram of pairwise key-set intersection sizes.
-
-    Returns a mapping ``overlap_size -> number_of_pairs`` over all
-    unordered pairs of live processes.  With distinct ``set_id`` values the
-    paper guarantees no pair reaches overlap ``K``.
-    """
-    assignments = list(assigner.assignments.values())
-    histogram: Dict[int, int] = {}
-    for i, first in enumerate(assignments):
-        first_keys = set(first.keys)
-        for second in assignments[i + 1 :]:
-            overlap = len(first_keys.intersection(second.keys))
-            histogram[overlap] = histogram.get(overlap, 0) + 1
-    return histogram

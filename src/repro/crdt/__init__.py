@@ -9,8 +9,6 @@ rate into application-visible numbers.
 from repro.crdt.base import CrdtBinding, OpBasedCrdt
 from repro.crdt.counter import PNCounter
 from repro.crdt.log import AntiEntropySession, DeliveryLog, diff_logs
-from repro.crdt.lwwregister import LWWRegister
-from repro.crdt.mvregister import MVRegister
 from repro.crdt.orset import ORSet
 from repro.crdt.rga import RGA, ROOT
 
@@ -24,6 +22,4 @@ __all__ = [
     "ORSet",
     "RGA",
     "ROOT",
-    "LWWRegister",
-    "MVRegister",
 ]

@@ -140,15 +140,6 @@ class FaultyTransport(Transport):
         so their windows coincide."""
         self._epoch = asyncio.get_running_loop().time()
 
-    def set_windows(self, windows: Sequence[FaultWindow]) -> None:
-        """Replace the scheduled fault windows.
-
-        Windows usually reference peer *addresses*, which are only known
-        after every transport of the scenario is bound — so harnesses
-        construct transports first and install the windows afterwards.
-        """
-        self._windows = tuple(windows)
-
     def _elapsed(self) -> float:
         now = asyncio.get_running_loop().time()
         if self._epoch is None:

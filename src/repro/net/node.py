@@ -1705,7 +1705,3 @@ class ReliableCausalNode:
         if address is not None:
             return self.session.stats_for(address)
         return self.session.total_stats()
-
-    def transport_stats_by_peer(self) -> Dict[Address, TransportStats]:
-        """Per-peer wire counters."""
-        return self.session.all_stats()

@@ -29,9 +29,7 @@ from repro.sim.metrics import AlertConfusion, MetricSet, StreamingSummary
 from repro.sim.network import (
     ConstantDelayModel,
     DelayModel,
-    ExponentialDelayModel,
     GaussianDelayModel,
-    UniformDelayModel,
 )
 from repro.sim.node import SimNode
 from repro.sim.oracle import (
@@ -43,11 +41,7 @@ from repro.sim.oracle import (
 from repro.sim.rng import RandomSource
 from repro.sim.runner import SimulationConfig, SimulationResult, run_simulation
 from repro.sim.workload import (
-    BurstyWorkload,
-    HotspotWorkload,
     PoissonWorkload,
-    ReplayWorkload,
-    UniformJitterWorkload,
     Workload,
 )
 
@@ -58,8 +52,6 @@ __all__ = [
     "DelayModel",
     "GaussianDelayModel",
     "ConstantDelayModel",
-    "UniformDelayModel",
-    "ExponentialDelayModel",
     # dissemination
     "Dissemination",
     "DisseminationContext",
@@ -68,10 +60,6 @@ __all__ = [
     # workload
     "Workload",
     "PoissonWorkload",
-    "UniformJitterWorkload",
-    "BurstyWorkload",
-    "HotspotWorkload",
-    "ReplayWorkload",
     # membership
     "ChurnAction",
     "ChurnEvent",

@@ -26,7 +26,7 @@ isolation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import Message

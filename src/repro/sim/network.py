@@ -8,11 +8,10 @@ The paper's model has two stages:
    ``N(d, sigma_m^2)`` (headline skew: 20 ms) — so receptions of the same
    broadcast cluster around the message's base delay.
 
-:class:`GaussianDelayModel` implements exactly that.  Alternative models
-(constant, uniform, exponential/heavy-tail) are provided to probe the
-mechanism's sensitivity to the delay distribution — the error analysis
-only depends on the *concurrency* ``X``, so the shape of the distribution
-is an interesting ablation axis the paper leaves implicit.
+:class:`GaussianDelayModel` implements exactly that.
+:class:`ConstantDelayModel` removes all network reordering; tests and the
+virtual-time twins use it where an exact, reorder-free schedule is the
+point.
 
 All delays are milliseconds and strictly positive (Gaussian draws are
 truncated just above zero by resampling).
@@ -29,8 +28,6 @@ __all__ = [
     "DelayModel",
     "GaussianDelayModel",
     "ConstantDelayModel",
-    "UniformDelayModel",
-    "ExponentialDelayModel",
 ]
 
 _MIN_DELAY_MS = 1e-6
@@ -101,60 +98,3 @@ class ConstantDelayModel(DelayModel):
 
     def mean_delay(self) -> float:
         return self._delay
-
-
-class UniformDelayModel(DelayModel):
-    """Base delay uniform in ``[low, high]``; optional uniform receiver skew
-    of half-width ``skew`` around the base."""
-
-    def __init__(self, low: float, high: float, skew: float = 0.0) -> None:
-        if not 0 < low <= high:
-            raise ConfigurationError(f"need 0 < low <= high, got [{low}, {high}]")
-        if skew < 0:
-            raise ConfigurationError(f"skew must be >= 0, got {skew}")
-        self._low = low
-        self._high = high
-        self._skew = skew
-
-    def sample_base(self, rng: RandomSource) -> float:
-        return rng.uniform(self._low, self._high)
-
-    def sample_arrival(self, rng: RandomSource, base: float) -> float:
-        if self._skew == 0:
-            return base
-        return max(_MIN_DELAY_MS, rng.uniform(base - self._skew, base + self._skew))
-
-    def mean_delay(self) -> float:
-        return 0.5 * (self._low + self._high)
-
-
-class ExponentialDelayModel(DelayModel):
-    """Heavy-tailed delays: ``d = offset + Exp(mean_excess)``.
-
-    Models occasional slow paths (queueing); stresses the mechanism with a
-    higher reorder probability than the Gaussian model at equal mean.
-    """
-
-    def __init__(
-        self, mean_excess: float = 50.0, offset: float = 50.0, skew_std: float = 0.0
-    ) -> None:
-        if mean_excess <= 0:
-            raise ConfigurationError(f"mean_excess must be > 0, got {mean_excess}")
-        if offset < 0:
-            raise ConfigurationError(f"offset must be >= 0, got {offset}")
-        if skew_std < 0:
-            raise ConfigurationError(f"skew_std must be >= 0, got {skew_std}")
-        self._mean_excess = mean_excess
-        self._offset = offset
-        self._skew_std = skew_std
-
-    def sample_base(self, rng: RandomSource) -> float:
-        return self._offset + rng.exponential(self._mean_excess)
-
-    def sample_arrival(self, rng: RandomSource, base: float) -> float:
-        if self._skew_std == 0:
-            return base
-        return rng.gauss_positive(base, self._skew_std, floor=_MIN_DELAY_MS)
-
-    def mean_delay(self) -> float:
-        return self._offset + self._mean_excess

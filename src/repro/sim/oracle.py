@@ -296,10 +296,6 @@ class CausalityOracle:
         """Messages with deliveries still expected (0 after a full drain)."""
         return len(self._records)
 
-    def true_clock_of(self, node_id: ProcessId) -> np.ndarray:
-        """Copy of a node's ground-truth vector clock."""
-        return self._true_clock[self._resolve(node_id)].copy()
-
     def _resolve(self, node_id: ProcessId) -> ProcessId:
         if node_id not in self._true_clock:
             raise UnknownProcessError(node_id)

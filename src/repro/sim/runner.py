@@ -58,7 +58,6 @@ from repro.sim.membership import (
     ChurnModel,
     MembershipView,
     NoChurn,
-    PoissonChurn,
 )
 from repro.sim.metrics import AlertConfusion, MetricSet
 from repro.sim.network import DelayModel, GaussianDelayModel
@@ -429,10 +428,7 @@ class _Run(DisseminationContext):
     # ------------------------------------------------------------------
 
     def _schedule_next_send(self, node_id: int) -> None:
-        interval = self._workload.next_interval(self._rng_workload, node_id)
-        if interval == float("inf"):
-            return
-        next_time = self._sim.now + interval
+        next_time = self._sim.now + self._workload.next_interval(self._rng_workload, node_id)
         if next_time > self._config.duration_ms:
             return
         self._sim.schedule_at(next_time, self._handle_send, node_id)

@@ -3,17 +3,8 @@
 The paper's experiments generate messages "according to a Poisson
 distribution of parameter λ", where λ is the *mean interval between two
 messages of one node*, in milliseconds (λ = 5000 means one message per
-node every 5 s on average).  :class:`PoissonWorkload` is that model;
-the other generators explore departures from it:
-
-* :class:`UniformJitterWorkload` — near-periodic senders (low variance),
-  the regime where causal order is almost free;
-* :class:`BurstyWorkload` — a node alternates silences and rapid bursts,
-  the worst case for covering concurrency;
-* :class:`HotspotWorkload` — a fraction of nodes is much chattier, as in
-  real collaborative sessions;
-* :class:`ReplayWorkload` — replays an explicit trace of send times
-  (deterministic tests and recorded application traces).
+node every 5 s on average).  :class:`PoissonWorkload` is that model,
+and the only one the runner, the CLI and the benchmarks use.
 
 A generator answers one question per call: *given that node ``node_id``
 just sent at this moment, how long until its next send?*
@@ -22,7 +13,7 @@ just sent at this moment, how long until its next send?*
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, List, Sequence
+from typing import Hashable
 
 from repro.core.errors import ConfigurationError
 from repro.sim.rng import RandomSource
@@ -30,10 +21,6 @@ from repro.sim.rng import RandomSource
 __all__ = [
     "Workload",
     "PoissonWorkload",
-    "UniformJitterWorkload",
-    "BurstyWorkload",
-    "HotspotWorkload",
-    "ReplayWorkload",
 ]
 
 ProcessId = Hashable
@@ -65,127 +52,3 @@ class PoissonWorkload(Workload):
 
     def mean_interval(self) -> float:
         return self._mean
-
-
-class UniformJitterWorkload(Workload):
-    """Near-periodic senders: interval uniform in ``mean ± jitter``."""
-
-    def __init__(self, mean_interval_ms: float, jitter_ms: float = 0.0) -> None:
-        if mean_interval_ms <= 0:
-            raise ConfigurationError(f"mean interval must be > 0, got {mean_interval_ms}")
-        if not 0 <= jitter_ms < mean_interval_ms:
-            raise ConfigurationError(
-                f"jitter must lie in [0, mean), got jitter={jitter_ms}, mean={mean_interval_ms}"
-            )
-        self._mean = mean_interval_ms
-        self._jitter = jitter_ms
-
-    def next_interval(self, rng: RandomSource, node_id: ProcessId) -> float:
-        if self._jitter == 0:
-            return self._mean
-        return rng.uniform(self._mean - self._jitter, self._mean + self._jitter)
-
-    def mean_interval(self) -> float:
-        return self._mean
-
-
-class BurstyWorkload(Workload):
-    """Bursts of rapid messages separated by long silences.
-
-    A node sends ``burst_size`` messages ``intra_gap_ms`` apart, then stays
-    silent for an exponential pause with mean ``pause_ms``.
-    """
-
-    def __init__(self, burst_size: int, intra_gap_ms: float, pause_ms: float) -> None:
-        if burst_size < 1:
-            raise ConfigurationError(f"burst_size must be >= 1, got {burst_size}")
-        if intra_gap_ms <= 0 or pause_ms <= 0:
-            raise ConfigurationError("intra_gap_ms and pause_ms must be > 0")
-        self._burst_size = burst_size
-        self._intra_gap = intra_gap_ms
-        self._pause = pause_ms
-        self._position: Dict[ProcessId, int] = {}
-
-    def next_interval(self, rng: RandomSource, node_id: ProcessId) -> float:
-        sent_in_burst = self._position.get(node_id, 0)
-        if sent_in_burst + 1 < self._burst_size:
-            self._position[node_id] = sent_in_burst + 1
-            return self._intra_gap
-        self._position[node_id] = 0
-        return rng.exponential(self._pause)
-
-    def mean_interval(self) -> float:
-        total = (self._burst_size - 1) * self._intra_gap + self._pause
-        return total / self._burst_size
-
-
-class HotspotWorkload(Workload):
-    """A fraction of nodes sends ``hot_factor`` times faster.
-
-    Node heat is decided by a stable hash of the node id so the choice
-    does not depend on iteration order.
-    """
-
-    def __init__(
-        self, base_interval_ms: float, hot_fraction: float = 0.1, hot_factor: float = 10.0
-    ) -> None:
-        if base_interval_ms <= 0:
-            raise ConfigurationError(f"base interval must be > 0, got {base_interval_ms}")
-        if not 0.0 <= hot_fraction <= 1.0:
-            raise ConfigurationError(f"hot_fraction must lie in [0, 1], got {hot_fraction}")
-        if hot_factor < 1.0:
-            raise ConfigurationError(f"hot_factor must be >= 1, got {hot_factor}")
-        self._base = base_interval_ms
-        self._hot_fraction = hot_fraction
-        self._hot_factor = hot_factor
-
-    def is_hot(self, node_id: ProcessId) -> bool:
-        """Whether this node belongs to the chatty minority."""
-        import hashlib
-
-        digest = hashlib.sha256(repr(node_id).encode("utf-8")).digest()
-        return (int.from_bytes(digest[:8], "big") / 2**64) < self._hot_fraction
-
-    def next_interval(self, rng: RandomSource, node_id: ProcessId) -> float:
-        mean = self._base / self._hot_factor if self.is_hot(node_id) else self._base
-        return rng.exponential(mean)
-
-    def mean_interval(self) -> float:
-        hot_rate = self._hot_fraction * self._hot_factor / self._base
-        cold_rate = (1.0 - self._hot_fraction) / self._base
-        return 1.0 / (hot_rate + cold_rate)
-
-
-class ReplayWorkload(Workload):
-    """Replays explicit per-node traces of inter-send intervals.
-
-    Once a node's trace is exhausted it falls silent (interval = +inf,
-    which the runner interprets as "no further sends").
-    """
-
-    SILENT = float("inf")
-
-    def __init__(self, traces: Dict[ProcessId, Sequence[float]]) -> None:
-        if not traces:
-            raise ConfigurationError("replay workload needs at least one trace")
-        self._traces: Dict[ProcessId, List[float]] = {}
-        for node_id, intervals in traces.items():
-            values = [float(v) for v in intervals]
-            if any(v <= 0 for v in values):
-                raise ConfigurationError(f"trace of {node_id!r} contains non-positive gaps")
-            self._traces[node_id] = values
-        self._cursor: Dict[ProcessId, int] = {node_id: 0 for node_id in traces}
-
-    def next_interval(self, rng: RandomSource, node_id: ProcessId) -> float:
-        trace = self._traces.get(node_id)
-        if trace is None:
-            return self.SILENT
-        cursor = self._cursor[node_id]
-        if cursor >= len(trace):
-            return self.SILENT
-        self._cursor[node_id] = cursor + 1
-        return trace[cursor]
-
-    def mean_interval(self) -> float:
-        gaps = [gap for trace in self._traces.values() for gap in trace]
-        return sum(gaps) / len(gaps) if gaps else self.SILENT

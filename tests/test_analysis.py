@@ -7,14 +7,13 @@ import pytest
 
 from repro.analysis.stats import (
     Estimate,
-    geometric_mean,
     mean_estimate,
     pooled_proportion,
     proportion_estimate,
     wilson_interval,
 )
 from repro.analysis.sweep import bench_scale, run_repeated, sweep_parameter
-from repro.analysis.tables import ascii_chart, format_cell, render_series_table, render_table
+from repro.analysis.tables import ascii_chart, format_cell, render_table
 from repro.core.errors import ConfigurationError
 from repro.sim import PoissonWorkload, SimulationConfig
 
@@ -73,17 +72,6 @@ class TestWilson:
         assert pooled.n == 300
 
 
-class TestGeometricMean:
-    def test_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([])
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1.0, 0.0])
-
-
 class TestTables:
     def test_format_cell(self):
         assert format_cell(None) == "-"
@@ -104,15 +92,6 @@ class TestTables:
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             render_table(["a"], [[1, 2]])
-
-    def test_series_table_merges_x_axes(self):
-        text = render_series_table(
-            "k",
-            {"measured": [(1, 0.5), (2, 0.25)], "theory": [(2, 0.3), (3, 0.1)]},
-        )
-        lines = text.splitlines()
-        assert len(lines) == 2 + 3  # header + rule + 3 x values
-        assert "-" in lines[2]  # missing point placeholder
 
 
 class TestAsciiChart:

@@ -37,7 +37,7 @@ class TestNodeConfig:
         [
             dict(scheme="quantum"),
             dict(detector="psychic"),
-            dict(payload_codec="xml"),
+            dict(dissemination="broadcast"),
             dict(scheme="vector"),           # vector without n
             dict(r=0),
             dict(k=0),
@@ -59,7 +59,7 @@ class TestNodeConfig:
         assert [field.name for field in dataclasses.fields(NodeConfig)] == [
             "r", "k", "scheme", "n", "detector", "keys", "keyspace_seed",
             "detector_window", "host", "port", "rx_batch", "tx_batch",
-            "payload_codec", "retransmit", "anti_entropy_interval",
+            "retransmit", "anti_entropy_interval",
             "max_pending", "dissemination", "fanout",
             "view_size", "data_dir", "journal_snapshot_interval",
             "journal_fsync", "liveness", "membership", "adaptive",
@@ -99,6 +99,7 @@ class TestNodeConfig:
         for name in (
             "max_retry_timeout", "piggyback_size", "merge_probability",
             "relay_max_hops", "adaptive_cooldown", "wire_delta", "store_limit",
+            "payload_codec",  # JSON is the only payload format
             # the 20 copies of policy fields
             "ack_timeout", "backoff_factor", "max_retries", "send_buffer",
             "coalesce_mtu", "flush_interval",
@@ -306,24 +307,6 @@ class TestCreateNode:
             await node.start()
             assert node.session._tick_task is not None
             await node.close()
-
-        asyncio.run(scenario())
-
-    def test_raw_payload_codec_selected(self):
-        async def scenario():
-            bus = LocalAsyncBus()
-            config = NodeConfig(r=16, k=2, payload_codec="raw",
-                                anti_entropy_interval=0.0)
-            a = await create_node("a", config, transport=bus.attach("a"))
-            log = Deliveries()
-            b = await create_node("b", config, transport=bus.attach("b"), on_delivery=log.append)
-            a.add_peer("b")
-            await a.broadcast(b"\x00\x01binary")
-            await bus.drain()
-            await asyncio.sleep(0.05)
-            assert log.payloads(include_local=False) == [b"\x00\x01binary"]
-            await a.close()
-            await b.close()
 
         asyncio.run(scenario())
 

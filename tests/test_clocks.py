@@ -14,6 +14,7 @@ from repro.core.clocks import (
     VectorCausalClock,
 )
 from repro.core.errors import ConfigurationError
+from repro.core.theory import timestamp_overhead_bits
 
 
 def make_timestamp(vector, keys, seq=1):
@@ -40,11 +41,11 @@ class TestTimestamp:
     def test_overhead_bits(self):
         ts = make_timestamp([1] * 100, (0, 1, 2, 3))
         # 100 entries * 32 bits + 4 keys * 7 bits (log2 99 -> 7)
-        assert ts.overhead_bits() == 100 * 32 + 4 * 7
+        assert timestamp_overhead_bits(ts.size, len(ts.sender_keys)) == 100 * 32 + 4 * 7
 
     def test_overhead_bits_scalar_clock(self):
         ts = make_timestamp([5], (0,))
-        assert ts.overhead_bits() == 32
+        assert timestamp_overhead_bits(ts.size, len(ts.sender_keys)) == 32
 
     def test_dominates_on(self):
         big = make_timestamp([3, 3, 0], (0,))

@@ -10,7 +10,6 @@ from repro.core.codec import (
     CodecError,
     JsonPayloadCodec,
     MessageCodec,
-    RawBytesPayloadCodec,
     _decode_varints,
     _encode_varints,
     decode_varint,
@@ -125,13 +124,6 @@ class TestMessageCodec:
         codec = MessageCodec()
         with pytest.raises(CodecError):
             codec.encode(make_message(payload=object()))
-
-    def test_raw_bytes_codec(self):
-        codec = MessageCodec(payload_codec=RawBytesPayloadCodec())
-        decoded = codec.decode(codec.encode(make_message(payload=b"\x00\xff")))
-        assert decoded.payload == b"\x00\xff"
-        with pytest.raises(CodecError):
-            codec.encode(make_message(payload="not bytes"))
 
 
 class TestTornBuffers:

@@ -1,5 +1,6 @@
 """Unit and property tests for combination ranking/unranking (Algorithm 3)."""
 
+import itertools
 import math
 
 import pytest
@@ -8,11 +9,8 @@ from hypothesis import strategies as st
 
 from repro.core.combinatorics import (
     binomial,
-    iter_combinations_lex,
     num_key_sets,
-    rank_colex,
     rank_lex,
-    unrank_colex,
     unrank_lex,
     validate_subset,
 )
@@ -80,7 +78,7 @@ class TestUnrankLex:
             unrank_lex(-1, 4, 2)
 
     def test_matches_iterator_order(self):
-        combos = list(iter_combinations_lex(7, 3))
+        combos = list(itertools.combinations(range(7), 3))
         assert combos == [unrank_lex(i, 7, 3) for i in range(binomial(7, 3))]
 
 
@@ -100,34 +98,29 @@ class TestRankLex:
             rank_lex((0, 5), 5)
 
 
-class TestColex:
-    def test_known_sequence_r4_k2(self):
-        expected = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-        assert [unrank_colex(i, 4, 2) for i in range(6)] == expected
-
-    def test_inverse_small_exhaustive(self):
-        for n in range(1, 9):
-            for k in range(1, n + 1):
-                for rank in range(binomial(n, k)):
-                    assert rank_colex(unrank_colex(rank, n, k), n) == rank
-
-    def test_out_of_range(self):
-        with pytest.raises(RankOutOfRangeError):
-            unrank_colex(6, 4, 2)
+def all_unranked(n, k):
+    return [unrank_lex(rank, n, k) for rank in range(binomial(n, k))]
 
 
 class TestIterCombinations:
+    """Unranking every set_id in turn walks the K-subsets in exactly the
+    order :func:`itertools.combinations` yields them."""
+
     def test_count(self):
-        assert len(list(iter_combinations_lex(6, 3))) == binomial(6, 3)
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                assert all_unranked(n, k) == list(itertools.combinations(range(n), k))
 
     def test_k_zero_yields_empty(self):
-        assert list(iter_combinations_lex(4, 0)) == [()]
+        assert all_unranked(4, 0) == [()] == list(itertools.combinations(range(4), 0))
 
     def test_k_greater_than_n_yields_nothing(self):
-        assert list(iter_combinations_lex(3, 4)) == []
+        assert all_unranked(3, 4) == [] == list(itertools.combinations(range(3), 4))
+        with pytest.raises(RankOutOfRangeError):
+            unrank_lex(0, 3, 4)
 
     def test_strictly_increasing_lex(self):
-        combos = list(iter_combinations_lex(8, 4))
+        combos = all_unranked(8, 4)
         assert combos == sorted(combos)
         assert len(set(combos)) == len(combos)
 
@@ -193,7 +186,6 @@ def test_rank_unrank_roundtrip(rk, data):
     r, k = rk
     rank = data.draw(st.integers(0, binomial(r, k) - 1))
     assert rank_lex(unrank_lex(rank, r, k), r) == rank
-    assert rank_colex(unrank_colex(rank, r, k), r) == rank
 
 
 @settings(max_examples=100, deadline=None)

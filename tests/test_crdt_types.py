@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
-from repro.crdt import LWWRegister, ORSet, PNCounter, RGA, ROOT
+from repro.crdt import ORSet, PNCounter, RGA, ROOT
 from repro.util.rng import RandomSource
 
 
@@ -198,46 +198,6 @@ class TestRGA:
             RGA("a").apply_remote(("swap", None, None, None))
 
 
-class TestLWWRegister:
-    def test_last_write_wins(self):
-        a, b = LWWRegister("a"), LWWRegister("b")
-        op1 = a.write("first")
-        b.apply_remote(op1)
-        op2 = b.write("second")
-        a.apply_remote(op2)
-        assert a.value() == b.value() == "second"
-
-    def test_stale_write_counted(self):
-        a, b = LWWRegister("a"), LWWRegister("b")
-        op1 = a.write("old")
-        b.apply_remote(op1)
-        op2 = b.write("new")
-        late = LWWRegister("c")
-        late.apply_remote(op2)
-        late.apply_remote(op1)  # arrives after its overwriter
-        assert late.value() == "new"
-        assert late.stale_applications == 1
-
-    def test_concurrent_ties_break_by_replica(self):
-        a, b = LWWRegister("a"), LWWRegister("b")
-        op_a = a.write("A")
-        op_b = b.write("B")
-        a.apply_remote(op_b)
-        b.apply_remote(op_a)
-        assert a.value() == b.value()
-        assert a.state_signature() == b.state_signature()
-
-    def test_initial_value(self):
-        register = LWWRegister("a", initial="empty")
-        assert register.value() == "empty"
-        assert register.stamp is None
-
-
-# ---------------------------------------------------------------------------
-# property tests: convergence under arbitrary permutations
-# ---------------------------------------------------------------------------
-
-
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10_000), n_ops=st.integers(1, 20))
 def test_pncounter_converges_under_any_permutation(seed, n_ops):
@@ -306,30 +266,6 @@ def test_rga_converges_under_any_permutation(seed, n_ops):
     assert scrambled.value() == source.value()
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 10_000), n_writers=st.integers(1, 4), n_ops=st.integers(1, 12))
-def test_lww_converges_under_any_permutation(seed, n_writers, n_ops):
-    rng = RandomSource(seed=seed)
-    writers = [LWWRegister(f"w{i}") for i in range(n_writers)]
-    ops = []
-    for step in range(n_ops):
-        writer = rng.choice(writers)
-        op = writer.write(f"v{step}")
-        ops.append(op)
-        for other in writers:
-            if other is not writer:
-                other.apply_remote(op)
-    replica_a, replica_b = LWWRegister("ra"), LWWRegister("rb")
-    order_a, order_b = list(ops), list(ops)
-    rng.shuffle(order_a)
-    rng.shuffle(order_b)
-    for op in order_a:
-        replica_a.apply_remote(op)
-    for op in order_b:
-        replica_b.apply_remote(op)
-    assert replica_a.state_signature() == replica_b.state_signature()
-
-
 class TestORSetConcurrentRemoves:
     def test_concurrent_removes_of_same_tag_are_not_anomalies(self):
         """Two replicas concurrently remove the same observed add: the
@@ -358,98 +294,3 @@ class TestORSetConcurrentRemoves:
         late.apply_remote(add_op)  # cancelled by pre-tombstone
         late.apply_remote(("remove", "x", remove_1[2]))  # replayed tags
         assert late.anomalies == 1  # no new anomaly
-
-
-class TestMVRegister:
-    def test_single_writer_single_value(self):
-        from repro.crdt import MVRegister
-
-        register = MVRegister("a")
-        register.write("v1")
-        register.write("v2")
-        assert register.values() == ["v2"]
-        assert register.sibling_count == 1
-
-    def test_concurrent_writes_both_visible(self):
-        from repro.crdt import MVRegister
-
-        a, b = MVRegister("a"), MVRegister("b")
-        op_a = a.write("from-a")
-        op_b = b.write("from-b")
-        a.apply_remote(op_b)
-        b.apply_remote(op_a)
-        assert sorted(a.values()) == sorted(b.values()) == ["from-a", "from-b"]
-        assert a.state_signature() == b.state_signature()
-
-    def test_causal_overwrite_prunes(self):
-        from repro.crdt import MVRegister
-
-        a, b = MVRegister("a"), MVRegister("b")
-        op_1 = a.write("old")
-        b.apply_remote(op_1)
-        op_2 = b.write("new")  # causally after op_1
-        a.apply_remote(op_2)
-        assert a.values() == ["new"]
-        assert b.values() == ["new"]
-
-    def test_out_of_order_arrival_converges(self):
-        from repro.crdt import MVRegister
-
-        a, b = MVRegister("a"), MVRegister("b")
-        op_1 = a.write("old")
-        b.apply_remote(op_1)
-        op_2 = b.write("new")
-        late = MVRegister("c")
-        late.apply_remote(op_2)  # dominating write first
-        assert late.values() == ["new"]
-        late.apply_remote(op_1)  # dominated write arrives late
-        assert late.values() == ["new"]  # correctly pruned on arrival
-
-    def test_merge_after_observation_collapses_siblings(self):
-        from repro.crdt import MVRegister
-
-        a, b = MVRegister("a"), MVRegister("b")
-        op_a = a.write("A")
-        op_b = b.write("B")
-        a.apply_remote(op_b)
-        assert a.sibling_count == 2
-        resolve = a.write("merged")  # observes both -> dominates both
-        assert a.values() == ["merged"]
-        b.apply_remote(op_a)
-        b.apply_remote(resolve)
-        assert b.values() == ["merged"]
-
-    def test_unknown_operation_rejected(self):
-        from repro.crdt import MVRegister
-        from repro.core.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            MVRegister("a").apply_remote(("reset", 1, (), "a"))
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 10_000), n_ops=st.integers(1, 12))
-def test_mvregister_converges_under_any_permutation(seed, n_ops):
-    from repro.crdt import MVRegister
-
-    rng = RandomSource(seed=seed)
-    writers = [MVRegister(f"w{i}") for i in range(3)]
-    ops = []
-    for step in range(n_ops):
-        writer = rng.choice(writers)
-        op = writer.write(f"v{step}")
-        ops.append(op)
-        # Sometimes propagate immediately (causal chains), sometimes not
-        # (concurrency).
-        for other in writers:
-            if other is not writer and rng.random() < 0.5:
-                other.apply_remote(op)
-    replica_a, replica_b = MVRegister("ra"), MVRegister("rb")
-    order_a, order_b = list(ops), list(ops)
-    rng.shuffle(order_a)
-    rng.shuffle(order_b)
-    for op in order_a:
-        replica_a.apply_remote(op)
-    for op in order_b:
-        replica_b.apply_remote(op)
-    assert replica_a.state_signature() == replica_b.state_signature()

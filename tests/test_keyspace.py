@@ -1,5 +1,7 @@
 """Tests for key-set assignment strategies (Section 4.1.3)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,16 +9,32 @@ from hypothesis import strategies as st
 from repro.core.combinatorics import num_key_sets, unrank_lex
 from repro.core.errors import ConfigurationError, MembershipError
 from repro.core.keyspace import (
-    ExplicitKeyAssigner,
     HashKeyAssigner,
+    KeyAssigner,
     KeyAssignment,
     PerfectKeyAssigner,
     RandomKeyAssigner,
     SequentialKeyAssigner,
-    entry_loads,
-    pairwise_overlap_counts,
 )
 from repro.util.rng import RandomSource
+
+
+def entry_loads(assigner: KeyAssigner):
+    """Per-entry load: how many live processes hold each vector entry."""
+    loads = [0] * assigner.r
+    for assignment in assigner.assignments.values():
+        for entry in assignment.keys:
+            loads[entry] += 1
+    return loads
+
+
+def pairwise_overlap_counts(assigner: KeyAssigner):
+    """Histogram ``overlap_size -> pairs`` over all pairs of live processes."""
+    histogram = {}
+    for first, second in itertools.combinations(assigner.assignments.values(), 2):
+        overlap = len(set(first.keys).intersection(second.keys))
+        histogram[overlap] = histogram.get(overlap, 0) + 1
+    return histogram
 
 
 class TestKeyAssignment:
@@ -200,36 +218,19 @@ class TestHashKeyAssigner:
         assert len(keys) > 45  # collisions possible but rare
 
 
-class TestExplicitKeyAssigner:
-    def test_returns_declared_sets(self):
-        mapping = {"p1": (0, 3), "p2": (1, 3)}
-        assigner = ExplicitKeyAssigner(4, 2, mapping)
-        assert assigner.assign("p1").keys == (0, 3)
-        assert assigner.assign("p2").keys == (1, 3)
-
-    def test_unknown_process_rejected(self):
-        assigner = ExplicitKeyAssigner(4, 2, {"p1": (0, 1)})
-        with pytest.raises(MembershipError):
-            assigner.assign("p2")
-
-    def test_validates_shape(self):
-        with pytest.raises(ConfigurationError):
-            ExplicitKeyAssigner(4, 2, {"p1": (0, 1, 2)})
-        with pytest.raises(ConfigurationError):
-            ExplicitKeyAssigner(4, 2, {"p1": (0, 9)})
-
-
 class TestEntryLoads:
+    """The two measuring helpers above, on prescribed (adopted) key sets."""
+
     def test_counts_live_assignments(self):
-        assigner = ExplicitKeyAssigner(4, 2, {"a": (0, 1), "b": (1, 2)})
-        assigner.assign("a")
-        assigner.assign("b")
+        assigner = RandomKeyAssigner(4, 2)
+        assigner.adopt("a", (0, 1))
+        assigner.adopt("b", (1, 2))
         assert entry_loads(assigner) == [1, 2, 1, 0]
 
     def test_overlap_histogram(self):
-        assigner = ExplicitKeyAssigner(4, 2, {"a": (0, 1), "b": (1, 2), "c": (2, 3)})
-        for process in ("a", "b", "c"):
-            assigner.assign(process)
+        assigner = RandomKeyAssigner(4, 2)
+        for process, keys in (("a", (0, 1)), ("b", (1, 2)), ("c", (2, 3))):
+            assigner.adopt(process, keys)
         histogram = pairwise_overlap_counts(assigner)
         assert histogram == {1: 2, 0: 1}
 

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.sim.network import (
-    ConstantDelayModel,
-    ExponentialDelayModel,
-    GaussianDelayModel,
-    UniformDelayModel,
-)
+from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.util.rng import RandomSource
 
 
@@ -63,60 +58,3 @@ class TestConstantDelayModel:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ConstantDelayModel(delay=0.0)
-
-
-class TestUniformDelayModel:
-    def test_bounds(self):
-        model = UniformDelayModel(50, 150, skew=10)
-        rng = RandomSource(seed=5)
-        for _ in range(1000):
-            base = model.sample_base(rng)
-            assert 50 <= base <= 150
-            arrival = model.sample_arrival(rng, base)
-            assert base - 10 <= arrival <= base + 10
-            assert arrival > 0
-
-    def test_mean(self):
-        assert UniformDelayModel(50, 150).mean_delay() == 100.0
-
-    def test_zero_skew(self):
-        model = UniformDelayModel(50, 150)
-        rng = RandomSource(seed=5)
-        base = model.sample_base(rng)
-        assert model.sample_arrival(rng, base) == base
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            UniformDelayModel(0, 10)
-        with pytest.raises(ConfigurationError):
-            UniformDelayModel(20, 10)
-        with pytest.raises(ConfigurationError):
-            UniformDelayModel(10, 20, skew=-1)
-
-
-class TestExponentialDelayModel:
-    def test_mean(self):
-        model = ExponentialDelayModel(mean_excess=50, offset=50)
-        assert model.mean_delay() == 100.0
-        rng = RandomSource(seed=6)
-        draws = [model.sample_base(rng) for _ in range(10_000)]
-        assert sum(draws) / len(draws) == pytest.approx(100, rel=0.05)
-        assert all(d >= 50 for d in draws)
-
-    def test_heavy_tail_exceeds_gaussian(self):
-        # At equal mean, the exponential model produces more extreme
-        # delays than the Gaussian one — the stress property it exists for.
-        exponential = ExponentialDelayModel(mean_excess=50, offset=50)
-        gaussian = GaussianDelayModel(mean=100, std=20)
-        rng_e, rng_g = RandomSource(seed=7), RandomSource(seed=8)
-        max_e = max(exponential.sample_base(rng_e) for _ in range(5000))
-        max_g = max(gaussian.sample_base(rng_g) for _ in range(5000))
-        assert max_e > max_g
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ExponentialDelayModel(mean_excess=0)
-        with pytest.raises(ConfigurationError):
-            ExponentialDelayModel(offset=-1)
-        with pytest.raises(ConfigurationError):
-            ExponentialDelayModel(skew_std=-1)

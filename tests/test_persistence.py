@@ -11,7 +11,16 @@ from repro.analysis.persistence import (
     result_to_dict,
 )
 from repro.core.errors import ConfigurationError
-from repro.sim import PoissonWorkload, SimulationConfig, run_simulation
+from repro.sim import (
+    ChurnAction,
+    ChurnEvent,
+    GaussianDelayModel,
+    PoissonWorkload,
+    PushGossip,
+    ScriptedChurn,
+    SimulationConfig,
+    run_simulation,
+)
 
 
 def small_result(seed=3, **overrides):
@@ -42,9 +51,35 @@ class TestResultToDict:
 
     def test_records_component_class_names(self):
         record = result_to_dict(small_result())
-        assert record["config"]["workload"] == "PoissonWorkload"
+        assert record["config"]["workload"] == {"type": "PoissonWorkload", "mean": 700.0}
         assert record["config"]["delay_model"] is None  # default built inside runner
         assert record["config"]["dissemination"] is None
+        assert record["config"]["churn"] is None
+
+    def test_records_component_parameters(self):
+        record = result_to_dict(small_result(
+            dissemination=PushGossip(GaussianDelayModel(80.0), fanout=3),
+            churn=ScriptedChurn([ChurnEvent(50.0, ChurnAction.LEAVE, 2)]),
+            max_messages=40,
+            detector="refined",
+            detector_window_ms=300.0,
+            detector_max_entries=64,
+        ))
+        config = json.loads(json.dumps(record))["config"]
+        assert config["dissemination"] == {
+            "type": "PushGossip",
+            "fanout": 3,
+            "delay_model": {
+                "type": "GaussianDelayModel", "mean": 80.0, "std": 20.0, "skew_std": 20.0,
+            },
+        }
+        assert config["churn"] == {
+            "type": "ScriptedChurn",
+            "events": [{"type": "ChurnEvent", "time": 50.0, "action": "leave", "node_id": 2}],
+        }
+        assert config["max_messages"] == 40
+        assert config["detector_window_ms"] == 300.0
+        assert config["detector_max_entries"] == 64
 
 
 class TestResultStore:
@@ -77,6 +112,14 @@ class TestCompareResults:
         result = small_result()
         record = result_to_dict(result)
         assert compare_results(record, result_to_dict(result)) == []
+
+    def test_workload_rate_mismatch_is_a_config_mismatch(self):
+        # Same component class, ten times the send interval: a different
+        # experiment, not eps drift between two runs of one.
+        base = result_to_dict(small_result(n_nodes=20, workload=PoissonWorkload(200.0)))
+        other = result_to_dict(small_result(n_nodes=20, workload=PoissonWorkload(2_000.0)))
+        issues = compare_results(base, other)
+        assert issues and all(issue.startswith("config.workload") for issue in issues)
 
     def test_config_mismatch_reported_first(self):
         base = result_to_dict(small_result())

@@ -188,9 +188,13 @@ class TestCodecSchemeByte:
         codec = MessageCodec(scheme=scheme)
         message = self._endpoint(scheme).broadcast("x")
         data = codec.encode(message)
-        assert MessageCodec.peek_scheme(data) == scheme
         decoded = codec.decode(data)
         assert decoded.timestamp.sender_keys == message.timestamp.sender_keys
+        # The scheme byte travels: every other scheme's codec refuses it.
+        for other in sorted(TestLegacySchemes.EXPECTED):
+            if other != scheme:
+                with pytest.raises(CodecError, match=scheme):
+                    MessageCodec(scheme=other).decode(data)
 
     def test_cross_scheme_decode_rejected(self):
         bloom_wire = MessageCodec(scheme="bloom").encode(
@@ -199,6 +203,6 @@ class TestCodecSchemeByte:
         with pytest.raises(CodecError, match="bloom"):
             MessageCodec(scheme="probabilistic").decode(bloom_wire)
 
-    def test_peek_rejects_garbage(self):
+    def test_decode_rejects_garbage(self):
         with pytest.raises(CodecError):
-            MessageCodec.peek_scheme(b"nope")
+            MessageCodec().decode(b"nope")

@@ -352,7 +352,7 @@ class TestNodeSurface:
             await a.broadcast("x")
             assert await wait_for(lambda: log.payloads() == ["x"])
             assert a.transport_stats(b.local_address).data_sent == 1
-            assert a.transport_stats_by_peer()[b.local_address].data_sent == 1
+            assert a.session.all_stats()[b.local_address].data_sent == 1
             assert b.endpoint.has_seen(("a", 1))
             assert a.peers == (b.local_address,)
             a.remove_peer(b.local_address)

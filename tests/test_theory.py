@@ -197,8 +197,9 @@ class TestOverheadBits:
         assert timestamp_overhead_bits(1000, 1) > timestamp_overhead_bits(100, 1)
 
     def test_paper_configuration(self):
-        bits = timestamp_overhead_bits(100, 4)
-        assert bits == 100 * 32 + 4 * 7
+        # 100 entries * 32 bits + 4 keys * 7 bits (log2 99 -> 7)
+        assert timestamp_overhead_bits(100, 4) == 100 * 32 + 4 * 7
+        assert timestamp_overhead_bits(100, 4, bits_per_entry=8) == 100 * 8 + 4 * 7
 
     def test_lamport_clock(self):
         assert timestamp_overhead_bits(1, 1) == 32

@@ -1,17 +1,9 @@
 """Tests for workload generators."""
 
-import math
-
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.sim.workload import (
-    BurstyWorkload,
-    HotspotWorkload,
-    PoissonWorkload,
-    ReplayWorkload,
-    UniformJitterWorkload,
-)
+from repro.sim.workload import PoissonWorkload
 from repro.util.rng import RandomSource
 
 
@@ -27,108 +19,3 @@ class TestPoissonWorkload:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PoissonWorkload(0)
-
-
-class TestUniformJitterWorkload:
-    def test_bounds(self):
-        workload = UniformJitterWorkload(1000, jitter_ms=100)
-        rng = RandomSource(seed=2)
-        draws = [workload.next_interval(rng, 0) for _ in range(1000)]
-        assert all(900 <= d <= 1100 for d in draws)
-        assert workload.mean_interval() == 1000
-
-    def test_no_jitter_is_periodic(self):
-        workload = UniformJitterWorkload(500)
-        rng = RandomSource(seed=2)
-        assert workload.next_interval(rng, 0) == 500
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            UniformJitterWorkload(0)
-        with pytest.raises(ConfigurationError):
-            UniformJitterWorkload(100, jitter_ms=100)
-
-
-class TestBurstyWorkload:
-    def test_burst_pattern(self):
-        workload = BurstyWorkload(burst_size=3, intra_gap_ms=10, pause_ms=1000)
-        rng = RandomSource(seed=3)
-        gaps = [workload.next_interval(rng, "node") for _ in range(9)]
-        # Positions 0,1 inside the burst; 2 is the pause; repeats.
-        assert gaps[0] == 10 and gaps[1] == 10
-        assert gaps[2] > 10
-        assert gaps[3] == 10 and gaps[4] == 10
-        assert gaps[5] > 10
-
-    def test_per_node_independent_positions(self):
-        workload = BurstyWorkload(burst_size=2, intra_gap_ms=10, pause_ms=1000)
-        rng = RandomSource(seed=3)
-        assert workload.next_interval(rng, "a") == 10
-        assert workload.next_interval(rng, "b") == 10  # b's own burst
-        assert workload.next_interval(rng, "a") > 10  # a's pause
-
-    def test_mean_interval(self):
-        workload = BurstyWorkload(burst_size=4, intra_gap_ms=10, pause_ms=970)
-        assert workload.mean_interval() == pytest.approx((3 * 10 + 970) / 4)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BurstyWorkload(0, 10, 1000)
-        with pytest.raises(ConfigurationError):
-            BurstyWorkload(2, 0, 1000)
-
-
-class TestHotspotWorkload:
-    def test_hot_nodes_send_faster(self):
-        workload = HotspotWorkload(1000, hot_fraction=0.5, hot_factor=20)
-        rng = RandomSource(seed=4)
-        hot = [n for n in range(200) if workload.is_hot(n)]
-        cold = [n for n in range(200) if not workload.is_hot(n)]
-        assert hot and cold
-
-        def mean_for(node):
-            return sum(workload.next_interval(rng, node) for _ in range(500)) / 500
-
-        assert mean_for(hot[0]) < mean_for(cold[0]) / 5
-
-    def test_heat_is_stable(self):
-        workload = HotspotWorkload(1000, hot_fraction=0.3)
-        flags = [workload.is_hot(n) for n in range(50)]
-        assert flags == [workload.is_hot(n) for n in range(50)]
-
-    def test_mean_interval_harmonic(self):
-        workload = HotspotWorkload(1000, hot_fraction=0.0, hot_factor=10)
-        assert workload.mean_interval() == pytest.approx(1000)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            HotspotWorkload(0)
-        with pytest.raises(ConfigurationError):
-            HotspotWorkload(100, hot_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            HotspotWorkload(100, hot_factor=0.5)
-
-
-class TestReplayWorkload:
-    def test_replays_trace_then_falls_silent(self):
-        workload = ReplayWorkload({"a": [10, 20, 30]})
-        rng = RandomSource(seed=5)
-        assert workload.next_interval(rng, "a") == 10
-        assert workload.next_interval(rng, "a") == 20
-        assert workload.next_interval(rng, "a") == 30
-        assert math.isinf(workload.next_interval(rng, "a"))
-
-    def test_unknown_node_is_silent(self):
-        workload = ReplayWorkload({"a": [10]})
-        rng = RandomSource(seed=5)
-        assert math.isinf(workload.next_interval(rng, "b"))
-
-    def test_mean_interval(self):
-        workload = ReplayWorkload({"a": [10, 30], "b": [20]})
-        assert workload.mean_interval() == pytest.approx(20)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ReplayWorkload({})
-        with pytest.raises(ConfigurationError):
-            ReplayWorkload({"a": [0]})
