@@ -506,11 +506,10 @@ def _command_node(args: argparse.Namespace) -> int:
                 await asyncio.sleep(args.interval)
             await asyncio.sleep(args.duration)
         finally:
-            node_stats = node.stats()
-            detector = node_stats.detector
+            detector = node.endpoint.detector.stats
             print(
-                f"delivered={node_stats.endpoint.delivered} "
-                f"pending={node_stats.pending} "
+                f"delivered={node.endpoint.stats.delivered} "
+                f"pending={node.endpoint.pending_count} "
                 f"detector: checks={detector.checks} alerts={detector.alerts} "
                 f"alert_rate={detector.alert_rate:.3e}"
             )

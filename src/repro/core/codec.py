@@ -119,9 +119,9 @@ class CodecError(ReproError):
 class CodecCounters:
     """Decode tallies of one codec instance.
 
-    Plain slotted integers bumped inline (no obs dependency — the node
-    syncs them into :mod:`repro.obs` counters through a pull collector,
-    so the hot path never touches the registry).  ``retained_bytes`` is
+    Plain slotted integers bumped inline (no obs dependency — the node's
+    :mod:`repro.obs` collector reads them at snapshot time, so the hot
+    path never touches the registry).  ``retained_bytes`` is
     bumped by the node's intake, not here: the bytes of full encodings
     its store took from the wire.
     """

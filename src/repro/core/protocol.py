@@ -162,42 +162,34 @@ class CausalBroadcastEndpoint:
     ) -> None:
         """Attach a metrics registry (and optionally a trace ring).
 
-        Counters stay pull-style: :class:`EndpointStats` and the
-        detector's :class:`~repro.core.detector.DetectorStats` remain
-        the source of truth, synced into registry instruments by a
-        collector at snapshot time — the delivery hot path is untouched.
-        Only the delivery-wait histogram is push-style (a distribution
-        cannot be reconstructed after the fact), which costs one dict
-        pop and one bisect per remote delivery.
+        Counters and gauges are read, not stored: :class:`EndpointStats`
+        and the detector's :class:`~repro.core.detector.DetectorStats`
+        are the one record, read by a collector at snapshot time — the
+        delivery hot path is untouched.  Only the delivery-wait
+        histogram is push-style (a distribution cannot be reconstructed
+        after the fact), which costs one dict pop and one bisect per
+        remote delivery.
         """
         self._wait_histogram = registry.histogram("repro_delivery_wait_seconds")
         self._trace = trace
-        sent = registry.counter("repro_endpoint_sent_total")
-        received = registry.counter("repro_endpoint_received_total")
-        duplicates = registry.counter("repro_endpoint_duplicates_total")
-        delivered = registry.counter("repro_endpoint_delivered_total")
-        alerts = registry.counter("repro_endpoint_alerts_total")
-        checks = registry.counter("repro_detector_checks_total")
-        detector_alerts = registry.counter("repro_detector_alerts_total")
-        depth = registry.gauge("repro_pending_depth")
-        peak = registry.gauge("repro_pending_peak")
-        recent = registry.gauge("repro_detector_recent_size")
-        wakeups = registry.counter("repro_pending_wakeups_total")
-        spurious = registry.counter("repro_pending_spurious_wakeups_total")
 
-        def collect() -> None:
-            sent.set(self.stats.sent)
-            received.set(self.stats.received)
-            duplicates.set(self.stats.duplicates)
-            delivered.set(self.stats.delivered)
-            alerts.set(self.stats.alerts)
-            checks.set(self._detector.stats.checks)
-            detector_alerts.set(self._detector.stats.alerts)
-            depth.set(self.pending_count)
-            peak.set(self.stats.pending_peak)
-            recent.set(getattr(self._detector, "recent_size", 0))
-            wakeups.set(self._buffer.wakeups)
-            spurious.set(self._buffer.spurious_wakeups)
+        def collect() -> dict:
+            stats = self.stats
+            detector = self._detector
+            return {
+                "repro_endpoint_sent_total": stats.sent,
+                "repro_endpoint_received_total": stats.received,
+                "repro_endpoint_duplicates_total": stats.duplicates,
+                "repro_endpoint_delivered_total": stats.delivered,
+                "repro_endpoint_alerts_total": stats.alerts,
+                "repro_detector_checks_total": detector.stats.checks,
+                "repro_detector_alerts_total": detector.stats.alerts,
+                "repro_pending_depth": self.pending_count,
+                "repro_pending_peak": stats.pending_peak,
+                "repro_detector_recent_size": getattr(detector, "recent_size", 0),
+                "repro_pending_wakeups_total": self._buffer.wakeups,
+                "repro_pending_spurious_wakeups_total": self._buffer.spurious_wakeups,
+            }
 
         registry.register_collector(collect)
 

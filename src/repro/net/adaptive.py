@@ -316,12 +316,19 @@ class AdaptiveClockController:
         self.estimator = ConcurrencyEstimator(min_window=self.policy.min_window)
         self.planner = EpochPlanner(node.endpoint.clock.r, self.policy)
         self._task: Optional[asyncio.Task] = None
-        registry = node.metrics
-        self._x_gauge = registry.gauge("repro_adaptive_x_estimate")
-        self._alert_gauge = registry.gauge("repro_adaptive_alert_rate")
-        self._target_gauge = registry.gauge("repro_adaptive_k_target")
-        self._decisions = registry.counter("repro_adaptive_decisions_total")
-        self._bumps = registry.counter("repro_adaptive_bumps_total")
+        # The controller's own telemetry, read by its collector.
+        self.x_estimate = 0.0
+        self.alert_rate = 0.0
+        self.k_target = 0.0
+        self.decisions = 0
+        self.bumps = 0
+        node.metrics.register_collector(lambda: {
+            "repro_adaptive_x_estimate": self.x_estimate,
+            "repro_adaptive_alert_rate": self.alert_rate,
+            "repro_adaptive_k_target": self.k_target,
+            "repro_adaptive_decisions_total": self.decisions,
+            "repro_adaptive_bumps_total": self.bumps,
+        })
 
     def step(self, now: float) -> Optional[int]:
         """One synchronous control iteration; returns the proposed K
@@ -331,12 +338,12 @@ class AdaptiveClockController:
         window = self.estimator.update(sample)
         if window is None:
             return None
-        self._decisions.inc()
-        self._x_gauge.set(window.x_estimate)
-        self._alert_gauge.set(window.alert_rate)
+        self.decisions += 1
+        self.x_estimate = window.x_estimate
+        self.alert_rate = window.alert_rate
         current_k = node.endpoint.clock.k
         target = self.planner.decide(current_k, window, now)
-        self._target_gauge.set(target if target is not None else current_k)
+        self.k_target = target if target is not None else current_k
         membership = node.membership
         if target is None or membership is None or not membership.is_coordinator():
             return None
@@ -344,7 +351,7 @@ class AdaptiveClockController:
         if view is None:
             return None
         self.planner.record_bump(now)
-        self._bumps.inc()
+        self.bumps += 1
         node.trace.emit(
             "adaptive_bump",
             ts=now,

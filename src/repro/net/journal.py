@@ -209,23 +209,17 @@ class NodeJournal:
 
         Append and snapshot latencies are push histograms (the write
         path's fsync cost is exactly the distribution worth watching);
-        the rest are pull counters synced at snapshot time.  Call before
-        :meth:`open` to have the replay timing captured too.
+        the rest are read at snapshot time.  Call before :meth:`open`
+        to have the replay timing captured too.
         """
         self._append_hist = registry.histogram("repro_journal_append_seconds")
         self._snapshot_hist = registry.histogram("repro_journal_snapshot_seconds")
-        appends = registry.counter("repro_journal_appends_total")
-        snapshots = registry.counter("repro_journal_snapshots_total")
-        replayed = registry.counter("repro_journal_replayed_records_total")
-        replay_seconds = registry.gauge("repro_journal_replay_seconds")
-
-        def collect() -> None:
-            appends.set(self.appends)
-            snapshots.set(self.snapshots_written)
-            replayed.set(self.replayed_records)
-            replay_seconds.set(self.replay_seconds)
-
-        registry.register_collector(collect)
+        registry.register_collector(lambda: {
+            "repro_journal_appends_total": self.appends,
+            "repro_journal_snapshots_total": self.snapshots_written,
+            "repro_journal_replayed_records_total": self.replayed_records,
+            "repro_journal_replay_seconds": self.replay_seconds,
+        })
 
     # ------------------------------------------------------------------
     # recovery

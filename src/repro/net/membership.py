@@ -290,27 +290,21 @@ class GroupMembership:
         return self.joined and self.acting_coordinator() == self.node_id
 
     def bind_metrics(self, registry) -> None:
-        """Mirror membership state into the node's metrics registry."""
-        view_id = registry.gauge("repro_membership_view_id")
-        view_size = registry.gauge("repro_membership_view_size")
-        join_attempts = registry.counter("repro_membership_join_attempts_total")
-        admitted = registry.counter("repro_membership_joins_admitted_total")
-        leaves = registry.counter("repro_membership_leaves_total")
-        evictions = registry.counter("repro_membership_evictions_total")
-        changes = registry.counter("repro_membership_view_changes_total")
-        epoch = registry.gauge("repro_membership_epoch")
-        bumps = registry.counter("repro_membership_epoch_bumps_total")
+        """Export membership state through the node's metrics registry."""
 
-        def collect() -> None:
-            view_id.set(self._view.view_id if self._view is not None else 0)
-            view_size.set(len(self._view.members) if self._view is not None else 0)
-            join_attempts.set(self.join_attempts)
-            admitted.set(self.joins_admitted)
-            leaves.set(self.leaves)
-            evictions.set(self.evictions)
-            changes.set(self.view_changes)
-            epoch.set(self.epoch)
-            bumps.set(self.epoch_bumps)
+        def collect() -> dict:
+            view = self._view
+            return {
+                "repro_membership_view_id": view.view_id if view is not None else 0,
+                "repro_membership_view_size": len(view.members) if view is not None else 0,
+                "repro_membership_join_attempts_total": self.join_attempts,
+                "repro_membership_joins_admitted_total": self.joins_admitted,
+                "repro_membership_leaves_total": self.leaves,
+                "repro_membership_evictions_total": self.evictions,
+                "repro_membership_view_changes_total": self.view_changes,
+                "repro_membership_epoch": self.epoch,
+                "repro_membership_epoch_bumps_total": self.epoch_bumps,
+            }
 
         registry.register_collector(collect)
 

@@ -64,10 +64,10 @@ import numpy as np
 
 from repro.core.clocks import EntryVectorClock
 from repro.core.codec import CodecCounters, MessageCodec, RelayFrame
-from repro.core.detector import DeliveryErrorDetector, DetectorStats
+from repro.core.detector import DeliveryErrorDetector
 from repro.core.errors import ConfigurationError
 from repro.core.pending import SeenFilter
-from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord, EndpointStats, Message
+from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord, Message
 from repro.net.journal import NodeJournal, RecoveredState
 from repro.net.liveness import LivenessPolicy, PeerLivenessMonitor
 from repro.net.overlay import PartialView
@@ -79,7 +79,6 @@ __all__ = [
     "StoreStats",
     "RepairStats",
     "MessageStore",
-    "NodeStats",
     "ReliableCausalNode",
 ]
 
@@ -128,27 +127,6 @@ class RepairStats:
     gap_pulls: int = 0
     gap_pulls_unneeded: int = 0
     resync_fallbacks: int = 0
-
-
-@dataclass
-class NodeStats:
-    """One coherent snapshot of everything a node can report about itself.
-
-    The structured counterpart of the registry snapshot: typed stats
-    objects for programmatic use, plus the full registry ``snapshot``
-    dict (the JSONL/Prometheus shape) for export and rendering.
-    """
-
-    node_id: str
-    endpoint: EndpointStats
-    detector: DetectorStats
-    wire: TransportStats
-    store: StoreStats
-    pending: int
-    decode_errors: int
-    quarantines: int
-    resumes: int
-    snapshot: dict
 
 
 class MessageStore:
@@ -399,7 +377,7 @@ class ReliableCausalNode:
             keeps the full-mesh dissemination.
         metrics: the node's :class:`~repro.obs.MetricsRegistry`; created
             automatically (with a ``node=<id>`` label) when not given —
-            every node is observable, the instruments cost nothing until
+            every node is observable, its collectors cost nothing until
             snapshotted.
         trace: structured trace-event ring; created automatically.
         metrics_path: when set, a background task appends one registry
@@ -604,20 +582,10 @@ class ReliableCausalNode:
         self._bind_node_metrics()
 
     def _bind_node_metrics(self) -> None:
-        """Pull collector for the node-level tallies (store, liveness,
-        codec, per-table sizes) — the structs stay authoritative, the
-        registry mirrors."""
-        store_evictions = self.metrics.counter("repro_store_evictions_total")
-        store_unservable = self.metrics.counter("repro_store_unservable_total")
-        store_size = self.metrics.gauge("repro_store_size")
-        decode_errors = self.metrics.counter("repro_decode_errors_total")
-        quarantines = self.metrics.counter("repro_liveness_quarantines_total")
-        resumes = self.metrics.counter("repro_liveness_resumes_total")
-        suppressed = self.metrics.counter("repro_heartbeats_suppressed_total")
-        stale = self.metrics.counter("repro_stale_frames_total")
-        # Anti-entropy's ledger (RepairStats).
-        repair_counters = {
-            name: self.metrics.counter(f"repro_{series}_total")
+        """Collector for the node-level tallies (store, liveness, codec,
+        per-table sizes), read off the structs that keep them."""
+        repair_series = [
+            (f"repro_{series}_total", name)
             for name, series in (
                 ("repairs_sent", "antientropy_repairs_sent"),
                 ("repair_duplicates", "antientropy_repair_duplicates"),
@@ -626,58 +594,50 @@ class ReliableCausalNode:
                 ("gap_pulls", "gap_pulls"),
                 ("gap_pulls_unneeded", "gap_pulls_unneeded"),
             )
-        }
-        # Share of remote deliveries the relay wave itself brought (the
-        # rest waited for anti-entropy); overlay mode only.
-        push_coverage = (
-            self.metrics.gauge("repro_overlay_push_coverage")
-            if self.overlay is not None else None
-        )
-        # Delta health: the share of arriving deltas that bounced off a
-        # reference this node no longer holds.
-        delta_miss_ratio = self.metrics.gauge("repro_delta_ref_miss_ratio")
-        # Codec tallies: the message codec (this node's) and the
-        # session's frame codec each keep slotted ints; export their
-        # sum per field as repro_codec_*_total.
-        codec_names = type(self._codec.counters).__slots__
-        codec_counters = {
-            name: self.metrics.counter(f"repro_codec_{name}_total")
-            for name in codec_names
-        }
+        ]
+        # The message codec (this node's) and the session's frame codec
+        # each keep slotted ints; their sum per field is exported.
+        codec_series = [
+            (f"repro_codec_{name}_total", name)
+            for name in type(self._codec.counters).__slots__
+        ]
 
-        def collect() -> None:
-            store_evictions.set(self.store.stats.evictions)
-            store_unservable.set(self.store.stats.unservable_requests)
-            store_size.set(len(self.store))
-            decode_errors.set(self._decode_errors)
-            if self.liveness is not None:
-                quarantines.set(self.liveness.quarantines)
-                resumes.set(self.liveness.resumes)
-            suppressed.set(self._heartbeats_suppressed)
-            stale.set(self._stale_frames)
-            for name, counter in repair_counters.items():
-                counter.set(getattr(self.repair_stats, name))
-            if push_coverage is not None:
+        def collect() -> dict:
+            liveness = self.liveness
+            values = {
+                "repro_store_evictions_total": self.store.stats.evictions,
+                "repro_store_unservable_total": self.store.stats.unservable_requests,
+                "repro_store_size": len(self.store),
+                "repro_decode_errors_total": self._decode_errors,
+                "repro_liveness_quarantines_total": liveness.quarantines if liveness else 0,
+                "repro_liveness_resumes_total": liveness.resumes if liveness else 0,
+                "repro_heartbeats_suppressed_total": self._heartbeats_suppressed,
+                "repro_stale_frames_total": self._stale_frames,
+            }
+            for name, attr in repair_series:
+                values[name] = getattr(self.repair_stats, attr)
+            if self.overlay is not None:
+                # Share of remote deliveries the relay wave itself
+                # brought (the rest waited for anti-entropy).
                 delivered = self.endpoint.stats.delivered
-                push_coverage.set(
+                values["repro_overlay_push_coverage"] = (
                     self.overlay.stats.relay_first_intake / delivered
                     if delivered else 0.0
                 )
+            # Delta health: the share of arriving deltas that bounced
+            # off a reference this node no longer holds.
             links = self.session.all_stats().values()
-            delta_miss_ratio.set(
-                _delta_miss_ratio(
-                    sum(link.delta_ref_misses for link in links),
-                    sum(link.delta_received for link in links),
-                )
+            values["repro_delta_ref_miss_ratio"] = _delta_miss_ratio(
+                sum(link.delta_ref_misses for link in links),
+                sum(link.delta_received for link in links),
             )
             for table, size in self.state_sizes().items():
-                self.metrics.gauge(f"repro_state_entries_{table}").set(size)
+                values[f"repro_state_entries_{table}"] = size
             message_tallies = self._codec.counters
             frame_tallies = self.session.codec_counters
-            for name, counter in codec_counters.items():
-                counter.set(
-                    getattr(message_tallies, name) + getattr(frame_tallies, name)
-                )
+            for name, attr in codec_series:
+                values[name] = getattr(message_tallies, attr) + getattr(frame_tallies, attr)
+            return values
 
         self.metrics.register_collector(collect)
 
@@ -1684,21 +1644,6 @@ class ReliableCausalNode:
         for table, size in self.session.state_sizes().items():
             sizes[f"session_{table}"] = size
         return sizes
-
-    def stats(self) -> NodeStats:
-        """One coherent :class:`NodeStats` snapshot of this node."""
-        return NodeStats(
-            node_id=str(self._node_id),
-            endpoint=self.endpoint.stats,
-            detector=self.endpoint.detector.stats,
-            wire=self.session.total_stats(),
-            store=self.store.stats,
-            pending=self.endpoint.pending_count,
-            decode_errors=self._decode_errors,
-            quarantines=self.liveness.quarantines if self.liveness else 0,
-            resumes=self.liveness.resumes if self.liveness else 0,
-            snapshot=self.metrics.snapshot(),
-        )
 
     def transport_stats(self, address: Optional[Address] = None) -> TransportStats:
         """Wire counters: one peer's, or all peers merged when ``None``."""

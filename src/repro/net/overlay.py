@@ -302,36 +302,26 @@ class PartialView:
         return len(set(self._sample_window)) / len(self._sample_window)
 
     def bind_metrics(self, registry) -> None:
-        """Export the overlay tallies through a pull collector:
+        """Export the overlay tallies through a collector:
         ``repro_relay_*_total`` counters, the view-size and
         sample-diversity gauges."""
-        counters = {
-            name: registry.counter(f"repro_{name}_total")
-            for name in (
-                "relay_pushes",
-                "relay_first_intake",
-                "relay_duplicates",
-                "relay_forwarded",
-            )
-        }
-        merges_applied = registry.counter("repro_overlay_merges_applied_total")
-        view_changes = registry.counter("repro_overlay_view_changes_total")
-        evictions = registry.counter("repro_overlay_evictions_total")
-        view_size = registry.gauge("repro_overlay_view_size")
-        diversity = registry.gauge("repro_overlay_sample_diversity")
-        suppression = registry.gauge("repro_relay_duplicate_suppression_rate")
 
-        def collect() -> None:
-            for name, counter in counters.items():
-                counter.set(getattr(self.stats, name))
-            merges_applied.set(self.stats.merges_applied)
-            view_changes.set(self.stats.view_changes)
-            evictions.set(self.stats.evictions)
-            view_size.set(len(self._entries))
-            diversity.set(self.sample_diversity())
-            copies = self.stats.relay_first_intake + self.stats.relay_duplicates
-            suppression.set(
-                self.stats.relay_duplicates / copies if copies else 0.0
-            )
+        def collect() -> dict:
+            stats = self.stats
+            copies = stats.relay_first_intake + stats.relay_duplicates
+            return {
+                "repro_relay_pushes_total": stats.relay_pushes,
+                "repro_relay_first_intake_total": stats.relay_first_intake,
+                "repro_relay_duplicates_total": stats.relay_duplicates,
+                "repro_relay_forwarded_total": stats.relay_forwarded,
+                "repro_overlay_merges_applied_total": stats.merges_applied,
+                "repro_overlay_view_changes_total": stats.view_changes,
+                "repro_overlay_evictions_total": stats.evictions,
+                "repro_overlay_view_size": len(self._entries),
+                "repro_overlay_sample_diversity": self.sample_diversity(),
+                "repro_relay_duplicate_suppression_rate": (
+                    stats.relay_duplicates / copies if copies else 0.0
+                ),
+            }
 
         registry.register_collector(collect)

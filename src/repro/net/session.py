@@ -492,30 +492,26 @@ class ReliableSession:
     def bind_metrics(self, registry) -> None:
         """Attach a metrics registry (``repro.obs``).
 
-        Every integer field of :class:`TransportStats` becomes a
-        ``repro_wire_<field>_total`` counter, synced from
-        :meth:`total_stats` by a pull collector at snapshot time — the
-        per-datagram paths keep mutating the plain dataclass they always
-        mutated, and the registry mirrors it exactly (the differential
-        suite holds the two views equal).  The only push instrument is
-        the raw RTT-sample histogram, one observe per clean ack.
+        Every integer field of :class:`TransportStats` is read from
+        :meth:`total_stats` as a ``repro_wire_<field>_total`` counter by
+        a collector at snapshot time — the per-datagram paths keep
+        mutating the plain dataclass they always mutated, and that is
+        the one record.  The only push instrument is the raw RTT-sample
+        histogram, one observe per clean ack.
         """
         self._rtt_histogram = registry.histogram("repro_wire_rtt_seconds")
-        skip = ("rtt", "rtt_min", "rtt_max")
-        counters = {
-            stats_field.name: registry.counter(f"repro_wire_{stats_field.name}_total")
+        series = [
+            (f"repro_wire_{stats_field.name}_total", stats_field.name)
             for stats_field in fields(TransportStats)
-            if stats_field.name not in skip
-        }
-        rtt_mean = registry.gauge("repro_wire_rtt_mean_seconds")
-        peer_count = registry.gauge("repro_wire_peers")
+            if stats_field.name not in ("rtt", "rtt_min", "rtt_max")
+        ]
 
-        def collect() -> None:
+        def collect() -> dict:
             total = self.total_stats()
-            for name, counter in counters.items():
-                counter.set(getattr(total, name))
-            rtt_mean.set(total.rtt if total.rtt is not None else 0.0)
-            peer_count.set(len(self._peers))
+            values = {name: getattr(total, attr) for name, attr in series}
+            values["repro_wire_rtt_mean_seconds"] = total.rtt if total.rtt is not None else 0.0
+            values["repro_wire_peers"] = len(self._peers)
+            return values
 
         registry.register_collector(collect)
 

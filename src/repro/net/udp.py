@@ -349,35 +349,34 @@ class BatchedUdpTransport(Transport):
     def bind_metrics(self, registry) -> None:
         """Export the I/O tallies through a ``repro.obs`` registry.
 
-        Counters are pull-style (synced from :class:`IoStats` by a
-        collector at snapshot time); only the per-wakeup batch-size
-        histogram is push-style, one ``observe()`` per wakeup — not per
-        datagram.
+        Counters are read from :class:`IoStats` by a collector at
+        snapshot time; only the per-wakeup batch-size histogram is
+        push-style, one ``observe()`` per wakeup — not per datagram.
         """
         self._rx_histogram = registry.histogram(
             "repro_io_rx_batch_datagrams",
             bounds=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
         )
-        names = (
-            "rx_wakeups",
-            "rx_datagrams",
-            "rx_bytes",
-            "rx_budget_exhausted",
-            "tx_flushes",
-            "tx_datagrams",
-            "tx_bytes",
-            "tx_blocked",
-        )
-        counters = {name: registry.counter(f"repro_io_{name}_total") for name in names}
-        rx_peak = registry.gauge("repro_io_rx_batch_peak")
-        tx_peak = registry.gauge("repro_io_tx_batch_peak")
+        series = [
+            (f"repro_io_{name}_total", name)
+            for name in (
+                "rx_wakeups",
+                "rx_datagrams",
+                "rx_bytes",
+                "rx_budget_exhausted",
+                "tx_flushes",
+                "tx_datagrams",
+                "tx_bytes",
+                "tx_blocked",
+            )
+        ]
 
-        def collect() -> None:
+        def collect() -> dict:
             stats = self.io_stats
-            for name, counter in counters.items():
-                counter.set(getattr(stats, name))
-            rx_peak.set(stats.rx_batch_max)
-            tx_peak.set(stats.tx_batch_max)
+            values = {name: getattr(stats, attr) for name, attr in series}
+            values["repro_io_rx_batch_peak"] = stats.rx_batch_max
+            values["repro_io_tx_batch_peak"] = stats.tx_batch_max
+            return values
 
         registry.register_collector(collect)
 

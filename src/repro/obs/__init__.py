@@ -1,10 +1,11 @@
 """``repro.obs`` — the dependency-free observability layer.
 
 One registry per node (or per simulation run), constant labels for
-identity, pull collectors bridging the runtime's existing stats structs,
-push histograms on the few paths that need distributions, a trace-event
-ring for discrete incidents, a JSONL exporter for durable series, and a
-minimal Prometheus-text HTTP endpoint for live scrapes.  See DESIGN.md
+identity, collectors that read counters and gauges off the runtime's
+existing stats structs, push histograms on the few paths that need
+distributions, a trace-event ring for discrete incidents, a JSONL
+exporter for durable series, and a minimal Prometheus-text HTTP
+endpoint for live scrapes.  See DESIGN.md
 §8 for the metric-name inventory and conventions.
 """
 
@@ -13,8 +14,6 @@ from repro.obs.http import MetricsHttpServer
 from repro.obs.registry import (
     DEFAULT_TIME_BOUNDS_MS,
     DEFAULT_TIME_BOUNDS_SECONDS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     merge_snapshots,
@@ -23,8 +22,6 @@ from repro.obs.registry import (
 from repro.obs.trace import TraceRing
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "merge_snapshots",

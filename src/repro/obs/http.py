@@ -2,9 +2,10 @@
 
 Enough HTTP to satisfy a Prometheus scraper or ``curl`` — ``GET
 /metrics`` returns the registry rendered in text exposition format
-(version 0.0.4); anything else is a 404.  Deliberately not a web
-framework: no routing table, no keep-alive, one response per
-connection, zero dependencies.
+(version 0.0.4); anything else is a 404, and a request or header line
+too long to read is a 400.  Deliberately not a web framework: no
+routing table, no keep-alive, one response per connection, zero
+dependencies.
 
 Bind with port 0 to get an ephemeral port (tests do); the bound port is
 available as :attr:`MetricsHttpServer.port` after :meth:`start`.
@@ -58,22 +59,26 @@ class MetricsHttpServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        content_type = "text/plain; charset=utf-8"
         try:
-            request_line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            parts = request_line.decode("latin-1", "replace").split()
-            # Drain headers; nothing in them matters for a scrape.
-            while True:
-                header = await asyncio.wait_for(reader.readline(), timeout=5.0)
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            if len(parts) >= 2 and parts[0] == "GET" and parts[1] == "/metrics":
-                body = self.registry.render_prometheus().encode("utf-8")
-                status = "200 OK"
-                content_type = "text/plain; version=0.0.4; charset=utf-8"
+            try:
+                request_line = await asyncio.wait_for(reader.readline(), timeout=5.0)
+                # Drain headers; nothing in them matters for a scrape.
+                while True:
+                    header = await asyncio.wait_for(reader.readline(), timeout=5.0)
+                    if header in (b"\r\n", b"\n", b""):
+                        break
+            except ValueError:
+                # A request or header line past the reader's 64 KiB limit.
+                status, body = "400 Bad Request", b"bad request\n"
             else:
-                body = b"not found\n"
-                status = "404 Not Found"
-                content_type = "text/plain; charset=utf-8"
+                parts = request_line.decode("latin-1", "replace").split()
+                if len(parts) >= 2 and parts[0] == "GET" and parts[1] == "/metrics":
+                    body = self.registry.render_prometheus().encode("utf-8")
+                    status = "200 OK"
+                    content_type = "text/plain; version=0.0.4; charset=utf-8"
+                else:
+                    status, body = "404 Not Found", b"not found\n"
             head = _RESPONSE_TEMPLATE.format(
                 status=status, content_type=content_type, length=len(body)
             )

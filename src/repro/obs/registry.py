@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, and fixed-bucket histograms.
+"""The metrics registry: counters and gauges read, histograms pushed.
 
 The live runtime (and, with the same series names, the simulator) needs
 the observability any serving stack has: the paper's headline deliverable
@@ -7,19 +7,17 @@ against the predicted ``P_err(R, K, X)`` — and a rate nobody can export
 might as well not exist.  This module is the dependency-free core of
 ``repro.obs``:
 
-* :class:`Counter` — a monotonically increasing value (``_total`` series).
-* :class:`Gauge` — a point-in-time value that can go both ways.
-* :class:`Histogram` — fixed bucket bounds chosen at creation, constant
-  memory per series, mergeable across processes (bounds must match).
-* :class:`MetricsRegistry` — the instrument store.  Hot paths either
-  push (``counter.inc()``, ``histogram.observe()``) or stay untouched:
-  a **collector callback** registered with the registry is invoked at
-  snapshot time and syncs pre-existing counter structs (e.g. the
-  session's :class:`~repro.net.session.TransportStats`) into registry
-  instruments via ``Counter.set`` — zero per-datagram overhead, and the
-  registry values are *by construction* identical to the structs the
-  rest of the code base already trusts (the differential suite checks
-  exactly this).
+* :class:`MetricsRegistry` — what one node exports.  Counters and gauges
+  are *read, not stored*: each layer registers a **collector** that
+  returns ``{series: value}`` from the stats struct already holding the
+  tally (e.g. the session's :class:`~repro.net.session.TransportStats`),
+  run at snapshot time — zero per-datagram overhead, and one record of
+  every tally.  A series ending in ``_total`` is a counter, any other
+  a gauge.
+* :class:`Histogram` — the one push instrument (a distribution cannot
+  be rebuilt after the fact): fixed bucket bounds chosen at creation,
+  constant memory per series, mergeable across processes (bounds must
+  match).
 
 Snapshots are plain JSON-ready dicts (see :meth:`MetricsRegistry.snapshot`)
 so the JSONL exporter, the ``repro stats`` renderer, and cross-process
@@ -28,21 +26,19 @@ aggregation (:func:`merge_snapshots`) all speak one format.
 Naming conventions (DESIGN.md §8): every series is prefixed ``repro_``,
 counters end in ``_total``, time histograms end in their unit
 (``_seconds`` live, ``_ms`` simulated), and identity rides on registry
-level constant labels (``node="a"`` / ``mode="sim"``), not per-series
-labels, which keeps cardinality flat.
+level constant labels (``node="a"`` / ``mode="sim"``), which keeps
+cardinality flat.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import ConfigurationError
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "merge_snapshots",
@@ -61,51 +57,6 @@ DEFAULT_TIME_BOUNDS_MS: Tuple[float, ...] = (
     1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
     250.0, 500.0, 1000.0, 2500.0, 5000.0,
 )
-
-
-class Counter:
-    """A monotonically increasing value.
-
-    ``set`` exists for pull-style collectors that sync an externally
-    maintained tally (it still must never go backwards — the registry is
-    the mirror, not the source of truth, for those series).
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (must be >= 0)."""
-        if amount < 0:
-            raise ConfigurationError(f"counter increments must be >= 0, got {amount}")
-        self.value += amount
-
-    def set(self, value: float) -> None:
-        """Sync an absolute value from an external tally (collectors)."""
-        self.value = value
-
-
-class Gauge:
-    """A point-in-time value (queue depth, peer count, ...)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the current value."""
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the current value upwards."""
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Adjust the current value downwards."""
-        self.value -= amount
 
 
 class Histogram:
@@ -209,16 +160,11 @@ class Histogram:
         return histogram
 
 
-def _series_key(name: str, labels: Mapping[str, str]) -> str:
-    """Canonical series key: ``name`` or ``name{k="v",...}`` (sorted)."""
-    if not labels:
-        return name
-    rendered = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
-    return f"{name}{{{rendered}}}"
+Collector = Callable[[], Mapping[str, float]]
 
 
 class MetricsRegistry:
-    """The instrument store one node (or one simulation run) owns.
+    """The series one node (or one simulation run) exports.
 
     Args:
         labels: constant labels attached to every exported series
@@ -227,93 +173,64 @@ class MetricsRegistry:
 
     def __init__(self, labels: Optional[Mapping[str, str]] = None) -> None:
         self.labels: Dict[str, str] = dict(labels or {})
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._collectors: List[Callable[[], None]] = []
-
-    # ------------------------------------------------------------------
-    # instrument creation (get-or-create, so call sites stay declarative)
-    # ------------------------------------------------------------------
-
-    def counter(self, name: str, **labels: str) -> Counter:
-        """Get or create the counter for ``(name, labels)``."""
-        key = _series_key(name, labels)
-        instrument = self._counters.get(key)
-        if instrument is None:
-            self._check_unused(key)
-            instrument = self._counters[key] = Counter()
-        return instrument
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        """Get or create the gauge for ``(name, labels)``."""
-        key = _series_key(name, labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            self._check_unused(key)
-            instrument = self._gauges[key] = Gauge()
-        return instrument
+        self._collectors: List[Collector] = []
+        # The collected series in snapshot order, kept while the set of
+        # names stands.
+        self._names: Set[str] = set()
+        self._counter_names: List[str] = []
+        self._gauge_names: List[str] = []
 
     def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_TIME_BOUNDS_SECONDS,
-        **labels: str,
+        self, name: str, bounds: Sequence[float] = DEFAULT_TIME_BOUNDS_SECONDS
     ) -> Histogram:
-        """Get or create the histogram for ``(name, labels)``.
+        """Get or create the histogram called ``name``.
 
         ``bounds`` only applies on creation; a later call with different
         bounds is a configuration error (bounds are part of the series'
         identity — silent rebinning would corrupt merged exports).
         """
-        key = _series_key(name, labels)
-        instrument = self._histograms.get(key)
+        instrument = self._histograms.get(name)
         if instrument is None:
-            self._check_unused(key)
-            instrument = self._histograms[key] = Histogram(bounds)
+            instrument = self._histograms[name] = Histogram(bounds)
         elif instrument.bounds != tuple(float(b) for b in bounds):
             raise ConfigurationError(
-                f"histogram {key!r} already exists with bounds "
+                f"histogram {name!r} already exists with bounds "
                 f"{instrument.bounds}, requested {tuple(bounds)}"
             )
         return instrument
 
-    def _check_unused(self, key: str) -> None:
-        for family, kind in (
-            (self._counters, "counter"),
-            (self._gauges, "gauge"),
-            (self._histograms, "histogram"),
-        ):
-            if key in family:
-                raise ConfigurationError(
-                    f"series {key!r} already registered as a {kind}"
-                )
+    def register_collector(self, collect: Collector) -> None:
+        """Register a reader run at every snapshot.
 
-    def register_collector(self, collect: Callable[[], None]) -> None:
-        """Register a pull-style sync callback, run before every snapshot.
-
-        Collectors bridge externally maintained tallies (TransportStats,
-        EndpointStats, DetectorStats...) into registry instruments without
-        touching the hot paths that maintain them.
+        ``collect()`` returns ``{series: value}`` read from the struct
+        that keeps the tally (TransportStats, EndpointStats,
+        DetectorStats...); a later collector's value for a series
+        replaces an earlier one's.
         """
         self._collectors.append(collect)
 
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-
-    def collect(self) -> None:
-        """Run every registered collector (sync external tallies in)."""
-        for collector in self._collectors:
-            collector()
-
     def snapshot(self) -> dict:
-        """JSON-ready snapshot of every series (collectors run first)."""
-        self.collect()
+        """JSON-ready snapshot of every series (collectors read first).
+
+        A series whose name ends in ``_total`` is a counter, any other
+        collected series a gauge.
+        """
+        values: Dict[str, float] = {}
+        for collect in self._collectors:
+            values.update(collect())
+        if values.keys() != self._names:
+            # A collector was added or returned other names: sort anew.
+            self._names = set(values)
+            ordered = sorted(values)
+            self._counter_names = [n for n in ordered if n.endswith("_total")]
+            self._gauge_names = [n for n in ordered if not n.endswith("_total")]
         return {
             "labels": dict(self.labels),
-            "counters": {key: c.value for key, c in sorted(self._counters.items())},
-            "gauges": {key: g.value for key, g in sorted(self._gauges.items())},
+            "counters": {name: values[name] for name in self._counter_names},
+            "gauges": {name: values[name] for name in self._gauge_names},
             "histograms": {
-                key: h.as_dict() for key, h in sorted(self._histograms.items())
+                name: h.as_dict() for name, h in sorted(self._histograms.items())
             },
         }
 
@@ -364,44 +281,31 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     }
 
 
-def _prom_series(key: str, constant_labels: Mapping[str, str]) -> str:
-    """Fold registry-level constant labels into a series key."""
-    if not constant_labels:
-        return key
-    rendered = ",".join(
-        f'{k}="{constant_labels[k]}"' for k in sorted(constant_labels)
-    )
-    if key.endswith("}"):
-        return f"{key[:-1]},{rendered}}}"
-    return f"{key}{{{rendered}}}"
+def _escape(value: str) -> str:
+    """A label value as the text exposition format spells it."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 def render_prometheus(snapshot: Mapping) -> str:
     """Render a snapshot dict in Prometheus text exposition format."""
     labels = snapshot.get("labels", {})
+    constant = ",".join(f'{k}="{_escape(str(labels[k]))}"' for k in sorted(labels))
+
+    def series(name: str, extra: str = "") -> str:
+        rendered = ",".join(part for part in (constant, extra) if part)
+        return f"{name}{{{rendered}}}" if rendered else name
+
     lines: List[str] = []
-    for key, value in snapshot.get("counters", {}).items():
-        lines.append(f"{_prom_series(key, labels)} {value}")
-    for key, value in snapshot.get("gauges", {}).items():
-        lines.append(f"{_prom_series(key, labels)} {value}")
-    for key, data in snapshot.get("histograms", {}).items():
-        name = key.split("{", 1)[0]
-        suffix = key[len(name):]
+    for section in ("counters", "gauges"):
+        for name, value in snapshot.get(section, {}).items():
+            lines.append(f"{series(name)} {value}")
+    for name, data in snapshot.get("histograms", {}).items():
+        bucket = name + "_bucket"
         cumulative = 0
         for bound, count in zip(data["bounds"], data["counts"]):
             cumulative += count
-            bucket = _prom_series(f"{name}_bucket{suffix}", labels)
-            if bucket.endswith("}"):
-                bucket = f'{bucket[:-1]},le="{bound}"}}'
-            else:
-                bucket = f'{bucket}{{le="{bound}"}}'
-            lines.append(f"{bucket} {cumulative}")
-        bucket = _prom_series(f"{name}_bucket{suffix}", labels)
-        if bucket.endswith("}"):
-            bucket = f'{bucket[:-1]},le="+Inf"}}'
-        else:
-            bucket = f'{bucket}{{le="+Inf"}}'
-        lines.append(f"{bucket} {data['count']}")
-        lines.append(f"{_prom_series(f'{name}_sum{suffix}', labels)} {data['sum']}")
-        lines.append(f"{_prom_series(f'{name}_count{suffix}', labels)} {data['count']}")
+            lines.append(series(bucket, f'le="{bound}"') + f" {cumulative}")
+        lines.append(series(bucket, 'le="+Inf"') + f" {data['count']}")
+        lines.append(f"{series(name + '_sum')} {data['sum']}")
+        lines.append(f"{series(name + '_count')} {data['count']}")
     return "\n".join(lines) + "\n"

@@ -10,8 +10,11 @@ so memory is bounded no matter how long a node runs.
 Event schema (DESIGN.md §8): every event is ``{"ts": <monotonic float>,
 "kind": <str>, ...fields}``.  ``kind`` values the runtime emits today:
 ``alert``, ``quarantine``, ``resume``, ``delta_ref_miss``,
-``journal_snapshot``, ``decode_error``.  Consumers must tolerate unknown
-kinds and extra fields — the ring is a debugging surface, not an API.
+``journal_snapshot``, ``decode_error``, ``stale_frame``,
+``stale_sender``, ``adaptive_bump``, ``epoch_proposed``, ``join_sent``,
+``join_acked``, ``leave_sent``, ``member_left``, ``member_evicted`` and
+``view_install``.  Consumers must tolerate unknown kinds and extra
+fields — the ring is a debugging surface, not an API.
 """
 
 from __future__ import annotations

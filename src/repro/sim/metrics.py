@@ -222,11 +222,11 @@ class MetricSet:
 
     When a :class:`~repro.obs.MetricsRegistry` is attached
     (:meth:`bind_registry`), the same observations additionally feed
-    registry instruments under the live runtime's naming conventions —
-    ``repro_sim_delivery_latency_ms`` (histogram),
-    ``repro_sim_pending_depth`` (histogram of sampled depths), and the
-    confusion-cell counters — so a simulated run exports series directly
-    comparable with a deployed node's.  Use the ``observe_*`` methods
+    its histograms under the live runtime's naming conventions —
+    ``repro_sim_delivery_latency_ms`` and ``repro_sim_pending_depth``
+    (sampled depths) — and a collector reads the confusion cells as
+    counters, so a simulated run exports series directly comparable with
+    a deployed node's.  Use the ``observe_*`` methods
     rather than poking the summaries so both sinks stay in step.
     """
 
@@ -236,7 +236,7 @@ class MetricSet:
     registry: Optional[object] = None
 
     def bind_registry(self, registry) -> None:
-        """Mirror every observation into ``registry`` (``repro.obs``)."""
+        """Export every observation through ``registry`` (``repro.obs``)."""
         from repro.obs.registry import DEFAULT_TIME_BOUNDS_MS
 
         self.registry = registry
@@ -247,20 +247,13 @@ class MetricSet:
             "repro_sim_pending_depth",
             bounds=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
         )
-        deliveries = registry.counter("repro_sim_deliveries_total")
-        fired = registry.counter("repro_sim_alerts_total")
-        late_missed = registry.counter("repro_sim_alerts_late_missed_total")
-        false_positives = registry.counter("repro_sim_alert_false_positives_total")
-        alert_rate = registry.gauge("repro_sim_alert_rate")
-
-        def collect() -> None:
-            deliveries.set(self.alerts.total)
-            fired.set(self.alerts.alerts)
-            late_missed.set(self.alerts.late_missed)
-            false_positives.set(self.alerts.false_positives)
-            alert_rate.set(self.alerts.alert_rate)
-
-        registry.register_collector(collect)
+        registry.register_collector(lambda: {
+            "repro_sim_deliveries_total": self.alerts.total,
+            "repro_sim_alerts_total": self.alerts.alerts,
+            "repro_sim_alerts_late_missed_total": self.alerts.late_missed,
+            "repro_sim_alert_false_positives_total": self.alerts.false_positives,
+            "repro_sim_alert_rate": self.alerts.alert_rate,
+        })
 
     def observe_latency(self, latency_ms: float) -> None:
         """Record one send→deliver latency (simulated milliseconds)."""

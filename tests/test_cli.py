@@ -251,8 +251,9 @@ class TestStatsCommand:
         from repro.obs import JsonlExporter, MetricsRegistry
 
         registry = MetricsRegistry(labels={"node": "a"})
-        registry.counter("repro_endpoint_sent_total").inc(5)
-        registry.gauge("repro_pending_depth").set(2.0)
+        registry.register_collector(lambda: {
+            "repro_endpoint_sent_total": 5, "repro_pending_depth": 2.0,
+        })
         registry.histogram(
             "repro_delivery_wait_seconds", bounds=(0.01, 0.1)
         ).observe(0.05)
@@ -301,11 +302,11 @@ class TestStatsCommand:
         paths = []
         for name, misses, decoded in (("a", 30, 70), ("b", 0, 300)):
             registry = MetricsRegistry(labels={"node": name})
-            registry.counter("repro_wire_delta_ref_misses_total").inc(misses)
-            registry.counter("repro_wire_delta_received_total").inc(decoded)
-            registry.gauge("repro_delta_ref_miss_ratio").set(
-                misses / (misses + decoded)
-            )
+            registry.register_collector(lambda misses=misses, decoded=decoded: {
+                "repro_wire_delta_ref_misses_total": misses,
+                "repro_wire_delta_received_total": decoded,
+                "repro_delta_ref_miss_ratio": misses / (misses + decoded),
+            })
             paths.append(tmp_path / f"{name}.jsonl")
             with JsonlExporter(paths[-1]) as exporter:
                 exporter.export(registry.snapshot(), ts=1.0)

@@ -8,8 +8,8 @@ deployment silently degraded to the unbounded list.  The tests drive a
 real two-node UDP pair with the node's clock hook replaced by a fake
 clock and assert the detector actually ages entries out.
 
-The rest covers the node-level metrics surface: ``NodeStats``, the
-registry snapshot, the JSONL exporter lifecycle, the Prometheus HTTP
+The rest covers the node-level metrics surface: the stats structs, the
+registry snapshot read from them, the JSONL exporter lifecycle, the Prometheus HTTP
 endpoint, and detector-count persistence across a journal restart.
 """
 
@@ -97,8 +97,8 @@ class TestRefinedDetectorEviction:
 
     def test_alert_counters_advance_and_surface_everywhere(self):
         """Concurrent broadcasts on a shared key set force a covered
-        delivery; the alert must show in DetectorStats, NodeStats, the
-        registry snapshot, and the trace ring."""
+        delivery; the alert must show in DetectorStats, the registry
+        snapshot, and the trace ring."""
 
         async def scenario():
             # Both nodes own the full key space, so each concurrent
@@ -123,11 +123,11 @@ class TestRefinedDetectorEviction:
                 ]
                 assert alerted, "no alert fired on either node"
                 node = alerted[0]
-                stats = node.stats()
-                assert stats.detector.alerts >= 1
-                assert stats.detector.checks >= 1
-                assert stats.detector.alert_rate > 0.0
-                counters = stats.snapshot["counters"]
+                detector = node.endpoint.detector.stats
+                assert detector.alerts >= 1
+                assert detector.checks >= 1
+                assert detector.alert_rate > 0.0
+                counters = node.metrics.snapshot()["counters"]
                 assert counters["repro_detector_alerts_total"] == (
                     node.endpoint.detector.stats.alerts
                 )
@@ -157,17 +157,18 @@ class TestNodeStatsSurface:
                 assert await wait_for(
                     lambda: len(logs["bob"]) == 3
                 )
-                stats = bob.stats()
-                assert stats.node_id == "bob"
-                assert stats.endpoint.delivered == 3
-                assert stats.wire.data_received >= 3
-                assert stats.pending == 0
-                counters = stats.snapshot["counters"]
+                wire = bob.transport_stats()
+                snapshot = bob.metrics.snapshot()
+                assert snapshot["labels"] == {"node": "bob"}
+                assert bob.endpoint.stats.delivered == 3
+                assert wire.data_received >= 3
+                assert bob.endpoint.pending_count == 0
+                counters = snapshot["counters"]
                 assert counters["repro_endpoint_delivered_total"] == 3
                 assert counters["repro_wire_datagrams_received_total"] > 0
                 assert counters["repro_journal_appends_total"] > 0
-                assert "repro_pending_depth" in stats.snapshot["gauges"]
-                # The per-table census rides the same pull collector.
+                assert snapshot["gauges"]["repro_pending_depth"] == 0
+                # The per-table census rides the same collector.
                 sizes = bob.state_sizes()
                 assert sizes["store_messages"] == 3
                 # One coverage record: the seen filter's rows, and no
@@ -179,16 +180,16 @@ class TestNodeStatsSurface:
                     for row in ("senders", "tail")
                 } & set(sizes)
                 for table, size in sizes.items():
-                    gauge = stats.snapshot["gauges"][f"repro_state_entries_{table}"]
+                    gauge = snapshot["gauges"][f"repro_state_entries_{table}"]
                     assert gauge == size, table
                 assert {
-                    gauge for gauge in stats.snapshot["gauges"]
+                    gauge for gauge in snapshot["gauges"]
                     if gauge.startswith("repro_state_entries_")
                 } == {f"repro_state_entries_{table}" for table in sizes}
-                hist = stats.snapshot["histograms"]["repro_delivery_wait_seconds"]
+                hist = snapshot["histograms"]["repro_delivery_wait_seconds"]
                 assert hist["count"] == 3
-                rtt = stats.snapshot["histograms"]["repro_wire_rtt_seconds"]
-                assert rtt["count"] == stats.wire.rtt_samples
+                rtt = snapshot["histograms"]["repro_wire_rtt_seconds"]
+                assert rtt["count"] == wire.rtt_samples
             finally:
                 await alice.close()
                 await bob.close()
@@ -270,7 +271,7 @@ class TestDetectorPersistence:
                 assert reborn.recovered is not None
                 assert reborn.recovered.detector_checks == checks_before
                 assert reborn.endpoint.detector.stats.checks == checks_before
-                counters = reborn.stats().snapshot["counters"]
+                counters = reborn.metrics.snapshot()["counters"]
                 assert counters["repro_detector_checks_total"] == checks_before
             finally:
                 await reborn.close()

@@ -1,20 +1,19 @@
 """Unit tests for the observability layer (``repro.obs``).
 
-Covers the registry primitives (counter / gauge / histogram semantics,
-series identity, collector sync), snapshot merging, the Prometheus text
-rendering, the JSONL exporter round-trip (including torn trailing
+Covers the registry primitives (counters and gauges read by collectors,
+histogram semantics and identity), snapshot merging, the Prometheus
+text rendering, the JSONL exporter round-trip (including torn trailing
 lines), the trace ring, and the HTTP scrape endpoint.
 """
 
 import asyncio
 import json
+import logging
 
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.obs import (
-    Counter,
-    Gauge,
     Histogram,
     JsonlExporter,
     MetricsHttpServer,
@@ -27,23 +26,35 @@ from repro.obs import (
 )
 
 
+def tallies(registry, **values):
+    """Register a collector reading ``values`` (a dict the test keeps
+    changing) and return that dict."""
+    registry.register_collector(lambda: dict(values))
+    return values
+
+
 class TestCounterAndGauge:
     def test_counter_monotonic(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_counter_rejects_negative_increment(self):
-        with pytest.raises(ConfigurationError):
-            Counter().inc(-1)
+        """A ``_total`` series is a counter, read afresh at every
+        snapshot from the tally that keeps it."""
+        registry = MetricsRegistry()
+        struct = {"sent": 1}
+        registry.register_collector(lambda: {"repro_sent_total": struct["sent"]})
+        assert registry.snapshot()["counters"] == {"repro_sent_total": 1}
+        struct["sent"] += 4
+        assert registry.snapshot()["counters"] == {"repro_sent_total": 5}
+        assert registry.snapshot()["gauges"] == {}
 
     def test_gauge_moves_both_ways(self):
-        gauge = Gauge()
-        gauge.set(10.0)
-        gauge.inc(2.5)
-        gauge.dec(0.5)
-        assert gauge.value == 12.0
+        registry = MetricsRegistry()
+        depth = [10.0]
+        registry.register_collector(lambda: {"repro_depth": depth[0]})
+        seen = []
+        for value in (10.0, 12.5, 12.0):
+            depth[0] = value
+            seen.append(registry.snapshot()["gauges"]["repro_depth"])
+        assert seen == [10.0, 12.5, 12.0]
+        assert registry.snapshot()["counters"] == {}
 
 
 class TestHistogram:
@@ -108,29 +119,9 @@ class TestHistogram:
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
-        assert registry.counter("repro_x_total") is registry.counter("repro_x_total")
-        assert registry.gauge("repro_depth") is registry.gauge("repro_depth")
         assert registry.histogram("repro_t_seconds") is registry.histogram(
             "repro_t_seconds"
         )
-
-    def test_labels_split_series(self):
-        registry = MetricsRegistry()
-        a = registry.counter("repro_x_total", peer="a")
-        b = registry.counter("repro_x_total", peer="b")
-        assert a is not b
-        a.inc(3)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]['repro_x_total{peer="a"}'] == 3
-        assert snapshot["counters"]['repro_x_total{peer="b"}'] == 0
-
-    def test_cross_kind_name_reuse_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_thing")
-        with pytest.raises(ConfigurationError):
-            registry.gauge("repro_thing")
-        with pytest.raises(ConfigurationError):
-            registry.histogram("repro_thing")
 
     def test_histogram_bounds_are_series_identity(self):
         registry = MetricsRegistry()
@@ -141,19 +132,30 @@ class TestRegistry:
     def test_collectors_sync_external_tallies_at_snapshot(self):
         registry = MetricsRegistry(labels={"node": "a"})
         external = {"sent": 0}
-        mirror = registry.counter("repro_sent_total")
-        registry.register_collector(lambda: mirror.set(external["sent"]))
+        registry.register_collector(lambda: {"repro_sent_total": external["sent"]})
         external["sent"] = 7
         snapshot = registry.snapshot()
         assert snapshot["counters"]["repro_sent_total"] == 7
         assert snapshot["labels"] == {"node": "a"}
 
+    def test_series_sort_by_name_and_a_later_collector_wins(self):
+        registry = MetricsRegistry()
+        tallies(registry, repro_b_total=1, repro_z=2.0, repro_a=1.0)
+        tallies(registry, repro_a_total=3, repro_b_total=4)
+        snapshot = registry.snapshot()
+        assert list(snapshot["counters"].items()) == [
+            ("repro_a_total", 3), ("repro_b_total", 4),
+        ]
+        assert list(snapshot["gauges"].items()) == [("repro_a", 1.0), ("repro_z", 2.0)]
+        # A series that appears later takes its sorted place.
+        tallies(registry, repro_m=0.5)
+        assert list(registry.snapshot()["gauges"]) == ["repro_a", "repro_m", "repro_z"]
+
 
 class TestMergeSnapshots:
     def _snapshot(self, node, sent, depth, hist_value):
         registry = MetricsRegistry(labels={"node": node, "cluster": "test"})
-        registry.counter("repro_sent_total").inc(sent)
-        registry.gauge("repro_depth").set(depth)
+        tallies(registry, repro_sent_total=sent, repro_depth=depth)
         registry.histogram("repro_t_seconds", bounds=(1.0, 2.0)).observe(hist_value)
         return registry.snapshot()
 
@@ -173,8 +175,7 @@ class TestMergeSnapshots:
 class TestPrometheusRendering:
     def test_counters_gauges_and_histograms_render(self):
         registry = MetricsRegistry(labels={"node": "a"})
-        registry.counter("repro_sent_total").inc(5)
-        registry.gauge("repro_depth").set(2.0)
+        tallies(registry, repro_sent_total=5, repro_depth=2.0)
         histogram = registry.histogram("repro_t_seconds", bounds=(1.0, 2.0))
         histogram.observe(0.5)
         histogram.observe(9.0)
@@ -188,19 +189,37 @@ class TestPrometheusRendering:
 
     def test_render_from_plain_snapshot_dict(self):
         registry = MetricsRegistry()
-        registry.counter("repro_x_total").inc()
+        tallies(registry, repro_x_total=1)
+        registry.histogram("repro_t_seconds", bounds=(1.0,)).observe(0.5)
         text = render_prometheus(registry.snapshot())
-        assert "repro_x_total 1" in text
+        assert text == (
+            "repro_x_total 1\n"
+            'repro_t_seconds_bucket{le="1.0"} 1\n'
+            'repro_t_seconds_bucket{le="+Inf"} 1\n'
+            "repro_t_seconds_sum 0.5\n"
+            "repro_t_seconds_count 1\n"
+        )
+
+    def test_label_values_are_escaped(self):
+        """A node id with a quote, a backslash or a newline still
+        renders a line a scraper can parse."""
+        registry = MetricsRegistry(labels={"node": 'a"b\\c\nd'})
+        tallies(registry, repro_x_total=1)
+        registry.histogram("repro_t_seconds", bounds=(1.0,)).observe(0.5)
+        lines = registry.render_prometheus().splitlines()
+        assert lines[0] == 'repro_x_total{node="a\\"b\\\\c\\nd"} 1'
+        assert lines[1] == 'repro_t_seconds_bucket{node="a\\"b\\\\c\\nd",le="1.0"} 1'
+        assert len(lines) == 5
 
 
 class TestJsonlExporter:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         registry = MetricsRegistry(labels={"node": "a"})
-        registry.counter("repro_sent_total").inc(2)
+        values = tallies(registry, repro_sent_total=2)
         with JsonlExporter(path) as exporter:
             exporter.export(registry.snapshot(), ts=1.0)
-            registry.counter("repro_sent_total").inc(3)
+            values["repro_sent_total"] += 3
             exporter.export(registry.snapshot(), ts=2.0)
             assert exporter.lines_written == 2
         snapshots = read_snapshots(path)
@@ -254,7 +273,7 @@ class TestHttpEndpoint:
     def test_scrape_and_404(self):
         async def scenario():
             registry = MetricsRegistry(labels={"node": "a"})
-            registry.counter("repro_sent_total").inc(9)
+            tallies(registry, repro_sent_total=9)
             server = MetricsHttpServer(registry, port=0)
             await server.start()
             assert server.port != 0
@@ -279,3 +298,34 @@ class TestHttpEndpoint:
             await server.close()
 
         asyncio.run(scenario())
+
+    def test_overlong_request_line_gets_400_and_the_server_keeps_serving(self, caplog):
+        """A header line past the stream reader's 64 KiB limit is a bad
+        request, answered as one — not an exception out of the handler."""
+
+        async def scenario():
+            registry = MetricsRegistry(labels={"node": "a"})
+            tallies(registry, repro_sent_total=9)
+            server = MetricsHttpServer(registry, port=0)
+            await server.start()
+
+            async def fetch(request: bytes) -> str:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(request)
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                return raw.decode()
+
+            huge = b"GET /metrics HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+            bad = await fetch(huge)
+            ok = await fetch(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+            await server.close()
+            return bad, ok
+
+        with caplog.at_level(logging.ERROR):
+            bad, ok = asyncio.run(scenario())
+        assert bad.startswith("HTTP/1.1 400 Bad Request")
+        assert ok.startswith("HTTP/1.1 200 OK")
+        assert 'repro_sent_total{node="a"} 9' in ok
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
