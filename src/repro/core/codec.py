@@ -123,7 +123,7 @@ class CodecCounters:
     :mod:`repro.obs` collector reads them at snapshot time, so the hot
     path never touches the registry).  ``retained_bytes`` is
     bumped by the node's intake, not here: the bytes of full encodings
-    its store took from the wire.
+    its store took from the wire; ``full_rebuilds``, those it built.
     """
 
     __slots__ = (
@@ -133,6 +133,7 @@ class CodecCounters:
         "epoch_mismatches",
         "payload_bytes_in",
         "retained_bytes",
+        "full_rebuilds",
     )
 
     def __init__(self) -> None:
@@ -142,6 +143,7 @@ class CodecCounters:
         self.epoch_mismatches = 0
         self.payload_bytes_in = 0
         self.retained_bytes = 0
+        self.full_rebuilds = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -368,17 +370,11 @@ class MessageCodec:
         return entries
 
     def encode(self, message: Message) -> bytes:
-        return self._encode(message, None)
-
-    def _encode(self, message: Message, payload_bytes: Optional[bytes]) -> bytes:
-        """The full encoding; ``payload_bytes`` is the payload's wire form
-        when the caller already holds it (``None``: serialise it here)."""
         timestamp = message.timestamp
         parts = self._header_parts(message, _FLAG_VARINT)
         parts.append(struct.pack("<I", timestamp.size))
         parts.append(_encode_varints(self._vector_entries(message)))
-        if payload_bytes is None:
-            payload_bytes = self._payload_codec.encode(message.payload)
+        payload_bytes = self._payload_codec.encode(message.payload)
         parts.append(struct.pack("<I", len(payload_bytes)))
         parts.append(payload_bytes)
         return b"".join(parts)
@@ -529,19 +525,10 @@ class MessageCodec:
         parts.append(payload_bytes)
         return b"".join(parts)
 
-    def delta_header(self, data: bytes) -> Tuple[str, int, int]:
-        """Peek ``(sender, seq, ref_seq)`` of a delta datagram without
-        decoding it (the caller resolves the reference first)."""
-        sender, seq, offset = self._decode_delta_prefix(data)
-        gap, _ = decode_varint(data, offset)
-        if not 0 < gap <= seq:
-            raise CodecError(f"delta reference gap {gap} outside (0, seq]")
-        return sender, seq, seq - gap
-
-    def _decode_delta_prefix(self, data: bytes) -> Tuple[str, int, int]:
-        """Parse a delta's magic/version/flags/sender/varint-seq; returns
-        ``(sender, seq, offset_of_ref_gap)``.  Deltas diverge from the
-        full encoding right after the sender field: seq is a varint."""
+    def delta_header(self, data: bytes) -> Tuple[str, int, int, int]:
+        """Parse a delta's ``(sender, seq, ref_seq, offset of its
+        entries)`` — the caller resolves the reference first — and hand
+        it to :meth:`decode_delta`, which then parses no prefix again."""
         if len(data) < _HEADER_SIZE or data[:2] != _MAGIC:
             raise CodecError("bad magic")
         version, flags, scheme_id, epoch = struct.unpack_from("<BBBB", data, 2)
@@ -564,61 +551,36 @@ class MessageCodec:
             sender = data[offset : offset + sender_len].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CodecError(f"sender id is not UTF-8: {exc}") from exc
-        offset += sender_len
-        seq, offset = decode_varint(data, offset)
-        return sender, seq, offset
+        seq, offset = decode_varint(data, offset + sender_len)
+        gap, offset = decode_varint(data, offset)
+        if not 0 < gap <= seq:
+            raise CodecError(f"delta reference gap {gap} outside (0, seq]")
+        return sender, seq, seq - gap, offset
 
     def decode_delta(
         self,
         data: bytes,
         ref_vector: np.ndarray,
         sender_keys: Tuple[int, ...],
-    ) -> Tuple[Message, bytes]:
-        """Reconstruct the full message, and its full encoding, from a
-        delta and its reference.
+        header: Optional[Tuple[str, int, int, int]] = None,
+    ) -> Message:
+        """Reconstruct the full message from a delta and its reference.
 
         ``sender_keys`` is the sender's static key set, known to the
-        receiver from the reference message (deltas do not carry it).
-        The result is bit-identical to
+        receiver from the reference message (deltas do not carry it);
+        ``header`` is what :meth:`delta_header` returned for ``data``
+        (parsed here when not given).  The result is bit-identical to
         decoding the full encoding of the same message
         (differential-tested): same vector dtype and values, same keys,
         seq, and payload.
-
-        Returns ``(message, full)`` where ``full`` is the message's
-        full encoding, assembled around the payload bytes the delta
-        carried — what a receiver stores to serve third parties,
-        without serialising the payload again.
         """
-        sender, seq, offset = self._decode_delta_prefix(data)
-        try:
-            gap, offset = decode_varint(data, offset)
-            if not 0 < gap <= seq:
-                raise CodecError(f"delta reference gap {gap} outside (0, seq]")
-            ref_seq = seq - gap
-            changed, offset = decode_varint(data, offset)
-            vector = np.array(ref_vector, dtype=np.int64, copy=True)
-            index = 0
-            for position in range(changed):
-                gap, offset = decode_varint(data, offset)
-                if position > 0 and gap == 0:
-                    raise CodecError("zero index gap in delta entries")
-                index += gap
-                if index >= len(vector):
-                    raise CodecError(
-                        f"delta entry index {index} outside the "
-                        f"{len(vector)}-entry reference vector"
-                    )
-                increment, offset = decode_varint(data, offset)
-                if increment == 0:
-                    raise CodecError("zero increment in delta entries")
-                vector[index] += increment
-            payload_len, offset = decode_varint(data, offset)
-            if len(data) < offset + payload_len:
-                raise CodecError("truncated payload")
-            payload = self._payload_codec.decode(data[offset : offset + payload_len])
-        except struct.error as exc:
-            raise CodecError(f"truncated delta message: {exc}") from exc
-        del ref_seq  # resolved by the caller via delta_header()
+        sender, seq, _, offset = header if header is not None else self.delta_header(data)
+        vector = np.array(ref_vector, dtype=np.int64, copy=True)
+        offset = _add_entries(data, offset, vector, 1)
+        payload_len, offset = decode_varint(data, offset)
+        if len(data) < offset + payload_len:
+            raise CodecError("truncated payload")
+        payload = self._payload_codec.decode(data[offset : offset + payload_len])
         counters = self.counters
         counters.deltas_decoded += 1
         counters.payload_bytes_in += payload_len
@@ -626,8 +588,76 @@ class MessageCodec:
         timestamp = Timestamp(
             vector=vector, sender_keys=tuple(int(k) for k in sender_keys), seq=seq
         )
-        message = Message(sender=sender, seq=seq, timestamp=timestamp, payload=payload)
-        return message, self._encode(message, data[offset : offset + payload_len])
+        return Message(sender=sender, seq=seq, timestamp=timestamp, payload=payload)
+
+    @staticmethod
+    def timestamp_of(data: bytes) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        """A full encoding's ``(vector, sender keys)`` — a fresh vector,
+        the payload left undecoded.  This and the two below take bytes
+        this process decoded before, and check nothing."""
+        keys_at = _HEADER_SIZE + 12 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]
+        (key_count,) = struct.unpack_from("<H", data, keys_at - 2)
+        keys = struct.unpack_from(f"<{key_count}I", data, keys_at)
+        (r,) = struct.unpack_from("<I", data, keys_at + 4 * key_count)
+        return _decode_varints(data, keys_at + 4 * key_count + 4, r)[0], keys
+
+    @staticmethod
+    def apply_delta(data: bytes, vector: np.ndarray, sign: int = 1) -> None:
+        """Add the delta's increments into ``vector`` in place (its
+        reference's vector becomes its own), or subtract them (``-1``)."""
+        _add_entries(data, _delta_prefix(data)[2], vector, sign)
+
+    def full_from_delta(
+        self, data: bytes, vector: np.ndarray, sender_keys: Tuple[int, ...]
+    ) -> bytes:
+        """The sender's full encoding of the delta, byte for byte: the
+        message's own ``vector`` and ``sender_keys`` around the delta's
+        scheme, epoch, sender and seq, and its payload bytes, which are
+        not serialised again."""
+        sender_end, seq, offset = _delta_prefix(data)
+        offset = _add_entries(data, offset, np.zeros(len(vector), dtype=np.int64), 1)
+        payload_len, offset = decode_varint(data, offset)
+        self.counters.full_rebuilds += 1
+        return b"".join((
+            _MAGIC,
+            bytes((_VERSION, _FLAG_VARINT)),
+            data[4:sender_end],  # scheme, epoch, sender length, sender
+            struct.pack(f"<QH{len(sender_keys)}II", seq, len(sender_keys), *sender_keys, len(vector)),
+            _encode_varints(np.asarray(vector, dtype=np.int64).tolist()),
+            struct.pack("<I", payload_len),
+            data[offset : offset + payload_len],
+        ))
+
+
+def _delta_prefix(data: bytes) -> Tuple[int, int, int]:
+    """``(end of the sender field, seq, offset of the entries)`` of a
+    delta this process decoded before."""
+    sender_end = _HEADER_SIZE + 2 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]
+    seq, offset = decode_varint(data, sender_end)
+    _, offset = decode_varint(data, offset)  # the reference gap
+    return sender_end, seq, offset
+
+
+def _add_entries(data: bytes, offset: int, vector: np.ndarray, sign: int) -> int:
+    """Add ``sign`` times the delta entries at ``offset`` into ``vector``;
+    returns the offset past them."""
+    changed, offset = decode_varint(data, offset)
+    index = 0
+    for position in range(changed):
+        gap, offset = decode_varint(data, offset)
+        if position > 0 and gap == 0:
+            raise CodecError("zero index gap in delta entries")
+        index += gap
+        if index >= len(vector):
+            raise CodecError(
+                f"delta entry index {index} outside the "
+                f"{len(vector)}-entry reference vector"
+            )
+        increment, offset = decode_varint(data, offset)
+        if increment == 0:
+            raise CodecError("zero increment in delta entries")
+        vector[index] += sign * increment
+    return offset
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ Every message, however it travelled — a DATA payload off a reliable
 link, an anti-entropy push, the body of a RELAY envelope — enters through
 :meth:`ReliableCausalNode._admit`: decode (full or delta), check it
 against the clock's vector size, its envelope and the group view, store
-the full encoding, hand it to the endpoint.  The mesh and relay handlers
+the body as it arrived, hand it to the endpoint.  The mesh and relay handlers
 add only what is theirs.
 
 On the wire every broadcast (o, s) is encoded once (``wire_delta``): as
@@ -57,12 +57,13 @@ import random
 import time
 import zlib
 from collections import OrderedDict, deque
+from itertools import takewhile
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.clocks import EntryVectorClock
+from repro.core.clocks import EntryVectorClock, Timestamp
 from repro.core.codec import CodecCounters, MessageCodec, RelayFrame
 from repro.core.detector import DeliveryErrorDetector
 from repro.core.errors import ConfigurationError
@@ -140,6 +141,10 @@ class MessageStore:
     coverage stays, so digests remain truthful; evicted messages simply
     can no longer be served).
 
+    Each body is kept as it arrived — a delta when (o, s − 1) is held,
+    else the full form — under one int packing (seq, sender slot); a
+    delta's full form is built (counted by ``codec``) only to serve it.
+
     **Sizing tradeoff**: the limit bounds memory, but an evicted message
     is silently unservable to anti-entropy — a peer that missed it and
     lost every retransmission can then only be healed by a *third* node
@@ -148,48 +153,117 @@ class MessageStore:
     unservable request is logged as a warning.
     """
 
-    def __init__(self, coverage: SeenFilter) -> None:
-        self._data: Dict[Tuple[str, int], bytes] = {}
-        self._order: Deque[Tuple[str, int]] = deque()
+    def __init__(self, coverage: SeenFilter, codec: Optional[MessageCodec] = None) -> None:
+        # Bodies and their keys in admission order; each sender's slot;
+        # per sender, the newest timestamp add() had or the last walked
+        # to; evicted key -> (vector, keys) while a held delta names it.
+        self._data: Dict[int, bytes] = {}
+        self._order: Deque[int] = deque()
+        self._slots: Dict[str, int] = {}
+        self._known: Dict[str, _Reference] = {}
+        self._floors: Dict[int, Tuple[np.ndarray, Tuple[int, ...]]] = {}
         self._coverage = coverage
-        self._evicted_high: Dict[str, int] = {}
+        self._codec = codec if codec is not None else MessageCodec()
+        self._evicted_high: Dict[int, int] = {}  # by slot
         self._warned_unservable = False
         self.stats = StoreStats()
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def add(self, sender: str, seq: int, data: bytes) -> None:
-        """Hold one encoded message, once: the endpoint rejects a
-        duplicate before its bytes reach the store."""
-        key = (sender, seq)
+    def _key(self, sender: str, seq: int, new: bool = False) -> int:
+        """The int ``(sender, seq)`` is stored under (-1: a sender never
+        stored, unless ``new`` gives it a slot)."""
+        if new:
+            self._slots.setdefault(sender, len(self._slots))
+        return seq << 32 | self._slots.get(sender, -1)
+
+    def add(self, sender: str, seq: int, data: bytes, timestamp: Optional[Timestamp] = None) -> None:
+        """Hold one message, once (the endpoint rejects duplicates); a
+        delta whose (sender, seq − 1) is gone is held full, from ``timestamp``."""
+        key = self._key(sender, seq, new=True)
+        if MessageCodec.is_delta(data) and key - _SEQ not in self._data:
+            data = self._codec.full_from_delta(data, timestamp.vector, timestamp.sender_keys)
         self._data[key] = data
         self._order.append(key)
+        known = self._known.get(sender, (-1, None, ()))
+        if MessageCodec.is_delta(data) and seq > known[0]:
+            self._known[sender] = (seq, timestamp.vector, timestamp.sender_keys)
+        elif known[0] == seq - 1:
+            # A full body cut the sender's run: keep the tip below it
+            # for late deltas (and copies) that still name the tip.
+            self._floors[key - _SEQ] = (np.array(known[1], dtype=np.int64), known[2])
         while len(self._data) > _STORE_LIMIT:
-            evicted_sender, evicted_seq = self._order.popleft()
-            self._data.pop((evicted_sender, evicted_seq), None)
+            key = self._order.popleft()
+            body = self._data.pop(key)
             self.stats.evictions += 1
-            if evicted_seq > self._evicted_high.get(evicted_sender, 0):
-                self._evicted_high[evicted_sender] = evicted_seq
+            if key >> 32 > self._evicted_high.get(key & _SLOT, 0):
+                self._evicted_high[key & _SLOT] = key >> 32
+            # A floor for a held delta naming it: a vector add, no encode.
+            floor = self._floors.pop(key - _SEQ, None)
+            if MessageCodec.is_delta(self._data.get(key + _SEQ, b"")):
+                if MessageCodec.is_delta(body):
+                    MessageCodec.apply_delta(body, floor[0])
+                else:
+                    floor = MessageCodec.timestamp_of(body)
+                self._floors[key] = floor
 
     def get(self, sender: str, seq: int) -> Optional[bytes]:
-        """The stored encoding, or None if unknown or evicted."""
-        return self._data.get((sender, seq))
+        """The full encoding, or None if unknown or evicted."""
+        body = self._data.get(self._key(sender, seq))
+        if body is None or not MessageCodec.is_delta(body):
+            return body
+        return self._codec.full_from_delta(body, *self.reference(sender, seq)[1:])
+
+    def reference(self, sender: str, seq: int) -> Optional[_Reference]:
+        """``(seq, vector, keys)`` of a held message, or None; no payload
+        is decoded.  Every held delta names its predecessor, so the
+        vector is walked to: down from the sender's last known timestamp,
+        taking each delta back off, when only deltas lie between; else
+        up from the known timestamp, a full body or a floor below it,
+        adding each.  The result is where the next walk starts."""
+        key = self._key(sender, seq)
+        if key not in self._data:
+            return None
+        known = self._known.get(sender, (-1, None, ()))
+        above = range(key + (known[0] - seq) * _SEQ, key, -_SEQ) if known[0] >= seq else ()
+        steps = list(takewhile(MessageCodec.is_delta, (self._data.get(at, b"") for at in above)))
+        if known[0] >= seq and len(steps) == len(above):
+            base, sign = known[1:], -1
+        else:
+            steps, cursor, sign = [], key, 1
+            while (
+                cursor >> 32 != known[0] and cursor not in self._floors
+                and MessageCodec.is_delta(body := self._data.get(cursor, b""))
+            ):
+                steps.append(body)
+                cursor -= _SEQ
+            steps.reverse()
+            if cursor >> 32 == known[0]:
+                base = known[1:]
+            else:
+                base = self._floors.get(cursor) or MessageCodec.timestamp_of(body)
+        vector = np.array(base[0], dtype=np.int64)
+        for body in steps:
+            MessageCodec.apply_delta(body, vector, sign)
+        self._known[sender] = (seq, vector, base[1])
+        return self._known[sender]
 
     def frontiers(self) -> Frontiers:
         """Per-sender ``(contiguous, extras)`` of the coverage."""
         return self._coverage.frontiers()
 
     def missing_for(self, remote: Frontiers) -> Iterator[bytes]:
-        """Stored encodings the remote digest does not cover (oldest
-        first, at most ``_REPAIRS_PER_DIGEST``).
+        """Full encodings of the stored messages the remote digest does
+        not cover (oldest first, at most ``_REPAIRS_PER_DIGEST``).
 
         Also detects (heuristically, via the per-sender evicted high-water
         mark) a request reaching into the evicted range: counted in
         :attr:`stats` and warned about once, because such gaps can only
         be healed by another node.
         """
-        for sender, high in self._evicted_high.items():
+        for sender, slot in self._slots.items():
+            high = self._evicted_high.get(slot, 0)
             if remote.get(sender, (0, ()))[0] < high:
                 self.stats.unservable_requests += 1
                 if not self._warned_unservable:
@@ -206,25 +280,25 @@ class MessageStore:
         # is owed nothing, decided in O(senders) with no store scan) or
         # one or two, and the scan skips everyone else's messages.
         behind = {
-            sender
+            self._slots[sender]: sender
             for sender, (contiguous, extras) in self._coverage.frontiers().items()
-            if remote.get(sender, (0, ()))[0] < max((contiguous, *extras))
+            if sender in self._slots
+            and remote.get(sender, (0, ()))[0] < max((contiguous, *extras))
         }
         if not behind:
             return
         served = 0
-        for sender, seq in self._order:
-            if sender not in behind:
+        for key in self._order:
+            if key & _SLOT not in behind:
                 continue
             if served >= _REPAIRS_PER_DIGEST:
                 return
+            sender, seq = behind[key & _SLOT], key >> 32
             contiguous, extras = remote.get(sender, (0, ()))
             if seq <= contiguous or seq in extras:
                 continue
-            data = self._data.get((sender, seq))
-            if data is not None:
-                served += 1
-                yield data
+            served += 1
+            yield self.get(sender, seq)
 
     def mark_evicted(self, frontiers: Frontiers) -> None:
         """Mark adopted coverage (journal recovery, a join state
@@ -233,28 +307,28 @@ class MessageStore:
         for sender, (contiguous, extras) in frontiers.items():
             high = max((contiguous, *extras))
             if high > 0:
-                self._evicted_high[sender] = high
+                self._evicted_high[self._slots.setdefault(sender, len(self._slots))] = high
 
     def restore_message(self, sender: str, seq: int, data: bytes) -> None:
-        """Re-stock the bytes of an id the adopted coverage holds (own
-        WAL-journalled broadcasts), making it servable.  The evicted
-        mark falls below the re-stocked top of the range."""
-        key = (sender, seq)
+        """Re-stock the full encoding of an id the adopted coverage
+        holds (own WAL-journalled broadcasts), making it servable.  The
+        evicted mark falls below the re-stocked top of the range."""
+        key = self._key(sender, seq, new=True)
         if key in self._data:
             return
-        if key not in self._coverage:
+        if (sender, seq) not in self._coverage:
             raise ConfigurationError(
-                f"restore_message() is for recovered ids; {key} is unknown"
+                f"restore_message() is for recovered ids; {(sender, seq)} is unknown"
             )
         self._data[key] = data
         self._order.append(key)
-        high = self._evicted_high.get(sender, 0)
-        while (sender, high) in self._data:
+        high = self._evicted_high.get(key & _SLOT, 0)
+        while self._key(sender, high) in self._data:
             high -= 1
         if high:
-            self._evicted_high[sender] = high
+            self._evicted_high[key & _SLOT] = high
         else:
-            self._evicted_high.pop(sender, None)
+            self._evicted_high.pop(key & _SLOT, None)
 
     def purge_sender(self, sender: str) -> int:
         """Drop one sender's bytes (view eviction); returns how many.
@@ -265,16 +339,23 @@ class MessageStore:
         sender's messages may push a few back until their own views
         catch up; the node drops them at intake.
         """
+        slot = self._slots.get(sender)
         dropped = 0
-        for key in [key for key in self._data if key[0] == sender]:
+        for key in [key for key in self._data if key & _SLOT == slot]:
             del self._data[key]
             dropped += 1
         if dropped:
-            self._order = deque(key for key in self._order if key[0] != sender)
-        self._evicted_high.pop(sender, None)
+            self._order = deque(key for key in self._order if key & _SLOT != slot)
+        for key in [key for key in self._floors if key & _SLOT == slot]:
+            del self._floors[key]
+        self._known.pop(sender, None)
+        self._evicted_high.pop(slot, None)
         return dropped
 
 
+# A stored key is seq << 32 | the sender's slot.
+_SEQ = 1 << 32
+_SLOT = _SEQ - 1
 # How long a relay push that arrived ahead of its causal past may stay
 # undelivered before its pusher is asked for the gap (seconds; twice the
 # link's smoothed RTT when that is longer).  Not zero: mid-wave the
@@ -523,7 +604,7 @@ class ReliableCausalNode:
             max_pending=max_pending,
         )
         self.endpoint.bind_metrics(self.metrics, self.trace)
-        self.store = MessageStore(self.endpoint.seen)
+        self.store = MessageStore(self.endpoint.seen, self._codec)
         if self.recovered is not None:
             self.adopt_coverage(self.recovered.delivered)
             for seq, data in self.recovered.own_messages.items():
@@ -920,11 +1001,9 @@ class ReliableCausalNode:
         message = self.endpoint.broadcast(payload, now=self._now())
         # With a journal the delivery upcall inside endpoint.broadcast()
         # already encoded the message for the WAL; reuse those bytes.
-        data, self._wal_encoding = self._wal_encoding, None
-        if data is None:
-            data = self._codec.encode(message)
-        self.store.add(str(message.sender), message.seq, data)
-        wire = self._wire_body(message, data)
+        full, self._wal_encoding = self._wal_encoding, None
+        wire = self._wire_body(message, full)
+        self.store.add(str(message.sender), message.seq, wire, message.timestamp)
         if self.overlay is not None:
             # Overlay mode: one RELAY envelope to `fanout` view targets;
             # the receivers' relays and the anti-entropy backstop do the
@@ -945,17 +1024,21 @@ class ReliableCausalNode:
         )
         return message
 
-    def _wire_body(self, message: Message, full: bytes) -> bytes:
+    def _wire_body(self, message: Message, full: Optional[bytes]) -> bytes:
         """The one body an own broadcast (o, s) travels in, on every
         mesh link and relay hop: a delta against (o, s − 1) when that is
-        the smaller, else ``full``.  No ack is needed: a receiver must
-        hold (o, s − 1) before it may deliver (o, s) anyway; one that
-        meets the delta first parks it until (o, s − 1) is admitted."""
+        the smaller, else the full form (``full`` when not None).  No ack
+        is needed: a receiver must hold (o, s − 1) before it may deliver
+        (o, s) anyway; one that meets the delta first parks it."""
         previous, self._previous = self._previous, (message.seq, message.timestamp.vector)
-        if not self._wire_delta or previous is None:
-            return full
-        delta = self._codec.encode_delta(message, *previous)
-        return delta if len(delta) < len(full) else full
+        delta = self._codec.encode_delta(message, *previous) if self._wire_delta and previous else None
+        # Under any full form's size less its payload (26 bytes, the
+        # sender, 4 per key, 1 per entry): the smaller, none is built.
+        stamp, sender = message.timestamp, str(message.sender).encode("utf-8")
+        if delta is not None and len(delta) < 26 + len(sender) + 4 * len(stamp.sender_keys) + stamp.size:
+            return delta
+        full = full or self._codec.encode(message)
+        return delta if delta is not None and len(delta) < len(full) else full
 
     def _live_peers(self) -> List[Address]:
         if self.liveness is None:
@@ -1129,27 +1212,22 @@ class ReliableCausalNode:
         reference: Optional[_Reference] = None
         if MessageCodec.is_delta(data):
             try:
-                origin, seq, ref_seq = codec.delta_header(data)
+                header = codec.delta_header(data)
             except Exception:
                 self._note_decode_error(addr)
                 return None
-            reference = self._reference(origin, ref_seq)
-            if reference is None:
+            origin, seq, ref_seq, _ = header
+            # The newest admitted message (the hot path), else a held one.
+            reference = self._ref_newest.get(origin)
+            if reference is None or reference[0] != ref_seq:
+                reference = self.store.reference(origin, ref_seq)
+            if reference is None or ref_seq != seq - 1:
                 return self._park(data, addr, envelope_id, origin, seq, ref_seq)
         try:
             if reference is not None:
-                # The store must hold the full encoding: anti-entropy
-                # serves third parties that may not hold this message's
-                # reference.
-                message, full = codec.decode_delta(data, reference[1], reference[2])
+                message = codec.decode_delta(data, reference[1], reference[2], header)
             else:
                 message = codec.decode(data)
-                full = data
-                # Bytes of full encodings the store takes from the wire.
-                # Keep the name: benchmarks/e2e reads it as
-                # codec.retained_bytes_per_delivery, the overlay's
-                # full-copy signal (ROADMAP item 1).
-                codec.counters.retained_bytes += len(full)
         except Exception:
             # A malformed datagram must never take the node down.
             self._note_decode_error(addr)
@@ -1174,7 +1252,13 @@ class ReliableCausalNode:
                 message.seq, message.timestamp.vector, message.timestamp.sender_keys
             )
         if not self.endpoint.has_seen((sender, message.seq)):
-            self.store.add(sender, message.seq, full)
+            if reference is None:
+                # Bytes of full encodings the store takes from the wire.
+                # Keep the name: benchmarks/e2e reads it as
+                # codec.retained_bytes_per_delivery, the overlay's
+                # full-copy signal (ROADMAP item 1).
+                codec.counters.retained_bytes += len(data)
+            self.store.add(sender, message.seq, data, message.timestamp)
         # One real timestamp for every receive path (it used to default
         # to 0.0, which froze the refined detector's eviction clock).
         delivered = bool(self.endpoint.on_receive(message, now=self._now()))
@@ -1242,20 +1326,6 @@ class ReliableCausalNode:
                 "it is no longer in the group view", sender,
             )
         self.trace.emit("stale_sender", ts=self._now(), sender=sender)
-
-    def _reference(self, sender: str, ref_seq: int) -> Optional[_Reference]:
-        """The message a delta names (``None``: not here): the sender's
-        newest admitted message (the hot path — a delta names its
-        sender's previous broadcast), else the stored encoding decoded
-        on demand (a delta that arrived after a later message)."""
-        newest = self._ref_newest.get(sender)
-        if newest is not None and newest[0] == ref_seq:
-            return newest
-        stored = self.store.get(sender, ref_seq)
-        if stored is None:
-            return None
-        timestamp = self._codec.decode(stored).timestamp
-        return (ref_seq, timestamp.vector, timestamp.sender_keys)
 
     def _note_reference_miss(self, addr: Address, sender: str, ref_seq: int) -> None:
         """A delta named a reference this node recorded but no longer

@@ -410,7 +410,8 @@ class TestBulkVectorCoding:
             grown[index] = min(int(grown[index]) + bump, 2**63 - 1)
         message = message_with_vector(grown.tolist(), keys=(0, 2), payload=["a", 1])
         delta = codec.encode_delta(message, 3, reference)
-        via_delta, full = codec.decode_delta(delta, reference, (0, 2))
+        via_delta = codec.decode_delta(delta, reference, (0, 2))
+        full = codec.full_from_delta(delta, via_delta.timestamp.vector, (0, 2))
         assert full == codec.encode(message)
         for decoded in (via_delta, codec.decode(full)):
             assert decoded.timestamp.vector.dtype == np.int64

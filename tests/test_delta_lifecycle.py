@@ -132,8 +132,7 @@ def forget_everything(node):
     """What a restart without a journal loses: the slots and the store's
     bytes (its coverage stays)."""
     node._ref_newest.clear()
-    node.store._data.clear()
-    node.store._order.clear()
+    node.store = node_module.MessageStore(node.endpoint.seen, node._codec)
 
 
 def drop_once(node, seq, sender="a"):
@@ -145,7 +144,7 @@ def drop_once(node, seq, sender="a"):
     def intake(data, addr):
         if armed[0]:
             if MessageCodec.is_delta(data):
-                origin, message_seq, _ = node._codec.delta_header(data)
+                origin, message_seq, _, _ = node._codec.delta_header(data)
             else:
                 message = node._codec.decode(data)
                 origin, message_seq = str(message.sender), message.seq
@@ -282,7 +281,7 @@ def test_persistently_bouncing_link_is_warned_about_once(caplog, monkeypatch):
             a, b = pair.nodes["a"], pair.nodes["b"]
             # A receiver that never keeps a reference: every delta bounces.
             b._ref_newest = Forgetful()
-            b.store.get = lambda sender, seq: None
+            b.store.reference = lambda sender, seq: None
             await pair.run(400)
             await pair.assert_exactly_once(500)
             stats = b.transport_stats()

@@ -31,6 +31,7 @@ NODE_COUNTERS = {
     "repro_codec_deltas_decoded_total",
     "repro_codec_epoch_mismatches_total",
     "repro_codec_frames_decoded_total",
+    "repro_codec_full_rebuilds_total",
     "repro_codec_messages_decoded_total",
     "repro_codec_payload_bytes_in_total",
     "repro_codec_retained_bytes_total",

@@ -36,7 +36,7 @@ from repro.api import (
 from repro.core.codec import CodecError, FrameCodec, MemberRecord, MessageCodec, RelayFrame
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import PerfectKeyAssigner
-from repro.net import LocalAsyncBus
+from repro.net import LocalAsyncBus, MessageStore
 from repro.net import membership as membership_module
 from repro.net import overlay as overlay_module
 from repro.net.overlay import PartialView
@@ -609,8 +609,7 @@ def forget_everything(node):
     """What a restart without a journal loses: the reference slots and
     the store's bytes (its coverage stays)."""
     node._ref_newest.clear()
-    node.store._data.clear()
-    node.store._order.clear()
+    node.store = MessageStore(node.endpoint.seen, node._codec)
 
 
 class TestRelayAdmission:

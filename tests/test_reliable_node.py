@@ -206,6 +206,27 @@ class TestMessageStore:
 
         asyncio.run(scenario())
 
+    def test_a_full_body_admitted_twice_is_retained_once(self):
+        """``retained_bytes`` counts the full bodies the store took from
+        the wire: a second copy (a repair that crossed a retransmit) is
+        turned away before the store and is not counted again."""
+        data = MessageCodec().encode(
+            create_endpoint("p", NodeConfig(r=16, keys=(3, 4))).broadcast("x")
+        )
+
+        async def scenario():
+            node = await create_node(
+                "n", NodeConfig(r=16, keys=(0, 1)), transport=LocalAsyncBus().attach("n")
+            )
+            try:
+                node._admit(data, "p")
+                node._admit(data, "p")
+                assert node.codec_counters.retained_bytes == len(data)
+            finally:
+                await node.close()
+
+        asyncio.run(scenario())
+
     def test_missing_for_serves_only_what_remote_lacks(self):
         intake = _Intake()
         for seq in range(1, 6):

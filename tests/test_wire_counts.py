@@ -48,17 +48,14 @@ LOSSY = dict(drop_rate=0.05, reorder_rate=0.10, reorder_delay=(0.002, 0.02))
 def counts(group) -> dict:
     """``Group.counts()`` plus the relay copies, the encodings the
     message bodies crossed the links in, the session frames sent, and
-    the full forms rebuilt from a delta (by the node's message codec or
-    its session's frame codec)."""
+    the full forms the stores built around a held delta (repairs served
+    from them)."""
     wire = group.wire()
     return {
         **group.counts(), "relays": wire.relay_sent, "deltas": wire.delta_sent,
         "fulls": wire.full_sent, "ref_misses": wire.delta_ref_misses,
         "frames": wire.frames_sent,
-        "rebuilds": sum(
-            node.codec_counters.deltas_decoded + node.session.codec_counters.deltas_decoded
-            for node in group.nodes
-        ),
+        "rebuilds": sum(node.codec_counters.full_rebuilds for node in group.nodes),
     }
 
 
@@ -110,7 +107,9 @@ def assert_one_delta_per_broadcast(paced: dict) -> None:
 def test_acks_ride_the_data_on_a_paced_mesh():
     """Parent → this tree: 540,889 → 525,143 B (75.1 → 72.9 B per
     delivery, 108 fulls → 0); datagrams, standalone acks and timers
-    unchanged."""
+    unchanged.  Rebuilds 7,200 → 34 since the store keeps each body as
+    it arrived and builds the full form only for the 34 repairs it
+    serves (it used to rebuild every delivered delta at intake)."""
     paced = run_virtual(paced_mesh(seed=1))
     deliveries = paced["deliveries"]
     assert deliveries == 4 * 3 * 600
@@ -120,18 +119,19 @@ def test_acks_ride_the_data_on_a_paced_mesh():
     assert paced["standalone_acks"] <= 0.05 * deliveries, paced
     assert paced["timers"] <= 2.4 * deliveries, paced
     # Exact for the seed: 72.9 B, 1.041 datagrams, 1.044 frames, 0.028
-    # standalone acks, 2.29 timers and 1.000 full-form rebuilds per
+    # standalone acks, 2.29 timers and 0.005 full-form rebuilds per
     # delivery.
     assert (
         paced["bytes"], paced["datagrams"], paced["frames"], paced["standalone_acks"],
         paced["timers"], paced["rebuilds"],
-    ) == (525143, 7498, 7514, 204, 16475, 7200), paced
+    ) == (525143, 7498, 7514, 204, 16475, 34), paced
 
 
 def test_a_busy_mesh_sends_one_body_per_broadcast():
     """``mesh4_saturate``.  Parent → this tree: 536,900 → 520,748 B
     (74.6 → 72.3 B per delivery, 109 fulls → 0); 7,202 datagrams, 0
-    standalone acks and 12,496 timers on both."""
+    standalone acks and 12,496 timers on both.  Rebuilds 7,200 → 28,
+    one per repair served from a held delta."""
     busy = run_virtual(busy_mesh(seed=1))
     assert busy["deliveries"] == 4 * 3 * 600
     assert busy["retransmits"] == 0, busy
@@ -139,7 +139,7 @@ def test_a_busy_mesh_sends_one_body_per_broadcast():
     assert (
         busy["bytes"], busy["datagrams"], busy["frames"], busy["standalone_acks"],
         busy["timers"], busy["digests"], busy["repairs_sent"], busy["rebuilds"],
-    ) == (520748, 7202, 7236, 0, 12496, 8, 28, 7200), busy
+    ) == (520748, 7202, 7236, 0, 12496, 8, 28, 28), busy
 
 
 def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
@@ -148,7 +148,8 @@ def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
     ones.  Those deltas wait for it instead of missing.  Parent → this
     tree: 611,943 → 520,574 B (85.0 → 72.3 B per delivery, 108 fulls →
     0), datagrams 7,220 → 7,224, standalone acks 9 → 12, timers 13,564 →
-    13,573, retransmits 926 → 941, repairs 66 → 47."""
+    13,573, retransmits 926 → 941, repairs 66 → 47.  Rebuilds 7,200 →
+    47, one per repair served from a held delta."""
     lossy = run_virtual(busy_mesh(seed=1, faults=LOSSY))
     deliveries = lossy["deliveries"]
     assert deliveries == 4 * 3 * 600
@@ -158,13 +159,14 @@ def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
         lossy["bytes"], lossy["datagrams"], lossy["frames"], lossy["standalone_acks"],
         lossy["timers"], lossy["retransmits"], lossy["digests"], lossy["repairs_sent"],
         lossy["rebuilds"],
-    ) == (520574, 7224, 9106, 12, 13573, 941, 9, 47, 7200), lossy
+    ) == (520574, 7224, 9106, 12, 13573, 941, 9, 47, 47), lossy
 
 
 def test_relay_envelopes_carry_the_origins_delta_on_a_paced_overlay():
     """Parent → this tree: 4,521,557 → 4,523,459 B (471.0 → 471.2 B
     per delivery), datagrams 31,260 → 31,286, digests 921 → 904, repairs
-    395 → 339, relay copies 29,724 → 29,772."""
+    395 → 339, relay copies 29,724 → 29,772.  Rebuilds 9,284 → 336: of
+    the 339 repairs, the other 3 served a body held full."""
     paced = run_virtual(paced_overlay(seed=1))
     deliveries = paced["deliveries"]
     assert deliveries == 16 * 15 * 40
@@ -174,8 +176,8 @@ def test_relay_envelopes_carry_the_origins_delta_on_a_paced_overlay():
     assert paced["datagrams"] <= 3.5 * deliveries, paced
     # Exact for the seed: 471.2 B, 3.259 datagrams, 3.263 frames, 0.094
     # digests and 0.035 repairs per delivery, 3.10 relay copies, and
-    # 0.967 full-form rebuilds per delivery.
+    # 0.035 full-form rebuilds per delivery.
     assert (
         paced["bytes"], paced["datagrams"], paced["frames"], paced["digests"],
         paced["repairs_sent"], paced["relays"], paced["rebuilds"],
-    ) == (4523459, 31286, 31323, 904, 339, 29772, 9284), paced
+    ) == (4523459, 31286, 31323, 904, 339, 29772, 336), paced

@@ -210,11 +210,14 @@ class TestDeltaDifferential:
         delta = codec.encode_delta(message, ref_seq, ref_vector)
         assert MessageCodec.is_delta(delta)
         assert not MessageCodec.is_delta(codec.encode(message))
-        sender, seq, peeked_ref = codec.delta_header(delta)
+        sender, seq, peeked_ref, _ = codec.delta_header(delta)
         assert (sender, seq, peeked_ref) == (message.sender, message.seq, ref_seq)
 
-        decoded, full = codec.decode_delta(
+        decoded = codec.decode_delta(
             delta, ref_vector, message.timestamp.sender_keys
+        )
+        full = codec.full_from_delta(
+            delta, decoded.timestamp.vector, message.timestamp.sender_keys
         )
         assert full == codec.encode(decoded) == codec.encode(message)
         assert decoded.timestamp.vector.dtype == np.int64
