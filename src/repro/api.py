@@ -106,10 +106,11 @@ class NodeConfig:
     Attributes:
         dissemination: how broadcasts spread — ``mesh`` (the default:
             one reliable unicast per peer, exact but O(N) per
-            broadcast at the origin) or ``overlay`` (bounded-fanout
-            relay gossip over a partial view: O(fanout) per node per
-            broadcast, anti-entropy heals the probabilistic tail).
-        fanout: relay targets per push (``overlay`` only).
+            broadcast at the origin) or ``overlay`` (relay along
+            per-origin eager trees over a partial view: about one copy
+            per receiver, none of it growing with N at any node; the gap
+            pull and anti-entropy heal what a tree loses).
+        fanout: eager links a node starts with (``overlay`` only).
         view_size: bound on the gossip-maintained partial view
             (``overlay`` only; must be >= ``fanout``).
 

@@ -211,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--dissemination", choices=DISSEMINATION_MODES,
         default=NodeConfig.dissemination,
         help="how broadcasts spread: 'mesh' unicasts to every peer, "
-             "'overlay' pushes to --fanout targets drawn from a bounded "
-             "partial view and lets receivers relay (scales past the "
-             "mesh; anti-entropy heals the probabilistic tail)",
+             "'overlay' relays along per-origin eager trees over a "
+             "bounded partial view (scales past the mesh; the gap pull "
+             "and anti-entropy heal what a tree loses)",
     )
     node.add_argument(
         "--fanout", type=int, default=NodeConfig.fanout, metavar="N",
-        help="relay targets per push (overlay dissemination only)",
+        help="eager links a node starts with (overlay dissemination only)",
     )
     node.add_argument(
         "--view-size", type=int, default=NodeConfig.view_size, metavar="N",

@@ -100,6 +100,7 @@ __all__ = [
     "JoinAckFrame",
     "LeaveFrame",
     "RelayFrame",
+    "TreeFrame",
     "Frame",
     "FrameCodec",
 ]
@@ -591,9 +592,16 @@ class MessageCodec:
         return Message(sender=sender, seq=seq, timestamp=timestamp, payload=payload)
 
     @staticmethod
+    def message_id(data: bytes) -> Tuple[str, int]:
+        """A full encoding's ``(sender, seq)``."""
+        end = _HEADER_SIZE + 2 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]
+        return data[_HEADER_SIZE + 2 : end].decode("utf-8"), struct.unpack_from("<Q", data, end)[0]
+
+    @staticmethod
     def timestamp_of(data: bytes) -> Tuple[np.ndarray, Tuple[int, ...]]:
         """A full encoding's ``(vector, sender keys)`` — a fresh vector,
-        the payload left undecoded.  This and the two below take bytes
+        the payload left undecoded.  This, the one above and the two
+        below take bytes
         this process decoded before, and check nothing."""
         keys_at = _HEADER_SIZE + 12 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]
         (key_count,) = struct.unpack_from("<H", data, keys_at - 2)
@@ -679,6 +687,7 @@ _TYPE_JOIN = 8
 _TYPE_JOIN_ACK = 9
 _TYPE_LEAVE = 10
 _TYPE_RELAY = 11
+_TYPE_TREE = 12
 _DATA_HEADER = _FRAME_MAGIC + bytes((_FRAME_VERSION, _TYPE_DATA))
 
 _MAX_SACK = 64
@@ -873,6 +882,17 @@ class RelayFrame:
     sent_at: float = 0.0
 
 
+@dataclass(frozen=True, slots=True)
+class TreeFrame:
+    """PRUNE (stop pushing me ``origin``'s messages) or, with ``graft``,
+    GRAFT (push them to me again, as I will to you) — for every origin
+    when ``origin`` is empty.  Fire-and-forget, like the RELAYs it steers
+    (overlay mode, PROTOCOL.md §10)."""
+
+    origin: str = ""
+    graft: bool = False
+
+
 Frame = Union[
     DataFrame,
     AckFrame,
@@ -885,6 +905,7 @@ Frame = Union[
     JoinAckFrame,
     LeaveFrame,
     RelayFrame,
+    TreeFrame,
 ]
 
 
@@ -1169,6 +1190,14 @@ class FrameCodec:
                     frame.payload,
                 ]
             )
+        if isinstance(frame, TreeFrame):
+            return b"".join(
+                [
+                    header,
+                    struct.pack("<BB", _TYPE_TREE, int(frame.graft)),
+                    _encode_short_bytes(frame.origin.encode("utf-8")),
+                ]
+            )
         raise CodecError(f"not a frame: {type(frame).__name__}")
 
     def decode(self, data: bytes) -> Frame:
@@ -1275,6 +1304,12 @@ class FrameCodec:
                     sample=sample,
                     payload=data[offset : offset + length],
                 )
+            if frame_type == _TYPE_TREE:
+                (graft,) = struct.unpack_from("<B", data, offset)
+                if graft > 1:
+                    raise CodecError(f"unknown TREE flag bits {graft:#x}")
+                origin_raw, offset = _decode_short_bytes(data, offset + 1)
+                return TreeFrame(origin=origin_raw.decode("utf-8"), graft=bool(graft))
         except struct.error as exc:
             raise CodecError(f"truncated frame: {exc}") from exc
         except UnicodeDecodeError as exc:

@@ -536,7 +536,7 @@ class GroupMembership:
         # Overlay mode: announcements gossip like data.  A strictly
         # newer view is forwarded once to this node's push targets —
         # installed duplicates fail the view_id check above, so the
-        # wave is infect-and-die, same as RELAY envelopes.
+        # wave is infect-and-die over ``fanout`` random view targets.
         self._forward_control(frame, exclude=(addr,))
 
     def _forward_control(self, frame: Frame, exclude: Tuple[Address, ...] = ()) -> None:

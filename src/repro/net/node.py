@@ -64,14 +64,14 @@ from typing import Any, Callable, Deque, Dict, Hashable, Iterator, List, Optiona
 import numpy as np
 
 from repro.core.clocks import EntryVectorClock, Timestamp
-from repro.core.codec import CodecCounters, MessageCodec, RelayFrame
+from repro.core.codec import CodecCounters, MessageCodec, RelayFrame, TreeFrame
 from repro.core.detector import DeliveryErrorDetector
 from repro.core.errors import ConfigurationError
 from repro.core.pending import SeenFilter
 from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord, Message
 from repro.net.journal import NodeJournal, RecoveredState
 from repro.net.liveness import LivenessPolicy, PeerLivenessMonitor
-from repro.net.overlay import PartialView
+from repro.net.overlay import _GAP_PULL_GRACE, PartialView
 from repro.net.peer import Transport
 from repro.net.session import ReliableSession, RetransmitPolicy, TransportStats
 from repro.obs import JsonlExporter, MetricsHttpServer, MetricsRegistry, TraceRing
@@ -356,17 +356,6 @@ class MessageStore:
 # A stored key is seq << 32 | the sender's slot.
 _SEQ = 1 << 32
 _SLOT = _SEQ - 1
-# How long a relay push that arrived ahead of its causal past may stay
-# undelivered before its pusher is asked for the gap (seconds; twice the
-# link's smoothed RTT when that is longer).  Not zero: mid-wave the
-# missing messages are usually in flight on a longer relay path, and a
-# digest sent then claims them all as missing — the answers load a loop
-# that has not yet read the originals (EXPERIMENTS.md, "Anti-entropy
-# priced by damage": the immediate pull collapses into a retransmit storm).
-# A pull that leaves the gap open is repeated, so the first need not
-# race the wave (EXPERIMENTS.md, "One delta rule": 30 ms sent 25 % more
-# repairs for a 5 % shorter settle).
-_GAP_PULL_GRACE = 0.04
 # Relay envelopes above this hop count are delivered but not forwarded:
 # a backstop against pathological views (a healthy wave needs about
 # log_fanout(N) hops, so 32 covers any plausible swarm many times over).
@@ -450,9 +439,9 @@ class ReliableCausalNode:
             either way.
         overlay: optional :class:`~repro.net.overlay.PartialView`; when
             given, the node disseminates in **overlay mode** — each
-            broadcast is pushed as a RELAY envelope to ``fanout`` peers
-            from the bounded partial view (relayed onward by receivers,
-            infect-and-die), anti-entropy digests and heartbeats go to
+            broadcast is pushed as a RELAY envelope down its origin's
+            eager tree over the bounded partial view (relayed onward by
+            receivers on first intake), anti-entropy digests and heartbeats go to
             the view instead of the full peer list, and per-node wire
             cost stops growing with cluster size.  ``None`` (default)
             keeps the full-mesh dissemination.
@@ -861,6 +850,8 @@ class ReliableCausalNode:
         if sender_id is not None:
             sender = str(sender_id)
             self.store.purge_sender(sender)
+            if self.overlay is not None:
+                self.overlay.trees.pop(sender, None)
             self._ref_newest.pop(sender, None)
             for key in [key for key in self._parked if key[0] == sender]:
                 del self._parked[key]
@@ -1069,16 +1060,17 @@ class ReliableCausalNode:
         payload: bytes,
         hops: int,
         sent_at: float,
-        exclude: Tuple[Address, ...] = (),
+        exclude: Optional[Address] = None,
     ) -> int:
-        """Push one RELAY envelope to ``fanout`` targets.
+        """Push one RELAY envelope down ``origin``'s eager tree.
 
         Used for both origin pushes (``hops=0``) and forwards.  Each copy
         is tallied by the encoding of its body, and carries the view
         sample only if it wins the view's merge coin.
         """
         overlay = self.overlay
-        targets = overlay.push_targets(exclude=exclude, live_filter=self._overlay_live)
+        overlay.note_push(self._now(), origin, seq)
+        targets = overlay.eager_targets(origin, exclude, live_filter=self._overlay_live)
         if not targets:
             return 0
         carriers, bare = [], []
@@ -1096,29 +1088,37 @@ class ReliableCausalNode:
             )
         return sent
 
-    def _handle_relay(self, frame: RelayFrame, addr: Address) -> None:
+    def _handle_relay(self, frame: RelayFrame | TreeFrame, addr: Address) -> None:
         """Intake one RELAY envelope: merge the view sample, dedup on
         the envelope header, admit the body, and forward it *verbatim*
-        on first intake only (infect-and-die).  A delta body names the
+        down the origin's eager tree on first intake only.  A duplicate
+        prunes its pusher from that tree.  A delta body names the
         origin's previous broadcast, which every receiver needs before
         it may deliver this one anyway; one parked waiting for it is
-        forwarded all the same (downstream may hold the reference)."""
+        forwarded all the same (downstream may hold the reference).
+        A PRUNE or GRAFT edits the tree."""
         if self._drop_if_evicted(addr, "relay"):
             return
         overlay = self.overlay
+        if isinstance(frame, TreeFrame):
+            overlay.edit_tree(frame.origin, addr, frame.graft)
+            return
         overlay.merge_sample(frame.sample)
         message_id = (frame.origin, frame.seq)
         if self.endpoint.has_seen(message_id) or self._is_parked(message_id):
-            # The SeenFilter (and the park) absorb gossip redundancy
-            # without paying for a payload decode — the envelope header
-            # is enough.
+            # The SeenFilter (and the park) absorb the copies a tree not
+            # yet pruned still pushes, without paying for a payload
+            # decode — the envelope header is enough.
             overlay.stats.relay_duplicates += 1
+            if overlay.prune(frame.origin, addr, own=frame.origin == str(self.node_id)):
+                self.session.send_control(addr, TreeFrame(origin=frame.origin))
             return
         delivered = self._admit(frame.payload, addr, envelope_id=message_id)
         if delivered is None:
             return
         self._tally_received(addr, frame.payload)
         overlay.stats.relay_first_intake += 1
+        overlay.first_copy(frame.origin, addr)
         if not delivered:
             self._arm_gap_pull(message_id, addr)
         elif self._gap_pull_open is not None:
@@ -1133,8 +1133,7 @@ class ReliableCausalNode:
         if frame.hops < _MAX_HOPS:
             sent = self._relay_push(
                 frame.origin, frame.seq, frame.payload,
-                hops=frame.hops + 1, sent_at=frame.sent_at,
-                exclude=(addr,),
+                hops=frame.hops + 1, sent_at=frame.sent_at, exclude=addr,
             )
             if sent:
                 overlay.stats.relay_forwarded += 1
@@ -1170,7 +1169,18 @@ class ReliableCausalNode:
                 # A link delivers each frame once, so a message seen
                 # before came by another route: a repair nobody needed.
                 self.repair_stats.repair_duplicates += 1
-            elif self._gap_pull_open is not None:
+                return
+            overlay = self.overlay
+            if overlay is not None:
+                # A repair brought what the trees missed: graft the
+                # repairer, both ways, for every origin, and pass it on.
+                overlay.edit_tree("", addr, graft=True)
+                overlay.stats.grafts_sent += 1
+                self.session.send_control(addr, TreeFrame(graft=True))
+                for asker in overlay.pass_on(*MessageCodec.message_id(data), addr, self._now()):
+                    self.repair_stats.repairs_sent += 1
+                    self.session.push(asker, data)
+            if self._gap_pull_open is not None:
                 self._close_gap_pull(by_relay=False)
 
     def _admit(
@@ -1453,6 +1463,8 @@ class ReliableCausalNode:
     def _handle_digest(self, frontiers: Frontiers, addr: Address) -> None:
         if self._drop_if_evicted(addr, "digest"):
             return
+        if self.overlay is not None:
+            frontiers = self.overlay.read_digest(frontiers, addr, self._now())
         for data in self.store.missing_for(frontiers):
             # Reliable push: goes through the normal ack/retransmit path.
             self.repair_stats.repairs_sent += 1
@@ -1526,6 +1538,8 @@ class ReliableCausalNode:
                 except Exception:
                     continue
             for address in self.liveness.sweep(loop.time()):
+                if self.overlay is not None:
+                    self.overlay.unlink(address)
                 if address in self._peers:
                     self.session.quarantine(address)
                     self.trace.emit(
@@ -1711,6 +1725,8 @@ class ReliableCausalNode:
             "resync_marks": len(self._resync_last),
             "partner_rotation": len(self._partner_rotation),
         }
+        if self.overlay is not None:
+            sizes.update(self.overlay.tree_sizes())
         for table, size in self.session.state_sizes().items():
             sizes[f"session_{table}"] = size
         return sizes

@@ -5,46 +5,47 @@ reliable sessions, so per-node wire cost and session state grow with
 cluster size.  The paper's causal layer never needed the mesh — its
 timestamps carry the sender keys, so *any* dissemination substrate that
 eventually gets every message everywhere will do.  This module provides
-the scalable one, following Eugster et al.'s lightweight probabilistic
-broadcast (lpbcast) and Nédelec et al.'s relay-based causal broadcast
-(see PAPERS.md):
+the scalable one: a **bounded partial view** maintained by lpbcast's
+gossip (Eugster et al.) carrying Plumtree's **per-origin eager push
+trees** (Leitão et al., *Epidemic Broadcast Trees*; see PAPERS.md):
 
-* every node maintains a **bounded partial view** (``view_size``
-  entries) instead of global membership, seeded from whatever peers it
-  learns about (explicit ``add_peer``, the membership layer's view);
-* a broadcast is pushed as a RELAY envelope to ``fanout`` targets drawn
-  from the view; receivers push it on to ``fanout`` of *their* targets
-  on first intake and never again (**infect-and-die** — dedup rides the
-  endpoint's existing SeenFilter watermark, keyed on the causal
-  ``(origin, seq)`` carried in the envelope header);
-* each envelope copy **piggybacks** a small sample of the relayer's
-  view with probability ``_MERGE_PROBABILITY``, one coin per copy, and
-  the receiver merges every sample that arrives — the lpbcast throttle
-  that keeps one chatty node from colonising every view (merging every
-  sample collapses the views rich-get-richer; ``tests/test_overlay.py``
-  pins it and :meth:`PartialView.sample_diversity` makes it
-  observable).  The coin is the pusher's, so a copy whose sample would
-  be thrown away does not carry one;
-* the relay wave reaches (1 − e^{-fanout}) of the swarm in O(log N)
-  hops with high probability; the probabilistic tail is healed by the
-  node's **gap pull** (a push still undelivered a short grace after it
-  arrived sends its pusher a digest) and the **anti-entropy round** (one
-  digest per round, to the next partner in a rotation of the bounded
-  view, not of the mesh).
+* every node keeps at most ``view_size`` view entries instead of global
+  membership, seeded from whatever peers it learns about (explicit
+  ``add_peer``, the membership layer's view); each RELAY copy carries a
+  small view sample with probability ``_MERGE_PROBABILITY`` (one coin
+  per copy, the lpbcast throttle against rich-get-richer collapse, which
+  :meth:`PartialView.sample_diversity` makes observable);
+* a node's **eager links** start as ``fanout`` view entries at its
+  first push; a peer whose RELAY brought a first copy, or that a GRAFT
+  names, becomes one too, and eviction, quarantine and departure drop
+  one.  Each message is pushed on every link whose peer has not pruned
+  its origin, and forwarded on first intake only (dedup rides the
+  endpoint's SeenFilter, keyed on the envelope's ``(origin, seq)``);
+* a **duplicate** copy of origin o's message sends its pusher a
+  ``PRUNE(o)`` — unless the first copy of o's latest message came from
+  a link pruned here, which keeps every node one live inbound link per
+  origin.  Prunes are per origin: one set shared by all origins lets a
+  concurrent burst cut whole nodes out of every tree;
+* a **repair** that delivers a message the trees missed sends the
+  repairer a ``GRAFT`` for every origin, making that link eager both
+  ways.  The lazy half is the node's: the **gap pull** (a push still
+  undelivered a grace after it arrived asks its pusher for a digest)
+  and the **anti-entropy round** (one digest per round, to the next
+  partner in a rotation of the view).
 
-Per-broadcast wire cost at any single node is therefore O(fanout), and
-session state is bounded by the view plus gossip in-degree — neither
-grows with N.  The tradeoff is aggregate redundancy: the swarm as a
-whole transmits ~fanout copies of each message where the mesh sends
-exactly one per link (see docs/DESIGN.md for the full table).
+Once the trees have formed each message crosses about one link per
+node — ~1.03 RELAY copies per delivery on the 16-node paced twin, where
+fanout-3 infect-and-die gossip sent 3.1 — and per-node state stays
+bounded by the view and the origins (docs/DESIGN.md has the table).
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Hashable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.codec import MemberRecord
 from repro.core.errors import ConfigurationError
@@ -53,6 +54,7 @@ __all__ = ["OverlayStats", "PartialView"]
 
 Address = Hashable
 LiveFilter = Callable[[Address], bool]
+Frontiers = Dict[str, Tuple[int, Tuple[int, ...]]]
 
 # View entries sampled into an outgoing envelope, besides the sender:
 # lpbcast's small constant, on which the 64-node swarm test spreads from
@@ -65,6 +67,19 @@ _MERGE_PROBABILITY = 0.25
 #: Recent piggyback-sample window used for the diversity gauge.
 _DIVERSITY_WINDOW = 256
 
+# How long a relay push that arrived ahead of its causal past may stay
+# undelivered before its pusher is asked for the gap (seconds; twice the
+# link's smoothed RTT when that is longer).  Not zero: mid-wave the
+# missing messages are usually in flight on a longer relay path, and a
+# digest sent then claims them all as missing — the answers load a loop
+# that has not yet read the originals (EXPERIMENTS.md, "Anti-entropy
+# priced by damage": the immediate pull collapses into a retransmit storm).
+# A pull that leaves the gap open is repeated, so the first need not
+# race the wave (EXPERIMENTS.md, "One delta rule": 30 ms sent 25 % more
+# repairs for a 5 % shorter settle).  Also how long a push counts as
+# still carried by the trees, and an answered digest as still waiting.
+_GAP_PULL_GRACE = 0.04
+
 
 @dataclass
 class OverlayStats:
@@ -72,17 +87,30 @@ class OverlayStats:
 
     ``duplicate-suppression rate`` is ``relay_duplicates /
     (relay_first_intake + relay_duplicates)`` — the fraction of incoming
-    relay copies the SeenFilter absorbed without re-forwarding (the cost
-    of gossip redundancy, bounded by fanout).
+    relay copies the SeenFilter absorbed without re-forwarding: high
+    while the trees form (each duplicate sends a PRUNE) and near zero
+    once they have, where gossip held it near 1 − 1/fanout.
     """
 
     relay_pushes: int = 0
     relay_first_intake: int = 0
     relay_duplicates: int = 0
     relay_forwarded: int = 0
+    prunes_sent: int = 0
+    grafts_sent: int = 0
     merges_applied: int = 0
     view_changes: int = 0
     evictions: int = 0
+
+
+@dataclass
+class _Tree:
+    """One origin's eager tree here: who brought the first copy of its
+    latest message, the links that pruned it and the links we pruned."""
+
+    first: Optional[Address] = None
+    pruned_by: Dict[Address, None] = field(default_factory=dict)
+    pruning: Dict[Address, None] = field(default_factory=dict)
 
 
 class PartialView:
@@ -98,14 +126,16 @@ class PartialView:
       is the pusher's :meth:`carries_sample` coin;
     * :meth:`discard` — eviction of quarantined or departed peers.
 
-    Target selection (:meth:`push_targets`) draws ``fanout`` distinct
-    entries uniformly from the view; an optional live-filter excludes
-    quarantined addresses at selection time.
+    :meth:`push_targets` draws ``fanout`` distinct entries uniformly
+    from the view (membership announcements, a node's first eager
+    links); :meth:`eager_targets` is where a RELAY goes.  An optional
+    live-filter excludes quarantined addresses at selection time.
 
     Args:
         local_id: this node's sender id (kept out of the view and
             stamped on outgoing gossip samples).
-        fanout: relay targets per push.
+        fanout: eager links a node starts with (and membership
+            announcement targets per push).
         view_size: bound on the partial view (must be >= fanout).
         seed: RNG seed; defaults to a stable hash of ``local_id`` so a
             swarm of nodes does not gossip in lockstep while any single
@@ -138,6 +168,16 @@ class PartialView:
         # a rich-get-richer collapse a handful of ids dominate incoming
         # samples and the distinct ratio sinks towards 1/window.
         self._sample_window: List[str] = []
+        # The eager links, insertion-ordered (never a set: the push
+        # order must not follow the hash seed), and each origin's tree,
+        # whose prune tables only ever hold links.
+        self.links: Dict[Address, None] = {}
+        self._seeded = False
+        self.trees: Dict[str, _Tree] = {}
+        # The last grace's relay pushes, (time, origin, seq), and the
+        # digests answered in it: address -> (time, frontiers as answered).
+        self._pushed: Deque[Tuple[float, str, int]] = deque()
+        self._answered: Dict[Address, Tuple[float, Frontiers]] = {}
         self.stats = OverlayStats()
 
     # ------------------------------------------------------------------
@@ -184,7 +224,9 @@ class PartialView:
         return True
 
     def discard(self, address: Address) -> bool:
-        """Drop one entry (quarantine eviction, membership departure)."""
+        """Drop one entry and its link (quarantine eviction, membership
+        departure)."""
+        self.unlink(address)
         if self._entries.pop(address, None) is None:
             return False
         self.stats.evictions += 1
@@ -237,7 +279,7 @@ class PartialView:
         exclude: Tuple[Address, ...] = (),
         live_filter: Optional[LiveFilter] = None,
     ) -> List[Address]:
-        """Up to ``fanout`` distinct live targets for one relay push."""
+        """Up to ``fanout`` distinct live view entries, drawn at random."""
         candidates = self._eligible(exclude, live_filter)
         if len(candidates) <= self.fanout:
             return candidates
@@ -274,6 +316,141 @@ class PartialView:
                 MemberRecord(node_id=self._local_id, address=self._local_address)
             )
         return tuple(sample)
+
+    # ------------------------------------------------------------------
+    # eager trees
+    # ------------------------------------------------------------------
+
+    def eager_targets(
+        self, origin: str, exclude: Optional[Address] = None,
+        live_filter: Optional[LiveFilter] = None,
+    ) -> List[Address]:
+        """The links ``origin``'s messages are pushed on: all but
+        ``exclude`` and those that pruned it.  The first push, and one
+        after every link went, links ``fanout`` view entries first."""
+        if not self._seeded or not self.links:
+            self._seeded = True
+            for address in self.push_targets(tuple(self.links), live_filter):
+                self.link(address)
+        pruned = self.trees[origin].pruned_by if origin in self.trees else ()
+        return [
+            address for address in self.links
+            if address != exclude and address not in pruned
+            and (live_filter is None or live_filter(address))
+        ]
+
+    def link(self, address: Address) -> None:
+        """Make ``address`` an eager link (the oldest goes beyond
+        ``view_size``)."""
+        if address != self._local_address and address not in self.links:
+            if len(self.links) >= self.view_size:
+                self.unlink(next(iter(self.links)))
+            self.links[address] = None
+
+    def unlink(self, address: Address) -> None:
+        """Drop ``address``'s link and every tree's record of it."""
+        self.links.pop(address, None)
+        for tree in self.trees.values():
+            tree.pruned_by.pop(address, None)
+            tree.pruning.pop(address, None)
+            if tree.first == address:
+                tree.first = None
+
+    def first_copy(self, origin: str, address: Address) -> None:
+        """``address`` brought the first copy of ``origin``'s latest
+        message: it is an eager link, and that tree's inbound one."""
+        self.link(address)
+        self._tree(origin).first = address
+
+    def prune(self, origin: str, address: Address, own: bool) -> bool:
+        """A duplicate of ``origin``'s message came from ``address``:
+        whether to send it a PRUNE.  Never on the last inbound link —
+        only while the first copy of ``origin``'s latest message came
+        from another link not pruned here (``own``: the origin needs
+        none).  Repeated for every duplicate, so a lost PRUNE costs one."""
+        tree = self._tree(origin)
+        if address == tree.first or not own and (
+            tree.first is None or tree.first in tree.pruning
+        ):
+            return False
+        if address in self.links:
+            tree.pruning[address] = None
+        self.stats.prunes_sent += 1
+        return True
+
+    def edit_tree(self, origin: str, address: Address, graft: bool) -> None:
+        """A PRUNE or GRAFT from ``address`` (or a GRAFT sent to it) for
+        ``origin``, every origin when empty: a PRUNE stops our pushes to
+        it, a GRAFT makes it an eager link pruned neither way."""
+        if graft:
+            self.link(address)
+        elif not origin:
+            return self.unlink(address)
+        if origin and origin != self._local_id and origin not in self.trees:
+            return  # no tree here to edit: this node never relayed it
+        for tree in (self._tree(origin),) if origin else self.trees.values():
+            if graft:
+                tree.pruned_by.pop(address, None)
+                tree.pruning.pop(address, None)
+            elif address in self.links:
+                tree.pruned_by[address] = None
+
+    def _tree(self, origin: str) -> _Tree:
+        if origin not in self.trees:
+            self.trees[origin] = _Tree()
+        return self.trees[origin]
+
+    # ------------------------------------------------------------------
+    # the lazy path, exact about what a tree lost
+    # ------------------------------------------------------------------
+
+    def _expire(self, now: float) -> None:
+        """Forget the pushes and the answered digests a grace old."""
+        pushed, answered = self._pushed, self._answered
+        while pushed and now - pushed[0][0] >= _GAP_PULL_GRACE:
+            pushed.popleft()
+        for stale in [a for a, (at, _) in answered.items() if now - at >= _GAP_PULL_GRACE]:
+            del answered[stale]
+
+    def note_push(self, now: float, origin: str, seq: int) -> None:
+        """One relay push of ``(origin, seq)``, kept a grace."""
+        self._expire(now)
+        self._pushed.append((now, origin, seq))
+
+    def read_digest(self, frontiers: Frontiers, address: Address, now: float) -> Frontiers:
+        """A digest from ``address`` as this node answers it: covering
+        what the trees still carry — its pushes of the last grace, on
+        their way down (answering with them was most of what a digest
+        drew twice) — and kept a grace, for :meth:`pass_on`."""
+        self._expire(now)
+        frontiers = dict(frontiers)
+        for _, origin, seq in self._pushed:
+            _cover(frontiers, origin, seq)
+        self._answered[address] = (now, frontiers)
+        return frontiers
+
+    def pass_on(self, origin: str, seq: int, repairer: Address, now: float) -> List[Address]:
+        """A repair from ``repairer`` brought ``(origin, seq)``, which the
+        trees missed here: whom to pass it on to.  The senders of the
+        digests answered in the last grace that lack it — most likely
+        pulls from further down the same tree, asked while this node
+        lacked it too."""
+        self._expire(now)
+        return [
+            asker for asker, (_, frontiers) in self._answered.items()
+            if asker != repairer and _cover(frontiers, origin, seq)
+        ]
+
+    def tree_sizes(self) -> Dict[str, int]:
+        """Entries of the eager-tree and lazy-path tables, for
+        ``state_sizes()``."""
+        return {
+            "overlay_links": len(self.links),
+            "overlay_trees": len(self.trees),
+            "overlay_prunes": sum(len(t.pruned_by) + len(t.pruning) for t in self.trees.values()),
+            "overlay_recent_pushes": len(self._pushed),
+            "overlay_answered_digests": len(self._answered),
+        }
 
     # ------------------------------------------------------------------
     # introspection
@@ -314,6 +491,8 @@ class PartialView:
                 "repro_relay_first_intake_total": stats.relay_first_intake,
                 "repro_relay_duplicates_total": stats.relay_duplicates,
                 "repro_relay_forwarded_total": stats.relay_forwarded,
+                "repro_relay_prunes_total": stats.prunes_sent,
+                "repro_relay_grafts_total": stats.grafts_sent,
                 "repro_overlay_merges_applied_total": stats.merges_applied,
                 "repro_overlay_view_changes_total": stats.view_changes,
                 "repro_overlay_evictions_total": stats.evictions,
@@ -325,3 +504,13 @@ class PartialView:
             }
 
         registry.register_collector(collect)
+
+
+def _cover(frontiers: Frontiers, sender: str, seq: int) -> bool:
+    """Add ``(sender, seq)`` to a digest's frontiers; False when they
+    already covered it."""
+    contiguous, extras = frontiers.get(sender, (0, ()))
+    if seq <= contiguous or seq in extras:
+        return False
+    frontiers[sender] = (contiguous, extras + (seq,))
+    return True

@@ -65,7 +65,7 @@ import asyncio
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from repro.core.codec import (
     AckFrame,
@@ -81,6 +81,7 @@ from repro.core.codec import (
     LeaveFrame,
     NackFrame,
     RelayFrame,
+    TreeFrame,
     ViewFrame,
     varint_size,
 )
@@ -95,7 +96,7 @@ DigestHandler = Callable[[Dict[str, Tuple[int, Tuple[int, ...]]], Address], None
 ActivityHandler = Callable[[Address], None]
 LinkSeqHandler = Callable[[Address, int], None]
 MembershipHandler = Callable[[Frame, Address], None]
-RelayHandler = Callable[[RelayFrame, Address], None]
+RelayHandler = Callable[[Union[RelayFrame, TreeFrame], Address], None]
 
 # Acked-at-first-send RTT smoothing (Jacobson/Karels constants).
 _RTT_ALPHA = 0.125
@@ -200,8 +201,8 @@ class TransportStats:
             restart, store eviction) or had no room to park the delta;
             each miss triggers an anti-entropy resync that re-delivers
             them full.
-        control_sent / control_received: membership control frames
-            (VIEW/JOIN/JOIN_ACK/LEAVE) crossing this link.
+        control_sent / control_received: control frames (membership's
+            VIEW/JOIN/JOIN_ACK/LEAVE, the overlay's PRUNE/GRAFT).
         relay_sent / relay_received: overlay RELAY envelopes crossing
             this link (fire-and-forget gossip pushes; anti-entropy is
             the loss backstop, so they are never retransmitted).
@@ -396,8 +397,8 @@ class ReliableSession:
         on_membership: upcall ``(frame, addr)`` for membership control
             frames (VIEW/JOIN/JOIN_ACK/LEAVE); without it they are
             counted and dropped.
-        on_relay: upcall ``(frame, addr)`` for overlay RELAY envelopes;
-            without it they are counted and dropped (a mesh-mode node
+        on_relay: upcall ``(frame, addr)`` for overlay RELAY and
+            PRUNE/GRAFT frames; without it they are counted and dropped (a mesh-mode node
             receiving strays from an overlay peer stays unaffected —
             anti-entropy still carries the messages).
         data_gate: optional admission predicate for the data plane.
@@ -737,10 +738,11 @@ class ReliableSession:
         self._transmit(destination, state, self._codec.encode(HeartbeatFrame(count=count)))
 
     def send_control(self, destination: Address, frame: Frame) -> None:
-        """Fire-and-forget a membership control frame (VIEW/JOIN/JOIN_ACK/
-        LEAVE).  Reliability is the membership layer's job: JOIN retries
-        with backoff, VIEW is periodically re-announced, a lost LEAVE is
-        backstopped by quarantine eviction."""
+        """Fire-and-forget a control frame (VIEW/JOIN/JOIN_ACK/LEAVE,
+        PRUNE/GRAFT).  Reliability is the owner's job: JOIN retries with
+        backoff, VIEW is periodically re-announced, a lost LEAVE is
+        backstopped by quarantine eviction, a lost PRUNE by the next
+        duplicate."""
         state = self._peer(destination)
         state.stats.control_sent += 1
         self._transmit(destination, state, self._codec.encode(frame))
@@ -926,6 +928,10 @@ class ReliableSession:
             state.stats.heartbeats_received += 1
         elif isinstance(frame, RelayFrame):
             state.stats.relay_received += 1
+            if self._on_relay is not None:
+                self._on_relay(frame, addr)
+        elif isinstance(frame, TreeFrame):
+            state.stats.control_received += 1
             if self._on_relay is not None:
                 self._on_relay(frame, addr)
         elif isinstance(frame, (ViewFrame, JoinFrame, JoinAckFrame, LeaveFrame)):

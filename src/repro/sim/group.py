@@ -18,7 +18,8 @@ what the tests and benchmarks script:
 * **judgement** — ``settle`` waits until every live node delivered
   every broadcast it was there for, ``order`` keeps each name's delivery
   order across incarnations, ``counts`` sums every work counter, and a
-  ``judged`` group classifies every delivery with a vector-clock oracle.
+  ``judged`` group classifies every delivery with a vector-clock oracle
+  and keeps its latency.
 
     async def scenario():
         group = await Group.start(4, NodeConfig(), 1, 0.05, GaussianDelayModel())
@@ -93,6 +94,8 @@ class Group:
         # for every name the group ever ran, across incarnations.
         self.order: Dict[str, List[Tuple[str, int]]] = {}
         self.sent = 0
+        # Broadcast → remote delivery, in loop seconds (judged groups).
+        self.latencies: List[float] = []
         # name -> broadcasts its join state transfer covered.
         self._covered: Dict[str, int] = {}
         self._cut: List[FaultyTransport] = []
@@ -181,7 +184,8 @@ class Group:
                     self.oracle.on_send(name, message_id, loop.time(),
                                         fanout=len(self.order) - 1)
             elif self.oracle is not None:
-                self.oracle.classify_delivery(name, message_id, loop.time())
+                verdict = self.oracle.classify_delivery(name, message_id, loop.time())
+                self.latencies.append(verdict.latency_ms)
             if on_delivery is not None:
                 on_delivery(record)
 

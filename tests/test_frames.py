@@ -1,4 +1,5 @@
-"""Wire tests for the reliability frames (DATA/ACK/NACK/DIGEST/HEARTBEAT)."""
+"""Wire tests for the reliability frames (DATA/ACK/NACK/DIGEST/HEARTBEAT),
+the membership frames and the overlay's eager-tree frame (PRUNE/GRAFT)."""
 
 import struct
 
@@ -20,6 +21,7 @@ from repro.core.codec import (
     MessageCodec,
     NackFrame,
     RelayFrame,
+    TreeFrame,
     ViewFrame,
 )
 from repro.core.protocol import Message
@@ -175,6 +177,7 @@ class TestTornBuffers:
                 reason="zoë is full",
             ),
             LeaveFrame(node_id="zoë"),
+            TreeFrame(origin="zoë"),
         ],
         ids=lambda frame: type(frame).__name__,
     )
@@ -282,3 +285,45 @@ class TestMembershipMalformed:
     def test_unencodable_address_rejected(self):
         with pytest.raises(CodecError):
             codec.encode(JoinFrame(node_id="n", address=object(), keys=()))
+
+
+# ----------------------------------------------------------------------
+# the eager-tree frame (PRUNE / GRAFT)
+# ----------------------------------------------------------------------
+
+
+class TestTreeFrame:
+    @pytest.mark.parametrize(
+        "frame",
+        [TreeFrame(origin="n7"), TreeFrame(origin="n7", graft=True), TreeFrame(graft=True),
+         TreeFrame()],
+        ids=["prune", "graft", "graft-every-origin", "prune-every-origin"],
+    )
+    def test_round_trip(self, frame):
+        assert codec.decode(codec.encode(frame)) == frame
+
+    @given(origin=st.text(max_size=40), graft=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_any_origin_round_trips(self, origin, graft):
+        frame = TreeFrame(origin=origin, graft=graft)
+        assert codec.decode(codec.encode(frame)) == frame
+
+    def test_layout(self):
+        """Magic, version, type 12, the graft byte, then the origin in
+        the RELAY's short-bytes form."""
+        assert codec.encode(TreeFrame(origin="ab", graft=True)) == (
+            b"PF" + bytes((3, 12, 1)) + struct.pack("<H", 2) + b"ab"
+        )
+
+    @pytest.mark.parametrize("cut", range(1, 6))
+    def test_truncated_body_rejected(self, cut):
+        data = codec.encode(TreeFrame(origin="n7"))
+        with pytest.raises(CodecError):
+            codec.decode(data[:-cut])
+
+    def test_unknown_flag_bits_rejected(self):
+        data = bytearray(codec.encode(TreeFrame(origin="n7", graft=True)))
+        for flags in (0x02, 0x81, 0xFF):
+            data[4] = flags
+            with pytest.raises(CodecError):
+                codec.decode(bytes(data))

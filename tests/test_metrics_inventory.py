@@ -156,6 +156,8 @@ def test_an_overlay_node_with_liveness_exports_the_relay_series():
             "repro_relay_duplicates_total",
             "repro_relay_first_intake_total",
             "repro_relay_forwarded_total",
+            "repro_relay_grafts_total",
+            "repro_relay_prunes_total",
             "repro_relay_pushes_total",
         },
         NODE_GAUGES | {
@@ -163,6 +165,11 @@ def test_an_overlay_node_with_liveness_exports_the_relay_series():
             "repro_overlay_sample_diversity",
             "repro_overlay_view_size",
             "repro_relay_duplicate_suppression_rate",
+            "repro_state_entries_overlay_answered_digests",
+            "repro_state_entries_overlay_links",
+            "repro_state_entries_overlay_prunes",
+            "repro_state_entries_overlay_recent_pushes",
+            "repro_state_entries_overlay_trees",
         },
         NODE_HISTOGRAMS | {"repro_relay_coverage_seconds", "repro_relay_hops"},
     )

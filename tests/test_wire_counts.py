@@ -27,14 +27,18 @@ twin is an open loop at that rate, after the benchmark's 100-broadcast
 closed-loop warm-up.
 
 ``paced_overlay`` is ``overlay16_paced``: sixteen relay-overlay nodes, a
-10-message burst, then 40 broadcasts per sender at 2/s.  Each delivery
-costs about 3.1 RELAY copies.  When every copy carried the full R = 128
-vector and a view sample, the paced phase read 809.2 B, 3.256 datagrams,
-920 digests, 420 repairs and 0 reference misses.
+10-message burst, then 40 broadcasts per sender at 2/s.  The burst
+builds the per-origin eager trees (its duplicates prune them), so each
+paced delivery costs about one RELAY copy; fanout-3 infect-and-die
+gossip sent 3.1.  When every copy carried the full R = 128 vector and a
+view sample, the paced phase read 809.2 B, 3.256 datagrams, 920
+digests, 420 repairs and 0 reference misses.
 
 Every count is exact for its seed (``tests/test_virtual_time.py`` holds
 that); a failure message carries the counts.
 """
+
+import numpy as np
 
 from repro.api import NodeConfig
 from repro.sim.group import Group
@@ -61,15 +65,21 @@ def counts(group) -> dict:
 
 async def paced_phase(group, burst: int, count: int, rate: float) -> dict:
     """A closed-loop burst, then ``count`` broadcasts per node at
-    ``rate``; returns the counts of the paced phase."""
+    ``rate``; returns the counts of the paced phase and its broadcast →
+    remote delivery latency (``latency_ms``: p50, p90, p99 and max)."""
     async with group:
         await group.burst(burst)
         await group.settle()
-        before = counts(group)
+        before, mark = counts(group), len(group.latencies)
         await group.paced(count, rate=rate)
         await group.settle()
         after = counts(group)
-    return {name: after[name] - before[name] for name in after}
+    paced = {name: after[name] - before[name] for name in after}
+    latencies = 1000.0 * np.array(group.latencies[mark:])
+    paced["latency_ms"] = tuple(
+        round(float(value), 1) for value in np.percentile(latencies, [50, 90, 99, 100])
+    )
+    return paced
 
 
 async def paced_mesh(seed: int) -> dict:
@@ -163,21 +173,26 @@ def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
 
 
 def test_relay_envelopes_carry_the_origins_delta_on_a_paced_overlay():
-    """Parent → this tree: 4,521,557 → 4,523,459 B (471.0 → 471.2 B
-    per delivery), datagrams 31,260 → 31,286, digests 921 → 904, repairs
-    395 → 339, relay copies 29,724 → 29,772.  Rebuilds 9,284 → 336: of
-    the 339 repairs, the other 3 served a body held full."""
+    """Fanout-3 infect-and-die gossip → per-origin eager trees:
+    4,523,459 → 1,513,698 B (471.2 → 157.7 B per delivery), datagrams
+    31,286 → 10,683, frames 31,323 → 10,712, digests 904 → 646, repairs
+    339 → 0, relay copies 29,772 → 9,833 (3.10 → 1.02 per delivery),
+    rebuilds 336 → 0.  Latency p50 / p90 / p99 / max 2.4 / 4.8 / 77.2 /
+    267.0 → 2.4 / 3.6 / 3.6 / 3.6 ms: the tail was the deliveries the
+    gossip wave missed, which waited for a gap pull."""
     paced = run_virtual(paced_overlay(seed=1))
     deliveries = paced["deliveries"]
     assert deliveries == 16 * 15 * 40
     assert_one_delta_per_broadcast(paced)
     assert paced["deltas"] == paced["relays"], paced
-    assert paced["bytes"] <= 600 * deliveries, paced
+    assert paced["bytes"] <= 260 * deliveries, paced
     assert paced["datagrams"] <= 3.5 * deliveries, paced
-    # Exact for the seed: 471.2 B, 3.259 datagrams, 3.263 frames, 0.094
-    # digests and 0.035 repairs per delivery, 3.10 relay copies, and
-    # 0.035 full-form rebuilds per delivery.
+    assert paced["relays"] <= 1.3 * deliveries, paced
+    _, p90, p99, _ = paced["latency_ms"]
+    assert p90 <= 5.0 and p99 <= 77.0, paced
+    # Exact for the seed: 157.7 B, 1.113 datagrams, 1.116 frames and
+    # 0.067 digests per delivery, 1.02 relay copies, no repair.
     assert (
         paced["bytes"], paced["datagrams"], paced["frames"], paced["digests"],
-        paced["repairs_sent"], paced["relays"], paced["rebuilds"],
-    ) == (4523459, 31286, 31323, 904, 339, 29772, 336), paced
+        paced["repairs_sent"], paced["relays"], paced["rebuilds"], paced["latency_ms"],
+    ) == (1513698, 10683, 10712, 646, 0, 9833, 0, (2.4, 3.6, 3.6, 3.6)), paced
