@@ -92,7 +92,7 @@ async def scenario(anti_entropy_interval: float) -> dict:
             "cut": sum(transport.window_dropped for transport in transports),
             "given_up": sum(stats.drops for stats in wire),
             "retransmits": sum(stats.retransmits for stats in wire),
-            "repairs": sum(node.repair_stats.repairs_sent for node in nodes),
+            "repairs": sum(node.repair.stats.repairs_sent for node in nodes),
         }
     finally:
         await asyncio.gather(*(node.close() for node in nodes))

@@ -39,9 +39,10 @@ from repro.net.faults import FaultWindow, FaultyTransport
 from repro.net.journal import LinkState, NodeJournal, RecoveredState
 from repro.net.liveness import LivenessPolicy, PeerLivenessMonitor
 from repro.net.membership import GroupMembership, GroupView, MembershipConfig
-from repro.net.node import MessageStore, ReliableCausalNode, StoreStats
+from repro.net.node import ReliableCausalNode
 from repro.net.overlay import OverlayStats, PartialView
 from repro.net.peer import Transport
+from repro.net.repair import MessageStore, StoreStats
 from repro.net.session import ReliableSession, RetransmitPolicy, TransportStats
 from repro.net.udp import BatchedUdpTransport, IoStats, UdpTransport
 

@@ -543,9 +543,7 @@ class GroupMembership:
         node = self._node
         if node.overlay is None:
             return
-        for address in node.overlay.push_targets(
-            exclude=exclude, live_filter=node._overlay_live
-        ):
+        for address in node.overlay.push_targets(exclude=exclude, live_filter=node._live):
             node.session.send_control(address, frame)
 
     def _on_join(self, frame: JoinFrame, addr: Address) -> None:
@@ -706,7 +704,7 @@ class GroupMembership:
         wave's, not the coordinator's fanout."""
         node = self._node
         if node.overlay is not None and len(node.overlay) > 0:
-            return node.overlay.digest_targets(live_filter=node._overlay_live)
+            return node._live_targets()
         if self._view is None:
             return []
         return [

@@ -7,8 +7,9 @@ ROADMAP's "runnable networked system" needs.  It stacks, bottom-up:
   fault-injecting wrapper),
 * a :class:`~repro.net.session.ReliableSession` (acks, NACK-driven
   retransmission, backoff, backpressure),
-* a :class:`MessageStore` keeping recently seen messages by their causal
-  ``(sender, seq)`` id and answering anti-entropy digests,
+* a :class:`~repro.net.repair.Repair` — the message store, digests,
+  anti-entropy rounds and the gap pull: everything that fetches a
+  message that never arrived,
 * the :class:`~repro.core.protocol.CausalBroadcastEndpoint` (Algorithms
   1–2 + detector) and the binary :class:`~repro.core.codec.MessageCodec`.
 
@@ -33,18 +34,7 @@ an immediate anti-entropy exchange, which re-delivers it full
 (PROTOCOL.md §8.3).
 
 Retransmission handles the common case (a datagram lost on one link);
-the periodic anti-entropy exchange handles the rest: every round each
-node digests its per-sender frontiers to **one** partner — the next in
-a shuffled rotation of its live peers (mesh) or view members (overlay) —
-and a peer that holds messages outside that digest pushes them back
-over the reliable session.  One partner per round prices repair by
-damage, not by time × peers: a gap is answered once, not by everyone
-who holds it.  Because every stored message is relayed on request,
-anti-entropy also heals *transitive* gaps — a message from A can reach
-C via B even if the A→C link dropped every copy.  Relay pushes are
-fire-and-forget and have no NACK; their gap request is a digest to the
-pusher, sent when a pushed message is still undelivered a short grace
-after it arrived (``_GAP_PULL_GRACE``).
+:mod:`repro.net.repair` handles the rest.
 
 Construct nodes with :func:`repro.api.create_node` rather than by hand.
 """
@@ -53,13 +43,10 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import random
 import time
-import zlib
-from collections import OrderedDict, deque
-from itertools import takewhile
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Deque, Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
+from collections import OrderedDict
+from dataclasses import replace
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -67,295 +54,23 @@ from repro.core.clocks import EntryVectorClock, Timestamp
 from repro.core.codec import CodecCounters, MessageCodec, RelayFrame, TreeFrame
 from repro.core.detector import DeliveryErrorDetector
 from repro.core.errors import ConfigurationError
-from repro.core.pending import SeenFilter
 from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord, Message
 from repro.net.journal import NodeJournal, RecoveredState
 from repro.net.liveness import LivenessPolicy, PeerLivenessMonitor
-from repro.net.overlay import _GAP_PULL_GRACE, PartialView
+from repro.net.overlay import PartialView
 from repro.net.peer import Transport
+from repro.net.repair import Frontiers, MessageStore, Repair
 from repro.net.session import ReliableSession, RetransmitPolicy, TransportStats
 from repro.obs import JsonlExporter, MetricsHttpServer, MetricsRegistry, TraceRing
 
-__all__ = [
-    "StoreStats",
-    "RepairStats",
-    "MessageStore",
-    "ReliableCausalNode",
-]
+__all__ = ["ReliableCausalNode"]
 
 logger = logging.getLogger(__name__)
 
 Address = Hashable
 DeliveryHandler = Callable[[DeliveryRecord], None]
-Frontiers = Dict[str, Tuple[int, Tuple[int, ...]]]
 
 
-@dataclass
-class StoreStats:
-    """Operational counters of one :class:`MessageStore`."""
-
-    evictions: int = 0
-    unservable_requests: int = 0
-
-
-@dataclass
-class RepairStats:
-    """What anti-entropy cost one node and what it bought.
-
-    Attributes:
-        repairs_sent: stored messages pushed in answer to digests.
-        repair_duplicates: messages off a reliable link the endpoint had
-            already seen — a repair (or a journal-restart replay) that
-            bought nothing.  Fleet-wide, ``repairs_sent /
-            (repairs_sent - repair_duplicates)`` is repairs sent per
-            repair needed.
-        gap_pulls_armed: grace timers started for a relay push that
-            arrived ahead of its causal past.
-        gap_pulls: timers that found the message still undelivered and
-            sent a digest — to the pusher, or on a retry (a grace later,
-            the gap still open) to the next partner.
-        gap_pulls_unneeded: of those, the ones whose message a later
-            relay push released first (the grace was too short for the
-            path, not a loss).
-        resync_fallbacks: out-of-band digests re-aimed at the round's
-            partner because the intended address could not be digested
-            (not a peer or view member, quarantined, evicted).
-    """
-
-    repairs_sent: int = 0
-    repair_duplicates: int = 0
-    gap_pulls_armed: int = 0
-    gap_pulls: int = 0
-    gap_pulls_unneeded: int = 0
-    resync_fallbacks: int = 0
-
-
-class MessageStore:
-    """Bounded store of encoded messages keyed by causal ``(sender, seq)``.
-
-    It keeps bytes only: what was ever recorded is the endpoint's
-    :class:`~repro.core.pending.SeenFilter` (``coverage``, read, never
-    written) — per sender, the *contiguous frontier* plus any
-    out-of-order extras, exactly the shape of the anti-entropy digest.
-    Old message *bytes* are evicted FIFO beyond ``_STORE_LIMIT`` (the
-    coverage stays, so digests remain truthful; evicted messages simply
-    can no longer be served).
-
-    Each body is kept as it arrived — a delta when (o, s − 1) is held,
-    else the full form — under one int packing (seq, sender slot); a
-    delta's full form is built (counted by ``codec``) only to serve it.
-
-    **Sizing tradeoff**: the limit bounds memory, but an evicted message
-    is silently unservable to anti-entropy — a peer that missed it and
-    lost every retransmission can then only be healed by a *third* node
-    that still holds the bytes.  :attr:`stats` counts evictions and
-    digest requests that hit the evicted range, and the first such
-    unservable request is logged as a warning.
-    """
-
-    def __init__(self, coverage: SeenFilter, codec: Optional[MessageCodec] = None) -> None:
-        # Bodies and their keys in admission order; each sender's slot;
-        # per sender, the newest timestamp add() had or the last walked
-        # to; evicted key -> (vector, keys) while a held delta names it.
-        self._data: Dict[int, bytes] = {}
-        self._order: Deque[int] = deque()
-        self._slots: Dict[str, int] = {}
-        self._known: Dict[str, _Reference] = {}
-        self._floors: Dict[int, Tuple[np.ndarray, Tuple[int, ...]]] = {}
-        self._coverage = coverage
-        self._codec = codec if codec is not None else MessageCodec()
-        self._evicted_high: Dict[int, int] = {}  # by slot
-        self._warned_unservable = False
-        self.stats = StoreStats()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def _key(self, sender: str, seq: int, new: bool = False) -> int:
-        """The int ``(sender, seq)`` is stored under (-1: a sender never
-        stored, unless ``new`` gives it a slot)."""
-        if new:
-            self._slots.setdefault(sender, len(self._slots))
-        return seq << 32 | self._slots.get(sender, -1)
-
-    def add(self, sender: str, seq: int, data: bytes, timestamp: Optional[Timestamp] = None) -> None:
-        """Hold one message, once (the endpoint rejects duplicates); a
-        delta whose (sender, seq − 1) is gone is held full, from ``timestamp``."""
-        key = self._key(sender, seq, new=True)
-        if MessageCodec.is_delta(data) and key - _SEQ not in self._data:
-            data = self._codec.full_from_delta(data, timestamp.vector, timestamp.sender_keys)
-        self._data[key] = data
-        self._order.append(key)
-        known = self._known.get(sender, (-1, None, ()))
-        if MessageCodec.is_delta(data) and seq > known[0]:
-            self._known[sender] = (seq, timestamp.vector, timestamp.sender_keys)
-        elif known[0] == seq - 1:
-            # A full body cut the sender's run: keep the tip below it
-            # for late deltas (and copies) that still name the tip.
-            self._floors[key - _SEQ] = (np.array(known[1], dtype=np.int64), known[2])
-        while len(self._data) > _STORE_LIMIT:
-            key = self._order.popleft()
-            body = self._data.pop(key)
-            self.stats.evictions += 1
-            if key >> 32 > self._evicted_high.get(key & _SLOT, 0):
-                self._evicted_high[key & _SLOT] = key >> 32
-            # A floor for a held delta naming it: a vector add, no encode.
-            floor = self._floors.pop(key - _SEQ, None)
-            if MessageCodec.is_delta(self._data.get(key + _SEQ, b"")):
-                if MessageCodec.is_delta(body):
-                    MessageCodec.apply_delta(body, floor[0])
-                else:
-                    floor = MessageCodec.timestamp_of(body)
-                self._floors[key] = floor
-
-    def get(self, sender: str, seq: int) -> Optional[bytes]:
-        """The full encoding, or None if unknown or evicted."""
-        body = self._data.get(self._key(sender, seq))
-        if body is None or not MessageCodec.is_delta(body):
-            return body
-        return self._codec.full_from_delta(body, *self.reference(sender, seq)[1:])
-
-    def reference(self, sender: str, seq: int) -> Optional[_Reference]:
-        """``(seq, vector, keys)`` of a held message, or None; no payload
-        is decoded.  Every held delta names its predecessor, so the
-        vector is walked to: down from the sender's last known timestamp,
-        taking each delta back off, when only deltas lie between; else
-        up from the known timestamp, a full body or a floor below it,
-        adding each.  The result is where the next walk starts."""
-        key = self._key(sender, seq)
-        if key not in self._data:
-            return None
-        known = self._known.get(sender, (-1, None, ()))
-        above = range(key + (known[0] - seq) * _SEQ, key, -_SEQ) if known[0] >= seq else ()
-        steps = list(takewhile(MessageCodec.is_delta, (self._data.get(at, b"") for at in above)))
-        if known[0] >= seq and len(steps) == len(above):
-            base, sign = known[1:], -1
-        else:
-            steps, cursor, sign = [], key, 1
-            while (
-                cursor >> 32 != known[0] and cursor not in self._floors
-                and MessageCodec.is_delta(body := self._data.get(cursor, b""))
-            ):
-                steps.append(body)
-                cursor -= _SEQ
-            steps.reverse()
-            if cursor >> 32 == known[0]:
-                base = known[1:]
-            else:
-                base = self._floors.get(cursor) or MessageCodec.timestamp_of(body)
-        vector = np.array(base[0], dtype=np.int64)
-        for body in steps:
-            MessageCodec.apply_delta(body, vector, sign)
-        self._known[sender] = (seq, vector, base[1])
-        return self._known[sender]
-
-    def frontiers(self) -> Frontiers:
-        """Per-sender ``(contiguous, extras)`` of the coverage."""
-        return self._coverage.frontiers()
-
-    def missing_for(self, remote: Frontiers) -> Iterator[bytes]:
-        """Full encodings of the stored messages the remote digest does
-        not cover (oldest first, at most ``_REPAIRS_PER_DIGEST``).
-
-        Also detects (heuristically, via the per-sender evicted high-water
-        mark) a request reaching into the evicted range: counted in
-        :attr:`stats` and warned about once, because such gaps can only
-        be healed by another node.
-        """
-        for sender, slot in self._slots.items():
-            high = self._evicted_high.get(slot, 0)
-            if remote.get(sender, (0, ()))[0] < high:
-                self.stats.unservable_requests += 1
-                if not self._warned_unservable:
-                    self._warned_unservable = True
-                    logger.warning(
-                        "anti-entropy request reaches into evicted messages "
-                        "(sender %r up to seq %d); this node cannot serve them "
-                        "— only a node that still holds them can",
-                        sender, high,
-                    )
-                break
-        # The senders whose contiguous frontier in the digest stops short
-        # of what is recorded here.  Usually none (an up-to-date partner
-        # is owed nothing, decided in O(senders) with no store scan) or
-        # one or two, and the scan skips everyone else's messages.
-        behind = {
-            self._slots[sender]: sender
-            for sender, (contiguous, extras) in self._coverage.frontiers().items()
-            if sender in self._slots
-            and remote.get(sender, (0, ()))[0] < max((contiguous, *extras))
-        }
-        if not behind:
-            return
-        served = 0
-        for key in self._order:
-            if key & _SLOT not in behind:
-                continue
-            if served >= _REPAIRS_PER_DIGEST:
-                return
-            sender, seq = behind[key & _SLOT], key >> 32
-            contiguous, extras = remote.get(sender, (0, ()))
-            if seq <= contiguous or seq in extras:
-                continue
-            served += 1
-            yield self.get(sender, seq)
-
-    def mark_evicted(self, frontiers: Frontiers) -> None:
-        """Mark adopted coverage (journal recovery, a join state
-        transfer) as evicted: the node knows these ids, but their bytes
-        stayed behind — peers keep the copies."""
-        for sender, (contiguous, extras) in frontiers.items():
-            high = max((contiguous, *extras))
-            if high > 0:
-                self._evicted_high[self._slots.setdefault(sender, len(self._slots))] = high
-
-    def restore_message(self, sender: str, seq: int, data: bytes) -> None:
-        """Re-stock the full encoding of an id the adopted coverage
-        holds (own WAL-journalled broadcasts), making it servable.  The
-        evicted mark falls below the re-stocked top of the range."""
-        key = self._key(sender, seq, new=True)
-        if key in self._data:
-            return
-        if (sender, seq) not in self._coverage:
-            raise ConfigurationError(
-                f"restore_message() is for recovered ids; {(sender, seq)} is unknown"
-            )
-        self._data[key] = data
-        self._order.append(key)
-        high = self._evicted_high.get(key & _SLOT, 0)
-        while self._key(sender, high) in self._data:
-            high -= 1
-        if high:
-            self._evicted_high[key & _SLOT] = high
-        else:
-            self._evicted_high.pop(key & _SLOT, None)
-
-    def purge_sender(self, sender: str) -> int:
-        """Drop one sender's bytes (view eviction); returns how many.
-
-        An evicted peer stops occupying store budget.  Its coverage
-        stays in the endpoint's filter — the node's digest leaves out
-        senders outside the view.  Peers that still hold the departed
-        sender's messages may push a few back until their own views
-        catch up; the node drops them at intake.
-        """
-        slot = self._slots.get(sender)
-        dropped = 0
-        for key in [key for key in self._data if key & _SLOT == slot]:
-            del self._data[key]
-            dropped += 1
-        if dropped:
-            self._order = deque(key for key in self._order if key & _SLOT != slot)
-        for key in [key for key in self._floors if key & _SLOT == slot]:
-            del self._floors[key]
-        self._known.pop(sender, None)
-        self._evicted_high.pop(slot, None)
-        return dropped
-
-
-# A stored key is seq << 32 | the sender's slot.
-_SEQ = 1 << 32
-_SLOT = _SEQ - 1
 # Relay envelopes above this hop count are delivered but not forwarded:
 # a backstop against pathological views (a healthy wave needs about
 # log_fanout(N) hops, so 32 covers any plausible swarm many times over).
@@ -366,15 +81,6 @@ _MAX_HOPS = 32
 # resync instead.  Half the store: a 600-broadcast burst from each of
 # three peers, every one overtaking its reference, still fits.
 _PARK_LIMIT = 4096
-# Encoded messages a node keeps to answer digests, evicted FIFO beyond
-# it: about four seconds of the 4-node loopback closed loop (4 × ~500
-# broadcasts/s); an older gap heals only from a third node.
-_STORE_LIMIT = 8192
-# Stored messages one digest is answered with; a partner further behind
-# gets the rest on its next digest, so one answer cannot flood a link.
-_REPAIRS_PER_DIGEST = 256
-# Minimum spacing of out-of-band digests to one address (seconds).
-_RESYNC_INTERVAL = 0.05
 # Eviction records (and the warn-once marks that hang off them) kept
 # before the oldest ages out.
 _EVICTION_WINDOW = 256
@@ -388,10 +94,6 @@ def _delta_miss_ratio(misses: int, decoded: int) -> float:
     """Share of arriving deltas that named an unknown reference."""
     arrived = misses + decoded
     return misses / arrived if arrived else 0.0
-
-
-# A message a delta may name: (message seq, vector, sender keys).
-_Reference = Tuple[int, np.ndarray, Tuple[int, ...]]
 
 
 class ReliableCausalNode:
@@ -493,38 +195,17 @@ class ReliableCausalNode:
         self._on_delivery = on_delivery
         self._peers: List[Address] = []
         self._decode_errors = 0
-        self._anti_entropy_interval = anti_entropy_interval
-        # Digest rounds are spread uniformly over [0.5, 1.5) x interval
-        # (mean preserved): a swarm of nodes started together must not
-        # fire synchronized digest storms every interval forever.
-        self._anti_entropy_rng = random.Random(
-            zlib.crc32(str(node_id).encode("utf-8")) ^ 0x5EED
-        )
-        self._anti_entropy_task: Optional[asyncio.Task] = None
-        # The digest partners in visiting order; the head is next.
-        self._partner_rotation: List[Address] = []
-        self.repair_stats = RepairStats()
-        # The one armed grace timer, and the message the last pull it
-        # sent is waiting on (None once that message was delivered).
-        self._gap_pull_timer: Optional[asyncio.TimerHandle] = None
-        self._gap_pull_open: Optional[Tuple[str, int]] = None
         self._liveness_task: Optional[asyncio.Task] = None
-        self._heal_tasks: Set[asyncio.Task] = set()
         self._heartbeat_count = 0
         self._heartbeats_suppressed = 0
         self._wire_delta = wire_delta
         # Delta wire state.  Sending: this node's previous broadcast, as
         # (seq, vector) — the one reference for every link and relay
-        # hop.  Receiving: per sender, its newest admitted message (what
-        # its next delta names; the slot spares the hot path a decode
-        # and outlives the store's eviction for a quiet sender), with
-        # the store behind it; and the deltas that outran their
-        # reference, parked by the (sender, seq) of that reference as
-        # (data, address) until it is admitted.
+        # hop.  Receiving: the store's per-sender references, and the
+        # deltas that outran their reference, parked by the (sender,
+        # seq) of that reference as (data, address) until it is admitted.
         self._previous: Optional[Tuple[int, np.ndarray]] = None
-        self._ref_newest: Dict[str, _Reference] = {}
         self._parked: Dict[Tuple[str, int], Tuple[bytes, Address]] = {}
-        self._resync_last: Dict[Address, float] = {}
         self._delta_miss_warned: Set[Address] = set()
         # An own broadcast's encoding, handed from the WAL write inside
         # the delivery upcall to broadcast() (one encode, not two).
@@ -593,7 +274,7 @@ class ReliableCausalNode:
             max_pending=max_pending,
         )
         self.endpoint.bind_metrics(self.metrics, self.trace)
-        self.store = MessageStore(self.endpoint.seen, self._codec)
+        self.repair = Repair(self, anti_entropy_interval)
         if self.recovered is not None:
             self.adopt_coverage(self.recovered.delivered)
             for seq, data in self.recovered.own_messages.items():
@@ -685,7 +366,7 @@ class ReliableCausalNode:
                 "repro_stale_frames_total": self._stale_frames,
             }
             for name, attr in repair_series:
-                values[name] = getattr(self.repair_stats, attr)
+                values[name] = getattr(self.repair.stats, attr)
             if self.overlay is not None:
                 # Share of remote deliveries the relay wave itself
                 # brought (the rest waited for anti-entropy).
@@ -729,9 +410,8 @@ class ReliableCausalNode:
         """Start the retransmit timer, anti-entropy, liveness, and
         metrics-export loops (and the Prometheus endpoint, if any)."""
         self.session.start()
+        self.repair.start()
         loop = asyncio.get_running_loop()
-        if self._anti_entropy_interval > 0 and self._anti_entropy_task is None:
-            self._anti_entropy_task = loop.create_task(self._anti_entropy_loop())
         if self.liveness is not None and self._liveness_task is None:
             self._liveness_task = loop.create_task(self._liveness_loop())
         if self._metrics_path is not None and self._exporter is None:
@@ -760,19 +440,12 @@ class ReliableCausalNode:
             self.membership.stop()
         if self.adaptive is not None:
             await self.adaptive.stop()
-        for task in (self._anti_entropy_task, self._liveness_task,
-                     self._export_task):
+        self.repair.close()
+        for task in (self._liveness_task, self._export_task):
             if task is not None:
                 task.cancel()
-        self._anti_entropy_task = None
         self._liveness_task = None
         self._export_task = None
-        for task in list(self._heal_tasks):
-            task.cancel()
-        self._heal_tasks.clear()
-        if self._gap_pull_timer is not None:
-            self._gap_pull_timer.cancel()
-            self._gap_pull_timer = None
         if self.metrics_server is not None:
             await self.metrics_server.close()
             self.metrics_server = None
@@ -835,7 +508,7 @@ class ReliableCausalNode:
         """Expel a peer from this node's runtime state (view eviction).
 
         On top of :meth:`remove_peer`, purges the departed sender's
-        stored bytes, its reference slot and its parked deltas
+        stored bytes and reference, its tree and its parked deltas
         (``sender_id``, when known) and marks the address so late
         frames from it are dropped with a log-once warning instead of
         silently re-creating per-peer session state.
@@ -844,7 +517,7 @@ class ReliableCausalNode:
         endpoint's seen filter.  It costs O(1) per sender, and dropping
         it would re-deliver that sender's messages if a peer relays
         them later — correctness over a few bytes.  The digest leaves
-        out senders outside the view instead (:meth:`_digest`).
+        out senders outside the view instead (:meth:`Repair.digest`).
         """
         self.remove_peer(address)
         if sender_id is not None:
@@ -852,7 +525,6 @@ class ReliableCausalNode:
             self.store.purge_sender(sender)
             if self.overlay is not None:
                 self.overlay.trees.pop(sender, None)
-            self._ref_newest.pop(sender, None)
             for key in [key for key in self._parked if key[0] == sender]:
                 del self._parked[key]
         self._evicted_peers[address] = str(sender_id) if sender_id is not None else ""
@@ -919,6 +591,11 @@ class ReliableCausalNode:
     def node_id(self) -> Hashable:
         """This node's identity."""
         return self._node_id
+
+    @property
+    def store(self) -> MessageStore:
+        """The repair path's message store (:attr:`Repair.store`)."""
+        return self.repair.store
 
     @property
     def transport(self) -> Transport:
@@ -1007,7 +684,7 @@ class ReliableCausalNode:
         # Mesh mode: the body is packed once and shared across every
         # per-peer DATA frame — only the link-seq header differs.
         body = self.session.data_body(wire)
-        peers = self._live_peers()
+        peers = self._live_targets()
         for address in peers:
             self._tally_sent(address, wire)
         await asyncio.gather(
@@ -1031,27 +708,24 @@ class ReliableCausalNode:
         full = full or self._codec.encode(message)
         return delta if delta is not None and len(delta) < len(full) else full
 
-    def _live_peers(self) -> List[Address]:
-        if self.liveness is None:
-            return list(self._peers)
-        return [
-            address
-            for address in self._peers
-            if not self.liveness.is_quarantined(address)
-        ]
+    def _live(self, address: Address) -> bool:
+        """Whether anything may be sent to ``address`` on this node's
+        own account: neither evicted nor quarantined (a quarantined
+        peer's copy arrives via anti-entropy on its return)."""
+        return address not in self._evicted_peers and not (
+            self.liveness is not None and self.liveness.is_quarantined(address)
+        )
+
+    def _live_targets(self) -> List[Address]:
+        """The live peers (mesh) or the live view (overlay): where mesh
+        broadcasts, digest rounds and overlay announcements go."""
+        if self.overlay is not None:
+            return self.overlay.digest_targets(live_filter=self._live)
+        return [address for address in self._peers if self._live(address)]
 
     # ------------------------------------------------------------------
     # overlay dissemination (PROTOCOL.md §10)
     # ------------------------------------------------------------------
-
-    def _overlay_live(self, address: Address) -> bool:
-        """Push-target filter: never relay at evicted or quarantined
-        addresses (their copy arrives via anti-entropy on return)."""
-        if address in self._evicted_peers:
-            return False
-        if self.liveness is not None and self.liveness.is_quarantined(address):
-            return False
-        return True
 
     def _relay_push(
         self,
@@ -1069,8 +743,8 @@ class ReliableCausalNode:
         sample only if it wins the view's merge coin.
         """
         overlay = self.overlay
-        overlay.note_push(self._now(), origin, seq)
-        targets = overlay.eager_targets(origin, exclude, live_filter=self._overlay_live)
+        self.repair.note_push(origin, seq)
+        targets = overlay.eager_targets(origin, exclude, live_filter=self._live)
         if not targets:
             return 0
         carriers, bare = [], []
@@ -1119,10 +793,7 @@ class ReliableCausalNode:
         self._tally_received(addr, frame.payload)
         overlay.stats.relay_first_intake += 1
         overlay.first_copy(frame.origin, addr)
-        if not delivered:
-            self._arm_gap_pull(message_id, addr)
-        elif self._gap_pull_open is not None:
-            self._close_gap_pull(by_relay=True)
+        self.repair.relay_admitted(message_id, addr, delivered)
         self._relay_hops_histogram.observe(float(frame.hops))
         if frame.sent_at > 0.0:
             latency = self._now() - frame.sent_at
@@ -1168,20 +839,16 @@ class ReliableCausalNode:
             if self.endpoint.stats.duplicates != duplicates:
                 # A link delivers each frame once, so a message seen
                 # before came by another route: a repair nobody needed.
-                self.repair_stats.repair_duplicates += 1
+                self.repair.stats.repair_duplicates += 1
                 return
             overlay = self.overlay
             if overlay is not None:
                 # A repair brought what the trees missed: graft the
-                # repairer, both ways, for every origin, and pass it on.
+                # repairer, both ways, for every origin.
                 overlay.edit_tree("", addr, graft=True)
                 overlay.stats.grafts_sent += 1
                 self.session.send_control(addr, TreeFrame(graft=True))
-                for asker in overlay.pass_on(*MessageCodec.message_id(data), addr, self._now()):
-                    self.repair_stats.repairs_sent += 1
-                    self.session.push(asker, data)
-            if self._gap_pull_open is not None:
-                self._close_gap_pull(by_relay=False)
+            self.repair.data_admitted(data, addr)
 
     def _admit(
         self,
@@ -1219,7 +886,7 @@ class ReliableCausalNode:
         """:meth:`_admit` for one message; appends to ``released`` the
         parked delta this admission made decodable."""
         codec = self._codec
-        reference: Optional[_Reference] = None
+        reference = None
         if MessageCodec.is_delta(data):
             try:
                 header = codec.delta_header(data)
@@ -1227,8 +894,8 @@ class ReliableCausalNode:
                 self._note_decode_error(addr)
                 return None
             origin, seq, ref_seq, _ = header
-            # The newest admitted message (the hot path), else a held one.
-            reference = self._ref_newest.get(origin)
+            # The newest recorded (the hot path), else a held one.
+            reference = self.store.references.get(origin)
             if reference is None or reference[0] != ref_seq:
                 reference = self.store.reference(origin, ref_seq)
             if reference is None or ref_seq != seq - 1:
@@ -1256,12 +923,11 @@ class ReliableCausalNode:
         if not self._sender_in_view(sender):
             self._note_stale_sender(sender)
             return None
-        newest = self._ref_newest.get(sender)
-        if newest is None or message.seq > newest[0]:
-            self._ref_newest[sender] = (
-                message.seq, message.timestamp.vector, message.timestamp.sender_keys
-            )
-        if not self.endpoint.has_seen((sender, message.seq)):
+        if self.endpoint.has_seen((sender, message.seq)):
+            # Still what the sender's next delta may name (a copy after
+            # a restart, whose coverage came without the bytes).
+            self.store.note(sender, message.seq, message.timestamp)
+        else:
             if reference is None:
                 # Bytes of full encodings the store takes from the wire.
                 # Keep the name: benchmarks/e2e reads it as
@@ -1350,7 +1016,7 @@ class ReliableCausalNode:
             "delta_ref_miss", ts=self._now(),
             peer=str(addr), sender=sender, ref_seq=ref_seq,
         )
-        self._request_resync(addr)
+        self.repair.request(addr)
         arrived = stats.delta_ref_misses + stats.delta_received
         if arrived < _DELTA_MISS_WARN_AFTER or addr in self._delta_miss_warned:
             return
@@ -1368,149 +1034,9 @@ class ReliableCausalNode:
         self._decode_errors += 1
         self.trace.emit("decode_error", ts=self._now(), peer=str(addr))
 
-    def _request_resync(self, addr: Address) -> bool:
-        """Rate-limited out-of-band digest to ``addr`` — after a
-        reference miss, or for a relay gap the grace did not close (one
-        per address per ``_RESYNC_INTERVAL``, however many ask); True
-        when one was sent.
-
-        An address that cannot be digested — a relay pusher the bounded
-        view does not hold, a quarantined or evicted one — is replaced
-        by the round's next partner: the gap is real whoever reported
-        it.  Only an address a digest goes to gets a mark, and marks
-        expire with the interval they enforce.
-        """
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            return False
-        if not self._digestible(addr):
-            addr = self._next_partner()
-            if addr is None:
-                return False
-            self.repair_stats.resync_fallbacks += 1
-        now = loop.time()
-        marks = self._resync_last
-        if now - marks.get(addr, -1e18) < _RESYNC_INTERVAL:
-            return False
-        for stale in [a for a, at in marks.items() if now - at >= _RESYNC_INTERVAL]:
-            del marks[stale]
-        marks[addr] = now
-        self._spawn_heal(addr)
-        return True
-
-    def _arm_gap_pull(
-        self, message_id: Tuple[str, int], pusher: Address, tries: int = 0
-    ) -> None:
-        """A relay push arrived ahead of its causal past (pended, or
-        parked behind its reference).  Usually the rest is in flight on
-        a longer path; if ``message_id`` is still undelivered after the
-        grace, ask ``pusher`` — it forwarded the message on first
-        intake, so it most likely holds what came before it too.  At
-        most one timer per node: one digest names every gap this node
-        has.  ``tries``: pulls this arming has already sent."""
-        if self._gap_pull_timer is not None:
-            return
-        rtt = self.session.stats_for(pusher).rtt
-        grace = _GAP_PULL_GRACE if rtt is None else max(_GAP_PULL_GRACE, 2.0 * rtt)
-        if not tries:
-            self.repair_stats.gap_pulls_armed += 1
-        self._gap_pull_timer = asyncio.get_running_loop().call_later(
-            grace, self._gap_pull, message_id, pusher, tries
-        )
-
-    def _gap_pull(self, message_id: Tuple[str, int], pusher: Address, tries: int) -> None:
-        self._gap_pull_timer = None
-        if self._is_delivered(message_id):
-            # The wave closed this gap.  A push that arrived ahead of its
-            # past while the timer ran armed nothing (one timer per
-            # node): give the oldest message still waiting a grace of
-            # its own, or its gap waits for the next anti-entropy round.
-            if self.endpoint.pending_count:
-                self._arm_gap_pull(self.endpoint.pending_messages()[0].message_id, pusher)
-            elif self._parked:
-                (sender, ref_seq), (_, parked_by) = next(iter(self._parked.items()))
-                self._arm_gap_pull((sender, ref_seq + 1), parked_by)
-            return
-        waiting = self._is_parked(message_id) or self.endpoint.has_seen(message_id)
-        if not waiting or not self._sender_in_view(message_id[0]):
-            # Purged with its sender, or dropped: nothing to pull for.
-            return
-        if self._request_resync(pusher):
-            self.repair_stats.gap_pulls += 1
-            self._gap_pull_open = message_id
-        # The pusher may lack the gap too (with exact per-sender order it
-        # often parked the same delta): while the message waits, ask the
-        # next partner a grace later — one pass over the digest targets,
-        # then the periodic round takes over, so a gap nobody can close
-        # costs a few digests, not a stream.  Backing off instead left
-        # heal-burst gaps open longer, and the concurrent traffic
-        # meanwhile raised ε (EXPERIMENTS.md, "One delta rule").
-        if tries + 1 < len(self._anti_entropy_targets()):
-            partner = self._next_partner()
-            if partner is not None:
-                self._arm_gap_pull(message_id, partner, tries + 1)
-
-    def _close_gap_pull(self, by_relay: bool) -> None:
-        """An arrival delivered something: if that released the message
-        the last pull is waiting on, the pull is settled — unneeded when
-        a relay push, not the pull's answer, did it."""
-        if self._is_delivered(self._gap_pull_open):
-            self._gap_pull_open = None
-            if by_relay:
-                self.repair_stats.gap_pulls_unneeded += 1
-
     def _handle_digest(self, frontiers: Frontiers, addr: Address) -> None:
-        if self._drop_if_evicted(addr, "digest"):
-            return
-        if self.overlay is not None:
-            frontiers = self.overlay.read_digest(frontiers, addr, self._now())
-        for data in self.store.missing_for(frontiers):
-            # Reliable push: goes through the normal ack/retransmit path.
-            self.repair_stats.repairs_sent += 1
-            self.session.push(addr, data)
-
-    def _anti_entropy_targets(self) -> List[Address]:
-        """The candidates a round's digest partner is drawn from: the
-        live peer list in mesh mode, the live partial view in overlay
-        mode (transitivity covers the rest of the swarm)."""
-        if self.overlay is not None:
-            return self.overlay.digest_targets(live_filter=self._overlay_live)
-        return self._live_peers()
-
-    def _next_partner(self) -> Optional[Address]:
-        """The next digest partner: the targets in a shuffled order,
-        rotated, so any ``len(targets)`` consecutive rounds digest every
-        live target once — a bound an independent draw per round would
-        not give.  Departed targets drop out of the rotation; new ones
-        enter it at a random position."""
-        targets = self._anti_entropy_targets()
-        rotation = [address for address in self._partner_rotation if address in targets]
-        for address in targets:
-            if address not in rotation:
-                rotation.insert(
-                    self._anti_entropy_rng.randrange(len(rotation) + 1), address
-                )
-        self._partner_rotation = rotation
-        if not rotation:
-            return None
-        partner = rotation.pop(0)
-        rotation.append(partner)
-        return partner
-
-    async def _anti_entropy_loop(self) -> None:
-        while True:
-            # Jittered: uniform over [0.5, 1.5) x interval, mean
-            # preserved.  A fixed timer would have a co-started swarm
-            # digesting in lockstep — N datagrams in one tick, idle the
-            # rest of the interval.
-            await asyncio.sleep(
-                self._anti_entropy_interval
-                * (0.5 + self._anti_entropy_rng.random())
-            )
-            partner = self._next_partner()
-            if partner is not None:
-                await self._heal_peer(partner)
+        if not self._drop_if_evicted(addr, "digest"):
+            self.repair.answer(frontiers, addr)
 
     async def _liveness_loop(self) -> None:
         interval = self._liveness_policy.heartbeat_interval
@@ -1520,7 +1046,7 @@ class ReliableCausalNode:
             now = loop.time()
             self._heartbeat_count += 1
             beacon_targets = (
-                self.overlay.addresses() if self.overlay is not None
+                self.overlay.digest_targets() if self.overlay is not None
                 else list(self._peers)
             )
             for address in beacon_targets:
@@ -1562,53 +1088,7 @@ class ReliableCausalNode:
             self.trace.emit("resume", ts=now, peer=str(address))
             # Heal immediately rather than waiting for the next
             # anti-entropy round: exchange digests both ways.
-            self._spawn_heal(address)
-
-    def _digestible(self, address: Address) -> bool:
-        """Whether a digest may go to ``address``: a peer or view member
-        that is neither evicted nor quarantined."""
-        return (
-            address in self._peers
-            or (self.overlay is not None and address in self.overlay)
-        ) and self._overlay_live(address)
-
-    def _digest(self) -> Frontiers:
-        """What this node holds, for a digest: the coverage of every
-        sender still in the view plus every parked delta.  A parked
-        message is here — only its reference is missing — and a digest
-        that named it as missing would draw it again.  A departed
-        sender's coverage stays in the seen filter but leaves the
-        digest, so nobody is asked for it."""
-        frontiers = {
-            sender: entry
-            for sender, entry in self.store.frontiers().items()
-            if self._sender_in_view(sender)
-        }
-        parked: Dict[str, Set[int]] = {}
-        for sender, ref_seq in self._parked:
-            parked.setdefault(sender, set()).add(ref_seq + 1)
-        for sender, seqs in parked.items():
-            contiguous, extras = frontiers.get(sender, (0, ()))
-            frontiers[sender] = (contiguous, tuple(sorted(seqs.union(extras))))
-        return frontiers
-
-    def _spawn_heal(self, address: Address) -> None:
-        task = asyncio.get_running_loop().create_task(self._heal_peer(address))
-        self._heal_tasks.add(task)
-        task.add_done_callback(self._heal_tasks.discard)
-
-    async def _heal_peer(self, address: Address) -> None:
-        """Send ``address`` this node's digest; it pushes back whatever
-        the digest lacks."""
-        if not self._digestible(address):
-            # Scheduled before remove_peer()/evict_peer() ran: a digest
-            # now would re-create the session state just purged.
-            return
-        try:
-            await self.session.send_digest(address, self._digest())
-        except Exception:
-            # A digest that fails to send is retried next round.
-            pass
+            self.repair.request(address, paced=False)
 
     def _handle_delivery(self, record: DeliveryRecord) -> None:
         message = record.message
@@ -1646,13 +1126,6 @@ class ReliableCausalNode:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    def _is_delivered(self, message_id: Tuple[str, int]) -> bool:
-        """Seen by the endpoint and no longer pending."""
-        return self.endpoint.has_seen(message_id) and all(
-            message.message_id != message_id
-            for message in self.endpoint.pending_messages()
-        )
 
     def delivered_frontiers(self) -> Frontiers:
         """Per-sender ``(contiguous, extras)`` coverage of everything this
@@ -1708,11 +1181,9 @@ class ReliableCausalNode:
         membership = self.membership
         seen = self.endpoint.seen_frontiers()
         sizes = {
-            "store_messages": len(self.store),
             "seen_senders": len(seen),
             "seen_tail": sum(len(tail) for _, tail in seen.values()),
             "pending": self.endpoint.pending_count,
-            "reference_slots": len(self._ref_newest),
             "parked_deltas": len(self._parked),
             "evicted_peers": len(self._evicted_peers),
             "stale_warned": len(self._stale_warned),
@@ -1721,9 +1192,7 @@ class ReliableCausalNode:
             "leave_noted": (
                 membership.leave_noted_count if membership is not None else 0
             ),
-            "heal_tasks": len(self._heal_tasks),
-            "resync_marks": len(self._resync_last),
-            "partner_rotation": len(self._partner_rotation),
+            **self.repair.state_sizes(),
         }
         if self.overlay is not None:
             sizes.update(self.overlay.tree_sizes())

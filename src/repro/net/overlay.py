@@ -28,10 +28,9 @@ trees** (Leitão et al., *Epidemic Broadcast Trees*; see PAPERS.md):
   concurrent burst cut whole nodes out of every tree;
 * a **repair** that delivers a message the trees missed sends the
   repairer a ``GRAFT`` for every origin, making that link eager both
-  ways.  The lazy half is the node's: the **gap pull** (a push still
-  undelivered a grace after it arrived asks its pusher for a digest)
-  and the **anti-entropy round** (one digest per round, to the next
-  partner in a rotation of the view).
+  ways.  The lazy half — the gap pull, the anti-entropy round and the
+  two rules that make them exact about what a tree lost — is
+  :mod:`repro.net.repair`'s.
 
 Once the trees have formed each message crosses about one link per
 node — ~1.03 RELAY copies per delivery on the 16-node paced twin, where
@@ -42,10 +41,9 @@ bounded by the view and the origins (docs/DESIGN.md has the table).
 from __future__ import annotations
 
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.codec import MemberRecord
 from repro.core.errors import ConfigurationError
@@ -54,7 +52,6 @@ __all__ = ["OverlayStats", "PartialView"]
 
 Address = Hashable
 LiveFilter = Callable[[Address], bool]
-Frontiers = Dict[str, Tuple[int, Tuple[int, ...]]]
 
 # View entries sampled into an outgoing envelope, besides the sender:
 # lpbcast's small constant, on which the 64-node swarm test spreads from
@@ -66,19 +63,6 @@ _MERGE_PROBABILITY = 0.25
 
 #: Recent piggyback-sample window used for the diversity gauge.
 _DIVERSITY_WINDOW = 256
-
-# How long a relay push that arrived ahead of its causal past may stay
-# undelivered before its pusher is asked for the gap (seconds; twice the
-# link's smoothed RTT when that is longer).  Not zero: mid-wave the
-# missing messages are usually in flight on a longer relay path, and a
-# digest sent then claims them all as missing — the answers load a loop
-# that has not yet read the originals (EXPERIMENTS.md, "Anti-entropy
-# priced by damage": the immediate pull collapses into a retransmit storm).
-# A pull that leaves the gap open is repeated, so the first need not
-# race the wave (EXPERIMENTS.md, "One delta rule": 30 ms sent 25 % more
-# repairs for a 5 % shorter settle).  Also how long a push counts as
-# still carried by the trees, and an answered digest as still waiting.
-_GAP_PULL_GRACE = 0.04
 
 
 @dataclass
@@ -174,10 +158,6 @@ class PartialView:
         self.links: Dict[Address, None] = {}
         self._seeded = False
         self.trees: Dict[str, _Tree] = {}
-        # The last grace's relay pushes, (time, origin, seq), and the
-        # digests answered in it: address -> (time, frontiers as answered).
-        self._pushed: Deque[Tuple[float, str, int]] = deque()
-        self._answered: Dict[Address, Tuple[float, Frontiers]] = {}
         self.stats = OverlayStats()
 
     # ------------------------------------------------------------------
@@ -232,11 +212,7 @@ class PartialView:
         self.stats.evictions += 1
         return True
 
-    def merge_sample(
-        self,
-        sample: Tuple[MemberRecord, ...],
-        exclude: Tuple[Address, ...] = (),
-    ) -> bool:
+    def merge_sample(self, sample: Tuple[MemberRecord, ...]) -> bool:
         """Fold a piggybacked view sample in; True if the view changed.
 
         The throttle already ran at the pusher (:meth:`carries_sample`):
@@ -251,8 +227,6 @@ class PartialView:
         del self._sample_window[:-_DIVERSITY_WINDOW]
         merged = False
         for record in sample:
-            if record.address in exclude:
-                continue
             if self.add(record.address, record.node_id):
                 merged = True
         self.stats.merges_applied += 1
@@ -288,8 +262,9 @@ class PartialView:
     def digest_targets(
         self, live_filter: Optional[LiveFilter] = None
     ) -> List[Address]:
-        """Every live view entry: the candidates a round's one digest
-        partner is drawn from (and where membership announcements go)."""
+        """Every live view entry (every entry without ``live_filter``):
+        the candidates a round's one digest partner is drawn from, and
+        where membership announcements and heartbeats go."""
         return self._eligible((), live_filter)
 
     def carries_sample(self) -> bool:
@@ -400,56 +375,12 @@ class PartialView:
             self.trees[origin] = _Tree()
         return self.trees[origin]
 
-    # ------------------------------------------------------------------
-    # the lazy path, exact about what a tree lost
-    # ------------------------------------------------------------------
-
-    def _expire(self, now: float) -> None:
-        """Forget the pushes and the answered digests a grace old."""
-        pushed, answered = self._pushed, self._answered
-        while pushed and now - pushed[0][0] >= _GAP_PULL_GRACE:
-            pushed.popleft()
-        for stale in [a for a, (at, _) in answered.items() if now - at >= _GAP_PULL_GRACE]:
-            del answered[stale]
-
-    def note_push(self, now: float, origin: str, seq: int) -> None:
-        """One relay push of ``(origin, seq)``, kept a grace."""
-        self._expire(now)
-        self._pushed.append((now, origin, seq))
-
-    def read_digest(self, frontiers: Frontiers, address: Address, now: float) -> Frontiers:
-        """A digest from ``address`` as this node answers it: covering
-        what the trees still carry — its pushes of the last grace, on
-        their way down (answering with them was most of what a digest
-        drew twice) — and kept a grace, for :meth:`pass_on`."""
-        self._expire(now)
-        frontiers = dict(frontiers)
-        for _, origin, seq in self._pushed:
-            _cover(frontiers, origin, seq)
-        self._answered[address] = (now, frontiers)
-        return frontiers
-
-    def pass_on(self, origin: str, seq: int, repairer: Address, now: float) -> List[Address]:
-        """A repair from ``repairer`` brought ``(origin, seq)``, which the
-        trees missed here: whom to pass it on to.  The senders of the
-        digests answered in the last grace that lack it — most likely
-        pulls from further down the same tree, asked while this node
-        lacked it too."""
-        self._expire(now)
-        return [
-            asker for asker, (_, frontiers) in self._answered.items()
-            if asker != repairer and _cover(frontiers, origin, seq)
-        ]
-
     def tree_sizes(self) -> Dict[str, int]:
-        """Entries of the eager-tree and lazy-path tables, for
-        ``state_sizes()``."""
+        """Entries of the eager-tree tables, for ``state_sizes()``."""
         return {
             "overlay_links": len(self.links),
             "overlay_trees": len(self.trees),
             "overlay_prunes": sum(len(t.pruned_by) + len(t.pruning) for t in self.trees.values()),
-            "overlay_recent_pushes": len(self._pushed),
-            "overlay_answered_digests": len(self._answered),
         }
 
     # ------------------------------------------------------------------
@@ -462,9 +393,6 @@ class PartialView:
             MemberRecord(node_id=node_id, address=address)
             for address, node_id in self._entries.items()
         )
-
-    def addresses(self) -> List[Address]:
-        return list(self._entries)
 
     def sample_diversity(self) -> float:
         """Distinct ids in the recent piggyback-sample stream, as a
@@ -505,12 +433,3 @@ class PartialView:
 
         registry.register_collector(collect)
 
-
-def _cover(frontiers: Frontiers, sender: str, seq: int) -> bool:
-    """Add ``(sender, seq)`` to a digest's frontiers; False when they
-    already covered it."""
-    contiguous, extras = frontiers.get(sender, (0, ()))
-    if seq <= contiguous or seq in extras:
-        return False
-    frontiers[sender] = (contiguous, extras + (seq,))
-    return True

@@ -16,7 +16,9 @@ so this module adds the classic reliability machinery between a
   sender's timer;
 * **timer-driven retransmission** with exponential backoff and jitter,
   bounded by ``_MAX_RETRIES`` (after which the frame is *dropped* and
-  counted — anti-entropy, one layer up, recovers the message);
+  counted — anti-entropy, one layer up, recovers the message, and a
+  NACK for a seq given up is answered with an empty DATA frame, so the
+  receiver's cumulative ack moves on);
 * **a bounded send buffer with backpressure** — ``send`` suspends when a
   peer has too many unacknowledged frames in flight, so a dead peer
   cannot make the sender accumulate unbounded state;
@@ -35,7 +37,7 @@ so this module adds the classic reliability machinery between a
   standalone ACKs at all;
 * **anti-entropy plumbing** — digest frames (per-sender ``(sender, seq)``
   frontiers) are encoded/dispatched here; deciding *what* is missing is
-  the message-store's job (see :mod:`repro.net.node`);
+  the repair module's job (see :mod:`repro.net.repair`);
 * **liveness plumbing** — HEARTBEAT frames are sent/counted here, every
   incoming datagram is reported through ``on_peer_activity``, and a peer
   the failure detector declares dead can be **quarantined**: its pending
@@ -312,6 +314,9 @@ class _PeerState:
         self.recv_cumulative = 0
         self.recv_out_of_order: Set[int] = set()
         self.nack_last: Dict[int, float] = {}
+        # The highest link seq this side gave up on (dropped after
+        # _MAX_RETRIES, cleared by a quarantine, skipped by a lease).
+        self.given_up = 0
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.stats = TransportStats()
@@ -608,6 +613,7 @@ class ReliableSession:
             return 0
         state.quarantined = True
         dropped = len(state.unacked)
+        state.given_up = max((state.given_up, *state.unacked))
         state.stats.quarantine_drops += dropped
         state.unacked.clear()
         self._disarm(address, state)
@@ -662,6 +668,7 @@ class ReliableSession:
         """
         state = self._peer(address)
         state.next_seq = max(state.next_seq, int(next_seq))
+        state.given_up = max(state.given_up, state.next_seq - 1)
         state.recv_cumulative = max(state.recv_cumulative, int(recv_cumulative))
         state.recv_out_of_order.update(
             int(seq) for seq in recv_out_of_order if int(seq) > state.recv_cumulative
@@ -942,7 +949,8 @@ class ReliableSession:
     def _on_data(self, state: _PeerState, frame: DataFrame, addr: Address, now: float) -> None:
         if state.note_received(frame.seq):
             state.stats.data_received += 1
-            self._on_message(frame.payload, addr)
+            if frame.payload:  # empty: a seq its sender gave up
+                self._on_message(frame.payload, addr)
         else:
             state.stats.duplicates += 1
         # Always acknowledge — the duplicate may be a retransmission whose
@@ -986,7 +994,12 @@ class ReliableSession:
         state.stats.nacks_received += 1
         for seq in frame.missing:
             pending = state.unacked.get(seq)
-            if pending is not None and pending.sends <= _MAX_RETRIES:
+            if pending is None and seq <= state.given_up:
+                # Given up here: an empty DATA at that seq lets the
+                # receiver's cumulative ack move past the hole.
+                filler = FrameCodec.encode_data_with_body(seq, FrameCodec.encode_data_body(b""))
+                self._transmit(addr, state, filler)
+            elif pending is not None and pending.sends <= _MAX_RETRIES:
                 self._retransmit(state, addr, seq, pending, now)
 
     # ------------------------------------------------------------------
@@ -1008,6 +1021,7 @@ class ReliableSession:
                         if pending.sends > _MAX_RETRIES:
                             state.unacked.pop(seq, None)
                             state.stats.drops += 1
+                            state.given_up = max(state.given_up, seq)
                             if len(state.unacked) < _SEND_BUFFER:
                                 state.space.set()
                         else:

@@ -328,8 +328,8 @@ class Group:
         deliveries the oracle could not prove correct."""
         wire = self.wire()
         out = {
-            field.name: sum(getattr(node.repair_stats, field.name) for node in self.nodes)
-            for field in dataclasses.fields(self.nodes[0].repair_stats)
+            field.name: sum(getattr(node.repair.stats, field.name) for node in self.nodes)
+            for field in dataclasses.fields(self.nodes[0].repair.stats)
         }
         out.update(
             digests=wire.digests_sent, retransmits=wire.retransmits, drops=wire.drops,

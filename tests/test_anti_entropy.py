@@ -14,7 +14,7 @@ from repro.api import NodeConfig, RetransmitPolicy, create_endpoint, create_node
 from repro.core.codec import MessageCodec, RelayFrame
 from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus
 from repro.net import session as session_module
-from repro.net.node import _GAP_PULL_GRACE
+from repro.net.repair import _GAP_PULL_GRACE
 from repro.sim.group import Group
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.sim.vtime import run_virtual
@@ -201,12 +201,12 @@ def test_gap_pull_asks_the_pusher_after_the_grace_and_not_before():
         try:
             b._handle_relay(second, "a")  # ahead of its causal past
             assert log.payloads() == []
-            assert b.repair_stats.gap_pulls_armed == 1
+            assert b.repair.stats.gap_pulls_armed == 1
             await asyncio.sleep(_GAP_PULL_GRACE * 0.9)
             assert b.transport_stats().digests_sent == 0
             await asyncio.sleep(_GAP_PULL_GRACE * 0.2 + 0.02)
             assert log.payloads() == ["first", "second"]
-            return b.repair_stats, b.transport_stats("a"), a.repair_stats
+            return b.repair.stats, b.transport_stats("a"), a.repair.stats
         finally:
             await a.close()
             await b.close()
@@ -228,7 +228,7 @@ def test_a_gap_the_relay_wave_closes_in_time_costs_nothing():
             b._handle_relay(first, "a")  # the longer relay path
             await asyncio.sleep(_GAP_PULL_GRACE)
             assert log.payloads() == ["first", "second"]
-            return b.repair_stats, b.transport_stats()
+            return b.repair.stats, b.transport_stats()
         finally:
             await a.close()
             await b.close()
@@ -258,10 +258,10 @@ def test_a_gap_that_opens_while_the_timer_runs_is_pulled_too():
             assert log.payloads() == ["first", "second"]
             await asyncio.sleep(_GAP_PULL_GRACE / 2 + 0.005)
             # The first grace ended with "second" released: re-armed.
-            assert (b.repair_stats.gap_pulls_armed, b.repair_stats.gap_pulls) == (2, 0)
+            assert (b.repair.stats.gap_pulls_armed, b.repair.stats.gap_pulls) == (2, 0)
             await asyncio.sleep(_GAP_PULL_GRACE + 0.02)
             assert log.payloads() == ["first", "second", "third", "fourth"]
-            return b.repair_stats, a.repair_stats
+            return b.repair.stats, a.repair.stats
         finally:
             await a.close()
             await b.close()
@@ -284,11 +284,11 @@ def test_a_pull_at_an_unknown_pusher_falls_back_to_the_rounds_partner():
             b.overlay.discard("stranger")  # the sample merge may have kept it
             await asyncio.sleep(_GAP_PULL_GRACE + 0.02)
             assert log.payloads() == ["first", "second"]
-            assert "stranger" not in b._resync_last
+            assert "stranger" not in b.repair._resync_last
             assert "stranger" not in b.session.all_stats() or (
                 b.transport_stats("stranger").digests_sent == 0
             )
-            return b.repair_stats, b.transport_stats("a")
+            return b.repair.stats, b.transport_stats("a")
         finally:
             await a.close()
             await b.close()
@@ -316,7 +316,7 @@ async def parked_behind_a_lost_reference(bus):
         RelayFrame(origin="a", seq=3, hops=0, sent_at=0.0, sample=(), payload=delta), "a"
     )
     assert b.state_sizes()["parked_deltas"] == 1
-    assert b.repair_stats.gap_pulls_armed == 1
+    assert b.repair.stats.gap_pulls_armed == 1
     return b
 
 
@@ -329,9 +329,9 @@ def test_a_gap_nobody_can_close_costs_one_pass_of_pulls():
         b = await parked_behind_a_lost_reference(LocalAsyncBus(ConstantDelayModel(1.0)))
         try:
             await asyncio.sleep(50 * _GAP_PULL_GRACE)
-            assert b._gap_pull_timer is None
+            assert b.repair._gap_pull_timer is None
             assert b.state_sizes()["parked_deltas"] == 1
-            return b.repair_stats
+            return b.repair.stats
         finally:
             await b.close()
 
@@ -348,14 +348,14 @@ def test_evicting_the_sender_stops_its_gap_pull():
         b = await parked_behind_a_lost_reference(LocalAsyncBus(ConstantDelayModel(1.0)))
         try:
             await asyncio.sleep(_GAP_PULL_GRACE + 0.005)
-            pulled = b.repair_stats.gap_pulls
-            assert pulled == 1 and b._gap_pull_timer is not None
+            pulled = b.repair.stats.gap_pulls
+            assert pulled == 1 and b.repair._gap_pull_timer is not None
             b.evict_peer("a", "a")
             digests = b.transport_stats().digests_sent
             await asyncio.sleep(50 * _GAP_PULL_GRACE)
-            assert b._gap_pull_timer is None
+            assert b.repair._gap_pull_timer is None
             assert b.transport_stats().digests_sent == digests
-            return pulled, b.repair_stats
+            return pulled, b.repair.stats
         finally:
             await b.close()
 
@@ -365,7 +365,7 @@ def test_evicting_the_sender_stops_its_gap_pull():
 
 def test_repair_and_gap_pull_series_follow_the_nodes_own_counters():
     """``repro_antientropy_*`` / ``repro_gap_pulls_*`` mirror
-    ``node.repair_stats``; ``repro_overlay_push_coverage`` is relay
+    ``node.repair.stats``; ``repro_overlay_push_coverage`` is relay
     first intakes over remote deliveries (overlay mode only)."""
 
     async def scenario():
@@ -383,7 +383,7 @@ def test_repair_and_gap_pull_series_follow_the_nodes_own_counters():
             await asyncio.sleep(0.02)
             return (
                 a.metrics.snapshot(), b.metrics.snapshot(),
-                mesh.metrics.snapshot(), b.repair_stats,
+                mesh.metrics.snapshot(), b.repair.stats,
             )
         finally:
             await asyncio.gather(a.close(), b.close(), mesh.close())
@@ -414,11 +414,11 @@ def test_any_window_of_len_targets_rounds_visits_every_target_once():
             "n", NodeConfig(r=16, k=2, anti_entropy_interval=0), transport=bus.attach("n")
         )
         try:
-            assert node._next_partner() is None  # nobody to digest yet
+            assert node.repair.next_partner() is None  # nobody to digest yet
             peers = [f"p{index}" for index in range(5)]
             for peer in peers:
                 node.add_peer(peer)
-            visits = [node._next_partner() for _ in range(4 * len(peers))]
+            visits = [node.repair.next_partner() for _ in range(4 * len(peers))]
             for start in range(len(visits) - len(peers) + 1):
                 assert sorted(visits[start:start + len(peers)]) == peers, visits
             assert visits[:len(peers)] != peers  # shuffled, not add_peer order
@@ -427,7 +427,7 @@ def test_any_window_of_len_targets_rounds_visits_every_target_once():
             node.remove_peer("p2")
             node.add_peer("p9")
             peers = sorted(set(peers) - {"p2"} | {"p9"})
-            visits = [node._next_partner() for _ in range(3 * len(peers))]
+            visits = [node.repair.next_partner() for _ in range(3 * len(peers))]
             for start in range(len(visits) - len(peers) + 1):
                 assert sorted(visits[start:start + len(peers)]) == peers, visits
             assert node.state_sizes()["partner_rotation"] == len(peers)

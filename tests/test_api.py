@@ -20,7 +20,7 @@ from repro.core.keyspace import RandomKeyAssigner
 from repro.core.protocol import CausalBroadcastEndpoint
 from repro.core.registry import clock_schemes, detector_names
 from repro.net import LocalAsyncBus, ReliableCausalNode
-from repro.net.node import MessageStore
+from repro.net.repair import MessageStore
 from repro.net.overlay import PartialView
 from repro.util.rng import RandomSource
 from tests.recording import Deliveries

@@ -27,7 +27,7 @@ import tracemalloc
 import pytest
 
 import repro.net.membership as membership_module
-import repro.net.node as node_module
+import repro.net.repair as repair_module
 from repro.api import (
     LivenessPolicy,
     MembershipConfig,
@@ -82,7 +82,7 @@ async def mesh_on_bus(names, bus, **config):
 def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeypatch):
     per_sender = 600  # 3 senders: well past the store
     names = ("a", "b", "c")
-    monkeypatch.setattr(node_module, "_STORE_LIMIT", 128)
+    monkeypatch.setattr(repair_module, "_STORE_LIMIT", 128)
 
     async def scenario():
         bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
@@ -130,6 +130,36 @@ def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeyp
             assert abs(after - before) <= 0.05 * before, (early[name], late[name])
 
     asyncio.run(scenario())
+
+
+def test_link_state_drains_after_a_quarantine_with_frames_in_flight():
+    """A quarantine drops the frames queued for a peer.  Their link seqs
+    used to stay holes at the receiver for good: every later seq sat
+    out of order there, and the sender kept the frames above the hole
+    unacked until each was dropped after its retries."""
+
+    async def scenario(quarantine):
+        bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+        nodes = await mesh_on_bus(("a", "b"), bus, anti_entropy_interval=0.1)
+        a, b = nodes["a"], nodes["b"]
+        try:
+            for index in range(150):
+                await a.broadcast(index)
+                if index == 20 and quarantine:
+                    assert a.session.quarantine("b") >= 1  # queued, unsent
+                    a.session.resume("b")
+                await asyncio.sleep(0.002)
+            assert await wait_for(lambda: exact_deliveries(b) == 150, timeout=30.0)
+            await asyncio.sleep(1.0)
+            return {
+                (name, table): node.state_sizes()[f"session_{table}"]
+                for name, node in nodes.items()
+                for table in ("out_of_order", "unacked")
+            }
+        finally:
+            await asyncio.gather(*(node.close() for node in nodes.values()))
+
+    assert run_virtual(scenario(quarantine=True)) == run_virtual(scenario(quarantine=False))
 
 
 def live_seen_filters():
@@ -482,7 +512,7 @@ def test_stale_marks_age_out_with_the_eviction_records(caplog):
 
 
 def test_resync_marks_name_only_digested_addresses_and_expire():
-    """``_resync_last`` used to take a mark before ``_heal_peer``
+    """``Repair._resync_last`` used to take a mark before ``Repair.heal``
     decided the address could not be digested; for an address that was
     never a peer nothing ever removed it, and the census did not list
     the table."""
@@ -498,21 +528,21 @@ def test_resync_marks_name_only_digested_addresses_and_expire():
             node.add_peer(peer)
         try:
             for index in range(300):  # 0.3 virtual seconds of strangers
-                node._request_resync(f"stranger{index}")
+                node.repair.request(f"stranger{index}")
                 await asyncio.sleep(0.001)
-            assert node.repair_stats.resync_fallbacks == 300
-            assert set(node._resync_last) <= set(peers)
+            assert node.repair.stats.resync_fallbacks == 300
+            assert set(node.repair._resync_last) <= set(peers)
             known = set(node.session.all_stats())
             assert known <= set(peers), known  # no session state for a stranger
             # One digest per partner per 50 ms, however many ask: 0.3 s
             # is six full intervals and the start of a seventh.
             assert 0 < node.transport_stats().digests_sent <= 7 * len(peers)
             for peer in peers:
-                node._request_resync(peer)
+                node.repair.request(peer)
             # A mark lives as long as the interval it enforces, whether
             # or not remove_peer() ever runs for its address.
             await asyncio.sleep(0.06)
-            assert node._request_resync(peers[0])
+            assert node.repair.request(peers[0])
             assert node.state_sizes()["resync_marks"] == 1
         finally:
             await node.close()

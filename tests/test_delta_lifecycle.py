@@ -32,6 +32,7 @@ from repro.core.keyspace import PerfectKeyAssigner
 from repro.net import LocalAsyncBus
 from repro.net import membership as membership_module
 from repro.net import node as node_module
+from repro.net import repair as repair_module
 from repro.sim.group import Group, wait_for
 from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.sim.oracle import CausalityOracle, DeliveryVerdict
@@ -125,14 +126,13 @@ class Pair:
 
 def newest_seq(node, sender):
     """The seq of the reference slot ``node`` holds for ``sender``."""
-    return node._ref_newest[sender][0]
+    return node.store.references[sender][0]
 
 
 def forget_everything(node):
     """What a restart without a journal loses: the slots and the store's
     bytes (its coverage stays)."""
-    node._ref_newest.clear()
-    node.store = node_module.MessageStore(node.endpoint.seen, node._codec)
+    node.repair.store = repair_module.MessageStore(node.endpoint.seen, node._codec)
 
 
 def drop_once(node, seq, sender="a"):
@@ -202,7 +202,7 @@ def test_steady_state_never_misses_and_tables_stay_bounded():
             for name, other in (("a", "b"), ("b", "a")):
                 node = pair.nodes[name]
                 # Receiver state is keyed by sender, nothing else.
-                assert set(node._ref_newest) == {other}
+                assert set(node.store.references) == {name, other}
                 assert newest_seq(node, other) == LONG_HAUL
                 assert node.state_sizes()["parked_deltas"] == 0
                 gauges = node.metrics.snapshot()["gauges"]
@@ -280,7 +280,7 @@ def test_persistently_bouncing_link_is_warned_about_once(caplog, monkeypatch):
             await pair.assert_exactly_once(100)
             a, b = pair.nodes["a"], pair.nodes["b"]
             # A receiver that never keeps a reference: every delta bounces.
-            b._ref_newest = Forgetful()
+            b.store.references = Forgetful()
             b.store.reference = lambda sender, seq: None
             await pair.run(400)
             await pair.assert_exactly_once(500)
@@ -296,7 +296,7 @@ def test_persistently_bouncing_link_is_warned_about_once(caplog, monkeypatch):
 
 
 def test_quiet_senders_reference_outlives_its_bytes_in_a_busy_store(monkeypatch):
-    monkeypatch.setattr(node_module, "_STORE_LIMIT", 256)
+    monkeypatch.setattr(repair_module, "_STORE_LIMIT", 256)
 
     async def scenario():
         async with Pair() as pair:
@@ -357,7 +357,7 @@ def test_overlay_run_holds_one_reference_per_sender():
                 timeout=60.0,
             ), delivered
             for name, node in nodes.items():
-                assert set(node._ref_newest) == set(names) - {name}
+                assert set(node.store.references) == set(names)
                 assert node.state_sizes()["parked_deltas"] == 0
                 assert node.transport_stats().delta_ref_misses == 0
         finally:
@@ -413,7 +413,7 @@ def test_a_reordered_mesh_delta_parks_and_releases_with_no_miss():
             assert node.state_sizes()["parked_deltas"] == 2
             assert log.payloads() == []
             # A parked message is held: the digest does not ask for it.
-            assert node._digest()["a"] == (0, (2, 3))
+            assert node.repair.digest()["a"] == (0, (2, 3))
             node._handle_wire_message(origin.full(1), "a")
             assert log.payloads() == ["m1", "m2", "m3"]
             assert node.state_sizes()["parked_deltas"] == 0
@@ -448,7 +448,7 @@ def test_a_reference_dropped_after_its_frame_was_acked_comes_through_anti_entrop
             await pair.assert_delivered("b", 3)
             assert b.state_sizes()["parked_deltas"] == 0
             assert pair.wire().delta_ref_misses == 0
-            assert (a.repair_stats.repairs_sent, b.repair_stats.repair_duplicates) == (1, 0)
+            assert (a.repair.stats.repairs_sent, b.repair.stats.repair_duplicates) == (1, 0)
 
     run_virtual(scenario())
 
@@ -471,7 +471,7 @@ def test_overflowing_the_park_counts_a_miss_and_resyncs(monkeypatch):
             # the resync interval), and a answered it with everything
             # the park did not cover: 1, 4 and 5.
             assert stats.digests_sent == 1
-            assert a.repair_stats.repairs_sent == 3
+            assert a.repair.stats.repairs_sent == 3
             assert b.state_sizes()["parked_deltas"] == 0
 
     run_virtual(scenario())

@@ -232,7 +232,7 @@ class TestLifecycle:
             # Eviction purged the departed sender's runtime state.
             assert "b" not in a.membership.assigner
             assert b_address not in a.peers
-            assert "b" not in a._digest()
+            assert "b" not in a.repair.digest()
             await a.close()
 
         asyncio.run(scenario())
@@ -470,7 +470,7 @@ async def churn(seed, root):
         assert view.view.member_ids() == ("n0", "n1", "n2")
         for departed in released:
             assert departed not in view.assigner
-            assert departed not in founder._digest()
+            assert departed not in founder.repair.digest()
 
         # A late joiner inherits an evictee's exact key set (the perfect
         # assigner recycles LIFO) and converges on post-join traffic.

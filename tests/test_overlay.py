@@ -394,7 +394,7 @@ def test_swarm_converges_oracle_clean_from_a_sparse_ring(seed):
             # The views sample most of the swarm, no member holds half of
             # all view slots, and the per-node gauge stays far above the
             # collapse floor (~1/window ≈ 0.004).
-            slots = [address for node in group.nodes for address in node.overlay.addresses()]
+            slots = [address for node in group.nodes for address in node.overlay.digest_targets()]
             occupancy = Counter(slots)
             assert len(occupancy) >= 0.5 * SWARM, occupancy
             assert occupancy.most_common(1)[0][1] <= 0.5 * len(slots), occupancy
@@ -608,8 +608,7 @@ class RelayRig:
 def forget_everything(node):
     """What a restart without a journal loses: the reference slots and
     the store's bytes (its coverage stays)."""
-    node._ref_newest.clear()
-    node.store = MessageStore(node.endpoint.seen, node._codec)
+    node.repair.store = MessageStore(node.endpoint.seen, node._codec)
 
 
 class TestRelayAdmission:
@@ -702,7 +701,7 @@ class TestRelayAdmission:
                 assert node.state_sizes()["parked_deltas"] == 1
                 assert [frame.seq for frame in rig.forwarded] == [1, 3]
                 assert node.overlay.stats.relay_duplicates == 1
-                assert node._digest()["origin"] == (1, (3,))
+                assert node.repair.digest()["origin"] == (1, (3,))
                 await rig.relay(2, rig.delta(1))
                 assert rig.delivered.payloads() == ["m1", "m2", "m3"]
                 assert node.state_sizes()["parked_deltas"] == 0

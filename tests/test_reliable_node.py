@@ -43,9 +43,9 @@ from repro.core.errors import ConfigurationError
 from repro.core.pending import SeenFilter
 from repro.core.protocol import Message
 from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus, UdpTransport
-from repro.net import node as node_module
+from repro.net import repair as repair_module
 from repro.net import session as session_module
-from repro.net.node import MessageStore
+from repro.net.repair import MessageStore
 from repro.sim.group import Group, wait_for
 from repro.sim.network import GaussianDelayModel
 from repro.sim.vtime import run_virtual
@@ -258,7 +258,7 @@ class TestMessageStore:
         assert list(store.missing_for({"p": (4, ())})) == [b"q1"]
 
     def test_eviction_keeps_frontier_truthful(self, monkeypatch):
-        monkeypatch.setattr(node_module, "_STORE_LIMIT", 2)
+        monkeypatch.setattr(repair_module, "_STORE_LIMIT", 2)
         intake = _Intake()
         store = intake.store
         intake.add("p", 1, b"a")
@@ -282,13 +282,13 @@ class TestMessageStore:
             MessageStore()
 
     def test_eviction_counted_and_unservable_request_logged_once(self, caplog, monkeypatch):
-        monkeypatch.setattr(node_module, "_STORE_LIMIT", 2)
+        monkeypatch.setattr(repair_module, "_STORE_LIMIT", 2)
         intake = _Intake()
         store = intake.store
         for seq in range(1, 5):
             intake.add("p", seq, bytes([seq]))
         assert store.stats.evictions == 2
-        with caplog.at_level(logging.WARNING, logger="repro.net.node"):
+        with caplog.at_level(logging.WARNING, logger="repro.net.repair"):
             # A digest whose frontier lies below the evicted high-water
             # mark asks for bytes this store no longer holds.
             list(store.missing_for({"p": (0, ())}))
@@ -356,7 +356,7 @@ class TestMessageStore:
             finally:
                 await node.close()
 
-        with caplog.at_level(logging.WARNING, logger="repro.net.node"):
+        with caplog.at_level(logging.WARNING, logger="repro.net.repair"):
             asyncio.run(scenario())
         assert not [r for r in caplog.records if "cannot serve" in r.getMessage()]
 
@@ -420,7 +420,7 @@ class TestNodeSurface:
         asyncio.run(scenario())
 
     def test_heal_scheduled_before_remove_peer_leaves_no_session_state(self):
-        """A resync (or a liveness resume) schedules ``_heal_peer`` as a
+        """A resync (or a liveness resume) schedules ``Repair.heal`` as a
         task; if the peer is removed before it runs, its digest must not
         re-create the session state ``remove_peer`` just purged."""
 
@@ -429,13 +429,13 @@ class TestNodeSurface:
             alice = await create_node("alice", config)
             bob = await create_node("bob", config)
             alice.add_peer(bob.local_address)
-            alice._request_resync(bob.local_address)
+            alice.repair.request(bob.local_address)
             alice.remove_peer(bob.local_address)
             await asyncio.sleep(0)  # the heal task's turn
             assert bob.local_address not in alice.session.all_stats()
             # A peer that is still one gets its digest.
             alice.add_peer(bob.local_address)
-            await alice._heal_peer(bob.local_address)
+            await alice.repair.heal(bob.local_address)
             assert alice.session.all_stats()[bob.local_address].digests_sent == 1
             await alice.close()
             await bob.close()
@@ -567,7 +567,7 @@ class TestHostileDatagrams:
             assert node.store.frontiers() == {"origin": (1, ())}
             assert node.store.get("origin", 1) == payloads[-1]
             assert node.endpoint.seen_frontiers() == {"origin": (1, ())}
-            assert set(node._ref_newest) == {"origin"}
+            assert set(node.store.references) == {"origin"}
             await node.close()
 
         asyncio.run(scenario())

@@ -217,6 +217,86 @@ class TestRetransmission:
         asyncio.run(scenario())
 
 
+class TestGivenUpSeqs:
+    """A link seq the sender gave up on — dropped after ``_MAX_RETRIES``,
+    cleared by a quarantine, skipped by a journal lease — used to leave a
+    permanent hole at the receiver: its cumulative ack never moved again,
+    and the frames above the hole were retransmitted until dropped.  The
+    sender now answers a NACK for such a seq with an empty DATA frame."""
+
+    SENDS = 200
+
+    @staticmethod
+    async def _send_after_the_hole(sessions, inboxes):
+        """Send ``SENDS`` frames; return the receiver's cumulative ack and
+        out-of-order count, and the sender's unacked frames and drops."""
+        sent = [b"m%d" % index for index in range(TestGivenUpSeqs.SENDS)]
+        for payload in sent:
+            await sessions["a"].send("b", payload)
+        assert await wait_for(lambda: len(inboxes["b"]) == len(sent), timeout=30.0)
+        await wait_for(lambda: sessions["a"].unacked_count("b") == 0, timeout=30.0)
+        # Every payload once, and nothing else: an empty DATA frame is
+        # never passed up.
+        assert sorted(data for data, _ in inboxes["b"]) == sorted(sent)
+        rx, tx = sessions["b"]._peer("a"), sessions["a"]._peer("b")
+        result = rx.recv_cumulative, len(rx.recv_out_of_order), len(tx.unacked), tx.stats.drops
+        for session in sessions.values():
+            await session.close()
+        return result
+
+    def test_a_quarantined_frame_does_not_stall_the_link(self):
+        async def scenario():
+            bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+            sessions, inboxes = make_pair(bus)
+            for session in sessions.values():
+                session.start()
+            await sessions["a"].send("b", b"lost")  # queued, never flushed
+            assert sessions["a"].quarantine("b") == 1
+            sessions["a"].resume("b")
+            return await self._send_after_the_hole(sessions, inboxes)
+
+        assert run_virtual(scenario()) == (1 + self.SENDS, 0, 0, 0)
+
+    def test_a_frame_dropped_after_the_retries_does_not_stall_the_link(self, monkeypatch):
+        tune(monkeypatch, max_retries=2)
+
+        async def scenario():
+            bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+            inbox = []
+            sender = ReliableSession(
+                bus.attach("a"), on_message=lambda data, addr: None,
+                policy=RetransmitPolicy(initial_timeout=0.02),
+            )
+            sender.start()
+            await sender.send("b", b"lost")  # "b" is not on the bus yet
+            assert await wait_for(lambda: sender.stats_for("b").drops == 1)
+            receiver = ReliableSession(
+                bus.attach("b"), on_message=lambda data, addr: inbox.append((data, addr)),
+                policy=RetransmitPolicy(initial_timeout=0.02),
+            )
+            receiver.start()
+            sessions = {"a": sender, "b": receiver}
+            return await self._send_after_the_hole(sessions, {"b": inbox})
+
+        assert run_virtual(scenario()) == (1 + self.SENDS, 0, 0, 1)
+
+    def test_seqs_skipped_by_a_lease_do_not_stall_the_link(self):
+        async def scenario():
+            bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+            sessions, inboxes = make_pair(bus)
+            for session in sessions.values():
+                session.start()
+            for index in range(5):
+                await sessions["a"].send("b", b"early%d" % index)
+            assert await wait_for(lambda: sessions["b"]._peer("a").recv_cumulative == 5)
+            inboxes["b"].clear()
+            # A restart resumes at the journal's lease: 6..99 never sent.
+            sessions["a"].restore_peer("b", next_seq=100)
+            return await self._send_after_the_hole(sessions, inboxes)
+
+        assert run_virtual(scenario()) == (99 + self.SENDS, 0, 0, 0)
+
+
 class TestBackpressure:
     def test_send_suspends_when_buffer_full(self, monkeypatch):
         tune(monkeypatch, send_buffer=2, max_retries=1000)

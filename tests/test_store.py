@@ -24,8 +24,8 @@ from repro.core.clocks import Timestamp
 from repro.core.codec import MessageCodec
 from repro.core.pending import SeenFilter
 from repro.core.protocol import Message
-from repro.net import node as node_module
-from repro.net.node import MessageStore, StoreStats
+from repro.net import repair as repair_module
+from repro.net.repair import MessageStore, StoreStats
 
 R = 8
 FAR = 10**12
@@ -49,7 +49,7 @@ class FullFormStore:
     def add(self, sender, seq, full):
         self._data[(sender, seq)] = full
         self._order.append((sender, seq))
-        while len(self._data) > node_module._STORE_LIMIT:
+        while len(self._data) > repair_module._STORE_LIMIT:
             evicted = self._order.popleft()
             del self._data[evicted]
             self.stats.evictions += 1
@@ -73,7 +73,7 @@ class FullFormStore:
         for sender, seq in self._order:
             if sender not in behind:
                 continue
-            if served >= node_module._REPAIRS_PER_DIGEST:
+            if served >= repair_module._REPAIRS_PER_DIGEST:
                 return
             contiguous, extras = remote.get(sender, (0, ()))
             if seq <= contiguous or seq in extras:
@@ -220,8 +220,8 @@ remotes = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(history=histories(), limit=st.integers(1, 12), cap=st.integers(1, 6), data=st.data())
 def test_bodies_as_received_serve_what_full_forms_would(history, limit, cap, data):
-    with mock.patch.object(node_module, "_STORE_LIMIT", limit), mock.patch.object(
-        node_module, "_REPAIRS_PER_DIGEST", cap
+    with mock.patch.object(repair_module, "_STORE_LIMIT", limit), mock.patch.object(
+        repair_module, "_REPAIRS_PER_DIGEST", cap
     ):
         rig = Rig(history)
         # The intake order: each sender's messages in seq order,
