@@ -53,8 +53,14 @@ def test_overlay_repair_is_priced_by_damage(seed):
     # plus what was still in flight when the digest was written.
     assert paced["repairs_sent"] < 2 * needed, paced
     assert paced["digests"] < 0.15 * paced["deliveries"], paced
-    # Gaps are what the push wave missed; pulls do not outnumber them.
-    assert paced["gap_pulls"] <= needed, paced
+    # Gaps are what the push wave missed, and on a tree one lost copy
+    # leaves a subtree that pulls once per node, each pull answered by
+    # one repair: pulls track the repairs needed, a few more when a
+    # pusher lacks the gap too and the pull moves on.  Seeds 1-12 read
+    # 0.88-1.03 pulls per repair needed before the dense delta layouts,
+    # mean 0.95, sd 0.04 (EXPERIMENTS.md, "Dense deltas"); the bound is
+    # the mean plus three sd.  A pull storm reads several.
+    assert paced["gap_pulls"] <= 1.08 * needed, paced
 
 
 def test_a_lossless_burst_raises_no_retransmit_storm():

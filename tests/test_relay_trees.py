@@ -29,12 +29,14 @@ OVERLAY = NodeConfig(dissemination="overlay")
 
 
 def relay_tallies(group) -> tuple:
-    """Relay first intakes, relay copies sent and remote deliveries,
-    summed over the group."""
+    """Relay first intakes, relay copies sent, remote deliveries,
+    duplicate copies and PRUNEs sent, summed over the group."""
     return (
         sum(node.overlay.stats.relay_first_intake for node in group.nodes),
         sum(node.transport_stats().relay_sent for node in group.nodes),
         sum(node.endpoint.stats.delivered for node in group.nodes),
+        sum(node.overlay.stats.relay_duplicates for node in group.nodes),
+        sum(node.overlay.stats.prunes_sent for node in group.nodes),
     )
 
 
@@ -55,10 +57,13 @@ async def burst_then_paced(delays, seed: int = 1) -> dict:
         await group.settle()
         after = relay_tallies(group)
         violations = group.counts()["violations"]
-    intakes, copies, deliveries = (new - old for new, old in zip(after, before))
+    intakes, copies, deliveries, duplicates, prunes = (
+        new - old for new, old in zip(after, before)
+    )
     return {
         "own_links": own_links, "intakes": intakes, "copies": copies,
-        "deliveries": deliveries, "violations": violations,
+        "deliveries": deliveries, "duplicates": duplicates, "prunes": prunes,
+        "violations": violations,
     }
 
 
@@ -81,10 +86,22 @@ def test_a_concurrent_burst_prunes_no_node_out_of_its_own_tree():
 def test_formed_trees_send_about_one_copy_per_delivery():
     """Lossless constant links: after the burst has pruned the trees,
     the paced phase crosses each tree edge once (fanout-3 gossip sent
-    3.1 copies per delivery here)."""
+    3.1 copies per delivery here).
+
+    The copies beyond one per delivery are edges the 10-message burst
+    left unpruned for some origin: each carries one duplicate early in
+    the paced phase, whose PRUNE closes it.  That cost is paid once,
+    not per message: the excess reads the same count at 10, 20 and 40
+    paced broadcasts per node, so it moves with the burst's schedule,
+    not with the traffic.  Over 8 delay models and up to 6 seeds each,
+    before the dense delta layouts, it read 1.032–1.054 copies per
+    delivery, mean 1.043, sd 0.005 (EXPERIMENTS.md, "Dense deltas");
+    the bound is the mean plus three sd."""
     run = run_virtual(burst_then_paced(ConstantDelayModel(0.2)))
     assert run["intakes"] == run["deliveries"] == SWARM * (SWARM - 1) * 20
-    assert run["copies"] <= 1.05 * run["deliveries"], run
+    assert run["duplicates"] == run["copies"] - run["deliveries"], run
+    assert run["prunes"] == run["duplicates"], run
+    assert run["copies"] <= 1.06 * run["deliveries"], run
 
 
 def test_links_are_bounded_and_a_departed_origin_leaves_no_tree_state():
