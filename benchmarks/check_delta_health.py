@@ -25,7 +25,14 @@ A run fails when
 * fewer than ``MIN_DELTA_SHARE`` of the broadcasts travelled as
   deltas (``session.delta_share``) — only a sender's first broadcast
   (and its first after a re-key) must travel full; anything more means
-  the path fell back to fulls.
+  the path fell back to fulls, or
+* the run spent more than its workload's ``MAX_WIRE_BYTES`` per
+  delivery (``wire_bytes_per_delivery``).  A delta's changed entries
+  travel as the smaller of a list of one varint each and a bitmap of
+  R bits; a silent fallback to fulls or to one varint pair per entry
+  costs more bytes than the ceiling allows.  On loopback the pair
+  layout read about 63 B (saturated mesh), 60 B (lossy mesh) and 166 B
+  (overlay) per delivery; the two layouts read about 53, 57 and 112 B.
 
 Exit 0 when every measured run passes, 1 otherwise.
 """
@@ -36,6 +43,9 @@ import sys
 
 MAX_MISS_RATIO = 0.01
 MIN_DELTA_SHARE = 0.9
+MAX_WIRE_BYTES = {  # per delivery, by workload
+    "mesh4_saturate": 60.0, "mesh4_paced": 60.0, "mesh4_lossy": 60.0, "overlay16_paced": 135.0,
+}
 
 
 def main():
@@ -53,9 +63,11 @@ def main():
         name = run["workload"]
         miss_ratio = run["per_layer"]["session.delta_ref_miss_ratio"]
         share = run["per_layer"]["session.delta_share"]
+        wire_bytes = run["end_to_end"]["wire_bytes_per_delivery"]
+        ceiling = MAX_WIRE_BYTES[name]
         print(f"{name}: {run['messages_per_sender']} msgs/sender  "
               f"delta_share={share:.4f}  delta_ref_miss_ratio={miss_ratio:.4f}  "
-              f"valid={run['valid']}")
+              f"wire_bytes_per_delivery={wire_bytes:.1f}  valid={run['valid']}")
         if not run["valid"]:
             failures.append(f"{name}: invalid run: {'; '.join(run['problems'])}")
         if miss_ratio > MAX_MISS_RATIO:
@@ -67,6 +79,11 @@ def main():
             failures.append(
                 f"{name}: only {share:.4f} of the broadcasts travelled as "
                 f"deltas (floor {MIN_DELTA_SHARE})"
+            )
+        if wire_bytes > ceiling:
+            failures.append(
+                f"{name}: {wire_bytes:.1f} wire bytes per delivery (ceiling "
+                f"{ceiling:.0f}): deltas no longer travel in their smaller layout"
             )
 
     if failures:

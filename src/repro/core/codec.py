@@ -7,9 +7,10 @@ this module defines a compact, versioned binary encoding used by the
 Layout (little-endian)::
 
     magic   2B  b"PC"
-    version 1B  (currently 3)
+    version 1B  (currently 4; a v3 full form is decoded alike)
     flags   1B  bit0: entries are LEB128 varints (always set)
                 bit1: DELTA encoding (see below)
+                bit2: a DELTA's changed entries as a bitmap
     scheme  1B  clock-scheme id (repro.core.registry allocation): the
                 clock family that produced the timestamp.  Decoding
                 checks it against the codec's configured scheme, so
@@ -42,9 +43,20 @@ receiver knows the sender's static keys from the reference), no R::
 
     seq      varint  (u64 in the full encoding)
     ref gap  varint  (ref_seq = seq - gap; the referenced own message)
-    changed  varint count, then count x (varint index gap, varint increment)
+    changed  the n entries that grew, in one of two layouts:
+             list (bit2 clear): varint n, then per entry in index order
+                 varint (index gap << 1) | (increment != 1), and varint
+                 increment - 2 when that bit is set (the first gap is
+                 the index itself, every later one is > 0);
+             bitmap (bit2 set): ceil(R/8) bytes marking the changed
+                 entries, ceil(n/8) bytes marking which of them grew by
+                 more than 1, then varint increment - 2 for each of those
+                 (bit i is bit i % 8 of byte i // 8; R is the reference's)
     payload  varint length + bytes
 
+Most increments are 1 (one bump per delivery), so neither layout
+spends a byte on them.  The encoder sizes both, builds only the smaller
+and sends the list on a tie.
 Decoding requires the reference vector and the sender's key set
 (:meth:`MessageCodec.decode_delta`) and reconstructs the full vector
 bit-identically to the full encoding — see ``docs/PROTOCOL.md`` §8 for
@@ -106,9 +118,11 @@ __all__ = [
 ]
 
 _MAGIC = b"PC"
-_VERSION = 3  # v2 added the clock-scheme id byte; v3 the epoch id byte
+_VERSION = 4  # v2: clock-scheme id byte; v3: epoch id byte; v4: delta entry layouts
 _FLAG_VARINT = 0x01
 _FLAG_DELTA = 0x02
+_FLAG_BITMAP = 0x04
+_MAX_EXTRA = 2**63 - 3  # the largest increment - 2 an int64 entry can take
 _MAX_U32 = 0xFFFFFFFF
 _HEADER_SIZE = 6  # magic + version + flags + scheme + epoch
 
@@ -194,6 +208,16 @@ def varint_size(value: int) -> int:
 
 
 _MAX_VARINT_BYTES = 10  # decode_varint's bound: shifts 0, 7, ..., 63
+
+
+def _varints_size(values: np.ndarray) -> int:
+    """Encoded length of a vector of non-negative ints, without encoding
+    it: one byte each, plus one for every 7 bits past the first 7."""
+    size, shifted = len(values), values >> 7
+    while count := np.count_nonzero(shifted):
+        size += count
+        shifted >>= 7
+    return size
 
 
 def _encode_varints(values: List[int]) -> bytes:
@@ -384,7 +408,7 @@ class MessageCodec:
         if len(data) < _HEADER_SIZE or data[:2] != _MAGIC:
             raise CodecError("bad magic")
         version, flags, scheme_id, epoch = struct.unpack_from("<BBBB", data, 2)
-        if version != _VERSION:
+        if version not in (3, _VERSION):  # a v3 full form, say from a WAL, is a v4 one
             raise CodecError(f"unsupported version {version}")
         if flags & _FLAG_DELTA:
             raise CodecError(
@@ -492,39 +516,46 @@ class MessageCodec:
                 f"message {message.message_id} vector regresses below the "
                 f"reference (seq {ref_seq}): not a causal successor"
             )
-        changed = np.nonzero(diff)[0]
-        # Leaner header than the full encoding: no sender-keys block (the
-        # receiver knows the sender's static key set from the reference
-        # message), the reference as a varint
-        # gap below seq, and a varint payload length.
+        changed = np.flatnonzero(diff)
+        increments = diff[changed]
+        others = increments != 1
+        codes = changed << 1 | others
+        codes[1:] -= changed[:-1] << 1  # index gaps, not indices
+        # Both layouts end in the same increment - 2 varints.
+        n = len(changed)
+        bitmap = (len(diff) + 7) // 8 + (n + 7) // 8 < varint_size(n) + _varints_size(codes)
         sender_bytes = str(message.sender).encode("utf-8")
         if len(sender_bytes) > 0xFFFF:
             raise CodecError("sender id longer than 65535 bytes")
         payload_bytes = self._payload_codec.encode(message.payload)
-        parts = [
+        if bitmap:
+            entries = b"".join((
+                np.packbits(diff != 0, bitorder="little").tobytes(),
+                np.packbits(others, bitorder="little").tobytes(),
+                _encode_varints((increments[others] - 2).tolist()),
+            ))
+        else:
+            values = [n]
+            for code, increment in zip(codes.tolist(), increments.tolist()):
+                values.append(code)
+                if code & 1:
+                    values.append(increment - 2)
+            entries = _encode_varints(values)
+        # Leaner header than the full encoding: no sender-keys block (the
+        # receiver knows the sender's static key set from the reference
+        # message), the reference as a varint gap below seq, and a
+        # varint payload length.
+        flags = _FLAG_VARINT | _FLAG_DELTA | (_FLAG_BITMAP if bitmap else 0)
+        return b"".join((
             _MAGIC,
-            struct.pack(
-                "<BBBB",
-                _VERSION,
-                _FLAG_VARINT | _FLAG_DELTA,
-                self._scheme_id,
-                self._epoch & 0xFF,
-            ),
+            struct.pack("<BBBB", _VERSION, flags, self._scheme_id, self._epoch & 0xFF),
             struct.pack("<H", len(sender_bytes)),
             sender_bytes,
-            encode_varint(message.seq),
-            encode_varint(message.seq - ref_seq),
-            encode_varint(len(changed)),
-        ]
-        previous = 0
-        for index in changed:
-            index = int(index)
-            parts.append(encode_varint(index - previous))
-            parts.append(encode_varint(int(diff[index])))
-            previous = index
-        parts.append(encode_varint(len(payload_bytes)))
-        parts.append(payload_bytes)
-        return b"".join(parts)
+            _encode_varints([message.seq, message.seq - ref_seq]),
+            entries,
+            encode_varint(len(payload_bytes)),
+            payload_bytes,
+        ))
 
     def delta_header(self, data: bytes) -> Tuple[str, int, int, int]:
         """Parse a delta's ``(sender, seq, ref_seq, offset of its
@@ -647,25 +678,53 @@ def _delta_prefix(data: bytes) -> Tuple[int, int, int]:
 
 
 def _add_entries(data: bytes, offset: int, vector: np.ndarray, sign: int) -> int:
-    """Add ``sign`` times the delta entries at ``offset`` into ``vector``;
-    returns the offset past them."""
-    changed, offset = decode_varint(data, offset)
+    """Add ``sign`` times the delta entries at ``offset`` into ``vector``,
+    in the layout the flags byte names; returns the offset past them."""
+    r = len(vector)
+    if data[3] & _FLAG_BITMAP:
+        changed, offset = _bitmap(data, offset, r)
+        others, offset = _bitmap(data, offset, len(changed))
+        increments = np.ones(len(changed), dtype=np.int64)
+        if len(others):
+            extra, offset = _decode_varints(data, offset, len(others))
+            if extra.max() > _MAX_EXTRA:
+                raise CodecError("delta increment beyond the int64 range of the clock")
+            increments[others] += extra + 1
+        vector[changed] += sign * increments
+        return offset
+    count, offset = decode_varint(data, offset)
     index = 0
-    for position in range(changed):
-        gap, offset = decode_varint(data, offset)
-        if position > 0 and gap == 0:
+    for position in range(count):
+        code, offset = decode_varint(data, offset)
+        if position > 0 and code < 2:
             raise CodecError("zero index gap in delta entries")
-        index += gap
-        if index >= len(vector):
+        index += code >> 1
+        if index >= r:
             raise CodecError(
-                f"delta entry index {index} outside the "
-                f"{len(vector)}-entry reference vector"
+                f"delta entry index {index} outside the {r}-entry reference vector"
             )
-        increment, offset = decode_varint(data, offset)
-        if increment == 0:
-            raise CodecError("zero increment in delta entries")
+        increment = 1
+        if code & 1:
+            increment, offset = decode_varint(data, offset)
+            if increment > _MAX_EXTRA:
+                raise CodecError("delta increment beyond the int64 range of the clock")
+            increment += 2
         vector[index] += sign * increment
     return offset
+
+
+def _bitmap(data: bytes, offset: int, bits: int) -> Tuple[np.ndarray, int]:
+    """The set positions of the ``bits``-bit little-endian bitmap at
+    ``offset``, and the offset past its ``⌈bits/8⌉`` bytes."""
+    end = offset + ((bits + 7) >> 3)
+    if len(data) < end:
+        raise CodecError("truncated delta bitmap")
+    positions = np.flatnonzero(
+        np.unpackbits(np.frombuffer(data, np.uint8, end - offset, offset), bitorder="little")
+    )
+    if len(positions) and positions[-1] >= bits:
+        raise CodecError(f"delta bitmap bit {positions[-1]} at or above its {bits} entries")
+    return positions, end
 
 
 # ----------------------------------------------------------------------

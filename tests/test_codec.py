@@ -185,6 +185,94 @@ class TestTornBuffers:
                 codec.decode(codec.encode(bad))
 
 
+class TestMalformedDeltas:
+    """Each delta entry layout, damaged: a :class:`CodecError` from the
+    intake's ``decode_delta`` (and the store's ``apply_delta``), never an
+    ``IndexError`` or a numpy error."""
+
+    R = 10  # not a multiple of 8: the bitmap's last byte has spare bits
+
+    def delta(self, changed):
+        """A delta whose reference is all zeros and whose vector is
+        ``changed`` (index -> value); its entry block starts at the
+        returned offset."""
+        vector = np.zeros(self.R, dtype=np.int64)
+        for index, value in changed.items():
+            vector[index] = value
+        codec = MessageCodec()
+        message = message_with_vector(vector.tolist(), payload=None)
+        data = codec.encode_delta(message, 1, np.zeros(self.R, dtype=np.int64))
+        return data, codec.delta_header(data)[3]
+
+    def rejects(self, data, match=None):
+        with pytest.raises(CodecError, match=match):
+            MessageCodec().decode_delta(data, np.zeros(self.R, dtype=np.int64), (0,))
+
+    def test_a_bitmap_bit_at_or_above_its_entries(self):
+        data, at = self.delta({index: 1 for index in range(8)})
+        assert data[3] & 0x04  # the bitmap layout
+        for bit in (10, 15):  # past R, in the R-bit map's last byte
+            bad = bytearray(data)
+            bad[at + bit // 8] |= 1 << bit % 8
+            self.rejects(bytes(bad), "at or above")
+            with pytest.raises(CodecError):
+                MessageCodec.apply_delta(bytes(bad), np.zeros(self.R, dtype=np.int64))
+        data, at = self.delta({index: 1 for index in range(7)})
+        assert data[3] & 0x04
+        bad = bytearray(data)
+        bad[at + 2] |= 1 << 7  # 7 changed entries: bit 7 of the second map is past them
+        self.rejects(bytes(bad), "at or above")
+
+    def test_every_truncation_of_either_layout(self):
+        for changed in ({3: 1, 9: 200}, {index: index + 1 for index in range(10)}):
+            data, _ = self.delta(changed)
+            for cut in range(len(data)):
+                self.rejects(data[:cut])
+
+    def test_a_truncated_exception_block(self):
+        data, at = self.delta({index: 300 for index in range(10)})
+        assert data[3] & 0x04
+        block = at + 2 + 2  # past the R map and the exceptions map
+        assert data[block + 2 * 10 :] == b"\x00"  # ten 2-byte varints, then no payload
+        for end in (block, block + 5, block + 19):  # none, 2.5 and 9.5 varints
+            self.rejects(data[:end], "truncated varint")
+
+    def test_a_zero_list_gap_after_the_first_entry(self):
+        data, at = self.delta({0: 1, 4: 1})
+        assert not data[3] & 0x04  # the list layout: count, code, code
+        assert data[at : at + 3] == bytes((2, 0 << 1, 4 << 1))
+        self.rejects(data[:at] + bytes((2, 0, 0)) + data[at + 3 :], "zero index gap")
+
+    def test_a_list_index_beyond_the_vector(self):
+        data, at = self.delta({4: 1})
+        self.rejects(data[:at] + bytes((1, 10 << 1)) + data[at + 2 :], "outside")
+
+    def test_an_increment_beyond_the_clock(self):
+        """An increment an int64 entry cannot take, in either layout."""
+        for changed in ({4: 2}, {index: 2 for index in range(10)}):
+            data, _ = self.delta(changed)
+            assert data[-2:] == b"\x00\x00"  # the last exception (2 - 2), no payload
+            for extra in (2**63 - 2, 2**63 - 1, 2**64):
+                self.rejects(data[:-2] + encode_varint(extra) + b"\x00", "int64")
+
+    def test_a_v3_body(self):
+        """v3 deltas name entries as (gap, increment) pairs: a v4 node
+        rejects them, and a v3 node rejects v4 bodies, rather than misread
+        them.  A v3 full form is a v4 one but for the byte."""
+        codec = MessageCodec()
+        data, _ = self.delta({4: 1})
+        v3 = data[:2] + b"\x03" + data[3:]
+        with pytest.raises(CodecError, match="version"):
+            codec.delta_header(v3)
+        self.rejects(v3, "version")
+        message = make_message()
+        full = codec.encode(message)
+        assert full[2] == 4
+        old = codec.decode(full[:2] + b"\x03" + full[3:])
+        assert np.array_equal(old.timestamp.vector, message.timestamp.vector)
+        assert codec.encode(old) == full
+
+
 class TestJsonPayloadCodec:
     def test_empty_is_none(self):
         codec = JsonPayloadCodec()

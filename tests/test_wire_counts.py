@@ -35,7 +35,10 @@ view sample, the paced phase read 809.2 B, 3.256 datagrams, 920
 digests, 420 repairs and 0 reference misses.
 
 Every count is exact for its seed (``tests/test_virtual_time.py`` holds
-that); a failure message carries the counts.
+that); a failure message carries the counts.  Where a docstring gives
+"v3 → v4 entries", the counts moved with the delta's entry block: v3
+spent a varint pair per changed entry, v4 sends the smaller of a list of
+one varint per entry and a changed-entry bitmap (``core/codec.py``).
 """
 
 import numpy as np
@@ -119,7 +122,9 @@ def test_acks_ride_the_data_on_a_paced_mesh():
     delivery, 108 fulls → 0); datagrams, standalone acks and timers
     unchanged.  Rebuilds 7,200 → 34 since the store keeps each body as
     it arrived and builds the full form only for the 34 repairs it
-    serves (it used to rebuild every delivered delta at intake)."""
+    serves (it used to rebuild every delivered delta at intake).  v3 →
+    v4 entries: 525,143 → 453,233 B (72.9 → 62.9 B per delivery), every
+    other count unchanged."""
     paced = run_virtual(paced_mesh(seed=1))
     deliveries = paced["deliveries"]
     assert deliveries == 4 * 3 * 600
@@ -128,28 +133,32 @@ def test_acks_ride_the_data_on_a_paced_mesh():
     assert paced["datagrams"] <= 1.10 * deliveries, paced
     assert paced["standalone_acks"] <= 0.05 * deliveries, paced
     assert paced["timers"] <= 2.4 * deliveries, paced
-    # Exact for the seed: 72.9 B, 1.041 datagrams, 1.044 frames, 0.028
+    assert paced["bytes"] <= 68 * deliveries, paced
+    # Exact for the seed: 62.9 B, 1.041 datagrams, 1.044 frames, 0.028
     # standalone acks, 2.29 timers and 0.005 full-form rebuilds per
     # delivery.
     assert (
         paced["bytes"], paced["datagrams"], paced["frames"], paced["standalone_acks"],
         paced["timers"], paced["rebuilds"],
-    ) == (525143, 7498, 7514, 204, 16475, 34), paced
+    ) == (453233, 7498, 7514, 204, 16475, 34), paced
 
 
 def test_a_busy_mesh_sends_one_body_per_broadcast():
     """``mesh4_saturate``.  Parent → this tree: 536,900 → 520,748 B
     (74.6 → 72.3 B per delivery, 109 fulls → 0); 7,202 datagrams, 0
     standalone acks and 12,496 timers on both.  Rebuilds 7,200 → 28,
-    one per repair served from a held delta."""
+    one per repair served from a held delta.  v3 → v4 entries: 520,748
+    → 448,943 B (72.3 → 62.4 B per delivery), every other count
+    unchanged."""
     busy = run_virtual(busy_mesh(seed=1))
     assert busy["deliveries"] == 4 * 3 * 600
     assert busy["retransmits"] == 0, busy
     assert_one_delta_per_broadcast(busy)
+    assert busy["bytes"] <= 68 * busy["deliveries"], busy
     assert (
         busy["bytes"], busy["datagrams"], busy["frames"], busy["standalone_acks"],
         busy["timers"], busy["digests"], busy["repairs_sent"], busy["rebuilds"],
-    ) == (520748, 7202, 7236, 0, 12496, 8, 28, 28), busy
+    ) == (448943, 7202, 7236, 0, 12496, 8, 28, 28), busy
 
 
 def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
@@ -159,17 +168,20 @@ def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
     tree: 611,943 → 520,574 B (85.0 → 72.3 B per delivery, 108 fulls →
     0), datagrams 7,220 → 7,224, standalone acks 9 → 12, timers 13,564 →
     13,573, retransmits 926 → 941, repairs 66 → 47.  Rebuilds 7,200 →
-    47, one per repair served from a held delta."""
+    47, one per repair served from a held delta.  v3 → v4 entries:
+    520,574 → 482,122 B (72.3 → 67.0 B per delivery), every other count
+    unchanged."""
     lossy = run_virtual(busy_mesh(seed=1, faults=LOSSY))
     deliveries = lossy["deliveries"]
     assert deliveries == 4 * 3 * 600
     assert_one_delta_per_broadcast(lossy)
     assert lossy["datagrams"] <= 1.02 * 7220, lossy  # the parent's count
+    assert lossy["bytes"] <= 68 * deliveries, lossy
     assert (
         lossy["bytes"], lossy["datagrams"], lossy["frames"], lossy["standalone_acks"],
         lossy["timers"], lossy["retransmits"], lossy["digests"], lossy["repairs_sent"],
         lossy["rebuilds"],
-    ) == (520574, 7224, 9106, 12, 13573, 941, 9, 47, 47), lossy
+    ) == (482122, 7224, 9106, 12, 13573, 941, 9, 47, 47), lossy
 
 
 def test_relay_envelopes_carry_the_origins_delta_on_a_paced_overlay():
@@ -179,20 +191,26 @@ def test_relay_envelopes_carry_the_origins_delta_on_a_paced_overlay():
     339 → 0, relay copies 29,772 → 9,833 (3.10 → 1.02 per delivery),
     rebuilds 336 → 0.  Latency p50 / p90 / p99 / max 2.4 / 4.8 / 77.2 /
     267.0 → 2.4 / 3.6 / 3.6 / 3.6 ms: the tail was the deliveries the
-    gossip wave missed, which waited for a gap pull."""
+    gossip wave missed, which waited for a gap pull.  v3 → v4 entries:
+    1,513,698 → 976,775 B (157.7 → 101.7 B per delivery: a broadcast
+    here follows about 41 changed entries of R = 128, which the bitmap
+    names in 16 bytes plus one bit each), and the shorter bodies shift
+    the schedule — datagrams 10,683 → 10,696, frames 10,712 → 10,721,
+    digests 646 → 637, relay copies 9,833 → 9,842, latency max 3.6 →
+    4.8 ms; still no repair and no rebuild."""
     paced = run_virtual(paced_overlay(seed=1))
     deliveries = paced["deliveries"]
     assert deliveries == 16 * 15 * 40
     assert_one_delta_per_broadcast(paced)
     assert paced["deltas"] == paced["relays"], paced
-    assert paced["bytes"] <= 260 * deliveries, paced
+    assert paced["bytes"] <= 120 * deliveries, paced
     assert paced["datagrams"] <= 3.5 * deliveries, paced
     assert paced["relays"] <= 1.3 * deliveries, paced
     _, p90, p99, _ = paced["latency_ms"]
     assert p90 <= 5.0 and p99 <= 77.0, paced
-    # Exact for the seed: 157.7 B, 1.113 datagrams, 1.116 frames and
-    # 0.067 digests per delivery, 1.02 relay copies, no repair.
+    # Exact for the seed: 101.7 B, 1.114 datagrams, 1.117 frames and
+    # 0.066 digests per delivery, 1.03 relay copies, no repair.
     assert (
         paced["bytes"], paced["datagrams"], paced["frames"], paced["digests"],
         paced["repairs_sent"], paced["relays"], paced["rebuilds"], paced["latency_ms"],
-    ) == (1513698, 10683, 10712, 646, 0, 9833, 0, (2.4, 3.6, 3.6, 3.6)), paced
+    ) == (976775, 10696, 10721, 637, 0, 9842, 0, (2.4, 3.6, 3.6, 4.8)), paced

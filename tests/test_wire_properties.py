@@ -8,7 +8,9 @@ Two families of invariants, hypothesis-driven:
   would silently fork the wire history;
 * DELTA differential — ``encode_delta -> decode_delta`` reconstructs a
   message bit-identical to its full encoding (same vector values and
-  dtype, keys, seq, payload), for arbitrary reference/increment splits;
+  dtype, keys, seq, payload), for arbitrary reference/increment splits,
+  through either entry layout (a list or a bitmap, built here from the
+  layout's definition), and the encoder sends the smaller one;
 
 and every truncation of a generated message or frame is rejected as a
 ``CodecError``.
@@ -28,8 +30,10 @@ from repro.core.codec import (
     DigestFrame,
     FrameCodec,
     HeartbeatFrame,
+    JsonPayloadCodec,
     MessageCodec,
     NackFrame,
+    encode_varint,
 )
 from repro.core.protocol import Message
 
@@ -237,6 +241,116 @@ class TestDeltaDifferential:
             message, message.seq - 1, message.timestamp.vector
         )
         assert len(delta) < len(codec.encode(message))
+
+
+def layout_body(delta: bytes, message: Message, diff, bitmap: bool) -> bytes:
+    """``delta`` with its entry block rebuilt in one layout from the
+    definition: the list is a count, then per changed entry the varint
+    ``(index gap << 1) | (increment != 1)`` and ``increment - 2`` when
+    that bit is set; the bitmap is an R-bit map of the changed entries,
+    an n-bit map of those whose increment is not 1, and their
+    ``increment - 2``.  Bitmaps are little-endian: bit i is bit i % 8 of
+    byte i // 8."""
+    _, _, _, offset = MessageCodec().delta_header(delta)
+    changed = [index for index, step in enumerate(diff) if step]
+    others = [position for position, index in enumerate(changed) if diff[index] != 1]
+    if bitmap:
+        entries = sum(1 << index for index in changed).to_bytes((len(diff) + 7) // 8, "little")
+        entries += sum(1 << position for position in others).to_bytes(
+            (len(changed) + 7) // 8, "little"
+        )
+        entries += b"".join(encode_varint(int(diff[changed[p]]) - 2) for p in others)
+    else:
+        entries, previous = encode_varint(len(changed)), 0
+        for index in changed:
+            step = int(diff[index])
+            entries += encode_varint((index - previous) << 1 | (step != 1))
+            if step != 1:
+                entries += encode_varint(step - 2)
+            previous = index
+    payload = JsonPayloadCodec().encode(message.payload)
+    flags = bytes((delta[3] & ~0x04 | (0x04 if bitmap else 0),))
+    return delta[:3] + flags + delta[4:offset] + entries + encode_varint(len(payload)) + payload
+
+
+# Increments worth hitting: 1 (no exception), 2 (exception 0), the
+# one- and two-byte varint edges of an exception, and a large one.
+STEPS = st.sampled_from([0, 0, 1, 1, 1, 2, 127, 128, 129, 130, 10**6]) | st.integers(0, 300)
+
+
+@st.composite
+def layout_cases(draw):
+    """A message and a reference it grew from by ``diff``; R need not be
+    a multiple of 8 and gaps between changed entries straddle 63/64."""
+    r = draw(st.integers(1, 200))
+    shape = draw(st.sampled_from(["none", "all", "sparse", "random"]))
+    if shape == "none":
+        diff = [0] * r
+    elif shape == "all":
+        diff = draw(st.lists(STEPS.filter(bool), min_size=r, max_size=r))
+    elif shape == "sparse":
+        diff, index = [0] * r, draw(st.integers(0, r - 1))
+        while index < r:
+            diff[index] = draw(STEPS.filter(bool))
+            index += draw(st.sampled_from([1, 63, 64, 65, 127, 128]))
+    else:
+        diff = draw(st.lists(STEPS, min_size=r, max_size=r))
+    ref = np.asarray(draw(st.lists(st.integers(0, 2**40), min_size=r, max_size=r)), dtype=np.int64)
+    vector = ref + np.asarray(diff, dtype=np.int64)
+    vector.flags.writeable = False
+    seq = draw(st.integers(2, 2**40))
+    message = Message(
+        sender=draw(SENDERS), seq=seq,
+        timestamp=Timestamp(vector=vector, sender_keys=(0,), seq=seq),
+        payload=draw(st.none() | st.text(max_size=8)),
+    )
+    return message, ref, diff
+
+
+class TestDeltaLayouts:
+    @settings(max_examples=100, deadline=None)
+    @given(layout_cases())
+    def test_each_layout_reconstructs_bit_identically(self, case):
+        message, ref, diff = case
+        codec = MessageCodec()
+        sent = codec.encode_delta(message, message.seq - 1, ref)
+        full = codec.encode(message)
+        for bitmap in (False, True):
+            body = layout_body(sent, message, diff, bitmap)
+            decoded = codec.decode_delta(body, ref, (0,))
+            assert decoded.timestamp.vector.dtype == np.int64
+            assert np.array_equal(decoded.timestamp.vector, message.timestamp.vector)
+            assert codec.full_from_delta(body, decoded.timestamp.vector, (0,)) == full
+            assert codec.encode(decoded) == full
+            # apply_delta walks the store both ways: -1 undoes +1.
+            walked = ref.copy()
+            MessageCodec.apply_delta(body, walked)
+            assert np.array_equal(walked, message.timestamp.vector)
+            MessageCodec.apply_delta(body, walked, -1)
+            assert np.array_equal(walked, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layout_cases())
+    def test_the_encoder_sends_the_smaller_layout(self, case):
+        """Byte for byte the smaller of the two, the list on a tie."""
+        message, ref, diff = case
+        sent = MessageCodec().encode_delta(message, message.seq - 1, ref)
+        bodies = [layout_body(sent, message, diff, bitmap) for bitmap in (False, True)]
+        assert sent == min(bodies, key=len)
+
+    def test_both_layouts_are_chosen_where_expected(self):
+        """A few changed entries take the list, most of R the bitmap."""
+        ref = np.zeros(128, dtype=np.int64)
+        for changed, bitmap in ((3, False), (41, True), (128, True), (0, False)):
+            vector = ref.copy()
+            vector[:changed] = 1
+            message = Message(
+                sender="s", seq=2,
+                timestamp=Timestamp(vector=vector, sender_keys=(0,), seq=2),
+                payload=None,
+            )
+            delta = MessageCodec().encode_delta(message, 1, ref)
+            assert bool(delta[3] & 0x04) == bitmap, changed
 
 
 class TestDeltaRejections:
