@@ -13,7 +13,9 @@ the pipeline was dead anywhere:
 * the wire counters must show real traffic and real repair
   (``datagrams_sent``, ``retransmits``);
 * the pending-depth gauge must have been exported;
-* the delivery-latency histogram must have observed every delivery.
+* the delivery-latency histogram must have observed every delivery;
+* the failure detector must have run (heartbeats sent or suppressed)
+  without quarantining anyone: every node stayed up throughout.
 
 The merged snapshot is written to ``results/metered_soak/merged.json``
 and the JSONL files are what CI uploads as the run artifact.  Render
@@ -119,6 +121,9 @@ def check_merged(out_dir):
     fleet = merge_snapshots(snapshots)
     counters = fleet["counters"]
     waits = Histogram.from_dict(fleet["histograms"]["repro_delivery_wait_seconds"])
+    beats = counters["repro_wire_heartbeats_sent_total"]
+    suppressed = counters["repro_heartbeats_suppressed_total"]
+    quarantines = counters["repro_liveness_quarantines_total"]
     gates = [
         ("detector checks > 0", counters["repro_detector_checks_total"] > 0),
         ("deliveries > 0", counters["repro_endpoint_delivered_total"] > 0),
@@ -127,6 +132,8 @@ def check_merged(out_dir):
          counters["repro_wire_retransmits_total"] > 0),
         ("pending-depth gauge exported", "repro_pending_depth" in fleet["gauges"]),
         ("delivery-wait histogram populated", waits.count > 0),
+        ("liveness ran (heartbeats sent + suppressed > 0, 0 quarantines)",
+         beats + suppressed > 0 and quarantines == 0),
     ]
     failed = [label for label, passed in gates if not passed]
     rows = [
@@ -135,6 +142,8 @@ def check_merged(out_dir):
         ["detector alerts", counters["repro_detector_alerts_total"]],
         ["datagrams sent", counters["repro_wire_datagrams_sent_total"]],
         ["retransmits", counters["repro_wire_retransmits_total"]],
+        ["heartbeats sent / suppressed", f"{beats} / {suppressed}"],
+        ["quarantines", quarantines],
         ["delivery wait p95 (s)", f"{waits.quantile(0.95):.4f}"],
         ["delivery wait mean (s)", f"{waits.mean:.4f}"],
     ]

@@ -35,12 +35,11 @@ from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord
 from repro.core.registry import ClockBuildContext, get_clock_spec, get_detector_spec
 from repro.net.adaptive import AdaptiveClockController, AdaptivePolicy
 from repro.net.journal import NodeJournal
-from repro.net.liveness import LivenessPolicy
 from repro.net.membership import GroupMembership, MembershipConfig
 from repro.net.node import ReliableCausalNode
 from repro.net.overlay import PartialView
 from repro.net.peer import Transport
-from repro.net.session import RetransmitPolicy
+from repro.net.session import LivenessPolicy, RetransmitPolicy
 from repro.net.udp import BatchedUdpTransport
 
 __all__ = [
@@ -130,7 +129,7 @@ class NodeConfig:
 
     Attributes:
         liveness: heartbeats and peer quarantine; see
-            :class:`~repro.net.liveness.LivenessPolicy`.
+            :class:`~repro.net.session.LivenessPolicy`.
         membership: the live group-view layer
             (:class:`~repro.net.membership.GroupMembership`); see
             :class:`~repro.net.membership.MembershipConfig`.  With empty

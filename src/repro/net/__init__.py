@@ -6,11 +6,11 @@ realistic delays, a UDP transport, and — because UDP is fire-and-forget
 while the paper's Algorithm 5 only tolerates *late* messages — a
 reliability runtime:
 :class:`ReliableSession` (per-peer acks, NACK-driven retransmission
-with backoff, backpressure) and :class:`ReliableCausalNode` (endpoint +
-session + anti-entropy message store).  Nodes survive more than packet
-loss: :class:`NodeJournal` persists the causal state across crashes
-(WAL + snapshots), :class:`LivenessPolicy` drives a heartbeat failure
-detector that quarantines dead peers, and :class:`FaultWindow` schedules
+with backoff, backpressure, and — tuned by :class:`LivenessPolicy` — the
+heartbeat failure detector that quarantines dead peers) and
+:class:`ReliableCausalNode` (endpoint + session + anti-entropy message
+store).  Nodes survive more than packet loss: :class:`NodeJournal`
+persists the causal state across crashes (WAL + snapshots), and :class:`FaultWindow` schedules
 partitions and latency spikes for chaos testing.  :class:`GroupMembership`
 makes the peer set itself dynamic: a versioned live view, a JOIN/LEAVE
 handshake with state transfer, and quarantine-driven eviction.  For
@@ -37,13 +37,12 @@ from repro.net.adaptive import (
 from repro.net.bus import BusTransport, LocalAsyncBus
 from repro.net.faults import FaultWindow, FaultyTransport
 from repro.net.journal import LinkState, NodeJournal, RecoveredState
-from repro.net.liveness import LivenessPolicy, PeerLivenessMonitor
 from repro.net.membership import GroupMembership, GroupView, MembershipConfig
 from repro.net.node import ReliableCausalNode
 from repro.net.overlay import OverlayStats, PartialView
 from repro.net.peer import Transport
 from repro.net.repair import MessageStore, StoreStats
-from repro.net.session import ReliableSession, RetransmitPolicy, TransportStats
+from repro.net.session import LivenessPolicy, ReliableSession, RetransmitPolicy, TransportStats
 from repro.net.udp import BatchedUdpTransport, IoStats, UdpTransport
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "RecoveredState",
     "LinkState",
     "LivenessPolicy",
-    "PeerLivenessMonitor",
     "MembershipConfig",
     "GroupView",
     "GroupMembership",

@@ -33,9 +33,9 @@ frames (see ``docs/PROTOCOL.md`` §9):
 * **LEAVE** — a graceful goodbye.  The coordinator removes the member,
   recycles its key set, and announces the new view.  LEAVE is lossy by
   design: the backstop for a crash (or a lost LEAVE) is **quarantine
-  eviction** — when a member's :class:`~repro.net.liveness.
-  PeerLivenessMonitor` quarantine ages past ``evict_after``, the acting
-  coordinator expels it the same way.
+  eviction** — when the session has kept a member quarantined
+  (:meth:`~repro.net.session.ReliableSession.overdue`) past
+  ``evict_after``, the acting coordinator expels it the same way.
 
 Every member mirrors the view's assignments into its local
 :class:`~repro.core.keyspace.KeyAssigner`, so whichever member the
@@ -271,16 +271,12 @@ class GroupMembership:
         """
         if self._view is None:
             return None
-        liveness = self._node.liveness
+        session = self._node.session
         candidates = []
         for member in self._view.members:
             if member.node_id in exclude:
                 continue
-            if (
-                member.node_id != self.node_id
-                and liveness is not None
-                and liveness.is_quarantined(member.address)
-            ):
+            if member.node_id != self.node_id and session.is_quarantined(member.address):
                 continue
             candidates.append(member.node_id)
         return min(candidates) if candidates else None
@@ -671,9 +667,9 @@ class GroupMembership:
             if self.acting_coordinator() != self.node_id:
                 continue
             node = self._node
-            if node.liveness is not None and self.config.evict_after > 0:
+            if self.config.evict_after > 0:
                 now = asyncio.get_running_loop().time()
-                for address in node.liveness.overdue(now, self.config.evict_after):
+                for address in node.session.overdue(now, self.config.evict_after):
                     member = self._view.by_address(address)
                     if member is not None and member.node_id != self.node_id:
                         self.evictions += 1
@@ -834,8 +830,7 @@ class GroupMembership:
                     )
             if member.node_id != self.node_id:
                 node.add_peer(member.address)
-                if node.liveness is not None:
-                    node.liveness.track(member.address, node._now())
+                node.session.track(member.address, node._now())
         # The view is authoritative over this node's own key set too: a
         # higher-epoch view re-tiled it, so adopt the new keys before the
         # view is persisted (WAL order: rekey, then view — replay then

@@ -56,11 +56,10 @@ from repro.core.detector import DeliveryErrorDetector
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord, Message
 from repro.net.journal import NodeJournal, RecoveredState
-from repro.net.liveness import LivenessPolicy, PeerLivenessMonitor
 from repro.net.overlay import PartialView
 from repro.net.peer import Transport
 from repro.net.repair import Frontiers, MessageStore, Repair
-from repro.net.session import ReliableSession, RetransmitPolicy, TransportStats
+from repro.net.session import LivenessPolicy, ReliableSession, RetransmitPolicy, TransportStats
 from repro.obs import JsonlExporter, MetricsHttpServer, MetricsRegistry, TraceRing
 
 __all__ = ["ReliableCausalNode"]
@@ -127,11 +126,10 @@ class ReliableCausalNode:
             delivered frontiers, link seqs) before a single datagram can
             arrive, and every send/delivery is logged ahead of the wire.
             Requires a pristine ``clock``.
-        liveness: optional :class:`~repro.net.liveness.LivenessPolicy`;
-            when given, :meth:`start` runs a heartbeat/failure-detector
-            loop that quarantines silent peers and heals them on return
-            (a beacon is skipped when the link sent any datagram within
-            the last interval — traffic already proves liveness).
+        liveness: optional :class:`~repro.net.session.LivenessPolicy`;
+            when given, the session beacons the peers (the view, in
+            overlay mode), quarantines silent ones and the node heals
+            them on return.
         wire_delta: delta-encode each broadcast against this node's
             previous one, on every link and relay hop alike (O(K) wire
             bytes instead of O(R)).
@@ -195,9 +193,6 @@ class ReliableCausalNode:
         self._on_delivery = on_delivery
         self._peers: List[Address] = []
         self._decode_errors = 0
-        self._liveness_task: Optional[asyncio.Task] = None
-        self._heartbeat_count = 0
-        self._heartbeats_suppressed = 0
         self._wire_delta = wire_delta
         # Delta wire state.  Sending: this node's previous broadcast, as
         # (seq, vector) — the one reference for every link and relay
@@ -227,10 +222,6 @@ class ReliableCausalNode:
         # here, but the assembly order is api's business).
         self.adaptive = None
         self.journal = journal
-        self.liveness = (
-            PeerLivenessMonitor(liveness) if liveness is not None else None
-        )
-        self._liveness_policy = liveness
         self.overlay = overlay
 
         # Observability: every node owns a registry (collectors are free
@@ -291,9 +282,8 @@ class ReliableCausalNode:
             on_message=self._handle_wire_message,
             on_digest=self._handle_digest,
             policy=policy,
-            on_peer_activity=(
-                self._handle_peer_activity if self.liveness is not None else None
-            ),
+            liveness=liveness,
+            on_liveness=self._handle_liveness,
             on_link_seq=(journal.ensure_lease if journal is not None else None),
             on_membership=self._handle_membership_frame,
             on_relay=(self._handle_relay if overlay is not None else None),
@@ -354,15 +344,15 @@ class ReliableCausalNode:
         ]
 
         def collect() -> dict:
-            liveness = self.liveness
+            session = self.session
             values = {
                 "repro_store_evictions_total": self.store.stats.evictions,
                 "repro_store_unservable_total": self.store.stats.unservable_requests,
                 "repro_store_size": len(self.store),
                 "repro_decode_errors_total": self._decode_errors,
-                "repro_liveness_quarantines_total": liveness.quarantines if liveness else 0,
-                "repro_liveness_resumes_total": liveness.resumes if liveness else 0,
-                "repro_heartbeats_suppressed_total": self._heartbeats_suppressed,
+                "repro_liveness_quarantines_total": session.quarantines,
+                "repro_liveness_resumes_total": session.resumes,
+                "repro_heartbeats_suppressed_total": session.heartbeats_suppressed,
                 "repro_stale_frames_total": self._stale_frames,
             }
             for name, attr in repair_series:
@@ -407,13 +397,14 @@ class ReliableCausalNode:
     # ------------------------------------------------------------------
 
     async def start(self) -> "ReliableCausalNode":
-        """Start the retransmit timer, anti-entropy, liveness, and
+        """Start the retransmit timer, heartbeats, anti-entropy and
         metrics-export loops (and the Prometheus endpoint, if any)."""
         self.session.start()
         self.repair.start()
+        self.session.start_heartbeats(
+            lambda: self.overlay.digest_targets() if self.overlay is not None else list(self._peers)
+        )
         loop = asyncio.get_running_loop()
-        if self.liveness is not None and self._liveness_task is None:
-            self._liveness_task = loop.create_task(self._liveness_loop())
         if self._metrics_path is not None and self._exporter is None:
             self._exporter = JsonlExporter(self._metrics_path)
             self._export_task = loop.create_task(self._export_loop())
@@ -441,11 +432,9 @@ class ReliableCausalNode:
         if self.adaptive is not None:
             await self.adaptive.stop()
         self.repair.close()
-        for task in (self._liveness_task, self._export_task):
-            if task is not None:
-                task.cancel()
-        self._liveness_task = None
-        self._export_task = None
+        if self._export_task is not None:
+            self._export_task.cancel()
+            self._export_task = None
         if self.metrics_server is not None:
             await self.metrics_server.close()
             self.metrics_server = None
@@ -500,8 +489,6 @@ class ReliableCausalNode:
         if self.overlay is not None:
             self.overlay.discard(address)
         self.session.forget(address)
-        if self.liveness is not None:
-            self.liveness.forget(address)
         self._delta_miss_warned.discard(address)
 
     def evict_peer(self, address: Address, sender_id: Optional[str] = None) -> None:
@@ -712,9 +699,7 @@ class ReliableCausalNode:
         """Whether anything may be sent to ``address`` on this node's
         own account: neither evicted nor quarantined (a quarantined
         peer's copy arrives via anti-entropy on its return)."""
-        return address not in self._evicted_peers and not (
-            self.liveness is not None and self.liveness.is_quarantined(address)
-        )
+        return address not in self._evicted_peers and not self.session.is_quarantined(address)
 
     def _live_targets(self) -> List[Address]:
         """The live peers (mesh) or the live view (overlay): where mesh
@@ -939,8 +924,11 @@ class ReliableCausalNode:
         # to 0.0, which froze the refined detector's eviction clock).
         delivered = bool(self.endpoint.on_receive(message, now=self._now()))
         successor = self._parked.pop((sender, message.seq), None)
-        if successor is not None and not self.endpoint.has_seen((sender, message.seq + 1)):
-            released.append(successor)
+        if successor is not None:
+            if not self._parked:
+                self._parked = {}  # an emptied dict keeps its peak size
+            if not self.endpoint.has_seen((sender, message.seq + 1)):
+                released.append(successor)
         return delivered
 
     def _park(
@@ -1038,57 +1026,22 @@ class ReliableCausalNode:
         if not self._drop_if_evicted(addr, "digest"):
             self.repair.answer(frontiers, addr)
 
-    async def _liveness_loop(self) -> None:
-        interval = self._liveness_policy.heartbeat_interval
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(interval)
-            now = loop.time()
-            self._heartbeat_count += 1
-            beacon_targets = (
-                self.overlay.digest_targets() if self.overlay is not None
-                else list(self._peers)
-            )
-            for address in beacon_targets:
-                # Heartbeats flow to quarantined peers too: that is what
-                # resolves a mutual quarantine once the partition lifts.
-                self.liveness.track(address, now)
-                last = self.session.last_send_time(address)
-                if last >= 0.0 and now - last < interval:
-                    # Any recent datagram already proves we are alive;
-                    # the beacon would be pure overhead on a busy link.
-                    self._heartbeats_suppressed += 1
-                    continue
-                try:
-                    await self.session.send_heartbeat(address, self._heartbeat_count)
-                except Exception:
-                    continue
-            for address in self.liveness.sweep(loop.time()):
-                if self.overlay is not None:
-                    self.overlay.unlink(address)
-                if address in self._peers:
-                    self.session.quarantine(address)
-                    self.trace.emit(
-                        "quarantine", ts=loop.time(), peer=str(address)
-                    )
-                else:
-                    # Activity from a non-member primed the monitor;
-                    # nothing to pause for it.
-                    self.liveness.forget(address)
-
-    def _handle_peer_activity(self, address: Address) -> None:
-        # Called synchronously from the datagram path for *every*
-        # datagram; must stay cheap.
-        try:
-            now = asyncio.get_running_loop().time()
-        except RuntimeError:
-            return
-        if self.liveness.touch(address, now):
-            self.session.resume(address)
+    def _handle_liveness(self, address: Address, alive: bool) -> bool:
+        """The session's verdicts: a quarantined peer is back (heal it
+        now: exchange digests both ways, not at the next round), or one
+        fell silent — unlinked, and quarantined when it is a peer (a
+        silent gossip-learned view entry has nothing to pause)."""
+        now = self._now()
+        if alive:
             self.trace.emit("resume", ts=now, peer=str(address))
-            # Heal immediately rather than waiting for the next
-            # anti-entropy round: exchange digests both ways.
             self.repair.request(address, paced=False)
+            return True
+        if self.overlay is not None:
+            self.overlay.unlink(address)
+        if address not in self._peers:
+            return False
+        self.trace.emit("quarantine", ts=now, peer=str(address))
+        return True
 
     def _handle_delivery(self, record: DeliveryRecord) -> None:
         message = record.message
@@ -1167,11 +1120,6 @@ class ReliableCausalNode:
     def decode_errors(self) -> int:
         """Datagrams dropped because they failed to decode."""
         return self._decode_errors
-
-    @property
-    def heartbeats_suppressed(self) -> int:
-        """Heartbeat beacons skipped because the link had recent traffic."""
-        return self._heartbeats_suppressed
 
     def state_sizes(self) -> Dict[str, int]:
         """Entries held per table — the census of what this node

@@ -30,7 +30,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Deque, Dict, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import Deque, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -404,7 +404,6 @@ class Repair:
         self._task: Optional[asyncio.Task] = None
         # The digest partners in visiting order; the head is next.
         self._rotation: List[Address] = []
-        self._heal_tasks: Set[asyncio.Task] = set()
         self._resync_last: Dict[Address, float] = {}
         # The one armed grace timer, and the message the last pull it
         # sent is waiting on (None once that message was delivered).
@@ -422,12 +421,11 @@ class Repair:
             self._task = asyncio.get_running_loop().create_task(self._rounds())
 
     def close(self) -> None:
-        """Cancel the rounds, the out-of-band digests and the gap pull."""
-        for task in (self._task, *self._heal_tasks):
-            if task is not None:
-                task.cancel()
-        self._task = None
-        self._heal_tasks.clear()
+        """Cancel the rounds and the gap pull (the session cancels the
+        out-of-band digests it runs)."""
+        if self._task is not None:
+            self._task.cancel()
+            self._task = None
         if self._gap_pull_timer is not None:
             self._gap_pull_timer.cancel()
             self._gap_pull_timer = None
@@ -437,7 +435,6 @@ class Repair:
         sizes = {
             "store_messages": len(self.store),
             "reference_slots": len(self.store.references),
-            "heal_tasks": len(self._heal_tasks),
             "resync_marks": len(self._resync_last),
             "partner_rotation": len(self._rotation),
         }
@@ -517,9 +514,7 @@ class Repair:
             for stale in [a for a, at in marks.items() if now - at >= _RESYNC_INTERVAL]:
                 del marks[stale]
             marks[address] = now
-        task = loop.create_task(self.heal(address))
-        self._heal_tasks.add(task)
-        task.add_done_callback(self._heal_tasks.discard)
+        self._node.session._post(self.heal(address))
         return True
 
     async def heal(self, address: Address) -> None:
@@ -529,11 +524,7 @@ class Repair:
             # Scheduled before remove_peer()/evict_peer() ran: a digest
             # now would re-create the session state just purged.
             return
-        try:
-            await self._node.session.send_digest(address, self.digest())
-        except Exception:
-            # A digest that fails to send is retried next round.
-            pass
+        await self._node.session.send_digest(address, self.digest())
 
     def _digestible(self, address: Address) -> bool:
         """Whether a digest may go to ``address``: a live peer or view

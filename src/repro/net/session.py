@@ -38,13 +38,25 @@ so this module adds the classic reliability machinery between a
 * **anti-entropy plumbing** — digest frames (per-sender ``(sender, seq)``
   frontiers) are encoded/dispatched here; deciding *what* is missing is
   the repair module's job (see :mod:`repro.net.repair`);
-* **liveness plumbing** — HEARTBEAT frames are sent/counted here, every
-  incoming datagram is reported through ``on_peer_activity``, and a peer
-  the failure detector declares dead can be **quarantined**: its pending
-  retransmissions are dropped (counted in ``quarantine_drops``) and its
-  backpressure budget released, so a dead peer burns neither timers nor
-  sender memory.  :meth:`resume` re-arms the peer; anti-entropy heals
-  whatever was dropped while it was away (see :mod:`repro.net.liveness`);
+* **liveness** — the session is the one record of whether a peer is
+  alive.  Every incoming datagram of any kind (even one that fails to
+  decode) stamps the peer's ``last_seen``; a peer silent past
+  ``quarantine_after`` is **quarantined** (timeout failure detection,
+  the classic eventually-perfect detector under partial synchrony: an
+  idle-but-alive peer survives on heartbeats alone).  A quarantined
+  peer costs nothing: its retransmissions pause, its unacked frames are
+  dropped (counted in ``quarantine_drops``) and its backpressure budget
+  released, and the owner stops sending to it — anti-entropy heals it
+  wholesale later.  Every ``heartbeat_interval`` the session beacons a
+  HEARTBEAT frame (never acked or retransmitted) to each address the
+  owner names, *suppressed* when the link sent any datagram within the
+  interval (traffic already proves liveness); beacons that are sent
+  ride the coalescing queue.  Heartbeats *keep flowing* to quarantined
+  peers: that asymmetry un-wedges two peers that quarantined each other
+  across a partition — whichever hears first resumes, and its resumed
+  traffic resumes the other.  The first datagram from a quarantined
+  peer **resumes** it, and the owner's ``on_liveness`` upcall triggers
+  an immediate anti-entropy exchange to close the gap;
 * **crash recovery plumbing** — per-link sequence state can be exported
   (:meth:`link_states`) and re-imported (:meth:`restore_peer`) by the
   journal, and ``on_link_seq`` fires *before* a fresh sequence number
@@ -67,7 +79,7 @@ import asyncio
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.codec import (
     AckFrame,
@@ -90,12 +102,12 @@ from repro.core.codec import (
 from repro.core.errors import ConfigurationError
 from repro.net.peer import Transport
 
-__all__ = ["RetransmitPolicy", "TransportStats", "ReliableSession"]
+__all__ = ["LivenessPolicy", "RetransmitPolicy", "TransportStats", "ReliableSession"]
 
 Address = Hashable
 MessageHandler = Callable[[bytes, Address], None]
 DigestHandler = Callable[[Dict[str, Tuple[int, Tuple[int, ...]]], Address], None]
-ActivityHandler = Callable[[Address], None]
+LivenessHandler = Callable[[Address, bool], bool]
 LinkSeqHandler = Callable[[Address, int], None]
 MembershipHandler = Callable[[Frame, Address], None]
 RelayHandler = Callable[[Union[RelayFrame, TreeFrame], Address], None]
@@ -164,6 +176,35 @@ class RetransmitPolicy:
             raise ConfigurationError(
                 f"initial_timeout ({self.initial_timeout}) must be <= the timeout "
                 f"ceiling ({_MAX_TIMEOUT})"
+            )
+
+
+@dataclass(frozen=True)
+class LivenessPolicy:
+    """Failure-detection tuning.
+
+    Attributes:
+        heartbeat_interval: seconds between HEARTBEAT frames to every
+            beacon target (quarantined peers included — see the module
+            docstring).
+        quarantine_after: silence (no datagram of any kind) after which
+            a peer is quarantined.  Must cover several heartbeat
+            intervals, or ordinary loss masquerades as death.
+    """
+
+    heartbeat_interval: float = 0.5
+    quarantine_after: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.heartbeat_interval <= 0:
+            raise ConfigurationError(
+                f"heartbeat_interval must be positive, got {self.heartbeat_interval}"
+            )
+        if self.quarantine_after < self.heartbeat_interval:
+            raise ConfigurationError(
+                f"quarantine_after ({self.quarantine_after}) must be >= "
+                f"heartbeat_interval ({self.heartbeat_interval}); a peer must "
+                f"get at least one heartbeat's grace"
             )
 
 
@@ -320,7 +361,11 @@ class _PeerState:
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.stats = TransportStats()
-        self.quarantined = False
+        # Liveness (with a LivenessPolicy): when the last datagram came
+        # from this peer (None while unwatched), and when its current
+        # quarantine started (None while it is not quarantined).
+        self.last_seen: Optional[float] = None
+        self.quarantined_since: Optional[float] = None
         # Coalescing outbox: encoded frames awaiting a BATCH flush, and
         # their wire cost (frame bytes + per-frame length varints).
         self.outbox: List[bytes] = []
@@ -330,9 +375,9 @@ class _PeerState:
         # maximally cumulative.
         self.ack_pending = False
         self.ack_aged = False
-        # Event-loop time of the last datagram sent to this peer (lets
-        # the liveness layer skip heartbeats when traffic already flows).
-        self.last_send = -1.0
+        # Event-loop time of the last datagram sent to this peer (a
+        # heartbeat is skipped when traffic already flows).
+        self.last_send = float("-inf")
         self._policy = policy
 
     def rto(self) -> float:
@@ -359,6 +404,9 @@ class _PeerState:
 
     def note_received(self, seq: int) -> bool:
         """Record an incoming DATA seq; True when it was new."""
+        if seq == self.recv_cumulative + 1 and not self.recv_out_of_order:
+            self.recv_cumulative = seq
+            return True
         if seq <= self.recv_cumulative or seq in self.recv_out_of_order:
             return False
         self.recv_out_of_order.add(seq)
@@ -366,6 +414,10 @@ class _PeerState:
             self.recv_cumulative += 1
             self.recv_out_of_order.discard(self.recv_cumulative)
             self.nack_last.pop(self.recv_cumulative, None)
+        if not self.recv_out_of_order:
+            # The gap closed: let go of the tables a reordering burst
+            # grew (an emptied set or dict keeps its peak size).
+            self.recv_out_of_order, self.nack_last = set(), {}
         return True
 
     def missing_seqs(self, limit: int = 64) -> List[int]:
@@ -394,8 +446,6 @@ class ReliableSession:
             ``frame_errors``, like any other undecodable one.
         on_digest: upcall ``(frontiers, addr)`` for anti-entropy digests;
             the owner answers by re-sending whatever the digest lacks.
-        on_peer_activity: upcall ``(addr)`` for every incoming datagram,
-            whatever its kind — the liveness monitor's evidence stream.
         on_link_seq: upcall ``(addr, seq)`` invoked *before* a fresh DATA
             sequence number is first transmitted, so a journal can lease
             seq ranges ahead of use (write-ahead ordering).
@@ -413,6 +463,13 @@ class ReliableSession:
             still flow.  A node mid-JOIN uses this so no state reaches
             its store before the handshake's state transfer lands.
         policy: retransmission tuning; defaults to :class:`RetransmitPolicy`.
+        liveness: failure-detection tuning; ``None`` (default) watches
+            nobody and quarantines only on an explicit :meth:`quarantine`.
+        on_liveness: upcall ``(addr, alive)``: ``alive`` when a
+            quarantined peer came back (before its datagram is
+            processed); otherwise ``addr`` fell silent, and the upcall
+            returns whether to quarantine it — False unwatches it until
+            the next beacon or datagram.  Default: quarantine.
         seed: seeds the jitter generator (jitter needs no determinism,
             but a fixed seed keeps tests reproducible).
     """
@@ -422,23 +479,25 @@ class ReliableSession:
         transport: Transport,
         on_message: MessageHandler,
         on_digest: Optional[DigestHandler] = None,
-        on_peer_activity: Optional[ActivityHandler] = None,
         on_link_seq: Optional[LinkSeqHandler] = None,
         on_membership: Optional[MembershipHandler] = None,
         on_relay: Optional[RelayHandler] = None,
         data_gate: Optional[Callable[[], bool]] = None,
         policy: Optional[RetransmitPolicy] = None,
+        liveness: Optional[LivenessPolicy] = None,
+        on_liveness: Optional[LivenessHandler] = None,
         seed: int = 0,
     ) -> None:
         self._transport = transport
         self._on_message = on_message
         self._on_digest = on_digest
-        self._on_peer_activity = on_peer_activity
         self._on_link_seq = on_link_seq
         self._on_membership = on_membership
         self._on_relay = on_relay
         self._data_gate = data_gate
         self._policy = policy if policy is not None else RetransmitPolicy()
+        self._liveness = liveness
+        self._on_liveness = on_liveness or (lambda address, alive: True)
         self._codec = FrameCodec()
         self._random = random.Random(seed)
         self._peers: Dict[Address, _PeerState] = {}
@@ -447,10 +506,14 @@ class ReliableSession:
         self._dirty: Dict[Address, _PeerState] = {}
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._tick_task: Optional[asyncio.Task] = None
+        self._heartbeat_task: Optional[asyncio.Task] = None
         self._tasks: Set[asyncio.Task] = set()
         self._closed = False
         self.frame_errors = 0
         self.gated_frames = 0
+        self.quarantines = 0
+        self.resumes = 0
+        self.heartbeats_suppressed = 0
         self._rtt_histogram = None  # set by bind_metrics()
         # Batched-transport fast paths, detected on the transport's
         # *class* deliberately: FaultyTransport proxies unknown attribute
@@ -475,12 +538,21 @@ class ReliableSession:
         if self._tick_task is None:
             self._tick_task = asyncio.get_running_loop().create_task(self._tick_loop())
 
+    def start_heartbeats(self, beacon_targets: Callable[[], Iterable[Address]]) -> None:
+        """With a liveness policy, start beaconing ``beacon_targets()``
+        every ``heartbeat_interval`` and sweeping for silent peers."""
+        if self._liveness is not None and self._heartbeat_task is None:
+            self._heartbeat_task = asyncio.get_running_loop().create_task(
+                self._heartbeat_loop(beacon_targets)
+            )
+
     async def close(self) -> None:
         """Stop timers, cancel in-flight sends, close the transport."""
         self._closed = True
-        if self._tick_task is not None:
-            self._tick_task.cancel()
-            self._tick_task = None
+        for task in (self._tick_task, self._heartbeat_task):
+            if task is not None:
+                task.cancel()
+        self._tick_task = self._heartbeat_task = None
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
@@ -555,13 +627,6 @@ class ReliableSession:
         """
         return self._peer(address).stats
 
-    def last_send_time(self, address: Address) -> float:
-        """Event-loop time of the last datagram sent to ``address``
-        (-1.0 before the first); lets liveness suppress heartbeats on
-        links that already carry traffic."""
-        state = self._peers.get(address)
-        return state.last_send if state is not None else -1.0
-
     @property
     def codec_counters(self):
         """The frame codec's decode tallies
@@ -597,11 +662,37 @@ class ReliableSession:
         }
 
     # ------------------------------------------------------------------
-    # peer lifecycle (quarantine / crash recovery / purge)
+    # peer lifecycle (liveness / crash recovery / purge)
     # ------------------------------------------------------------------
 
-    def quarantine(self, address: Address) -> int:
-        """Park an unresponsive peer; returns the pending frames dropped.
+    def track(self, address: Address, now: float) -> None:
+        """Start watching ``address`` (idempotent: the first call's grace
+        stands); a no-op without a liveness policy."""
+        if self._liveness is not None:
+            state = self._peer(address)
+            if state.last_seen is None:
+                state.last_seen = now
+
+    def sweep(self, now: float) -> None:
+        """Hand every watched peer silent past ``quarantine_after`` to
+        ``on_liveness``, and quarantine or unwatch it as that says."""
+        deadline = self._liveness.quarantine_after
+        silent = [
+            address
+            for address, state in self._peers.items()
+            if state.quarantined_since is None
+            and state.last_seen is not None
+            and now - state.last_seen > deadline
+        ]
+        for address in silent:
+            if self._on_liveness(address, False):
+                self.quarantine(address, now)
+            else:
+                self._peers[address].last_seen = None
+
+    def quarantine(self, address: Address, now: Optional[float] = None) -> int:
+        """Park an unresponsive peer from ``now`` (default: the loop's
+        time); returns the pending frames dropped.
 
         Its unacked buffer is discarded (counted in ``quarantine_drops``;
         anti-entropy re-delivers those messages on resume), blocked
@@ -609,9 +700,10 @@ class ReliableSession:
         peer stops costing memory and wire traffic.  Idempotent.
         """
         state = self._peers.get(address)
-        if state is None or state.quarantined:
+        if state is None or state.quarantined_since is not None:
             return 0
-        state.quarantined = True
+        state.quarantined_since = asyncio.get_running_loop().time() if now is None else now
+        self.quarantines += 1
         dropped = len(state.unacked)
         state.given_up = max((state.given_up, *state.unacked))
         state.stats.quarantine_drops += dropped
@@ -624,15 +716,30 @@ class ReliableSession:
         """Lift a quarantine (the peer showed signs of life); True if it
         was actually quarantined."""
         state = self._peers.get(address)
-        if state is None or not state.quarantined:
+        if state is None or state.quarantined_since is None:
             return False
-        state.quarantined = False
+        state.quarantined_since = None
+        self.resumes += 1
         return True
 
     def is_quarantined(self, address: Address) -> bool:
         """Whether ``address`` is currently quarantined."""
         state = self._peers.get(address)
-        return state is not None and state.quarantined
+        return state is not None and state.quarantined_since is not None
+
+    def quarantined_since(self, address: Address) -> Optional[float]:
+        """When ``address``'s current quarantine started (None if none)."""
+        state = self._peers.get(address)
+        return state.quarantined_since if state is not None else None
+
+    def overdue(self, now: float, age: float) -> List[Address]:
+        """Peers quarantined longer than ``age`` seconds — membership's
+        eviction candidates.  A pure query: the caller evicts."""
+        return [
+            address
+            for address, state in self._peers.items()
+            if state.quarantined_since is not None and now - state.quarantined_since > age
+        ]
 
     def forget(self, address: Address) -> bool:
         """Purge all per-peer state for ``address`` (membership removal).
@@ -737,12 +844,6 @@ class ReliableSession:
         state = self._peer(destination)
         state.stats.digests_sent += 1
         self._transmit(destination, state, self._codec.encode(DigestFrame(frontiers)))
-
-    async def send_heartbeat(self, destination: Address, count: int) -> None:
-        """Fire-and-forget a liveness beacon (never acked or retransmitted)."""
-        state = self._peer(destination)
-        state.stats.heartbeats_sent += 1
-        self._transmit(destination, state, self._codec.encode(HeartbeatFrame(count=count)))
 
     def send_control(self, destination: Address, frame: Frame) -> None:
         """Fire-and-forget a control frame (VIEW/JOIN/JOIN_ACK/LEAVE,
@@ -881,11 +982,14 @@ class ReliableSession:
             handle(data, addr)
 
     def _handle_datagram(self, data: bytes, addr: Address) -> None:
-        if self._on_peer_activity is not None:
+        state = self._peer(addr)
+        if self._liveness is not None:
             # Any datagram — data, ack, digest, heartbeat, even one that
             # fails to decode — is evidence the address is alive.
-            self._on_peer_activity(addr)
-        state = self._peer(addr)
+            state.last_seen = asyncio.get_running_loop().time()
+            if state.quarantined_since is not None:
+                self.resume(addr)
+                self._on_liveness(addr, True)
         state.stats.datagrams_received += 1
         state.stats.bytes_received += len(data)
         try:
@@ -987,6 +1091,8 @@ class ReliableSession:
                 state.observe_rtt(sample)
                 if self._rtt_histogram is not None:
                     self._rtt_histogram.observe(sample)
+        if not state.unacked:
+            state.unacked = OrderedDict()  # an emptied dict keeps its peak size
         if len(state.unacked) < _SEND_BUFFER:
             state.space.set()
 
@@ -1011,7 +1117,7 @@ class ReliableSession:
             await asyncio.sleep(_TICK_INTERVAL)
             now = asyncio.get_running_loop().time()
             for address, state in self._peers.items():
-                if not state.quarantined:
+                if state.quarantined_since is None:
                     due = [
                         (seq, pending)
                         for seq, pending in state.unacked.items()
@@ -1032,6 +1138,28 @@ class ReliableSession:
                     self._flush_peer(address, state)
                 elif state.ack_pending:
                     state.ack_aged = True
+
+    async def _heartbeat_loop(self, beacon_targets: Callable[[], Iterable[Address]]) -> None:
+        interval = self._liveness.heartbeat_interval
+        loop = asyncio.get_running_loop()
+        count = 0
+        while not self._closed:
+            await asyncio.sleep(interval)
+            now = loop.time()
+            count += 1
+            for address in beacon_targets():
+                # Heartbeats flow to quarantined peers too: that is what
+                # resolves a mutual quarantine once the partition lifts.
+                self.track(address, now)
+                state = self._peers[address]
+                if now - state.last_send < interval:
+                    # Any recent datagram already proves we are alive;
+                    # the beacon would be pure overhead on a busy link.
+                    self.heartbeats_suppressed += 1
+                else:
+                    state.stats.heartbeats_sent += 1
+                    self._transmit(address, state, self._codec.encode(HeartbeatFrame(count=count)))
+            self.sweep(now)
 
     def _retransmit(
         self, state: _PeerState, addr: Address, seq: int, pending: _Pending, now: float

@@ -129,7 +129,7 @@ def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeyp
             before, after = sum(early[name].values()), sum(late[name].values())
             assert abs(after - before) <= 0.05 * before, (early[name], late[name])
 
-    asyncio.run(scenario())
+    run_virtual(scenario())
 
 
 def test_link_state_drains_after_a_quarantine_with_frames_in_flight():

@@ -1,19 +1,67 @@
-"""Failure-detector tests: monitor verdicts, quarantine, heal-on-return.
+"""Failure-detector tests: the session's verdicts, quarantine, heal-on-return.
 
-The integration tests run real UDP nodes with aggressive heartbeat
-timings so a "death" is detected within a few hundred milliseconds.
+The bookkeeping tests drive one :class:`ReliableSession` directly (a
+datagram is fed in at a virtual time); the integration tests run real
+UDP nodes with aggressive heartbeat timings so a "death" is detected
+within a few hundred milliseconds.
 """
 
 import asyncio
 
 import pytest
 
-from repro.api import LivenessPolicy, NodeConfig, RetransmitPolicy, create_node
+from repro.api import (
+    LivenessPolicy,
+    MembershipConfig,
+    NodeConfig,
+    RetransmitPolicy,
+    create_node,
+)
+from repro.core.codec import FrameCodec, HeartbeatFrame
 from repro.core.errors import ConfigurationError
 from repro.net import session as session_module
-from repro.net.liveness import PeerLivenessMonitor
-from repro.sim.group import wait_for
+from repro.net.peer import Transport
+from repro.net.session import ReliableSession
+from repro.sim.group import Group, wait_for
+from repro.sim.network import ConstantDelayModel
+from repro.sim.vtime import run_virtual
 from tests.recording import Deliveries
+
+HEARTBEAT = FrameCodec().encode(HeartbeatFrame(count=1))
+
+
+class SilentTransport(Transport):
+    """Swallows every datagram; nothing arrives but what a test feeds."""
+
+    async def send(self, destination, data):
+        pass
+
+    def set_receiver(self, callback):
+        pass
+
+
+def watching(events=None, quarantine=True):
+    """A session quarantining after 1 s of silence; ``events`` records
+    its ``on_liveness`` upcalls, whose silent verdict is ``quarantine``."""
+
+    def on_liveness(address, alive):
+        if events is not None:
+            events.append((address, alive))
+        return quarantine
+
+    return ReliableSession(
+        SilentTransport(),
+        on_message=lambda data, addr: None,
+        liveness=LivenessPolicy(heartbeat_interval=0.1, quarantine_after=1.0),
+        on_liveness=on_liveness,
+    )
+
+
+async def heard(session, address, moment):
+    """Feed ``session`` one heartbeat from ``address`` at virtual time
+    ``moment``."""
+    await asyncio.sleep(moment - asyncio.get_running_loop().time())
+    session._handle_datagram(HEARTBEAT, address)
 
 
 class TestPolicy:
@@ -40,48 +88,112 @@ class TestPolicy:
 
 
 class TestMonitor:
-    def make(self):
-        return PeerLivenessMonitor(
-            LivenessPolicy(heartbeat_interval=0.1, quarantine_after=1.0)
-        )
+    """The session's verdicts; a datagram fed in is a touch."""
 
     def test_silent_peer_quarantined_once(self):
-        monitor = self.make()
-        monitor.track("a", now=0.0)
-        assert monitor.sweep(now=0.5) == []
-        assert monitor.sweep(now=1.5) == ["a"]
-        assert monitor.is_quarantined("a")
-        assert monitor.sweep(now=2.5) == []  # already quarantined
-        assert monitor.quarantines == 1
+        events = []
+        session = watching(events)
+        session.track("a", now=0.0)
+        session.sweep(now=0.5)
+        assert not session.is_quarantined("a")
+        session.sweep(now=1.5)
+        assert session.is_quarantined("a")
+        session.sweep(now=2.5)  # already quarantined
+        assert session.quarantines == 1
+        assert events == [("a", False)]
 
     def test_touch_revives_and_reports(self):
-        monitor = self.make()
-        monitor.track("a", now=0.0)
-        monitor.sweep(now=2.0)
-        assert monitor.touch("a", now=2.1) is True   # revival: caller heals
-        assert monitor.touch("a", now=2.2) is False  # plain activity
-        assert not monitor.is_quarantined("a")
-        assert monitor.resumes == 1
+        async def scenario():
+            events = []
+            session = watching(events)
+            session.track("a", now=0.0)
+            session.sweep(now=2.0)
+            await heard(session, "a", 2.1)  # revival: the owner heals
+            await heard(session, "a", 2.2)  # plain activity
+            return events, session.is_quarantined("a"), session.resumes
+
+        events, quarantined, resumes = run_virtual(scenario())
+        assert events == [("a", False), ("a", True)]
+        assert not quarantined
+        assert resumes == 1
 
     def test_touch_auto_tracks_unknown_peer(self):
-        monitor = self.make()
-        assert monitor.touch("new", now=5.0) is False
-        assert monitor.sweep(now=7.0) == ["new"]
+        async def scenario():
+            session = watching()
+            await heard(session, "new", 5.0)
+            session.sweep(now=5.5)
+            before = session.is_quarantined("new")
+            session.sweep(now=7.0)
+            return before, session.is_quarantined("new")
+
+        assert run_virtual(scenario()) == (False, True)
 
     def test_track_is_idempotent_and_keeps_first_deadline(self):
-        monitor = self.make()
-        monitor.track("a", now=0.0)
-        monitor.track("a", now=10.0)  # must not refresh the grace period
-        assert monitor.sweep(now=2.0) == ["a"]
+        session = watching()
+        session.track("a", now=0.0)
+        session.track("a", now=10.0)  # must not refresh the grace period
+        session.sweep(now=2.0)
+        assert session.is_quarantined("a")
 
     def test_forget_removes_all_state(self):
-        monitor = self.make()
-        monitor.track("a", now=0.0)
-        monitor.sweep(now=2.0)
-        monitor.forget("a")
-        assert not monitor.is_quarantined("a")
-        assert monitor.sweep(now=9.0) == []
-        assert monitor.quarantined_peers() == ()
+        session = watching()
+        session.track("a", now=0.0)
+        session.sweep(now=2.0)
+        session.forget("a")
+        assert not session.is_quarantined("a")
+        session.sweep(now=9.0)
+        assert not session.is_quarantined("a")
+        assert session.overdue(now=9.0, age=0.0) == []
+
+    def test_a_silent_address_the_owner_declines_is_unwatched(self):
+        """A silent gossip-learned view entry is unlinked by the node, not
+        quarantined: the session stops watching it until the next beacon
+        or datagram grants it a fresh grace."""
+        events = []
+        session = watching(events, quarantine=False)
+        session.track("view-entry", now=0.0)
+        session.sweep(now=2.0)
+        session.sweep(now=3.0)
+        assert not session.is_quarantined("view-entry")
+        assert events == [("view-entry", False)]
+        session.track("view-entry", now=3.0)
+        session.sweep(now=4.5)
+        assert events == [("view-entry", False)] * 2
+        assert session.quarantines == 0
+
+    def test_liveness_off_watches_nobody(self):
+        session = ReliableSession(SilentTransport(), on_message=lambda data, addr: None)
+        session.track("a", now=0.0)
+        assert session.state_sizes()["peers"] == 0
+
+    def test_heartbeats_keep_flowing_to_a_quarantined_peer(self):
+        """The loop beacons every target each interval — a quarantined
+        one too, which is what resolves a mutual quarantine — and skips
+        a link that sent anything within the interval."""
+
+        async def scenario():
+            session = watching()
+            session.start_heartbeats(lambda: ["a"])
+            await asyncio.sleep(1.55)
+            quarantined = session.is_quarantined("a")
+            beats = session.stats_for("a").heartbeats_sent
+            await asyncio.sleep(0.5)
+            after = session.stats_for("a").heartbeats_sent
+            suppressed = session.heartbeats_suppressed
+            await session.send("a", b"traffic")
+            session.flush("a")
+            await asyncio.sleep(0.06)  # the 2.1 beat was due; it meets the traffic
+            skipped = (
+                session.stats_for("a").heartbeats_sent - after,
+                session.heartbeats_suppressed - suppressed,
+            )
+            await session.close()
+            return quarantined, beats, after, skipped
+
+        quarantined, beats, after, skipped = run_virtual(scenario())
+        assert quarantined and beats > 0
+        assert after > beats
+        assert skipped == (0, 1)
 
 
 class TestQuarantineIntegration:
@@ -109,7 +221,7 @@ class TestQuarantineIntegration:
             await bob.close()  # bob dies silently
 
             assert await wait_for(
-                lambda: alice.liveness.is_quarantined(bob_address), timeout=5.0
+                lambda: alice.session.is_quarantined(bob_address), timeout=5.0
             ), "silent peer never quarantined"
             stats = alice.transport_stats(bob_address)
             assert stats.heartbeats_sent > 0
@@ -147,7 +259,7 @@ class TestQuarantineIntegration:
             bob_address = bob.local_address
             await bob.close()
             assert await wait_for(
-                lambda: alice.liveness.is_quarantined(bob_address), timeout=5.0
+                lambda: alice.session.is_quarantined(bob_address), timeout=5.0
             )
             # Broadcast while bob is down: skips him (quarantined).
             await alice.broadcast("during")
@@ -158,10 +270,10 @@ class TestQuarantineIntegration:
             )
             bob2.add_peer(alice.local_address)
             assert await wait_for(
-                lambda: not alice.liveness.is_quarantined(bob_address),
+                lambda: not alice.session.is_quarantined(bob_address),
                 timeout=5.0,
             ), "returning peer never resumed"
-            assert alice.liveness.resumes >= 1
+            assert alice.session.resumes >= 1
             # The heal: bob catches up on what he missed, exactly once.
             assert await wait_for(
                 lambda: "during" in log.payloads(), timeout=10.0
@@ -179,40 +291,79 @@ class TestQuarantineIntegration:
 class TestQuarantineAging:
     """The eviction feeder: quarantine timestamps and the overdue query."""
 
-    def make(self):
-        return PeerLivenessMonitor(
-            LivenessPolicy(heartbeat_interval=0.1, quarantine_after=1.0)
-        )
-
     def test_quarantined_since_records_start_time(self):
-        monitor = self.make()
-        monitor.track("a", now=0.0)
-        assert monitor.quarantined_since("a") is None
-        monitor.sweep(now=2.0)
-        assert monitor.quarantined_since("a") == 2.0
+        session = watching()
+        session.track("a", now=0.0)
+        assert session.quarantined_since("a") is None
+        session.sweep(now=2.0)
+        assert session.quarantined_since("a") == 2.0
 
     def test_touch_clears_the_timestamp(self):
-        monitor = self.make()
-        monitor.track("a", now=0.0)
-        monitor.sweep(now=2.0)
-        monitor.touch("a", now=2.5)
-        assert monitor.quarantined_since("a") is None
+        async def scenario():
+            session = watching()
+            session.track("a", now=0.0)
+            session.sweep(now=2.0)
+            await heard(session, "a", 2.5)
+            return session.quarantined_since("a")
+
+        assert run_virtual(scenario()) is None
 
     def test_overdue_after_age(self):
-        monitor = self.make()
-        monitor.track("a", now=0.0)
-        monitor.track("b", now=0.0)
-        monitor.sweep(now=2.0)       # both quarantined at t=2
-        monitor.touch("b", now=3.0)  # b revives
-        assert monitor.overdue(now=4.0, age=5.0) == []
-        assert monitor.overdue(now=8.0, age=5.0) == ["a"]
+        async def scenario():
+            session = watching()
+            session.track("a", now=0.0)
+            session.track("b", now=0.0)
+            session.sweep(now=2.0)  # both quarantined at t=2
+            await heard(session, "b", 3.0)  # b revives
+            return session.overdue(now=4.0, age=5.0), session.overdue(now=8.0, age=5.0)
+
+        assert run_virtual(scenario()) == ([], ["a"])
 
     def test_overdue_is_a_pure_query(self):
-        monitor = self.make()
-        monitor.track("a", now=0.0)
-        monitor.sweep(now=2.0)
-        assert monitor.overdue(now=10.0, age=1.0) == ["a"]
+        session = watching()
+        session.track("a", now=0.0)
+        session.sweep(now=2.0)
+        assert session.overdue(now=10.0, age=1.0) == ["a"]
         # Asking again still reports it: the caller evicts and forgets.
-        assert monitor.overdue(now=10.0, age=1.0) == ["a"]
-        monitor.forget("a")
-        assert monitor.overdue(now=10.0, age=1.0) == []
+        assert session.overdue(now=10.0, age=1.0) == ["a"]
+        session.forget("a")
+        assert session.overdue(now=10.0, age=1.0) == []
+
+
+def test_one_quarantine_is_seen_by_every_reader():
+    """The session's quarantine is the one record: the node's live
+    filter, its broadcast targets, the digest rotation and the
+    coordinator rule all read it, and a resume restores all four."""
+    base = NodeConfig(
+        r=32, k=2, anti_entropy_interval=0.1,
+        retransmit=RetransmitPolicy(initial_timeout=0.02),
+        liveness=LivenessPolicy(heartbeat_interval=0.05, quarantine_after=30.0),
+    )
+
+    def config(name):
+        seeds = () if name == "n0" else ("n0",)
+        return base.replace(membership=MembershipConfig(seed_peers=seeds))
+
+    async def scenario():
+        group = await Group.start(3, config, 1, 0.0, ConstantDelayModel(1.0))
+        async with group:
+            node = group.node("n1")
+            assert await wait_for(lambda: len(node.membership.view.members) == 3)
+
+            def readers():
+                return (
+                    node._live("n0"),
+                    "n0" in node._live_targets(),
+                    "n0" in {node.repair.next_partner() for _ in range(2)},
+                    node.membership.acting_coordinator(),
+                )
+
+            before = readers()
+            node.session.quarantine("n0")
+            during = readers()
+            node.session.resume("n0")
+            return before, during, readers()
+
+    before, during, after = run_virtual(scenario())
+    assert before == after == (True, True, True, "n0")
+    assert during == (False, False, False, "n1")

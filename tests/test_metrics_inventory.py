@@ -95,7 +95,6 @@ NODE_GAUGES = {
     "repro_pending_peak",
     "repro_state_entries_delta_miss_warned",
     "repro_state_entries_evicted_peers",
-    "repro_state_entries_heal_tasks",
     "repro_state_entries_leave_noted",
     "repro_state_entries_parked_deltas",
     "repro_state_entries_partner_rotation",

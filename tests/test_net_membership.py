@@ -511,7 +511,7 @@ async def churn(seed, root):
         assert totals.deliveries > 0
         assert (totals.violations, totals.ambiguous) == (0, 0), totals
         assert group.bus.dropped > 0
-        assert sum(node.liveness.quarantines for node in group.nodes) >= 2
+        assert sum(node.session.quarantines for node in group.nodes) >= 2
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -411,8 +411,8 @@ class TestNodeSurface:
             # With bob's entry purged, his silence must never trip the
             # failure detector on a peer alice no longer talks to.
             await asyncio.sleep(0.7)
-            assert not alice.liveness.is_quarantined(bob.local_address)
-            assert alice.liveness.quarantines == 0
+            assert not alice.session.is_quarantined(bob.local_address)
+            assert alice.session.quarantines == 0
             # Removing an unknown address stays a no-op.
             alice.remove_peer(("127.0.0.1", 1))
             await alice.close()

@@ -203,7 +203,7 @@ async def chaos(seed: int, root: pathlib.Path) -> dict:
             await broadcast(("n0", "n2", "n3"))
             await asyncio.sleep(0.25)  # > quarantine_after in total
         assert await wait_for(lambda: any(
-            node.liveness.is_quarantined("n1") for node in group.nodes
+            node.session.is_quarantined("n1") for node in group.nodes
         ), timeout=10.0), "nobody quarantined the crashed node"
 
     async def while_n2_is_down():
@@ -232,8 +232,8 @@ async def chaos(seed: int, root: pathlib.Path) -> dict:
         # The chaos fired and the liveness layer reacted.
         counts = group.counts()
         assert group.bus.dropped > 0 and counts["cut"] > 0, counts
-        assert sum(node.liveness.quarantines for node in group.nodes) >= 1
-        assert sum(node.liveness.resumes for node in group.nodes) >= 1
+        assert sum(node.session.quarantines for node in group.nodes) >= 1
+        assert sum(node.session.resumes for node in group.nodes) >= 1
         # The batched, delta-encoding wire stayed live throughout...
         wire = group.wire()
         assert wire.batches_sent > 0 and wire.delta_sent > 0, wire
