@@ -32,7 +32,9 @@ A run fails when
   R bits; a silent fallback to fulls or to one varint pair per entry
   costs more bytes than the ceiling allows.  On loopback the pair
   layout read about 63 B (saturated mesh), 60 B (lossy mesh) and 166 B
-  (overlay) per delivery; the two layouts read about 53, 57 and 112 B.
+  (overlay) per delivery; the two layouts read about 53, 57 and 112 B,
+  and frame v4 (one magic per datagram, a RELAY envelope of hops and
+  sample count, binary IPv4 addresses) about 48, 51 and 73 B.
 
 Exit 0 when every measured run passes, 1 otherwise.
 """
@@ -44,7 +46,7 @@ import sys
 MAX_MISS_RATIO = 0.01
 MIN_DELTA_SHARE = 0.9
 MAX_WIRE_BYTES = {  # per delivery, by workload
-    "mesh4_saturate": 60.0, "mesh4_paced": 60.0, "mesh4_lossy": 60.0, "overlay16_paced": 135.0,
+    "mesh4_saturate": 56.0, "mesh4_paced": 56.0, "mesh4_lossy": 56.0, "overlay16_paced": 95.0,
 }
 
 

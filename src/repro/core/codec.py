@@ -69,9 +69,9 @@ frame carrying an opaque payload under a per-link sequence number, ACK
 DIGEST (per-sender ``(sender, seq)`` frontiers for anti-entropy),
 HEARTBEAT (a liveness beacon for the failure detector) and BATCH (a
 container datagram coalescing several frames, with an optional
-piggybacked cumulative ACK).  Frames use a distinct magic (``b"PF"``)
-so a receiver can dispatch between raw messages and session frames on
-the first two bytes.
+piggybacked cumulative ACK).  Frames use a distinct magic (``b"PF"``),
+sent once per datagram, so a receiver can dispatch between raw messages
+and session frames on the first two bytes.
 
 Decoding takes owned ``bytes`` (what every transport delivers) and
 turns anything malformed — truncation, an id that is not UTF-8, a
@@ -80,6 +80,8 @@ sequence number or sender key out of range — into :class:`CodecError`.
 
 from __future__ import annotations
 
+import functools
+import ipaddress
 import json
 import struct
 from dataclasses import dataclass, field
@@ -405,35 +407,16 @@ class MessageCodec:
         return b"".join(parts)
 
     def decode(self, data: bytes) -> Message:
-        if len(data) < _HEADER_SIZE or data[:2] != _MAGIC:
-            raise CodecError("bad magic")
-        version, flags, scheme_id, epoch = struct.unpack_from("<BBBB", data, 2)
-        if version not in (3, _VERSION):  # a v3 full form, say from a WAL, is a v4 one
-            raise CodecError(f"unsupported version {version}")
+        flags, scheme_id, epoch, sender, seq, _, offset = _header(data)
         if flags & _FLAG_DELTA:
             raise CodecError(
                 "delta-encoded message: use decode_delta() with the "
                 "reference vector"
             )
-        if not flags & _FLAG_VARINT:
-            # The bit stays on the wire but names the only entry form
-            # there is; without it the datagram is not one of ours.
-            raise CodecError("full message without varint-coded entries")
         self._check_scheme(scheme_id)
         if epoch != self._epoch & 0xFF:
             self.counters.epoch_mismatches += 1
-        offset = _HEADER_SIZE
         try:
-            (sender_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            if len(data) < offset + sender_len:
-                raise CodecError("truncated sender")
-            sender = data[offset : offset + sender_len].decode("utf-8")
-            offset += sender_len
-            (seq,) = struct.unpack_from("<Q", data, offset)
-            offset += 8
-            if seq < 1:
-                raise CodecError("message seq 0: sequence numbers start at 1")
             (key_count,) = struct.unpack_from("<H", data, offset)
             offset += 2
             keys = struct.unpack_from(f"<{key_count}I", data, offset)
@@ -453,8 +436,6 @@ class MessageCodec:
             offset += payload_len
         except struct.error as exc:
             raise CodecError(f"truncated message: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"sender id is not UTF-8: {exc}") from exc
 
         counters = self.counters
         counters.messages_decoded += 1
@@ -561,33 +542,13 @@ class MessageCodec:
         """Parse a delta's ``(sender, seq, ref_seq, offset of its
         entries)`` — the caller resolves the reference first — and hand
         it to :meth:`decode_delta`, which then parses no prefix again."""
-        if len(data) < _HEADER_SIZE or data[:2] != _MAGIC:
-            raise CodecError("bad magic")
-        version, flags, scheme_id, epoch = struct.unpack_from("<BBBB", data, 2)
-        if version != _VERSION:
-            raise CodecError(f"unsupported version {version}")
+        flags, scheme_id, epoch, sender, seq, ref_seq, offset = _header(data)
         if not flags & _FLAG_DELTA:
             raise CodecError("not a delta-encoded message")
         self._check_scheme(scheme_id)
         if epoch != self._epoch & 0xFF:
             self.counters.epoch_mismatches += 1
-        offset = _HEADER_SIZE
-        try:
-            (sender_len,) = struct.unpack_from("<H", data, offset)
-        except struct.error as exc:
-            raise CodecError(f"truncated message: {exc}") from exc
-        offset += 2
-        if len(data) < offset + sender_len:
-            raise CodecError("truncated sender")
-        try:
-            sender = data[offset : offset + sender_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"sender id is not UTF-8: {exc}") from exc
-        seq, offset = decode_varint(data, offset + sender_len)
-        gap, offset = decode_varint(data, offset)
-        if not 0 < gap <= seq:
-            raise CodecError(f"delta reference gap {gap} outside (0, seq]")
-        return sender, seq, seq - gap, offset
+        return sender, seq, ref_seq, offset
 
     def decode_delta(
         self,
@@ -632,8 +593,8 @@ class MessageCodec:
     def timestamp_of(data: bytes) -> Tuple[np.ndarray, Tuple[int, ...]]:
         """A full encoding's ``(vector, sender keys)`` — a fresh vector,
         the payload left undecoded.  This, the one above and the two
-        below take bytes
-        this process decoded before, and check nothing."""
+        below take bytes this process decoded before; the first two
+        check nothing."""
         keys_at = _HEADER_SIZE + 12 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]
         (key_count,) = struct.unpack_from("<H", data, keys_at - 2)
         keys = struct.unpack_from(f"<{key_count}I", data, keys_at)
@@ -644,7 +605,7 @@ class MessageCodec:
     def apply_delta(data: bytes, vector: np.ndarray, sign: int = 1) -> None:
         """Add the delta's increments into ``vector`` in place (its
         reference's vector becomes its own), or subtract them (``-1``)."""
-        _add_entries(data, _delta_prefix(data)[2], vector, sign)
+        _add_entries(data, _header(data)[6], vector, sign)
 
     def full_from_delta(
         self, data: bytes, vector: np.ndarray, sender_keys: Tuple[int, ...]
@@ -653,14 +614,14 @@ class MessageCodec:
         message's own ``vector`` and ``sender_keys`` around the delta's
         scheme, epoch, sender and seq, and its payload bytes, which are
         not serialised again."""
-        sender_end, seq, offset = _delta_prefix(data)
+        _, _, _, _, seq, _, offset = _header(data)
         offset = _add_entries(data, offset, np.zeros(len(vector), dtype=np.int64), 1)
         payload_len, offset = decode_varint(data, offset)
         self.counters.full_rebuilds += 1
         return b"".join((
             _MAGIC,
             bytes((_VERSION, _FLAG_VARINT)),
-            data[4:sender_end],  # scheme, epoch, sender length, sender
+            data[4 : _HEADER_SIZE + 2 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]],  # scheme .. sender
             struct.pack(f"<QH{len(sender_keys)}II", seq, len(sender_keys), *sender_keys, len(vector)),
             _encode_varints(np.asarray(vector, dtype=np.int64).tolist()),
             struct.pack("<I", payload_len),
@@ -668,13 +629,42 @@ class MessageCodec:
         ))
 
 
-def _delta_prefix(data: bytes) -> Tuple[int, int, int]:
-    """``(end of the sender field, seq, offset of the entries)`` of a
-    delta this process decoded before."""
-    sender_end = _HEADER_SIZE + 2 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]
-    seq, offset = decode_varint(data, sender_end)
-    _, offset = decode_varint(data, offset)  # the reference gap
-    return sender_end, seq, offset
+def _header(data: bytes) -> Tuple[int, int, int, str, int, int, int]:
+    """A message body's ``(flags, scheme id, epoch, sender, seq, ref_seq,
+    offset past them)``, with every check that needs no codec: magic,
+    version (a v3 full form is a v4 one, a v3 delta is not), the entry
+    flag of a full form, a UTF-8 sender, seq >= 1 and a delta's reference
+    gap in (0, seq].  ``ref_seq`` is 0 for a full form, whose offset is
+    then that of its key count; a delta's is that of its entries."""
+    if len(data) < _HEADER_SIZE or data[:2] != _MAGIC:
+        raise CodecError("bad magic")
+    version, flags, scheme_id, epoch = struct.unpack_from("<BBBB", data, 2)
+    if version != _VERSION and (version != 3 or flags & _FLAG_DELTA):
+        raise CodecError(f"unsupported version {version}")
+    if not flags & _FLAG_VARINT:
+        # The bit stays on the wire but names the only entry form there
+        # is; without it the datagram is not one of ours.
+        raise CodecError("message without varint-coded entries")
+    try:
+        (sender_len,) = struct.unpack_from("<H", data, _HEADER_SIZE)
+        offset = _HEADER_SIZE + 2 + sender_len
+        if len(data) < offset:
+            raise CodecError("truncated sender")
+        sender = data[_HEADER_SIZE + 2 : offset].decode("utf-8")
+        if flags & _FLAG_DELTA:
+            seq, offset = decode_varint(data, offset)
+            gap, offset = decode_varint(data, offset)
+            if not 0 < gap <= seq:
+                raise CodecError(f"delta reference gap {gap} outside (0, seq]")
+            return flags, scheme_id, epoch, sender, seq, seq - gap, offset
+        (seq,) = struct.unpack_from("<Q", data, offset)
+    except struct.error as exc:
+        raise CodecError(f"truncated message: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"sender id is not UTF-8: {exc}") from exc
+    if seq < 1:
+        raise CodecError("message seq 0: sequence numbers start at 1")
+    return flags, scheme_id, epoch, sender, seq, 0, offset + 8
 
 
 def _add_entries(data: bytes, offset: int, vector: np.ndarray, sign: int) -> int:
@@ -693,23 +683,31 @@ def _add_entries(data: bytes, offset: int, vector: np.ndarray, sign: int) -> int
         vector[changed] += sign * increments
         return offset
     count, offset = decode_varint(data, offset)
-    index = 0
-    for position in range(count):
-        code, offset = decode_varint(data, offset)
-        if position > 0 and code < 2:
-            raise CodecError("zero index gap in delta entries")
-        index += code >> 1
-        if index >= r:
-            raise CodecError(
-                f"delta entry index {index} outside the {r}-entry reference vector"
-            )
-        increment = 1
-        if code & 1:
-            increment, offset = decode_varint(data, offset)
-            if increment > _MAX_EXTRA:
+    index = floor = value = shift = extra = 0  # floor: the least index the next entry may take
+    for offset, byte in enumerate(data[offset:] if count else b"", offset + 1):
+        value, shift = value | (byte & 0x7F) << shift, shift + 7
+        if byte > 0x7F:
+            if shift > 63:
+                raise CodecError("varint too long")
+            continue
+        if extra:  # the increment - 2 of the entry at index
+            if value > _MAX_EXTRA:
                 raise CodecError("delta increment beyond the int64 range of the clock")
-            increment += 2
-        vector[index] += sign * increment
+            vector[index] += sign * (value + 2)
+        else:  # an entry code: index gap << 1 | increment != 1; the first gap is the index
+            index = floor + (value >> 1) - (floor > 0)
+            if index < floor or index >= r:
+                raise CodecError("zero index gap in delta entries" if index < floor else (
+                    f"delta entry index {index} outside the {r}-entry reference vector"))
+            floor = index + 1
+            if not value & 1:
+                vector[index] += sign
+        extra, value, shift = not extra and value & 1, 0, 0
+        count -= not extra
+        if not count:
+            return offset
+    if count:
+        raise CodecError("truncated varint")
     return offset
 
 
@@ -733,8 +731,12 @@ def _bitmap(data: bytes, offset: int, bits: int) -> Tuple[np.ndarray, int]:
 
 _FRAME_MAGIC = b"PF"
 # v2 added the epoch field to VIEW and JOIN_ACK; v3 made every seq, count
-# and length of the session and RELAY frames a LEB128 varint.
-_FRAME_VERSION = 3
+# and length of the session and RELAY frames a LEB128 varint; v4 sends
+# the magic and version once per datagram, lets a DATA payload and a
+# RELAY body run to the end of their frame, drops the RELAY envelope's
+# copy of its body's (origin, seq), and packs IPv4 addresses in binary.
+_FRAME_VERSION = 4
+_FRAME_HEADER = _FRAME_MAGIC + bytes((_FRAME_VERSION,))
 _TYPE_DATA = 1
 _TYPE_ACK = 2
 _TYPE_NACK = 3
@@ -747,7 +749,9 @@ _TYPE_JOIN_ACK = 9
 _TYPE_LEAVE = 10
 _TYPE_RELAY = 11
 _TYPE_TREE = 12
-_DATA_HEADER = _FRAME_MAGIC + bytes((_FRAME_VERSION, _TYPE_DATA))
+_DATA_HEADER = _FRAME_HEADER + bytes((_TYPE_DATA,))
+_ADDRESS_JSON = 0
+_ADDRESS_IPV4 = 1
 
 _MAX_SACK = 64
 _MAX_NACK = 64
@@ -820,7 +824,10 @@ class BatchFrame:
         frames: the *encoded* inner frames (each a complete ``PF`` frame;
             nesting a BATCH inside a BATCH is rejected on both ends).
             Kept as opaque bytes so a batch round-trips byte-identically
-            and the flush path never re-encodes.
+            and the flush path never re-encodes.  On the wire an element
+            is its type byte and body, behind a varint length: the
+            datagram's own magic and version stand for every element's,
+            and decoding puts them back.
         ack: optional piggybacked cumulative+selective acknowledgement —
             the session folds its held ack into an outgoing batch so
             bidirectional steady-state traffic needs no standalone ACK
@@ -836,8 +843,10 @@ class MemberRecord:
     """One group member as carried inside VIEW and JOIN_ACK frames.
 
     ``address`` is whatever the transport uses to reach the member —
-    typically a ``(host, port)`` tuple; it round-trips through JSON on
-    the wire, with lists normalised back to tuples on decode.
+    typically a ``(host, port)`` tuple.  One whose host is a canonical
+    IPv4 dotted quad travels in 4 + 2 bytes; anything else (a bus name,
+    an IPv6 tuple) round-trips through JSON, with lists normalised back
+    to tuples on decode.
     """
 
     node_id: str
@@ -914,31 +923,33 @@ class LeaveFrame:
 class RelayFrame:
     """A gossip dissemination envelope (overlay mode, PROTOCOL.md §10).
 
-    Wraps one complete message encoding (the ``PC`` bytes) so relayers
-    forward it verbatim — encode once at the origin, fan out everywhere.
-    ``(origin, seq)`` duplicates the inner header so receivers can dedup
-    against the SeenFilter watermark *without* decoding the payload.
+    Wraps one complete message encoding (the ``PC`` bytes, full or
+    delta) so relayers forward it verbatim — encode once at the origin,
+    fan out everywhere.
 
     Attributes:
-        origin: sender id of the wrapped message.
-        seq: the origin's per-sender sequence number.
         hops: relay depth; 0 at the origin, +1 per forward, capped at
             255 on the wire (the overlay enforces a far smaller bound).
-        sent_at: the origin's event-loop timestamp at first push.  Only
-            comparable where origin and receiver share a clock (the
-            process-local swarms); used for coverage-latency histograms
-            and carried as a plain f64 diagnostic otherwise.
+        payload: the encoded message; on the wire it runs to the end of
+            the frame.
         sample: piggybacked partial-view sample — the lpbcast-style
             membership gossip receivers probabilistically merge.
-        payload: the encoded message.
+        origin, seq: the message's id, read from the payload's own
+            header at construction (a header that does not parse is a
+            :class:`CodecError`), so receivers dedup against the
+            SeenFilter watermark without decoding the rest.
     """
 
-    origin: str
-    seq: int
     hops: int
+    payload: bytes
     sample: Tuple[MemberRecord, ...] = ()
-    payload: bytes = b""
-    sent_at: float = 0.0
+    origin: str = field(init=False)
+    seq: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        _, _, _, origin, seq, _, _ = _header(self.payload)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "seq", seq)
 
 
 @dataclass(frozen=True, slots=True)
@@ -995,29 +1006,52 @@ def _decode_ascending(data: bytes, offset: int, base: int) -> Tuple[Tuple[int, .
 
 
 def _encode_short_bytes(raw: bytes) -> bytes:
-    if len(raw) > 0xFFFF:
-        raise CodecError("field longer than 65535 bytes")
-    return struct.pack("<H", len(raw)) + raw
+    return encode_varint(len(raw)) + raw
 
 
 def _decode_short_bytes(data: bytes, offset: int) -> Tuple[bytes, int]:
-    (length,) = struct.unpack_from("<H", data, offset)
-    offset += 2
+    length, offset = decode_varint(data, offset)
     if len(data) < offset + length:
         raise CodecError("truncated length-prefixed field")
     return data[offset : offset + length], offset + length
 
 
+@functools.lru_cache(maxsize=1024)
+def _packed_ipv4(host: str) -> Optional[bytes]:
+    """``host``'s four bytes when it is an IPv4 dotted quad that
+    round-trips through :mod:`ipaddress`, else None."""
+    try:
+        address = ipaddress.IPv4Address(host)
+    except ValueError:
+        return None
+    return address.packed if str(address) == host else None
+
+
 def _encode_address(address: Any) -> bytes:
+    """A tag byte, then 4 + 2 bytes for an IPv4 ``(host, port)`` tuple,
+    or a varint length and JSON for anything else."""
+    if (
+        type(address) is tuple and len(address) == 2 and type(address[0]) is str
+        and type(address[1]) is int and 0 <= address[1] <= 0xFFFF
+    ):
+        packed = _packed_ipv4(address[0])
+        if packed is not None:
+            return struct.pack("<B4sH", _ADDRESS_IPV4, packed, address[1])
     try:
         raw = json.dumps(address, separators=(",", ":")).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise CodecError(f"unencodable address {address!r}: {exc}") from exc
-    return _encode_short_bytes(raw)
+    return bytes((_ADDRESS_JSON,)) + _encode_short_bytes(raw)
 
 
 def _decode_address(data: bytes, offset: int) -> Tuple[Any, int]:
-    raw, offset = _decode_short_bytes(data, offset)
+    (tag,) = struct.unpack_from("<B", data, offset)
+    if tag == _ADDRESS_IPV4:
+        *quad, port = struct.unpack_from("<4BH", data, offset + 1)
+        return ("%d.%d.%d.%d" % tuple(quad), port), offset + 7
+    if tag != _ADDRESS_JSON:
+        raise CodecError(f"unknown address tag {tag}")
+    raw, offset = _decode_short_bytes(data, offset + 1)
     try:
         return _tuplify(json.loads(raw.decode("utf-8"))), offset
     except (ValueError, UnicodeDecodeError) as exc:
@@ -1042,17 +1076,14 @@ def _decode_member(data: bytes, offset: int) -> Tuple[MemberRecord, int]:
 
 
 def _encode_members(members: Tuple[MemberRecord, ...]) -> bytes:
-    if len(members) > 0xFFFF:
-        raise CodecError("view carries more than 65535 members")
-    parts = [struct.pack("<H", len(members))]
+    parts = [encode_varint(len(members))]
     for member in members:
         parts.append(_encode_member(member))
     return b"".join(parts)
 
 
 def _decode_members(data: bytes, offset: int) -> Tuple[Tuple[MemberRecord, ...], int]:
-    (count,) = struct.unpack_from("<H", data, offset)
-    offset += 2
+    count, offset = decode_varint(data, offset)
     members = []
     for _ in range(count):
         member, offset = _decode_member(data, offset)
@@ -1101,11 +1132,14 @@ def _decode_ack(data: bytes, offset: int) -> Tuple[AckFrame, int]:
 
 
 class FrameCodec:
-    """Encodes/decodes the session frames (DATA/ACK/NACK/DIGEST/HEARTBEAT).
+    """Encodes/decodes the session frames (DATA/ACK/NACK/DIGEST/HEARTBEAT),
+    the BATCH container and the membership and overlay frames.
 
-    Symmetric; all frames start with ``b"PF"`` + version + type byte,
-    which keeps them distinguishable from message datagrams (``b"PC"``)
-    at the first two bytes — see :func:`FrameCodec.is_frame`.  The only
+    Symmetric; an encoded frame is a whole datagram: ``b"PF"`` + version
+    + type byte + body, which keeps it distinguishable from message
+    datagrams (``b"PC"``) at the first two bytes — see
+    :func:`FrameCodec.is_frame`.  Inside a BATCH the elements go without
+    the magic and version (see :class:`BatchFrame`).  The only
     per-instance state is :attr:`counters`, the decode tallies.
     """
 
@@ -1119,14 +1153,15 @@ class FrameCodec:
 
     @staticmethod
     def encode_data_body(payload: bytes) -> bytes:
-        """The seq-independent tail of a DATA frame (length + payload).
+        """The seq-independent tail of a DATA frame: the payload itself,
+        which runs to the end of its frame (a datagram, or a BATCH
+        element behind its length).
 
         A fan-out sends the *same* payload to every peer; only the
-        per-link seq in the header differs.  Callers build this body once
-        and stamp per-peer headers with :meth:`encode_data_with_body`, so
-        an N-peer broadcast packs the payload a single time.
+        per-link seq in the header differs.  Callers take this body once
+        and stamp per-peer headers with :meth:`encode_data_with_body`.
         """
-        return encode_varint(len(payload)) + payload
+        return payload
 
     @staticmethod
     def encode_data_with_body(seq: int, body: bytes) -> bytes:
@@ -1136,7 +1171,7 @@ class FrameCodec:
         return b"".join([_DATA_HEADER, encode_varint(seq), body])
 
     def encode(self, frame: Frame) -> bytes:
-        header = _FRAME_MAGIC + struct.pack("<B", _FRAME_VERSION)
+        header = _FRAME_HEADER
         if isinstance(frame, DataFrame):
             return self.encode_data_with_body(
                 frame.seq, self.encode_data_body(frame.payload)
@@ -1172,14 +1207,13 @@ class FrameCodec:
             parts = [header, struct.pack("<BB", _TYPE_BATCH, flags)]
             if frame.ack is not None:
                 parts.append(_encode_ack(frame.ack))
-            parts.append(encode_varint(len(frame.frames)))
             for inner in frame.frames:
-                if not FrameCodec.is_frame(inner) or inner[3] == _TYPE_BATCH:
+                if inner[:3] != _FRAME_HEADER or len(inner) < 4 or inner[3] == _TYPE_BATCH:
                     raise CodecError(
                         "BATCH inner elements must be encoded non-BATCH frames"
                     )
-                parts.append(encode_varint(len(inner)))
-                parts.append(inner)
+                parts.append(encode_varint(len(inner) - 3))
+                parts.append(inner[3:])
             return b"".join(parts)
         if isinstance(frame, ViewFrame):
             if frame.view_id < 0:
@@ -1231,8 +1265,6 @@ class FrameCodec:
                 ]
             )
         if isinstance(frame, RelayFrame):
-            if frame.seq < 0:
-                raise CodecError(f"negative relay seq {frame.seq}")
             if not 0 <= frame.hops <= _MAX_HOPS:
                 raise CodecError(f"relay hop count {frame.hops} out of range")
             if len(frame.sample) > _MAX_RELAY_SAMPLE:
@@ -1240,12 +1272,8 @@ class FrameCodec:
             return b"".join(
                 [
                     header,
-                    struct.pack("<B", _TYPE_RELAY),
-                    _encode_short_bytes(frame.origin.encode("utf-8")),
-                    encode_varint(frame.seq),
-                    struct.pack("<Bd", frame.hops, frame.sent_at),
+                    struct.pack("<BB", _TYPE_RELAY, frame.hops),
                     _encode_members(tuple(frame.sample)),
-                    encode_varint(len(frame.payload)),
                     frame.payload,
                 ]
             )
@@ -1270,10 +1298,7 @@ class FrameCodec:
         try:
             if frame_type == _TYPE_DATA:
                 seq, offset = decode_varint(data, offset)
-                length, offset = decode_varint(data, offset)
-                if len(data) < offset + length:
-                    raise CodecError("truncated DATA payload")
-                return DataFrame(seq=seq, payload=data[offset : offset + length])
+                return DataFrame(seq=seq, payload=data[offset:])
             if frame_type == _TYPE_ACK:
                 return _decode_ack(data, offset)[0]
             if frame_type == _TYPE_NACK:
@@ -1290,17 +1315,18 @@ class FrameCodec:
                 ack = None
                 if flags & _BATCH_HAS_ACK:
                     ack, offset = _decode_ack(data, offset)
-                count, offset = decode_varint(data, offset)
                 frames = []
-                for _ in range(count):
+                while offset < len(data):
                     length, offset = decode_varint(data, offset)
-                    if len(data) < offset + length:
+                    end = offset + length
+                    if not length or len(data) < end:
                         raise CodecError("truncated BATCH inner frame")
-                    inner = data[offset : offset + length]
-                    offset += length
-                    if not self.is_frame(inner) or inner[3] == _TYPE_BATCH:
-                        raise CodecError("malformed BATCH inner frame")
-                    frames.append(inner)
+                    if data[offset] == _TYPE_BATCH:
+                        raise CodecError("BATCH nested in a BATCH")
+                    frames.append(_FRAME_HEADER + data[offset:end])
+                    offset = end
+                if not frames:
+                    raise CodecError("a BATCH must carry at least one frame")
                 return BatchFrame(frames=tuple(frames), ack=ack)
             if frame_type == _TYPE_VIEW:
                 view_id, epoch = struct.unpack_from("<QI", data, offset)
@@ -1347,22 +1373,9 @@ class FrameCodec:
                 node_raw, offset = _decode_short_bytes(data, offset)
                 return LeaveFrame(node_id=node_raw.decode("utf-8"))
             if frame_type == _TYPE_RELAY:
-                origin_raw, offset = _decode_short_bytes(data, offset)
-                seq, offset = decode_varint(data, offset)
-                hops, sent_at = struct.unpack_from("<Bd", data, offset)
-                offset += 9
-                sample, offset = _decode_members(data, offset)
-                length, offset = decode_varint(data, offset)
-                if len(data) < offset + length:
-                    raise CodecError("truncated RELAY payload")
-                return RelayFrame(
-                    origin=origin_raw.decode("utf-8"),
-                    seq=seq,
-                    hops=hops,
-                    sent_at=sent_at,
-                    sample=sample,
-                    payload=data[offset : offset + length],
-                )
+                (hops,) = struct.unpack_from("<B", data, offset)
+                sample, offset = _decode_members(data, offset + 1)
+                return RelayFrame(hops=hops, sample=sample, payload=data[offset:])
             if frame_type == _TYPE_TREE:
                 (graft,) = struct.unpack_from("<B", data, offset)
                 if graft > 1:

@@ -16,7 +16,7 @@ ROADMAP's "runnable networked system" needs.  It stacks, bottom-up:
 Every message, however it travelled — a DATA payload off a reliable
 link, an anti-entropy push, the body of a RELAY envelope — enters through
 :meth:`ReliableCausalNode._admit`: decode (full or delta), check it
-against the clock's vector size, its envelope and the group view, store
+against the clock's vector size and the group view, store
 the body as it arrived, hand it to the endpoint.  The mesh and relay handlers
 add only what is theirs.
 
@@ -314,11 +314,6 @@ class ReliableCausalNode:
             self._relay_hops_histogram = self.metrics.histogram(
                 "repro_relay_hops",
                 bounds=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0),
-            )
-            # Origin clock vs local clock: only meaningful where the two
-            # share a time base (process-local swarms) — see PROTOCOL §10.
-            self._relay_latency_histogram = self.metrics.histogram(
-                "repro_relay_coverage_seconds"
             )
         self._bind_node_metrics()
 
@@ -664,9 +659,7 @@ class ReliableCausalNode:
             # the receivers' relays and the anti-entropy backstop do the
             # rest.  Wire cost here is O(fanout), not O(N).
             self.overlay.stats.relay_pushes += 1
-            self._relay_push(
-                str(message.sender), message.seq, wire, hops=0, sent_at=self._now()
-            )
+            self._relay_push(RelayFrame(hops=0, payload=wire))
             return message
         # Mesh mode: the body is packed once and shared across every
         # per-peer DATA frame — only the link-seq header differs.
@@ -712,32 +705,23 @@ class ReliableCausalNode:
     # overlay dissemination (PROTOCOL.md §10)
     # ------------------------------------------------------------------
 
-    def _relay_push(
-        self,
-        origin: str,
-        seq: int,
-        payload: bytes,
-        hops: int,
-        sent_at: float,
-        exclude: Optional[Address] = None,
-    ) -> int:
-        """Push one RELAY envelope down ``origin``'s eager tree.
+    def _relay_push(self, frame: RelayFrame, exclude: Optional[Address] = None) -> int:
+        """Push a sample-free RELAY envelope down its origin's eager tree.
 
         Used for both origin pushes (``hops=0``) and forwards.  Each copy
         is tallied by the encoding of its body, and carries the view
         sample only if it wins the view's merge coin.
         """
         overlay = self.overlay
-        self.repair.note_push(origin, seq)
-        targets = overlay.eager_targets(origin, exclude, live_filter=self._live)
+        self.repair.note_push(frame.origin, frame.seq)
+        targets = overlay.eager_targets(frame.origin, exclude, live_filter=self._live)
         if not targets:
             return 0
         carriers, bare = [], []
         for target in targets:
-            self._tally_sent(target, payload)
+            self._tally_sent(target, frame.payload)
             (carriers if overlay.carries_sample() else bare).append(target)
 
-        frame = RelayFrame(origin=origin, seq=seq, hops=hops, sent_at=sent_at, payload=payload)
         # Serialized at most twice: without the view sample, and with it
         # for the copies that won the coin.
         sent = self.session.send_relay(bare, frame)
@@ -749,7 +733,7 @@ class ReliableCausalNode:
 
     def _handle_relay(self, frame: RelayFrame | TreeFrame, addr: Address) -> None:
         """Intake one RELAY envelope: merge the view sample, dedup on
-        the envelope header, admit the body, and forward it *verbatim*
+        the body's header, admit the body, and forward it *verbatim*
         down the origin's eager tree on first intake only.  A duplicate
         prunes its pusher from that tree.  A delta body names the
         origin's previous broadcast, which every receiver needs before
@@ -767,12 +751,12 @@ class ReliableCausalNode:
         if self.endpoint.has_seen(message_id) or self._is_parked(message_id):
             # The SeenFilter (and the park) absorb the copies a tree not
             # yet pruned still pushes, without paying for a payload
-            # decode — the envelope header is enough.
+            # decode — the body's header is enough.
             overlay.stats.relay_duplicates += 1
             if overlay.prune(frame.origin, addr, own=frame.origin == str(self.node_id)):
                 self.session.send_control(addr, TreeFrame(origin=frame.origin))
             return
-        delivered = self._admit(frame.payload, addr, envelope_id=message_id)
+        delivered = self._admit(frame.payload, addr)
         if delivered is None:
             return
         self._tally_received(addr, frame.payload)
@@ -780,16 +764,9 @@ class ReliableCausalNode:
         overlay.first_copy(frame.origin, addr)
         self.repair.relay_admitted(message_id, addr, delivered)
         self._relay_hops_histogram.observe(float(frame.hops))
-        if frame.sent_at > 0.0:
-            latency = self._now() - frame.sent_at
-            if latency >= 0.0:
-                # Negative deltas mean origin and receiver do not share
-                # a clock; the histogram only tracks comparable pairs.
-                self._relay_latency_histogram.observe(latency)
         if frame.hops < _MAX_HOPS:
             sent = self._relay_push(
-                frame.origin, frame.seq, frame.payload,
-                hops=frame.hops + 1, sent_at=frame.sent_at, exclude=addr,
+                RelayFrame(hops=frame.hops + 1, payload=frame.payload), exclude=addr
             )
             if sent:
                 overlay.stats.relay_forwarded += 1
@@ -835,37 +812,31 @@ class ReliableCausalNode:
                 self.session.send_control(addr, TreeFrame(graft=True))
             self.repair.data_admitted(data, addr)
 
-    def _admit(
-        self,
-        data: bytes,
-        addr: Address,
-        envelope_id: Optional[Tuple[str, int]] = None,
-    ) -> Optional[bool]:
+    def _admit(self, data: bytes, addr: Address) -> Optional[bool]:
         """The one intake: decode ``data`` (full or delta), check it
-        against ``envelope_id`` and the group view, store it, and hand
-        it to the endpoint — then admit, in turn, each parked delta that
-        was waiting for the message just admitted.
+        against the group view, store it, and hand it to the endpoint —
+        then admit, in turn, each parked delta that was waiting for the
+        message just admitted.
 
         Returns whether the message was delivered (False: it pends, is
         a duplicate, or waits parked for a reference never recorded —
         the parked deltas it releases cannot deliver it, they need it
         first), or None when it was dropped and accounted for here:
-        undecodable, not this group's vector size, contradicting its
-        envelope, a delta whose reference was recorded but is no longer
-        held (or that found the park full), a departed sender.
+        undecodable, not this group's vector size, a delta whose
+        reference was recorded but is no longer held (or that found the
+        park full), a departed sender.
         """
         released: List[Tuple[bytes, Address]] = []
-        admitted = self._admit_one(data, addr, envelope_id, released)
+        admitted = self._admit_one(data, addr, released)
         # A loop, not recursion: a parked chain can be _PARK_LIMIT long.
         while released:
-            self._admit_one(*released.pop(), None, released)
+            self._admit_one(*released.pop(), released)
         return admitted
 
     def _admit_one(
         self,
         data: bytes,
         addr: Address,
-        envelope_id: Optional[Tuple[str, int]],
         released: List[Tuple[bytes, Address]],
     ) -> Optional[bool]:
         """:meth:`_admit` for one message; appends to ``released`` the
@@ -884,7 +855,7 @@ class ReliableCausalNode:
             if reference is None or reference[0] != ref_seq:
                 reference = self.store.reference(origin, ref_seq)
             if reference is None or ref_seq != seq - 1:
-                return self._park(data, addr, envelope_id, origin, seq, ref_seq)
+                return self._park(data, addr, origin, seq, ref_seq)
         try:
             if reference is not None:
                 message = codec.decode_delta(data, reference[1], reference[2], header)
@@ -900,11 +871,6 @@ class ReliableCausalNode:
             self._note_decode_error(addr)
             return None
         sender = str(message.sender)
-        if envelope_id is not None and (sender, message.seq) != envelope_id:
-            # Envelope header contradicting its payload: corrupt or
-            # forged; believing the header would poison the SeenFilter.
-            self._note_decode_error(addr)
-            return None
         if not self._sender_in_view(sender):
             self._note_stale_sender(sender)
             return None
@@ -935,7 +901,6 @@ class ReliableCausalNode:
         self,
         data: bytes,
         addr: Address,
-        envelope_id: Optional[Tuple[str, int]],
         origin: str,
         seq: int,
         ref_seq: int,
@@ -947,9 +912,6 @@ class ReliableCausalNode:
         One recorded but no longer held (a restart, an eviction), or no
         room left, is a counted miss (None); a delta of a message
         already seen is a duplicate (False)."""
-        if envelope_id is not None and (origin, seq) != envelope_id:
-            self._note_decode_error(addr)
-            return None
         if self.endpoint.has_seen((origin, seq)):
             # A copy of a message seen before (a frame retransmitted to
             # a restarted node): a duplicate, whatever it names.

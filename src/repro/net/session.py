@@ -49,9 +49,9 @@ so this module adds the classic reliability machinery between a
   released, and the owner stops sending to it — anti-entropy heals it
   wholesale later.  Every ``heartbeat_interval`` the session beacons a
   HEARTBEAT frame (never acked or retransmitted) to each address the
-  owner names, *suppressed* when the link sent any datagram within the
-  interval (traffic already proves liveness); beacons that are sent
-  ride the coalescing queue.  Heartbeats *keep flowing* to quarantined
+  owner names, *suppressed* when the link sent any datagram but the
+  previous beacon within the interval (traffic already proves
+  liveness); beacons that are sent ride the coalescing queue.  Heartbeats *keep flowing* to quarantined
   peers: that asymmetry un-wedges two peers that quarantined each other
   across a partition — whichever hears first resumes, and its resumed
   traffic resumes the other.  The first datagram from a quarantined
@@ -367,7 +367,7 @@ class _PeerState:
         self.last_seen: Optional[float] = None
         self.quarantined_since: Optional[float] = None
         # Coalescing outbox: encoded frames awaiting a BATCH flush, and
-        # their wire cost (frame bytes + per-frame length varints).
+        # their wire cost as BATCH elements (length varint, type, body).
         self.outbox: List[bytes] = []
         self.outbox_bytes = 0
         # Held-ack state, aged by the retransmit tick (pending -> aged ->
@@ -375,9 +375,11 @@ class _PeerState:
         # maximally cumulative.
         self.ack_pending = False
         self.ack_aged = False
-        # Event-loop time of the last datagram sent to this peer (a
-        # heartbeat is skipped when traffic already flows).
+        # Event-loop time of the last datagram sent to this peer, and
+        # ``datagrams_sent`` once the last beacon's own datagram left: a
+        # heartbeat is skipped when traffic other than that beacon flows.
         self.last_send = float("-inf")
+        self.beacon_mark = 0
         self._policy = policy
 
     def rto(self) -> float:
@@ -882,7 +884,8 @@ class ReliableSession:
         which flushes as one BATCH datagram when the budget fills, when
         the session's flush timer fires, or on an explicit :meth:`flush`.
         """
-        cost = varint_size(len(frame_bytes)) + len(frame_bytes)
+        # In a BATCH the frame goes without its magic and version.
+        cost = varint_size(len(frame_bytes) - 3) + len(frame_bytes) - 3
         if state.outbox and state.outbox_bytes + cost > _COALESCE_MTU:
             self._flush_peer(addr, state)
         state.outbox.append(frame_bytes)
@@ -1113,10 +1116,23 @@ class ReliableSession:
     # ------------------------------------------------------------------
 
     async def _tick_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while not self._closed:
+            expected = loop.time() + _TICK_INTERVAL
             await asyncio.sleep(_TICK_INTERVAL)
-            now = asyncio.get_running_loop().time()
+            now = loop.time()
+            # A tick over a tick late slept through a stall of the loop
+            # (a blocking call, CPU lag): the acks held through it leave
+            # first, and frames that fell due inside it get its length
+            # again — their acks may be among the datagrams it held up.
+            stall = now - expected if now - expected > _TICK_INTERVAL else 0.0
             for address, state in self._peers.items():
+                if stall:
+                    if state.ack_pending:
+                        self._flush_peer(address, state)
+                    for pending in state.unacked.values():
+                        if expected < pending.next_due <= now:
+                            pending.next_due += stall
                 if state.quarantined_since is None:
                     due = [
                         (seq, pending)
@@ -1152,12 +1168,14 @@ class ReliableSession:
                 # resolves a mutual quarantine once the partition lifts.
                 self.track(address, now)
                 state = self._peers[address]
-                if now - state.last_send < interval:
-                    # Any recent datagram already proves we are alive;
-                    # the beacon would be pure overhead on a busy link.
+                if now - state.last_send < interval and state.stats.datagrams_sent > state.beacon_mark:
+                    # Any recent datagram but the last beacon already
+                    # proves we are alive; the beacon would be pure
+                    # overhead on a busy link.
                     self.heartbeats_suppressed += 1
                 else:
                     state.stats.heartbeats_sent += 1
+                    state.beacon_mark = state.stats.datagrams_sent + 1
                     self._transmit(address, state, self._codec.encode(HeartbeatFrame(count=count)))
             self.sweep(now)
 

@@ -193,8 +193,7 @@ async def overlay_pair(bus, payloads=("first", "second")):
     a.add_peer("b")
     b.add_peer("a")
     pushes = [
-        RelayFrame(origin="a", seq=seq, hops=0, sent_at=0.0, sample=(),
-                   payload=a.store.get("a", seq))
+        RelayFrame(hops=0, payload=a.store.get("a", seq))
         for seq in range(1, len(payloads) + 1)
     ]
     return a, b, pushes, log
@@ -319,7 +318,7 @@ async def parked_behind_a_lost_reference(bus):
     second, third = [origin.broadcast(payload) for payload in ("1", "2", "3")][1:]
     delta = MessageCodec().encode_delta(third, second.seq, second.timestamp.vector)
     b._handle_relay(
-        RelayFrame(origin="a", seq=3, hops=0, sent_at=0.0, sample=(), payload=delta), "a"
+        RelayFrame(hops=0, payload=delta), "a"
     )
     assert b.state_sizes()["parked_deltas"] == 1
     assert b.repair.stats.gap_pulls_armed == 1

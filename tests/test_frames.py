@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.codec import (
     AckFrame,
+    BatchFrame,
     CodecError,
     DataFrame,
     DigestFrame,
@@ -23,11 +24,20 @@ from repro.core.codec import (
     RelayFrame,
     TreeFrame,
     ViewFrame,
+    encode_varint,
 )
 from repro.core.protocol import Message
 from repro.core.clocks import ProbabilisticCausalClock
 
 codec = FrameCodec()
+
+
+def body(sender="zoë", seq=1, payload="m"):
+    """A message encoding (what a RELAY carries) from ``sender``."""
+    clock = ProbabilisticCausalClock(16, (0, 3))
+    for _ in range(seq):
+        stamp = clock.prepare_send()
+    return MessageCodec().encode(Message(sender=sender, seq=seq, timestamp=stamp, payload=payload))
 
 seqs = st.integers(min_value=0, max_value=2**40)
 ascending = st.lists(
@@ -122,12 +132,15 @@ class TestMalformed:
         v2 = b"PF" + struct.pack("<BBQI", 2, 1, 7, 1) + b"x"
         with pytest.raises(CodecError, match="unsupported frame version 2"):
             codec.decode(v2)
-        assert codec.encode(DataFrame(seq=7, payload=b"x")) == b"PF\x03\x01\x07\x01x"
+        assert codec.encode(DataFrame(seq=7, payload=b"x")) == b"PF\x04\x01\x07x"
 
     def test_truncated_data_rejected(self):
-        data = codec.encode(DataFrame(seq=1, payload=b"hello"))
+        """A cut seq is an error; the payload runs to the datagram's end,
+        which the transport delivers whole or not at all."""
+        data = codec.encode(DataFrame(seq=300, payload=b"hello"))
         with pytest.raises(CodecError):
-            codec.decode(data[:-3])
+            codec.decode(data[:5])
+        assert codec.decode(data[:-3]) == DataFrame(seq=300, payload=b"he")
 
     def test_truncated_digest_rejected(self):
         data = codec.encode(DigestFrame({"alice": (5, (7, 9))}))
@@ -161,11 +174,8 @@ class TestTornBuffers:
         "frame",
         [
             DigestFrame({"zoë": (5, (7, 9))}),
-            RelayFrame(origin="zoë", seq=1, hops=0, payload=b"m"),
-            RelayFrame(
-                origin="o", seq=1, hops=0, payload=b"m",
-                sample=(MemberRecord("zoë", ("h", 1)),),
-            ),
+            RelayFrame(hops=0, payload=body("zoë")),
+            RelayFrame(hops=0, payload=body("o"), sample=(MemberRecord("zoë", ("h", 1)),)),
             ViewFrame(view_id=3, members=(MemberRecord("zoë", ("h", 1), (0, 1)),)),
             JoinFrame(node_id="zoë", address=("h", 1)),
             JoinAckFrame(
@@ -309,10 +319,10 @@ class TestTreeFrame:
         assert codec.decode(codec.encode(frame)) == frame
 
     def test_layout(self):
-        """Magic, version, type 12, the graft byte, then the origin in
-        the RELAY's short-bytes form."""
+        """Magic, version, type 12, the graft byte, then the origin
+        behind its varint length."""
         assert codec.encode(TreeFrame(origin="ab", graft=True)) == (
-            b"PF" + bytes((3, 12, 1)) + struct.pack("<H", 2) + b"ab"
+            b"PF" + bytes((4, 12, 1, 2)) + b"ab"
         )
 
     @pytest.mark.parametrize("cut", range(1, 6))
@@ -327,3 +337,114 @@ class TestTreeFrame:
             data[4] = flags
             with pytest.raises(CodecError):
                 codec.decode(bytes(data))
+
+
+# ----------------------------------------------------------------------
+# frame version 4: one magic per datagram, bodies to the end of their
+# frame, the RELAY's id read from its body, IPv4 addresses in binary
+# ----------------------------------------------------------------------
+
+ADDRESSES = [
+    ("127.0.0.1", 9730),  # binary from here ...
+    ("10.1.2.3", 0),
+    ("255.255.255.255", 65535),  # ... to here
+    ("localhost", 9730),  # JSON from here on: a host name,
+    ("::1", 9730, 0, 0),  # an IPv6 tuple,
+    ("127.000.0.1", 9730),  # a host that is not canonical,
+    ("10.0.0.1", 70000),  # a port past 16 bits,
+    "n3",  # a bus name
+]
+MEMBERS = tuple(MemberRecord(f"m{i}", address, (i,)) for i, address in enumerate(ADDRESSES))
+EVERY_FRAME = [
+    DataFrame(seq=9, payload=body()),
+    DataFrame(seq=300, payload=b""),
+    AckFrame(cumulative=5, sacks=(7, 9)),
+    NackFrame(missing=(2, 4)),
+    DigestFrame({"zoë": (5, (7, 9)), "a": (0, ())}),
+    HeartbeatFrame(count=3),
+    ViewFrame(view_id=2, members=MEMBERS, epoch=1),
+    JoinFrame(node_id="zoë", address=("127.0.0.1", 9730), keys=(4, 5)),
+    JoinAckFrame(
+        accepted=True, view_id=2, r=16, k=2, keys=(4, 5), members=MEMBERS,
+        frontiers={"zoë": (2, ())}, vector=tuple(range(16)), epoch=1,
+    ),
+    LeaveFrame(node_id="zoë"),
+    RelayFrame(hops=2, payload=body("o", seq=3), sample=MEMBERS),
+    RelayFrame(hops=0, payload=body()),
+    TreeFrame(origin="n7", graft=True),
+]
+
+
+class TestFrameVersion4:
+    @pytest.mark.parametrize("frame", EVERY_FRAME, ids=lambda frame: type(frame).__name__)
+    def test_every_frame_round_trips(self, frame):
+        data = codec.encode(frame)
+        assert data[:3] == b"PF\x04"
+        assert codec.decode(data) == frame
+        assert codec.encode(codec.decode(data)) == data
+
+    def test_a_batch_sends_one_magic_and_its_elements_decode_alone(self):
+        inner = tuple(codec.encode(frame) for frame in EVERY_FRAME)
+        for ack in (None, AckFrame(cumulative=3, sacks=(5,))):
+            data = codec.encode(BatchFrame(frames=inner, ack=ack))
+            # Type, flags and the ack behind the one header; then per
+            # element its length, type and body, without magic or version.
+            head = 5 + (len(codec.encode(ack)) - 4 if ack else 0)
+            assert len(data) == head + sum(len(f) - 3 + len(encode_varint(len(f) - 3)) for f in inner)
+            batch = codec.decode(data)
+            assert batch == BatchFrame(frames=inner, ack=ack)
+            assert [codec.decode(element) for element in batch.frames] == EVERY_FRAME
+
+    @pytest.mark.parametrize("address", ADDRESSES + [["10.0.0.1", 9000]], ids=str)
+    def test_every_address_form_round_trips(self, address):
+        data = codec.encode(JoinFrame(node_id="n", address=address))
+        binary = address in ADDRESSES[:3]
+        # magic, version, type, the id's length and byte, then the tag
+        assert data[6] == (1 if binary else 0)
+        if binary:
+            assert len(data) == 6 + 1 + 4 + 2 + 1  # tag, quad, port, no keys
+        expected = tuple(address) if isinstance(address, list) else address
+        assert codec.decode(data).address == expected
+
+    def test_a_sample_free_relay_copy_costs_its_body_plus_six_bytes(self):
+        """Magic, version, type, hops and an empty sample's count: the
+        body's own header names (origin, seq), and its end is the
+        datagram's."""
+        for payload in (body(), body("a-much-longer-sender-id", seq=40, payload="x" * 300)):
+            assert len(codec.encode(RelayFrame(hops=0, payload=payload))) == len(payload) + 6
+        frame = codec.decode(codec.encode(RelayFrame(hops=1, payload=body("o", seq=3))))
+        assert (frame.origin, frame.seq, frame.hops) == ("o", 3, 1)
+
+    def test_a_truncated_inner_frame_is_rejected(self):
+        data = codec.encode(BatchFrame(frames=(codec.encode(HeartbeatFrame(count=1)),) * 2))
+        for cut in (1, 2):  # the last element's body, then its type byte
+            with pytest.raises(CodecError, match="truncated BATCH inner frame"):
+                codec.decode(data[:-cut])
+        bad = bytearray(data)
+        bad[-3] = 9  # the last element's length, past the datagram's end
+        with pytest.raises(CodecError, match="truncated BATCH inner frame"):
+            codec.decode(bytes(bad))
+
+    def test_an_unknown_address_tag_is_rejected(self):
+        data = bytearray(codec.encode(JoinFrame(node_id="n", address=("127.0.0.1", 1))))
+        data[6] = 2
+        with pytest.raises(CodecError, match="unknown address tag 2"):
+            codec.decode(bytes(data))
+
+    def test_a_relay_body_whose_header_does_not_parse_is_rejected(self):
+        data = codec.encode(RelayFrame(hops=0, payload=body()))
+        for bad in (
+            data[:6] + b"PX" + data[8:],  # not a message's magic
+            data[:8] + b"\x09" + data[9:],  # an unknown message version
+            data[:14],  # cut inside the sender id
+        ):
+            with pytest.raises(CodecError):
+                codec.decode(bad)
+        with pytest.raises(CodecError):
+            RelayFrame(hops=0, payload=b"not a message")
+
+    def test_a_version_3_frame_is_rejected(self):
+        for frame in (HeartbeatFrame(count=1), BatchFrame(frames=(codec.encode(HeartbeatFrame(count=1)),) * 2)):
+            data = codec.encode(frame)
+            with pytest.raises(CodecError, match="unsupported frame version 3"):
+                codec.decode(data[:2] + b"\x03" + data[3:])

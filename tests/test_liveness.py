@@ -196,6 +196,36 @@ class TestMonitor:
         assert skipped == (0, 1)
 
 
+    def test_a_silent_link_is_beaconed_every_interval(self):
+        """A beacon's own datagram is not traffic: one silent address
+        gets a beacon at every 0.1 s tick, not at every second one (the
+        beacon's flush 1 ms after its tick used to suppress the next)."""
+
+        async def scenario():
+            session = watching()
+            session.start_heartbeats(lambda: ["a"])
+            await asyncio.sleep(1.05)
+            beats = session.stats_for("a").heartbeats_sent
+            await session.close()
+            return beats, session.heartbeats_suppressed
+
+        assert run_virtual(scenario()) == (10, 0)
+
+    def test_a_busy_link_suppresses_every_beacon(self):
+        async def scenario():
+            session = watching()
+            session.start_heartbeats(lambda: ["a"])
+            for _ in range(105):
+                await session.send("a", b"traffic")
+                session.flush("a")
+                await asyncio.sleep(0.01)
+            beats = session.stats_for("a").heartbeats_sent
+            await session.close()
+            return beats, session.heartbeats_suppressed
+
+        assert run_virtual(scenario()) == (0, 10)
+
+
 class TestQuarantineIntegration:
     def test_dead_peer_quarantined_and_backpressure_released(self, monkeypatch):
         """A crashed peer is quarantined within the timeout; its unacked

@@ -170,7 +170,7 @@ def test_an_overlay_node_with_liveness_exports_the_relay_series():
             "repro_state_entries_overlay_recent_pushes",
             "repro_state_entries_overlay_trees",
         },
-        NODE_HISTOGRAMS | {"repro_relay_coverage_seconds", "repro_relay_hops"},
+        NODE_HISTOGRAMS | {"repro_relay_hops"},
     )
 
 

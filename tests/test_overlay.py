@@ -22,6 +22,7 @@ Three layers, mirroring how the mesh wire earned its trust:
 import asyncio
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,9 +34,11 @@ from repro.api import (
     create_endpoint,
     create_node,
 )
+from repro.core.clocks import Timestamp
 from repro.core.codec import CodecError, FrameCodec, MemberRecord, MessageCodec, RelayFrame
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import PerfectKeyAssigner
+from repro.core.protocol import Message
 from repro.net import LocalAsyncBus, MessageStore
 from repro.net import membership as membership_module
 from repro.net import overlay as overlay_module
@@ -54,17 +57,24 @@ DIFFERENTIAL = NodeConfig(
 )
 
 origins = st.text(min_size=1, max_size=20)
-seqs = st.integers(min_value=0, max_value=2**40)
+seqs = st.integers(min_value=1, max_value=2**40)
 hops = st.integers(min_value=0, max_value=255)
 addresses = st.tuples(
     st.text(min_size=1, max_size=16), st.integers(min_value=0, max_value=65535)
+) | st.tuples(
+    st.ip_addresses(v=4).map(str), st.integers(min_value=0, max_value=65535)
 )
 samples = st.lists(
     st.tuples(st.text(min_size=1, max_size=12), addresses),
     max_size=6,
     unique_by=lambda m: m[0],
 ).map(lambda ms: tuple(MemberRecord(n, a) for n, a in ms))
-stamps = st.floats(min_value=0.0, max_value=2**40, allow_nan=False)
+
+
+def message_body(origin: str, seq: int, payload=None) -> bytes:
+    """A full message encoding of ``(origin, seq)`` — what a RELAY wraps."""
+    stamp = Timestamp(vector=np.arange(8, dtype=np.int64), sender_keys=(1, 2), seq=seq)
+    return MessageCodec().encode(Message(sender=origin, seq=seq, timestamp=stamp, payload=payload))
 
 
 # ----------------------------------------------------------------------
@@ -73,63 +83,64 @@ stamps = st.floats(min_value=0.0, max_value=2**40, allow_nan=False)
 
 
 class TestRelayRoundTrip:
-    @given(origin=origins, seq=seqs, hop=hops, sample=samples,
-           payload=st.binary(max_size=512), sent_at=stamps)
+    @given(origin=origins, seq=seqs, hop=hops, sample=samples, payload=st.text(max_size=100))
     @settings(max_examples=200, deadline=None)
-    def test_relay_frame(self, origin, seq, hop, sample, payload, sent_at):
-        frame = RelayFrame(
-            origin=origin, seq=seq, hops=hop, sample=sample,
-            payload=payload, sent_at=sent_at,
-        )
-        assert codec.decode(codec.encode(frame)) == frame
+    def test_relay_frame(self, origin, seq, hop, sample, payload):
+        frame = RelayFrame(hops=hop, sample=sample, payload=message_body(origin, seq, payload))
+        decoded = codec.decode(codec.encode(frame))
+        assert decoded == frame
+        assert (decoded.origin, decoded.seq) == (origin, seq)
 
 
 class TestRelayMalformed:
     def _frame(self):
         return RelayFrame(
-            origin="origin-node", seq=41, hops=3,
-            sample=(MemberRecord("m1", ("h", 9000)),),
-            payload=b"payload-bytes", sent_at=12.5,
+            hops=3, sample=(MemberRecord("m1", ("h", 9000)),),
+            payload=message_body("origin-node", 41, "payload"),
         )
 
     @given(cut=st.integers(min_value=1, max_value=30))
     @settings(max_examples=60, deadline=None)
     def test_any_truncation_rejected(self, cut):
+        """A cut inside the body may leave its header whole; then the
+        message codec refuses the body."""
         data = codec.encode(self._frame())
         with pytest.raises(CodecError):
-            codec.decode(data[:-cut])
+            MessageCodec().decode(codec.decode(data[:-cut]).payload)
 
-    def test_negative_seq_rejected(self):
+    def test_a_body_that_is_not_a_message_is_rejected(self):
         with pytest.raises(CodecError):
-            codec.encode(RelayFrame(origin="a", seq=-1, hops=0))
+            RelayFrame(hops=0, payload=b"xyz")
+        with pytest.raises(CodecError):
+            codec.decode(codec.encode(self._frame())[:-len(message_body("origin-node", 41, "payload"))] + b"xyz")
 
     def test_hop_count_out_of_range_rejected(self):
+        payload = message_body("a", 1)
         with pytest.raises(CodecError):
-            codec.encode(RelayFrame(origin="a", seq=1, hops=256))
+            codec.encode(RelayFrame(hops=256, payload=payload))
         with pytest.raises(CodecError):
-            codec.encode(RelayFrame(origin="a", seq=1, hops=-1))
+            codec.encode(RelayFrame(hops=-1, payload=payload))
 
     def test_oversized_sample_rejected(self):
         sample = tuple(
             MemberRecord(f"m{i}", ("h", i)) for i in range(256)
         )
         with pytest.raises(CodecError):
-            codec.encode(RelayFrame(origin="a", seq=1, hops=0, sample=sample))
+            codec.encode(RelayFrame(hops=0, sample=sample, payload=message_body("a", 1)))
 
     def test_corrupt_origin_utf8_rejected(self):
         data = bytearray(codec.encode(self._frame()))
-        # Byte 5 is the first origin byte (magic+version+type+len prefix).
-        data[6] = 0xFF
+        # The body's sender starts 8 bytes into the body, which follows
+        # magic, version, type, hops and the sample.
+        start = len(data) - len(self._frame().payload)
+        data[start + 8] = 0xFF
         with pytest.raises(CodecError):
             codec.decode(bytes(data))
 
-    def test_payload_length_overrun_rejected(self):
-        frame = RelayFrame(origin="a", seq=1, hops=0, payload=b"xyz")
-        data = bytearray(codec.encode(frame))
-        # Inflate the payload length varint (one byte here) past the
-        # buffer's end.
-        assert data[-1 - len(b"xyz")] == len(b"xyz")
-        data[-1 - len(b"xyz")] = 0x7E
+    def test_sample_count_overrun_rejected(self):
+        data = bytearray(codec.encode(self._frame()))
+        assert data[5] == 1  # the sample's member count
+        data[5] = 0x7E
         with pytest.raises(CodecError):
             codec.decode(bytes(data))
 
@@ -591,11 +602,8 @@ class RelayRig:
             self.sent[index], reference.seq, reference.timestamp.vector
         )
 
-    async def relay(self, seq, payload, origin="origin"):
-        frame = RelayFrame(
-            origin=origin, seq=seq, hops=0, sent_at=0.0, sample=(), payload=payload
-        )
-        await self.up.send("rx", codec.encode(frame))
+    async def relay(self, payload):
+        await self.up.send("rx", codec.encode(RelayFrame(hops=0, payload=payload)))
         await self.drain()
 
     async def drain(self):
@@ -615,11 +623,11 @@ class TestRelayAdmission:
     def test_delta_body_is_delivered_and_forwarded_verbatim(self):
         async def scenario():
             async with RelayRig() as rig:
-                await rig.relay(1, rig.full(0))
+                await rig.relay(rig.full(0))
                 # The reference is a stored message, nothing per link.
                 assert rig.node.store.get("origin", 1) == rig.full(0)
-                await rig.relay(2, rig.delta(1))
-                await rig.relay(3, rig.delta(2, ref=1))
+                await rig.relay(rig.delta(1))
+                await rig.relay(rig.delta(2, ref=1))
                 assert rig.delivered.payloads() == ["m1", "m2", "m3"]
                 assert rig.node.decode_errors == 0
                 assert rig.node.transport_stats().delta_ref_misses == 0
@@ -646,15 +654,15 @@ class TestRelayAdmission:
 
         async def scenario():
             async with RelayRig() as rig:
-                await rig.relay(1, rig.full(0))
-                await rig.relay(2, rig.delta(1))
-                await rig.relay(2, rig.delta(1))  # a duplicate copy
-                await rig.relay(3, rig.delta(2, ref=1))
+                await rig.relay(rig.full(0))
+                await rig.relay(rig.delta(1))
+                await rig.relay(rig.delta(1))  # a duplicate copy
+                await rig.relay(rig.delta(2, ref=1))
                 up, down = rig.node.transport_stats("up"), rig.node.transport_stats("down")
                 assert (up.full_received, up.delta_received) == (1, 2)
                 assert (down.full_sent, down.delta_sent) == (1, 2)
                 forget_everything(rig.node)
-                await rig.relay(4, rig.delta(3, ref=2))  # reference (3) held no more
+                await rig.relay(rig.delta(3, ref=2))  # reference (3) held no more
                 gauges = rig.node.metrics.snapshot()["gauges"]
                 assert gauges["repro_delta_ref_miss_ratio"] == pytest.approx(1 / 3)
 
@@ -668,11 +676,11 @@ class TestRelayAdmission:
 
         async def scenario():
             async with RelayRig() as rig:
-                await rig.relay(1, rig.full(0))
-                await rig.relay(2, rig.delta(1))
+                await rig.relay(rig.full(0))
+                await rig.relay(rig.delta(1))
                 forget_everything(rig.node)
-                await rig.relay(3, rig.delta(2, ref=1))
-                await rig.relay(3, rig.delta(2, ref=1))  # rate-limited resync
+                await rig.relay(rig.delta(2, ref=1))
+                await rig.relay(rig.delta(2, ref=1))  # rate-limited resync
                 await asyncio.sleep(0.01)
                 node = rig.node
                 assert node.transport_stats("up").delta_ref_misses == 2
@@ -694,15 +702,15 @@ class TestRelayAdmission:
         async def scenario():
             async with RelayRig() as rig:
                 node = rig.node
-                await rig.relay(1, rig.full(0))
-                await rig.relay(3, rig.delta(2, ref=1))
-                await rig.relay(3, rig.delta(2, ref=1))  # a second copy
+                await rig.relay(rig.full(0))
+                await rig.relay(rig.delta(2, ref=1))
+                await rig.relay(rig.delta(2, ref=1))  # a second copy
                 assert rig.delivered.payloads() == ["m1"]
                 assert node.state_sizes()["parked_deltas"] == 1
                 assert [frame.seq for frame in rig.forwarded] == [1, 3]
                 assert node.overlay.stats.relay_duplicates == 1
                 assert node.repair.digest()["origin"] == (1, (3,))
-                await rig.relay(2, rig.delta(1))
+                await rig.relay(rig.delta(1))
                 assert rig.delivered.payloads() == ["m1", "m2", "m3"]
                 assert node.state_sizes()["parked_deltas"] == 0
                 assert node.store.get("origin", 3) == rig.full(2)
@@ -738,18 +746,22 @@ class TestRelayAdmission:
         assert deltas == [False, True, True, False, True]
         assert (down.full_sent, down.delta_sent) == (2, 3)
 
-    def test_envelope_contradicting_its_body_is_a_decode_error(self):
+    def test_a_body_whose_header_does_not_parse_is_a_frame_error(self):
+        """The envelope names no (origin, seq) of its own — it reads the
+        body's — so a RELAY whose body header does not parse is dropped
+        at the session as a counted frame error."""
+
         async def scenario():
             async with RelayRig() as rig:
-                await rig.relay(1, rig.full(0))
-                await rig.relay(7, rig.full(2))   # body says seq 3
-                await rig.relay(8, rig.delta(2))  # ...on both encodings
-                await rig.relay(3, rig.full(2), origin="impostor")
-                assert rig.node.decode_errors == 3
+                await rig.relay(rig.full(0))
+                data = codec.encode(RelayFrame(hops=0, payload=rig.full(2)))
+                at = data.index(b"PC")
+                await rig.up.send("rx", data[:at] + b"PX" + data[at + 2 :])
+                await rig.drain()
+                assert rig.node.session.frame_errors == 1
+                assert rig.node.decode_errors == 0
                 assert rig.delivered.payloads() == ["m1"]
                 assert len(rig.forwarded) == 1
-                # Believing the header would have poisoned the filter.
-                assert not rig.node.endpoint.has_seen(("origin", 7))
                 assert not rig.node.endpoint.has_seen(("origin", 3))
 
         asyncio.run(scenario())
@@ -761,8 +773,8 @@ class TestRelayAdmission:
         async def scenario():
             # A bootstrapped group of one: "origin" is not in the view.
             async with RelayRig(membership=MembershipConfig()) as rig:
-                await rig.relay(1, rig.full(0))
-                await rig.relay(2, rig.full(1))
+                await rig.relay(rig.full(0))
+                await rig.relay(rig.full(1))
                 assert rig.node.stale_frames == 2 and len(warnings()) == 1
                 rig.node._handle_wire_message(rig.full(2), "up")
                 assert rig.node.stale_frames == 3 and len(warnings()) == 1

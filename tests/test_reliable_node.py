@@ -608,11 +608,8 @@ class TestHostileDatagrams:
                     members=(member,), reason="full",
                 ),
                 LeaveFrame(node_id="zoë"),
-                RelayFrame(
-                    origin="origin", seq=1, hops=1, sent_at=1.5,
-                    sample=(member,), payload=full,
-                ),
-                RelayFrame(origin="origin", seq=2, hops=0, payload=delta),
+                RelayFrame(hops=1, sample=(member,), payload=full),
+                RelayFrame(hops=0, payload=delta),
             )
         ]
         valid.append(

@@ -152,6 +152,35 @@ class TestRetransmission:
 
         asyncio.run(scenario())
 
+    def test_a_stall_of_the_loop_does_not_resend_what_it_held_the_ack_of(self):
+        """One callback blocks the loop for 40 ms while ``b`` holds the
+        ack of ``a``'s frame, whose 20 ms timeout runs out inside the
+        stall.  The late ticks flush the held ack first and give the
+        frame the stall's length again, so nothing is resent."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+            sessions, inboxes = make_pair(bus)
+            for session in sessions.values():
+                session.start()
+
+            def stall():
+                loop._virtual_now += 0.04  # a blocking call, in virtual time
+
+            loop.call_at(loop.time() + 0.003, stall)
+            await sessions["a"].send("b", b"x")
+            assert await wait_for(lambda: sessions["a"].unacked_count("b") == 0, timeout=1.0)
+            stats = sessions["a"].stats_for("b")
+            for session in sessions.values():
+                await session.close()
+            return len(inboxes["b"]), stats.retransmits, stats.rtt
+
+        received, retransmits, rtt = run_virtual(scenario())
+        assert (received, retransmits) == (1, 0)
+        # The ack left on b's first tick after the stall, not its second.
+        assert 0.043 < rtt < 0.045
+
     def test_gap_triggers_nack(self):
         async def scenario():
             # Drop-once bus: lose exactly the second datagram's first copy.

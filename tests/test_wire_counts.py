@@ -41,8 +41,11 @@ spent a varint pair per changed entry, v4 sends the smaller of a list of
 one varint per entry and a changed-entry bitmap (``core/codec.py``).
 """
 
+import contextlib
+
 import numpy as np
 
+from benchmarks.wire_bytes import Capture
 from repro.api import NodeConfig
 from repro.sim.group import Group
 from repro.sim.network import ConstantDelayModel
@@ -66,18 +69,24 @@ def counts(group) -> dict:
     }
 
 
-async def paced_phase(group, burst: int, count: int, rate: float) -> dict:
+async def paced_phase(group, burst: int, count: int, rate: float, split: bool) -> dict:
     """A closed-loop burst, then ``count`` broadcasts per node at
     ``rate``; returns the counts of the paced phase and its broadcast →
-    remote delivery latency (``latency_ms``: p50, p90, p99 and max)."""
+    remote delivery latency (``latency_ms``: p50, p90, p99 and max) —
+    with ``split``, also its bytes by component (``parts``, from
+    ``benchmarks/wire_bytes.py``, whose parsing would otherwise weigh
+    on ``benchmarks/calls_per_delivery.py``'s count)."""
     async with group:
         await group.burst(burst)
         await group.settle()
         before, mark = counts(group), len(group.latencies)
-        await group.paced(count, rate=rate)
-        await group.settle()
-        after = counts(group)
+        with Capture() if split else contextlib.nullcontext() as capture:
+            await group.paced(count, rate=rate)
+            await group.settle()
+            after = counts(group)
     paced = {name: after[name] - before[name] for name in after}
+    if split:
+        paced["parts"] = capture.parts
     latencies = 1000.0 * np.array(group.latencies[mark:])
     paced["latency_ms"] = tuple(
         round(float(value), 1) for value in np.percentile(latencies, [50, 90, 99, 100])
@@ -85,23 +94,23 @@ async def paced_phase(group, burst: int, count: int, rate: float) -> dict:
     return paced
 
 
-async def paced_mesh(seed: int) -> dict:
+async def paced_mesh(seed: int, split: bool = False) -> dict:
     """4-node mesh, 1 ms links, no loss: a 100-broadcast burst per node,
     then 600 per node at 60/s."""
     group = await Group.start(4, NodeConfig(), seed, 0.0, ConstantDelayModel(1.0), judged=True)
-    return await paced_phase(group, 100, 600, 60.0)
+    return await paced_phase(group, 100, 600, 60.0, split)
 
 
-async def busy_mesh(seed: int, faults=None) -> dict:
+async def busy_mesh(seed: int, faults=None, split: bool = False) -> dict:
     """4-node mesh, 1 ms links: a 100-broadcast burst per node, then 600
     per node at 500/s, with ``faults`` on every node's sends."""
     group = await Group.start(
         4, NodeConfig(), seed, 0.0, ConstantDelayModel(1.0), judged=True, faults=faults
     )
-    return await paced_phase(group, 100, 600, 500.0)
+    return await paced_phase(group, 100, 600, 500.0, split)
 
 
-async def paced_overlay(seed: int) -> dict:
+async def paced_overlay(seed: int, split: bool = False) -> dict:
     """16-node relay overlay, 0.2 ms links, no loss: a 10-broadcast
     burst per node, then 40 per node at 2/s.  Constant delays and no
     loss leave the bus nothing to draw, so every seed runs the same
@@ -109,12 +118,14 @@ async def paced_overlay(seed: int) -> dict:
     group = await Group.start(
         16, NodeConfig(dissemination="overlay"), seed, 0.0, ConstantDelayModel(0.2), judged=True
     )
-    return await paced_phase(group, 10, 40, 2.0)
+    return await paced_phase(group, 10, 40, 2.0, split)
 
 
 def assert_one_delta_per_broadcast(paced: dict) -> None:
-    """Every body crossed its link as a delta, and none bounced."""
+    """Every body crossed its link as a delta, and none bounced; and
+    every byte of the phase was charged to one wire component."""
     assert (paced["fulls"], paced["ref_misses"], paced["violations"]) == (0, 0, 0), paced
+    assert sum(paced["parts"].values()) == paced["bytes"], paced
 
 
 def test_acks_ride_the_data_on_a_paced_mesh():
@@ -124,8 +135,10 @@ def test_acks_ride_the_data_on_a_paced_mesh():
     it arrived and builds the full form only for the 34 repairs it
     serves (it used to rebuild every delivered delta at intake).  v3 →
     v4 entries: 525,143 → 453,233 B (72.9 → 62.9 B per delivery), every
-    other count unchanged."""
-    paced = run_virtual(paced_mesh(seed=1))
+    other count unchanged.  v3 → v4 frames: 453,233 → 417,575 B (62.9 →
+    58.0 B per delivery); datagrams 7,498 → 7,499, frames 7,514 → 7,515,
+    standalone acks 204 → 205, timers 16,475 → 16,476."""
+    paced = run_virtual(paced_mesh(seed=1, split=True))
     deliveries = paced["deliveries"]
     assert deliveries == 4 * 3 * 600
     assert paced["retransmits"] == 0, paced
@@ -134,13 +147,13 @@ def test_acks_ride_the_data_on_a_paced_mesh():
     assert paced["standalone_acks"] <= 0.05 * deliveries, paced
     assert paced["timers"] <= 2.4 * deliveries, paced
     assert paced["bytes"] <= 68 * deliveries, paced
-    # Exact for the seed: 62.9 B, 1.041 datagrams, 1.044 frames, 0.028
+    # Exact for the seed: 58.0 B, 1.042 datagrams, 1.044 frames, 0.028
     # standalone acks, 2.29 timers and 0.005 full-form rebuilds per
     # delivery.
     assert (
         paced["bytes"], paced["datagrams"], paced["frames"], paced["standalone_acks"],
         paced["timers"], paced["rebuilds"],
-    ) == (453233, 7498, 7514, 204, 16475, 34), paced
+    ) == (417575, 7499, 7515, 205, 16476, 34), paced
 
 
 def test_a_busy_mesh_sends_one_body_per_broadcast():
@@ -149,8 +162,9 @@ def test_a_busy_mesh_sends_one_body_per_broadcast():
     standalone acks and 12,496 timers on both.  Rebuilds 7,200 → 28,
     one per repair served from a held delta.  v3 → v4 entries: 520,748
     → 448,943 B (72.3 → 62.4 B per delivery), every other count
-    unchanged."""
-    busy = run_virtual(busy_mesh(seed=1))
+    unchanged.  v3 → v4 frames: 448,943 → 413,266 B (62.4 → 57.4 B per
+    delivery), every other count unchanged."""
+    busy = run_virtual(busy_mesh(seed=1, split=True))
     assert busy["deliveries"] == 4 * 3 * 600
     assert busy["retransmits"] == 0, busy
     assert_one_delta_per_broadcast(busy)
@@ -158,7 +172,7 @@ def test_a_busy_mesh_sends_one_body_per_broadcast():
     assert (
         busy["bytes"], busy["datagrams"], busy["frames"], busy["standalone_acks"],
         busy["timers"], busy["digests"], busy["repairs_sent"], busy["rebuilds"],
-    ) == (448943, 7202, 7236, 0, 12496, 8, 28, 28), busy
+    ) == (413266, 7202, 7236, 0, 12496, 8, 28, 28), busy
 
 
 def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
@@ -170,8 +184,14 @@ def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
     13,573, retransmits 926 → 941, repairs 66 → 47.  Rebuilds 7,200 →
     47, one per repair served from a held delta.  v3 → v4 entries:
     520,574 → 482,122 B (72.3 → 67.0 B per delivery), every other count
+    unchanged.  v3 → v4 frames: 482,122 → 449,916 B (67.0 → 62.5 B per
+    delivery); the shorter frames pack the 1,400-byte datagrams
+    differently, so the seeded faults drop and delay other frames:
+    datagrams 7,224 → 7,233, frames 9,106 → 9,137, timers 13,573 →
+    13,604, retransmits 941 → 932, repairs and rebuilds 47 → 74 (73 of
+    them duplicates, against 47 of 47), standalone acks and digests
     unchanged."""
-    lossy = run_virtual(busy_mesh(seed=1, faults=LOSSY))
+    lossy = run_virtual(busy_mesh(seed=1, faults=LOSSY, split=True))
     deliveries = lossy["deliveries"]
     assert deliveries == 4 * 3 * 600
     assert_one_delta_per_broadcast(lossy)
@@ -181,7 +201,7 @@ def test_a_lossy_mesh_parks_the_deltas_that_overtake_their_reference():
         lossy["bytes"], lossy["datagrams"], lossy["frames"], lossy["standalone_acks"],
         lossy["timers"], lossy["retransmits"], lossy["digests"], lossy["repairs_sent"],
         lossy["rebuilds"],
-    ) == (482122, 7224, 9106, 12, 13573, 941, 9, 47, 47), lossy
+    ) == (449916, 7233, 9137, 12, 13604, 932, 9, 74, 74), lossy
 
 
 def test_relay_envelopes_carry_the_origins_delta_on_a_paced_overlay():
@@ -197,20 +217,28 @@ def test_relay_envelopes_carry_the_origins_delta_on_a_paced_overlay():
     names in 16 bytes plus one bit each), and the shorter bodies shift
     the schedule — datagrams 10,683 → 10,696, frames 10,712 → 10,721,
     digests 646 → 637, relay copies 9,833 → 9,842, latency max 3.6 →
-    4.8 ms; still no repair and no rebuild."""
-    paced = run_virtual(paced_overlay(seed=1))
+    4.8 ms; still no repair and no rebuild.  v3 → v4 frames: 976,775 →
+    797,629 B (101.7 → 83.1 B per delivery: the envelope drops its copy
+    of the body's origin and seq, ``sent_at`` and its lengths, a batched
+    frame its magic and version, and the view sample's addresses their
+    u16 lengths); datagrams 10,696 → 10,561, frames 10,721 → 10,592,
+    digests 637 → 652, relay copies 9,842 → 9,770, latency unchanged.
+    Every count but bytes is the parent's when the 1,400-byte coalescing
+    budget is lifted on both trees: the moves are frames packing into
+    datagrams differently, which reorders arrivals and so prunes."""
+    paced = run_virtual(paced_overlay(seed=1, split=True))
     deliveries = paced["deliveries"]
     assert deliveries == 16 * 15 * 40
     assert_one_delta_per_broadcast(paced)
     assert paced["deltas"] == paced["relays"], paced
-    assert paced["bytes"] <= 120 * deliveries, paced
+    assert paced["bytes"] <= 90 * deliveries, paced
     assert paced["datagrams"] <= 3.5 * deliveries, paced
     assert paced["relays"] <= 1.3 * deliveries, paced
     _, p90, p99, _ = paced["latency_ms"]
     assert p90 <= 5.0 and p99 <= 77.0, paced
-    # Exact for the seed: 101.7 B, 1.114 datagrams, 1.117 frames and
-    # 0.066 digests per delivery, 1.03 relay copies, no repair.
+    # Exact for the seed: 83.1 B, 1.100 datagrams, 1.103 frames and
+    # 0.068 digests per delivery, 1.02 relay copies, no repair.
     assert (
         paced["bytes"], paced["datagrams"], paced["frames"], paced["digests"],
         paced["repairs_sent"], paced["relays"], paced["rebuilds"], paced["latency_ms"],
-    ) == (976775, 10696, 10721, 637, 0, 9842, 0, (2.4, 3.6, 3.6, 4.8)), paced
+    ) == (797629, 10561, 10592, 652, 0, 9770, 0, (2.4, 3.6, 3.6, 4.8)), paced

@@ -184,11 +184,17 @@ class TestTornBuffers:
     @settings(max_examples=150, deadline=None)
     @given(frames(), st.data())
     def test_truncated_frame_raises_codec_error(self, frame, data):
+        """A DATA payload and a BATCH's element list run to the end of
+        the datagram, so a cut there reads as a shorter frame — never as
+        the frame sent; every other cut is an error."""
         codec = FrameCodec()
         encoded = codec.encode(frame)
         cut = data.draw(st.integers(0, len(encoded) - 1))
-        with pytest.raises(CodecError):
-            codec.decode(encoded[:cut])
+        try:
+            decoded = codec.decode(encoded[:cut])
+        except CodecError:
+            return
+        assert isinstance(frame, (DataFrame, BatchFrame)) and decoded != frame
 
 
 class TestDeltaDifferential:
