@@ -20,11 +20,13 @@ sane.
 
 from __future__ import annotations
 
+import asyncio
 import pathlib
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.sweep import SweepPoint, bench_scale
 from repro.analysis.tables import ascii_chart, render_table
+from repro.util.rng import RandomSource
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
@@ -74,6 +76,19 @@ def run_duration(target_deliveries: float, n_nodes: int, lambda_ms: float) -> fl
     scaled = scaled_duration(duration_for_deliveries(target_deliveries, n_nodes, lambda_ms))
     floor = max(12.0 * MEAN_DELAY_MS, 3.0 * lambda_ms)
     return max(scaled, floor)
+
+
+async def poisson_sender(group, node, rate: float, until: float, seed: int) -> None:
+    """One member of a :class:`repro.sim.group.Group` broadcasting with
+    Poisson inter-send times (``rate`` per virtual second) until loop
+    time ``until`` or until it leaves the group."""
+    loop = asyncio.get_running_loop()
+    rng = RandomSource(seed).spawn(f"send-{node.node_id}")
+    while True:
+        await asyncio.sleep(rng.exponential(1.0 / rate))
+        if loop.time() >= until or node not in group.nodes:
+            return
+        await node.broadcast(None)
 
 
 def sweep_rows(points: Sequence[SweepPoint]) -> List[List[object]]:

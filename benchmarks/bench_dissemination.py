@@ -1,140 +1,130 @@
-"""Dissemination ablation — direct broadcast vs push gossip (Definition 2).
+"""Dissemination on the shipping stack: full mesh vs the relay overlay.
 
-The paper positions its mechanism for large systems whose transport is a
-*probabilistic broadcast* (gossip): redundant, duplicate-heavy, and only
-probabilistically complete.  This benchmark runs identical traffic over
-the reliable direct broadcast and over infect-and-die push gossip at
-several fanouts, and measures what the transport choice costs the causal
-layer:
+The paper assumes a reliable broadcast layer under the causal one
+(Definition 2) and aims at large systems whose broadcast is gossip.
+This benchmark runs the same traffic over the runtime's two
+dissemination modes: unmodified ``create_node()`` groups
+(:class:`repro.sim.group.Group`) on the seeded in-process bus under
+:func:`repro.sim.vtime.run_virtual`, judged by the vector-clock oracle,
+on the paper's §5.4 model (Poisson senders, N(100, 20) ms base delay
+plus N(d, 20) ms per-receiver skew) at concurrency X = 20.
 
-* **redundancy** — gossip transmissions per delivered message (the
-  duplicate factor the endpoint's filter absorbs);
-* **coverage** — deliveries achieved vs expected (low fanout leaves
-  nodes uncovered, which also strands their causal successors);
-* **latency** — gossip's multi-hop paths stretch the delivery time;
-* **ordering** — gossip's extra path-length variance raises P_nc and
-  with it the violation rate.
+* **mesh** — every broadcast goes on N − 1 reliable links;
+* **overlay(f=3)** / **overlay(f=5)** — per-origin eager relay trees
+  over partial views, with anti-entropy repairing what they miss.
 
-Both rows are endpoint-only models of the network's reordering rate
-P_nc, the factor the paper's bound ``P <= P_nc * P_err`` multiplies by.
-Partial views and anti-entropy repair are measured on the shipping
-stack instead (``bench_heal.py``; the overlay's per-node cost in
-``tests/test_overlay.py``).
+Per transport: remote deliveries, ε_min / ε_max with 95 % Wilson
+intervals, broadcast → delivery latency, bytes and datagrams on the bus
+per delivery, and anti-entropy repairs sent.  Every row must settle:
+every node delivers every broadcast.  The network's reordering rate
+P_nc is not reported: a node exposes deliveries, not receptions.
+(Replaces the simulator's infect-and-die push-gossip rows; EXPERIMENTS.md
+keeps their last table.)  Every number is a count of one seeded
+schedule.
 """
 
-from repro.analysis.sweep import run_repeated
+import asyncio
+
+import numpy as np
+
+from repro.analysis.stats import proportion_estimate
 from repro.analysis.tables import render_table
-from repro.sim import (
-    DirectBroadcast,
-    GaussianDelayModel,
-    PoissonWorkload,
-    PushGossip,
-    SimulationConfig,
-)
+from repro.api import NodeConfig
+from repro.sim.group import Group
+from repro.sim.network import GaussianDelayModel
+from repro.sim.vtime import run_virtual
 
 from _common import (
+    DELAY_STD_MS,
     MEAN_DELAY_MS,
+    SKEW_STD_MS,
     lambda_for_concurrency,
+    poisson_sender,
     report,
-    run_duration,
 )
 
-N_NODES = 80
+N_NODES = 32
 R = 100
 K = 4
 TARGET_X = 20.0
-TARGET_DELIVERIES = 50_000.0
-GOSSIP_FANOUTS = [3, 5, 8]
+HORIZON = 2.0  # virtual seconds of sending
+SEED = 1400
+TRANSPORTS = {
+    "mesh": NodeConfig(r=R, k=K),
+    "overlay(f=3)": NodeConfig(r=R, k=K, dissemination="overlay", fanout=3),
+    "overlay(f=5)": NodeConfig(r=R, k=K, dissemination="overlay", fanout=5),
+}
 
 
-def run_dissemination_matrix():
-    lam = lambda_for_concurrency(N_NODES, TARGET_X)
-    duration = run_duration(TARGET_DELIVERIES, N_NODES, lam)
-    delay = GaussianDelayModel(MEAN_DELAY_MS)
+async def dissemination_run(config: NodeConfig) -> dict:
+    loop = asyncio.get_running_loop()
+    delays = GaussianDelayModel(MEAN_DELAY_MS, DELAY_STD_MS, SKEW_STD_MS)
+    rate = 1000.0 / lambda_for_concurrency(N_NODES, TARGET_X)
+    group = await Group.start(N_NODES, config, SEED, 0.0, delays, judged=True)
+    async with group:
+        before = group.counts()
+        until = loop.time() + HORIZON
+        await asyncio.gather(*(
+            poisson_sender(group, node, rate, until, SEED) for node in group.nodes
+        ))
+        await group.settle()
+        after = group.counts()
+        return {
+            "sent": group.sent,
+            "totals": group.oracle.totals,
+            "latencies_ms": [1000.0 * latency for latency in group.latencies],
+            **{name: after[name] - before[name]
+               for name in ("bytes", "datagrams", "repairs_sent")},
+        }
 
-    def config(dissemination):
-        return SimulationConfig(
-            n_nodes=N_NODES,
-            r=R,
-            k=K,
-            key_assigner="random-colliding",
-            workload=PoissonWorkload(lam),
-            delay_model=delay,
-            dissemination=dissemination,
-            detector="none",
-            duration_ms=duration,
-            track_reception_order=True,
-        )
 
-    scenarios = {"direct": config(DirectBroadcast(delay))}
-    for fanout in GOSSIP_FANOUTS:
-        scenarios[f"gossip(f={fanout})"] = config(PushGossip(delay, fanout=fanout))
-    return {
-        name: run_repeated(cfg, repeats=1, seed_base=1400)[0]
-        for name, cfg in scenarios.items()
-    }
+def run_dissemination_matrix() -> dict:
+    return {name: run_virtual(dissemination_run(config))
+            for name, config in TRANSPORTS.items()}
 
 
 def test_dissemination(benchmark):
     results = benchmark.pedantic(run_dissemination_matrix, rounds=1, iterations=1)
 
     rows = []
-    for name, result in results.items():
-        expected = result.sent * (N_NODES - 1)
-        coverage = result.delivered_remote / expected if expected else 0.0
-        redundancy = (
-            (result.delivered_remote + result.duplicates) / result.delivered_remote
-            if result.delivered_remote
-            else 0.0
-        )
-        rows.append(
-            [
-                name,
-                coverage,
-                redundancy,
-                result.latency["mean"],
-                result.latency["p99"],
-                result.measured_p_nc,
-                result.counters.eps_min,
-                result.counters.eps_max,
-                result.stuck_pending,
-            ]
-        )
+    for name, run in results.items():
+        totals = run["totals"]
+        deliveries = totals.deliveries
+        rows.append([
+            name,
+            deliveries,
+            str(proportion_estimate(totals.violations, deliveries)),
+            str(proportion_estimate(totals.violations + totals.ambiguous, deliveries)),
+            float(np.mean(run["latencies_ms"])),
+            float(np.percentile(run["latencies_ms"], 99)),
+            run["bytes"] / deliveries,
+            run["datagrams"] / deliveries,
+            run["repairs_sent"],
+        ])
     table = render_table(
-        [
-            "transport",
-            "coverage",
-            "redundancy",
-            "lat mean (ms)",
-            "lat p99 (ms)",
-            "P_nc",
-            "eps_min",
-            "eps_max",
-            "stuck",
-        ],
+        ["transport", "deliveries", "eps_min [95% CI]", "eps_max [95% CI]",
+         "lat mean (ms)", "lat p99 (ms)", "bytes/dlv", "datagrams/dlv", "repairs"],
         rows,
-        title=f"N={N_NODES}, R={R}, K={K}, X={TARGET_X}",
+        title=(
+            f"create_node() on the virtual bus: N={N_NODES}, R={R}, K={K}, "
+            f"X={TARGET_X}, N({MEAN_DELAY_MS:.0f}, {DELAY_STD_MS:.0f}) + "
+            f"N(d, {SKEW_STD_MS:.0f}) ms, Poisson senders for {HORIZON:.0f} s, "
+            f"seed {SEED}"
+        ),
     )
     report("dissemination", table)
 
-    direct = results["direct"]
-    low_fanout = results[f"gossip(f={GOSSIP_FANOUTS[0]})"]
-    high_fanout = results[f"gossip(f={GOSSIP_FANOUTS[-1]})"]
-
-    # Direct broadcast: complete, duplicate-free, single-hop latency.
-    assert direct.duplicates == 0
-    assert direct.delivered_remote == direct.sent * (N_NODES - 1)
-    # Gossip pays redundancy for its robustness...
-    assert high_fanout.duplicates > 0
-    # ...and multi-hop paths stretch latency beyond the single hop.
-    assert high_fanout.latency["mean"] > direct.latency["mean"] * 1.3
-    # Higher fanout buys coverage: the high-fanout run reaches at least
-    # as much of the membership as the low-fanout run, and most of it.
-    high_coverage = high_fanout.delivered_remote / (high_fanout.sent * (N_NODES - 1))
-    low_coverage = low_fanout.delivered_remote / (low_fanout.sent * (N_NODES - 1))
-    assert high_coverage >= low_coverage
-    assert high_coverage > 0.9
-    # Gossip's path-length variance raises the reordering rate.
-    assert high_fanout.measured_p_nc > direct.measured_p_nc
-    # Coverage gaps strand causal successors.
-    assert high_fanout.stuck_pending > 0
+    mesh = results["mesh"]
+    # Every broadcast reached every other node (settle() checked the
+    # order; the oracle counted each remote delivery once).
+    for name, run in results.items():
+        assert run["totals"].deliveries == run["sent"] * (N_NODES - 1), name
+    for fanout in (3, 5):
+        overlay = results[f"overlay(f={fanout})"]
+        # The trees miss copies that anti-entropy must repair; a mesh
+        # repair only races a copy still in flight on its link.
+        assert overlay["repairs_sent"] > mesh["repairs_sent"]
+        # Relay trees cost hops: the overlay's latency exceeds the mesh's.
+        assert np.mean(overlay["latencies_ms"]) > np.mean(mesh["latencies_ms"])
+        # Multi-hop paths widen the reordering window, and with it ε.
+        assert overlay["totals"].violations > mesh["totals"].violations

@@ -8,8 +8,9 @@ broadcast mechanism, with:
   (Algorithms 1–2), delivery-error detectors (Algorithms 4–5), and the
   closed-form error analysis (Section 5.3);
 * :mod:`repro.sim` — the event-based evaluation environment of Section
-  5.4 (network models, workloads, churn, the ε_min/ε_max oracle, and the
-  experiment runner);
+  5.4 (network models, workloads, the ε_min/ε_max oracle, the
+  experiment runner, and the virtual-time harness that runs the shipping
+  nodes — dissemination and churn included — under a seeded clock);
 * :mod:`repro.crdt` — replicated data types from the paper's motivating
   application domain, consuming causal delivery;
 * :mod:`repro.analysis` — statistics, parameter sweeps, and table/series

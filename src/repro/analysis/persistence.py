@@ -8,14 +8,13 @@ collections of them (:class:`ResultStore`), and compares two runs of the
 same configuration (:func:`compare_results`).
 
 Only measurements and the reproducible configuration are stored.  Live
-components (workload, delay model, dissemination, churn) are recorded as
+components (workload, delay model) are recorded as
 their class name plus their parameters, so two runs that differ only in,
 say, the workload's λ compare as a configuration mismatch.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import pathlib
 from typing import Any, Dict, List, Optional
@@ -25,7 +24,10 @@ from repro.sim.runner import SimulationResult
 
 __all__ = ["SCHEMA_VERSION", "result_to_dict", "ResultStore", "compare_results"]
 
-SCHEMA_VERSION = 2  # v2: components carry their parameters; churn and caps recorded
+# v2: components carry their parameters; caps recorded.  v3: the
+# simulator is direct broadcast over static membership — no
+# dissemination, churn, membership or duplicate fields.
+SCHEMA_VERSION = 3
 
 
 def _describe(value: Any) -> Any:
@@ -34,10 +36,6 @@ def _describe(value: Any) -> Any:
     ``mean``), recursively."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_describe(item) for item in value]
     fields = {name.lstrip("_"): _describe(item) for name, item in vars(value).items()}
     return {"type": type(value).__name__, **fields}
 
@@ -63,8 +61,6 @@ def result_to_dict(result: SimulationResult, label: Optional[str] = None) -> Dic
             "seed": config.seed,
             "workload": _describe(config.workload),
             "delay_model": _describe(config.delay_model),
-            "dissemination": _describe(config.dissemination),
-            "churn": _describe(config.churn),
         },
         "counters": {
             "deliveries": result.counters.deliveries,
@@ -83,16 +79,10 @@ def result_to_dict(result: SimulationResult, label: Optional[str] = None) -> Dic
         "traffic": {
             "sent": result.sent,
             "delivered_remote": result.delivered_remote,
-            "duplicates": result.duplicates,
             "undelivered": result.undelivered_messages,
             "stuck_pending": result.stuck_pending,
         },
         "latency": result.latency,
-        "membership": {
-            "joins": result.joins,
-            "leaves": result.leaves,
-            "mean_membership": result.mean_membership,
-        },
         "derived": {
             "measured_concurrency": result.measured_concurrency,
             "measured_p_nc": result.measured_p_nc,

@@ -59,7 +59,6 @@ from repro.core.theory import (
 )
 from repro.sim import (
     GaussianDelayModel,
-    PoissonChurn,
     PoissonWorkload,
     SimulationConfig,
     run_simulation,
@@ -294,20 +293,9 @@ def _add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
         "--detector", choices=detector_names(), default="basic"
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--churn-interval-ms", type=float, default=None,
-        help="mean ms between joins (and between leaves); omit for static",
-    )
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
-    churn = None
-    if args.churn_interval_ms is not None:
-        churn = PoissonChurn(
-            join_interval_ms=args.churn_interval_ms,
-            leave_interval_ms=args.churn_interval_ms,
-            min_population=max(2, args.nodes // 2),
-        )
     return SimulationConfig(
         n_nodes=args.nodes,
         r=args.r,
@@ -320,7 +308,6 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
         ),
         detector=args.detector,
         duration_ms=args.duration_ms,
-        churn=churn,
         seed=args.seed,
         metrics_path=getattr(args, "metrics_path", None),
     )
@@ -342,7 +329,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
         ["latency mean (ms)", result.latency["mean"]],
         ["latency p99 (ms)", result.latency["p99"]],
         ["measured X", result.measured_concurrency],
-        ["joins / leaves", f"{result.joins} / {result.leaves}"],
         ["stuck pending", result.stuck_pending],
     ]
     print(render_table(["metric", "value"], rows))

@@ -993,11 +993,21 @@ def _encode_ascending(values: Tuple[int, ...], base: int) -> bytes:
 
 
 def _decode_ascending(data: bytes, offset: int, base: int) -> Tuple[Tuple[int, ...], int]:
-    count, offset = decode_varint(data, offset)
+    # Counts and gaps under 128 take one byte: read those without a call.
+    end = len(data)
+    if offset < end and data[offset] < 0x80:
+        count = data[offset]
+        offset += 1
+    else:
+        count, offset = decode_varint(data, offset)
     values = []
     previous = base
     for _ in range(count):
-        delta, offset = decode_varint(data, offset)
+        if offset < end and data[offset] < 0x80:
+            delta = data[offset]
+            offset += 1
+        else:
+            delta, offset = decode_varint(data, offset)
         if delta == 0:
             raise CodecError("zero delta in ascending sequence")
         previous += delta
@@ -1010,10 +1020,16 @@ def _encode_short_bytes(raw: bytes) -> bytes:
 
 
 def _decode_short_bytes(data: bytes, offset: int) -> Tuple[bytes, int]:
-    length, offset = decode_varint(data, offset)
-    if len(data) < offset + length:
+    # An id or address under 128 bytes has a one-byte length: no call.
+    if offset < len(data) and data[offset] < 0x80:
+        length = data[offset]
+        offset += 1
+    else:
+        length, offset = decode_varint(data, offset)
+    end = offset + length
+    if len(data) < end:
         raise CodecError("truncated length-prefixed field")
-    return data[offset : offset + length], offset + length
+    return data[offset:end], end
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1083,7 +1099,11 @@ def _encode_members(members: Tuple[MemberRecord, ...]) -> bytes:
 
 
 def _decode_members(data: bytes, offset: int) -> Tuple[Tuple[MemberRecord, ...], int]:
-    count, offset = decode_varint(data, offset)
+    if offset < len(data) and data[offset] < 0x80:
+        count = data[offset]
+        offset += 1
+    else:
+        count, offset = decode_varint(data, offset)
     members = []
     for _ in range(count):
         member, offset = _decode_member(data, offset)

@@ -56,7 +56,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.codec import (
     Frame,
@@ -76,6 +76,8 @@ logger = logging.getLogger(__name__)
 # How many spaced copies of a LEAVE announcement leave() emits; see its
 # docstring for why one datagram is not enough on a lossy path.
 _LEAVE_BURST = 3
+# Seconds between leave()'s checks that its data has been acked.
+_LEAVE_POLL = 0.01
 # Multiplier on the JOIN timeout after each unanswered attempt: the
 # default 1 s timeout and five retries wait 63 s in all.
 _JOIN_BACKOFF = 2.0
@@ -215,6 +217,9 @@ class GroupMembership:
         self.evictions = 0
         # Leaver ids already counted, so a LEAVE burst tallies once.
         self._leave_noted: Set[Hashable] = set()
+        # Members that arrived after this node's first broadcast -> its
+        # send count then; leave() hands them those messages again.
+        self._arrived: Dict[str, int] = {}
         self.view_changes = 0
         self.epoch_bumps = 0
         node.membership = self
@@ -474,9 +479,35 @@ class GroupMembership:
         not routinely downgrade a graceful departure into an eviction —
         separate datagrams, because copies coalesced into one batch
         share its fate.
+
+        The burst waits (at most ``join_timeout``) until every view
+        peer holds this node's data, because on the LEAVE every member
+        drops the leaver's data for good, and whatever causally follows
+        a message one member never got then pends there forever.  Two
+        ways to miss one: the acting coordinator evicts on the LEAVE,
+        so data arriving after it is dropped; and a member that joined
+        after this node sent a message got only what the coordinator
+        had delivered when it was admitted.  So every message this node
+        sent before a member arrived is handed to that member again
+        (the copies it already holds are counted duplicates), and the
+        burst waits until every view peer acked everything.
         """
         if not self.joined or self._view is None:
             return
+        session, store = self._node.session, self._node.store
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.join_timeout
+        while loop.time() < deadline:
+            for member in self._view.members:
+                for seq in range(1, self._arrived.pop(member.node_id, 0) + 1):
+                    data = store.get(self.node_id, seq)
+                    if data is not None:
+                        session.push(member.address, data)
+            session.flush()
+            if not any(session.unacked_count(member.address)
+                       for member in self._view.members):
+                break
+            await asyncio.sleep(_LEAVE_POLL)
         frame = LeaveFrame(node_id=self.node_id)
         for attempt in range(_LEAVE_BURST):
             for address in self._announce_targets():
@@ -813,7 +844,14 @@ class GroupMembership:
                     continue
                 node.evict_peer(member.address, member.node_id)
         # Arrivals / survivors: mirror their assignments and peer them.
+        sent = node.endpoint.clock.send_count
+        known = set(previous.member_ids()) if previous is not None else current_ids
+        self._arrived = {
+            node_id: seq for node_id, seq in self._arrived.items() if node_id in current_ids
+        }
         for member in view.members:
+            if sent and member.node_id not in known:
+                self._arrived[member.node_id] = sent
             try:
                 existing = self._assigner.lookup(member.node_id)
                 if tuple(existing.keys) != tuple(member.keys):

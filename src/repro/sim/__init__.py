@@ -1,30 +1,16 @@
 """Simulation substrate: the event-based evaluation environment of §5.4.
 
-Provides the discrete-event kernel, network delay models, dissemination
-strategies (direct broadcast and push gossip), workload generators,
-membership/churn models, the ground-truth causality oracle (ε_min/ε_max),
-metric collectors and the endpoint-only experiment runner.  Partial
-views, anti-entropy, adaptive K and fault windows are not modelled here:
-they exist once, in :mod:`repro.net`, and run under simulated time on
-:mod:`repro.sim.vtime`.
+Provides the discrete-event kernel, network delay models, workload
+generators, the ground-truth causality oracle (ε_min/ε_max), metric
+collectors and the endpoint-only experiment runner: direct broadcast
+over a static membership, what Figures 3–6 measure.  Dissemination,
+membership and churn, partial views, anti-entropy, adaptive K and fault
+windows are not modelled here: they exist once, in :mod:`repro.net`,
+and run under simulated time on :mod:`repro.sim.vtime`
+(:class:`repro.sim.group.Group`).
 """
 
-from repro.sim.dissemination import (
-    DirectBroadcast,
-    Dissemination,
-    DisseminationContext,
-    PushGossip,
-)
 from repro.sim.engine import Simulator
-from repro.sim.membership import (
-    ChurnAction,
-    ChurnEvent,
-    ChurnModel,
-    MembershipView,
-    NoChurn,
-    PoissonChurn,
-    ScriptedChurn,
-)
 from repro.sim.metrics import AlertConfusion, MetricSet, StreamingSummary
 from repro.sim.network import (
     ConstantDelayModel,
@@ -52,22 +38,9 @@ __all__ = [
     "DelayModel",
     "GaussianDelayModel",
     "ConstantDelayModel",
-    # dissemination
-    "Dissemination",
-    "DisseminationContext",
-    "DirectBroadcast",
-    "PushGossip",
     # workload
     "Workload",
     "PoissonWorkload",
-    # membership
-    "ChurnAction",
-    "ChurnEvent",
-    "ChurnModel",
-    "MembershipView",
-    "NoChurn",
-    "PoissonChurn",
-    "ScriptedChurn",
     # oracle & metrics
     "CausalityOracle",
     "ClassifiedDelivery",

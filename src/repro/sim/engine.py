@@ -3,7 +3,7 @@
 The paper's evaluation (Section 5.4) uses a simple event-based simulator;
 this module is our equivalent.  It is deliberately tiny: a binary-heap
 agenda of ``(time, tiebreak, callback, argument)`` entries and a run loop.
-Everything domain-specific (nodes, network, workload, churn) lives above
+Everything domain-specific (nodes, network, workload) lives above
 it in :mod:`repro.sim.runner`.
 
 Determinism: ties in time are broken by insertion order (a monotonically

@@ -236,6 +236,11 @@ class Group:
         transfer delivered, and :meth:`settle` expects of it only what
         that coverage left out — exact when nothing was in flight."""
         self._enter(name)
+        if self.oracle is not None:
+            # Counted into every live budget before the transfer is
+            # read: a message the transfer misses may be delivered by
+            # every older node before this one delivers it.
+            self.oracle.register_node(name)
         node = await self._create(name, self.bus.attach(name), **create_kwargs)
         # No delivery reaches the handler before the join completes.
         covered = {
@@ -247,7 +252,7 @@ class Group:
             knowledge = np.zeros(self.oracle.capacity, dtype=np.int64)
             for sender, count in covered.items():
                 knowledge[self.oracle.slot_of(sender)] = count
-            self.oracle.register_node(name, initial_knowledge=knowledge)
+            self.oracle.adopt_knowledge(name, knowledge)
         self._add(node)
         return node
 

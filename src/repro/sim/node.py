@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-import numpy as np
-
 from repro.core.keyspace import KeyAssignment
 from repro.core.protocol import CausalBroadcastEndpoint
 
@@ -26,25 +24,9 @@ class SimNode:
         endpoint: the causal-broadcast protocol machine under test.
         assignment: the node's key set (``f(p_i)``), if the configured
             clock uses assigned keys.
-        joined_at / left_at: membership interval in simulation time (ms);
-            ``left_at`` is None while the node is alive.
     """
 
     node_id: ProcessId
     slot: int
     endpoint: CausalBroadcastEndpoint
     assignment: Optional[KeyAssignment] = None
-    joined_at: float = 0.0
-    left_at: Optional[float] = None
-    bootstrap_sends: Optional[np.ndarray] = None
-    """For late joiners: per-slot send counts at join time — the history
-    the state transfer already covered (never to be replayed)."""
-
-    @property
-    def alive(self) -> bool:
-        """Whether the node is still a member."""
-        return self.left_at is None
-
-    def leave(self, now: float) -> None:
-        """Mark the node as departed at time ``now``."""
-        self.left_at = now

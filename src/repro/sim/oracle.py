@@ -20,15 +20,15 @@ respected for it.  The paper therefore reports two bounds:
 
 :class:`CausalityOracle` implements exactly this classification and keeps
 per-node and global tallies.  True vectors are dense NumPy arrays over
-node *slots*; slots are assigned at registration so churn (nodes joining
-later) is supported up to a fixed capacity.
+node *slots*; slots are assigned at registration so nodes joining later
+are supported up to a fixed capacity.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Tuple
 
 import numpy as np
 
@@ -132,15 +132,12 @@ class CausalityOracle:
         """Slots, and the length of every true vector."""
         return self._capacity
 
-    def register_node(
-        self, node_id: ProcessId, initial_knowledge: Optional[np.ndarray] = None
-    ) -> int:
-        """Assign a slot to a (possibly late-joining) node.
+    def register_node(self, node_id: ProcessId) -> int:
+        """Assign a slot to a node, initial or late-joining.
 
-        ``initial_knowledge`` seeds the node's ground-truth clock; a node
-        joining with a state transfer passes the global send-count vector
-        so the oracle knows it (transitively) depends on all prior
-        messages.
+        A node registered mid-run is counted into the delivery budget of
+        every live message: it may deliver any of them, unless
+        :meth:`adopt_knowledge` then says its state transfer covered it.
         """
         if node_id in self._slots:
             raise SimulationError(f"node {node_id!r} already registered with the oracle")
@@ -150,19 +147,29 @@ class CausalityOracle:
             )
         slot = len(self._slots)
         self._slots[node_id] = slot
-        clock = np.zeros(self._capacity, dtype=np.int64)
-        if initial_knowledge is not None:
-            if initial_knowledge.shape != clock.shape:
-                raise ConfigurationError(
-                    f"initial knowledge has shape {initial_knowledge.shape}, "
-                    f"expected {clock.shape}"
-                )
-            clock[:] = initial_knowledge
-        self._true_clock[node_id] = clock
+        self._true_clock[node_id] = np.zeros(self._capacity, dtype=np.int64)
         if self._track_receptions:
-            self._reception_clock[node_id] = clock.copy()
+            self._reception_clock[node_id] = np.zeros(self._capacity, dtype=np.int64)
         self.per_node[node_id] = OracleCounters()
+        for record in self._records.values():
+            record.remaining += 1
         return slot
+
+    def adopt_knowledge(self, node_id: ProcessId, knowledge: np.ndarray) -> None:
+        """Seed a joiner's true clock with the send counts its state
+        transfer covered.  It will never deliver those messages, so each
+        one still live leaves its budget."""
+        clock = self._true_clock[self._resolve(node_id)]
+        if knowledge.shape != clock.shape:
+            raise ConfigurationError(
+                f"knowledge has shape {knowledge.shape}, expected {clock.shape}"
+            )
+        np.maximum(clock, knowledge, out=clock)
+        for message_id, record in list(self._records.items()):
+            if record.vector[record.sender_slot] <= knowledge[record.sender_slot]:
+                record.remaining -= 1
+                if record.remaining <= 0:
+                    del self._records[message_id]
 
     def slot_of(self, node_id: ProcessId) -> int:
         """Dense slot index assigned to ``node_id`` at registration."""
@@ -270,22 +277,6 @@ class CausalityOracle:
         if not self.receptions_total:
             return 0.0
         return self.receptions_out_of_order / self.receptions_total
-
-    def send_time_of(self, message_id: MessageId) -> Optional[float]:
-        """Send time of a message whose record is still live, else None
-        (a freed record means its delivery budget is already settled)."""
-        record = self._records.get(message_id)
-        return None if record is None else record.send_time
-
-    def adjust_fanout(self, message_id: MessageId, delta: int) -> None:
-        """Adjust a message's expected delivery count (e.g. a receiver left
-        before the message arrived)."""
-        record = self._records.get(message_id)
-        if record is None:
-            return
-        record.remaining += delta
-        if record.remaining <= 0:
-            del self._records[message_id]
 
     # ------------------------------------------------------------------
     # reporting

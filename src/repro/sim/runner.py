@@ -14,13 +14,13 @@ Entry point::
                                              duration_ms=60_000, seed=7))
     print(result.counters.eps_min, result.counters.eps_max)
 
-Everything is pluggable: workload, delay model, dissemination strategy,
-clock family member, key assigner, detector, churn model.  The runner is
-endpoint-only on purpose — that is what lets Figures 3–6 run at
-N >= 1,000; partitions, anti-entropy repair and adaptive re-keying are
-measured on the shipping ``create_node()`` stack under
-:mod:`repro.sim.vtime` (``benchmarks/bench_heal.py``,
-``benchmarks/bench_adaptive.py``).
+Pluggable: workload, delay model, clock family member, key assigner and
+detector.  The runner is endpoint-only on purpose, with direct
+broadcast over static membership — that is what lets Figures 3–6 run
+at N >= 1,000.  Dissemination, churn, partitions, anti-entropy repair
+and adaptive re-keying are measured on the shipping ``create_node()``
+stack under :mod:`repro.sim.vtime` (``benchmarks/bench_dissemination.py``,
+``bench_churn.py``, ``bench_heal.py``, ``bench_adaptive.py``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.clocks import EntryVectorClock
 from repro.core.detector import DeliveryErrorDetector
@@ -50,15 +48,7 @@ from repro.core.registry import (
     get_clock_spec,
     get_detector_spec,
 )
-from repro.sim.dissemination import DirectBroadcast, Dissemination, DisseminationContext
 from repro.sim.engine import Simulator
-from repro.sim.membership import (
-    ChurnAction,
-    ChurnEvent,
-    ChurnModel,
-    MembershipView,
-    NoChurn,
-)
 from repro.sim.metrics import AlertConfusion, MetricSet
 from repro.sim.network import DelayModel, GaussianDelayModel
 from repro.sim.node import SimNode
@@ -103,8 +93,6 @@ class NodeApplication:
         correlate application anomalies with proven violations.
         """
 
-    def on_leave(self, node_id: int, now: float) -> None:
-        """Observe this node leaving the system."""
 
 ASSIGNER_MODES = (
     "random",
@@ -125,7 +113,7 @@ class SimulationConfig:
     >10⁸ messages; see DESIGN.md for the substitution note).
 
     Attributes:
-        n_nodes: initial population ``N``.
+        n_nodes: population ``N`` (static).
         r: vector size ``R`` (ignored for ``lamport`` and ``vector`` clocks).
         k: entries per process ``K`` (ignored unless ``probabilistic``).
         clock: which clock family every node runs — ``probabilistic``
@@ -137,7 +125,8 @@ class SimulationConfig:
             (no distinctness guarantee), ``perfect``, ``sequential``, ``hash``.
         workload: per-node send process; default Poisson with λ=5000 ms.
         delay_model: network delays; default the paper's N(100,20)+N(d,20).
-        dissemination: message spreading; default reliable direct broadcast.
+            Every broadcast goes directly to every other node: one base
+            delay per message, one arrival skew per receiver.
         detector: pre-delivery alert check (Algorithms 4/5):
             ``none`` | ``basic`` | ``refined``.
         detector_window_ms: recent-list retention for the refined detector;
@@ -147,7 +136,6 @@ class SimulationConfig:
         duration_ms: sending horizon; reception drains afterwards.
         max_messages: optional global cap on broadcasts (whichever of the
             horizon and the cap hits first ends sending).
-        churn: membership dynamics; default static.
         seed: master seed; every random stream derives from it.
         track_latency: collect the send→deliver latency summary.
         max_pending: optional safety bound on any pending queue.
@@ -175,13 +163,11 @@ class SimulationConfig:
     key_assigner: str = "random"
     workload: Optional[Workload] = None
     delay_model: Optional[DelayModel] = None
-    dissemination: Optional[Dissemination] = None
     detector: str = "basic"
     detector_window_ms: Optional[float] = None
     detector_max_entries: int = 256
     duration_ms: float = 60_000.0
     max_messages: Optional[int] = None
-    churn: Optional[ChurnModel] = None
     seed: int = 0
     track_latency: bool = True
     max_pending: Optional[int] = None
@@ -220,15 +206,11 @@ class SimulationResult:
     pending: Dict[str, float]
     sent: int
     delivered_remote: int
-    duplicates: int
     undelivered_messages: int
     stuck_pending: int
     sim_time_ms: float
     events: int
     wall_seconds: float
-    joins: int
-    leaves: int
-    mean_membership: float
     measured_concurrency: float
     measured_p_nc: Optional[float]
     """Out-of-causal-order reception rate (None unless
@@ -257,40 +239,26 @@ class SimulationResult:
         )
 
 
-class _Run(DisseminationContext):
+class _Run:
     """Mutable state of one simulation execution."""
 
     def __init__(self, config: SimulationConfig) -> None:
         config.validate()
         self._config = config
         self._sim = Simulator()
-        self._rng_root = RandomSource(seed=config.seed)
-        self._rng_network = self._rng_root.spawn("network")
-        self._rng_workload = self._rng_root.spawn("workload")
-        self._rng_keys = self._rng_root.spawn("keys")
-        self._rng_churn = self._rng_root.spawn("churn")
+        rng_root = RandomSource(seed=config.seed)
+        self._rng_network = rng_root.spawn("network")
+        self._rng_workload = rng_root.spawn("workload")
+        self._rng_keys = rng_root.spawn("keys")
 
         self._workload = config.workload if config.workload is not None else PoissonWorkload(5000.0)
         self._delay_model = (
             config.delay_model if config.delay_model is not None else GaussianDelayModel()
         )
-        self._dissemination = (
-            config.dissemination
-            if config.dissemination is not None
-            else DirectBroadcast(self._delay_model)
-        )
-
-        churn = config.churn if config.churn is not None else NoChurn()
-        self._churn_events = churn.events(self._rng_churn, config.duration_ms)
-        self._min_population = getattr(churn, "min_population", 2)
-        joins = sum(1 for event in self._churn_events if event.action is ChurnAction.JOIN)
-        self._capacity = config.n_nodes + joins
-
         self._oracle = CausalityOracle(
-            capacity=self._capacity, track_receptions=config.track_reception_order
+            capacity=config.n_nodes, track_receptions=config.track_reception_order
         )
-        self._membership = MembershipView()
-        self._nodes: Dict[int, SimNode] = {}
+        self._nodes: List[SimNode] = []
         self._metrics = MetricSet()
         if config.metrics_path is not None:
             from repro.obs import MetricsRegistry
@@ -298,33 +266,8 @@ class _Run(DisseminationContext):
             self._metrics.bind_registry(MetricsRegistry(labels={"mode": "sim"}))
         self._assigner = self._make_assigner()
         self._effective_r = self._effective_vector_size()
-        self._global_key_sum = np.zeros(self._effective_r, dtype=np.int64)
-        self._global_true_sends = np.zeros(self._capacity, dtype=np.int64)
         self._applications: Dict[int, NodeApplication] = {}
         self._sent = 0
-        self._next_node_id = 0
-        self._members_cache: Tuple[int, ...] = ()
-        self._members_dirty = True
-        # Time-weighted membership integral for the mean population.
-        self._pop_integral = 0.0
-        self._pop_last_change = 0.0
-
-    # ------------------------------------------------------------------
-    # DisseminationContext interface
-    # ------------------------------------------------------------------
-
-    @property
-    def rng(self) -> RandomSource:
-        return self._rng_network
-
-    def members(self) -> Tuple[int, ...]:
-        if self._members_dirty:
-            self._members_cache = self._membership.members()
-            self._members_dirty = False
-        return self._members_cache
-
-    def schedule_receive(self, node_id: int, message: Message, delay_ms: float) -> None:
-        self._sim.schedule(delay_ms, self._handle_receive, (node_id, message))
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -335,7 +278,7 @@ class _Run(DisseminationContext):
         if spec.fixed_r is not None:
             return spec.fixed_r
         if spec.needs_dense_index:
-            return self._capacity
+            return self._config.n_nodes
         return self._config.r
 
     def _make_assigner(self) -> Optional[KeyAssigner]:
@@ -379,49 +322,27 @@ class _Run(DisseminationContext):
             node_id=slot,
             r=self._effective_r if spec.needs_dense_index else self._config.r,
             k=spec.fixed_k if spec.fixed_k is not None else self._config.k,
-            n=self._capacity,
+            n=self._config.n_nodes,
             index=slot,
             keys=keys,
         )
         return spec.factory(context), assignment
 
-    def _spawn_node(self, now: float, bootstrap: bool) -> SimNode:
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        slot = self._oracle.register_node(
-            node_id,
-            initial_knowledge=self._global_true_sends.copy() if bootstrap else None,
-        )
+    def _add_node(self, node_id: int) -> None:
+        slot = self._oracle.register_node(node_id)
         clock, assignment = self._make_clock(slot)
-        if bootstrap:
-            clock.initialize_from(self._global_key_sum)
         endpoint = CausalBroadcastEndpoint(
             process_id=node_id,
             clock=clock,
             detector=self._make_detector(),
             max_pending=self._config.max_pending,
         )
-        node = SimNode(
-            node_id=node_id,
-            slot=slot,
-            endpoint=endpoint,
-            assignment=assignment,
-            joined_at=now,
-            bootstrap_sends=self._global_true_sends.copy() if bootstrap else None,
+        self._nodes.append(
+            SimNode(node_id=node_id, slot=slot, endpoint=endpoint, assignment=assignment)
         )
-        self._nodes[node_id] = node
         factory = self._config.application_factory
         if factory is not None:
             self._applications[node_id] = factory(node_id)
-        self._track_population()
-        self._membership.add(node_id)
-        self._members_dirty = True
-        return node
-
-    def _track_population(self) -> None:
-        now = self._sim.now
-        self._pop_integral += len(self._membership) * (now - self._pop_last_change)
-        self._pop_last_change = now
 
     # ------------------------------------------------------------------
     # event handlers
@@ -434,62 +355,33 @@ class _Run(DisseminationContext):
         self._sim.schedule_at(next_time, self._handle_send, node_id)
 
     def _handle_send(self, node_id: int) -> None:
-        node = self._nodes.get(node_id)
-        if node is None or not node.alive:
-            return
         budget = self._config.max_messages
         if budget is not None and self._sent >= budget:
             return
+        node = self._nodes[node_id]
+        now = self._sim.now
         application = self._applications.get(node_id)
-        payload = (
-            application.make_payload(node_id, self._sim.now)
-            if application is not None
-            else None
-        )
-        message = node.endpoint.broadcast(payload=payload, now=self._sim.now)
+        payload = application.make_payload(node_id, now) if application is not None else None
+        message = node.endpoint.broadcast(payload=payload, now=now)
         self._sent += 1
-        self._global_key_sum[message.timestamp.sender_keys_array] += 1
-        self._global_true_sends[node.slot] += 1
-        fanout = self._dissemination.disseminate(self, message, node_id)
-        self._oracle.on_send(node_id, message.message_id, self._sim.now, fanout)
+        # Direct broadcast (§5.4): one base delay per message, one
+        # arrival skew per receiver.
+        rng, delays = self._rng_network, self._delay_model
+        base = delays.sample_base(rng)
+        for receiver in self._nodes:
+            if receiver is not node:
+                self._sim.schedule(
+                    delays.sample_arrival(rng, base), self._handle_receive, (receiver, message)
+                )
+        self._oracle.on_send(node_id, message.message_id, now, len(self._nodes) - 1)
         self._schedule_next_send(node_id)
 
-    def _handle_receive(self, event: Tuple[int, Message]) -> None:
-        node_id, message = event
-        node = self._nodes.get(node_id)
-        if node is None or not node.alive:
-            # Exactly-once budget accounting for departed receivers: only
-            # the first copy counts, and only if the node was a member
-            # when the message was sent (stale gossip views route copies
-            # to nodes that left earlier — those were never budgeted).
-            if node is not None and node.endpoint.mark_seen(message.message_id):
-                send_time = self._oracle.send_time_of(message.message_id)
-                if (
-                    send_time is not None
-                    and node.joined_at <= send_time
-                    and (node.left_at is None or send_time < node.left_at)
-                ):
-                    self._oracle.adjust_fanout(message.message_id, -1)
-            return
-        endpoint = node.endpoint
-        if node.bootstrap_sends is not None and not endpoint.has_seen(
-            message.message_id
-        ):
-            # A late joiner's state transfer already covers messages sent
-            # before its join; copies a gossip relay routes here must
-            # not be re-applied (they were never budgeted for this node
-            # and would double-count clock increments).
-            sender_slot = self._nodes[message.sender].slot
-            if message.seq <= int(node.bootstrap_sends[sender_slot]):
-                endpoint.mark_seen(message.message_id)
-                return
-        first_copy = not endpoint.has_seen(message.message_id)
-        if first_copy and self._config.track_reception_order:
+    def _handle_receive(self, event: Tuple[SimNode, Message]) -> None:
+        node, message = event
+        node_id, endpoint, now = node.node_id, node.endpoint, self._sim.now
+        if self._config.track_reception_order:
             self._oracle.observe_reception(node_id, message.message_id)
-        records = endpoint.on_receive(message, self._sim.now)
-        if first_copy:
-            self._dissemination.on_first_reception(self, message, node_id)
-        now = self._sim.now
+        records = endpoint.on_receive(message, now)
         application = self._applications.get(node_id)
         for record in records:
             classified = self._oracle.classify_delivery(
@@ -502,33 +394,6 @@ class _Run(DisseminationContext):
                 application.on_deliver(node_id, record, classified.verdict, now)
         self._metrics.observe_pending(endpoint.pending_count)
 
-    def _handle_churn(self, event: ChurnEvent) -> None:
-        target = event.node_id
-        if event.action is ChurnAction.JOIN:
-            node = self._spawn_node(self._sim.now, bootstrap=True)
-            self._schedule_next_send(node.node_id)
-            return
-        if len(self._membership) <= self._min_population:
-            return
-        if target is not None:
-            if target not in self._membership:
-                # The scripted victim already left (or never joined by
-                # this time) — a targeted leave is not retargetable.
-                return
-            node_id = target
-        else:
-            node_id = self._membership.sample(self._rng_churn)
-        node = self._nodes[node_id]
-        self._track_population()
-        self._membership.remove(node_id)
-        self._members_dirty = True
-        node.leave(self._sim.now)
-        application = self._applications.get(node_id)
-        if application is not None:
-            application.on_leave(node_id, self._sim.now)
-        if self._assigner is not None and node.assignment is not None:
-            self._assigner.release(node.slot)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -536,14 +401,11 @@ class _Run(DisseminationContext):
     def execute(self) -> SimulationResult:
         """Build the system, run to drain, and measure."""
         started = _time.perf_counter()
-        for _ in range(self._config.n_nodes):
-            self._spawn_node(0.0, bootstrap=False)
-        for node_id in list(self._nodes):
+        for node_id in range(self._config.n_nodes):
+            self._add_node(node_id)
+        for node_id in range(self._config.n_nodes):
             self._schedule_next_send(node_id)
-        for event in self._churn_events:
-            self._sim.schedule_at(event.time, self._handle_churn, event)
         self._sim.run()
-        self._track_population()
         wall = _time.perf_counter() - started
         result = self._build_result(wall)
         if self._config.metrics_path is not None:
@@ -559,20 +421,13 @@ class _Run(DisseminationContext):
 
     def _build_result(self, wall_seconds: float) -> SimulationResult:
         delivered_remote = self._oracle.totals.deliveries
-        duplicates = sum(node.endpoint.stats.duplicates for node in self._nodes.values())
-        stuck = sum(
-            node.endpoint.pending_count for node in self._nodes.values() if node.alive
-        )
         sim_time = self._sim.now
-        mean_membership = self._pop_integral / sim_time if sim_time > 0 else float(
-            len(self._membership)
-        )
         # Rate over the sending horizon: deliveries trail into the drain
         # tail, but steady-state traffic is defined by the horizon.
         window_ms = min(sim_time, self._config.duration_ms)
         receive_rate = (
-            delivered_remote / (window_ms / 1000.0) / mean_membership
-            if window_ms > 0 and mean_membership > 0
+            delivered_remote / (window_ms / 1000.0) / self._config.n_nodes
+            if window_ms > 0
             else 0.0
         )
         concurrency = receive_rate * self._delay_model.mean_delay() / 1000.0
@@ -584,15 +439,11 @@ class _Run(DisseminationContext):
             pending=self._metrics.pending.as_dict(),
             sent=self._sent,
             delivered_remote=delivered_remote,
-            duplicates=duplicates,
             undelivered_messages=self._oracle.outstanding_messages,
-            stuck_pending=stuck,
+            stuck_pending=sum(node.endpoint.pending_count for node in self._nodes),
             sim_time_ms=sim_time,
             events=self._sim.processed_events,
             wall_seconds=wall_seconds,
-            joins=self._membership.joined_total - self._config.n_nodes,
-            leaves=self._membership.left_total,
-            mean_membership=mean_membership,
             measured_concurrency=concurrency,
             measured_p_nc=(
                 self._oracle.p_nc_measured

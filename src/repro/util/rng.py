@@ -1,7 +1,7 @@
 """Deterministic random streams for reproducible simulations.
 
 Every stochastic component of the simulator (workload generators, network
-delay models, key assignment, churn) receives its own :class:`RandomSource`
+delay models, key assignment, the bus) receives its own :class:`RandomSource`
 derived from a single experiment seed.  Substreams are spawned by name, so
 adding a new consumer of randomness never perturbs the draws seen by
 existing ones — a property the regression tests rely on.

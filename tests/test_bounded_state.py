@@ -109,6 +109,11 @@ def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeyp
         # Traced from here on: what the nodes allocate while they run
         # and still hold at each reading.  The trace ring is a window
         # (each journal snapshot adds an event); it is counted full.
+        # A full collection first also empties the interpreter's free
+        # lists: objects the first phase built from memory freed before
+        # the trace started would go uncounted, lowering the early
+        # reading by however much earlier tests left on those lists.
+        gc.collect()
         tracemalloc.start()
         for node in nodes.values():
             for index in range(node.trace.capacity):

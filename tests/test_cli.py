@@ -69,14 +69,6 @@ class TestSimulateCommand:
         counters = payload["counters"]
         assert 0.0 <= counters["eps_min"] <= counters["eps_max"] <= 1.0
 
-    def test_churn_flag(self, capsys):
-        code, out = run_cli(
-            capsys, *self.BASE, "--churn-interval-ms", "1500", "--json"
-        )
-        payload = json.loads(out)
-        membership = payload["membership"]
-        assert membership["joins"] >= 0 and membership["leaves"] >= 0
-
     def test_clock_choices(self, capsys):
         for clock in ("vector", "lamport", "plausible", "bloom"):
             code, out = run_cli(capsys, *self.BASE, "--clock", clock, "--json")

@@ -10,84 +10,54 @@ the codec is lossless with respect to everything the protocol reads.
 import dataclasses
 
 from repro.core.codec import MessageCodec
-from repro.core.protocol import Message
 from repro.sim import (
-    DirectBroadcast,
     GaussianDelayModel,
     PoissonWorkload,
     SimulationConfig,
     run_simulation,
 )
-from repro.sim.dissemination import Dissemination, DisseminationContext
+from repro.sim.runner import _Run
+
+CONFIG = SimulationConfig(
+    n_nodes=15,
+    r=24,
+    k=3,
+    key_assigner="random-colliding",
+    duration_ms=10_000.0,
+    seed=13,
+    workload=PoissonWorkload(600.0),
+    delay_model=GaussianDelayModel(),
+)
 
 
-class CodecInTheLoop(Dissemination):
-    """Wraps a strategy so every scheduled copy round-trips the codec."""
+def wire(monkeypatch):
+    """Round-trip every copy through the codec where the runner hands it
+    to its receiver; returns the tally of copies and bytes."""
+    codec = MessageCodec()
+    tally = {"copies": 0, "bytes": 0}
+    receive = _Run._handle_receive
 
-    def __init__(self, inner: Dissemination, codec: MessageCodec) -> None:
-        super().__init__(inner.delay_model)
-        self._inner = inner
-        self._codec = codec
-        self.bytes_on_wire = 0
-        self.copies = 0
-
-    def _reencode(self, message: Message) -> Message:
-        data = self._codec.encode(message)
-        self.bytes_on_wire += len(data)
-        self.copies += 1
-        decoded = self._codec.decode(data)
+    def handle_receive(run, event):
+        node, message = event
+        data = codec.encode(message)
+        tally["copies"] += 1
+        tally["bytes"] += len(data)
+        decoded = codec.decode(data)
         # Node ids are ints in the runner; the wire carries them as text.
-        return dataclasses.replace(decoded, sender=type(message.sender)(decoded.sender))
+        decoded = dataclasses.replace(decoded, sender=type(message.sender)(decoded.sender))
+        receive(run, (node, decoded))
 
-    def disseminate(self, context, message, sender_id):
-        return self._inner.disseminate(
-            _ReencodingContext(context, self._reencode), message, sender_id
-        )
-
-    def on_first_reception(self, context, message, node_id):
-        self._inner.on_first_reception(
-            _ReencodingContext(context, self._reencode), message, node_id
-        )
-
-
-class _ReencodingContext(DisseminationContext):
-    def __init__(self, inner, reencode):
-        self._inner = inner
-        self._reencode = reencode
-
-    def members(self):
-        return self._inner.members()
-
-    @property
-    def rng(self):
-        return self._inner.rng
-
-    def schedule_receive(self, node_id, message, delay_ms):
-        self._inner.schedule_receive(node_id, self._reencode(message), delay_ms)
-
-
-def build_config(dissemination):
-    return SimulationConfig(
-        n_nodes=15,
-        r=24,
-        k=3,
-        key_assigner="random-colliding",
-        duration_ms=10_000.0,
-        seed=13,
-        workload=PoissonWorkload(600.0),
-        delay_model=GaussianDelayModel(),
-        dissemination=dissemination,
-    )
+    monkeypatch.setattr(_Run, "_handle_receive", handle_receive)
+    return tally
 
 
 class TestCodecInTheLoop:
-    def test_run_through_bytes_matches_object_run(self):
-        delay = GaussianDelayModel()
-        plain = run_simulation(build_config(DirectBroadcast(delay)))
-        wrapped = CodecInTheLoop(DirectBroadcast(delay), MessageCodec())
-        encoded = run_simulation(build_config(wrapped))
+    def test_run_through_bytes_matches_object_run(self, monkeypatch):
+        plain = run_simulation(CONFIG)
+        tally = wire(monkeypatch)
+        encoded = run_simulation(CONFIG)
 
-        assert wrapped.copies > 0
+        assert tally["copies"] > 0
         assert encoded.sent == plain.sent
         assert encoded.delivered_remote == plain.delivered_remote
         assert encoded.counters.violations == plain.counters.violations
@@ -95,13 +65,11 @@ class TestCodecInTheLoop:
         assert encoded.stuck_pending == 0
         assert encoded.latency["mean"] == plain.latency["mean"]
 
-    def test_wire_volume_accounts_for_every_copy(self):
-        delay = GaussianDelayModel()
-        wrapped = CodecInTheLoop(DirectBroadcast(delay), MessageCodec())
-        result = run_simulation(build_config(wrapped))
-        expected_copies = result.sent * (result.config.n_nodes - 1)
-        assert wrapped.copies == expected_copies
+    def test_wire_volume_accounts_for_every_copy(self, monkeypatch):
+        tally = wire(monkeypatch)
+        result = run_simulation(CONFIG)
+        assert tally["copies"] == result.sent * (result.config.n_nodes - 1)
         # Mean bytes/message is within the codec's plausible range for
         # R=24 (header + 24 varint entries + 3 keys).
-        mean_bytes = wrapped.bytes_on_wire / wrapped.copies
+        mean_bytes = tally["bytes"] / tally["copies"]
         assert 30 <= mean_bytes <= 120

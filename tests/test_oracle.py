@@ -38,8 +38,8 @@ class TestRegistration:
         oracle = CausalityOracle(capacity=3)
         oracle.register_node("old")
         oracle.on_send("old", ("old", 1), now=0.0, fanout=1)
-        knowledge = np.array([1, 0, 0], dtype=np.int64)
-        oracle.register_node("newcomer", initial_knowledge=knowledge)
+        oracle.register_node("newcomer")
+        oracle.adopt_knowledge("newcomer", np.array([1, 0, 0], dtype=np.int64))
         # The newcomer "knows" old's first message: a later message from
         # old that causally follows it is correct at the newcomer.
         oracle.on_send("old", ("old", 2), now=1.0, fanout=1)
@@ -142,16 +142,29 @@ class TestBookkeeping:
         with pytest.raises(SimulationError):
             oracle.on_send(0, ("m", 1), now=1.0, fanout=1)
 
-    def test_adjust_fanout_frees(self):
-        oracle = fresh_oracle(3)
-        oracle.on_send(0, ("m", 1), now=0.0, fanout=2)
+    def test_joiner_counted_into_live_budgets(self):
+        # A joiner may deliver any message still live when it registers;
+        # its state transfer then takes back what it covered.
+        oracle = CausalityOracle(capacity=3)
+        oracle.register_node(0)
+        oracle.register_node(1)
+        oracle.on_send(0, ("m", 1), now=0.0, fanout=1)
+        oracle.on_send(0, ("m", 2), now=1.0, fanout=1)
+        oracle.register_node("joiner")
+        oracle.adopt_knowledge("joiner", np.array([1, 0, 0], dtype=np.int64))
         oracle.classify_delivery(1, ("m", 1), 5.0)
-        oracle.adjust_fanout(("m", 1), -1)  # the other receiver left
+        assert oracle.outstanding_messages == 1  # ("m", 1) was covered
+        oracle.classify_delivery(1, ("m", 2), 6.0)
+        # ("m", 2) outlives the older member's delivery: the joiner's is due.
+        assert oracle.classify_delivery("joiner", ("m", 2), 7.0).verdict is (
+            DeliveryVerdict.CORRECT
+        )
         assert oracle.outstanding_messages == 0
 
-    def test_adjust_unknown_is_noop(self):
+    def test_knowledge_shape_checked(self):
         oracle = fresh_oracle(2)
-        oracle.adjust_fanout(("ghost", 1), -1)
+        with pytest.raises(ConfigurationError):
+            oracle.adopt_knowledge(1, np.zeros(3, dtype=np.int64))
 
     def test_true_clock_inspection(self):
         # The sender's true clock ticks on send and the receiver's advances

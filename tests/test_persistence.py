@@ -12,12 +12,8 @@ from repro.analysis.persistence import (
 )
 from repro.core.errors import ConfigurationError
 from repro.sim import (
-    ChurnAction,
-    ChurnEvent,
     GaussianDelayModel,
     PoissonWorkload,
-    PushGossip,
-    ScriptedChurn,
     SimulationConfig,
     run_simulation,
 )
@@ -53,29 +49,18 @@ class TestResultToDict:
         record = result_to_dict(small_result())
         assert record["config"]["workload"] == {"type": "PoissonWorkload", "mean": 700.0}
         assert record["config"]["delay_model"] is None  # default built inside runner
-        assert record["config"]["dissemination"] is None
-        assert record["config"]["churn"] is None
 
     def test_records_component_parameters(self):
         record = result_to_dict(small_result(
-            dissemination=PushGossip(GaussianDelayModel(80.0), fanout=3),
-            churn=ScriptedChurn([ChurnEvent(50.0, ChurnAction.LEAVE, 2)]),
+            delay_model=GaussianDelayModel(80.0),
             max_messages=40,
             detector="refined",
             detector_window_ms=300.0,
             detector_max_entries=64,
         ))
         config = json.loads(json.dumps(record))["config"]
-        assert config["dissemination"] == {
-            "type": "PushGossip",
-            "fanout": 3,
-            "delay_model": {
-                "type": "GaussianDelayModel", "mean": 80.0, "std": 20.0, "skew_std": 20.0,
-            },
-        }
-        assert config["churn"] == {
-            "type": "ScriptedChurn",
-            "events": [{"type": "ChurnEvent", "time": 50.0, "action": "leave", "node_id": 2}],
+        assert config["delay_model"] == {
+            "type": "GaussianDelayModel", "mean": 80.0, "std": 20.0, "skew_std": 20.0,
         }
         assert config["max_messages"] == 40
         assert config["detector_window_ms"] == 300.0

@@ -30,7 +30,6 @@ KEPT = {
     "__version__": "the package version",
     "create_endpoint": "the documented transport-less entry point",
     "ConstantDelayModel": "the reorder-free delay model tests build exact schedules on",
-    "ScriptedChurn": "explicit joins and leaves for the churn tests",
     "p_violation_bound": "§5's P_nc·P_err bound, the yardstick for measured error",
     "p_reorder_same_sender": "§5's same-sender reorder term of that bound",
     "predicted_error_series": "§5's predicted error curve next to a measured one",
