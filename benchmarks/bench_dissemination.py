@@ -15,7 +15,9 @@ plus N(d, 20) ms per-receiver skew) at concurrency X = 20.
 
 Per transport: remote deliveries, ε_min / ε_max with 95 % Wilson
 intervals, broadcast → delivery latency, bytes and datagrams on the bus
-per delivery, and anti-entropy repairs sent.  Every row must settle:
+per delivery, anti-entropy repairs sent, and how many of them were
+needed (sent less ``repair_duplicates``: copies the receiver already
+held).  Every row must settle:
 every node delivers every broadcast.  The network's reordering rate
 P_nc is not reported: a node exposes deliveries, not receptions.
 (Replaces the simulator's infect-and-die push-gossip rows; EXPERIMENTS.md
@@ -74,7 +76,7 @@ async def dissemination_run(config: NodeConfig) -> dict:
             "totals": group.oracle.totals,
             "latencies_ms": [1000.0 * latency for latency in group.latencies],
             **{name: after[name] - before[name]
-               for name in ("bytes", "datagrams", "repairs_sent")},
+               for name in ("bytes", "datagrams", "repairs_sent", "repair_duplicates")},
         }
 
 
@@ -100,10 +102,12 @@ def test_dissemination(benchmark):
             run["bytes"] / deliveries,
             run["datagrams"] / deliveries,
             run["repairs_sent"],
+            run["repairs_sent"] - run["repair_duplicates"],
         ])
     table = render_table(
         ["transport", "deliveries", "eps_min [95% CI]", "eps_max [95% CI]",
-         "lat mean (ms)", "lat p99 (ms)", "bytes/dlv", "datagrams/dlv", "repairs"],
+         "lat mean (ms)", "lat p99 (ms)", "bytes/dlv", "datagrams/dlv", "repairs",
+         "needed"],
         rows,
         title=(
             f"create_node() on the virtual bus: N={N_NODES}, R={R}, K={K}, "

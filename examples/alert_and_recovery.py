@@ -1,4 +1,4 @@
-"""Delivery-error alerts driving anti-entropy recovery (Section 4.2).
+"""Delivery-error alerts on a replicated shopping list (Section 4.2).
 
 The paper's second contribution: Algorithms 4/5 raise an alert exactly
 when a delivery *may* have violated causal order, so the application can
@@ -12,9 +12,12 @@ replicated shopping list (an OR-Set) on top:
    from p_1 and p_2 cover p_i's vector entries at p_k;
 2. p_k wrongly delivers the removal before the addition — the OR-Set
    records an anomaly;
-3. when the late addition arrives, Algorithm 4 raises its alert;
-4. the alert triggers an anti-entropy session with a healthy peer, after
-   which both replicas are provably identical.
+3. when the late addition arrives, Algorithm 4 raises its alert on it;
+4. the OR-Set's pre-removed tombstone cancels the late addition: once
+   p_j has the concurrent messages too, both replicas are identical
+   without any exchange.  Recovery would matter for a message that
+   never arrived, and a networked node repairs that on the wire
+   (``repro.net.repair``'s digests and gap pulls).
 
 Run:  python examples/alert_and_recovery.py
 """
@@ -24,7 +27,7 @@ from repro.core import (
     CausalBroadcastEndpoint,
     ProbabilisticCausalClock,
 )
-from repro.crdt import AntiEntropySession, CrdtBinding, ORSet
+from repro.crdt import ORSet
 
 R = 4
 KEYS = {
@@ -36,60 +39,54 @@ KEYS = {
 }
 
 
-def make_node(name):
-    crdt = ORSet(name)
-
-    def factory(callback):
-        return CausalBroadcastEndpoint(
-            process_id=name,
-            clock=ProbabilisticCausalClock(R, KEYS[name]),
-            detector=BasicAlertDetector(),
-            deliver_callback=callback,
-        )
-
-    return CrdtBinding.attach(factory, crdt)
+def make_endpoint(name, replica):
+    """The endpoint ``replica`` runs on: the replica is its delivery handler."""
+    return CausalBroadcastEndpoint(
+        process_id=name,
+        clock=ProbabilisticCausalClock(R, KEYS[name]),
+        detector=BasicAlertDetector(),
+        deliver_callback=replica.on_delivery,
+    )
 
 
 def main() -> None:
     print(__doc__)
-    nodes = {name: make_node(name) for name in KEYS}
+    lists = {name: ORSet(name) for name in KEYS}
+    nodes = {name: make_endpoint(name, lists[name]) for name in KEYS}
     p_i, p_j, p_k = nodes["p_i"], nodes["p_j"], nodes["p_k"]
     p_1, p_2 = nodes["p_1"], nodes["p_2"]
 
     # The causal chain: add at p_i, observed removal at p_j.
-    m = p_i.broadcast_update(p_i.crdt.add("milk"))
-    p_j.endpoint.on_receive(m)
-    m_prime = p_j.broadcast_update(p_j.crdt.remove("milk"))
+    m = p_i.broadcast(lists["p_i"].add("milk"))
+    p_j.on_receive(m)
+    m_prime = p_j.broadcast(lists["p_j"].remove("milk"))
     # Two concurrent messages jointly covering f(p_i) = {0, 1}.
-    m_1 = p_1.broadcast_update(p_1.crdt.add("bread"))
-    m_2 = p_2.broadcast_update(p_2.crdt.add("eggs"))
+    m_1 = p_1.broadcast(lists["p_1"].add("bread"))
+    m_2 = p_2.broadcast(lists["p_2"].add("eggs"))
 
     print("p_k receives: m_2, m_1, then the removal m' (the addition m is late)")
-    p_k.endpoint.on_receive(m_2)
-    p_k.endpoint.on_receive(m_1)
-    records = p_k.endpoint.on_receive(m_prime)
+    p_k.on_receive(m_2)
+    p_k.on_receive(m_1)
+    records = p_k.on_receive(m_prime)
     print(f"  -> m' delivered early: {[r.message.payload[0] for r in records]}")
-    print(f"  -> OR-Set anomaly recorded: {p_k.crdt.anomalies} (remove before its add)")
-    print(f"  -> shopping list at p_k: {sorted(p_k.crdt.value())}")
+    print(f"  -> OR-Set anomaly recorded: {lists['p_k'].anomalies} (remove before its add)")
+    print(f"  -> shopping list at p_k: {sorted(lists['p_k'].value())}")
 
     print("\nthe late addition m finally arrives:")
-    (late,) = p_k.endpoint.on_receive(m)
+    (late,) = p_k.on_receive(m)
     print(f"  -> Algorithm 4 alert on its delivery: {late.alert}")
     assert late.alert, "the alert must fire on the bypassed message"
+    print(f"  -> the pre-removed tombstone cancels it: 'milk' in p_k's list: "
+          f"{'milk' in lists['p_k']}")
+    assert "milk" not in lists["p_k"]
 
-    print("\nalert -> run anti-entropy with a healthy peer (p_j):")
-    # Bring p_j up to date with the concurrent messages first.
-    p_j.endpoint.on_receive(m_1)
-    p_j.endpoint.on_receive(m_2)
-    session = AntiEntropySession(
-        apply_first=p_k.repair_from, apply_second=p_j.repair_from
-    )
-    repaired = session.reconcile(p_k.log, p_j.log)
-    print(f"  -> messages exchanged during recovery: {repaired}")
-    print(f"  -> p_k list: {sorted(p_k.crdt.value())}")
-    print(f"  -> p_j list: {sorted(p_j.crdt.value())}")
-    assert p_k.crdt.value() == p_j.crdt.value()
-    print("\nreplicas identical after recovery — the add-wins tombstone kept")
+    print("\np_j receives the concurrent messages too; nothing else is exchanged:")
+    p_j.on_receive(m_1)
+    p_j.on_receive(m_2)
+    print(f"  -> p_k list: {sorted(lists['p_k'].value())}")
+    print(f"  -> p_j list: {sorted(lists['p_j'].value())}")
+    assert lists["p_k"].state_signature() == lists["p_j"].state_signature()
+    print("\nreplicas identical without recovery — the add-wins tombstone kept")
     print("'milk' deleted even though its removal overtook its addition.")
 
 

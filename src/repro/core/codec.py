@@ -28,9 +28,9 @@ Layout (little-endian)::
 Entry counters are non-negative and usually small, so varints shrink
 the dominant cost — the R entries — to ~1 byte each in steady state,
 realising the paper's "few integer timestamps" on the wire.
-Payload bytes are JSON (:class:`JsonPayloadCodec`), which covers the
-CRDT operation payloads used in the examples (tuples become lists and
-are normalised back).
+Payload bytes are JSON (:class:`JsonPayloadCodec`), which covers every
+operation :mod:`repro.crdt`'s types emit (tuples become lists and are
+normalised back).
 
 **DELTA encoding** (flags bit1) exploits Algorithm 1 harder: between two
 consecutive sends the sender only incremented its K entries ``f(p_i)``
@@ -281,7 +281,9 @@ class JsonPayloadCodec:
 
     JSON has no tuple type; on decode, lists are converted back to tuples
     recursively so that CRDT operations (which use tuples as tags and ids)
-    round-trip structurally.  ``None`` payloads encode to zero bytes.
+    round-trip structurally.  Sets have no JSON form and are refused: an
+    OR-Set remove carries its tags as a tuple.  ``None`` payloads encode
+    to zero bytes.
     """
 
     def encode(self, payload: Any) -> bytes:

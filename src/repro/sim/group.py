@@ -16,7 +16,8 @@ what the tests and benchmarks script:
   and ``restart`` of a named node over its ``data_dir``, ``join`` and
   ``leave`` mid-run;
 * **judgement** — ``settle`` waits until every live node delivered
-  every broadcast it was there for, ``order`` keeps each name's delivery
+  every broadcast it was there for (a crashed node's broadcasts only
+  if some live node delivered them), ``order`` keeps each name's delivery
   order across incarnations, ``counts`` sums every work counter, and a
   ``judged`` group classifies every delivery with a vector-clock oracle
   and keeps its latency.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import hashlib
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -98,6 +99,8 @@ class Group:
         self.latencies: List[float] = []
         # name -> broadcasts its join state transfer covered.
         self._covered: Dict[str, int] = {}
+        # Names crashed and not restarted.
+        self._crashed: Set[str] = set()
         self._cut: List[FaultyTransport] = []
 
     @classmethod
@@ -217,6 +220,7 @@ class Group:
         has a ``data_dir``, stays for :meth:`restart`."""
         node = self.node(name)
         self.nodes.remove(node)
+        self._crashed.add(name)
         await node.close()
 
     async def restart(self, name: str):
@@ -224,6 +228,7 @@ class Group:
         recovers from its journal, and a member rejoins through its
         seed peers.  Its delivery order continues where it stopped."""
         node = await self._create(name, self.bus.attach(name))
+        self._crashed.discard(name)
         self._add(node)
         return node
 
@@ -292,11 +297,27 @@ class Group:
         incarnations included."""
         return [len(self.order[node.node_id]) for node in self.nodes]
 
+    def expected(self) -> int:
+        """Broadcasts every live node must deliver (less what its join
+        transfer covered): every one sent while nothing has crashed.  A
+        crashed node may have delivered its own broadcast and died
+        before it left; what no live node delivered died with it."""
+        if not self._crashed:
+            return self.sent
+        unheld = {
+            message_id for name in self._crashed for message_id in self.order[name]
+            if message_id[0] == name
+        }
+        for node in self.nodes:
+            unheld.difference_update(self.order[node.node_id])
+        return self.sent - len(unheld)
+
     def _behind(self) -> Dict[str, int]:
         """Broadcasts each live node has yet to deliver."""
-        names = [node.node_id for node in self.nodes]
+        expected = self.expected()
         return {
-            name: self.sent - self._covered[name] - len(self.order[name]) for name in names
+            node.node_id: expected - self._covered[node.node_id] - len(self.order[node.node_id])
+            for node in self.nodes
         }
 
     async def settle(self, timeout: float = 120.0) -> None:
@@ -310,7 +331,7 @@ class Group:
             await asyncio.wait_for(poll(), timeout)
         except asyncio.TimeoutError:
             raise AssertionError(
-                f"not every node delivered all {self.sent} broadcasts; "
+                f"not every node delivered all {self.expected()} broadcasts; "
                 f"missing: {self._behind()}"
             ) from None
 

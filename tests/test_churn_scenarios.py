@@ -28,13 +28,13 @@ def config_of(name):
     return NodeConfig(r=R, k=K, membership=MembershipConfig(seed_peers=seeds))
 
 
-async def churn(size, seed, script, horizon=3.0, rate=15.0):
+async def churn(size, seed, script, horizon=3.0, rate=15.0, crash=False):
     """``size`` members send Poisson traffic at ``rate``/s each for
     ``horizon`` virtual seconds; ``script`` is ``[(at, joiners,
     leavers)]``: at ``at`` seconds the joiners join one after another
-    (and start sending), then the leavers leave together.  Returns the
-    group's oracle totals, its final view and every name's delivery
-    order."""
+    (and start sending), then the leavers leave together — or, with
+    ``crash``, crash.  Returns the group's oracle totals, its final
+    view and every name's delivery order."""
     loop = asyncio.get_running_loop()
     group = await Group.start(0, config_of, seed, 0.0, DELAYS, judged=True,
                               capacity=R // K)
@@ -53,15 +53,19 @@ async def churn(size, seed, script, horizon=3.0, rate=15.0):
                 await node.broadcast(None)
 
         senders = [asyncio.ensure_future(sender(node)) for node in group.nodes]
+        depart = group.crash if crash else group.leave
         for at, joiners, leavers in script:
             await asyncio.sleep(origin + at - loop.time())
             for name in joiners:
                 senders.append(asyncio.ensure_future(sender(await group.join(name))))
-            await asyncio.gather(*(group.leave(name) for name in leavers))
+            await asyncio.gather(*(depart(name) for name in leavers))
         await asyncio.gather(*senders)
         await group.settle(timeout=30.0)
         joined = [name for _, joiners, _ in script for name in joiners]
         assert all(group.order[name] for name in joined), "a joiner delivered nothing"
+        if not crash:
+            # Nothing crashed: every broadcast is expected everywhere.
+            assert group.expected() == group.sent
         return group.oracle.totals, founder.membership.view.member_ids(), group.order
 
 
@@ -100,4 +104,23 @@ class TestFlashCrowd:
                   (1.0, [f"n{8 + i}" for i in range(5)], ["n2", "n3", "n4"])]
         totals, members, _ = run_virtual(churn(8, 1100, script))
         assert members == ("n0", "n1", "n8", "n9", "n10", "n11", "n12")
+        assert (totals.violations, totals.ambiguous) == (0, 0), totals
+
+
+class TestCrashDuringTraffic:
+    def test_survivors_settle_when_members_crash_mid_traffic(self):
+        """Two of twelve members crash while everyone sends.  A crashed
+        member delivers its own broadcast at once and may die before it
+        leaves the node, so no survivor can deliver it: settle() expects
+        what some survivor delivered.  Counting every self-delivery left
+        every survivor "missing 1" forever."""
+        crashed = ("n5", "n6")
+        totals, _, order = run_virtual(
+            churn(12, 1105, [(1.0, [], list(crashed))], crash=True)
+        )
+        survivors = [name for name in order if name not in crashed]
+        (delivered,) = {frozenset(order[name]) for name in survivors}
+        own = {message_id for name in crashed for message_id in order[name]
+               if message_id[0] == name}
+        assert own - delivered, "no broadcast died with its sender"
         assert (totals.violations, totals.ambiguous) == (0, 0), totals

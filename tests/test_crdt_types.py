@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.codec import JsonPayloadCodec
 from repro.core.errors import ConfigurationError
 from repro.crdt import ORSet, PNCounter, RGA, ROOT
 from repro.util.rng import RandomSource
@@ -198,10 +199,8 @@ class TestRGA:
             RGA("a").apply_remote(("swap", None, None, None))
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 10_000), n_ops=st.integers(1, 20))
-def test_pncounter_converges_under_any_permutation(seed, n_ops):
-    rng = RandomSource(seed=seed)
+def counter_history(rng, n_ops):
+    """A source counter and the operations it emitted."""
     source = PNCounter("src")
     ops = []
     for _ in range(n_ops):
@@ -209,6 +208,42 @@ def test_pncounter_converges_under_any_permutation(seed, n_ops):
             ops.append(source.increment(rng.integer(1, 10)))
         else:
             ops.append(source.decrement(rng.integer(1, 10)))
+    return source, ops
+
+
+def orset_history(rng, n_ops):
+    """A source OR-Set and the adds and removes it emitted."""
+    source = ORSet("src")
+    elements = ["x", "y", "z"]
+    ops = []
+    for _ in range(n_ops):
+        element = rng.choice(elements)
+        if rng.random() < 0.6 or element not in source:
+            ops.append(source.add(element))
+        else:
+            ops.append(source.remove(element))
+    return source, ops
+
+
+def rga_history(rng, n_ops):
+    """A source RGA and the inserts and deletes it emitted."""
+    source = RGA("src")
+    ops = []
+    for i in range(n_ops):
+        visible = source.visible_ids()
+        if visible and rng.random() < 0.25:
+            ops.append(source.delete(rng.choice(visible)))
+        else:
+            parent = ROOT if not visible or rng.random() < 0.3 else rng.choice(visible)
+            ops.append(source.insert_after(parent, f"c{i}"))
+    return source, ops
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000), n_ops=st.integers(1, 20))
+def test_pncounter_converges_under_any_permutation(seed, n_ops):
+    rng = RandomSource(seed=seed)
+    source, ops = counter_history(rng, n_ops)
     replica = PNCounter("dst")
     shuffled = list(ops)
     rng.shuffle(shuffled)
@@ -223,15 +258,7 @@ def test_orset_converges_under_any_permutation(seed, n_ops):
     """Adds/removes applied in any order converge to the same signature
     (the pre-removed tombstones absorb causal inversions)."""
     rng = RandomSource(seed=seed)
-    source = ORSet("src")
-    elements = ["x", "y", "z"]
-    ops = []
-    for _ in range(n_ops):
-        element = rng.choice(elements)
-        if rng.random() < 0.6 or element not in source:
-            ops.append(source.add(element))
-        else:
-            ops.append(source.remove(element))
+    source, ops = orset_history(rng, n_ops)
     in_order = ORSet("ordered")
     for op in ops:
         in_order.apply_remote(op)
@@ -248,15 +275,7 @@ def test_orset_converges_under_any_permutation(seed, n_ops):
 @given(seed=st.integers(0, 10_000), n_ops=st.integers(1, 15))
 def test_rga_converges_under_any_permutation(seed, n_ops):
     rng = RandomSource(seed=seed)
-    source = RGA("src")
-    ops = []
-    for i in range(n_ops):
-        visible = source.visible_ids()
-        if visible and rng.random() < 0.25:
-            ops.append(source.delete(rng.choice(visible)))
-        else:
-            parent = ROOT if not visible or rng.random() < 0.3 else rng.choice(visible)
-            ops.append(source.insert_after(parent, f"c{i}"))
+    source, ops = rga_history(rng, n_ops)
     scrambled = RGA("scrambled")
     shuffled = list(ops)
     rng.shuffle(shuffled)
@@ -264,6 +283,23 @@ def test_rga_converges_under_any_permutation(seed, n_ops):
         scrambled.apply_remote(op)
     assert scrambled.orphan_count == 0
     assert scrambled.value() == source.value()
+
+
+@pytest.mark.parametrize("crdt_type, history", [
+    (PNCounter, counter_history), (ORSet, orset_history), (RGA, rga_history),
+])
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000), n_ops=st.integers(1, 20))
+def test_every_operation_survives_the_payload_codec(crdt_type, history, seed, n_ops):
+    """A networked node carries each operation as a JSON payload: the
+    decoded operation must act exactly as the one the mutator returned."""
+    codec = JsonPayloadCodec()
+    _, ops = history(RandomSource(seed=seed), n_ops)
+    direct, decoded = crdt_type("direct"), crdt_type("decoded")
+    for op in ops:
+        direct.apply_remote(op)
+        decoded.apply_remote(codec.decode(codec.encode(op)))
+        assert decoded.state_signature() == direct.state_signature()
 
 
 class TestORSetConcurrentRemoves:
