@@ -16,23 +16,24 @@ sends in that phase and charges each byte to one component:
   sample count);
 * ``sample`` — the view sample's member records;
 * ``body header`` — a message's magic .. seq (a full form's keys and R
-  too, a delta's reference gap);
+  too, a v4 delta's reference gap);
 * ``entries + payload`` — the vector or changed entries, the payload
   length and the payload;
 * ``digests`` — DIGEST bodies;
 * ``control`` — every other frame's body (NACK, HEARTBEAT, membership,
   PRUNE/GRAFT).
 
-It reads frame versions 3 and 4, so the same script splits a tree before
-and after the v4 frame layout.
+It reads frame versions 3 and 4 and message versions 4 and 5, so the
+same script splits a tree before and after the v4 frame layout and the
+v5 delta header.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/wire_bytes.py [--out FILE]
 
 ``--out`` also writes the table to ``FILE``, as committed under
-``benchmarks/results/`` (``wire_bytes_v3.txt`` before, ``wire_bytes.txt``
-after).  ``tests/test_wire_counts.py`` checks on every twin that the
+``benchmarks/results/`` (``wire_bytes_v3.txt`` before frame v4,
+``wire_bytes_v4.txt`` before message v5, ``wire_bytes.txt`` now).  ``tests/test_wire_counts.py`` checks on every twin that the
 components sum to the pinned bytes.
 """
 
@@ -104,7 +105,10 @@ def _members(data: bytes, offset: int, version: int) -> Tuple[int, int]:
 def _body(data: bytes, parts: Counter) -> None:
     """A message encoding: its header, then its entries and payload."""
     sender_end = 8 + struct.unpack_from("<H", data, 6)[0]
-    if data[3] & 0x02:  # a delta: seq and reference gap varints
+    if data[3] & 0x02 and data[2] >= 5:  # a v5 delta: varint sender length, seq
+        length, offset = _varint(data, 4)
+        _, header = _varint(data, offset + length)
+    elif data[3] & 0x02:  # a v4 delta: seq and reference gap varints
         _, offset = _varint(data, sender_end)
         _, header = _varint(data, offset)
     else:  # a full form: u64 seq, the keys, u32 R

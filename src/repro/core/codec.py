@@ -7,7 +7,7 @@ this module defines a compact, versioned binary encoding used by the
 Layout (little-endian)::
 
     magic   2B  b"PC"
-    version 1B  (currently 4; a v3 full form is decoded alike)
+    version 1B  (currently 5; a v3 or v4 full form is decoded alike)
     flags   1B  bit0: entries are LEB128 varints (always set)
                 bit1: DELTA encoding (see below)
                 bit2: a DELTA's changed entries as a bitmap
@@ -35,14 +35,16 @@ normalised back).
 **DELTA encoding** (flags bit1) exploits Algorithm 1 harder: between two
 consecutive sends the sender only incremented its K entries ``f(p_i)``
 plus whatever entries its deliveries bumped, so a message can carry just
-the entries *changed* since a reference message: the sender's previous
-broadcast, which every receiver must hold before it may deliver this
-one anyway.  After the shared
-``magic..sender`` prefix the layout is all varints — no key block (the
-receiver knows the sender's static keys from the reference), no R::
+the entries *changed* since its reference ``(sender, seq - 1)``: the
+sender's previous broadcast, which every receiver must hold before it
+may deliver this one anyway, and must hold to decode it at all.  So a
+delta carries nothing the reference gives: no scheme (the reference
+passed the check), no epoch (a chain of deltas never spans an epoch
+bump, so its full form's byte holds), no key block, no R, no reference.
+After ``magic..flags`` the layout is all varints::
 
-    seq      varint  (u64 in the full encoding)
-    ref gap  varint  (ref_seq = seq - gap; the referenced own message)
+    sender   varint length + UTF-8 bytes
+    seq      varint (>= 2; the reference is seq - 1)
     changed  the n entries that grew, in one of two layouts:
              list (bit2 clear): varint n, then per entry in index order
                  varint (index gap << 1) | (increment != 1), and varint
@@ -59,8 +61,10 @@ spends a byte on them.  The encoder sizes both, builds only the smaller
 and sends the list on a tie.
 Decoding requires the reference vector and the sender's key set
 (:meth:`MessageCodec.decode_delta`) and reconstructs the full vector
-bit-identically to the full encoding — see ``docs/PROTOCOL.md`` §8 for
-the reference rule and the full-encoding fallbacks.
+bit-identically to the full encoding; with the reference's epoch too,
+:meth:`MessageCodec.full_from_delta` rebuilds the sender's full encoding
+byte for byte — see ``docs/PROTOCOL.md`` §8 for the reference rule and
+the full-encoding fallbacks.
 
 Alongside the message encoding, this module defines the **reliability
 frames** spoken by :class:`repro.net.session.ReliableSession`: a DATA
@@ -120,7 +124,9 @@ __all__ = [
 ]
 
 _MAGIC = b"PC"
-_VERSION = 4  # v2: clock-scheme id byte; v3: epoch id byte; v4: delta entry layouts
+# v2: clock-scheme id byte; v3: epoch id byte; v4: delta entry layouts;
+# v5: a delta drops the scheme, epoch and reference gap, a varint sender length
+_VERSION = 5
 _FLAG_VARINT = 0x01
 _FLAG_DELTA = 0x02
 _FLAG_BITMAP = 0x04
@@ -321,12 +327,13 @@ class MessageCodec:
             (a name registered in :mod:`repro.core.registry`).  Its wire
             id is stamped into every encoding and checked on decode.
         epoch: the clock-sizing epoch this codec currently encodes; one
-            byte on the wire (mod 256) next to the scheme id.  Unlike the
-            scheme, a *mismatched* epoch is not an error — mixed-epoch
-            frames are expected while a geometry renegotiation drains
-            through the group (every message carries its sender's keys,
-            so delivery is epoch-agnostic); decode only tallies the
-            mismatch in :attr:`counters` so the transition is observable.
+            byte of a full form (mod 256) next to the scheme id, which a
+            delta leaves to its chain's full form.  Unlike the scheme, a
+            *mismatched* epoch is not an error — mixed-epoch frames are
+            expected while a geometry renegotiation drains through the
+            group (every message carries its sender's keys, so delivery
+            is epoch-agnostic); decode only tallies the mismatch in
+            :attr:`counters` so the transition is observable.
     """
 
     def __init__(
@@ -409,14 +416,14 @@ class MessageCodec:
         return b"".join(parts)
 
     def decode(self, data: bytes) -> Message:
-        flags, scheme_id, epoch, sender, seq, _, offset = _header(data)
+        flags, sender, seq, offset = _header(data)
         if flags & _FLAG_DELTA:
             raise CodecError(
                 "delta-encoded message: use decode_delta() with the "
                 "reference vector"
             )
-        self._check_scheme(scheme_id)
-        if epoch != self._epoch & 0xFF:
+        self._check_scheme(data[4])
+        if data[5] != self._epoch & 0xFF:
             self.counters.epoch_mismatches += 1
         try:
             (key_count,) = struct.unpack_from("<H", data, offset)
@@ -459,26 +466,22 @@ class MessageCodec:
             and bool(data[3] & _FLAG_DELTA)
         )
 
-    def encode_delta(
-        self, message: Message, ref_seq: int, ref_vector: np.ndarray
-    ) -> bytes:
-        """Encode ``message`` as the entries changed since a reference.
+    def encode_delta(self, message: Message, ref_vector: np.ndarray) -> bytes:
+        """Encode ``message`` as the entries changed since its reference.
 
         Args:
-            message: the message to encode (an *own* broadcast — the
-                reference must be an earlier message from the same
-                sender).
-            ref_seq: the reference message's ``seq``; the receiver needs
-                its vector to decode the delta.  The node always names
-                the sender's previous broadcast, which a receiver must
+            message: the message to encode, an *own* broadcast with
+                ``seq >= 2``: its reference is the sender's previous
+                broadcast ``(sender, seq - 1)``, which a receiver must
                 hold before it may deliver this one anyway (PROTOCOL.md
-                §8.3).
+                §8.3) and needs to decode it.
             ref_vector: the reference message's full vector.
 
-        Raises :class:`CodecError` when the vectors disagree in size or
-        the message's vector is not entrywise >= the reference (clock
-        entries are monotone counters; a regression means the caller
-        picked a non-causal reference).
+        Raises :class:`CodecError` when the message has no previous
+        one, the vectors disagree in size or the message's vector is
+        not entrywise >= the reference (clock entries are monotone
+        counters; a regression means the caller picked a non-causal
+        reference).
         """
         timestamp = message.timestamp
         if len(ref_vector) != timestamp.size:
@@ -486,18 +489,15 @@ class MessageCodec:
                 f"reference vector has {len(ref_vector)} entries, "
                 f"message has {timestamp.size}"
             )
-        if not 0 <= ref_seq < message.seq:
-            raise CodecError(
-                f"reference seq {ref_seq} is not an earlier message than "
-                f"seq {message.seq}"
-            )
+        if message.seq < 2:
+            raise CodecError(f"message seq {message.seq} has no previous message to name")
         diff = np.asarray(timestamp.vector, dtype=np.int64) - np.asarray(
             ref_vector, dtype=np.int64
         )
         if diff.min(initial=0) < 0:
             raise CodecError(
                 f"message {message.message_id} vector regresses below the "
-                f"reference (seq {ref_seq}): not a causal successor"
+                f"reference (seq {message.seq - 1}): not a causal successor"
             )
         changed = np.flatnonzero(diff)
         increments = diff[changed]
@@ -524,40 +524,35 @@ class MessageCodec:
                 if code & 1:
                     values.append(increment - 2)
             entries = _encode_varints(values)
-        # Leaner header than the full encoding: no sender-keys block (the
-        # receiver knows the sender's static key set from the reference
-        # message), the reference as a varint gap below seq, and a
-        # varint payload length.
         flags = _FLAG_VARINT | _FLAG_DELTA | (_FLAG_BITMAP if bitmap else 0)
         return b"".join((
             _MAGIC,
-            struct.pack("<BBBB", _VERSION, flags, self._scheme_id, self._epoch & 0xFF),
-            struct.pack("<H", len(sender_bytes)),
+            bytes((_VERSION, flags)),
+            encode_varint(len(sender_bytes)),
             sender_bytes,
-            _encode_varints([message.seq, message.seq - ref_seq]),
+            encode_varint(message.seq),
             entries,
             encode_varint(len(payload_bytes)),
             payload_bytes,
         ))
 
-    def delta_header(self, data: bytes) -> Tuple[str, int, int, int]:
-        """Parse a delta's ``(sender, seq, ref_seq, offset of its
-        entries)`` — the caller resolves the reference first — and hand
-        it to :meth:`decode_delta`, which then parses no prefix again."""
-        flags, scheme_id, epoch, sender, seq, ref_seq, offset = _header(data)
+    @staticmethod
+    def delta_header(data: bytes) -> Tuple[str, int, int]:
+        """Parse a delta's ``(sender, seq, offset of its entries)`` — the
+        caller resolves its reference ``(sender, seq - 1)`` first — and
+        hand it to :meth:`decode_delta`, which then parses no prefix
+        again."""
+        flags, sender, seq, offset = _header(data)
         if not flags & _FLAG_DELTA:
             raise CodecError("not a delta-encoded message")
-        self._check_scheme(scheme_id)
-        if epoch != self._epoch & 0xFF:
-            self.counters.epoch_mismatches += 1
-        return sender, seq, ref_seq, offset
+        return sender, seq, offset
 
     def decode_delta(
         self,
         data: bytes,
         ref_vector: np.ndarray,
         sender_keys: Tuple[int, ...],
-        header: Optional[Tuple[str, int, int, int]] = None,
+        header: Optional[Tuple[str, int, int]] = None,
     ) -> Message:
         """Reconstruct the full message from a delta and its reference.
 
@@ -569,7 +564,7 @@ class MessageCodec:
         (differential-tested): same vector dtype and values, same keys,
         seq, and payload.
         """
-        sender, seq, _, offset = header if header is not None else self.delta_header(data)
+        sender, seq, offset = header if header is not None else self.delta_header(data)
         vector = np.array(ref_vector, dtype=np.int64, copy=True)
         offset = _add_entries(data, offset, vector, 1)
         payload_len, offset = decode_varint(data, offset)
@@ -592,38 +587,45 @@ class MessageCodec:
         return data[_HEADER_SIZE + 2 : end].decode("utf-8"), struct.unpack_from("<Q", data, end)[0]
 
     @staticmethod
-    def timestamp_of(data: bytes) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """A full encoding's ``(vector, sender keys)`` — a fresh vector,
-        the payload left undecoded.  This, the one above and the two
-        below take bytes this process decoded before; the first two
-        check nothing."""
+    def epoch_of(data: bytes) -> int:
+        """A full encoding's epoch byte."""
+        return data[5]
+
+    @staticmethod
+    def timestamp_of(data: bytes) -> Tuple[np.ndarray, Tuple[int, ...], int]:
+        """A full encoding's ``(vector, sender keys, epoch byte)`` — a
+        fresh vector, the payload left undecoded.  This, the two above
+        and the two below take bytes this process decoded before; the
+        first three check nothing."""
         keys_at = _HEADER_SIZE + 12 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]
         (key_count,) = struct.unpack_from("<H", data, keys_at - 2)
         keys = struct.unpack_from(f"<{key_count}I", data, keys_at)
         (r,) = struct.unpack_from("<I", data, keys_at + 4 * key_count)
-        return _decode_varints(data, keys_at + 4 * key_count + 4, r)[0], keys
+        return _decode_varints(data, keys_at + 4 * key_count + 4, r)[0], keys, data[5]
 
     @staticmethod
     def apply_delta(data: bytes, vector: np.ndarray, sign: int = 1) -> None:
         """Add the delta's increments into ``vector`` in place (its
         reference's vector becomes its own), or subtract them (``-1``)."""
-        _add_entries(data, _header(data)[6], vector, sign)
+        _add_entries(data, _header(data)[3], vector, sign)
 
     def full_from_delta(
-        self, data: bytes, vector: np.ndarray, sender_keys: Tuple[int, ...]
+        self, data: bytes, vector: np.ndarray, sender_keys: Tuple[int, ...], epoch: int
     ) -> bytes:
         """The sender's full encoding of the delta, byte for byte: the
-        message's own ``vector`` and ``sender_keys`` around the delta's
-        scheme, epoch, sender and seq, and its payload bytes, which are
-        not serialised again."""
-        _, _, _, _, seq, _, offset = _header(data)
+        message's own ``vector`` and ``sender_keys``, and the ``epoch``
+        byte of its chain's full form, around the delta's sender and seq
+        and its payload bytes, which are not serialised again.  The
+        scheme is this codec's: the chain's full form passed its check."""
+        _, sender, seq, offset = _header(data)
         offset = _add_entries(data, offset, np.zeros(len(vector), dtype=np.int64), 1)
         payload_len, offset = decode_varint(data, offset)
+        sender_bytes = sender.encode("utf-8")
         self.counters.full_rebuilds += 1
         return b"".join((
             _MAGIC,
-            bytes((_VERSION, _FLAG_VARINT)),
-            data[4 : _HEADER_SIZE + 2 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]],  # scheme .. sender
+            struct.pack("<BBBBH", _VERSION, _FLAG_VARINT, self._scheme_id, epoch, len(sender_bytes)),
+            sender_bytes,
             struct.pack(f"<QH{len(sender_keys)}II", seq, len(sender_keys), *sender_keys, len(vector)),
             _encode_varints(np.asarray(vector, dtype=np.int64).tolist()),
             struct.pack("<I", payload_len),
@@ -631,42 +633,49 @@ class MessageCodec:
         ))
 
 
-def _header(data: bytes) -> Tuple[int, int, int, str, int, int, int]:
-    """A message body's ``(flags, scheme id, epoch, sender, seq, ref_seq,
-    offset past them)``, with every check that needs no codec: magic,
-    version (a v3 full form is a v4 one, a v3 delta is not), the entry
-    flag of a full form, a UTF-8 sender, seq >= 1 and a delta's reference
-    gap in (0, seq].  ``ref_seq`` is 0 for a full form, whose offset is
-    then that of its key count; a delta's is that of its entries."""
-    if len(data) < _HEADER_SIZE or data[:2] != _MAGIC:
+def _header(data: bytes) -> Tuple[int, str, int, int]:
+    """A message body's ``(flags, sender, seq, offset past them)``, with
+    every check that needs no codec: magic, version (a v3 or v4 full form
+    is a v5 one, their deltas are not), the entry flag, a UTF-8 sender
+    and seq >= 1 (a delta's >= 2: it names seq - 1).  A full form's
+    offset is that of its key count (its scheme and epoch are bytes 4
+    and 5); a delta's, that of its entries."""
+    if len(data) < 4 or data[:2] != _MAGIC:
         raise CodecError("bad magic")
-    version, flags, scheme_id, epoch = struct.unpack_from("<BBBB", data, 2)
-    if version != _VERSION and (version != 3 or flags & _FLAG_DELTA):
+    version, flags = data[2], data[3]
+    if version != _VERSION and (version not in (3, 4) or flags & _FLAG_DELTA):
         raise CodecError(f"unsupported version {version}")
     if not flags & _FLAG_VARINT:
         # The bit stays on the wire but names the only entry form there
         # is; without it the datagram is not one of ours.
         raise CodecError("message without varint-coded entries")
+    delta = flags & _FLAG_DELTA
     try:
-        (sender_len,) = struct.unpack_from("<H", data, _HEADER_SIZE)
-        offset = _HEADER_SIZE + 2 + sender_len
-        if len(data) < offset:
+        if not delta:
+            start = _HEADER_SIZE + 2
+            end = start + struct.unpack_from("<H", data, _HEADER_SIZE)[0]
+        elif len(data) > 4 and data[4] < 0x80:
+            # A sender id under 128 bytes has a one-byte length: no call.
+            start, end = 5, 5 + data[4]
+        else:
+            length, start = decode_varint(data, 4)
+            end = start + length
+        if len(data) < end:
             raise CodecError("truncated sender")
-        sender = data[_HEADER_SIZE + 2 : offset].decode("utf-8")
-        if flags & _FLAG_DELTA:
-            seq, offset = decode_varint(data, offset)
-            gap, offset = decode_varint(data, offset)
-            if not 0 < gap <= seq:
-                raise CodecError(f"delta reference gap {gap} outside (0, seq]")
-            return flags, scheme_id, epoch, sender, seq, seq - gap, offset
-        (seq,) = struct.unpack_from("<Q", data, offset)
+        sender = data[start:end].decode("utf-8")
+        if delta:
+            seq, offset = decode_varint(data, end)
+            if seq < 2:
+                raise CodecError(f"delta of seq {seq}: it names seq - 1, so seq starts at 2")
+            return flags, sender, seq, offset
+        (seq,) = struct.unpack_from("<Q", data, end)
     except struct.error as exc:
         raise CodecError(f"truncated message: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CodecError(f"sender id is not UTF-8: {exc}") from exc
     if seq < 1:
         raise CodecError("message seq 0: sequence numbers start at 1")
-    return flags, scheme_id, epoch, sender, seq, 0, offset + 8
+    return flags, sender, seq, end + 8
 
 
 def _add_entries(data: bytes, offset: int, vector: np.ndarray, sign: int) -> int:
@@ -949,7 +958,7 @@ class RelayFrame:
     seq: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _, _, _, origin, seq, _, _ = _header(self.payload)
+        _, origin, seq, _ = _header(self.payload)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "seq", seq)
 

@@ -194,12 +194,12 @@ class ReliableCausalNode:
         self._peers: List[Address] = []
         self._decode_errors = 0
         self._wire_delta = wire_delta
-        # Delta wire state.  Sending: this node's previous broadcast, as
-        # (seq, vector) — the one reference for every link and relay
-        # hop.  Receiving: the store's per-sender references, and the
-        # deltas that outran their reference, parked by the (sender,
-        # seq) of that reference as (data, address) until it is admitted.
-        self._previous: Optional[Tuple[int, np.ndarray]] = None
+        # Delta wire state.  Sending: the vector of this node's previous
+        # broadcast — the one reference for every link and relay hop.
+        # Receiving: the store's per-sender references, and the deltas
+        # that outran their reference, parked by the (sender, seq) of
+        # that reference as (data, address) until it is admitted.
+        self._previous: Optional[np.ndarray] = None
         self._parked: Dict[Tuple[str, int], Tuple[bytes, Address]] = {}
         self._delta_miss_warned: Set[Address] = set()
         # An own broadcast's encoding, handed from the WAL write inside
@@ -603,15 +603,20 @@ class ReliableCausalNode:
         Called by the membership layer on every view install so that
         mixed-epoch frames are tellable apart while an (R, K) bump
         drains through the group; decoding stays epoch-agnostic (a
-        mismatch only bumps ``codec_epoch_mismatches``).
+        mismatch only bumps ``codec_epoch_mismatches``, which counts
+        full forms: once per sender per bump, as a new epoch's first
+        broadcast goes full so no delta chain spans two epochs).
         """
-        self._codec.epoch = epoch
+        if epoch != self._codec.epoch:
+            self._codec.epoch = epoch
+            self.reset_delta_reference()
 
     def reset_delta_reference(self) -> None:
         """Drop the send-side reference: the next broadcast goes full.
 
-        Must be called whenever this node's own key set changes while
-        the session is live (an epoch bump or a re-admission grant):
+        Must be called whenever this node's own key set or epoch
+        changes while the session is live (a re-tiling view, a
+        re-admission grant, :meth:`set_epoch`):
         a delta carries no keys — the receiver rebuilds it with those
         of the message it names — so post-rekey deltas may only name
         messages sent under the new set, starting with the next
@@ -653,7 +658,7 @@ class ReliableCausalNode:
         # already encoded the message for the WAL; reuse those bytes.
         full, self._wal_encoding = self._wal_encoding, None
         wire = self._wire_body(message, full)
-        self.store.add(str(message.sender), message.seq, wire, message.timestamp)
+        self.store.add(str(message.sender), message.seq, wire, message.timestamp, self.epoch & 0xFF)
         if self.overlay is not None:
             # Overlay mode: one RELAY envelope to `fanout` view targets;
             # the receivers' relays and the anti-entropy backstop do the
@@ -678,8 +683,8 @@ class ReliableCausalNode:
         the smaller, else the full form (``full`` when not None).  No ack
         is needed: a receiver must hold (o, s − 1) before it may deliver
         (o, s) anyway; one that meets the delta first parks it."""
-        previous, self._previous = self._previous, (message.seq, message.timestamp.vector)
-        delta = self._codec.encode_delta(message, *previous) if self._wire_delta and previous else None
+        previous, self._previous = self._previous, message.timestamp.vector
+        delta = self._codec.encode_delta(message, previous) if self._wire_delta and previous is not None else None
         # Under any full form's size less its payload (26 bytes, the
         # sender, 4 per key, 1 per entry): the smaller, none is built.
         stamp, sender = message.timestamp, str(message.sender).encode("utf-8")
@@ -849,13 +854,13 @@ class ReliableCausalNode:
             except Exception:
                 self._note_decode_error(addr)
                 return None
-            origin, seq, ref_seq, _ = header
+            origin, seq, _ = header
             # The newest recorded (the hot path), else a held one.
             reference = self.store.references.get(origin)
-            if reference is None or reference[0] != ref_seq:
-                reference = self.store.reference(origin, ref_seq)
-            if reference is None or ref_seq != seq - 1:
-                return self._park(data, addr, origin, seq, ref_seq)
+            if reference is None or reference[0] != seq - 1:
+                reference = self.store.reference(origin, seq - 1)
+            if reference is None:
+                return self._park(data, addr, origin, seq)
         try:
             if reference is not None:
                 message = codec.decode_delta(data, reference[1], reference[2], header)
@@ -874,10 +879,12 @@ class ReliableCausalNode:
         if not self._sender_in_view(sender):
             self._note_stale_sender(sender)
             return None
+        # A delta carries no epoch: its chain's full form's is its own.
+        epoch = MessageCodec.epoch_of(data) if reference is None else reference[3]
         if self.endpoint.has_seen((sender, message.seq)):
             # Still what the sender's next delta may name (a copy after
             # a restart, whose coverage came without the bytes).
-            self.store.note(sender, message.seq, message.timestamp)
+            self.store.note(sender, message.seq, message.timestamp, epoch)
         else:
             if reference is None:
                 # Bytes of full encodings the store takes from the wire.
@@ -885,7 +892,7 @@ class ReliableCausalNode:
                 # codec.retained_bytes_per_delivery, the overlay's
                 # full-copy signal (ROADMAP item 1).
                 codec.counters.retained_bytes += len(data)
-            self.store.add(sender, message.seq, data, message.timestamp)
+            self.store.add(sender, message.seq, data, message.timestamp, epoch)
         # One real timestamp for every receive path (it used to default
         # to 0.0, which froze the refined detector's eviction clock).
         delivered = bool(self.endpoint.on_receive(message, now=self._now()))
@@ -903,15 +910,13 @@ class ReliableCausalNode:
         addr: Address,
         origin: str,
         seq: int,
-        ref_seq: int,
     ) -> Optional[bool]:
-        """A delta whose reference is not here.  If this node never
-        recorded it — and it is the sender's previous broadcast, the
-        only reference a node names — it is in flight or lost, and the
-        delta waits for it (False, like any message held undelivered).
-        One recorded but no longer held (a restart, an eviction), or no
-        room left, is a counted miss (None); a delta of a message
-        already seen is a duplicate (False)."""
+        """A delta whose reference, the sender's previous broadcast, is
+        not here.  If this node never recorded it, it is in flight or
+        lost, and the delta waits for it (False, like any message held
+        undelivered).  One recorded but no longer held (a restart, an
+        eviction), or no room left, is a counted miss (None); a delta of
+        a message already seen is a duplicate (False)."""
         if self.endpoint.has_seen((origin, seq)):
             # A copy of a message seen before (a frame retransmitted to
             # a restarted node): a duplicate, whatever it names.
@@ -919,13 +924,9 @@ class ReliableCausalNode:
         if not self._sender_in_view(origin):
             self._note_stale_sender(origin)
             return None
-        key = (origin, ref_seq)
-        if (
-            ref_seq != seq - 1
-            or self.endpoint.has_seen(key)
-            or (key not in self._parked and len(self._parked) >= _PARK_LIMIT)
-        ):
-            self._note_reference_miss(addr, origin, ref_seq)
+        key = (origin, seq - 1)
+        if self.endpoint.has_seen(key) or (key not in self._parked and len(self._parked) >= _PARK_LIMIT):
+            self._note_reference_miss(addr, origin, seq - 1)
             return None
         self._parked[key] = (data, addr)
         return False

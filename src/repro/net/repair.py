@@ -45,8 +45,9 @@ logger = logging.getLogger(__name__)
 
 Address = Hashable
 Frontiers = Dict[str, Tuple[int, Tuple[int, ...]]]
-# A message a delta may name: (message seq, vector, sender keys).
-_Reference = Tuple[int, np.ndarray, Tuple[int, ...]]
+# A message a delta may name: (message seq, vector, sender keys, the
+# epoch byte of its chain's full form).
+_Reference = Tuple[int, np.ndarray, Tuple[int, ...], int]
 
 # A stored key is seq << 32 | the sender's slot.
 _SEQ = 1 << 32
@@ -148,7 +149,8 @@ class MessageStore:
     Per sender it also keeps the newest message recorded
     (:attr:`references`): what that sender's next delta names, which
     the receive path resolves without a walk — for a quiet sender, even
-    once its bytes were evicted.
+    once its bytes were evicted.  A reference, like a floor, keeps the
+    epoch byte of its chain's full form, which a delta does not carry.
 
     **Sizing tradeoff**: the limit bounds memory, but an evicted message
     is silently unservable to anti-entropy — a peer that missed it and
@@ -161,12 +163,12 @@ class MessageStore:
     def __init__(self, coverage: SeenFilter, codec: Optional[MessageCodec] = None) -> None:
         # Bodies and their keys in admission order; each sender's slot;
         # per sender, the newest message recorded; evicted key ->
-        # (vector, keys) while a held delta names it.
+        # (vector, keys, epoch) while a held delta names it.
         self._data: Dict[int, bytes] = {}
         self._order: Deque[int] = deque()
         self._slots: Dict[str, int] = {}
         self.references: Dict[str, _Reference] = {}
-        self._floors: Dict[int, Tuple[np.ndarray, Tuple[int, ...]]] = {}
+        self._floors: Dict[int, Tuple[np.ndarray, Tuple[int, ...], int]] = {}
         self._coverage = coverage
         self._codec = codec if codec is not None else MessageCodec()
         self._evicted_high: Dict[int, int] = {}  # by slot
@@ -183,31 +185,35 @@ class MessageStore:
             self._slots.setdefault(sender, len(self._slots))
         return seq << 32 | self._slots.get(sender, -1)
 
-    def note(self, sender: str, seq: int, timestamp: Timestamp) -> None:
-        """Record ``(sender, seq)`` as the message the sender's next
-        delta names, when it is the newest recorded."""
+    def note(self, sender: str, seq: int, timestamp: Timestamp, epoch: int) -> None:
+        """Record ``(sender, seq)``, of a chain whose full form carried
+        ``epoch``, as the message the sender's next delta names, when it
+        is the newest recorded."""
         newest = self.references.get(sender)
         if newest is None or seq > newest[0]:
-            self.references[sender] = (seq, timestamp.vector, timestamp.sender_keys)
+            self.references[sender] = (seq, timestamp.vector, timestamp.sender_keys, epoch)
 
-    def add(self, sender: str, seq: int, data: bytes, timestamp: Optional[Timestamp] = None) -> None:
+    def add(
+        self, sender: str, seq: int, data: bytes, timestamp: Optional[Timestamp] = None,
+        epoch: int = 0,
+    ) -> None:
         """Hold one message, once (the endpoint rejects duplicates), and
-        note it from ``timestamp``; a delta whose (sender, seq − 1) is
-        gone is held full."""
+        note it from ``timestamp`` and ``epoch``; a delta whose (sender,
+        seq − 1) is gone is held full."""
         key = self._key(sender, seq, new=True)
         if MessageCodec.is_delta(data) and key - _SEQ not in self._data:
-            data = self._codec.full_from_delta(data, timestamp.vector, timestamp.sender_keys)
+            data = self._codec.full_from_delta(data, timestamp.vector, timestamp.sender_keys, epoch)
         self._data[key] = data
         self._order.append(key)
-        newest = self.references.get(sender, (-1, None, ()))
+        newest = self.references.get(sender, (-1, None, (), 0))
         if newest[0] == seq - 1 and not MessageCodec.is_delta(data) and MessageCodec.is_delta(
             self._data.get(key - _SEQ, b"")
         ):
             # A full body cut the sender's run: keep the tip below it
             # for late deltas (and copies) that still name the tip.
-            self._floors[key - _SEQ] = (np.array(newest[1], dtype=np.int64), newest[2])
+            self._floors[key - _SEQ] = (np.array(newest[1], dtype=np.int64), *newest[2:])
         if timestamp is not None:
-            self.note(sender, seq, timestamp)
+            self.note(sender, seq, timestamp, epoch)
         while len(self._data) > _STORE_LIMIT:
             key = self._order.popleft()
             body = self._data.pop(key)
@@ -233,7 +239,7 @@ class MessageStore:
     def reference(
         self, sender: str, seq: int, below: Optional[_Reference] = None
     ) -> Optional[_Reference]:
-        """``(seq, vector, keys)`` of a held message, or None; no payload
+        """``(seq, vector, keys, epoch)`` of a held message, or None; no payload
         is decoded.  Every held delta names its predecessor, so the
         vector is walked to: down from the sender's newest, taking each
         delta back off, when no ``below`` is given and only deltas lie
@@ -242,7 +248,7 @@ class MessageStore:
         key = self._key(sender, seq)
         if key not in self._data:
             return None
-        newest = self.references.get(sender, (-1, None, ()))
+        newest = self.references.get(sender, (-1, None, (), 0))
         if newest[0] == seq:
             return newest
         down = below is None and newest[0] > seq
@@ -251,7 +257,7 @@ class MessageStore:
         if down and len(steps) == len(above):
             base, sign = newest[1:], -1
         else:
-            below = below or (-1, None, ())
+            below = below or (-1, None, (), 0)
             steps, cursor, sign = [], key, 1
             while (
                 cursor >> 32 != below[0] and cursor not in self._floors
@@ -267,7 +273,7 @@ class MessageStore:
         vector = np.array(base[0], dtype=np.int64)
         for body in steps:
             MessageCodec.apply_delta(body, vector, sign)
-        return (seq, vector, base[1])
+        return (seq, vector, *base[1:])
 
     def frontiers(self) -> Frontiers:
         """Per-sender ``(contiguous, extras)`` of the coverage."""

@@ -316,7 +316,7 @@ async def parked_behind_a_lost_reference(bus):
         b.add_peer(peer)
     origin = create_endpoint("a", NodeConfig(r=16, keys=(1, 2, 3)))
     second, third = [origin.broadcast(payload) for payload in ("1", "2", "3")][1:]
-    delta = MessageCodec().encode_delta(third, second.seq, second.timestamp.vector)
+    delta = MessageCodec().encode_delta(third, second.timestamp.vector)
     b._handle_relay(
         RelayFrame(hops=0, payload=delta), "a"
     )

@@ -53,6 +53,15 @@ from tests.recording import exact_deliveries
 _RETAINED_BYTES_PER_NODE = 256 * 1024
 
 
+def top_growers(late, early, count=8):
+    """The ``count`` allocation sites whose live bytes grew most from
+    the ``early`` tracemalloc snapshot to the ``late`` one."""
+    return "\n".join(
+        f"{stat.size_diff:+} B in {stat.count_diff:+} blocks at {stat.traceback[0]}"
+        for stat in late.compare_to(early, "lineno")[:count]
+    )
+
+
 async def mesh_on_bus(names, bus, **config):
     nodes = {}
     for index, name in enumerate(names):
@@ -104,7 +113,9 @@ def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeyp
             ), timeout=60.0), {name: exact_deliveries(node) for name, node in nodes.items()}
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] / len(names)
-            return {name: node.state_sizes() for name, node in nodes.items()}, retained
+            # Taking a snapshot adds next to nothing to the traced total.
+            snapshot = tracemalloc.take_snapshot()
+            return {name: node.state_sizes() for name, node in nodes.items()}, retained, snapshot
 
         # Traced from here on: what the nodes allocate while they run
         # and still hold at each reading.  The trace ring is a window
@@ -119,13 +130,15 @@ def test_state_is_flat_between_n_and_3n_broadcasts(journalled, tmp_path, monkeyp
             for index in range(node.trace.capacity):
                 node.trace.emit("journal_snapshot", ts=float(index), number=index)
         try:
-            early, early_bytes = await run_to(per_sender)
-            late, late_bytes = await run_to(3 * per_sender)
+            early, early_bytes, early_snapshot = await run_to(per_sender)
+            late, late_bytes, late_snapshot = await run_to(3 * per_sender)
         finally:
             tracemalloc.stop()
             await asyncio.gather(*(node.close() for node in nodes.values()))
         assert early_bytes <= _RETAINED_BYTES_PER_NODE, early_bytes
-        assert abs(late_bytes - early_bytes) <= 0.05 * early_bytes, (early_bytes, late_bytes)
+        assert abs(late_bytes - early_bytes) <= 0.05 * early_bytes, (
+            early_bytes, late_bytes, top_growers(late_snapshot, early_snapshot)
+        )
         for name in names:
             # Settled: no delta still waits for its reference.
             assert early[name]["parked_deltas"] == late[name]["parked_deltas"] == 0

@@ -153,7 +153,7 @@ class TestTornBuffers:
             payload=None,
         )
         reference = first.timestamp.vector
-        delta = codec.encode_delta(second, 1, reference)
+        delta = codec.encode_delta(second, reference)
         good, bad = "é".encode("utf-8"), b"\xc3\x28"
         assert good in encoded and good in delta
         with pytest.raises(CodecError, match="UTF-8"):
@@ -201,8 +201,8 @@ class TestMalformedDeltas:
             vector[index] = value
         codec = MessageCodec()
         message = message_with_vector(vector.tolist(), payload=None)
-        data = codec.encode_delta(message, 1, np.zeros(self.R, dtype=np.int64))
-        return data, codec.delta_header(data)[3]
+        data = codec.encode_delta(message, np.zeros(self.R, dtype=np.int64))
+        return data, codec.delta_header(data)[2]
 
     def rejects(self, data, match=None):
         with pytest.raises(CodecError, match=match):
@@ -256,9 +256,9 @@ class TestMalformedDeltas:
                 self.rejects(data[:-2] + encode_varint(extra) + b"\x00", "int64")
 
     def test_a_v3_body(self):
-        """v3 deltas name entries as (gap, increment) pairs: a v4 node
-        rejects them, and a v3 node rejects v4 bodies, rather than misread
-        them.  A v3 full form is a v4 one but for the byte."""
+        """v3 deltas name entries as (gap, increment) pairs: a v5 node
+        rejects them, and a v3 node rejects v5 bodies, rather than misread
+        them.  A v3 full form is a v5 one but for the byte."""
         codec = MessageCodec()
         data, _ = self.delta({4: 1})
         v3 = data[:2] + b"\x03" + data[3:]
@@ -267,10 +267,119 @@ class TestMalformedDeltas:
         self.rejects(v3, "version")
         message = make_message()
         full = codec.encode(message)
-        assert full[2] == 4
+        assert full[2] == 5
         old = codec.decode(full[:2] + b"\x03" + full[3:])
         assert np.array_equal(old.timestamp.vector, message.timestamp.vector)
         assert codec.encode(old) == full
+
+
+# One message encoded by the v4 codec (epoch 3): its full form, and its
+# delta against (s, 8) = [1, 0, 0, 0, 2, 0, ...] in the bitmap layout.
+V4_FULL = (
+    b'PC\x04\x01\x01\x03\x01\x00s\t\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00'
+    b'\x04\x00\x00\x00\n\x00\x00\x00\x01\x01\x00\x00\x03\x00\x00\x00\x00\x01\x03\x00\x00\x00"p"'
+)
+V4_DELTA = b'PC\x04\x07\x01\x03\x01\x00s\t\x01\x12\x02\x00\x03"p"'
+
+
+class TestDeltaLayoutV5:
+    """A v5 delta is magic, version, flags, the sender behind a varint
+    length, a varint seq, the changed entries and the payload: nothing
+    its reference ``(sender, seq - 1)`` already gives the receiver."""
+
+    REFERENCE = np.array([1, 0, 0, 0, 2, 0, 0, 0, 0, 0], dtype=np.int64)
+
+    @staticmethod
+    def message(entries):
+        return message_with_vector(entries, keys=(0, 4))
+
+    def test_the_bitmap_layout_byte_for_byte(self):
+        codec = MessageCodec(epoch=3)
+        message = self.message([1, 1, 0, 0, 3, 0, 0, 0, 0, 1])
+        delta = codec.encode_delta(message, self.REFERENCE)
+        assert delta == b"".join((
+            b"PC", bytes((5, 0x07)),  # magic, version, flags: varint, delta, bitmap
+            b"\x01s",  # the sender's length and bytes
+            b"\x09",  # seq; the reference is seq 8
+            b"\x12\x02",  # entries 1, 4 and 9 changed (10 bits)
+            b"\x00",  # none of the three grew by more than 1
+            b'\x03"p"',  # the payload's length and bytes
+        ))
+        # The v4 delta of the same message, less its scheme, epoch and
+        # reference gap bytes and its sender length's second byte.
+        assert len(V4_DELTA) - len(delta) == 4
+        assert V4_DELTA[9:10] + V4_DELTA[11:] == delta[6:]
+        assert codec.delta_header(delta) == ("s", 9, 7)
+
+    def test_the_list_layout_byte_for_byte(self):
+        codec = MessageCodec(epoch=3)
+        message = self.message([1, 0, 0, 0, 5, 0, 0, 0, 0, 0])
+        delta = codec.encode_delta(message, self.REFERENCE)
+        assert delta == b"".join((
+            b"PC", bytes((5, 0x03)),  # magic, version, flags: varint, delta
+            b"\x01s\x09",  # the sender's length and bytes, seq
+            b"\x01",  # one changed entry
+            bytes((4 << 1 | 1, 3 - 2)),  # index 4, grown by more than 1: by 3
+            b'\x03"p"',
+        ))
+        decoded = codec.decode_delta(delta, self.REFERENCE, (0, 4))
+        assert decoded.timestamp.vector.tolist() == message.timestamp.vector.tolist()
+
+    def test_a_long_sender_length_takes_two_bytes(self):
+        codec = MessageCodec()
+        sender = "x" * 200
+        message = Message(
+            sender=sender, seq=2,
+            timestamp=Timestamp(vector=self.REFERENCE + 1, sender_keys=(0, 4), seq=2),
+            payload=None,
+        )
+        delta = codec.encode_delta(message, self.REFERENCE)
+        assert delta[4:6] == encode_varint(200) and delta[6:206] == sender.encode()
+        assert codec.delta_header(delta) == (sender, 2, 207)
+        for cut in range(len(delta)):
+            with pytest.raises(CodecError):
+                codec.decode_delta(delta[:cut], self.REFERENCE, (0, 4))
+
+    def test_a_delta_body_of_seq_1_is_refused(self):
+        """Seq 1 has no previous message to be decoded against (the
+        encoder refuses it too, ``tests/test_wire_properties.py``)."""
+        codec = MessageCodec()
+        delta = codec.encode_delta(self.message([1, 1, 0, 0, 3, 0, 0, 0, 0, 1]), self.REFERENCE)
+        for seq in (b"\x01", b"\x00"):
+            with pytest.raises(CodecError, match="seq starts at 2"):
+                codec.delta_header(delta[:6] + seq + delta[7:])
+
+    def test_a_v4_delta_is_rejected(self):
+        codec = MessageCodec(epoch=3)
+        with pytest.raises(CodecError, match="unsupported version 4"):
+            codec.delta_header(V4_DELTA)
+        with pytest.raises(CodecError, match="unsupported version 4"):
+            codec.decode_delta(V4_DELTA, self.REFERENCE, (0, 4))
+        with pytest.raises(CodecError):
+            codec.decode(V4_DELTA)
+
+    def test_a_v4_full_form_still_decodes(self):
+        """The full form kept its layout: v5 but for the version byte."""
+        codec = MessageCodec(epoch=3)
+        message = self.message([1, 1, 0, 0, 3, 0, 0, 0, 0, 1])
+        assert codec.encode(message) == V4_FULL[:2] + b"\x05" + V4_FULL[3:]
+        decoded = codec.decode(V4_FULL)
+        assert decoded.timestamp.vector.tolist() == message.timestamp.vector.tolist()
+        assert (decoded.sender, decoded.seq, decoded.payload) == ("s", 9, "p")
+        assert decoded.timestamp.sender_keys == (0, 4)
+        assert codec.counters.epoch_mismatches == 0
+
+    def test_full_from_delta_takes_the_epoch_it_is_given(self):
+        """A delta carries no epoch: the store hands the rebuild the
+        epoch byte of the chain's full form, and gets the sender's full
+        form back byte for byte."""
+        message = self.message([1, 1, 0, 0, 3, 0, 0, 0, 0, 1])
+        for epoch in (0, 3, 255):
+            sender = MessageCodec(epoch=epoch)
+            delta = sender.encode_delta(message, self.REFERENCE)
+            receiver = MessageCodec(epoch=7)
+            vector = receiver.decode_delta(delta, self.REFERENCE, (0, 4)).timestamp.vector
+            assert receiver.full_from_delta(delta, vector, (0, 4), epoch) == sender.encode(message)
 
 
 class TestJsonPayloadCodec:
@@ -497,9 +606,9 @@ class TestBulkVectorCoding:
         for index, bump in enumerate(bumps[: len(entries)]):
             grown[index] = min(int(grown[index]) + bump, 2**63 - 1)
         message = message_with_vector(grown.tolist(), keys=(0, 2), payload=["a", 1])
-        delta = codec.encode_delta(message, 3, reference)
+        delta = codec.encode_delta(message, reference)
         via_delta = codec.decode_delta(delta, reference, (0, 2))
-        full = codec.full_from_delta(delta, via_delta.timestamp.vector, (0, 2))
+        full = codec.full_from_delta(delta, via_delta.timestamp.vector, (0, 2), 0)
         assert full == codec.encode(message)
         for decoded in (via_delta, codec.decode(full)):
             assert decoded.timestamp.vector.dtype == np.int64

@@ -144,7 +144,7 @@ def drop_once(node, seq, sender="a"):
     def intake(data, addr):
         if armed[0]:
             if MessageCodec.is_delta(data):
-                origin, message_seq, _, _ = node._codec.delta_header(data)
+                origin, message_seq, _ = node._codec.delta_header(data)
             else:
                 message = node._codec.decode(data)
                 origin, message_seq = str(message.sender), message.seq
@@ -169,10 +169,7 @@ class Origin:
         return self.codec.encode(self.sent[seq - 1])
 
     def delta(self, seq):
-        previous = self.sent[seq - 2]
-        return self.codec.encode_delta(
-            self.sent[seq - 1], previous.seq, previous.timestamp.vector
-        )
+        return self.codec.encode_delta(self.sent[seq - 1], self.sent[seq - 2].timestamp.vector)
 
 
 async def receiver(bus, on_delivery=None):
@@ -428,6 +425,70 @@ def test_a_reordered_mesh_delta_parks_and_releases_with_no_miss():
             assert node.store.get("a", 4) == origin.full(4)
         finally:
             await node.close()
+
+    run_virtual(scenario())
+
+
+def test_a_delta_behind_a_full_form_of_another_scheme_parks_and_is_never_delivered():
+    """A delta carries no scheme id: the only message it can be decoded
+    against is its reference, which passed the scheme check when it was
+    admitted.  A full form of another clock scheme is refused, so the
+    delta behind it waits for a reference this node never admits."""
+
+    async def scenario():
+        bus = LocalAsyncBus()
+        log = Deliveries()
+        node = await receiver(bus, on_delivery=log.append)
+        origin, foreign = Origin(), MessageCodec(scheme="plausible")
+        try:
+            node._handle_wire_message(foreign.encode(origin.sent[0]), "a")
+            assert node.decode_errors == 1
+            # Byte for byte the delta a node of this scheme would send.
+            delta = foreign.encode_delta(origin.sent[1], origin.sent[0].timestamp.vector)
+            assert delta == origin.delta(2)
+            node._handle_wire_message(delta, "a")
+            await asyncio.sleep(1.0)
+            assert node.state_sizes()["parked_deltas"] == 1
+            assert log.payloads() == [] and node.store.get("a", 2) is None
+            stats = node.transport_stats("a")
+            assert (stats.delta_received, stats.delta_ref_misses) == (1, 0)
+        finally:
+            await node.close()
+
+    run_virtual(scenario())
+
+
+def test_after_an_epoch_bump_the_next_broadcast_goes_full():
+    """``set_epoch`` of a new epoch resets the send slot, so no delta
+    chain spans two epochs: the receiver tallies one epoch mismatch (the
+    full form; deltas carry no epoch) and rebuilds every delta's full
+    form, epoch byte included, as the sender encoded it."""
+
+    async def scenario():
+        bus = LocalAsyncBus()
+        log = Deliveries()
+        b = await receiver(bus, on_delivery=log.append)
+        a = await create_node(
+            "a", NodeConfig(r=16, keys=(1, 2, 3), anti_entropy_interval=0),
+            transport=bus.attach("a"),
+        )
+        a.add_peer("b")
+        try:
+            sent, epochs = [], []
+            for epoch in (0, 0, 1, 1, 1):
+                a.set_epoch(epoch)  # the same epoch again keeps the slot
+                sent.append(await a.broadcast(f"m{len(sent) + 1}"))
+                epochs.append(epoch)
+            assert await wait_for(lambda: len(log.payloads()) == 5, timeout=5.0)
+            stats = a.transport_stats("b")
+            assert (stats.full_sent, stats.delta_sent) == (2, 3)
+            assert b.codec_counters.epoch_mismatches == 1
+            for message, epoch in zip(sent, epochs):
+                full = MessageCodec(epoch=epoch).encode(message)
+                assert b.store.get("a", message.seq) == full
+                assert a.store.get("a", message.seq) == full
+        finally:
+            await asyncio.gather(a.close(), b.close())
 
     run_virtual(scenario())
 

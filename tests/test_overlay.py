@@ -596,11 +596,8 @@ class RelayRig:
     def full(self, index):
         return self.messages.encode(self.sent[index])
 
-    def delta(self, index, ref=0):
-        reference = self.sent[ref]
-        return self.messages.encode_delta(
-            self.sent[index], reference.seq, reference.timestamp.vector
-        )
+    def delta(self, index):
+        return self.messages.encode_delta(self.sent[index], self.sent[index - 1].timestamp.vector)
 
     async def relay(self, payload):
         await self.up.send("rx", codec.encode(RelayFrame(hops=0, payload=payload)))
@@ -627,7 +624,7 @@ class TestRelayAdmission:
                 # The reference is a stored message, nothing per link.
                 assert rig.node.store.get("origin", 1) == rig.full(0)
                 await rig.relay(rig.delta(1))
-                await rig.relay(rig.delta(2, ref=1))
+                await rig.relay(rig.delta(2))
                 assert rig.delivered.payloads() == ["m1", "m2", "m3"]
                 assert rig.node.decode_errors == 0
                 assert rig.node.transport_stats().delta_ref_misses == 0
@@ -637,7 +634,7 @@ class TestRelayAdmission:
                 assert [
                     (frame.seq, frame.hops, bytes(frame.payload))
                     for frame in rig.forwarded
-                ] == [(1, 1, rig.full(0)), (2, 1, rig.delta(1)), (3, 1, rig.delta(2, ref=1))]
+                ] == [(1, 1, rig.full(0)), (2, 1, rig.delta(1)), (3, 1, rig.delta(2))]
                 assert rig.node.store.get("origin", 3) == rig.full(2)
                 # Delta 3 named a message that came as a delta itself:
                 # relay intake keeps it as the origin's newest reference,
@@ -657,12 +654,12 @@ class TestRelayAdmission:
                 await rig.relay(rig.full(0))
                 await rig.relay(rig.delta(1))
                 await rig.relay(rig.delta(1))  # a duplicate copy
-                await rig.relay(rig.delta(2, ref=1))
+                await rig.relay(rig.delta(2))
                 up, down = rig.node.transport_stats("up"), rig.node.transport_stats("down")
                 assert (up.full_received, up.delta_received) == (1, 2)
                 assert (down.full_sent, down.delta_sent) == (1, 2)
                 forget_everything(rig.node)
-                await rig.relay(rig.delta(3, ref=2))  # reference (3) held no more
+                await rig.relay(rig.delta(3))  # reference (3) held no more
                 gauges = rig.node.metrics.snapshot()["gauges"]
                 assert gauges["repro_delta_ref_miss_ratio"] == pytest.approx(1 / 3)
 
@@ -679,8 +676,8 @@ class TestRelayAdmission:
                 await rig.relay(rig.full(0))
                 await rig.relay(rig.delta(1))
                 forget_everything(rig.node)
-                await rig.relay(rig.delta(2, ref=1))
-                await rig.relay(rig.delta(2, ref=1))  # rate-limited resync
+                await rig.relay(rig.delta(2))
+                await rig.relay(rig.delta(2))  # rate-limited resync
                 await asyncio.sleep(0.01)
                 node = rig.node
                 assert node.transport_stats("up").delta_ref_misses == 2
@@ -703,8 +700,8 @@ class TestRelayAdmission:
             async with RelayRig() as rig:
                 node = rig.node
                 await rig.relay(rig.full(0))
-                await rig.relay(rig.delta(2, ref=1))
-                await rig.relay(rig.delta(2, ref=1))  # a second copy
+                await rig.relay(rig.delta(2))
+                await rig.relay(rig.delta(2))  # a second copy
                 assert rig.delivered.payloads() == ["m1"]
                 assert node.state_sizes()["parked_deltas"] == 1
                 assert [frame.seq for frame in rig.forwarded] == [1, 3]

@@ -585,7 +585,7 @@ class TestHostileDatagrams:
         origin = create_endpoint("origin", NodeConfig(r=self.R, keys=(1, 2, 3)))
         first, second = origin.broadcast("m1"), origin.broadcast("m2")
         full = messages.encode(first)
-        delta = messages.encode_delta(second, first.seq, first.timestamp.vector)
+        delta = messages.encode_delta(second, first.timestamp.vector)
         member = MemberRecord("zoë", ("up", 1), (4, 5))
         valid = [
             frames.encode(frame)

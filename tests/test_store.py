@@ -9,8 +9,10 @@ held, else the full form — and builds the full form only when a repair
 eviction, evicted marks and digest answers, over the full encoding of
 every message.  Both are driven through the same random intake —
 in-order deltas, out-of-order fulls, late deltas, evictions under a
-small ``_STORE_LIMIT``, purges, adopted coverage, re-stocked ids and
-far-ahead seqs — and must agree byte for byte.
+small ``_STORE_LIMIT``, purges, adopted coverage, re-stocked ids,
+far-ahead seqs and epoch bumps — and must agree byte for byte: every
+full form the store rebuilds around a delta, which carries no epoch, is
+the sender's.
 """
 
 from collections import deque
@@ -119,24 +121,28 @@ def message(sender, seq, vector, keys):
 @st.composite
 def histories(draw):
     """Per sender, its messages in seq order: ``(message, full, delta)``,
-    ``delta`` None where the sender's keys changed (it sends that one
-    full, as a re-keyed node does)."""
-    codec = MessageCodec()
+    ``delta`` None where the sender's keys or epoch changed (it sends
+    that one full, as a re-keyed node or one that installed a new epoch
+    does), ``full`` encoded under the sender's epoch."""
     out = {}
     for sender in ("a", "b", "c")[: draw(st.integers(1, 3))]:
         keys = tuple(sorted(draw(st.sets(st.integers(0, R - 1), min_size=1, max_size=2))))
         vector = np.zeros(R, dtype=np.int64)
+        codec = MessageCodec(epoch=draw(st.integers(0, 2)))
         messages = []
         for seq in range(1, draw(st.integers(1, 14)) + 1):
             previous = vector.copy()
             rekey = seq > 1 and draw(st.integers(0, 9)) == 0
             if rekey:
                 keys = tuple(sorted(draw(st.sets(st.integers(0, R - 1), min_size=1, max_size=2))))
+            bump = seq > 1 and draw(st.integers(0, 7)) == 0
+            if bump:
+                codec.epoch += 1
             vector[list(keys)] += 1
             for index in draw(st.lists(st.integers(0, R - 1), max_size=3)):
                 vector[index] += draw(st.integers(1, 300))
             sent = message(sender, seq, vector.copy(), keys)
-            delta = None if seq == 1 or rekey else codec.encode_delta(sent, seq - 1, previous)
+            delta = None if seq == 1 or rekey or bump else codec.encode_delta(sent, previous)
             messages.append((sent, codec.encode(sent), delta))
         out[sender] = messages
     return out
@@ -158,7 +164,9 @@ class Rig:
         if not self.seen.add((sender, seq)):
             return
         body = delta if delta_form and delta is not None else full
-        self.store.add(sender, seq, body, sent.timestamp)
+        # A delta's epoch is that of its chain's full form: the one the
+        # sender stamped on this message's full form too.
+        self.store.add(sender, seq, body, sent.timestamp, MessageCodec.epoch_of(full))
         self.model.add(sender, seq, full)
 
     def admit_far(self, sender, offset):
@@ -168,7 +176,7 @@ class Rig:
         sent = message(sender, seq, np.full(R, FAR), (0,))
         full = MessageCodec().encode(sent)
         self.extra[(sender, seq)] = full
-        self.store.add(sender, seq, full, sent.timestamp)
+        self.store.add(sender, seq, full, sent.timestamp, MessageCodec.epoch_of(full))
         self.model.add(sender, seq, full)
 
     def restore(self, sender, seq):
@@ -197,6 +205,7 @@ class Rig:
                 assert reference[0] == seq
                 assert reference[1].tolist() == timestamp.vector.tolist()
                 assert reference[2] == timestamp.sender_keys
+                assert reference[3] == MessageCodec.epoch_of(full)
         for remote in remotes:
             assert list(store.missing_for(remote)) == list(model.missing_for(remote))
         assert store.stats == model.stats
@@ -270,7 +279,7 @@ def test_a_far_ahead_seq_costs_one_entry():
         if previous is None or previous.seq != seq - 1:
             body = codec.encode(sent[-1])
         else:
-            body = codec.encode_delta(sent[-1], previous.seq, previous.timestamp.vector)
+            body = codec.encode_delta(sent[-1], previous.timestamp.vector)
         previous = sent[-1]
         seen.add(("a", seq))
         store.add("a", seq, body, previous.timestamp)

@@ -215,19 +215,22 @@ class TestDeltaDifferential:
         )
         ref_vector = np.maximum(vector - increments, 0)
         ref_vector.flags.writeable = False
-        ref_seq = data.draw(st.integers(0, message.seq - 1))
+        if message.seq < 2:
+            with pytest.raises(CodecError, match="no previous"):
+                codec.encode_delta(message, ref_vector)
+            return
 
-        delta = codec.encode_delta(message, ref_seq, ref_vector)
+        delta = codec.encode_delta(message, ref_vector)
         assert MessageCodec.is_delta(delta)
         assert not MessageCodec.is_delta(codec.encode(message))
-        sender, seq, peeked_ref, _ = codec.delta_header(delta)
-        assert (sender, seq, peeked_ref) == (message.sender, message.seq, ref_seq)
+        sender, seq, _ = codec.delta_header(delta)
+        assert (sender, seq) == (message.sender, message.seq)
 
         decoded = codec.decode_delta(
             delta, ref_vector, message.timestamp.sender_keys
         )
         full = codec.full_from_delta(
-            delta, decoded.timestamp.vector, message.timestamp.sender_keys
+            delta, decoded.timestamp.vector, message.timestamp.sender_keys, codec.epoch
         )
         assert full == codec.encode(decoded) == codec.encode(message)
         assert decoded.timestamp.vector.dtype == np.int64
@@ -243,9 +246,7 @@ class TestDeltaDifferential:
         codec = MessageCodec()
         if message.seq < 2 or message.timestamp.size < 8:
             return
-        delta = codec.encode_delta(
-            message, message.seq - 1, message.timestamp.vector
-        )
+        delta = codec.encode_delta(message, message.timestamp.vector)
         assert len(delta) < len(codec.encode(message))
 
 
@@ -257,7 +258,7 @@ def layout_body(delta: bytes, message: Message, diff, bitmap: bool) -> bytes:
     an n-bit map of those whose increment is not 1, and their
     ``increment - 2``.  Bitmaps are little-endian: bit i is bit i % 8 of
     byte i // 8."""
-    _, _, _, offset = MessageCodec().delta_header(delta)
+    _, _, offset = MessageCodec().delta_header(delta)
     changed = [index for index, step in enumerate(diff) if step]
     others = [position for position, index in enumerate(changed) if diff[index] != 1]
     if bitmap:
@@ -319,14 +320,14 @@ class TestDeltaLayouts:
     def test_each_layout_reconstructs_bit_identically(self, case):
         message, ref, diff = case
         codec = MessageCodec()
-        sent = codec.encode_delta(message, message.seq - 1, ref)
+        sent = codec.encode_delta(message, ref)
         full = codec.encode(message)
         for bitmap in (False, True):
             body = layout_body(sent, message, diff, bitmap)
             decoded = codec.decode_delta(body, ref, (0,))
             assert decoded.timestamp.vector.dtype == np.int64
             assert np.array_equal(decoded.timestamp.vector, message.timestamp.vector)
-            assert codec.full_from_delta(body, decoded.timestamp.vector, (0,)) == full
+            assert codec.full_from_delta(body, decoded.timestamp.vector, (0,), 0) == full
             assert codec.encode(decoded) == full
             # apply_delta walks the store both ways: -1 undoes +1.
             walked = ref.copy()
@@ -340,7 +341,7 @@ class TestDeltaLayouts:
     def test_the_encoder_sends_the_smaller_layout(self, case):
         """Byte for byte the smaller of the two, the list on a tie."""
         message, ref, diff = case
-        sent = MessageCodec().encode_delta(message, message.seq - 1, ref)
+        sent = MessageCodec().encode_delta(message, ref)
         bodies = [layout_body(sent, message, diff, bitmap) for bitmap in (False, True)]
         assert sent == min(bodies, key=len)
 
@@ -355,7 +356,7 @@ class TestDeltaLayouts:
                 timestamp=Timestamp(vector=vector, sender_keys=(0,), seq=2),
                 payload=None,
             )
-            delta = MessageCodec().encode_delta(message, 1, ref)
+            delta = MessageCodec().encode_delta(message, ref)
             assert bool(delta[3] & 0x04) == bitmap, changed
 
 
@@ -373,28 +374,27 @@ class TestDeltaRejections:
         )
 
     def test_reference_must_be_earlier_message(self):
-        message = self._message(seq=5)
-        with pytest.raises(CodecError):
-            MessageCodec().encode_delta(message, 5, message.timestamp.vector)
+        """A delta names (sender, seq - 1): seq 1 has none."""
+        message = self._message(seq=1)
+        with pytest.raises(CodecError, match="no previous"):
+            MessageCodec().encode_delta(message, message.timestamp.vector)
 
     def test_vector_regression_rejected(self):
         message = self._message(entries=[1] * 8)
         ref = np.asarray([2] * 8, dtype=np.int64)
         with pytest.raises(CodecError):
-            MessageCodec().encode_delta(message, 1, ref)
+            MessageCodec().encode_delta(message, ref)
 
     def test_size_mismatch_rejected(self):
         message = self._message(r=8)
         with pytest.raises(CodecError):
-            MessageCodec().encode_delta(
-                message, 1, np.zeros(9, dtype=np.int64)
-            )
+            MessageCodec().encode_delta(message, np.zeros(9, dtype=np.int64))
 
     def test_plain_decode_rejects_delta(self):
         codec = MessageCodec()
         message = self._message()
         ref = np.zeros(8, dtype=np.int64)
-        delta = codec.encode_delta(message, 1, ref)
+        delta = codec.encode_delta(message, ref)
         with pytest.raises(CodecError):
             codec.decode(delta)
 
