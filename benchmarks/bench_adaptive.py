@@ -1,28 +1,34 @@
-"""Adaptive clock-sizing epochs under a 10x offered-concurrency ramp.
+"""Adaptive clock-sizing epochs under a 7x offered-concurrency ramp, on the shipping stack.
 
 Section 5.3 dimensions K once, from a guess of the in-flight concurrency
 X; Figures 4-5 show how P_err(R, K, X) takes off when traffic outgrows
-that guess.  This benchmark replays exactly that failure mode and shows
-the runtime controller (``repro.net.adaptive``, DESIGN.md §11) closing
-the loop:
+that guess.  This benchmark replays exactly that failure mode on
+unmodified ``create_node()`` members (:class:`repro.sim.group.Group`
+under :func:`repro.sim.vtime.run_virtual`) that form their group
+through the membership protocol, on the paper's §5.4 model (Poisson
+senders, N(100, 20) ms base delay plus N(d, 20) ms per-receiver skew):
 
-* **static arm** — K frozen at the geometry that was optimal at the
-  bottom of the ramp (the paper's provision-once deployment);
-* **adaptive arm** — after each segment the *same* decision core the
-  live node runs (:class:`ConcurrencyEstimator` +
-  :class:`EpochPlanner`) folds the segment's cumulative telemetry into
-  a Little's-law X̂ and, when the measured alert rate breaches the
-  target band, re-tiles K to ``optimal_k_int(R, X̂)`` — modelling the
-  coordinator's epoch bump.  A level that triggered a re-tile is run
-  again at the corrected geometry (the controller converging at the new
-  operating point); only the settled run is scored.
+* **adaptive arm** — every node runs the real controller
+  (``repro.net.adaptive``, DESIGN.md §11): each second it reads X̂ off
+  its detector's alert rate, and the coordinator re-tiles the group to
+  ``optimal_k_int(R, X̂)`` through an epoch bump when the rate leaves the
+  target band;
+* **static arm** — the same group with ``adaptive=None``: K frozen at
+  the geometry that was optimal at the bottom of the ramp (the paper's
+  provision-once deployment).
 
-Offered concurrency ramps 10x (X = 1 → 10 at the paper's 100 ms
-delay).  The claim under test: the adaptive arm's settled alert rate
-stays inside the band across the whole ramp while the static arm leaves
-it — the acceptance criterion of the self-tuning issue.  Results land
-in ``BENCH_adaptive.json`` at the repo root; ``check_adaptive.py``
-gates the same run in CI.
+Offered concurrency ramps X = 1 → 7 on one running group, each level
+for ``LEVEL_SECONDS`` virtual seconds; a level is scored on its second
+half (alerts per detector check over every node), after the controller
+had the first half to settle.  ``X est`` is what the controller's
+estimator reads off that alert rate at the level's (R, K), pooled over
+the group.  The claim under test: the adaptive arm's settled alert
+rate stays inside the band across the whole ramp while the static arm
+leaves it.  X = 10 is not on the ramp: theory's best
+geometry there, K = 3, has P_err = 0.1507, above the band's 0.15, so no
+controller can hold it.  Results land in ``BENCH_adaptive.json`` at the
+repo root; ``check_adaptive.py`` gates the same run in CI.  Every
+number is a count of one seeded schedule.
 
 Usage::
 
@@ -33,29 +39,29 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import pathlib
 import platform
 import sys
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from _common import (
+    DELAY_STD_MS,
     MEAN_DELAY_MS,
+    SKEW_STD_MS,
     lambda_for_concurrency,
+    poisson_sender,
     report,
-    run_duration,
     series_chart,
 )
 from repro.analysis.tables import render_table
-from repro.core.theory import optimal_k_int, p_error
-from repro.net.adaptive import (
-    AdaptivePolicy,
-    ConcurrencyEstimator,
-    EpochPlanner,
-    TelemetrySample,
-)
-from repro.sim import PoissonWorkload, SimulationConfig, run_simulation
+from repro.api import AdaptivePolicy, MembershipConfig, NodeConfig
+from repro.core.theory import concurrency_at_error, optimal_k_int, p_error
+from repro.sim.group import Group
+from repro.sim.network import GaussianDelayModel
+from repro.sim.vtime import run_virtual
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_adaptive.json"
@@ -64,111 +70,85 @@ N_NODES = 24
 R = 40
 K_MAX = 12
 BAND = (0.0, 0.15)
-X_START = 1.0
+K_START = optimal_k_int(R, 1.0, k_max=K_MAX)
+POLICY = AdaptivePolicy(interval=1.0, band=BAND, k_max=K_MAX, cooldown=0.0, min_window=20)
 
-# Offered-concurrency levels (X at the paper's 100 ms mean delay) and
-# the per-segment delivery budget.  The top of the ramp is chosen so the
-# *optimal* geometry still fits the band (P_err at the optimum ~2^-K_opt):
-# any higher and no controller could satisfy the target.
-FULL = ((1.0, 2.0, 4.0, 7.0, 10.0), 5000)
-QUICK = ((1.0, 4.0, 10.0), 2000)
-
-# A level re-runs after an accepted re-tile so the settled geometry is
-# what gets scored; the hysteresis guard converges this in one step.
-MAX_ATTEMPTS = 3
+# Offered-concurrency levels (X at the paper's 100 ms mean delay).
+FULL = (1.0, 2.0, 4.0, 7.0)
+QUICK = (1.0, 4.0, 7.0)
+# Virtual seconds per level: the first half settles, the second is scored.
+LEVEL_SECONDS = 8.0
 
 
-def _segment(x: float, k: int, target_deliveries: int, seed: int) -> "SimulationResult":
-    lam = lambda_for_concurrency(N_NODES, x)
-    config = SimulationConfig(
-        n_nodes=N_NODES,
-        r=R,
-        k=k,
-        workload=PoissonWorkload(lam),
-        duration_ms=run_duration(target_deliveries, N_NODES, lam),
-        seed=seed,
-        detector="basic",
-    )
-    return run_simulation(config)
+def config_of(adaptive: bool):
+    def config(name: str) -> NodeConfig:
+        seeds = () if name == "n0" else ("n0",)
+        return NodeConfig(
+            r=R, k=K_START, membership=MembershipConfig(seed_peers=seeds),
+            adaptive=POLICY if adaptive else None,
+        )
+    return config
 
 
-def run_arm(
-    adaptive: bool,
-    levels: Sequence[float],
-    target_deliveries: int,
-    seed: int,
-    band: Tuple[float, float] = BAND,
-) -> List[Dict[str, object]]:
-    """Run one arm of the ramp; returns one dict per executed segment.
-
-    The adaptive arm drives the exact decision core a live node runs:
-    segment telemetry is folded into cumulative per-node counters (the
-    shape a node's own registry exports), sampled, differenced by the
-    estimator, and judged by the planner.  ``settled=True`` marks the
-    run that scores a level (the last attempt at it).
-    """
-    k = optimal_k_int(R, X_START, k_max=K_MAX)
-    policy = AdaptivePolicy(
-        interval=1.0, band=band, k_max=K_MAX, cooldown=0.0, min_window=20
-    )
-    estimator = ConcurrencyEstimator(min_window=policy.min_window)
-    planner = EpochPlanner(R, policy)
-    # Prime the estimator so the very first segment already yields a window.
-    estimator.update(TelemetrySample(now=0.0, delivered_total=0.0, wait_sum=0.0, wait_count=0.0))
-    # Cumulative per-node telemetry, counter semantics — what one node's
-    # registry would show (the sim aggregates the group, so divide by N).
-    t_cum = delivered_cum = wait_cum = alerts_cum = checks_cum = 0.0
-
-    segments: List[Dict[str, object]] = []
-    for level_index, x in enumerate(levels):
-        for attempt in range(MAX_ATTEMPTS):
-            result = _segment(x, k, target_deliveries, seed + 31 * level_index + attempt)
-            t_cum += result.sim_time_ms / 1000.0
-            delivered_cum += result.delivered_remote
-            wait_cum += result.latency.get("mean", 0.0) / 1000.0 * result.delivered_remote
-            alerts_cum += result.alerts.alerts
-            checks_cum += result.alerts.total
-            window = estimator.update(
-                TelemetrySample(
-                    now=t_cum,
-                    delivered_total=delivered_cum / N_NODES,
-                    wait_sum=wait_cum / N_NODES,
-                    wait_count=delivered_cum / N_NODES,
-                    alerts_total=alerts_cum / N_NODES,
-                    checks_total=checks_cum / N_NODES,
-                )
-            )
-            verdict = planner.decide(k, window, t_cum) if adaptive else None
-            segments.append(
-                {
-                    "x_offered": x,
-                    "x_measured": round(result.measured_concurrency, 2),
-                    "x_estimate": round(window.x_estimate, 2) if window else None,
-                    "k": k,
-                    "deliveries": result.delivered_remote,
-                    "alert_rate": round(result.alerts.alert_rate, 6),
-                    "predicted_p_err": round(p_error(R, k, result.measured_concurrency), 6),
-                    "eps_max": round(result.eps_max, 6),
-                    "retiled_to": verdict,
-                    "settled": verdict is None,
-                }
-            )
-            if verdict is None:
-                break
-            planner.record_bump(t_cum)
-            k = verdict
-    return segments
+def _totals(group: Group):
+    """Checks and alerts over every node's detector, and broadcasts."""
+    stats = [node.endpoint.detector.stats for node in group.nodes]
+    return (sum(s.checks for s in stats), sum(s.alerts for s in stats), group.sent)
 
 
-def settled(segments: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
-    return [segment for segment in segments if segment["settled"]]
+async def ramp(adaptive: bool, levels: Sequence[float], seed: int) -> List[Dict[str, object]]:
+    loop = asyncio.get_running_loop()
+    delays = GaussianDelayModel(MEAN_DELAY_MS, DELAY_STD_MS, SKEW_STD_MS)
+    group = await Group.start(N_NODES, config_of(adaptive), seed, 0.0, delays)
+    rows = []
+    async with group:
+        coordinator = group.nodes[0]
+        for index, x in enumerate(levels):
+            rate = 1000.0 / lambda_for_concurrency(N_NODES, x)
+            start = loop.time()
+            until = start + LEVEL_SECONDS
+            senders = [
+                asyncio.ensure_future(
+                    poisson_sender(group, node, rate, until, seed + 31 * index))
+                for node in group.nodes
+            ]
+            bumps = coordinator.adaptive.bumps if adaptive else 0
+            await asyncio.sleep(LEVEL_SECONDS / 2)
+            k = coordinator.endpoint.clock.k
+            checks, alerts, sent = _totals(group)
+            await asyncio.sleep(until - loop.time())
+            checks2, alerts2, sent2 = _totals(group)
+            for sender in senders:
+                sender.cancel()
+            # X is what one node receives during one mean transit.
+            x_measured = ((sent2 - sent) / (LEVEL_SECONDS / 2)
+                          * (N_NODES - 1) / N_NODES * MEAN_DELAY_MS / 1000.0)
+            alert_rate = (alerts2 - alerts) / max(1, checks2 - checks)
+            rows.append({
+                "x_offered": x,
+                "x_measured": round(x_measured, 2),
+                "x_estimate": round(concurrency_at_error(R, k, alert_rate), 2),
+                "k": k,
+                "settled": coordinator.endpoint.clock.k == k,
+                "retiles": (coordinator.adaptive.bumps if adaptive else 0) - bumps,
+                "checks": checks2 - checks,
+                "alert_rate": round(alert_rate, 6),
+                "predicted_p_err": round(p_error(R, k, x_measured), 6),
+            })
+    return rows
+
+
+def run_arm(adaptive: bool, levels: Sequence[float], seed: int) -> List[Dict[str, object]]:
+    """One arm of the ramp: one row per level, scored on its second half
+    (``settled`` is False when K moved inside the scored half)."""
+    return run_virtual(ramp(adaptive, levels, seed))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke: 3 ramp levels and a smaller delivery budget",
+        help="CI smoke: 3 ramp levels instead of 4",
     )
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument(
@@ -177,40 +157,41 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    levels, target = QUICK if args.quick else FULL
+    levels = QUICK if args.quick else FULL
     started = time.perf_counter()
-    adaptive_segments = run_arm(True, levels, target, args.seed)
-    static_segments = run_arm(False, levels, target, args.seed)
+    adaptive_rows = run_arm(True, levels, args.seed)
+    static_rows = run_arm(False, levels, args.seed)
     wall = time.perf_counter() - started
 
-    adaptive_settled = settled(adaptive_segments)
     band_high = BAND[1]
-    adaptive_max = max(s["alert_rate"] for s in adaptive_settled)
-    static_max = max(s["alert_rate"] for s in static_segments)
-    retiles = sum(1 for s in adaptive_segments if s["retiled_to"] is not None)
-    final_k = adaptive_settled[-1]["k"]
+    adaptive_max = max(row["alert_rate"] for row in adaptive_rows)
+    static_max = max(row["alert_rate"] for row in static_rows)
+    retiles = sum(row["retiles"] for row in adaptive_rows)
+    final_k = adaptive_rows[-1]["k"]
 
-    headers = ["arm", "X offered", "X meas", "K", "deliveries",
+    headers = ["arm", "X offered", "X meas", "X est", "K", "checks",
                "alert rate", "P_err(R,K,X)", "in band"]
     rows = []
-    for arm, segs in (("adaptive", adaptive_settled), ("static", static_segments)):
-        for s in segs:
+    for arm, segments in (("adaptive", adaptive_rows), ("static", static_rows)):
+        for s in segments:
             rows.append([
-                arm, f"{s['x_offered']:.1f}", f"{s['x_measured']:.1f}",
-                s["k"], s["deliveries"], f"{s['alert_rate']:.4f}",
+                arm, f"{s['x_offered']:.1f}", f"{s['x_measured']:.2f}",
+                f"{s['x_estimate']:.2f}",
+                s["k"], s["checks"], f"{s['alert_rate']:.4f}",
                 f"{s['predicted_p_err']:.4f}",
                 "yes" if s["alert_rate"] <= band_high else "NO",
             ])
     table = render_table(
         headers, rows,
-        title=f"10x concurrency ramp, R={R}, N={N_NODES}, "
-              f"band high={band_high} (settled segments)",
+        title=f"create_node() members on the virtual bus: ramp X = "
+              f"{levels[0]:g} -> {levels[-1]:g}, R={R}, N={N_NODES}, K0={K_START}, "
+              f"band high={band_high}, seed {args.seed} (second half of each level)",
     )
     chart = series_chart(
         "measured alert rate vs offered concurrency",
         {
-            "adaptive": [(s["x_offered"], s["alert_rate"]) for s in adaptive_settled],
-            "static": [(s["x_offered"], s["alert_rate"]) for s in static_segments],
+            "adaptive": [(s["x_offered"], s["alert_rate"]) for s in adaptive_rows],
+            "static": [(s["x_offered"], s["alert_rate"]) for s in static_rows],
             "band high": [(x, band_high) for x in levels],
         },
         x_label="offered concurrency X",
@@ -221,10 +202,10 @@ def main(argv=None) -> int:
         f"({'inside' if adaptive_max <= band_high else 'OUTSIDE'} the band)\n"
         f"static   max alert rate:         {static_max:.4f} "
         f"({static_max / band_high:.1f}x the band ceiling)\n"
-        f"re-tiles: {retiles} (K {optimal_k_int(R, X_START, k_max=K_MAX)} -> {final_k}), "
-        f"wall {wall:.1f}s"
+        f"re-tiles: {retiles} (K {K_START} -> {final_k})"
     )
     report("bench_adaptive", table + "\n\n" + chart + "\n\n" + verdict)
+    print(f"wall {wall:.1f}s")
 
     payload = {
         "meta": {
@@ -233,11 +214,12 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "n_nodes": N_NODES,
             "r": R,
+            "k_start": K_START,
             "k_max": K_MAX,
             "band": list(BAND),
             "mean_delay_ms": MEAN_DELAY_MS,
             "levels": list(levels),
-            "target_deliveries": target,
+            "level_seconds": LEVEL_SECONDS,
             "wall_seconds": round(wall, 2),
         },
         "headline": {
@@ -249,8 +231,8 @@ def main(argv=None) -> int:
             "retiles": retiles,
             "final_k": final_k,
         },
-        "adaptive": adaptive_segments,
-        "static": static_segments,
+        "adaptive": adaptive_rows,
+        "static": static_rows,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\nwrote {args.output}")

@@ -1,12 +1,14 @@
 """CI gate: the adaptive controller must hold the alert-rate band.
 
 Runs the ``bench_adaptive`` ramp (quick by default) — offered
-concurrency climbing 10x past the geometry the group was provisioned
-for — and gates three properties of the self-tuning loop
+concurrency climbing 7x past the geometry the group was provisioned
+for, on a membership-formed ``create_node()`` group under virtual time
+— and gates three properties of the self-tuning loop
 (``repro.net.adaptive``, DESIGN.md §11):
 
-1. **band**: every settled adaptive segment's measured alert rate stays
-   at or under the band ceiling — the controller's whole contract;
+1. **band**: every adaptive level's settled alert rate (its second
+   half) stays at or under the band ceiling — the controller's whole
+   contract;
 2. **stress**: the static arm *leaves* the band somewhere on the ramp —
    otherwise the fixture stopped exercising the failure mode the
    controller exists for and the band check above is vacuous;
@@ -29,34 +31,32 @@ from repro.core.theory import p_error
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true",
-                        help="run the full 5-level ramp instead of the quick one")
+                        help="run the full 4-level ramp instead of the quick one")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--tolerance", type=float, default=10.0,
                         help="allowed multiplicative deviation from theory "
                              "at the top of the ramp")
     args = parser.parse_args()
 
-    levels, target = bench_adaptive.FULL if args.full else bench_adaptive.QUICK
+    levels = bench_adaptive.FULL if args.full else bench_adaptive.QUICK
     band_high = bench_adaptive.BAND[1]
-    adaptive = bench_adaptive.settled(
-        bench_adaptive.run_arm(True, levels, target, args.seed)
-    )
-    static = bench_adaptive.run_arm(False, levels, target, args.seed)
+    adaptive = bench_adaptive.run_arm(True, levels, args.seed)
+    static = bench_adaptive.run_arm(False, levels, args.seed)
 
     failures = []
 
-    for segment in adaptive:
-        flag = "" if segment["alert_rate"] <= band_high else "  <-- out of band"
-        print(f"adaptive X={segment['x_offered']:5.1f}  K={segment['k']:2d}  "
-              f"alert_rate={segment['alert_rate']:.4f}  "
+    for level in adaptive:
+        flag = "" if level["alert_rate"] <= band_high else "  <-- out of band"
+        print(f"adaptive X={level['x_offered']:5.1f}  K={level['k']:2d}  "
+              f"alert_rate={level['alert_rate']:.4f}  "
               f"(band high {band_high}){flag}")
-        if segment["alert_rate"] > band_high:
+        if level["alert_rate"] > band_high:
             failures.append(
-                f"settled adaptive segment at X={segment['x_offered']} "
-                f"has alert rate {segment['alert_rate']:.4f} > {band_high}"
+                f"settled adaptive level at X={level['x_offered']} "
+                f"has alert rate {level['alert_rate']:.4f} > {band_high}"
             )
 
-    static_max = max(s["alert_rate"] for s in static)
+    static_max = max(level["alert_rate"] for level in static)
     print(f"static  max alert_rate={static_max:.4f} "
           f"({static_max / band_high:.1f}x the band ceiling)")
     if static_max <= band_high:

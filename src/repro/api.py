@@ -141,6 +141,9 @@ class NodeConfig:
             (:class:`~repro.net.adaptive.AdaptiveClockController`); see
             :class:`~repro.net.adaptive.AdaptivePolicy`.  Epoch bumps
             are negotiated through the group view: needs ``membership``.
+            It reads X off Algorithm 4's alert rate at the current
+            (R, K): needs ``scheme="probabilistic"`` and
+            ``detector="basic"``.
 
     Observability (used by :func:`create_node`):
 
@@ -256,6 +259,13 @@ class NodeConfig:
             raise ConfigurationError(
                 "adaptive needs membership: epoch bumps are negotiated "
                 "through the group view"
+            )
+        if self.adaptive is not None and (self.scheme, self.detector) != (
+            "probabilistic", "basic"
+        ):
+            raise ConfigurationError(
+                "adaptive needs scheme='probabilistic' and detector='basic': "
+                "it reads X off Algorithm 4's alert rate at the current (R, K)"
             )
 
     def replace(self, **changes: Any) -> "NodeConfig":

@@ -51,6 +51,11 @@ __all__ = [
 
 ProcessId = Hashable
 
+# Leads every Bloom-clock key preimage: a deployment that wants a key
+# family disjoint from another's changes it (as ``keyspace_seed`` does
+# for hashed (R, K) key sets).
+_BLOOM_SALT = 0
+
 
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -425,12 +430,10 @@ class BloomCausalClock(EntryVectorClock):
         hashes: cells incremented per event (the Bloom ``h``; plays K).
         owner: this process's identity — part of the hash preimage, so
             two processes never share an event's key set by accident.
-        salt: keyspace salt for disjoint deployments (mirrors
-            ``keyspace_seed``).
     """
 
     def __init__(
-        self, m: int, hashes: int = 4, owner: ProcessId = "", salt: int = 0
+        self, m: int, hashes: int = 4, owner: ProcessId = ""
     ) -> None:
         if hashes <= 0:
             raise ConfigurationError(f"hash count must be positive, got {hashes}")
@@ -438,7 +441,6 @@ class BloomCausalClock(EntryVectorClock):
             raise ConfigurationError(f"need hashes <= m, got hashes={hashes}, m={m}")
         self._hashes = hashes
         self._owner_token = repr(owner)
-        self._salt = salt
         self._m = m  # needed by _event_keys before the base class sets _r
         super().__init__(m, self._event_keys(1))
 
@@ -450,7 +452,7 @@ class BloomCausalClock(EntryVectorClock):
     def _event_keys(self, seq: int) -> Tuple[int, ...]:
         """The ``h`` distinct cells of this process's ``seq``-th event.
 
-        SHA-256 over ``(salt, owner, seq, draw)`` — like
+        SHA-256 over ``(_BLOOM_SALT, owner, seq, draw)`` — like
         :class:`~repro.core.keyspace.HashKeyAssigner`, a keyed hash
         rather than the builtin ``hash`` so the draw is identical in
         every process regardless of ``PYTHONHASHSEED``.
@@ -458,7 +460,7 @@ class BloomCausalClock(EntryVectorClock):
         keys: set = set()
         draw = 0
         while len(keys) < self._hashes:
-            preimage = f"{self._salt}|{self._owner_token}|{seq}|{draw}".encode("utf-8")
+            preimage = f"{_BLOOM_SALT}|{self._owner_token}|{seq}|{draw}".encode("utf-8")
             digest = hashlib.sha256(preimage).digest()
             keys.add(int.from_bytes(digest[:8], "big") % self._m)
             draw += 1

@@ -141,20 +141,17 @@ class RefinedAlertDetector(DeliveryErrorDetector):
             disables age-based eviction.
         max_entries: hard bound on the length of L (keeps memory bounded
             even when time stands still, e.g. in unit tests).
-        strict_domination: the paper's pseudo-code compares the local
-            vector with a strict ``>`` in conjunct (a) while Algorithm 4
-            uses the equivalent-of-``>=`` form; the published text is
-            ambiguous ("V_i[x] > m.V_i[x]").  The default ``False``
-            mirrors Algorithm 4's covering test so that every refined
-            alert is also a basic alert (the refinement only removes
-            alerts); ``True`` applies the literal strict reading.
+
+    Conjunct (a) is Algorithm 4's covering test (``>=``), although the
+    paper's pseudo-code writes a strict ``V_i[x] > m.V_i[x]``: that way
+    every refined alert is also a basic alert, and the refinement only
+    removes alerts.
     """
 
     def __init__(
         self,
         window: Optional[float] = None,
         max_entries: int = 1024,
-        strict_domination: bool = False,
     ) -> None:
         super().__init__()
         if max_entries <= 0:
@@ -163,7 +160,6 @@ class RefinedAlertDetector(DeliveryErrorDetector):
             raise ConfigurationError(f"window must be positive, got {window}")
         self._window = window
         self._max_entries = max_entries
-        self._strict = strict_domination
         self._recent: Deque[_RecentEntry] = deque()
         self.evictions = 0  # entries aged out of L by the time window
 
@@ -188,12 +184,9 @@ class RefinedAlertDetector(DeliveryErrorDetector):
 
     def _evaluate(self, clock: EntryVectorClock, timestamp: Timestamp, now: float) -> bool:
         self._evict_old(now)
-        keys = timestamp.sender_keys_array
-        local = clock.vector_view()[keys]
-        sent = timestamp.vector[keys]
-        covered = bool(np.all(local > sent)) if self._strict else bool(np.all(local >= sent))
-        if not covered:
+        if not _all_sender_entries_covered(clock, timestamp):
             return False
+        keys = timestamp.sender_keys_array
         for entry in self._recent:
             prior = entry.timestamp
             if prior.size != timestamp.size:

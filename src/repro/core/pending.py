@@ -69,6 +69,9 @@ from repro.core.errors import ConfigurationError
 
 __all__ = ["PendingBuffer", "ReferenceBuffer", "SeenFilter"]
 
+# Slots a new PendingBuffer starts with; the matrix doubles when full.
+_INITIAL_CAPACITY = 16
+
 ProcessId = Hashable
 Frontiers = Dict[ProcessId, Tuple[int, Tuple[int, ...]]]
 
@@ -83,7 +86,6 @@ class PendingBuffer:
 
     Args:
         r: vector size R (row width).
-        initial_capacity: starting number of slots.
     """
 
     __slots__ = (
@@ -102,13 +104,10 @@ class PendingBuffer:
         "spurious_wakeups",
     )
 
-    def __init__(self, r: int, initial_capacity: int = 16) -> None:
+    def __init__(self, r: int) -> None:
         if r <= 0:
             raise ConfigurationError(f"vector size R must be positive, got {r}")
-        if initial_capacity <= 0:
-            raise ConfigurationError(
-                f"initial_capacity must be positive, got {initial_capacity}"
-            )
+        initial_capacity = _INITIAL_CAPACITY
         self._r = r
         self._capacity = initial_capacity
         self._adjusted = np.zeros((initial_capacity, r), dtype=np.int64)

@@ -34,6 +34,7 @@ from repro.core.errors import ConfigurationError
 __all__ = [
     "p_entry_covered",
     "p_error",
+    "concurrency_at_error",
     "optimal_k",
     "optimal_k_int",
     "predicted_error_series",
@@ -71,6 +72,26 @@ def p_error(r: int, k: float, x: float) -> float:
     ``k`` may be fractional so the continuous optimum can be inspected.
     """
     return p_entry_covered(r, k, x) ** k
+
+
+def concurrency_at_error(r: int, k: float, p: float) -> float:
+    """The inverse of :func:`p_error` in ``x``: the concurrency at which
+    an (r, k) geometry errs with probability ``p``,
+    ``ln(1 - p^(1/k)) / (k · ln(1 - 1/r))``.
+
+    A Bloom filter's false-positive rate fixes how many items it holds;
+    Algorithm 4's alert is P_err's event, so a node reads its own
+    concurrency off its alert rate.  ``p = 0`` reads 0 and ``p = 1``
+    (every entry always covered) reads infinity.
+    """
+    _validate(r, k, 0.0)
+    if not 0.0 <= p <= 1.0:
+        raise ConfigurationError(f"error probability must lie in [0, 1], got {p}")
+    if p == 0.0:
+        return 0.0
+    if p == 1.0 or r == 1:
+        return math.inf
+    return math.log1p(-p ** (1.0 / k)) / (k * math.log1p(-1.0 / r))
 
 
 def optimal_k(r: int, x: float) -> float:

@@ -19,21 +19,14 @@ dissemination cost: broadcasts ride bounded-fanout RELAY gossip over a
 partial view instead of N−1 unicasts (``dissemination="overlay"``).
 And because the paper sizes K from a one-shot *guess* of the in-flight
 concurrency X, :class:`AdaptiveClockController` closes that loop at
-runtime: it re-estimates X from the node's own metrics stream and has
-the acting coordinator renegotiate clock-sizing *epochs* for the whole
-group (``--adaptive``).
+runtime: it reads X off the node's own alert rate (Algorithm 4's alert
+is P_err's event) and has the acting coordinator renegotiate
+clock-sizing *epochs* for the whole group (``--adaptive``).
 
 Assemble nodes with :func:`repro.api.create_node` rather than by hand.
 """
 
-from repro.net.adaptive import (
-    AdaptiveClockController,
-    AdaptivePolicy,
-    ConcurrencyEstimator,
-    EpochPlanner,
-    TelemetrySample,
-    TelemetryWindow,
-)
+from repro.net.adaptive import AdaptiveClockController, AdaptivePolicy
 from repro.net.bus import BusTransport, LocalAsyncBus
 from repro.net.faults import FaultWindow, FaultyTransport
 from repro.net.journal import LinkState, NodeJournal, RecoveredState
@@ -71,8 +64,4 @@ __all__ = [
     "OverlayStats",
     "AdaptivePolicy",
     "AdaptiveClockController",
-    "ConcurrencyEstimator",
-    "EpochPlanner",
-    "TelemetrySample",
-    "TelemetryWindow",
 ]

@@ -21,7 +21,7 @@ exactly the state whose loss is unsafe:
   the node's coverage like the vector and the links, and the WAL's
   records fold into it only while :meth:`NodeJournal.open` replays.
 * the **link-sequence leases**: the reliable session's per-peer send
-  seqs are reserved in blocks (``seq_lease``) *before* first use, so a
+  seqs are reserved in blocks (``_SEQ_LEASE``) *before* first use, so a
   restarted node resumes past the lease and never reuses a link seq
   that a receiver may have already acked.
 * the **own message bytes**: each ``send`` record carries the encoded
@@ -59,6 +59,10 @@ Frontiers = Dict[str, Tuple[int, Tuple[int, ...]]]
 
 _WAL_NAME = "wal.log"
 _SNAPSHOT_NAME = "snapshot.json"
+# Link seqs reserved per lease record: larger leases mean fewer WAL
+# writes but a bigger seq gap after restart (gaps are harmless —
+# receivers treat them as loss and the cumulative ack simply jumps).
+_SEQ_LEASE = 1024
 
 
 def _address_to_json(address: Address):
@@ -151,10 +155,6 @@ class NodeJournal:
         r: the clock's vector size (replay increments need it).
         own_keys: the clock's entry set ``f(p_i)``.
         snapshot_interval: WAL records between snapshots.
-        seq_lease: link seqs reserved per lease record; larger leases
-            mean fewer WAL writes but a bigger seq gap after restart
-            (gaps are harmless — receivers treat them as loss and the
-            cumulative ack simply jumps).
         fsync: fsync the WAL after every append.  Off by default: the
             write is flushed to the OS (surviving process crashes, the
             failure mode under test); fsync additionally survives
@@ -168,15 +168,12 @@ class NodeJournal:
         r: int,
         own_keys: Sequence[int],
         snapshot_interval: int = 256,
-        seq_lease: int = 1024,
         fsync: bool = False,
     ) -> None:
         if snapshot_interval <= 0:
             raise ConfigurationError(
                 f"snapshot_interval must be positive, got {snapshot_interval}"
             )
-        if seq_lease <= 0:
-            raise ConfigurationError(f"seq_lease must be positive, got {seq_lease}")
         self._dir = str(data_dir)
         self._node = str(node_id)
         self._r = int(r)
@@ -190,7 +187,6 @@ class NodeJournal:
             Tuple[int, Tuple[Tuple[str, Address, Tuple[int, ...]], ...], int]
         ] = None
         self._interval = snapshot_interval
-        self._seq_lease = seq_lease
         self._fsync = fsync
         self._wal = None
         self._records_since_snapshot = 0
@@ -564,11 +560,11 @@ class NodeJournal:
 
         Called by the session just before a seq goes on the wire; writes
         a lease record only when the seq outgrows the current block, so
-        the WAL sees one record per ``seq_lease`` sends.
+        the WAL sees one record per ``_SEQ_LEASE`` sends.
         """
         if seq <= self._leases.get(address, 0):
             return
-        upper = seq + self._seq_lease - 1
+        upper = seq + _SEQ_LEASE - 1
         self._leases[address] = upper
         self._append({"t": "lease", "a": _address_to_json(address), "n": upper})
 

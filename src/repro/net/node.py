@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set,
 
 import numpy as np
 
-from repro.core.clocks import EntryVectorClock, Timestamp
+from repro.core.clocks import EntryVectorClock
 from repro.core.codec import CodecCounters, MessageCodec, RelayFrame, TreeFrame
 from repro.core.detector import DeliveryErrorDetector
 from repro.core.errors import ConfigurationError
@@ -145,11 +145,6 @@ class ReliableCausalNode:
             the view instead of the full peer list, and per-node wire
             cost stops growing with cluster size.  ``None`` (default)
             keeps the full-mesh dissemination.
-        metrics: the node's :class:`~repro.obs.MetricsRegistry`; created
-            automatically (with a ``node=<id>`` label) when not given —
-            every node is observable, its collectors cost nothing until
-            snapshotted.
-        trace: structured trace-event ring; created automatically.
         metrics_path: when set, a background task appends one registry
             snapshot per ``metrics_interval`` seconds to this JSONL
             file (plus a final line on :meth:`close`).
@@ -174,8 +169,6 @@ class ReliableCausalNode:
         liveness: Optional[LivenessPolicy] = None,
         wire_delta: bool = True,
         overlay: Optional[PartialView] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        trace: Optional[TraceRing] = None,
         metrics_path: Optional[str] = None,
         metrics_interval: float = 1.0,
         metrics_port: Optional[int] = None,
@@ -224,14 +217,12 @@ class ReliableCausalNode:
         self.journal = journal
         self.overlay = overlay
 
-        # Observability: every node owns a registry (collectors are free
-        # until snapshotted) and a trace ring; the exporter and HTTP
-        # endpoint are armed in start() when configured.
-        self.metrics = (
-            metrics if metrics is not None
-            else MetricsRegistry(labels={"node": str(node_id)})
-        )
-        self.trace = trace if trace is not None else TraceRing()
+        # Observability: every node owns a registry (with a ``node=<id>``
+        # label; collectors are free until snapshotted) and a trace ring;
+        # the exporter and HTTP endpoint are armed in start() when
+        # configured.
+        self.metrics = MetricsRegistry(labels={"node": str(node_id)})
+        self.trace = TraceRing()
         self._metrics_path = metrics_path
         self._metrics_interval = metrics_interval
         self._metrics_port = metrics_port

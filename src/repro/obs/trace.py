@@ -22,21 +22,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.core.errors import ConfigurationError
-
 __all__ = ["TraceRing"]
+
+# Events a ring holds before the oldest is overwritten.
+_CAPACITY = 256
 
 
 class TraceRing:
     """Fixed-capacity ring buffer of structured trace events."""
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(
-                f"trace ring capacity must be positive, got {capacity}"
-            )
-        self.capacity = capacity
-        self._events: Deque[dict] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.capacity = _CAPACITY
+        self._events: Deque[dict] = deque(maxlen=_CAPACITY)
         self.emitted = 0  # lifetime count, including overwritten events
 
     def emit(self, kind: str, ts: float = 0.0, **fields) -> None:

@@ -24,12 +24,12 @@ from repro.sim.oracle import (
     DeliveryVerdict,
     OracleCounters,
 )
-from repro.sim.rng import RandomSource
 from repro.sim.runner import SimulationConfig, SimulationResult, run_simulation
 from repro.sim.workload import (
     PoissonWorkload,
     Workload,
 )
+from repro.util.rng import RandomSource
 
 __all__ = [
     "Simulator",

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.sim.oracle import DeliveryVerdict
-from repro.sim.rng import RandomSource
+from repro.util.rng import RandomSource
 
 __all__ = ["StreamingSummary", "AlertConfusion", "MetricSet"]
 

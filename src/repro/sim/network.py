@@ -22,7 +22,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.core.errors import ConfigurationError
-from repro.sim.rng import RandomSource
+from repro.util.rng import RandomSource
 
 __all__ = [
     "DelayModel",

@@ -53,8 +53,8 @@ from repro.sim.metrics import AlertConfusion, MetricSet
 from repro.sim.network import DelayModel, GaussianDelayModel
 from repro.sim.node import SimNode
 from repro.sim.oracle import CausalityOracle, OracleCounters
-from repro.sim.rng import RandomSource
 from repro.sim.workload import PoissonWorkload, Workload
+from repro.util.rng import RandomSource
 
 __all__ = [
     "NodeApplication",

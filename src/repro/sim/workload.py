@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 from typing import Hashable
 
 from repro.core.errors import ConfigurationError
-from repro.sim.rng import RandomSource
+from repro.util.rng import RandomSource
 
 __all__ = [
     "Workload",

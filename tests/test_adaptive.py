@@ -1,19 +1,25 @@
-"""Self-tuning (R, K): estimator, planner, controller, epoch bumps.
+"""Self-tuning (R, K): the X̂ read off the alert rate, the decision
+rule, the controller, epoch bumps.
 
-Unit tests drive the pure decision core (Little's-law estimator +
-band/hysteresis planner) on synthetic telemetry; the integration tests
-run real UDP nodes through a coordinator-proposed epoch bump and check
-the re-tiled geometry lands everywhere (clock, view, codec stamp,
-journal).  The crash/restart side of epochs lives in the churn
-scenario of ``test_net_membership.py``.
+Unit tests drive the pure pieces (the inverse of P_err, :func:`decide`)
+and the controller's windowing on a stand-in node whose detector
+counters they set; the live test runs the real controller in every
+member of a ``Group`` under virtual time and needs it to re-tile; the
+integration tests run real UDP nodes through a coordinator-proposed
+epoch bump and check the re-tiled geometry lands everywhere (clock,
+view, codec stamp, journal).  The crash/restart side of epochs lives in
+the churn scenario of ``test_net_membership.py``.
 """
 
 import asyncio
+import math
+from types import SimpleNamespace
 
 import pytest
 
 import repro.net.adaptive as adaptive_module
 import repro.net.membership as membership_module
+from benchmarks._common import poisson_sender
 from repro.api import (
     LivenessPolicy,
     MembershipConfig,
@@ -21,17 +27,14 @@ from repro.api import (
     RetransmitPolicy,
     create_node,
 )
+from repro.core.detector import DetectorStats
 from repro.core.errors import ConfigurationError, MembershipError
-from repro.core.theory import optimal_k_int, p_error
-from repro.net.adaptive import (
-    AdaptiveClockController,
-    AdaptivePolicy,
-    ConcurrencyEstimator,
-    EpochPlanner,
-    TelemetrySample,
-    TelemetryWindow,
-)
-from repro.sim.group import wait_for
+from repro.core.theory import concurrency_at_error, optimal_k_int, p_error
+from repro.net.adaptive import AdaptiveClockController, AdaptivePolicy, decide
+from repro.obs import MetricsRegistry, TraceRing
+from repro.sim.group import Group, wait_for
+from repro.sim.network import GaussianDelayModel
+from repro.sim.vtime import run_virtual
 
 
 @pytest.fixture(autouse=True)
@@ -40,20 +43,23 @@ def fast_views(monkeypatch):
     monkeypatch.setattr(membership_module, "_ANNOUNCE_INTERVAL", 0.1)
 
 
-def sample(now, delivered, wait_sum=0.0, wait_count=0, pending=0.0,
-           alerts=0.0, checks=0.0):
-    return TelemetrySample(
-        now=now, delivered_total=delivered, wait_sum=wait_sum,
-        wait_count=wait_count, pending_depth=pending,
-        alerts_total=alerts, checks_total=checks,
+def stand_in(r=128, k=12):
+    """What the controller reads of a node, with no traffic behind it:
+    set ``node.endpoint.detector.stats`` to make a window."""
+    return SimpleNamespace(
+        endpoint=SimpleNamespace(
+            detector=SimpleNamespace(stats=DetectorStats()),
+            clock=SimpleNamespace(r=r, k=k),
+        ),
+        metrics=MetricsRegistry(),
+        trace=TraceRing(),
+        membership=None,
     )
 
 
-def window(x_estimate, alert_rate, deliveries=1000.0):
-    return TelemetryWindow(
-        elapsed=10.0, deliveries=deliveries, delivery_rate=deliveries / 10.0,
-        mean_wait=0.01, x_estimate=x_estimate, alert_rate=alert_rate,
-    )
+def rate_at(x, r=128, k=12):
+    """The alert rate an (r, k) geometry reads at concurrency ``x``."""
+    return p_error(r, k, x)
 
 
 class TestAdaptivePolicy:
@@ -85,6 +91,16 @@ class TestAdaptivePolicy:
         with pytest.raises(ConfigurationError, match="needs membership"):
             NodeConfig(adaptive=AdaptivePolicy())
 
+    @pytest.mark.parametrize(
+        "changes", [dict(detector="refined"), dict(detector="none"),
+                    dict(scheme="plausible"), dict(scheme="bloom")],
+    )
+    def test_node_config_adaptive_requires_the_basic_probabilistic_pair(self, changes):
+        """Only Algorithm 4 on an (R, K) clock alerts on P_err's event."""
+        with pytest.raises(ConfigurationError, match="detector='basic'"):
+            NodeConfig(membership=MembershipConfig(), adaptive=AdaptivePolicy(),
+                       **changes)
+
     def test_node_config_validates_adaptive_knobs(self):
         """The controller is switched on by a policy object, which
         cannot exist invalid — a flag plus loose knobs is refused."""
@@ -94,128 +110,157 @@ class TestAdaptivePolicy:
             NodeConfig(membership=MembershipConfig(), adaptive_interval=0.0)
 
 
-class TestTelemetrySample:
-    def test_from_snapshot_uses_live_series_names(self):
-        snapshot = {
-            "counters": {
-                "repro_endpoint_delivered_total": 120.0,
-                "repro_detector_alerts_total": 3.0,
-                "repro_detector_checks_total": 120.0,
-            },
-            "gauges": {"repro_pending_depth": 4.0},
-            "histograms": {
-                "repro_delivery_wait_seconds": {
-                    "bounds": [0.1], "counts": [100, 0], "sum": 5.5,
-                    "count": 100,
-                }
-            },
-        }
-        reading = TelemetrySample.from_snapshot(snapshot, now=42.0)
-        assert reading.now == 42.0
-        assert reading.delivered_total == 120.0
-        assert reading.wait_sum == 5.5
-        assert reading.wait_count == 100
-        assert reading.pending_depth == 4.0
-        assert reading.alerts_total == 3.0
-        assert reading.checks_total == 120.0
-
-    def test_from_snapshot_tolerates_missing_series(self):
-        reading = TelemetrySample.from_snapshot({}, now=1.0)
-        assert reading.delivered_total == 0.0
-        assert reading.wait_count == 0
-
-
 class TestConcurrencyEstimator:
-    def test_first_sample_only_warms_up(self):
-        estimator = ConcurrencyEstimator(min_window=1)
-        assert estimator.update(sample(0.0, 10)) is None
+    """X̂ is the inverse of P_err at the window's alert rate."""
 
-    def test_littles_law_window(self):
-        estimator = ConcurrencyEstimator(min_window=1)
-        estimator.update(sample(0.0, 0))
-        w = estimator.update(
-            sample(10.0, 100, wait_sum=50.0, wait_count=100, pending=2.0,
-                   alerts=4.0, checks=100.0)
-        )
-        assert w.deliveries == 100
-        assert w.delivery_rate == pytest.approx(10.0)
-        assert w.mean_wait == pytest.approx(0.5)
-        # X̂ = rate x mean wait = 10/s x 0.5 s
-        assert w.x_estimate == pytest.approx(5.0)
-        assert w.alert_rate == pytest.approx(0.04)
+    @pytest.mark.parametrize("r, k", [(16, 8), (40, 4), (40, 12), (128, 3), (128, 1)])
+    @pytest.mark.parametrize("x", [0.05, 0.5, 2.0, 7.0, 25.0])
+    def test_inverse_round_trips_p_error(self, r, k, x):
+        assert concurrency_at_error(r, k, p_error(r, k, x)) == pytest.approx(x, rel=1e-6)
 
-    def test_pending_depth_floors_the_estimate(self):
-        estimator = ConcurrencyEstimator(min_window=1)
-        estimator.update(sample(0.0, 0))
-        w = estimator.update(sample(1.0, 5, pending=7.0))
-        assert w.x_estimate == pytest.approx(7.0)
+    def test_edge_rates(self):
+        assert concurrency_at_error(40, 4, 0.0) == 0.0
+        assert concurrency_at_error(40, 4, 1.0) == math.inf
+        assert concurrency_at_error(1, 1, 0.5) == math.inf
+        for bad in (-0.1, 1.1):
+            with pytest.raises(ConfigurationError):
+                concurrency_at_error(40, 4, bad)
 
     def test_thin_window_not_trusted(self):
-        estimator = ConcurrencyEstimator(min_window=50)
-        estimator.update(sample(0.0, 0))
-        assert estimator.update(sample(1.0, 10)) is None
+        """A window under ``min_window`` checks is not judged and keeps
+        accumulating: two thin intervals make one window."""
+        node = stand_in()
+        controller = AdaptiveClockController(node, AdaptivePolicy(min_window=50))
+        stats = node.endpoint.detector.stats
+        stats.checks, stats.alerts = 30, 3
+        assert controller.step(now=1.0) is None
+        assert controller.decisions == 0
+        stats.checks, stats.alerts = 60, 12
+        controller.step(now=2.0)
+        assert controller.decisions == 1
+        assert controller.alert_rate == pytest.approx(12 / 60)
+        assert controller.x_estimate == pytest.approx(concurrency_at_error(128, 12, 0.2))
 
-    def test_counter_reset_discards_window(self):
-        estimator = ConcurrencyEstimator(min_window=1)
-        estimator.update(sample(0.0, 1000))
-        assert estimator.update(sample(1.0, 50)) is None  # restarted node
-        # ...but the stream recovers on the next reading.
-        assert estimator.update(sample(2.0, 60)) is not None
+    def test_restored_counts_are_not_a_window(self):
+        """Counters a restarted node recovered from its journal predate
+        the controller: its first window starts at them."""
+        node = stand_in()
+        stats = node.endpoint.detector.stats
+        stats.checks, stats.alerts = 1000, 900
+        controller = AdaptiveClockController(node, AdaptivePolicy(min_window=10))
+        stats.checks += 100
+        controller.step(now=1.0)
+        assert controller.alert_rate == 0.0
+
+    def test_a_window_spanning_a_retile_is_dropped(self):
+        """Alerts of two geometries do not make one P_err: a window in
+        which K changed (a bump announced by the coordinator) is
+        dropped, and the next one starts at the new K."""
+        node = stand_in()
+        controller = AdaptiveClockController(node, AdaptivePolicy(min_window=10))
+        stats = node.endpoint.detector.stats
+        stats.checks, stats.alerts = 100, 50
+        node.endpoint.clock.k = 4
+        assert controller.step(now=1.0) is None
+        assert controller.decisions == 0
+        stats.checks, stats.alerts = 200, 60
+        controller.step(now=2.0)
+        assert controller.decisions == 1
+        assert controller.alert_rate == pytest.approx(0.1)
+        assert controller.x_estimate == pytest.approx(concurrency_at_error(128, 4, 0.1))
 
 
 class TestEpochPlanner:
-    def make(self, **overrides):
-        base = dict(band=(0.01, 0.05), cooldown=30.0, k_max=16)
-        base.update(overrides)
-        return EpochPlanner(128, AdaptivePolicy(**base))
+    """The rule of :func:`decide`: alert rate in, K (or hold) out."""
+
+    POLICY = AdaptivePolicy(band=(0.01, 0.05), cooldown=30.0, k_max=16)
 
     def test_holds_inside_the_band(self):
-        planner = self.make()
-        assert planner.decide(12, window(25.0, 0.03), now=0.0) is None
+        assert decide(self.POLICY, 128, 12, 0.03) is None
 
     def test_holds_without_a_window(self):
-        assert self.make().decide(12, None, now=0.0) is None
+        """No checks since the last decision: no verdict, no bump."""
+        controller = AdaptiveClockController(stand_in(), self.POLICY)
+        assert controller.step(now=1.0) is None
+        assert controller.decisions == 0
 
     def test_holds_below_the_concurrency_floor(self, monkeypatch):
         monkeypatch.setattr(adaptive_module, "_X_FLOOR", 1.0)
-        planner = self.make()
-        assert planner.decide(12, window(0.5, 0.9), now=0.0) is None
+        # Out of the band below it: X̂ = 0.5 reads an idle group.
+        assert rate_at(0.5) < self.POLICY.band[0]
+        assert decide(self.POLICY, 128, 12, rate_at(0.5)) is None
 
     def test_bumps_to_theory_optimum_outside_the_band(self):
-        planner = self.make()
-        target = planner.decide(12, window(25.0, 0.2), now=0.0)
+        target = decide(self.POLICY, 128, 12, rate_at(25.0))
         assert target == optimal_k_int(128, 25.0, k_max=16)
         # The move had to clear the hysteresis bar.
         assert p_error(128, target, 25.0) < 0.8 * p_error(128, 12, 25.0)
 
     def test_k_max_caps_the_target(self):
-        planner = self.make(k_max=2)
-        target = planner.decide(12, window(25.0, 0.2), now=0.0)
-        assert target is None or target <= 2
+        # Quiet traffic wants more entries than k_max allows.
+        assert optimal_k_int(128, 2.0) > 16
+        policy = AdaptivePolicy(band=(0.0, 0.005), k_max=16)
+        assert decide(policy, 128, 1, rate_at(2.0, k=1)) == 16
+        policy = AdaptivePolicy(band=(0.01, 0.05), k_max=2)
+        assert decide(policy, 128, 12, rate_at(25.0)) == 2
 
     def test_holds_when_already_optimal(self):
-        planner = self.make()
         best = optimal_k_int(128, 25.0, k_max=16)
-        assert planner.decide(best, window(25.0, 0.2), now=0.0) is None
+        assert decide(self.POLICY, 128, best, rate_at(25.0, k=best)) is None
 
     def test_hysteresis_vetoes_flat_moves(self, monkeypatch):
         best = optimal_k_int(128, 25.0, k_max=16)
         neighbour = best + 1
         ratio = p_error(128, best, 25.0) / p_error(128, neighbour, 25.0)
         assert ratio > 0.5  # P_err is nearly flat around the optimum
-        planner = self.make()
+        rate = rate_at(25.0, k=neighbour)
         monkeypatch.setattr(adaptive_module, "_HYSTERESIS", 0.5)
-        assert planner.decide(neighbour, window(25.0, 0.2), now=0.0) is None
+        assert decide(self.POLICY, 128, neighbour, rate) is None
         # With the guard off, the same move is taken.
         monkeypatch.setattr(adaptive_module, "_HYSTERESIS", 1.0)
-        assert planner.decide(neighbour, window(25.0, 0.2), now=0.0) == best
+        assert decide(self.POLICY, 128, neighbour, rate) == best
 
     def test_cooldown_spaces_bumps(self):
-        planner = self.make(cooldown=30.0)
-        assert planner.decide(12, window(25.0, 0.2), now=0.0) is not None
-        planner.record_bump(0.0)
-        assert planner.decide(12, window(25.0, 0.2), now=10.0) is None
-        assert planner.decide(12, window(25.0, 0.2), now=31.0) is not None
+        rate = rate_at(25.0)
+        assert decide(self.POLICY, 128, 12, rate) is not None
+        assert decide(self.POLICY, 128, 12, rate, since_bump=10.0) is None
+        assert decide(self.POLICY, 128, 12, rate, since_bump=31.0) is not None
+
+
+def test_a_live_group_outgrowing_its_geometry_retiles_to_a_smaller_k():
+    """8 members at R = 16, K = 8 under X ≈ 6 of Poisson traffic on the
+    §5.4 delays: theory wants K = 2-3, the alert rate sits far above the
+    5 % band, and the coordinator's controller — reading nothing but
+    its own detector — must re-tile the group to a smaller K."""
+    n, r, k, x, seed = 8, 16, 8, 6.0, 1
+
+    def config_of(name):
+        return NodeConfig(
+            r=r, k=k,
+            membership=MembershipConfig(seed_peers=() if name == "n0" else ("n0",)),
+            adaptive=AdaptivePolicy(interval=1.0, band=(0.0, 0.05), cooldown=0.0),
+        )
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        group = await Group.start(n, config_of, seed, 0.0,
+                                  GaussianDelayModel(100.0, 20.0, 20.0))
+        async with group:
+            rate = x / ((n - 1) * 0.1)  # per node: X = (n - 1) · rate · 100 ms
+            until = loop.time() + 6.0
+            await asyncio.gather(*(
+                poisson_sender(group, node, rate, until, seed) for node in group.nodes
+            ))
+            return (group.nodes[0].trace.events("adaptive_bump"),
+                    [node.endpoint.clock.k for node in group.nodes])
+
+    bumps, ks = run_virtual(scenario())
+    assert bumps, "the controller never re-tiled"
+    first = bumps[0]
+    assert first["k"] < k and first["alert_rate"] > 0.05
+    # X̂ read off the alert rate lands near the offered X, not near 0.
+    assert 2.0 < first["x"] < 12.0
+    assert ks == [bumps[-1]["k"]] * n
 
 
 def quick_config(seed_peers=(), **overrides):
@@ -336,15 +381,15 @@ class TestController:
                 ),
             )
             controller = node.adaptive
-            # Synthesize an out-of-band window instead of generating
-            # minutes of traffic: the actuator path (planner ->
+            # Count an out-of-band window into the detector instead of
+            # generating minutes of traffic: the actuator path (rule ->
             # membership -> epoch install -> codec stamp) is the thing
             # under test here.
-            target = controller.planner.decide(
-                node.endpoint.clock.k, window(25.0, 0.2), now=10.0
-            )
-            assert target is not None
-            controller.estimator.update = lambda reading: window(25.0, 0.2)
+            stats = node.endpoint.detector.stats
+            stats.checks += 100
+            stats.alerts += 60
+            target = decide(controller.policy, 64, 8, 0.6)
+            assert target is not None and target < 8
             proposed = controller.step(now=20.0)
             assert proposed == target
             assert node.membership.epoch == 1
@@ -386,8 +431,11 @@ class TestController:
                 if follower.adaptive is not None
                 else AdaptiveClockController(follower)
             )
-            controller.estimator.update = lambda reading: window(25.0, 0.2)
+            stats = follower.endpoint.detector.stats
+            stats.checks += 100
+            stats.alerts += 60
             assert controller.step(now=10.0) is None
+            assert controller.k_target < 8  # it judged, and held
             assert follower.membership.epoch == 0
             await b.close()
             await a.close()

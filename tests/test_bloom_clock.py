@@ -11,6 +11,7 @@ variation, causal delivery through the standard endpoint, and the
 
 import pytest
 
+import repro.core.clocks as clocks_module
 from repro.core.clocks import BloomCausalClock
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import CausalBroadcastEndpoint
@@ -36,10 +37,11 @@ class TestKeyDerivation:
         b = BloomCausalClock(64, hashes=4, owner="bob")
         assert a.prepare_send().sender_keys != b.prepare_send().sender_keys
 
-    def test_salt_shifts_the_family(self):
-        a = BloomCausalClock(64, hashes=4, owner="alice", salt=0)
-        b = BloomCausalClock(64, hashes=4, owner="alice", salt=1)
-        assert a.prepare_send().sender_keys != b.prepare_send().sender_keys
+    def test_salt_shifts_the_family(self, monkeypatch):
+        unsalted = BloomCausalClock(64, hashes=4, owner="alice").prepare_send()
+        monkeypatch.setattr(clocks_module, "_BLOOM_SALT", 1)
+        salted = BloomCausalClock(64, hashes=4, owner="alice").prepare_send()
+        assert unsalted.sender_keys != salted.sender_keys
 
     def test_exactly_h_distinct_sorted_cells(self):
         clock = BloomCausalClock(32, hashes=5, owner="alice")

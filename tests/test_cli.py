@@ -226,6 +226,8 @@ class TestNodeCommand:
              "quarantine_after"),
             (["node", "--k", "200"], "K <= R"),
             (["simulate", "--k", "500", "--r", "10"], "K <= R"),
+            (["node", "--adaptive", "--bootstrap", "--detector", "refined"],
+             "detector='basic'"),
         ],
     )
     def test_rejected_configuration_is_a_usage_error(self, capsys, argv, message):

@@ -111,17 +111,6 @@ class TestRefinedAlertDetector:
             detector.on_delivered(ts([seq, 0], (0,), seq=seq + 1), now=float(seq))
         assert detector.recent_size == 3
 
-    def test_strict_mode_needs_strictly_greater(self):
-        strict = RefinedAlertDetector(max_entries=8, strict_domination=True)
-        lenient = RefinedAlertDetector(max_entries=8)
-        witness = ts([1, 4, 2, 0], (2,))
-        for detector in (strict, lenient):
-            detector.on_delivered(witness, now=0.0)
-        clock = clock_with([1, 4, 2, 0])  # equality, not strictly greater
-        message = ts([1, 4, 2, 0], (0, 1))
-        assert lenient.check(clock, message) is True
-        assert strict.check(clock, message) is False
-
     def test_refined_alerts_subset_of_basic(self):
         # On identical inputs, every refined alert is also a basic alert
         # (the refinement only removes alerts).

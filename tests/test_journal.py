@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+import repro.net.journal as journal_module
 from repro.api import NodeConfig, RetransmitPolicy, create_node
 from repro.core.errors import ConfigurationError
 from repro.net.journal import NodeJournal
@@ -85,8 +86,9 @@ class TestWalReplay:
             with pytest.raises(ConfigurationError):
                 make_journal(tmp_path, **wrong).open()
 
-    def test_lease_blocks_amortise_wal_writes(self, tmp_path):
-        journal = make_journal(tmp_path, seq_lease=10)
+    def test_lease_blocks_amortise_wal_writes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal_module, "_SEQ_LEASE", 10)
+        journal = make_journal(tmp_path)
         journal.open()
         for seq in range(1, 25):
             journal.ensure_lease("peer", seq)
@@ -96,7 +98,7 @@ class TestWalReplay:
         # 24 seqs at a 10-seq lease granularity: 3 lease records, and the
         # last block covers every seq that was used.
         assert len(leases) == 3
-        restarted = make_journal(tmp_path, seq_lease=10)
+        restarted = make_journal(tmp_path)
         assert restarted.open().links["peer"].tx_next > 24
         restarted.close()
 
@@ -157,8 +159,9 @@ class TestSnapshots:
     def test_invalid_intervals_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             make_journal(tmp_path, snapshot_interval=0)
-        with pytest.raises(ConfigurationError):
-            make_journal(tmp_path, seq_lease=0)
+        # The lease block is a module constant: naming it is a TypeError.
+        with pytest.raises(TypeError):
+            make_journal(tmp_path, seq_lease=10)
 
 
 @pytest.fixture

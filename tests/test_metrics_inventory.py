@@ -1,8 +1,7 @@
 """The series every metrics export carries, by name.
 
 Series names are an interface: the JSONL files, ``repro stats``,
-dashboards, ``benchmarks/check_alert_sanity.py`` and the adaptive
-controller's ``TelemetrySample`` all read them.  Each scenario below
+dashboards and ``benchmarks/check_alert_sanity.py`` all read them.  Each scenario below
 runs under virtual time and lists, literally, the counters, gauges and
 histograms every one of its nodes (or the simulation run) exports, so a
 rename or a dropped series fails here first.

@@ -12,6 +12,7 @@ import logging
 
 import pytest
 
+import repro.obs.trace as trace_module
 from repro.core.errors import ConfigurationError
 from repro.obs import (
     Histogram,
@@ -251,8 +252,9 @@ class TestJsonlExporter:
 
 
 class TestTraceRing:
-    def test_ring_keeps_newest_and_counts_lifetime(self):
-        ring = TraceRing(capacity=3)
+    def test_ring_keeps_newest_and_counts_lifetime(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "_CAPACITY", 3)
+        ring = TraceRing()
         for i in range(5):
             ring.emit("alert", ts=float(i), seq=i)
         assert len(ring) == 3
