@@ -53,8 +53,6 @@ from repro.core import (
     RefinedAlertDetector,
     Timestamp,
     VectorCausalClock,
-    clock_schemes,
-    detector_names,
     optimal_k,
     p_error,
     p_fp,
@@ -89,9 +87,6 @@ __all__ = [
     "p_error",
     "p_fp",
     "optimal_k",
-    # the scheme and detector tables (see DESIGN.md §9)
-    "clock_schemes",
-    "detector_names",
     # simulation entry points
     "SimulationConfig",
     "SimulationResult",

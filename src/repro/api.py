@@ -26,15 +26,12 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Sequence, Tuple
 
-from repro.core.clocks import EntryVectorClock
-from repro.core.codec import MessageCodec
-from repro.core.detector import DeliveryErrorDetector
+from repro.core.clocks import EntryVectorClock, scheme_class
+from repro.core.detector import DeliveryErrorDetector, detector_class
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import HashKeyAssigner, KeyAssigner
 from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord
-from repro.core.registry import ClockBuildContext, get_clock_spec, get_detector_spec
 from repro.net.adaptive import AdaptiveClockController, AdaptivePolicy
-from repro.net.journal import NodeJournal
 from repro.net.membership import GroupMembership, MembershipConfig
 from repro.net.node import ReliableCausalNode
 from repro.net.overlay import PartialView
@@ -77,8 +74,6 @@ class NodeConfig:
             (Algorithm 4) | ``refined`` (Algorithm 5).
         keys: explicit key set (overrides the hash-derived assignment):
             distinct entries in ``[0, r)``.
-        keyspace_seed: salts the coordination-free hash key assignment,
-            so disjoint deployments draw independent key sets.
         detector_window: ``detector="refined"`` only — retain delivered
             messages in the recent list L for this many seconds (the
             paper recommends the order of the propagation time);
@@ -98,7 +93,6 @@ class NodeConfig:
         retransmit: the reliable session's first retransmit timeout;
             see :class:`~repro.net.session.RetransmitPolicy`.
         anti_entropy_interval: seconds between digest rounds (0 disables).
-        max_pending: optional safety bound on the endpoint's pending queue.
 
     Dissemination (used by :func:`create_node`):
 
@@ -163,7 +157,6 @@ class NodeConfig:
     n: Optional[int] = None
     detector: str = "basic"
     keys: Optional[Tuple[int, ...]] = None
-    keyspace_seed: int = 0
     detector_window: Optional[float] = None
     host: str = "127.0.0.1"
     port: int = 0
@@ -171,7 +164,6 @@ class NodeConfig:
     tx_batch: int = 32
     retransmit: RetransmitPolicy = RetransmitPolicy()
     anti_entropy_interval: float = 0.5
-    max_pending: Optional[int] = None
     dissemination: str = "mesh"
     fanout: int = 3
     view_size: int = 12
@@ -189,8 +181,8 @@ class NodeConfig:
         # Unknown scheme / detector strings raise listing the valid
         # names (never a silent fallback — a typo like "basci" must not
         # pick a detector).
-        spec = get_clock_spec(self.scheme)
-        get_detector_spec(self.detector)
+        family = scheme_class(self.scheme)
+        detector_class(self.detector)
         if self.dissemination not in DISSEMINATION_MODES:
             raise ConfigurationError(
                 f"unknown dissemination {self.dissemination!r}; "
@@ -203,22 +195,22 @@ class NodeConfig:
             raise ConfigurationError(f"rx_batch must be positive, got {self.rx_batch}")
         if self.tx_batch <= 0:
             raise ConfigurationError(f"tx_batch must be positive, got {self.tx_batch}")
-        if spec.needs_dense_index and self.n is None:
+        if family.needs_dense_index and self.n is None:
             raise ConfigurationError(
                 f"scheme={self.scheme!r} needs n (the system size)"
             )
         if self.r <= 0:
             raise ConfigurationError(f"vector size R must be positive, got {self.r}")
-        if self.keys is not None and spec.needs_key_assignment:
+        if self.keys is not None and family.needs_key_assignment:
             # The clock owns the key-set rules (distinct, in [0, r), one
             # entry for a fixed-K scheme): build one.
             create_clock("__validate__", self)
-            if spec.fixed_k is None:
+            if family.fixed_k is None:
                 # One K: the clock is built from the keys, so k follows.
                 object.__setattr__(self, "k", len(self.keys))
         if self.k <= 0:
             raise ConfigurationError(f"key count K must be positive, got {self.k}")
-        if spec.fixed_k is None and spec.fixed_r is None and self.k > self.r:
+        if family.fixed_k is None and family.fixed_r is None and self.k > self.r:
             raise ConfigurationError(f"need K <= R, got K={self.k}, R={self.r}")
         if self.anti_entropy_interval < 0:
             raise ConfigurationError(
@@ -281,17 +273,6 @@ class NodeConfig:
         )
 
 
-def _hash_keys(node_id: Hashable, config: NodeConfig, k: int) -> Tuple[int, ...]:
-    """Coordination-free key assignment: stable per (seed, node id).
-
-    Uses :class:`HashKeyAssigner` so a node leaving and rejoining gets
-    the same keys without any shared assigner state — the right default
-    for networked nodes that cannot consult a central allocator.
-    """
-    assigner = HashKeyAssigner(config.r, k)
-    return assigner.assign((config.keyspace_seed, node_id)).keys
-
-
 def create_clock(
     node_id: Hashable,
     config: NodeConfig,
@@ -301,9 +282,12 @@ def create_clock(
 ) -> EntryVectorClock:
     """Build the configured clock-family member for ``node_id``.
 
-    Resolves the scheme through :mod:`repro.core.registry` and fills a
-    :class:`~repro.core.registry.ClockBuildContext` with what the spec's
-    capability descriptors declare it needs.
+    Resolves the scheme through :data:`repro.core.clocks.SCHEMES` and
+    hands the family's ``build`` what its class attributes declare it
+    needs.  Without ``keys`` or an ``assigner`` the key set is
+    coordination-free: :class:`HashKeyAssigner` over ``(0, node_id)``,
+    so a node leaving and rejoining gets the same keys without any
+    shared assigner state.
 
     Args:
         node_id: the process identity (drives hash key assignment).
@@ -313,24 +297,19 @@ def create_clock(
             ``assigner.assign(node_id)`` replaces the hash assignment
             (key-assignment schemes only).
     """
-    spec = get_clock_spec(config.scheme)
+    family = scheme_class(config.scheme)
+    k = family.fixed_k or config.k
     keys: Sequence[int] = ()
-    if spec.needs_key_assignment:
+    if family.needs_key_assignment:
         if config.keys is not None:
             keys = config.keys
         elif assigner is not None:
             keys = assigner.assign(node_id).keys
         else:
-            keys = _hash_keys(node_id, config, spec.fixed_k or config.k)
-    context = ClockBuildContext(
-        node_id=node_id,
-        r=config.r,
-        k=spec.fixed_k or config.k,
-        n=config.n,
-        index=index,
-        keys=tuple(int(key) for key in keys),
+            keys = HashKeyAssigner(config.r, k).assign((0, node_id)).keys
+    return family.build(
+        node_id, config.r, k, tuple(int(key) for key in keys), config.n, index
     )
-    return spec.factory(context)
 
 
 def create_detector(config: NodeConfig) -> DeliveryErrorDetector:
@@ -339,7 +318,7 @@ def create_detector(config: NodeConfig) -> DeliveryErrorDetector:
     An unrecognized name raises :class:`ConfigurationError` listing the
     valid detectors.
     """
-    return get_detector_spec(config.detector).build(window=config.detector_window)
+    return detector_class(config.detector).build(window=config.detector_window)
 
 
 def create_endpoint(
@@ -362,7 +341,6 @@ def create_endpoint(
         clock=create_clock(node_id, config, index=index, assigner=assigner),
         detector=create_detector(config),
         deliver_callback=on_delivery,
-        max_pending=config.max_pending,
     )
 
 
@@ -391,7 +369,6 @@ async def create_node(
             returning (pass False to start manually later).
     """
     config = config if config is not None else NodeConfig()
-    spec = get_clock_spec(config.scheme)
     if transport is None:
         transport = await BatchedUdpTransport.create(
             host=config.host,
@@ -400,41 +377,7 @@ async def create_node(
             tx_batch=config.tx_batch,
         )
     clock = create_clock(node_id, config, index=index, assigner=assigner)
-    journal = None
-    if config.data_dir is not None:
-        journal = NodeJournal(
-            data_dir=config.data_dir,
-            node_id=node_id,
-            r=clock.r,
-            own_keys=clock.own_keys,
-            snapshot_interval=config.journal_snapshot_interval,
-            fsync=config.journal_fsync,
-        )
-    node = ReliableCausalNode(
-        node_id=node_id,
-        clock=clock,
-        transport=transport,
-        detector=create_detector(config),
-        codec=MessageCodec(scheme=config.scheme),
-        on_delivery=on_delivery,
-        policy=config.retransmit,
-        anti_entropy_interval=config.anti_entropy_interval,
-        max_pending=config.max_pending,
-        journal=journal,
-        liveness=config.liveness,
-        overlay=(
-            config.build_overlay(node_id)
-            if config.dissemination == "overlay"
-            else None
-        ),
-        # A delta carries no keys (the receiver takes them from the
-        # full it names), so schemes that draw keys per message (bloom)
-        # always send the full encoding.
-        wire_delta=not spec.per_message_keys,
-        metrics_path=config.metrics_path,
-        metrics_interval=config.metrics_interval,
-        metrics_port=config.metrics_port,
-    )
+    node = ReliableCausalNode(node_id, config, clock, transport, on_delivery)
     if config.membership is not None:
         GroupMembership(node, config.membership, assigner=assigner)
     if config.adaptive is not None:

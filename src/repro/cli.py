@@ -15,8 +15,9 @@ Seven subcommands cover the common workflows without writing code:
   capability descriptors.
 
 The ``--clock``/``--detector`` choices are read from
-:mod:`repro.core.registry` and the ``node`` flag defaults from the
-config dataclasses, so neither is typed a second time here.
+:data:`repro.core.clocks.SCHEMES` and :data:`repro.core.detector.DETECTORS`
+and the ``node`` flag defaults from the config dataclasses, so neither
+is typed a second time here.
 
 Every command prints plain text; ``simulate --json`` emits a
 machine-readable result instead.  A configuration the library rejects
@@ -41,13 +42,9 @@ from repro.api import (
     NodeConfig,
     create_node,
 )
+from repro.core.clocks import SCHEMES
+from repro.core.detector import DETECTORS
 from repro.core.errors import ConfigurationError, MembershipError
-from repro.core.registry import (
-    clock_schemes,
-    detector_names,
-    get_clock_spec,
-    get_detector_spec,
-)
 from repro.analysis.sweep import SweepPoint, sweep_parameter
 from repro.analysis.tables import render_table
 from repro.core.theory import (
@@ -126,10 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--r", type=int, default=NodeConfig.r)
     node.add_argument("--k", type=int, default=NodeConfig.k)
     node.add_argument(
-        "--clock", choices=clock_schemes(), default=NodeConfig.scheme
+        "--clock", choices=tuple(SCHEMES), default=NodeConfig.scheme
     )
     node.add_argument(
-        "--detector", choices=detector_names(), default=NodeConfig.detector
+        "--detector", choices=tuple(DETECTORS), default=NodeConfig.detector
     )
     node.add_argument(
         "--send", default="hello", help="payload prefix for the broadcasts"
@@ -273,7 +270,7 @@ def _add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--r", type=int, default=100)
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument(
-        "--clock", choices=clock_schemes(), default="probabilistic"
+        "--clock", choices=tuple(SCHEMES), default="probabilistic"
     )
     parser.add_argument(
         "--assigner",
@@ -290,7 +287,7 @@ def _add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delay-std-ms", type=float, default=20.0)
     parser.add_argument("--skew-std-ms", type=float, default=20.0)
     parser.add_argument(
-        "--detector", choices=detector_names(), default="basic"
+        "--detector", choices=tuple(DETECTORS), default="basic"
     )
     parser.add_argument("--seed", type=int, default=0)
 
@@ -431,7 +428,7 @@ def _command_node(args: argparse.Namespace) -> int:
         adaptive = AdaptivePolicy(
             interval=args.adaptive_interval, band=(low, high), k_max=args.adaptive_k_max
         )
-    dense = get_clock_spec(args.clock).needs_dense_index
+    dense = SCHEMES[args.clock].needs_dense_index
     config = NodeConfig(
         r=args.r,
         k=args.k,
@@ -610,35 +607,31 @@ def _command_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_engines(args: argparse.Namespace) -> int:
-    def flags(capabilities: dict) -> str:
-        on = [name for name, value in sorted(capabilities.items())
-              if value is True]
-        return ", ".join(on) if on else "-"
+def _summary(cls: type) -> str:
+    """The first line of a class docstring, without reST markup."""
+    return cls.__doc__.strip().splitlines()[0].replace("``", "")
 
+
+def _command_engines(args: argparse.Namespace) -> int:
     clock_rows = []
-    for name in clock_schemes():
-        spec = get_clock_spec(name)
-        caps = spec.capabilities()
+    for name, family in SCHEMES.items():
+        flags = [flag for flag in
+                 ("needs_dense_index", "needs_key_assignment", "per_message_keys")
+                 if getattr(family, flag)]
         clock_rows.append([
             name,
-            caps["wire_scheme_id"],
-            caps["fixed_r"] if caps["fixed_r"] is not None else "free",
-            caps["fixed_k"] if caps["fixed_k"] is not None else "free",
-            flags({key: caps[key] for key in
-                   ("needs_dense_index", "needs_key_assignment",
-                    "per_message_keys")}),
-            spec.description,
+            family.wire_scheme_id,
+            family.fixed_r if family.fixed_r is not None else "free",
+            family.fixed_k if family.fixed_k is not None else "free",
+            ", ".join(flags) or "-",
+            _summary(family),
         ])
     print(render_table(
         ["clock", "wire id", "R", "K", "capabilities", "description"],
         clock_rows, title="clock schemes",
     ))
 
-    detector_rows = [
-        [name, get_detector_spec(name).description]
-        for name in detector_names()
-    ]
+    detector_rows = [[name, _summary(kind)] for name, kind in DETECTORS.items()]
     print(render_table(
         ["detector", "description"],
         detector_rows, title="detectors",

@@ -53,17 +53,6 @@ from repro.core.protocol import (
     EndpointStats,
     Message,
 )
-from repro.core.registry import (
-    ClockBuildContext,
-    ClockSpec,
-    DetectorSpec,
-    clock_schemes,
-    detector_names,
-    get_clock_spec,
-    get_detector_spec,
-    scheme_id_of,
-    scheme_name_of,
-)
 from repro.core.theory import (
     expected_concurrency,
     optimal_k,
@@ -106,16 +95,6 @@ __all__ = [
     "DeliveryRecord",
     "EndpointStats",
     "CausalBroadcastEndpoint",
-    # scheme and detector tables
-    "ClockBuildContext",
-    "ClockSpec",
-    "DetectorSpec",
-    "get_clock_spec",
-    "get_detector_spec",
-    "clock_schemes",
-    "detector_names",
-    "scheme_id_of",
-    "scheme_name_of",
     # detectors
     "DeliveryErrorDetector",
     "NullDetector",

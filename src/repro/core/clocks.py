@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -47,13 +47,14 @@ __all__ = [
     "LamportCausalClock",
     "VectorCausalClock",
     "BloomCausalClock",
+    "SCHEMES",
+    "scheme_class",
 ]
 
 ProcessId = Hashable
 
 # Leads every Bloom-clock key preimage: a deployment that wants a key
-# family disjoint from another's changes it (as ``keyspace_seed`` does
-# for hashed (R, K) key sets).
+# family disjoint from another's changes it.
 _BLOOM_SALT = 0
 
 
@@ -148,7 +149,31 @@ class EntryVectorClock:
         r: vector size (the paper's ``R``).
         own_keys: this process's entry set ``f(p_i)``; ascending iterable
             of ints in ``[0, R)``.
+
+    A family in :data:`SCHEMES` declares what it pins and needs as class
+    attributes, which the assembly layers read instead of matching on
+    scheme names (DESIGN.md §9):
+
+    * ``wire_scheme_id`` — the codec's scheme byte; every encoded
+      timestamp carries it, so mixed-family traffic fails at decode
+      instead of mis-applying a delivery condition;
+    * ``fixed_k`` / ``fixed_r`` — K or R pinned by the family (``None``:
+      a free parameter, or R = N for a dense-index family);
+    * ``needs_dense_index`` — :meth:`build` needs ``index`` and ``n``
+      (static dense membership);
+    * ``needs_key_assignment`` — :meth:`build` consumes ``keys`` from a
+      keyspace assignment (the (R, K) family's ``f(p_i)``);
+    * ``per_message_keys`` — a fresh key set per send, so a receiver
+      cannot take a delta's keys from its reference: such a family
+      always sends the full encoding.
     """
+
+    wire_scheme_id = 0
+    fixed_k: Optional[int] = None
+    fixed_r: Optional[int] = None
+    needs_dense_index = False
+    needs_key_assignment = False
+    per_message_keys = False
 
     def __init__(self, r: int, own_keys: Sequence[int]) -> None:
         if r <= 0:
@@ -169,6 +194,20 @@ class EntryVectorClock:
         # so the comparison result must not allocate each time.
         self._compare_buffer = np.empty(r, dtype=bool)
         self._send_seq = 0
+
+    @classmethod
+    def build(
+        cls,
+        node_id: ProcessId,
+        r: int,
+        k: int,
+        keys: Tuple[int, ...],
+        n: Optional[int],
+        index: Optional[int],
+    ) -> "EntryVectorClock":
+        """This family's member for one process; the assembly layers
+        fill what the class attributes declare it needs."""
+        return cls(r, keys)
 
     # ------------------------------------------------------------------
     # introspection
@@ -358,6 +397,9 @@ class ProbabilisticCausalClock(EntryVectorClock):
     the paper shows the optimum lies).
     """
 
+    wire_scheme_id = 1
+    needs_key_assignment = True
+
     def __init__(self, r: int, own_keys: Sequence[int]) -> None:
         super().__init__(r, own_keys)
         if not 1 <= self.k <= r:
@@ -371,8 +413,20 @@ class PlausibleCausalClock(EntryVectorClock):
     entry.  Equivalent to the paper's scheme with ``K = 1``.
     """
 
+    wire_scheme_id = 2
+    fixed_k = 1
+    needs_key_assignment = True
+
     def __init__(self, r: int, own_entry: int) -> None:
         super().__init__(r, (own_entry,))
+
+    @classmethod
+    def build(cls, node_id, r, k, keys, n, index):
+        if len(keys) != 1:
+            raise ConfigurationError(
+                f'scheme="plausible" owns exactly one entry, got {tuple(keys)}'
+            )
+        return cls(r, keys[0])
 
 
 class LamportCausalClock(EntryVectorClock):
@@ -384,8 +438,16 @@ class LamportCausalClock(EntryVectorClock):
     reaches ``t - 1``).  Included as the extreme baseline the paper cites.
     """
 
+    wire_scheme_id = 3
+    fixed_k = 1
+    fixed_r = 1
+
     def __init__(self) -> None:
         super().__init__(1, (0,))
+
+    @classmethod
+    def build(cls, node_id, r, k, keys, n, index):
+        return cls()
 
 
 class VectorCausalClock(EntryVectorClock):
@@ -397,10 +459,22 @@ class VectorCausalClock(EntryVectorClock):
     indices.
     """
 
+    wire_scheme_id = 4
+    fixed_k = 1
+    needs_dense_index = True
+
     def __init__(self, n: int, own_index: int) -> None:
         if not 0 <= own_index < n:
             raise ConfigurationError(f"own index {own_index} outside [0, {n})")
         super().__init__(n, (own_index,))
+
+    @classmethod
+    def build(cls, node_id, r, k, keys, n, index):
+        if index is None:
+            raise ConfigurationError(
+                'scheme="vector" needs index= (this node\'s dense process index)'
+            )
+        return cls(n if n is not None else r, index)
 
 
 class BloomCausalClock(EntryVectorClock):
@@ -423,7 +497,7 @@ class BloomCausalClock(EntryVectorClock):
     consecutive messages of one sender (a covered entry no longer stays
     covered for that sender's whole stream), at the cost of shipping a
     fresh key list on every message and losing the static-key delta wire
-    encoding (see ``per_message_keys`` in :mod:`repro.core.registry`).
+    encoding (``per_message_keys``).
 
     Args:
         m: vector size (number of Bloom counters; the family's ``R``).
@@ -431,6 +505,9 @@ class BloomCausalClock(EntryVectorClock):
         owner: this process's identity — part of the hash preimage, so
             two processes never share an event's key set by accident.
     """
+
+    wire_scheme_id = 5
+    per_message_keys = True
 
     def __init__(
         self, m: int, hashes: int = 4, owner: ProcessId = ""
@@ -443,6 +520,10 @@ class BloomCausalClock(EntryVectorClock):
         self._owner_token = repr(owner)
         self._m = m  # needed by _event_keys before the base class sets _r
         super().__init__(m, self._event_keys(1))
+
+    @classmethod
+    def build(cls, node_id, r, k, keys, n, index):
+        return cls(r, hashes=k, owner=node_id)
 
     @property
     def hashes(self) -> int:
@@ -470,3 +551,24 @@ class BloomCausalClock(EntryVectorClock):
         """Algorithm 1 with a per-event key set: re-draw ``f`` then stamp."""
         self.rekey(self._event_keys(self._send_seq + 1))
         return super().prepare_send()
+
+
+# Name -> family; a new family takes the next wire id upward from 6
+# (DESIGN.md §9).
+SCHEMES: Dict[str, Type[EntryVectorClock]] = {
+    "probabilistic": ProbabilisticCausalClock,
+    "plausible": PlausibleCausalClock,
+    "lamport": LamportCausalClock,
+    "vector": VectorCausalClock,
+    "bloom": BloomCausalClock,
+}
+
+
+def scheme_class(name: str) -> Type[EntryVectorClock]:
+    """The family configured as ``name`` (raises listing the valid names)."""
+    try:
+        return SCHEMES[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown clock scheme {name!r}; expected one of {tuple(SCHEMES)}"
+        ) from None

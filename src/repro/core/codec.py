@@ -11,8 +11,8 @@ Layout (little-endian)::
     flags   1B  bit0: entries are LEB128 varints (always set)
                 bit1: DELTA encoding (see below)
                 bit2: a DELTA's changed entries as a bitmap
-    scheme  1B  clock-scheme id (repro.core.registry allocation): the
-                clock family that produced the timestamp.  Decoding
+    scheme  1B  clock-scheme id (the family class's ``wire_scheme_id``):
+                the clock family that produced the timestamp.  Decoding
                 checks it against the codec's configured scheme, so
                 timestamps of different families — which share the
                 vector shape but not the delivery semantics — fail
@@ -93,10 +93,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.clocks import Timestamp
+from repro.core.clocks import SCHEMES, Timestamp, scheme_class
 from repro.core.errors import ReproError
 from repro.core.protocol import Message
-from repro.core.registry import scheme_id_of, scheme_name_of
 
 __all__ = [
     "CodecError",
@@ -324,8 +323,9 @@ class MessageCodec:
 
     Args:
         scheme: the clock scheme whose timestamps this codec carries
-            (a name registered in :mod:`repro.core.registry`).  Its wire
-            id is stamped into every encoding and checked on decode.
+            (a name in :data:`repro.core.clocks.SCHEMES`).  Its class's
+            ``wire_scheme_id`` is stamped into every encoding and checked
+            on decode.
         epoch: the clock-sizing epoch this codec currently encodes; one
             byte of a full form (mod 256) next to the scheme id, which a
             delta leaves to its chain's full form.  Unlike the scheme, a
@@ -343,14 +343,9 @@ class MessageCodec:
     ) -> None:
         self._payload_codec = JsonPayloadCodec()
         self._scheme = scheme
-        self._scheme_id = scheme_id_of(scheme)
+        self._scheme_id = scheme_class(scheme).wire_scheme_id
         self.epoch = epoch
         self.counters = CodecCounters()
-
-    @property
-    def scheme(self) -> str:
-        """The clock scheme this codec encodes and accepts."""
-        return self._scheme
 
     @property
     def epoch(self) -> int:
@@ -365,8 +360,9 @@ class MessageCodec:
 
     def _check_scheme(self, scheme_id: int) -> None:
         if scheme_id != self._scheme_id:
-            carried = scheme_name_of(scheme_id)
-            label = repr(carried) if carried is not None else f"id {scheme_id}"
+            carried = [name for name, family in SCHEMES.items()
+                       if family.wire_scheme_id == scheme_id]
+            label = repr(carried[0]) if carried else f"id {scheme_id}"
             raise CodecError(
                 f"message timestamp belongs to clock scheme {label}; "
                 f"this codec decodes {self._scheme!r}"

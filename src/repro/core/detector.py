@@ -31,7 +31,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, Dict, Optional, Type
 
 import numpy as np
 
@@ -44,6 +44,8 @@ __all__ = [
     "BasicAlertDetector",
     "RefinedAlertDetector",
     "DetectorStats",
+    "DETECTORS",
+    "detector_class",
 ]
 
 
@@ -70,6 +72,14 @@ class DeliveryErrorDetector(ABC):
 
     def __init__(self) -> None:
         self.stats = DetectorStats()
+
+    @classmethod
+    def build(
+        cls, window: Optional[float] = None, max_entries: Optional[int] = None
+    ) -> "DeliveryErrorDetector":
+        """An instance from the two knobs the assembly layers thread
+        through; a detector without a recent list ignores both."""
+        return cls()
 
     def check(self, clock: EntryVectorClock, timestamp: Timestamp, now: float = 0.0) -> bool:
         """Return True when delivering this message *may* violate causality."""
@@ -163,6 +173,14 @@ class RefinedAlertDetector(DeliveryErrorDetector):
         self._recent: Deque[_RecentEntry] = deque()
         self.evictions = 0  # entries aged out of L by the time window
 
+    @classmethod
+    def build(
+        cls, window: Optional[float] = None, max_entries: Optional[int] = None
+    ) -> "RefinedAlertDetector":
+        if max_entries is None:
+            return cls(window=window)
+        return cls(window=window, max_entries=max_entries)
+
     @property
     def recent_size(self) -> int:
         """Current length of the recent-deliveries list L."""
@@ -194,3 +212,21 @@ class RefinedAlertDetector(DeliveryErrorDetector):
             if prior.dominates_on(timestamp, keys):
                 return True
         return False
+
+
+# Name -> pre-delivery alert check.
+DETECTORS: Dict[str, Type[DeliveryErrorDetector]] = {
+    "none": NullDetector,
+    "basic": BasicAlertDetector,
+    "refined": RefinedAlertDetector,
+}
+
+
+def detector_class(name: str) -> Type[DeliveryErrorDetector]:
+    """The detector configured as ``name`` (raises listing the valid names)."""
+    try:
+        return DETECTORS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown detector {name!r}; expected one of {tuple(DETECTORS)}"
+        ) from None

@@ -130,11 +130,6 @@ class PendingBuffer:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def capacity(self) -> int:
-        """Allocated slots (rows of the threshold matrix)."""
-        return self._capacity
-
     def items(self) -> List[Any]:
         """Pending items in arrival (receive) order."""
         slots = [s for s in range(self._capacity) if self._entries[s] is not None]

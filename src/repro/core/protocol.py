@@ -198,11 +198,6 @@ class CausalBroadcastEndpoint:
     # ------------------------------------------------------------------
 
     @property
-    def process_id(self) -> ProcessId:
-        """This endpoint's process identity."""
-        return self._process_id
-
-    @property
     def clock(self) -> EntryVectorClock:
         """The logical clock driving the delivery condition."""
         return self._clock
@@ -225,16 +220,6 @@ class CausalBroadcastEndpoint:
         """Whether a message id was already received (duplicate filter)."""
         return message_id in self.seen
 
-    def mark_seen(self, message_id: MessageId) -> bool:
-        """Record a message id as seen without processing it.
-
-        Used by hosts that sink traffic addressed to a retired endpoint
-        (e.g. the simulator, for copies arriving after a node left) and
-        still need exactly-once accounting.  Returns True when the id was
-        new.
-        """
-        return self.seen.add(message_id)
-
     def seen_frontiers(self) -> Frontiers:
         """Per-sender ``(watermark, sorted tail)`` duplicate-filter state.
 
@@ -247,7 +232,7 @@ class CausalBroadcastEndpoint:
     def restore_seen(self, frontiers: Frontiers) -> None:
         """Adopt recovered duplicate-filter coverage wholesale.
 
-        O(senders + out-of-order tail) instead of one :meth:`mark_seen`
+        O(senders + out-of-order tail) instead of one seen-filter add
         per historical message; only valid before any traffic was
         processed (the crash-recovery path runs first).
         """

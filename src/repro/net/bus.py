@@ -123,12 +123,6 @@ class LocalAsyncBus:
             if self._in_flight == 0:
                 return
 
-    @property
-    def in_flight(self) -> int:
-        """Datagrams currently scheduled but not yet delivered."""
-        return self._in_flight
-
-
 def _unset_receiver(data: bytes, addr: Address) -> None:
     raise ConfigurationError("transport receiver was never installed")
 

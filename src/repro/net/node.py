@@ -46,21 +46,23 @@ import logging
 import time
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.clocks import EntryVectorClock
+from repro.core.clocks import EntryVectorClock, scheme_class
 from repro.core.codec import CodecCounters, MessageCodec, RelayFrame, TreeFrame
-from repro.core.detector import DeliveryErrorDetector
+from repro.core.detector import detector_class
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import CausalBroadcastEndpoint, DeliveryRecord, Message
 from repro.net.journal import NodeJournal, RecoveredState
-from repro.net.overlay import PartialView
 from repro.net.peer import Transport
 from repro.net.repair import Frontiers, MessageStore, Repair
-from repro.net.session import LivenessPolicy, ReliableSession, RetransmitPolicy, TransportStats
+from repro.net.session import ReliableSession, TransportStats
 from repro.obs import JsonlExporter, MetricsHttpServer, MetricsRegistry, TraceRing
+
+if TYPE_CHECKING:
+    from repro.api import NodeConfig
 
 __all__ = ["ReliableCausalNode"]
 
@@ -110,83 +112,36 @@ class ReliableCausalNode:
 
     Args:
         node_id: this node's identity (the message sender id).
+        config: the :class:`~repro.api.NodeConfig` whose layers, intervals,
+            scheme, detector, journal, dissemination and metrics settings
+            this node runs with.  With ``data_dir`` set the constructor
+            replays any prior journal state (clock, delivered frontiers,
+            link seqs) before a single datagram can arrive, and every
+            send and delivery is logged ahead of the wire; that needs a
+            pristine ``clock``.  The scheme sets the wire codec, and a
+            scheme that draws its keys per message (a delta carries no
+            keys) always sends the full encoding; incoming deltas are
+            decoded either way.
         clock: its logical clock (any member of the (n, r, k) family).
         transport: datagram substrate; the node's session owns it.
-        detector: optional Algorithm 4/5 alert check.
-        codec: message wire format (binary + JSON payloads by default).
         on_delivery: synchronous callback per delivery.
-        policy: retransmission tuning (see :class:`RetransmitPolicy`).
-        anti_entropy_interval: seconds between digest rounds; 0 disables
-            the periodic exchange (retransmission-only mode).
-        max_pending: optional safety bound on the endpoint's pending
-            queue (always the entry-indexed
-            :class:`~repro.core.pending.PendingBuffer`).
-        journal: optional :class:`~repro.net.journal.NodeJournal`; when
-            given, the constructor replays any prior state (clock,
-            delivered frontiers, link seqs) before a single datagram can
-            arrive, and every send/delivery is logged ahead of the wire.
-            Requires a pristine ``clock``.
-        liveness: optional :class:`~repro.net.session.LivenessPolicy`;
-            when given, the session beacons the peers (the view, in
-            overlay mode), quarantines silent ones and the node heals
-            them on return.
-        wire_delta: delta-encode each broadcast against this node's
-            previous one, on every link and relay hop alike (O(K) wire
-            bytes instead of O(R)).
-            :func:`repro.api.create_node` derives it from the clock
-            scheme: False only for one that draws its keys per message
-            (a delta carries no keys).  Incoming deltas are decoded
-            either way.
-        overlay: optional :class:`~repro.net.overlay.PartialView`; when
-            given, the node disseminates in **overlay mode** — each
-            broadcast is pushed as a RELAY envelope down its origin's
-            eager tree over the bounded partial view (relayed onward by
-            receivers on first intake), anti-entropy digests and heartbeats go to
-            the view instead of the full peer list, and per-node wire
-            cost stops growing with cluster size.  ``None`` (default)
-            keeps the full-mesh dissemination.
-        metrics_path: when set, a background task appends one registry
-            snapshot per ``metrics_interval`` seconds to this JSONL
-            file (plus a final line on :meth:`close`).
-        metrics_interval: seconds between JSONL export lines.
-        metrics_port: when set, :meth:`start` serves Prometheus text at
-            ``http://127.0.0.1:<port>/metrics`` (0 = ephemeral; the
-            bound port is ``node.metrics_server.port``).
     """
 
     def __init__(
         self,
         node_id: Hashable,
+        config: NodeConfig,
         clock: EntryVectorClock,
         transport: Transport,
-        detector: Optional[DeliveryErrorDetector] = None,
-        codec: Optional[MessageCodec] = None,
         on_delivery: Optional[DeliveryHandler] = None,
-        policy: Optional[RetransmitPolicy] = None,
-        anti_entropy_interval: float = 0.5,
-        max_pending: Optional[int] = None,
-        journal: Optional[NodeJournal] = None,
-        liveness: Optional[LivenessPolicy] = None,
-        wire_delta: bool = True,
-        overlay: Optional[PartialView] = None,
-        metrics_path: Optional[str] = None,
-        metrics_interval: float = 1.0,
-        metrics_port: Optional[int] = None,
     ) -> None:
-        if anti_entropy_interval < 0:
-            raise ConfigurationError(
-                f"anti_entropy_interval must be >= 0, got {anti_entropy_interval}"
-            )
-        if metrics_interval <= 0:
-            raise ConfigurationError(
-                f"metrics_interval must be > 0, got {metrics_interval}"
-            )
         self._node_id = node_id
-        self._codec = codec if codec is not None else MessageCodec()
+        self._config = config
+        self._codec = MessageCodec(scheme=config.scheme)
         self._on_delivery = on_delivery
         self._peers: List[Address] = []
         self._decode_errors = 0
-        self._wire_delta = wire_delta
+        self._wire_delta = not scheme_class(config.scheme).per_message_keys
         # Delta wire state.  Sending: the vector of this node's previous
         # broadcast — the one reference for every link and relay hop.
         # Receiving: the store's per-sender references, and the deltas
@@ -214,8 +169,20 @@ class ReliableCausalNode:
         # for the same reason (repro.net.adaptive imports nothing from
         # here, but the assembly order is api's business).
         self.adaptive = None
+        journal = None
+        if config.data_dir is not None:
+            journal = NodeJournal(
+                data_dir=config.data_dir,
+                node_id=node_id,
+                r=clock.r,
+                own_keys=clock.own_keys,
+                snapshot_interval=config.journal_snapshot_interval,
+                fsync=config.journal_fsync,
+            )
         self.journal = journal
-        self.overlay = overlay
+        overlay = self.overlay = (
+            config.build_overlay(node_id) if config.dissemination == "overlay" else None
+        )
 
         # Observability: every node owns a registry (with a ``node=<id>``
         # label; collectors are free until snapshotted) and a trace ring;
@@ -223,9 +190,6 @@ class ReliableCausalNode:
         # configured.
         self.metrics = MetricsRegistry(labels={"node": str(node_id)})
         self.trace = TraceRing()
-        self._metrics_path = metrics_path
-        self._metrics_interval = metrics_interval
-        self._metrics_port = metrics_port
         self._exporter: Optional[JsonlExporter] = None
         self._export_task: Optional[asyncio.Task] = None
         self.metrics_server: Optional[MetricsHttpServer] = None
@@ -251,12 +215,11 @@ class ReliableCausalNode:
         self.endpoint = CausalBroadcastEndpoint(
             process_id=str(node_id),
             clock=clock,
-            detector=detector,
+            detector=detector_class(config.detector).build(window=config.detector_window),
             deliver_callback=self._handle_delivery,
-            max_pending=max_pending,
         )
         self.endpoint.bind_metrics(self.metrics, self.trace)
-        self.repair = Repair(self, anti_entropy_interval)
+        self.repair = Repair(self, config.anti_entropy_interval)
         if self.recovered is not None:
             self.adopt_coverage(self.recovered.delivered)
             for seq, data in self.recovered.own_messages.items():
@@ -272,8 +235,8 @@ class ReliableCausalNode:
             transport,
             on_message=self._handle_wire_message,
             on_digest=self._handle_digest,
-            policy=policy,
-            liveness=liveness,
+            policy=config.retransmit,
+            liveness=config.liveness,
             on_liveness=self._handle_liveness,
             on_link_seq=(journal.ensure_lease if journal is not None else None),
             on_membership=self._handle_membership_frame,
@@ -391,12 +354,12 @@ class ReliableCausalNode:
             lambda: self.overlay.digest_targets() if self.overlay is not None else list(self._peers)
         )
         loop = asyncio.get_running_loop()
-        if self._metrics_path is not None and self._exporter is None:
-            self._exporter = JsonlExporter(self._metrics_path)
+        if self._config.metrics_path is not None and self._exporter is None:
+            self._exporter = JsonlExporter(self._config.metrics_path)
             self._export_task = loop.create_task(self._export_loop())
-        if self._metrics_port is not None and self.metrics_server is None:
+        if self._config.metrics_port is not None and self.metrics_server is None:
             self.metrics_server = MetricsHttpServer(
-                self.metrics, port=self._metrics_port
+                self.metrics, port=self._config.metrics_port
             )
             await self.metrics_server.start()
         if self.membership is not None:
@@ -436,7 +399,7 @@ class ReliableCausalNode:
 
     async def _export_loop(self) -> None:
         while True:
-            await asyncio.sleep(self._metrics_interval)
+            await asyncio.sleep(self._config.metrics_interval)
             self._exporter.export(self.metrics.snapshot(), ts=self._now())
 
     # ------------------------------------------------------------------
@@ -1058,7 +1021,7 @@ class ReliableCausalNode:
 
         One restore of the endpoint's seen filter — all or nothing, and
         only valid before this node has received or delivered anything —
-        O(senders), instead of one ``mark_seen()`` per historical
+        O(senders), instead of one seen-filter add per historical
         message.  The store marks the whole range evicted: the bytes
         stayed behind.
         """

@@ -387,13 +387,6 @@ class PartialView:
     # introspection
     # ------------------------------------------------------------------
 
-    def entries(self) -> Tuple[MemberRecord, ...]:
-        """The current view as records (tests and gauges)."""
-        return tuple(
-            MemberRecord(node_id=node_id, address=address)
-            for address, node_id in self._entries.items()
-        )
-
     def sample_diversity(self) -> float:
         """Distinct ids in the recent piggyback-sample stream, as a
         fraction of the window (1.0 until the first sample arrives).

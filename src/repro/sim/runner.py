@@ -31,8 +31,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.clocks import EntryVectorClock
-from repro.core.detector import DeliveryErrorDetector
+from repro.core.clocks import EntryVectorClock, scheme_class
+from repro.core.detector import DeliveryErrorDetector, detector_class
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import (
     BalancedLoadKeyAssigner,
@@ -43,11 +43,6 @@ from repro.core.keyspace import (
     SequentialKeyAssigner,
 )
 from repro.core.protocol import CausalBroadcastEndpoint, Message
-from repro.core.registry import (
-    ClockBuildContext,
-    get_clock_spec,
-    get_detector_spec,
-)
 from repro.sim.engine import Simulator
 from repro.sim.metrics import AlertConfusion, MetricSet
 from repro.sim.network import DelayModel, GaussianDelayModel
@@ -179,15 +174,15 @@ class SimulationConfig:
         """Raise :class:`ConfigurationError` on inconsistent parameters."""
         if self.n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be >= 1, got {self.n_nodes}")
-        spec = get_clock_spec(self.clock)
+        family = scheme_class(self.clock)
         if self.key_assigner not in ASSIGNER_MODES:
             raise ConfigurationError(
                 f"key_assigner must be one of {ASSIGNER_MODES}, got {self.key_assigner!r}"
             )
-        get_detector_spec(self.detector)
-        if spec.fixed_k is None and spec.fixed_r is None and not 1 <= self.k <= self.r:
+        detector_class(self.detector)
+        if family.fixed_k is None and family.fixed_r is None and not 1 <= self.k <= self.r:
             raise ConfigurationError(f"need 1 <= K <= R, got K={self.k}, R={self.r}")
-        if spec.fixed_r is None and not spec.needs_dense_index and self.r < 1:
+        if family.fixed_r is None and not family.needs_dense_index and self.r < 1:
             raise ConfigurationError(f"R must be >= 1, got {self.r}")
         if self.duration_ms <= 0:
             raise ConfigurationError(f"duration_ms must be > 0, got {self.duration_ms}")
@@ -274,18 +269,18 @@ class _Run:
     # ------------------------------------------------------------------
 
     def _effective_vector_size(self) -> int:
-        spec = get_clock_spec(self._config.clock)
-        if spec.fixed_r is not None:
-            return spec.fixed_r
-        if spec.needs_dense_index:
+        family = scheme_class(self._config.clock)
+        if family.fixed_r is not None:
+            return family.fixed_r
+        if family.needs_dense_index:
             return self._config.n_nodes
         return self._config.r
 
     def _make_assigner(self) -> Optional[KeyAssigner]:
-        spec = get_clock_spec(self._config.clock)
-        if not spec.needs_key_assignment:
+        family = scheme_class(self._config.clock)
+        if not family.needs_key_assignment:
             return None
-        k = spec.fixed_k if spec.fixed_k is not None else self._config.k
+        k = family.fixed_k if family.fixed_k is not None else self._config.k
         name = self._config.key_assigner
         if name == "random":
             return RandomKeyAssigner(self._config.r, k, rng=self._rng_keys)
@@ -307,26 +302,26 @@ class _Run:
         window = self._config.detector_window_ms
         if window is None:
             window = 4.0 * self._delay_model.mean_delay()
-        return get_detector_spec(self._config.detector).build(
+        return detector_class(self._config.detector).build(
             window=window, max_entries=self._config.detector_max_entries
         )
 
     def _make_clock(self, slot: int) -> Tuple[EntryVectorClock, Optional[object]]:
-        spec = get_clock_spec(self._config.clock)
+        family = scheme_class(self._config.clock)
         assignment = None
         keys: Tuple[int, ...] = ()
-        if spec.needs_key_assignment:
+        if family.needs_key_assignment:
             assignment = self._assigner.assign(slot)
             keys = tuple(assignment.keys)
-        context = ClockBuildContext(
-            node_id=slot,
-            r=self._effective_r if spec.needs_dense_index else self._config.r,
-            k=spec.fixed_k if spec.fixed_k is not None else self._config.k,
-            n=self._config.n_nodes,
-            index=slot,
-            keys=keys,
+        clock = family.build(
+            slot,
+            self._effective_r if family.needs_dense_index else self._config.r,
+            family.fixed_k if family.fixed_k is not None else self._config.k,
+            keys,
+            self._config.n_nodes,
+            slot,
         )
-        return spec.factory(context), assignment
+        return clock, assignment
 
     def _add_node(self, node_id: int) -> None:
         slot = self._oracle.register_node(node_id)

@@ -16,9 +16,10 @@ from repro.core.clocks import (
 )
 from repro.core.detector import BasicAlertDetector, NullDetector, RefinedAlertDetector
 from repro.core.errors import ConfigurationError
-from repro.core.keyspace import RandomKeyAssigner
+from repro.core.keyspace import HashKeyAssigner, RandomKeyAssigner
 from repro.core.protocol import CausalBroadcastEndpoint
-from repro.core.registry import clock_schemes, detector_names
+from repro.core.clocks import SCHEMES
+from repro.core.detector import DETECTORS
 from repro.net import LocalAsyncBus, ReliableCausalNode
 from repro.net.repair import MessageStore
 from repro.net.overlay import PartialView
@@ -57,10 +58,10 @@ class TestNodeConfig:
         the layer that reads it; the config holds those objects and the
         old flat copies fail loudly instead of being silently ignored."""
         assert [field.name for field in dataclasses.fields(NodeConfig)] == [
-            "r", "k", "scheme", "n", "detector", "keys", "keyspace_seed",
+            "r", "k", "scheme", "n", "detector", "keys",
             "detector_window", "host", "port", "rx_batch", "tx_batch",
             "retransmit", "anti_entropy_interval",
-            "max_pending", "dissemination", "fanout",
+            "dissemination", "fanout",
             "view_size", "data_dir", "journal_snapshot_interval",
             "journal_fsync", "liveness", "membership", "adaptive",
             "metrics_path", "metrics_interval", "metrics_port",
@@ -92,7 +93,10 @@ class TestNodeConfig:
             for name in names:
                 with pytest.raises(TypeError):
                     build(**{name: 1})
-        assert "store_limit" not in inspect.signature(ReliableCausalNode).parameters
+        # The node reads everything else off its NodeConfig.
+        assert list(inspect.signature(ReliableCausalNode).parameters) == [
+            "node_id", "config", "clock", "transport", "on_delivery",
+        ]
         config = NodeConfig()
         assert config.retransmit == RetransmitPolicy()
         assert config.liveness is config.membership is config.adaptive is None
@@ -100,6 +104,7 @@ class TestNodeConfig:
             "max_retry_timeout", "piggyback_size", "merge_probability",
             "relay_max_hops", "adaptive_cooldown", "wire_delta", "store_limit",
             "payload_codec",  # JSON is the only payload format
+            "keyspace_seed", "max_pending",  # only tests set them
             # the 20 copies of policy fields
             "ack_timeout", "backoff_factor", "max_retries", "send_buffer",
             "coalesce_mtu", "flush_interval",
@@ -177,9 +182,8 @@ class TestCreateClock:
         config = NodeConfig(r=64, k=3)
         again = create_clock("alice", config)
         assert create_clock("alice", config).own_keys == again.own_keys
-        salted = create_clock("alice", config.replace(keyspace_seed=1))
-        # Different salt, different draw (overwhelmingly likely for C(64,3)).
-        assert salted.own_keys != again.own_keys
+        # The preimage is (0, node id): every key set stays what it was.
+        assert again.own_keys == HashKeyAssigner(64, 3).assign((0, "alice")).keys
 
     def test_plausible_clock(self):
         clock = create_clock("bob", NodeConfig(r=32, scheme="plausible"))
@@ -226,11 +230,11 @@ class TestCreateDetector:
         assert isinstance(create_detector(NodeConfig(detector=name)), kind)
 
     def test_detector_list_is_exhaustive(self):
-        assert set(detector_names()) == {"none", "basic", "refined"}
+        assert set(DETECTORS) == {"none", "basic", "refined"}
 
 
 class TestCreateEndpoint:
-    @pytest.mark.parametrize("scheme", clock_schemes())
+    @pytest.mark.parametrize("scheme", tuple(SCHEMES))
     def test_every_scheme_yields_working_endpoint(self, scheme):
         config = NodeConfig(r=16, k=2, scheme=scheme,
                             n=4 if scheme == "vector" else None)
@@ -252,17 +256,6 @@ class TestCreateEndpoint:
         endpoint = create_endpoint("solo", on_delivery=seen.append)
         endpoint.broadcast("x")
         assert len(seen) == 1 and seen[0].local
-
-    def test_max_pending_threaded_through(self):
-        sender = create_endpoint("s", NodeConfig(r=8, k=2))
-        receiver = create_endpoint("r", NodeConfig(r=8, k=2, max_pending=1))
-        first = sender.broadcast(1)
-        second = sender.broadcast(2)
-        third = sender.broadcast(3)
-        receiver.on_receive(third)  # pending (missing 1, 2)
-        with pytest.raises(ConfigurationError):
-            receiver.on_receive(second)  # exceeds max_pending=1
-        del first
 
 
 class TestCreateNode:

@@ -139,12 +139,11 @@ class TestParser:
                 build()
 
     def test_choices_track_the_registry(self, monkeypatch):
-        # The parser reads its choices from the scheme table: a row
+        # The parser reads its choices from the scheme map: a family
         # there is selectable here without a second list in the CLI.
-        from repro.core import registry
+        from repro.core import clocks
 
-        spec = registry.get_clock_spec("probabilistic")
-        monkeypatch.setitem(registry._CLOCKS, "cli-test-clock", spec)
+        monkeypatch.setitem(clocks.SCHEMES, "cli-test-clock", clocks.ProbabilisticCausalClock)
         args = build_parser().parse_args(["simulate", "--clock", "cli-test-clock"])
         assert args.clock == "cli-test-clock"
 

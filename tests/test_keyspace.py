@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.combinatorics import num_key_sets, unrank_lex
 from repro.core.errors import ConfigurationError, MembershipError
 from repro.core.keyspace import (
+    BalancedLoadKeyAssigner,
     HashKeyAssigner,
     KeyAssigner,
     KeyAssignment,
@@ -216,6 +217,30 @@ class TestHashKeyAssigner:
         assigner = HashKeyAssigner(100, 4)
         keys = {assigner.assign(f"peer-{i}").keys for i in range(50)}
         assert len(keys) > 45  # collisions possible but rare
+
+
+class TestBalancedLoadKeyAssigner:
+    """The keyspace ablation's least-loaded baseline."""
+
+    def test_least_loaded_then_perturbed_off_a_used_set(self):
+        assigner = BalancedLoadKeyAssigner(6, 2)
+        granted = [assigner.assign(f"p{i}").keys for i in range(4)]
+        # Three disjoint tiles; then every entry carries one process, the
+        # least-loaded pair (0, 1) is taken, and one swap finds (0, 2).
+        assert granted == [(0, 1), (2, 3), (4, 5), (0, 2)]
+        assert entry_loads(assigner) == [2, 1, 2, 1, 1, 1]
+
+    def test_release_returns_and_adopt_counts_the_loads(self):
+        assigner = BalancedLoadKeyAssigner(6, 2)
+        for i in range(4):
+            assigner.assign(f"p{i}")
+        assigner.release("p3")
+        # Loads back to one each: the same perturbed set is drawn again.
+        assert assigner.assign("p4").keys == (0, 2)
+        assigner.adopt("q", (1, 3))
+        # Loads [2, 2, 2, 2, 1, 1]: the least-loaded pair (4, 5) is p2's,
+        # so one swap takes the least-loaded entry left, 0.
+        assert assigner.assign("p5").keys == (0, 4)
 
 
 class TestEntryLoads:

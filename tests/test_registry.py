@@ -1,12 +1,12 @@
-"""The clock-scheme and detector tables (DESIGN.md §9).
+"""The clock-scheme and detector maps (DESIGN.md §9).
 
-Covers the table contract end to end: unknown names fail loudly with
-the valid alternatives, the four legacy scheme strings still build
-the exact classes they always did, a toy row put into the table
-in-test round-trips through every assembly layer
-(``create_clock``/``create_endpoint``/``NodeConfig``/
-``SimulationConfig``) — no layer matches on scheme names — wire scheme
-ids stay pinned, and the codec's scheme byte keeps timestamp families
+Covers the map contract end to end: unknown names fail loudly with
+the valid alternatives, every scheme string builds the exact class it
+always did, a toy family put into ``SCHEMES`` in-test round-trips
+through every assembly layer (``create_clock``/``create_endpoint``/
+``NodeConfig``/``SimulationConfig``) — no layer matches on scheme
+names, each reads the family's class attributes — wire scheme ids stay
+pinned, and the codec's scheme byte keeps timestamp families
 wire-distinguishable.
 """
 
@@ -20,53 +20,44 @@ from repro.api import (
     create_detector,
     create_endpoint,
 )
-from repro.core import registry
+from repro.core import clocks
 from repro.core.clocks import (
+    SCHEMES,
     BloomCausalClock,
     LamportCausalClock,
     PlausibleCausalClock,
     ProbabilisticCausalClock,
     VectorCausalClock,
+    scheme_class,
 )
 from repro.core.codec import CodecError, MessageCodec
+from repro.core.detector import DETECTORS, detector_class
 from repro.core.errors import ConfigurationError
-from repro.core.registry import (
-    ClockBuildContext,
-    ClockSpec,
-    clock_schemes,
-    detector_names,
-    get_clock_spec,
-    get_detector_spec,
-    scheme_id_of,
-    scheme_name_of,
-)
 from repro.sim import GaussianDelayModel, PoissonWorkload, SimulationConfig, run_simulation
 
 
-def toy_spec(name, factory):
-    return ClockSpec(
-        name, factory, "test-only alias of the probabilistic clock",
-        needs_key_assignment=True, wire_scheme_id=6,
-    )
+class ToyClock(ProbabilisticCausalClock):
+    """Test-only alias of the probabilistic clock, on the next free wire id."""
+
+    wire_scheme_id = 6
 
 
 @pytest.fixture
 def toy_clock(monkeypatch):
-    """A throwaway row in the scheme table for one test."""
+    """A throwaway family in the scheme map for one test."""
     name = "toy-clock"
-    spec = toy_spec(name, lambda ctx: ProbabilisticCausalClock(ctx.r, ctx.keys))
-    monkeypatch.setitem(registry._CLOCKS, name, spec)
+    monkeypatch.setitem(clocks.SCHEMES, name, ToyClock)
     return name
 
 
 class TestLookupFailures:
     def test_unknown_clock_lists_registered(self):
         with pytest.raises(ConfigurationError, match="probabilistic"):
-            get_clock_spec("quantum")
+            scheme_class("quantum")
 
     def test_unknown_detector_lists_registered(self):
         with pytest.raises(ConfigurationError, match="refined"):
-            get_detector_spec("basci")
+            detector_class("basci")
 
     def test_detector_typo_rejected_by_factory(self):
         """The historical bug: ``create_detector`` silently returned the
@@ -96,7 +87,7 @@ class TestLookupFailures:
 
 
 class TestLegacySchemes:
-    """The four pre-registry scheme strings build the same classes."""
+    """Every scheme string builds the same class it always did."""
 
     EXPECTED = {
         "probabilistic": ProbabilisticCausalClock,
@@ -108,7 +99,7 @@ class TestLegacySchemes:
 
     @pytest.mark.parametrize("scheme,cls", sorted(EXPECTED.items()))
     def test_create_clock_builds_exact_class(self, scheme, cls):
-        dense = get_clock_spec(scheme).needs_dense_index
+        dense = SCHEMES[scheme].needs_dense_index
         config = NodeConfig(
             r=16, k=2, scheme=scheme, n=8 if dense else None
         )
@@ -116,17 +107,18 @@ class TestLegacySchemes:
         assert type(clock) is cls
 
     def test_registration_order_preserves_legacy_prefix(self):
-        assert clock_schemes()[:4] == (
+        assert tuple(SCHEMES)[:4] == (
             "probabilistic", "plausible", "lamport", "vector"
         )
-        assert detector_names() == ("none", "basic", "refined")
+        assert tuple(DETECTORS) == ("none", "basic", "refined")
 
     def test_pinned_wire_scheme_ids(self):
-        assert [scheme_id_of(s) for s in
+        assert [SCHEMES[s].wire_scheme_id for s in
                 ("probabilistic", "plausible", "lamport", "vector", "bloom")
                 ] == [1, 2, 3, 4, 5]
-        assert scheme_name_of(3) == "lamport"
-        assert scheme_name_of(6) is None  # the next free id
+        # One id per family; 6 is the next free one.
+        ids = [family.wire_scheme_id for family in SCHEMES.values()]
+        assert sorted(ids) == [1, 2, 3, 4, 5]
 
 
 class TestToyPlugin:
@@ -159,29 +151,27 @@ class TestClockBuildContext:
     def test_factory_receives_context_fields(self, toy_clock, monkeypatch):
         seen = {}
 
-        def probe(ctx):
-            seen["ctx"] = ctx
-            return ProbabilisticCausalClock(ctx.r, ctx.keys)
+        class Probe(ToyClock):
+            @classmethod
+            def build(cls, node_id, r, k, keys, n, index):
+                seen.update(node_id=node_id, r=r, k=k, keys=keys, n=n, index=index)
+                return super().build(node_id, r, k, keys, n, index)
 
-        monkeypatch.setitem(registry._CLOCKS, toy_clock, toy_spec(toy_clock, probe))
-        create_clock("n7", NodeConfig(r=32, k=3, scheme=toy_clock))
-        ctx = seen["ctx"]
-        assert isinstance(ctx, ClockBuildContext)
-        assert ctx.node_id == "n7"
-        assert ctx.r == 32
-        assert len(ctx.keys) == 3
+        monkeypatch.setitem(clocks.SCHEMES, toy_clock, Probe)
+        clock = create_clock("n7", NodeConfig(r=32, k=3, scheme=toy_clock), index=4)
+        assert type(clock) is Probe
+        assert seen["node_id"] == "n7"
+        assert seen["r"] == 32 and seen["k"] == 3
+        assert seen["keys"] == clock.own_keys and len(seen["keys"]) == 3
+        assert all(isinstance(key, int) for key in seen["keys"])
+        assert seen["n"] is None and seen["index"] == 4
 
 
 class TestCodecSchemeByte:
     def _endpoint(self, scheme, node="a"):
-        spec = get_clock_spec(scheme)
-        config = NodeConfig(
-            r=16, k=2, scheme=scheme,
-            n=8 if spec.needs_dense_index else None,
-        )
-        return create_endpoint(
-            node, config, index=0 if spec.needs_dense_index else None
-        )
+        dense = SCHEMES[scheme].needs_dense_index
+        config = NodeConfig(r=16, k=2, scheme=scheme, n=8 if dense else None)
+        return create_endpoint(node, config, index=0 if dense else None)
 
     @pytest.mark.parametrize("scheme", sorted(TestLegacySchemes.EXPECTED))
     def test_roundtrip_preserves_scheme(self, scheme):

@@ -103,33 +103,29 @@ class TestZeroErrorBaselines:
         assert result.counters.eps_max <= 0.01
 
 
+@pytest.fixture(scope="module")
+def pressured():
+    """Small R under high load, Algorithm 4 on: one run read by two tests."""
+    config = SimulationConfig(
+        n_nodes=30,
+        r=12,
+        k=2,
+        duration_ms=60_000.0,
+        seed=7,
+        detector="basic",
+        workload=PoissonWorkload(250.0),
+    )
+    return run_simulation(config)
+
+
 class TestViolationsUnderPressure:
-    def test_small_r_high_load_produces_violations(self):
-        result = run_simulation(
-            SimulationConfig(
-                n_nodes=30,
-                r=12,
-                k=2,
-                duration_ms=60_000.0,
-                seed=7,
-                workload=PoissonWorkload(250.0),
-            )
-        )
+    def test_small_r_high_load_produces_violations(self, pressured):
+        result = pressured
         assert result.counters.violations > 0
         assert result.counters.eps_min > 0
 
-    def test_algorithm4_catches_every_bypassed_delivery(self):
-        result = run_simulation(
-            SimulationConfig(
-                n_nodes=30,
-                r=12,
-                k=2,
-                duration_ms=60_000.0,
-                seed=7,
-                detector="basic",
-                workload=PoissonWorkload(250.0),
-            )
-        )
+    def test_algorithm4_catches_every_bypassed_delivery(self, pressured):
+        result = pressured
         assert result.alerts.late_caught > 0
         assert result.alerts.late_missed == 0
         assert result.alerts.recall_late == 1.0
@@ -142,6 +138,28 @@ class TestViolationsUnderPressure:
         exact = run_simulation(SimulationConfig(clock="vector", **shared))
         assert exact.counters.violations == 0
         assert probabilistic.counters.violations > exact.counters.violations
+
+
+class TestReceptionOrder:
+    """``track_reception_order``: the network's own reorder rate P_nc,
+    the factor the paper's bound ``P <= P_nc * P_err`` multiplies by."""
+
+    @staticmethod
+    def measure(delay_model):
+        return run_simulation(SimulationConfig(
+            n_nodes=10, r=16, k=2, duration_ms=5_000.0, seed=3,
+            workload=PoissonWorkload(100.0), delay_model=delay_model,
+            track_reception_order=True,
+        ))
+
+    def test_constant_delay_reorders_nothing(self):
+        result = self.measure(ConstantDelayModel(100.0))
+        assert result.measured_p_nc == 0.0
+        assert result.counters.violations == 0
+
+    def test_jittered_delay_reorders(self):
+        result = self.measure(GaussianDelayModel(50.0, 20.0, 20.0))
+        assert result.measured_p_nc > 0.0
 
 
 class TestDissemination:
