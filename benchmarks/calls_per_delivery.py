@@ -15,7 +15,7 @@ Usage::
 
     PYTHONPATH=src:benchmarks python benchmarks/calls_per_delivery.py [--top 20] [--out FILE]
 
-Prints, per twin, the calls per delivery, the LEB128 helpers'
+Prints the interpreter, then per twin the calls per delivery, the LEB128 helpers'
 (``decode_varint``, ``encode_varint``) share of them, and the ``--top``
 call sites by calls per delivery.  ``--out`` also writes that text to
 ``FILE``, as committed under ``benchmarks/results/``.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pathlib
+import platform
 import pstats
 import sys
 
@@ -83,7 +84,10 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=20, help="call sites listed per twin")
     parser.add_argument("--out", type=pathlib.Path, help="also write the report here")
     args = parser.parse_args(argv)
-    sections = []
+    # The counts include the interpreter's own calls (asyncio's), so the
+    # report names the interpreter it is exact for.
+    sections = [f"interpreter: {platform.python_implementation()} {platform.python_version()}"]
+    print(sections[0], flush=True)
     for name, scenario, deliveries in TWINS:
         sections.append(f"{name}\n{profile(scenario, deliveries, args.top)}")
         print(sections[-1], flush=True)

@@ -26,6 +26,12 @@ A run fails when
   deltas (``session.delta_share``) — only a sender's first broadcast
   (and its first after a re-key) must travel full; anything more means
   the path fell back to fulls, or
+* on a mesh, more than ``MAX_MESH_DUPLICATE_RATIO`` of the messages
+  the endpoints received were copies they already held
+  (``protocol.duplicate_ratio``): a digest answer holds back what a
+  link still owes the requester, and a repair racing its own data is
+  such a copy (loopback, 20 s: about 0.007 saturated and 0.015 lossy
+  before that rule, about 0.001 and 0.003 after it), or
 * the run spent more than its workload's ``MAX_WIRE_BYTES`` per
   delivery (``wire_bytes_per_delivery``).  A delta's changed entries
   travel as the smaller of a list of one varint each and a bitmap of
@@ -47,6 +53,7 @@ import sys
 
 MAX_MISS_RATIO = 0.01
 MIN_DELTA_SHARE = 0.9
+MAX_MESH_DUPLICATE_RATIO = 0.005
 MAX_WIRE_BYTES = {  # per delivery, by workload
     "mesh4_saturate": 52.0, "mesh4_paced": 52.0, "mesh4_lossy": 52.0, "overlay16_paced": 91.0,
 }
@@ -67,10 +74,12 @@ def main():
         name = run["workload"]
         miss_ratio = run["per_layer"]["session.delta_ref_miss_ratio"]
         share = run["per_layer"]["session.delta_share"]
+        duplicate_ratio = run["per_layer"]["protocol.duplicate_ratio"]
         wire_bytes = run["end_to_end"]["wire_bytes_per_delivery"]
         ceiling = MAX_WIRE_BYTES[name]
         print(f"{name}: {run['messages_per_sender']} msgs/sender  "
               f"delta_share={share:.4f}  delta_ref_miss_ratio={miss_ratio:.4f}  "
+              f"duplicate_ratio={duplicate_ratio:.4f}  "
               f"wire_bytes_per_delivery={wire_bytes:.1f}  valid={run['valid']}")
         if not run["valid"]:
             failures.append(f"{name}: invalid run: {'; '.join(run['problems'])}")
@@ -83,6 +92,12 @@ def main():
             failures.append(
                 f"{name}: only {share:.4f} of the broadcasts travelled as "
                 f"deltas (floor {MIN_DELTA_SHARE})"
+            )
+        if name.startswith("mesh") and duplicate_ratio > MAX_MESH_DUPLICATE_RATIO:
+            failures.append(
+                f"{name}: {duplicate_ratio:.4f} of the messages received were "
+                f"copies already held (limit {MAX_MESH_DUPLICATE_RATIO}): repairs "
+                f"race the data their links still owe"
             )
         if wire_bytes > ceiling:
             failures.append(

@@ -554,14 +554,19 @@ def _command_stats(args: argparse.Namespace) -> int:
             return 1
         snapshots.append(snapshot)
     merged = snapshots[0] if len(snapshots) == 1 else merge_snapshots(snapshots)
-    if len(snapshots) > 1 and "repro_delta_ref_miss_ratio" in merged["gauges"]:
-        # merge_snapshots() sums gauges; the fleet's delta-health ratio
-        # is the ratio of the summed counters.
-        misses = merged["counters"].get("repro_wire_delta_ref_misses_total", 0)
-        arrived = misses + merged["counters"].get("repro_wire_delta_received_total", 0)
-        merged["gauges"]["repro_delta_ref_miss_ratio"] = (
-            misses / arrived if arrived else 0.0
-        )
+    if len(snapshots) > 1:
+        # merge_snapshots() sums gauges; a fleet's delta- and repair-
+        # health ratios are the ratios of the summed counters.
+        counters = merged["counters"]
+        misses = counters.get("repro_wire_delta_ref_misses_total", 0)
+        for gauge, part, whole in (
+            ("repro_delta_ref_miss_ratio", misses, misses + counters.get("repro_wire_delta_received_total", 0)),
+            ("repro_antientropy_repair_duplicate_ratio",
+             counters.get("repro_antientropy_repair_duplicates_total", 0),
+             counters.get("repro_antientropy_repairs_sent_total", 0)),
+        ):
+            if gauge in merged["gauges"]:
+                merged["gauges"][gauge] = part / whole if whole else 0.0
 
     if args.json:
         print(json.dumps(merged, indent=2, sort_keys=True))

@@ -578,9 +578,8 @@ class MessageCodec:
 
     @staticmethod
     def message_id(data: bytes) -> Tuple[str, int]:
-        """A full encoding's ``(sender, seq)``."""
-        end = _HEADER_SIZE + 2 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]
-        return data[_HEADER_SIZE + 2 : end].decode("utf-8"), struct.unpack_from("<Q", data, end)[0]
+        """A full or delta encoding's ``(sender, seq)``."""
+        return _header(data)[1:3]
 
     @staticmethod
     def epoch_of(data: bytes) -> int:
@@ -590,9 +589,9 @@ class MessageCodec:
     @staticmethod
     def timestamp_of(data: bytes) -> Tuple[np.ndarray, Tuple[int, ...], int]:
         """A full encoding's ``(vector, sender keys, epoch byte)`` — a
-        fresh vector, the payload left undecoded.  This, the two above
+        fresh vector, the payload left undecoded.  This, the one above
         and the two below take bytes this process decoded before; the
-        first three check nothing."""
+        first two check nothing."""
         keys_at = _HEADER_SIZE + 12 + struct.unpack_from("<H", data, _HEADER_SIZE)[0]
         (key_count,) = struct.unpack_from("<H", data, keys_at - 2)
         keys = struct.unpack_from(f"<{key_count}I", data, keys_at)

@@ -321,6 +321,9 @@ class ReliableCausalNode:
                 sum(link.delta_ref_misses for link in links),
                 sum(link.delta_received for link in links),
             )
+            repairs = self.repair.stats  # counted where they land / leave: exact fleet-wide
+            values["repro_antientropy_repair_duplicate_ratio"] = (
+                repairs.repair_duplicates / repairs.repairs_sent if repairs.repairs_sent else 0.0)
             for table, size in self.state_sizes().items():
                 values[f"repro_state_entries_{table}"] = size
             message_tallies = self._codec.counters

@@ -8,9 +8,9 @@ datagram lost on one link; this module decides everything else:
 * the **anti-entropy round**: each round a node digests its per-sender
   coverage (parked deltas included) to **one** partner, the next in a
   shuffled rotation of its live peers (mesh) or view (overlay), which
-  pushes back what the digest lacks.  One partner per round prices
-  repair by damage, not by time × peers, and since stored messages are
-  relayed on request it heals *transitive* gaps too;
+  pushes back what the digest lacks and no link still owes.  One partner
+  per round prices repair by damage, not by time × peers, and since
+  stored messages are relayed on request it heals *transitive* gaps too;
 * the rate-limited **out-of-band digest** after a reference miss or a
   liveness resume, and the **gap pull**: a relay push still undelivered
   ``_GAP_PULL_GRACE`` after it arrived sends its pusher a digest;
@@ -71,7 +71,8 @@ _RESYNC_INTERVAL = 0.05
 # A pull that leaves the gap open is repeated, so the first need not
 # race the wave (EXPERIMENTS.md, "One delta rule": 30 ms sent 25 % more
 # repairs for a 5 % shorter settle).  Also how long a push counts as
-# still carried by the trees, and an answered digest as still waiting.
+# carried by the trees, an answered digest as waiting and, on the mesh,
+# a message admitted here as still owed by its origin's link.
 _GAP_PULL_GRACE = 0.04
 
 
@@ -279,9 +280,10 @@ class MessageStore:
         """Per-sender ``(contiguous, extras)`` of the coverage."""
         return self._coverage.frontiers()
 
-    def missing_for(self, remote: Frontiers) -> Iterator[bytes]:
+    def missing_for(self, remote: Frontiers, ceiling: Optional[Dict[str, int]] = None) -> Iterator[bytes]:
         """Full encodings of the stored messages the remote digest does
-        not cover (oldest first, at most ``_REPAIRS_PER_DIGEST``).
+        not cover (oldest first, at most ``_REPAIRS_PER_DIGEST``) and,
+        with a ``ceiling``, no newer than the sender's in it (0 if none).
 
         Also detects (heuristically, via the per-sender evicted high-water
         mark) a request reaching into the evicted range: counted in
@@ -310,6 +312,7 @@ class MessageStore:
             for sender, (contiguous, extras) in self._coverage.frontiers().items()
             if sender in self._slots
             and remote.get(sender, (0, ()))[0] < max((contiguous, *extras))
+            and (ceiling is None or remote.get(sender, (0, ()))[0] < ceiling.get(sender, 0))
         }
         if not behind:
             return
@@ -323,7 +326,7 @@ class MessageStore:
             if served >= _REPAIRS_PER_DIGEST:
                 return
             sender, seq = behind[key & _SLOT], key >> 32
-            if _covers(remote, sender, seq):
+            if _covers(remote, sender, seq) or ceiling is not None and seq > ceiling.get(sender, 0):
                 continue
             served += 1
             body = self._data[key]
@@ -420,6 +423,9 @@ class Repair:
         # frontiers as answered).
         self._pushed: Deque[Tuple[float, str, int]] = deque()
         self._answered: Dict[Address, Tuple[float, Frontiers]] = {}
+        # Mesh mode: per sender, the newest seq a grace ago and in the last sample.
+        self._settled: Dict[str, int] = {}
+        self._sampled: Tuple[float, Dict[str, int]] = (float("-inf"), {})
 
     def start(self) -> None:
         """Start the digest rounds (requires a running event loop)."""
@@ -475,20 +481,28 @@ class Repair:
 
     def answer(self, frontiers: Frontiers, addr: Address) -> None:
         """Push ``addr`` the stored messages its digest lacks, over the
-        reliable session (the normal ack/retransmit path).  In overlay
-        mode the digest is read as covering what this node pushed in the
+        reliable session (the normal ack/retransmit path) — on the mesh,
+        less what another party still owes ``addr``: an id in a DATA
+        frame to it still unacked (once acked, only a repair brings it),
+        and another origin's message admitted less than a grace ago (its
+        origin's link carries it; ``addr``'s next digest asks again).  In
+        overlay mode the digest is read as covering what this node pushed in the
         last grace — on their way down the trees, answering with them
         was most of what a digest drew twice — and kept a grace, for
         :meth:`data_admitted`."""
-        node = self._node
+        node, ceiling, frontiers = self._node, None, dict(frontiers)
         if node.overlay is not None:
             now = node._now()
             self._expire(now)
-            frontiers = dict(frontiers)
             for _, origin, seq in self._pushed:
                 _cover(frontiers, origin, seq)
             self._answered[addr] = (now, frontiers)
-        for data in self.store.missing_for(frontiers):
+        else:
+            self._roll(node._now())
+            ceiling = {**self._settled, str(node.node_id): _SEQ}
+            for body in node.session.unacked_payloads(addr):
+                _cover(frontiers, *MessageCodec.message_id(body))
+        for data in self.store.missing_for(frontiers, ceiling):
             self.stats.repairs_sent += 1
             node.session.push(addr, data)
 
@@ -592,13 +606,16 @@ class Repair:
             self._close_gap_pull(by_relay=True)
 
     def data_admitted(self, data: bytes, repairer: Address) -> None:
-        """A message off a reliable link, new here, was admitted.  In
-        overlay mode it is a repair of what the trees missed: push it on
-        to the senders of the digests answered in the last grace that
-        lack it — most likely pulls from further down the same tree,
-        asked while this node lacked it too."""
+        """A message off a reliable link, new here, was admitted: on the
+        mesh it may take the grace sample (:meth:`_roll`).  In overlay
+        mode it is a repair of what the trees missed: push it on to the
+        senders of the digests answered in the last grace that lack it
+        — most likely pulls from further down the same tree, asked while
+        this node lacked it too."""
         node = self._node
-        if node.overlay is not None:
+        if node.overlay is None:
+            self._roll(node._now(), admitting=True)
+        else:
             origin, seq = MessageCodec.message_id(data)
             self._expire(node._now())
             for asker, (_, frontiers) in self._answered.items():
@@ -607,6 +624,16 @@ class Repair:
                     node.session.push(asker, data)
         if self._gap_pull_open is not None:
             self._close_gap_pull(by_relay=False)
+
+    def _roll(self, now: float, admitting: bool = False) -> None:
+        """Mesh mode: sample each sender's newest seq at most once a grace,
+        at an admission or an answer; the sample before is the settled one
+        (at an answer two graces after the last sample, this one)."""
+        if now - self._sampled[0] >= _GAP_PULL_GRACE:
+            newest = {sender: ref[0] for sender, ref in self.store.references.items()}
+            quiet = not admitting and now - self._sampled[0] >= 2 * _GAP_PULL_GRACE
+            self._settled = newest if quiet else self._sampled[1]
+            self._sampled = (now, newest)
 
     def _expire(self, now: float) -> None:
         """Forget the pushes and the answered digests a grace old."""

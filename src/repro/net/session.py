@@ -620,6 +620,12 @@ class ReliableSession:
         state = self._peers.get(address)
         return len(state.unacked) if state is not None else 0
 
+    def unacked_payloads(self, address: Address) -> List[bytes]:
+        """Payloads of the DATA frames to ``address`` still unacked (past 4-byte header, seq)."""
+        state = self._peers.get(address)
+        pending = state.unacked.items() if state is not None else ()
+        return [frame.data[4 + varint_size(seq):] for seq, frame in pending]
+
     def peer_stats(self, address: Address) -> TransportStats:
         """Live (mutable) counters for ``address``, created on demand.
 

@@ -310,6 +310,28 @@ class TestStatsCommand:
         code, out = run_cli(capsys, "stats", str(paths[0]))
         assert "repro_delta_ref_miss_ratio" in out
 
+    def test_fleet_merge_recomputes_the_repair_duplicate_ratio(self, capsys, tmp_path):
+        """Duplicates land on one node, the repairs leave another: the
+        fleet's share is the summed duplicates over the summed repairs."""
+        from repro.obs import JsonlExporter, MetricsRegistry
+
+        paths = []
+        for name, sent, duplicates in (("a", 8, 0), ("b", 0, 2)):
+            registry = MetricsRegistry(labels={"node": name})
+            registry.register_collector(lambda sent=sent, duplicates=duplicates: {
+                "repro_antientropy_repairs_sent_total": sent,
+                "repro_antientropy_repair_duplicates_total": duplicates,
+                "repro_antientropy_repair_duplicate_ratio": duplicates / sent if sent else 0.0,
+            })
+            paths.append(tmp_path / f"{name}.jsonl")
+            with JsonlExporter(paths[-1]) as exporter:
+                exporter.export(registry.snapshot(), ts=1.0)
+        code, out = run_cli(capsys, "stats", *map(str, paths), "--json")
+        assert code == 0
+        gauges = json.loads(out)["gauges"]
+        assert gauges["repro_antientropy_repair_duplicate_ratio"] == pytest.approx(2 / 8)
+        assert "repro_delta_ref_miss_ratio" not in gauges
+
     def test_missing_file_fails_cleanly(self, capsys, tmp_path):
         code = main(["stats", str(tmp_path / "absent.jsonl")])
         captured = capsys.readouterr()

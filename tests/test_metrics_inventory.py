@@ -88,6 +88,7 @@ NODE_COUNTERS = {
     "repro_wire_rtt_samples_total",
 }
 NODE_GAUGES = {
+    "repro_antientropy_repair_duplicate_ratio",
     "repro_delta_ref_miss_ratio",
     "repro_detector_recent_size",
     "repro_pending_depth",
@@ -186,8 +187,9 @@ def test_a_journalled_node_exports_the_journal_series(tmp_path):
             await group.settle()
             return {node.node_id: node.metrics.snapshot() for node in group.nodes}
 
+    snapshots = run_virtual(scenario())
     assert_every_node_exports(
-        run_virtual(scenario()),
+        snapshots,
         NODE_COUNTERS | {
             "repro_journal_appends_total",
             "repro_journal_replayed_records_total",
@@ -196,6 +198,14 @@ def test_a_journalled_node_exports_the_journal_series(tmp_path):
         NODE_GAUGES | {"repro_journal_replay_seconds"},
         NODE_HISTOGRAMS | {"repro_journal_append_seconds", "repro_journal_snapshot_seconds"},
     )
+    # The repair-health gauge is its two counters' ratio.
+    for snapshot in snapshots.values():
+        counters = snapshot["counters"]
+        sent = counters["repro_antientropy_repairs_sent_total"]
+        duplicates = counters["repro_antientropy_repair_duplicates_total"]
+        assert snapshot["gauges"]["repro_antientropy_repair_duplicate_ratio"] == (
+            duplicates / sent if sent else 0.0
+        )
 
 
 def test_a_member_with_adaptive_sizing_exports_the_membership_series():

@@ -3,7 +3,8 @@
 hosted by a stand-in that holds only what the repair path reads of a
 node — a session, an endpoint, the park and the live targets.
 
-The answer order and cap, the per-address resync limit, the partner
+The answer order and cap, what a mesh answer holds back (ids a link
+still owes the asker), the per-address resync limit, the partner
 rotation's window bound and the overlay's two lazy-path rules are
 checked here without a full node; ``tests/test_anti_entropy.py`` checks
 the same machinery inside running groups.
@@ -117,6 +118,109 @@ def test_answers_come_in_admission_order_up_to_the_cap(monkeypatch, cap):
     assert first == owed[:cap]
     assert second == owed[cap:2 * cap]
     assert sent == len(first) + len(second)
+
+
+def lose_first(deliver, lost):
+    """``deliver`` with its first call caught in ``lost`` instead."""
+    def wrapped(data, addr):
+        if lost:
+            deliver(data, addr)
+        else:
+            lost.append(data)
+    return wrapped
+
+
+def own_broadcast(host):
+    """``host``'s own broadcast, stored as the node's broadcast() does;
+    returns its full encoding."""
+    message = host.endpoint.broadcast("own")
+    body = CODEC.encode(message)
+    host.repair.store.add(host.node_id, message.seq, body, message.timestamp)
+    return message, body
+
+
+def test_an_own_message_unacked_on_the_link_is_held_back():
+    """The datagram carrying a's own message to b is lost: while its
+    frame waits unacked, b's digest lacking it draws no repair — a's
+    session retransmits it, and b takes it once."""
+
+    async def scenario():
+        bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+        holder, asker = Host(bus, "a", peers=["b"]), Host(bus, "b", peers=["a"])
+        lost = []
+        bus._receivers["b"] = lose_first(bus._receivers["b"], lost)  # before b's session
+        for session in (holder.session, asker.session):
+            session.start()
+        message, body = own_broadcast(holder)
+        await holder.session.send("b", body)
+        await asyncio.sleep(0.005)
+        unacked = holder.session.unacked_count("b")
+        await asker.repair.heal("a")
+        await asyncio.sleep(0.5)
+        for host in (holder, asker):
+            await host.session.close()
+        return message, unacked, len(lost), asker.received, holder.repair.stats.repairs_sent
+
+    message, unacked, lost, received, repairs = run_virtual(scenario())
+    assert (unacked, lost) == (1, 1)
+    assert received == [message.message_id]
+    assert repairs == 0
+
+
+def test_an_own_message_acked_then_lost_at_intake_is_served():
+    """b's session acks a's frame but b's intake loses the message: no
+    link owes it any more, so b's digest draws it as a repair."""
+
+    async def scenario():
+        bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+        holder, asker = Host(bus, "a", peers=["b"]), Host(bus, "b", peers=["a"])
+        lost = []
+        asker.session._on_message = lose_first(asker.session._on_message, lost)  # after it acked
+        for session in (holder.session, asker.session):
+            session.start()
+        message, body = own_broadcast(holder)
+        await holder.session.send("b", body)
+        await asyncio.sleep(0.05)
+        unacked = holder.session.unacked_count("b")
+        await asker.repair.heal("a")
+        await asyncio.sleep(0.5)
+        for host in (holder, asker):
+            await host.session.close()
+        return message, unacked, len(lost), asker.received, holder.repair.stats.repairs_sent
+
+    message, unacked, lost, received, repairs = run_virtual(scenario())
+    assert (unacked, lost) == (0, 1)
+    assert received == [message.message_id]
+    assert repairs == 1
+
+
+def test_another_origins_message_inside_the_grace_waits_for_the_next_digest():
+    """a admitted x's message off x's link just now: b's digest lacking
+    it draws nothing (x's link to b carries it too); b's next digest,
+    two graces on, draws it."""
+    message = next(m for m in broadcasts(1) if m.sender == "x")
+
+    async def scenario():
+        bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+        holder, asker = Host(bus, "a", peers=["b", "x"]), Host(bus, "b", peers=["a", "x"])
+        for session in (holder.session, asker.session):
+            session.start()
+        holder.admit(message)
+        holder.repair.data_admitted(CODEC.encode(message), "x")
+        await asker.repair.heal("a")
+        await asyncio.sleep(0.01)
+        early = list(asker.received)
+        await asyncio.sleep(2 * _GAP_PULL_GRACE)
+        await asker.repair.heal("a")
+        await asyncio.sleep(0.01)
+        late = asker.received[len(early):]
+        for host in (holder, asker):
+            await host.session.close()
+        return early, late
+
+    early, late = run_virtual(scenario())
+    assert early == []
+    assert late == [message.message_id]
 
 
 def test_the_resync_limit_holds_per_address():
