@@ -2,15 +2,17 @@
 
 A declarative :class:`NodeConfig` plus two factories:
 
-* :func:`create_endpoint` — a transport-less protocol endpoint (any
-  member of the (n, r, k) clock family), for embedding in your own I/O;
+* :func:`create_endpoint` — a transport-less protocol endpoint on the
+  paper's (n, r, k) clock, for embedding in your own I/O;
 * :func:`create_node` — a fully wired networked node: UDP transport (or
   any transport you pass), reliable session (acks, retransmission,
   anti-entropy) and the protocol endpoint.
 
 The paper's parameters (R, K, the alert check) and the node's own
-scalars are fields of the config; each optional layer is configured by
-handing it that layer's policy object — absent means the layer is off::
+scalars are fields of the config; the other clock families (plausible,
+Lamport, vector, Bloom) run in the simulator, ``SimulationConfig(clock=…)``.
+Each optional layer is configured by handing it that layer's policy
+object — absent means the layer is off::
 
     from repro.api import LivenessPolicy, NodeConfig, create_node
 
@@ -26,7 +28,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Sequence, Tuple
 
-from repro.core.clocks import EntryVectorClock, scheme_class
+from repro.core.clocks import ProbabilisticCausalClock
 from repro.core.detector import DeliveryErrorDetector, detector_class
 from repro.core.errors import ConfigurationError
 from repro.core.keyspace import HashKeyAssigner, KeyAssigner
@@ -60,16 +62,11 @@ DeliveryHandler = Callable[[DeliveryRecord], None]
 class NodeConfig:
     """Everything needed to assemble one causal broadcast participant.
 
-    Clock family (the paper's (a, b, c) design space):
+    The paper's clock, (n, r, k) with static per-process keys:
 
     Attributes:
-        r: vector size R (ignored by ``lamport``; equals N for ``vector``).
-        k: entries per process K (``probabilistic`` and ``bloom``; the
-            others fix it).  With explicit ``keys`` it is ``len(keys)``.
-        scheme: ``probabilistic`` (n, r, k) | ``plausible`` (n, r, 1) |
-            ``lamport`` (n, 1, 1) | ``vector`` (n, n, 1) | ``bloom``
-            (per-event hashed keys).
-        n: system size; required by ``scheme="vector"`` (it sizes the vector).
+        r: vector size R.
+        k: entries per process K.  With explicit ``keys`` it is ``len(keys)``.
         detector: pre-delivery alert check — ``none`` | ``basic``
             (Algorithm 4) | ``refined`` (Algorithm 5).
         keys: explicit key set (overrides the hash-derived assignment):
@@ -136,8 +133,7 @@ class NodeConfig:
             :class:`~repro.net.adaptive.AdaptivePolicy`.  Epoch bumps
             are negotiated through the group view: needs ``membership``.
             It reads X off Algorithm 4's alert rate at the current
-            (R, K): needs ``scheme="probabilistic"`` and
-            ``detector="basic"``.
+            (R, K): needs ``detector="basic"``.
 
     Observability (used by :func:`create_node`):
 
@@ -153,8 +149,6 @@ class NodeConfig:
 
     r: int = 128
     k: int = 3
-    scheme: str = "probabilistic"
-    n: Optional[int] = None
     detector: str = "basic"
     keys: Optional[Tuple[int, ...]] = None
     detector_window: Optional[float] = None
@@ -178,10 +172,9 @@ class NodeConfig:
     metrics_port: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # Unknown scheme / detector strings raise listing the valid
-        # names (never a silent fallback — a typo like "basci" must not
-        # pick a detector).
-        family = scheme_class(self.scheme)
+        # An unknown detector string raises listing the valid names
+        # (never a silent fallback — a typo like "basci" must not pick
+        # a detector).
         detector_class(self.detector)
         if self.dissemination not in DISSEMINATION_MODES:
             raise ConfigurationError(
@@ -195,22 +188,16 @@ class NodeConfig:
             raise ConfigurationError(f"rx_batch must be positive, got {self.rx_batch}")
         if self.tx_batch <= 0:
             raise ConfigurationError(f"tx_batch must be positive, got {self.tx_batch}")
-        if family.needs_dense_index and self.n is None:
-            raise ConfigurationError(
-                f"scheme={self.scheme!r} needs n (the system size)"
-            )
         if self.r <= 0:
             raise ConfigurationError(f"vector size R must be positive, got {self.r}")
-        if self.keys is not None and family.needs_key_assignment:
-            # The clock owns the key-set rules (distinct, in [0, r), one
-            # entry for a fixed-K scheme): build one.
+        if self.keys is not None:
+            # The clock owns the key-set rules (distinct, in [0, r)):
+            # build one.  It is built from the keys, so k follows.
             create_clock("__validate__", self)
-            if family.fixed_k is None:
-                # One K: the clock is built from the keys, so k follows.
-                object.__setattr__(self, "k", len(self.keys))
+            object.__setattr__(self, "k", len(self.keys))
         if self.k <= 0:
             raise ConfigurationError(f"key count K must be positive, got {self.k}")
-        if family.fixed_k is None and family.fixed_r is None and self.k > self.r:
+        if self.k > self.r:
             raise ConfigurationError(f"need K <= R, got K={self.k}, R={self.r}")
         if self.anti_entropy_interval < 0:
             raise ConfigurationError(
@@ -252,12 +239,10 @@ class NodeConfig:
                 "adaptive needs membership: epoch bumps are negotiated "
                 "through the group view"
             )
-        if self.adaptive is not None and (self.scheme, self.detector) != (
-            "probabilistic", "basic"
-        ):
+        if self.adaptive is not None and self.detector != "basic":
             raise ConfigurationError(
-                "adaptive needs scheme='probabilistic' and detector='basic': "
-                "it reads X off Algorithm 4's alert rate at the current (R, K)"
+                "adaptive needs detector='basic': it reads X off "
+                "Algorithm 4's alert rate at the current (R, K)"
             )
 
     def replace(self, **changes: Any) -> "NodeConfig":
@@ -277,39 +262,28 @@ def create_clock(
     node_id: Hashable,
     config: NodeConfig,
     *,
-    index: Optional[int] = None,
     assigner: Optional[KeyAssigner] = None,
-) -> EntryVectorClock:
-    """Build the configured clock-family member for ``node_id``.
+) -> ProbabilisticCausalClock:
+    """Build the paper's (n, r, k) clock for ``node_id``.
 
-    Resolves the scheme through :data:`repro.core.clocks.SCHEMES` and
-    hands the family's ``build`` what its class attributes declare it
-    needs.  Without ``keys`` or an ``assigner`` the key set is
-    coordination-free: :class:`HashKeyAssigner` over ``(0, node_id)``,
-    so a node leaving and rejoining gets the same keys without any
-    shared assigner state.
+    The key set is ``config.keys`` when given, else
+    ``assigner.assign(node_id)``, else coordination-free:
+    :class:`HashKeyAssigner` over ``(0, node_id)``, so a node leaving
+    and rejoining gets the same keys without any shared assigner state.
 
     Args:
         node_id: the process identity (drives hash key assignment).
         config: the node configuration.
-        index: dense process index, required by ``scheme="vector"``.
         assigner: optional coordinated :class:`KeyAssigner`; when given,
-            ``assigner.assign(node_id)`` replaces the hash assignment
-            (key-assignment schemes only).
+            ``assigner.assign(node_id)`` replaces the hash assignment.
     """
-    family = scheme_class(config.scheme)
-    k = family.fixed_k or config.k
-    keys: Sequence[int] = ()
-    if family.needs_key_assignment:
-        if config.keys is not None:
-            keys = config.keys
-        elif assigner is not None:
-            keys = assigner.assign(node_id).keys
-        else:
-            keys = HashKeyAssigner(config.r, k).assign((0, node_id)).keys
-    return family.build(
-        node_id, config.r, k, tuple(int(key) for key in keys), config.n, index
-    )
+    if config.keys is not None:
+        keys: Sequence[int] = config.keys
+    elif assigner is not None:
+        keys = assigner.assign(node_id).keys
+    else:
+        keys = HashKeyAssigner(config.r, config.k).assign((0, node_id)).keys
+    return ProbabilisticCausalClock(config.r, keys)
 
 
 def create_detector(config: NodeConfig) -> DeliveryErrorDetector:
@@ -326,7 +300,6 @@ def create_endpoint(
     config: Optional[NodeConfig] = None,
     *,
     on_delivery: Optional[DeliveryHandler] = None,
-    index: Optional[int] = None,
     assigner: Optional[KeyAssigner] = None,
 ) -> CausalBroadcastEndpoint:
     """Build a transport-less protocol endpoint from a config.
@@ -338,7 +311,7 @@ def create_endpoint(
     config = config if config is not None else NodeConfig()
     return CausalBroadcastEndpoint(
         process_id=str(node_id),
-        clock=create_clock(node_id, config, index=index, assigner=assigner),
+        clock=create_clock(node_id, config, assigner=assigner),
         detector=create_detector(config),
         deliver_callback=on_delivery,
     )
@@ -350,7 +323,6 @@ async def create_node(
     *,
     transport: Optional[Transport] = None,
     on_delivery: Optional[DeliveryHandler] = None,
-    index: Optional[int] = None,
     assigner: Optional[KeyAssigner] = None,
     start: bool = True,
 ) -> ReliableCausalNode:
@@ -363,7 +335,6 @@ async def create_node(
             :class:`~repro.net.udp.BatchedUdpTransport` on
             ``(config.host, config.port)``.
         on_delivery: synchronous callback per delivery.
-        index: dense process index (``scheme="vector"`` only).
         assigner: optional coordinated key assigner (see :func:`create_clock`).
         start: start the retransmit timer and anti-entropy loop before
             returning (pass False to start manually later).
@@ -376,7 +347,7 @@ async def create_node(
             rx_batch=config.rx_batch,
             tx_batch=config.tx_batch,
         )
-    clock = create_clock(node_id, config, index=index, assigner=assigner)
+    clock = create_clock(node_id, config, assigner=assigner)
     node = ReliableCausalNode(node_id, config, clock, transport, on_delivery)
     if config.membership is not None:
         GroupMembership(node, config.membership, assigner=assigner)

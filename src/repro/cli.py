@@ -17,7 +17,8 @@ Seven subcommands cover the common workflows without writing code:
 The ``--clock``/``--detector`` choices are read from
 :data:`repro.core.clocks.SCHEMES` and :data:`repro.core.detector.DETECTORS`
 and the ``node`` flag defaults from the config dataclasses, so neither
-is typed a second time here.
+is typed a second time here.  ``node`` runs the paper's (n, r, k)
+clock; ``simulate --clock`` picks any family.
 
 Every command prints plain text; ``simulate --json`` emits a
 machine-readable result instead.  A configuration the library rejects
@@ -122,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     node.add_argument("--r", type=int, default=NodeConfig.r)
     node.add_argument("--k", type=int, default=NodeConfig.k)
-    node.add_argument(
-        "--clock", choices=tuple(SCHEMES), default=NodeConfig.scheme
-    )
     node.add_argument(
         "--detector", choices=tuple(DETECTORS), default=NodeConfig.detector
     )
@@ -428,12 +426,9 @@ def _command_node(args: argparse.Namespace) -> int:
         adaptive = AdaptivePolicy(
             interval=args.adaptive_interval, band=(low, high), k_max=args.adaptive_k_max
         )
-    dense = SCHEMES[args.clock].needs_dense_index
     config = NodeConfig(
         r=args.r,
         k=args.k,
-        scheme=args.clock,
-        n=args.r if dense else None,
         detector=args.detector,
         host=host,
         port=port,
@@ -458,7 +453,6 @@ def _command_node(args: argparse.Namespace) -> int:
                     f"<- {record.message.sender}: {record.message.payload!r}"
                     + ("  [ALERT]" if record.alert else "")
                 ),
-                index=0 if dense else None,
             )
         except OSError as exc:
             print(f"cannot bind {host}:{port}: {exc}", file=sys.stderr)
@@ -467,7 +461,7 @@ def _command_node(args: argparse.Namespace) -> int:
             print(f"cannot join the group: {exc}", file=sys.stderr)
             return 1
         print(f"listening on {node.local_address[0]}:{node.local_address[1]} "
-              f"as {args.id!r} (R={config.r}, K={config.k}, {config.scheme})")
+              f"as {args.id!r} (R={config.r}, K={config.k})")
         if node.recovered is not None:
             print(f"recovered journal: send_seq={node.recovered.send_seq} "
                   f"({node.recovered.wal_records} WAL records replayed, "
@@ -621,18 +615,17 @@ def _command_engines(args: argparse.Namespace) -> int:
     clock_rows = []
     for name, family in SCHEMES.items():
         flags = [flag for flag in
-                 ("needs_dense_index", "needs_key_assignment", "per_message_keys")
+                 ("needs_dense_index", "needs_key_assignment")
                  if getattr(family, flag)]
         clock_rows.append([
             name,
-            family.wire_scheme_id,
             family.fixed_r if family.fixed_r is not None else "free",
             family.fixed_k if family.fixed_k is not None else "free",
             ", ".join(flags) or "-",
             _summary(family),
         ])
     print(render_table(
-        ["clock", "wire id", "R", "K", "capabilities", "description"],
+        ["clock", "R", "K", "capabilities", "description"],
         clock_rows, title="clock schemes",
     ))
 

@@ -151,29 +151,21 @@ class EntryVectorClock:
             of ints in ``[0, R)``.
 
     A family in :data:`SCHEMES` declares what it pins and needs as class
-    attributes, which the assembly layers read instead of matching on
-    scheme names (DESIGN.md §9):
+    attributes, which the simulator reads instead of matching on scheme
+    names (DESIGN.md §9):
 
-    * ``wire_scheme_id`` — the codec's scheme byte; every encoded
-      timestamp carries it, so mixed-family traffic fails at decode
-      instead of mis-applying a delivery condition;
     * ``fixed_k`` / ``fixed_r`` — K or R pinned by the family (``None``:
       a free parameter, or R = N for a dense-index family);
     * ``needs_dense_index`` — :meth:`build` needs ``index`` and ``n``
       (static dense membership);
     * ``needs_key_assignment`` — :meth:`build` consumes ``keys`` from a
-      keyspace assignment (the (R, K) family's ``f(p_i)``);
-    * ``per_message_keys`` — a fresh key set per send, so a receiver
-      cannot take a delta's keys from its reference: such a family
-      always sends the full encoding.
+      keyspace assignment (the (R, K) family's ``f(p_i)``).
     """
 
-    wire_scheme_id = 0
     fixed_k: Optional[int] = None
     fixed_r: Optional[int] = None
     needs_dense_index = False
     needs_key_assignment = False
-    per_message_keys = False
 
     def __init__(self, r: int, own_keys: Sequence[int]) -> None:
         if r <= 0:
@@ -205,8 +197,8 @@ class EntryVectorClock:
         n: Optional[int],
         index: Optional[int],
     ) -> "EntryVectorClock":
-        """This family's member for one process; the assembly layers
-        fill what the class attributes declare it needs."""
+        """This family's member for one process; the simulator fills
+        what the class attributes declare it needs."""
         return cls(r, keys)
 
     # ------------------------------------------------------------------
@@ -389,15 +381,14 @@ class EntryVectorClock:
 
 
 class ProbabilisticCausalClock(EntryVectorClock):
-    """The paper's contribution: the ``(n, r, k)`` clock with ``k > 1``.
+    """The paper's contribution: the ``(n, r, k)`` clock, the one a node runs.
 
     Semantically identical to :class:`EntryVectorClock`; the subclass
-    exists to name the configuration and validate that it is the genuinely
-    probabilistic regime (``1 < K < R`` — the interior of the family where
-    the paper shows the optimum lies).
+    exists to name the configuration and validate ``1 <= K <= R``.  The
+    paper shows the optimum in the interior ``1 < K < R``; the edges are
+    still valid clocks (K = 1 is the plausible clock's geometry).
     """
 
-    wire_scheme_id = 1
     needs_key_assignment = True
 
     def __init__(self, r: int, own_keys: Sequence[int]) -> None:
@@ -413,7 +404,6 @@ class PlausibleCausalClock(EntryVectorClock):
     entry.  Equivalent to the paper's scheme with ``K = 1``.
     """
 
-    wire_scheme_id = 2
     fixed_k = 1
     needs_key_assignment = True
 
@@ -424,7 +414,7 @@ class PlausibleCausalClock(EntryVectorClock):
     def build(cls, node_id, r, k, keys, n, index):
         if len(keys) != 1:
             raise ConfigurationError(
-                f'scheme="plausible" owns exactly one entry, got {tuple(keys)}'
+                f'clock="plausible" owns exactly one entry, got {tuple(keys)}'
             )
         return cls(r, keys[0])
 
@@ -438,7 +428,6 @@ class LamportCausalClock(EntryVectorClock):
     reaches ``t - 1``).  Included as the extreme baseline the paper cites.
     """
 
-    wire_scheme_id = 3
     fixed_k = 1
     fixed_r = 1
 
@@ -459,7 +448,6 @@ class VectorCausalClock(EntryVectorClock):
     indices.
     """
 
-    wire_scheme_id = 4
     fixed_k = 1
     needs_dense_index = True
 
@@ -472,7 +460,7 @@ class VectorCausalClock(EntryVectorClock):
     def build(cls, node_id, r, k, keys, n, index):
         if index is None:
             raise ConfigurationError(
-                'scheme="vector" needs index= (this node\'s dense process index)'
+                'clock="vector" needs index (this process\'s dense index)'
             )
         return cls(n if n is not None else r, index)
 
@@ -496,8 +484,8 @@ class BloomCausalClock(EntryVectorClock):
     per process or once per event.  Per-event keys decorrelate
     consecutive messages of one sender (a covered entry no longer stays
     covered for that sender's whole stream), at the cost of shipping a
-    fresh key list on every message and losing the static-key delta wire
-    encoding (``per_message_keys``).
+    fresh key list on every message.  It runs in the simulator only: the
+    node's delta encoding takes a message's keys from its reference.
 
     Args:
         m: vector size (number of Bloom counters; the family's ``R``).
@@ -505,9 +493,6 @@ class BloomCausalClock(EntryVectorClock):
         owner: this process's identity — part of the hash preimage, so
             two processes never share an event's key set by accident.
     """
-
-    wire_scheme_id = 5
-    per_message_keys = True
 
     def __init__(
         self, m: int, hashes: int = 4, owner: ProcessId = ""
@@ -553,8 +538,7 @@ class BloomCausalClock(EntryVectorClock):
         return super().prepare_send()
 
 
-# Name -> family; a new family takes the next wire id upward from 6
-# (DESIGN.md §9).
+# Name -> family, for the simulator (DESIGN.md §9).
 SCHEMES: Dict[str, Type[EntryVectorClock]] = {
     "probabilistic": ProbabilisticCausalClock,
     "plausible": PlausibleCausalClock,

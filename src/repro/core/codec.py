@@ -11,12 +11,10 @@ Layout (little-endian)::
     flags   1B  bit0: entries are LEB128 varints (always set)
                 bit1: DELTA encoding (see below)
                 bit2: a DELTA's changed entries as a bitmap
-    scheme  1B  clock-scheme id (the family class's ``wire_scheme_id``):
-                the clock family that produced the timestamp.  Decoding
-                checks it against the codec's configured scheme, so
-                timestamps of different families — which share the
-                vector shape but not the delivery semantics — fail
-                loudly instead of being silently mis-applied.
+    scheme  1B  always 1, the (n, r, k) clock.  Decoding refuses any
+                other value, so a foreign build's timestamps — which may
+                share the vector shape but not the delivery semantics —
+                fail loudly instead of being silently mis-applied.
     epoch   1B  low 8 bits of the sender's clock-sizing epoch (a
                 mismatch is tallied, never an error)
     sender  u16 length + UTF-8 bytes
@@ -93,7 +91,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.clocks import SCHEMES, Timestamp, scheme_class
+from repro.core.clocks import Timestamp
 from repro.core.errors import ReproError
 from repro.core.protocol import Message
 
@@ -131,6 +129,7 @@ _FLAG_DELTA = 0x02
 _FLAG_BITMAP = 0x04
 _MAX_EXTRA = 2**63 - 3  # the largest increment - 2 an int64 entry can take
 _MAX_U32 = 0xFFFFFFFF
+_SCHEME_ID = 1  # the (n, r, k) clock; ids 2-5 are retired, never reused
 _HEADER_SIZE = 6  # magic + version + flags + scheme + epoch
 
 
@@ -322,10 +321,6 @@ class MessageCodec:
     Payloads are JSON (:class:`JsonPayloadCodec`).
 
     Args:
-        scheme: the clock scheme whose timestamps this codec carries
-            (a name in :data:`repro.core.clocks.SCHEMES`).  Its class's
-            ``wire_scheme_id`` is stamped into every encoding and checked
-            on decode.
         epoch: the clock-sizing epoch this codec currently encodes; one
             byte of a full form (mod 256) next to the scheme id, which a
             delta leaves to its chain's full form.  Unlike the scheme, a
@@ -336,14 +331,8 @@ class MessageCodec:
             :attr:`counters` so the transition is observable.
     """
 
-    def __init__(
-        self,
-        scheme: str = "probabilistic",
-        epoch: int = 0,
-    ) -> None:
+    def __init__(self, epoch: int = 0) -> None:
         self._payload_codec = JsonPayloadCodec()
-        self._scheme = scheme
-        self._scheme_id = scheme_class(scheme).wire_scheme_id
         self.epoch = epoch
         self.counters = CodecCounters()
 
@@ -358,16 +347,6 @@ class MessageCodec:
             raise CodecError(f"epoch must be >= 0, got {value}")
         self._epoch = int(value)
 
-    def _check_scheme(self, scheme_id: int) -> None:
-        if scheme_id != self._scheme_id:
-            carried = [name for name, family in SCHEMES.items()
-                       if family.wire_scheme_id == scheme_id]
-            label = repr(carried[0]) if carried else f"id {scheme_id}"
-            raise CodecError(
-                f"message timestamp belongs to clock scheme {label}; "
-                f"this codec decodes {self._scheme!r}"
-            )
-
     def _header_parts(self, message: Message, flags: int) -> list:
         """Shared prefix (magic..keys) of the full and delta encodings."""
         sender_bytes = str(message.sender).encode("utf-8")
@@ -381,7 +360,7 @@ class MessageCodec:
         return [
             _MAGIC,
             struct.pack(
-                "<BBBB", _VERSION, flags, self._scheme_id, self._epoch & 0xFF
+                "<BBBB", _VERSION, flags, _SCHEME_ID, self._epoch & 0xFF
             ),
             struct.pack("<H", len(sender_bytes)),
             sender_bytes,
@@ -418,7 +397,11 @@ class MessageCodec:
                 "delta-encoded message: use decode_delta() with the "
                 "reference vector"
             )
-        self._check_scheme(data[4])
+        if data[4] != _SCHEME_ID:
+            raise CodecError(
+                f"message timestamp carries clock scheme id {data[4]}; "
+                f"this build decodes only {_SCHEME_ID}, the (n, r, k) clock"
+            )
         if data[5] != self._epoch & 0xFF:
             self.counters.epoch_mismatches += 1
         try:
@@ -610,8 +593,7 @@ class MessageCodec:
         """The sender's full encoding of the delta, byte for byte: the
         message's own ``vector`` and ``sender_keys``, and the ``epoch``
         byte of its chain's full form, around the delta's sender and seq
-        and its payload bytes, which are not serialised again.  The
-        scheme is this codec's: the chain's full form passed its check."""
+        and its payload bytes, which are not serialised again."""
         _, sender, seq, offset = _header(data)
         offset = _add_entries(data, offset, np.zeros(len(vector), dtype=np.int64), 1)
         payload_len, offset = decode_varint(data, offset)
@@ -619,7 +601,7 @@ class MessageCodec:
         self.counters.full_rebuilds += 1
         return b"".join((
             _MAGIC,
-            struct.pack("<BBBBH", _VERSION, _FLAG_VARINT, self._scheme_id, epoch, len(sender_bytes)),
+            struct.pack("<BBBBH", _VERSION, _FLAG_VARINT, _SCHEME_ID, epoch, len(sender_bytes)),
             sender_bytes,
             struct.pack(f"<QH{len(sender_keys)}II", seq, len(sender_keys), *sender_keys, len(vector)),
             _encode_varints(np.asarray(vector, dtype=np.int64).tolist()),

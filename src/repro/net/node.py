@@ -20,7 +20,7 @@ against the clock's vector size and the group view, store
 the body as it arrived, hand it to the endpoint.  The mesh and relay handlers
 add only what is theirs.
 
-On the wire every broadcast (o, s) is encoded once (``wire_delta``): as
+On the wire every broadcast (o, s) is encoded once (``_wire_body``): as
 the entries changed since the sender's previous broadcast (o, s − 1) —
 O(K) bytes instead of O(R) — when that is smaller than the full form,
 and the same body goes out on every mesh link and in every RELAY
@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional,
 
 import numpy as np
 
-from repro.core.clocks import EntryVectorClock, scheme_class
+from repro.core.clocks import ProbabilisticCausalClock
 from repro.core.codec import CodecCounters, MessageCodec, RelayFrame, TreeFrame
 from repro.core.detector import detector_class
 from repro.core.errors import ConfigurationError
@@ -113,16 +113,14 @@ class ReliableCausalNode:
     Args:
         node_id: this node's identity (the message sender id).
         config: the :class:`~repro.api.NodeConfig` whose layers, intervals,
-            scheme, detector, journal, dissemination and metrics settings
+            detector, journal, dissemination and metrics settings
             this node runs with.  With ``data_dir`` set the constructor
             replays any prior journal state (clock, delivered frontiers,
             link seqs) before a single datagram can arrive, and every
             send and delivery is logged ahead of the wire; that needs a
-            pristine ``clock``.  The scheme sets the wire codec, and a
-            scheme that draws its keys per message (a delta carries no
-            keys) always sends the full encoding; incoming deltas are
-            decoded either way.
-        clock: its logical clock (any member of the (n, r, k) family).
+            pristine ``clock``.
+        clock: its (n, r, k) clock; its keys are static, so a delta
+            takes them from its reference.
         transport: datagram substrate; the node's session owns it.
         on_delivery: synchronous callback per delivery.
     """
@@ -131,17 +129,16 @@ class ReliableCausalNode:
         self,
         node_id: Hashable,
         config: NodeConfig,
-        clock: EntryVectorClock,
+        clock: ProbabilisticCausalClock,
         transport: Transport,
         on_delivery: Optional[DeliveryHandler] = None,
     ) -> None:
         self._node_id = node_id
         self._config = config
-        self._codec = MessageCodec(scheme=config.scheme)
+        self._codec = MessageCodec()
         self._on_delivery = on_delivery
         self._peers: List[Address] = []
         self._decode_errors = 0
-        self._wire_delta = not scheme_class(config.scheme).per_message_keys
         # Delta wire state.  Sending: the vector of this node's previous
         # broadcast — the one reference for every link and relay hop.
         # Receiving: the store's per-sender references, and the deltas
@@ -641,7 +638,7 @@ class ReliableCausalNode:
         is needed: a receiver must hold (o, s − 1) before it may deliver
         (o, s) anyway; one that meets the delta first parks it."""
         previous, self._previous = self._previous, message.timestamp.vector
-        delta = self._codec.encode_delta(message, previous) if self._wire_delta and previous is not None else None
+        delta = self._codec.encode_delta(message, previous) if previous is not None else None
         # Under any full form's size less its payload (26 bytes, the
         # sender, 4 per key, 1 per entry): the smaller, none is built.
         stamp, sender = message.timestamp, str(message.sender).encode("utf-8")

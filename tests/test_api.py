@@ -30,16 +30,16 @@ from tests.recording import Deliveries
 class TestNodeConfig:
     def test_defaults_are_valid(self):
         config = NodeConfig()
-        assert config.scheme == "probabilistic"
+        assert type(create_clock("n", config)) is ProbabilisticCausalClock
         assert config.r > 0 and 0 < config.k <= config.r
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(scheme="quantum"),
+            dict(rx_batch=0),
             dict(detector="psychic"),
             dict(dissemination="broadcast"),
-            dict(scheme="vector"),           # vector without n
+            dict(metrics_port=70000),
             dict(r=0),
             dict(k=0),
             dict(r=4, k=9),
@@ -58,7 +58,7 @@ class TestNodeConfig:
         the layer that reads it; the config holds those objects and the
         old flat copies fail loudly instead of being silently ignored."""
         assert [field.name for field in dataclasses.fields(NodeConfig)] == [
-            "r", "k", "scheme", "n", "detector", "keys",
+            "r", "k", "detector", "keys",
             "detector_window", "host", "port", "rx_batch", "tx_batch",
             "retransmit", "anti_entropy_interval",
             "dissemination", "fanout",
@@ -105,6 +105,7 @@ class TestNodeConfig:
             "relay_max_hops", "adaptive_cooldown", "wire_delta", "store_limit",
             "payload_codec",  # JSON is the only payload format
             "keyspace_seed", "max_pending",  # only tests set them
+            "scheme", "n",  # the node runs the paper's clock only
             # the 20 copies of policy fields
             "ack_timeout", "backoff_factor", "max_retries", "send_buffer",
             "coalesce_mtu", "flush_interval",
@@ -163,8 +164,6 @@ class TestNodeConfig:
         config = NodeConfig(r=16, k=3, keys=(1, 2))
         assert config.k == 2 == create_clock("n", config).k
         assert config.replace(k=5).k == 2
-        # A scheme that fixes K, or that takes no key set, keeps its k.
-        assert NodeConfig(r=16, scheme="bloom", keys=(1, 2)).k == 3
 
     @pytest.mark.parametrize("keys", [(1, 1), (-1, 2), (3, 16), ()])
     def test_bad_explicit_keys_rejected_at_construction(self, keys):
@@ -173,6 +172,9 @@ class TestNodeConfig:
 
 
 class TestCreateClock:
+    """``create_clock`` builds the paper's clock; the other families
+    are built as the simulator builds them, by ``SCHEMES[name].build``."""
+
     def test_probabilistic_clock(self):
         clock = create_clock("alice", NodeConfig(r=64, k=3))
         assert isinstance(clock, ProbabilisticCausalClock)
@@ -186,22 +188,21 @@ class TestCreateClock:
         assert again.own_keys == HashKeyAssigner(64, 3).assign((0, "alice")).keys
 
     def test_plausible_clock(self):
-        clock = create_clock("bob", NodeConfig(r=32, scheme="plausible"))
+        clock = SCHEMES["plausible"].build("bob", 32, 1, (5,), None, None)
         assert isinstance(clock, PlausibleCausalClock)
         assert clock.k == 1
 
     def test_lamport_clock(self):
-        clock = create_clock("bob", NodeConfig(scheme="lamport"))
+        clock = SCHEMES["lamport"].build("bob", 64, 1, (), None, None)
         assert isinstance(clock, LamportCausalClock)
         assert clock.r == 1 and clock.k == 1
 
     def test_vector_clock_needs_index(self):
-        config = NodeConfig(scheme="vector", n=5)
-        clock = create_clock("p2", config, index=2)
+        clock = SCHEMES["vector"].build("p2", 64, 1, (), 5, 2)
         assert isinstance(clock, VectorCausalClock)
         assert clock.r == 5 and clock.own_keys == (2,)
         with pytest.raises(ConfigurationError):
-            create_clock("p2", config)
+            SCHEMES["vector"].build("p2", 64, 1, (), 5, None)
 
     def test_explicit_keys_override_hash(self):
         clock = create_clock("alice", NodeConfig(r=16, k=2, keys=(1, 9)))
@@ -214,7 +215,7 @@ class TestCreateClock:
 
     def test_plausible_rejects_multi_key_override(self):
         with pytest.raises(ConfigurationError):
-            create_clock("x", NodeConfig(r=16, scheme="plausible", keys=(1, 2)))
+            SCHEMES["plausible"].build("x", 16, 1, (1, 2), None, None)
 
 
 class TestCreateDetector:
@@ -236,13 +237,18 @@ class TestCreateDetector:
 class TestCreateEndpoint:
     @pytest.mark.parametrize("scheme", tuple(SCHEMES))
     def test_every_scheme_yields_working_endpoint(self, scheme):
-        config = NodeConfig(r=16, k=2, scheme=scheme,
-                            n=4 if scheme == "vector" else None)
-        endpoints = [
-            create_endpoint(f"p{i}", config,
-                            index=i if scheme == "vector" else None)
-            for i in range(2)
-        ]
+        """``create_endpoint`` runs the paper's clock; the endpoint
+        itself runs every family's clock, as the simulator builds it."""
+        if scheme == "probabilistic":
+            endpoints = [create_endpoint(f"p{i}", NodeConfig(r=16, k=2)) for i in range(2)]
+        else:
+            family = SCHEMES[scheme]
+            endpoints = [
+                CausalBroadcastEndpoint(
+                    f"p{i}", family.build(i, 16, 2, (i,), 4, i), NullDetector()
+                )
+                for i in range(2)
+            ]
         message = endpoints[0].broadcast("hi")
         records = endpoints[1].on_receive(message)
         assert [r.message.payload for r in records] == ["hi"]
@@ -260,9 +266,9 @@ class TestCreateEndpoint:
 
 class TestCreateNode:
     def test_node_over_bus_transport(self):
-        async def scenario(scheme):
+        async def scenario():
             bus = LocalAsyncBus()
-            config = NodeConfig(r=32, k=2, scheme=scheme, anti_entropy_interval=0.0)
+            config = NodeConfig(r=32, k=2, anti_entropy_interval=0.0)
             a = await create_node("a", config, transport=bus.attach("a"))
             log = Deliveries()
             b = await create_node("b", config, transport=bus.attach("b"), on_delivery=log.append)
@@ -283,11 +289,9 @@ class TestCreateNode:
             await b.close()
             return wire
 
-        # The second message rides as a delta against the first — unless
-        # the scheme draws keys per message, which a delta cannot carry.
-        assert asyncio.run(scenario("probabilistic")).delta_sent == 1
-        bloom = asyncio.run(scenario("bloom"))
-        assert (bloom.delta_sent, bloom.full_sent) == (0, 2)
+        # The second message rides as a delta against the first.
+        wire = asyncio.run(scenario())
+        assert (wire.delta_sent, wire.full_sent) == (1, 1)
 
     def test_start_false_defers_background_tasks(self):
         async def scenario():

@@ -86,6 +86,17 @@ class TestMessageCodec:
         with pytest.raises(CodecError, match="varint"):
             MessageCodec().decode(bytes(data))
 
+    def test_the_scheme_byte_is_1_and_any_other_is_a_foreign_build(self):
+        """A full form's byte 4 names the (n, r, k) clock.  Ids 2–5
+        named the other families, which now run in the simulator only;
+        they are retired, and every value but 1 fails naming the id."""
+        codec = MessageCodec()
+        data = codec.encode(make_message(sends=2))
+        assert data[4] == 1
+        for scheme_id in (0, *range(2, 256)):
+            with pytest.raises(CodecError, match=f"scheme id {scheme_id};"):
+                codec.decode(data[:4] + bytes((scheme_id,)) + data[5:])
+
     def test_varint_is_smaller_for_sparse_vectors(self):
         message = make_message(r=100, keys=(0, 1, 2, 3))
         # The whole message undercuts what uint32 slots alone would take.

@@ -432,21 +432,21 @@ def test_a_reordered_mesh_delta_parks_and_releases_with_no_miss():
 def test_a_delta_behind_a_full_form_of_another_scheme_parks_and_is_never_delivered():
     """A delta carries no scheme id: the only message it can be decoded
     against is its reference, which passed the scheme check when it was
-    admitted.  A full form of another clock scheme is refused, so the
-    delta behind it waits for a reference this node never admits."""
+    admitted.  A full form of a foreign build (scheme byte 2, the id a
+    plausible clock once had) is refused, so the delta behind it waits
+    for a reference this node never admits."""
 
     async def scenario():
         bus = LocalAsyncBus()
         log = Deliveries()
         node = await receiver(bus, on_delivery=log.append)
-        origin, foreign = Origin(), MessageCodec(scheme="plausible")
+        origin = Origin()
+        full = origin.full(1)
         try:
-            node._handle_wire_message(foreign.encode(origin.sent[0]), "a")
+            node._handle_wire_message(full[:4] + b"\x02" + full[5:], "a")
             assert node.decode_errors == 1
-            # Byte for byte the delta a node of this scheme would send.
-            delta = foreign.encode_delta(origin.sent[1], origin.sent[0].timestamp.vector)
-            assert delta == origin.delta(2)
-            node._handle_wire_message(delta, "a")
+            # The foreign build's delta is byte for byte this one's.
+            node._handle_wire_message(origin.delta(2), "a")
             await asyncio.sleep(1.0)
             assert node.state_sizes()["parked_deltas"] == 1
             assert log.payloads() == [] and node.store.get("a", 2) is None

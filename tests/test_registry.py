@@ -2,24 +2,18 @@
 
 Covers the map contract end to end: unknown names fail loudly with
 the valid alternatives, every scheme string builds the exact class it
-always did, a toy family put into ``SCHEMES`` in-test round-trips
-through every assembly layer (``create_clock``/``create_endpoint``/
-``NodeConfig``/``SimulationConfig``) — no layer matches on scheme
-names, each reads the family's class attributes — wire scheme ids stay
-pinned, and the codec's scheme byte keeps timestamp families
-wire-distinguishable.
+always did in the simulator (the node builds only the paper's clock,
+``tests/test_api.py``), and a toy family put into ``SCHEMES`` in-test
+runs through ``SimulationConfig`` — the simulator matches on no scheme
+name, it reads the family's class attributes.  The codec's scheme byte
+is pinned in ``tests/test_codec.py``.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.api import (
-    NodeConfig,
-    create_clock,
-    create_detector,
-    create_endpoint,
-)
+from repro.api import NodeConfig, create_detector
 from repro.core import clocks
 from repro.core.clocks import (
     SCHEMES,
@@ -30,16 +24,14 @@ from repro.core.clocks import (
     VectorCausalClock,
     scheme_class,
 )
-from repro.core.codec import CodecError, MessageCodec
 from repro.core.detector import DETECTORS, detector_class
 from repro.core.errors import ConfigurationError
 from repro.sim import GaussianDelayModel, PoissonWorkload, SimulationConfig, run_simulation
+from repro.sim.runner import _Run
 
 
 class ToyClock(ProbabilisticCausalClock):
-    """Test-only alias of the probabilistic clock, on the next free wire id."""
-
-    wire_scheme_id = 6
+    """Test-only alias of the probabilistic clock."""
 
 
 @pytest.fixture
@@ -48,6 +40,12 @@ def toy_clock(monkeypatch):
     name = "toy-clock"
     monkeypatch.setitem(clocks.SCHEMES, name, ToyClock)
     return name
+
+
+def sim_clock(scheme, slot, **fields):
+    """The clock and key assignment the simulator builds for ``slot``."""
+    config = SimulationConfig(clock=scheme, duration_ms=100.0, **fields)
+    return _Run(config)._make_clock(slot)
 
 
 class TestLookupFailures:
@@ -71,8 +69,10 @@ class TestLookupFailures:
             NodeConfig(r=16, k=2, detector="basci")
 
     def test_node_config_rejects_unknown_scheme(self):
-        with pytest.raises(ConfigurationError, match="unknown clock"):
-            NodeConfig(r=16, k=2, scheme="quantum")
+        # The node runs the paper's clock only: it takes no scheme at all.
+        for scheme in ("quantum", "probabilistic"):
+            with pytest.raises(TypeError):
+                NodeConfig(r=16, k=2, scheme=scheme)
 
     def test_simulation_config_rejects_unknown_names(self):
         base = dict(
@@ -99,11 +99,8 @@ class TestLegacySchemes:
 
     @pytest.mark.parametrize("scheme,cls", sorted(EXPECTED.items()))
     def test_create_clock_builds_exact_class(self, scheme, cls):
-        dense = SCHEMES[scheme].needs_dense_index
-        config = NodeConfig(
-            r=16, k=2, scheme=scheme, n=8 if dense else None
-        )
-        clock = create_clock("n0", config, index=0 if dense else None)
+        # Where each family runs: the simulator's clock=scheme.
+        clock, _ = sim_clock(scheme, 0, n_nodes=8, r=16, k=2)
         assert type(clock) is cls
 
     def test_registration_order_preserves_legacy_prefix(self):
@@ -112,29 +109,8 @@ class TestLegacySchemes:
         )
         assert tuple(DETECTORS) == ("none", "basic", "refined")
 
-    def test_pinned_wire_scheme_ids(self):
-        assert [SCHEMES[s].wire_scheme_id for s in
-                ("probabilistic", "plausible", "lamport", "vector", "bloom")
-                ] == [1, 2, 3, 4, 5]
-        # One id per family; 6 is the next free one.
-        ids = [family.wire_scheme_id for family in SCHEMES.values()]
-        assert sorted(ids) == [1, 2, 3, 4, 5]
-
 
 class TestToyPlugin:
-    def test_round_trips_create_clock(self, toy_clock):
-        clock = create_clock("n0", NodeConfig(r=16, k=2, scheme=toy_clock))
-        assert isinstance(clock, ProbabilisticCausalClock)
-        assert clock.r == 16
-
-    def test_round_trips_create_endpoint(self, toy_clock):
-        config = NodeConfig(r=16, k=2, scheme=toy_clock)
-        endpoint = create_endpoint("n0", config)
-        message = endpoint.broadcast("hello")
-        other = create_endpoint("n1", config)
-        records = other.on_receive(message)
-        assert [r.message.payload for r in records] == ["hello"]
-
     def test_round_trips_simulation(self, toy_clock):
         config = SimulationConfig(
             n_nodes=6, r=24, k=2, clock=toy_clock,
@@ -158,41 +134,11 @@ class TestClockBuildContext:
                 return super().build(node_id, r, k, keys, n, index)
 
         monkeypatch.setitem(clocks.SCHEMES, toy_clock, Probe)
-        clock = create_clock("n7", NodeConfig(r=32, k=3, scheme=toy_clock), index=4)
+        clock, assignment = sim_clock(toy_clock, 4, n_nodes=8, r=32, k=3)
         assert type(clock) is Probe
-        assert seen["node_id"] == "n7"
+        assert seen["node_id"] == 4
         assert seen["r"] == 32 and seen["k"] == 3
-        assert seen["keys"] == clock.own_keys and len(seen["keys"]) == 3
+        assert seen["keys"] == clock.own_keys == tuple(assignment.keys)
+        assert len(seen["keys"]) == 3
         assert all(isinstance(key, int) for key in seen["keys"])
-        assert seen["n"] is None and seen["index"] == 4
-
-
-class TestCodecSchemeByte:
-    def _endpoint(self, scheme, node="a"):
-        dense = SCHEMES[scheme].needs_dense_index
-        config = NodeConfig(r=16, k=2, scheme=scheme, n=8 if dense else None)
-        return create_endpoint(node, config, index=0 if dense else None)
-
-    @pytest.mark.parametrize("scheme", sorted(TestLegacySchemes.EXPECTED))
-    def test_roundtrip_preserves_scheme(self, scheme):
-        codec = MessageCodec(scheme=scheme)
-        message = self._endpoint(scheme).broadcast("x")
-        data = codec.encode(message)
-        decoded = codec.decode(data)
-        assert decoded.timestamp.sender_keys == message.timestamp.sender_keys
-        # The scheme byte travels: every other scheme's codec refuses it.
-        for other in sorted(TestLegacySchemes.EXPECTED):
-            if other != scheme:
-                with pytest.raises(CodecError, match=scheme):
-                    MessageCodec(scheme=other).decode(data)
-
-    def test_cross_scheme_decode_rejected(self):
-        bloom_wire = MessageCodec(scheme="bloom").encode(
-            self._endpoint("bloom").broadcast("x")
-        )
-        with pytest.raises(CodecError, match="bloom"):
-            MessageCodec(scheme="probabilistic").decode(bloom_wire)
-
-    def test_decode_rejects_garbage(self):
-        with pytest.raises(CodecError):
-            MessageCodec().decode(b"nope")
+        assert seen["n"] == 8 and seen["index"] == 4
