@@ -602,7 +602,10 @@ class ReliableCausalNode:
         """Timestamp, self-deliver, store, and reliably send to all peers.
 
         Quarantined peers are skipped — their copy arrives through the
-        anti-entropy exchange when they resume.
+        anti-entropy exchange when they resume.  A mesh broadcast queues
+        its frame on every link with room in the caller's turn, awaits
+        only links at ``_SEND_BUFFER`` (holding back no other) and yields
+        once, so closed-loop callers interleave; an overlay one never does.
         """
         # Real monotonic time, not the 0.0 default: the refined
         # detector's recent-window eviction is keyed on it (a frozen
@@ -622,13 +625,14 @@ class ReliableCausalNode:
             return message
         # Mesh mode: the body is packed once and shared across every
         # per-peer DATA frame — only the link-seq header differs.
-        body = self.session.data_body(wire)
-        peers = self._live_targets()
-        for address in peers:
+        session, body, full = self.session, self.session.data_body(wire), []
+        for address in self._live_targets():
             self._tally_sent(address, wire)
-        await asyncio.gather(
-            *(self.session.send(address, wire, shared_body=body) for address in peers)
-        )
+            if session.try_send(address, wire, body) is None:
+                full.append(session.send(address, wire, shared_body=body))
+        if full:
+            await asyncio.gather(*full)
+        await asyncio.sleep(0)
         return message
 
     def _wire_body(self, message: Message, full: Optional[bytes]) -> bytes:

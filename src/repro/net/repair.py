@@ -507,8 +507,9 @@ class Repair:
             node.session.push(addr, data)
 
     def request(self, address: Address, paced: bool = True) -> bool:
-        """Send ``address`` this node's digest out of band, from a task;
-        True when one was scheduled.
+        """Queue ``address`` this node's digest at once, riding the outbox
+        with the ack of the batch being read (so a delta missing later in
+        it is served); True unless pacing held it back.
 
         ``paced`` (after a reference miss, or for a relay gap the grace
         did not close): at most one per address per ``_RESYNC_INTERVAL``,
@@ -534,17 +535,19 @@ class Repair:
             for stale in [a for a, at in marks.items() if now - at >= _RESYNC_INTERVAL]:
                 del marks[stale]
             marks[address] = now
-        self._node.session._post(self.heal(address))
+        if self._digestible(address):
+            self._node.session.enqueue_digest(address, self.digest())
         return True
 
     async def heal(self, address: Address) -> None:
-        """Send ``address`` this node's digest; it pushes back whatever
-        the digest lacks."""
-        if not self._digestible(address):
-            # Scheduled before remove_peer()/evict_peer() ran: a digest
-            # now would re-create the session state just purged.
-            return
-        await self._node.session.send_digest(address, self.digest())
+        """Send ``address`` this node's digest (none to a purged peer: it
+        would re-create its session state); it pushes back whatever the
+        digest lacks.  On the mesh it leaves at once: a later ack, read
+        first, would unmask frames it lacks for the answer to resend."""
+        if self._digestible(address):
+            await self._node.session.send_digest(address, self.digest())
+            if self._node.overlay is None:
+                self._node.session.flush(address)
 
     def _digestible(self, address: Address) -> bool:
         """Whether a digest may go to ``address``: a live peer or view

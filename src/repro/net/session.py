@@ -19,14 +19,15 @@ so this module adds the classic reliability machinery between a
   counted — anti-entropy, one layer up, recovers the message, and a
   NACK for a seq given up is answered with an empty DATA frame, so the
   receiver's cumulative ack moves on);
-* **a bounded send buffer with backpressure** — ``send`` suspends when a
-  peer has too many unacknowledged frames in flight, so a dead peer
-  cannot make the sender accumulate unbounded state;
-* **frame coalescing** — outgoing frames queue per peer and flush as one
-  BATCH datagram when they fill the ``_COALESCE_MTU`` budget, when the
-  session's one flush timer fires (``_FLUSH_INTERVAL`` after the first
-  frame queued since the last firing; it flushes every peer with queued
-  frames), or on an explicit :meth:`flush`;
+* **a bounded send buffer with backpressure** — only a link holding
+  ``_SEND_BUFFER`` unacked frames makes ``send`` suspend (``push``
+  posts a waiting task), so a dead peer cannot grow unbounded state;
+* **frame coalescing** — frames queue per peer in their caller's turn
+  (a node's fan-out fills every link's outbox before it yields) and
+  flush as one BATCH datagram when they fill the ``_COALESCE_MTU``
+  budget, when the session's one flush timer fires (``_FLUSH_INTERVAL``
+  after the first frame queued since the last firing; it flushes every
+  peer with queued frames), or on an explicit :meth:`flush`;
   retransmissions, digests and heartbeats ride the same queue, so a
   steady stream costs a fraction of the datagrams (and syscalls);
 * **held cumulative acks that ride the data** — received DATA marks the
@@ -813,8 +814,9 @@ class ReliableSession:
     ) -> int:
         """Reliably send ``payload``; returns the link sequence number.
 
-        Suspends (backpressure) while ``destination`` already has
-        ``_SEND_BUFFER`` unacknowledged frames in flight.
+        Suspends only while ``destination`` already has ``_SEND_BUFFER``
+        unacknowledged frames in flight; with room the frame is queued
+        in the caller's turn, as by :meth:`try_send`.
         ``shared_body`` is an optional pre-packed :meth:`data_body` of
         the same payload, shared across a fan-out.
         """
@@ -822,6 +824,28 @@ class ReliableSession:
         while len(state.unacked) >= _SEND_BUFFER:
             state.space.clear()
             await state.space.wait()
+        return self._enqueue(destination, state, payload, shared_body)
+
+    def try_send(
+        self, destination: Address, payload: bytes, shared_body: Optional[bytes] = None
+    ) -> Optional[int]:
+        """:meth:`send` without waiting: the link sequence number, or
+        None (nothing sent) while ``destination`` is at ``_SEND_BUFFER``."""
+        state = self._peer(destination)
+        if len(state.unacked) >= _SEND_BUFFER:
+            return None
+        return self._enqueue(destination, state, payload, shared_body)
+
+    def push(self, destination: Address, payload: bytes) -> None:
+        """:meth:`send` from synchronous context (a digest answer): queued
+        at once, so a :meth:`flush` carries it; a full link gets a task."""
+        if self.try_send(destination, payload) is None:
+            self._post(self.send(destination, payload))
+
+    def _enqueue(
+        self, destination: Address, state: _PeerState, payload: bytes, shared_body: Optional[bytes]
+    ) -> int:
+        """Number, record and queue one DATA frame (the link has room)."""
         seq = state.next_seq
         state.next_seq += 1
         if self._on_link_seq is not None:
@@ -839,12 +863,7 @@ class ReliableSession:
         self._transmit(destination, state, frame)
         return seq
 
-    def push(self, destination: Address, payload: bytes) -> None:
-        """Schedule a reliable :meth:`send` from synchronous context
-        (e.g. inside a receive upcall answering an anti-entropy digest)."""
-        self._post(self.send(destination, payload))
-
-    async def send_digest(
+    def enqueue_digest(
         self, destination: Address, frontiers: Dict[str, Tuple[int, Tuple[int, ...]]]
     ) -> None:
         """Fire-and-forget an anti-entropy digest (loss is harmless —
@@ -852,6 +871,10 @@ class ReliableSession:
         state = self._peer(destination)
         state.stats.digests_sent += 1
         self._transmit(destination, state, self._codec.encode(DigestFrame(frontiers)))
+
+    async def send_digest(self, destination: Address, frontiers: Dict) -> None:
+        """:meth:`enqueue_digest` for the digest rounds; never suspends."""
+        self.enqueue_digest(destination, frontiers)
 
     def send_control(self, destination: Address, frame: Frame) -> None:
         """Fire-and-forget a control frame (VIEW/JOIN/JOIN_ACK/LEAVE,

@@ -47,7 +47,7 @@ from repro.net import repair as repair_module
 from repro.net import session as session_module
 from repro.net.repair import MessageStore
 from repro.sim.group import Group, wait_for
-from repro.sim.network import GaussianDelayModel
+from repro.sim.network import ConstantDelayModel, GaussianDelayModel
 from repro.sim.vtime import run_virtual
 from tests.recording import Deliveries
 
@@ -420,9 +420,10 @@ class TestNodeSurface:
         asyncio.run(scenario())
 
     def test_heal_scheduled_before_remove_peer_leaves_no_session_state(self):
-        """A resync (or a liveness resume) schedules ``Repair.heal`` as a
-        task; if the peer is removed before it runs, its digest must not
-        re-create the session state ``remove_peer`` just purged."""
+        """A resync (or a liveness resume) queues its digest at once, and
+        a digest asked for after ``remove_peer`` (a digest round's
+        ``Repair.heal``, an unpaced request) must not re-create the
+        session state it just purged."""
 
         async def scenario():
             config = NodeConfig(r=32, k=2)
@@ -431,7 +432,8 @@ class TestNodeSurface:
             alice.add_peer(bob.local_address)
             alice.repair.request(bob.local_address)
             alice.remove_peer(bob.local_address)
-            await asyncio.sleep(0)  # the heal task's turn
+            alice.repair.request(bob.local_address, paced=False)
+            await alice.repair.heal(bob.local_address)
             assert bob.local_address not in alice.session.all_stats()
             # A peer that is still one gets its digest.
             alice.add_peer(bob.local_address)
@@ -505,6 +507,162 @@ class TestNodeSurface:
             await b.close()
 
         asyncio.run(scenario())
+
+
+def count_tasks(monkeypatch) -> list:
+    """Record every task the running loop creates from here on."""
+    loop = asyncio.get_running_loop()
+    created, create_task = [], loop.create_task
+
+    def counting(coro, **kwargs):
+        created.append(coro.__qualname__)
+        return create_task(coro, **kwargs)
+
+    monkeypatch.setattr(loop, "create_task", counting)
+    return created
+
+
+class _SendNowTransport:
+    """A transport with the batched transports' synchronous ``send_now``
+    (1 ms per hop, a loop callback, no task): a session over it posts
+    no task per datagram, so every task a node creates is its own."""
+
+    def __init__(self, receivers: dict, address: str):
+        self.receivers, self.address = receivers, address
+
+    def send_now(self, destination, data):
+        asyncio.get_running_loop().call_later(
+            0.001, self.receivers[destination], data, self.address
+        )
+
+    async def send(self, destination, data):
+        self.send_now(destination, data)
+
+    def set_receiver(self, callback):
+        self.receivers[self.address] = callback
+
+    async def close(self):
+        self.receivers.pop(self.address, None)
+
+
+async def send_now_mesh(size: int) -> list:
+    """``size`` peered nodes ``n0…`` over :class:`_SendNowTransport`."""
+    receivers, names = {}, [f"n{index}" for index in range(size)]
+    nodes = [
+        await create_node(name, NodeConfig(), transport=_SendNowTransport(receivers, name))
+        for name in names
+    ]
+    for node in nodes:
+        for name in names:
+            if name != node.node_id:
+                node.add_peer(name)
+    return nodes
+
+
+class TestSendContract:
+    """A mesh broadcast queues its frames in the caller's turn: no task
+    per link, and only a link at ``_SEND_BUFFER`` makes it wait."""
+
+    def test_a_broadcast_with_room_on_every_link_creates_no_task(self, monkeypatch):
+        async def scenario():
+            group = await Group.start(4, NodeConfig(), 1, 0.0, ConstantDelayModel(1.0))
+            async with group:
+                await group.burst(5)
+                await group.settle()
+                node, peers = group.nodes[0], ["n1", "n2", "n3"]
+                unacked = [node.session.unacked_count(peer) for peer in peers]
+                created = count_tasks(monkeypatch)
+                await node.broadcast("x")
+                monkeypatch.undo()
+                # Still queued (the flush timer is 1 ms away), one frame a link.
+                queued = [
+                    node.session.unacked_count(peer) - before
+                    for peer, before in zip(peers, unacked)
+                ]
+                return created, queued, node.session.state_sizes()["outbox"]
+
+        assert run_virtual(scenario()) == ([], [1, 1, 1], 3)
+
+    def test_digests_go_without_a_task_and_a_rounds_digest_flushes_at_once(self, monkeypatch):
+        """``Repair.request`` queues its digest in the caller's turn: it
+        rides the outbox with the ack of the batch being read.  A digest
+        round's (``Repair.heal``) flushes at once: an ack built after the
+        digest must not reach the answerer first (it would unmask frames
+        the digest lacks, and the answer would send them again)."""
+
+        async def scenario():
+            nodes = await send_now_mesh(2)
+            await nodes[0].broadcast("x")  # a frame queued on the link
+            stats = nodes[0].session.stats_for("n1")
+            created = count_tasks(monkeypatch)
+            assert nodes[0].repair.request("n1", paced=False)
+            queued = (stats.digests_sent, stats.datagrams_sent)
+            await nodes[0].repair.heal("n1")
+            monkeypatch.undo()
+            counts = (created, queued, (stats.digests_sent, stats.datagrams_sent))
+            for node in nodes:
+                await node.close()
+            return counts
+
+        assert run_virtual(scenario()) == ([], (1, 0), (2, 1))
+
+    def test_a_full_link_holds_back_no_other(self, monkeypatch):
+        """n2 drops n0's data unacked until its gate opens: n0's third
+        broadcast reaches n1 and n3 at once and waits only for n2's
+        link, where it leaves as link seq 3 once an ack frees space."""
+        monkeypatch.setattr(session_module, "_SEND_BUFFER", 2)
+
+        async def scenario():
+            group = await Group.start(4, NodeConfig(), 1, 0.0, ConstantDelayModel(1.0))
+            async with group:
+                node, gated = group.nodes[0], group.nodes[2]
+                gate = [False]
+                gated.session._data_gate = lambda: gate[0]
+                await node.broadcast("a")
+                await node.broadcast("b")
+                third = asyncio.ensure_future(node.broadcast("c"))
+                await asyncio.sleep(0.05)
+                reached = [len(group.order[name]) for name in ("n1", "n2", "n3")]
+                waiting = (third.done(), node.session.unacked_count("n2"))
+                gate[0] = True
+                await third
+                await group.settle()
+                return (reached, waiting, node.session.link_states()["n2"][0],
+                        group.order["n2"])
+
+        reached, waiting, next_seq, order = run_virtual(scenario())
+        assert reached == [3, 0, 3]
+        assert waiting == (False, 2)
+        assert next_seq == 4
+        assert order == [("n0", 1), ("n0", 2), ("n0", 3)]
+
+    def test_a_saturated_closed_loop_runs_no_session_task(self, monkeypatch):
+        """Four nodes broadcasting back to back over a ``send_now``
+        transport: no node creates a task and no session holds one."""
+
+        async def scenario():
+            nodes, peak = await send_now_mesh(4), [0]
+
+            async def client(node):
+                for index in range(150):
+                    await node.broadcast(index)
+                    peak[0] = max(peak[0], node.state_sizes()["session_tasks"])
+
+            clients = [asyncio.ensure_future(client(node)) for node in nodes]
+            created = count_tasks(monkeypatch)
+            await asyncio.gather(*clients)
+            monkeypatch.undo()
+            assert await wait_for(
+                lambda: all(
+                    node.endpoint.stats.sent + node.endpoint.stats.delivered == 600
+                    for node in nodes
+                )
+            )
+            for node in nodes:
+                await node.close()
+            return created, peak[0]
+
+        assert run_virtual(scenario()) == ([], 0)
 
 
 class TestHostileDatagrams:

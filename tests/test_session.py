@@ -367,6 +367,59 @@ class TestBackpressure:
         asyncio.run(scenario())
 
 
+    def test_push_with_room_queues_the_frame_in_the_callers_turn(self):
+        """``push(); flush()`` puts the frame on the wire at once: no
+        task stands between them (the graceful leave relies on it)."""
+
+        async def scenario():
+            bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+            sessions, inboxes = make_pair(bus)
+            sessions["a"].push("b", b"now")
+            assert sessions["a"].unacked_count("b") == 1
+            sessions["a"].flush()
+            sent = sessions["a"].stats_for("b").datagrams_sent
+            tasks = sessions["a"].state_sizes()["tasks"]
+            assert await wait_for(lambda: inboxes["b"])
+            for session in sessions.values():
+                await session.close()
+            return sent, tasks, inboxes["b"]
+
+        # The one task is the bus's datagram send, not a waiting push.
+        assert run_virtual(scenario()) == (1, 1, [(b"now", "a")])
+
+    def test_push_to_a_full_link_waits_for_space_and_loses_nothing(self, monkeypatch):
+        tune(monkeypatch, send_buffer=2)
+
+        async def scenario():
+            bus = LocalAsyncBus(delay_model=ConstantDelayModel(1.0))
+            gate = [False]
+            inbox = []
+            a = ReliableSession(
+                bus.attach("a"), on_message=lambda data, addr: None,
+                policy=RetransmitPolicy(initial_timeout=0.02),
+            )
+            b = ReliableSession(
+                bus.attach("b"), on_message=lambda data, addr: inbox.append(data),
+                data_gate=lambda: gate[0], policy=RetransmitPolicy(initial_timeout=0.02),
+            )
+            for session in (a, b):
+                session.start()
+            a.push("b", b"1")
+            a.push("b", b"2")
+            a.push("b", b"3")  # the link is full: a task waits for space
+            waiting = (a.unacked_count("b"), a.state_sizes()["tasks"] > 0)
+            await asyncio.sleep(0.1)
+            assert (a.unacked_count("b"), inbox) == (2, [])
+            gate[0] = True  # b acks the retransmissions, freeing space
+            assert await wait_for(lambda: len(inbox) == 3)
+            for session in (a, b):
+                await session.close()
+            # The session hands frames up as they arrive, not in seq order.
+            return waiting, sorted(inbox), a.link_states()["b"][0], a.state_sizes()["tasks"]
+
+        assert run_virtual(scenario()) == ((2, True), [b"1", b"2", b"3"], 4, 0)
+
+
 class TestWirePath:
     """Frame coalescing, held cumulative ACKs, and the wire counters."""
 
